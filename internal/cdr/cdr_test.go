@@ -420,3 +420,54 @@ func TestDecoderNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBeginOctetsMatchesWriteOctets pins the in-place octet sequence: a body
+// encoded between BeginOctets and EndOctets is byte-identical to encoding it
+// in a second encoder and copying it in with WriteOctets — count, the body's
+// own alignment origin, and the enclosing origin restored afterwards — from
+// every starting alignment.
+func TestBeginOctetsMatchesWriteOctets(t *testing.T) {
+	body := func(e *Encoder) {
+		e.WriteOctet(1)
+		e.WriteDoubles([]float64{1.5, -2})
+		e.WriteString("x")
+	}
+	for _, ord := range []ByteOrder{BigEndian, LittleEndian} {
+		for lead := 0; lead < 9; lead++ {
+			inner := NewEncoder(ord)
+			body(inner)
+			want, got := NewEncoder(ord), NewEncoder(ord)
+			for _, e := range []*Encoder{want, got} {
+				e.WriteRaw(make([]byte, lead))
+			}
+			want.WriteOctets(inner.Bytes())
+			m := got.BeginOctets()
+			body(got)
+			got.EndOctets(m)
+			for _, e := range []*Encoder{want, got} {
+				e.WriteULongLong(7) // aligned against the enclosing origin again
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%v lead %d: in-place octets\n%x\nwant\n%x", ord, lead, got.Bytes(), want.Bytes())
+			}
+		}
+	}
+}
+
+func TestExtendAndAdopt(t *testing.T) {
+	e := NewEncoder(NativeOrder)
+	e.WriteOctet(9)
+	copy(e.Extend(3), "abc")
+	if string(e.Bytes()) != "\x09abc" {
+		t.Fatalf("Extend produced %q", e.Bytes())
+	}
+	stream := []byte{1, 0, 0, 0}
+	e.Adopt(stream)
+	e.WriteULong(5)
+	if e.Len() != 8 || !bytes.Equal(e.Bytes()[:4], stream) {
+		t.Fatalf("Adopt did not continue the adopted stream: %x", e.Bytes())
+	}
+	if got, _ := NewDecoder(e.Bytes()[4:], NativeOrder).ReadULong(); got != 5 {
+		t.Fatalf("value after adopted stream decodes as %d", got)
+	}
+}

@@ -312,7 +312,7 @@ func (d *Decoder) doublesHeader() (int, error) {
 // checked by doublesHeader.
 func (d *Decoder) readDoublesBody(dst []float64) {
 	if d.order == hostOrder {
-		copy(float64Bytes(dst), d.buf[d.pos:])
+		copy(HostBytes(dst), d.buf[d.pos:])
 	} else {
 		ord := d.order.order()
 		for i := range dst {
@@ -362,7 +362,7 @@ func (d *Decoder) longsHeader() (int, error) {
 
 func (d *Decoder) readLongsBody(dst []int32) {
 	if d.order == hostOrder {
-		copy(int32Bytes(dst), d.buf[d.pos:])
+		copy(HostBytes(dst), d.buf[d.pos:])
 	} else {
 		ord := d.order.order()
 		for i := range dst {

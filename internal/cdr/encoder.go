@@ -127,6 +127,45 @@ func (e *Encoder) WriteOctets(b []byte) {
 // whose framing is established elsewhere.
 func (e *Encoder) WriteRaw(b []byte) { e.buf = append(e.buf, b...) }
 
+// OctetsMark is an open in-place sequence<octet>; see BeginOctets.
+type OctetsMark struct{ count, origin int }
+
+// BeginOctets opens a sequence<octet> whose contents are encoded in place as
+// their own CDR stream: it reserves the count, makes the next byte the
+// alignment origin and returns the mark EndOctets closes it with. It is
+// WriteOctets for a body that would otherwise be built in a second encoder
+// and copied in.
+func (e *Encoder) BeginOctets() OctetsMark {
+	e.WriteULong(0)
+	m := OctetsMark{count: len(e.buf) - 4, origin: e.origin}
+	e.origin = len(e.buf)
+	return m
+}
+
+// EndOctets patches the count of the sequence opened by m and restores the
+// enclosing stream's alignment origin.
+func (e *Encoder) EndOctets(m OctetsMark) {
+	e.order.order().PutUint32(e.buf[m.count:], uint32(len(e.buf)-m.count-4))
+	e.origin = m.origin
+}
+
+// Extend appends n bytes with no alignment and returns them for the caller to
+// fill in place. Their contents are unspecified (a reused buffer's old bytes):
+// the caller must overwrite every one.
+func (e *Encoder) Extend(n int) []byte {
+	e.Grow(n)
+	off := len(e.buf)
+	e.buf = e.buf[:off+n]
+	return e.buf[off:]
+}
+
+// Adopt makes b, a complete stream encoded in e's byte order, the encoder's
+// contents without copying it. The encoder owns b from here on.
+func (e *Encoder) Adopt(b []byte) {
+	e.buf = b
+	e.origin = 0
+}
+
 // WriteDoubles appends a sequence<double>: uint32 count, 8-alignment, then
 // the packed elements. This is the hot path for distributed sequence
 // chunks, so it avoids per-element calls.
@@ -136,7 +175,7 @@ func (e *Encoder) WriteDoubles(v []float64) {
 	if e.order == hostOrder {
 		// Stream order matches memory order: the packed elements are the
 		// backing array's bytes, so one memcpy replaces the element loop.
-		e.buf = append(e.buf, float64Bytes(v)...)
+		e.buf = append(e.buf, HostBytes(v)...)
 		return
 	}
 	ord := e.order.order()
@@ -151,7 +190,7 @@ func (e *Encoder) WriteDoubles(v []float64) {
 func (e *Encoder) WriteLongs(v []int32) {
 	e.WriteULong(uint32(len(v)))
 	if e.order == hostOrder {
-		e.buf = append(e.buf, int32Bytes(v)...)
+		e.buf = append(e.buf, HostBytes(v)...)
 		return
 	}
 	ord := e.order.order()

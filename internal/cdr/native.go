@@ -34,18 +34,12 @@ var hostOrder = func() ByteOrder {
 // conversion.
 func HostOrder() ByteOrder { return hostOrder }
 
-// float64Bytes views v's backing array as raw bytes.
-func float64Bytes(v []float64) []byte {
+// HostBytes views v's backing array as raw bytes in host order. Beyond the
+// block fast paths here, distributed-sequence transfers use it to move a
+// rank's share of a fixed-width chunk as a byte sub-range.
+func HostBytes[T float64 | int32 | int64](v []T) []byte {
 	if len(v) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
-}
-
-// int32Bytes views v's backing array as raw bytes.
-func int32Bytes(v []int32) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*int(unsafe.Sizeof(v[0])))
 }

@@ -436,11 +436,12 @@ func (o *Object) dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) error {
 		if res.err != nil {
 			return res.err
 		}
-		// res.reply is a complete argument payload; out already carries
-		// the byte-order octet, so splice in the body after the flag. Both
-		// were produced by NewArgEncoder, so orders and alignment agree.
+		// res.reply is a complete argument payload the collective loop
+		// built and handed over (both encoders come from NewArgEncoder, so
+		// orders agree): it becomes the adapter's reply as it is, with no
+		// copy of the results gathered into it.
 		if len(res.reply) > 0 {
-			out.WriteRaw(res.reply[1:])
+			out.Adopt(res.reply)
 		}
 		return nil
 	case <-o.stop:

@@ -52,7 +52,28 @@ type headerArg struct {
 	Data   []byte      // centralized In/InOut: full marshalled sequence
 }
 
+// encode writes the whole header, inline argument data included.
 func (h *invocationHeader) encode(e *cdr.Encoder) {
+	h.encodePrefix(e)
+	for i := range h.Args {
+		h.encodeArg(e, i)
+		if h.inline(i) {
+			e.WriteOctets(h.Args[i].Data)
+		}
+	}
+}
+
+// inline reports whether argument i's data rides in the header, as a
+// sequence<octet> right after encodeArg's fields: the whole-payload
+// centralized request leg.
+func (h *invocationHeader) inline(i int) bool {
+	return h.Method == Centralized && !h.Streamed && h.Args[i].Dir != Out
+}
+
+// encodePrefix writes everything up to the argument list. Together with
+// encodeArg it lets thread 0 gather each inline argument straight into the
+// request encoder instead of staging it in headerArg.Data.
+func (h *invocationHeader) encodePrefix(e *cdr.Encoder) {
 	e.WriteString(h.Op)
 	m := uint32(h.Method)
 	if h.Streamed {
@@ -72,21 +93,21 @@ func (h *invocationHeader) encode(e *cdr.Encoder) {
 	e.WriteULong(uint32(h.ClientRanks))
 	e.WriteOctets(h.Scalars)
 	e.WriteULong(uint32(len(h.Args)))
-	for _, a := range h.Args {
-		e.WriteEnum(uint32(a.Dir))
-		e.WriteString(a.Elem)
-		if a.Dir == Out {
-			spec := a.Spec
-			if spec == nil {
-				spec = dist.Block{}
-			}
-			dist.EncodeSpec(e, spec)
-		} else {
-			dist.EncodeLayout(e, a.Layout)
+}
+
+// encodeArg writes argument i's fields, inline data excluded.
+func (h *invocationHeader) encodeArg(e *cdr.Encoder, i int) {
+	a := &h.Args[i]
+	e.WriteEnum(uint32(a.Dir))
+	e.WriteString(a.Elem)
+	if a.Dir == Out {
+		spec := a.Spec
+		if spec == nil {
+			spec = dist.Block{}
 		}
-		if h.Method == Centralized && !h.Streamed && a.Dir != Out {
-			e.WriteOctets(a.Data)
-		}
+		dist.EncodeSpec(e, spec)
+	} else {
+		dist.EncodeLayout(e, a.Layout)
 	}
 }
 
@@ -188,22 +209,23 @@ type replyHeader struct {
 type replyArg struct {
 	Dir    Dir
 	Length int
-	Data   []byte // centralized Out/InOut only
+	Data   []byte // centralized Out/InOut only; aliases the decoded reply
 }
 
-// encode writes the reply extension. In a streamed centralized invocation
-// (streamed true) result data travels as chunked Data messages written
-// before the Reply, so only the lengths ride in the header.
-func (h *replyHeader) encode(e *cdr.Encoder, method Method, streamed bool) {
-	e.WriteOctets(h.Scalars)
-	e.WriteULong(uint32(len(h.Args)))
-	for _, a := range h.Args {
-		e.WriteEnum(uint32(a.Dir))
-		e.WriteULongLong(uint64(a.Length))
-		if method == Centralized && !streamed && a.Dir != In {
-			e.WriteOctets(a.Data)
-		}
-	}
+// encodeReplyPrefix and encodeReplyArg write the reply extension piecewise,
+// so thread 0 gathers each whole-payload result straight into the reply
+// encoder, as a sequence<octet> after its encodeReplyArg fields. In a
+// streamed centralized invocation result data travels as chunked Data
+// messages written before the Reply, and in a multi-port one directly
+// between the threads, so only the lengths ride in the header.
+func encodeReplyPrefix(e *cdr.Encoder, scalars []byte, nargs int) {
+	e.WriteOctets(scalars)
+	e.WriteULong(uint32(nargs))
+}
+
+func encodeReplyArg(e *cdr.Encoder, dir Dir, length int) {
+	e.WriteEnum(uint32(dir))
+	e.WriteULongLong(uint64(length))
 }
 
 func decodeReplyHeader(d *cdr.Decoder, method Method, streamed bool) (*replyHeader, error) {

@@ -62,6 +62,20 @@ func TestInvocationHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// encode renders a whole reply header from the pieces processCall writes
+// one by one, with the inline data where a gather would put it.
+func (h *replyHeader) encode(e *cdr.Encoder, method Method, streamed bool) {
+	encodeReplyPrefix(e, h.Scalars, len(h.Args))
+	for _, a := range h.Args {
+		encodeReplyArg(e, a.Dir, a.Length)
+		if method == Centralized && !streamed && a.Dir != In {
+			m := e.BeginOctets()
+			e.WriteRaw(a.Data)
+			e.EndOctets(m)
+		}
+	}
+}
+
 func TestReplyHeaderRoundTrip(t *testing.T) {
 	for _, method := range []Method{Centralized, Multiport} {
 		h := &replyHeader{

@@ -212,24 +212,59 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	}
 }
 
+// newHeader builds the invocation header thread 0 sends: the client's layout
+// for every argument it supplies, its template for every result it expects.
+func (b *Binding) newHeader(comm *rts.Comm, token uint32, op string, method Method, scalars []byte, args []DistArg) *invocationHeader {
+	h := &invocationHeader{
+		Op: op, Method: method, Token: token,
+		ClientRanks: comm.Size(), Epoch: b.refEpoch, Scalars: scalars,
+		Args: make([]headerArg, len(args)),
+	}
+	for i, a := range args {
+		h.Args[i] = headerArg{Dir: a.Dir, Elem: a.Seq.ElemName()}
+		if a.Dir == Out {
+			h.Args[i].Spec = a.Seq.Spec()
+		} else {
+			h.Args[i].Layout = a.Seq.Layout()
+		}
+	}
+	return h
+}
+
 // invokeCentralized implements the paper's §3.2 client side: synchronize,
 // gather and marshal at the communicating thread, one request message, then
 // scatter the results.
 func (b *Binding) invokeCentralized(comm *rts.Comm, token uint32, op string, shardKey, scalars []byte, args []DistArg, desc OpDesc, timing *Timing) ([]byte, error) {
-	// Gather the distributed arguments at thread 0. The gathers run on the
-	// lane communicator so concurrent invocations on other lanes cannot
-	// intercept the traffic.
+	// Thread 0 opens the request — header up to the argument list — and the
+	// threads gather every In/InOut argument straight into it, so the bytes
+	// the gather assembles are the bytes the transport writes. The gathers
+	// run on the lane communicator so concurrent invocations on other lanes
+	// cannot intercept the traffic.
+	var (
+		h *invocationHeader
+		e *cdr.Encoder
+	)
+	if comm.Rank() == 0 {
+		packStart := time.Now()
+		h = b.newHeader(comm, token, op, Centralized, scalars, args)
+		e = orb.NewArgEncoder()
+		h.encodePrefix(e)
+		if timing != nil {
+			timing.Pack = time.Since(packStart)
+		}
+		b.span(token, obs.PhasePack, packStart)
+	}
 	gatherStart := time.Now()
-	payloads := make([][]byte, len(args))
 	for i, a := range args {
+		if e != nil {
+			h.encodeArg(e, i)
+		}
 		if a.Dir == Out {
 			continue
 		}
-		p, err := gatherMarshalOn(comm, a.Seq)
-		if err != nil {
+		if err := gatherInto(comm, a.Seq, e); err != nil {
 			return nil, err
 		}
-		payloads[i] = p
 	}
 	if timing != nil {
 		timing.Gather = time.Since(gatherStart)
@@ -238,27 +273,6 @@ func (b *Binding) invokeCentralized(comm *rts.Comm, token uint32, op string, sha
 
 	var meta invokeMeta
 	if comm.Rank() == 0 {
-		packStart := time.Now()
-		h := &invocationHeader{
-			Op: op, Method: Centralized, Token: token,
-			ClientRanks: comm.Size(), Epoch: b.refEpoch, Scalars: scalars,
-			Args: make([]headerArg, len(args)),
-		}
-		for i, a := range args {
-			h.Args[i] = headerArg{Dir: a.Dir, Elem: a.Seq.ElemName()}
-			if a.Dir == Out {
-				h.Args[i].Spec = a.Seq.Spec()
-			} else {
-				h.Args[i].Layout = a.Seq.Layout()
-				h.Args[i].Data = payloads[i]
-			}
-		}
-		e := orb.NewArgEncoder()
-		h.encode(e)
-		if timing != nil {
-			timing.Pack = time.Since(packStart)
-		}
-		b.span(token, obs.PhasePack, packStart)
 		sendStart := time.Now()
 		replyBytes, served, err := b.wireInvoke(op, e.Bytes(), shardKey)
 		if timing != nil {
@@ -293,7 +307,7 @@ func (b *Binding) invokeCentralized(comm *rts.Comm, token uint32, op string, sha
 			if comm.Rank() == 0 {
 				data = meta.datas[i]
 			}
-			if err := scatterUnmarshalOn(comm, a.Seq, data); err != nil {
+			if err := a.Seq.ScatterUnmarshalRange(comm, 0, 0, a.Seq.Len(), data); err != nil {
 				return err
 			}
 		}
@@ -387,21 +401,8 @@ func (b *Binding) invokeMultiport(comm *rts.Comm, token uint32, op string, scala
 		// first and alone, as §3.3 prescribes, so concurrent clients contend
 		// only at the communicating thread.
 		if me == 0 {
-			h := &invocationHeader{
-				Op: op, Method: Multiport, Token: token,
-				ClientRanks: cRanks, Epoch: b.refEpoch, Scalars: scalars,
-				Args: make([]headerArg, len(args)),
-			}
-			for i, a := range args {
-				h.Args[i] = headerArg{Dir: a.Dir, Elem: a.Seq.ElemName()}
-				if a.Dir == Out {
-					h.Args[i].Spec = a.Seq.Spec()
-				} else {
-					h.Args[i].Layout = a.Seq.Layout()
-				}
-			}
 			e := orb.NewArgEncoder()
-			h.encode(e)
+			b.newHeader(comm, token, op, Multiport, scalars, args).encode(e)
 			launched = true
 			go func() {
 				payload, err := b.client.Invoke(b.ref, op, e.Bytes(), false)

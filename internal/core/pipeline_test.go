@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -258,6 +259,91 @@ func TestStreamedChunkAllocs(t *testing.T) {
 		const budget = 40
 		if perChunk > budget {
 			return fmt.Errorf("streamed transfer allocates %.1f per extra chunk, budget %d", perChunk, budget)
+		}
+		return nil
+	})
+}
+
+// TestWholePayloadByteBudget is the byte guard beside the allocation-count
+// guards: a whole-payload centralized call may allocate only a small multiple
+// of the argument it moves, in either direction. Each layer may hold the
+// payload once (DESIGN.md §10): for an out argument that is the handler's own
+// storage, the gather's peer part and final encoding, the client's
+// reassembled reply and the scatter's peer part — four payloads; before the
+// single-copy reply leg the same call allocated fourteen.
+func TestWholePayloadByteBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short mode")
+	}
+	const (
+		elems   = 1 << 17
+		payload = elems * 8
+		calls   = 20
+		budget  = 6 * payload
+	)
+	tc := startCluster(t, 2, false, nil)
+	opts := BindOptions{Method: Centralized, Timeout: testTimeout, StreamChunkElems: -1}
+	tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
+		out, err := dseq.New(c, dseq.Float64, 0, nil)
+		if err != nil {
+			return err
+		}
+		in, err := dseq.New(c, dseq.Float64, elems, nil)
+		if err != nil {
+			return err
+		}
+		in.FillFunc(func(int) float64 { return 1 })
+		n := ScalarEncoder()
+		n.WriteLong(elems)
+		legs := []struct {
+			name string
+			call func() error
+		}{
+			{"out", func() error {
+				_, err := b.Invoke("iota", n.Bytes(), []DistArg{OutSeq(out)})
+				return err
+			}},
+			{"in", func() error {
+				_, err := b.Invoke("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(in)})
+				return err
+			}},
+		}
+		for _, leg := range legs {
+			if err := leg.call(); err != nil { // warm pools and connections
+				return err
+			}
+			// Only thread 0 reads the process-wide counter, between barriers
+			// that keep the other thread's calls inside the window.
+			var before, after runtime.MemStats
+			if c.Rank() == 0 {
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			for i := 0; i < calls; i++ {
+				if err := leg.call(); err != nil {
+					return err
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if c.Rank() != 0 {
+				continue
+			}
+			runtime.ReadMemStats(&after)
+			perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+			t.Logf("whole-payload %s call: %d KiB allocated per %d KiB moved (%.1fx)",
+				leg.name, perCall>>10, payload>>10, float64(perCall)/payload)
+			if perCall > budget {
+				return fmt.Errorf("whole-payload %s call allocates %d bytes, budget %d (6x its %d-byte payload)",
+					leg.name, perCall, budget, payload)
+			}
+		}
+		if got := out.LocalData()[0]; out.Len() != elems || got != float64(c.Rank()*elems/2)+0.5 {
+			return fmt.Errorf("rank %d: out result length %d, first element %v", c.Rank(), out.Len(), got)
 		}
 		return nil
 	})

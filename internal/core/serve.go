@@ -94,10 +94,18 @@ func (o *Object) Poll(block bool) (bool, error) {
 			o.rec.Record(obs.Span{Trace: uint64(call.token), Phase: obs.PhaseQueue, Rank: 0,
 				Start: call.enqueuedNS, Dur: time.Now().UnixNano() - call.enqueuedNS})
 		}
-		// Broadcast the call to every thread.
+		// Broadcast the call to every thread, without the inline argument
+		// data: that stays here, at the thread that scatters it.
 		e := cdr.NewEncoder(cdr.NativeOrder)
 		e.WriteOctet(directiveCall)
-		call.header.encode(e)
+		h := call.header
+		h.encodePrefix(e)
+		for i := range h.Args {
+			h.encodeArg(e, i)
+			if h.inline(i) {
+				e.WriteOctets(nil)
+			}
+		}
 		if _, err := o.comm.Bcast(0, e.Bytes()); err != nil {
 			call.replyCh <- callResult{err: &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}}
 			return false, err
@@ -308,8 +316,8 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	}
 
 	// The collective upcall. The scalar-results encoder is per-object
-	// scratch: rh.encode copies its bytes into the reply stream before the
-	// next invocation can reset it.
+	// scratch: encodeReplyPrefix copies its bytes into the reply stream
+	// before the next invocation can reset it.
 	if o.outScratch == nil {
 		o.outScratch = orb.NewArgEncoder()
 	} else {
@@ -338,12 +346,18 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 		return nil, stop, agreed
 	}
 
-	// Return the Out/InOut argument data.
+	// Return the Out/InOut argument data. Thread 0 opens the reply — scalars,
+	// then per argument its direction and final length — and the threads
+	// gather every whole-payload result straight into it, so the reply the
+	// gather assembles is the buffer the adapter writes.
 	sendStart := time.Now()
-	rh := &replyHeader{Scalars: out.Bytes(), Args: make([]replyArg, len(h.Args))}
+	var e *cdr.Encoder
+	if me == 0 {
+		e = orb.NewArgEncoder()
+		encodeReplyPrefix(e, out.Bytes(), len(h.Args))
+	}
 	sendErr := func() error {
 		for i, a := range h.Args {
-			rh.Args[i] = replyArg{Dir: a.Dir, Length: args[i].Len()}
 			if a.Dir == InOut && args[i].Len() != a.Layout.Length {
 				return &orb.SystemException{
 					RepoID:  orb.RepoMarshal,
@@ -352,19 +366,22 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 			}
 		}
 		if h.Streamed {
-			return o.sendStreamed(bucket, h, args)
+			if err := o.sendStreamed(bucket, h, args); err != nil {
+				return err
+			}
 		}
 		for i, a := range h.Args {
-			if a.Dir == In {
+			if e != nil {
+				encodeReplyArg(e, a.Dir, args[i].Len())
+			}
+			if a.Dir == In || h.Streamed {
 				continue
 			}
 			switch h.Method {
 			case Centralized:
-				payload, err := args[i].GatherMarshal(0)
-				if err != nil {
+				if err := gatherInto(o.comm, args[i], e); err != nil {
 					return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
 				}
-				rh.Args[i].Data = payload
 			case Multiport:
 				// Compute the client's final layout for this argument.
 				var clientLayout dist.Layout
@@ -396,10 +413,7 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	if agreed := agreeError(o.comm, sendErr); agreed != nil {
 		return nil, stop, agreed
 	}
-
 	if me == 0 {
-		e := orb.NewArgEncoder()
-		rh.encode(e, h.Method, h.Streamed)
 		reply = e.Bytes()
 	}
 	return reply, stop, nil
@@ -415,15 +429,13 @@ func (o *Object) receiveStreamed(bucket *dataBucket, h *invocationHeader, args [
 	me := o.comm.Rank()
 	ce := int(h.ChunkElems)
 	var firstErr error
+	t := chunkTimer(o.opts.DataTimeout)
+	if t != nil {
+		defer t.Stop()
+	}
 	for i, a := range h.Args {
 		if a.Dir == Out {
 			continue
-		}
-		st, ok := args[i].(dseq.StreamTransferable)
-		if !ok {
-			// Deterministic from the sequence types, so every thread returns
-			// here together, before any chunk collective.
-			return &orb.SystemException{RepoID: orb.RepoMarshal, Message: fmt.Sprintf("arg %d does not support streamed transfers", i)}
 		}
 		l := a.Layout.Length
 		nchunks := chunkCount(l, ce)
@@ -435,14 +447,14 @@ func (o *Object) receiveStreamed(bucket *dataBucket, h *invocationHeader, args [
 			if me == 0 {
 				if firstErr != nil {
 					payload = dseq.FailMarker
-				} else if d, err := nextChunk(bucket.ch, o.stop, o.opts.DataTimeout, uint32(i), false, start, n, k == nchunks-1); err != nil {
+				} else if d, err := nextChunk(bucket.ch, o.stop, t, o.opts.DataTimeout, uint32(i), false, start, n, k == nchunks-1); err != nil {
 					firstErr = err
 					payload = dseq.FailMarker
 				} else {
 					frame, payload = d, d.Payload
 				}
 			}
-			err := st.ScatterUnmarshalRange(o.comm, 0, start, n, payload)
+			err := args[i].ScatterUnmarshalRange(o.comm, 0, start, n, payload)
 			if frame != nil {
 				frame.Release()
 			}
@@ -541,14 +553,6 @@ func (o *Object) sendStreamed(bucket *dataBucket, h *invocationHeader, args []ds
 		if a.Dir == In {
 			continue
 		}
-		st, ok := args[i].(dseq.StreamTransferable)
-		if !ok {
-			if sendCh != nil {
-				close(sendCh)
-				<-sendDone
-			}
-			return &orb.SystemException{RepoID: orb.RepoMarshal, Message: fmt.Sprintf("arg %d does not support streamed transfers", i)}
-		}
 		l := args[i].Len()
 		nchunks := chunkCount(l, ce)
 		for k := 0; k < nchunks; k++ {
@@ -556,7 +560,7 @@ func (o *Object) sendStreamed(bucket *dataBucket, h *invocationHeader, args []ds
 			chunkStart := time.Now()
 			var payload []byte
 			if !gatherDown {
-				p, err := st.GatherMarshalRangeZ(o.comm, 0, start, n, mask)
+				p, err := args[i].GatherMarshalRangeZ(o.comm, 0, start, n, mask)
 				if err != nil {
 					gatherDown = true
 					if firstErr == nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cdr"
 	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
@@ -135,55 +136,56 @@ func (b *Binding) streamMask(comm *rts.Comm) (uint8, error) {
 
 // streamEligible decides whether an invocation takes the streamed
 // centralized path. The decision is a pure function of the binding options
-// and the arguments' global lengths and types, so every SPMD thread decides
-// identically without communicating: streaming must be enabled, every
-// argument must support range transfers, and at least one In/InOut argument
-// must be large enough (two chunks) for the overlap to pay.
+// and the arguments' global lengths, so every SPMD thread decides identically
+// without communicating: streaming must be enabled, and at least one
+// In/InOut argument must be large enough (two chunks) for the overlap to pay.
 func (b *Binding) streamEligible(args []DistArg) bool {
-	if b.chunkElems <= 0 || len(args) == 0 {
+	if b.chunkElems <= 0 {
 		return false
 	}
-	big := false
 	for _, a := range args {
-		if _, ok := a.Seq.(dseq.StreamTransferable); !ok {
-			return false
-		}
 		if a.Dir != Out && a.Seq.Len() >= 2*b.chunkElems {
-			big = true
+			return true
 		}
 	}
-	return big
+	return false
 }
 
-// gatherMarshalOn gathers and marshals a whole sequence at root 0 over the
-// given (lane) communicator. Sequences that support range transfers use
-// them — required under pipelining, where a transfer on the sequence's own
-// communicator could interleave with another lane's — and others fall back
-// to the sequence's communicator (safe only at pipeline depth 1).
-func gatherMarshalOn(c *rts.Comm, seq dseq.Transferable) ([]byte, error) {
-	if st, ok := seq.(dseq.StreamTransferable); ok {
-		return st.GatherMarshalRange(c, 0, 0, seq.Len())
+// gatherInto is the whole-payload mover of both legs: the threads of c
+// (a lane or engine communicator, so transfers of overlapping invocations
+// cannot interleave) collectively gather seq at thread 0, straight into e —
+// thread 0's request or reply encoder, nil elsewhere — as the argument's
+// inline sequence<octet>. The header bytes and the payload are one buffer,
+// written once.
+func gatherInto(c *rts.Comm, seq dseq.Transferable, e *cdr.Encoder) error {
+	if e == nil {
+		return seq.GatherMarshalRangeTo(c, 0, 0, seq.Len(), nil)
 	}
-	return seq.GatherMarshal(0)
+	m := e.BeginOctets()
+	err := seq.GatherMarshalRangeTo(c, 0, 0, seq.Len(), e)
+	e.EndOctets(m)
+	return err
 }
 
-// scatterUnmarshalOn is the inverse of gatherMarshalOn.
-func scatterUnmarshalOn(c *rts.Comm, seq dseq.Transferable, payload []byte) error {
-	if st, ok := seq.(dseq.StreamTransferable); ok {
-		return st.ScatterUnmarshalRange(c, 0, 0, seq.Len(), payload)
+// chunkTimer returns the timer one transfer leg bounds each of its chunk
+// waits with (nextChunk resets it per chunk), or nil when the wait is
+// unbounded. The caller stops it when the leg is done.
+func chunkTimer(timeout time.Duration) *time.Timer {
+	if timeout <= 0 {
+		return nil
 	}
-	return seq.ScatterUnmarshal(0, payload)
+	return time.NewTimer(timeout)
 }
 
 // nextChunk pulls the next expected stream chunk from a data channel,
-// validating that it is exactly the scheduled one. A nil message is the
-// connection-loss poison. On any error the frame (if any) has been
-// released; on success the caller owns the frame and must Release it.
-func nextChunk(ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration, argIdx uint32, reply bool, start, n int, last bool) (*wire.Data, error) {
+// validating that it is exactly the scheduled one, waiting at most timeout
+// on the leg's timer t (nil: no bound). A nil message is the connection-loss
+// poison. On any error the frame (if any) has been released; on success the
+// caller owns the frame and must Release it.
+func nextChunk(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration, argIdx uint32, reply bool, start, n int, last bool) (*wire.Data, error) {
 	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
+	if t != nil {
+		t.Reset(timeout)
 		deadline = t.C
 	}
 	select {
@@ -261,19 +263,8 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 			drainData(sink)
 		}()
 		packStart := time.Now()
-		h := &invocationHeader{
-			Op: op, Method: Centralized, Streamed: true, ChunkElems: uint32(ce),
-			Token: token, ClientRanks: comm.Size(), Epoch: b.refEpoch,
-			Scalars: scalars, Args: make([]headerArg, len(args)),
-		}
-		for i, a := range args {
-			h.Args[i] = headerArg{Dir: a.Dir, Elem: a.Seq.ElemName()}
-			if a.Dir == Out {
-				h.Args[i].Spec = a.Seq.Spec()
-			} else {
-				h.Args[i].Layout = a.Seq.Layout()
-			}
-		}
+		h := b.newHeader(comm, token, op, Centralized, scalars, args)
+		h.Streamed, h.ChunkElems = true, uint32(ce)
 		e := orb.NewArgEncoder()
 		h.encode(e)
 		if timing != nil {
@@ -323,7 +314,6 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 		if a.Dir == Out {
 			continue
 		}
-		st := a.Seq.(dseq.StreamTransferable)
 		l := a.Seq.Len()
 		nchunks := chunkCount(l, ce)
 		for k := 0; k < nchunks; k++ {
@@ -331,7 +321,7 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 			chunkStart := time.Now()
 			var payload []byte
 			if !gatherDown {
-				p, err := st.GatherMarshalRangeZ(comm, 0, start, n, mask)
+				p, err := a.Seq.GatherMarshalRangeZ(comm, 0, start, n, mask)
 				if err != nil {
 					gatherDown = true
 					if streamErr == nil {
@@ -413,6 +403,10 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 	scatterStart := time.Now()
 	scatterErr := func() error {
 		var firstErr error
+		t := chunkTimer(b.client.Timeout)
+		if t != nil {
+			defer t.Stop()
+		}
 		for i, a := range args {
 			if a.Dir == In {
 				continue
@@ -424,7 +418,6 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 			} else if meta.lengths[i] != a.Seq.Len() {
 				return fmt.Errorf("%w: inout arg %d length %d from server, have %d", ErrBadHeader, i, meta.lengths[i], a.Seq.Len())
 			}
-			st := a.Seq.(dseq.StreamTransferable)
 			l := meta.lengths[i]
 			nchunks := chunkCount(l, ceOut)
 			for k := 0; k < nchunks; k++ {
@@ -435,14 +428,14 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 				if me == 0 {
 					if firstErr != nil {
 						payload = dseq.FailMarker
-					} else if d, err := nextChunk(sink, nil, b.client.Timeout, uint32(i), true, start, n, k == nchunks-1); err != nil {
+					} else if d, err := nextChunk(sink, nil, t, b.client.Timeout, uint32(i), true, start, n, k == nchunks-1); err != nil {
 						firstErr = err
 						payload = dseq.FailMarker
 					} else {
 						frame, payload = d, d.Payload
 					}
 				}
-				err := st.ScatterUnmarshalRange(comm, 0, start, n, payload)
+				err := a.Seq.ScatterUnmarshalRange(comm, 0, start, n, payload)
 				if frame != nil {
 					frame.Release()
 				}

@@ -1,6 +1,7 @@
 package dseq
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cdr"
@@ -26,6 +27,13 @@ type Codec[T any] struct {
 	// when nil, callers fall back to DecodeSlice plus a copy.
 	DecodeInto func(d *cdr.Decoder, dst []T) (int, error)
 
+	// HostBytes, when non-nil, marks a fixed-width element type: it views v
+	// as its memory bytes, and EncodeSlice in host byte order writes exactly
+	// the count followed by those bytes (ElemWireSize per element). A rank's
+	// share of such a chunk is a byte sub-range of it, so gathers and scatters
+	// place shares by copy instead of decoding and re-encoding them.
+	HostBytes func(v []T) []byte
+
 	// Block-compression hooks, all non-nil or all nil. Numeric element
 	// types plug a zcodec block codec in here; MarshalChunkZ uses them to
 	// build compressed chunk envelopes when the connection negotiated the
@@ -47,6 +55,7 @@ var Float64 = Codec[float64]{
 	EncodeSlice:    func(e *cdr.Encoder, v []float64) { e.WriteDoubles(v) },
 	DecodeSlice:    func(d *cdr.Decoder) ([]float64, error) { return d.ReadDoubles() },
 	DecodeInto:     func(d *cdr.Decoder, dst []float64) (int, error) { return d.ReadDoublesInto(dst) },
+	HostBytes:      cdr.HostBytes[float64],
 	CompressID:     zcodec.XOR,
 	ElemWireSize:   8,
 	CompressBound:  zcodec.DoublesBound,
@@ -61,6 +70,7 @@ var Int32 = Codec[int32]{
 	EncodeSlice:    func(e *cdr.Encoder, v []int32) { e.WriteLongs(v) },
 	DecodeSlice:    func(d *cdr.Decoder) ([]int32, error) { return d.ReadLongs() },
 	DecodeInto:     func(d *cdr.Decoder, dst []int32) (int, error) { return d.ReadLongsInto(dst) },
+	HostBytes:      cdr.HostBytes[int32],
 	CompressID:     zcodec.Delta,
 	ElemWireSize:   4,
 	CompressBound:  zcodec.Int32sBound,
@@ -72,6 +82,7 @@ var Int32 = Codec[int32]{
 // Int64 is the codec for IDL long long.
 var Int64 = Codec[int64]{
 	Name:           "long long",
+	HostBytes:      cdr.HostBytes[int64],
 	CompressID:     zcodec.Delta,
 	ElemWireSize:   8,
 	CompressBound:  zcodec.Int64sBound,
@@ -261,12 +272,53 @@ func minu32(n uint32, cap int) int {
 // (leading byte-order octet, like an argument payload), the format carried
 // by wire.Data messages and by centralized request bodies.
 func MarshalChunk[T any](c Codec[T], v []T) []byte {
+	e := cdr.NewEncoder(cdr.NativeOrder)
+	marshalChunkInto(c, e, v)
+	return e.Bytes()
+}
+
+// marshalChunkInto appends the chunk encoding of v to e, whose alignment
+// origin must be the current position (a fresh encoder, or BeginOctets).
+func marshalChunkInto[T any](c Codec[T], e *cdr.Encoder, v []T) {
 	h := marshalNS.Load()
 	defer h.Done(h.Start())
-	e := cdr.NewEncoder(cdr.NativeOrder)
 	e.WriteOctet(byte(cdr.NativeOrder))
 	c.EncodeSlice(e, v)
-	return e.Bytes()
+}
+
+// packedElemsOff is where the elements of a fixed-width chunk start: the
+// order octet, padding to the count, the ULong count — and offset 8 is
+// aligned for every fixed-width element.
+const packedElemsOff = 8
+
+// packed reports whether c's chunks in this process's encoding order are a
+// packedElemsOff-byte header followed by the elements' memory bytes.
+func (c Codec[T]) packed() bool {
+	return c.HostBytes != nil && cdr.NativeOrder == cdr.HostOrder()
+}
+
+// beginPacked appends the header of a packed chunk of n elements to e (at an
+// alignment origin), growing e once to the chunk's exact size, and returns
+// the element region for the caller to fill.
+func (c Codec[T]) beginPacked(e *cdr.Encoder, n int) []byte {
+	e.Grow(packedElemsOff + n*c.ElemWireSize)
+	e.WriteOctet(byte(cdr.NativeOrder))
+	e.WriteULong(uint32(n))
+	return e.Extend(n * c.ElemWireSize)
+}
+
+// packedElems returns the element bytes of a raw chunk holding exactly n
+// elements when c is packed and the chunk is in host order, and nil when the
+// payload has to take the decode path: another codec, order or envelope, or
+// malformed, which decoding then reports.
+func (c Codec[T]) packedElems(payload []byte, n int) []byte {
+	if !c.packed() || len(payload) != packedElemsOff+n*c.ElemWireSize || payload[0] != byte(cdr.NativeOrder) {
+		return nil
+	}
+	if int(binary.NativeEndian.Uint32(payload[4:])) != n {
+		return nil
+	}
+	return payload[packedElemsOff:]
 }
 
 // openChunk validates a chunk payload's byte-order flag and positions a

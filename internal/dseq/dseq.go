@@ -217,123 +217,25 @@ func (s *Seq[T]) Collect() ([]T, error) {
 	return full, nil
 }
 
-// GatherTo collects the full sequence in global order at root only
-// (the centralized transfer method's gather step). Collective; non-root
-// threads receive nil.
+// GatherTo collects the full sequence in global order at root only: the
+// typed form of GatherMarshal. Collective; non-root threads receive nil.
 func (s *Seq[T]) GatherTo(root int) ([]T, error) {
-	chunks, err := s.comm.Gather(root, MarshalChunk(s.codec, s.local))
-	if err != nil {
+	payload, err := s.GatherMarshal(root)
+	if err != nil || s.comm.Rank() != root {
 		return nil, err
 	}
-	if s.comm.Rank() != root {
-		return nil, nil
-	}
-	full := make([]T, s.layout.Length)
-	merge := func(r int) error {
-		want := s.layout.Count(r)
-		ivs := s.layout.Intervals[r]
-		if len(ivs) == 1 {
-			// Contiguous ownership (the common Block case): decode straight
-			// into the rank's slot of full, skipping the staging slice.
-			iv := ivs[0]
-			n, err := UnmarshalChunkInto(s.codec, chunks[r], full[iv.Start:iv.End()])
-			if err != nil {
-				return err
-			}
-			if n != want {
-				return fmt.Errorf("%w: rank %d sent %d of %d elements", ErrLayout, r, n, want)
-			}
-			return nil
-		}
-		vals, err := UnmarshalChunk(s.codec, chunks[r])
-		if err != nil {
-			return err
-		}
-		if len(vals) != want {
-			return fmt.Errorf("%w: rank %d sent %d of %d elements", ErrLayout, r, len(vals), want)
-		}
-		off := 0
-		for _, iv := range ivs {
-			copy(full[iv.Start:iv.End()], vals[off:off+iv.Len])
-			off += iv.Len
-		}
-		return nil
-	}
-	// Ranks write disjoint regions of full, so large gathers unmarshal every
-	// rank's chunk in parallel.
-	errs := make([]error, len(chunks))
-	if s.layout.Length >= parallelMinElems && len(chunks) > 1 {
-		pfor(len(chunks), func(r int) { errs[r] = merge(r) })
-	} else {
-		for r := range chunks {
-			errs[r] = merge(r)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return full, nil
+	return UnmarshalChunk(s.codec, payload)
 }
 
 // ScatterFrom distributes full (significant at root only) into the threads'
-// local storage per the current layout (the centralized method's scatter
-// step). Collective.
+// local storage per the current layout: the typed form of ScatterUnmarshal.
+// Collective; a full of the wrong length fails the scatter at every thread.
 func (s *Seq[T]) ScatterFrom(root int, full []T) error {
-	var parts [][]byte
+	var payload []byte
 	if s.comm.Rank() == root {
-		if len(full) != s.layout.Length {
-			return fmt.Errorf("%w: scattering %d elements into a %d-element sequence", ErrLayout, len(full), s.layout.Length)
-		}
-		parts = make([][]byte, s.comm.Size())
-		build := func(r int) {
-			ivs := s.layout.Intervals[r]
-			if len(ivs) == 1 {
-				// Contiguous assignment (the common Block case): marshal the
-				// rank's chunk straight out of full — MarshalChunk copies, so
-				// no staging slice is needed.
-				iv := ivs[0]
-				parts[r] = MarshalChunk(s.codec, full[iv.Start:iv.End()])
-				return
-			}
-			vals := make([]T, 0, s.layout.Count(r))
-			for _, iv := range ivs {
-				vals = append(vals, full[iv.Start:iv.End()]...)
-			}
-			parts[r] = MarshalChunk(s.codec, vals)
-		}
-		// Each rank's part marshals independently out of full, so large
-		// scatters render them in parallel.
-		if s.layout.Length >= parallelMinElems && s.comm.Size() > 1 {
-			pfor(s.comm.Size(), build)
-		} else {
-			for r := 0; r < s.comm.Size(); r++ {
-				build(r)
-			}
-		}
+		payload = MarshalChunk(s.codec, full)
 	}
-	chunk, err := s.comm.Scatter(root, parts)
-	if err != nil {
-		return err
-	}
-	if want := s.layout.Count(s.comm.Rank()); len(s.local) == want {
-		// Local storage is already sized for this layout: decode in place
-		// and skip the intermediate slice SetLocal would adopt.
-		n, err := UnmarshalChunkInto(s.codec, chunk, s.local)
-		if err != nil {
-			return err
-		}
-		if n != want {
-			return fmt.Errorf("%w: %d elements for a rank owning %d", ErrLayout, n, want)
-		}
-		return nil
-	}
-	vals, err := UnmarshalChunk(s.codec, chunk)
-	if err != nil {
-		return err
-	}
-	return s.SetLocal(vals)
+	return s.ScatterUnmarshal(root, payload)
 }
 
 // Redistribute collectively reshapes the sequence to a new distribution

@@ -22,8 +22,9 @@ func chunkSchedule(length, ce int) [][2]int {
 
 // TestGatherMarshalRangeMatchesWholeGather streams a sequence chunk by chunk
 // on a duplicated (lane) communicator and checks the concatenated chunks
-// decode to exactly what GatherTo produces, across chunk sizes that land
-// inside one rank's block, on block boundaries, and across them.
+// decode to exactly the contents, and to what GatherTo (the whole range in
+// one gather) produces, across chunk sizes that land inside one rank's
+// block, on block boundaries, and across them.
 func TestGatherMarshalRangeMatchesWholeGather(t *testing.T) {
 	for _, ce := range []int{1, 7, 25, 30, 100, 128} {
 		t.Run(fmt.Sprintf("chunk=%d", ce), func(t *testing.T) {
@@ -67,8 +68,8 @@ func TestGatherMarshalRangeMatchesWholeGather(t *testing.T) {
 					return nil
 				}
 				for i := range want {
-					if got[i] != want[i] {
-						return fmt.Errorf("chunked[%d] = %v, want %v", i, got[i], want[i])
+					if got[i] != want[i] || got[i] != float64(i)*1.5 {
+						return fmt.Errorf("chunked[%d] = %v, whole gather %v, want %v", i, got[i], want[i], float64(i)*1.5)
 					}
 				}
 				return nil

@@ -28,15 +28,20 @@ type Transferable interface {
 	// UnmarshalRange stores a chunk payload at local offset off.
 	UnmarshalRange(off int, payload []byte) error
 	// GatherMarshal collects the whole sequence at root and renders it as
-	// one chunk payload (nil at other ranks). Collective.
+	// one chunk payload (nil at other ranks): GatherMarshalRange over
+	// [0, Len()) on the sequence's own communicator. Collective.
 	GatherMarshal(root int) ([]byte, error)
 	// ScatterUnmarshal distributes a whole-sequence chunk payload
-	// (significant at root) into every rank's local storage. Collective.
+	// (significant at root) into every rank's local storage:
+	// ScatterUnmarshalRange over [0, Len()). Collective.
 	ScatterUnmarshal(root int, payload []byte) error
-	// ResizeAlloc reallocates the sequence to a new length using its spec
-	// (Block when unset), discarding contents. Not collective: every rank
-	// must call it with the same length.
+	// ResizeAlloc resets the sequence to a new length using its spec (Block
+	// when unset), discarding contents: every element reads zero afterwards.
+	// A rank whose element count is unchanged keeps (and clears) its local
+	// storage, so slices taken from LocalData before the call alias the new
+	// contents. Not collective: every rank must call it with the same length.
 	ResizeAlloc(length int) error
+	StreamTransferable
 }
 
 // RangeCompressor is the optional compression-aware extension of
@@ -89,27 +94,12 @@ func (s *Seq[T]) UnmarshalRange(off int, payload []byte) error {
 
 // GatherMarshal implements Transferable.
 func (s *Seq[T]) GatherMarshal(root int) ([]byte, error) {
-	full, err := s.GatherTo(root)
-	if err != nil {
-		return nil, err
-	}
-	if s.comm.Rank() != root {
-		return nil, nil
-	}
-	return MarshalChunk(s.codec, full), nil
+	return s.GatherMarshalRange(nil, root, 0, s.layout.Length)
 }
 
 // ScatterUnmarshal implements Transferable.
 func (s *Seq[T]) ScatterUnmarshal(root int, payload []byte) error {
-	var full []T
-	if s.comm.Rank() == root {
-		var err error
-		full, err = UnmarshalChunk(s.codec, payload)
-		if err != nil {
-			return err
-		}
-	}
-	return s.ScatterFrom(root, full)
+	return s.ScatterUnmarshalRange(nil, root, 0, s.layout.Length, payload)
 }
 
 // ResizeAlloc implements Transferable.
@@ -123,6 +113,10 @@ func (s *Seq[T]) ResizeAlloc(length int) error {
 		return err
 	}
 	s.layout = layout
-	s.local = make([]T, layout.Count(s.comm.Rank()))
+	if n := layout.Count(s.comm.Rank()); n == len(s.local) {
+		clear(s.local)
+	} else {
+		s.local = make([]T, n)
+	}
 	return nil
 }

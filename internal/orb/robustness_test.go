@@ -279,8 +279,16 @@ func TestShutdownDrainsInFlightAndShedsNew(t *testing.T) {
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- srv.Shutdown(ctx) }()
 
-	// New traffic on the existing connection is shed while draining.
+	// New traffic on the existing connection is shed while draining. Wait
+	// for the drain to begin first: a request admitted before it would park
+	// in the blocked servant until this test's own release.
 	deadline = time.Now().Add(5 * time.Second)
+	for !srv.draining.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("Shutdown never began draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		_, err := c.InvokeAddr(addr, []byte("drain"), "work", NewArgEncoder().Bytes(), false)
 		if IsTransient(err) {

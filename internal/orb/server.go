@@ -851,15 +851,31 @@ func (s *Server) reaperLoop() {
 	}
 }
 
-// runItem executes one admitted request on the calling worker.
+// runItem executes one admitted request on the calling worker. The ledger
+// settles when the upcall ends, before the reply is written: a client that
+// has its reply in hand must find the in-flight slots it held released and
+// its dispatch counted, or a strictly serial client under MaxConnInFlight 1
+// is shed for the slot its own previous request still holds.
 func (s *Server) runItem(it workItem) {
 	defer s.reqWg.Done()
 	s.span(obs.PhaseAdmission, it.req.RequestID, it.arrival)
 	s.inflight.Add(1)
 	s.dispatched.Add(1)
-	s.handleRequest(it.req, it.sc)
+	out := getReplyEncoder()
+	defer putReplyEncoder(out)
+	status := s.upcall(it.req, out)
 	s.inflight.Add(-1)
 	it.sc.inflight.Add(-1)
+	if it.req.ResponseExpected {
+		reply := &wire.Reply{RequestID: it.req.RequestID, Status: status, Args: out.Bytes()}
+		if werr := it.sc.conn.WriteMessage(reply); werr != nil {
+			s.Logf("orb: reply write: %v", werr)
+			// A failed (or deadline-expired) reply write leaves the stream
+			// unusable mid-frame; kill the connection so its serve loop exits
+			// instead of framing garbage at the peer.
+			it.sc.conn.Close()
+		}
+	}
 	if it.arrival != 0 && s.dispatchNS != nil {
 		s.dispatchNS.Observe(time.Duration(time.Now().UnixNano() - it.arrival))
 	}
@@ -881,12 +897,10 @@ func (s *Server) shedRequest(sc *servedConn, req *wire.Request, msg string) {
 	putReplyEncoder(out)
 }
 
-func (s *Server) handleRequest(req *wire.Request, sc *servedConn) {
+// upcall hands req to its servant and leaves the reply payload — results,
+// exception or forward reference — in out, returning the reply status.
+func (s *Server) upcall(req *wire.Request, out *cdr.Encoder) wire.ReplyStatus {
 	defer s.handleNS.Done(s.handleNS.Start())
-	out := getReplyEncoder()
-	defer putReplyEncoder(out)
-	status := wire.ReplyNoException
-
 	sv, ok := s.lookup(req.ObjectKey)
 	var err error
 	if !ok {
@@ -904,28 +918,17 @@ func (s *Server) handleRequest(req *wire.Request, sc *servedConn) {
 			err = sv.Dispatch(req.Operation, in, out)
 		}()
 	}
-	if err != nil {
-		var fwd *ForwardRequest
-		if errors.As(err, &fwd) {
-			status = wire.ReplyLocationForward
-			out.Reset() // raw payload: the forward IOR, no order octet
-			out.WriteRaw([]byte(fwd.Target.String()))
-		} else {
-			ResetArgEncoder(out)
-			status = encodeException(out, err)
-		}
+	if err == nil {
+		return wire.ReplyNoException
 	}
-	if !req.ResponseExpected {
-		return
+	var fwd *ForwardRequest
+	if errors.As(err, &fwd) {
+		out.Reset() // raw payload: the forward IOR, no order octet
+		out.WriteRaw([]byte(fwd.Target.String()))
+		return wire.ReplyLocationForward
 	}
-	reply := &wire.Reply{RequestID: req.RequestID, Status: status, Args: out.Bytes()}
-	if werr := sc.conn.WriteMessage(reply); werr != nil {
-		s.Logf("orb: reply write: %v", werr)
-		// A failed (or deadline-expired) reply write leaves the stream
-		// unusable mid-frame; kill the connection so its serve loop exits
-		// instead of framing garbage at the peer.
-		sc.conn.Close()
-	}
+	ResetArgEncoder(out)
+	return encodeException(out, err)
 }
 
 // Addr returns the listen address.

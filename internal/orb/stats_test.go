@@ -1,10 +1,13 @@
 package orb
 
 import (
+	"io"
 	"testing"
 	"time"
 
+	"repro/internal/cdr"
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 // TestStatsUnderAdmissionOverload pins the accounting identity of the
@@ -114,5 +117,58 @@ func TestStatsUnderAdmissionOverload(t *testing.T) {
 				t.Errorf("handle_ns observed %d dispatches, want %d", h.Count, st.Dispatched)
 			}
 		})
+	}
+}
+
+// lingerAfterWrite delays the return of every Write: the bytes are already
+// with the peer, but the writer has not yet got its call back. It widens the
+// window between "the client holds its reply" and "the server's reply write
+// returned" from nanoseconds to something a serial client always lands in.
+type lingerAfterWrite struct{ io.ReadWriteCloser }
+
+func (w lingerAfterWrite) Write(p []byte) (int, error) {
+	n, err := w.ReadWriteCloser.Write(p)
+	time.Sleep(2 * time.Millisecond)
+	return n, err
+}
+
+// TestSerialClientNeverShedForItsOwnReply is the regression test for the
+// admission ledger settling only after the reply write: a strictly serial
+// client on a one-request-per-connection budget holds at most one slot at a
+// time by construction, so none of its calls may be shed, and the moment it
+// holds a reply the ledger must already balance (offered = dispatched + shed,
+// nothing in flight, every dispatch timed).
+func TestSerialClientNeverShedForItsOwnReply(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := NewServerOpts("127.0.0.1:0", ServerOptions{
+		MaxConnInFlight: 1,
+		Metrics:         reg,
+		Transport: &transport.Options{
+			Order: cdr.NativeOrder,
+			Wrap:  func(rw io.ReadWriteCloser) io.ReadWriteCloser { return lingerAfterWrite{rw} },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	key := []byte("serial")
+	srv.Register(key, ServantFunc(func(string, *cdr.Decoder, *cdr.Encoder) error { return nil }))
+	c := NewClient()
+	c.Timeout = 10 * time.Second
+	defer c.Close()
+
+	const calls = 25
+	for i := 1; i <= calls; i++ {
+		if _, err := c.InvokeAddr(srv.Addr(), key, "work", NewArgEncoder().Bytes(), false); err != nil {
+			t.Fatalf("serial call %d: %v", i, err)
+		}
+		st := srv.Stats()
+		if st.Dispatched != uint64(i) || st.Shed != 0 || st.InFlight != 0 {
+			t.Fatalf("after reply %d: dispatched %d, shed %d, in flight %d", i, st.Dispatched, st.Shed, st.InFlight)
+		}
+		if h := reg.Snapshot().Histograms["orb.server.handle_ns"]; h.Count != uint64(i) {
+			t.Fatalf("after reply %d: handle_ns observed %d dispatches", i, h.Count)
+		}
 	}
 }

@@ -50,6 +50,14 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(encodeFrames(f, 0, &wire.Data{RequestID: 2, SrcRank: 1, DstRank: 0, Count: 8, Payload: make([]byte, 64)}))
 	// A fragmented message: 256 bytes over a 32-byte threshold.
 	f.Add(encodeFrames(f, 32, &wire.Data{RequestID: 3, Payload: bytes.Repeat([]byte{0xab}, 256)}))
+	// Fragmented Request and Reply: bodies reassembled from held frames —
+	// whole, cut off part-way, and with a foreign frame interleaved.
+	reply := &wire.Reply{RequestID: 4, Status: wire.ReplyNoException, Args: bytes.Repeat([]byte{0xcd}, 300)}
+	whole := encodeFrames(f, 32, reply)
+	f.Add(whole)
+	f.Add(encodeFrames(f, 32, &wire.Request{RequestID: 5, ResponseExpected: true, ObjectKey: []byte("key"), Operation: "op", Args: bytes.Repeat([]byte{0xef}, 300)}, reply))
+	f.Add(whole[:len(whole)-50])
+	f.Add(append(append(append([]byte(nil), whole[:2*(wire.HeaderLen+32)]...), wire.Encode(&wire.Ping{Nonce: 1}, cdr.BigEndian)...), whole[2*(wire.HeaderLen+32):]...))
 	// Truncated frame: a header promising more than follows.
 	h := wire.EncodeHeader(wire.MsgData, cdr.NativeOrder, false, 100)
 	f.Add(append(h[:], 1, 2, 3))
@@ -59,13 +67,22 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte("PDIS garbage that is not a frame at all....."))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		base := PoolOutstanding()
 		c := NewConn(&byteStream{r: bytes.NewReader(data)}, &Options{MaxFrameSize: 1 << 20})
 		// Bounded: the stream is finite, so reads hit EOF; the cap just
 		// guards against an accidental infinite accept loop.
 		for i := 0; i < 64; i++ {
-			if _, err := c.ReadMessage(); err != nil {
-				return
+			m, err := c.ReadMessage()
+			if err != nil {
+				break
 			}
+			if d, ok := m.(*wire.Data); ok {
+				d.Release()
+			}
+		}
+		// However the stream ended, every borrowed frame went back.
+		if got := PoolOutstanding(); got != base {
+			t.Fatalf("frame pool balance moved from %d to %d", base, got)
 		}
 	})
 }

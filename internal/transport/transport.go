@@ -108,16 +108,17 @@ type Conn struct {
 	trace    bool
 	hook     func(h wire.Header)
 	ext      [wire.TraceExtLen]byte // scratch for inbound trace extensions (reader-owned)
+	held     []*[]byte              // scratch list of fragment frames under reassembly (reader-owned)
 
-	// vectored enables the gathered-write (writev) Data path. Only real TCP
+	// vectored enables the gathered-write (writev) path. Only real TCP
 	// connections qualify: on any other stream net.Buffers degrades to one
 	// Write call per slice, which changes the write granularity that
 	// fault-injection wrappers and the in-process pipe meter by.
 	vectored bool
 
 	wmu    sync.Mutex
-	enc    *cdr.Encoder            // scratch body encoder, guarded by wmu
-	vec    [][]byte                // scratch iovec for vectored writes, guarded by wmu
+	enc    *cdr.Encoder            // scratch encoder for the body up to its tail, guarded by wmu
+	vec    [][]byte                // scratch frame layout of the message being written, guarded by wmu
 	harena []byte                  // scratch frame-header arena backing vec, guarded by wmu
 	hdr    [wire.MaxHeaderLen]byte // scratch frame header (+ extension), guarded by wmu
 	closed bool
@@ -132,9 +133,9 @@ type Conn struct {
 	comp atomic.Uint32
 
 	// wbw is an EWMA of this connection's effective write bandwidth in
-	// bytes/sec (float64 bits), fed by Data writes large enough to
-	// measure. Zero until the first sample. The adaptive compression
-	// policy reads it to decide whether a codec can outrun the link.
+	// bytes/sec (float64 bits), fed by writes large enough to measure. Zero
+	// until the first sample. The adaptive compression policy reads it to
+	// decide whether a codec can outrun the link.
 	wbw atomic.Uint64
 }
 
@@ -146,7 +147,7 @@ const (
 	bwAlpha          = 0.25
 )
 
-// noteWrite folds one timed Data write into the bandwidth EWMA.
+// noteWrite folds one timed write into the bandwidth EWMA.
 func (c *Conn) noteWrite(n int, dur time.Duration) {
 	if n < bwMinSampleBytes || dur <= 0 {
 		return
@@ -165,7 +166,7 @@ func (c *Conn) noteWrite(n int, dur time.Duration) {
 }
 
 // WriteBandwidth returns the estimated effective write bandwidth of
-// this connection in bytes/sec, or 0 before any measurable Data write.
+// this connection in bytes/sec, or 0 before any measurable write.
 func (c *Conn) WriteBandwidth() float64 {
 	return math.Float64frombits(c.wbw.Load())
 }
@@ -188,10 +189,10 @@ func (c *Conn) Compression() (codecs, level uint8) {
 // explicit: a pooled buffer is returned by putBuf exactly once, either by
 // the transport itself after copying a fragment into the reassembly
 // accumulator, or by the consumer of a Data message via Data.Release once
-// the payload has been copied out. Only MsgData and MsgFragment frames use
-// pooled buffers — every other message type's body is aliased and retained
-// by higher layers (Request.Args, Reply.Args, ...), so those frames keep
-// plain allocations that the garbage collector owns.
+// the payload has been copied out. Only MsgData frames and the frames of a
+// fragmented message use pooled buffers — every other message type's body is
+// aliased and retained by higher layers (Request.Args, Reply.Args, ...), so
+// those bodies are plain allocations that the garbage collector owns.
 const (
 	minPoolClass = 9  // 512 B: smaller frames are cheap to allocate
 	maxPoolClass = 22 // 4 MiB: covers reassembled benchmark payloads
@@ -324,23 +325,35 @@ func NewConn(rw io.ReadWriteCloser, opts *Options) *Conn {
 	return c
 }
 
-// WriteMessage encodes and sends m, fragmenting the body when it exceeds
-// the connection's threshold. Data messages take a vectored write path that
-// hands the payload slice to the socket directly; everything else is encoded
-// into a per-connection scratch buffer (reused across messages) and written
-// through the buffered writer.
-func (c *Conn) WriteMessage(m wire.Message) error {
-	if d, ok := m.(*wire.Data); ok {
-		return c.writeData(d)
-	}
+// vectoredMinTail is the tail size from which a TCP connection hands the tail
+// to the socket in a gathered write instead of copying it through the
+// buffered writer: below it the copy is cheaper than the iovec.
+const vectoredMinTail = 4 << 10
 
+// WriteMessage encodes and sends m, fragmenting the body when it exceeds
+// the connection's threshold. Only what precedes a message's tail octets
+// (wire.TailMessage: Request.Args, Reply.Args, Data.Payload) is encoded, into
+// a per-connection scratch buffer reused across messages; the tail is framed
+// from where it lies, so a payload travels from the buffer it was gathered
+// into to the socket with zero copies in our code.
+func (c *Conn) WriteMessage(m wire.Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	e := c.scratch()
-	m.EncodeBody(e)
-	b := e.Bytes()
-	if len(b) > c.max {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(b))
+	if c.enc == nil {
+		c.enc = cdr.NewEncoder(c.order)
+	}
+	e := c.enc
+	e.Reset()
+	var tail []byte
+	if tm, ok := m.(wire.TailMessage); ok {
+		tm.EncodeBodyPrefix(e)
+		tail = tm.Tail()
+	} else {
+		m.EncodeBody(e)
+	}
+	total := e.Len() + len(tail)
+	if total > c.max {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
 	}
 	if c.isClosed() {
 		return ErrClosed
@@ -352,177 +365,87 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 		_ = c.wd.SetWriteDeadline(time.Now().Add(c.wtimeout))
 		defer c.wd.SetWriteDeadline(time.Time{})
 	}
-	err := c.writeFrames(m.Type(), b, c.traceOf(m), 0)
-	c.dropHugeScratch()
-	return err
-}
-
-// traceOf returns the trace id to stamp on m's frames: the message's
-// request id when trace-context headers are enabled, zero otherwise (and
-// for the few message types that carry no id).
-func (c *Conn) traceOf(m wire.Message) uint64 {
-	if !c.trace {
-		return 0
-	}
-	id, _ := wire.RequestIDOf(m)
-	return uint64(id)
-}
-
-// scratch returns the connection's reusable body encoder, reset. Callers
-// must hold wmu.
-func (c *Conn) scratch() *cdr.Encoder {
-	if c.enc == nil {
-		c.enc = cdr.NewEncoder(c.order)
-	}
-	c.enc.Reset()
-	return c.enc
-}
-
-// dropHugeScratch releases the scratch encoder when a one-off giant message
-// has grown it past the pool ceiling, so an idle connection does not pin
-// megabytes. Callers must hold wmu.
-func (c *Conn) dropHugeScratch() {
-	if c.enc != nil && c.enc.Cap() > 1<<maxPoolClass {
-		c.enc = nil
-	}
-}
-
-// writeFrames sends an already-encoded body through the buffered writer,
-// splitting it at the fragment threshold. xflags is OR'd into every frame
-// header's flag byte (the stream-chunk marker). Callers must hold wmu.
-func (c *Conn) writeFrames(t wire.MsgType, b []byte, trace uint64, xflags byte) error {
-	writeFrame := func(t wire.MsgType, more bool, chunk []byte) error {
-		// The header goes through the connection's scratch array: a local
-		// header array would be heap-allocated per frame because it
-		// escapes into the io.Writer call.
-		n := wire.EncodeHeaderExt(&c.hdr, t, c.order, more, c.trace, len(chunk), trace)
-		c.hdr[5] |= xflags
-		if _, err := c.bw.Write(c.hdr[:n]); err != nil {
-			return err
-		}
-		_, err := c.bw.Write(chunk)
-		return err
-	}
-
-	if len(b) <= c.frag {
-		if err := writeFrame(t, false, b); err != nil {
-			return err
-		}
-		return c.bw.Flush()
-	}
-	// Leading frame carries the first chunk with the more-fragments flag;
-	// Fragment frames carry the rest.
-	if err := writeFrame(t, true, b[:c.frag]); err != nil {
-		return err
-	}
-	for off := c.frag; off < len(b); off += c.frag {
-		end := min(off+c.frag, len(b))
-		if err := writeFrame(wire.MsgFragment, end < len(b), b[off:end]); err != nil {
-			return err
-		}
-	}
-	return c.bw.Flush()
-}
-
-// writeData sends a Data message without staging the payload: the frame
-// headers and the 40-byte body prefix are encoded into per-connection
-// scratch buffers, and the payload slice itself is handed to the stream as
-// part of one gathered write (writev on TCP). The payload travels from the
-// sequence's backing array to the socket with zero copies in our code.
-func (c *Conn) writeData(d *wire.Data) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	e := c.scratch()
-	d.EncodeBodyPrefix(e)
-	prefix := e.Bytes()
-	total := len(prefix) + len(d.Payload)
-	if total > c.max {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
-	}
-	if c.isClosed() {
-		return ErrClosed
-	}
-	if c.wd != nil {
-		_ = c.wd.SetWriteDeadline(time.Now().Add(c.wtimeout))
-		defer c.wd.SetWriteDeadline(time.Time{})
-	}
 	var trace uint64
 	if c.trace {
-		trace = uint64(d.RequestID)
+		id, _ := wire.RequestIDOf(m)
+		trace = uint64(id)
 	}
 	// Chunked Data frames advertise themselves in the header so per-frame
 	// tooling can meter streamed bulk bytes without decoding bodies.
 	var xflags byte
-	if d.Chunked() {
+	if d, ok := m.(*wire.Data); ok && d.Chunked() {
 		xflags = wire.FlagStreamChunk
 	}
-	// Time the write for the bandwidth EWMA: from here to the final flush
-	// is the serialized wire work, including any stall the stream imposes
-	// (a throttled link back-pressures right here).
-	t0 := time.Now()
-	if !c.vectored {
-		// Non-TCP streams (pipes, fault-injection wrappers) get the staged
-		// path: append the payload to the scratch body and frame it through
-		// the buffered writer, preserving one-flush-per-message granularity.
-		e.WriteRaw(d.Payload)
-		err := c.writeFrames(wire.MsgData, e.Bytes(), trace, xflags)
-		c.dropHugeScratch()
-		if err == nil {
-			c.noteWrite(total, time.Since(t0))
-		}
-		return err
-	}
-	// bw is empty between messages (every write path flushes before
-	// releasing wmu), so the gathered write cannot reorder bytes; the flush
-	// is a cheap no-op that keeps the invariant explicit.
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
+	c.layoutFrames(m.Type(), e.Bytes(), tail, trace, xflags)
 
-	nframes := 1
-	if total > c.frag {
-		nframes = (total + c.frag - 1) / c.frag
+	// Time writes big enough to measure for the bandwidth EWMA: from here to
+	// the final flush is the serialized wire work, including any stall the
+	// stream imposes (a throttled link back-pressures right here).
+	sample := total >= bwMinSampleBytes
+	var t0 time.Time
+	if sample {
+		t0 = time.Now()
 	}
-	hlen := wire.HeaderLen
-	if c.trace {
-		hlen = wire.MaxHeaderLen
+	var err error
+	if c.vectored && len(tail) >= vectoredMinTail {
+		// bw is empty between messages (every write flushes before releasing
+		// wmu), so the gathered write cannot reorder bytes.
+		bufs := net.Buffers(c.vec)
+		_, err = bufs.WriteTo(c.rw)
+	} else {
+		// Small tails, and streams where net.Buffers would degrade to one
+		// Write per slice (pipes, fault-injection wrappers), go through the
+		// buffered writer: one flush per message.
+		for _, b := range c.vec {
+			if _, err = c.bw.Write(b); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = c.bw.Flush()
+		}
 	}
+	// Drop tail references so a released buffer is not pinned by scratch.
+	clear(c.vec)
+	if sample && err == nil {
+		c.noteWrite(total, time.Since(t0))
+	}
+	return err
+}
+
+// layoutFrames fills c.vec with the frames of one message: per frame its
+// header, then the part of the virtual concatenation prefix ++ tail it
+// carries, split at the fragment threshold (a frame may straddle the
+// boundary). The leading frame has type t, the rest are Fragments; xflags is
+// OR'd into every header's flag byte. Callers must hold wmu.
+func (c *Conn) layoutFrames(t wire.MsgType, prefix, tail []byte, trace uint64, xflags byte) {
+	total := len(prefix) + len(tail)
+	need := (total/c.frag + 1) * wire.MaxHeaderLen
 	c.vec = c.vec[:0]
 	c.harena = c.harena[:0]
-	if cap(c.harena) < nframes*hlen {
+	if cap(c.harena) < need {
 		// Reserve all header space up front: vec holds slices into harena,
 		// so it must not regrow mid-loop.
-		c.harena = make([]byte, 0, nframes*hlen)
+		c.harena = make([]byte, 0, need)
 	}
-	t := wire.MsgData
-	for off := 0; off < total; off += max(c.frag, 1) {
+	for off := 0; ; off += c.frag {
 		end := min(off+c.frag, total)
 		n := wire.EncodeHeaderExt(&c.hdr, t, c.order, end < total, c.trace, end-off, trace)
 		c.hdr[5] |= xflags
 		hoff := len(c.harena)
 		c.harena = append(c.harena, c.hdr[:n]...)
 		c.vec = append(c.vec, c.harena[hoff:hoff+n])
-		// The frame body is [off, end) of the virtual concatenation
-		// prefix ++ payload; a chunk may straddle the boundary.
 		if off < len(prefix) {
 			c.vec = append(c.vec, prefix[off:min(end, len(prefix))])
 		}
 		if end > len(prefix) {
-			c.vec = append(c.vec, d.Payload[max(off-len(prefix), 0):end-len(prefix)])
+			c.vec = append(c.vec, tail[max(off-len(prefix), 0):end-len(prefix)])
+		}
+		if end == total {
+			return
 		}
 		t = wire.MsgFragment
 	}
-	bufs := net.Buffers(c.vec)
-	_, err := bufs.WriteTo(c.rw)
-	// Drop payload references so a released buffer is not pinned by scratch.
-	for i := range c.vec {
-		c.vec[i] = nil
-	}
-	c.vec = c.vec[:0]
-	if err == nil {
-		c.noteWrite(total, time.Since(t0))
-	}
-	return err
 }
 
 // ReadMessage reads the next complete message, reassembling fragments.
@@ -562,31 +485,44 @@ func (c *Conn) ReadMessage() (wire.Message, error) {
 
 // reassemble collects the trailing Fragment frames of a message whose
 // leading chunk (and pool reference, when the frame was pooled) it takes
-// ownership of. For Data messages it preallocates the accumulator to the
-// total size declared in the body prefix — the declared size is used as a
-// capacity hint only, so a corrupt or hostile value cannot misframe the
-// body, and when the leading chunk is too short to contain the prefix
-// (fragment threshold below DataPrefixLen) it falls back to append growth.
-// The returned pool reference is non-nil when the reassembled body backs a
-// pooled buffer the caller must eventually release.
+// ownership of, into one buffer allocated once. A Data message declares its
+// total size in the body prefix, so its pooled accumulator is allocated up
+// front and each fragment is copied in and released as it arrives — the
+// declared size is used as a capacity hint only, so a corrupt or hostile
+// value cannot misframe the body, and when the leading chunk is too short to
+// contain the prefix (fragment threshold below DataPrefixLen) the message
+// takes the other path. Any other message's size is known only when its last
+// fragment arrives: the (pooled) fragment frames are held until then and
+// copied into a body of exactly that size, which the decoded message aliases
+// and the garbage collector owns. The returned pool reference is non-nil
+// when the reassembled body backs a pooled buffer the caller must eventually
+// release.
 func (c *Conn) reassemble(h wire.Header, chunk []byte, chunkBuf *[]byte) ([]byte, *[]byte, error) {
-	var body []byte
-	var acc *[]byte
+	var acc *[]byte    // Data: the hinted accumulator
+	held := c.held[:0] // otherwise: fragment frames awaiting the final size
+	var cur *[]byte    // the frame under examination
+	size := len(chunk) // bytes received so far
 	if h.Type == wire.MsgData {
 		if hint := wire.DataBodySize(chunk, h.Order()); hint > 0 && hint <= c.max {
 			acc = getBuf(hint)
 			*acc = append((*acc)[:0], chunk...)
-			body = *acc
+			putBuf(chunkBuf)
+			chunkBuf = nil
 		}
 	}
-	if acc == nil {
-		body = append([]byte(nil), chunk...)
+	// Every buffer on loan goes back on every way out.
+	release := func() {
+		putBuf(chunkBuf)
+		putBuf(cur)
+		for i, f := range held {
+			putBuf(f)
+			held[i] = nil
+		}
+		c.held = held[:0]
 	}
-	putBuf(chunkBuf)
 	fail := func(err error) ([]byte, *[]byte, error) {
-		if acc != nil {
-			putBuf(acc)
-		}
+		putBuf(acc)
+		release()
 		return nil, nil, err
 	}
 	for more := true; more; {
@@ -594,34 +530,42 @@ func (c *Conn) reassemble(h wire.Header, chunk []byte, chunkBuf *[]byte) ([]byte
 		if err != nil {
 			return fail(err)
 		}
+		cur = fbuf
 		if fh.Type != wire.MsgFragment {
-			putBuf(fbuf)
 			return fail(fmt.Errorf("%w: %v interleaved into fragmented message", ErrBadFragment, fh.Type))
 		}
 		if fh.Order() != h.Order() {
-			putBuf(fbuf)
 			return fail(fmt.Errorf("%w: fragment changed byte order", ErrBadFragment))
 		}
-		if len(body)+len(fbody) > c.max {
-			putBuf(fbuf)
+		if size += len(fbody); size > c.max {
 			return fail(fmt.Errorf("%w: reassembled body", ErrTooLarge))
 		}
 		if acc != nil {
 			*acc = append(*acc, fbody...)
-			body = *acc
+			putBuf(fbuf)
 		} else {
-			body = append(body, fbody...)
+			held = append(held, fbuf)
 		}
-		putBuf(fbuf)
+		cur = nil
 		more = fh.More()
 	}
-	return body, acc, nil
+	if acc != nil {
+		return *acc, acc, nil
+	}
+	body := make([]byte, size)
+	n := copy(body, chunk)
+	for _, f := range held {
+		n += copy(body[n:], *f)
+	}
+	release()
+	return body, nil, nil
 }
 
-// readFrame reads one frame. MsgData and MsgFragment bodies borrow pooled
+// readFrame reads one frame. MsgData and MsgFragment bodies, and the leading
+// frame of any fragmented message (reassembly copies it out), borrow pooled
 // buffers — for those the returned pool reference is non-nil and the caller
 // must putBuf it (directly, or via Data.Release) when the body is no longer
-// referenced. Other message types get plain allocations because their
+// referenced. Other whole messages get plain allocations because their
 // decoded forms alias and retain the body.
 func (c *Conn) readFrame() (wire.Header, []byte, *[]byte, error) {
 	var hb [wire.HeaderLen]byte
@@ -652,7 +596,7 @@ func (c *Conn) readFrame() (wire.Header, []byte, *[]byte, error) {
 	}
 	var body []byte
 	var bufp *[]byte
-	if h.Type == wire.MsgData || h.Type == wire.MsgFragment {
+	if h.Type == wire.MsgData || h.Type == wire.MsgFragment || h.More() {
 		bufp = getBuf(int(h.Size))
 		body = *bufp
 	} else {

@@ -33,6 +33,65 @@ func TestDataPrefixOracle(t *testing.T) {
 	}
 }
 
+// TestTailMessagesMatchFieldwiseEncoding pins the prefix/tail split for all
+// three tail-carrying messages against the encoding written out field by
+// field, tail included as an ordinary sequence<octet>: prefix ++ tail and
+// EncodeBody must both be byte-identical to it, whatever the alignment the
+// prefix ends on.
+func TestTailMessagesMatchFieldwiseEncoding(t *testing.T) {
+	for _, ord := range bothOrders {
+		for _, tail := range [][]byte{nil, {0xAB}, bytes.Repeat([]byte{0x5C}, 300)} {
+			for _, op := range []string{"", "o", "op", "ops"} { // every alignment before the count
+				cases := []struct {
+					m         TailMessage
+					fieldwise func(e *cdr.Encoder)
+				}{
+					{&Request{RequestID: 7, ResponseExpected: true, ObjectKey: []byte("k"), Operation: op, Principal: "p", Args: tail},
+						func(e *cdr.Encoder) {
+							e.WriteULong(7)
+							e.WriteBool(true)
+							e.WriteOctets([]byte("k"))
+							e.WriteString(op)
+							e.WriteString("p")
+							e.WriteOctets(tail)
+						}},
+					{&Reply{RequestID: 7, Status: ReplyUserException, Args: tail},
+						func(e *cdr.Encoder) {
+							e.WriteULong(7)
+							e.WriteEnum(uint32(ReplyUserException))
+							e.WriteOctets(tail)
+						}},
+					{&Data{RequestID: 7, ArgIndex: 1, SrcRank: 2, DstRank: 3, DstOff: 99, Count: 11, Reply: true, Flags: DataFlagChunk, Payload: tail},
+						func(e *cdr.Encoder) {
+							e.WriteULong(7)
+							e.WriteULong(1)
+							e.WriteULong(2)
+							e.WriteULong(3)
+							e.WriteULongLong(99)
+							e.WriteULongLong(11)
+							e.WriteBool(true)
+							e.WriteOctet(DataFlagChunk)
+							e.WriteOctets(tail)
+						}},
+				}
+				for _, tc := range cases {
+					want := cdr.NewEncoder(ord)
+					tc.fieldwise(want)
+					pe := cdr.NewEncoder(ord)
+					tc.m.EncodeBodyPrefix(pe)
+					split := append(append([]byte{}, pe.Bytes()...), tc.m.Tail()...)
+					be := cdr.NewEncoder(ord)
+					tc.m.EncodeBody(be)
+					if !bytes.Equal(split, want.Bytes()) || !bytes.Equal(be.Bytes(), want.Bytes()) {
+						t.Fatalf("%v %v op %q tail %d: prefix++tail or EncodeBody differs from the field-by-field encoding",
+							ord, tc.m.Type(), op, len(tail))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDataBodySize checks the reassembly size hint parses the payload count
 // in both byte orders and degrades to 0 on chunks too short to contain it.
 func TestDataBodySize(t *testing.T) {

@@ -19,14 +19,20 @@ type Request struct {
 
 func (*Request) Type() MsgType { return MsgRequest }
 
-func (r *Request) EncodeBody(e *cdr.Encoder) {
+// EncodeBodyPrefix implements TailMessage.
+func (r *Request) EncodeBodyPrefix(e *cdr.Encoder) {
 	e.WriteULong(r.RequestID)
 	e.WriteBool(r.ResponseExpected)
 	e.WriteOctets(r.ObjectKey)
 	e.WriteString(r.Operation)
 	e.WriteString(r.Principal)
-	e.WriteOctets(r.Args)
+	e.WriteULong(uint32(len(r.Args)))
 }
+
+// Tail implements TailMessage.
+func (r *Request) Tail() []byte { return r.Args }
+
+func (r *Request) EncodeBody(e *cdr.Encoder) { encodeTailBody(e, r) }
 
 func decodeRequest(d *cdr.Decoder) (*Request, error) {
 	var r Request
@@ -63,11 +69,17 @@ type Reply struct {
 
 func (*Reply) Type() MsgType { return MsgReply }
 
-func (r *Reply) EncodeBody(e *cdr.Encoder) {
+// EncodeBodyPrefix implements TailMessage.
+func (r *Reply) EncodeBodyPrefix(e *cdr.Encoder) {
 	e.WriteULong(r.RequestID)
 	e.WriteEnum(uint32(r.Status))
-	e.WriteOctets(r.Args)
+	e.WriteULong(uint32(len(r.Args)))
 }
+
+// Tail implements TailMessage.
+func (r *Reply) Tail() []byte { return r.Args }
+
+func (r *Reply) EncodeBody(e *cdr.Encoder) { encodeTailBody(e, r) }
 
 func decodeReply(d *cdr.Decoder) (*Reply, error) {
 	var r Reply
@@ -249,11 +261,8 @@ func (*Data) Type() MsgType { return MsgData }
 // Data body.
 const DataPrefixLen = 40
 
-// EncodeBodyPrefix encodes everything up to and including the payload length
-// count, but not the payload bytes. The transport's vectored write path uses
-// it to frame a Data message without copying the payload: it writes the
-// prefix from a scratch buffer and hands the payload slice to writev as-is.
-// EncodeBody is prefix-then-payload, so the two can never drift apart.
+// EncodeBodyPrefix implements TailMessage: everything up to and including
+// the payload length count, DataPrefixLen bytes.
 func (m *Data) EncodeBodyPrefix(e *cdr.Encoder) {
 	e.WriteULong(m.RequestID)
 	e.WriteULong(m.ArgIndex)
@@ -266,10 +275,10 @@ func (m *Data) EncodeBodyPrefix(e *cdr.Encoder) {
 	e.WriteULong(uint32(len(m.Payload)))
 }
 
-func (m *Data) EncodeBody(e *cdr.Encoder) {
-	m.EncodeBodyPrefix(e)
-	e.WriteRaw(m.Payload)
-}
+// Tail implements TailMessage.
+func (m *Data) Tail() []byte { return m.Payload }
+
+func (m *Data) EncodeBody(e *cdr.Encoder) { encodeTailBody(e, m) }
 
 // SetRelease installs the hook that returns the buffer backing Payload to
 // its owner. The transport calls this when it hands off a Data message whose

@@ -190,6 +190,25 @@ type Message interface {
 	EncodeBody(e *cdr.Encoder)
 }
 
+// TailMessage is a message whose body ends in an octet sequence it carries by
+// reference — Request.Args, Reply.Args, Data.Payload, each the last field of
+// its body. The transport frames such a message without copying the tail: it
+// encodes the prefix into scratch and writes the tail from where it lies.
+type TailMessage interface {
+	Message
+	// EncodeBodyPrefix encodes everything up to and including the tail's
+	// count, but not its bytes. EncodeBody is prefix-then-tail, so the two
+	// can never drift apart.
+	EncodeBodyPrefix(e *cdr.Encoder)
+	// Tail returns the trailing octets.
+	Tail() []byte
+}
+
+func encodeTailBody(e *cdr.Encoder, m TailMessage) {
+	m.EncodeBodyPrefix(e)
+	e.WriteRaw(m.Tail())
+}
+
 // Header is a decoded message header. Trace is populated by the transport
 // from the trace-context extension when HasTrace; DecodeHeader itself only
 // sees the fixed HeaderLen bytes and leaves it zero.
