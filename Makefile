@@ -5,10 +5,14 @@ GO ?= go
 FUZZTIME ?= 10s
 CHAOSTIMEOUT ?= 120s
 BENCHTIME ?= 20x
-# bench-compare uses a time-based benchtime: at 20 iterations the
-# nanosecond-scale CDR microbenchmarks swing tens of percent run to run,
-# which would make the regression gate flaky.
-COMPARE_BENCHTIME ?= 200ms
+# bench-pair: which BENCHMARK.json workload to run, how many alternated
+# parent/change pairs, the run length (the gate's), whether to run the traced
+# per-layer pass instead of the end-to-end one, and the first pair's seed.
+WORKLOAD ?= bulk_in_central
+PAIRS ?= 10
+PAIR_SECONDS ?= 18
+TRACE ?= 0
+SEED ?= 1
 # Coverage floor for internal/obs, the observability layer: its contract is
 # almost entirely behavioral (nil-safety, ring wraparound, snapshot merging),
 # so coverage there is a meaningful proxy. Other packages report only.
@@ -41,11 +45,10 @@ RESIZE_COVER_FLOOR ?= 75
 FLAKECOUNT ?= 20
 FLAKETIMEOUT ?= 300s
 
-.PHONY: check vet staticcheck build test race flake chaos swarm-smoke shard-smoke resize-smoke comp-smoke fuzz-smoke bench bench-compare cover
+.PHONY: check vet staticcheck build test race flake chaos swarm-smoke shard-smoke resize-smoke comp-smoke fuzz-smoke bench bench-pair cover
 
-# bench-compare is not a prerequisite: its committed baseline is absolute, so
-# it fails on any machine but the one that wrote it (ROADMAP item A), and
-# bench/ (BENCHMARK.json) is the benchmark that is gated. It stays runnable.
+# No benchmark is a prerequisite: bench/ (BENCHMARK.json) is gated by the
+# driver on its own, and a speed claim rests on `make bench-pair`.
 check: vet staticcheck build test race flake chaos swarm-smoke shard-smoke resize-smoke comp-smoke fuzz-smoke cover
 
 vet:
@@ -70,8 +73,11 @@ race:
 	$(GO) test -race ./...
 
 # The admission ledger (stats_test.go), the fan-in accounting suite
-# (fanin_test.go) and the transport's pool-balance suites (zero-copy writes,
-# reassembly and its failure paths), FLAKECOUNT times each.
+# (fanin_test.go), the transport's pool-balance suites (zero-copy writes,
+# reassembly and its failure paths), and the chunk-buffer ledger, fault and
+# run-ahead suites with the one chunk sender's (the last two packages under
+# -race: their failure mode is a buffer observed while in flight), FLAKECOUNT
+# times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers' \
@@ -79,6 +85,8 @@ flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestFragmentedDataPreallocation|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames' \
 		./internal/transport
+	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
+	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkSender' ./internal/core
 
 # The chaos and robustness suites exercise fault injection, keepalive
 # dead-peer detection, graceful drain, and circuit-breaker failover.
@@ -127,25 +135,21 @@ comp-smoke:
 
 # Each fuzz target gets a short bounded run; `go test` allows only one
 # -fuzz pattern per invocation, hence one line per target.
-# Data-path benchmarks with allocation counts. BENCH_datapath.txt is
-# benchstat-compatible text (feed two of them to benchstat to diff PRs);
-# BENCH_datapath.json is the same data parsed for dashboards and scripts.
+# Data-path microbenchmarks with allocation counts, for use while working:
+# bin/BENCH_datapath.txt is benchstat-compatible text (feed two of them to
+# benchstat), bin/BENCH_datapath.json the same data parsed. bin/ is
+# gitignored — the numbers are this machine's and are not a baseline.
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' -bench 'CDRDoubles|DataEcho|RealTransfer|PipelinedInvoke' \
-		-benchmem -benchtime=$(BENCHTIME) . | tee BENCH_datapath.txt \
-		| ./bin/benchjson > BENCH_datapath.json
+		-benchmem -benchtime=$(BENCHTIME) . | tee bin/BENCH_datapath.txt \
+		| ./bin/benchjson > bin/BENCH_datapath.json
 
-# Perf-regression gate: rerun the data-path benchmarks into a scratch file
-# (bin/ is gitignored; the committed BENCH_datapath.json baseline is only
-# rewritten by an explicit `make bench`) and diff against the baseline.
-# Drift warns; a throughput regression past 25% fails.
-bench-compare:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) build -o bin/benchdiff ./cmd/benchdiff
-	$(GO) test -run '^$$' -bench 'CDRDoubles|DataEcho|RealTransfer|PipelinedInvoke' \
-		-benchmem -benchtime=$(COMPARE_BENCHTIME) . | ./bin/benchjson > bin/bench-candidate.json
-	./bin/benchdiff BENCH_datapath.json bin/bench-candidate.json
+# Paired runs of one BENCHMARK.json workload: the parent commit against the
+# working tree, alternated on this box, with medians, quartiles and wins per
+# metric (scripts/bench-pair.sh has the rule). What a speed claim rests on.
+bench-pair:
+	bash scripts/bench-pair.sh --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(PAIR_SECONDS) --trace $(TRACE) --seed $(SEED)
 
 # Per-package coverage report (cover.out is gitignored). Floors are
 # enforced for internal/obs and internal/testutil; every other package is

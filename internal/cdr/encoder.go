@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// Encoder appends CDR-encoded values to a buffer. The zero value is ready to
-// use and encodes in NativeOrder. Alignment is computed relative to the
+// Encoder appends CDR-encoded values to a buffer. NewEncoder picks the byte
+// order (the zero value encodes big-endian). Alignment is computed relative to the
 // start of the buffer (or the mark set by MarkOrigin), matching the
 // alignment origin of a CDR message or encapsulation body.
 type Encoder struct {
@@ -159,8 +159,13 @@ func (e *Encoder) Extend(n int) []byte {
 	return e.buf[off:]
 }
 
+// Truncate drops everything after the first n bytes: a renderer that reserved
+// room with Extend and used less of it gives the rest back.
+func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
 // Adopt makes b, a complete stream encoded in e's byte order, the encoder's
-// contents without copying it. The encoder owns b from here on.
+// contents without copying it. The encoder owns b from here on; appending to
+// it continues in b's spare capacity, so an empty b is a buffer to render into.
 func (e *Encoder) Adopt(b []byte) {
 	e.buf = b
 	e.origin = 0

@@ -273,7 +273,7 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (*Object
 	// Listeners: the communicating thread always listens; other threads
 	// listen only when the multi-port method is advertised.
 	if engine.Rank() == 0 || opts.Multiport {
-		srv, err := orb.NewServerOpts(opts.Host+":0", opts.Server)
+		srv, err := orb.NewServerOpts(orb.Endpoint{Host: opts.Host}.Addr(), opts.Server)
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
-	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/zcodec"
 )
@@ -419,76 +418,38 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	return reply, stop, nil
 }
 
-// receiveStreamed consumes a streamed centralized request's chunk schedule:
-// for every In/InOut argument, thread 0 pulls the scheduled chunks off the
-// token's bucket and the threads collectively scatter each one. The schedule
-// always runs to completion — after a failure thread 0 substitutes fail
-// markers instead of pulling — so the collective loop cannot desynchronize,
-// and the first failure is reported once the schedule is done.
+// receiveStreamed consumes a streamed centralized request's chunk schedule
+// into the In/InOut arguments (recvChunks).
 func (o *Object) receiveStreamed(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
-	me := o.comm.Rank()
-	ce := int(h.ChunkElems)
-	var firstErr error
-	t := chunkTimer(o.opts.DataTimeout)
-	if t != nil {
-		defer t.Stop()
-	}
+	ins := make([]dseq.Transferable, len(args))
 	for i, a := range h.Args {
-		if a.Dir == Out {
-			continue
-		}
-		l := a.Layout.Length
-		nchunks := chunkCount(l, ce)
-		for k := 0; k < nchunks; k++ {
-			start, n := chunkRange(l, ce, k)
-			chunkStart := time.Now()
-			var payload []byte
-			var frame *wire.Data
-			if me == 0 {
-				if firstErr != nil {
-					payload = dseq.FailMarker
-				} else if d, err := nextChunk(bucket.ch, o.stop, t, o.opts.DataTimeout, uint32(i), false, start, n, k == nchunks-1); err != nil {
-					firstErr = err
-					payload = dseq.FailMarker
-				} else {
-					frame, payload = d, d.Payload
-				}
-			}
-			err := args[i].ScatterUnmarshalRange(o.comm, 0, start, n, payload)
-			if frame != nil {
-				frame.Release()
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			o.span(h.Token, obs.PhaseChunkRecv, chunkStart)
+		if a.Dir != Out {
+			ins[i] = args[i]
 		}
 	}
-	if firstErr != nil {
-		return &orb.SystemException{RepoID: orb.RepoMarshal, Message: firstErr.Error()}
+	err := recvChunks(o.comm, bucket.ch, o.stop, o.opts.DataTimeout, false, int(h.ChunkElems), ins,
+		func(t time.Time) { o.span(h.Token, obs.PhaseChunkRecv, t) })
+	if err != nil {
+		return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
 	}
 	return nil
 }
 
 // sendStreamed returns a streamed centralized invocation's Out/InOut results
-// as chunked Data messages: the threads collectively gather-marshal each
-// scheduled chunk and thread 0 writes it to the client's connection, before
+// as chunked Data messages (sendChunks) on the client's connection, before
 // the Reply is encoded — same-connection ordering then guarantees the client
 // holds every chunk once it sees the Reply. The reply-leg chunk size is
 // recomputed from the final result lengths exactly as the client will.
 func (o *Object) sendStreamed(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
 	me := o.comm.Rank()
+	outs := make([]dseq.Transferable, len(args))
 	outLens := make([]int, 0, len(args))
 	for i, a := range h.Args {
 		if a.Dir != In {
+			outs[i] = args[i]
 			outLens = append(outLens, args[i].Len())
 		}
 	}
-	ce := chunkElemsFor(int(h.ChunkElems), outLens)
-	var conn *transport.Conn
-	var firstErr error
-	gatherDown := false // stop issuing collectives after one fails
-	connDown := false   // stop writing after the connection fails
 
 	// Agree on the reply leg's compression mask: the request arrived on the
 	// connection the reply chunks leave on, so thread 0 reads the mask its
@@ -500,21 +461,19 @@ func (o *Object) sendStreamed(bucket *dataBucket, h *invocationHeader, args []ds
 	if o.opts.Server.Compression != 0 {
 		var mb []byte
 		if me == 0 {
+			// A missing attachment resolves to raw here; the sender's own
+			// resolution reports the failure through the usual error path.
 			if c, err := bucket.conn(0, o.stop, attachTimeout); err == nil {
-				conn = c
-				codecs, _ := c.Compression()
-				mask = codecs
+				mask, _ = c.Compression()
+				// Under Auto the estimator can veto the negotiated codec for
+				// this reply leg: on a connection we can write faster than we
+				// can encode, raw wins. Decided once here, then broadcast, so
+				// the collective marshal schedule stays deterministic.
+				if mask != 0 && o.opts.Server.CompressionPolicy == zcodec.PolicyAuto && !compressionWins(c.WriteBandwidth()) {
+					mask = 0
+					o.compSkipped.Inc()
+				}
 			}
-			// Under Auto the estimator can veto the negotiated codec for
-			// this reply leg: on a connection we can write faster than we
-			// can encode, raw wins. Decided once here, then broadcast, so
-			// the collective marshal schedule stays deterministic.
-			if mask != 0 && o.opts.Server.CompressionPolicy == zcodec.PolicyAuto && !compressionWins(conn.WriteBandwidth()) {
-				mask = 0
-				o.compSkipped.Inc()
-			}
-			// A missing attachment resolves to raw here; the send loop's own
-			// conn fetch reports the failure through the usual error path.
 			mb = []byte{mask}
 		}
 		mb, err := o.comm.Bcast(0, mb)
@@ -526,97 +485,13 @@ func (o *Object) sendStreamed(bucket *dataBucket, h *invocationHeader, args []ds
 		}
 	}
 
-	// With a codec engaged, thread 0 hands finished frames to a bounded
-	// send worker so chunk k+1 is gathered and encoded while chunk k is
-	// still being written — the server-side mirror of the client's
-	// pipelined request leg. A single worker draining a FIFO channel keeps
-	// frames in schedule order; raw replies keep the exact serial send.
-	var (
-		sendCh   chan *wire.Data
-		sendDone chan struct{}
-		sendErr  error // owned by the worker until sendDone is closed
-	)
-	if me == 0 && mask != 0 && conn != nil {
-		sendCh = make(chan *wire.Data, encodeAheadDepth)
-		sendDone = make(chan struct{})
-		go func() {
-			defer close(sendDone)
-			for msg := range sendCh {
-				if err := conn.WriteMessage(msg); err != nil && sendErr == nil {
-					sendErr = err
-				}
-			}
-		}()
+	var cs *chunkSender
+	if me == 0 && len(outLens) > 0 {
+		cs = newChunkSender(connWriter(bucket.conn(0, o.stop, attachTimeout)))
 	}
-
-	for i, a := range h.Args {
-		if a.Dir == In {
-			continue
-		}
-		l := args[i].Len()
-		nchunks := chunkCount(l, ce)
-		for k := 0; k < nchunks; k++ {
-			start, n := chunkRange(l, ce, k)
-			chunkStart := time.Now()
-			var payload []byte
-			if !gatherDown {
-				p, err := args[i].GatherMarshalRangeZ(o.comm, 0, start, n, mask)
-				if err != nil {
-					gatherDown = true
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					payload = p
-				}
-			}
-			if me != 0 {
-				o.spanCodec(h.Token, obs.PhaseChunkSend, chunkStart, mask)
-				continue
-			}
-			if firstErr != nil {
-				payload = dseq.FailMarker
-			}
-			if !connDown && conn == nil {
-				c, err := bucket.conn(0, o.stop, attachTimeout)
-				if err != nil {
-					connDown = true
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					conn = c
-				}
-			}
-			if !connDown {
-				msg := &wire.Data{
-					RequestID: h.Token, ArgIndex: uint32(i), SrcRank: 0, DstRank: 0,
-					DstOff: uint64(start), Count: uint64(n), Reply: true,
-					Flags: chunkFlagsZ(k == nchunks-1, payload), Payload: payload,
-				}
-				if sendCh != nil {
-					sendCh <- msg
-				} else if err := conn.WriteMessage(msg); err != nil {
-					connDown = true
-					if firstErr == nil {
-						firstErr = err
-					}
-				}
-			}
-			o.spanCodec(h.Token, obs.PhaseChunkSend, chunkStart, mask)
-		}
-	}
-	if sendCh != nil {
-		close(sendCh)
-		<-sendDone
-		if firstErr == nil {
-			firstErr = sendErr
-		}
-	}
-	if firstErr != nil {
-		return &orb.SystemException{RepoID: orb.RepoComm, Message: firstErr.Error()}
-	}
-	return nil
+	_, err := sendChunks(o.comm, cs, h.Token, true, chunkElemsFor(int(h.ChunkElems), outLens), mask, outs,
+		func(t time.Time) { o.spanCodec(h.Token, obs.PhaseChunkSend, t, mask) })
+	return commFailure(err)
 }
 
 // receiveMoves consumes the expected inbound transfers for one argument on

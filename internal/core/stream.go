@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cdr"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/orb"
 	"repro/internal/rts"
+	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/zcodec"
 )
@@ -27,11 +30,208 @@ import (
 // comfortably above the per-message overhead and below the frame limit.
 const DefaultStreamChunkElems = 8192
 
-// encodeAheadDepth bounds how many encoded chunks the pipelined send
-// worker may hold ahead of the wire. Depth 2 is enough to overlap the
-// encode of chunk k+1 with the write of chunk k without letting a slow
-// link pile up compressed frames (and their memory) unboundedly.
+// encodeAheadDepth bounds how many gathered chunks a leg's sender may hold
+// ahead of the wire. Depth 2 is enough to overlap the gather (and encode) of
+// chunk k+1 with the write of chunk k without letting a slow link pile up
+// frames, and their memory, unboundedly.
 const encodeAheadDepth = 2
+
+// chunkSender is the sending half of every streamed leg — request and reply,
+// raw and compressed — on the communicating thread: a ring of
+// encodeAheadDepth+1 slots, each a reusable chunk encoder and the Data message
+// that frames it, and one worker that writes filled slots in the order they
+// were queued. The thread gathers chunk k+1 straight into a free slot while
+// the worker has chunk k on the wire, and waits only when every slot is in
+// flight. A slot's bytes belong to the worker from send until it puts the
+// slot back on free; nothing else ever references them.
+type chunkSender struct {
+	write func(wire.Message) error
+	slots [encodeAheadDepth + 1]chunkSlot
+	free  chan *chunkSlot // sized to the ring: never blocks the worker
+	queue chan *chunkSlot // sized to the ring: send never blocks
+	done  chan struct{}
+	err   error // the first write failure; the worker's until done is closed
+}
+
+type chunkSlot struct {
+	enc *cdr.Encoder
+	msg wire.Data
+}
+
+// chunkEncoders keeps the ring encoders, grown to a chunk's size, across legs.
+var chunkEncoders = sync.Pool{New: func() any { return cdr.NewEncoder(cdr.NativeOrder) }}
+
+// connWriter is the write a leg hands its sender: the data connection is
+// resolved once, so every chunk is a plain WriteMessage — or, when it could
+// not be resolved, the error that says why.
+func connWriter(conn *transport.Conn, err error) func(wire.Message) error {
+	if err != nil {
+		return func(wire.Message) error { return err }
+	}
+	return conn.WriteMessage
+}
+
+// newChunkSender starts a leg's sender; close ends it.
+func newChunkSender(write func(wire.Message) error) *chunkSender {
+	cs := &chunkSender{write: write, done: make(chan struct{}),
+		free: make(chan *chunkSlot, encodeAheadDepth+1), queue: make(chan *chunkSlot, encodeAheadDepth+1)}
+	for i := range cs.slots {
+		cs.slots[i].enc = chunkEncoders.Get().(*cdr.Encoder)
+		cs.free <- &cs.slots[i]
+	}
+	go func() {
+		defer close(cs.done)
+		for s := range cs.queue {
+			// After a failed write the stream may be mid-frame: the rest of
+			// the schedule is drained, not written.
+			if cs.err == nil {
+				cs.err = cs.write(&s.msg)
+			}
+			s.msg.Payload = nil
+			cs.free <- s
+		}
+	}()
+	return cs
+}
+
+// next returns an empty slot to gather into, once the wire has freed one.
+func (cs *chunkSender) next() *chunkSlot {
+	s := <-cs.free
+	s.enc.Reset()
+	return s
+}
+
+// send queues a slot obtained from next, its msg filled in, behind the ones
+// sent before it.
+func (cs *chunkSender) send(s *chunkSlot) { cs.queue <- s }
+
+// close waits for the queued chunks to be written and returns the first write
+// failure as a COMM_FAILURE.
+func (cs *chunkSender) close() error {
+	close(cs.queue)
+	<-cs.done
+	for i := range cs.slots {
+		chunkEncoders.Put(cs.slots[i].enc)
+	}
+	return commFailure(cs.err)
+}
+
+// commFailure files a transfer leg's failure under COMM_FAILURE, the control
+// path's error taxonomy, so callers classify a dead peer the same way on every
+// transfer path; an error that already is a system exception keeps its own.
+func commFailure(err error) error {
+	if err == nil {
+		return nil
+	}
+	if se := (*orb.SystemException)(nil); errors.As(err, &se) {
+		return err
+	}
+	return &orb.SystemException{RepoID: orb.RepoComm, Message: err.Error()}
+}
+
+// sendChunks walks the sending side of one streamed leg. For every sequence
+// listed (a nil entry is an argument the leg does not carry) the threads of
+// comm collectively gather-marshal each scheduled chunk — thread 0, the one
+// holding the leg's sender, straight into the slot the chunk is written from
+// — and the sender is closed at the end. The schedule always runs to
+// completion: a thread whose collective gather failed stops issuing gathers
+// (the peers fail their next collective and stop too) while thread 0 keeps
+// the wire schedule alive with fail markers, so the receiving loop stays
+// aligned and the failure surfaces as one agreed error. It returns the time
+// spent gathering and this thread's first failure.
+func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce int, mask uint8,
+	seqs []dseq.Transferable, span func(chunkStart time.Time)) (gather time.Duration, firstErr error) {
+	for i, seq := range seqs {
+		if seq == nil {
+			continue
+		}
+		l := seq.Len()
+		nchunks := chunkCount(l, ce)
+		for k := 0; k < nchunks; k++ {
+			start, n := chunkRange(l, ce, k)
+			chunkStart := time.Now()
+			var slot *chunkSlot
+			var dst *cdr.Encoder
+			if cs != nil {
+				slot = cs.next()
+				dst = slot.enc
+			}
+			if firstErr == nil {
+				gatherStart := time.Now()
+				firstErr = seq.GatherMarshalRangeTo(comm, 0, start, n, mask, dst)
+				gather += time.Since(gatherStart)
+			}
+			if slot != nil {
+				payload := dst.Bytes()
+				if firstErr != nil {
+					payload = dseq.FailMarker
+				}
+				slot.msg = wire.Data{
+					RequestID: token, ArgIndex: uint32(i), DstOff: uint64(start), Count: uint64(n),
+					Reply: reply, Flags: chunkFlagsZ(k == nchunks-1, payload), Payload: payload,
+				}
+				cs.send(slot)
+			}
+			span(chunkStart)
+		}
+	}
+	if cs != nil {
+		if err := cs.close(); firstErr == nil {
+			firstErr = err
+		}
+	}
+	return gather, firstErr
+}
+
+// recvChunks walks the receiving side of one streamed leg: thread 0 pulls each
+// scheduled chunk of every listed sequence (nil entries skipped) off ch and
+// the threads of comm collectively scatter it. The schedule always runs to
+// completion — after a failure thread 0 substitutes fail markers instead of
+// pulling — so the collective loop cannot desynchronize, and the first
+// failure is returned once the schedule is done.
+func recvChunks(comm *rts.Comm, ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration, reply bool, ce int,
+	seqs []dseq.Transferable, span func(chunkStart time.Time)) error {
+	var firstErr error
+	t := chunkTimer(timeout)
+	if t != nil {
+		defer t.Stop()
+	}
+	for i, seq := range seqs {
+		if seq == nil {
+			continue
+		}
+		l := seq.Len()
+		nchunks := chunkCount(l, ce)
+		for k := 0; k < nchunks; k++ {
+			start, n := chunkRange(l, ce, k)
+			chunkStart := time.Now()
+			var payload []byte
+			var frame *wire.Data
+			if comm.Rank() == 0 {
+				if firstErr != nil {
+					payload = dseq.FailMarker
+				} else if d, err := nextChunk(ch, stop, t, timeout, uint32(i), reply, start, n, k == nchunks-1); err != nil {
+					firstErr = err
+					payload = dseq.FailMarker
+				} else {
+					frame, payload = d, d.Payload
+				}
+			}
+			// The scatter copies the elements out (root's own share directly,
+			// a peer's through a rented piece), so the frame goes back as soon
+			// as it returns.
+			err := seq.ScatterUnmarshalRange(comm, 0, start, n, payload)
+			if frame != nil {
+				frame.Release()
+			}
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			span(chunkStart)
+		}
+	}
+	return firstErr
+}
 
 // maxStreamChunks bounds the total number of chunks in one direction of one
 // invocation; the chunk size is raised until the schedule fits. The bound
@@ -159,10 +359,10 @@ func (b *Binding) streamEligible(args []DistArg) bool {
 // written once.
 func gatherInto(c *rts.Comm, seq dseq.Transferable, e *cdr.Encoder) error {
 	if e == nil {
-		return seq.GatherMarshalRangeTo(c, 0, 0, seq.Len(), nil)
+		return seq.GatherMarshalRangeTo(c, 0, 0, seq.Len(), 0, nil)
 	}
 	m := e.BeginOctets()
-	err := seq.GatherMarshalRangeTo(c, 0, 0, seq.Len(), e)
+	err := seq.GatherMarshalRangeTo(c, 0, 0, seq.Len(), 0, e)
 	e.EndOctets(m)
 	return err
 }
@@ -231,10 +431,15 @@ func drainData(ch chan *wire.Data) {
 // surfaces as one agreed error instead of a stranded collective.
 func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op string, scalars []byte, args []DistArg, desc OpDesc, timing *Timing) ([]byte, error) {
 	me := comm.Rank()
+	ins, outs := make([]dseq.Transferable, len(args)), make([]dseq.Transferable, len(args))
 	inLens := make([]int, 0, len(args))
-	for _, a := range args {
+	for i, a := range args {
 		if a.Dir != Out {
+			ins[i] = a.Seq
 			inLens = append(inLens, a.Seq.Len())
+		}
+		if a.Dir != In {
+			outs[i] = a.Seq
 		}
 	}
 	ce := chunkElemsFor(b.chunkElems, inLens)
@@ -248,13 +453,13 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 		err     error
 	}
 	var sink chan *wire.Data
+	var cs *chunkSender
 	replyCh := make(chan replyResult, 1)
-	launched := false
 	sendStart := time.Now()
 
 	// The communicating thread launches the request first — the header
 	// travels ahead of the chunks, which the server buffers per token
-	// either way — then joins the collective chunk schedule.
+	// either way — then joins the collective chunk schedule as its sender.
 	if me == 0 {
 		sink = make(chan *wire.Data, bucketCapacity)
 		b.client.RegisterDataSink(token, sink)
@@ -271,97 +476,17 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 			timing.Pack = time.Since(packStart)
 		}
 		b.span(token, obs.PhasePack, packStart)
-		launched = true
 		go func() {
 			payload, err := b.client.Invoke(b.ref, op, e.Bytes(), false)
 			replyCh <- replyResult{payload: payload, err: err}
 		}()
+		cs = newChunkSender(connWriter(b.client.DataConn(b.ref, 0)))
 	}
 
-	// Request leg: gather-marshal chunk k over the runtime system while
-	// chunk k-1 is on the wire. After a collective gather fails on this
-	// thread it stops issuing gathers (the peers fail their next collective
-	// and stop too); thread 0 keeps the wire schedule alive with fail
-	// markers so the server's receive loop stays aligned.
-	//
-	// With a codec engaged, thread 0 additionally hands finished frames to
-	// a bounded send worker: chunk k+1 is gathered and encoded while chunk
-	// k is still being written to the wire. The worker is a single
-	// goroutine draining a FIFO channel, so frames hit the wire in schedule
-	// order; the raw path keeps the exact serial send (and its alloc
-	// profile) because no codec means nothing to overlap.
-	gatherTotal := time.Duration(0)
-	var streamErr error // this thread's first failure
-	gatherDown := false
-	var (
-		sendCh   chan *wire.Data
-		sendDone chan struct{}
-		sendErr  error // owned by the worker until sendDone is closed
-	)
-	if me == 0 && mask != 0 {
-		sendCh = make(chan *wire.Data, encodeAheadDepth)
-		sendDone = make(chan struct{})
-		go func() {
-			defer close(sendDone)
-			for d := range sendCh {
-				if err := b.client.SendData(b.ref, d); err != nil && sendErr == nil {
-					sendErr = &orb.SystemException{RepoID: orb.RepoComm, Message: err.Error()}
-				}
-			}
-		}()
-	}
-	for i, a := range args {
-		if a.Dir == Out {
-			continue
-		}
-		l := a.Seq.Len()
-		nchunks := chunkCount(l, ce)
-		for k := 0; k < nchunks; k++ {
-			start, n := chunkRange(l, ce, k)
-			chunkStart := time.Now()
-			var payload []byte
-			if !gatherDown {
-				p, err := a.Seq.GatherMarshalRangeZ(comm, 0, start, n, mask)
-				if err != nil {
-					gatherDown = true
-					if streamErr == nil {
-						streamErr = err
-					}
-				} else {
-					payload = p
-				}
-			}
-			gatherTotal += time.Since(chunkStart)
-			if me != 0 {
-				b.spanCodec(token, obs.PhaseChunkSend, chunkStart, mask)
-				continue
-			}
-			if streamErr != nil {
-				payload = dseq.FailMarker
-			}
-			d := &wire.Data{
-				RequestID: token, ArgIndex: uint32(i), SrcRank: 0, DstRank: 0,
-				DstOff: uint64(start), Count: uint64(n),
-				Flags: chunkFlagsZ(k == nchunks-1, payload), Payload: payload,
-			}
-			if sendCh != nil {
-				sendCh <- d
-			} else if err := b.client.SendData(b.ref, d); err != nil && streamErr == nil {
-				// Wire failures surface in the control path's error taxonomy
-				// (COMM_FAILURE), not as raw transport errors, so callers can
-				// classify a dead peer the same way on every transfer path.
-				streamErr = &orb.SystemException{RepoID: orb.RepoComm, Message: err.Error()}
-			}
-			b.spanCodec(token, obs.PhaseChunkSend, chunkStart, mask)
-		}
-	}
-	if sendCh != nil {
-		close(sendCh)
-		<-sendDone
-		if streamErr == nil {
-			streamErr = sendErr
-		}
-	}
+	// Request leg: gather-marshal chunk k+1 over the runtime system while
+	// chunk k is on the wire.
+	gatherTotal, streamErr := sendChunks(comm, cs, token, false, ce, mask, ins,
+		func(t time.Time) { b.spanCodec(token, obs.PhaseChunkSend, t, mask) })
 	if timing != nil {
 		timing.Gather = gatherTotal
 	}
@@ -370,7 +495,7 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 	// The communicating thread collects the reply (bounded by the client
 	// timeout); everyone shares it, then agrees on the request leg.
 	var meta invokeMeta
-	if me == 0 && launched {
+	if me == 0 {
 		res := <-replyCh
 		meta = metaFromReply(res.payload, res.err, Centralized, true)
 	}
@@ -399,53 +524,19 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 			outLens = append(outLens, meta.lengths[i])
 		}
 	}
-	ceOut := chunkElemsFor(ce, outLens)
 	scatterStart := time.Now()
 	scatterErr := func() error {
-		var firstErr error
-		t := chunkTimer(b.client.Timeout)
-		if t != nil {
-			defer t.Stop()
-		}
 		for i, a := range args {
-			if a.Dir == In {
-				continue
-			}
 			if a.Dir == Out {
 				if err := a.Seq.ResizeAlloc(meta.lengths[i]); err != nil {
 					return err
 				}
-			} else if meta.lengths[i] != a.Seq.Len() {
+			} else if a.Dir == InOut && meta.lengths[i] != a.Seq.Len() {
 				return fmt.Errorf("%w: inout arg %d length %d from server, have %d", ErrBadHeader, i, meta.lengths[i], a.Seq.Len())
 			}
-			l := meta.lengths[i]
-			nchunks := chunkCount(l, ceOut)
-			for k := 0; k < nchunks; k++ {
-				start, n := chunkRange(l, ceOut, k)
-				chunkStart := time.Now()
-				var payload []byte
-				var frame *wire.Data
-				if me == 0 {
-					if firstErr != nil {
-						payload = dseq.FailMarker
-					} else if d, err := nextChunk(sink, nil, t, b.client.Timeout, uint32(i), true, start, n, k == nchunks-1); err != nil {
-						firstErr = err
-						payload = dseq.FailMarker
-					} else {
-						frame, payload = d, d.Payload
-					}
-				}
-				err := a.Seq.ScatterUnmarshalRange(comm, 0, start, n, payload)
-				if frame != nil {
-					frame.Release()
-				}
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				b.span(token, obs.PhaseChunkRecv, chunkStart)
-			}
 		}
-		return firstErr
+		return recvChunks(comm, sink, nil, b.client.Timeout, true, chunkElemsFor(ce, outLens), outs,
+			func(t time.Time) { b.span(token, obs.PhaseChunkRecv, t) })
 	}()
 	if timing != nil {
 		timing.Scatter = time.Since(scatterStart)

@@ -80,63 +80,18 @@ var Int32 = Codec[int32]{
 }
 
 // Int64 is the codec for IDL long long.
-var Int64 = Codec[int64]{
-	Name:           "long long",
-	HostBytes:      cdr.HostBytes[int64],
-	CompressID:     zcodec.Delta,
-	ElemWireSize:   8,
-	CompressBound:  zcodec.Int64sBound,
-	CompressAppend: zcodec.AppendInt64s,
-	Decompress:     zcodec.DecodeInt64s,
-	DecompressInto: zcodec.DecodeInt64sInto,
-	EncodeSlice: func(e *cdr.Encoder, v []int64) {
-		e.WriteULong(uint32(len(v)))
-		for _, x := range v {
-			e.WriteLongLong(x)
-		}
-	},
-	DecodeSlice: func(d *cdr.Decoder) ([]int64, error) {
-		n, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int64, 0, minu32(n, 1<<20))
-		for i := uint32(0); i < n; i++ {
-			x, err := d.ReadLongLong()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, x)
-		}
-		return out, nil
-	},
-}
+var Int64 = func() Codec[int64] {
+	c := StructCodec("long long", (*cdr.Encoder).WriteLongLong, (*cdr.Decoder).ReadLongLong)
+	c.HostBytes, c.ElemWireSize = cdr.HostBytes[int64], 8
+	c.CompressID, c.CompressBound, c.CompressAppend = zcodec.Delta, zcodec.Int64sBound, zcodec.AppendInt64s
+	c.Decompress, c.DecompressInto = zcodec.DecodeInt64s, zcodec.DecodeInt64sInto
+	return c
+}()
 
 // Float32 is the codec for IDL float.
-var Float32 = Codec[float32]{
-	Name: "float",
-	EncodeSlice: func(e *cdr.Encoder, v []float32) {
-		e.WriteULong(uint32(len(v)))
-		for _, x := range v {
-			e.WriteFloat(x)
-		}
-	},
-	DecodeSlice: func(d *cdr.Decoder) ([]float32, error) {
-		n, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float32, 0, minu32(n, 1<<20))
-		for i := uint32(0); i < n; i++ {
-			x, err := d.ReadFloat()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, x)
-		}
-		return out, nil
-	},
-	DecodeInto: func(d *cdr.Decoder, dst []float32) (int, error) {
+var Float32 = func() Codec[float32] {
+	c := StructCodec("float", (*cdr.Encoder).WriteFloat, (*cdr.Decoder).ReadFloat)
+	c.DecodeInto = func(d *cdr.Decoder, dst []float32) (int, error) {
 		n, err := d.ReadULong()
 		if err != nil {
 			return 0, err
@@ -150,8 +105,9 @@ var Float32 = Codec[float32]{
 			}
 		}
 		return int(n), nil
-	},
-}
+	}
+	return c
+}()
 
 // Octet is the codec for IDL octet. DecodeSlice must copy (ReadOctets
 // returns a view into the decode buffer, which the transport may reclaim);
@@ -181,56 +137,10 @@ var Octet = Codec[byte]{
 }
 
 // Bool is the codec for IDL boolean.
-var Bool = Codec[bool]{
-	Name: "boolean",
-	EncodeSlice: func(e *cdr.Encoder, v []bool) {
-		e.WriteULong(uint32(len(v)))
-		for _, x := range v {
-			e.WriteBool(x)
-		}
-	},
-	DecodeSlice: func(d *cdr.Decoder) ([]bool, error) {
-		n, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]bool, 0, minu32(n, 1<<20))
-		for i := uint32(0); i < n; i++ {
-			x, err := d.ReadBool()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, x)
-		}
-		return out, nil
-	},
-}
+var Bool = StructCodec("boolean", (*cdr.Encoder).WriteBool, (*cdr.Decoder).ReadBool)
 
 // String is the codec for IDL string elements (a dsequence<string>).
-var String = Codec[string]{
-	Name: "string",
-	EncodeSlice: func(e *cdr.Encoder, v []string) {
-		e.WriteULong(uint32(len(v)))
-		for _, s := range v {
-			e.WriteString(s)
-		}
-	},
-	DecodeSlice: func(d *cdr.Decoder) ([]string, error) {
-		n, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]string, 0, minu32(n, 1<<20))
-		for i := uint32(0); i < n; i++ {
-			s, err := d.ReadString()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s)
-		}
-		return out, nil
-	},
-}
+var String = StructCodec("string", (*cdr.Encoder).WriteString, (*cdr.Decoder).ReadString)
 
 // StructCodec builds a codec for a user-defined element type from
 // per-element marshal functions, the shape generated skeleton code uses.
@@ -248,7 +158,7 @@ func StructCodec[T any](name string, enc func(*cdr.Encoder, T), dec func(*cdr.De
 			if err != nil {
 				return nil, err
 			}
-			out := make([]T, 0, minu32(n, 1<<20))
+			out := make([]T, 0, min(int(n), 1<<20))
 			for i := uint32(0); i < n; i++ {
 				x, err := dec(d)
 				if err != nil {
@@ -259,13 +169,6 @@ func StructCodec[T any](name string, enc func(*cdr.Encoder, T), dec func(*cdr.De
 			return out, nil
 		},
 	}
-}
-
-func minu32(n uint32, cap int) int {
-	if int(n) < cap {
-		return int(n)
-	}
-	return cap
 }
 
 // MarshalChunk renders elements as a standalone self-describing payload
@@ -362,6 +265,14 @@ func UnmarshalChunkInto[T any](c Codec[T], payload []byte, dst []T) (int, error)
 	defer h.Done(h.Start())
 	if IsCompressedChunk(payload) {
 		return decompressChunkInto(c, payload, dst)
+	}
+	// A packed chunk that fits is one copy, with no decoder to allocate.
+	if c.packed() && len(payload) >= packedElemsOff {
+		n := (len(payload) - packedElemsOff) / c.ElemWireSize
+		if elems := c.packedElems(payload, n); elems != nil && n <= len(dst) {
+			copy(c.HostBytes(dst[:n]), elems)
+			return n, nil
+		}
 	}
 	d, err := openChunk(c.Name, payload)
 	if err != nil {

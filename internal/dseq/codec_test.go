@@ -80,6 +80,24 @@ func TestUnmarshalChunkErrors(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+	// The decode-into form has a copy-only path for packed chunks; every
+	// truncation (the empty payload included) must still be an error, for
+	// every element width, and too small a destination too.
+	dst := make([]float64, 3)
+	for cut := 0; cut < len(good); cut++ {
+		if _, err := UnmarshalChunkInto(Float64, good[:cut], dst); err == nil {
+			t.Fatalf("decode-into: truncation at %d accepted", cut)
+		}
+		if _, err := UnmarshalChunkInto(Int32, good[:cut], make([]int32, 8)); err == nil && cut <= packedElemsOff {
+			t.Fatalf("decode-into as long: truncation at %d accepted", cut)
+		}
+	}
+	if n, err := UnmarshalChunkInto(Float64, good, dst); err != nil || n != 3 || dst[2] != 3 {
+		t.Fatalf("decode-into: %d %v %v", n, err, dst)
+	}
+	if _, err := UnmarshalChunkInto(Float64, good, dst[:2]); err == nil {
+		t.Fatal("decode-into: chunk of 3 accepted into a destination of 2")
+	}
 }
 
 type point struct {

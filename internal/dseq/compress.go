@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/cdr"
 	"repro/internal/zcodec"
 )
 
@@ -109,76 +110,90 @@ func CompressedChunkInfo(p []byte) (zcodec.ID, int, error) {
 // enough to split, the elements encode as parallel sub-blocks. Mask
 // zero is exactly MarshalChunk.
 func MarshalChunkZ[T any](c Codec[T], v []T, mask uint8) []byte {
+	e := cdr.NewEncoder(cdr.NativeOrder)
+	marshalChunkZInto(c, e, v, mask)
+	return e.Bytes()
+}
+
+// marshalChunkZInto appends MarshalChunkZ's rendering of v to e, whose
+// alignment origin must be the current position (the raw fallback needs it;
+// the envelopes are byte streams). The block is encoded in place: room for
+// the codec's worst case is reserved in e and the unused rest given back.
+func marshalChunkZInto[T any](c Codec[T], e *cdr.Encoder, v []T, mask uint8) {
+	raw := c.ElemWireSize * len(v)
 	if mask&zcodec.MaskCodecs == 0 || c.CompressAppend == nil ||
-		c.ElemWireSize*len(v) < compMinBytes || !zcodec.HasCodec(mask, c.CompressID) {
-		return MarshalChunk(c, v)
+		raw < compMinBytes || !zcodec.HasCodec(mask, c.CompressID) {
+		marshalChunkInto(c, e, v)
+		return
 	}
 	h := marshalNS.Load()
 	defer h.Done(h.Start())
-	if mask&zcodec.MaskSubBlock != 0 && len(v) >= 2*subBlockMinElems {
-		if p := marshalChunkSub(c, v); p != nil {
-			return p
-		}
+	if mask&zcodec.MaskSubBlock != 0 && len(v) >= 2*subBlockMinElems && marshalChunkSub(c, e, v) {
+		return
 	}
-	buf := make([]byte, compHeaderLen, compHeaderLen+c.CompressBound(len(v)))
-	buf[0] = compMarker
-	buf[1] = byte(c.CompressID)
-	buf = c.CompressAppend(buf, v)
-	if len(buf) >= c.ElemWireSize*len(v) {
-		return MarshalChunk(c, v)
+	off := e.Len()
+	buf := e.Extend(compHeaderLen + c.CompressBound(len(v)))
+	buf[0], buf[1] = compMarker, byte(c.CompressID)
+	out := c.CompressAppend(buf[:compHeaderLen], v)
+	if len(out) >= raw || len(out) > len(buf) {
+		e.Truncate(off)
+		marshalChunkInto(c, e, v)
+		return
 	}
-	return buf
+	e.Truncate(off + len(out))
 }
 
-// marshalChunkSub encodes v as a 0x03 sub-block envelope, fanning the
-// block encoders across pfor workers. It returns nil when the split
-// degenerates to one block (caller emits the single-block envelope) and
-// the raw encoding when the result would not beat it.
-func marshalChunkSub[T any](c Codec[T], v []T) []byte {
-	nsub := len(v) / subBlockMinElems
-	if w := runtime.GOMAXPROCS(0); nsub > w {
-		nsub = w
+// chunkBound returns a size no rendering of an n-element chunk under mask
+// exceeds — what a rented buffer must hold — or 0 when the codec's chunks
+// have no fixed width to compute it from.
+func (c Codec[T]) chunkBound(n int, mask uint8) int {
+	if !c.packed() {
+		return 0
 	}
-	if nsub > maxSubBlocks {
-		nsub = maxSubBlocks
+	size := packedElemsOff + n*c.ElemWireSize
+	if mask != 0 && c.CompressBound != nil {
+		size = max(size, compHeaderLen+c.CompressBound(n))
 	}
+	return size
+}
+
+// marshalChunkSub appends v to e as a 0x03 sub-block envelope, fanning the
+// block encoders across pfor workers, or as the raw encoding when the
+// envelope would not beat it. It reports false, with nothing appended, when
+// the split degenerates to one block (caller emits the single-block
+// envelope).
+func marshalChunkSub[T any](c Codec[T], e *cdr.Encoder, v []T) bool {
+	nsub := min(len(v)/subBlockMinElems, runtime.GOMAXPROCS(0), maxSubBlocks)
 	if nsub < 2 {
-		return nil
+		return false
 	}
 	per := (len(v) + nsub - 1) / nsub
 	scratch := make([]*[]byte, nsub)
 	pfor(nsub, func(i int) {
 		lo := i * per
-		hi := lo + per
-		if hi > len(v) {
-			hi = len(v)
-		}
+		hi := min(lo+per, len(v))
 		bp := getSubScratch(c.CompressBound(hi - lo))
 		*bp = c.CompressAppend((*bp)[:0], v[lo:hi])
 		scratch[i] = bp
 	})
-	release := func() {
-		for _, bp := range scratch {
-			subScratch.Put(bp)
-		}
-	}
 	total := compHeaderLen + uvarintLen(uint64(nsub))
 	for _, bp := range scratch {
 		total += uvarintLen(uint64(len(*bp))) + len(*bp)
 	}
 	if total >= c.ElemWireSize*len(v) {
-		release()
-		return MarshalChunk(c, v)
+		marshalChunkInto(c, e, v)
+	} else {
+		out := append(e.Extend(total)[:0], compMarkerSub, byte(c.CompressID))
+		out = binary.AppendUvarint(out, uint64(nsub))
+		for _, bp := range scratch {
+			out = binary.AppendUvarint(out, uint64(len(*bp)))
+			out = append(out, *bp...)
+		}
 	}
-	out := make([]byte, 0, total)
-	out = append(out, compMarkerSub, byte(c.CompressID))
-	out = binary.AppendUvarint(out, uint64(nsub))
 	for _, bp := range scratch {
-		out = binary.AppendUvarint(out, uint64(len(*bp)))
-		out = append(out, *bp...)
+		subScratch.Put(bp)
 	}
-	release()
-	return out
+	return true
 }
 
 func uvarintLen(x uint64) int {

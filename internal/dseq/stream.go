@@ -43,26 +43,21 @@ func IsFailMarker(p []byte) bool { return len(p) == 1 && p[0] == 0xFF }
 // ranks call them with identical arguments, in the same order); passing a
 // nil communicator uses the sequence's own.
 type StreamTransferable interface {
-	// GatherMarshalRange collects global elements [start, start+n) at root
-	// and renders them as one chunk payload in global order. Non-root ranks
-	// receive nil. A returned FailMarker payload (in place of an error's nil)
-	// never happens at root — marker propagation is internal — but root
-	// returns ErrChunkFailed when a contributor fed one.
-	GatherMarshalRange(c *rts.Comm, root, start, n int) ([]byte, error)
-	// GatherMarshalRangeTo is GatherMarshalRange rendering the chunk straight
-	// into root's encoder dst (ignored, and may be nil, at other ranks),
-	// grown once to the chunk's size when the element codec is fixed-width.
-	// dst's alignment origin must be its current position — a fresh encoder,
-	// or inside cdr.Encoder.BeginOctets — so a caller embedding the chunk in
-	// a larger message gathers into the bytes it will send.
-	GatherMarshalRangeTo(c *rts.Comm, root, start, n int, dst *cdr.Encoder) error
-	// GatherMarshalRangeZ is GatherMarshalRange with wire compression: mask
-	// is the connection's negotiated zcodec bitmask, replicated across the
-	// ranks by the transfer engine. Mask zero is exactly GatherMarshalRange;
-	// element types without a block codec ignore the mask.
-	GatherMarshalRangeZ(c *rts.Comm, root, start, n int, mask uint8) ([]byte, error)
+	// GatherMarshalRangeTo collects global elements [start, start+n) at root
+	// and renders them as one chunk, in global order, straight into root's
+	// encoder dst (ignored, and may be nil, at other ranks), grown once to the
+	// chunk's size when the element codec is fixed-width. dst's alignment
+	// origin must be its current position — a fresh or Reset encoder, or
+	// inside cdr.Encoder.BeginOctets — so a caller gathers into the bytes it
+	// will send. mask is the connection's negotiated zcodec bitmask,
+	// replicated across the ranks by the transfer engine: zero, or an element
+	// type without a block codec, renders raw. Root returns ErrChunkFailed
+	// when a contributor fed a fail marker; dst's contents are then
+	// unspecified.
+	GatherMarshalRangeTo(c *rts.Comm, root, start, n int, mask uint8, dst *cdr.Encoder) error
 	// ScatterUnmarshalRange distributes a chunk payload holding global
-	// elements [start, start+n) (significant at root) into the owning ranks'
+	// elements [start, start+n) (significant at root, which keeps owning it:
+	// nothing retains payload once the call returns) into the owning ranks'
 	// local storage. Feeding FailMarker as the payload poisons the chunk:
 	// the collective still runs, owners skip the store, and every
 	// participant with elements in the range returns ErrChunkFailed.
@@ -78,16 +73,19 @@ type rangeSeg struct {
 	n        int
 }
 
-// rangeSegs computes rank's segments inside [start, start+n), in global
+// segsInline is how many segments a caller's stack buffer holds: a blockwise
+// rank has one per chunk, and only finely cyclic layouts spill to the heap.
+const segsInline = 8
+
+// rangeSegs appends rank's segments inside [start, start+n) to buf, in global
 // order (per-rank interval lists are sorted by start).
-func rangeSegs(l dist.Layout, rank, start, n int) []rangeSeg {
-	var segs []rangeSeg
+func rangeSegs(buf []rangeSeg, l dist.Layout, rank, start, n int) []rangeSeg {
 	off := 0
 	for _, iv := range l.Intervals[rank] {
 		lo := max(iv.Start, start)
 		hi := min(iv.End(), start+n)
 		if hi > lo {
-			segs = append(segs, rangeSeg{
+			buf = append(buf, rangeSeg{
 				localOff: off + (lo - iv.Start),
 				rangeOff: lo - start,
 				n:        hi - lo,
@@ -95,7 +93,7 @@ func rangeSegs(l dist.Layout, rank, start, n int) []rangeSeg {
 		}
 		off += iv.Len
 	}
-	return segs
+	return buf
 }
 
 func segTotal(segs []rangeSeg) int {
@@ -104,6 +102,23 @@ func segTotal(segs []rangeSeg) int {
 		n += s.n
 	}
 	return n
+}
+
+// soleOwner returns the rank whose segments alone cover [start, start+n), or
+// -1. Shares are disjoint and sum to n, so the first rank holding any of the
+// range covers it or nobody does. Every rank derives the same answer from the
+// replicated layout.
+func (s *Seq[T]) soleOwner(start, n int) int {
+	var sb [segsInline]rangeSeg
+	for r := 0; r < s.layout.Ranks; r++ {
+		if segs := rangeSegs(sb[:0], s.layout, r, start, n); len(segs) > 0 {
+			if segTotal(segs) == n {
+				return r
+			}
+			break
+		}
+	}
+	return -1
 }
 
 // checkStreamRange validates a range method call. All inputs are replicated
@@ -126,82 +141,84 @@ func (s *Seq[T]) checkStreamRange(c *rts.Comm, root, start, n int) (*rts.Comm, e
 	return c, nil
 }
 
-// GatherMarshalRange implements StreamTransferable.
+// GatherMarshalRange is GatherMarshalRangeTo returning root's chunk as a
+// freshly allocated raw payload (nil at other ranks).
 func (s *Seq[T]) GatherMarshalRange(c *rts.Comm, root, start, n int) ([]byte, error) {
-	return s.gatherRange(c, root, start, n, 0, nil)
+	return s.GatherMarshalRangeZ(c, root, start, n, 0)
 }
 
-// GatherMarshalRangeTo implements StreamTransferable.
-func (s *Seq[T]) GatherMarshalRangeTo(c *rts.Comm, root, start, n int, dst *cdr.Encoder) error {
-	_, err := s.gatherRange(c, root, start, n, 0, dst)
-	return err
-}
-
-// GatherMarshalRangeZ is GatherMarshalRange with wire compression: mask
-// is the connection's negotiated zcodec bitmask (replicated — every rank
-// passes the same value, which the transfer engine broadcast alongside
-// the chunk schedule). Compression happens exactly where the produced
-// bytes are the final wire payload — a rank whose segments cover the
-// whole chunk, or root assembling a multi-contributor chunk — so ranks
-// compress their own chunks in parallel, overlapping the collectives
-// the same way marshalling does. Intermediate gather parts that root
-// will decode anyway stay raw: they cross in-process mailboxes, never
-// the wire. Mask zero is exactly GatherMarshalRange.
+// GatherMarshalRangeZ is GatherMarshalRange with wire compression per mask.
 func (s *Seq[T]) GatherMarshalRangeZ(c *rts.Comm, root, start, n int, mask uint8) ([]byte, error) {
-	return s.gatherRange(c, root, start, n, mask, nil)
-}
-
-// gatherRange is the one gather: root gets the chunk for [start, start+n)
-// appended to dst (raw; dst's alignment origin is its current position) or,
-// with a nil dst, returned as a payload compressed per mask.
-func (s *Seq[T]) gatherRange(c *rts.Comm, root, start, n int, mask uint8, dst *cdr.Encoder) ([]byte, error) {
-	c, err := s.checkStreamRange(c, root, start, n)
-	if err != nil {
+	if c == nil {
+		c = s.comm
+	}
+	var e *cdr.Encoder
+	if c.Rank() == root {
+		e = cdr.NewEncoder(cdr.NativeOrder)
+	}
+	if err := s.GatherMarshalRangeTo(c, root, start, n, mask, e); err != nil || e == nil {
 		return nil, err
 	}
-	me := c.Rank()
-	mySegs := rangeSegs(s.layout, me, start, n)
-	rootSegs := mySegs
-	if me != root {
-		rootSegs = rangeSegs(s.layout, root, start, n)
-	}
+	return e.Bytes(), nil
+}
 
-	// Root-owned chunk: every rank derives this from the replicated layout,
-	// so the chunk costs no communication at all. With blockwise layouts and
-	// chunks no larger than a block this is the common case for root's own
-	// share of the sequence; an empty range (a zero-length sequence's
-	// whole-range transfer) is the degenerate one.
-	if segTotal(rootSegs) == n {
+// GatherMarshalRangeTo implements StreamTransferable. Compression happens
+// exactly where the produced bytes are the final wire payload — a rank whose
+// segments cover the whole chunk, or root assembling a multi-contributor
+// chunk — so ranks compress their own chunks in parallel, overlapping the
+// collectives the same way marshalling does. Intermediate gather parts that
+// root will place anyway stay raw: they cross in-process mailboxes, never
+// the wire.
+func (s *Seq[T]) GatherMarshalRangeTo(c *rts.Comm, root, start, n int, mask uint8, dst *cdr.Encoder) error {
+	c, err := s.checkStreamRange(c, root, start, n)
+	if err != nil {
+		return err
+	}
+	me := c.Rank()
+	var sb [segsInline]rangeSeg
+	mySegs := rangeSegs(sb[:0], s.layout, me, start, n)
+	sole := s.soleOwner(start, n)
+
+	// Root-owned chunk: the chunk costs no communication at all. With
+	// blockwise layouts and chunks no larger than a block this is the common
+	// case for root's own share of the sequence; an empty range (a zero-length
+	// sequence's whole-range transfer) is the degenerate one.
+	if sole == root || n == 0 {
 		if me != root {
-			return nil, nil
+			return nil
 		}
 		return s.marshalSegs(mySegs, mask, dst)
 	}
+	if me == root {
+		parts, err := c.Gather(root, nil)
+		if err != nil {
+			return err
+		}
+		return s.assembleRange(parts, root, sole, start, n, mask, dst)
+	}
 
-	// Root's own segments never take the marshal → mailbox → decode trip:
-	// assembleRange copies them in place.
-	var mine []byte
+	// A rank covering the whole chunk produces the wire payload itself (root
+	// forwards it verbatim), so it compresses; partial parts are placed at
+	// root and travel raw. Either way the part is rendered into a rented
+	// buffer that root returns once it has placed it.
+	var part []byte
 	var myErr error
-	if me != root && len(mySegs) > 0 {
-		// A rank covering the whole chunk produces the wire payload itself
-		// (root forwards it verbatim), so it compresses; partial parts are
-		// placed or decoded at root and travel raw.
+	if len(mySegs) > 0 {
 		partMask := uint8(0)
-		if segTotal(mySegs) == n {
+		if sole == me {
 			partMask = mask
 		}
-		if mine, myErr = s.marshalSegs(mySegs, partMask, nil); myErr != nil {
-			mine = FailMarker
+		e := rentEncoder(s.codec.chunkBound(segTotal(mySegs), partMask))
+		myErr = s.marshalSegs(mySegs, partMask, e)
+		if part = detach(e); myErr != nil {
+			putChunk(part)
+			part = FailMarker
 		}
 	}
-	parts, err := c.Gather(root, mine)
-	if err != nil {
-		return nil, err
+	if _, err := c.Gather(root, part); err != nil {
+		return err
 	}
-	if me != root {
-		return nil, myErr
-	}
-	return s.assembleRange(parts, root, start, n, mask, dst)
+	return myErr
 }
 
 // checkSegs validates segments against local storage.
@@ -214,40 +231,22 @@ func (s *Seq[T]) checkSegs(segs []rangeSeg) error {
 	return nil
 }
 
-// chunkOut picks where a raw chunk is rendered: the caller's encoder, or a
-// fresh one whose bytes chunkBytes then returns as the payload.
-func chunkOut(dst *cdr.Encoder) *cdr.Encoder {
-	if dst != nil {
-		return dst
-	}
-	return cdr.NewEncoder(cdr.NativeOrder)
-}
-
-func chunkBytes(e, dst *cdr.Encoder) []byte {
-	if dst != nil {
-		return nil
-	}
-	return e.Bytes()
-}
-
-// marshalSegs renders the given local segments as one chunk in global order:
-// appended to dst, or returned as a payload compressed when mask admits the
-// element codec. Fixed-width elements copy straight from local storage to
-// their place in the chunk; others stage only when the segments are not one
-// contiguous run.
-func (s *Seq[T]) marshalSegs(segs []rangeSeg, mask uint8, dst *cdr.Encoder) ([]byte, error) {
+// marshalSegs appends the given local segments to e as one chunk in global
+// order, compressed when mask admits the element codec. Fixed-width elements
+// copy straight from local storage to their place in the chunk; others stage
+// only when the segments are not one contiguous run.
+func (s *Seq[T]) marshalSegs(segs []rangeSeg, mask uint8, e *cdr.Encoder) error {
 	if err := s.checkSegs(segs); err != nil {
-		return nil, err
+		return err
 	}
 	if mask == 0 && s.codec.packed() {
-		e := chunkOut(dst)
 		h := marshalNS.Load()
 		defer h.Done(h.Start())
 		region := s.codec.beginPacked(e, segTotal(segs))
 		for _, sg := range segs {
 			region = region[copy(region, s.codec.HostBytes(s.local[sg.localOff:sg.localOff+sg.n])):]
 		}
-		return chunkBytes(e, dst), nil
+		return nil
 	}
 	var vals []T
 	if len(segs) == 1 {
@@ -258,68 +257,68 @@ func (s *Seq[T]) marshalSegs(segs []rangeSeg, mask uint8, dst *cdr.Encoder) ([]b
 			vals = append(vals, s.local[sg.localOff:sg.localOff+sg.n]...)
 		}
 	}
-	if mask != 0 {
-		return MarshalChunkZ(s.codec, vals, mask), nil
-	}
-	e := chunkOut(dst)
-	marshalChunkInto(s.codec, e, vals)
-	return chunkBytes(e, dst), nil
+	marshalChunkZInto(s.codec, e, vals, mask)
+	return nil
 }
 
-// assembleRange merges root's own segments and the gathered per-rank pieces
-// into one chunk for global range [start, start+n): appended to dst, or
-// returned compressed when mask admits it. Root-only. For a fixed-width
-// codec the chunk is assembled in its final place — every share is a byte
-// sub-range of it — and other codecs decode into a staging slice and encode
-// once.
-func (s *Seq[T]) assembleRange(parts [][]byte, root, start, n int, mask uint8, dst *cdr.Encoder) ([]byte, error) {
-	type contrib struct {
-		rank int
-		segs []rangeSeg
-	}
-	var cs []contrib
-	for r := 0; r < s.layout.Ranks; r++ {
-		if segs := rangeSegs(s.layout, r, start, n); len(segs) > 0 {
-			cs = append(cs, contrib{rank: r, segs: segs})
-			if r == root {
-				if err := s.checkSegs(segs); err != nil {
-					return nil, err
-				}
-			}
+// assembleRange merges root's own segments and the gathered per-rank parts
+// into one chunk for global range [start, start+n), appended to dst. Root
+// only. For a fixed-width codec the chunk is assembled in its final place —
+// every share is a byte sub-range of it — and other codecs, and compressed
+// chunks, decode into a staging slice and encode once. Every part placed (or
+// rejected) goes back to the chunk pool.
+func (s *Seq[T]) assembleRange(parts [][]byte, root, sole, start, n int, mask uint8, dst *cdr.Encoder) error {
+	// A sole contributor's part already is the whole chunk in global order:
+	// forward it without a decode/re-encode round trip. (It is never root
+	// here — a fully root-owned chunk skipped the gather entirely.)
+	if sole >= 0 {
+		if IsFailMarker(parts[sole]) {
+			return fmt.Errorf("%w (rank %d)", ErrChunkFailed, sole)
 		}
-	}
-	// A single contributor's piece already is the whole chunk in global
-	// order: forward it without a decode/re-encode round trip. (The sole
-	// contributor is never root here — a fully root-owned chunk skipped the
-	// gather entirely.)
-	if len(cs) == 1 {
-		part := parts[cs[0].rank]
-		if IsFailMarker(part) {
-			return nil, fmt.Errorf("%w (rank %d)", ErrChunkFailed, cs[0].rank)
-		}
-		if dst != nil {
-			dst.WriteRaw(part)
-			return nil, nil
-		}
-		return part, nil
+		dst.WriteRaw(parts[sole])
+		putChunk(parts[sole])
+		return nil
 	}
 
 	// The chunk is built either as bytes in place (region) or as elements to
-	// encode afterwards (scratch); put copies elements to either.
-	var (
-		region  []byte
-		scratch []T
-		w       = s.codec.ElemWireSize
-		e       *cdr.Encoder
-	)
-	if mask == 0 {
-		e = chunkOut(dst)
-	}
+	// encode afterwards (scratch).
+	var region []byte
+	var scratch []T
 	if mask == 0 && s.codec.packed() {
-		region = s.codec.beginPacked(e, n)
+		region = s.codec.beginPacked(dst, n)
 	} else {
 		scratch = make([]T, n)
 	}
+	// Contributors fill disjoint parts of the chunk, so large element-wise
+	// merges run in parallel; byte placement is a memcpy per share and stays
+	// on this goroutine.
+	errs := make([]error, len(parts))
+	merge := func(r int) { errs[r] = s.mergePart(parts[r], r, root, start, n, region, scratch) }
+	if n >= parallelMinElems && region == nil {
+		pfor(len(parts), merge)
+	} else {
+		for r := range parts {
+			merge(r)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if region == nil {
+		marshalChunkZInto(s.codec, dst, scratch, mask)
+	}
+	return nil
+}
+
+// mergePart places rank r's share of [start, start+n) — root's own segments,
+// or the gathered part, which it then returns to the pool — into the chunk
+// under assembly: region's bytes, or the scratch elements when region is nil.
+func (s *Seq[T]) mergePart(part []byte, r, root, start, n int, region []byte, scratch []T) error {
+	var sb [segsInline]rangeSeg
+	segs := rangeSegs(sb[:0], s.layout, r, start, n)
+	w := s.codec.ElemWireSize
 	put := func(rangeOff int, src []T) {
 		if region != nil {
 			copy(region[rangeOff*w:], s.codec.HostBytes(src))
@@ -327,68 +326,50 @@ func (s *Seq[T]) assembleRange(parts [][]byte, root, start, n int, mask uint8, d
 			copy(scratch[rangeOff:], src)
 		}
 	}
-	merge := func(ct contrib) error {
-		if ct.rank == root {
-			for _, sg := range ct.segs {
-				put(sg.rangeOff, s.local[sg.localOff:sg.localOff+sg.n])
-			}
-			return nil
-		}
-		part := parts[ct.rank]
-		if IsFailMarker(part) {
-			return fmt.Errorf("%w (rank %d)", ErrChunkFailed, ct.rank)
-		}
-		want := segTotal(ct.segs)
-		if elems := s.codec.packedElems(part, want); elems != nil && region != nil {
-			for _, sg := range ct.segs {
-				elems = elems[copy(region[sg.rangeOff*w:(sg.rangeOff+sg.n)*w], elems):]
-			}
-			return nil
-		}
-		if len(ct.segs) == 1 && region == nil {
-			sg := ct.segs[0]
-			m, err := UnmarshalChunkInto(s.codec, part, scratch[sg.rangeOff:sg.rangeOff+sg.n])
-			if err == nil && m != sg.n {
-				err = fmt.Errorf("%w: rank %d sent %d of %d chunk elements", ErrLayout, ct.rank, m, sg.n)
-			}
+	if r == root {
+		if err := s.checkSegs(segs); err != nil {
 			return err
 		}
-		vals, err := UnmarshalChunk(s.codec, part)
-		if err != nil {
-			return err
-		}
-		if len(vals) != want {
-			return fmt.Errorf("%w: rank %d sent %d of %d chunk elements", ErrLayout, ct.rank, len(vals), want)
-		}
-		for _, sg := range ct.segs {
-			put(sg.rangeOff, vals[:sg.n])
-			vals = vals[sg.n:]
+		for _, sg := range segs {
+			put(sg.rangeOff, s.local[sg.localOff:sg.localOff+sg.n])
 		}
 		return nil
 	}
-	// Contributors fill disjoint parts of the chunk, so large element-wise
-	// merges run in parallel; byte placement is a memcpy per share and stays
-	// on this goroutine.
-	errs := make([]error, len(cs))
-	if n >= parallelMinElems && region == nil {
-		pfor(len(cs), func(i int) { errs[i] = merge(cs[i]) })
-	} else {
-		for i := range cs {
-			errs[i] = merge(cs[i])
+	if len(segs) == 0 {
+		return nil
+	}
+	if IsFailMarker(part) {
+		return fmt.Errorf("%w (rank %d)", ErrChunkFailed, r)
+	}
+	// Nothing below keeps a reference into part: elements are copied out.
+	defer putChunk(part)
+	want := segTotal(segs)
+	if elems := s.codec.packedElems(part, want); elems != nil && region != nil {
+		for _, sg := range segs {
+			elems = elems[copy(region[sg.rangeOff*w:(sg.rangeOff+sg.n)*w], elems):]
 		}
+		return nil
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	if len(segs) == 1 && region == nil {
+		sg := segs[0]
+		m, err := UnmarshalChunkInto(s.codec, part, scratch[sg.rangeOff:sg.rangeOff+sg.n])
+		if err == nil && m != sg.n {
+			err = fmt.Errorf("%w: rank %d sent %d of %d chunk elements", ErrLayout, r, m, sg.n)
 		}
+		return err
 	}
-	if mask != 0 {
-		return MarshalChunkZ(s.codec, scratch, mask), nil
+	vals, err := UnmarshalChunk(s.codec, part)
+	if err != nil {
+		return err
 	}
-	if region == nil {
-		marshalChunkInto(s.codec, e, scratch)
+	if len(vals) != want {
+		return fmt.Errorf("%w: rank %d sent %d of %d chunk elements", ErrLayout, r, len(vals), want)
 	}
-	return chunkBytes(e, dst), nil
+	for _, sg := range segs {
+		put(sg.rangeOff, vals[:sg.n])
+		vals = vals[sg.n:]
+	}
+	return nil
 }
 
 // ScatterUnmarshalRange implements StreamTransferable.
@@ -398,15 +379,13 @@ func (s *Seq[T]) ScatterUnmarshalRange(c *rts.Comm, root, start, n int, payload 
 		return err
 	}
 	me := c.Rank()
-	mySegs := rangeSegs(s.layout, me, start, n)
-	rootSegs := mySegs
-	if me != root {
-		rootSegs = rangeSegs(s.layout, root, start, n)
-	}
+	var sb [segsInline]rangeSeg
+	mySegs := rangeSegs(sb[:0], s.layout, me, start, n)
+	sole := s.soleOwner(start, n)
 
-	// Root-owned (or empty) chunk: no communication (see gatherRange). An
-	// empty range stores nothing, but the marker still signals failure.
-	if segTotal(rootSegs) == n {
+	// Root-owned (or empty) chunk: no communication (see GatherMarshalRangeTo).
+	// An empty range stores nothing, but the marker still signals failure.
+	if sole == root || n == 0 {
 		if me != root {
 			return nil
 		}
@@ -418,66 +397,57 @@ func (s *Seq[T]) ScatterUnmarshalRange(c *rts.Comm, root, start, n int, payload 
 		}
 		return s.storeSegs(mySegs, payload)
 	}
-
-	if me != root {
-		chunk, err := c.Scatter(root, nil)
-		if err != nil {
-			return err
-		}
-		if len(mySegs) == 0 {
-			return nil
-		}
-		if IsFailMarker(chunk) {
-			return fmt.Errorf("%w (root %d)", ErrChunkFailed, root)
-		}
-		return s.storeSegs(mySegs, chunk)
+	if me == root {
+		return s.scatterRangeRoot(c, start, n, payload, mySegs, sole)
 	}
-	return s.scatterRangeRoot(c, start, n, payload, mySegs)
+	piece, err := c.Scatter(root, nil)
+	if err != nil {
+		return err
+	}
+	if len(mySegs) == 0 {
+		return nil
+	}
+	if IsFailMarker(piece) {
+		return fmt.Errorf("%w (root %d)", ErrChunkFailed, root)
+	}
+	// storeSegs copies the elements out, so the piece root rented goes back.
+	err = s.storeSegs(mySegs, piece)
+	putChunk(piece)
+	return err
 }
 
-// scatterRangeRoot splits payload into per-owner pieces and scatters them.
-// On a bad payload it scatters fail markers instead, keeping the collective
-// aligned while every owner learns of the failure.
-func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, mySegs []rangeSeg) error {
+// scatterRangeRoot splits payload into per-owner pieces, each rendered into a
+// rented buffer its owner returns, and scatters them. On a bad payload it
+// scatters fail markers instead, keeping the collective aligned while every
+// owner learns of the failure.
+func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, mySegs []rangeSeg, sole int) error {
 	me := c.Rank()
-	type contrib struct {
-		rank int
-		segs []rangeSeg
-	}
-	var cs []contrib
-	for r := 0; r < s.layout.Ranks; r++ {
-		if r == me {
-			continue
-		}
-		if segs := rangeSegs(s.layout, r, start, n); len(segs) > 0 {
-			cs = append(cs, contrib{rank: r, segs: segs})
-		}
-	}
-	parts := make([][]byte, c.Size())
-
-	poison := func(cause error) error {
-		for _, ct := range cs {
-			parts[ct.rank] = FailMarker
-		}
-		if _, err := c.Scatter(me, parts); err != nil {
+	pieces := make([][]byte, c.Size())
+	scatter := func(cause error) error {
+		if _, err := c.Scatter(me, pieces); err != nil {
 			return err
 		}
 		return cause
 	}
-
+	// Nothing is rented before the last poison: non-owners ignore the marker.
+	poison := func(cause error) error {
+		for r := range pieces {
+			pieces[r] = FailMarker
+		}
+		return scatter(cause)
+	}
 	if IsFailMarker(payload) {
 		return poison(ErrChunkFailed)
 	}
 	if err := s.checkSegs(mySegs); err != nil {
 		return poison(err)
 	}
-	// A sole remote owner takes the payload verbatim — but through a private
-	// copy: the mailbox hands slices off without copying, and the payload
-	// may be a borrowed transport buffer the caller releases after we return.
-	if len(cs) == 1 && len(mySegs) == 0 && segTotal(cs[0].segs) == n {
-		parts[cs[0].rank] = append([]byte(nil), payload...)
-		_, err := c.Scatter(me, parts)
-		return err
+	// A sole remote owner takes the payload verbatim — but through a copy: the
+	// mailbox hands slices off without copying, and the payload may be a
+	// borrowed transport buffer the caller releases after we return.
+	if sole >= 0 {
+		pieces[sole] = append(getChunk(len(payload)), payload...)
+		return scatter(nil)
 	}
 
 	// A fixed-width host-order payload is split as bytes: a remote share is
@@ -496,34 +466,40 @@ func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, myS
 			return poison(fmt.Errorf("%w: chunk holds %d of %d elements", ErrLayout, len(vals), n))
 		}
 	}
-	build := func(ct contrib) {
-		e := cdr.NewEncoder(cdr.NativeOrder)
+	build := func(r int) {
+		var sb [segsInline]rangeSeg
+		segs := rangeSegs(sb[:0], s.layout, r, start, n)
+		if r == me || len(segs) == 0 {
+			return
+		}
+		total := segTotal(segs)
+		e := rentEncoder(s.codec.chunkBound(total, 0))
 		switch {
 		case elems != nil:
-			region := s.codec.beginPacked(e, segTotal(ct.segs))
-			for _, sg := range ct.segs {
+			region := s.codec.beginPacked(e, total)
+			for _, sg := range segs {
 				region = region[copy(region, elems[sg.rangeOff*w:(sg.rangeOff+sg.n)*w]):]
 			}
-		case len(ct.segs) == 1:
-			sg := ct.segs[0]
+		case len(segs) == 1:
+			sg := segs[0]
 			marshalChunkInto(s.codec, e, vals[sg.rangeOff:sg.rangeOff+sg.n])
 		default:
-			piece := make([]T, 0, segTotal(ct.segs))
-			for _, sg := range ct.segs {
+			piece := make([]T, 0, total)
+			for _, sg := range segs {
 				piece = append(piece, vals[sg.rangeOff:sg.rangeOff+sg.n]...)
 			}
 			marshalChunkInto(s.codec, e, piece)
 		}
-		parts[ct.rank] = e.Bytes()
+		pieces[r] = detach(e)
 	}
-	if n >= parallelMinElems && len(cs) > 1 {
-		pfor(len(cs), func(i int) { build(cs[i]) })
+	if n >= parallelMinElems && len(pieces) > 2 {
+		pfor(len(pieces), build)
 	} else {
-		for i := range cs {
-			build(cs[i])
+		for r := range pieces {
+			build(r)
 		}
 	}
-	if _, err := c.Scatter(me, parts); err != nil {
+	if err := scatter(nil); err != nil {
 		return err
 	}
 	// Root's own share never takes the marshal round trip.
@@ -543,12 +519,12 @@ func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, myS
 // place with no staging slice, so a piece backed by a borrowed transport
 // buffer is released cleanly — nothing below retains payload.
 func (s *Seq[T]) storeSegs(segs []rangeSeg, payload []byte) error {
+	if err := s.checkSegs(segs); err != nil {
+		return err
+	}
 	want := segTotal(segs)
 	if len(segs) == 1 {
 		sg := segs[0]
-		if sg.localOff < 0 || sg.localOff+sg.n > len(s.local) {
-			return fmt.Errorf("%w: segment [%d,%d) of %d local elements", ErrIndex, sg.localOff, sg.localOff+sg.n, len(s.local))
-		}
 		m, err := UnmarshalChunkInto(s.codec, payload, s.local[sg.localOff:sg.localOff+sg.n])
 		if err != nil {
 			return err

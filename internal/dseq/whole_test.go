@@ -71,7 +71,7 @@ func checkWhole[T comparable](t *testing.T, codec Codec[T], gen func(g int) T) {
 						e.WriteOctet(9)
 						m = e.BeginOctets()
 					}
-					if err := s.GatherMarshalRangeTo(nil, root, 0, s.Len(), e); err != nil {
+					if err := s.GatherMarshalRangeTo(nil, root, 0, s.Len(), 0, e); err != nil {
 						return err
 					}
 					if c.Rank() != root {

@@ -256,25 +256,12 @@ type Resolver struct {
 // NewResolver builds a resolver that talks to the name server at addr using
 // the given client engine.
 func NewResolver(client *orb.Client, addr string) *Resolver {
-	host, port := splitHostPort(addr)
+	host, port := orb.SplitHostPort(addr)
 	return &Resolver{
 		client: client,
 		ref: orb.IOR{TypeID: TypeID, Key: Key, Threads: 1,
 			Endpoints: []orb.Endpoint{{Host: host, Port: port, Rank: 0}}},
 	}
-}
-
-func splitHostPort(addr string) (string, int) {
-	host := addr
-	port := 0
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			host = addr[:i]
-			fmt.Sscanf(addr[i+1:], "%d", &port)
-			break
-		}
-	}
-	return host, port
 }
 
 // Bind registers name → ref at the remote server.

@@ -199,13 +199,13 @@ func TestConcurrentRemoteClients(t *testing.T) {
 }
 
 func TestSplitHostPort(t *testing.T) {
-	h, p := splitHostPort("127.0.0.1:8080")
-	if h != "127.0.0.1" || p != 8080 {
-		t.Fatalf("%q %d", h, p)
-	}
-	h, p = splitHostPort("nohost")
-	if h != "nohost" || p != 0 {
-		t.Fatalf("%q %d", h, p)
+	for _, tt := range []struct {
+		addr, host string
+		port       int
+	}{{"127.0.0.1:8080", "127.0.0.1", 8080}, {"nohost", "nohost", 0}, {"[::1]:8080", "::1", 8080}} {
+		if h, p := orb.SplitHostPort(tt.addr); h != tt.host || p != tt.port {
+			t.Fatalf("SplitHostPort(%q) = %q %d, want %q %d", tt.addr, h, p, tt.host, tt.port)
+		}
 	}
 }
 

@@ -868,29 +868,39 @@ func (c *Client) NegotiatedCompression(ref IOR, wait time.Duration) uint8 {
 // decision; like NegotiatedCompression it dials if needed, so the
 // answer always describes the connection a transfer would actually use.
 func (c *Client) WireBandwidth(ref IOR) float64 {
-	ep, err := ref.EndpointFor(0)
+	conn, err := c.DataConn(ref, 0)
 	if err != nil {
 		return 0
+	}
+	return conn.WriteBandwidth()
+}
+
+// DataConn returns the connection that carries Data messages to the endpoint
+// serving ref's computing thread rank, dialing it if needed. A transfer leg
+// resolves it once, so each of its chunks is a plain WriteMessage instead of
+// an endpoint lookup and a locked connection-cache probe; a connection that
+// breaks mid-leg fails the remaining writes rather than being redialed under
+// a half-sent transfer.
+func (c *Client) DataConn(ref IOR, rank int) (*transport.Conn, error) {
+	ep, err := ref.EndpointFor(rank)
+	if err != nil {
+		return nil, err
 	}
 	cc, err := c.conn(ep.Addr())
 	if err != nil {
-		return 0
+		return nil, err
 	}
-	return cc.conn.WriteBandwidth()
+	return cc.conn, nil
 }
 
 // SendData ships one multi-port argument transfer to the endpoint serving
 // the destination computing thread.
 func (c *Client) SendData(ref IOR, d *wire.Data) error {
-	ep, err := ref.EndpointFor(int(d.DstRank))
+	conn, err := c.DataConn(ref, int(d.DstRank))
 	if err != nil {
 		return err
 	}
-	cc, err := c.conn(ep.Addr())
-	if err != nil {
-		return err
-	}
-	return cc.conn.WriteMessage(d)
+	return conn.WriteMessage(d)
 }
 
 // Locate asks the primary endpoint whether it serves ref's object key.

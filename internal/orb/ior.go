@@ -4,6 +4,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"net"
+	"strconv"
 	"strings"
 
 	"repro/internal/cdr"
@@ -19,8 +21,21 @@ type Endpoint struct {
 	Rank int // computing thread this endpoint belongs to
 }
 
-// Addr renders the endpoint as host:port.
-func (e Endpoint) Addr() string { return fmt.Sprintf("%s:%d", e.Host, e.Port) }
+// Addr renders the endpoint as a dialable host:port, bracketing an IPv6
+// literal host.
+func (e Endpoint) Addr() string { return net.JoinHostPort(e.Host, strconv.Itoa(e.Port)) }
+
+// SplitHostPort is Addr's inverse: the bare host (an IPv6 literal loses its
+// brackets) and the port of a host:port address. An address without a port
+// is all host.
+func SplitHostPort(addr string) (string, int) {
+	host, p, err := net.SplitHostPort(addr)
+	if err != nil {
+		return addr, 0
+	}
+	port, _ := strconv.Atoi(p)
+	return host, port
+}
 
 // IOR is a PARDIS interoperable object reference: everything a client needs
 // to reach an object. Threads records the number of computing threads of an

@@ -138,3 +138,48 @@ func TestIORDuplicateEndpointsPreserved(t *testing.T) {
 		t.Fatalf("AddProfile accepted a duplicate primary address: %+v", got.Alternates)
 	}
 }
+
+// TestIORIPv6LiteralRoundTrip pins the endpoint address rule for IPv6: an IOR
+// carries the bare literal, Addr brackets it for the dialer (a plain
+// "host:port" join is not dialable), SplitHostPort strips the brackets again,
+// and the reference survives stringification. Where the box has an IPv6
+// loopback the reference is also served and invoked end to end, including the
+// per-leg data connection a streamed transfer resolves.
+func TestIORIPv6LiteralRoundTrip(t *testing.T) {
+	ep := Endpoint{Host: "::1", Port: 9047, Rank: 0}
+	if got := ep.Addr(); got != "[::1]:9047" {
+		t.Fatalf("Addr() = %q, want [::1]:9047", got)
+	}
+	if h, p := SplitHostPort(ep.Addr()); h != ep.Host || p != ep.Port {
+		t.Fatalf("SplitHostPort(%q) = %q %d", ep.Addr(), h, p)
+	}
+	ref := IOR{TypeID: "IDL:test/v6:1.0", Key: []byte("k"), Threads: 1, Endpoints: []Endpoint{ep}}
+	back, err := ParseIOR(ref.String())
+	if err != nil || !reflect.DeepEqual(back, ref) {
+		t.Fatalf("round trip:\n got %+v, %v\nwant %+v", back, err, ref)
+	}
+
+	s, err := NewServer("[::1]:0")
+	if err != nil {
+		t.Skipf("no IPv6 loopback here: %v", err)
+	}
+	defer s.Close()
+	s.Register(ref.Key, &echoServant{})
+	if ref.Endpoints[0] = s.Endpoint(0); ref.Endpoints[0].Host != "::1" {
+		t.Fatalf("server endpoint host %q, want the bare literal", ref.Endpoints[0].Host)
+	}
+	live, err := ParseIOR(ref.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestClient(t)
+	if ok, err := c.Locate(live); err != nil || !ok {
+		t.Fatalf("Locate over IPv6: %v %v", ok, err)
+	}
+	if _, err := c.DataConn(live, 0); err != nil {
+		t.Fatalf("DataConn over IPv6: %v", err)
+	}
+	if c.NumConns() != 1 {
+		t.Fatalf("DataConn dialed a second connection: %d", c.NumConns())
+	}
+}

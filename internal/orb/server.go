@@ -441,21 +441,8 @@ func (s *Server) span(ph obs.Phase, requestID uint32, start int64) {
 // Endpoint returns the server's reachable endpoint, labelled with the given
 // computing-thread rank.
 func (s *Server) Endpoint(rank int) Endpoint {
-	host, port := splitHostPort(s.lis.Addr())
+	host, port := SplitHostPort(s.lis.Addr())
 	return Endpoint{Host: host, Port: port, Rank: rank}
-}
-
-func splitHostPort(addr string) (string, int) {
-	host := addr
-	port := 0
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			host = addr[:i]
-			fmt.Sscanf(addr[i+1:], "%d", &port)
-			break
-		}
-	}
-	return host, port
 }
 
 // Register installs a servant under key. Registering an existing key

@@ -152,7 +152,7 @@ func TestPoolStatsMove(t *testing.T) {
 		t.Fatalf("putBuf did not count: %+v -> %+v", before, after)
 	}
 	// Oversize buffers are misses and are never pooled.
-	big := getBuf(1<<maxPoolClass + 1)
+	big := getBuf(1<<maxPoolClass + poolHeadroom + 1)
 	putBuf(big)
 	final := PoolStats()
 	if final.Misses != after.Misses+1 {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -107,6 +108,7 @@ type Conn struct {
 	wtimeout time.Duration
 	trace    bool
 	hook     func(h wire.Header)
+	rhdr     [wire.HeaderLen]byte   // scratch for inbound frame headers (reader-owned)
 	ext      [wire.TraceExtLen]byte // scratch for inbound trace extensions (reader-owned)
 	held     []*[]byte              // scratch list of fragment frames under reassembly (reader-owned)
 
@@ -119,6 +121,7 @@ type Conn struct {
 	wmu    sync.Mutex
 	enc    *cdr.Encoder            // scratch encoder for the body up to its tail, guarded by wmu
 	vec    [][]byte                // scratch frame layout of the message being written, guarded by wmu
+	bufs   net.Buffers             // vec as the gathered write consumes it, guarded by wmu
 	harena []byte                  // scratch frame-header arena backing vec, guarded by wmu
 	hdr    [wire.MaxHeaderLen]byte // scratch frame header (+ extension), guarded by wmu
 	closed bool
@@ -184,8 +187,11 @@ func (c *Conn) Compression() (codecs, level uint8) {
 	return uint8(v), uint8(v >> 8)
 }
 
-// Frame-buffer pool. Read frames borrow power-of-two-capacity buffers from
-// per-size-class pools instead of allocating per frame. Ownership is
+// Frame-buffer pool. Read frames borrow buffers from per-size-class pools
+// instead of allocating per frame. A class holds a power-of-two payload plus
+// poolHeadroom for the headers in front of it, so a frame carrying a
+// power-of-two payload — the default 64 KiB stream chunk — rents its own
+// class, not the next one up. Ownership is
 // explicit: a pooled buffer is returned by putBuf exactly once, either by
 // the transport itself after copying a fragment into the reassembly
 // accumulator, or by the consumer of a Data message via Data.Release once
@@ -196,6 +202,9 @@ func (c *Conn) Compression() (codecs, level uint8) {
 const (
 	minPoolClass = 9  // 512 B: smaller frames are cheap to allocate
 	maxPoolClass = 22 // 4 MiB: covers reassembled benchmark payloads
+	// poolHeadroom covers a Data body's prefix (wire.DataPrefixLen) and the
+	// chunk header its payload starts with.
+	poolHeadroom = 64
 )
 
 var bufPools [maxPoolClass + 1]sync.Pool
@@ -247,17 +256,13 @@ func PoolOutstanding() int64 { return PoolStats().Outstanding() }
 
 // poolClass returns the smallest class whose buffers hold n bytes.
 func poolClass(n int) int {
-	c := minPoolClass
-	for 1<<c < n {
-		c++
-	}
-	return c
+	return max(bits.Len(uint(max(n-poolHeadroom, 1))-1), minPoolClass)
 }
 
 // getBuf returns a buffer of length n. Buffers over the largest pool class
 // are plain allocations; putBuf recognizes and drops them.
 func getBuf(n int) *[]byte {
-	if n > 1<<maxPoolClass {
+	if n > 1<<maxPoolClass+poolHeadroom {
 		poolMisses.Add(1)
 		b := make([]byte, n)
 		return &b
@@ -269,7 +274,7 @@ func getBuf(n int) *[]byte {
 		return p
 	}
 	poolMisses.Add(1)
-	b := make([]byte, n, 1<<cl)
+	b := make([]byte, n, 1<<cl+poolHeadroom)
 	return &b
 }
 
@@ -281,12 +286,12 @@ func putBuf(p *[]byte) {
 		return
 	}
 	poolReturns.Add(1)
-	c := cap(*p)
+	c := cap(*p) - poolHeadroom
 	if c < 1<<minPoolClass || c > 1<<maxPoolClass || c&(c-1) != 0 {
 		return
 	}
 	*p = (*p)[:0]
-	bufPools[poolClass(c)].Put(p)
+	bufPools[bits.TrailingZeros(uint(c))].Put(p)
 	poolPuts.Add(1)
 }
 
@@ -390,8 +395,10 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 	if c.vectored && len(tail) >= vectoredMinTail {
 		// bw is empty between messages (every write flushes before releasing
 		// wmu), so the gathered write cannot reorder bytes.
-		bufs := net.Buffers(c.vec)
-		_, err = bufs.WriteTo(c.rw)
+		// WriteTo consumes the slice it is called on; as a field, taking its
+		// address does not move a slice header to the heap per message.
+		c.bufs = net.Buffers(c.vec)
+		_, err = c.bufs.WriteTo(c.rw)
 	} else {
 		// Small tails, and streams where net.Buffers would degrade to one
 		// Write per slice (pipes, fault-injection wrappers), go through the
@@ -568,7 +575,7 @@ func (c *Conn) reassemble(h wire.Header, chunk []byte, chunkBuf *[]byte) ([]byte
 // referenced. Other whole messages get plain allocations because their
 // decoded forms alias and retain the body.
 func (c *Conn) readFrame() (wire.Header, []byte, *[]byte, error) {
-	var hb [wire.HeaderLen]byte
+	hb := &c.rhdr // a local array would escape through io.ReadFull, once per frame
 	if _, err := io.ReadFull(c.br, hb[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
 			return wire.Header{}, nil, nil, ErrClosed
