@@ -3,8 +3,10 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-CHAOSTIMEOUT ?= 120s
-BENCHTIME ?= 20x
+# race bounds every package's suite under the race detector: the chaos,
+# swarm, shard, resize and compression suites all run in that one pass, and
+# a wedged drain or a leaked goroutine must fail it, not hang CI.
+RACETIMEOUT ?= 300s
 # bench-pair: which BENCHMARK.json workload to run, how many alternated
 # parent/change pairs, the run length (the gate's), whether to run the traced
 # per-layer pass instead of the end-to-end one, and the first pair's seed.
@@ -20,20 +22,6 @@ OBS_COVER_FLOOR ?= 70
 # internal/testutil is the shared leak-checking harness; a hole there
 # silently weakens every suite that trusts it, so it gets a floor too.
 TESTUTIL_COVER_FLOOR ?= 85
-# swarm-smoke bounds the massive fan-in suite; the full swarm plus the
-# soak must drain well inside this or something is wedged.
-SWARMTIMEOUT ?= 300s
-# shard-smoke bounds the sharded object-group chaos suite (kill one of four
-# shards mid-run; every idempotent request must complete via reroute).
-SHARDTIMEOUT ?= 120s
-# resize-smoke bounds the elastic-membership chaos suite (50 seeded fault
-# schedules spanning every resize phase, plus the 200-cycle soak, under
-# -race).
-RESIZETIMEOUT ?= 300s
-# comp-smoke bounds the adaptive-compression gate (mixed-version envelope
-# interop matrix, sub-block property tests, deterministic Auto-policy flip),
-# all under -race.
-COMPTIMEOUT ?= 120s
 # Floor for the elastic resize paths (internal/core/elastic.go): the resize
 # state machine's correctness is proven almost entirely by the chaos
 # harness, so untested branches there are unguarded rollback paths.
@@ -45,11 +33,11 @@ RESIZE_COVER_FLOOR ?= 75
 FLAKECOUNT ?= 20
 FLAKETIMEOUT ?= 300s
 
-.PHONY: check vet staticcheck build test race flake chaos swarm-smoke shard-smoke resize-smoke comp-smoke fuzz-smoke bench bench-pair cover
+.PHONY: check vet staticcheck build test race flake fuzz-smoke bench-pair cover
 
 # No benchmark is a prerequisite: bench/ (BENCHMARK.json) is gated by the
 # driver on its own, and a speed claim rests on `make bench-pair`.
-check: vet staticcheck build test race flake chaos swarm-smoke shard-smoke resize-smoke comp-smoke fuzz-smoke cover
+check: vet staticcheck build test race flake fuzz-smoke cover
 
 vet:
 	$(GO) vet ./...
@@ -69,8 +57,12 @@ build:
 test:
 	$(GO) test ./...
 
+# One pass over everything: the fault-injection, keepalive, drain and failover
+# suites, the massive fan-in swarm and soak, the shard kill, the 50 seeded
+# resize schedules and the compression matrix are ordinary tests of their
+# packages and need no -run subset of their own.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout=$(RACETIMEOUT) ./...
 
 # The admission ledger (stats_test.go), the fan-in accounting suite
 # (fanin_test.go), the transport's pool-balance suites (zero-copy writes,
@@ -87,63 +79,6 @@ flake:
 		./internal/transport
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkSender' ./internal/core
-
-# The chaos and robustness suites exercise fault injection, keepalive
-# dead-peer detection, graceful drain, and circuit-breaker failover.
-# They are part of `test`/`race` already; this target runs just them
-# under the race detector with a bounded timeout so a wedged drain or
-# leaked goroutine fails fast instead of hanging CI.
-chaos:
-	$(GO) test -race -timeout=$(CHAOSTIMEOUT) -run='Chaos|Fault|Keepalive|Shutdown|Failover|Admission|CircuitOpen|Saturated|CloseConnection' ./internal/core ./internal/orb
-
-# Massive fan-in gate: the swarm benchmarks (bounded client counts, shared
-# multiplexed connections) and the bind/invoke/drain soak, under the race
-# detector. Proves the connection-scale invariants — goroutines o(clients),
-# books balanced, nothing leaked after the drain — on every commit.
-swarm-smoke:
-	$(GO) test -race -timeout=$(SWARMTIMEOUT) -run='TestSwarm|TestSoak' ./internal/exp
-
-# Sharded object-group gate: consistent-hash routing over the ring, the
-# breaker-driven reroute/spill paths (one shard killed mid-run, zero
-# client-visible failures), and the half-open probe races, under -race.
-shard-smoke:
-	$(GO) test -race -timeout=$(SHARDTIMEOUT) \
-		-run='TestShardChaos|TestShardRouting|TestBreaker|TestRing|TestRangeKey' \
-		./internal/exp ./internal/core ./internal/orb ./internal/shard
-
-# Elastic-membership gate: the deterministic membership-chaos harness (50
-# seeded fault schedules spanning every resize phase), the 200-cycle
-# grow/shrink soak, the plan-diff property tests, and the end-to-end
-# resize scenario, under -race. Proves the epoch protocol's invariants —
-# element conservation, epoch monotonicity, zero client-visible failures
-# for idempotent ops — on every commit.
-resize-smoke:
-	$(GO) test -race -timeout=$(RESIZETIMEOUT) \
-		-run='TestResizeChaos|TestResizeSoak|TestElastic|TestObjectResize|TestDiff|TestChaosSchedule|TestVirtualClock|TestConserved|TestMonotonic|TestRunResize' \
-		./internal/core ./internal/dist ./internal/testutil ./internal/exp
-
-# Adaptive-compression gate: the mixed-version interop matrix (old
-# single-block envelopes on either side of a sub-block-capable peer, with
-# the capability bit stripped in negotiation), the sub-block
-# parallel-equals-serial property tests, the byte-aware fallback gate, and
-# the deterministic Auto-policy flip (compress → raw with both sides
-# counting the skip), under -race.
-comp-smoke:
-	$(GO) test -race -timeout=$(COMPTIMEOUT) \
-		-run='TestCompression|TestCompressed|TestSubBlock|TestByteAware|TestCompressionWins|TestParseMode|TestWriteBandwidth' \
-		./internal/core ./internal/dseq ./internal/zcodec ./internal/transport
-
-# Each fuzz target gets a short bounded run; `go test` allows only one
-# -fuzz pattern per invocation, hence one line per target.
-# Data-path microbenchmarks with allocation counts, for use while working:
-# bin/BENCH_datapath.txt is benchstat-compatible text (feed two of them to
-# benchstat), bin/BENCH_datapath.json the same data parsed. bin/ is
-# gitignored — the numbers are this machine's and are not a baseline.
-bench:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'CDRDoubles|DataEcho|RealTransfer|PipelinedInvoke' \
-		-benchmem -benchtime=$(BENCHTIME) . | tee bin/BENCH_datapath.txt \
-		| ./bin/benchjson > bin/BENCH_datapath.json
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the
 # working tree, alternated on this box, with medians, quartiles and wins per
@@ -187,11 +122,15 @@ cover:
 			printf "elastic resize coverage %.1f%% (floor %d%%, mean over %d functions)\n", avg, floor, n \
 		}'
 
+# Each fuzz target gets a short bounded run; `go test` allows only one
+# -fuzz pattern per invocation, hence one line per target.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeHeader$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBody$$' -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecoder$$' -fuzztime=$(FUZZTIME) ./internal/cdr
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMessage$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzParseIOR$$' -fuzztime=$(FUZZTIME) ./internal/orb
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInvocationHeader$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzChunkEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/dseq
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDoubles$$' -fuzztime=$(FUZZTIME) ./internal/zcodec
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInts$$' -fuzztime=$(FUZZTIME) ./internal/zcodec

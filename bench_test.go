@@ -7,12 +7,11 @@ package pardis
 //	BenchmarkTable2Multiport    — Table 2, simulated 1997 platform
 //	BenchmarkFigure4Bandwidth   — Figure 4, simulated 1997 platform
 //	BenchmarkUnevenSplit        — the §3.3 uneven-split check
-//	BenchmarkRealTransfer       — both methods on the real stack (loopback)
 //
 // plus ablation benchmarks for the design choices DESIGN.md calls out
-// (chunk size, send window, gather algorithm) and micro-benchmarks of the
-// hot substrate paths (CDR block marshalling, redistribution planning, RTS
-// collectives).
+// (chunk size, send window, gather algorithm) and BenchmarkPipelinedInvoke,
+// the pipelined engine against a modeled link. The real stack's transfers
+// and the per-layer microbenchmarks are bench/'s (BENCHMARK.json).
 //
 // Simulated results are reported as custom metrics (ms/invocation and
 // MB/s); they are deterministic, so b.N loops measure only the simulator
@@ -23,14 +22,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cdr"
-	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/rts"
-	"repro/internal/transport"
-	"repro/internal/wire"
-	"repro/internal/zcodec"
 )
 
 // BenchmarkTable1Centralized regenerates the paper's Table 1: centralized
@@ -120,114 +113,6 @@ func BenchmarkUnevenSplit(b *testing.B) {
 	}
 	b.ReportMetric(even.Total*1e3, "ms-even")
 	b.ReportMetric(uneven.Total*1e3, "ms-uneven")
-}
-
-// BenchmarkRealTransfer measures both transfer methods on the real PARDIS
-// stack over loopback TCP: the measured counterpart of Tables 1/2 (shape
-// comparison only; absolute values reflect this machine).
-func BenchmarkRealTransfer(b *testing.B) {
-	if testing.Short() {
-		b.Skip("real stack benchmark in -short mode")
-	}
-	const elems = 1 << 17 // 1 MiB of doubles
-	for _, method := range []core.Method{core.Centralized, core.Multiport} {
-		b.Run(method.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			bd, err := exp.RunReal(exp.RealConfig{C: 4, S: 4, Elems: elems, Reps: b.N, Method: method})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(elems * 8)
-			b.ReportMetric(bd.Total*1e3, "ms/invocation")
-		})
-	}
-	// The negotiated-compression variant: same centralized streamed transfer,
-	// but both sides offer the zcodec codecs (plus the sub-block capability,
-	// so large chunks encode in parallel) and pin PolicyAlways, so the smooth
-	// ramp crosses the wire as XOR blocks regardless of what the adaptive
-	// estimator thinks of loopback. compression_ratio is raw over wire bytes.
-	b.Run("centralized-compressed", func(b *testing.B) {
-		b.ReportAllocs()
-		zcodec.ResetStats()
-		bd, err := exp.RunReal(exp.RealConfig{
-			C: 4, S: 4, Elems: elems, Reps: b.N, Method: core.Centralized,
-			Compression: zcodec.Supported, Policy: zcodec.PolicyAlways,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(elems * 8)
-		b.ReportMetric(bd.Total*1e3, "ms/invocation")
-		if ratio := zcodec.EncodeRatio(); ratio > 0 {
-			b.ReportMetric(ratio, "compression_ratio")
-		}
-	})
-	// The adaptive variant: codecs offered but PolicyAuto decides per leg.
-	// On loopback the wire outruns the encoders, so once the warmup rep has
-	// seeded the bandwidth estimator the measured reps should run raw —
-	// this variant's MB/s belongs within 10% of the raw centralized run.
-	b.Run("centralized-compressed-auto", func(b *testing.B) {
-		b.ReportAllocs()
-		zcodec.ResetStats()
-		bd, err := exp.RunReal(exp.RealConfig{
-			C: 4, S: 4, Elems: elems, Reps: b.N, Method: core.Centralized,
-			Compression: zcodec.Supported, Policy: zcodec.PolicyAuto,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(elems * 8)
-		b.ReportMetric(bd.Total*1e3, "ms/invocation")
-		if ratio := zcodec.EncodeRatio(); ratio > 0 {
-			b.ReportMetric(ratio, "compression_ratio")
-		}
-	})
-}
-
-// BenchmarkRealTransferLowBW is the scenario wire compression exists for: the
-// same centralized streamed transfer over a simulated low-bandwidth link (the
-// client side of every connection throttled in both directions), raw versus
-// negotiated compression. On a bandwidth-limited link the byte reduction is
-// wall-clock reduction, so the compressed variant's MB/s (measured against
-// the RAW payload size) should track the compression ratio.
-func BenchmarkRealTransferLowBW(b *testing.B) {
-	if testing.Short() {
-		b.Skip("real stack benchmark in -short mode")
-	}
-	const (
-		elems = 1 << 15  // 256 KiB of doubles per invocation
-		bps   = 64 << 20 // 64 MiB/s link
-	)
-	for _, tt := range []struct {
-		name   string
-		mask   uint8
-		policy zcodec.Policy
-	}{
-		{"raw", 0, zcodec.PolicyAuto},
-		{"compressed", zcodec.Supported, zcodec.PolicyAlways},
-		// Auto on a throttled link must keep compressing: the warmup rep
-		// seeds a low bandwidth estimate, so the estimator's answer is the
-		// same as PolicyAlways — this variant's MB/s should track the
-		// compressed one, not the raw one.
-		{"compressed-auto", zcodec.Supported, zcodec.PolicyAuto},
-	} {
-		b.Run(tt.name, func(b *testing.B) {
-			b.ReportAllocs()
-			zcodec.ResetStats()
-			bd, err := exp.RunReal(exp.RealConfig{
-				C: 2, S: 2, Elems: elems, Reps: b.N, Method: core.Centralized,
-				Compression: tt.mask, Policy: tt.policy, BandwidthBps: bps,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(elems * 8)
-			b.ReportMetric(bd.Total*1e3, "ms/invocation")
-			if ratio := zcodec.EncodeRatio(); ratio > 0 {
-				b.ReportMetric(ratio, "compression_ratio")
-			}
-		})
-	}
 }
 
 // BenchmarkPipelinedInvoke measures sustained invocation throughput with a
@@ -329,179 +214,5 @@ func BenchmarkAblationGatherTree(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkCDRDoubles measures the marshalling hot path: block encoding of
-// double sequences (the paper's argument type).
-func BenchmarkCDRDoubles(b *testing.B) {
-	for _, n := range []int{1 << 10, 1 << 16, 1 << 19} {
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(i)
-		}
-		b.Run(fmt.Sprintf("encode/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			e := cdr.NewEncoder(cdr.NativeOrder)
-			b.SetBytes(int64(8 * n))
-			for i := 0; i < b.N; i++ {
-				e.Reset()
-				e.WriteDoubles(vals)
-			}
-		})
-		b.Run(fmt.Sprintf("decode/n=%d", n), func(b *testing.B) {
-			// Decode-into is the hot path UnmarshalRange takes: elements land
-			// in preallocated sequence storage with no intermediate slice.
-			b.ReportAllocs()
-			e := cdr.NewEncoder(cdr.NativeOrder)
-			e.WriteDoubles(vals)
-			buf := e.Bytes()
-			dst := make([]float64, n)
-			b.SetBytes(int64(8 * n))
-			for i := 0; i < b.N; i++ {
-				d := cdr.NewDecoder(buf, cdr.NativeOrder)
-				if _, err := d.ReadDoublesInto(dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("decode-reuse/n=%d", n), func(b *testing.B) {
-			// The standalone-result variant, kept for comparison with the
-			// into path. It recycles its destination (ReadDoublesUsing): the
-			// predecessor benched the allocating ReadDoubles, whose 4.4 MB/op
-			// at n=2^19 churned the heap enough to distort the memory profile
-			// of every benchmark that ran after it — and no production path
-			// decodes that way (chunks land in preallocated storage).
-			b.ReportAllocs()
-			e := cdr.NewEncoder(cdr.NativeOrder)
-			e.WriteDoubles(vals)
-			buf := e.Bytes()
-			var dst []float64
-			b.SetBytes(int64(8 * n))
-			for i := 0; i < b.N; i++ {
-				d := cdr.NewDecoder(buf, cdr.NativeOrder)
-				var err error
-				if dst, err = d.ReadDoublesUsing(dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDataEcho measures the framed transport data plane in isolation: a
-// Data message per iteration over loopback TCP, exercising the vectored
-// write path, the pooled frame buffers, and Release. The payload matches the
-// platform's 64 KiB transfer chunk.
-func BenchmarkDataEcho(b *testing.B) {
-	l, err := transport.Listen("127.0.0.1:0", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	accepted := make(chan *transport.Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			close(accepted)
-			return
-		}
-		accepted <- c
-	}()
-	cl, err := transport.Dial(l.Addr(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	sv, ok := <-accepted
-	if !ok {
-		b.Fatal("accept failed")
-	}
-	defer sv.Close()
-
-	payload := make([]byte, 64<<10)
-	msg := &wire.Data{RequestID: 1, Count: uint64(len(payload) / 8), Payload: payload}
-	errs := make(chan error, 1)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		go func() { errs <- cl.WriteMessage(msg) }()
-		m, err := sv.ReadMessage()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := <-errs; err != nil {
-			b.Fatal(err)
-		}
-		m.(*wire.Data).Release()
-	}
-}
-
-// BenchmarkPlan measures redistribution planning, the per-invocation
-// control-path cost of the multi-port method.
-func BenchmarkPlan(b *testing.B) {
-	for _, cfg := range []struct{ c, s int }{{4, 8}, {8, 4}, {16, 16}} {
-		b.Run(fmt.Sprintf("c=%d/s=%d", cfg.c, cfg.s), func(b *testing.B) {
-			b.ReportAllocs()
-			src, err := dist.Block{}.Layout(exp.PaperElems, cfg.c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst, err := dist.Block{}.Layout(exp.PaperElems, cfg.s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := dist.Plan(src, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRTSCollectives measures the goroutine run-time system's
-// collective primitives that the centralized method leans on.
-func BenchmarkRTSCollectives(b *testing.B) {
-	const ranks = 8
-	payload := make([]byte, 64<<10)
-	for _, op := range []string{"barrier", "bcast", "alltoall"} {
-		b.Run(op, func(b *testing.B) {
-			b.ReportAllocs()
-			w := rts.NewWorld(ranks, rts.Options{RecvTimeout: 30 * time.Second})
-			defer w.Close()
-			b.ResetTimer()
-			err := w.Run(func(c *rts.Comm) error {
-				for i := 0; i < b.N; i++ {
-					switch op {
-					case "barrier":
-						if err := c.Barrier(); err != nil {
-							return err
-						}
-					case "bcast":
-						var in []byte
-						if c.Rank() == 0 {
-							in = payload
-						}
-						if _, err := c.Bcast(0, in); err != nil {
-							return err
-						}
-					case "alltoall":
-						parts := make([][]byte, ranks)
-						for r := range parts {
-							parts[r] = payload[:1024]
-						}
-						if _, err := c.Alltoall(parts); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
 	}
 }

@@ -115,30 +115,30 @@ func dump(i int, msg wire.Message) {
 		line := fmt.Sprintf("[%d] Data id=%d arg=%d %s src=%d dst=%d off=%d count=%d payload=%dB",
 			i, m.RequestID, m.ArgIndex, kind, m.SrcRank, m.DstRank, m.DstOff, m.Count, len(m.Payload))
 		if m.Flags&wire.DataFlagCompressed != 0 {
-			if id, n, err := dseq.CompressedChunkInfo(m.Payload); err == nil {
+			if id := dseq.ChunkCodec(m.Payload); id != zcodec.None {
 				// The element width isn't in the Data message (it follows from
 				// the argument type in the invocation header), but the XOR
 				// codec only carries float64, so its raw size is exact.
 				raw := ""
 				if id == zcodec.XOR {
-					raw = fmt.Sprintf("%dB raw -> ", 8*n)
+					raw = fmt.Sprintf("%dB raw -> ", 8*m.Count)
 				}
 				line += fmt.Sprintf(" compressed codec=%v elems=%d (%s%dB wire)",
-					id, n, raw, len(m.Payload))
+					id, m.Count, raw, len(m.Payload))
 			} else {
-				line += fmt.Sprintf(" compressed (undecodable: %v)", err)
+				line += " compressed (no envelope)"
 			}
 		}
 		fmt.Println(line)
 	case *wire.Ping:
 		line := fmt.Sprintf("[%d] Ping nonce=%#x", i, m.Nonce)
-		if m.Offer {
+		if m.Codecs != 0 {
 			line += fmt.Sprintf(" compression-offer codecs=%s level=%d", zcodec.MaskString(m.Codecs), m.Level)
 		}
 		fmt.Println(line)
 	case *wire.Pong:
 		line := fmt.Sprintf("[%d] Pong nonce=%#x", i, m.Nonce)
-		if m.Accept {
+		if m.Codecs != 0 {
 			line += fmt.Sprintf(" compression-accept codecs=%s level=%d", zcodec.MaskString(m.Codecs), m.Level)
 		}
 		fmt.Println(line)

@@ -35,8 +35,8 @@ func capture(t *testing.T, fn func()) string {
 
 func TestDumpCompressionNegotiation(t *testing.T) {
 	out := capture(t, func() {
-		dump(0, &wire.Ping{Nonce: 0x434f4d50, Offer: true, Codecs: zcodec.MaskAll, Level: 1})
-		dump(1, &wire.Pong{Nonce: 0x434f4d50, Accept: true, Codecs: zcodec.MaskXOR, Level: 1})
+		dump(0, &wire.Ping{Nonce: 0x434f4d50, Codecs: zcodec.MaskAll, Level: 1})
+		dump(1, &wire.Pong{Nonce: 0x434f4d50, Codecs: zcodec.MaskXOR, Level: 1})
 		dump(2, &wire.Ping{Nonce: 7})
 		dump(3, &wire.Pong{Nonce: 7})
 	})
@@ -48,9 +48,9 @@ func TestDumpCompressionNegotiation(t *testing.T) {
 			t.Errorf("negotiation dump missing %q:\n%s", want, out)
 		}
 	}
-	// Plain keepalive probes must not claim a compression trailer.
+	// Keepalive probes (no codecs) must not claim an offer.
 	if strings.Count(out, "compression-") != 2 {
-		t.Errorf("plain Ping/Pong printed a compression trailer:\n%s", out)
+		t.Errorf("keepalive Ping/Pong printed a compression offer:\n%s", out)
 	}
 }
 

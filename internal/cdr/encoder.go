@@ -16,8 +16,11 @@ type Encoder struct {
 
 	// arr seeds buf in NewEncoder so small streams (directives, scalar
 	// argument payloads, headers) encode without a separate buffer
-	// allocation; append migrates to the heap only past this capacity.
-	arr [64]byte
+	// allocation; append migrates to the heap only past this capacity. 72
+	// bytes fill the 112-byte size class the struct occupies anyway, and
+	// hold the invocation header of a call with one distributed argument
+	// (68 bytes with a four-letter operation name).
+	arr [72]byte
 }
 
 // NewEncoder returns an encoder in the given byte order.

@@ -64,7 +64,7 @@ type BindOptions struct {
 	// centralized arguments are gathered, shipped, and scattered in chunks
 	// of this many elements, overlapping collective (un)marshalling with
 	// the wire. 0 means DefaultStreamChunkElems; negative disables
-	// streaming (whole-sequence transfers, the pre-pipelining behavior).
+	// streaming (whole-sequence transfers).
 	StreamChunkElems int
 	// Sharding configures consistent-hash routing across the profiles of a
 	// multi-profile reference, each profile being one shard group announced
@@ -76,18 +76,16 @@ type BindOptions struct {
 	// friends; build one with zcodec.ParseMask) this binding offers on its
 	// connections. When the server accepts, streamed centralized transfers
 	// compress their numeric chunks with the negotiated block codec; a
-	// server that declines — or predates the handshake — keeps every
-	// transfer raw, transparently. Zero disables the offer entirely and the
-	// engine's raw path is untouched.
+	// server that declines keeps every transfer raw, transparently. Zero
+	// disables the offer entirely and the engine's raw path is untouched.
 	Compression uint8
 	// CompressionPolicy selects how the negotiated mask is applied per
 	// transfer leg. PolicyAuto (the zero default) consults the adaptive
 	// estimator — compress only when the observed encode throughput and
 	// ratio beat the connection's measured wire bandwidth — so a binding
 	// on a fast loopback skips the codec it would want on a thin WAN
-	// link. PolicyAlways compresses whenever a codec is negotiated (the
-	// pre-adaptive behavior); PolicyNever is equivalent to Compression
-	// == 0.
+	// link. PolicyAlways compresses whenever a codec is negotiated;
+	// PolicyNever is equivalent to Compression == 0.
 	CompressionPolicy zcodec.Policy
 	// ShareConnection lets this binding share one multiplexed client engine
 	// — and therefore one connection per endpoint — with every other

@@ -167,16 +167,13 @@ func TestCompressedChunkAllocs(t *testing.T) {
 	})
 }
 
-// TestCompressionInterop is the mixed-version matrix. The raw pairings put
-// a peer that never negotiates compression (Compression zero — the
-// pre-compression wire behavior) on either side of one that offers it:
-// every such pairing must complete on the raw path with the zcodec
-// encoders never engaged. The sub-block pairings put a peer that only
-// speaks single-block envelopes (MaskAll — a pre-sub-block build) on
-// either side of one offering the sub-block capability bit: negotiation
-// must strip the bit, the transfer must still compress, and the data must
-// round trip exactly. Chunks are sized past the sub-block threshold so a
-// faulty negotiation would actually emit the new envelope at an old peer.
+// TestCompressionInterop covers the three outcomes of mask negotiation
+// (client offer ∩ server mask; either side may be zero). With nothing in
+// common — the server declines, or the client never offers — the invocation
+// completes on the raw path with the zcodec encoders never engaged. With
+// both sides offering, the transfer compresses and the data round trips
+// exactly; its chunks are sized past the sub-block threshold so the
+// multi-block envelope is what travels.
 func TestCompressionInterop(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -186,8 +183,6 @@ func TestCompressionInterop(t *testing.T) {
 	}{
 		{"client-offers-server-declines", 0, zcodec.MaskAll, 128, 1024, false},
 		{"server-accepts-client-silent", zcodec.MaskAll, 0, 128, 1024, false},
-		{"subblock-client-old-server", zcodec.MaskAll, zcodec.Supported, 8192, 16384, true},
-		{"subblock-server-old-client", zcodec.Supported, zcodec.MaskAll, 8192, 16384, true},
 		{"subblock-both", zcodec.Supported, zcodec.Supported, 8192, 16384, true},
 	}
 	for _, tt := range cases {

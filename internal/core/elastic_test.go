@@ -388,11 +388,11 @@ func TestElasticEpochMismatchRefusedStale(t *testing.T) {
 	_ = ns
 }
 
-// TestElasticMixedVersionClient is the interop guarantee: a client built
-// before elasticity existed (its reference carries no epoch, so its headers
-// are untagged) keeps working against a resized server through the ordinary
-// resolve path.
-func TestElasticMixedVersionClient(t *testing.T) {
+// TestElasticEpochZeroReferenceRebinds pins that the epoch check has no
+// exemption: a reference to a resized object that carries epoch 0 (the value
+// of a conventional object's reference) is refused like any other wrong
+// epoch, re-resolvably, and one rebind through naming lands on the live epoch.
+func TestElasticEpochZeroReferenceRebinds(t *testing.T) {
 	t.Parallel()
 	el, ns := startElastic(t, 2)
 	if err := el.Resize(3); err != nil {
@@ -401,38 +401,26 @@ func TestElasticMixedVersionClient(t *testing.T) {
 	w := rts.NewWorld(2, rts.Options{RecvTimeout: testTimeout})
 	defer w.Close()
 	err := w.Run(func(c *rts.Comm) error {
-		// Resolve as an old client would, then strip the epoch: the binding
-		// now encodes pre-elastic wire headers (method codes 0..2).
-		cli := orb.NewClient()
-		cli.Timeout = testTimeout
-		defer cli.Close()
-		var ref orb.IOR
-		if c.Rank() == 0 {
-			r, err := naming.NewResolver(cli, ns.Addr()).Resolve("elastic", "")
-			if err != nil {
-				return err
-			}
-			r.Epoch = 0
-			ref = r
-		}
-		refBytes, err := c.Bcast(0, []byte(ref.String()))
-		if err != nil {
-			return err
-		}
-		if ref, err = orb.ParseIOR(string(refBytes)); err != nil {
-			return err
-		}
-		if ref.Epoch != 0 {
-			return fmt.Errorf("test setup: epoch %d survived the strip", ref.Epoch)
-		}
+		ref := el.Ref()
+		ref.Epoch = 0
 		b, err := SPMDBindRef(c, ref, BindOptions{Timeout: testTimeout})
 		if err != nil {
-			return err
+			return fmt.Errorf("bind: %w", err) // describe carries no epoch
 		}
-		defer b.Close()
-		reply, err := b.Invoke("esum", nil, nil)
+		_, err = b.Invoke("esum", nil, nil)
+		b.Close()
+		var sys *orb.SystemException
+		if !errors.As(err, &sys) || sys.RepoID != orb.RepoObjectNotExist || !naming.Stale(err) {
+			return fmt.Errorf("epoch-0 invocation on a resized object = %v, want a stale OBJECT_NOT_EXIST", err)
+		}
+		nb, err := SPMDBind(c, "elastic", ns.Addr(), BindOptions{Timeout: testTimeout})
 		if err != nil {
-			return fmt.Errorf("untagged invocation on resized server: %w", err)
+			return fmt.Errorf("rebind: %w", err)
+		}
+		defer nb.Close()
+		reply, err := nb.Invoke("esum", nil, nil)
+		if err != nil {
+			return fmt.Errorf("first invocation after rebind: %w", err)
 		}
 		d, err := ScalarDecoder(reply)
 		if err != nil {

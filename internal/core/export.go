@@ -474,7 +474,7 @@ func (o *Object) adminResize(in *cdr.Decoder, out *cdr.Encoder) error {
 
 // validate checks an inbound header against the operation table.
 func (o *Object) validate(h *invocationHeader) error {
-	if h.Epoch != 0 && int(h.Epoch) != o.opts.Epoch {
+	if int(h.Epoch) != o.opts.Epoch {
 		// Wrong membership epoch: the client bound before (or, during a
 		// rollback window, after) a resize. Refuse before any data moves —
 		// the client must never scatter against the wrong shape — with the

@@ -10,39 +10,29 @@ import (
 // invocationHeader is the SPMD extension of a request: it rides inside the
 // PGIOP Request's argument payload and tells the server everything it needs
 // to receive the distributed arguments. In the centralized method the
-// In/InOut argument data is embedded; in the multi-port method only the
-// client layouts travel and the data follows as Data messages.
+// In/InOut argument data is embedded, or follows as chunked Data messages
+// when ChunkElems is set; in the multi-port method only the client layouts
+// travel and the data follows as Data messages. Every field travels in every
+// header; only an argument's inline data depends on the others.
 type invocationHeader struct {
-	Op          string
-	Method      Method
-	Streamed    bool   // centralized only: argument data follows as chunked Data messages
-	ChunkElems  uint32 // streamed only: request-leg chunk size, in elements
+	Op     string
+	Method Method
+	// Epoch is the membership epoch the client bound at (from the IOR of an
+	// elastic object); 0 for an object that is not elastic. The server
+	// refuses a header whose epoch is not its own.
+	Epoch uint32
+	// ChunkElems is the request-leg chunk size of a streamed centralized
+	// invocation, in elements; 0 means the whole payload rides inline.
+	ChunkElems  uint32
 	Token       uint32 // ties multi-port and streamed Data transfers to this invocation
 	ClientRanks int
-	// Epoch is the membership epoch the client bound at (from the IOR of an
-	// elastic object); 0 means the binding predates elastic membership or the
-	// object is not elastic. A non-zero epoch shifts the wire method code
-	// into the epoch-tagged range so untagged peers reject the header cleanly
-	// instead of misreading the epoch field.
-	Epoch   uint32
-	Scalars []byte // opaque marshalled non-distributed arguments
-	Args    []headerArg
+	Scalars     []byte // opaque marshalled non-distributed arguments
+	Args        []headerArg
 }
 
-// wireMethodStreamed is the on-the-wire method code for a streamed
-// centralized invocation. It is a distinct code (not a flag) so that peers
-// predating the streaming protocol reject the header cleanly instead of
-// misreading the chunk-size field as argument data.
-const wireMethodStreamed = uint32(Multiport) + 1
-
-// wireMethodEpochBase shifts a method code into the epoch-tagged range:
-// codes [base, base+streamed] are the corresponding untagged codes with a
-// membership-epoch ULong following immediately. Untagged codes remain valid
-// (clients whose reference carries no epoch — conventional objects, old
-// clients of a resized object — send them), which is what makes mixed-version
-// interop across a resize work: the server checks epochs only when the
-// header carries one.
-const wireMethodEpochBase = wireMethodStreamed + 1
+// Streamed reports whether argument data follows the header as chunked Data
+// messages (centralized only).
+func (h *invocationHeader) Streamed() bool { return h.ChunkElems != 0 }
 
 type headerArg struct {
 	Dir    Dir
@@ -67,7 +57,7 @@ func (h *invocationHeader) encode(e *cdr.Encoder) {
 // sequence<octet> right after encodeArg's fields: the whole-payload
 // centralized request leg.
 func (h *invocationHeader) inline(i int) bool {
-	return h.Method == Centralized && !h.Streamed && h.Args[i].Dir != Out
+	return h.Method == Centralized && !h.Streamed() && h.Args[i].Dir != Out
 }
 
 // encodePrefix writes everything up to the argument list. Together with
@@ -75,20 +65,9 @@ func (h *invocationHeader) inline(i int) bool {
 // request encoder instead of staging it in headerArg.Data.
 func (h *invocationHeader) encodePrefix(e *cdr.Encoder) {
 	e.WriteString(h.Op)
-	m := uint32(h.Method)
-	if h.Streamed {
-		m = wireMethodStreamed
-	}
-	if h.Epoch != 0 {
-		m += wireMethodEpochBase
-	}
-	e.WriteEnum(m)
-	if h.Epoch != 0 {
-		e.WriteULong(h.Epoch)
-	}
-	if h.Streamed {
-		e.WriteULong(h.ChunkElems)
-	}
+	e.WriteEnum(uint32(h.Method))
+	e.WriteULong(h.Epoch)
+	e.WriteULong(h.ChunkElems)
 	e.WriteULong(h.Token)
 	e.WriteULong(uint32(h.ClientRanks))
 	e.WriteOctets(h.Scalars)
@@ -121,29 +100,21 @@ func decodeInvocationHeader(d *cdr.Decoder) (*invocationHeader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: method: %v", ErrBadHeader, err)
 	}
-	if m > wireMethodEpochBase+wireMethodStreamed {
+	if m > uint32(Multiport) {
 		return nil, fmt.Errorf("%w: method %d", ErrBadHeader, m)
 	}
-	if m >= wireMethodEpochBase {
-		m -= wireMethodEpochBase
-		if h.Epoch, err = d.ReadULong(); err != nil {
-			return nil, fmt.Errorf("%w: epoch: %v", ErrBadHeader, err)
-		}
-		if h.Epoch == 0 || h.Epoch > 1<<30 {
-			return nil, fmt.Errorf("%w: epoch %d", ErrBadHeader, h.Epoch)
-		}
+	h.Method = Method(m)
+	if h.Epoch, err = d.ReadULong(); err != nil {
+		return nil, fmt.Errorf("%w: epoch: %v", ErrBadHeader, err)
 	}
-	if m == wireMethodStreamed {
-		h.Method = Centralized
-		h.Streamed = true
-		if h.ChunkElems, err = d.ReadULong(); err != nil {
-			return nil, fmt.Errorf("%w: chunk elems: %v", ErrBadHeader, err)
-		}
-		if h.ChunkElems == 0 || h.ChunkElems > 1<<30 {
-			return nil, fmt.Errorf("%w: chunk elems %d", ErrBadHeader, h.ChunkElems)
-		}
-	} else {
-		h.Method = Method(m)
+	if h.Epoch > 1<<30 {
+		return nil, fmt.Errorf("%w: epoch %d", ErrBadHeader, h.Epoch)
+	}
+	if h.ChunkElems, err = d.ReadULong(); err != nil {
+		return nil, fmt.Errorf("%w: chunk elems: %v", ErrBadHeader, err)
+	}
+	if h.ChunkElems > 1<<30 || (h.Streamed() && h.Method != Centralized) {
+		return nil, fmt.Errorf("%w: %v chunk elems %d", ErrBadHeader, h.Method, h.ChunkElems)
 	}
 	if h.Token, err = d.ReadULong(); err != nil {
 		return nil, fmt.Errorf("%w: token: %v", ErrBadHeader, err)
@@ -189,7 +160,7 @@ func decodeInvocationHeader(d *cdr.Decoder) (*invocationHeader, error) {
 				return nil, fmt.Errorf("%w: arg %d layout: %v", ErrBadHeader, i, err)
 			}
 		}
-		if h.Method == Centralized && !h.Streamed && a.Dir != Out {
+		if h.inline(i) {
 			if a.Data, err = d.ReadOctets(); err != nil {
 				return nil, fmt.Errorf("%w: arg %d data: %v", ErrBadHeader, i, err)
 			}

@@ -113,12 +113,12 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamedInvocationHeaderRoundTrip pins the streamed header wiring: the
-// wire method code is distinct (old decoders reject it cleanly), the chunk
-// size travels, and no inline data is encoded.
+// TestStreamedInvocationHeaderRoundTrip pins the streamed header wiring: a
+// chunk size makes a centralized header streamed, it and the epoch travel,
+// and no inline data is encoded.
 func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	h := &invocationHeader{
-		Op: "diffusion", Method: Centralized, Streamed: true, ChunkElems: 8192,
+		Op: "diffusion", Method: Centralized, Epoch: 3, ChunkElems: 8192,
 		Token: 99, ClientRanks: 4, Scalars: []byte{1},
 		Args: []headerArg{
 			{Dir: In, Elem: "double", Layout: mustLayout(t, 100000, 4)},
@@ -131,26 +131,74 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Streamed || got.Method != Centralized || got.ChunkElems != 8192 {
+	if !got.Streamed() || got.Method != Centralized || got.ChunkElems != 8192 || got.Epoch != 3 {
 		t.Fatalf("streamed header %+v", got)
 	}
 	if got.Args[0].Data != nil {
 		t.Fatal("streamed header carried inline data")
 	}
-	// A zero chunk size is rejected (it would make the schedule infinite).
-	bad := *h
-	bad.ChunkElems = 0
-	e = cdr.NewEncoder(cdr.NativeOrder)
-	bad.encode(e)
-	if _, err := decodeInvocationHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)); err == nil {
-		t.Fatal("zero chunk size accepted")
+	// Multi-port data never streams through the communicating thread: a
+	// chunk size on a multi-port header is malformed, as are implausible
+	// chunk sizes and epochs.
+	for name, bad := range map[string]invocationHeader{
+		"multiport chunk size": {Op: "f", Method: Multiport, ChunkElems: 8192, ClientRanks: 1},
+		"chunk size":           {Op: "f", Method: Centralized, ChunkElems: 1<<30 + 1, ClientRanks: 1},
+		"epoch":                {Op: "f", Method: Centralized, Epoch: 1<<30 + 1, ClientRanks: 1},
+		"method":               {Op: "f", Method: Multiport + 1, ClientRanks: 1},
+	} {
+		e = cdr.NewEncoder(cdr.NativeOrder)
+		bad.encode(e)
+		if _, err := decodeInvocationHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("bad %s accepted (err=%v)", name, err)
+		}
 	}
-	// Method codes past the streamed one stay rejected.
-	e = cdr.NewEncoder(cdr.NativeOrder)
-	e.WriteString("op")
-	e.WriteEnum(wireMethodStreamed + 1)
-	if _, err := decodeInvocationHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)); err == nil {
-		t.Fatal("unknown method accepted")
+}
+
+// goldenHeader is the v2 invocation header of a whole-payload centralized
+// call, little-endian: op, method, epoch, chunk size, token, client ranks,
+// scalars, argument count, then per argument its direction, element type,
+// layout or template and — whole-payload centralized In/InOut only — data.
+// Pinned byte for byte so the next format change is a visible diff.
+var goldenHeader = []byte{
+	2, 0, 0, 0, 'f', 0, 0, 0, // op "f"
+	0, 0, 0, 0, // method: centralized
+	7, 0, 0, 0, // epoch
+	0, 0, 0, 0, // chunk elems: whole payload
+	0x39, 0x30, 0, 0, // token
+	2, 0, 0, 0, // client ranks
+	1, 0, 0, 0, 9, 0, 0, 0, // scalars
+	1, 0, 0, 0, // one argument
+	0, 0, 0, 0, // in
+	7, 0, 0, 0, 'd', 'o', 'u', 'b', 'l', 'e', 0, 0, // element type
+	4, 0, 0, 0, 2, 0, 0, 0, // layout: length 4 over 2 ranks
+	1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, // rank 0: one interval [0, 2)
+	1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, // rank 1: one interval [2, 4)
+	2, 0, 0, 0, 0xaa, 0xbb, // inline data
+}
+
+func goldenHeaderValue(t testing.TB) *invocationHeader {
+	l, err := dist.Block{}.Layout(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &invocationHeader{
+		Op: "f", Method: Centralized, Epoch: 7, Token: 12345, ClientRanks: 2, Scalars: []byte{9},
+		Args: []headerArg{{Dir: In, Elem: "double", Layout: l, Data: []byte{0xaa, 0xbb}}},
+	}
+}
+
+func TestInvocationHeaderGolden(t *testing.T) {
+	e := cdr.NewEncoder(cdr.LittleEndian)
+	goldenHeaderValue(t).encode(e)
+	if !bytes.Equal(e.Bytes(), goldenHeader) {
+		t.Fatalf("header\n% x\nwant\n% x", e.Bytes(), goldenHeader)
+	}
+	got, err := decodeInvocationHeader(cdr.NewDecoder(goldenHeader, cdr.LittleEndian))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Op != "f" || got.Epoch != 7 || got.Streamed() || got.Token != 12345 || !bytes.Equal(got.Args[0].Data, []byte{0xaa, 0xbb}) {
+		t.Fatalf("golden header decoded to %+v", got)
 	}
 }
 

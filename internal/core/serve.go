@@ -270,7 +270,7 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	// the bucket (and its buffered channel) entirely for them. dropBucket
 	// still runs in case a stray Data message created one for this token.
 	var bucket *dataBucket
-	if h.Method == Multiport || h.Streamed {
+	if h.Method == Multiport || h.Streamed() {
 		bucket = o.bucket(h.Token)
 	}
 	defer o.dropBucket(h.Token)
@@ -281,7 +281,7 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	// upcall coherently everywhere instead of wedging the collective loop.
 	recvStart := time.Now()
 	recvErr := func() error {
-		if h.Streamed {
+		if h.Streamed() {
 			return o.receiveStreamed(bucket, h, args)
 		}
 		for i, a := range h.Args {
@@ -364,7 +364,7 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 				}
 			}
 		}
-		if h.Streamed {
+		if h.Streamed() {
 			if err := o.sendStreamed(bucket, h, args); err != nil {
 				return err
 			}
@@ -373,7 +373,7 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 			if e != nil {
 				encodeReplyArg(e, a.Dir, args[i].Len())
 			}
-			if a.Dir == In || h.Streamed {
+			if a.Dir == In || h.Streamed() {
 				continue
 			}
 			switch h.Method {

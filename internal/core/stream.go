@@ -469,7 +469,7 @@ func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op str
 		}()
 		packStart := time.Now()
 		h := b.newHeader(comm, token, op, Centralized, scalars, args)
-		h.Streamed, h.ChunkElems = true, uint32(ce)
+		h.ChunkElems = uint32(ce)
 		e := orb.NewArgEncoder()
 		h.encode(e)
 		if timing != nil {

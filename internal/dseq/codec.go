@@ -44,7 +44,6 @@ type Codec[T any] struct {
 	ElemWireSize   int // raw wire bytes per element, the compression break-even bar
 	CompressBound  func(n int) int
 	CompressAppend func(dst []byte, v []T) []byte
-	Decompress     func(src []byte, maxElems int) ([]T, error)
 	DecompressInto func(dst []T, src []byte) error
 }
 
@@ -60,7 +59,6 @@ var Float64 = Codec[float64]{
 	ElemWireSize:   8,
 	CompressBound:  zcodec.DoublesBound,
 	CompressAppend: zcodec.AppendDoubles,
-	Decompress:     zcodec.DecodeDoubles,
 	DecompressInto: zcodec.DecodeDoublesInto,
 }
 
@@ -75,7 +73,6 @@ var Int32 = Codec[int32]{
 	ElemWireSize:   4,
 	CompressBound:  zcodec.Int32sBound,
 	CompressAppend: zcodec.AppendInt32s,
-	Decompress:     zcodec.DecodeInt32s,
 	DecompressInto: zcodec.DecodeInt32sInto,
 }
 
@@ -84,7 +81,7 @@ var Int64 = func() Codec[int64] {
 	c := StructCodec("long long", (*cdr.Encoder).WriteLongLong, (*cdr.Decoder).ReadLongLong)
 	c.HostBytes, c.ElemWireSize = cdr.HostBytes[int64], 8
 	c.CompressID, c.CompressBound, c.CompressAppend = zcodec.Delta, zcodec.Int64sBound, zcodec.AppendInt64s
-	c.Decompress, c.DecompressInto = zcodec.DecodeInt64s, zcodec.DecodeInt64sInto
+	c.DecompressInto = zcodec.DecodeInt64sInto
 	return c
 }()
 
@@ -247,7 +244,7 @@ func UnmarshalChunk[T any](c Codec[T], payload []byte) ([]T, error) {
 	h := unmarshalNS.Load()
 	defer h.Done(h.Start())
 	if IsCompressedChunk(payload) {
-		return decompressChunk(c, payload)
+		return decodeEnvelope(c, payload, nil, true)
 	}
 	d, err := openChunk(c.Name, payload)
 	if err != nil {
@@ -264,7 +261,8 @@ func UnmarshalChunkInto[T any](c Codec[T], payload []byte, dst []T) (int, error)
 	h := unmarshalNS.Load()
 	defer h.Done(h.Start())
 	if IsCompressedChunk(payload) {
-		return decompressChunkInto(c, payload, dst)
+		vals, err := decodeEnvelope(c, payload, dst, false)
+		return len(vals), err
 	}
 	// A packed chunk that fits is one copy, with no decoder to allocate.
 	if c.packed() && len(payload) >= packedElemsOff {

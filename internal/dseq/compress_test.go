@@ -21,9 +21,11 @@ func TestMarshalChunkZRoundTrip(t *testing.T) {
 	if len(p) >= 8*len(vals) {
 		t.Fatalf("compressed chunk %d bytes >= raw %d", len(p), 8*len(vals))
 	}
-	id, n, err := CompressedChunkInfo(p)
-	if err != nil || id != zcodec.XOR || n != len(vals) {
-		t.Fatalf("CompressedChunkInfo = %v, %d, %v", id, n, err)
+	if id := ChunkCodec(p); id != zcodec.XOR {
+		t.Fatalf("ChunkCodec = %v, want xor", id)
+	}
+	if id := ChunkCodec(MarshalChunk(Float64, vals)); id != zcodec.None {
+		t.Fatalf("ChunkCodec of a raw chunk = %v", id)
 	}
 	got, err := UnmarshalChunk(Float64, p)
 	if err != nil {
@@ -152,8 +154,8 @@ func TestCompressedChunkRejectsCorruption(t *testing.T) {
 	if _, err := UnmarshalChunkInto(Float64, p, make([]float64, 8)); err == nil {
 		t.Fatal("oversized chunk decoded into small destination")
 	}
-	// An old-format receiver (no envelope support) sees marker 0x02 as a
-	// bad order flag: openChunk must reject, not misdecode.
+	// The raw decoder sees the envelope marker as a bad order flag:
+	// openChunk must reject, not misdecode.
 	if _, err := openChunk("double", p); err == nil {
 		t.Fatal("openChunk accepted a compressed envelope")
 	}

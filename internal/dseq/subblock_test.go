@@ -1,6 +1,8 @@
 package dseq
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
@@ -40,82 +42,91 @@ func subBlockStreams(n int) map[string][]float64 {
 	return map[string][]float64{"ramp": ramp, "noise": noise, "walk": walk, "specials": specials}
 }
 
-// TestSubBlockMatchesSerial is the sub-block soundness property: the
-// parallel 0x03 envelope must decode to exactly the values (bit for
-// bit) that the serial single-block envelope does, across random
-// float64 streams including NaN/±Inf/denormal runs.
+// envelopeNsub reads the block count of a compressed envelope.
+func envelopeNsub(p []byte) int { return int(binary.LittleEndian.Uint16(p[2:])) }
+
+// TestSubBlockMatchesSerial is the envelope soundness property: whatever
+// block count the chunk was split into — one block (the serial case) up to
+// sixteen encoded in parallel — it decodes to exactly the input, bit for
+// bit, across random float64 streams including NaN/±Inf/denormal runs, and
+// under a different parallelism than it was encoded with.
 func TestSubBlockMatchesSerial(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4) // ensure the split actually engages
+	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, n := range []int{2 * subBlockMinElems, 3*subBlockMinElems + 17, 1 << 16} {
 		for name, vals := range subBlockStreams(n) {
-			sub := MarshalChunkZ(Float64, vals, zcodec.MaskAll|zcodec.MaskSubBlock)
-			serial := MarshalChunkZ(Float64, vals, zcodec.MaskAll)
-			if name == "ramp" {
+			for _, procs := range []int{1, 2, 3, 4, 16} {
+				runtime.GOMAXPROCS(procs)
+				p := MarshalChunkZ(Float64, vals, zcodec.MaskAll)
 				// Noisy shapes may legitimately fall back to raw; the
-				// smooth ramp must compress under both framings.
-				if sub[0] != compMarkerSub {
-					t.Fatalf("%s/%d: sub-block mask produced marker %#x, want 0x03", name, n, sub[0])
+				// smooth ramp must compress, into the expected split.
+				if want := min(procs, n/subBlockMinElems); name == "ramp" &&
+					(!IsCompressedChunk(p) || envelopeNsub(p) != want || ChunkCodec(p) != zcodec.XOR) {
+					t.Fatalf("%s/%d/procs=%d: header % x, want %d xor blocks", name, n, procs, p[:compHeaderLen], want)
 				}
-				if serial[0] != compMarker {
-					t.Fatalf("%s/%d: serial mask produced marker %#x, want 0x02", name, n, serial[0])
+				runtime.GOMAXPROCS(2)
+				got, err := UnmarshalChunk(Float64, p)
+				if err != nil || len(got) != n {
+					t.Fatalf("%s/%d/procs=%d: decode: %d elems, %v", name, n, procs, len(got), err)
 				}
-			}
-			fromSub, err := UnmarshalChunk(Float64, sub)
-			if err != nil {
-				t.Fatalf("%s/%d: decode sub: %v", name, n, err)
-			}
-			fromSerial, err := UnmarshalChunk(Float64, serial)
-			if err != nil {
-				t.Fatalf("%s/%d: decode serial: %v", name, n, err)
-			}
-			if len(fromSub) != n || len(fromSerial) != n {
-				t.Fatalf("%s/%d: lengths %d/%d", name, n, len(fromSub), len(fromSerial))
-			}
-			for i := range vals {
-				want := math.Float64bits(vals[i])
-				if math.Float64bits(fromSub[i]) != want || math.Float64bits(fromSerial[i]) != want {
-					t.Fatalf("%s/%d: [%d] sub=%x serial=%x want %x",
-						name, n, i, math.Float64bits(fromSub[i]), math.Float64bits(fromSerial[i]), want)
+				into := make([]float64, n)
+				if k, err := UnmarshalChunkInto(Float64, p, into); err != nil || k != n {
+					t.Fatalf("%s/%d/procs=%d: UnmarshalChunkInto = %d, %v", name, n, procs, k, err)
 				}
-			}
-			into := make([]float64, n)
-			if k, err := UnmarshalChunkInto(Float64, sub, into); err != nil || k != n {
-				t.Fatalf("%s/%d: UnmarshalChunkInto = %d, %v", name, n, k, err)
-			}
-			for i := range vals {
-				if math.Float64bits(into[i]) != math.Float64bits(vals[i]) {
-					t.Fatalf("%s/%d: into[%d] mismatch", name, n, i)
+				for i := range vals {
+					want := math.Float64bits(vals[i])
+					if math.Float64bits(got[i]) != want || math.Float64bits(into[i]) != want {
+						t.Fatalf("%s/%d/procs=%d: [%d] %x / %x, want %x",
+							name, n, procs, i, math.Float64bits(got[i]), math.Float64bits(into[i]), want)
+					}
 				}
-			}
-			if id, count, err := CompressedChunkInfo(sub); name == "ramp" &&
-				(err != nil || id != zcodec.XOR || count != n) {
-				t.Fatalf("%s/%d: CompressedChunkInfo = (%v, %d, %v)", name, n, id, count, err)
 			}
 		}
 	}
 }
 
-// TestSubBlockMaskGating pins the interop rule: without the negotiated
-// MaskSubBlock capability a large chunk still travels as a single-block
-// 0x02 envelope that PR 8-era receivers decode.
-func TestSubBlockMaskGating(t *testing.T) {
+// TestSubBlockSplit pins what decides the block count: the chunk's size and
+// GOMAXPROCS, nothing negotiated.
+func TestSubBlockSplit(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	vals := make([]float64, 2*subBlockMinElems)
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	if p := MarshalChunkZ(Float64, vals, zcodec.MaskAll); p[0] != compMarker {
-		t.Fatalf("codec-only mask produced marker %#x, want single-block 0x02", p[0])
+	if p := MarshalChunkZ(Float64, vals, zcodec.MaskAll); !bytes.Equal(p[:compHeaderLen], []byte{0x02, byte(zcodec.XOR), 2, 0}) {
+		t.Fatalf("two blocks' worth of elements: header % x", p[:compHeaderLen])
 	}
-	if p := MarshalChunkZ(Float64, vals, zcodec.MaskAll|zcodec.MaskSubBlock); p[0] != compMarkerSub {
-		t.Fatalf("sub-capable mask produced marker %#x, want 0x03", p[0])
+	// Below two blocks' worth the chunk is one block.
+	if p := MarshalChunkZ(Float64, vals[:2*subBlockMinElems-1], zcodec.MaskAll); envelopeNsub(p) != 1 {
+		t.Fatalf("undersized chunk split into %d blocks", envelopeNsub(p))
 	}
-	// Below two sub-blocks' worth of elements the split must decline.
-	small := vals[:2*subBlockMinElems-1]
-	if p := MarshalChunkZ(Float64, small, zcodec.MaskAll|zcodec.MaskSubBlock); p[0] != compMarker {
-		t.Fatalf("undersized chunk produced marker %#x, want 0x02", p[0])
+	runtime.GOMAXPROCS(1)
+	if p := MarshalChunkZ(Float64, vals, zcodec.MaskAll); envelopeNsub(p) != 1 {
+		t.Fatalf("one processor split the chunk into %d blocks", envelopeNsub(p))
+	}
+}
+
+// TestEnvelopeGolden pins the envelope byte for byte, so the next format
+// change is a visible diff: marker, codec, block count, then per block its
+// length and the zcodec block (count, first value raw, one zero bit per
+// repeat).
+func TestEnvelopeGolden(t *testing.T) {
+	vals := make([]float64, 16)
+	for i := range vals {
+		vals[i] = 1
+	}
+	want := []byte{
+		0x02, 0x02, 0x01, 0x00, // marker, xor, one block
+		0x0b, 0x00, 0x00, 0x00, // 11 bytes
+		0x10, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0, 0,
+	}
+	if p := MarshalChunkZ(Float64, vals, zcodec.MaskAll); !bytes.Equal(p, want) {
+		t.Fatalf("envelope\n% x\nwant\n% x", p, want)
+	}
+	got, err := UnmarshalChunk(Float64, want)
+	if err != nil || len(got) != 16 || got[0] != 1 || got[15] != 1 {
+		t.Fatalf("golden envelope decoded to %v, %v", got, err)
 	}
 }
 
@@ -149,7 +160,7 @@ func TestByteAwareGate(t *testing.T) {
 	}
 }
 
-// TestSubBlockRejectsCorruption walks corrupted and truncated 0x03
+// TestSubBlockRejectsCorruption walks corrupted and truncated multi-block
 // envelopes through the decoders: every mutation must error or decode
 // to a value set, never panic, and structural damage to the frame
 // table must be detected.
@@ -160,9 +171,9 @@ func TestSubBlockRejectsCorruption(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	p := MarshalChunkZ(Float64, vals, zcodec.MaskAll|zcodec.MaskSubBlock)
-	if p[0] != compMarkerSub {
-		t.Fatalf("marker %#x, want 0x03", p[0])
+	p := MarshalChunkZ(Float64, vals, zcodec.MaskAll)
+	if envelopeNsub(p) != 2 {
+		t.Fatalf("%d blocks, want 2", envelopeNsub(p))
 	}
 	dst := make([]float64, len(vals))
 	for cut := 1; cut < len(p); cut += 97 {
@@ -193,9 +204,22 @@ func TestSubBlockRejectsCorruption(t *testing.T) {
 	if _, err := UnmarshalChunkInto(Float64, p, dst[:len(vals)-1]); err == nil {
 		t.Fatal("oversized chunk accepted into short destination")
 	}
+	// Block counts outside 1..maxSubBlocks, and an element count no block of
+	// that size can hold, are structural damage.
+	for _, nsub := range []uint16{0, maxSubBlocks + 1} {
+		b := append([]byte(nil), p...)
+		binary.LittleEndian.PutUint16(b[2:], nsub)
+		if _, err := UnmarshalChunk(Float64, b); err == nil {
+			t.Fatalf("block count %d accepted", nsub)
+		}
+	}
+	forged := []byte{0x02, byte(zcodec.XOR), 1, 0, 5, 0, 0, 0, 0xff, 0xff, 0xff, 0x3f, 0}
+	if _, err := UnmarshalChunk(Float64, forged); err == nil {
+		t.Fatal("a 5-byte block claiming 2^27 elements accepted")
+	}
 }
 
-// TestSubBlockInt64 covers the delta codec through the sub-block path.
+// TestSubBlockInt64 covers the delta codec through a multi-block envelope.
 func TestSubBlockInt64(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -204,8 +228,8 @@ func TestSubBlockInt64(t *testing.T) {
 		vals[i] = int64(i) * 7
 	}
 	p := MarshalChunkZ(Int64, vals, zcodec.Supported)
-	if p[0] != compMarkerSub {
-		t.Fatalf("marker %#x, want 0x03", p[0])
+	if envelopeNsub(p) != 3 || ChunkCodec(p) != zcodec.Delta {
+		t.Fatalf("header % x, want 3 delta blocks", p[:compHeaderLen])
 	}
 	got, err := UnmarshalChunk(Int64, p)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 )
 
@@ -216,12 +217,13 @@ func ParseSpans(rd io.Reader) ([]Span, error) {
 		}
 		var s Span
 		var phase string
-		// The shard and codec columns are newer than the format; dumps
-		// written before them have five or six fields and parse with the
-		// missing attributes zero.
-		n, err := fmt.Sscanf(line, "%d %s %d %d %d %d %d",
-			&s.Trace, &phase, &s.Rank, &s.Start, &s.Dur, &s.Shard, &s.Codec)
-		if err != nil && n < 5 {
+		// Sscanf stops at the seventh column without looking further, so the
+		// column count is checked on its own.
+		if n := len(strings.Fields(line)); n != 7 {
+			return nil, fmt.Errorf("obs: span dump line %d: %d columns, want 7", ln, n)
+		}
+		if _, err := fmt.Sscanf(line, "%d %s %d %d %d %d %d",
+			&s.Trace, &phase, &s.Rank, &s.Start, &s.Dur, &s.Shard, &s.Codec); err != nil {
 			return nil, fmt.Errorf("obs: span dump line %d: %v", ln, err)
 		}
 		p, ok := ParsePhase(phase)

@@ -114,8 +114,7 @@ func TestDumpParseRoundTrip(t *testing.T) {
 }
 
 // TestDumpParseShardColumn: the shard attribute survives a dump/parse round
-// trip, and 5-field dumps from before the column existed still parse with
-// Shard 0.
+// trip.
 func TestDumpParseShardColumn(t *testing.T) {
 	r := NewRecorder(8)
 	want := []Span{
@@ -136,23 +135,26 @@ func TestDumpParseShardColumn(t *testing.T) {
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("round trip: %+v, want %+v", got, want)
 	}
-
-	legacy := "42 sendrecv 1 100 50\n"
-	got, err = ParseSpans(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy 5-field line rejected: %v", err)
-	}
-	if len(got) != 1 || got[0].Shard != 0 || got[0].Trace != 42 {
-		t.Fatalf("legacy parse: %+v", got)
-	}
 }
 
 func TestParseSpansRejectsGarbage(t *testing.T) {
-	if _, err := ParseSpans(strings.NewReader("1 gather zero 2 3\n")); err == nil {
-		t.Fatal("bad rank accepted")
+	if _, err := ParseSpans(strings.NewReader("1 gather 0 2 3 4 5\n")); err != nil {
+		t.Fatalf("well-formed line rejected: %v", err)
 	}
-	if _, err := ParseSpans(strings.NewReader("1 warp 0 2 3\n")); err == nil {
-		t.Fatal("unknown phase accepted")
+	for name, line := range map[string]string{
+		"bad rank":          "1 gather zero 2 3 4 5",
+		"unknown phase":     "1 warp 0 2 3 4 5",
+		"five columns":      "1 gather 0 2 3",
+		"six columns":       "1 gather 0 2 3 4",
+		"bad sixth column":  "1 gather 0 2 3 x",
+		"bad codec column":  "1 gather 0 2 3 4 x",
+		"eight columns":     "1 gather 0 2 3 4 5 6",
+		"trailing garbage":  "1 gather 0 2 3 4 5 x",
+		"phase column only": "gather",
+	} {
+		if got, err := ParseSpans(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%s accepted: %q parsed as %+v", name, line, got)
+		}
 	}
 }
 

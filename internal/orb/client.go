@@ -47,11 +47,9 @@ type Client struct {
 	// ShardKey (see InvokeOptions.ShardKey and InvokeSharded).
 	Shard ShardPolicy
 	// Compression is the wire-compression codec mask (zcodec mask bits) this
-	// client offers on every dialed connection via the Ping/Pong handshake
-	// extension. Zero (the default) never offers, and connections stay raw.
-	// A peer that predates the extension ignores the offer's trailer and
-	// answers a plain Pong, which resolves the handshake to raw — fallback
-	// is transparent by construction.
+	// client offers on every dialed connection in its first Ping. Zero (the
+	// default) never offers, and connections stay raw; so does a connection
+	// whose server answers with no codec in common.
 	Compression uint8
 	// Metrics, when set before the client's first use, receives the
 	// client-side resilience event counters: "orb.client.retries" (oneway
@@ -325,11 +323,9 @@ func (c *Client) conn(addr string) (*clientConn, error) {
 	if c.KeepaliveInterval > 0 {
 		go cc.keepaliveLoop(c.KeepaliveInterval, c.KeepaliveTimeout)
 	}
-	// Offer wire compression. The Ping trailer is invisible to peers that
-	// predate it (their decoder reads the nonce and ignores the rest), so
-	// the offer is safe against any server; a plain Pong resolves to raw.
+	// Offer wire compression; the Pong echoing compNonce resolves it.
 	if c.Compression != 0 {
-		if err := cc.conn.WriteMessage(&wire.Ping{Nonce: compNonce, Offer: true, Codecs: c.Compression}); err != nil {
+		if err := cc.conn.WriteMessage(&wire.Ping{Nonce: compNonce, Codecs: c.Compression}); err != nil {
 			cc.compResolved() // stream is broken; readLoop will surface it
 		}
 	} else {
@@ -429,7 +425,9 @@ func (cc *clientConn) readLoop() {
 	for {
 		msg, err := cc.conn.ReadMessage()
 		if err != nil {
-			cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
+			// %w twice: callers match the broken connection, and a refused
+			// protocol version (wire.ErrBadVersion) stays matchable under it.
+			cc.fail(fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
 		}
 		cc.touch()
@@ -461,11 +459,11 @@ func (cc *clientConn) readLoop() {
 		case *wire.Pong:
 			// Liveness evidence; touch above already recorded it. The
 			// negotiation pong additionally resolves the compression
-			// handshake: an accepting trailer fixes the connection's codec
-			// mask, a plain pong (old peer) leaves it raw.
+			// handshake: the codecs it accepts become the connection's
+			// mask, none leaves it raw.
 			if m.Nonce == compNonce {
-				if m.Accept {
-					cc.conn.SetCompression(m.Codecs&cc.client.Compression, m.Level)
+				if neg := m.Codecs & cc.client.Compression; neg != 0 {
+					cc.conn.SetCompression(neg, m.Level)
 				}
 				cc.compResolved()
 			}
@@ -834,7 +832,7 @@ func (c *Client) InvokeRank(ref IOR, rank int, op string, args []byte, oneway bo
 // serving ref's communicating thread, dialing the connection (which runs the
 // handshake) if needed. It blocks until the handshake resolves, bounded by
 // wait (a default applies when wait <= 0); an unreachable endpoint, a peer
-// that never answers, or one predating the extension all resolve to 0 (raw).
+// that never answers, or one that declines all resolve to 0 (raw).
 func (c *Client) NegotiatedCompression(ref IOR, wait time.Duration) uint8 {
 	if c.Compression == 0 {
 		return 0

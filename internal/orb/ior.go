@@ -55,9 +55,7 @@ type IOR struct {
 	// Epoch is the membership epoch of an elastic SPMD object: every resize
 	// republishes a refreshed reference with the next epoch, and requests
 	// tagged with a stale epoch are refused in a re-resolvable way. 0 marks
-	// a conventional (non-elastic) reference. The field rides at the end of
-	// the encapsulation, so decoders predating it simply ignore the trailing
-	// bytes and older references decode as epoch 0.
+	// a conventional (non-elastic) reference.
 	Epoch int
 }
 
@@ -292,11 +290,9 @@ func DecodeIOR(d *cdr.Decoder) (IOR, error) {
 	if r.Endpoints, err = readEndpoints(inner, "endpoint"); err != nil {
 		return IOR{}, err
 	}
-	// Alternate profiles follow. References written before multi-profile
-	// support simply end here; treat that as zero alternates.
 	nalt, err := inner.ReadULong()
 	if err != nil {
-		return r, nil
+		return IOR{}, fmt.Errorf("%w: profile count: %v", ErrBadIOR, err)
 	}
 	if nalt > 1<<10 {
 		return IOR{}, fmt.Errorf("%w: implausible profile count %d", ErrBadIOR, nalt)
@@ -308,16 +304,17 @@ func DecodeIOR(d *cdr.Decoder) (IOR, error) {
 		}
 		r.Alternates = append(r.Alternates, alt)
 	}
-	// The membership epoch follows. References written before elastic
-	// membership end here; treat that as epoch 0.
 	epoch, err := inner.ReadULong()
 	if err != nil {
-		return r, nil
+		return IOR{}, fmt.Errorf("%w: epoch: %v", ErrBadIOR, err)
 	}
 	if epoch > 1<<30 {
 		return IOR{}, fmt.Errorf("%w: implausible epoch %d", ErrBadIOR, epoch)
 	}
 	r.Epoch = int(epoch)
+	if n := inner.Remaining(); n != 0 {
+		return IOR{}, fmt.Errorf("%w: %d bytes after the epoch", ErrBadIOR, n)
+	}
 	return r, nil
 }
 
@@ -351,5 +348,9 @@ func ParseIOR(s string) (IOR, error) {
 	if _, err := d.ReadOctet(); err != nil {
 		return IOR{}, fmt.Errorf("%w: %v", ErrBadIOR, err)
 	}
-	return DecodeIOR(d)
+	r, err := DecodeIOR(d)
+	if err == nil && d.Remaining() != 0 {
+		return IOR{}, fmt.Errorf("%w: %d bytes after the reference", ErrBadIOR, d.Remaining())
+	}
+	return r, err
 }

@@ -2,60 +2,64 @@ package orb
 
 import (
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/cdr"
 )
 
-// TestIOROldFormatStillParses pins backward compatibility with references
-// written before multi-profile support: their encapsulation simply ends after
-// the endpoint list, with no alternate-profile count. The parser must accept
-// them as zero-alternate references, and re-stringifying must produce a
-// reference the current format round-trips.
-func TestIOROldFormatStillParses(t *testing.T) {
-	// Hand-build the pre-multi-profile encoding: byte-order octet, then an
-	// encapsulation of {type id, key, threads, endpoints} and nothing more.
+// reencapsulate renders a stringified reference whose encapsulation body is
+// inner, with a consistent length: what a writer that left fields out, or
+// added some, would produce.
+func reencapsulate(inner []byte) string {
 	e := cdr.NewEncoder(cdr.NativeOrder)
 	e.WriteOctet(byte(cdr.NativeOrder))
-	e.WriteEncapsulation(func(inner *cdr.Encoder) {
-		inner.WriteString("IDL:test/old:1.0")
-		inner.WriteOctets([]byte("legacy"))
-		inner.WriteULong(2) // threads
-		inner.WriteULong(2) // endpoint count
-		inner.WriteString("hostA")
-		inner.WriteULong(1000)
-		inner.WriteULong(0)
-		inner.WriteString("hostA")
-		inner.WriteULong(1001)
-		inner.WriteULong(1)
-	})
-	old := "IOR:" + hex.EncodeToString(e.Bytes())
+	e.WriteOctets(inner)
+	return "IOR:" + hex.EncodeToString(e.Bytes())
+}
 
-	ref, err := ParseIOR(old)
-	if err != nil {
-		t.Fatalf("old-format reference rejected: %v", err)
-	}
-	want := IOR{
-		TypeID:  "IDL:test/old:1.0",
-		Key:     []byte("legacy"),
+// TestIORTruncatedAndTrailingRejected pins that every field of a reference
+// is required and nothing may follow the last: a reference cut short anywhere
+// — after the endpoint list, after the alternates, inside the epoch — or
+// carrying extra bytes is malformed, never a valid reference with defaults.
+func TestIORTruncatedAndTrailingRejected(t *testing.T) {
+	ref := IOR{
+		TypeID:  "IDL:test/strict:1.0",
+		Key:     []byte("strict"),
 		Threads: 2,
 		Endpoints: []Endpoint{
 			{Host: "hostA", Port: 1000, Rank: 0},
 			{Host: "hostA", Port: 1001, Rank: 1},
 		},
+		Epoch: 3,
 	}
-	if !reflect.DeepEqual(ref, want) {
-		t.Fatalf("old-format parse:\n got %+v\nwant %+v", ref, want)
+	full := ref.String()
+	if got, err := ParseIOR(full); err != nil || !reflect.DeepEqual(got, ref) {
+		t.Fatalf("setup: %+v, %v", got, err)
 	}
-	if len(ref.Alternates) != 0 {
-		t.Fatalf("old-format reference grew alternates: %+v", ref.Alternates)
+	raw, err := hex.DecodeString(full[len("IOR:"):])
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Re-stringified, it becomes a current-format reference with an explicit
-	// zero alternate count — and must still describe the same object.
-	again, err := ParseIOR(ref.String())
-	if err != nil || !reflect.DeepEqual(again, want) {
-		t.Fatalf("re-stringified old reference:\n got %+v, %v\nwant %+v", again, err, want)
+	// Order octet, padding, encapsulation length: the body starts at 8 and
+	// ends with the alternates count and the epoch, four bytes each.
+	inner := raw[8:]
+	for cut := 1; cut <= len(inner); cut++ {
+		if got, err := ParseIOR(reencapsulate(inner[:len(inner)-cut])); !errors.Is(err, ErrBadIOR) {
+			t.Fatalf("encapsulation short by %d bytes parsed as %+v (err=%v)", cut, got, err)
+		}
+	}
+	for cut := 1; cut < len(raw); cut++ {
+		if _, err := ParseIOR("IOR:" + hex.EncodeToString(raw[:len(raw)-cut])); !errors.Is(err, ErrBadIOR) {
+			t.Fatalf("reference short by %d bytes accepted (err=%v)", cut, err)
+		}
+	}
+	if _, err := ParseIOR(reencapsulate(append(append([]byte(nil), inner...), 0))); !errors.Is(err, ErrBadIOR) {
+		t.Fatalf("byte after the epoch accepted (err=%v)", err)
+	}
+	if _, err := ParseIOR(full + "00"); !errors.Is(err, ErrBadIOR) {
+		t.Fatalf("byte after the encapsulation accepted (err=%v)", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"encoding/hex"
 	"reflect"
 	"testing"
 )
@@ -87,6 +88,15 @@ func FuzzParseIOR(f *testing.F) {
 	f.Add("IOR:")
 	f.Add("IOR:zz")
 	f.Add("not-an-ior")
+	// Strictness: a reference cut short by one byte or by its whole epoch,
+	// and one with a byte too many, inside and outside the encapsulation.
+	whole := seeds[1].String()
+	raw, _ := hex.DecodeString(whole[len("IOR:"):])
+	f.Add(whole[:len(whole)-2])
+	f.Add(reencapsulate(raw[8 : len(raw)-1]))
+	f.Add(reencapsulate(raw[8 : len(raw)-4]))
+	f.Add(reencapsulate(append(raw[8:len(raw):len(raw)], 0)))
+	f.Add(whole + "00")
 
 	f.Fuzz(func(t *testing.T, s string) {
 		ref, err := ParseIOR(s)

@@ -111,10 +111,9 @@ type ServerOptions struct {
 	// waits, keyed by request id) into this ring buffer.
 	Trace *obs.Recorder
 	// Compression is the wire-compression codec mask (zcodec mask bits)
-	// this server accepts. A client Ping carrying a compression offer is
-	// answered with the intersection of the two masks and the connection
-	// remembers it; zero (the default) declines every offer, so all
-	// connections stay raw.
+	// this server accepts. A client Ping offering codecs is answered with
+	// the intersection of the two masks and the connection remembers it;
+	// zero (the default) declines every offer, so all connections stay raw.
 	Compression uint8
 	// CompressionPolicy selects how the reply data plane applies the
 	// negotiated mask per transfer leg: PolicyAuto (the zero default)
@@ -627,17 +626,15 @@ func (s *Server) serveConn(sc *servedConn) {
 		case *wire.CancelRequest:
 			// Best effort: PARDIS requests are not abortable mid-upcall.
 		case *wire.Ping:
-			// Keepalive probe, or a compression offer riding the Ping
-			// trailer. The negotiated mask is the intersection of the two
-			// sides' codec masks; declining (no server mask, no overlap, or
-			// a plain keepalive) answers the plain Pong an old client
-			// expects.
+			// Keepalive probe or compression offer. The negotiated mask
+			// is the intersection of the two sides' codec masks; an empty
+			// one (no server mask, no overlap, or a keepalive, which
+			// offers nothing) answers zero codecs and the connection
+			// stays raw.
 			pong := &wire.Pong{Nonce: m.Nonce}
-			if m.Offer {
-				if neg := m.Codecs & s.opts.Compression; neg != 0 {
-					pong.Accept, pong.Codecs, pong.Level = true, neg, m.Level
-					sc.conn.SetCompression(neg, m.Level)
-				}
+			if neg := m.Codecs & s.opts.Compression; neg != 0 {
+				pong.Codecs, pong.Level = neg, m.Level
+				sc.conn.SetCompression(neg, m.Level)
 			}
 			if err := sc.conn.WriteMessage(pong); err != nil {
 				s.Logf("orb: pong: %v", err)
@@ -682,9 +679,7 @@ func (s *Server) admit(sc *servedConn, req *wire.Request) {
 		s.shedRequest(sc, req, fmt.Sprintf("connection request cap %d reached", s.opts.MaxConnInFlight))
 		return
 	}
-	s.reqWg.Add(1)
 	if ok, reason := s.dispatch(workItem{sc: sc, req: req, arrival: arrival}); !ok {
-		s.reqWg.Done()
 		sc.inflight.Add(-1)
 		s.shedRequest(sc, req, reason)
 	}
@@ -700,6 +695,9 @@ func (s *Server) dispatch(it workItem) (bool, string) {
 		s.dmu.Unlock()
 		return false, "server draining"
 	}
+	// Counted under dmu and after the stopped check, so every Add is ordered
+	// before Shutdown sets stopped — and so before its reqWg.Wait.
+	s.reqWg.Add(1)
 	if n := len(s.ready); n > 0 {
 		w := s.ready[n-1]
 		s.ready[n-1] = nil
@@ -723,6 +721,7 @@ func (s *Server) dispatch(it workItem) (bool, string) {
 		return true, ""
 	}
 	s.dmu.Unlock()
+	s.reqWg.Done()
 	return false, fmt.Sprintf("server saturated (%d in flight, %d queued)",
 		s.opts.MaxInFlight, s.opts.QueueDepth)
 }

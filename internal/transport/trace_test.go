@@ -96,7 +96,8 @@ func TestTraceHeadersStampEveryFrame(t *testing.T) {
 }
 
 func TestUntracedPeerInteroperates(t *testing.T) {
-	// Writer predates the extension (TraceHeaders off); reader is current.
+	// The writer does not stamp trace context (TraceHeaders off); the reader
+	// hooks frames.
 	var log frameLog
 	a2b := newPipeBuffer()
 	b2a := newPipeBuffer()
@@ -117,7 +118,7 @@ func TestUntracedPeerInteroperates(t *testing.T) {
 	}
 	frames := log.snapshot()
 	if len(frames) != 1 || frames[0].HasTrace() || frames[0].Trace != 0 {
-		t.Fatalf("old-format frame grew a trace: %+v", frames)
+		t.Fatalf("untraced frame grew a trace: %+v", frames)
 	}
 }
 

@@ -78,8 +78,7 @@ type Options struct {
 	// header extension carrying the message's request id, Fragment frames
 	// included, so per-frame tooling can attribute bytes to invocations
 	// without decoding bodies. Inbound extensions are always understood,
-	// whether or not this side stamps its own; peers predating the extension
-	// reject it, so enable only on connections whose peer runs this code.
+	// whether or not this side stamps its own.
 	TraceHeaders bool
 	// FrameHook, when set, observes every inbound frame header (with
 	// Header.Trace populated from the extension) before the body is read.

@@ -1,94 +1,73 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/cdr"
 )
 
-// The compression handshake trailer must round-trip in both byte orders
-// and stay invisible to nonce-only decoders (and vice versa).
+// The Ping/Pong body is fixed — nonce, codec mask, level — in both byte
+// orders, and anything shorter is a decode error.
 
 func TestPingPongCompressionTrailerRoundTrip(t *testing.T) {
 	for _, ord := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
-		ping := &Ping{Nonce: 0xfeedbeef, Offer: true, Codecs: 0x03, Level: 2}
-		e := cdr.NewEncoder(ord)
-		ping.EncodeBody(e)
-		m, err := DecodeBody(MsgPing, e.Bytes(), ord)
-		if err != nil {
-			t.Fatalf("ord %v: %v", ord, err)
-		}
-		got := m.(*Ping)
-		if *got != *ping {
-			t.Fatalf("ord %v: ping %+v != %+v", ord, got, ping)
-		}
-
-		pong := &Pong{Nonce: 0xabad1dea, Accept: true, Codecs: 0x02, Level: 0}
-		e = cdr.NewEncoder(ord)
-		pong.EncodeBody(e)
-		m, err = DecodeBody(MsgPong, e.Bytes(), ord)
-		if err != nil {
-			t.Fatalf("ord %v: %v", ord, err)
-		}
-		if gp := m.(*Pong); *gp != *pong {
-			t.Fatalf("ord %v: pong %+v != %+v", ord, gp, pong)
+		for _, ping := range []*Ping{{Nonce: 0xfeedbeef, Codecs: 0x03, Level: 2}, {Nonce: 7}} {
+			e := cdr.NewEncoder(ord)
+			ping.EncodeBody(e)
+			m, err := DecodeBody(MsgPing, e.Bytes(), ord)
+			if err != nil {
+				t.Fatalf("ord %v: %v", ord, err)
+			}
+			if got := m.(*Ping); *got != *ping {
+				t.Fatalf("ord %v: ping %+v != %+v", ord, got, ping)
+			}
+			// The Pong echoing it has the same body.
+			pong := &Pong{Nonce: ping.Nonce, Codecs: ping.Codecs & 0x02, Level: ping.Level}
+			e = cdr.NewEncoder(ord)
+			pong.EncodeBody(e)
+			m, err = DecodeBody(MsgPong, e.Bytes(), ord)
+			if err != nil {
+				t.Fatalf("ord %v: %v", ord, err)
+			}
+			if gp := m.(*Pong); *gp != *pong {
+				t.Fatalf("ord %v: pong %+v != %+v", ord, gp, pong)
+			}
 		}
 	}
 }
 
-func TestPingOldFormatDecodesWithoutOffer(t *testing.T) {
-	// A pre-compression peer encodes only the nonce. That body must
-	// decode as a plain keepalive, and a plain Ping we encode must be
-	// nonce-only so old peers can read it.
-	e := cdr.NewEncoder(cdr.LittleEndian)
-	e.WriteULong(42)
-	m, err := DecodeBody(MsgPing, e.Bytes(), cdr.LittleEndian)
-	if err != nil {
-		t.Fatal(err)
+// TestPingPongGolden pins the probe body byte for byte, so the next format
+// change is a visible diff.
+func TestPingPongGolden(t *testing.T) {
+	want := []byte{0x50, 0x4d, 0x4f, 0x43, 0x03, 0x01}
+	for _, m := range []Message{
+		&Ping{Nonce: 0x434f4d50, Codecs: 0x03, Level: 1},
+		&Pong{Nonce: 0x434f4d50, Codecs: 0x03, Level: 1},
+	} {
+		e := cdr.NewEncoder(cdr.LittleEndian)
+		m.EncodeBody(e)
+		if !bytes.Equal(e.Bytes(), want) {
+			t.Fatalf("%v body % x, want % x", m.Type(), e.Bytes(), want)
+		}
 	}
-	if p := m.(*Ping); p.Nonce != 42 || p.Offer || p.Codecs != 0 || p.Level != 0 {
-		t.Fatalf("old-format ping decoded as %+v", p)
-	}
-
-	plain := &Ping{Nonce: 7}
-	e = cdr.NewEncoder(cdr.LittleEndian)
-	plain.EncodeBody(e)
-	if len(e.Bytes()) != 4 {
-		t.Fatalf("plain ping body is %d bytes, want 4 (nonce only)", len(e.Bytes()))
-	}
-	plainPong := &Pong{Nonce: 7}
-	e = cdr.NewEncoder(cdr.LittleEndian)
-	plainPong.EncodeBody(e)
-	if len(e.Bytes()) != 4 {
-		t.Fatalf("plain pong body is %d bytes, want 4 (nonce only)", len(e.Bytes()))
+	frame := Encode(&Ping{Nonce: 1}, cdr.BigEndian)
+	if want := []byte{'P', 'D', 'I', 'S', 2, 0, byte(MsgPing), 0, 0, 0, 0, 6, 0, 0, 0, 1, 0, 0}; !bytes.Equal(frame, want) {
+		t.Fatalf("keepalive frame % x, want % x", frame, want)
 	}
 }
 
-func TestPingUnknownTrailerVersionIgnored(t *testing.T) {
-	// A future extension version must not be misread as an offer (and
-	// must not be an error: worst case is no compression).
+func TestPingPongShortBodyRejected(t *testing.T) {
 	e := cdr.NewEncoder(cdr.LittleEndian)
-	e.WriteULong(9)
-	e.WriteOctet(99) // unknown extension version
-	e.WriteOctet(0xff)
-	e.WriteOctet(0xff)
-	m, err := DecodeBody(MsgPing, e.Bytes(), cdr.LittleEndian)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := m.(*Ping); p.Offer {
-		t.Fatalf("unknown trailer version decoded as an offer: %+v", p)
-	}
-	// Short trailers are likewise ignored.
-	e = cdr.NewEncoder(cdr.LittleEndian)
-	e.WriteULong(9)
-	e.WriteOctet(CompExtVersion)
-	m, err = DecodeBody(MsgPing, e.Bytes(), cdr.LittleEndian)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := m.(*Ping); p.Offer {
-		t.Fatalf("short trailer decoded as an offer: %+v", p)
+	(&Ping{Nonce: 42, Codecs: 3, Level: 1}).EncodeBody(e)
+	full := e.Bytes()
+	for cut := 0; cut < len(full); cut++ {
+		for _, typ := range []MsgType{MsgPing, MsgPong} {
+			if _, err := DecodeBody(typ, full[:cut], cdr.LittleEndian); !errors.Is(err, cdr.ErrTruncated) {
+				t.Fatalf("%v body cut to %d of %d bytes: err = %v, want truncation", typ, cut, len(full), err)
+			}
+		}
 	}
 }
 
@@ -96,7 +75,7 @@ func TestDataCompressedFlagRoundTrip(t *testing.T) {
 	d := &Data{
 		RequestID: 77, ArgIndex: 1, DstOff: 4096, Count: 512,
 		Reply: true, Flags: DataFlagChunk | DataFlagLast | DataFlagCompressed,
-		Payload: []byte{0x02, 0x02, 0x04, 0x00},
+		Payload: []byte{0x02, 0x02, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00},
 	}
 	for _, ord := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
 		e := cdr.NewEncoder(ord)

@@ -24,9 +24,10 @@ func FuzzDecodeHeader(f *testing.F) {
 	f.Add(tbig[:])
 	f.Add([]byte("PDIS"))                                 // truncated
 	f.Add([]byte("GIOP\x01\x00\x00\x00\x00\x00\x00\x00")) // wrong protocol
-	f.Add([]byte("PDIS\x01\x08\x08\x00\x00\x00\x00\x40")) // stream-chunk flag on a Data frame
-	f.Add([]byte("PDIS\x01\x0f\x08\x00\x00\x00\x00\x40")) // every defined flag at once
-	f.Add([]byte("PDIS\x01\x10\x00\x00\x00\x00\x00\x00")) // reserved flag bit 4
+	f.Add([]byte("PDIS\x01\x01\x00\x00\x10\x00\x00\x00")) // version 1: refused
+	f.Add([]byte("PDIS\x02\x08\x08\x00\x00\x00\x00\x40")) // stream-chunk flag on a Data frame
+	f.Add([]byte("PDIS\x02\x0f\x08\x00\x00\x00\x00\x40")) // every defined flag at once
+	f.Add([]byte("PDIS\x02\x10\x00\x00\x00\x00\x00\x00")) // reserved flag bit 4
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -66,16 +67,18 @@ func FuzzDecodeBody(f *testing.F) {
 		&Data{RequestID: 6, ArgIndex: 1, SrcRank: 2, DstRank: 3, DstOff: 4, Count: 2, Payload: []byte("xyzw")},
 		&Data{RequestID: 9, ArgIndex: 0, DstOff: 8192, Count: 4, Flags: DataFlagChunk, Payload: []byte("chnk")},
 		&Data{RequestID: 10, ArgIndex: 2, DstOff: 0, Count: 4, Reply: true, Flags: DataFlagChunk | DataFlagLast, Payload: []byte("last")},
-		&Data{RequestID: 11, ArgIndex: 0, DstOff: 0, Count: 8, Flags: DataFlagChunk | DataFlagCompressed, Payload: []byte{0x02, 0x02, 0x08, 0x3f}},
+		&Data{RequestID: 11, ArgIndex: 0, DstOff: 0, Count: 8, Flags: DataFlagChunk | DataFlagCompressed, Payload: []byte{0x02, 0x02, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x08, 0x3f}},
 		&Ping{Nonce: 7},
 		&Pong{Nonce: 8},
-		&Ping{Nonce: 12, Offer: true, Codecs: 0x03, Level: 1},
-		&Pong{Nonce: 13, Accept: true, Codecs: 0x02, Level: 0},
+		&Ping{Nonce: 12, Codecs: 0x03, Level: 1},
+		&Pong{Nonce: 13, Codecs: 0x02, Level: 0},
 	} {
 		e := cdr.NewEncoder(cdr.NativeOrder)
 		m.EncodeBody(e)
 		f.Add([]byte{byte(m.Type()), byte(cdr.NativeOrder)}, e.Bytes())
 	}
+	f.Add([]byte{byte(MsgPing), 1}, []byte{7, 0, 0, 0})    // nonce alone: short body
+	f.Add([]byte{byte(MsgPong), 1}, []byte{7, 0, 0, 0, 3}) // no level
 
 	f.Fuzz(func(t *testing.T, sel, body []byte) {
 		if len(sel) < 2 {

@@ -211,10 +211,9 @@ const (
 	// DataFlagLast marks the final chunk of its argument's stream.
 	DataFlagLast = 1 << 1
 	// DataFlagCompressed marks a payload that carries a compressed chunk
-	// envelope (marker octet, zcodec ID, encoded block) instead of a raw
-	// CDR block. Senders set it only after the compression handshake has
-	// negotiated a codec on the connection: pre-compression decoders
-	// reject the bit as reserved, so it can never leak to an old peer.
+	// envelope (see internal/dseq) instead of a raw CDR block. Senders set
+	// it only after the compression handshake has negotiated a codec on
+	// the connection.
 	DataFlagCompressed = 1 << 2
 )
 
@@ -223,11 +222,6 @@ const (
 // between computing threads. DstOff and Count are in elements; the payload
 // is a packed CDR array of the argument's element type in the sender's byte
 // order (declared by the message header).
-//
-// The Flags octet occupies what older encoders emitted as the first padding
-// byte after Reply: old-format bodies therefore decode with Flags zero, and
-// old decoders skip a new-format Flags octet as padding — the field is
-// backward- and forward-compatible by construction.
 type Data struct {
 	RequestID uint32
 	ArgIndex  uint32 // which distributed argument of the operation
@@ -256,9 +250,8 @@ func (*Data) Type() MsgType { return MsgData }
 // DataPrefixLen is the encoded size of a Data body up to and including the
 // octet-sequence count that precedes the payload: four uint32 fields (16
 // bytes), two 8-aligned uint64s at offsets 16 and 24, the Reply bool at 32,
-// the Flags octet at 33 (zero-padding in the old format), padding to 36, and
-// the uint32 payload length. Payload bytes start at this offset in every
-// Data body.
+// the Flags octet at 33, padding to 36, and the uint32 payload length. Payload
+// bytes start at this offset in every Data body.
 const DataPrefixLen = 40
 
 // EncodeBodyPrefix implements TailMessage: everything up to and including
@@ -354,111 +347,69 @@ func decodeData(d *cdr.Decoder) (*Data, error) {
 	return &m, nil
 }
 
-// CompExtVersion is the version octet that introduces the compression
-// handshake extension trailing a Ping or Pong body. Old decoders read only
-// the nonce and ignore trailing bytes, so the extension is invisible to
-// them; an extension with an unknown version octet is likewise ignored by
-// this decoder, keeping the trailer forward-compatible.
-const CompExtVersion = 1
-
 // Ping probes a peer's liveness on an idle connection. The nonce is echoed
 // back in the matching Pong; it carries no semantics beyond letting a debugger
 // pair probes with responses on a wire dump.
 //
-// A Ping may additionally carry a compression offer: a three-octet trailer
-// (extension version, supported-codec bitmask, compression level) appended
-// after the nonce. Old peers decode such a Ping as a plain keepalive and
-// answer with a plain Pong — the absence of an acceptance trailer IS the
-// negotiation failure signal, so fallback to raw frames needs no extra
-// round trip or message type.
+// The body is fixed: nonce, codec mask, level. A client's first Ping on a
+// connection carries the zcodec support mask it offers (Level is a
+// codec-specific effort hint, currently advisory); a keepalive carries zero
+// codecs, which offers nothing.
 type Ping struct {
-	Nonce uint32
-
-	// Compression offer (the handshake trailer). Offer gates whether the
-	// trailer is encoded at all; Codecs is a zcodec support bitmask and
-	// Level a codec-specific effort hint (currently advisory).
-	Offer  bool
+	Nonce  uint32
 	Codecs uint8
 	Level  uint8
 }
 
 func (*Ping) Type() MsgType { return MsgPing }
 
-func (p *Ping) EncodeBody(e *cdr.Encoder) {
-	e.WriteULong(p.Nonce)
-	if p.Offer {
-		e.WriteOctet(CompExtVersion)
-		e.WriteOctet(p.Codecs)
-		e.WriteOctet(p.Level)
-	}
-}
+func (p *Ping) EncodeBody(e *cdr.Encoder) { encodeProbe(e, p.Nonce, p.Codecs, p.Level) }
 
-func decodePing(d *cdr.Decoder) (*Ping, error) {
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	p := &Ping{Nonce: n}
-	p.Offer, p.Codecs, p.Level = decodeCompExt(d)
-	return p, nil
-}
-
-// Pong answers a Ping, echoing its nonce. When the Ping carried a
-// compression offer and the responder negotiates, the Pong carries the
-// same trailer with the accepted codec set (the intersection of both
-// sides' masks); a plain Pong means the responder predates or declined
-// compression and the connection stays on raw frames.
+// Pong answers a Ping, echoing its nonce, in the same fixed body. Codecs is
+// the accepted codec set — the intersection of the offer and the responder's
+// own mask; zero declines (or answers a keepalive) and the connection stays on
+// raw frames.
 type Pong struct {
-	Nonce uint32
-
-	// Compression acceptance (the handshake trailer); see Ping.
-	Accept bool
+	Nonce  uint32
 	Codecs uint8
 	Level  uint8
 }
 
 func (*Pong) Type() MsgType { return MsgPong }
 
-func (p *Pong) EncodeBody(e *cdr.Encoder) {
-	e.WriteULong(p.Nonce)
-	if p.Accept {
-		e.WriteOctet(CompExtVersion)
-		e.WriteOctet(p.Codecs)
-		e.WriteOctet(p.Level)
-	}
+func (p *Pong) EncodeBody(e *cdr.Encoder) { encodeProbe(e, p.Nonce, p.Codecs, p.Level) }
+
+func encodeProbe(e *cdr.Encoder, nonce uint32, codecs, level uint8) {
+	e.WriteULong(nonce)
+	e.WriteOctet(codecs)
+	e.WriteOctet(level)
 }
 
-func decodePong(d *cdr.Decoder) (*Pong, error) {
-	n, err := d.ReadULong()
-	if err != nil {
+func decodeProbe(d *cdr.Decoder, nonce *uint32, codecs, level *uint8) (err error) {
+	if *nonce, err = d.ReadULong(); err != nil {
+		return err
+	}
+	if *codecs, err = d.ReadOctet(); err != nil {
+		return err
+	}
+	*level, err = d.ReadOctet()
+	return err
+}
+
+func decodePing(d *cdr.Decoder) (*Ping, error) {
+	p := new(Ping)
+	if err := decodeProbe(d, &p.Nonce, &p.Codecs, &p.Level); err != nil {
 		return nil, err
 	}
-	p := &Pong{Nonce: n}
-	p.Accept, p.Codecs, p.Level = decodeCompExt(d)
 	return p, nil
 }
 
-// decodeCompExt reads the optional compression trailer of a Ping/Pong
-// body. Missing, short, or unknown-version trailers all decode as "no
-// offer" — never an error, so a malformed trailer can at worst disable
-// compression, not kill the connection.
-func decodeCompExt(d *cdr.Decoder) (ok bool, codecs, level uint8) {
-	if d.Remaining() < 3 {
-		return false, 0, 0
+func decodePong(d *cdr.Decoder) (*Pong, error) {
+	p := new(Pong)
+	if err := decodeProbe(d, &p.Nonce, &p.Codecs, &p.Level); err != nil {
+		return nil, err
 	}
-	v, err := d.ReadOctet()
-	if err != nil || v != CompExtVersion {
-		return false, 0, 0
-	}
-	c, err := d.ReadOctet()
-	if err != nil {
-		return false, 0, 0
-	}
-	l, err := d.ReadOctet()
-	if err != nil {
-		return false, 0, 0
-	}
-	return true, c, l
+	return p, nil
 }
 
 // Encode renders a complete single-frame message (header + body) in the

@@ -7,52 +7,6 @@ import (
 	"repro/internal/cdr"
 )
 
-// encodeOldFormatData renders a Data body the way pre-pipelining encoders
-// did: the byte after Reply is alignment padding (zero), not a Flags octet.
-func encodeOldFormatData(d *Data, ord cdr.ByteOrder) []byte {
-	e := cdr.NewEncoder(ord)
-	e.WriteULong(d.RequestID)
-	e.WriteULong(d.ArgIndex)
-	e.WriteULong(d.SrcRank)
-	e.WriteULong(d.DstRank)
-	e.WriteULongLong(d.DstOff)
-	e.WriteULongLong(d.Count)
-	e.WriteBool(d.Reply)
-	e.WriteOctets(d.Payload) // WriteULong count pads 33..35 with zeros
-	return e.Bytes()
-}
-
-// TestDataOldFormatDecodes pins backward compatibility: a body produced by an
-// old encoder (no Flags octet, zero padding) decodes with Flags == 0 and all
-// other fields intact, and is byte-identical to a new-format body with zero
-// Flags — so old decoders likewise accept new-format zero-flag bodies.
-func TestDataOldFormatDecodes(t *testing.T) {
-	for _, ord := range bothOrders {
-		d := &Data{
-			RequestID: 42, ArgIndex: 1, SrcRank: 2, DstRank: 3,
-			DstOff: 4096, Count: 512, Reply: true, Payload: []byte{9, 8, 7, 6},
-		}
-		old := encodeOldFormatData(d, ord)
-		e := cdr.NewEncoder(ord)
-		d.EncodeBody(e)
-		if string(old) != string(e.Bytes()) {
-			t.Fatalf("%v: zero-flag new-format body differs from old-format body", ord)
-		}
-		m, err := DecodeBody(MsgData, old, ord)
-		if err != nil {
-			t.Fatalf("%v: old-format body rejected: %v", ord, err)
-		}
-		got := m.(*Data)
-		if got.Flags != 0 || got.Chunked() || got.LastChunk() {
-			t.Fatalf("%v: old-format body decoded with flags %#x", ord, got.Flags)
-		}
-		if got.RequestID != d.RequestID || got.DstOff != d.DstOff || got.Count != d.Count ||
-			!got.Reply || string(got.Payload) != string(d.Payload) {
-			t.Fatalf("%v: old-format body fields corrupted: %+v", ord, got)
-		}
-	}
-}
-
 // TestDataChunkFlagsRoundTrip checks the chunk framing bits survive an
 // encode/decode cycle and that the accessors reflect them.
 func TestDataChunkFlagsRoundTrip(t *testing.T) {
@@ -90,9 +44,9 @@ func TestDataReservedFlagBitsRejected(t *testing.T) {
 	}
 }
 
-// TestHeaderStreamChunkFlag checks the new header bit decodes, the accessor
-// sees it, older-format headers (bit clear) are untouched, and the next
-// reserved bit is still rejected.
+// TestHeaderStreamChunkFlag checks the stream-chunk header bit decodes, the
+// accessor sees it, a header without it reports none, and the next reserved
+// bit is rejected.
 func TestHeaderStreamChunkFlag(t *testing.T) {
 	h := EncodeHeader(MsgData, cdr.LittleEndian, true, 4096)
 	h[5] |= FlagStreamChunk
@@ -104,13 +58,13 @@ func TestHeaderStreamChunkFlag(t *testing.T) {
 		t.Fatalf("stream-chunk header decoded wrong: %+v", got)
 	}
 
-	old := EncodeHeader(MsgData, cdr.LittleEndian, false, 64)
-	oh, err := DecodeHeader(old[:])
+	plain := EncodeHeader(MsgData, cdr.LittleEndian, false, 64)
+	ph, err := DecodeHeader(plain[:])
 	if err != nil {
-		t.Fatalf("old-format header rejected: %v", err)
+		t.Fatalf("unmarked header rejected: %v", err)
 	}
-	if oh.StreamChunk() {
-		t.Fatal("old-format header reports stream-chunk")
+	if ph.StreamChunk() {
+		t.Fatal("unmarked header reports stream-chunk")
 	}
 
 	bad := EncodeHeader(MsgData, cdr.BigEndian, false, 1)

@@ -49,18 +49,18 @@ func TestTraceExtRoundTrip(t *testing.T) {
 }
 
 func TestOldFormatHeaderStillDecodes(t *testing.T) {
-	// The exact bytes a pre-extension peer sends: no trace flag, no
-	// extension. They must decode exactly as before the extension existed.
+	// A sender that does not stamp trace context: no trace flag, no
+	// extension.
 	b := EncodeHeader(MsgRequest, cdr.BigEndian, false, 77)
 	h, err := DecodeHeader(b[:])
 	if err != nil {
-		t.Fatalf("old-format header rejected: %v", err)
+		t.Fatalf("untraced header rejected: %v", err)
 	}
 	if h.HasTrace() || h.ExtLen() != 0 || h.Trace != 0 {
-		t.Fatalf("old-format header grew a trace: %+v", h)
+		t.Fatalf("untraced header grew a trace: %+v", h)
 	}
 	if h.Type != MsgRequest || h.Size != 77 {
-		t.Fatalf("old-format header misdecoded: %+v", h)
+		t.Fatalf("untraced header misdecoded: %+v", h)
 	}
 }
 

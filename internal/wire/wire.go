@@ -14,7 +14,7 @@
 // Every message is a 12-byte header followed by a CDR-encoded body:
 //
 //	offset 0  magic   "PDIS"
-//	offset 4  version 0x01
+//	offset 4  version 0x02; any other value is refused (ErrBadVersion)
 //	offset 5  flags   bit 0: body byte order (1 = little endian)
 //	                  bit 1: more fragments follow
 //	                  bit 2: trace-context extension present
@@ -23,13 +23,17 @@
 //	offset 7  reserved (0)
 //	offset 8  size    uint32 body length, in the header's byte order
 //
+// There is one wire version and no negotiation of it: the version octet of
+// every frame is checked, a server answers a frame of another version with
+// MessageError and closes, and a client fails the connection with an error
+// that wraps ErrBadVersion. Every field of every body is required.
+//
 // When flag bit 2 is set, an 8-byte trace-context extension (the request id
 // of the message this frame belongs to, in the header's byte order) follows
-// the fixed header before the body. Old-format headers — without the flag —
-// decode unchanged; the extension is purely additive. Flag bit 3 is likewise
-// purely informational: it marks frames carrying a chunk of a streamed
-// centralized transfer so per-frame tooling can separate pipelined bulk data
-// from control traffic without decoding bodies.
+// the fixed header before the body; a sender stamps it or not per connection.
+// Flag bit 3 is purely informational: it marks frames carrying a chunk of a
+// streamed centralized transfer so per-frame tooling can separate pipelined
+// bulk data from control traffic without decoding bodies.
 //
 // Bodies larger than a connection's fragment threshold are split across a
 // leading message and trailing Fragment messages (transport concern; see
@@ -72,7 +76,9 @@ import (
 var Magic = [4]byte{'P', 'D', 'I', 'S'}
 
 const (
-	Version = 1
+	// Version is the one protocol version this build speaks; DecodeHeader
+	// refuses every other.
+	Version = 2
 	// HeaderLen is the fixed message header size.
 	HeaderLen = 12
 	// FlagLittleEndian marks the body (and header size field) byte order.
@@ -83,14 +89,12 @@ const (
 	// extension follows the fixed header: the request id of the message the
 	// frame belongs to, in the header's byte order. Every frame of a traced
 	// message carries it — Fragment frames included — so per-frame tooling
-	// can attribute bytes to invocations without decoding bodies. Headers
-	// without the flag (the old format) decode exactly as before.
+	// can attribute bytes to invocations without decoding bodies.
 	FlagTraceContext = 1 << 2
 	// FlagStreamChunk marks a frame that carries (part of) a Data message of
 	// a streamed chunk transfer. Purely informational — the receiver's
 	// demultiplexing is driven by the Data body, not this bit — but it lets
 	// wire-level tooling meter pipelined bulk bytes without decoding bodies.
-	// Headers without the flag (the old format) decode exactly as before.
 	FlagStreamChunk = 1 << 3
 	// TraceExtLen is the length of the trace-context header extension.
 	TraceExtLen = 8

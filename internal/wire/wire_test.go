@@ -142,10 +142,13 @@ func TestHeaderValidation(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
+	// One version: its predecessor and its successor are refused alike.
 	badVersion := append([]byte(nil), good...)
-	badVersion[4] = 9
-	if _, err := DecodeHeader(badVersion); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("bad version: %v", err)
+	for _, v := range []byte{0, Version - 1, Version + 1, 9} {
+		badVersion[4] = v
+		if _, err := DecodeHeader(badVersion); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: %v", v, err)
+		}
 	}
 
 	badType := append([]byte(nil), good...)

@@ -6,16 +6,15 @@ import (
 	"testing"
 )
 
-// subEnvelopeSeed hand-rolls a dseq sub-block chunk envelope
-// ([0x03][codec][uvarint nsub][nsub × uvarint len + block]) around the
-// given encoded blocks. The envelope container lives in dseq, but its
-// bytes reaching a bare block decoder is exactly the garbage-tolerance
-// case the fuzzers guard, so the corpora seed it here.
+// subEnvelopeSeed hand-rolls a dseq compressed chunk envelope
+// ([0x02][codec][uint16 nsub][nsub × uint32 len + block], little-endian)
+// around the given encoded blocks. The envelope container lives in dseq,
+// but its bytes reaching a bare block decoder is exactly the
+// garbage-tolerance case the fuzzers guard, so the corpora seed it here.
 func subEnvelopeSeed(codec ID, blocks ...[]byte) []byte {
-	out := []byte{0x03, byte(codec)}
-	out = binary.AppendUvarint(out, uint64(len(blocks)))
+	out := binary.LittleEndian.AppendUint16([]byte{0x02, byte(codec)}, uint16(len(blocks)))
 	for _, b := range blocks {
-		out = binary.AppendUvarint(out, uint64(len(b)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
 		out = append(out, b...)
 	}
 	return out

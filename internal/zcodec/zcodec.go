@@ -46,28 +46,16 @@ func (id ID) String() string {
 	}
 }
 
-// Codec-support bitmask, as advertised in the Ping/Pong handshake
-// extension. One bit per codec so the intersection of two offers is a
-// single AND. High bits are capability flags negotiated the same way:
-// MaskSubBlock advertises that the peer's decoder understands the
-// parallel sub-block chunk envelope (marker 0x03). A peer that predates
-// sub-blocks simply never offers the bit, the AND strips it, and the
-// sender falls back to single-block 0x02 envelopes — structural
-// backward compatibility with no version handshake.
+// Codec-support bitmask, as advertised in the Ping/Pong handshake. One
+// bit per codec so the intersection of two offers is a single AND.
 const (
-	MaskDelta    uint8 = 1 << 0
-	MaskXOR      uint8 = 1 << 1
-	MaskAll            = MaskDelta | MaskXOR
-	MaskSubBlock uint8 = 1 << 6
-
-	// MaskCodecs selects the codec bits of a mask, excluding
-	// capability flags.
-	MaskCodecs = MaskAll
+	MaskDelta uint8 = 1 << 0
+	MaskXOR   uint8 = 1 << 1
+	MaskAll         = MaskDelta | MaskXOR
 )
 
-// Supported is the mask this build advertises: every codec plus the
-// sub-block envelope capability.
-const Supported = MaskAll | MaskSubBlock
+// Supported is the mask this build advertises: every codec.
+const Supported = MaskAll
 
 // HasCodec reports whether mask admits the given codec.
 func HasCodec(mask uint8, id ID) bool {
@@ -82,17 +70,15 @@ func HasCodec(mask uint8, id ID) bool {
 }
 
 // ParseMask parses a user-facing codec selection ("off", "delta",
-// "xor", "all"/"auto") into a support mask. Codec selections other
-// than "off" include the sub-block capability bit; negotiation strips
-// it against peers that lack it.
+// "xor", "all"/"auto") into a support mask.
 func ParseMask(s string) (uint8, error) {
 	switch s {
 	case "", "off", "none":
 		return 0, nil
 	case "delta":
-		return MaskDelta | MaskSubBlock, nil
+		return MaskDelta, nil
 	case "xor":
-		return MaskXOR | MaskSubBlock, nil
+		return MaskXOR, nil
 	case "all", "auto", "always":
 		return Supported, nil
 	default:
@@ -102,27 +88,18 @@ func ParseMask(s string) (uint8, error) {
 
 // MaskString renders a support mask for logs and wiredump output.
 func MaskString(mask uint8) string {
-	if mask == 0 {
+	switch mask {
+	case 0:
 		return "off"
-	}
-	if mask&^(MaskCodecs|MaskSubBlock) != 0 {
-		return fmt.Sprintf("mask(0x%02x)", mask)
-	}
-	var s string
-	switch mask & MaskCodecs {
 	case MaskDelta:
-		s = "delta"
+		return "delta"
 	case MaskXOR:
-		s = "xor"
+		return "xor"
 	case MaskAll:
-		s = "all"
-	default: // capability bits with no codec
+		return "all"
+	default:
 		return fmt.Sprintf("mask(0x%02x)", mask)
 	}
-	if mask&MaskSubBlock != 0 {
-		s += "+sub"
-	}
-	return s
 }
 
 // Policy selects how a negotiated codec mask is applied per transfer
@@ -156,8 +133,8 @@ func (p Policy) String() string {
 
 // ParseMode parses a user-facing compression mode into a (mask,
 // policy) pair: "off" disables, codec names ("delta", "xor", "all")
-// pin PolicyAlways — preserving the pre-adaptive meaning of selecting
-// a codec — and "auto" enables every codec under the adaptive policy.
+// pin PolicyAlways (naming a codec asks for it) and "auto" enables every
+// codec under the adaptive policy.
 func ParseMode(s string) (uint8, Policy, error) {
 	mask, err := ParseMask(s)
 	if err != nil {

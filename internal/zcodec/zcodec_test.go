@@ -235,7 +235,7 @@ func TestAppendDoublesNoAllocWithCapacity(t *testing.T) {
 func TestParseMask(t *testing.T) {
 	for s, want := range map[string]uint8{
 		"": 0, "off": 0, "none": 0,
-		"delta": MaskDelta | MaskSubBlock, "xor": MaskXOR | MaskSubBlock,
+		"delta": MaskDelta, "xor": MaskXOR,
 		"all": Supported, "auto": Supported, "always": Supported,
 	} {
 		got, err := ParseMask(s)
@@ -249,8 +249,8 @@ func TestParseMask(t *testing.T) {
 	if MaskString(MaskXOR) != "xor" || MaskString(0) != "off" || MaskString(MaskAll) != "all" {
 		t.Fatal("MaskString mismatch")
 	}
-	if MaskString(Supported) != "all+sub" || MaskString(MaskDelta|MaskSubBlock) != "delta+sub" {
-		t.Fatalf("MaskString sub-block mismatch: %q, %q", MaskString(Supported), MaskString(MaskDelta|MaskSubBlock))
+	if Supported != MaskAll || MaskString(MaskDelta) != "delta" {
+		t.Fatalf("Supported = %#x, MaskString(MaskDelta) = %q", Supported, MaskString(MaskDelta))
 	}
 	if MaskString(0x80) != "mask(0x80)" || MaskString(MaskAll|0x80) != "mask(0x83)" {
 		t.Fatal("MaskString unknown-bit mismatch")
@@ -261,8 +261,8 @@ func TestParseMask(t *testing.T) {
 	if !HasCodec(MaskAll, XOR) || !HasCodec(MaskAll, Delta) || HasCodec(MaskDelta, XOR) || HasCodec(MaskAll, None) {
 		t.Fatal("HasCodec mismatch")
 	}
-	if HasCodec(MaskSubBlock, XOR) || HasCodec(MaskSubBlock, Delta) {
-		t.Fatal("capability bit must not admit a codec")
+	if HasCodec(0x40, XOR) || HasCodec(0x40, Delta) {
+		t.Fatal("an undefined mask bit admitted a codec")
 	}
 }
 
@@ -274,8 +274,8 @@ func TestParseMode(t *testing.T) {
 	}{
 		{"off", 0, PolicyNever},
 		{"", 0, PolicyNever},
-		{"delta", MaskDelta | MaskSubBlock, PolicyAlways},
-		{"xor", MaskXOR | MaskSubBlock, PolicyAlways},
+		{"delta", MaskDelta, PolicyAlways},
+		{"xor", MaskXOR, PolicyAlways},
 		{"all", Supported, PolicyAlways},
 		{"always", Supported, PolicyAlways},
 		{"auto", Supported, PolicyAuto},
