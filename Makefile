@@ -33,7 +33,7 @@ RESIZE_COVER_FLOOR ?= 75
 FLAKECOUNT ?= 20
 FLAKETIMEOUT ?= 300s
 
-.PHONY: check vet staticcheck build test race flake fuzz-smoke bench-pair cover
+.PHONY: check vet staticcheck build test race flake fuzz-smoke bench-pair cover size
 
 # No benchmark is a prerequisite: bench/ (BENCHMARK.json) is gated by the
 # driver on its own, and a speed claim rests on `make bench-pair`.
@@ -68,8 +68,9 @@ race:
 # (fanin_test.go), the transport's pool-balance suites (zero-copy writes,
 # reassembly and its failure paths), and the chunk-buffer ledger, fault and
 # run-ahead suites with the one chunk sender's (the last two packages under
-# -race: their failure mode is a buffer observed while in flight), FLAKECOUNT
-# times each.
+# -race: their failure mode is a buffer observed while in flight) and the
+# direct legs' frame ledger beside it (a frame observed after release),
+# FLAKECOUNT times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers' \
@@ -78,13 +79,28 @@ flake:
 		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestFragmentedDataPreallocation|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames' \
 		./internal/transport
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
-	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkSender' ./internal/core
+	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkSender|TestMultiportFramesReturned' ./internal/core
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the
 # working tree, alternated on this box, with medians, quartiles and wins per
 # metric (scripts/bench-pair.sh has the rule). What a speed claim rests on.
 bench-pair:
 	bash scripts/bench-pair.sh --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(PAIR_SECONDS) --trace $(TRACE) --seed $(SEED)
+
+# Go line counts by the one rule CHANGES.md entries and ROADMAP line targets
+# use — `find … -name '*.go' ! -path './.bench_build/*' | xargs cat | wc -l` —
+# non-test and test apart: per package directory (bench/ among them), then the
+# totals a size claim quotes.
+size:
+	@count() { find "$$@" ! -path './.bench_build/*' | xargs cat | wc -l; }; \
+	for d in $$(find . -name '*.go' ! -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		printf '%-28s %6d non-test %6d test\n' $$d \
+			$$(count $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') $$(count $$d -maxdepth 1 -name '*_test.go'); \
+	done; \
+	printf '%-28s %6d non-test\n' 'all outside bench/' $$(count . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
+	printf '%-28s %6d non-test %6d test\n' 'all Go' $$(count . -name '*.go' ! -name '*_test.go') $$(count . -name '*_test.go'); \
+	printf '%-28s %6d (Go %d + Makefile %d)\n' 'Go + Makefile' \
+		$$(( $$(count . -name '*.go') + $$(wc -l < Makefile) )) $$(count . -name '*.go') $$(wc -l < Makefile)
 
 # Per-package coverage report (cover.out is gitignored). Floors are
 # enforced for internal/obs and internal/testutil; every other package is

@@ -60,11 +60,12 @@ type BindOptions struct {
 	// as with the depth-1 engine, the SPMD discipline requires every thread
 	// to issue the same invocations in the same order.
 	PipelineDepth int
-	// StreamChunkElems tunes the streamed centralized transfer: large
-	// centralized arguments are gathered, shipped, and scattered in chunks
-	// of this many elements, overlapping collective (un)marshalling with
-	// the wire. 0 means DefaultStreamChunkElems; negative disables
-	// streaming (whole-sequence transfers).
+	// StreamChunkElems is the chunk size, in elements, of the chunked
+	// centralized transfer: an invocation with an In/InOut argument of at
+	// least two chunks gathers, ships and scatters its arguments chunk by
+	// chunk, overlapping collective (un)marshalling with the wire; smaller
+	// ones ride inline in the request. 0 or negative means
+	// DefaultStreamChunkElems.
 	StreamChunkElems int
 	// Sharding configures consistent-hash routing across the profiles of a
 	// multi-profile reference, each profile being one shard group announced
@@ -174,12 +175,11 @@ func (o BindOptions) newClient() *orb.Client {
 // the object must be called by all the threads that participated in the bind
 // call, and will result in making one request on the object", paper §2.1).
 type Binding struct {
-	comm    *rts.Comm
-	client  *orb.Client
-	ref     orb.IOR
-	ops     map[string]OpDesc
-	method  Method
-	ownsCli bool
+	comm   *rts.Comm
+	client *orb.Client
+	ref    orb.IOR
+	ops    map[string]OpDesc
+	method Method
 	// sharedKey, when non-empty, marks the client as borrowed from the
 	// process-wide shared pool under that key; Close releases the reference
 	// instead of closing the client.
@@ -197,8 +197,7 @@ type Binding struct {
 	laneSeq  uint64
 	inflight *obs.Gauge // lanes currently busy; nil when metrics are off
 
-	// chunkElems is the streamed-transfer chunk size in elements; 0 disables
-	// streaming on this binding.
+	// chunkElems is the chunked shape's chunk size in elements (shapeOf).
 	chunkElems int
 
 	// comp is the binding's offered compression mask (BindOptions.Compression
@@ -302,7 +301,7 @@ func SPMDBind(comm *rts.Comm, name, nameServer string, opts ...BindOptions) (*Bi
 
 // SPMDBindRef is SPMDBind for a reference obtained out of band (a
 // stringified IOR passed between processes). Collective.
-func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (*Binding, error) {
+func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, err error) {
 	var o BindOptions
 	if len(opts) > 0 {
 		o = opts[0]
@@ -315,33 +314,44 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (*Binding, er
 	if err != nil {
 		return nil, err
 	}
-	var sharedKey string
-	var client *orb.Client
+	ce := o.StreamChunkElems
+	if ce <= 0 {
+		ce = DefaultStreamChunkElems
+	}
+	b := &Binding{
+		comm:       engine,
+		ref:        ref,
+		method:     o.Method,
+		rec:        o.Trace,
+		chunkElems: ce,
+		comp:       o.effComp(),
+		policy:     o.CompressionPolicy,
+		sharding:   o.Sharding,
+		refEpoch:   uint32(ref.Epoch),
+	}
 	if o.ShareConnection {
-		sharedKey = o.clientKey()
-		client = sharedClients.Acquire(sharedKey, func() *orb.Client {
+		b.sharedKey = o.clientKey()
+		b.client = sharedClients.Acquire(b.sharedKey, func() *orb.Client {
 			cli := o.newClient()
 			cli.Principal = "spmd-client/shared"
 			return cli
 		})
 	} else {
-		client = o.newClient()
-		client.Principal = fmt.Sprintf("spmd-client/%d", engine.Rank())
+		b.client = o.newClient()
+		b.client.Principal = fmt.Sprintf("spmd-client/%d", engine.Rank())
 	}
-	// closeCli is the error-path teardown: drop the pool reference for a
-	// shared client, close a private one.
-	closeCli := func() {
-		if sharedKey != "" {
-			sharedClients.Release(sharedKey)
-		} else {
-			client.Close()
+	// A failed bind gives its client back: the pool reference of a shared
+	// one is dropped, a private one closed.
+	defer func() {
+		if err != nil {
+			b.Close()
 		}
-	}
+	}()
 
 	// Thread 0 fetches the interface description; everyone shares it.
 	var tableBytes []byte
 	if engine.Rank() == 0 {
-		reply, err := client.Invoke(ref, describeOp, orb.NewArgEncoder().Bytes(), false)
+		reply, err := b.client.Invoke(ref, describeOp, orb.NewArgEncoder().Bytes(), false)
 		if err != nil {
 			tableBytes = append([]byte{'!'}, flattenErr(err)...)
 		} else {
@@ -350,30 +360,25 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (*Binding, er
 	}
 	tableBytes, err = engine.Bcast(0, tableBytes)
 	if err != nil {
-		closeCli()
 		return nil, err
 	}
 	if len(tableBytes) == 0 {
-		closeCli()
 		return nil, fmt.Errorf("%w: empty interface description", ErrBadHeader)
 	}
 	if tableBytes[0] == '!' {
-		closeCli()
 		return nil, unflattenErr("describing object", tableBytes[1:])
 	}
 	d, err := orb.ArgDecoder(tableBytes[1:])
 	if err != nil {
-		closeCli()
 		return nil, err
 	}
 	descs, err := decodeOpTable(d)
 	if err != nil {
-		closeCli()
 		return nil, err
 	}
-	ops := make(map[string]OpDesc, len(descs))
+	b.ops = make(map[string]OpDesc, len(descs))
 	for _, desc := range descs {
-		ops[desc.Name] = desc
+		b.ops[desc.Name] = desc
 	}
 	depth := o.PipelineDepth
 	if depth < 1 {
@@ -386,49 +391,26 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (*Binding, er
 	// duplicated context, allocated in one collective round. Every rank
 	// clamps depth from the shared options identically, so the Dups call
 	// count agrees.
-	lanes := make([]bindLane, 1, depth)
-	lanes[0] = newLane(engine)
+	b.lanes = make([]bindLane, 1, depth)
+	b.lanes[0] = newLane(engine)
 	if depth > 1 {
 		extra, err := engine.Dups(depth - 1)
 		if err != nil {
-			closeCli()
 			return nil, err
 		}
 		for _, c := range extra {
-			lanes = append(lanes, newLane(c))
+			b.lanes = append(b.lanes, newLane(c))
 		}
-	}
-	ce := o.StreamChunkElems
-	if ce == 0 {
-		ce = DefaultStreamChunkElems
-	} else if ce < 0 {
-		ce = 0
-	}
-	b := &Binding{
-		comm:       engine,
-		client:     client,
-		ref:        ref,
-		ops:        ops,
-		method:     o.Method,
-		ownsCli:    true,
-		sharedKey:  sharedKey,
-		rec:        o.Trace,
-		lanes:      lanes,
-		chunkElems: ce,
-		comp:       o.effComp(),
-		policy:     o.CompressionPolicy,
-		sharding:   o.Sharding,
-		refEpoch:   uint32(ref.Epoch),
 	}
 	if o.Metrics != nil {
 		b.inflight = o.Metrics.Gauge("core.pipeline_inflight")
 		b.compSkipped = o.Metrics.Counter("core.compress.skipped_total")
 	}
 	if o.Method == Multiport && !ref.Multiport() {
-		b.Close()
 		return nil, ErrNoMultiport
 	}
-	b.span(0, obs.PhaseBind, bindStart)
+	// The bind is traced as a phase of invocation 0, the token no call carries.
+	(&invocation{b: b, comm: engine}).phase(obs.PhaseBind, bindStart, time.Since(bindStart))
 	return b, nil
 }
 
@@ -476,9 +458,7 @@ func (b *Binding) Close() {
 		b.sharedKey = ""
 		return
 	}
-	if b.ownsCli {
-		b.client.Close()
-	}
+	b.client.Close()
 }
 
 // flattenErr renders thread 0's bind-time error for a collective broadcast,

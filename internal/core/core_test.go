@@ -125,6 +125,13 @@ type testCluster struct {
 
 func startCluster(t *testing.T, sRanks int, multiport bool, argSpec dist.Spec, tweak ...func(*ExportOptions)) *testCluster {
 	t.Helper()
+	return startClusterOps(t, sRanks, multiport, func() []Operation { return testObjectOps(argSpec) }, tweak...)
+}
+
+// startClusterOps is startCluster for a test that brings its own operation
+// table (built once per computing thread).
+func startClusterOps(t *testing.T, sRanks int, multiport bool, ops func() []Operation, tweak ...func(*ExportOptions)) *testCluster {
+	t.Helper()
 	ns, err := naming.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +155,7 @@ func startCluster(t *testing.T, sRanks int, multiport bool, argSpec dist.Spec, t
 			for _, f := range tweak {
 				f(&opts)
 			}
-			obj, err := Export(c, opts, testObjectOps(argSpec))
+			obj, err := Export(c, opts, ops())
 			if err != nil {
 				once.Do(func() { close(ready) })
 				return err
@@ -194,19 +201,7 @@ func startCluster(t *testing.T, sRanks int, multiport bool, argSpec dist.Spec, t
 // object.
 func (tc *testCluster) runClient(t *testing.T, cRanks int, method Method, fn func(c *rts.Comm, b *Binding) error) {
 	t.Helper()
-	w := rts.NewWorld(cRanks, rts.Options{RecvTimeout: testTimeout})
-	defer w.Close()
-	err := w.Run(func(c *rts.Comm) error {
-		b, err := SPMDBind(c, "example", tc.ns.Addr(), BindOptions{Method: method, Timeout: testTimeout})
-		if err != nil {
-			return err
-		}
-		defer b.Close()
-		return fn(c, b)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tc.runClientOpts(t, cRanks, BindOptions{Method: method, Timeout: testTimeout}, fn)
 }
 
 func scaleScalars(factor int32) []byte {
@@ -796,29 +791,4 @@ func TestPollNonBlocking(t *testing.T) {
 	if err := <-serverDone; err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestTimingPopulated(t *testing.T) {
-	tc := startCluster(t, 2, true, nil)
-	tc.runClient(t, 2, Multiport, func(c *rts.Comm, b *Binding) error {
-		arr, err := dseq.New(c, dseq.Float64, 4096, nil)
-		if err != nil {
-			return err
-		}
-		var tm Timing
-		if _, err := b.InvokeMethod(Multiport, "scale", scaleScalars(2), []DistArg{InOutSeq(arr)}, &tm); err != nil {
-			return err
-		}
-		if tm.Total <= 0 {
-			return fmt.Errorf("timing not populated: %+v", tm)
-		}
-		var tc2 Timing
-		if _, err := b.InvokeMethod(Centralized, "scale", scaleScalars(2), []DistArg{InOutSeq(arr)}, &tc2); err != nil {
-			return err
-		}
-		if tc2.Total <= 0 || tc2.SendRecv < 0 {
-			return fmt.Errorf("centralized timing: %+v", tc2)
-		}
-		return nil
-	})
 }

@@ -469,8 +469,8 @@ func (el *Elastic) rankMain(run *epochRun, c *rts.Comm, xfer *stateXfer, ready c
 // snapshotRank runs inside the collective serve loop on every old-epoch
 // thread (via Object.onResize): it diffs each state's old and new layouts
 // and marshals the ranges this thread owns that move, chunked, into the
-// pending transfer buffer. Compression-eligible sequences are probed through
-// dseq.RangeCompressor; receivers auto-detect, so no negotiation is needed.
+// pending transfer buffer, compressed per the export's mask; receivers
+// auto-detect, so no negotiation is needed.
 func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transferable) error {
 	el.mu.Lock()
 	p := el.pending
@@ -520,7 +520,7 @@ func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transf
 					if n > el.opts.ChunkElems {
 						n = el.opts.ChunkElems
 					}
-					payload, err := marshalRangeZ(st, m.SrcOff+off, n, mask)
+					payload, err := st.MarshalRangeZ(m.SrcOff+off, n, mask)
 					if err != nil {
 						return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
 					}
@@ -538,17 +538,6 @@ func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transf
 			Rank: int32(me), Start: start.UnixNano(), Dur: int64(time.Since(start))})
 	}
 	return nil
-}
-
-// marshalRangeZ marshals one local state range, compressing when the mask
-// allows and the sequence supports it.
-func marshalRangeZ(st dseq.Transferable, off, n int, mask uint8) ([]byte, error) {
-	if mask != 0 {
-		if z, ok := st.(dseq.RangeCompressor); ok {
-			return z.MarshalRangeZ(off, n, mask)
-		}
-	}
-	return st.MarshalRange(off, n)
 }
 
 func (el *Elastic) fault(ph ResizePhase, epoch int) error {

@@ -218,7 +218,7 @@ const bucketCapacity = 4096
 // computing thread calls it with identical options and operation tables.
 // The returned handles share one object; thread 0's carries the
 // communicating-thread endpoint.
-func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (*Object, error) {
+func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Object, err error) {
 	engine, err := comm.Dup()
 	if err != nil {
 		return nil, err
@@ -259,6 +259,12 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (*Object
 		rec:     opts.Trace,
 	}
 	o.compSkipped = opts.Server.Metrics.Counter("core.compress.skipped_total")
+	// A failed export leaves no listener behind.
+	defer func() {
+		if err != nil {
+			o.closeListeners()
+		}
+	}()
 	for i := range operations {
 		op := &operations[i]
 		if _, dup := o.ops[op.Desc.Name]; dup {
@@ -293,7 +299,6 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (*Object
 	}
 	eps, err := engine.Gather(0, epPayload)
 	if err != nil {
-		o.closeListeners()
 		return nil, err
 	}
 	var refStr string
@@ -313,12 +318,10 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (*Object
 			d := cdr.NewDecoder(p, cdr.NativeOrder)
 			host, err := d.ReadString()
 			if err != nil {
-				o.closeListeners()
 				return nil, err
 			}
 			port, err := d.ReadULong()
 			if err != nil {
-				o.closeListeners()
 				return nil, err
 			}
 			ref.Endpoints = append(ref.Endpoints, orb.Endpoint{Host: host, Port: int(port), Rank: r})
@@ -327,11 +330,9 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (*Object
 	}
 	refBytes, err := engine.Bcast(0, []byte(refStr))
 	if err != nil {
-		o.closeListeners()
 		return nil, err
 	}
 	if o.ref, err = orb.ParseIOR(string(refBytes)); err != nil {
-		o.closeListeners()
 		return nil, err
 	}
 
@@ -348,33 +349,22 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (*Object
 				bind = func() error { return res.BindReplica(opts.Name, o.ref) }
 			}
 			if err := bind(); err != nil {
-				o.closeListeners()
 				return nil, fmt.Errorf("core: registering %q: %w", opts.Name, err)
 			}
 		}
 	}
 	// Everyone waits until registration is complete before serving.
 	if err := engine.Barrier(); err != nil {
-		o.closeListeners()
 		return nil, err
 	}
 	return o, nil
 }
 
 // span records one server-side phase of invocation token on this computing
-// thread. The token is the same trace id the client side records under, so a
-// merged dump interleaves both halves of an invocation.
-func (o *Object) span(token uint32, ph obs.Phase, start time.Time) {
-	if o.rec == nil {
-		return
-	}
-	o.rec.Record(obs.Span{Trace: uint64(token), Phase: ph, Rank: int32(o.comm.Rank()),
-		Start: start.UnixNano(), Dur: int64(time.Since(start))})
-}
-
-// spanCodec is span carrying the wire-compression mask in effect for the
-// phase (0 when the transfer ran raw).
-func (o *Object) spanCodec(token uint32, ph obs.Phase, start time.Time, mask uint8) {
+// thread, with the wire-compression mask in effect for it (0: none, or the
+// phase moves no chunks). The token is the same trace id the client side
+// records under, so a merged dump interleaves both halves of an invocation.
+func (o *Object) span(token uint32, ph obs.Phase, start time.Time, mask uint8) {
 	if o.rec == nil {
 		return
 	}

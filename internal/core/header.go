@@ -34,6 +34,19 @@ type invocationHeader struct {
 // messages (centralized only).
 func (h *invocationHeader) Streamed() bool { return h.ChunkElems != 0 }
 
+// shape reads the invocation's transfer shape off the header: the method
+// names the direct shape, a chunk size the chunked one (decodeInvocationHeader
+// refuses a header that claims both).
+func (h *invocationHeader) shape() shape {
+	switch {
+	case h.Method == Multiport:
+		return shapeDirect
+	case h.Streamed():
+		return shapeChunked
+	}
+	return shapeInline
+}
+
 type headerArg struct {
 	Dir    Dir
 	Elem   string
@@ -54,10 +67,10 @@ func (h *invocationHeader) encode(e *cdr.Encoder) {
 }
 
 // inline reports whether argument i's data rides in the header, as a
-// sequence<octet> right after encodeArg's fields: the whole-payload
-// centralized request leg.
+// sequence<octet> right after encodeArg's fields: the inline shape's request
+// leg.
 func (h *invocationHeader) inline(i int) bool {
-	return h.Method == Centralized && !h.Streamed() && h.Args[i].Dir != Out
+	return h.shape() == shapeInline && h.Args[i].Dir != Out
 }
 
 // encodePrefix writes everything up to the argument list. Together with
@@ -199,7 +212,9 @@ func encodeReplyArg(e *cdr.Encoder, dir Dir, length int) {
 	e.WriteULongLong(uint64(length))
 }
 
-func decodeReplyHeader(d *cdr.Decoder, method Method, streamed bool) (*replyHeader, error) {
+// decodeReplyHeader reads a reply extension; inline says whether every
+// Out/InOut argument's data follows its length (the inline shape's reply).
+func decodeReplyHeader(d *cdr.Decoder, inline bool) (*replyHeader, error) {
 	var h replyHeader
 	var err error
 	if h.Scalars, err = d.ReadOctets(); err != nil {
@@ -231,7 +246,7 @@ func decodeReplyHeader(d *cdr.Decoder, method Method, streamed bool) (*replyHead
 			return nil, fmt.Errorf("%w: reply arg %d length %d", ErrBadHeader, i, length)
 		}
 		a.Length = int(length)
-		if method == Centralized && !streamed && a.Dir != In {
+		if inline && a.Dir != In {
 			if a.Data, err = d.ReadOctets(); err != nil {
 				return nil, fmt.Errorf("%w: reply arg %d data: %v", ErrBadHeader, i, err)
 			}

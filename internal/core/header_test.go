@@ -88,7 +88,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 		}
 		e := cdr.NewEncoder(cdr.NativeOrder)
 		h.encode(e, method, false)
-		got, err := decodeReplyHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder), method, false)
+		got, err := decodeReplyHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder), method == Centralized)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -104,7 +104,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 	sh := &replyHeader{Args: []replyArg{{Dir: Out, Length: 77, Data: []byte{1, 2}}}}
 	se := cdr.NewEncoder(cdr.NativeOrder)
 	sh.encode(se, Centralized, true)
-	sgot, err := decodeReplyHeader(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), Centralized, true)
+	sgot, err := decodeReplyHeader(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +210,8 @@ func TestHeaderDecodeNeverPanics(t *testing.T) {
 			}
 		}()
 		decodeInvocationHeader(cdr.NewDecoder(data, cdr.LittleEndian))
-		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), Centralized, false)
-		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), Centralized, true)
-		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), Multiport, false)
+		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), true)
+		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), false)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
-	"repro/internal/dist"
+	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
 	"repro/internal/rts"
@@ -38,45 +39,91 @@ type Timing struct {
 	Barrier time.Duration
 }
 
-// span records one phase of invocation token as observed by this thread.
-// The token doubles as the trace id: it is what the wire-level trace-context
-// extension carries, so client and server spans of one invocation share a key.
-func (b *Binding) span(token uint32, ph obs.Phase, start time.Time) {
-	if b.rec == nil {
-		return
+// shape is how an invocation's distributed-argument data travels: the two
+// legs that the one collective sequence (invoke here, processCall on the
+// server) runs around the request/reply exchange.
+type shape uint8
+
+const (
+	shapeInline  shape = iota // whole arguments inside the request and the reply
+	shapeChunked              // chunked Data messages through the communicating threads
+	shapeDirect               // one Data message per move, between the owning threads (multi-port)
+)
+
+// shapeOf decides a client invocation's shape from what every SPMD thread
+// passes identically, so the threads agree without communicating.
+// Centralized data is chunked when an In/InOut argument spans two chunks, so
+// the overlap pays — unless the invocation is shard-routed: chunks travel to
+// the primary profile's endpoints while the request follows the ring.
+func shapeOf(method Method, shardKey []byte, args []DistArg, chunkElems int) shape {
+	if method == Multiport {
+		return shapeDirect
 	}
-	b.rec.Record(obs.Span{Trace: uint64(token), Phase: ph, Rank: int32(b.comm.Rank()),
-		Start: start.UnixNano(), Dur: int64(time.Since(start))})
+	if len(shardKey) == 0 {
+		for _, a := range args {
+			if a.Dir != Out && a.Seq.Len() >= 2*chunkElems {
+				return shapeChunked
+			}
+		}
+	}
+	return shapeInline
 }
 
-// spanDur is span for phases whose duration is accumulated piecewise (the
-// multi-port pack time) rather than spanning one contiguous interval.
-func (b *Binding) spanDur(token uint32, ph obs.Phase, start time.Time, dur time.Duration) {
-	if b.rec == nil {
-		return
-	}
-	b.rec.Record(obs.Span{Trace: uint64(token), Phase: ph, Rank: int32(b.comm.Rank()),
-		Start: start.UnixNano(), Dur: int64(dur)})
+// invocation is what invoke hands the legs of one collective invocation on
+// one thread. It lives on invoke's stack.
+type invocation struct {
+	b      *Binding
+	comm   *rts.Comm // the lane's: every collective of the invocation rides it
+	token  uint32    // doubles as the trace id client and server spans share
+	op     string
+	args   []DistArg
+	desc   OpDesc
+	timing *Timing
+
+	sink chan *wire.Data // what the server addresses to this thread beside the reply
+	// Thread 0's request/reply exchange: its outcome, and the channel that
+	// delivers it when the forward leg launched the request beside the data.
+	reply   callResult
+	replyCh chan callResult
+	served  int32 // 1-based shard that served an inline exchange; 0 unrouted
+	ce      int   // chunked: the forward leg's chunk size in elements
+	mask    uint8 // chunked: the forward leg's agreed compression mask
 }
 
-// spanCodec is span carrying the negotiated wire-compression mask in effect
-// for the phase (0 when the transfer ran raw).
-func (b *Binding) spanCodec(token uint32, ph obs.Phase, start time.Time, mask uint8) {
-	if b.rec == nil {
+// phase closes one phase as this thread observed it: dur goes into the field
+// of the caller's Timing the phase maps to, when one is collected, and into a
+// span — a chunk send's with the mask in effect, the exchange's with the shard
+// that served — when the binding traces.
+func (iv *invocation) phase(ph obs.Phase, start time.Time, dur time.Duration) {
+	if t := iv.timing; t != nil {
+		switch ph {
+		case obs.PhaseInvoke:
+			t.Total = dur
+		case obs.PhaseGather:
+			t.Gather = dur
+		case obs.PhaseScatter:
+			t.Scatter = dur
+		case obs.PhasePack:
+			t.Pack = dur
+		case obs.PhaseSendRecv:
+			t.SendRecv = dur
+		case obs.PhaseUnpack:
+			t.Unpack = dur
+		case obs.PhaseBarrier:
+			t.Barrier = dur
+		}
+	}
+	if iv.b.rec == nil {
 		return
 	}
-	b.rec.Record(obs.Span{Trace: uint64(token), Phase: ph, Rank: int32(b.comm.Rank()),
-		Start: start.UnixNano(), Dur: int64(time.Since(start)), Codec: int32(mask)})
-}
-
-// spanShard is span carrying the 1-based shard attribute: which shard group
-// served the phase (0 when the invocation was not shard-routed).
-func (b *Binding) spanShard(token uint32, ph obs.Phase, start time.Time, shard int32) {
-	if b.rec == nil {
-		return
+	sp := obs.Span{Trace: uint64(iv.token), Phase: ph, Rank: int32(iv.comm.Rank()), Start: start.UnixNano(), Dur: int64(dur)}
+	switch ph {
+	case obs.PhaseChunkSend:
+		sp.Codec = int32(iv.mask)
+	case obs.PhaseSendRecv:
+		sp.Shard = iv.served
 	}
-	b.rec.Record(obs.Span{Trace: uint64(token), Phase: ph, Rank: int32(b.comm.Rank()),
-		Start: start.UnixNano(), Dur: int64(time.Since(start)), Shard: shard})
+	iv.b.rec.Record(sp)
 }
 
 // wireInvoke performs rank 0's request/reply exchange for one invocation,
@@ -92,6 +139,17 @@ func (b *Binding) wireInvoke(op string, payload, shardKey []byte) ([]byte, int32
 	}
 	out, err := b.client.Invoke(b.ref, op, payload, false)
 	return out, 0, err
+}
+
+// launch starts thread 0's request/reply exchange beside the forward leg's
+// data; invoke collects the outcome from replyCh once the leg is done.
+func (iv *invocation) launch(payload []byte) {
+	b, op, ch := iv.b, iv.op, make(chan callResult, 1)
+	iv.replyCh = ch
+	go func() {
+		out, err := b.client.Invoke(b.ref, op, payload, false)
+		ch <- callResult{reply: out, err: err}
+	}()
 }
 
 // tokenCounter seeds invocation tokens; the random base makes collisions
@@ -119,53 +177,66 @@ func (b *Binding) Invoke(op string, scalars []byte, args []DistArg) ([]byte, err
 // Every SPMD thread must pass the same shardKey; only the communicating
 // thread consults it. Derive key-range keys with shard.RangeKey.
 func (b *Binding) InvokeSharded(op string, shardKey, scalars []byte, args []DistArg) ([]byte, error) {
-	ln, err := b.acquireLane()
-	if err != nil {
-		return nil, err
-	}
-	defer b.releaseLane(ln)
-	return b.invoke(ln, b.method, op, shardKey, scalars, args, nil)
+	return b.invokeBlocking(b.method, op, shardKey, scalars, args, nil)
 }
 
 // InvokeMethod is Invoke with an explicit transfer method and optional
 // timing collection.
 func (b *Binding) InvokeMethod(method Method, op string, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
+	return b.invokeBlocking(method, op, nil, scalars, args, timing)
+}
+
+// invokeBlocking runs one invocation on the next lane, on the caller's thread.
+func (b *Binding) invokeBlocking(method Method, op string, shardKey, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
 	ln, err := b.acquireLane()
 	if err != nil {
 		return nil, err
 	}
 	defer b.releaseLane(ln)
-	return b.invoke(ln, method, op, nil, scalars, args, timing)
+	return b.invoke(ln, method, op, shardKey, scalars, args, timing)
 }
 
-// invoke runs one collective invocation on the given lane. Every collective
-// in the invocation (token agreement, gathers/scatters, meta share, error
-// agreement) rides the lane's communicator, so invocations on different
-// lanes overlap without their traffic interleaving.
+// backPhase names, per shape, the phase the back leg is recorded under.
+var backPhase = [...]obs.Phase{shapeInline: obs.PhaseScatter, shapeChunked: obs.PhaseScatter, shapeDirect: obs.PhaseUnpack}
+
+// invoke runs one collective invocation on the given lane: the paper's client
+// side of §3.2 and §3.3 alike, which differ only in the two legs that move the
+// argument data. Every collective in it (token agreement, the legs' gathers
+// and scatters, meta share, error agreement) rides the lane's communicator, so
+// invocations on different lanes overlap without their traffic interleaving.
+//
+// The function is a fixed collective skeleton: every thread executes the same
+// sequence of collectives no matter where its local work fails. Local errors
+// are captured and fed into the agreements instead of returned early, so a
+// thread whose data connection was cut mid-frame cannot strand the others in
+// a collective they entered and it skipped.
 func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
 	comm := ln.comm
 	start := time.Now()
 	if timing != nil {
 		*timing = Timing{}
-		defer func() { timing.Total = time.Since(start) }()
 	}
-	desc, ok := b.ops[op]
-	if !ok {
+	iv := invocation{b: b, comm: comm, op: op, args: args, timing: timing}
+	var ok bool
+	if iv.desc, ok = b.ops[op]; !ok {
 		return nil, fmt.Errorf("%w: unknown operation %q", ErrArgMismatch, op)
 	}
-	if len(args) != len(desc.Args) {
-		return nil, fmt.Errorf("%w: %s takes %d distributed args, got %d", ErrArgMismatch, op, len(desc.Args), len(args))
+	if len(args) != len(iv.desc.Args) {
+		return nil, fmt.Errorf("%w: %s takes %d distributed args, got %d", ErrArgMismatch, op, len(iv.desc.Args), len(args))
 	}
 	for i, a := range args {
 		if a.Seq == nil {
 			return nil, fmt.Errorf("%w: arg %d is nil", ErrArgMismatch, i)
 		}
-		if a.Dir != desc.Args[i].Dir {
-			return nil, fmt.Errorf("%w: arg %d is %v, want %v", ErrArgMismatch, i, a.Dir, desc.Args[i].Dir)
+		if a.Dir != iv.desc.Args[i].Dir {
+			return nil, fmt.Errorf("%w: arg %d is %v, want %v", ErrArgMismatch, i, a.Dir, iv.desc.Args[i].Dir)
 		}
-		if a.Seq.ElemName() != desc.Args[i].Elem {
-			return nil, fmt.Errorf("%w: arg %d has element type %q, want %q", ErrArgMismatch, i, a.Seq.ElemName(), desc.Args[i].Elem)
+		if a.Seq.ElemName() != iv.desc.Args[i].Elem {
+			return nil, fmt.Errorf("%w: arg %d has element type %q, want %q", ErrArgMismatch, i, a.Seq.ElemName(), iv.desc.Args[i].Elem)
 		}
+	}
+	if method != Centralized && method != Multiport {
+		return nil, fmt.Errorf("core: unknown method %v", method)
 	}
 	if method == Multiport && !b.ref.Multiport() {
 		return nil, ErrNoMultiport
@@ -177,50 +248,133 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		// every thread passes the same shardKey and method.)
 		return nil, ErrShardMethod
 	}
+	sh := shapeOf(method, shardKey, args, b.chunkElems)
+	me := comm.Rank()
 
-	// Agree on the invocation token.
-	var tokenBytes []byte
-	if comm.Rank() == 0 {
-		e := cdr.NewEncoder(cdr.NativeOrder)
-		e.WriteULong(tokenCounter.Add(1))
-		tokenBytes = e.Bytes()
+	// Agree on the invocation token: four bytes in this process's order.
+	var tok []byte
+	if me == 0 {
+		tok = binary.NativeEndian.AppendUint32(nil, tokenCounter.Add(1))
 	}
-	tokenBytes, err := comm.Bcast(0, tokenBytes)
+	tok, err := comm.Bcast(0, tok)
 	if err != nil {
 		return nil, err
 	}
-	token, err := cdr.NewDecoder(tokenBytes, cdr.NativeOrder).ReadULong()
-	if err != nil {
-		return nil, err
+	if len(tok) != 4 {
+		return nil, fmt.Errorf("%w: token agreement", ErrBadHeader)
 	}
-	defer b.span(token, obs.PhaseInvoke, start)
+	iv.token = binary.NativeEndian.Uint32(tok)
+	defer func() { iv.phase(obs.PhaseInvoke, start, time.Since(start)) }()
 
-	switch method {
-	case Centralized:
-		// Streamed transfers ship chunk Data messages to the primary
-		// profile's endpoints, so a shard-routed invocation takes the
-		// whole-payload path (the request itself carries everything and
-		// follows the ring).
-		if len(shardKey) == 0 && b.streamEligible(args) {
-			return b.invokeCentralizedStreamed(comm, token, op, scalars, args, desc, timing)
+	// What the server sends beside the reply — result chunks to thread 0,
+	// direct moves to every thread — lands in a sink keyed by (token, thread);
+	// whatever is still in it when the invocation ends goes back to the pool.
+	if sh == shapeDirect || (sh == shapeChunked && me == 0) {
+		iv.sink = make(chan *wire.Data, bucketCapacity)
+		b.client.RegisterDataSink(iv.token, uint32(me), iv.sink)
+		defer func() {
+			b.client.UnregisterDataSink(iv.token, uint32(me))
+			drainData(iv.sink)
+		}()
+	}
+
+	// Forward leg: the header from thread 0 — first and alone in the chunked
+	// and direct shapes, as §3.3 prescribes, so concurrent clients contend
+	// only at the communicating thread — and the In/InOut data.
+	fwdStart := time.Now()
+	var fwdErr error
+	switch sh {
+	case shapeInline:
+		fwdErr = iv.sendInline(shardKey, scalars)
+	case shapeChunked:
+		fwdErr = iv.sendChunked(scalars)
+	case shapeDirect:
+		fwdErr = iv.sendDirect(scalars)
+	}
+
+	// The communicating thread collects the reply (bounded by the client
+	// timeout even when another thread's sends failed and the server never
+	// answers), or says why the request never left; everyone shares it.
+	var meta invokeMeta
+	if me == 0 {
+		if iv.replyCh != nil {
+			iv.reply = <-iv.replyCh
+		} else if fwdErr != nil {
+			iv.reply.err = fwdErr
 		}
-		return b.invokeCentralized(comm, token, op, shardKey, scalars, args, desc, timing)
-	case Multiport:
-		return b.invokeMultiport(comm, token, op, scalars, args, desc, timing)
-	default:
-		return nil, fmt.Errorf("core: unknown method %v", method)
+		meta = metaFromReply(iv.reply.reply, iv.reply.err, sh == shapeInline, len(args))
 	}
+	if sh != shapeInline {
+		iv.phase(obs.PhaseSendRecv, fwdStart, time.Since(fwdStart))
+	}
+	if err := shareMeta(comm, &meta); err != nil {
+		return nil, err
+	}
+	// An inline forward leg is collectives only — it fails everywhere or
+	// nowhere — but a chunk write or a direct send fails on one thread alone,
+	// so those shapes agree on the leg before anyone waits for results.
+	if fwdErr == nil {
+		fwdErr = meta.err
+	}
+	if sh != shapeInline {
+		fwdErr = agreeError(comm, fwdErr)
+	}
+	if fwdErr != nil {
+		return nil, fwdErr
+	}
+
+	// Back leg: size the results as the server reported them, then move the
+	// Out/InOut data back. The legs' own collectives keep the threads in step
+	// on success; the trailing agreement turns a thread-local failure (a
+	// resize, a bad payload, a lost return flow) into one error seen
+	// identically everywhere instead of a divergent early return.
+	backStart := time.Now()
+	var backErr error
+	for i, a := range args {
+		if a.Dir == Out {
+			backErr = a.Seq.ResizeAlloc(meta.lengths[i])
+		} else if a.Dir == InOut && meta.lengths[i] != a.Seq.Len() {
+			backErr = fmt.Errorf("%w: inout arg %d length %d from server, have %d", ErrBadHeader, i, meta.lengths[i], a.Seq.Len())
+		}
+		if backErr != nil {
+			break
+		}
+	}
+	if backErr == nil {
+		switch sh {
+		case shapeInline:
+			backErr = iv.recvInline(meta.datas)
+		case shapeChunked:
+			backErr = iv.recvChunked()
+		case shapeDirect:
+			backErr = iv.recvDirect()
+		}
+	}
+	iv.phase(backPhase[sh], backStart, time.Since(backStart))
+
+	// Post-invocation synchronization (the t_barrier of Table 2), fused with
+	// the error agreement so a thread whose return flows failed cannot leave
+	// the others in a hung barrier.
+	barrierStart := time.Now()
+	agreed := agreeError(comm, backErr)
+	if sh == shapeDirect {
+		iv.phase(obs.PhaseBarrier, barrierStart, time.Since(barrierStart))
+	}
+	if agreed != nil {
+		return nil, agreed
+	}
+	return meta.scalars, nil
 }
 
 // newHeader builds the invocation header thread 0 sends: the client's layout
 // for every argument it supplies, its template for every result it expects.
-func (b *Binding) newHeader(comm *rts.Comm, token uint32, op string, method Method, scalars []byte, args []DistArg) *invocationHeader {
+func (iv *invocation) newHeader(method Method, scalars []byte) *invocationHeader {
 	h := &invocationHeader{
-		Op: op, Method: method, Token: token,
-		ClientRanks: comm.Size(), Epoch: b.refEpoch, Scalars: scalars,
-		Args: make([]headerArg, len(args)),
+		Op: iv.op, Method: method, Token: iv.token,
+		ClientRanks: iv.comm.Size(), Epoch: iv.b.refEpoch, Scalars: scalars,
+		Args: make([]headerArg, len(iv.args)),
 	}
-	for i, a := range args {
+	for i, a := range iv.args {
 		h.Args[i] = headerArg{Dir: a.Dir, Elem: a.Seq.ElemName()}
 		if a.Dir == Out {
 			h.Args[i].Spec = a.Seq.Spec()
@@ -231,314 +385,75 @@ func (b *Binding) newHeader(comm *rts.Comm, token uint32, op string, method Meth
 	return h
 }
 
-// invokeCentralized implements the paper's §3.2 client side: synchronize,
-// gather and marshal at the communicating thread, one request message, then
-// scatter the results.
-func (b *Binding) invokeCentralized(comm *rts.Comm, token uint32, op string, shardKey, scalars []byte, args []DistArg, desc OpDesc, timing *Timing) ([]byte, error) {
-	// Thread 0 opens the request — header up to the argument list — and the
-	// threads gather every In/InOut argument straight into it, so the bytes
-	// the gather assembles are the bytes the transport writes. The gathers
-	// run on the lane communicator so concurrent invocations on other lanes
-	// cannot intercept the traffic.
+// seqs lists the sequences one leg carries, indexed like the arguments: nil
+// for an argument whose direction is skip (Out on the forward leg, In on the
+// back leg).
+func (iv *invocation) seqs(skip Dir) []dseq.Transferable {
+	out := make([]dseq.Transferable, len(iv.args))
+	for i, a := range iv.args {
+		if a.Dir != skip {
+			out[i] = a.Seq
+		}
+	}
+	return out
+}
+
+// sendInline is the inline forward leg, the paper's §3.2 client side: gather
+// and marshal at the communicating thread, one request message. Thread 0 opens
+// the request — header up to the argument list — and the threads gather every
+// In/InOut argument straight into it, so the bytes the gather assembles are
+// the bytes the transport writes; thread 0 then completes the exchange.
+func (iv *invocation) sendInline(shardKey, scalars []byte) error {
 	var (
 		h *invocationHeader
 		e *cdr.Encoder
 	)
-	if comm.Rank() == 0 {
+	if iv.comm.Rank() == 0 {
 		packStart := time.Now()
-		h = b.newHeader(comm, token, op, Centralized, scalars, args)
+		h = iv.newHeader(Centralized, scalars)
 		e = orb.NewArgEncoder()
 		h.encodePrefix(e)
-		if timing != nil {
-			timing.Pack = time.Since(packStart)
-		}
-		b.span(token, obs.PhasePack, packStart)
+		iv.phase(obs.PhasePack, packStart, time.Since(packStart))
 	}
 	gatherStart := time.Now()
-	for i, a := range args {
+	for i, a := range iv.args {
 		if e != nil {
 			h.encodeArg(e, i)
 		}
 		if a.Dir == Out {
 			continue
 		}
-		if err := gatherInto(comm, a.Seq, e); err != nil {
-			return nil, err
+		if err := gatherInto(iv.comm, a.Seq, e); err != nil {
+			return err
 		}
 	}
-	if timing != nil {
-		timing.Gather = time.Since(gatherStart)
-	}
-	b.span(token, obs.PhaseGather, gatherStart)
-
-	var meta invokeMeta
-	if comm.Rank() == 0 {
+	iv.phase(obs.PhaseGather, gatherStart, time.Since(gatherStart))
+	if e != nil {
 		sendStart := time.Now()
-		replyBytes, served, err := b.wireInvoke(op, e.Bytes(), shardKey)
-		if timing != nil {
-			timing.SendRecv = time.Since(sendStart)
-		}
-		b.spanShard(token, obs.PhaseSendRecv, sendStart, served)
-		meta = metaFromReply(replyBytes, err, Centralized, false)
+		iv.reply.reply, iv.served, iv.reply.err = iv.b.wireInvoke(iv.op, e.Bytes(), shardKey)
+		iv.phase(obs.PhaseSendRecv, sendStart, time.Since(sendStart))
 	}
-	if err := shareMeta(comm, &meta); err != nil {
-		return nil, err
-	}
-	if meta.err != nil {
-		return nil, meta.err
-	}
-
-	// Scatter the results. The loop's own collectives keep the threads in
-	// step on success; the trailing agreement turns any thread-local
-	// failure (a result resize, a bad scatter payload) into one error seen
-	// identically everywhere instead of a divergent early return.
-	scatterStart := time.Now()
-	scatterErr := func() error {
-		for i, a := range args {
-			if a.Dir == In {
-				continue
-			}
-			if a.Dir == Out {
-				if err := a.Seq.ResizeAlloc(meta.lengths[i]); err != nil {
-					return err
-				}
-			}
-			var data []byte
-			if comm.Rank() == 0 {
-				data = meta.datas[i]
-			}
-			if err := a.Seq.ScatterUnmarshalRange(comm, 0, 0, a.Seq.Len(), data); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	if timing != nil {
-		timing.Scatter = time.Since(scatterStart)
-	}
-	b.span(token, obs.PhaseScatter, scatterStart)
-	if agreed := agreeError(comm, scatterErr); agreed != nil {
-		return nil, agreed
-	}
-	return meta.scalars, nil
+	return nil
 }
 
-// invokeMultiport implements the paper's §3.3 client side: the header is
-// delivered centrally, the argument data flows directly between the owning
-// threads, and the threads synchronize after the invocation.
-//
-// The function is a fixed collective skeleton: every thread executes the
-// same sequence of collectives (shareMeta, then two agreeError exchanges)
-// no matter where its local work fails. Local errors are captured and fed
-// into the agreement instead of returned early, so a thread whose data
-// connection was cut mid-frame cannot strand the others in a collective
-// they entered and it skipped.
-func (b *Binding) invokeMultiport(comm *rts.Comm, token uint32, op string, scalars []byte, args []DistArg, desc OpDesc, timing *Timing) ([]byte, error) {
-	me := comm.Rank()
-	cRanks := comm.Size()
-	sRanks := b.ref.Threads
-
-	sink := make(chan *wire.Data, bucketCapacity)
-	b.client.RegisterDataSink(token, sink)
-	defer b.client.UnregisterDataSink(token)
-
-	type argPlan struct {
-		serverLayout dist.Layout
-		fwdMine      []dist.Move
-	}
-	plans := make([]argPlan, len(args))
-
-	type replyResult struct {
-		payload []byte
-		err     error
-	}
-	replyCh := make(chan replyResult, 1)
-	launched := false
-	packTotal := time.Duration(0)
-	sendStart := time.Now()
-
-	// Forward phase (purely local): plan the flows, launch the header from
-	// the communicating thread, attach for return flows, and send this
-	// thread's chunks directly to their owning server threads.
-	localErr := func() error {
-		sendTargets := map[int]bool{}
-		attachTargets := map[int]bool{}
-		for i, a := range args {
-			spec := desc.Args[i].specOrBlock()
-			if a.Dir != Out {
-				sl, err := spec.Layout(a.Seq.Len(), sRanks)
-				if err != nil {
-					return err
-				}
-				plans[i].serverLayout = sl
-				moves, err := dist.Plan(a.Seq.Layout(), sl)
-				if err != nil {
-					return err
-				}
-				plans[i].fwdMine = dist.PlanBySource(moves, cRanks)[me]
-				for _, m := range plans[i].fwdMine {
-					sendTargets[m.DstRank] = true
-				}
-				if a.Dir == InOut {
-					rev, err := dist.Plan(sl, a.Seq.Layout())
-					if err != nil {
-						return err
-					}
-					for _, m := range dist.PlanByDest(rev, cRanks)[me] {
-						attachTargets[m.SrcRank] = true
-					}
-				}
-			} else {
-				// The result length is unknown; conservatively attach to every
-				// server thread so any of them can reach us.
-				for r := 0; r < sRanks; r++ {
-					attachTargets[r] = true
-				}
-			}
+// recvInline is the inline back leg: the threads scatter the results thread 0
+// holds whole, as the reply carried them.
+func (iv *invocation) recvInline(datas [][]byte) error {
+	for i, a := range iv.args {
+		if a.Dir == In {
+			continue
 		}
-
-		// The communicating thread launches the request; the header travels
-		// first and alone, as §3.3 prescribes, so concurrent clients contend
-		// only at the communicating thread.
-		if me == 0 {
-			e := orb.NewArgEncoder()
-			b.newHeader(comm, token, op, Multiport, scalars, args).encode(e)
-			launched = true
-			go func() {
-				payload, err := b.client.Invoke(b.ref, op, e.Bytes(), false)
-				replyCh <- replyResult{payload: payload, err: err}
-			}()
+		var data []byte
+		if iv.comm.Rank() == 0 {
+			data = datas[i]
 		}
-
-		// Attach to return-flow sources we are not already sending to.
-		for r := range attachTargets {
-			if sendTargets[r] {
-				continue
-			}
-			attach := &wire.Data{RequestID: token, SrcRank: uint32(me), DstRank: uint32(r), Count: 0}
-			if err := b.client.SendData(b.ref, attach); err != nil {
-				return err
-			}
+		if err := a.Seq.ScatterUnmarshalRange(iv.comm, 0, 0, a.Seq.Len(), data); err != nil {
+			return err
 		}
-
-		for i, a := range args {
-			if a.Dir == Out {
-				continue
-			}
-			for _, m := range plans[i].fwdMine {
-				packStart := time.Now()
-				payload, err := a.Seq.MarshalRange(m.SrcOff, m.Len)
-				packTotal += time.Since(packStart)
-				if err != nil {
-					return err
-				}
-				msg := &wire.Data{
-					RequestID: token,
-					ArgIndex:  uint32(i),
-					SrcRank:   uint32(me),
-					DstRank:   uint32(m.DstRank),
-					DstOff:    uint64(m.DstOff),
-					Count:     uint64(m.Len),
-					Payload:   payload,
-				}
-				if err := b.client.SendData(b.ref, msg); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}()
-	if timing != nil {
-		timing.Pack = packTotal
 	}
-	b.spanDur(token, obs.PhasePack, sendStart, packTotal)
-
-	// The communicating thread collects the reply (bounded by the client
-	// timeout even when another thread's sends failed and the server never
-	// answers); everyone shares it.
-	var meta invokeMeta
-	if me == 0 && launched {
-		res := <-replyCh
-		meta = metaFromReply(res.payload, res.err, Multiport, false)
-	}
-	if timing != nil {
-		timing.SendRecv = time.Since(sendStart)
-	}
-	b.span(token, obs.PhaseSendRecv, sendStart)
-	if err := shareMeta(comm, &meta); err != nil {
-		return nil, err
-	}
-	phaseErr := localErr
-	if phaseErr == nil {
-		phaseErr = meta.err
-	}
-	if agreed := agreeError(comm, phaseErr); agreed != nil {
-		return nil, agreed
-	}
-
-	// Receive the return flows (purely local; bounded by the client
-	// timeout).
-	unpackStart := time.Now()
-	recvErr := func() error {
-		for i, a := range args {
-			if a.Dir == In {
-				continue
-			}
-			var clientLayout dist.Layout
-			var serverLayout dist.Layout
-			if a.Dir == Out {
-				if err := a.Seq.ResizeAlloc(meta.lengths[i]); err != nil {
-					return err
-				}
-				clientLayout = a.Seq.Layout()
-				spec := desc.Args[i].specOrBlock()
-				sl, err := spec.Layout(meta.lengths[i], sRanks)
-				if err != nil {
-					return err
-				}
-				serverLayout = sl
-			} else {
-				clientLayout = a.Seq.Layout()
-				serverLayout = plans[i].serverLayout
-			}
-			rev, err := dist.Plan(serverLayout, clientLayout)
-			if err != nil {
-				return err
-			}
-			mine := dist.PlanByDest(rev, cRanks)[me]
-			if err := consumeMoves(sink, nil, b.client.Timeout, uint32(i), true, mine, a.Seq); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	if timing != nil {
-		timing.Unpack = time.Since(unpackStart)
-	}
-	b.span(token, obs.PhaseUnpack, unpackStart)
-
-	// Post-invocation synchronization (the t_barrier of Table 2), fused
-	// with error agreement so a thread whose return flows failed cannot
-	// leave the others in a hung barrier.
-	barrierStart := time.Now()
-	agreed := agreeError(comm, recvErr)
-	if timing != nil {
-		timing.Barrier = time.Since(barrierStart)
-	}
-	b.span(token, obs.PhaseBarrier, barrierStart)
-	if agreed != nil {
-		return nil, agreed
-	}
-	return meta.scalars, nil
+	return nil
 }
 
-// agreeError merges per-thread outcomes into one collective verdict: every
-// thread contributes its local error (nil when clean) and all threads
-// return the same agreed error, the lowest failing rank's. The
-// gather+broadcast doubles as a synchronization point, which is what lets
-// the invocation and upcall paths replace bare barriers with it: a faulted
-// thread reports instead of disappearing, so no thread waits on a
-// collective its peers will never enter.
 // okOutcome is the pre-encoded "no error" outcome (encodeMetaErr of nil is
 // the single metaOK octet). Agreements run several times per upcall on every
 // thread, almost always on clean outcomes, so the success path shares these
@@ -547,6 +462,13 @@ var okOutcome = []byte{metaOK}
 
 func isOKOutcome(p []byte) bool { return len(p) == 1 && p[0] == metaOK }
 
+// agreeError merges per-thread outcomes into one collective verdict: every
+// thread contributes its local error (nil when clean) and all threads
+// return the same agreed error, the lowest failing rank's. The
+// gather+broadcast doubles as a synchronization point, which is what lets
+// the invocation and upcall paths replace bare barriers with it: a faulted
+// thread reports instead of disappearing, so no thread waits on a
+// collective its peers will never enter.
 func agreeError(comm *rts.Comm, local error) error {
 	contrib := okOutcome
 	if local != nil {
@@ -558,29 +480,13 @@ func agreeError(comm *rts.Comm, local error) error {
 	if err != nil {
 		return err
 	}
-	var payload []byte
-	if comm.Rank() == 0 {
-		var chosen error
-		for r, p := range all {
-			if isOKOutcome(p) {
-				continue
-			}
-			rerr, derr := decodeMetaErr(cdr.NewDecoder(p, cdr.NativeOrder))
-			if derr != nil {
-				// Never return early here: the other threads are already
-				// waiting in the broadcast below.
-				rerr = fmt.Errorf("core: thread %d outcome undecodable: %v", r, derr)
-			}
-			if chosen == nil && rerr != nil {
-				chosen = rerr
-			}
-		}
-		if chosen == nil {
-			payload = okOutcome
-		} else {
-			ec := cdr.NewEncoder(cdr.NativeOrder)
-			encodeMetaErr(ec, chosen)
-			payload = ec.Bytes()
+	// Thread 0 relays the lowest failing thread's outcome as it stands; every
+	// thread, this one included, decodes it below.
+	payload := okOutcome
+	for _, p := range all {
+		if !isOKOutcome(p) {
+			payload = p
+			break
 		}
 	}
 	payload, err = comm.Bcast(0, payload)
@@ -603,10 +509,12 @@ type invokeMeta struct {
 	err     error
 	scalars []byte
 	lengths []int
-	datas   [][]byte // centralized only; not broadcast (thread 0 scatters)
+	datas   [][]byte // inline shape only; not broadcast (thread 0 scatters)
 }
 
-func metaFromReply(payload []byte, err error, method Method, streamed bool) invokeMeta {
+// metaFromReply opens thread 0's reply — inline says whether the results ride
+// in it — and refuses one that does not describe the nargs arguments sent.
+func metaFromReply(payload []byte, err error, inline bool, nargs int) invokeMeta {
 	if err != nil {
 		return invokeMeta{err: err}
 	}
@@ -614,9 +522,12 @@ func metaFromReply(payload []byte, err error, method Method, streamed bool) invo
 	if derr != nil {
 		return invokeMeta{err: derr}
 	}
-	rh, derr := decodeReplyHeader(d, method, streamed)
+	rh, derr := decodeReplyHeader(d, inline)
 	if derr != nil {
 		return invokeMeta{err: derr}
+	}
+	if len(rh.Args) != nargs {
+		return invokeMeta{err: fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), nargs)}
 	}
 	m := invokeMeta{scalars: rh.Scalars, lengths: make([]int, len(rh.Args)), datas: make([][]byte, len(rh.Args))}
 	for i, a := range rh.Args {

@@ -267,8 +267,9 @@ func TestStreamedChunkAllocs(t *testing.T) {
 }
 
 // TestWholePayloadByteBudget is the byte guard beside the allocation-count
-// guards: a whole-payload centralized call may allocate only a small multiple
-// of the argument it moves, in either direction. Each layer may hold the
+// guards: an inline centralized call may allocate only a small multiple of the
+// argument it moves, in either direction — an out argument always rides inline,
+// a large in argument does when the invocation carries a shard key. Each layer may hold the
 // payload once (DESIGN.md §10): for an out argument that is the handler's own
 // storage, the gather's peer part and final encoding, the client's
 // reassembled reply and the scatter's peer part — four payloads; before the
@@ -284,7 +285,7 @@ func TestWholePayloadByteBudget(t *testing.T) {
 		budget  = 6 * payload
 	)
 	tc := startCluster(t, 2, false, nil)
-	opts := BindOptions{Method: Centralized, Timeout: testTimeout, StreamChunkElems: -1}
+	opts := BindOptions{Method: Centralized, Timeout: testTimeout}
 	tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 		out, err := dseq.New(c, dseq.Float64, 0, nil)
 		if err != nil {
@@ -306,7 +307,7 @@ func TestWholePayloadByteBudget(t *testing.T) {
 				return err
 			}},
 			{"in", func() error {
-				_, err := b.Invoke("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(in)})
+				_, err := b.InvokeSharded("sum", []byte("whole"), ScalarEncoder().Bytes(), []DistArg{InSeq(in)})
 				return err
 			}},
 		}
@@ -385,7 +386,7 @@ func TestStreamedByteBudget(t *testing.T) {
 			return err
 		}
 		in.FillFunc(func(int) float64 { return 1 })
-		if !b.streamEligible([]DistArg{InSeq(in)}) {
+		if shapeOf(Centralized, nil, []DistArg{InSeq(in)}, b.chunkElems) != shapeChunked {
 			return fmt.Errorf("a %d-element argument does not take the streamed path", elems)
 		}
 		perCall, err := bytesPerCall(c, calls, func() error {
@@ -407,12 +408,12 @@ func TestStreamedByteBudget(t *testing.T) {
 // no recorder is attached: the span helpers sit on the chunk hot loops, so
 // with tracing off they must record nothing and allocate nothing.
 func TestSpansAllocFreeWhenTracingOff(t *testing.T) {
-	b := &Binding{}
+	iv := &invocation{b: &Binding{}, token: 7}
 	o := &Object{}
 	allocs := testing.AllocsPerRun(200, func() {
-		b.span(7, obs.PhaseChunkSend, time.Time{})
-		b.spanDur(7, obs.PhaseChunkRecv, time.Time{}, time.Millisecond)
-		o.span(7, obs.PhaseChunkRecv, time.Time{})
+		iv.phase(obs.PhaseChunkSend, time.Time{}, time.Millisecond)
+		iv.phase(obs.PhaseChunkRecv, time.Time{}, time.Millisecond)
+		o.span(7, obs.PhaseChunkRecv, time.Time{}, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("span helpers with tracing off allocate %.1f/run, want 0", allocs)

@@ -130,3 +130,39 @@ func TestShareConnectionKeysAndRelease(t *testing.T) {
 		}
 	})
 }
+
+// TestShareConnectionMultiport runs the direct shape's return flows over one
+// shared client engine: every client thread's transfers come back on the same
+// connections under the same token, so only the destination thread tells them
+// apart.
+func TestShareConnectionMultiport(t *testing.T) {
+	for _, cfg := range []struct{ c, s int }{{2, 2}, {2, 4}, {4, 2}} {
+		t.Run(fmt.Sprintf("c%d-s%d", cfg.c, cfg.s), func(t *testing.T) {
+			tc := startCluster(t, cfg.s, true, nil)
+			opts := BindOptions{Method: Multiport, Timeout: testTimeout, ShareConnection: true}
+			tc.runClientOpts(t, cfg.c, opts, func(c *rts.Comm, b *Binding) error {
+				const n = 1000
+				arr, err := dseq.New(c, dseq.Float64, n, nil)
+				if err != nil {
+					return err
+				}
+				arr.FillFunc(func(g int) float64 { return float64(g) })
+				for call := 1; call <= 3; call++ {
+					if _, err := b.Invoke("scale", scaleScalars(2), []DistArg{InOutSeq(arr)}); err != nil {
+						return fmt.Errorf("call %d: %w", call, err)
+					}
+				}
+				full, err := arr.Collect()
+				if err != nil {
+					return err
+				}
+				for i, v := range full {
+					if v != float64(i)*8 {
+						return fmt.Errorf("full[%d] = %v through the shared client, want %v", i, v, float64(i)*8)
+					}
+				}
+				return nil
+			})
+		})
+	}
+}

@@ -241,18 +241,20 @@ func recvChunks(comm *rts.Comm, ch <-chan *wire.Data, stop <-chan struct{}, time
 const maxStreamChunks = 1024
 
 // chunkElemsFor returns the chunk size for a transfer leg: base elements,
-// doubled until the leg's total chunk count (across all its arguments, whose
-// element lengths are given) fits maxStreamChunks. Both peers compute it
-// from the same inputs, so the schedules agree without negotiation.
-func chunkElemsFor(base int, lengths []int) int {
+// doubled until the leg's total chunk count (across the sequences it carries;
+// nil entries skipped) fits maxStreamChunks. Both peers compute it from the
+// same lengths, so the schedules agree without negotiation.
+func chunkElemsFor(base int, seqs []dseq.Transferable) int {
 	ce := base
 	if ce < 1 {
 		ce = 1
 	}
 	for {
 		total := 0
-		for _, l := range lengths {
-			total += chunkCount(l, ce)
+		for _, seq := range seqs {
+			if seq != nil {
+				total += chunkCount(seq.Len(), ce)
+			}
 		}
 		if total <= maxStreamChunks {
 			return ce
@@ -297,30 +299,26 @@ func chunkFlagsZ(last bool, payload []byte) byte {
 	return f
 }
 
-// streamMask agrees on the compression mask for one streamed invocation:
-// thread 0 resolves the connection's negotiated mask (running the handshake
-// on first use) and shares it, so every thread feeds the collective chunk
-// marshalling the same mask. With compression off on the binding there is
-// nothing to agree on — the collective schedule is exactly the raw engine's.
-func (b *Binding) streamMask(comm *rts.Comm) (uint8, error) {
-	if b.comp == 0 {
+// agreeMask settles the compression mask of one chunked leg, on either side:
+// thread 0 resolves the mask negotiated on the leg's connection and shares it,
+// so every thread feeds the collective chunk marshalling the same mask. Under
+// Auto the estimator can veto a negotiated codec for this leg — on a link
+// faster than we can encode, raw wins — once, at the single point the mask is
+// resolved, so the collective schedule stays deterministic across threads.
+// With nothing offered (accepted, on the server) every thread skips the
+// broadcast, the options being replicated: exactly the raw engine's schedule.
+func agreeMask(comm *rts.Comm, offered uint8, policy zcodec.Policy, skipped *obs.Counter,
+	negotiated func() (mask uint8, wireBps float64)) (uint8, error) {
+	if offered == 0 {
 		return 0, nil
 	}
 	var mb []byte
 	if comm.Rank() == 0 {
-		wait := b.client.Timeout
-		if wait <= 0 || wait > 5*time.Second {
-			wait = 5 * time.Second
-		}
-		m := b.client.NegotiatedCompression(b.ref, wait) & b.comp
-		// Under Auto the estimator can veto a negotiated codec for this
-		// invocation: on a link faster than we can encode, raw wins. The
-		// decision is made once, at the same single point the mask is
-		// resolved, and broadcast — so the collective schedule stays
-		// deterministic across threads.
-		if m != 0 && b.policy == zcodec.PolicyAuto && !compressionWins(b.client.WireBandwidth(b.ref)) {
+		m, bps := negotiated()
+		m &= offered
+		if m != 0 && policy == zcodec.PolicyAuto && !compressionWins(bps) {
 			m = 0
-			b.compSkipped.Inc()
+			skipped.Inc()
 		}
 		mb = []byte{m}
 	}
@@ -332,23 +330,6 @@ func (b *Binding) streamMask(comm *rts.Comm) (uint8, error) {
 		return 0, fmt.Errorf("%w: compression mask agreement", ErrBadHeader)
 	}
 	return mb[0], nil
-}
-
-// streamEligible decides whether an invocation takes the streamed
-// centralized path. The decision is a pure function of the binding options
-// and the arguments' global lengths, so every SPMD thread decides identically
-// without communicating: streaming must be enabled, and at least one
-// In/InOut argument must be large enough (two chunks) for the overlap to pay.
-func (b *Binding) streamEligible(args []DistArg) bool {
-	if b.chunkElems <= 0 {
-		return false
-	}
-	for _, a := range args {
-		if a.Dir != Out && a.Seq.Len() >= 2*b.chunkElems {
-			return true
-		}
-	}
-	return false
 }
 
 // gatherInto is the whole-payload mover of both legs: the threads of c
@@ -423,127 +404,56 @@ func drainData(ch chan *wire.Data) {
 	}
 }
 
-// invokeCentralizedStreamed is invokeCentralized with the staged
-// gather→pack→send replaced by a chunked pipeline. The collective schedule
-// is fixed: every thread walks the same chunks of the same arguments in the
-// same order, and local failures are carried through the schedule (thread 0
-// substitutes fail-marker payloads) rather than breaking it, so a failure
-// surfaces as one agreed error instead of a stranded collective.
-func (b *Binding) invokeCentralizedStreamed(comm *rts.Comm, token uint32, op string, scalars []byte, args []DistArg, desc OpDesc, timing *Timing) ([]byte, error) {
-	me := comm.Rank()
-	ins, outs := make([]dseq.Transferable, len(args)), make([]dseq.Transferable, len(args))
-	inLens := make([]int, 0, len(args))
-	for i, a := range args {
-		if a.Dir != Out {
-			ins[i] = a.Seq
-			inLens = append(inLens, a.Seq.Len())
+// sendChunked is the chunked forward leg: the inline shape's staged
+// gather→pack→send as a pipeline. The collective schedule is fixed — every
+// thread walks the same chunks of the same arguments in the same order — and
+// local failures are carried through it (thread 0 substitutes fail-marker
+// payloads), so a failure surfaces as one agreed error instead of a stranded
+// collective.
+func (iv *invocation) sendChunked(scalars []byte) error {
+	b, ins := iv.b, iv.seqs(Out)
+	iv.ce = chunkElemsFor(b.chunkElems, ins)
+	var err error
+	iv.mask, err = agreeMask(iv.comm, b.comp, b.policy, b.compSkipped, func() (uint8, float64) {
+		// Resolving the mask runs the handshake on the connection's first use.
+		wait := b.client.Timeout
+		if wait <= 0 || wait > 5*time.Second {
+			wait = 5 * time.Second
 		}
-		if a.Dir != In {
-			outs[i] = a.Seq
-		}
-	}
-	ce := chunkElemsFor(b.chunkElems, inLens)
-	mask, err := b.streamMask(comm)
+		return b.client.NegotiatedCompression(b.ref, wait), b.client.WireBandwidth(b.ref)
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	type replyResult struct {
-		payload []byte
-		err     error
-	}
-	var sink chan *wire.Data
-	var cs *chunkSender
-	replyCh := make(chan replyResult, 1)
-	sendStart := time.Now()
-
 	// The communicating thread launches the request first — the header
 	// travels ahead of the chunks, which the server buffers per token
 	// either way — then joins the collective chunk schedule as its sender.
-	if me == 0 {
-		sink = make(chan *wire.Data, bucketCapacity)
-		b.client.RegisterDataSink(token, sink)
-		defer func() {
-			b.client.UnregisterDataSink(token)
-			drainData(sink)
-		}()
+	var cs *chunkSender
+	if iv.comm.Rank() == 0 {
 		packStart := time.Now()
-		h := b.newHeader(comm, token, op, Centralized, scalars, args)
-		h.ChunkElems = uint32(ce)
+		h := iv.newHeader(Centralized, scalars)
+		h.ChunkElems = uint32(iv.ce)
 		e := orb.NewArgEncoder()
 		h.encode(e)
-		if timing != nil {
-			timing.Pack = time.Since(packStart)
-		}
-		b.span(token, obs.PhasePack, packStart)
-		go func() {
-			payload, err := b.client.Invoke(b.ref, op, e.Bytes(), false)
-			replyCh <- replyResult{payload: payload, err: err}
-		}()
+		iv.phase(obs.PhasePack, packStart, time.Since(packStart))
+		iv.launch(e.Bytes())
 		cs = newChunkSender(connWriter(b.client.DataConn(b.ref, 0)))
 	}
+	// Gather-marshal chunk k+1 over the runtime system while chunk k is on
+	// the wire.
+	gatherStart := time.Now()
+	gather, err := sendChunks(iv.comm, cs, iv.token, false, iv.ce, iv.mask, ins,
+		func(t time.Time) { iv.phase(obs.PhaseChunkSend, t, time.Since(t)) })
+	iv.phase(obs.PhaseGather, gatherStart, gather)
+	return err
+}
 
-	// Request leg: gather-marshal chunk k+1 over the runtime system while
-	// chunk k is on the wire.
-	gatherTotal, streamErr := sendChunks(comm, cs, token, false, ce, mask, ins,
-		func(t time.Time) { b.spanCodec(token, obs.PhaseChunkSend, t, mask) })
-	if timing != nil {
-		timing.Gather = gatherTotal
-	}
-	b.spanDur(token, obs.PhaseGather, sendStart, gatherTotal)
-
-	// The communicating thread collects the reply (bounded by the client
-	// timeout); everyone shares it, then agrees on the request leg.
-	var meta invokeMeta
-	if me == 0 {
-		res := <-replyCh
-		meta = metaFromReply(res.payload, res.err, Centralized, true)
-	}
-	if timing != nil {
-		timing.SendRecv = time.Since(sendStart)
-	}
-	b.span(token, obs.PhaseSendRecv, sendStart)
-	if err := shareMeta(comm, &meta); err != nil {
-		return nil, err
-	}
-	phaseErr := streamErr
-	if phaseErr == nil {
-		phaseErr = meta.err
-	}
-	if agreed := agreeError(comm, phaseErr); agreed != nil {
-		return nil, agreed
-	}
-
-	// Reply leg: the server wrote every reply chunk before the Reply on the
-	// same connection, so by now they are in (or streaming into) the sink in
-	// schedule order. The reply chunk size is recomputed from the result
-	// lengths exactly as the server did, so the schedules agree.
-	outLens := make([]int, 0, len(args))
-	for i, a := range args {
-		if a.Dir != In {
-			outLens = append(outLens, meta.lengths[i])
-		}
-	}
-	scatterStart := time.Now()
-	scatterErr := func() error {
-		for i, a := range args {
-			if a.Dir == Out {
-				if err := a.Seq.ResizeAlloc(meta.lengths[i]); err != nil {
-					return err
-				}
-			} else if a.Dir == InOut && meta.lengths[i] != a.Seq.Len() {
-				return fmt.Errorf("%w: inout arg %d length %d from server, have %d", ErrBadHeader, i, meta.lengths[i], a.Seq.Len())
-			}
-		}
-		return recvChunks(comm, sink, nil, b.client.Timeout, true, chunkElemsFor(ce, outLens), outs,
-			func(t time.Time) { b.span(token, obs.PhaseChunkRecv, t) })
-	}()
-	if timing != nil {
-		timing.Scatter = time.Since(scatterStart)
-	}
-	b.span(token, obs.PhaseScatter, scatterStart)
-	if agreed := agreeError(comm, scatterErr); agreed != nil {
-		return nil, agreed
-	}
-	return meta.scalars, nil
+// recvChunked is the chunked back leg: the server wrote every reply chunk
+// before the Reply on the same connection, so by now they are in (or streaming
+// into) the sink in schedule order. The chunk size is recomputed from the
+// result lengths exactly as the server did, so the schedules agree.
+func (iv *invocation) recvChunked() error {
+	outs := iv.seqs(In)
+	return recvChunks(iv.comm, iv.sink, nil, iv.b.client.Timeout, true, chunkElemsFor(iv.ce, outs), outs,
+		func(t time.Time) { iv.phase(obs.PhaseChunkRecv, t, time.Since(t)) })
 }

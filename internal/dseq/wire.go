@@ -25,16 +25,13 @@ type Transferable interface {
 	Spec() dist.Spec
 	// MarshalRange renders local elements [off, off+n) as a chunk payload.
 	MarshalRange(off, n int) ([]byte, error)
+	// MarshalRangeZ is MarshalRange compressing with the first codec of mask
+	// that applies to the element type; mask 0, an element type without a
+	// block codec and incompressible or short ranges all give the raw chunk
+	// encoding. UnmarshalRange tells the two apart by itself.
+	MarshalRangeZ(off, n int, mask uint8) ([]byte, error)
 	// UnmarshalRange stores a chunk payload at local offset off.
 	UnmarshalRange(off int, payload []byte) error
-	// GatherMarshal collects the whole sequence at root and renders it as
-	// one chunk payload (nil at other ranks): GatherMarshalRange over
-	// [0, Len()) on the sequence's own communicator. Collective.
-	GatherMarshal(root int) ([]byte, error)
-	// ScatterUnmarshal distributes a whole-sequence chunk payload
-	// (significant at root) into every rank's local storage:
-	// ScatterUnmarshalRange over [0, Len()). Collective.
-	ScatterUnmarshal(root int, payload []byte) error
 	// ResizeAlloc resets the sequence to a new length using its spec (Block
 	// when unset), discarding contents: every element reads zero afterwards.
 	// A rank whose element count is unchanged keeps (and clears) its local
@@ -44,20 +41,7 @@ type Transferable interface {
 	StreamTransferable
 }
 
-// RangeCompressor is the optional compression-aware extension of
-// Transferable: a sequence that can render a local range as a compressed
-// chunk envelope. Receivers need nothing special — UnmarshalRange
-// auto-detects compressed envelopes — so engines probe for this interface on
-// the sending side only and fall back to MarshalRange. *Seq[T] implements it
-// for every element type with a registered block codec.
-type RangeCompressor interface {
-	// MarshalRangeZ is MarshalRange compressing with the first codec of mask
-	// that applies to the element type; incompressible or short payloads
-	// fall back to the raw chunk encoding transparently.
-	MarshalRangeZ(off, n int, mask uint8) ([]byte, error)
-}
-
-// MarshalRangeZ implements RangeCompressor.
+// MarshalRangeZ implements Transferable.
 func (s *Seq[T]) MarshalRangeZ(off, n int, mask uint8) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > len(s.local) {
 		return nil, fmt.Errorf("%w: local range [%d,%d) of %d", ErrIndex, off, off+n, len(s.local))
@@ -73,12 +57,7 @@ func (s *Seq[T]) Spec() dist.Spec { return s.spec }
 func (s *Seq[T]) ElemName() string { return s.codec.Name }
 
 // MarshalRange implements Transferable.
-func (s *Seq[T]) MarshalRange(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > len(s.local) {
-		return nil, fmt.Errorf("%w: local range [%d,%d) of %d", ErrIndex, off, off+n, len(s.local))
-	}
-	return MarshalChunk(s.codec, s.local[off:off+n]), nil
-}
+func (s *Seq[T]) MarshalRange(off, n int) ([]byte, error) { return s.MarshalRangeZ(off, n, 0) }
 
 // UnmarshalRange implements Transferable. It decodes straight into local
 // storage at off — no intermediate slice — and never retains payload, so a
@@ -92,12 +71,16 @@ func (s *Seq[T]) UnmarshalRange(off int, payload []byte) error {
 	return err
 }
 
-// GatherMarshal implements Transferable.
+// GatherMarshal collects the whole sequence at root and renders it as one
+// chunk payload (nil at other ranks): GatherMarshalRange over [0, Len()) on
+// the sequence's own communicator. Collective.
 func (s *Seq[T]) GatherMarshal(root int) ([]byte, error) {
 	return s.GatherMarshalRange(nil, root, 0, s.layout.Length)
 }
 
-// ScatterUnmarshal implements Transferable.
+// ScatterUnmarshal distributes a whole-sequence chunk payload (significant at
+// root) into every rank's local storage: ScatterUnmarshalRange over
+// [0, Len()). Collective.
 func (s *Seq[T]) ScatterUnmarshal(root int, payload []byte) error {
 	return s.ScatterUnmarshalRange(nil, root, 0, s.layout.Length, payload)
 }

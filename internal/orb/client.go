@@ -80,8 +80,14 @@ type Client struct {
 	sgCache map[string]*shardGroup
 
 	sinkMu sync.Mutex
-	sinks  map[uint32]chan *wire.Data
+	sinks  map[sinkKey]chan *wire.Data
 }
+
+// sinkKey names one data sink: the request the transfers belong to and the
+// client thread they are addressed to. Threads that share one client engine
+// (and so one connection per endpoint) issue the same request id; the rank
+// is what tells their return flows apart.
+type sinkKey struct{ requestID, rank uint32 }
 
 // NewClient returns a ready client engine.
 func NewClient() *Client {
@@ -90,7 +96,7 @@ func NewClient() *Client {
 		conns:       make(map[string]*connSlot),
 		breakers:    make(map[string]*breaker),
 		sgCache:     make(map[string]*shardGroup),
-		sinks:       make(map[uint32]chan *wire.Data),
+		sinks:       make(map[sinkKey]chan *wire.Data),
 	}
 }
 
@@ -559,26 +565,27 @@ func (cc *clientConn) unregister(id uint32) {
 	cc.mu.Unlock()
 }
 
-// RegisterDataSink routes inbound Data messages for the given request id to
-// ch. The caller must register before the request is sent and must
-// UnregisterDataSink afterwards. The channel should be buffered for the
-// expected number of transfers.
-func (c *Client) RegisterDataSink(requestID uint32, ch chan *wire.Data) {
+// RegisterDataSink routes inbound Data messages for the given request id
+// that are addressed to client thread rank (Data.DstRank) to ch. The caller
+// must register before the request is sent and must UnregisterDataSink
+// afterwards. The channel should be buffered for the expected number of
+// transfers.
+func (c *Client) RegisterDataSink(requestID, rank uint32, ch chan *wire.Data) {
 	c.sinkMu.Lock()
-	c.sinks[requestID] = ch
+	c.sinks[sinkKey{requestID, rank}] = ch
 	c.sinkMu.Unlock()
 }
 
-// UnregisterDataSink removes the sink for requestID.
-func (c *Client) UnregisterDataSink(requestID uint32) {
+// UnregisterDataSink removes the sink of (requestID, rank).
+func (c *Client) UnregisterDataSink(requestID, rank uint32) {
 	c.sinkMu.Lock()
-	delete(c.sinks, requestID)
+	delete(c.sinks, sinkKey{requestID, rank})
 	c.sinkMu.Unlock()
 }
 
 func (c *Client) routeData(d *wire.Data) {
 	c.sinkMu.Lock()
-	ch, ok := c.sinks[d.RequestID]
+	ch, ok := c.sinks[sinkKey{d.RequestID, d.DstRank}]
 	c.sinkMu.Unlock()
 	if ok {
 		ch <- d
@@ -594,12 +601,6 @@ func (c *Client) routeData(d *wire.Data) {
 // Exceptional replies are returned as *UserException or *SystemException.
 func (c *Client) InvokeAddr(addr string, key []byte, op string, args []byte, oneway bool) ([]byte, error) {
 	return c.InvokeAddrOpts(addr, key, op, args, InvokeOptions{Oneway: oneway})
-}
-
-// InvokeAddrID is InvokeAddr with a caller-chosen request id, which the
-// multi-port engine needs: the id ties Data transfers to the request.
-func (c *Client) InvokeAddrID(requestID uint32, addr string, key []byte, op string, args []byte, oneway bool) ([]byte, error) {
-	return c.InvokeAddrOpts(addr, key, op, args, InvokeOptions{Oneway: oneway, RequestID: requestID})
 }
 
 // InvokeAddrOpts is the fully-optioned invocation entry point.
@@ -816,16 +817,6 @@ func (c *Client) InvokeOpts(ref IOR, op string, args []byte, o InvokeOptions) ([
 		return nil, ErrAllEndpointsDown
 	}
 	return nil, lastErr
-}
-
-// InvokeRank performs a request on the endpoint serving a specific
-// computing thread of an SPMD object.
-func (c *Client) InvokeRank(ref IOR, rank int, op string, args []byte, oneway bool) ([]byte, error) {
-	ep, err := ref.EndpointFor(rank)
-	if err != nil {
-		return nil, err
-	}
-	return c.InvokeAddr(ep.Addr(), ref.Key, op, args, oneway)
 }
 
 // NegotiatedCompression reports the codec mask negotiated with the endpoint

@@ -546,8 +546,8 @@ func TestDataRoutingServerAndClient(t *testing.T) {
 	c := newTestClient(t)
 	const reqID = 777
 	sink := make(chan *wire.Data, 1)
-	c.RegisterDataSink(reqID, sink)
-	defer c.UnregisterDataSink(reqID)
+	c.RegisterDataSink(reqID, 0, sink)
+	defer c.UnregisterDataSink(reqID, 0)
 
 	if err := c.SendData(ref, &wire.Data{RequestID: reqID, DstRank: 0, Payload: []byte("ping")}); err != nil {
 		t.Fatal(err)

@@ -40,6 +40,12 @@ func (c *Comm) World() *World { return c.world }
 // Context returns the communication context id (0 for the default context).
 func (c *Comm) Context() int { return c.ctx }
 
+// Collectives returns how many collective operations this rank has entered on
+// the communicator — the sequence number the next one will carry. Every rank
+// of a correct SPMD program reads the same value at the same point, which is
+// what makes "collectives per invocation" a number a test can pin.
+func (c *Comm) Collectives() int { return c.collSeq }
+
 // Epoch returns the membership epoch of the communicator's world. All
 // collectives on this communicator belong to that epoch: a Successor world's
 // mailboxes are disjoint from its predecessor's, so traffic cannot cross an
