@@ -68,9 +68,10 @@ race:
 # (fanin_test.go), the transport's pool-balance suites (zero-copy writes,
 # reassembly and its failure paths), and the chunk-buffer ledger, fault and
 # run-ahead suites with the one chunk sender's (the last two packages under
-# -race: their failure mode is a buffer observed while in flight) and the
-# direct legs' frame ledger beside it (a frame observed after release),
-# FLAKECOUNT times each.
+# -race: their failure mode is a buffer observed while in flight) and, beside
+# it, the direct legs' frame ledger, the refused invocations' (a frame observed
+# after release) and set-up's failure agreement (a thread still parked in a
+# collective), FLAKECOUNT times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers' \
@@ -79,7 +80,8 @@ flake:
 		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestFragmentedDataPreallocation|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames' \
 		./internal/transport
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
-	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkSender|TestMultiportFramesReturned' ./internal/core
+	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
+		-run='TestChunkSender|TestMultiportFramesReturned|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed' ./internal/core
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the
 # working tree, alternated on this box, with medians, quartiles and wins per
@@ -146,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecoder$$' -fuzztime=$(FUZZTIME) ./internal/cdr
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMessage$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzParseIOR$$' -fuzztime=$(FUZZTIME) ./internal/orb
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeOutcome$$' -fuzztime=$(FUZZTIME) ./internal/orb
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInvocationHeader$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzChunkEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/dseq
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDoubles$$' -fuzztime=$(FUZZTIME) ./internal/zcodec

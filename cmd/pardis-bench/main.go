@@ -183,7 +183,7 @@ func runReal(c, s, elems, reps int, metrics bool, spandump string, compMask uint
 		zcodec.EnableMetrics(reg)
 	}
 	if spandump != "" {
-		rec = obs.NewRecorder(obs.DefaultRecorderCapacity)
+		rec = obs.NewRecorder(0) // the default capacity
 	}
 	zcodec.ResetStats()
 	run := func(m core.Method) exp.Breakdown {

@@ -27,16 +27,12 @@ type BindOptions struct {
 	// Transport, when set, configures the binding's connections (frame
 	// limits, byte order, fault-injection wrappers for chaos tests).
 	Transport *transport.Options
-	// Retry is the binding's policy for retrying idempotent client
-	// operations (locate, oneway sends) after connection failures.
-	Retry orb.RetryPolicy
 	// KeepaliveInterval, when positive, probes idle connections (control and
-	// multi-port data alike) and declares a peer dead after KeepaliveTimeout
-	// of further silence, so a SIGKILL'd server rank surfaces as a prompt
-	// coherent error through the collective error agreement instead of a
-	// data-timeout stall.
+	// multi-port data alike) and declares a peer dead after a further interval
+	// of silence, so a SIGKILL'd server rank surfaces as a prompt coherent
+	// error through the collective error agreement instead of a data-timeout
+	// stall.
 	KeepaliveInterval time.Duration
-	KeepaliveTimeout  time.Duration
 	// Breaker is the per-endpoint circuit breaker policy applied when the
 	// bound reference carries multiple replica profiles.
 	Breaker orb.BreakerPolicy
@@ -125,8 +121,8 @@ var sharedClients = orb.NewClientPool()
 // pointer: distinct instances mean distinct wiring even when the contents
 // happen to match.
 func (o BindOptions) clientKey() string {
-	return fmt.Sprintf("to=%v tr=%p retry=%v ka=%v/%v bk=%v rec=%p met=%p sh=%v cp=%02x/%d",
-		o.Timeout, o.Transport, o.Retry, o.KeepaliveInterval, o.KeepaliveTimeout,
+	return fmt.Sprintf("to=%v tr=%p ka=%v bk=%v rec=%p met=%p sh=%v cp=%02x/%d",
+		o.Timeout, o.Transport, o.KeepaliveInterval,
 		o.Breaker, o.Trace, o.Metrics, o.Sharding, o.effComp(), o.CompressionPolicy)
 }
 
@@ -160,9 +156,7 @@ func (o BindOptions) newClient() *orb.Client {
 		cli.Transport = &topts
 	}
 	cli.Metrics = o.Metrics
-	cli.Retry = o.Retry
 	cli.KeepaliveInterval = o.KeepaliveInterval
-	cli.KeepaliveTimeout = o.KeepaliveTimeout
 	cli.Breaker = o.Breaker
 	cli.Shard = orb.ShardPolicy{VirtualNodes: o.Sharding.VirtualNodes}
 	cli.Compression = o.effComp()
@@ -266,31 +260,27 @@ func (b *Binding) PipelineDepth() int { return len(b.lanes) }
 
 // SPMDBind collectively binds all the computing threads of comm to the named
 // SPMD object, resolving the name through the PARDIS naming domain at
-// nameServer. It is the paper's _spmd_bind.
+// nameServer. It is the paper's _spmd_bind. Thread 0 resolves and every thread
+// learns the outcome in one share: a failure — name server unreachable, name
+// unbound (the naming.RepoNotFound user exception), wrong type — is the same
+// error on every thread, a user or system exception keeping its type.
 func SPMDBind(comm *rts.Comm, name, nameServer string, opts ...BindOptions) (*Binding, error) {
 	var o BindOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	var payload []byte
-	if comm.Rank() == 0 {
+	shared, err := share(comm, func(e *cdr.Encoder) error {
 		cli := o.newClient()
-		res := naming.NewResolver(cli, nameServer)
-		ref, err := res.Resolve(name, o.TypeID)
-		cli.Close()
+		defer cli.Close()
+		ref, err := naming.NewResolver(cli, nameServer).Resolve(name, o.TypeID)
 		if err != nil {
-			payload = append([]byte{'!'}, flattenErr(err)...)
-		} else {
-			payload = []byte(ref.String())
+			return err
 		}
-	}
-	// Share the resolution outcome.
-	shared, err := comm.Bcast(0, payload)
+		e.WriteRaw([]byte(ref.String()))
+		return nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	if len(shared) > 1 && shared[0] == '!' {
-		return nil, unflattenErr(fmt.Sprintf("binding %q", name), shared[1:])
+		return nil, fmt.Errorf("core: binding %q: %w", name, err)
 	}
 	ref, err := orb.ParseIOR(string(shared))
 	if err != nil {
@@ -300,7 +290,10 @@ func SPMDBind(comm *rts.Comm, name, nameServer string, opts ...BindOptions) (*Bi
 }
 
 // SPMDBindRef is SPMDBind for a reference obtained out of band (a
-// stringified IOR passed between processes). Collective.
+// stringified IOR passed between processes). Collective: thread 0 asks the
+// object to describe itself and shares the operation table, or the error that
+// took its place — OBJECT_NOT_EXIST from an object that is gone, TRANSIENT
+// from one shedding load — which every thread then returns as that exception.
 func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, err error) {
 	var o BindOptions
 	if len(opts) > 0 {
@@ -349,26 +342,18 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 	}()
 
 	// Thread 0 fetches the interface description; everyone shares it.
-	var tableBytes []byte
-	if engine.Rank() == 0 {
+	table, err := share(engine, func(e *cdr.Encoder) error {
 		reply, err := b.client.Invoke(ref, describeOp, orb.NewArgEncoder().Bytes(), false)
 		if err != nil {
-			tableBytes = append([]byte{'!'}, flattenErr(err)...)
-		} else {
-			tableBytes = append([]byte{0}, reply...)
+			return err
 		}
-	}
-	tableBytes, err = engine.Bcast(0, tableBytes)
+		e.WriteRaw(reply)
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: describing object: %w", err)
 	}
-	if len(tableBytes) == 0 {
-		return nil, fmt.Errorf("%w: empty interface description", ErrBadHeader)
-	}
-	if tableBytes[0] == '!' {
-		return nil, unflattenErr("describing object", tableBytes[1:])
-	}
-	d, err := orb.ArgDecoder(tableBytes[1:])
+	d, err := orb.ArgDecoder(table)
 	if err != nil {
 		return nil, err
 	}
@@ -459,40 +444,6 @@ func (b *Binding) Close() {
 		return
 	}
 	b.client.Close()
-}
-
-// flattenErr renders thread 0's bind-time error for a collective broadcast,
-// leading with its retry classification: only strings cross the broadcast,
-// and a Rebinder-style caller must still be able to tell a stale reference
-// ('S': re-resolve) and transient shedding ('T': retry) from a hard failure
-// ('!') after the error is rebuilt on the other threads. Without the class
-// byte a resize would strand clients: a binding that raced the epoch switch
-// would fail with an unclassifiable flattened error instead of rebinding.
-func flattenErr(err error) []byte {
-	class := byte('!')
-	switch {
-	case naming.Stale(err):
-		class = 'S'
-	case orb.IsTransient(err):
-		class = 'T'
-	}
-	return append([]byte{class}, err.Error()...)
-}
-
-// unflattenErr rebuilds a flattenErr payload as an error of the same retry
-// class.
-func unflattenErr(context string, payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("core: %s: lost error", context)
-	}
-	msg := fmt.Sprintf("%s: %s", context, payload[1:])
-	switch payload[0] {
-	case 'S':
-		return &orb.SystemException{RepoID: orb.RepoComm, Message: msg}
-	case 'T':
-		return orb.Transient(msg)
-	}
-	return fmt.Errorf("core: %s", msg)
 }
 
 // scalarEncoder is a convenience for building the non-distributed argument

@@ -171,7 +171,11 @@ type callResult struct {
 }
 
 // dataBucket accumulates multi-port transfers and connection attachments
-// for one invocation token on one computing thread.
+// for one invocation token on one computing thread. The first Data frame of a
+// token creates it; the call that carries the token claims it and drops it
+// when done. A bucket nobody claims — its header was refused, here or by the
+// adapter's admission control before dispatch saw it, or never came — lives
+// DataTimeout past its last frame and is dropped by the next sweep.
 type dataBucket struct {
 	ch     chan *wire.Data
 	connMu sync.Mutex
@@ -180,6 +184,20 @@ type dataBucket struct {
 	// that is still in flight (a pure-out operation can reach its send
 	// phase before the attach message lands).
 	notify chan struct{}
+
+	claimed   bool      // under Object.bucketMu: a call is being processed on it
+	lastFrame time.Time // under Object.bucketMu: when handleData last fed it
+	dropped   atomic.Bool
+}
+
+// drop returns every frame buffered in a bucket that has left the table to the
+// transport pool — e.g. chunks past the first failure of a streamed transfer,
+// which the receive loop stopped pulling. A handleData that looked the bucket
+// up before it left the table sees dropped after its own send and drains too,
+// so no frame is stranded whichever of the two comes last.
+func (b *dataBucket) drop() {
+	b.dropped.Store(true)
+	drainData(b.ch)
 }
 
 // conn returns the recorded connection for a client rank, waiting up to
@@ -218,7 +236,25 @@ const bucketCapacity = 4096
 // computing thread calls it with identical options and operation tables.
 // The returned handles share one object; thread 0's carries the
 // communicating-thread endpoint.
+//
+// Like an invocation it is a fixed collective skeleton — a gather of every
+// thread's endpoint or the error that kept it from listening, then one share
+// of the reference thread 0 built and registered or the first error met — and
+// no thread leaves between the two: a listener that cannot bind on one thread
+// or a name server that cannot be reached fails Export on every thread, with
+// the same error, as soon as thread 0 knows, and leaves no listener behind.
 func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Object, err error) {
+	ops := make(map[string]*Operation, len(operations))
+	for i := range operations {
+		op := &operations[i]
+		if _, dup := ops[op.Desc.Name]; dup {
+			return nil, fmt.Errorf("core: duplicate operation %q", op.Desc.Name)
+		}
+		if op.Desc.Name == describeOp || op.Desc.Name == resizeOp {
+			return nil, fmt.Errorf("core: operation name %q is reserved", op.Desc.Name)
+		}
+		ops[op.Desc.Name] = op
+	}
 	engine, err := comm.Dup()
 	if err != nil {
 		return nil, err
@@ -253,109 +289,86 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 	o := &Object{
 		comm:    engine,
 		opts:    opts,
-		ops:     make(map[string]*Operation, len(operations)),
+		ops:     ops,
 		buckets: make(map[uint32]*dataBucket),
 		stop:    make(chan struct{}),
 		rec:     opts.Trace,
 	}
 	o.compSkipped = opts.Server.Metrics.Counter("core.compress.skipped_total")
-	// A failed export leaves no listener behind.
+	// A failed export leaves no listener behind, on any thread.
 	defer func() {
 		if err != nil {
 			o.closeListeners()
 		}
 	}()
-	for i := range operations {
-		op := &operations[i]
-		if _, dup := o.ops[op.Desc.Name]; dup {
-			return nil, fmt.Errorf("core: duplicate operation %q", op.Desc.Name)
-		}
-		if op.Desc.Name == describeOp || op.Desc.Name == resizeOp {
-			return nil, fmt.Errorf("core: operation name %q is reserved", op.Desc.Name)
-		}
-		o.ops[op.Desc.Name] = op
-	}
 
 	// Listeners: the communicating thread always listens; other threads
-	// listen only when the multi-port method is advertised.
+	// listen only when the multi-port method is advertised. Each thread's
+	// endpoint, or its listen error, is its contribution to the gather.
+	var listenErr error
 	if engine.Rank() == 0 || opts.Multiport {
-		srv, err := orb.NewServerOpts(orb.Endpoint{Host: opts.Host}.Addr(), opts.Server)
-		if err != nil {
-			return nil, err
+		if o.srv, listenErr = orb.NewServerOpts(orb.Endpoint{Host: opts.Host}.Addr(), opts.Server); listenErr == nil {
+			o.srv.SetDataHandler(o.handleData)
+			o.srv.SetConnLostHandler(o.connLost)
 		}
-		o.srv = srv
-		srv.SetDataHandler(o.handleData)
-		srv.SetConnLostHandler(o.connLost)
 	}
+	addrs, gatherErr := engine.Gather(0, encodeOutcome(func(e *cdr.Encoder) error {
+		if o.srv != nil {
+			e.WriteRaw([]byte(o.srv.Addr()))
+		}
+		return listenErr
+	}))
 
-	// Collect endpoints at thread 0 and build the reference.
-	var epPayload []byte
-	if o.srv != nil {
-		ep := o.srv.Endpoint(engine.Rank())
-		e := cdr.NewEncoder(cdr.NativeOrder)
-		e.WriteString(ep.Host)
-		e.WriteULong(uint32(ep.Port))
-		epPayload = e.Bytes()
-	}
-	eps, err := engine.Gather(0, epPayload)
-	if err != nil {
-		return nil, err
-	}
-	var refStr string
-	if engine.Rank() == 0 {
-		key := []byte(fmt.Sprintf("spmd/%s/%s", opts.TypeID, opts.Name))
+	// Thread 0 builds the reference, installs the servant and registers the
+	// name; nobody serves before that is done.
+	shared, err := share(engine, func(e *cdr.Encoder) error {
+		if gatherErr != nil {
+			return gatherErr
+		}
+		key := fmt.Sprintf("spmd/%s/%s", opts.TypeID, opts.Name)
 		if opts.Epoch > 0 {
 			// Per-epoch keys: a stale client reaching a reused endpoint with
 			// an old key gets OBJECT_NOT_EXIST (a re-resolvable refusal)
 			// rather than a silently different epoch of the object.
-			key = []byte(fmt.Sprintf("spmd/%s/%s@e%d", opts.TypeID, opts.Name, opts.Epoch))
+			key = fmt.Sprintf("%s@e%d", key, opts.Epoch)
 		}
-		ref := orb.IOR{TypeID: opts.TypeID, Key: key, Threads: engine.Size(), Epoch: opts.Epoch}
-		for r, p := range eps {
-			if len(p) == 0 {
-				continue
-			}
-			d := cdr.NewDecoder(p, cdr.NativeOrder)
-			host, err := d.ReadString()
+		ref := orb.IOR{TypeID: opts.TypeID, Key: []byte(key), Threads: engine.Size(), Epoch: opts.Epoch}
+		for r, p := range addrs {
+			addr, err := openOutcome(p)
 			if err != nil {
-				return nil, err
+				return fmt.Errorf("listener of thread %d: %w", r, err)
 			}
-			port, err := d.ReadULong()
-			if err != nil {
-				return nil, err
+			if len(addr) > 0 {
+				host, port := orb.SplitHostPort(string(addr))
+				ref.Endpoints = append(ref.Endpoints, orb.Endpoint{Host: host, Port: port, Rank: r})
 			}
-			ref.Endpoints = append(ref.Endpoints, orb.Endpoint{Host: host, Port: int(port), Rank: r})
 		}
-		refStr = ref.String()
-	}
-	refBytes, err := engine.Bcast(0, []byte(refStr))
-	if err != nil {
-		return nil, err
-	}
-	if o.ref, err = orb.ParseIOR(string(refBytes)); err != nil {
-		return nil, err
-	}
-
-	// The communicating thread installs the servant and registers the name.
-	if engine.Rank() == 0 {
+		o.ref = ref
 		o.queue = make(chan *pendingCall, opts.QueueDepth)
-		o.srv.Register(o.ref.Key, orb.ServantFunc(o.dispatch))
-		if opts.Name != "" && opts.NameServer != "" {
-			client := orb.NewClient()
-			defer client.Close()
-			res := naming.NewResolver(client, opts.NameServer)
-			bind := func() error { return res.Bind(opts.Name, o.ref, true) }
-			if opts.Replica {
-				bind = func() error { return res.BindReplica(opts.Name, o.ref) }
-			}
-			if err := bind(); err != nil {
-				return nil, fmt.Errorf("core: registering %q: %w", opts.Name, err)
-			}
+		o.srv.Register(ref.Key, orb.ServantFunc(o.dispatch))
+		e.WriteRaw([]byte(ref.String()))
+		if opts.Name == "" || opts.NameServer == "" {
+			return nil
 		}
+		client := orb.NewClient()
+		defer client.Close()
+		res := naming.NewResolver(client, opts.NameServer)
+		if opts.Replica {
+			return res.BindReplica(opts.Name, ref)
+		}
+		return res.Bind(opts.Name, ref, true)
+	})
+	if err == nil {
+		err = gatherErr
 	}
-	// Everyone waits until registration is complete before serving.
-	if err := engine.Barrier(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("core: exporting %q: %w", opts.Name, err)
+	}
+	// Thread 0 set its reference before the first request could reach it.
+	if engine.Rank() != 0 {
+		if o.ref, err = orb.ParseIOR(string(shared)); err != nil {
+			return nil, err
+		}
 	}
 	return o, nil
 }
@@ -397,29 +410,13 @@ func (o *Object) dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) error {
 	if err != nil {
 		return orb.Marshal(err)
 	}
-	if hdr.Op != op {
-		return orb.Marshal(fmt.Errorf("%w: header op %q != request op %q", ErrBadHeader, hdr.Op, op))
-	}
-	// Validate cheaply before involving the other computing threads.
-	if err := o.validate(hdr); err != nil {
+	call, err := o.enqueue(op, hdr)
+	if err != nil {
+		// A refused header claims no bucket: what its token's data already
+		// brought goes back to the pool now, what is still on its way when the
+		// sweep finds it.
+		o.dropBucket(hdr.Token)
 		return err
-	}
-	if o.draining.Load() {
-		return orb.Transient("object draining")
-	}
-	call := &pendingCall{token: hdr.Token, header: hdr, replyCh: make(chan callResult, 1)}
-	if o.rec != nil {
-		call.enqueuedNS = time.Now().UnixNano()
-	}
-	// Never park the adapter goroutine on an unbounded wait: a full
-	// collective queue sheds immediately with TRANSIENT (the request was
-	// never dispatched, so the client may retry here or on a replica).
-	select {
-	case o.queue <- call:
-	case <-o.stop:
-		return &orb.SystemException{RepoID: orb.RepoInternal, Message: ErrStopped.Error()}
-	default:
-		return orb.Transient(fmt.Sprintf("collective queue full (%d pending)", cap(o.queue)))
 	}
 	select {
 	case res := <-call.replyCh:
@@ -436,6 +433,35 @@ func (o *Object) dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) error {
 		return nil
 	case <-o.stop:
 		return &orb.SystemException{RepoID: orb.RepoInternal, Message: ErrStopped.Error()}
+	}
+}
+
+// enqueue hands an invocation header to the collective loop, or says why not.
+func (o *Object) enqueue(op string, hdr *invocationHeader) (*pendingCall, error) {
+	if hdr.Op != op {
+		return nil, orb.Marshal(fmt.Errorf("%w: header op %q != request op %q", ErrBadHeader, hdr.Op, op))
+	}
+	// Validate cheaply before involving the other computing threads.
+	if err := o.validate(hdr); err != nil {
+		return nil, err
+	}
+	if o.draining.Load() {
+		return nil, orb.Transient("object draining")
+	}
+	call := &pendingCall{token: hdr.Token, header: hdr, replyCh: make(chan callResult, 1)}
+	if o.rec != nil {
+		call.enqueuedNS = time.Now().UnixNano()
+	}
+	// Never park the adapter goroutine on an unbounded wait: a full
+	// collective queue sheds immediately with TRANSIENT (the request was
+	// never dispatched, so the client may retry here or on a replica).
+	select {
+	case o.queue <- call:
+		return call, nil
+	case <-o.stop:
+		return nil, &orb.SystemException{RepoID: orb.RepoInternal, Message: ErrStopped.Error()}
+	default:
+		return nil, orb.Transient(fmt.Sprintf("collective queue full (%d pending)", cap(o.queue)))
 	}
 }
 
@@ -505,7 +531,7 @@ func (o *Object) validate(h *invocationHeader) error {
 // handleData routes an inbound multi-port transfer (or connection
 // attachment) to its invocation's bucket on this computing thread.
 func (o *Object) handleData(d *wire.Data, conn *transport.Conn) {
-	b := o.bucket(d.RequestID)
+	b := o.bucket(d.RequestID, false)
 	b.connMu.Lock()
 	if _, ok := b.conns[int(d.SrcRank)]; !ok {
 		if b.conns == nil {
@@ -518,27 +544,42 @@ func (o *Object) handleData(d *wire.Data, conn *transport.Conn) {
 	case b.notify <- struct{}{}:
 	default:
 	}
-	if d.Count > 0 {
-		b.ch <- d
-	} else {
+	if d.Count == 0 {
 		// Pure attachment message: no payload will be consumed, so return
 		// any borrowed frame buffer now.
 		d.Release()
+		return
+	}
+	b.ch <- d
+	if b.dropped.Load() {
+		drainData(b.ch)
 	}
 }
 
-func (o *Object) bucket(token uint32) *dataBucket {
+// bucket returns the token's bucket, creating it at the token's first sight.
+// claim is the call now processed on the token taking it, which the sweep
+// respects; otherwise the caller is a frame, which restarts the bucket's
+// DataTimeout.
+func (o *Object) bucket(token uint32, claim bool) *dataBucket {
 	o.bucketMu.Lock()
-	defer o.bucketMu.Unlock()
 	b, ok := o.buckets[token]
 	if !ok {
 		// conns is created lazily on first attachment; reads of the nil
-		// map below are safe and miss.
+		// map are safe and miss.
 		b = &dataBucket{
 			ch:     make(chan *wire.Data, bucketCapacity),
 			notify: make(chan struct{}, 1),
 		}
 		o.buckets[token] = b
+	}
+	if claim {
+		b.claimed = true
+	} else {
+		b.lastFrame = time.Now()
+	}
+	o.bucketMu.Unlock()
+	if !ok {
+		o.sweep(false)
 	}
 	return b
 }
@@ -549,12 +590,28 @@ func (o *Object) dropBucket(token uint32) {
 	delete(o.buckets, token)
 	o.bucketMu.Unlock()
 	if b != nil {
-		// Return any frames still buffered — e.g. chunks past the first
-		// failure of a streamed transfer, which the receive loop stopped
-		// pulling — to the transport pool. A late handleData racing this
-		// drain can at worst strand its one frame for the garbage collector;
-		// it cannot block, because nothing else drains b.ch after the drop.
-		drainData(b.ch)
+		b.drop()
+	}
+}
+
+// sweep drops the buckets no call has claimed DataTimeout after their last
+// frame — or, at Close and Shutdown, all of them. It runs when a bucket is
+// created and when a Poll round begins, so unclaimed data is bounded by what
+// arrives within one DataTimeout and needs no goroutine or timer of its own.
+// A frame that arrives for a token already dropped opens a fresh bucket, which
+// ends here too.
+func (o *Object) sweep(all bool) {
+	var dead []*dataBucket
+	o.bucketMu.Lock()
+	for token, b := range o.buckets {
+		if all || (!b.claimed && o.opts.DataTimeout > 0 && time.Since(b.lastFrame) > o.opts.DataTimeout) {
+			delete(o.buckets, token)
+			dead = append(dead, b)
+		}
+	}
+	o.bucketMu.Unlock()
+	for _, b := range dead {
+		b.drop()
 	}
 }
 
@@ -606,6 +663,7 @@ func (o *Object) Shutdown(ctx context.Context) error {
 	o.closeOnce.Do(func() {
 		close(o.stop)
 	})
+	o.sweep(true)
 	return err
 }
 
@@ -617,4 +675,5 @@ func (o *Object) Close() {
 		close(o.stop)
 		o.closeListeners()
 	})
+	o.sweep(true)
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cdr"
 	"repro/internal/dist"
 	"repro/internal/dseq"
-	"repro/internal/orb"
 	"repro/internal/rts"
 )
 
@@ -229,39 +228,6 @@ func TestHeaderTruncations(t *testing.T) {
 		if _, err := decodeInvocationHeader(cdr.NewDecoder(full[:cut], cdr.NativeOrder)); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
-	}
-}
-
-func TestMetaErrRoundTrip(t *testing.T) {
-	check := func(in error) error {
-		t.Helper()
-		e := cdr.NewEncoder(cdr.NativeOrder)
-		encodeMetaErr(e, in)
-		out, err := decodeMetaErr(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder))
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		return out
-	}
-	if check(nil) != nil {
-		t.Fatal("nil error mangled")
-	}
-	if got := check(errors.New("plain problem")); got == nil || got.Error() != "plain problem" {
-		t.Fatalf("plain error %v", got)
-	}
-	var ue *orb.UserException
-	got := check(&orb.UserException{RepoID: "IDL:x:1.0", Message: "boom", Payload: []byte{1}})
-	if !errors.As(got, &ue) || ue.RepoID != "IDL:x:1.0" || ue.Message != "boom" || len(ue.Payload) != 1 {
-		t.Fatalf("user exception %v", got)
-	}
-	var se *orb.SystemException
-	got = check(&orb.SystemException{RepoID: orb.RepoComm, Minor: 7, Message: "net"})
-	if !errors.As(got, &se) || se.Minor != 7 || se.RepoID != orb.RepoComm {
-		t.Fatalf("system exception %v", got)
-	}
-	// Unknown kind byte is rejected.
-	if _, err := decodeMetaErr(cdr.NewDecoder([]byte{99}, cdr.NativeOrder)); err == nil {
-		t.Fatal("unknown meta kind accepted")
 	}
 }
 

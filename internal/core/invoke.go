@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -295,29 +294,29 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// The communicating thread collects the reply (bounded by the client
 	// timeout even when another thread's sends failed and the server never
 	// answers), or says why the request never left; everyone shares it.
-	var meta invokeMeta
+	var (
+		meta     invokeMeta
+		replyErr error
+	)
 	if me == 0 {
 		if iv.replyCh != nil {
 			iv.reply = <-iv.replyCh
 		} else if fwdErr != nil {
 			iv.reply.err = fwdErr
 		}
-		meta = metaFromReply(iv.reply.reply, iv.reply.err, sh == shapeInline, len(args))
+		meta, replyErr = metaFromReply(iv.reply.reply, iv.reply.err, sh == shapeInline, len(args))
 	}
 	if sh != shapeInline {
 		iv.phase(obs.PhaseSendRecv, fwdStart, time.Since(fwdStart))
 	}
-	if err := shareMeta(comm, &meta); err != nil {
-		return nil, err
+	if err := shareMeta(comm, &meta, replyErr); fwdErr == nil {
+		fwdErr = err
 	}
 	// An inline forward leg is collectives only — it fails everywhere or
 	// nowhere — but a chunk write or a direct send fails on one thread alone,
 	// so those shapes agree on the leg before anyone waits for results.
-	if fwdErr == nil {
-		fwdErr = meta.err
-	}
 	if sh != shapeInline {
-		fwdErr = agreeError(comm, fwdErr)
+		fwdErr = agree(comm, fwdErr)
 	}
 	if fwdErr != nil {
 		return nil, fwdErr
@@ -356,7 +355,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// the error agreement so a thread whose return flows failed cannot leave
 	// the others in a hung barrier.
 	barrierStart := time.Now()
-	agreed := agreeError(comm, backErr)
+	agreed := agree(comm, backErr)
 	if sh == shapeDirect {
 		iv.phase(obs.PhaseBarrier, barrierStart, time.Since(barrierStart))
 	}
@@ -454,117 +453,58 @@ func (iv *invocation) recvInline(datas [][]byte) error {
 	return nil
 }
 
-// okOutcome is the pre-encoded "no error" outcome (encodeMetaErr of nil is
-// the single metaOK octet). Agreements run several times per upcall on every
-// thread, almost always on clean outcomes, so the success path shares these
-// read-only bytes instead of encoding and decoding each time.
-var okOutcome = []byte{metaOK}
-
-func isOKOutcome(p []byte) bool { return len(p) == 1 && p[0] == metaOK }
-
-// agreeError merges per-thread outcomes into one collective verdict: every
-// thread contributes its local error (nil when clean) and all threads
-// return the same agreed error, the lowest failing rank's. The
-// gather+broadcast doubles as a synchronization point, which is what lets
-// the invocation and upcall paths replace bare barriers with it: a faulted
-// thread reports instead of disappearing, so no thread waits on a
-// collective its peers will never enter.
-func agreeError(comm *rts.Comm, local error) error {
-	contrib := okOutcome
-	if local != nil {
-		e := cdr.NewEncoder(cdr.NativeOrder)
-		encodeMetaErr(e, local)
-		contrib = e.Bytes()
-	}
-	all, err := comm.Gather(0, contrib)
-	if err != nil {
-		return err
-	}
-	// Thread 0 relays the lowest failing thread's outcome as it stands; every
-	// thread, this one included, decodes it below.
-	payload := okOutcome
-	for _, p := range all {
-		if !isOKOutcome(p) {
-			payload = p
-			break
-		}
-	}
-	payload, err = comm.Bcast(0, payload)
-	if err != nil {
-		return err
-	}
-	if isOKOutcome(payload) {
-		return nil
-	}
-	agreed, derr := decodeMetaErr(cdr.NewDecoder(payload, cdr.NativeOrder))
-	if derr != nil {
-		return derr
-	}
-	return agreed
-}
-
-// invokeMeta is the invocation outcome the communicating thread shares with
-// the others.
+// invokeMeta is what the communicating thread learns from the reply and
+// shares with the others.
 type invokeMeta struct {
-	err     error
 	scalars []byte
 	lengths []int
-	datas   [][]byte // inline shape only; not broadcast (thread 0 scatters)
+	datas   [][]byte // inline shape only; not shared (thread 0 scatters)
 }
 
 // metaFromReply opens thread 0's reply — inline says whether the results ride
 // in it — and refuses one that does not describe the nargs arguments sent.
-func metaFromReply(payload []byte, err error, inline bool, nargs int) invokeMeta {
+func metaFromReply(payload []byte, err error, inline bool, nargs int) (invokeMeta, error) {
 	if err != nil {
-		return invokeMeta{err: err}
+		return invokeMeta{}, err
 	}
-	d, derr := orb.ArgDecoder(payload)
-	if derr != nil {
-		return invokeMeta{err: derr}
+	d, err := orb.ArgDecoder(payload)
+	if err != nil {
+		return invokeMeta{}, err
 	}
-	rh, derr := decodeReplyHeader(d, inline)
-	if derr != nil {
-		return invokeMeta{err: derr}
+	rh, err := decodeReplyHeader(d, inline)
+	if err != nil {
+		return invokeMeta{}, err
 	}
 	if len(rh.Args) != nargs {
-		return invokeMeta{err: fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), nargs)}
+		return invokeMeta{}, fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), nargs)
 	}
 	m := invokeMeta{scalars: rh.Scalars, lengths: make([]int, len(rh.Args)), datas: make([][]byte, len(rh.Args))}
 	for i, a := range rh.Args {
 		m.lengths[i] = a.Length
 		m.datas[i] = a.Data
 	}
-	return m
+	return m, nil
 }
 
-// shareMeta broadcasts thread 0's invocation outcome (status, scalar
-// results, result lengths) to all threads over the invocation's lane
-// communicator. The centralized data payloads stay at thread 0, which
-// scatters them.
-func shareMeta(comm *rts.Comm, m *invokeMeta) error {
-	var payload []byte
-	if comm.Rank() == 0 {
-		e := cdr.NewEncoder(cdr.NativeOrder)
-		encodeMetaErr(e, m.err)
+// shareMeta is share of the invocation's outcome as thread 0 holds it: the
+// scalar results and result lengths in m, or replyErr in their place. The
+// inline data payloads stay at thread 0, which scatters them.
+func shareMeta(comm *rts.Comm, m *invokeMeta, replyErr error) error {
+	p, err := share(comm, func(e *cdr.Encoder) error {
+		if replyErr != nil {
+			return replyErr
+		}
 		e.WriteOctets(m.scalars)
 		e.WriteULong(uint32(len(m.lengths)))
 		for _, l := range m.lengths {
 			e.WriteULongLong(uint64(l))
 		}
-		payload = e.Bytes()
-	}
-	payload, err := comm.Bcast(0, payload)
-	if err != nil {
-		return err
-	}
-	if comm.Rank() == 0 {
 		return nil
-	}
-	d := cdr.NewDecoder(payload, cdr.NativeOrder)
-	m.err, err = decodeMetaErr(d)
-	if err != nil {
+	})
+	if err != nil || comm.Rank() == 0 {
 		return err
 	}
+	d := cdr.NewDecoder(p, cdr.NativeOrder)
 	if m.scalars, err = d.ReadOctets(); err != nil {
 		return err
 	}
@@ -582,80 +522,4 @@ func shareMeta(comm *rts.Comm, m *invokeMeta) error {
 		m.lengths[i] = int(l)
 	}
 	return nil
-}
-
-// Error kinds shared between threads.
-const (
-	metaOK byte = iota
-	metaUserExc
-	metaSystemExc
-	metaPlain
-)
-
-func encodeMetaErr(e *cdr.Encoder, err error) {
-	if err == nil {
-		e.WriteOctet(metaOK)
-		return
-	}
-	var ue *orb.UserException
-	if errors.As(err, &ue) {
-		e.WriteOctet(metaUserExc)
-		e.WriteString(ue.RepoID)
-		e.WriteString(ue.Message)
-		e.WriteOctets(ue.Payload)
-		return
-	}
-	var se *orb.SystemException
-	if errors.As(err, &se) {
-		e.WriteOctet(metaSystemExc)
-		e.WriteString(se.RepoID)
-		e.WriteULong(se.Minor)
-		e.WriteString(se.Message)
-		return
-	}
-	e.WriteOctet(metaPlain)
-	e.WriteString(err.Error())
-}
-
-func decodeMetaErr(d *cdr.Decoder) (error, error) {
-	kind, err := d.ReadOctet()
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case metaOK:
-		return nil, nil
-	case metaUserExc:
-		var ue orb.UserException
-		if ue.RepoID, err = d.ReadString(); err != nil {
-			return nil, err
-		}
-		if ue.Message, err = d.ReadString(); err != nil {
-			return nil, err
-		}
-		if ue.Payload, err = d.ReadOctets(); err != nil {
-			return nil, err
-		}
-		return &ue, nil
-	case metaSystemExc:
-		var se orb.SystemException
-		if se.RepoID, err = d.ReadString(); err != nil {
-			return nil, err
-		}
-		if se.Minor, err = d.ReadULong(); err != nil {
-			return nil, err
-		}
-		if se.Message, err = d.ReadString(); err != nil {
-			return nil, err
-		}
-		return &se, nil
-	case metaPlain:
-		msg, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		return errors.New(msg), nil
-	default:
-		return nil, fmt.Errorf("%w: meta error kind %d", ErrBadHeader, kind)
-	}
 }

@@ -61,6 +61,7 @@ func (o *Object) Poll(block bool) (bool, error) {
 		ticket *resizeTicket
 		dir    []byte
 	)
+	o.sweep(false)
 	if o.comm.Rank() == 0 {
 		call, ticket, dir = o.nextDirective(block)
 	}
@@ -86,7 +87,7 @@ func (o *Object) Poll(block bool) (bool, error) {
 	case directiveResize:
 		// Thread 0 reports the agreed snapshot outcome to the controller and
 		// relays its decision: commit retires this epoch, abort resumes it.
-		agreed := agreeError(o.comm, o.callResizeHook())
+		agreed := agree(o.comm, o.callResizeHook())
 		if ticket != nil {
 			ticket.snapDone <- agreed
 			stop = <-ticket.commit
@@ -251,7 +252,7 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	sh := h.shape()
 	var bucket *dataBucket
 	if sh != shapeInline {
-		bucket = o.bucket(h.Token)
+		bucket = o.bucket(h.Token, true)
 	}
 	defer o.dropBucket(h.Token)
 
@@ -271,7 +272,7 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 		recvErr = orb.Marshal(recvErr)
 	}
 	o.span(h.Token, obs.PhaseRecvXfer, recvStart, 0)
-	if agreed := agreeError(o.comm, recvErr); agreed != nil {
+	if agreed := agree(o.comm, recvErr); agreed != nil {
 		// No thread runs the handler; thread 0 replies with the agreed
 		// error and serving continues.
 		return nil, false, agreed
@@ -304,7 +305,7 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	// synchronization of the server's computing threads), fused with error
 	// agreement: a handler failure on any thread — previously invisible to
 	// the client unless it was thread 0's — fails the upcall everywhere.
-	if agreed := agreeError(o.comm, herr); agreed != nil {
+	if agreed := agree(o.comm, herr); agreed != nil {
 		return nil, stop, agreed
 	}
 
@@ -338,7 +339,7 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 		}
 	}
 	o.span(h.Token, obs.PhaseSendXfer, sendStart, 0)
-	if agreed := agreeError(o.comm, sendErr); agreed != nil {
+	if agreed := agree(o.comm, sendErr); agreed != nil {
 		return nil, stop, agreed
 	}
 	if e != nil {

@@ -257,15 +257,6 @@ func (s *Seq[T]) Redistribute(newSpec dist.Spec) error {
 	return nil
 }
 
-// RedistributeLayout is Redistribute with an explicit target layout.
-func (s *Seq[T]) RedistributeLayout(newLayout dist.Layout) error {
-	if err := s.redistributeTo(newLayout); err != nil {
-		return err
-	}
-	s.spec = nil
-	return nil
-}
-
 func (s *Seq[T]) redistributeTo(newLayout dist.Layout) error {
 	if newLayout.Ranks != s.comm.Size() {
 		return fmt.Errorf("%w: target layout has %d ranks", ErrLayout, newLayout.Ranks)

@@ -37,8 +37,9 @@ const (
 	RepoTypeMismatch = "IDL:PARDIS/NameService/TypeMismatch:1.0"
 )
 
-// ErrNotFound is returned by Resolve when the name is unbound. It wraps the
-// wire-level user exception for ergonomic errors.Is checks.
+// ErrNotFound is returned by Resolve when the name is unbound. The remote
+// Resolve wraps the wire-level user exception with it for ergonomic errors.Is
+// checks.
 var ErrNotFound = errors.New("naming: name not bound")
 
 // Registry is the in-memory name table; it is the servant state of a name
@@ -286,7 +287,9 @@ func (r *Resolver) BindReplica(name string, ref orb.IOR) error {
 }
 
 // Resolve looks name up at the remote server, optionally constraining the
-// type id. A NotFound user exception is mapped back to ErrNotFound.
+// type id. A NotFound user exception answers errors.Is(err, ErrNotFound) and
+// stays in the chain, so it is still that exception wherever the error is
+// re-encoded (core shares it between SPMD threads).
 func (r *Resolver) Resolve(name, wantType string) (orb.IOR, error) {
 	args := orb.NewArgEncoder()
 	args.WriteString(name)
@@ -295,7 +298,7 @@ func (r *Resolver) Resolve(name, wantType string) (orb.IOR, error) {
 	if err != nil {
 		var ue *orb.UserException
 		if errors.As(err, &ue) && ue.RepoID == RepoNotFound {
-			return orb.IOR{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+			return orb.IOR{}, fmt.Errorf("%w: %w", ErrNotFound, err)
 		}
 		return orb.IOR{}, err
 	}

@@ -230,10 +230,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide registry used when no explicit registry is
-// wired (e.g. orb.ServerOptions.MetricsAddr without a Registry).
-var Default = NewRegistry()
-
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {

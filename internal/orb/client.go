@@ -34,12 +34,11 @@ type Client struct {
 	// transport.Dial. Tests substitute in-process or faulty dialers.
 	Dialer func(addr string, opts *transport.Options) (*transport.Conn, error)
 	// KeepaliveInterval, when positive, probes idle connections with Ping
-	// and declares the peer dead after KeepaliveTimeout (default: the
-	// interval) of further silence. A SIGKILL'd server then surfaces as a
-	// prompt connection error on every pending request and data sink
-	// instead of a stall until the invocation timeout.
+	// and declares the peer dead after one more interval of silence. A
+	// SIGKILL'd server then surfaces as a prompt connection error on every
+	// pending request and data sink instead of a stall until the invocation
+	// timeout.
 	KeepaliveInterval time.Duration
-	KeepaliveTimeout  time.Duration
 	// Breaker is the per-endpoint circuit breaker policy used when invoking
 	// through multi-profile references. The zero value disables breakers.
 	Breaker BreakerPolicy
@@ -327,7 +326,7 @@ func (c *Client) conn(addr string) (*clientConn, error) {
 	slot.cc = cc
 	go cc.readLoop()
 	if c.KeepaliveInterval > 0 {
-		go cc.keepaliveLoop(c.KeepaliveInterval, c.KeepaliveTimeout)
+		go cc.keepaliveLoop(c.KeepaliveInterval)
 	}
 	// Offer wire compression; the Pong echoing compNonce resolves it.
 	if c.Compression != 0 {
@@ -389,14 +388,8 @@ func (c *Client) NumConns() int {
 // declared dead, failing every pending request and poisoning registered data
 // sinks. This covers the multiport data connections too — a killed server
 // rank is detected here instead of stalling transfers until the timeout.
-func (cc *clientConn) keepaliveLoop(interval, grace time.Duration) {
-	if grace <= 0 {
-		grace = interval
-	}
+func (cc *clientConn) keepaliveLoop(interval time.Duration) {
 	tick := interval / 4
-	if grace/4 < tick {
-		tick = grace / 4
-	}
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
@@ -410,7 +403,7 @@ func (cc *clientConn) keepaliveLoop(interval, grace time.Duration) {
 			return
 		case now := <-t.C:
 			idle := now.Sub(time.Unix(0, cc.lastRead.Load()))
-			if idle >= interval+grace {
+			if idle >= 2*interval {
 				cc.fail(fmt.Errorf("%w: keepalive: peer silent for %v", ErrConnBroken, idle))
 				return
 			}
@@ -747,12 +740,6 @@ func (c *Client) await(cc *clientConn, ch chan *wire.Reply, id uint32, deadline 
 // Invoke performs a request on the object's primary endpoint.
 func (c *Client) Invoke(ref IOR, op string, args []byte, oneway bool) ([]byte, error) {
 	return c.InvokeOpts(ref, op, args, InvokeOptions{Oneway: oneway})
-}
-
-// InvokeDeadline is Invoke bounded by an absolute per-invocation deadline,
-// overriding a longer (or absent) Client.Timeout for this call only.
-func (c *Client) InvokeDeadline(ref IOR, op string, args []byte, oneway bool, deadline time.Time) ([]byte, error) {
-	return c.InvokeOpts(ref, op, args, InvokeOptions{Oneway: oneway, Deadline: deadline})
 }
 
 // InvokeOpts performs a request with full per-invocation options. For a

@@ -92,60 +92,139 @@ func (f *ForwardRequest) Error() string {
 	return fmt.Sprintf("forward to %s", f.Target.TypeID)
 }
 
-// encodeException renders an exception as a reply body.
+// An outcome is how one step of a call ended: clean, or the error that ended
+// it. One encoding carries it wherever it travels — between processes as the
+// body of an exceptional reply, whose status says which kind it is, and between
+// the threads of an SPMD program (core's share and agree), where a leading kind
+// octet does. The exception fields are written and read here and nowhere else.
+const (
+	outcomeOK     byte = iota
+	outcomeUser        // repository id, message, payload
+	outcomeSystem      // repository id, minor, message
+	outcomeOther       // any other error: its text, which is all of it that travels
+)
+
+func (e *UserException) encode(enc *cdr.Encoder) {
+	enc.WriteString(e.RepoID)
+	enc.WriteString(e.Message)
+	enc.WriteOctets(e.Payload)
+}
+
+func (e *SystemException) encode(enc *cdr.Encoder) {
+	enc.WriteString(e.RepoID)
+	enc.WriteULong(e.Minor)
+	enc.WriteString(e.Message)
+}
+
+// EncodeOutcome appends err led by its kind: a user or system exception
+// anywhere in err's chain keeps its type, repository id and fields, any other
+// error crosses as its text, and nil is the single ok octet.
+func EncodeOutcome(e *cdr.Encoder, err error) {
+	if err == nil {
+		e.WriteOctet(outcomeOK)
+		return
+	}
+	var ue *UserException
+	var se *SystemException
+	switch {
+	case errors.As(err, &ue):
+		e.WriteOctet(outcomeUser)
+		ue.encode(e)
+	case errors.As(err, &se):
+		e.WriteOctet(outcomeSystem)
+		se.encode(e)
+	default:
+		e.WriteOctet(outcomeOther)
+		e.WriteString(err.Error())
+	}
+}
+
+// DecodeOutcome reads what EncodeOutcome wrote: the outcome (nil for ok), or
+// the error that kept it from being read.
+func DecodeOutcome(d *cdr.Decoder) (outcome, err error) {
+	kind, err := d.ReadOctet()
+	if err != nil {
+		return nil, err
+	}
+	return decodeOutcome(d, kind)
+}
+
+// decodeOutcome reads the fields of an outcome of the given kind.
+func decodeOutcome(d *cdr.Decoder, kind byte) (outcome, err error) {
+	switch kind {
+	case outcomeOK:
+		return nil, nil
+	case outcomeUser:
+		var ue UserException
+		if ue.RepoID, err = d.ReadString(); err != nil {
+			return nil, err
+		}
+		if ue.Message, err = d.ReadString(); err != nil {
+			return nil, err
+		}
+		if ue.Payload, err = d.ReadOctets(); err != nil {
+			return nil, err
+		}
+		return &ue, nil
+	case outcomeSystem:
+		var se SystemException
+		if se.RepoID, err = d.ReadString(); err != nil {
+			return nil, err
+		}
+		if se.Minor, err = d.ReadULong(); err != nil {
+			return nil, err
+		}
+		if se.Message, err = d.ReadString(); err != nil {
+			return nil, err
+		}
+		return &se, nil
+	case outcomeOther:
+		msg, err := d.ReadString()
+		if err != nil {
+			return nil, err
+		}
+		return errors.New(msg), nil
+	default:
+		return nil, fmt.Errorf("%w: outcome kind %d", cdr.ErrInvalid, kind)
+	}
+}
+
+// encodeException renders an exception as a reply body: the fields of its
+// outcome, the kind travelling as the reply status. An error that is no
+// exception is reported as INTERNAL.
 func encodeException(e *cdr.Encoder, err error) wire.ReplyStatus {
 	var ue *UserException
 	if errors.As(err, &ue) {
-		e.WriteString(ue.RepoID)
-		e.WriteString(ue.Message)
-		e.WriteOctets(ue.Payload)
+		ue.encode(e)
 		return wire.ReplyUserException
 	}
 	var se *SystemException
 	if !errors.As(err, &se) {
 		se = &SystemException{RepoID: RepoInternal, Message: err.Error()}
 	}
-	e.WriteString(se.RepoID)
-	e.WriteULong(se.Minor)
-	e.WriteString(se.Message)
+	se.encode(e)
 	return wire.ReplySystemException
 }
 
 // decodeException rebuilds the error carried by an exceptional reply. The
 // body is an argument payload (leading byte-order octet).
 func decodeException(status wire.ReplyStatus, body []byte) error {
+	var kind byte
+	switch status {
+	case wire.ReplyUserException:
+		kind = outcomeUser
+	case wire.ReplySystemException:
+		kind = outcomeSystem
+	default:
+		return fmt.Errorf("orb: unexpected reply status %v", status)
+	}
 	d, err := ArgDecoder(body)
 	if err != nil {
 		return fmt.Errorf("orb: corrupt exception payload: %w", err)
 	}
-	switch status {
-	case wire.ReplyUserException:
-		var ue UserException
-		var err error
-		if ue.RepoID, err = d.ReadString(); err != nil {
-			return fmt.Errorf("orb: corrupt user exception: %w", err)
-		}
-		if ue.Message, err = d.ReadString(); err != nil {
-			return fmt.Errorf("orb: corrupt user exception: %w", err)
-		}
-		if ue.Payload, err = d.ReadOctets(); err != nil {
-			return fmt.Errorf("orb: corrupt user exception: %w", err)
-		}
-		return &ue
-	case wire.ReplySystemException:
-		var se SystemException
-		var err error
-		if se.RepoID, err = d.ReadString(); err != nil {
-			return fmt.Errorf("orb: corrupt system exception: %w", err)
-		}
-		if se.Minor, err = d.ReadULong(); err != nil {
-			return fmt.Errorf("orb: corrupt system exception: %w", err)
-		}
-		if se.Message, err = d.ReadString(); err != nil {
-			return fmt.Errorf("orb: corrupt system exception: %w", err)
-		}
-		return &se
-	default:
-		return fmt.Errorf("orb: unexpected reply status %v", status)
+	exc, err := decodeOutcome(d, kind)
+	if err != nil {
+		return fmt.Errorf("orb: corrupt %v body: %w", status, err)
 	}
+	return exc
 }

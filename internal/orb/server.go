@@ -81,14 +81,10 @@ type ServerOptions struct {
 	// DefaultWriteTimeout; negative disables.
 	WriteTimeout time.Duration
 	// KeepaliveInterval is how long a connection may stay silent before the
-	// server probes it with a Ping. Default DefaultKeepaliveInterval;
-	// negative disables keepalives.
+	// server probes it with a Ping; a peer silent for one more interval after
+	// the probe is declared dead and the connection closed. Default
+	// DefaultKeepaliveInterval; negative disables keepalives.
 	KeepaliveInterval time.Duration
-	// KeepaliveTimeout is the additional silence tolerated after the probe
-	// before the peer is declared dead and the connection closed. Zero
-	// defaults to KeepaliveInterval (dead peers are detected within roughly
-	// twice the interval).
-	KeepaliveTimeout time.Duration
 	// Transport configures accepted connections (byte order, frame limits,
 	// fault-injection wrappers). WriteTimeout above is layered on top.
 	Transport *transport.Options
@@ -103,9 +99,10 @@ type ServerOptions struct {
 	// path pays nothing beyond the counters it already kept plus one clock
 	// read per request.
 	Metrics *obs.Registry
-	// MetricsAddr, when non-empty, serves Metrics (obs.Default when Metrics
-	// is nil) as JSON over HTTP on this address; the endpoint lives until
-	// Shutdown. MetricsEndpoint returns the bound address.
+	// MetricsAddr, when non-empty, serves Metrics (a registry the server
+	// makes for itself when Metrics is nil) as JSON over HTTP on this address;
+	// the endpoint lives until Shutdown. MetricsEndpoint returns the bound
+	// address.
 	MetricsAddr string
 	// Trace, when set, records server-side invocation spans (admission
 	// waits, keyed by request id) into this ring buffer.
@@ -166,9 +163,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 		o.KeepaliveInterval = DefaultKeepaliveInterval
 	case o.KeepaliveInterval < 0:
 		o.KeepaliveInterval = 0
-	}
-	if o.KeepaliveTimeout <= 0 {
-		o.KeepaliveTimeout = o.KeepaliveInterval
 	}
 	return o
 }
@@ -351,7 +345,7 @@ func NewServerOpts(addr string, opts ServerOptions) (*Server, error) {
 	s.rec = opts.Trace
 	reg := opts.Metrics
 	if reg == nil && opts.MetricsAddr != "" {
-		reg = obs.Default
+		reg = obs.NewRegistry()
 	}
 	if reg != nil {
 		s.metrics = reg
@@ -452,13 +446,6 @@ func (s *Server) Register(key []byte, sv Servant) {
 	s.servants[string(key)] = sv
 }
 
-// Unregister removes the servant under key.
-func (s *Server) Unregister(key []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.servants, string(key))
-}
-
 // SetDataHandler installs the consumer for multi-port Data messages.
 func (s *Server) SetDataHandler(h DataHandler) {
 	s.mu.Lock()
@@ -542,11 +529,7 @@ func (s *Server) acceptLoop() {
 func (s *Server) keepaliveScanner() {
 	defer s.wg.Done()
 	interval := s.opts.KeepaliveInterval
-	grace := s.opts.KeepaliveTimeout
 	tick := interval / 4
-	if grace/4 < tick {
-		tick = grace / 4
-	}
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
@@ -566,7 +549,7 @@ func (s *Server) keepaliveScanner() {
 			s.mu.Unlock()
 			for _, sc := range scratch {
 				idle := sc.idle(now)
-				if idle >= interval+grace {
+				if idle >= 2*interval {
 					s.keepaliveDrops.Add(1)
 					s.Logf("orb: server keepalive: peer silent %v, dropping connection", idle)
 					sc.conn.Close() // the serve loop observes the close and exits

@@ -113,9 +113,6 @@ func New(names []string, virtualNodes int) *Ring {
 // Len returns the number of shards on the ring.
 func (r *Ring) Len() int { return len(r.names) }
 
-// Names returns the shard names, in the order indices refer to.
-func (r *Ring) Names() []string { return r.names }
-
 // owner returns the index into points of the virtual node owning key.
 func (r *Ring) owner(key []byte) int {
 	h := Hash(key)
