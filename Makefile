@@ -66,12 +66,13 @@ race:
 
 # The admission ledger (stats_test.go), the fan-in accounting suite
 # (fanin_test.go), the transport's pool-balance suites (zero-copy writes,
-# reassembly and its failure paths), and the chunk-buffer ledger, fault and
-# run-ahead suites with the one chunk sender's (the last two packages under
-# -race: their failure mode is a buffer observed while in flight) and, beside
-# it, the direct legs' frame ledger, the refused invocations' (a frame observed
-# after release) and set-up's failure agreement (a thread still parked in a
-# collective), FLAKECOUNT times each.
+# reassembly and its failure paths), and the buffer pool's own hammer with the
+# chunk-buffer ledger, fault and run-ahead suites and the one chunk sender's
+# (the last three packages under -race: their failure mode is a buffer observed
+# while on loan) and, beside it, the direct legs' frame ledger, the refused
+# invocations' (a frame observed after release), set-up's failure agreement (a
+# thread still parked in a collective) and the lost data connection's (a
+# thread that missed the poison waits out its timeout), FLAKECOUNT times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers' \
@@ -79,9 +80,10 @@ flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestFragmentedDataPreallocation|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames' \
 		./internal/transport
+	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestChunkSender|TestMultiportFramesReturned|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed' ./internal/core
+		-run='TestChunkSender|TestMultiportFramesReturned|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure' ./internal/core
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the
 # working tree, alternated on this box, with medians, quartiles and wins per

@@ -305,11 +305,13 @@ func TestRefusedInvocationReleasesFrames(t *testing.T) {
 				}
 				testutil.Eventually(t, testTimeout, "buckets of refused invocations outlived DataTimeout", func() bool { return buckets() == 0 })
 
-				// A frame for the call that just ended — its bucket dropped —
-				// opens a fresh one, which goes the same way.
+				// A frame no call will claim opens a fresh bucket, which goes
+				// the same way. Its token is new, not the last call's: a
+				// thread still leaving that call drops the token's bucket on
+				// its way out, and the frame could vanish before it is seen.
 				cli := orb.NewClient()
 				defer cli.Close()
-				late := &wire.Data{RequestID: tokenCounter.Load(), DstRank: 1, Count: 4,
+				late := &wire.Data{RequestID: tokenCounter.Add(1), DstRank: 1, Count: 4,
 					Payload: dseq.MarshalChunk(dseq.Float64, make([]float64, 4))}
 				if err := cli.SendData(objs[0].Ref(), late); err != nil {
 					t.Fatal(err)

@@ -81,8 +81,7 @@ type BindOptions struct {
 	// estimator — compress only when the observed encode throughput and
 	// ratio beat the connection's measured wire bandwidth — so a binding
 	// on a fast loopback skips the codec it would want on a thin WAN
-	// link. PolicyAlways compresses whenever a codec is negotiated;
-	// PolicyNever is equivalent to Compression == 0.
+	// link. PolicyAlways compresses whenever a codec is negotiated.
 	CompressionPolicy zcodec.Policy
 	// ShareConnection lets this binding share one multiplexed client engine
 	// — and therefore one connection per endpoint — with every other
@@ -126,15 +125,9 @@ func (o BindOptions) clientKey() string {
 		o.Breaker, o.Trace, o.Metrics, o.Sharding, o.effComp(), o.CompressionPolicy)
 }
 
-// effComp is the compression mask this binding actually offers:
-// the configured mask clipped to this build's codecs, or nothing at
-// all under PolicyNever (which must suppress even the handshake offer).
-func (o BindOptions) effComp() uint8 {
-	if o.CompressionPolicy == zcodec.PolicyNever {
-		return 0
-	}
-	return o.Compression & zcodec.Supported
-}
+// effComp is the compression mask this binding actually offers: the
+// configured mask clipped to this build's codecs.
+func (o BindOptions) effComp() uint8 { return o.Compression & zcodec.Supported }
 
 // maxPipelineDepth bounds the lane fan-out so a typo'd depth cannot allocate
 // thousands of communicator contexts.

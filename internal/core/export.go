@@ -79,10 +79,11 @@ type ExportOptions struct {
 	// request arriving with the queue full is refused immediately with a
 	// TRANSIENT system exception rather than parked without bound.
 	QueueDepth int
-	// DataTimeout bounds how long a computing thread waits for one
-	// argument's multi-port transfers from the client threads. A client
-	// that dies mid-transfer then fails the upcall instead of wedging the
-	// collective loop. Defaults to DefaultDataTimeout; negative disables.
+	// DataTimeout bounds every wait of a computing thread on client data:
+	// for the next frame of an argument's transfers, and for a client's
+	// attachment before results flow back to it. A client that dies
+	// mid-transfer then fails the upcall instead of wedging the collective
+	// loop. Defaults to DefaultDataTimeout; negative disables.
 	DataTimeout time.Duration
 	// Server configures the per-thread object adapters' robustness layer:
 	// admission-control caps, write deadlines, liveness keepalives. The zero
@@ -102,9 +103,8 @@ type ExportOptions struct {
 	// CompressionPolicy selects how reply legs apply the negotiated mask:
 	// PolicyAuto (the zero default) lets the adaptive estimator send raw
 	// when the client's connection is faster than the codec, PolicyAlways
-	// compresses whenever a codec was negotiated, and PolicyNever declines
-	// every handshake offer (equivalent to Compression == 0). Merged into
-	// Server.CompressionPolicy when that field is left at its zero value.
+	// compresses whenever a codec was negotiated. The adapters only
+	// negotiate; the policy is the reply leg's.
 	CompressionPolicy zcodec.Policy
 	// Epoch is the membership epoch of an elastic export (set by the elastic
 	// engine; leave 0 for conventional exports). A non-zero epoch is suffixed
@@ -277,15 +277,6 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 	// here lets callers set either knob.
 	opts.Compression &= zcodec.Supported
 	opts.Server.Compression = (opts.Server.Compression | opts.Compression) & zcodec.Supported
-	if opts.Server.CompressionPolicy == zcodec.PolicyAuto {
-		opts.Server.CompressionPolicy = opts.CompressionPolicy
-	}
-	if opts.Server.CompressionPolicy == zcodec.PolicyNever {
-		// Never means never: don't even accept offers, so the handshake
-		// resolves to raw and the reply leg skips mask agreement entirely.
-		opts.Compression = 0
-		opts.Server.Compression = 0
-	}
 	o := &Object{
 		comm:    engine,
 		opts:    opts,

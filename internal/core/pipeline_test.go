@@ -254,13 +254,19 @@ func TestStreamedChunkAllocs(t *testing.T) {
 		t.Logf("streamed invocation allocs: %.0f at %d chunks/leg, %.0f at %d chunks/leg (%.1f per extra chunk)",
 			small, smallElems/chunk, big, bigElems/chunk, perChunk)
 		// The whole-process budget per marginal chunk. The sender gathers into
-		// a ring slot and reuses its Data message, so what is left is the
-		// receiving side's decoded Data message and its release hook; before
-		// the one pipelined sender and the recycled chunk buffers this
-		// measured 10.5 against a budget of 40.
-		const budget = 8
+		// a ring slot and reuses its Data message, and the receiver's frame
+		// goes back to the pool without a hook, so what is left is the
+		// receiving side's decoded Data message: 1.0. With a release closure
+		// per frame this measured 2.0; before the one pipelined sender and the
+		// recycled chunk buffers, 10.5 against a budget of 40. (Under -race
+		// sync.Pool drops a quarter of its puts, each a buffer to allocate
+		// again: 1.3 to 1.4.)
+		budget := 1.5
+		if raceEnabled {
+			budget = 2
+		}
 		if perChunk > budget {
-			return fmt.Errorf("streamed transfer allocates %.1f per extra chunk, budget %d", perChunk, budget)
+			return fmt.Errorf("streamed transfer allocates %.1f per extra chunk, budget %.1f", perChunk, budget)
 		}
 		return nil
 	})

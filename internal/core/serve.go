@@ -269,7 +269,12 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 		recvErr = o.recvDirect(bucket, h, args)
 	}
 	if recvErr != nil {
-		recvErr = orb.Marshal(recvErr)
+		// A lost data connection stays the COMM_FAILURE it is; whatever else
+		// the leg met is a marshalling failure. (se escapes: declared here,
+		// it costs the clean path nothing.)
+		if se := (*orb.SystemException)(nil); !errors.As(recvErr, &se) {
+			recvErr = orb.Marshal(recvErr)
+		}
 	}
 	o.span(h.Token, obs.PhaseRecvXfer, recvStart, 0)
 	if agreed := agree(o.comm, recvErr); agreed != nil {
@@ -405,9 +410,9 @@ func (o *Object) sendChunked(bucket *dataBucket, h *invocationHeader, args []dse
 	// leg's mask is the one thread 0's adapter negotiated on it during the
 	// handshake. A missing attachment resolves to raw here; the sender's own
 	// resolution reports the failure through the usual error path.
-	mask, err := agreeMask(o.comm, o.opts.Server.Compression, o.opts.Server.CompressionPolicy, o.compSkipped,
+	mask, err := agreeMask(o.comm, o.opts.Server.Compression, o.opts.CompressionPolicy, o.compSkipped,
 		func() (uint8, float64) {
-			c, err := bucket.conn(0, o.stop, attachTimeout)
+			c, err := bucket.conn(0, o.stop, o.opts.DataTimeout)
 			if err != nil {
 				return 0, 0
 			}
@@ -420,7 +425,7 @@ func (o *Object) sendChunked(bucket *dataBucket, h *invocationHeader, args []dse
 
 	var cs *chunkSender
 	if me == 0 && slices.ContainsFunc(h.Args, func(a headerArg) bool { return a.Dir != In }) {
-		cs = newChunkSender(connWriter(bucket.conn(0, o.stop, attachTimeout)))
+		cs = newChunkSender(connWriter(bucket.conn(0, o.stop, o.opts.DataTimeout)))
 	}
 	_, err = sendChunks(o.comm, cs, h.Token, true, chunkElemsFor(int(h.ChunkElems), outs), mask, outs,
 		func(t time.Time) { o.span(h.Token, obs.PhaseChunkSend, t, mask) })
@@ -445,15 +450,11 @@ func (o *Object) recvDirect(bucket *dataBucket, h *invocationHeader, args []dseq
 	return recvMoves(bucket.ch, o.stop, o.opts.DataTimeout, false, want)
 }
 
-// attachTimeout bounds how long a return-flow sender waits for a client
-// attachment that has not yet arrived.
-const attachTimeout = 30 * time.Second
-
 // sendDirect is the direct send leg: this thread's share of every result goes
 // to the client threads that own it, over the connections they attached.
 func (o *Object) sendDirect(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
 	write := func(d *wire.Data) error {
-		conn, err := bucket.conn(int(d.DstRank), o.stop, attachTimeout)
+		conn, err := bucket.conn(int(d.DstRank), o.stop, o.opts.DataTimeout)
 		if err != nil {
 			return err
 		}

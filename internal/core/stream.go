@@ -348,8 +348,8 @@ func gatherInto(c *rts.Comm, seq dseq.Transferable, e *cdr.Encoder) error {
 	return err
 }
 
-// chunkTimer returns the timer one transfer leg bounds each of its chunk
-// waits with (nextChunk resets it per chunk), or nil when the wait is
+// chunkTimer returns the timer one transfer leg bounds each of its frame
+// waits with (takeFrame resets it per frame), or nil when the wait is
 // unbounded. The caller stops it when the leg is done.
 func chunkTimer(timeout time.Duration) *time.Timer {
 	if timeout <= 0 {
@@ -358,12 +358,13 @@ func chunkTimer(timeout time.Duration) *time.Timer {
 	return time.NewTimer(timeout)
 }
 
-// nextChunk pulls the next expected stream chunk from a data channel,
-// validating that it is exactly the scheduled one, waiting at most timeout
-// on the leg's timer t (nil: no bound). A nil message is the connection-loss
-// poison. On any error the frame (if any) has been released; on success the
-// caller owns the frame and must Release it.
-func nextChunk(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration, argIdx uint32, reply bool, start, n int, last bool) (*wire.Data, error) {
+// takeFrame is the one wait of a receive leg, whatever its shape: the next
+// frame off ch, waiting at most timeout on the leg's timer t (nil: no bound)
+// and until stop (nil: no cancellation). A nil frame is the connection-loss
+// poison and, like every lost connection, a COMM_FAILURE: a client whose peer
+// restarted or resized can tell "re-resolve" (naming.Stale) from a hard
+// failure. The caller owns the frame it is given and must Release it.
+func takeFrame(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration) (*wire.Data, error) {
 	var deadline <-chan time.Time
 	if t != nil {
 		t.Reset(timeout)
@@ -372,21 +373,33 @@ func nextChunk(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeou
 	select {
 	case d := <-ch:
 		if d == nil {
-			return nil, &orb.SystemException{RepoID: orb.RepoComm, Message: "data connection lost mid-stream"}
-		}
-		if d.ArgIndex != argIdx || d.Reply != reply || !d.Chunked() ||
-			d.DstOff != uint64(start) || d.Count != uint64(n) || d.LastChunk() != last {
-			err := fmt.Errorf("%w: stream chunk arg %d off %d count %d last %v, want arg %d off %d count %d last %v",
-				ErrBadHeader, d.ArgIndex, d.DstOff, d.Count, d.LastChunk(), argIdx, start, n, last)
-			d.Release()
-			return nil, err
+			return nil, &orb.SystemException{RepoID: orb.RepoComm, Message: "data connection lost mid-transfer"}
 		}
 		return d, nil
 	case <-stop:
 		return nil, ErrStopped
 	case <-deadline:
-		return nil, fmt.Errorf("core: stream chunk (arg %d, off %d) timed out after %v", argIdx, start, timeout)
+		return nil, fmt.Errorf("core: no data frame arrived within %v", timeout)
 	}
+}
+
+// nextChunk pulls the next expected stream chunk from a data channel (see
+// takeFrame for the wait), validating that it is exactly the scheduled one.
+// On any error the frame (if any) has been released; on success the caller
+// owns the frame and must Release it.
+func nextChunk(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration, argIdx uint32, reply bool, start, n int, last bool) (*wire.Data, error) {
+	d, err := takeFrame(ch, stop, t, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("stream chunk (arg %d, off %d): %w", argIdx, start, err)
+	}
+	if d.ArgIndex != argIdx || d.Reply != reply || !d.Chunked() ||
+		d.DstOff != uint64(start) || d.Count != uint64(n) || d.LastChunk() != last {
+		err := fmt.Errorf("%w: stream chunk arg %d off %d count %d last %v, want arg %d off %d count %d last %v",
+			ErrBadHeader, d.ArgIndex, d.DstOff, d.Count, d.LastChunk(), argIdx, start, n, last)
+		d.Release()
+		return nil, err
+	}
+	return d, nil
 }
 
 // drainData empties a data channel without blocking, returning any pooled
@@ -416,11 +429,7 @@ func (iv *invocation) sendChunked(scalars []byte) error {
 	var err error
 	iv.mask, err = agreeMask(iv.comm, b.comp, b.policy, b.compSkipped, func() (uint8, float64) {
 		// Resolving the mask runs the handshake on the connection's first use.
-		wait := b.client.Timeout
-		if wait <= 0 || wait > 5*time.Second {
-			wait = 5 * time.Second
-		}
-		return b.client.NegotiatedCompression(b.ref, wait), b.client.WireBandwidth(b.ref)
+		return b.client.NegotiatedCompression(b.ref, b.client.Timeout), b.client.WireBandwidth(b.ref)
 	})
 	if err != nil {
 		return err

@@ -79,36 +79,20 @@ func (ts transfers) expect(argIdx int, seq dseq.Transferable, from dist.Layout, 
 // recvMoves drains ch until every transfer in want has arrived and been
 // stored, in whatever order the senders' connections deliver them. Every frame
 // taken off ch is released here, stored or not; what the leg leaves in ch is
-// the owner's to drain. Each wait is bounded by timeout (zero: unbounded) and
-// by stop (nil: no cancellation); a nil frame is the connection-loss poison.
+// the owner's to drain. Each wait is takeFrame's: bounded by timeout (zero:
+// unbounded) and by stop (nil: no cancellation).
 func recvMoves(ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration, reply bool, want transfers) error {
 	t := chunkTimer(timeout)
 	if t != nil {
 		defer t.Stop()
 	}
 	for len(want) > 0 {
-		var deadline <-chan time.Time
-		if t != nil {
-			t.Reset(timeout)
-			deadline = t.C
-		}
-		var d *wire.Data
-		select {
-		case d = <-ch:
-		case <-stop:
-			return ErrStopped
-		case <-deadline:
-			return fmt.Errorf("core: timed out awaiting %d transfers", len(want))
-		}
-		if d == nil {
-			// A data connection feeding this leg died (peer crash detected by
-			// keepalive, orderly close, or I/O failure). Fail now instead of
-			// waiting out the timeout.
-			return fmt.Errorf("core: data connection lost awaiting %d transfers", len(want))
+		d, err := takeFrame(ch, stop, t, timeout)
+		if err != nil {
+			return fmt.Errorf("awaiting %d transfers: %w", len(want), err)
 		}
 		k := transferKey{d.ArgIndex, d.DstOff}
 		tr, ok := want[k]
-		var err error
 		switch {
 		case !ok || d.Reply != reply:
 			err = fmt.Errorf("core: unexpected transfer at offset %d for arg %d", d.DstOff, d.ArgIndex)

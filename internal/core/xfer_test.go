@@ -2,6 +2,8 @@ package core
 
 import (
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
+	"repro/internal/rts"
 	"repro/internal/testutil"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -172,6 +175,162 @@ func TestMultiportFramesReturned(t *testing.T) {
 			if _, err := b.Invoke("pair", ScalarEncoder().Bytes(), args); err == nil {
 				t.Fatal("the invocation succeeded on a broken back leg")
 			}
+		})
+	}
+}
+
+// TestLostDataConnectionIsCommFailure loses a data connection in the middle
+// of a leg, in both shapes and on both receiving ends, and requires the one
+// classification every lost connection gets — a COMM_FAILURE system exception,
+// which naming.Stale takes for "re-resolve" — identically on every thread.
+func TestLostDataConnectionIsCommFailure(t *testing.T) {
+	const n = 4 * shapeChunk
+	check := func(t *testing.T, shape string) {
+		t.Helper()
+		if !strings.Contains(shape, "system "+orb.RepoComm+" stale=true") {
+			t.Fatalf("the leg failed with\n  %s\nwant a COMM_FAILURE system exception that naming.Stale accepts", shape)
+		}
+	}
+	zeros := func(count int) []byte { return dseq.MarshalChunk(dseq.Float64, make([]float64, count)) }
+	shapes := []struct {
+		name   string
+		method Method
+	}{{"chunked", Centralized}, {"direct", Multiport}}
+
+	// The server's receive leg: a real two-thread object, a hand-rolled client
+	// thread whose data travels on a connection of its own, which it closes
+	// with thread 0 still owed data. The object's threads agree on thread 0's
+	// failure; the reply carries it.
+	for i, sh := range shapes {
+		t.Run(sh.name+"/server receive leg", func(t *testing.T) {
+			defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
+			tc := startClusterOps(t, 2, true, func() []Operation { return shapeOps(func(*ServerCall) {}) })
+			tc.objMu.Lock()
+			ref := tc.objects[0].Ref()
+			tc.objMu.Unlock()
+			ctl, data := orb.NewClient(), orb.NewClient()
+			ctl.Timeout = testTimeout
+			defer ctl.Close()
+			defer data.Close()
+
+			whole, err := dist.Block{}.Layout(n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &invocationHeader{Op: "put", Method: sh.method, Token: 0x10c0 + uint32(i), ClientRanks: 1,
+				Scalars: ScalarEncoder().Bytes(), Args: []headerArg{{Dir: In, Elem: "double", Layout: whole}}}
+			if sh.method == Centralized {
+				// Thread 0 gets the first of four chunks and then the loss.
+				h.ChunkElems = shapeChunk
+				first := &wire.Data{RequestID: h.Token, Count: shapeChunk, Flags: wire.DataFlagChunk, Payload: zeros(shapeChunk)}
+				if err := data.SendData(ref, first); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				// Thread 1 gets its half as planned; thread 0 an attachment,
+				// which ties its bucket to the connection, and then the loss.
+				if err := ctl.SendData(ref, &wire.Data{RequestID: h.Token, DstRank: 1, Count: n / 2, Payload: zeros(n / 2)}); err != nil {
+					t.Fatal(err)
+				}
+				if err := data.SendData(ref, &wire.Data{RequestID: h.Token}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data.Close()
+			e := orb.NewArgEncoder()
+			h.encode(e)
+			_, err = ctl.Invoke(ref, "put", e.Bytes(), false)
+			check(t, errorShape(err))
+		})
+	}
+
+	// The client's back leg: a two-thread client, a hand-rolled one-thread
+	// server that answers a swap with less than it owes and a lost connection
+	// — thread 1's own in the direct shape; in the chunked one, whose chunks
+	// share the reply's connection, another connection of thread 0's engine,
+	// which poisons every sink of the engine as a sibling binding's would.
+	for _, sh := range shapes {
+		t.Run(sh.name+"/client back leg", func(t *testing.T) {
+			defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
+			srv, err := orb.NewServer("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			other, err := orb.NewServer("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer other.Close()
+			// The connection each client thread's forward leg arrived on.
+			var mu sync.Mutex
+			conns := map[uint32]*transport.Conn{}
+			srv.SetDataHandler(func(d *wire.Data, conn *transport.Conn) {
+				mu.Lock()
+				conns[d.SrcRank] = conn
+				mu.Unlock()
+				d.Release()
+			})
+			connOf := func(rank uint32) *transport.Conn {
+				var c *transport.Conn
+				testutil.Eventually(t, testTimeout, "a client thread's forward leg never arrived", func() bool {
+					mu.Lock()
+					defer mu.Unlock()
+					c = conns[rank]
+					return c != nil
+				})
+				return c
+			}
+			swap := OpDesc{Name: "swap", Args: []ArgDesc{{Name: "arr", Dir: InOut, Elem: "double"}}}
+			key := []byte("spmd/hand-rolled")
+			srv.Register(key, orb.ServantFunc(func(op string, in *cdr.Decoder, out *cdr.Encoder) error {
+				if op == describeOp {
+					encodeOpTable(out, []OpDesc{swap})
+					return nil
+				}
+				h, err := decodeInvocationHeader(in)
+				if err != nil {
+					return orb.Marshal(err)
+				}
+				part := &wire.Data{RequestID: h.Token, Reply: true}
+				if sh.method == Centralized {
+					part.Count, part.Flags, part.Payload = shapeChunk, wire.DataFlagChunk, zeros(shapeChunk)
+				} else {
+					part.Count, part.Payload = n/2, zeros(n/2)
+				}
+				if err := connOf(0).WriteMessage(part); err != nil {
+					t.Error(err)
+				}
+				if sh.method == Centralized {
+					other.Close()
+				} else {
+					connOf(1).Close()
+				}
+				encodeReplyPrefix(out, nil, 1)
+				encodeReplyArg(out, InOut, n)
+				return nil
+			}))
+			ref := orb.IOR{TypeID: "IDL:swap:1.0", Key: key, Threads: 1, Endpoints: []orb.Endpoint{srv.Endpoint(0)}}
+			otherRef := orb.IOR{TypeID: "IDL:other:1.0", Key: key, Threads: 1, Endpoints: []orb.Endpoint{other.Endpoint(0)}}
+
+			check(t, sameOnEveryThread(t, 2, func(c *rts.Comm) error {
+				b, err := SPMDBindRef(c, ref, BindOptions{Method: sh.method, Timeout: testTimeout, StreamChunkElems: shapeChunk})
+				if err != nil {
+					return err
+				}
+				defer b.Close()
+				if sh.method == Centralized && c.Rank() == 0 {
+					if _, err := b.client.DataConn(otherRef, 0); err != nil {
+						return err
+					}
+				}
+				arr, err := dseq.New(c, dseq.Float64, n, nil)
+				if err != nil {
+					return err
+				}
+				_, err = b.Invoke("swap", ScalarEncoder().Bytes(), []DistArg{InOutSeq(arr)})
+				return err
+			}))
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/cdr"
 	"repro/internal/dist"
 	"repro/internal/rts"
@@ -29,7 +30,7 @@ const scribble = 0xDB
 func watchPuts(t *testing.T) (wasPut func(p *byte) bool) {
 	var mu sync.Mutex
 	put := map[*byte]bool{}
-	onChunkPut = func(b []byte) {
+	bufpool.Chunks.OnReturn = func(b []byte) {
 		for i := range b {
 			b[i] = scribble
 		}
@@ -37,7 +38,7 @@ func watchPuts(t *testing.T) (wasPut func(p *byte) bool) {
 		put[&b[0]] = true
 		mu.Unlock()
 	}
-	t.Cleanup(func() { onChunkPut = nil })
+	t.Cleanup(func() { bufpool.Chunks.OnReturn = nil })
 	return func(p *byte) bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -48,9 +49,12 @@ func watchPuts(t *testing.T) (wasPut func(p *byte) bool) {
 // outstanding returns a function reporting how many chunk buffers were rented
 // and not returned since this call.
 func outstanding() func() int64 {
-	g0, p0 := chunkGets.Load(), chunkPuts.Load()
-	return func() int64 { return int64(chunkGets.Load()-g0) - int64(chunkPuts.Load()-p0) }
+	base := bufpool.Chunks.Stats().Outstanding()
+	return func() int64 { return bufpool.Chunks.Stats().Outstanding() - base }
 }
+
+// rented is how many chunk buffers were ever rented.
+func rented() uint64 { st := bufpool.Chunks.Stats(); return st.Hits + st.Misses }
 
 func ramp(g int) float64 { return 1000 + 3*float64(g) }
 
@@ -97,7 +101,7 @@ func TestChunkPoolLedger(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%d/mask%d", sp.name, ranks, mask), func(t *testing.T) {
 					watchPuts(t)
 					owed := outstanding()
-					crossed := chunkGets.Load()
+					crossed := rented()
 					run(t, ranks, func(c *rts.Comm) error {
 						src, err := New(c, Float64, length, sp.spec(ranks))
 						if err != nil {
@@ -127,7 +131,7 @@ func TestChunkPoolLedger(t *testing.T) {
 					if n := owed(); n != 0 {
 						t.Fatalf("%d chunk buffers rented and not returned at quiescence", n)
 					}
-					if ranks > 1 && chunkGets.Load() == crossed {
+					if ranks > 1 && rented() == crossed {
 						t.Fatal("no chunk buffer was rented: the schedule never crossed a mailbox")
 					}
 				})
@@ -236,7 +240,7 @@ func TestChunkPoolFaults(t *testing.T) {
 		e.WriteOctet(byte(other))
 		e.WriteDoubles(vals)
 		swapped := e.Bytes()
-		classy := append(make([]byte, 0, 1<<13+chunkHeadroom), MarshalChunk(Float64, vals)...)
+		classy := append(make([]byte, 0, 1<<13+bufpool.Headroom), MarshalChunk(Float64, vals)...)
 		run(t, 4, func(c *rts.Comm) error {
 			for _, spec := range []dist.Spec{dist.Block{}, dist.Cyclic{BlockSize: 32}, dist.Proportions{P: []int{0, 1, 0, 0}}} {
 				for _, payload := range [][]byte{swapped, classy} {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/cdr"
 	"repro/internal/dist"
 	"repro/internal/rts"
@@ -211,7 +212,7 @@ func (s *Seq[T]) GatherMarshalRangeTo(c *rts.Comm, root, start, n int, mask uint
 		e := rentEncoder(s.codec.chunkBound(segTotal(mySegs), partMask))
 		myErr = s.marshalSegs(mySegs, partMask, e)
 		if part = detach(e); myErr != nil {
-			putChunk(part)
+			bufpool.Chunks.Return(part)
 			part = FailMarker
 		}
 	}
@@ -276,7 +277,7 @@ func (s *Seq[T]) assembleRange(parts [][]byte, root, sole, start, n int, mask ui
 			return fmt.Errorf("%w (rank %d)", ErrChunkFailed, sole)
 		}
 		dst.WriteRaw(parts[sole])
-		putChunk(parts[sole])
+		bufpool.Chunks.Return(parts[sole])
 		return nil
 	}
 
@@ -342,7 +343,7 @@ func (s *Seq[T]) mergePart(part []byte, r, root, start, n int, region []byte, sc
 		return fmt.Errorf("%w (rank %d)", ErrChunkFailed, r)
 	}
 	// Nothing below keeps a reference into part: elements are copied out.
-	defer putChunk(part)
+	defer bufpool.Chunks.Return(part)
 	want := segTotal(segs)
 	if elems := s.codec.packedElems(part, want); elems != nil && region != nil {
 		for _, sg := range segs {
@@ -412,7 +413,7 @@ func (s *Seq[T]) ScatterUnmarshalRange(c *rts.Comm, root, start, n int, payload 
 	}
 	// storeSegs copies the elements out, so the piece root rented goes back.
 	err = s.storeSegs(mySegs, piece)
-	putChunk(piece)
+	bufpool.Chunks.Return(piece)
 	return err
 }
 
@@ -446,7 +447,7 @@ func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, myS
 	// mailbox hands slices off without copying, and the payload may be a
 	// borrowed transport buffer the caller releases after we return.
 	if sole >= 0 {
-		pieces[sole] = append(getChunk(len(payload)), payload...)
+		pieces[sole] = append(bufpool.Chunks.Rent(len(payload)), payload...)
 		return scatter(nil)
 	}
 

@@ -31,10 +31,11 @@ func chaosServer(t *testing.T, key []byte) (*Server, IOR) {
 	return srv, ref
 }
 
-// TestLocateRetriesThroughInjectedDisconnect is the reconnect acceptance
-// case: the first connection dies on its first write, and the idempotent
-// Locate must transparently succeed by redialing with backoff.
-func TestLocateRetriesThroughInjectedDisconnect(t *testing.T) {
+// TestLocateWithoutRetriesFailsOnDisconnect: the client never re-sends on its
+// own, so a connection that dies on its first write fails the Locate — with a
+// COMM_FAILURE, and with the connection poisoned, so that the caller's next
+// use dials a fresh one and succeeds.
+func TestLocateWithoutRetriesFailsOnDisconnect(t *testing.T) {
 	_, ref := chaosServer(t, []byte("locate-me"))
 
 	plan := transport.NewFaultPlan(11)
@@ -44,37 +45,16 @@ func TestLocateRetriesThroughInjectedDisconnect(t *testing.T) {
 	c := NewClient()
 	c.Timeout = 5 * time.Second
 	c.Transport = &transport.Options{Wrap: plan.Wrap}
-	c.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond}
 	defer c.Close()
 
-	found, err := c.Locate(ref)
-	if err != nil {
-		t.Fatalf("locate through disconnect: %v", err)
+	if _, err := c.Locate(ref); !retryable(err) {
+		t.Fatalf("locate through the cut: %v, want a connection failure", err)
 	}
-	if !found {
-		t.Fatal("object not located")
+	if found, err := c.Locate(ref); err != nil || !found {
+		t.Fatalf("locate after the cut: %v, %v", found, err)
 	}
-	if n := plan.Wrapped(); n < 2 {
-		t.Errorf("expected a redial after the cut, saw %d connection(s)", n)
-	}
-}
-
-// TestLocateWithoutRetriesFailsOnDisconnect pins the control case: the same
-// injected cut is fatal when the retry policy is zero.
-func TestLocateWithoutRetriesFailsOnDisconnect(t *testing.T) {
-	_, ref := chaosServer(t, []byte("locate-me"))
-
-	plan := transport.NewFaultPlan(11)
-	plan.CutAfterWriteBytes = 1
-	plan.FaultConns = 1
-
-	c := NewClient()
-	c.Timeout = 5 * time.Second
-	c.Transport = &transport.Options{Wrap: plan.Wrap}
-	defer c.Close()
-
-	if _, err := c.Locate(ref); err == nil {
-		t.Fatal("zero-retry locate survived the cut")
+	if n := plan.Wrapped(); n != 2 {
+		t.Errorf("saw %d connection(s), want the cut one and one redial", n)
 	}
 }
 
@@ -141,55 +121,6 @@ func TestConnFailureFansOutToAllWaiters(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("%d of %d waiters still blocked after connection cut", waiters-i, waiters)
 		}
-	}
-}
-
-// TestOnewayResendsThroughDisconnect covers the other idempotent retry
-// path: a oneway request whose first connection dies is re-sent on a fresh
-// connection.
-func TestOnewayResendsThroughDisconnect(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	got := make(chan string, 4)
-	key := []byte("sink")
-	srv.Register(key, ServantFunc(func(op string, in *cdr.Decoder, out *cdr.Encoder) error {
-		msg, err := in.ReadString()
-		if err != nil {
-			return Marshal(err)
-		}
-		got <- msg
-		return nil
-	}))
-	ref := IOR{TypeID: "IDL:test/sink:1.0", Key: key, Threads: 1, Endpoints: []Endpoint{srv.Endpoint(0)}}
-
-	plan := transport.NewFaultPlan(13)
-	plan.CutAfterWriteBytes = 1
-	plan.FaultConns = 1
-
-	c := NewClient()
-	c.Timeout = 5 * time.Second
-	c.Transport = &transport.Options{Wrap: plan.Wrap}
-	c.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond}
-	defer c.Close()
-
-	args := NewArgEncoder()
-	args.WriteString("fire-and-forget")
-	if _, err := c.Invoke(ref, "put", args.Bytes(), true); err != nil {
-		t.Fatalf("oneway through disconnect: %v", err)
-	}
-	select {
-	case msg := <-got:
-		if msg != "fire-and-forget" {
-			t.Fatalf("server got %q", msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("oneway request never arrived after the re-send")
-	}
-	if n := plan.Wrapped(); n < 2 {
-		t.Errorf("expected a redial after the cut, saw %d connection(s)", n)
 	}
 }
 

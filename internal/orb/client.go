@@ -24,15 +24,9 @@ type Client struct {
 	Timeout time.Duration
 	// MaxForwards bounds LOCATION_FORWARD chains.
 	MaxForwards int
-	// Retry bounds automatic reconnect-and-retry of idempotent operations
-	// (Locate, oneway sends). The zero value disables retries.
-	Retry RetryPolicy
 	// Transport, when set, configures dialed connections (byte order,
 	// frame limits, fault-injection wrappers).
 	Transport *transport.Options
-	// Dialer overrides how connections are established; nil uses
-	// transport.Dial. Tests substitute in-process or faulty dialers.
-	Dialer func(addr string, opts *transport.Options) (*transport.Conn, error)
 	// KeepaliveInterval, when positive, probes idle connections with Ping
 	// and declares the peer dead after one more interval of silence. A
 	// SIGKILL'd server then surfaces as a prompt connection error on every
@@ -51,15 +45,13 @@ type Client struct {
 	// whose server answers with no codec in common.
 	Compression uint8
 	// Metrics, when set before the client's first use, receives the
-	// client-side resilience event counters: "orb.client.retries" (oneway
-	// and Locate re-sends), "orb.client.failovers" (profile advances),
-	// "orb.client.breaker_open" (circuits tripping open), and
+	// client-side resilience event counters: "orb.client.failovers" (profile
+	// advances), "orb.client.breaker_open" (circuits tripping open), and
 	// "orb.client.conn_broken" (connections poisoned). Nil disables them at
 	// the cost of a nil check per event.
 	Metrics *obs.Registry
 
 	obsOnce       sync.Once
-	mRetries      *obs.Counter
 	mFailovers    *obs.Counter
 	mBreakerOpen  *obs.Counter
 	mConnBroken   *obs.Counter
@@ -109,58 +101,13 @@ type connSlot struct {
 	cc *clientConn // nil or broken: the next use redials
 }
 
-// RetryPolicy bounds the automatic retries the client performs for
-// idempotent operations, and shapes the capped exponential backoff between
-// reconnect attempts. Retries never apply to request/reply invocations,
-// whose effects may not be idempotent.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (first attempt included);
-	// values <= 1 disable retrying.
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; it doubles per
-	// retry. Zero defaults to 2ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the per-retry delay. Zero defaults to 250ms.
-	MaxBackoff time.Duration
-}
-
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// backoff returns the delay before the retryth retry (retry >= 1).
-func (p RetryPolicy) backoff(retry int) time.Duration {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = 2 * time.Millisecond
-	}
-	cap := p.MaxBackoff
-	if cap <= 0 {
-		cap = 250 * time.Millisecond
-	}
-	d := base
-	for i := 1; i < retry; i++ {
-		d *= 2
-		if d >= cap {
-			return cap
-		}
-	}
-	return min(d, cap)
-}
-
 // InvokeOptions refine one invocation.
 type InvokeOptions struct {
 	// Oneway suppresses the reply; the call returns once the request is
-	// written (and, under Retry, re-sent after a reconnect if needed).
+	// written.
 	Oneway bool
-	// RequestID, when non-zero, is the caller-chosen request id (the
-	// multi-port engine ties Data transfers to it).
-	RequestID uint32
-	// Deadline bounds this invocation, including connection establishment
-	// and any retries; the zero time leaves Client.Timeout alone in charge.
+	// Deadline bounds this invocation; the zero time leaves Client.Timeout
+	// alone in charge.
 	Deadline time.Time
 	// ShardKey, when non-nil, routes the invocation by consistent hash over
 	// the reference's profiles — each profile one shard — instead of the
@@ -174,30 +121,14 @@ type InvokeOptions struct {
 }
 
 // retryable reports whether err indicates a broken or unreachable
-// connection, the class of failure a fresh dial may fix.
+// connection, the class of failure a fresh dial may fix (the breakers count
+// it against the endpoint).
 func retryable(err error) bool {
 	if errors.Is(err, ErrConnBroken) || errors.Is(err, transport.ErrClosed) {
 		return true
 	}
 	var se *SystemException
 	return errors.As(err, &se) && se.RepoID == RepoComm
-}
-
-// sleepBackoff waits out the backoff before the retryth retry, bounded by
-// the deadline. It reports false when the deadline has expired.
-func (c *Client) sleepBackoff(retry int, deadline time.Time) bool {
-	d := c.Retry.backoff(retry)
-	if !deadline.IsZero() {
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			return false
-		}
-		if d > rem {
-			d = rem
-		}
-	}
-	time.Sleep(d)
-	return deadline.IsZero() || time.Now().Before(deadline)
 }
 
 // clientConn is one cached connection with its reply demultiplexer.
@@ -232,7 +163,6 @@ var (
 	ErrForwardLoop   = errors.New("orb: too many location forwards")
 	ErrConnBroken    = errors.New("orb: connection broken")
 	ErrInvokeTimeout = errors.New("orb: invocation timed out")
-	ErrLocateFailed  = errors.New("orb: object not located")
 	// ErrAllEndpointsDown reports that every profile of a multi-profile
 	// reference was skipped by an open circuit breaker.
 	ErrAllEndpointsDown = errors.New("orb: all endpoints circuit-open")
@@ -257,7 +187,6 @@ func (c *Client) obsInit() {
 		if m == nil {
 			return
 		}
-		c.mRetries = m.Counter("orb.client.retries")
 		c.mFailovers = m.Counter("orb.client.failovers")
 		c.mBreakerOpen = m.Counter("orb.client.breaker_open")
 		c.mConnBroken = m.Counter("orb.client.conn_broken")
@@ -266,7 +195,6 @@ func (c *Client) obsInit() {
 	})
 }
 
-func (c *Client) countRetry()      { c.obsInit(); c.mRetries.Inc() }
 func (c *Client) countFailover()   { c.obsInit(); c.mFailovers.Inc() }
 func (c *Client) countOpen()       { c.obsInit(); c.mBreakerOpen.Inc() }
 func (c *Client) countConnBroken() { c.obsInit(); c.mConnBroken.Inc() }
@@ -296,11 +224,7 @@ func (c *Client) conn(addr string) (*clientConn, error) {
 		}
 		slot.cc = nil
 	}
-	dial := c.Dialer
-	if dial == nil {
-		dial = transport.Dial
-	}
-	tc, err := dial(addr, c.Transport)
+	tc, err := transport.Dial(addr, c.Transport)
 	if err != nil {
 		return nil, &SystemException{RepoID: RepoComm, Message: err.Error()}
 	}
@@ -601,45 +525,43 @@ func (c *Client) InvokeAddrOpts(addr string, key []byte, op string, args []byte,
 	return c.invokeAddr(addr, key, op, args, o, 0)
 }
 
-// sendOneway writes a request that expects no reply, reconnecting and
-// re-sending under the retry policy: a oneway carries no server-visible
-// completion, so re-sending after a broken write is safe.
-func (c *Client) sendOneway(addr string, req *wire.Request, deadline time.Time) error {
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		cc, err := c.conn(addr)
-		if err == nil {
-			err = cc.conn.WriteMessage(req)
-			if err == nil {
-				return nil
-			}
-			if !errors.Is(err, transport.ErrTooLarge) {
-				// A failed write leaves the stream unusable; poison the
-				// connection so the next attempt redials.
-				cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
-				err = &SystemException{RepoID: RepoComm, Message: err.Error()}
-			}
-		}
-		lastErr = err
-		if attempt >= c.Retry.attempts() || !retryable(err) {
-			return lastErr
-		}
-		if !c.sleepBackoff(attempt, deadline) {
-			return fmt.Errorf("%w: oneway %q past deadline after %d attempts (%v)",
-				ErrInvokeTimeout, req.Operation, attempt, lastErr)
-		}
-		c.countRetry()
+// write sends m. A failed write leaves the stream unusable, so it poisons the
+// connection and the next use redials — unless the message was refused for its
+// size before a byte of it left.
+func (cc *clientConn) write(m wire.Message) error {
+	err := cc.conn.WriteMessage(m)
+	if err == nil {
+		return nil
 	}
+	if !errors.Is(err, transport.ErrTooLarge) {
+		cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
+	}
+	return &SystemException{RepoID: RepoComm, Message: err.Error()}
+}
+
+// exchange is the one request/reply round trip: register the waiter for id on
+// addr's connection, write m, await the reply within the deadline.
+func (c *Client) exchange(addr string, id uint32, m wire.Message, deadline time.Time) (*wire.Reply, error) {
+	cc, err := c.conn(addr)
+	if err != nil {
+		return nil, err
+	}
+	ch, err := cc.register(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := cc.write(m); err != nil {
+		cc.unregister(id)
+		return nil, err
+	}
+	return c.await(cc, ch, id, deadline)
 }
 
 func (c *Client) invokeAddr(addr string, key []byte, op string, args []byte, o InvokeOptions, depth int) ([]byte, error) {
 	if depth > c.MaxForwards {
 		return nil, ErrForwardLoop
 	}
-	id := o.RequestID
-	if id == 0 {
-		id = c.NextRequestID()
-	}
+	id := c.NextRequestID()
 	req := &wire.Request{
 		RequestID:        id,
 		ResponseExpected: !o.Oneway,
@@ -649,24 +571,13 @@ func (c *Client) invokeAddr(addr string, key []byte, op string, args []byte, o I
 		Args:             args,
 	}
 	if o.Oneway {
-		return nil, c.sendOneway(addr, req, o.Deadline)
-	}
-	cc, err := c.conn(addr)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := cc.register(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := cc.conn.WriteMessage(req); err != nil {
-		cc.unregister(id)
-		if !errors.Is(err, transport.ErrTooLarge) {
-			cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
+		cc, err := c.conn(addr)
+		if err != nil {
+			return nil, err
 		}
-		return nil, &SystemException{RepoID: RepoComm, Message: err.Error()}
+		return nil, cc.write(req)
 	}
-	reply, err := c.await(cc, ch, id, o.Deadline)
+	reply, err := c.exchange(addr, id, req, o.Deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -771,7 +682,7 @@ func (c *Client) InvokeOpts(ref IOR, op string, args []byte, o InvokeOptions) ([
 			if probe {
 				// Half-open: prove the endpoint alive with a cheap
 				// LocateRequest before trusting it with the real call.
-				if _, perr := c.locateOnce(addr, ref.Key, o.Deadline); perr != nil {
+				if _, perr := c.locate(addr, ref.Key, o.Deadline); perr != nil {
 					bk.failure(time.Now())
 					if !failoverable(perr) {
 						return nil, perr
@@ -808,9 +719,10 @@ func (c *Client) InvokeOpts(ref IOR, op string, args []byte, o InvokeOptions) ([
 
 // NegotiatedCompression reports the codec mask negotiated with the endpoint
 // serving ref's communicating thread, dialing the connection (which runs the
-// handshake) if needed. It blocks until the handshake resolves, bounded by
-// wait (a default applies when wait <= 0); an unreachable endpoint, a peer
-// that never answers, or one that declines all resolve to 0 (raw).
+// handshake) if needed. It blocks until the handshake resolves, for at most
+// wait and never more than five seconds (which is also what no wait, <= 0,
+// means); an unreachable endpoint, a peer that never answers, or one that
+// declines all resolve to 0 (raw).
 func (c *Client) NegotiatedCompression(ref IOR, wait time.Duration) uint8 {
 	if c.Compression == 0 {
 		return 0
@@ -823,7 +735,7 @@ func (c *Client) NegotiatedCompression(ref IOR, wait time.Duration) uint8 {
 	if err != nil {
 		return 0
 	}
-	if wait <= 0 {
+	if wait <= 0 || wait > 5*time.Second {
 		wait = 5 * time.Second
 	}
 	t := time.NewTimer(wait)
@@ -880,55 +792,17 @@ func (c *Client) SendData(ref IOR, d *wire.Data) error {
 }
 
 // Locate asks the primary endpoint whether it serves ref's object key.
-// Locate is idempotent, so a broken connection is transparently redialed
-// and the probe re-sent, up to the client's retry policy.
 func (c *Client) Locate(ref IOR) (bool, error) {
-	return c.LocateDeadline(ref, time.Time{})
-}
-
-// LocateDeadline is Locate bounded by an absolute deadline spanning every
-// reconnect attempt.
-func (c *Client) LocateDeadline(ref IOR, deadline time.Time) (bool, error) {
 	ep, err := ref.Primary()
 	if err != nil {
 		return false, err
 	}
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		here, err := c.locateOnce(ep.Addr(), ref.Key, deadline)
-		if err == nil {
-			return here, nil
-		}
-		lastErr = err
-		if attempt >= c.Retry.attempts() || !retryable(err) {
-			return false, lastErr
-		}
-		if !c.sleepBackoff(attempt, deadline) {
-			return false, fmt.Errorf("%w: locate past deadline after %d attempts (%v)",
-				ErrInvokeTimeout, attempt, lastErr)
-		}
-		c.countRetry()
-	}
+	return c.locate(ep.Addr(), ref.Key, time.Time{})
 }
 
-func (c *Client) locateOnce(addr string, key []byte, deadline time.Time) (bool, error) {
-	cc, err := c.conn(addr)
-	if err != nil {
-		return false, err
-	}
+func (c *Client) locate(addr string, key []byte, deadline time.Time) (bool, error) {
 	id := c.NextRequestID()
-	ch, err := cc.register(id)
-	if err != nil {
-		return false, err
-	}
-	if err := cc.conn.WriteMessage(&wire.LocateRequest{RequestID: id, ObjectKey: key}); err != nil {
-		cc.unregister(id)
-		if !errors.Is(err, transport.ErrTooLarge) {
-			cc.fail(fmt.Errorf("%w: %v", ErrConnBroken, err))
-		}
-		return false, &SystemException{RepoID: RepoComm, Message: err.Error()}
-	}
-	reply, err := c.await(cc, ch, id, deadline)
+	reply, err := c.exchange(addr, id, &wire.LocateRequest{RequestID: id, ObjectKey: key}, deadline)
 	if err != nil {
 		return false, err
 	}

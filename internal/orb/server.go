@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wire"
-	"repro/internal/zcodec"
 )
 
 // Servant is the server-side upcall interface: the object adapter hands a
@@ -112,13 +111,6 @@ type ServerOptions struct {
 	// the intersection of the two masks and the connection remembers it;
 	// zero (the default) declines every offer, so all connections stay raw.
 	Compression uint8
-	// CompressionPolicy selects how the reply data plane applies the
-	// negotiated mask per transfer leg: PolicyAuto (the zero default)
-	// compresses only when the bandwidth estimator predicts a win,
-	// PolicyAlways compresses whenever a codec is negotiated, and
-	// PolicyNever behaves like Compression == 0. The ORB itself only
-	// negotiates; the streamed reply path in core consults the policy.
-	CompressionPolicy zcodec.Policy
 	// AdminResize exposes the reserved "_pardis_resize" administrative
 	// operation on SPMD objects exported by an elastic engine (see
 	// core.NewElastic): a client invocation of it triggers a membership
@@ -395,7 +387,7 @@ func pullPoolStats(put func(string, int64)) {
 	st := transport.PoolStats()
 	put("transport.pool.hits", int64(st.Hits))
 	put("transport.pool.misses", int64(st.Misses))
-	put("transport.pool.puts", int64(st.Puts))
+	put("transport.pool.puts", int64(st.Returns))
 	put("transport.pool.outstanding", st.Outstanding())
 }
 

@@ -137,7 +137,7 @@ func (c *Client) InvokeSharded(ref IOR, op string, args []byte, o InvokeOptions)
 				continue
 			}
 			if probe {
-				if _, perr := c.locateOnce(addr, ref.Key, o.Deadline); perr != nil {
+				if _, perr := c.locate(addr, ref.Key, o.Deadline); perr != nil {
 					bk.failure(time.Now())
 					if !failoverable(perr) {
 						return nil, -1, perr

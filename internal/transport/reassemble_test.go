@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -88,16 +89,15 @@ func TestFragmentedRequestReplyExactBody(t *testing.T) {
 
 				// The raw body, the way ReadMessage obtains it.
 				c := NewConn(&byteStream{r: bytes.NewReader(stream)}, nil)
-				h, body, bufp, err := c.readFrame()
+				h, body, err := c.readFrame()
 				if err == nil && h.More() {
-					body, bufp, err = c.reassemble(h, body, bufp)
+					body, err = c.reassemble(h, body)
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				if bufp != nil {
-					t.Fatal("a Request/Reply body must not borrow a pooled buffer: its decoded form retains it")
-				}
+				// A Request/Reply body must not be a rented frame (its decoded form
+				// retains it): nobody returns this one, so BalanceCheck would see it.
 				if len(body) != cap(body) || !bytes.Equal(body, want.Bytes()) {
 					t.Fatalf("body len %d cap %d, want exactly %d bytes of the encoding", len(body), cap(body), want.Len())
 				}
@@ -169,4 +169,28 @@ func TestReassemblyFailuresReturnFrames(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestUnderstatedDataHint reassembles a Data message whose prefix declares
+// fewer payload bytes than its fragments carry: the hint is only a capacity,
+// so append outgrows the rented accumulator mid-way. The message must still
+// decode (to the declared payload) and the accumulator must have gone back.
+func TestUnderstatedDataHint(t *testing.T) {
+	defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
+	var sink captureRWC
+	msg := &wire.Data{RequestID: 3, Count: 250, Payload: bytes.Repeat([]byte{0xcd}, 2000)}
+	if err := NewConn(&sink, &Options{Order: cdr.LittleEndian, FragmentThreshold: 64}).WriteMessage(msg); err != nil {
+		t.Fatal(err)
+	}
+	stream := sink.buf.Bytes()
+	binary.LittleEndian.PutUint32(stream[wire.HeaderLen+wire.DataPrefixLen-4:], 100)
+	m, err := NewConn(&byteStream{r: bytes.NewReader(stream)}, nil).ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := m.(*wire.Data)
+	if !bytes.Equal(d.Payload, msg.Payload[:100]) {
+		t.Fatalf("payload of %d bytes, want the 100 declared", len(d.Payload))
+	}
+	d.Release()
 }

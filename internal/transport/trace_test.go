@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/wire"
 )
 
@@ -141,25 +142,19 @@ func TestTracedMessagesWithoutRequestIDCarryZero(t *testing.T) {
 
 func TestPoolStatsMove(t *testing.T) {
 	before := PoolStats()
-	p := getBuf(1 << minPoolClass)
-	putBuf(p)
-	p2 := getBuf(1 << minPoolClass) // likely a hit now that one is pooled
-	putBuf(p2)
+	bufpool.Frames.Return(bufpool.Frames.Rent(512))
+	bufpool.Frames.Return(bufpool.Frames.Rent(512)) // likely a hit now that one is pooled
 	after := PoolStats()
-	if after.Hits+after.Misses <= before.Hits+before.Misses {
-		t.Fatalf("getBuf did not count: %+v -> %+v", before, after)
+	if after.Hits+after.Misses != before.Hits+before.Misses+2 {
+		t.Fatalf("Rent did not count: %+v -> %+v", before, after)
 	}
-	if after.Puts < before.Puts+2 {
-		t.Fatalf("putBuf did not count: %+v -> %+v", before, after)
+	if after.Returns != before.Returns+2 {
+		t.Fatalf("Return did not count: %+v -> %+v", before, after)
 	}
-	// Oversize buffers are misses and are never pooled.
-	big := getBuf(1<<maxPoolClass + poolHeadroom + 1)
-	putBuf(big)
-	final := PoolStats()
-	if final.Misses != after.Misses+1 {
-		t.Fatalf("oversize getBuf not a miss: %+v -> %+v", after, final)
-	}
-	if final.Puts != after.Puts {
-		t.Fatalf("oversize putBuf counted as pooled: %+v -> %+v", after, final)
+	// Oversize buffers are the garbage collector's: they never enter the ledger.
+	big := bufpool.Frames.Rent(4<<20 + bufpool.Headroom + 1)
+	bufpool.Frames.Return(big)
+	if final := PoolStats(); final != after {
+		t.Fatalf("an oversize buffer moved the ledger: %+v -> %+v", after, final)
 	}
 }

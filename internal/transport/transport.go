@@ -19,12 +19,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/cdr"
 	"repro/internal/wire"
 )
@@ -109,7 +109,7 @@ type Conn struct {
 	hook     func(h wire.Header)
 	rhdr     [wire.HeaderLen]byte   // scratch for inbound frame headers (reader-owned)
 	ext      [wire.TraceExtLen]byte // scratch for inbound trace extensions (reader-owned)
-	held     []*[]byte              // scratch list of fragment frames under reassembly (reader-owned)
+	held     [][]byte               // scratch list of fragment frames under reassembly (reader-owned)
 
 	// vectored enables the gathered-write (writev) path. Only real TCP
 	// connections qualify: on any other stream net.Buffers degrades to one
@@ -186,113 +186,25 @@ func (c *Conn) Compression() (codecs, level uint8) {
 	return uint8(v), uint8(v >> 8)
 }
 
-// Frame-buffer pool. Read frames borrow buffers from per-size-class pools
-// instead of allocating per frame. A class holds a power-of-two payload plus
-// poolHeadroom for the headers in front of it, so a frame carrying a
-// power-of-two payload — the default 64 KiB stream chunk — rents its own
-// class, not the next one up. Ownership is
-// explicit: a pooled buffer is returned by putBuf exactly once, either by
-// the transport itself after copying a fragment into the reassembly
-// accumulator, or by the consumer of a Data message via Data.Release once
-// the payload has been copied out. Only MsgData frames and the frames of a
-// fragmented message use pooled buffers — every other message type's body is
-// aliased and retained by higher layers (Request.Args, Reply.Args, ...), so
-// those bodies are plain allocations that the garbage collector owns.
-const (
-	minPoolClass = 9  // 512 B: smaller frames are cheap to allocate
-	maxPoolClass = 22 // 4 MiB: covers reassembled benchmark payloads
-	// poolHeadroom covers a Data body's prefix (wire.DataPrefixLen) and the
-	// chunk header its payload starts with.
-	poolHeadroom = 64
-)
+// Read frames are rented from bufpool.Frames (that package has the ownership
+// rule), but only MsgData bodies and the frames of a fragmented message: every
+// other message type's body is aliased and retained by higher layers
+// (Request.Args, Reply.Args, ...), so those bodies are plain allocations that
+// the garbage collector owns.
 
-var bufPools [maxPoolClass + 1]sync.Pool
+// PoolStat is a point-in-time copy of the frame pool's ledger. Its
+// Outstanding is the number of rented frames not yet returned: a quiescent
+// process (no in-flight messages, all Data consumers done) owes the pool
+// nothing, so a non-zero steady-state value is a frame leak.
+type PoolStat = bufpool.Stats
 
-// Frame-pool counters, exported through PoolStats so the observability
-// layer can pull them into a metrics snapshot. A hit is a getBuf served from
-// a pool; a miss is a fresh allocation (cold pool or oversize); a put is a
-// buffer actually returned to a pool.
-var (
-	poolHits   atomic.Uint64
-	poolMisses atomic.Uint64
-	poolPuts   atomic.Uint64
-	// poolReturns counts every putBuf of a live buffer, whether or not the
-	// buffer re-enters a pool (grown and oversize buffers are dropped to the
-	// GC but still count as returned). Borrows (hits+misses) minus returns is
-	// therefore the number of buffers currently on loan — the balance the
-	// leak-checked suites assert returns to its baseline after a drain.
-	poolReturns atomic.Uint64
-)
-
-// PoolStat is a point-in-time copy of the frame-pool counters.
-type PoolStat struct {
-	Hits, Misses, Puts uint64
-	// Returns counts buffers handed back (pooled or GC-dropped).
-	Returns uint64
-}
-
-// Outstanding is the number of borrowed frame buffers not yet returned. A
-// quiescent process (no in-flight messages, all Data consumers done) owes the
-// pool nothing, so a non-zero steady-state value is a frame leak.
-func (s PoolStat) Outstanding() int64 {
-	return int64(s.Hits+s.Misses) - int64(s.Returns)
-}
-
-// PoolStats reads the cumulative frame-pool counters. They are process-wide:
-// the pools are shared by every connection.
-func PoolStats() PoolStat {
-	return PoolStat{
-		Hits:    poolHits.Load(),
-		Misses:  poolMisses.Load(),
-		Puts:    poolPuts.Load(),
-		Returns: poolReturns.Load(),
-	}
-}
+// PoolStats reads the frame pool's cumulative ledger — frames only, not
+// dseq's chunks. It is process-wide: the pool is shared by every connection.
+func PoolStats() PoolStat { return bufpool.Frames.Stats() }
 
 // PoolOutstanding is a convenience for leak checks: the current borrow
 // balance of the process-wide frame pool.
 func PoolOutstanding() int64 { return PoolStats().Outstanding() }
-
-// poolClass returns the smallest class whose buffers hold n bytes.
-func poolClass(n int) int {
-	return max(bits.Len(uint(max(n-poolHeadroom, 1))-1), minPoolClass)
-}
-
-// getBuf returns a buffer of length n. Buffers over the largest pool class
-// are plain allocations; putBuf recognizes and drops them.
-func getBuf(n int) *[]byte {
-	if n > 1<<maxPoolClass+poolHeadroom {
-		poolMisses.Add(1)
-		b := make([]byte, n)
-		return &b
-	}
-	cl := poolClass(n)
-	if p, ok := bufPools[cl].Get().(*[]byte); ok {
-		poolHits.Add(1)
-		*p = (*p)[:n]
-		return p
-	}
-	poolMisses.Add(1)
-	b := make([]byte, n, 1<<cl+poolHeadroom)
-	return &b
-}
-
-// putBuf returns a buffer to its size-class pool. Buffers whose capacity is
-// not an exact pool class (grown by append, oversize, or foreign) are left
-// to the garbage collector.
-func putBuf(p *[]byte) {
-	if p == nil {
-		return
-	}
-	poolReturns.Add(1)
-	c := cap(*p) - poolHeadroom
-	if c < 1<<minPoolClass || c > 1<<maxPoolClass || c&(c-1) != 0 {
-		return
-	}
-	*p = (*p)[:0]
-	bufPools[bits.TrailingZeros(uint(c))].Put(p)
-	poolPuts.Add(1)
-}
 
 // NewConn wraps a byte stream in PGIOP framing.
 func NewConn(rw io.ReadWriteCloser, opts *Options) *Conn {
@@ -455,88 +367,83 @@ func (c *Conn) layoutFrames(t wire.MsgType, prefix, tail []byte, trace uint64, x
 }
 
 // ReadMessage reads the next complete message, reassembling fragments.
-// A returned *wire.Data may borrow a pooled frame buffer: its payload is
-// valid until Release, which the final consumer must call after copying the
-// elements out.
+// A returned *wire.Data holds a rented frame: its payload is valid until
+// Release, which the final consumer must call after copying the elements out.
 func (c *Conn) ReadMessage() (wire.Message, error) {
-	h, body, bufp, err := c.readFrame()
+	h, body, err := c.readFrame()
 	if err != nil {
 		return nil, err
 	}
 	if h.Type == wire.MsgFragment {
-		putBuf(bufp)
+		bufpool.Frames.Return(body)
 		return nil, fmt.Errorf("%w: unexpected leading fragment", ErrBadFragment)
 	}
 	if h.More() {
-		body, bufp, err = c.reassemble(h, body, bufp)
-		if err != nil {
+		if body, err = c.reassemble(h, body); err != nil {
 			return nil, err
 		}
 	}
+	// From here a Data body is rented and no other message's is.
 	m, err := wire.DecodeBody(h.Type, body, h.Order())
 	if err != nil {
-		if bufp != nil {
-			putBuf(bufp)
+		if h.Type == wire.MsgData {
+			bufpool.Frames.Return(body)
 		}
 		return nil, err
 	}
-	if d, ok := m.(*wire.Data); ok && bufp != nil {
-		// The decoded payload aliases the pooled buffer; hand the pool
-		// reference to the message so the consumer controls its lifetime.
-		p := bufp
-		d.SetRelease(func() { putBuf(p) })
+	if d, ok := m.(*wire.Data); ok {
+		// The decoded payload aliases the frame; the message takes it over so
+		// the consumer controls its lifetime.
+		d.Lend(body)
 	}
 	return m, nil
 }
 
-// reassemble collects the trailing Fragment frames of a message whose
-// leading chunk (and pool reference, when the frame was pooled) it takes
-// ownership of, into one buffer allocated once. A Data message declares its
-// total size in the body prefix, so its pooled accumulator is allocated up
-// front and each fragment is copied in and released as it arrives — the
-// declared size is used as a capacity hint only, so a corrupt or hostile
+// reassemble collects the trailing Fragment frames of a message whose rented
+// leading chunk it takes ownership of, into one buffer allocated once. A Data
+// message declares its total size in the body prefix, so its accumulator is
+// rented up front and each fragment is copied in and returned as it arrives —
+// the declared size is used as a capacity hint only, so a corrupt or hostile
 // value cannot misframe the body, and when the leading chunk is too short to
 // contain the prefix (fragment threshold below DataPrefixLen) the message
 // takes the other path. Any other message's size is known only when its last
-// fragment arrives: the (pooled) fragment frames are held until then and
-// copied into a body of exactly that size, which the decoded message aliases
-// and the garbage collector owns. The returned pool reference is non-nil
-// when the reassembled body backs a pooled buffer the caller must eventually
-// release.
-func (c *Conn) reassemble(h wire.Header, chunk []byte, chunkBuf *[]byte) ([]byte, *[]byte, error) {
-	var acc *[]byte    // Data: the hinted accumulator
+// fragment arrives: the fragment frames are held until then and copied into a
+// body of exactly that size — rented for a Data message, whose consumer
+// returns it, and otherwise a plain allocation the decoded message aliases
+// and the garbage collector owns.
+func (c *Conn) reassemble(h wire.Header, chunk []byte) ([]byte, error) {
+	var acc []byte     // Data: the hinted accumulator
 	held := c.held[:0] // otherwise: fragment frames awaiting the final size
-	var cur *[]byte    // the frame under examination
+	var cur []byte     // the frame under examination
 	size := len(chunk) // bytes received so far
 	if h.Type == wire.MsgData {
 		if hint := wire.DataBodySize(chunk, h.Order()); hint > 0 && hint <= c.max {
-			acc = getBuf(hint)
-			*acc = append((*acc)[:0], chunk...)
-			putBuf(chunkBuf)
-			chunkBuf = nil
+			acc = append(bufpool.Frames.Rent(hint), chunk...)
+			bufpool.Frames.Return(chunk)
+			chunk = nil
 		}
 	}
-	// Every buffer on loan goes back on every way out.
+	// Every frame on loan goes back on every way out.
 	release := func() {
-		putBuf(chunkBuf)
-		putBuf(cur)
+		bufpool.Frames.Return(chunk)
+		bufpool.Frames.Return(cur)
 		for i, f := range held {
-			putBuf(f)
+			bufpool.Frames.Return(f)
 			held[i] = nil
 		}
 		c.held = held[:0]
 	}
-	fail := func(err error) ([]byte, *[]byte, error) {
-		putBuf(acc)
+	fail := func(err error) ([]byte, error) {
+		bufpool.Frames.Return(acc)
 		release()
-		return nil, nil, err
+		return nil, err
 	}
 	for more := true; more; {
-		fh, fbody, fbuf, err := c.readFrame()
+		fh, fbody, err := c.readFrame()
 		if err != nil {
 			return fail(err)
 		}
-		cur = fbuf
+		cur = fbody
 		if fh.Type != wire.MsgFragment {
 			return fail(fmt.Errorf("%w: %v interleaved into fragmented message", ErrBadFragment, fh.Type))
 		}
@@ -547,50 +454,60 @@ func (c *Conn) reassemble(h wire.Header, chunk []byte, chunkBuf *[]byte) ([]byte
 			return fail(fmt.Errorf("%w: reassembled body", ErrTooLarge))
 		}
 		if acc != nil {
-			*acc = append(*acc, fbody...)
-			putBuf(fbuf)
+			grown := append(acc, fbody...)
+			if cap(grown) != cap(acc) {
+				// The hint understated the body and append moved it to a
+				// buffer the collector owns: the rented one goes back now.
+				bufpool.Frames.Return(acc)
+			}
+			acc = grown
+			bufpool.Frames.Return(fbody)
 		} else {
-			held = append(held, fbuf)
+			held = append(held, fbody)
 		}
 		cur = nil
 		more = fh.More()
 	}
 	if acc != nil {
-		return *acc, acc, nil
+		return acc, nil
 	}
-	body := make([]byte, size)
-	n := copy(body, chunk)
+	var body []byte
+	if h.Type == wire.MsgData {
+		body = bufpool.Frames.Rent(size)
+	} else {
+		body = make([]byte, 0, size)
+	}
+	body = append(body, chunk...)
 	for _, f := range held {
-		n += copy(body[n:], *f)
+		body = append(body, f...)
 	}
 	release()
-	return body, nil, nil
+	return body, nil
 }
 
 // readFrame reads one frame. MsgData and MsgFragment bodies, and the leading
-// frame of any fragmented message (reassembly copies it out), borrow pooled
-// buffers — for those the returned pool reference is non-nil and the caller
-// must putBuf it (directly, or via Data.Release) when the body is no longer
-// referenced. Other whole messages get plain allocations because their
-// decoded forms alias and retain the body.
-func (c *Conn) readFrame() (wire.Header, []byte, *[]byte, error) {
+// frame of any fragmented message (reassembly copies it out), are rented and
+// the caller must return them (directly, or via Data.Release) when the body is
+// no longer referenced. Other whole messages get plain allocations because
+// their decoded forms alias and retain the body.
+func (c *Conn) readFrame() (wire.Header, []byte, error) {
 	hb := &c.rhdr // a local array would escape through io.ReadFull, once per frame
 	if _, err := io.ReadFull(c.br, hb[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-			return wire.Header{}, nil, nil, ErrClosed
+			return wire.Header{}, nil, ErrClosed
 		}
-		return wire.Header{}, nil, nil, err
+		return wire.Header{}, nil, err
 	}
 	h, err := wire.DecodeHeader(hb[:])
 	if err != nil {
-		return wire.Header{}, nil, nil, err
+		return wire.Header{}, nil, err
 	}
 	if h.HasTrace() {
 		// The trace-context extension sits between the fixed header and the
 		// body; c.ext is reader-owned scratch (ReadMessage is single-
 		// goroutine), so reading it costs no allocation.
 		if _, err := io.ReadFull(c.br, c.ext[:]); err != nil {
-			return wire.Header{}, nil, nil, fmt.Errorf("transport: truncated trace extension: %w", err)
+			return wire.Header{}, nil, fmt.Errorf("transport: truncated trace extension: %w", err)
 		}
 		h.Trace = wire.TraceExt(c.ext[:], h.Order())
 	}
@@ -598,23 +515,22 @@ func (c *Conn) readFrame() (wire.Header, []byte, *[]byte, error) {
 		c.hook(h)
 	}
 	if int(h.Size) > c.max {
-		return wire.Header{}, nil, nil, fmt.Errorf("%w: frame body %d", ErrTooLarge, h.Size)
+		return wire.Header{}, nil, fmt.Errorf("%w: frame body %d", ErrTooLarge, h.Size)
 	}
+	rented := h.Type == wire.MsgData || h.Type == wire.MsgFragment || h.More()
 	var body []byte
-	var bufp *[]byte
-	if h.Type == wire.MsgData || h.Type == wire.MsgFragment || h.More() {
-		bufp = getBuf(int(h.Size))
-		body = *bufp
+	if rented {
+		body = bufpool.Frames.Rent(int(h.Size))[:h.Size]
 	} else {
 		body = make([]byte, h.Size)
 	}
 	if _, err := io.ReadFull(c.br, body); err != nil {
-		if bufp != nil {
-			putBuf(bufp)
+		if rented {
+			bufpool.Frames.Return(body)
 		}
-		return wire.Header{}, nil, nil, fmt.Errorf("transport: truncated frame: %w", err)
+		return wire.Header{}, nil, fmt.Errorf("transport: truncated frame: %w", err)
 	}
-	return h, body, bufp, nil
+	return h, body, nil
 }
 
 func (c *Conn) isClosed() bool {

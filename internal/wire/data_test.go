@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/cdr"
 )
 
@@ -113,23 +114,48 @@ func TestDataBodySize(t *testing.T) {
 	}
 }
 
-// TestDataRelease checks the release hook fires exactly once and clears the
-// payload, so double releases and use-after-release are inert.
+// TestDataRelease checks, against the real frame pool, that a lent frame goes
+// back exactly once and takes the payload with it — a second Release, and a
+// Release on a message that was lent nothing, are inert — and that giving a
+// frame back allocates nothing.
 func TestDataRelease(t *testing.T) {
-	var fired int
+	returned := func() uint64 { return bufpool.Frames.Stats().Returns }
+	owed := bufpool.Frames.Stats().Outstanding()
 	d := &Data{Payload: []byte{1, 2, 3}}
-	d.Release() // no hook installed: no-op
-	d.SetRelease(func() { fired++ })
+	base := returned()
+	d.Release() // nothing lent: no-op
+	if returned() != base || d.Payload == nil {
+		t.Fatal("Release without a lent frame returned something or dropped the payload")
+	}
+	frame := bufpool.Frames.Rent(100)[:100]
+	d.Payload = frame[DataPrefixLen:]
+	d.Lend(frame)
 	d.Release()
-	if fired != 1 {
-		t.Fatalf("release fired %d times, want 1", fired)
+	if got := returned() - base; got != 1 {
+		t.Fatalf("frame returned %d times, want 1", got)
 	}
 	if d.Payload != nil {
 		t.Fatal("payload survives Release")
 	}
 	d.Release()
-	if fired != 1 {
-		t.Fatalf("second Release fired the hook again (%d)", fired)
+	if got := returned() - base; got != 1 {
+		t.Fatalf("second Release returned the frame again (%d returns)", got)
+	}
+	if got := bufpool.Frames.Stats().Outstanding(); got != owed {
+		t.Fatalf("frame pool owes %d buffers, %d before", got, owed)
+	}
+	const runs = 100
+	frames := make([][]byte, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range frames {
+		frames[i] = bufpool.Frames.Rent(100)
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		d.Lend(frames[next])
+		next++
+		d.Release()
+	}); allocs != 0 {
+		t.Fatalf("releasing a pooled frame allocates %.1f times, want 0", allocs)
 	}
 }
 

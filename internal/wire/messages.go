@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/cdr"
 )
 
@@ -233,10 +234,10 @@ type Data struct {
 	Flags     byte   // DataFlag* bits; zero for plain multi-port moves
 	Payload   []byte
 
-	// release returns the transport buffer backing Payload to its pool.
-	// Set by the transport when the payload borrows a pooled frame buffer;
-	// nil for messages whose payload the receiver owns outright.
-	release func()
+	// frame is the transport buffer Payload aliases while it is on loan from
+	// bufpool.Frames; nil for messages whose payload the receiver owns
+	// outright.
+	frame []byte
 }
 
 // Chunked reports whether the message is a chunk of a streamed transfer.
@@ -273,22 +274,20 @@ func (m *Data) Tail() []byte { return m.Payload }
 
 func (m *Data) EncodeBody(e *cdr.Encoder) { encodeTailBody(e, m) }
 
-// SetRelease installs the hook that returns the buffer backing Payload to
-// its owner. The transport calls this when it hands off a Data message whose
-// payload aliases a pooled frame buffer.
-func (m *Data) SetRelease(fn func()) { m.release = fn }
+// Lend records the frame, rented from bufpool.Frames, that Payload aliases;
+// ownership passes to the message. The transport calls it when it hands off a
+// Data message it read.
+func (m *Data) Lend(frame []byte) { m.frame = frame }
 
-// Release returns the message's backing buffer to the transport pool. The
-// final consumer of a received Data message must call it exactly once, after
+// Release returns the frame backing Payload to bufpool.Frames. The final
+// consumer of a received Data message must call it exactly once, after
 // copying the payload out (e.g. via Seq.UnmarshalRange); Payload must not be
-// read afterwards. Release on a message without a pooled buffer, or a second
+// read afterwards. Release on a message without a lent frame, or a second
 // Release, is a no-op.
 func (m *Data) Release() {
-	if m.release != nil {
-		fn := m.release
-		m.release = nil
-		m.Payload = nil
-		fn()
+	if m.frame != nil {
+		bufpool.Frames.Return(m.frame)
+		m.frame, m.Payload = nil, nil
 	}
 }
 

@@ -112,9 +112,6 @@ const (
 	PolicyAuto Policy = iota
 	// PolicyAlways compresses whenever a codec is negotiated.
 	PolicyAlways
-	// PolicyNever disables compression entirely: no codecs are
-	// offered or accepted.
-	PolicyNever
 )
 
 // String returns the policy's user-facing name.
@@ -124,30 +121,22 @@ func (p Policy) String() string {
 		return "auto"
 	case PolicyAlways:
 		return "always"
-	case PolicyNever:
-		return "never"
 	default:
 		return fmt.Sprintf("policy(%d)", uint8(p))
 	}
 }
 
 // ParseMode parses a user-facing compression mode into a (mask,
-// policy) pair: "off" disables, codec names ("delta", "xor", "all")
-// pin PolicyAlways (naming a codec asks for it) and "auto" enables every
-// codec under the adaptive policy.
+// policy) pair: "off" is the empty mask (nothing is offered or accepted, so
+// the policy never comes up), codec names ("delta", "xor", "all") pin
+// PolicyAlways (naming a codec asks for it) and "auto" enables every codec
+// under the adaptive policy.
 func ParseMode(s string) (uint8, Policy, error) {
 	mask, err := ParseMask(s)
-	if err != nil {
-		return 0, PolicyAuto, err
+	if err != nil || mask == 0 || s == "auto" {
+		return mask, PolicyAuto, err
 	}
-	switch {
-	case mask == 0:
-		return 0, PolicyNever, nil
-	case s == "auto":
-		return mask, PolicyAuto, nil
-	default:
-		return mask, PolicyAlways, nil
-	}
+	return mask, PolicyAlways, nil
 }
 
 // Errors returned by the decoders. Both are deliberately values (not

@@ -272,8 +272,8 @@ func TestParseMode(t *testing.T) {
 		mask uint8
 		pol  Policy
 	}{
-		{"off", 0, PolicyNever},
-		{"", 0, PolicyNever},
+		{"off", 0, PolicyAuto},
+		{"", 0, PolicyAuto},
 		{"delta", MaskDelta, PolicyAlways},
 		{"xor", MaskXOR, PolicyAlways},
 		{"all", Supported, PolicyAlways},
@@ -288,7 +288,7 @@ func TestParseMode(t *testing.T) {
 	if _, _, err := ParseMode("zstd"); err == nil {
 		t.Fatal("ParseMode accepted unknown mode")
 	}
-	if PolicyAuto.String() != "auto" || PolicyAlways.String() != "always" || PolicyNever.String() != "never" {
+	if PolicyAuto.String() != "auto" || PolicyAlways.String() != "always" {
 		t.Fatal("Policy.String mismatch")
 	}
 }
