@@ -65,25 +65,27 @@ race:
 	$(GO) test -race -timeout=$(RACETIMEOUT) ./...
 
 # The admission ledger (stats_test.go), the fan-in accounting suite
-# (fanin_test.go), the transport's pool-balance suites (zero-copy writes,
-# reassembly and its failure paths), and the buffer pool's own hammer with the
-# chunk-buffer ledger, fault and run-ahead suites and the one chunk sender's
+# (fanin_test.go), the transport's pool-balance suites (zero-copy writes, the
+# recycled Data struct, reassembly and its failure paths), and the buffer
+# pool's own hammer with the chunk-buffer ledger, fault and run-ahead suites and the one chunk sender's
 # (the last three packages under -race: their failure mode is a buffer observed
 # while on loan) and, beside it, the direct legs' frame ledger, the refused
 # invocations' (a frame observed after release), set-up's failure agreement (a
-# thread still parked in a collective) and the lost data connection's (a
-# thread that missed the poison waits out its timeout), FLAKECOUNT times each.
+# thread still parked in a collective), the lost data connection's (a
+# thread that missed the poison waits out its timeout) and the reply stream's —
+# cut mid-leg, and counted whole (a frame left in a lane's sink, a poison that
+# reached the next call) — FLAKECOUNT times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers' \
 		./internal/orb
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestFragmentedDataPreallocation|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames' \
+		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestDataReadRecycles|TestFragmentedDataPreallocation|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames' \
 		./internal/transport
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestChunkSender|TestMultiportFramesReturned|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure' ./internal/core
+		-run='TestChunkSender|TestMultiportFramesReturned|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule' ./internal/core
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the
 # working tree, alternated on this box, with medians, quartiles and wins per
@@ -152,6 +154,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseIOR$$' -fuzztime=$(FUZZTIME) ./internal/orb
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeOutcome$$' -fuzztime=$(FUZZTIME) ./internal/orb
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInvocationHeader$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeReplyHeader$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzChunkEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/dseq
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDoubles$$' -fuzztime=$(FUZZTIME) ./internal/zcodec
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInts$$' -fuzztime=$(FUZZTIME) ./internal/zcodec

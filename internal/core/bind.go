@@ -11,6 +11,7 @@ import (
 	"repro/internal/orb"
 	"repro/internal/rts"
 	"repro/internal/transport"
+	"repro/internal/wire"
 	"repro/internal/zcodec"
 )
 
@@ -57,10 +58,11 @@ type BindOptions struct {
 	// to issue the same invocations in the same order.
 	PipelineDepth int
 	// StreamChunkElems is the chunk size, in elements, of the chunked
-	// centralized transfer: an invocation with an In/InOut argument of at
-	// least two chunks gathers, ships and scatters its arguments chunk by
-	// chunk, overlapping collective (un)marshalling with the wire; smaller
-	// ones ride inline in the request. 0 or negative means
+	// centralized transfer, in both directions: a leg with an argument of at
+	// least two chunks — an In/InOut one on the way out, an Out/InOut result
+	// on the way back — is gathered, shipped and scattered chunk by chunk,
+	// overlapping collective (un)marshalling with the wire; a smaller leg
+	// rides inline in the request or the reply. 0 or negative means
 	// DefaultStreamChunkElems.
 	StreamChunkElems int
 	// Sharding configures consistent-hash routing across the profiles of a
@@ -184,7 +186,9 @@ type Binding struct {
 	laneSeq  uint64
 	inflight *obs.Gauge // lanes currently busy; nil when metrics are off
 
-	// chunkElems is the chunked shape's chunk size in elements (shapeOf).
+	// chunkElems is the chunk size, in elements, this binding streams a
+	// centralized leg in: what it places its forward legs by and what it offers
+	// the server for the back legs (legChunkElems).
 	chunkElems int
 
 	// comp is the binding's offered compression mask (BindOptions.Compression
@@ -213,6 +217,20 @@ type Binding struct {
 type bindLane struct {
 	comm *rts.Comm
 	free chan struct{} // holds one token when the lane is idle
+	// sink is where the server's Data frames for the lane's invocation land
+	// (orb.Client.RegisterDataSink), made by the first invocation that expects
+	// any and kept: an invocation registers it under its token, and drains it
+	// when it ends. The lane's holder alone touches it.
+	sink chan *wire.Data
+}
+
+// dataSink returns the lane's sink. Its capacity is what lets a whole reply
+// leg (maxStreamChunks) be written before the Reply that releases its reader.
+func (ln *bindLane) dataSink() chan *wire.Data {
+	if ln.sink == nil {
+		ln.sink = make(chan *wire.Data, bucketCapacity)
+	}
+	return ln.sink
 }
 
 func newLane(c *rts.Comm) bindLane {
@@ -434,9 +452,23 @@ func (b *Binding) Close() {
 	if b.sharedKey != "" {
 		sharedClients.Release(b.sharedKey)
 		b.sharedKey = ""
-		return
+	} else {
+		b.client.Close()
 	}
-	b.client.Close()
+	// A frame that reached an idle lane's sink after its invocation drained it
+	// goes back to the pool with the lane; a busy lane's invocation drains its
+	// own.
+	for i := range b.lanes {
+		ln := &b.lanes[i]
+		select {
+		case <-ln.free:
+			if ln.sink != nil {
+				drainData(ln.sink)
+			}
+			ln.free <- struct{}{}
+		default:
+		}
+	}
 }
 
 // scalarEncoder is a convenience for building the non-distributed argument

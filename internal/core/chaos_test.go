@@ -201,6 +201,67 @@ func TestChaosInvocationFailsCoherently(t *testing.T) {
 	}
 }
 
+// TestChaosServerDiesMidReplyStream cuts the server's side of the request's
+// connection in the middle of the reply stream of an out-only call: the
+// request leg was inline, so thread 0 is still inside the exchange, with the
+// chunks that made it across on loan in its lane's sink and the Reply never to
+// come. Every client thread ends with the same error, promptly; the frames go
+// back to the pool; the server's sender and the serving loop survive their
+// failed writes — the next call, on a fresh connection, streams the whole
+// result — and nothing outlives the teardown.
+func TestChaosServerDiesMidReplyStream(t *testing.T) {
+	testutil.CheckGoroutines(t, "body", func(t *testing.T) {
+		defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
+		const chunk, n = 128, 16 * 128
+		plan := transport.NewFaultPlan(11)
+		// Three chunk frames of a little over 1 KiB fit; the fourth is cut
+		// mid-body. Only the first connection used after arming is faulted.
+		plan.CutAfterWriteBytes, plan.FaultConns = 3500, 1
+		rig := &armedWrap{plan: plan}
+		tc := startCluster(t, 2, false, nil, func(o *ExportOptions) { o.Server.Transport = rig.Options() })
+		opts := BindOptions{Timeout: chaosTimeout, StreamChunkElems: chunk}
+		tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
+			out, err := dseq.New(c, dseq.Float64, 0, nil)
+			if err != nil {
+				return err
+			}
+			size := ScalarEncoder()
+			size.WriteLong(n)
+			iota := func() error {
+				if _, err := b.Invoke("iota", size.Bytes(), []DistArg{OutSeq(out)}); err != nil {
+					return err
+				}
+				if got := out.LocalData()[0]; out.Len() != n || got != float64(c.Rank()*n/2)+0.5 {
+					return fmt.Errorf("thread %d: result of %d elements starting at %v", c.Rank(), out.Len(), got)
+				}
+				return nil
+			}
+			if err := iota(); err != nil {
+				return fmt.Errorf("pre-fault invoke: %w", err)
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			rig.Arm()
+			start := time.Now()
+			err = iota()
+			if err == nil {
+				return errors.New("the result arrived whole over a cut reply stream")
+			}
+			if elapsed := time.Since(start); elapsed > chaosTimeout {
+				return fmt.Errorf("failure took %v: a thread waited out its timeout", elapsed)
+			}
+			if err := assertCoherentFailure(c, err); err != nil {
+				return err
+			}
+			if err := iota(); err != nil {
+				return fmt.Errorf("post-fault invoke: %w", err)
+			}
+			return nil
+		})
+	})
+}
+
 func TestFutureWaitTwice(t *testing.T) {
 	tc := startCluster(t, 2, true, nil)
 	tc.runClient(t, 2, Centralized, func(c *rts.Comm, b *Binding) error {

@@ -159,8 +159,11 @@ type Object struct {
 }
 
 type pendingCall struct {
-	token      uint32
-	header     *invocationHeader
+	token  uint32
+	header *invocationHeader
+	// conn is the connection the request arrived on and the Reply will leave
+	// on: a chunked send leg writes the results there, ahead of it.
+	conn       *transport.Conn
 	replyCh    chan callResult
 	enqueuedNS int64 // when dispatch queued the call; 0 when tracing is off
 }
@@ -205,17 +208,19 @@ func (b *dataBucket) drop() {
 // cancellation; timeout <= 0 disables the deadline.
 func (b *dataBucket) conn(rank int, stop <-chan struct{}, timeout time.Duration) (*transport.Conn, error) {
 	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		deadline = t.C
-	}
 	for {
 		b.connMu.Lock()
 		c := b.conns[rank]
 		b.connMu.Unlock()
 		if c != nil {
 			return c, nil
+		}
+		// The timer is armed only to wait: a connection already recorded, the
+		// usual case, costs none.
+		if deadline == nil && timeout > 0 {
+			t := time.NewTimer(timeout)
+			defer t.Stop()
+			deadline = t.C
 		}
 		select {
 		case <-b.notify:
@@ -336,7 +341,7 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 		}
 		o.ref = ref
 		o.queue = make(chan *pendingCall, opts.QueueDepth)
-		o.srv.Register(ref.Key, orb.ServantFunc(o.dispatch))
+		o.srv.Register(ref.Key, servant{o})
 		e.WriteRaw([]byte(ref.String()))
 		if opts.Name == "" || opts.NameServer == "" {
 			return nil
@@ -382,10 +387,22 @@ func (o *Object) Ref() orb.IOR { return o.ref }
 // Comm returns the object's engine communicator.
 func (o *Object) Comm() *rts.Comm { return o.comm }
 
-// dispatch is the communicating thread's servant: it answers interface
-// discovery directly and funnels operation requests into the collective
-// queue, blocking the adapter goroutine until the collective loop replies.
-func (o *Object) dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) error {
+// servant is the communicating thread's orb.ConnServant: the adapter hands it
+// the connection each request arrived on, and never calls Dispatch.
+type servant struct{ o *Object }
+
+func (s servant) Dispatch(string, *cdr.Decoder, *cdr.Encoder) error {
+	return &orb.SystemException{RepoID: orb.RepoInternal, Message: "core: request dispatched without its connection"}
+}
+
+func (s servant) DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) error {
+	return s.o.dispatch(conn, op, in, out)
+}
+
+// dispatch answers interface discovery directly and funnels operation requests
+// into the collective queue, blocking the adapter goroutine until the
+// collective loop replies.
+func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) error {
 	if op == describeOp {
 		descs := make([]OpDesc, 0, len(o.ops))
 		for _, operation := range o.ops {
@@ -401,7 +418,7 @@ func (o *Object) dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) error {
 	if err != nil {
 		return orb.Marshal(err)
 	}
-	call, err := o.enqueue(op, hdr)
+	call, err := o.enqueue(conn, op, hdr)
 	if err != nil {
 		// A refused header claims no bucket: what its token's data already
 		// brought goes back to the pool now, what is still on its way when the
@@ -428,7 +445,7 @@ func (o *Object) dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) error {
 }
 
 // enqueue hands an invocation header to the collective loop, or says why not.
-func (o *Object) enqueue(op string, hdr *invocationHeader) (*pendingCall, error) {
+func (o *Object) enqueue(conn *transport.Conn, op string, hdr *invocationHeader) (*pendingCall, error) {
 	if hdr.Op != op {
 		return nil, orb.Marshal(fmt.Errorf("%w: header op %q != request op %q", ErrBadHeader, hdr.Op, op))
 	}
@@ -439,7 +456,7 @@ func (o *Object) enqueue(op string, hdr *invocationHeader) (*pendingCall, error)
 	if o.draining.Load() {
 		return nil, orb.Transient("object draining")
 	}
-	call := &pendingCall{token: hdr.Token, header: hdr, replyCh: make(chan callResult, 1)}
+	call := &pendingCall{token: hdr.Token, header: hdr, conn: conn, replyCh: make(chan callResult, 1)}
 	if o.rec != nil {
 		call.enqueuedNS = time.Now().UnixNano()
 	}

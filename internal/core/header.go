@@ -13,7 +13,11 @@ import (
 // In/InOut argument data is embedded, or follows as chunked Data messages
 // when ChunkElems is set; in the multi-port method only the client layouts
 // travel and the data follows as Data messages. Every field travels in every
-// header; only an argument's inline data depends on the others.
+// header; only an argument's inline data depends on the others. Each leg of a
+// centralized invocation is placed by itself: the client decides the request
+// leg and says so in ChunkElems, the server — it alone knows an out length —
+// decides the reply leg within what ResultChunkElems offers and says so in the
+// reply header.
 type invocationHeader struct {
 	Op     string
 	Method Method
@@ -23,20 +27,24 @@ type invocationHeader struct {
 	Epoch uint32
 	// ChunkElems is the request-leg chunk size of a streamed centralized
 	// invocation, in elements; 0 means the whole payload rides inline.
-	ChunkElems  uint32
-	Token       uint32 // ties multi-port and streamed Data transfers to this invocation
-	ClientRanks int
-	Scalars     []byte // opaque marshalled non-distributed arguments
-	Args        []headerArg
+	ChunkElems uint32
+	// ResultChunkElems is the chunk size, in elements, the client takes streamed
+	// results in: the server may chunk the reply leg from it (doubled until the
+	// schedule fits, as chunkElemsFor does). 0 keeps the results in the Reply.
+	ResultChunkElems uint32
+	Token            uint32 // ties multi-port and streamed Data transfers to this invocation
+	ClientRanks      int
+	Scalars          []byte // opaque marshalled non-distributed arguments
+	Args             []headerArg
 }
 
 // Streamed reports whether argument data follows the header as chunked Data
 // messages (centralized only).
 func (h *invocationHeader) Streamed() bool { return h.ChunkElems != 0 }
 
-// shape reads the invocation's transfer shape off the header: the method
-// names the direct shape, a chunk size the chunked one (decodeInvocationHeader
-// refuses a header that claims both).
+// shape reads the request leg's placement off the header: the method names the
+// direct shape, a chunk size the chunked one (decodeInvocationHeader refuses a
+// header that claims both).
 func (h *invocationHeader) shape() shape {
 	switch {
 	case h.Method == Multiport:
@@ -81,6 +89,7 @@ func (h *invocationHeader) encodePrefix(e *cdr.Encoder) {
 	e.WriteEnum(uint32(h.Method))
 	e.WriteULong(h.Epoch)
 	e.WriteULong(h.ChunkElems)
+	e.WriteULong(h.ResultChunkElems)
 	e.WriteULong(h.Token)
 	e.WriteULong(uint32(h.ClientRanks))
 	e.WriteOctets(h.Scalars)
@@ -128,6 +137,12 @@ func decodeInvocationHeader(d *cdr.Decoder) (*invocationHeader, error) {
 	}
 	if h.ChunkElems > 1<<30 || (h.Streamed() && h.Method != Centralized) {
 		return nil, fmt.Errorf("%w: %v chunk elems %d", ErrBadHeader, h.Method, h.ChunkElems)
+	}
+	if h.ResultChunkElems, err = d.ReadULong(); err != nil {
+		return nil, fmt.Errorf("%w: result chunk elems: %v", ErrBadHeader, err)
+	}
+	if h.ResultChunkElems > 1<<30 || (h.ResultChunkElems != 0 && h.Method != Centralized) {
+		return nil, fmt.Errorf("%w: %v result chunk elems %d", ErrBadHeader, h.Method, h.ResultChunkElems)
 	}
 	if h.Token, err = d.ReadULong(); err != nil {
 		return nil, fmt.Errorf("%w: token: %v", ErrBadHeader, err)
@@ -182,28 +197,31 @@ func decodeInvocationHeader(d *cdr.Decoder) (*invocationHeader, error) {
 	return &h, nil
 }
 
-// replyHeader is the SPMD extension of a reply: scalar results plus, per
-// Out/InOut distributed argument, the final length (the client needs it to
-// size Out results) and, in the centralized method, the full result data.
+// replyHeader is the SPMD extension of a reply: scalar results, the placement
+// the server chose for the reply leg and, per distributed argument, the final
+// length (the client needs it to size Out results). Where a centralized reply
+// leg is not chunked, each Out/InOut argument's whole data follows its length.
 type replyHeader struct {
 	Scalars []byte
-	Args    []replyArg
+	// ChunkElems is the reply leg's chunk size: the results were written as
+	// chunked Data messages ahead of the Reply, on its connection. 0 means they
+	// ride in the Reply (or, multi-port, went between the owning threads).
+	ChunkElems uint32
+	Args       []replyArg
 }
 
 type replyArg struct {
 	Dir    Dir
 	Length int
-	Data   []byte // centralized Out/InOut only; aliases the decoded reply
+	Data   []byte // centralized Out/InOut, leg not chunked; aliases the decoded reply
 }
 
 // encodeReplyPrefix and encodeReplyArg write the reply extension piecewise,
 // so thread 0 gathers each whole-payload result straight into the reply
-// encoder, as a sequence<octet> after its encodeReplyArg fields. In a
-// streamed centralized invocation result data travels as chunked Data
-// messages written before the Reply, and in a multi-port one directly
-// between the threads, so only the lengths ride in the header.
-func encodeReplyPrefix(e *cdr.Encoder, scalars []byte, nargs int) {
+// encoder, as a sequence<octet> after its encodeReplyArg fields.
+func encodeReplyPrefix(e *cdr.Encoder, scalars []byte, chunkElems, nargs int) {
 	e.WriteOctets(scalars)
+	e.WriteULong(uint32(chunkElems))
 	e.WriteULong(uint32(nargs))
 }
 
@@ -212,13 +230,25 @@ func encodeReplyArg(e *cdr.Encoder, dir Dir, length int) {
 	e.WriteULongLong(uint64(length))
 }
 
-// decodeReplyHeader reads a reply extension; inline says whether every
-// Out/InOut argument's data follows its length (the inline shape's reply).
-func decodeReplyHeader(d *cdr.Decoder, inline bool) (*replyHeader, error) {
+// decodeReplyHeader reads a reply extension, outside input to the client. What
+// the client asked for decides what it accepts: offered is the
+// ResultChunkElems of its request, direct says the request was multi-port. A
+// reply may stream only if the client offered to take a stream, and only in
+// the chunk size chunkElemsFor derives from the offer and the reply's own
+// lengths — the client waits for exactly that schedule, so anything else would
+// leave it waiting on a sink nobody fills. Data follows an Out/InOut
+// argument's length when the reply is centralized and does not stream.
+func decodeReplyHeader(d *cdr.Decoder, offered int, direct bool) (*replyHeader, error) {
 	var h replyHeader
 	var err error
 	if h.Scalars, err = d.ReadOctets(); err != nil {
 		return nil, fmt.Errorf("%w: reply scalars: %v", ErrBadHeader, err)
+	}
+	if h.ChunkElems, err = d.ReadULong(); err != nil {
+		return nil, fmt.Errorf("%w: reply chunk elems: %v", ErrBadHeader, err)
+	}
+	if h.ChunkElems > 1<<30 || (h.ChunkElems != 0 && (offered == 0 || direct)) {
+		return nil, fmt.Errorf("%w: reply streams in chunks of %d, offered %d", ErrBadHeader, h.ChunkElems, offered)
 	}
 	n, err := d.ReadULong()
 	if err != nil {
@@ -246,11 +276,26 @@ func decodeReplyHeader(d *cdr.Decoder, inline bool) (*replyHeader, error) {
 			return nil, fmt.Errorf("%w: reply arg %d length %d", ErrBadHeader, i, length)
 		}
 		a.Length = int(length)
-		if inline && a.Dir != In {
+		if !direct && h.ChunkElems == 0 && a.Dir != In {
 			if a.Data, err = d.ReadOctets(); err != nil {
 				return nil, fmt.Errorf("%w: reply arg %d data: %v", ErrBadHeader, i, err)
 			}
 		}
 	}
+	if h.ChunkElems != 0 {
+		want := chunkElemsFor(offered, len(h.Args), h.resultLen)
+		if int(h.ChunkElems) != want {
+			return nil, fmt.Errorf("%w: reply streams in chunks of %d, its lengths make it %d", ErrBadHeader, h.ChunkElems, want)
+		}
+	}
 	return &h, nil
+}
+
+// resultLen is the length argument i contributes to the reply leg: none for an
+// In argument.
+func (h *replyHeader) resultLen(i int) int {
+	if h.Args[i].Dir == In {
+		return 0
+	}
+	return h.Args[i].Length
 }

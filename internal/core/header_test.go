@@ -63,11 +63,11 @@ func TestInvocationHeaderRoundTrip(t *testing.T) {
 
 // encode renders a whole reply header from the pieces processCall writes
 // one by one, with the inline data where a gather would put it.
-func (h *replyHeader) encode(e *cdr.Encoder, method Method, streamed bool) {
-	encodeReplyPrefix(e, h.Scalars, len(h.Args))
+func (h *replyHeader) encode(e *cdr.Encoder, method Method) {
+	encodeReplyPrefix(e, h.Scalars, int(h.ChunkElems), len(h.Args))
 	for _, a := range h.Args {
 		encodeReplyArg(e, a.Dir, a.Length)
-		if method == Centralized && !streamed && a.Dir != In {
+		if method == Centralized && h.ChunkElems == 0 && a.Dir != In {
 			m := e.BeginOctets()
 			e.WriteRaw(a.Data)
 			e.EndOctets(m)
@@ -86,29 +86,92 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 			},
 		}
 		e := cdr.NewEncoder(cdr.NativeOrder)
-		h.encode(e, method, false)
-		got, err := decodeReplyHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder), method == Centralized)
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		if got.Args[2].Length != 321 {
-			t.Fatalf("%v: lengths %+v", method, got.Args)
-		}
-		if method == Centralized && !bytes.Equal(got.Args[1].Data, h.Args[1].Data) {
-			t.Fatal("centralized reply lost data")
+		h.encode(e, method)
+		// An inline reply is what a client that offered a stream gets for
+		// results under two chunks, and one that offered none always.
+		for _, offered := range []int{0, 8192} {
+			if method == Multiport && offered != 0 {
+				continue
+			}
+			got, err := decodeReplyHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder), offered, method == Multiport)
+			if err != nil {
+				t.Fatalf("%v: %v", method, err)
+			}
+			if got.Args[2].Length != 321 || got.ChunkElems != 0 {
+				t.Fatalf("%v: reply %+v", method, got)
+			}
+			if method == Centralized && !bytes.Equal(got.Args[1].Data, h.Args[1].Data) {
+				t.Fatal("centralized reply lost data")
+			}
 		}
 	}
-	// Streamed replies carry lengths only: the result data travels as chunked
-	// Data messages written before the Reply.
-	sh := &replyHeader{Args: []replyArg{{Dir: Out, Length: 77, Data: []byte{1, 2}}}}
+	// A streamed reply carries lengths only: the result data travelled as
+	// chunked Data messages written before the Reply, in the chunk size it
+	// announces — which must be the one its lengths and the client's offer make.
+	sh := &replyHeader{ChunkElems: 32, Args: []replyArg{{Dir: In, Length: 1 << 20}, {Dir: Out, Length: 77, Data: []byte{1, 2}}}}
 	se := cdr.NewEncoder(cdr.NativeOrder)
-	sh.encode(se, Centralized, true)
-	sgot, err := decodeReplyHeader(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), false)
+	sh.encode(se, Centralized)
+	sgot, err := decodeReplyHeader(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), 32, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sgot.Args[0].Length != 77 || sgot.Args[0].Data != nil {
-		t.Fatalf("streamed reply header %+v", sgot.Args[0])
+	if sgot.ChunkElems != 32 || sgot.Args[1].Length != 77 || sgot.Args[1].Data != nil {
+		t.Fatalf("streamed reply header %+v", sgot)
+	}
+	for name, tc := range map[string]struct {
+		offered int
+		direct  bool
+	}{
+		"nothing offered":       {0, false},
+		"multi-port request":    {0, true},
+		"another size on offer": {16, false},
+	} {
+		if _, err := decodeReplyHeader(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), tc.offered, tc.direct); !errors.Is(err, ErrBadHeader) {
+			t.Errorf("streamed reply accepted with %s (err=%v)", name, err)
+		}
+	}
+	// The schedule bound doubles the offered size until maxStreamChunks hold
+	// the results: a reply that announces the offer undoubled is refused.
+	big := &replyHeader{ChunkElems: 1, Args: []replyArg{{Dir: Out, Length: 4 * maxStreamChunks}}}
+	for ce, ok := range map[uint32]bool{1: false, 2: false, 4: true, 8: false} {
+		big.ChunkElems = ce
+		be := cdr.NewEncoder(cdr.NativeOrder)
+		big.encode(be, Centralized)
+		_, err := decodeReplyHeader(cdr.NewDecoder(be.Bytes(), cdr.NativeOrder), 1, false)
+		if ok != (err == nil) || (!ok && !errors.Is(err, ErrBadHeader)) {
+			t.Errorf("reply of %d elements in chunks of %d, 1 offered: err=%v", big.Args[0].Length, ce, err)
+		}
+	}
+}
+
+// goldenReply is the v3 reply header of a streamed centralized call,
+// little-endian: scalars, the reply leg's chunk size, argument count, then per
+// argument its direction and final length — and, had the chunk size been 0,
+// each Out/InOut argument's data after its length. Pinned byte for byte so the
+// next format change is a visible diff.
+var goldenReply = []byte{
+	1, 0, 0, 0, 9, 0, 0, 0, // scalars
+	0x40, 0, 0, 0, // chunk elems: the results streamed ahead, 64 at a time
+	2, 0, 0, 0, // two arguments
+	0, 0, 0, 0, // in
+	0, 0, 0, 0, 0x10, 0, 0, 0, 0, 0, 0, 0, // length 16
+	1, 0, 0, 0, // out
+	0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, // length 256
+}
+
+func TestReplyHeaderGolden(t *testing.T) {
+	h := &replyHeader{Scalars: []byte{9}, ChunkElems: 64, Args: []replyArg{{Dir: In, Length: 16}, {Dir: Out, Length: 256}}}
+	e := cdr.NewEncoder(cdr.LittleEndian)
+	h.encode(e, Centralized)
+	if !bytes.Equal(e.Bytes(), goldenReply) {
+		t.Fatalf("reply header\n% x\nwant\n% x", e.Bytes(), goldenReply)
+	}
+	got, err := decodeReplyHeader(cdr.NewDecoder(goldenReply, cdr.LittleEndian), 64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ChunkElems != 64 || !bytes.Equal(got.Scalars, []byte{9}) || len(got.Args) != 2 || got.Args[1].Dir != Out || got.Args[1].Length != 256 {
+		t.Fatalf("golden reply decoded to %+v", got)
 	}
 }
 
@@ -117,7 +180,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 // and no inline data is encoded.
 func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	h := &invocationHeader{
-		Op: "diffusion", Method: Centralized, Epoch: 3, ChunkElems: 8192,
+		Op: "diffusion", Method: Centralized, Epoch: 3, ChunkElems: 8192, ResultChunkElems: 4096,
 		Token: 99, ClientRanks: 4, Scalars: []byte{1},
 		Args: []headerArg{
 			{Dir: In, Elem: "double", Layout: mustLayout(t, 100000, 4)},
@@ -130,7 +193,7 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Streamed() || got.Method != Centralized || got.ChunkElems != 8192 || got.Epoch != 3 {
+	if !got.Streamed() || got.Method != Centralized || got.ChunkElems != 8192 || got.ResultChunkElems != 4096 || got.Epoch != 3 {
 		t.Fatalf("streamed header %+v", got)
 	}
 	if got.Args[0].Data != nil {
@@ -140,10 +203,12 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	// chunk size on a multi-port header is malformed, as are implausible
 	// chunk sizes and epochs.
 	for name, bad := range map[string]invocationHeader{
-		"multiport chunk size": {Op: "f", Method: Multiport, ChunkElems: 8192, ClientRanks: 1},
-		"chunk size":           {Op: "f", Method: Centralized, ChunkElems: 1<<30 + 1, ClientRanks: 1},
-		"epoch":                {Op: "f", Method: Centralized, Epoch: 1<<30 + 1, ClientRanks: 1},
-		"method":               {Op: "f", Method: Multiport + 1, ClientRanks: 1},
+		"multiport chunk size":        {Op: "f", Method: Multiport, ChunkElems: 8192, ClientRanks: 1},
+		"chunk size":                  {Op: "f", Method: Centralized, ChunkElems: 1<<30 + 1, ClientRanks: 1},
+		"multiport result chunk size": {Op: "f", Method: Multiport, ResultChunkElems: 8192, ClientRanks: 1},
+		"result chunk size":           {Op: "f", Method: Centralized, ResultChunkElems: 1<<30 + 1, ClientRanks: 1},
+		"epoch":                       {Op: "f", Method: Centralized, Epoch: 1<<30 + 1, ClientRanks: 1},
+		"method":                      {Op: "f", Method: Multiport + 1, ClientRanks: 1},
 	} {
 		e = cdr.NewEncoder(cdr.NativeOrder)
 		bad.encode(e)
@@ -153,9 +218,9 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenHeader is the v2 invocation header of a whole-payload centralized
-// call, little-endian: op, method, epoch, chunk size, token, client ranks,
-// scalars, argument count, then per argument its direction, element type,
+// goldenHeader is the v3 invocation header of a whole-payload centralized
+// call, little-endian: op, method, epoch, chunk size, the chunk size offered
+// for the results, token, client ranks, scalars, argument count, then per argument its direction, element type,
 // layout or template and — whole-payload centralized In/InOut only — data.
 // Pinned byte for byte so the next format change is a visible diff.
 var goldenHeader = []byte{
@@ -163,6 +228,7 @@ var goldenHeader = []byte{
 	0, 0, 0, 0, // method: centralized
 	7, 0, 0, 0, // epoch
 	0, 0, 0, 0, // chunk elems: whole payload
+	0, 0x20, 0, 0, // result chunk elems: results may stream back 8192 at a time
 	0x39, 0x30, 0, 0, // token
 	2, 0, 0, 0, // client ranks
 	1, 0, 0, 0, 9, 0, 0, 0, // scalars
@@ -181,7 +247,7 @@ func goldenHeaderValue(t testing.TB) *invocationHeader {
 		t.Fatal(err)
 	}
 	return &invocationHeader{
-		Op: "f", Method: Centralized, Epoch: 7, Token: 12345, ClientRanks: 2, Scalars: []byte{9},
+		Op: "f", Method: Centralized, Epoch: 7, ResultChunkElems: 8192, Token: 12345, ClientRanks: 2, Scalars: []byte{9},
 		Args: []headerArg{{Dir: In, Elem: "double", Layout: l, Data: []byte{0xaa, 0xbb}}},
 	}
 }
@@ -196,7 +262,7 @@ func TestInvocationHeaderGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != "f" || got.Epoch != 7 || got.Streamed() || got.Token != 12345 || !bytes.Equal(got.Args[0].Data, []byte{0xaa, 0xbb}) {
+	if got.Op != "f" || got.Epoch != 7 || got.Streamed() || got.ResultChunkElems != 8192 || got.Token != 12345 || !bytes.Equal(got.Args[0].Data, []byte{0xaa, 0xbb}) {
 		t.Fatalf("golden header decoded to %+v", got)
 	}
 }
@@ -209,8 +275,9 @@ func TestHeaderDecodeNeverPanics(t *testing.T) {
 			}
 		}()
 		decodeInvocationHeader(cdr.NewDecoder(data, cdr.LittleEndian))
-		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), true)
-		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), false)
+		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), 0, false)
+		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), 8192, false)
+		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), 0, true)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {

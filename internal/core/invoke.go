@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -38,35 +39,19 @@ type Timing struct {
 	Barrier time.Duration
 }
 
-// shape is how an invocation's distributed-argument data travels: the two
-// legs that the one collective sequence (invoke here, processCall on the
-// server) runs around the request/reply exchange.
+// shape is how one leg of an invocation moves its distributed-argument data.
+// The one collective sequence (invoke here, processCall on the server) runs a
+// forward and a back leg around the request/reply exchange, and a centralized
+// invocation places each by itself (legChunkElems): the client the forward leg,
+// from the In/InOut lengths every SPMD thread passes identically, the server
+// the back leg, from the final result lengths, within what the client offered.
 type shape uint8
 
 const (
-	shapeInline  shape = iota // whole arguments inside the request and the reply
+	shapeInline  shape = iota // whole arguments inside the request or the reply
 	shapeChunked              // chunked Data messages through the communicating threads
-	shapeDirect               // one Data message per move, between the owning threads (multi-port)
+	shapeDirect               // one Data message per move, between the owning threads (multi-port: both legs)
 )
-
-// shapeOf decides a client invocation's shape from what every SPMD thread
-// passes identically, so the threads agree without communicating.
-// Centralized data is chunked when an In/InOut argument spans two chunks, so
-// the overlap pays — unless the invocation is shard-routed: chunks travel to
-// the primary profile's endpoints while the request follows the ring.
-func shapeOf(method Method, shardKey []byte, args []DistArg, chunkElems int) shape {
-	if method == Multiport {
-		return shapeDirect
-	}
-	if len(shardKey) == 0 {
-		for _, a := range args {
-			if a.Dir != Out && a.Seq.Len() >= 2*chunkElems {
-				return shapeChunked
-			}
-		}
-	}
-	return shapeInline
-}
 
 // invocation is what invoke hands the legs of one collective invocation on
 // one thread. It lives on invoke's stack.
@@ -79,14 +64,24 @@ type invocation struct {
 	desc   OpDesc
 	timing *Timing
 
-	sink chan *wire.Data // what the server addresses to this thread beside the reply
+	sink chan *wire.Data // the lane's: what the server addresses to this thread beside the reply
 	// Thread 0's request/reply exchange: its outcome, and the channel that
 	// delivers it when the forward leg launched the request beside the data.
 	reply   callResult
 	replyCh chan callResult
 	served  int32 // 1-based shard that served an inline exchange; 0 unrouted
-	ce      int   // chunked: the forward leg's chunk size in elements
-	mask    uint8 // chunked: the forward leg's agreed compression mask
+	ce      int   // the forward leg's chunk size in elements; 0 when it is not chunked
+	offer   int   // the chunk size results may stream back in; 0 keeps them in the reply
+	mask    uint8 // chunked forward leg: its agreed compression mask
+}
+
+// legSeq is argument i as one centralized leg carries it: nil when its
+// direction is skip (Out on the forward leg, In on the back leg).
+func (iv *invocation) legSeq(i int, skip Dir) dseq.Transferable {
+	if iv.args[i].Dir == skip {
+		return nil
+	}
+	return iv.args[i].Seq
 }
 
 // phase closes one phase as this thread observed it: dur goes into the field
@@ -247,7 +242,21 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		// every thread passes the same shardKey and method.)
 		return nil, ErrShardMethod
 	}
-	sh := shapeOf(method, shardKey, args, b.chunkElems)
+	// Place the forward leg, and offer a stream for the back leg if there are
+	// results to take. A shard-routed invocation does neither: its chunks would
+	// travel to the primary profile's endpoints while the request follows the
+	// ring.
+	fwd := shapeInline
+	if method == Multiport {
+		fwd = shapeDirect
+	} else if len(shardKey) == 0 {
+		if iv.ce = legChunkElems(b.chunkElems, len(args), func(i int) int { return seqLen(iv.legSeq(i, Out)) }); iv.ce != 0 {
+			fwd = shapeChunked
+		}
+		if slices.ContainsFunc(args, func(a DistArg) bool { return a.Dir != In }) {
+			iv.offer = b.chunkElems
+		}
+	}
 	me := comm.Rank()
 
 	// Agree on the invocation token: four bytes in this process's order.
@@ -266,10 +275,11 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	defer func() { iv.phase(obs.PhaseInvoke, start, time.Since(start)) }()
 
 	// What the server sends beside the reply — result chunks to thread 0,
-	// direct moves to every thread — lands in a sink keyed by (token, thread);
-	// whatever is still in it when the invocation ends goes back to the pool.
-	if sh == shapeDirect || (sh == shapeChunked && me == 0) {
-		iv.sink = make(chan *wire.Data, bucketCapacity)
+	// direct moves to every thread — lands in the lane's sink, registered under
+	// (token, thread) for as long as the invocation runs; whatever is still in
+	// it when the invocation ends goes back to the pool.
+	if fwd == shapeDirect || (iv.offer != 0 && me == 0) {
+		iv.sink = ln.dataSink()
 		b.client.RegisterDataSink(iv.token, uint32(me), iv.sink)
 		defer func() {
 			b.client.UnregisterDataSink(iv.token, uint32(me))
@@ -282,7 +292,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// only at the communicating thread — and the In/InOut data.
 	fwdStart := time.Now()
 	var fwdErr error
-	switch sh {
+	switch fwd {
 	case shapeInline:
 		fwdErr = iv.sendInline(shardKey, scalars)
 	case shapeChunked:
@@ -304,9 +314,9 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		} else if fwdErr != nil {
 			iv.reply.err = fwdErr
 		}
-		meta, replyErr = metaFromReply(iv.reply.reply, iv.reply.err, sh == shapeInline, len(args))
+		meta, replyErr = metaFromReply(iv.reply.reply, iv.reply.err, iv.offer, fwd == shapeDirect, len(args))
 	}
-	if sh != shapeInline {
+	if fwd != shapeInline {
 		iv.phase(obs.PhaseSendRecv, fwdStart, time.Since(fwdStart))
 	}
 	if err := shareMeta(comm, &meta, replyErr); fwdErr == nil {
@@ -315,7 +325,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// An inline forward leg is collectives only — it fails everywhere or
 	// nowhere — but a chunk write or a direct send fails on one thread alone,
 	// so those shapes agree on the leg before anyone waits for results.
-	if sh != shapeInline {
+	if fwd != shapeInline {
 		fwdErr = agree(comm, fwdErr)
 	}
 	if fwdErr != nil {
@@ -323,10 +333,19 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	}
 
 	// Back leg: size the results as the server reported them, then move the
-	// Out/InOut data back. The legs' own collectives keep the threads in step
+	// Out/InOut data back the way the server placed it — a direct forward leg
+	// has a direct back leg, a chunk size in the reply means the results
+	// streamed ahead of it. The legs' own collectives keep the threads in step
 	// on success; the trailing agreement turns a thread-local failure (a
 	// resize, a bad payload, a lost return flow) into one error seen
 	// identically everywhere instead of a divergent early return.
+	back := shapeInline
+	switch {
+	case fwd == shapeDirect:
+		back = shapeDirect
+	case meta.ce != 0:
+		back = shapeChunked
+	}
 	backStart := time.Now()
 	var backErr error
 	for i, a := range args {
@@ -340,23 +359,23 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		}
 	}
 	if backErr == nil {
-		switch sh {
+		switch back {
 		case shapeInline:
 			backErr = iv.recvInline(meta.datas)
 		case shapeChunked:
-			backErr = iv.recvChunked()
+			backErr = iv.recvChunked(meta.ce)
 		case shapeDirect:
 			backErr = iv.recvDirect()
 		}
 	}
-	iv.phase(backPhase[sh], backStart, time.Since(backStart))
+	iv.phase(backPhase[back], backStart, time.Since(backStart))
 
 	// Post-invocation synchronization (the t_barrier of Table 2), fused with
 	// the error agreement so a thread whose return flows failed cannot leave
 	// the others in a hung barrier.
 	barrierStart := time.Now()
 	agreed := agree(comm, backErr)
-	if sh == shapeDirect {
+	if fwd == shapeDirect {
 		iv.phase(obs.PhaseBarrier, barrierStart, time.Since(barrierStart))
 	}
 	if agreed != nil {
@@ -369,7 +388,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 // for every argument it supplies, its template for every result it expects.
 func (iv *invocation) newHeader(method Method, scalars []byte) *invocationHeader {
 	h := &invocationHeader{
-		Op: iv.op, Method: method, Token: iv.token,
+		Op: iv.op, Method: method, Token: iv.token, ChunkElems: uint32(iv.ce), ResultChunkElems: uint32(iv.offer),
 		ClientRanks: iv.comm.Size(), Epoch: iv.b.refEpoch, Scalars: scalars,
 		Args: make([]headerArg, len(iv.args)),
 	}
@@ -382,19 +401,6 @@ func (iv *invocation) newHeader(method Method, scalars []byte) *invocationHeader
 		}
 	}
 	return h
-}
-
-// seqs lists the sequences one leg carries, indexed like the arguments: nil
-// for an argument whose direction is skip (Out on the forward leg, In on the
-// back leg).
-func (iv *invocation) seqs(skip Dir) []dseq.Transferable {
-	out := make([]dseq.Transferable, len(iv.args))
-	for i, a := range iv.args {
-		if a.Dir != skip {
-			out[i] = a.Seq
-		}
-	}
-	return out
 }
 
 // sendInline is the inline forward leg, the paper's §3.2 client side: gather
@@ -458,12 +464,14 @@ func (iv *invocation) recvInline(datas [][]byte) error {
 type invokeMeta struct {
 	scalars []byte
 	lengths []int
-	datas   [][]byte // inline shape only; not shared (thread 0 scatters)
+	ce      int      // the chunk size the results streamed in; 0 when they did not
+	datas   [][]byte // inline back leg only; not shared (thread 0 scatters)
 }
 
-// metaFromReply opens thread 0's reply — inline says whether the results ride
-// in it — and refuses one that does not describe the nargs arguments sent.
-func metaFromReply(payload []byte, err error, inline bool, nargs int) (invokeMeta, error) {
+// metaFromReply opens thread 0's reply as decodeReplyHeader reads it for a
+// request that offered streams of offered elements (direct: was multi-port),
+// and refuses one that does not describe the nargs arguments sent.
+func metaFromReply(payload []byte, err error, offered int, direct bool, nargs int) (invokeMeta, error) {
 	if err != nil {
 		return invokeMeta{}, err
 	}
@@ -471,14 +479,14 @@ func metaFromReply(payload []byte, err error, inline bool, nargs int) (invokeMet
 	if err != nil {
 		return invokeMeta{}, err
 	}
-	rh, err := decodeReplyHeader(d, inline)
+	rh, err := decodeReplyHeader(d, offered, direct)
 	if err != nil {
 		return invokeMeta{}, err
 	}
 	if len(rh.Args) != nargs {
 		return invokeMeta{}, fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), nargs)
 	}
-	m := invokeMeta{scalars: rh.Scalars, lengths: make([]int, len(rh.Args)), datas: make([][]byte, len(rh.Args))}
+	m := invokeMeta{scalars: rh.Scalars, ce: int(rh.ChunkElems), lengths: make([]int, len(rh.Args)), datas: make([][]byte, len(rh.Args))}
 	for i, a := range rh.Args {
 		m.lengths[i] = a.Length
 		m.datas[i] = a.Data
@@ -487,14 +495,16 @@ func metaFromReply(payload []byte, err error, inline bool, nargs int) (invokeMet
 }
 
 // shareMeta is share of the invocation's outcome as thread 0 holds it: the
-// scalar results and result lengths in m, or replyErr in their place. The
-// inline data payloads stay at thread 0, which scatters them.
+// scalar results, the back leg's chunk size and the result lengths in m, or
+// replyErr in their place. The inline data payloads stay at thread 0, which
+// scatters them.
 func shareMeta(comm *rts.Comm, m *invokeMeta, replyErr error) error {
 	p, err := share(comm, func(e *cdr.Encoder) error {
 		if replyErr != nil {
 			return replyErr
 		}
 		e.WriteOctets(m.scalars)
+		e.WriteULong(uint32(m.ce))
 		e.WriteULong(uint32(len(m.lengths)))
 		for _, l := range m.lengths {
 			e.WriteULongLong(uint64(l))
@@ -508,6 +518,11 @@ func shareMeta(comm *rts.Comm, m *invokeMeta, replyErr error) error {
 	if m.scalars, err = d.ReadOctets(); err != nil {
 		return err
 	}
+	ce, err := d.ReadULong()
+	if err != nil {
+		return err
+	}
+	m.ce = int(ce)
 	n, err := d.ReadULong()
 	if err != nil {
 		return err

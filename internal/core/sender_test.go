@@ -192,8 +192,9 @@ func TestChunkSender(t *testing.T) {
 				}
 				seq.FillFunc(func(g int) float64 { return float64(g) })
 				spans := 0
+				carried := []dseq.Transferable{nil, &failingSeq{Seq: seq, failAt: failAt}}
 				_, err = sendChunks(c, newChunkSender(leg.write), 7, true, ce, 0,
-					[]dseq.Transferable{nil, &failingSeq{Seq: seq, failAt: failAt}}, func(time.Time) { spans++ })
+					len(carried), func(i int) dseq.Transferable { return carried[i] }, func(time.Time) { spans++ })
 				if !errors.Is(err, errGather) {
 					return fmt.Errorf("sendChunks: %v, want the gather's own error", err)
 				}

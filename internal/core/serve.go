@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/cdr"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -108,7 +108,11 @@ func (o *Object) Poll(block bool) (bool, error) {
 		// Handler errors are reported through thread 0's reply; the other
 		// threads keep serving.
 		var reply []byte
-		reply, stop, err = o.processCall(hdr)
+		var conn *transport.Conn
+		if call != nil {
+			conn = call.conn
+		}
+		reply, stop, err = o.processCall(hdr, conn)
 		if call != nil {
 			call.replyCh <- callResult{reply: reply, err: err}
 		}
@@ -213,13 +217,15 @@ func (o *Object) callResizeHook() error {
 
 // processCall runs one collective invocation on this computing thread, the
 // server's half of the skeleton invoke is the client's: receive leg, agree,
-// upcall, agree, send leg, agree, the legs being those of the header's shape.
+// upcall, agree, send leg, agree. The receive leg is the one the header names;
+// the send leg is placed here, once the upcall has fixed the result lengths.
 // A leg's failure is captured, not returned: every thread must reach the
 // agreement after it, so a client that died mid-transfer (this thread's
 // receive timed out) fails the upcall coherently everywhere instead of
-// wedging the collective loop. The reply bytes are meaningful on thread 0
-// only; stop reports whether the handler requested an orderly shutdown.
-func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err error) {
+// wedging the collective loop. conn, thread 0's, is the connection the request
+// arrived on; the reply bytes are meaningful on thread 0 only; stop reports
+// whether the handler requested an orderly shutdown.
+func (o *Object) processCall(h *invocationHeader, conn *transport.Conn) (reply []byte, stop bool, err error) {
 	op := o.ops[h.Op] // validated on thread 0 before broadcast
 	if op == nil {
 		return nil, false, orb.BadOperation(h.Op)
@@ -246,9 +252,10 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	}
 
 	// Buckets exist to accumulate chunked and direct transfers (plus
-	// attachments); inline calls carry their data in the header, so skip the
-	// bucket (and its buffered channel) entirely for them. dropBucket still
-	// runs in case a stray Data message created one for this token.
+	// attachments); an inline receive leg carries its data in the header, and
+	// a chunked send leg after it needs only the request's connection, so such
+	// calls skip the bucket (and its buffered channel) entirely. dropBucket
+	// still runs in case a stray Data message created one for this token.
 	sh := h.shape()
 	var bucket *dataBucket
 	if sh != shapeInline {
@@ -263,7 +270,8 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	case shapeInline:
 		recvErr = o.recvInline(h, args)
 	case shapeChunked:
-		recvErr = recvChunks(o.comm, bucket.ch, o.stop, o.opts.DataTimeout, false, int(h.ChunkElems), h.seqs(args, Out),
+		recvErr = recvChunks(o.comm, bucket.ch, o.stop, o.opts.DataTimeout, h.Token, false, int(h.ChunkElems),
+			len(args), func(i int) dseq.Transferable { return h.legSeq(args, i, Out) },
 			func(t time.Time) { o.span(h.Token, obs.PhaseChunkRecv, t, 0) })
 	case shapeDirect:
 		recvErr = o.recvDirect(bucket, h, args)
@@ -314,14 +322,25 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 		return nil, stop, agreed
 	}
 
-	// Send leg: the Out/InOut argument data. Thread 0 opens the reply —
-	// scalars, then per argument its direction and final length. Only the
-	// inline leg puts more into it: each result whole, after its length.
+	// Send leg: the Out/InOut argument data, placed now that every thread knows
+	// the final lengths — direct after a direct receive leg, else chunked in
+	// the size the client offered when a result spans two such chunks, else
+	// inline. Thread 0 opens the reply — scalars, the leg's chunk size, then per
+	// argument its direction and final length. Only the inline leg puts more
+	// into it: each result whole, after its length.
 	sendStart := time.Now()
+	send, ce := shapeDirect, 0
+	if sh != shapeDirect {
+		send = shapeInline
+		ce = legChunkElems(int(h.ResultChunkElems), len(args), func(i int) int { return seqLen(h.legSeq(args, i, In)) })
+		if ce != 0 {
+			send = shapeChunked
+		}
+	}
 	var e *cdr.Encoder
 	if o.comm.Rank() == 0 {
 		e = orb.NewArgEncoder()
-		encodeReplyPrefix(e, out.Bytes(), len(h.Args))
+		encodeReplyPrefix(e, out.Bytes(), ce, len(h.Args))
 	}
 	var sendErr error
 	for i, a := range h.Args {
@@ -329,16 +348,16 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 			sendErr = orb.Marshal(fmt.Errorf("handler resized inout arg %d from %d to %d", i, a.Layout.Length, args[i].Len()))
 			break
 		}
-		if e != nil && sh != shapeInline {
+		if e != nil && send != shapeInline {
 			encodeReplyArg(e, a.Dir, args[i].Len())
 		}
 	}
 	if sendErr == nil {
-		switch sh {
+		switch send {
 		case shapeInline:
 			sendErr = o.sendInline(e, h, args)
 		case shapeChunked:
-			sendErr = o.sendChunked(bucket, h, args)
+			sendErr = o.sendChunked(conn, h, ce, args)
 		case shapeDirect:
 			sendErr = o.sendDirect(bucket, h, args)
 		}
@@ -353,16 +372,13 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	return reply, stop, nil
 }
 
-// seqs lists the sequences one leg carries, indexed like the arguments: nil
-// where the direction is skip (Out on the receive leg, In on the send leg).
-func (h *invocationHeader) seqs(args []dseq.Transferable, skip Dir) []dseq.Transferable {
-	out := make([]dseq.Transferable, len(args))
-	for i, a := range h.Args {
-		if a.Dir != skip {
-			out[i] = args[i]
-		}
+// legSeq is argument i of args as one chunked leg carries it: nil where the
+// direction is skip (Out on the receive leg, In on the send leg).
+func (h *invocationHeader) legSeq(args []dseq.Transferable, i int, skip Dir) dseq.Transferable {
+	if h.Args[i].Dir == skip {
+		return nil
 	}
-	return out
+	return args[i]
 }
 
 // recvInline is the inline receive leg: the threads scatter the arguments
@@ -397,37 +413,27 @@ func (o *Object) sendInline(e *cdr.Encoder, h *invocationHeader, args []dseq.Tra
 	return nil
 }
 
-// sendChunked is the chunked send leg: the results leave as chunked Data
-// messages on the client's connection before the Reply is written, so
-// same-connection ordering guarantees the client holds every chunk once it
-// sees the Reply. The chunk size is recomputed from the final result lengths
-// exactly as the client will.
-func (o *Object) sendChunked(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
-	me := o.comm.Rank()
-	outs := h.seqs(args, In)
-
-	// The request arrived on the connection the reply chunks leave on, so the
-	// leg's mask is the one thread 0's adapter negotiated on it during the
-	// handshake. A missing attachment resolves to raw here; the sender's own
-	// resolution reports the failure through the usual error path.
+// sendChunked is the chunked send leg: the results leave as Data messages of ce
+// elements on conn — thread 0's, the connection the request arrived on —
+// before the Reply is written there, so same-connection ordering guarantees
+// the client holds every chunk once it sees the Reply, which tells it ce.
+func (o *Object) sendChunked(conn *transport.Conn, h *invocationHeader, ce int, args []dseq.Transferable) error {
+	// The leg's mask is the one thread 0's adapter negotiated on the connection
+	// during the handshake.
 	mask, err := agreeMask(o.comm, o.opts.Server.Compression, o.opts.CompressionPolicy, o.compSkipped,
 		func() (uint8, float64) {
-			c, err := bucket.conn(0, o.stop, o.opts.DataTimeout)
-			if err != nil {
-				return 0, 0
-			}
-			m, _ := c.Compression()
-			return m, c.WriteBandwidth()
+			m, _ := conn.Compression()
+			return m, conn.WriteBandwidth()
 		})
 	if err != nil {
 		return &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}
 	}
-
 	var cs *chunkSender
-	if me == 0 && slices.ContainsFunc(h.Args, func(a headerArg) bool { return a.Dir != In }) {
-		cs = newChunkSender(connWriter(bucket.conn(0, o.stop, o.opts.DataTimeout)))
+	if o.comm.Rank() == 0 {
+		cs = newChunkSender(conn.WriteMessage)
 	}
-	_, err = sendChunks(o.comm, cs, h.Token, true, chunkElemsFor(int(h.ChunkElems), outs), mask, outs,
+	_, err = sendChunks(o.comm, cs, h.Token, true, ce, mask,
+		len(args), func(i int) dseq.Transferable { return h.legSeq(args, i, In) },
 		func(t time.Time) { o.span(h.Token, obs.PhaseChunkSend, t, mask) })
 	return commFailure(err)
 }
@@ -447,7 +453,7 @@ func (o *Object) recvDirect(bucket *dataBucket, h *invocationHeader, args []dseq
 			return err
 		}
 	}
-	return recvMoves(bucket.ch, o.stop, o.opts.DataTimeout, false, want)
+	return recvMoves(bucket.ch, o.stop, o.opts.DataTimeout, h.Token, false, want)
 }
 
 // sendDirect is the direct send leg: this thread's share of every result goes

@@ -23,11 +23,14 @@ import (
 // three client engines into one skeleton; a change that moves one of them has
 // changed the collective sequence or the observable phases of that shape.
 type shapeCase struct {
-	name     string
-	method   Method
-	op       string // "put" takes an in argument, "get" returns an out one, "swap" an inout one
-	elems    int    // shapeChunk*4 and up streams; below 2*shapeChunk rides inline
+	name   string
+	method Method
+	// "put" takes an in argument, "get" returns an out one, "swap" an inout
+	// one; "fill" takes a 64-element in argument and returns an out one.
+	op       string
+	elems    int // shapeChunk*4 and up streams; below 2*shapeChunk rides inline
 	compress bool
+	sharded  bool // the invocation carries a shard key, which keeps both legs inline
 	// Collectives per invocation on the client's lane communicator and on
 	// the server's engine communicator (one full serving round: directive,
 	// the three agreements, the transfers, the verdict).
@@ -54,6 +57,12 @@ var (
 		timing: chunkedInSets.timing,
 		spans:  [2]string{"bind invoke gather pack sendrecv scatter chunk-send chunk-recv", "bind invoke gather sendrecv scatter chunk-send chunk-recv"},
 		served: [2]string{"admission queue upcall recv-xfer send-xfer chunk-send chunk-recv", "upcall recv-xfer send-xfer chunk-send chunk-recv"}}
+	// A chunked back leg after an inline forward leg: the forward leg's fields
+	// and phases are the inline shape's, the back leg's the chunked one's.
+	chunkedOutSets = shapeSets{
+		timing: inlineSets.timing,
+		spans:  [2]string{"bind invoke gather pack sendrecv scatter chunk-recv", "bind invoke gather scatter chunk-recv"},
+		served: [2]string{"admission queue upcall recv-xfer send-xfer chunk-send", "upcall recv-xfer send-xfer chunk-send"}}
 	directSets = shapeSets{
 		timing: [2]string{"Total Pack SendRecv Unpack Barrier", "Total Pack SendRecv Unpack Barrier"},
 		spans:  [2]string{"bind invoke pack sendrecv unpack barrier", "bind invoke pack sendrecv unpack barrier"},
@@ -63,6 +72,12 @@ var (
 var invocationShapes = []shapeCase{
 	{name: "inline-in", method: Centralized, op: "put", elems: 64, client: 5, server: 9, shapeSets: inlineSets},
 	{name: "inline-out", method: Centralized, op: "get", elems: 64, client: 5, server: 9, shapeSets: inlineSets},
+	// Each leg is placed by itself: a result one element short of two chunks
+	// rides in the reply, and so does any result of a shard-routed call.
+	{name: "inline-out-under-two-chunks", method: Centralized, op: "get", elems: 2*shapeChunk - 1, client: 5, server: 9, shapeSets: inlineSets},
+	{name: "inline-out-sharded", method: Centralized, op: "get", elems: 4 * shapeChunk, sharded: true, client: 5, server: 9, shapeSets: inlineSets},
+	{name: "chunked-out", method: Centralized, op: "get", elems: 4 * shapeChunk, client: 6, server: 10, shapeSets: chunkedOutSets},
+	{name: "inline-in-chunked-out", method: Centralized, op: "fill", elems: 4 * shapeChunk, client: 7, server: 11, shapeSets: chunkedOutSets},
 	{name: "chunked-in", method: Centralized, op: "put", elems: 4 * shapeChunk, client: 8, server: 10, shapeSets: chunkedInSets},
 	{name: "chunked-inout", method: Centralized, op: "swap", elems: 4 * shapeChunk, client: 10, server: 12, shapeSets: chunkedInOutSets},
 	{name: "chunked-inout-compressed", method: Centralized, op: "swap", elems: 4 * shapeChunk, compress: true,
@@ -79,6 +94,19 @@ func shapeOps(upcall func(*ServerCall)) []Operation {
 	put := OpDesc{Name: "put", Args: arg(In)}
 	get := OpDesc{Name: "get", Args: arg(Out)}
 	swap := OpDesc{Name: "swap", Args: arg(InOut)}
+	fill := OpDesc{Name: "fill", Args: []ArgDesc{{Name: "seed", Dir: In, Elem: "double"}, {Name: "arr", Dir: Out, Elem: "double"}}}
+	resize := func(call *ServerCall, arg int) error {
+		n, err := call.In.ReadLong()
+		if err != nil {
+			return orb.Marshal(err)
+		}
+		arr := ArgSeq[float64](call, arg)
+		if err := arr.ResizeAlloc(int(n)); err != nil {
+			return err
+		}
+		arr.FillFunc(func(g int) float64 { return float64(g) + 0.5 })
+		return nil
+	}
 	return []Operation{
 		{Desc: put, NewArgs: SeqArgsFloat64(put.Args), Handler: func(call *ServerCall) error {
 			upcall(call)
@@ -86,11 +114,11 @@ func shapeOps(upcall func(*ServerCall)) []Operation {
 		}},
 		{Desc: get, NewArgs: SeqArgsFloat64(get.Args), Handler: func(call *ServerCall) error {
 			upcall(call)
-			n, err := call.In.ReadLong()
-			if err != nil {
-				return orb.Marshal(err)
-			}
-			return ArgSeq[float64](call, 0).ResizeAlloc(int(n))
+			return resize(call, 0)
+		}},
+		{Desc: fill, NewArgs: SeqArgsFloat64(fill.Args), Handler: func(call *ServerCall) error {
+			upcall(call)
+			return resize(call, 1)
 		}},
 		{Desc: swap, NewArgs: SeqArgsFloat64(swap.Args), Handler: func(call *ServerCall) error {
 			upcall(call)
@@ -120,8 +148,9 @@ func (sc shapeCase) run(t *testing.T, calls int, upcall func(*ServerCall), check
 		opts.Compression, opts.CompressionPolicy = zcodec.MaskAll, zcodec.PolicyAlways
 	}
 	tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
+		dir := map[string]Dir{"put": In, "get": Out, "fill": Out, "swap": InOut}[sc.op]
 		n := sc.elems
-		if sc.op == "get" {
+		if dir == Out {
 			n = 0
 		}
 		arr, err := dseq.New(c, dseq.Float64, n, nil)
@@ -129,12 +158,23 @@ func (sc shapeCase) run(t *testing.T, calls int, upcall func(*ServerCall), check
 			return err
 		}
 		arr.FillFunc(func(g int) float64 { return float64(g) })
+		args := []DistArg{{Dir: dir, Seq: arr}}
+		if sc.op == "fill" {
+			seed, err := dseq.New(c, dseq.Float64, 64, nil)
+			if err != nil {
+				return err
+			}
+			args = []DistArg{InSeq(seed), args[0]}
+		}
 		scalars := ScalarEncoder()
 		scalars.WriteLong(int32(sc.elems))
-		dir := map[string]Dir{"put": In, "get": Out, "swap": InOut}[sc.op]
+		var key []byte
+		if sc.sharded {
+			key = []byte("shard")
+		}
 		for i := 0; i < calls; i++ {
 			var tm Timing
-			if _, err := b.InvokeMethod(sc.method, sc.op, scalars.Bytes(), []DistArg{{Dir: dir, Seq: arr}}, &tm); err != nil {
+			if _, err := b.invokeBlocking(sc.method, sc.op, key, scalars.Bytes(), args, &tm); err != nil {
 				return err
 			}
 			if arr.Len() != sc.elems {

@@ -21,9 +21,10 @@ import (
 // engine walks each large argument in fixed chunks — gathering chunk k+1
 // over the runtime system while chunk k is on the wire. The reply leg is
 // symmetric: the server gathers and writes result chunks before the Reply,
-// and the client scatters them as it drains its sink. Both sides derive the
-// same chunk schedule from the lengths and the chunk size in the header, so
-// no per-chunk control traffic is needed.
+// and the client scatters them as it drains its sink. Each leg is placed by
+// itself, by the side that knows its lengths (legChunkElems), and both sides
+// derive the leg's chunk schedule from the lengths and the chunk size its
+// header announces, so no per-chunk control traffic is needed.
 
 // DefaultStreamChunkElems is the streamed-transfer chunk size when
 // BindOptions.StreamChunkElems is zero. 8192 doubles (64 KiB payloads) sit
@@ -129,8 +130,8 @@ func commFailure(err error) error {
 	return &orb.SystemException{RepoID: orb.RepoComm, Message: err.Error()}
 }
 
-// sendChunks walks the sending side of one streamed leg. For every sequence
-// listed (a nil entry is an argument the leg does not carry) the threads of
+// sendChunks walks the sending side of one streamed leg. For each of the nargs
+// arguments the leg carries (arg(i) is nil for one it does not) the threads of
 // comm collectively gather-marshal each scheduled chunk — thread 0, the one
 // holding the leg's sender, straight into the slot the chunk is written from
 // — and the sender is closed at the end. The schedule always runs to
@@ -140,8 +141,9 @@ func commFailure(err error) error {
 // aligned and the failure surfaces as one agreed error. It returns the time
 // spent gathering and this thread's first failure.
 func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce int, mask uint8,
-	seqs []dseq.Transferable, span func(chunkStart time.Time)) (gather time.Duration, firstErr error) {
-	for i, seq := range seqs {
+	nargs int, arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) (gather time.Duration, firstErr error) {
+	for i := 0; i < nargs; i++ {
+		seq := arg(i)
 		if seq == nil {
 			continue
 		}
@@ -184,19 +186,23 @@ func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce in
 }
 
 // recvChunks walks the receiving side of one streamed leg: thread 0 pulls each
-// scheduled chunk of every listed sequence (nil entries skipped) off ch and
-// the threads of comm collectively scatter it. The schedule always runs to
+// scheduled chunk of every argument the leg carries (sendChunks has nargs and
+// arg) off ch, on a timer only it needs, and the threads of comm collectively
+// scatter it. The schedule always runs to
 // completion — after a failure thread 0 substitutes fail markers instead of
 // pulling — so the collective loop cannot desynchronize, and the first
 // failure is returned once the schedule is done.
-func recvChunks(comm *rts.Comm, ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration, reply bool, ce int,
-	seqs []dseq.Transferable, span func(chunkStart time.Time)) error {
+func recvChunks(comm *rts.Comm, ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration, token uint32, reply bool, ce int,
+	nargs int, arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) error {
 	var firstErr error
-	t := chunkTimer(timeout)
-	if t != nil {
-		defer t.Stop()
+	var t *time.Timer
+	if comm.Rank() == 0 {
+		if t = chunkTimer(timeout); t != nil {
+			defer t.Stop()
+		}
 	}
-	for i, seq := range seqs {
+	for i := 0; i < nargs; i++ {
+		seq := arg(i)
 		if seq == nil {
 			continue
 		}
@@ -210,7 +216,7 @@ func recvChunks(comm *rts.Comm, ch <-chan *wire.Data, stop <-chan struct{}, time
 			if comm.Rank() == 0 {
 				if firstErr != nil {
 					payload = dseq.FailMarker
-				} else if d, err := nextChunk(ch, stop, t, timeout, uint32(i), reply, start, n, k == nchunks-1); err != nil {
+				} else if d, err := nextChunk(ch, stop, t, timeout, token, uint32(i), reply, start, n, k == nchunks-1); err != nil {
 					firstErr = err
 					payload = dseq.FailMarker
 				} else {
@@ -240,27 +246,52 @@ func recvChunks(comm *rts.Comm, ch <-chan *wire.Data, stop <-chan struct{}, time
 // buffered before the client starts draining.
 const maxStreamChunks = 1024
 
-// chunkElemsFor returns the chunk size for a transfer leg: base elements,
-// doubled until the leg's total chunk count (across the sequences it carries;
-// nil entries skipped) fits maxStreamChunks. Both peers compute it from the
-// same lengths, so the schedules agree without negotiation.
-func chunkElemsFor(base int, seqs []dseq.Transferable) int {
-	ce := base
-	if ce < 1 {
-		ce = 1
+// legChunkElems is the placement rule of one centralized leg, applied by the
+// side that knows the leg's lengths — the client to the In/InOut arguments it
+// sends, the server to the Out/InOut results it is about to return — and to
+// nothing else: length(i) is what argument i contributes to the leg, 0 for one
+// it does not carry. The leg is chunked, in the size returned, when an
+// argument spans two chunks of base, so the overlap pays; 0 places it inline.
+// A base of 0 — a shard-routed invocation, whose chunks would travel to the
+// primary profile's endpoints while the request follows the ring, or a client
+// that offered no stream — is always inline.
+func legChunkElems(base, nargs int, length func(i int) int) int {
+	if base > 0 {
+		for i := 0; i < nargs; i++ {
+			if length(i) >= 2*base {
+				return chunkElemsFor(base, nargs, length)
+			}
+		}
 	}
+	return 0
+}
+
+// chunkElemsFor returns the chunk size of a chunked leg: base elements,
+// doubled until the leg's total chunk count (length(i) per argument, 0 for one
+// the leg does not carry) fits maxStreamChunks. Whoever places the leg
+// announces the result; the peer that receives a reply leg recomputes it from
+// the announced lengths and refuses any other.
+func chunkElemsFor(base, nargs int, length func(i int) int) int {
+	ce := max(base, 1)
 	for {
 		total := 0
-		for _, seq := range seqs {
-			if seq != nil {
-				total += chunkCount(seq.Len(), ce)
-			}
+		for i := 0; i < nargs; i++ {
+			total += chunkCount(length(i), ce)
 		}
 		if total <= maxStreamChunks {
 			return ce
 		}
 		ce *= 2
 	}
+}
+
+// seqLen is what a sequence contributes to a leg's schedule: nothing when the
+// leg does not carry it.
+func seqLen(seq dseq.Transferable) int {
+	if seq == nil {
+		return 0
+	}
+	return seq.Len()
 }
 
 func chunkCount(length, ce int) int {
@@ -359,27 +390,36 @@ func chunkTimer(timeout time.Duration) *time.Timer {
 }
 
 // takeFrame is the one wait of a receive leg, whatever its shape: the next
-// frame off ch, waiting at most timeout on the leg's timer t (nil: no bound)
-// and until stop (nil: no cancellation). A nil frame is the connection-loss
-// poison and, like every lost connection, a COMM_FAILURE: a client whose peer
-// restarted or resized can tell "re-resolve" (naming.Stale) from a hard
-// failure. The caller owns the frame it is given and must Release it.
-func takeFrame(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration) (*wire.Data, error) {
+// frame of invocation token off ch, waiting at most timeout on the leg's timer
+// t (nil: no bound) and until stop (nil: no cancellation). A frame of another
+// invocation — a client's sink belongs to its lane, so one that arrived after
+// the invocation before this one gave up on it may still sit there — is
+// released and skipped. A nil frame is the connection-loss poison and, like
+// every lost connection, a COMM_FAILURE: a client whose peer restarted or
+// resized can tell "re-resolve" (naming.Stale) from a hard failure. The caller
+// owns the frame it is given and must Release it.
+func takeFrame(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration, token uint32) (*wire.Data, error) {
 	var deadline <-chan time.Time
 	if t != nil {
 		t.Reset(timeout)
 		deadline = t.C
 	}
-	select {
-	case d := <-ch:
-		if d == nil {
-			return nil, &orb.SystemException{RepoID: orb.RepoComm, Message: "data connection lost mid-transfer"}
+	for {
+		select {
+		case d := <-ch:
+			if d == nil {
+				return nil, &orb.SystemException{RepoID: orb.RepoComm, Message: "data connection lost mid-transfer"}
+			}
+			if d.RequestID != token {
+				d.Release()
+				continue
+			}
+			return d, nil
+		case <-stop:
+			return nil, ErrStopped
+		case <-deadline:
+			return nil, fmt.Errorf("core: no data frame arrived within %v", timeout)
 		}
-		return d, nil
-	case <-stop:
-		return nil, ErrStopped
-	case <-deadline:
-		return nil, fmt.Errorf("core: no data frame arrived within %v", timeout)
 	}
 }
 
@@ -387,8 +427,8 @@ func takeFrame(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeou
 // takeFrame for the wait), validating that it is exactly the scheduled one.
 // On any error the frame (if any) has been released; on success the caller
 // owns the frame and must Release it.
-func nextChunk(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration, argIdx uint32, reply bool, start, n int, last bool) (*wire.Data, error) {
-	d, err := takeFrame(ch, stop, t, timeout)
+func nextChunk(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration, token, argIdx uint32, reply bool, start, n int, last bool) (*wire.Data, error) {
+	d, err := takeFrame(ch, stop, t, timeout, token)
 	if err != nil {
 		return nil, fmt.Errorf("stream chunk (arg %d, off %d): %w", argIdx, start, err)
 	}
@@ -424,8 +464,7 @@ func drainData(ch chan *wire.Data) {
 // payloads), so a failure surfaces as one agreed error instead of a stranded
 // collective.
 func (iv *invocation) sendChunked(scalars []byte) error {
-	b, ins := iv.b, iv.seqs(Out)
-	iv.ce = chunkElemsFor(b.chunkElems, ins)
+	b := iv.b
 	var err error
 	iv.mask, err = agreeMask(iv.comm, b.comp, b.policy, b.compSkipped, func() (uint8, float64) {
 		// Resolving the mask runs the handshake on the connection's first use.
@@ -440,10 +479,8 @@ func (iv *invocation) sendChunked(scalars []byte) error {
 	var cs *chunkSender
 	if iv.comm.Rank() == 0 {
 		packStart := time.Now()
-		h := iv.newHeader(Centralized, scalars)
-		h.ChunkElems = uint32(iv.ce)
 		e := orb.NewArgEncoder()
-		h.encode(e)
+		iv.newHeader(Centralized, scalars).encode(e)
 		iv.phase(obs.PhasePack, packStart, time.Since(packStart))
 		iv.launch(e.Bytes())
 		cs = newChunkSender(connWriter(b.client.DataConn(b.ref, 0)))
@@ -451,18 +488,18 @@ func (iv *invocation) sendChunked(scalars []byte) error {
 	// Gather-marshal chunk k+1 over the runtime system while chunk k is on
 	// the wire.
 	gatherStart := time.Now()
-	gather, err := sendChunks(iv.comm, cs, iv.token, false, iv.ce, iv.mask, ins,
+	gather, err := sendChunks(iv.comm, cs, iv.token, false, iv.ce, iv.mask,
+		len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, Out) },
 		func(t time.Time) { iv.phase(obs.PhaseChunkSend, t, time.Since(t)) })
 	iv.phase(obs.PhaseGather, gatherStart, gather)
 	return err
 }
 
-// recvChunked is the chunked back leg: the server wrote every reply chunk
-// before the Reply on the same connection, so by now they are in (or streaming
-// into) the sink in schedule order. The chunk size is recomputed from the
-// result lengths exactly as the server did, so the schedules agree.
-func (iv *invocation) recvChunked() error {
-	outs := iv.seqs(In)
-	return recvChunks(iv.comm, iv.sink, nil, iv.b.client.Timeout, true, chunkElemsFor(iv.ce, outs), outs,
+// recvChunked is the chunked back leg, in the chunk size the reply announced:
+// the server wrote every result chunk before the Reply on the same connection,
+// so by now they are in the lane's sink in schedule order.
+func (iv *invocation) recvChunked(ce int) error {
+	return recvChunks(iv.comm, iv.sink, nil, iv.b.client.Timeout, iv.token, true, ce,
+		len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, In) },
 		func(t time.Time) { iv.phase(obs.PhaseChunkRecv, t, time.Since(t)) })
 }

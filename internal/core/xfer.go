@@ -81,13 +81,13 @@ func (ts transfers) expect(argIdx int, seq dseq.Transferable, from dist.Layout, 
 // taken off ch is released here, stored or not; what the leg leaves in ch is
 // the owner's to drain. Each wait is takeFrame's: bounded by timeout (zero:
 // unbounded) and by stop (nil: no cancellation).
-func recvMoves(ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration, reply bool, want transfers) error {
+func recvMoves(ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration, token uint32, reply bool, want transfers) error {
 	t := chunkTimer(timeout)
 	if t != nil {
 		defer t.Stop()
 	}
 	for len(want) > 0 {
-		d, err := takeFrame(ch, stop, t, timeout)
+		d, err := takeFrame(ch, stop, t, timeout, token)
 		if err != nil {
 			return fmt.Errorf("awaiting %d transfers: %w", len(want), err)
 		}
@@ -199,5 +199,5 @@ func (iv *invocation) recvDirect() error {
 			return err
 		}
 	}
-	return recvMoves(iv.sink, nil, iv.b.client.Timeout, true, want)
+	return recvMoves(iv.sink, nil, iv.b.client.Timeout, iv.token, true, want)
 }

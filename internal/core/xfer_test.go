@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"sync"
@@ -152,7 +153,7 @@ func TestMultiportFramesReturned(t *testing.T) {
 						t.Error(err)
 					}
 				}, n)
-				encodeReplyPrefix(out, nil, len(h.Args))
+				encodeReplyPrefix(out, nil, 0, len(h.Args))
 				for _, a := range h.Args {
 					encodeReplyArg(out, a.Dir, n)
 				}
@@ -177,6 +178,54 @@ func TestMultiportFramesReturned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBucketConnLooksFirst: a return flow resolves its client's connection from
+// a bucket that already recorded it — the usual case, its forward leg arrived
+// first — without arming the timer it would wait on; an attachment that never
+// comes still ends the wait at the timeout.
+func TestBucketConnLooksFirst(t *testing.T) {
+	a, b := transport.Pipe(nil)
+	defer a.Close()
+	defer b.Close()
+	bk := &dataBucket{notify: make(chan struct{}, 1), conns: map[int]*transport.Conn{1: a}}
+	var got *transport.Conn
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { got, err = bk.conn(1, nil, time.Minute) }); allocs != 0 || got != a || err != nil {
+		t.Fatalf("a recorded connection cost %.0f objects (conn %p, err %v)", allocs, got, err)
+	}
+	if _, err := bk.conn(0, nil, 10*time.Millisecond); err == nil || !strings.Contains(err.Error(), "no attachment from client thread 0") {
+		t.Fatalf("waiting for an attachment that never comes: %v", err)
+	}
+}
+
+// streamThenDie is a hand-rolled communicating thread that answers a "get" by
+// streaming the first half of the result on the request's connection and then
+// dying: the connection closes with the client owed two chunks and the Reply.
+type streamThenDie struct{ n, chunk int }
+
+func (s streamThenDie) Dispatch(string, *cdr.Decoder, *cdr.Encoder) error {
+	return orb.Marshal(errors.New("the adapter did not say which connection"))
+}
+
+func (s streamThenDie) DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) error {
+	if op == describeOp {
+		encodeOpTable(out, []OpDesc{{Name: "get", Args: []ArgDesc{{Name: "arr", Dir: Out, Elem: "double"}}}})
+		return nil
+	}
+	h, err := decodeInvocationHeader(in)
+	if err != nil {
+		return orb.Marshal(err)
+	}
+	for off := 0; off < s.n/2; off += s.chunk {
+		d := &wire.Data{RequestID: h.Token, DstOff: uint64(off), Count: uint64(s.chunk), Reply: true, Flags: wire.DataFlagChunk,
+			Payload: dseq.MarshalChunk(dseq.Float64, make([]float64, s.chunk))}
+		if err := conn.WriteMessage(d); err != nil {
+			return orb.Marshal(err)
+		}
+	}
+	conn.Close()
+	return nil
 }
 
 // TestLostDataConnectionIsCommFailure loses a data connection in the middle
@@ -301,12 +350,14 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 				if err := connOf(0).WriteMessage(part); err != nil {
 					t.Error(err)
 				}
+				ce := 0
 				if sh.method == Centralized {
 					other.Close()
+					ce = int(h.ResultChunkElems)
 				} else {
 					connOf(1).Close()
 				}
-				encodeReplyPrefix(out, nil, 1)
+				encodeReplyPrefix(out, nil, ce, 1)
 				encodeReplyArg(out, InOut, n)
 				return nil
 			}))
@@ -333,4 +384,35 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 			}))
 		})
 	}
+
+	// The reply stream of an out-only call, whose request leg was inline: the
+	// server dies with half the chunks written and no Reply. Thread 0 is still
+	// inside the exchange, the chunks that did arrive are on loan in its lane's
+	// sink; every thread ends the same way, the frames go back, and nothing —
+	// no sender, no sink reader — outlives the binding.
+	t.Run("chunked/server dies mid reply stream of an out-only call", func(t *testing.T) {
+		defer testutil.LeakCheck(t)()
+		defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
+		srv, err := orb.NewServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		key := []byte("spmd/hand-rolled")
+		srv.Register(key, streamThenDie{n: n, chunk: shapeChunk})
+		ref := orb.IOR{TypeID: "IDL:get:1.0", Key: key, Threads: 1, Endpoints: []orb.Endpoint{srv.Endpoint(0)}}
+		check(t, sameOnEveryThread(t, 2, func(c *rts.Comm) error {
+			b, err := SPMDBindRef(c, ref, BindOptions{Timeout: testTimeout, StreamChunkElems: shapeChunk})
+			if err != nil {
+				return err
+			}
+			defer b.Close()
+			arr, err := dseq.New(c, dseq.Float64, 0, nil)
+			if err != nil {
+				return err
+			}
+			_, err = b.Invoke("get", ScalarEncoder().Bytes(), []DistArg{OutSeq(arr)})
+			return err
+		}))
+	})
 }

@@ -36,6 +36,9 @@ type Seq[T any] struct {
 	codec  Codec[T]
 	spec   dist.Spec
 	layout dist.Layout
+	// bySpec: layout is what spec (Block when nil) lays layout.Length out as,
+	// so a ResizeAlloc to that length has nothing to recompute.
+	bySpec bool
 	local  []T
 }
 
@@ -56,6 +59,7 @@ func New[T any](comm *rts.Comm, codec Codec[T], length int, spec dist.Spec) (*Se
 		codec:  codec,
 		spec:   spec,
 		layout: layout,
+		bySpec: true,
 		local:  make([]T, layout.Count(comm.Rank())),
 	}, nil
 }
@@ -253,7 +257,7 @@ func (s *Seq[T]) Redistribute(newSpec dist.Spec) error {
 	if err := s.redistributeTo(newLayout); err != nil {
 		return err
 	}
-	s.spec = newSpec
+	s.spec, s.bySpec = newSpec, true
 	return nil
 }
 
@@ -329,7 +333,7 @@ func (s *Seq[T]) redistributeTo(newLayout dist.Layout) error {
 			copy(newLocal[dstOff:], vals)
 		}
 	}
-	s.layout = newLayout
+	s.layout, s.bySpec = newLayout, false
 	s.local = newLocal
 	return nil
 }
@@ -380,7 +384,7 @@ func (s *Seq[T]) shrink(n int) error {
 		newLocal = append(newLocal, s.local[off:off+keep]...)
 		off += iv.Len
 	}
-	s.layout = dist.Layout{Length: n, Ranks: s.layout.Ranks, Intervals: newIvs}
+	s.layout, s.bySpec = dist.Layout{Length: n, Ranks: s.layout.Ranks, Intervals: newIvs}, false
 	s.local = newLocal
 	if err := s.layout.Validate(); err != nil {
 		return err
@@ -414,6 +418,6 @@ func (s *Seq[T]) grow(n int) error {
 	if me == owner {
 		s.local = append(s.local, make([]T, n-old)...)
 	}
-	s.layout = dist.Layout{Length: n, Ranks: s.layout.Ranks, Intervals: newIvs}
+	s.layout, s.bySpec = dist.Layout{Length: n, Ranks: s.layout.Ranks, Intervals: newIvs}, false
 	return s.layout.Validate()
 }

@@ -190,36 +190,62 @@ func (s *Seq[T]) GatherMarshalRangeTo(c *rts.Comm, root, start, n int, mask uint
 		}
 		return s.marshalSegs(mySegs, mask, dst)
 	}
+	// One other rank holds the whole chunk: it renders the wire payload itself,
+	// compressed — ranks compress their own chunks in parallel — into a rented
+	// buffer, and forwards it to root, which writes it out verbatim and returns
+	// the buffer. No rooted collective: nobody else has anything to add.
+	if sole >= 0 {
+		var part []byte
+		var myErr error
+		if me == sole {
+			part, myErr = s.rentPart(mySegs, mask)
+		}
+		if part, err = c.Forward(sole, root, part); err != nil {
+			return err
+		}
+		if me != root {
+			return myErr
+		}
+		if IsFailMarker(part) {
+			return fmt.Errorf("%w (rank %d)", ErrChunkFailed, sole)
+		}
+		dst.WriteRaw(part)
+		bufpool.Chunks.Return(part)
+		return nil
+	}
 	if me == root {
 		parts, err := c.Gather(root, nil)
 		if err != nil {
 			return err
 		}
-		return s.assembleRange(parts, root, sole, start, n, mask, dst)
+		return s.assembleRange(parts, root, start, n, mask, dst)
 	}
 
-	// A rank covering the whole chunk produces the wire payload itself (root
-	// forwards it verbatim), so it compresses; partial parts are placed at
-	// root and travel raw. Either way the part is rendered into a rented
-	// buffer that root returns once it has placed it.
+	// Partial parts are placed at root and travel raw: they cross in-process
+	// mailboxes, never the wire.
 	var part []byte
 	var myErr error
 	if len(mySegs) > 0 {
-		partMask := uint8(0)
-		if sole == me {
-			partMask = mask
-		}
-		e := rentEncoder(s.codec.chunkBound(segTotal(mySegs), partMask))
-		myErr = s.marshalSegs(mySegs, partMask, e)
-		if part = detach(e); myErr != nil {
-			bufpool.Chunks.Return(part)
-			part = FailMarker
-		}
+		part, myErr = s.rentPart(mySegs, 0)
 	}
 	if _, err := c.Gather(root, part); err != nil {
 		return err
 	}
 	return myErr
+}
+
+// rentPart renders this rank's segments as one chunk into a rented buffer the
+// rank it is sent to returns once it has placed it — or, the segments being
+// bad, the fail marker in its place and the reason.
+func (s *Seq[T]) rentPart(segs []rangeSeg, mask uint8) ([]byte, error) {
+	e := rentEncoder(s.codec.chunkBound(segTotal(segs), mask))
+	err := s.marshalSegs(segs, mask, e)
+	part := detach(e)
+	if err != nil {
+		bufpool.Chunks.Return(part)
+		return FailMarker, err
+	}
+	return part, nil
 }
 
 // checkSegs validates segments against local storage.
@@ -268,19 +294,7 @@ func (s *Seq[T]) marshalSegs(segs []rangeSeg, mask uint8, e *cdr.Encoder) error 
 // every share is a byte sub-range of it — and other codecs, and compressed
 // chunks, decode into a staging slice and encode once. Every part placed (or
 // rejected) goes back to the chunk pool.
-func (s *Seq[T]) assembleRange(parts [][]byte, root, sole, start, n int, mask uint8, dst *cdr.Encoder) error {
-	// A sole contributor's part already is the whole chunk in global order:
-	// forward it without a decode/re-encode round trip. (It is never root
-	// here — a fully root-owned chunk skipped the gather entirely.)
-	if sole >= 0 {
-		if IsFailMarker(parts[sole]) {
-			return fmt.Errorf("%w (rank %d)", ErrChunkFailed, sole)
-		}
-		dst.WriteRaw(parts[sole])
-		bufpool.Chunks.Return(parts[sole])
-		return nil
-	}
-
+func (s *Seq[T]) assembleRange(parts [][]byte, root, start, n int, mask uint8, dst *cdr.Encoder) error {
 	// The chunk is built either as bytes in place (region) or as elements to
 	// encode afterwards (scratch).
 	var region []byte
@@ -398,8 +412,30 @@ func (s *Seq[T]) ScatterUnmarshalRange(c *rts.Comm, root, start, n int, payload 
 		}
 		return s.storeSegs(mySegs, payload)
 	}
+	// One other rank owns the whole chunk: root forwards it the payload — the
+	// fail marker as it is, anything else through a rented copy, because the
+	// mailbox hands slices off without copying and the payload may be a
+	// borrowed transport buffer the caller releases after we return.
+	if sole >= 0 {
+		var piece []byte
+		if me == root {
+			if piece = FailMarker; !IsFailMarker(payload) {
+				piece = append(bufpool.Chunks.Rent(len(payload)), payload...)
+			}
+		}
+		if piece, err = c.Forward(root, sole, piece); err != nil {
+			return err
+		}
+		if me == root && IsFailMarker(payload) {
+			return ErrChunkFailed
+		}
+		if me != sole {
+			return nil
+		}
+		return s.storePiece(mySegs, piece, root)
+	}
 	if me == root {
-		return s.scatterRangeRoot(c, start, n, payload, mySegs, sole)
+		return s.scatterRangeRoot(c, start, n, payload, mySegs)
 	}
 	piece, err := c.Scatter(root, nil)
 	if err != nil {
@@ -408,11 +444,16 @@ func (s *Seq[T]) ScatterUnmarshalRange(c *rts.Comm, root, start, n int, payload 
 	if len(mySegs) == 0 {
 		return nil
 	}
+	return s.storePiece(mySegs, piece, root)
+}
+
+// storePiece stores the piece root rendered for this rank and returns its
+// rented buffer: storeSegs copies the elements out.
+func (s *Seq[T]) storePiece(segs []rangeSeg, piece []byte, root int) error {
 	if IsFailMarker(piece) {
 		return fmt.Errorf("%w (root %d)", ErrChunkFailed, root)
 	}
-	// storeSegs copies the elements out, so the piece root rented goes back.
-	err = s.storeSegs(mySegs, piece)
+	err := s.storeSegs(segs, piece)
 	bufpool.Chunks.Return(piece)
 	return err
 }
@@ -421,7 +462,7 @@ func (s *Seq[T]) ScatterUnmarshalRange(c *rts.Comm, root, start, n int, payload 
 // rented buffer its owner returns, and scatters them. On a bad payload it
 // scatters fail markers instead, keeping the collective aligned while every
 // owner learns of the failure.
-func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, mySegs []rangeSeg, sole int) error {
+func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, mySegs []rangeSeg) error {
 	me := c.Rank()
 	pieces := make([][]byte, c.Size())
 	scatter := func(cause error) error {
@@ -443,14 +484,6 @@ func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, myS
 	if err := s.checkSegs(mySegs); err != nil {
 		return poison(err)
 	}
-	// A sole remote owner takes the payload verbatim — but through a copy: the
-	// mailbox hands slices off without copying, and the payload may be a
-	// borrowed transport buffer the caller releases after we return.
-	if sole >= 0 {
-		pieces[sole] = append(bufpool.Chunks.Rent(len(payload)), payload...)
-		return scatter(nil)
-	}
-
 	// A fixed-width host-order payload is split as bytes: a remote share is
 	// its sub-ranges under a fresh chunk header, root's own share is copied
 	// straight out of it. Anything else is decoded once and re-encoded per

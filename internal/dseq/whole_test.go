@@ -180,7 +180,11 @@ func TestForeignOrderChunkScatters(t *testing.T) {
 }
 
 // TestResizeAllocReusesStorage pins the storage contract: an unchanged local
-// count keeps the backing array and zeroes it, a changed one reallocates.
+// count keeps the backing array and zeroes it, a changed one reallocates. A
+// resize to the length the spec already laid out — what a client's out argument
+// gets on every call — keeps the layout too and allocates nothing; once
+// something other than the spec shaped the layout, the same length lays it out
+// again.
 func TestResizeAllocReusesStorage(t *testing.T) {
 	run(t, 2, func(c *rts.Comm) error {
 		s, err := New(c, Float64, 10, nil)
@@ -196,6 +200,23 @@ func TestResizeAllocReusesStorage(t *testing.T) {
 		if len(after) != 5 || &after[0] != &before[0] {
 			return fmt.Errorf("same-count ResizeAlloc did not keep its storage")
 		}
+		if allocs := testing.AllocsPerRun(10, func() { err = s.ResizeAlloc(10) }); allocs != 0 || err != nil {
+			return fmt.Errorf("ResizeAlloc to the length it has allocates %.0f objects (err %v)", allocs, err)
+		}
+		// SetLen hands the grown tail to the last owner: not the spec's layout.
+		if err := s.SetLen(12); err != nil {
+			return err
+		}
+		if err := s.ResizeAlloc(12); err != nil {
+			return err
+		}
+		if block, _ := (dist.Block{}).Layout(12, 2); !s.Layout().Equal(block) {
+			return fmt.Errorf("ResizeAlloc after SetLen kept layout %v, want the spec's %v", s.Layout(), block)
+		}
+		if err := s.ResizeAlloc(10); err != nil {
+			return err
+		}
+		after = s.LocalData()
 		for i, v := range after {
 			if v != 0 {
 				return fmt.Errorf("reused local[%d] = %v, want 0", i, v)

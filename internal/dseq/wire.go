@@ -85,8 +85,14 @@ func (s *Seq[T]) ScatterUnmarshal(root int, payload []byte) error {
 	return s.ScatterUnmarshalRange(nil, root, 0, s.layout.Length, payload)
 }
 
-// ResizeAlloc implements Transferable.
+// ResizeAlloc implements Transferable. A resize to the length the spec already
+// laid out — a client's out argument, on every call after the first — keeps the
+// layout as well as the storage.
 func (s *Seq[T]) ResizeAlloc(length int) error {
+	if s.bySpec && length == s.layout.Length {
+		clear(s.local)
+		return nil
+	}
 	spec := s.spec
 	if spec == nil {
 		spec = dist.Block{}
@@ -95,7 +101,7 @@ func (s *Seq[T]) ResizeAlloc(length int) error {
 	if err != nil {
 		return err
 	}
-	s.layout = layout
+	s.layout, s.bySpec = layout, true
 	if n := layout.Count(s.comm.Rank()); n == len(s.local) {
 		clear(s.local)
 	} else {

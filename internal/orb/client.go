@@ -419,6 +419,10 @@ func (cc *clientConn) fail(err error) {
 	already := cc.err != nil
 	if !already {
 		cc.err = err
+		// Before any waiter is released: a caller that learns of the failure
+		// from its exchange and registers its next sink must not find this
+		// connection's poison in it.
+		cc.client.poisonSinks()
 	}
 	for id, ch := range cc.pending {
 		delete(cc.pending, id)
@@ -433,7 +437,6 @@ func (cc *clientConn) fail(err error) {
 			cc.client.countConnBroken()
 		}
 		cc.client.dropConn(cc)
-		cc.client.poisonSinks()
 	}
 }
 

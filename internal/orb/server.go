@@ -33,6 +33,15 @@ func (f ServantFunc) Dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) erro
 	return f(op, in, out)
 }
 
+// ConnServant is a Servant that is also told which connection its request
+// arrived on — the one the Reply will be written to, so what the servant writes
+// there first (the Data chunks of a streamed result) reaches the client ahead
+// of it. The adapter calls DispatchConn in place of Dispatch.
+type ConnServant interface {
+	Servant
+	DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) error
+}
+
 // DataHandler consumes PARDIS Data messages (multi-port argument
 // transfers). The connection is provided so the handler can send return
 // transfers back over the same connection.
@@ -621,8 +630,8 @@ func (s *Server) serveConn(sc *servedConn) {
 			if h := s.dataHandler(); h != nil {
 				h(m, sc.conn)
 			} else {
-				m.Release()
 				s.Logf("orb: Data message with no handler (request %d)", m.RequestID)
+				m.Release()
 				_ = sc.conn.WriteMessage(&wire.MessageError{})
 			}
 		case *wire.CloseConnection:
@@ -824,7 +833,7 @@ func (s *Server) runItem(it workItem) {
 	s.dispatched.Add(1)
 	out := getReplyEncoder()
 	defer putReplyEncoder(out)
-	status := s.upcall(it.req, out)
+	status := s.upcall(it.sc.conn, it.req, out)
 	s.inflight.Add(-1)
 	it.sc.inflight.Add(-1)
 	if it.req.ResponseExpected {
@@ -860,7 +869,7 @@ func (s *Server) shedRequest(sc *servedConn, req *wire.Request, msg string) {
 
 // upcall hands req to its servant and leaves the reply payload — results,
 // exception or forward reference — in out, returning the reply status.
-func (s *Server) upcall(req *wire.Request, out *cdr.Encoder) wire.ReplyStatus {
+func (s *Server) upcall(conn *transport.Conn, req *wire.Request, out *cdr.Encoder) wire.ReplyStatus {
 	defer s.handleNS.Done(s.handleNS.Start())
 	sv, ok := s.lookup(req.ObjectKey)
 	var err error
@@ -876,7 +885,11 @@ func (s *Server) upcall(req *wire.Request, out *cdr.Encoder) wire.ReplyStatus {
 					s.Logf("orb: servant panic in %q: %v", req.Operation, p)
 				}
 			}()
-			err = sv.Dispatch(req.Operation, in, out)
+			if cs, ok := sv.(ConnServant); ok {
+				err = cs.DispatchConn(conn, req.Operation, in, out)
+			} else {
+				err = sv.Dispatch(req.Operation, in, out)
+			}
 		}()
 	}
 	if err == nil {

@@ -16,9 +16,9 @@ import (
 	"repro/internal/wire"
 )
 
-// asVersion1 re-stamps a single-frame message as the previous protocol
+// asPreviousVersion re-stamps a single-frame message as the previous protocol
 // version: what a peer built before the version bump puts on the wire.
-func asVersion1(frame []byte) []byte {
+func asPreviousVersion(frame []byte) []byte {
 	frame[4] = wire.Version - 1
 	return frame
 }
@@ -49,7 +49,7 @@ func TestVersionMismatchServerRefuses(t *testing.T) {
 	}
 	defer conn.Close()
 	req := &wire.Request{RequestID: 1, ResponseExpected: true, ObjectKey: []byte("k"), Operation: "echo"}
-	if _, err := conn.Write(asVersion1(wire.Encode(req, cdr.NativeOrder))); err != nil {
+	if _, err := conn.Write(asPreviousVersion(wire.Encode(req, cdr.NativeOrder))); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -63,7 +63,7 @@ func TestVersionMismatchServerRefuses(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if want := wire.ErrBadVersion.Error() + ": 1"; len(logged) != 1 || !strings.Contains(logged[0], want) {
+	if want := fmt.Sprintf("%v: %d", wire.ErrBadVersion, wire.Version-1); len(logged) != 1 || !strings.Contains(logged[0], want) {
 		t.Fatalf("server log %q, want one line naming %q", logged, want)
 	}
 }
@@ -93,7 +93,7 @@ func TestVersionMismatchClientFailsPendingInvoke(t *testing.T) {
 				return err
 			}
 			reply := &wire.Reply{RequestID: m.(*wire.Request).RequestID, Status: wire.ReplyNoException}
-			if _, err := conn.Write(asVersion1(wire.Encode(reply, cdr.NativeOrder))); err != nil {
+			if _, err := conn.Write(asPreviousVersion(wire.Encode(reply, cdr.NativeOrder))); err != nil {
 				return err
 			}
 			if m, err := tc.ReadMessage(); err == nil { // until the client hangs up
@@ -108,7 +108,7 @@ func TestVersionMismatchClientFailsPendingInvoke(t *testing.T) {
 	defer c.Close()
 	start := time.Now()
 	_, err = c.InvokeAddr(lis.Addr().String(), []byte("k"), "echo", nil, false)
-	if !errors.Is(err, ErrConnBroken) || !errors.Is(err, wire.ErrBadVersion) || !strings.Contains(err.Error(), "version: 1") {
+	if !errors.Is(err, ErrConnBroken) || !errors.Is(err, wire.ErrBadVersion) || !strings.Contains(err.Error(), fmt.Sprintf("version: %d", wire.Version-1)) {
 		t.Fatalf("invoke against a version-1 peer: %v, want a broken connection naming the version", err)
 	}
 	if took := time.Since(start); took > 10*time.Second {

@@ -15,6 +15,7 @@ const (
 	opAlltoall
 	opScan
 	opFence
+	opForward
 	numOps
 )
 
@@ -204,6 +205,32 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 	}
 	d, _, err := c.recvColl(root, tag)
 	return d, err
+}
+
+// Forward moves src's data to dst and returns it there (nil at every other
+// rank): the degenerate rooted collective, for a transfer the replicated state
+// says has one contributor or one recipient. Every rank calls it, in order with
+// the other collectives — it takes a sequence number, so the ranks' tags stay
+// aligned — but only the two named ranks communicate, and neither allocates
+// Gather's per-rank result or builds Scatter's per-rank parts.
+func (c *Comm) Forward(src, dst int, data []byte) ([]byte, error) {
+	if err := c.checkRank(src); err != nil {
+		return nil, err
+	}
+	if err := c.checkRank(dst); err != nil {
+		return nil, err
+	}
+	tag := collTag(opForward, c.nextSeq())
+	switch {
+	case c.rank == dst && c.rank == src:
+		return data, nil
+	case c.rank == src:
+		return nil, c.send(dst, tag, data)
+	case c.rank == dst:
+		d, _, err := c.recvColl(src, tag)
+		return d, err
+	}
+	return nil, nil
 }
 
 // Allgather collects every rank's data at every rank.

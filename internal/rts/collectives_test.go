@@ -136,6 +136,49 @@ func TestScatterAllRoots(t *testing.T) {
 	})
 }
 
+// TestForwardAllPairs: Forward delivers src's data to dst and to nobody else,
+// for every pair of ranks (a rank to itself included), stays in step with the
+// collectives around it — every rank spends one sequence number on it, whether
+// or not it took part — and costs the two ranks that do no object beyond the
+// message.
+func TestForwardAllPairs(t *testing.T) {
+	forSizes(t, func(t *testing.T, n int) {
+		run(t, n, func(c *Comm) error {
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					var in []byte
+					if c.Rank() == src {
+						in = []byte(fmt.Sprintf("from-%d-to-%d", src, dst))
+					}
+					before := c.Collectives()
+					got, err := c.Forward(src, dst, in)
+					if err != nil {
+						return err
+					}
+					if c.Collectives() != before+1 {
+						return fmt.Errorf("rank %d: Forward took %d sequence numbers", c.Rank(), c.Collectives()-before)
+					}
+					want := ""
+					if c.Rank() == dst {
+						want = fmt.Sprintf("from-%d-to-%d", src, dst)
+					}
+					if string(got) != want {
+						return fmt.Errorf("rank %d, %d to %d: got %q want %q", c.Rank(), src, dst, got, want)
+					}
+				}
+				// A rooted collective right behind it must not see its traffic.
+				if _, err := c.Bcast(src, []byte{byte(src)}); err != nil {
+					return err
+				}
+			}
+			if _, err := c.Forward(0, n, nil); !errors.Is(err, ErrRank) {
+				return fmt.Errorf("Forward to rank %d of %d: %v", n, n, err)
+			}
+			return nil
+		})
+	})
+}
+
 func TestScatterWrongPartsCount(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {

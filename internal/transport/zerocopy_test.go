@@ -169,13 +169,63 @@ func TestDataEchoAllocs(t *testing.T) {
 	}
 	run() // warm the pools and scratch buffers
 	allocs := testing.AllocsPerRun(50, run)
-	// The steady state allocates only fixed-size bookkeeping: the decoded
-	// *wire.Data and its decoder, and the writer goroutine with its closure.
-	// The 64 KiB frame comes from the pool and goes back without a hook, so a
-	// fifth object is a regression — before the one pool it was the release
-	// closure.
-	if allocs > 4 {
-		t.Fatalf("Data echo allocates %.0f times per message, want <= 4", allocs)
+	// The steady state allocates only the writer goroutine with its closure:
+	// the 64 KiB frame comes from the pool and the struct it is decoded into
+	// from the recycled ones, and both go back without a hook (the read side
+	// alone is TestDataReadRecycles).
+	if allocs > 3 {
+		t.Fatalf("Data echo allocates %.0f times per message, want <= 3", allocs)
+	}
+}
+
+// TestDataReadRecycles pins what a streamed chunk costs the connection that
+// receives it: nothing. The frame is rented and the struct it is decoded into
+// recycled, both given back by Release, so once the pools are warm reading a
+// Data message and releasing it allocates no object. Under wire.GuardReleases
+// a released struct stays out of circulation, which makes the two ways to break
+// the loan — releasing twice, asking a released message whether it is a chunk —
+// panic every time instead of corrupting whoever reads the struct's next frame.
+func TestDataReadRecycles(t *testing.T) {
+	defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
+	a, b := Pipe(nil)
+	defer a.Close()
+	defer b.Close()
+	const runs = 100
+	msg := &wire.Data{RequestID: 1, Count: 8 << 10, Flags: wire.DataFlagChunk, Payload: make([]byte, 64<<10)}
+	// The pipe buffers without bound: every frame is written before any is read.
+	for i := 0; i < runs+3; i++ {
+		if err := a.WriteMessage(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() *wire.Data {
+		m, err := b.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*wire.Data)
+	}
+	read().Release() // warm the pools
+	if allocs := testing.AllocsPerRun(runs, func() { read().Release() }); allocs != 0 {
+		t.Fatalf("reading and releasing a Data frame allocates %.2f objects, want 0", allocs)
+	}
+
+	wire.GuardReleases(true)
+	defer wire.GuardReleases(false)
+	d := read()
+	if !d.Chunked() || len(d.Payload) != 64<<10 {
+		t.Fatalf("read %+v", d)
+	}
+	d.Release()
+	for name, use := range map[string]func(){"second Release": d.Release, "Chunked after Release": func() { d.Chunked() }} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			use()
+		}()
 	}
 }
 

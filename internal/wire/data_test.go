@@ -114,48 +114,76 @@ func TestDataBodySize(t *testing.T) {
 	}
 }
 
-// TestDataRelease checks, against the real frame pool, that a lent frame goes
-// back exactly once and takes the payload with it — a second Release, and a
-// Release on a message that was lent nothing, are inert — and that giving a
-// frame back allocates nothing.
+// TestDataRelease checks, against the real frame pool, the two things Release
+// gives back. The frame goes back exactly once and takes the payload with it,
+// and a Release on a message that was lent nothing is inert. The struct goes
+// back too, so from then on the message is somebody else's: under
+// GuardReleases, which keeps a released struct out of circulation, a second
+// Release and a Chunked or LastChunk after Release panic every time. Reading a
+// frame and releasing it allocates nothing once the pools are warm.
 func TestDataRelease(t *testing.T) {
+	GuardReleases(true)
+	defer GuardReleases(false)
 	returned := func() uint64 { return bufpool.Frames.Stats().Returns }
 	owed := bufpool.Frames.Stats().Outstanding()
-	d := &Data{Payload: []byte{1, 2, 3}}
+	built := &Data{Payload: []byte{1, 2, 3}}
 	base := returned()
-	d.Release() // nothing lent: no-op
-	if returned() != base || d.Payload == nil {
+	built.Release() // nothing lent: no-op, as often as one likes
+	built.Release()
+	if returned() != base || built.Payload == nil || built.Chunked() {
 		t.Fatal("Release without a lent frame returned something or dropped the payload")
 	}
-	frame := bufpool.Frames.Rent(100)[:100]
-	d.Payload = frame[DataPrefixLen:]
-	d.Lend(frame)
+
+	e := cdr.NewEncoder(cdr.NativeOrder)
+	(&Data{RequestID: 7, Count: 4, Flags: DataFlagChunk, Payload: bytes.Repeat([]byte{9}, 32)}).EncodeBody(e)
+	read := func() *Data {
+		frame := append(bufpool.Frames.Rent(e.Len()), e.Bytes()...)
+		m, err := DecodeBody(MsgData, frame, cdr.NativeOrder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := m.(*Data)
+		d.Lend(frame)
+		return d
+	}
+	d := read()
+	if !d.Chunked() || d.LastChunk() || len(d.Payload) != 32 {
+		t.Fatalf("decoded %+v", d)
+	}
 	d.Release()
 	if got := returned() - base; got != 1 {
 		t.Fatalf("frame returned %d times, want 1", got)
 	}
-	if d.Payload != nil {
-		t.Fatal("payload survives Release")
+	if d.Payload != nil || d.RequestID != 0 {
+		t.Fatal("payload or fields survive Release")
 	}
-	d.Release()
+	for name, use := range map[string]func(){
+		"second Release":          d.Release,
+		"Chunked after Release":   func() { d.Chunked() },
+		"LastChunk after Release": func() { d.LastChunk() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
 	if got := returned() - base; got != 1 {
-		t.Fatalf("second Release returned the frame again (%d returns)", got)
+		t.Fatalf("a refused Release returned the frame again (%d returns)", got)
 	}
 	if got := bufpool.Frames.Stats().Outstanding(); got != owed {
 		t.Fatalf("frame pool owes %d buffers, %d before", got, owed)
 	}
-	const runs = 100
-	frames := make([][]byte, runs+1) // AllocsPerRun warms up with one extra call
-	for i := range frames {
-		frames[i] = bufpool.Frames.Rent(100)
-	}
-	next := 0
-	if allocs := testing.AllocsPerRun(runs, func() {
-		d.Lend(frames[next])
-		next++
-		d.Release()
-	}); allocs != 0 {
-		t.Fatalf("releasing a pooled frame allocates %.1f times, want 0", allocs)
+
+	// Unguarded, the struct is recycled with its frame: the next read is handed
+	// the one just released.
+	GuardReleases(false)
+	read().Release()
+	if allocs := testing.AllocsPerRun(100, func() { read().Release() }); allocs != 0 {
+		t.Fatalf("reading and releasing a Data frame allocates %.1f times on warm pools, want 0", allocs)
 	}
 }
 

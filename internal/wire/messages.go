@@ -2,6 +2,8 @@ package wire
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bufpool"
 	"repro/internal/cdr"
@@ -207,7 +209,7 @@ const (
 	// DataFlagChunk marks a chunk of a streamed centralized transfer: DstOff
 	// and Count address the argument's global index space, and the chunks of
 	// one argument follow the deterministic schedule both sides derive from
-	// the invocation header (length and chunk size).
+	// its length and the chunk size its leg's header announced.
 	DataFlagChunk = 1 << 0
 	// DataFlagLast marks the final chunk of its argument's stream.
 	DataFlagLast = 1 << 1
@@ -238,13 +240,67 @@ type Data struct {
 	// bufpool.Frames; nil for messages whose payload the receiver owns
 	// outright.
 	frame []byte
+	// released marks a received message from its Release until the struct is
+	// handed out again: what a second Release or a late Chunked/LastChunk
+	// trips over.
+	released bool
+}
+
+// received recycles the struct a Data frame is decoded into: decodeData takes
+// one, the consumer's Release gives it back with its frame, so a streamed
+// chunk costs its receiver no object. It is a plain bounded stack and not a
+// sync.Pool because of how a reply leg releases: a whole schedule, up to
+// maxReceived chunks, in one burst after its Reply — and a sync.Pool, emptied
+// by every collection, grows its chain anew on the next burst (8 objects).
+var received struct {
+	sync.Mutex
+	free []*Data
+}
+
+// maxReceived bounds the idle structs kept (96 KiB of them); the chunk
+// schedule of one leg (core's maxStreamChunks) fits.
+const maxReceived = 1024
+
+func takeReceived() *Data {
+	received.Lock()
+	defer received.Unlock()
+	if n := len(received.free); n > 0 {
+		m := received.free[n-1]
+		received.free = received.free[:n-1]
+		return m
+	}
+	return new(Data)
+}
+
+func putReceived(m *Data) {
+	received.Lock()
+	defer received.Unlock()
+	if len(received.free) < maxReceived {
+		received.free = append(received.free, m)
+	}
+}
+
+// guardReleases keeps released structs out of the pool, so the released mark
+// stays on them for good; see GuardReleases.
+var guardReleases atomic.Bool
+
+// GuardReleases is for tests: while on, a released Data struct is never handed
+// out again, so every second Release and every Chunked or LastChunk after
+// Release panics — without it only those that come before the struct's next
+// use do, and the rest corrupt whoever holds it by then.
+func GuardReleases(on bool) { guardReleases.Store(on) }
+
+func (m *Data) live() {
+	if m.released {
+		panic("wire: Data used after Release")
+	}
 }
 
 // Chunked reports whether the message is a chunk of a streamed transfer.
-func (m *Data) Chunked() bool { return m.Flags&DataFlagChunk != 0 }
+func (m *Data) Chunked() bool { m.live(); return m.Flags&DataFlagChunk != 0 }
 
 // LastChunk reports whether the message is the final chunk of its argument.
-func (m *Data) LastChunk() bool { return m.Flags&DataFlagLast != 0 }
+func (m *Data) LastChunk() bool { m.live(); return m.Flags&DataFlagLast != 0 }
 
 func (*Data) Type() MsgType { return MsgData }
 
@@ -279,15 +335,25 @@ func (m *Data) EncodeBody(e *cdr.Encoder) { encodeTailBody(e, m) }
 // Data message it read.
 func (m *Data) Lend(frame []byte) { m.frame = frame }
 
-// Release returns the frame backing Payload to bufpool.Frames. The final
-// consumer of a received Data message must call it exactly once, after
-// copying the payload out (e.g. via Seq.UnmarshalRange); Payload must not be
-// read afterwards. Release on a message without a lent frame, or a second
-// Release, is a no-op.
+// Release returns the frame backing Payload to bufpool.Frames and the struct
+// itself to the pool received messages are decoded into. The final consumer of
+// a received Data message must call it exactly once, after copying the payload
+// out (e.g. via Seq.UnmarshalRange), and must not touch the message again:
+// the struct is the next frame's by then, so a second Release gives away a
+// frame somebody else is reading. It panics where it can tell (always under
+// GuardReleases). On a message without a lent frame — one the caller built —
+// it is a no-op, any number of times.
 func (m *Data) Release() {
-	if m.frame != nil {
-		bufpool.Frames.Return(m.frame)
-		m.frame, m.Payload = nil, nil
+	if m.released {
+		panic("wire: Data released twice")
+	}
+	if m.frame == nil {
+		return
+	}
+	bufpool.Frames.Return(m.frame)
+	*m = Data{released: true}
+	if !guardReleases.Load() {
+		putReceived(m)
 	}
 }
 
@@ -310,40 +376,48 @@ func DataBodySize(chunk []byte, ord cdr.ByteOrder) int {
 	return DataPrefixLen + int(n)
 }
 
+// decodeData fills a struct from the pool; its consumer's Release gives the
+// struct back (a message nobody releases is the collector's).
 func decodeData(d *cdr.Decoder) (*Data, error) {
-	var m Data
-	var err error
-	if m.RequestID, err = d.ReadULong(); err != nil {
+	m := takeReceived()
+	*m = Data{}
+	if err := m.decode(d); err != nil {
+		putReceived(m)
 		return nil, err
+	}
+	return m, nil
+}
+
+func (m *Data) decode(d *cdr.Decoder) (err error) {
+	if m.RequestID, err = d.ReadULong(); err != nil {
+		return err
 	}
 	if m.ArgIndex, err = d.ReadULong(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.SrcRank, err = d.ReadULong(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.DstRank, err = d.ReadULong(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.DstOff, err = d.ReadULongLong(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Count, err = d.ReadULongLong(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Reply, err = d.ReadBool(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Flags, err = d.ReadOctet(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Flags&^(DataFlagChunk|DataFlagLast|DataFlagCompressed) != 0 {
-		return nil, fmt.Errorf("%w: reserved Data flag bits %#x", ErrBadBody, m.Flags)
+		return fmt.Errorf("%w: reserved Data flag bits %#x", ErrBadBody, m.Flags)
 	}
-	if m.Payload, err = d.ReadOctets(); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	m.Payload, err = d.ReadOctets()
+	return err
 }
 
 // Ping probes a peer's liveness on an idle connection. The nonce is echoed

@@ -14,7 +14,7 @@
 // Every message is a 12-byte header followed by a CDR-encoded body:
 //
 //	offset 0  magic   "PDIS"
-//	offset 4  version 0x02; any other value is refused (ErrBadVersion)
+//	offset 4  version 0x03; any other value is refused (ErrBadVersion)
 //	offset 5  flags   bit 0: body byte order (1 = little endian)
 //	                  bit 1: more fragments follow
 //	                  bit 2: trace-context extension present
@@ -58,8 +58,9 @@
 // argument's global index space, Flags carries DataFlagChunk (plus
 // DataFlagLast on the final chunk of an argument), and the chunk schedule is
 // derived deterministically on both sides from the argument length and the
-// chunk size announced in the invocation header — so neither side needs
-// per-chunk control traffic. Flow control is structural: a sender may never
+// chunk size its leg announced — the invocation header for argument chunks,
+// the reply header for result chunks — so neither side needs per-chunk control
+// traffic. Flow control is structural: a sender may never
 // have more chunk frames outstanding for one request than the receiver's
 // per-request buffer bound (see internal/core), and chunk sizes are chosen so
 // a whole argument fits inside that bound.
@@ -78,7 +79,7 @@ var Magic = [4]byte{'P', 'D', 'I', 'S'}
 const (
 	// Version is the one protocol version this build speaks; DecodeHeader
 	// refuses every other.
-	Version = 2
+	Version = 3
 	// HeaderLen is the fixed message header size.
 	HeaderLen = 12
 	// FlagLittleEndian marks the body (and header size field) byte order.
