@@ -69,8 +69,9 @@ race:
 # recycled Data struct, reassembly and its failure paths), and the buffer
 # pool's own hammer with the chunk-buffer ledger, fault and run-ahead suites and the one chunk sender's
 # (the last three packages under -race: their failure mode is a buffer observed
-# while on loan) and, beside it, the direct legs' frame ledger, the refused
-# invocations' (a frame observed after release), set-up's failure agreement (a
+# while on loan) and, beside it, the direct legs' chunk ledger with the schedule
+# it walks and the step bound's refusal (a sink filled ahead of its reader), the
+# refused invocations' (a frame observed after release), set-up's failure agreement (a
 # thread still parked in a collective), the lost data connection's (a
 # thread that missed the poison waits out its timeout) and the reply stream's —
 # cut mid-leg, and counted whole (a frame left in a lane's sink, a poison that
@@ -85,7 +86,7 @@ flake:
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestChunkSender|TestMultiportFramesReturned|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule' ./internal/core
+		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegStepBound|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule' ./internal/core
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the
 # working tree, alternated on this box, with medians, quartiles and wins per

@@ -44,7 +44,14 @@ func sameOnEveryThread(t *testing.T, n int, fn func(c *rts.Comm) error) string {
 	t.Helper()
 	w := rts.NewWorld(n, rts.Options{RecvTimeout: time.Minute})
 	defer w.Close()
-	shapes, took := make([]string, n), make([]time.Duration, n)
+	return sameOnEveryThreadOf(t, w, time.Second, fn)
+}
+
+// sameOnEveryThreadOf is sameOnEveryThread on a world the test keeps across
+// calls, with the time a thread may take to end.
+func sameOnEveryThreadOf(t *testing.T, w *rts.World, within time.Duration, fn func(c *rts.Comm) error) string {
+	t.Helper()
+	shapes, took := make([]string, w.Size()), make([]time.Duration, w.Size())
 	_ = w.Run(func(c *rts.Comm) error {
 		start := time.Now()
 		shapes[c.Rank()] = errorShape(fn(c))
@@ -55,8 +62,8 @@ func sameOnEveryThread(t *testing.T, n int, fn func(c *rts.Comm) error) string {
 		if shapes[r] != shapes[0] {
 			t.Errorf("thread %d ended with\n  %s\nthread 0 with\n  %s", r, shapes[r], shapes[0])
 		}
-		if took[r] > time.Second {
-			t.Errorf("thread %d took %v to fail", r, took[r])
+		if took[r] > within {
+			t.Errorf("thread %d took %v to end", r, took[r])
 		}
 	}
 	return shapes[0]

@@ -57,13 +57,15 @@ type BindOptions struct {
 	// as with the depth-1 engine, the SPMD discipline requires every thread
 	// to issue the same invocations in the same order.
 	PipelineDepth int
-	// StreamChunkElems is the chunk size, in elements, of the chunked
-	// centralized transfer, in both directions: a leg with an argument of at
-	// least two chunks — an In/InOut one on the way out, an Out/InOut result
-	// on the way back — is gathered, shipped and scattered chunk by chunk,
-	// overlapping collective (un)marshalling with the wire; a smaller leg
-	// rides inline in the request or the reply. 0 or negative means
-	// DefaultStreamChunkElems.
+	// StreamChunkElems is the chunk size, in elements, every bulk leg is cut
+	// in. A centralized leg with an argument of at least two chunks — an
+	// In/InOut one on the way out, an Out/InOut result on the way back — is
+	// gathered, shipped and scattered chunk by chunk, overlapping collective
+	// (un)marshalling with the wire; a smaller leg rides inline in the request
+	// or the reply. A multi-port leg always moves in chunks of this size
+	// between the owning threads (a piece of the plan shorter than a chunk is
+	// one chunk). Either way the size is doubled until the leg fits its
+	// receiver's buffer. 0 or negative means DefaultStreamChunkElems.
 	StreamChunkElems int
 	// Sharding configures consistent-hash routing across the profiles of a
 	// multi-profile reference, each profile being one shard group announced
@@ -186,9 +188,10 @@ type Binding struct {
 	laneSeq  uint64
 	inflight *obs.Gauge // lanes currently busy; nil when metrics are off
 
-	// chunkElems is the chunk size, in elements, this binding streams a
-	// centralized leg in: what it places its forward legs by and what it offers
-	// the server for the back legs (legChunkElems).
+	// chunkElems is the chunk size, in elements, this binding moves a leg in:
+	// what it places its centralized forward legs by and offers the server for
+	// the back legs (legChunkElems), and what both legs of a multi-port
+	// invocation are cut in (directChunkElems).
 	chunkElems int
 
 	// comp is the binding's offered compression mask (BindOptions.Compression

@@ -16,10 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cdr"
 	"repro/internal/dseq"
 	"repro/internal/rts"
 	"repro/internal/testutil"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // chaosTimeout bounds one faulted invocation as seen by the client; well
@@ -154,22 +156,35 @@ func assertCoherentFailure(c *rts.Comm, err error) error {
 }
 
 func TestChaosInvocationFailsCoherently(t *testing.T) {
+	// The third mode cuts thread 1's data connection at a frame boundary: two of
+	// the four chunks of its one move arrive whole and the rest never do.
+	const betweenChunks = 64
 	for _, method := range []Method{Centralized, Multiport} {
-		for _, mode := range []string{"cut-mid-frame", "corrupt-header"} {
+		for _, mode := range []string{"cut-mid-frame", "corrupt-header", "cut-between-chunks"} {
 			method, mode := method, mode
+			if mode == "cut-between-chunks" && method != Multiport {
+				continue // thread 0's connection carries the request too: no boundary to aim at
+			}
 			testutil.CheckGoroutines(t, fmt.Sprintf("%v/%s", method, mode), func(t *testing.T) {
 				var rig faultRig
-				if mode == "cut-mid-frame" {
+				chunk := 0
+				switch mode {
+				case "cut-mid-frame":
 					plan := transport.NewFaultPlan(7)
 					// Well below one rank's data chunk, so the frame that
 					// crosses it is truncated mid-body before the hard close.
 					plan.CutAfterWriteBytes = 700
 					rig = &armedWrap{plan: plan}
-				} else {
+				case "cut-between-chunks":
+					plan := transport.NewFaultPlan(7)
+					frame := wire.Encode(&wire.Data{Flags: wire.DataFlagChunk, Payload: dseq.MarshalChunk(dseq.Float64, make([]float64, betweenChunks))}, cdr.NativeOrder)
+					plan.CutAfterWriteBytes = int64(2 * len(frame))
+					rig, chunk = &armedWrap{plan: plan}, betweenChunks
+				default:
 					rig = &magicCorruptor{}
 				}
 				tc := startCluster(t, 2, true, nil)
-				opts := BindOptions{Method: method, Timeout: chaosTimeout, Transport: rig.Options()}
+				opts := BindOptions{Method: method, Timeout: chaosTimeout, StreamChunkElems: chunk, Transport: rig.Options()}
 				tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 					const n = 512
 					arr, err := dseq.New(c, dseq.Float64, n, nil)

@@ -144,6 +144,7 @@ func startClusterOps(t *testing.T, sRanks int, multiport bool, ops func() []Oper
 	}
 	ready := make(chan struct{})
 	var once sync.Once
+	stored := 0 // under objMu
 	go func() {
 		tc.serverErr <- tc.serverW.Run(func(c *rts.Comm) error {
 			opts := ExportOptions{
@@ -160,10 +161,14 @@ func startClusterOps(t *testing.T, sRanks int, multiport bool, ops func() []Oper
 				once.Do(func() { close(ready) })
 				return err
 			}
+			// Ready is every thread's object in the table: a test that ends
+			// before a slow thread stored its own would never close it.
 			tc.objMu.Lock()
 			tc.objects[c.Rank()] = obj
+			stored++
+			all := stored == sRanks
 			tc.objMu.Unlock()
-			if c.Rank() == 0 {
+			if all {
 				once.Do(func() { close(ready) })
 			}
 			return obj.Serve()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cdr"
 	"repro/internal/dist"
 	"repro/internal/dseq"
 	"repro/internal/naming"
@@ -160,9 +161,6 @@ type ElasticOptions struct {
 	// Ops builds the epoch's operation table over its state view. Called
 	// once per epoch on every computing thread.
 	Ops func(es *EpochState) []Operation
-	// ChunkElems bounds one state-transfer chunk (elements); defaults to
-	// DefaultStreamChunkElems.
-	ChunkElems int
 	// Metrics, when set, receives the core.resize.* instruments.
 	Metrics *obs.Registry
 	// FaultHook, when set, is consulted at every resize phase (on the
@@ -270,9 +268,6 @@ func NewElastic(opts ElasticOptions, size int) (*Elastic, error) {
 	}
 	if opts.Ops == nil {
 		return nil, errors.New("core: elastic export requires an Ops factory")
-	}
-	if opts.ChunkElems <= 0 {
-		opts.ChunkElems = DefaultStreamChunkElems
 	}
 	el := &Elastic{opts: opts, rec: opts.Export.Trace}
 	if m := opts.Metrics; m != nil {
@@ -468,8 +463,9 @@ func (el *Elastic) rankMain(run *epochRun, c *rts.Comm, xfer *stateXfer, ready c
 
 // snapshotRank runs inside the collective serve loop on every old-epoch
 // thread (via Object.onResize): it diffs each state's old and new layouts
-// and marshals the ranges this thread owns that move, chunked, into the
-// pending transfer buffer, compressed per the export's mask; receivers
+// and marshals the ranges this thread owns that move, in the steps of the one
+// chunk schedule (DefaultStreamChunkElems elements at most), into the pending
+// transfer buffer, compressed per the export's mask; receivers
 // auto-detect, so no negotiation is needed.
 func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transferable) error {
 	el.mu.Lock()
@@ -505,31 +501,24 @@ func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transf
 			p.xfer.setLength(si, st.Len())
 		}
 		// Both lists ship: the epochs are distinct worlds, so even a
-		// same-rank move crosses goroutines through the transfer buffer.
+		// same-rank move crosses goroutines through the transfer buffer, which
+		// is this schedule's wire. Its payloads outlive the call there, so each
+		// step renders into an encoder of its own.
 		for _, moves := range [2][]dist.Move{local, cross} {
-			for _, m := range moves {
-				if m.SrcRank != me {
+			sc := schedule{moves: moves, ce: DefaultStreamChunkElems}
+			for ck, ok := sc.next(); ok; ck, ok = sc.next() {
+				if ck.src != me {
 					continue
 				}
+				e := cdr.NewEncoder(cdr.NativeOrder)
+				if err := st.MarshalRangeTo(ck.srcOff, ck.n, mask, e); err != nil {
+					return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
+				}
 				crossed := 0
-				if m.SrcRank != m.DstRank {
-					crossed = m.Len
+				if ck.src != ck.dst {
+					crossed = ck.n
 				}
-				for off := 0; off < m.Len; off += el.opts.ChunkElems {
-					n := m.Len - off
-					if n > el.opts.ChunkElems {
-						n = el.opts.ChunkElems
-					}
-					payload, err := st.MarshalRangeZ(m.SrcOff+off, n, mask)
-					if err != nil {
-						return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
-					}
-					cn := 0
-					if crossed > 0 {
-						cn = n
-					}
-					p.xfer.add(m.DstRank, si, m.DstOff+off, payload, cn)
-				}
+				p.xfer.add(ck.dst, si, ck.dstOff, e.Bytes(), crossed)
 			}
 		}
 	}

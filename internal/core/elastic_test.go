@@ -273,11 +273,10 @@ func TestElasticResizeGrowShrink(t *testing.T) {
 	if v := reg.Counter("core.resize.aborted").Value(); v != 0 {
 		t.Errorf("core.resize.aborted = %d, want 0", v)
 	}
-	if v := reg.Counter("core.resize.moved_elems").Value(); v == 0 {
-		t.Error("core.resize.moved_elems = 0 after 2 repartitions")
-	}
-	if v := reg.Counter("core.resize.moved_chunks").Value(); v == 0 {
-		t.Error("core.resize.moved_chunks = 0 after 2 repartitions")
+	// What 2 → 5 → 1 threads moves of this state, as counted before the
+	// snapshot ran the one chunk schedule: the schedule must cut the same steps.
+	if elems, chunks := reg.Counter("core.resize.moved_elems").Value(), reg.Counter("core.resize.moved_chunks").Value(); elems != 152 || chunks != 11 {
+		t.Errorf("core.resize.moved_elems = %d in core.resize.moved_chunks = %d, want 152 in 11", elems, chunks)
 	}
 	if v := reg.Gauge("core.resize.epoch").Value(); v != 3 {
 		t.Errorf("core.resize.epoch = %d, want 3", v)

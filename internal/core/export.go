@@ -180,6 +180,7 @@ type callResult struct {
 // adapter's admission control before dispatch saw it, or never came — lives
 // DataTimeout past its last frame and is dropped by the next sweep.
 type dataBucket struct {
+	o      *Object
 	ch     chan *wire.Data
 	connMu sync.Mutex
 	conns  map[int]*transport.Conn // client rank → connection for replies
@@ -232,9 +233,20 @@ func (b *dataBucket) conn(rank int, stop <-chan struct{}, timeout time.Duration)
 	}
 }
 
-// bucketCapacity bounds buffered in-flight transfers per invocation; the
-// block→block worst case is client ranks + server ranks transfers in total,
-// so this is generous.
+// dataConn is conn under the object's stop and DataTimeout: what a direct send
+// leg resolves a client thread's connection with (connSource).
+func (b *dataBucket) dataConn(rank int) (*transport.Conn, error) {
+	return b.conn(rank, b.o.stop, b.o.opts.DataTimeout)
+}
+
+// bucketCapacity is how many Data frames one thread's bucket (server) or lane
+// sink (client) holds ahead of the leg that drains it. A connection's read loop
+// blocks on a full one, and the frames of a leg may all arrive before their
+// reader starts — a back leg is written before the Reply that releases the
+// client, a forward leg can outrun the header queued behind it on the same
+// connection — so no leg may address more frames than this to one thread:
+// chunked legs stay under maxStreamChunks, and a direct leg whose plan alone
+// has more steps into one thread is refused (directChunkElems).
 const bucketCapacity = 4096
 
 // Export collectively registers an SPMD object implementation. Every
@@ -575,6 +587,7 @@ func (o *Object) bucket(token uint32, claim bool) *dataBucket {
 		// conns is created lazily on first attachment; reads of the nil
 		// map are safe and miss.
 		b = &dataBucket{
+			o:      o,
 			ch:     make(chan *wire.Data, bucketCapacity),
 			notify: make(chan struct{}, 1),
 		}

@@ -10,8 +10,9 @@ import (
 
 // FuzzDecodeInvocationHeader throws arbitrary bytes at the invocation header
 // decoder. Any input must produce a header or ErrBadHeader — never a panic —
-// and an accepted header must be internally consistent (a chunk size only on
-// a centralized header, inline data only on a whole-payload one) and decode
+// and an accepted header must be internally consistent (a multi-port header
+// has a chunk size and offers no result stream, inline data rides only on a
+// whole-payload one) and decode
 // to the same header again once re-encoded.
 func FuzzDecodeInvocationHeader(f *testing.F) {
 	f.Add(goldenHeader, true)
@@ -21,7 +22,7 @@ func FuzzDecodeInvocationHeader(f *testing.F) {
 	streamed[16] = 64 // chunk elems: the argument data no longer rides inline
 	f.Add(streamed, true)
 	multiport := bytes.Clone(streamed)
-	multiport[8] = byte(Multiport) // a chunk size on a multi-port header
+	multiport[8] = byte(Multiport) // a multi-port header that offers a result stream: refused
 	f.Add(multiport, true)
 	be := cdr.NewEncoder(cdr.BigEndian)
 	goldenHeaderValue(f).encode(be)
@@ -37,7 +38,7 @@ func FuzzDecodeInvocationHeader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if h.Method > Multiport || ((h.Streamed() || h.ResultChunkElems != 0) && h.Method != Centralized) || h.ClientRanks < 1 {
+		if h.Method > Multiport || (h.Method == Multiport && (h.ChunkElems == 0 || h.ResultChunkElems != 0)) || h.ClientRanks < 1 {
 			t.Fatalf("accepted inconsistent header %+v", h)
 		}
 		for i, a := range h.Args {

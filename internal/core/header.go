@@ -12,7 +12,8 @@ import (
 // to receive the distributed arguments. In the centralized method the
 // In/InOut argument data is embedded, or follows as chunked Data messages
 // when ChunkElems is set; in the multi-port method only the client layouts
-// travel and the data follows as Data messages. Every field travels in every
+// travel and the data follows as chunked Data messages between the owning
+// threads, cut from the plans in chunks of ChunkElems. Every field travels in every
 // header; only an argument's inline data depends on the others. Each leg of a
 // centralized invocation is placed by itself: the client decides the request
 // leg and says so in ChunkElems, the server — it alone knows an out length —
@@ -26,11 +27,14 @@ type invocationHeader struct {
 	// refuses a header whose epoch is not its own.
 	Epoch uint32
 	// ChunkElems is the request-leg chunk size of a streamed centralized
-	// invocation, in elements; 0 means the whole payload rides inline.
+	// invocation, in elements; 0 means the whole payload rides inline. On a
+	// multi-port header it is the chunk size both direct legs start from
+	// (directChunkElems), and never 0: a direct leg is always chunked.
 	ChunkElems uint32
 	// ResultChunkElems is the chunk size, in elements, the client takes streamed
 	// results in: the server may chunk the reply leg from it (doubled until the
-	// schedule fits, as chunkElemsFor does). 0 keeps the results in the Reply.
+	// schedule fits, as chunkElemsFor does). 0 keeps the results in the Reply,
+	// and is all a multi-port header may say: its back leg is direct.
 	ResultChunkElems uint32
 	Token            uint32 // ties multi-port and streamed Data transfers to this invocation
 	ClientRanks      int
@@ -38,18 +42,13 @@ type invocationHeader struct {
 	Args             []headerArg
 }
 
-// Streamed reports whether argument data follows the header as chunked Data
-// messages (centralized only).
-func (h *invocationHeader) Streamed() bool { return h.ChunkElems != 0 }
-
 // shape reads the request leg's placement off the header: the method names the
-// direct shape, a chunk size the chunked one (decodeInvocationHeader refuses a
-// header that claims both).
+// direct shape, a centralized header's chunk size the chunked one.
 func (h *invocationHeader) shape() shape {
 	switch {
 	case h.Method == Multiport:
 		return shapeDirect
-	case h.Streamed():
+	case h.ChunkElems != 0:
 		return shapeChunked
 	}
 	return shapeInline
@@ -135,7 +134,7 @@ func decodeInvocationHeader(d *cdr.Decoder) (*invocationHeader, error) {
 	if h.ChunkElems, err = d.ReadULong(); err != nil {
 		return nil, fmt.Errorf("%w: chunk elems: %v", ErrBadHeader, err)
 	}
-	if h.ChunkElems > 1<<30 || (h.Streamed() && h.Method != Centralized) {
+	if h.ChunkElems > 1<<30 || (h.ChunkElems == 0 && h.Method == Multiport) {
 		return nil, fmt.Errorf("%w: %v chunk elems %d", ErrBadHeader, h.Method, h.ChunkElems)
 	}
 	if h.ResultChunkElems, err = d.ReadULong(); err != nil {

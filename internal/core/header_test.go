@@ -26,7 +26,8 @@ func TestInvocationHeaderRoundTrip(t *testing.T) {
 	for _, method := range []Method{Centralized, Multiport} {
 		h := &invocationHeader{
 			Op: "diffusion", Method: method, Token: 12345, ClientRanks: 4,
-			Scalars: []byte{1, 2, 3},
+			Scalars:    []byte{1, 2, 3},
+			ChunkElems: uint32(method) * 8192, // a multi-port header always announces one
 			Args: []headerArg{
 				{Dir: In, Elem: "double", Layout: mustLayout(t, 100, 4), Data: []byte{9, 9}},
 				{Dir: InOut, Elem: "long", Layout: mustLayout(t, 50, 4), Data: []byte{7}},
@@ -52,8 +53,8 @@ func TestInvocationHeaderRoundTrip(t *testing.T) {
 			if !bytes.Equal(got.Args[0].Data, h.Args[0].Data) {
 				t.Fatalf("centralized lost inline data")
 			}
-		} else if got.Args[0].Data != nil {
-			t.Fatalf("multi-port carried inline data")
+		} else if got.Args[0].Data != nil || got.ChunkElems != 8192 || got.shape() != shapeDirect {
+			t.Fatalf("multi-port carried inline data, or lost its chunk size: %+v", got)
 		}
 		if !got.Args[1].Layout.Equal(h.Args[1].Layout) {
 			t.Fatalf("%v: layout mangled", method)
@@ -144,7 +145,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenReply is the v3 reply header of a streamed centralized call,
+// goldenReply is the v4 reply header of a streamed centralized call,
 // little-endian: scalars, the reply leg's chunk size, argument count, then per
 // argument its direction and final length — and, had the chunk size been 0,
 // each Out/InOut argument's data after its length. Pinned byte for byte so the
@@ -193,22 +194,24 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Streamed() || got.Method != Centralized || got.ChunkElems != 8192 || got.ResultChunkElems != 4096 || got.Epoch != 3 {
+	if got.shape() != shapeChunked || got.Method != Centralized || got.ChunkElems != 8192 || got.ResultChunkElems != 4096 || got.Epoch != 3 {
 		t.Fatalf("streamed header %+v", got)
 	}
 	if got.Args[0].Data != nil {
 		t.Fatal("streamed header carried inline data")
 	}
-	// Multi-port data never streams through the communicating thread: a
-	// chunk size on a multi-port header is malformed, as are implausible
-	// chunk sizes and epochs.
+	// Both multi-port legs are direct and cut in the header's chunk size: a
+	// multi-port header without one, or one that offers a result stream through
+	// the communicating thread, is malformed, as are implausible chunk sizes and
+	// epochs.
 	for name, bad := range map[string]invocationHeader{
-		"multiport chunk size":        {Op: "f", Method: Multiport, ChunkElems: 8192, ClientRanks: 1},
-		"chunk size":                  {Op: "f", Method: Centralized, ChunkElems: 1<<30 + 1, ClientRanks: 1},
-		"multiport result chunk size": {Op: "f", Method: Multiport, ResultChunkElems: 8192, ClientRanks: 1},
-		"result chunk size":           {Op: "f", Method: Centralized, ResultChunkElems: 1<<30 + 1, ClientRanks: 1},
-		"epoch":                       {Op: "f", Method: Centralized, Epoch: 1<<30 + 1, ClientRanks: 1},
-		"method":                      {Op: "f", Method: Multiport + 1, ClientRanks: 1},
+		"multiport without a chunk size": {Op: "f", Method: Multiport, ClientRanks: 1},
+		"multiport chunk size":           {Op: "f", Method: Multiport, ChunkElems: 1<<30 + 1, ClientRanks: 1},
+		"chunk size":                     {Op: "f", Method: Centralized, ChunkElems: 1<<30 + 1, ClientRanks: 1},
+		"multiport result chunk size":    {Op: "f", Method: Multiport, ChunkElems: 8192, ResultChunkElems: 8192, ClientRanks: 1},
+		"result chunk size":              {Op: "f", Method: Centralized, ResultChunkElems: 1<<30 + 1, ClientRanks: 1},
+		"epoch":                          {Op: "f", Method: Centralized, Epoch: 1<<30 + 1, ClientRanks: 1},
+		"method":                         {Op: "f", Method: Multiport + 1, ClientRanks: 1},
 	} {
 		e = cdr.NewEncoder(cdr.NativeOrder)
 		bad.encode(e)
@@ -218,7 +221,7 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenHeader is the v3 invocation header of a whole-payload centralized
+// goldenHeader is the v4 invocation header of a whole-payload centralized
 // call, little-endian: op, method, epoch, chunk size, the chunk size offered
 // for the results, token, client ranks, scalars, argument count, then per argument its direction, element type,
 // layout or template and — whole-payload centralized In/InOut only — data.
@@ -262,7 +265,7 @@ func TestInvocationHeaderGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != "f" || got.Epoch != 7 || got.Streamed() || got.ResultChunkElems != 8192 || got.Token != 12345 || !bytes.Equal(got.Args[0].Data, []byte{0xaa, 0xbb}) {
+	if got.Op != "f" || got.Epoch != 7 || got.shape() != shapeInline || got.ResultChunkElems != 8192 || got.Token != 12345 || !bytes.Equal(got.Args[0].Data, []byte{0xaa, 0xbb}) {
 		t.Fatalf("golden header decoded to %+v", got)
 	}
 }

@@ -28,12 +28,14 @@ type Timing struct {
 	// Scatter is the time spent distributing results from the
 	// communicating thread (centralized method only).
 	Scatter time.Duration
-	// Pack is the time spent marshalling this thread's chunks (multi-port)
-	// or the full argument payload (centralized, thread 0).
+	// Pack is the time spent marshalling the chunks this thread sources, one
+	// step of the schedule at a time into the slot it is written from
+	// (multi-port), or the request header (centralized, thread 0).
 	Pack time.Duration
 	// SendRecv spans the remote exchange: request out to reply in.
 	SendRecv time.Duration
-	// Unpack is the time spent storing inbound result chunks (multi-port).
+	// Unpack is the direct back leg as this thread saw it: awaiting and storing
+	// the result chunks the schedule addresses to it (multi-port).
 	Unpack time.Duration
 	// Barrier is the post-invocation synchronization (multi-port).
 	Barrier time.Duration
@@ -50,7 +52,7 @@ type shape uint8
 const (
 	shapeInline  shape = iota // whole arguments inside the request or the reply
 	shapeChunked              // chunked Data messages through the communicating threads
-	shapeDirect               // one Data message per move, between the owning threads (multi-port: both legs)
+	shapeDirect               // chunked Data messages between the owning threads (multi-port: both legs)
 )
 
 // invocation is what invoke hands the legs of one collective invocation on
@@ -70,7 +72,7 @@ type invocation struct {
 	reply   callResult
 	replyCh chan callResult
 	served  int32 // 1-based shard that served an inline exchange; 0 unrouted
-	ce      int   // the forward leg's chunk size in elements; 0 when it is not chunked
+	ce      int   // the header's chunk size: the chunked forward leg's, or what both direct legs start from; 0 for an inline one
 	offer   int   // the chunk size results may stream back in; 0 keeps them in the reply
 	mask    uint8 // chunked forward leg: its agreed compression mask
 }
@@ -248,7 +250,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// ring.
 	fwd := shapeInline
 	if method == Multiport {
-		fwd = shapeDirect
+		fwd, iv.ce = shapeDirect, b.chunkElems
 	} else if len(shardKey) == 0 {
 		if iv.ce = legChunkElems(b.chunkElems, len(args), func(i int) int { return seqLen(iv.legSeq(i, Out)) }); iv.ce != 0 {
 			fwd = shapeChunked

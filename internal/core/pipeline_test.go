@@ -213,8 +213,9 @@ func TestPipelineDepthClamps(t *testing.T) {
 // message; the receiver's frame comes from the pool and the struct it is
 // decoded into from the recycled ones, and both go back with Release; a chunk
 // one thread owns whole crosses the runtime system in one rented buffer, with
-// no per-rank slice on either end. Measured across the whole process, so it
-// bounds both sides of the leg.
+// no per-rank slice on either end. A direct leg runs the same mover between the
+// owning threads: its rows hold it to the same budget. Measured across the
+// whole process, so it bounds both sides of the leg.
 func TestStreamedChunkAllocs(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation measurement in -short mode or with pools the race detector empties")
@@ -230,24 +231,27 @@ func TestStreamedChunkAllocs(t *testing.T) {
 		// per-rank slice on every other one — is what this measured before.
 		budget = 0.25
 	)
-	tc := startCluster(t, 2, false, nil)
+	tc := startCluster(t, 2, true, nil)
 	opts := BindOptions{Method: Centralized, Timeout: testTimeout, StreamChunkElems: chunk}
 	tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
+		in := func(method Method) func(seq *dseq.Seq[float64], elems int) error {
+			return func(seq *dseq.Seq[float64], _ int) error {
+				_, err := b.InvokeMethod(method, "sum", ScalarEncoder().Bytes(), []DistArg{InSeq(seq)}, nil)
+				return err
+			}
+		}
+		out := func(method Method) func(seq *dseq.Seq[float64], elems int) error {
+			return func(seq *dseq.Seq[float64], elems int) error {
+				n := ScalarEncoder()
+				n.WriteLong(int32(elems))
+				_, err := b.InvokeMethod(method, "iota", n.Bytes(), []DistArg{OutSeq(seq)}, nil)
+				return err
+			}
+		}
 		legs := []struct {
 			name string
 			call func(seq *dseq.Seq[float64], elems int) error
-		}{
-			{"in", func(seq *dseq.Seq[float64], _ int) error {
-				_, err := b.Invoke("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(seq)})
-				return err
-			}},
-			{"out", func(seq *dseq.Seq[float64], elems int) error {
-				n := ScalarEncoder()
-				n.WriteLong(int32(elems))
-				_, err := b.Invoke("iota", n.Bytes(), []DistArg{OutSeq(seq)})
-				return err
-			}},
-		}
+		}{{"in", in(Centralized)}, {"out", out(Centralized)}, {"direct in", in(Multiport)}, {"direct out", out(Multiport)}}
 		for _, leg := range legs {
 			var objects [2]float64
 			for i, elems := range []int{smallElems, bigElems} {
@@ -348,7 +352,9 @@ func costPerCall(c *rts.Comm, calls int, call func() error) (bytes uint64, objec
 // allocation (DESIGN.md §10); chunk encoders, gather parts, scatter pieces and
 // transport frames are all recycled. Before the recycled chunk buffers the in
 // call allocated 2.9 N; while results rode whole in the reply the out call
-// allocated 3.2 N.
+// allocated 3.2 N; and while a direct leg marshalled every move whole into a
+// fresh buffer and read it into a frame of the move's size, the multi-port in
+// call allocated 2.2 N.
 func TestStreamedByteBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation measurement in -short mode or with pools the race detector empties")
@@ -359,7 +365,7 @@ func TestStreamedByteBudget(t *testing.T) {
 		calls   = 10
 		budget  = payload * 13 / 10
 	)
-	tc := startCluster(t, 2, false, nil)
+	tc := startCluster(t, 2, true, nil)
 	opts := BindOptions{Method: Centralized, Timeout: testTimeout}
 	tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 		in, err := dseq.New(c, dseq.Float64, elems, nil)
@@ -376,19 +382,22 @@ func TestStreamedByteBudget(t *testing.T) {
 		if legChunkElems(b.chunkElems, 1, func(int) int { return elems }) == 0 {
 			return fmt.Errorf("a %d-element argument does not take the streamed path", elems)
 		}
+		sum := func(method Method) func() error {
+			return func() error {
+				_, err := b.InvokeMethod(method, "sum", ScalarEncoder().Bytes(), []DistArg{InSeq(in)}, nil)
+				return err
+			}
+		}
+		iota := func(method Method) func() error {
+			return func() error {
+				_, err := b.InvokeMethod(method, "iota", n.Bytes(), []DistArg{OutSeq(out)}, nil)
+				return err
+			}
+		}
 		for _, leg := range []struct {
 			name string
 			call func() error
-		}{
-			{"in", func() error {
-				_, err := b.Invoke("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(in)})
-				return err
-			}},
-			{"out", func() error {
-				_, err := b.Invoke("iota", n.Bytes(), []DistArg{OutSeq(out)})
-				return err
-			}},
-		} {
+		}{{"in", sum(Centralized)}, {"out", iota(Centralized)}, {"multi-port in", sum(Multiport)}, {"multi-port out", iota(Multiport)}} {
 			perCall, _, err := costPerCall(c, calls, leg.call)
 			if err != nil {
 				return err

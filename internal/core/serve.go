@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/orb"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Directive kinds broadcast from the communicating thread to the others, one
@@ -270,7 +269,8 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn) (reply [
 	case shapeInline:
 		recvErr = o.recvInline(h, args)
 	case shapeChunked:
-		recvErr = recvChunks(o.comm, bucket.ch, o.stop, o.opts.DataTimeout, h.Token, false, int(h.ChunkElems),
+		w := frameWait{ch: bucket.ch, stop: o.stop, timeout: o.opts.DataTimeout, token: h.Token}
+		recvErr = recvChunks(o.comm, &w, false, int(h.ChunkElems),
 			len(args), func(i int) dseq.Transferable { return h.legSeq(args, i, Out) },
 			func(t time.Time) { o.span(h.Token, obs.PhaseChunkRecv, t, 0) })
 	case shapeDirect:
@@ -438,59 +438,72 @@ func (o *Object) sendChunked(conn *transport.Conn, h *invocationHeader, ce int, 
 	return commFailure(err)
 }
 
-// recvDirect is the direct receive leg: the plan from the client's layout of
-// every argument to the server's names the transfers this thread expects.
-// Each wait is bounded by the object's DataTimeout, so a client thread that
-// died mid-transfer fails this upcall instead of blocking the collective loop
-// until Close.
+// recvDirect is the direct receive leg: the plans from the client's layout of
+// every argument to the server's, in the chunk size the header announces, name
+// the steps this thread expects. Each wait is bounded by the object's
+// DataTimeout, so a client thread that died mid-transfer fails this upcall
+// instead of blocking the collective loop until Close.
 func (o *Object) recvDirect(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
-	want := transfers{}
+	var plans [][]dist.Move
 	for i, a := range h.Args {
 		if a.Dir == Out {
 			continue
 		}
-		if err := want.expect(i, args[i], a.Layout, o.comm.Rank()); err != nil {
+		if plans == nil {
+			plans = make([][]dist.Move, len(args))
+		}
+		var err error
+		if plans[i], err = dist.Plan(a.Layout, args[i].Layout()); err != nil {
 			return err
 		}
 	}
-	return recvMoves(bucket.ch, o.stop, o.opts.DataTimeout, h.Token, false, want)
+	ce, err := directChunkElems(int(h.ChunkElems), o.comm.Size(), plans)
+	if err != nil {
+		return err
+	}
+	w := frameWait{ch: bucket.ch, stop: o.stop, timeout: o.opts.DataTimeout, token: h.Token}
+	return recvSteps(&w, o.comm.Rank(), h.ClientRanks, false, ce, plans,
+		func(i int) dseq.Transferable { return args[i] },
+		func(t time.Time) { o.span(h.Token, obs.PhaseChunkRecv, t, 0) })
 }
 
 // sendDirect is the direct send leg: this thread's share of every result goes
-// to the client threads that own it, over the connections they attached.
+// to the client threads that own it, over the connections they attached. Every
+// thread holds the whole plan, so one too fine for a client thread's sink is
+// refused by all of them alike, before a byte is written.
 func (o *Object) sendDirect(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
-	write := func(d *wire.Data) error {
-		conn, err := bucket.conn(int(d.DstRank), o.stop, o.opts.DataTimeout)
-		if err != nil {
-			return err
-		}
-		return conn.WriteMessage(d)
-	}
+	var plans [][]dist.Move
 	for i, a := range h.Args {
 		if a.Dir == In {
 			continue
 		}
 		// The client's final layout for this argument.
 		clientLayout := a.Layout
+		var err error
 		if a.Dir == Out {
 			spec := a.Spec
 			if spec == nil {
 				spec = dist.Block{}
 			}
-			var err error
 			if clientLayout, err = spec.Layout(args[i].Len(), h.ClientRanks); err != nil {
 				return orb.Marshal(err)
 			}
 		}
-		plan, err := dist.Plan(args[i].Layout(), clientLayout)
-		if err != nil {
+		if plans == nil {
+			plans = make([][]dist.Move, len(args))
+		}
+		if plans[i], err = dist.Plan(args[i].Layout(), clientLayout); err != nil {
 			return orb.Marshal(err)
 		}
-		if _, err := sendMoves(write, h.Token, i, o.comm.Rank(), true, plan, args[i]); err != nil {
-			return &orb.SystemException{RepoID: orb.RepoComm, Message: err.Error()}
-		}
 	}
-	return nil
+	ce, err := directChunkElems(int(h.ChunkElems), h.ClientRanks, plans)
+	if err != nil {
+		return err
+	}
+	_, err = sendSteps(bucket, h.ClientRanks, h.Token, o.comm.Rank(), true, ce, plans,
+		func(i int) dseq.Transferable { return args[i] },
+		func(t time.Time) { o.span(h.Token, obs.PhaseChunkSend, t, 0) })
+	return commFailure(err)
 }
 
 // safeInvoke contains handler panics.

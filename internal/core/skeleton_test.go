@@ -63,10 +63,18 @@ var (
 		timing: inlineSets.timing,
 		spans:  [2]string{"bind invoke gather pack sendrecv scatter chunk-recv", "bind invoke gather scatter chunk-recv"},
 		served: [2]string{"admission queue upcall recv-xfer send-xfer chunk-send", "upcall recv-xfer send-xfer chunk-send"}}
-	directSets = shapeSets{
+	// A direct leg runs the chunk mover between the owning threads, so every
+	// thread that sources or sinks a step records it: a chunk span per step,
+	// where the centralized shapes have them at the threads that gather and
+	// scatter.
+	directInSets = shapeSets{
 		timing: [2]string{"Total Pack SendRecv Unpack Barrier", "Total Pack SendRecv Unpack Barrier"},
-		spans:  [2]string{"bind invoke pack sendrecv unpack barrier", "bind invoke pack sendrecv unpack barrier"},
-		served: [2]string{"admission queue upcall recv-xfer send-xfer", "upcall recv-xfer send-xfer"}}
+		spans:  [2]string{"bind invoke pack sendrecv unpack barrier chunk-send", "bind invoke pack sendrecv unpack barrier chunk-send"},
+		served: [2]string{"admission queue upcall recv-xfer send-xfer chunk-recv", "upcall recv-xfer send-xfer chunk-recv"}}
+	directInOutSets = shapeSets{
+		timing: directInSets.timing,
+		spans:  [2]string{"bind invoke pack sendrecv unpack barrier chunk-send chunk-recv", "bind invoke pack sendrecv unpack barrier chunk-send chunk-recv"},
+		served: [2]string{"admission queue upcall recv-xfer send-xfer chunk-send chunk-recv", "upcall recv-xfer send-xfer chunk-send chunk-recv"}}
 )
 
 var invocationShapes = []shapeCase{
@@ -82,8 +90,8 @@ var invocationShapes = []shapeCase{
 	{name: "chunked-inout", method: Centralized, op: "swap", elems: 4 * shapeChunk, client: 10, server: 12, shapeSets: chunkedInOutSets},
 	{name: "chunked-inout-compressed", method: Centralized, op: "swap", elems: 4 * shapeChunk, compress: true,
 		client: 11, server: 13, shapeSets: chunkedInOutSets},
-	{name: "direct-in", method: Multiport, op: "put", elems: 64, client: 6, server: 8, shapeSets: directSets},
-	{name: "direct-inout", method: Multiport, op: "swap", elems: 64, client: 6, server: 8, shapeSets: directSets},
+	{name: "direct-in", method: Multiport, op: "put", elems: 64, client: 6, server: 8, shapeSets: directInSets},
+	{name: "direct-inout", method: Multiport, op: "swap", elems: 64, client: 6, server: 8, shapeSets: directInOutSets},
 }
 
 // shapeOps is the operation table of the shape tests: handlers that issue no

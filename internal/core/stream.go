@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/dist"
 	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
@@ -23,11 +24,14 @@ import (
 // symmetric: the server gathers and writes result chunks before the Reply,
 // and the client scatters them as it drains its sink. Each leg is placed by
 // itself, by the side that knows its lengths (legChunkElems), and both sides
-// derive the leg's chunk schedule from the lengths and the chunk size its
-// header announces, so no per-chunk control traffic is needed.
+// derive the leg's chunk schedule (schedule.go) from the lengths and the chunk
+// size its header announces, so no per-chunk control traffic is needed. The
+// sender, the frame wait and the frame check here are the direct legs' too
+// (xfer.go): what differs is the plan the schedule cuts and who renders a step.
 
-// DefaultStreamChunkElems is the streamed-transfer chunk size when
-// BindOptions.StreamChunkElems is zero. 8192 doubles (64 KiB payloads) sit
+// DefaultStreamChunkElems is the chunk size of every bulk transfer — a streamed
+// or a direct leg when BindOptions.StreamChunkElems is zero, and a resize's
+// state transfer always. 8192 doubles (64 KiB payloads) sit
 // comfortably above the per-message overhead and below the frame limit.
 const DefaultStreamChunkElems = 8192
 
@@ -37,21 +41,21 @@ const DefaultStreamChunkElems = 8192
 // frames, and their memory, unboundedly.
 const encodeAheadDepth = 2
 
-// chunkSender is the sending half of every streamed leg — request and reply,
-// raw and compressed — on the communicating thread: a ring of
-// encodeAheadDepth+1 slots, each a reusable chunk encoder and the Data message
-// that frames it, and one worker that writes filled slots in the order they
-// were queued. The thread gathers chunk k+1 straight into a free slot while
-// the worker has chunk k on the wire, and waits only when every slot is in
-// flight. A slot's bytes belong to the worker from send until it puts the
+// chunkSender is the sending half of every chunked and direct leg — request
+// and reply, raw and compressed — on the thread that sources the chunks: a
+// ring of encodeAheadDepth+1 slots, each a reusable chunk encoder and the Data
+// message that frames it, and one worker that writes filled slots in the order
+// they were queued. The thread renders chunk k+1 straight into a free slot
+// while the worker has chunk k on the wire, and waits only when every slot is
+// in flight. A slot's bytes belong to the worker from send until it puts the
 // slot back on free; nothing else ever references them.
 type chunkSender struct {
-	write func(wire.Message) error
-	slots [encodeAheadDepth + 1]chunkSlot
-	free  chan *chunkSlot // sized to the ring: never blocks the worker
-	queue chan *chunkSlot // sized to the ring: send never blocks
-	done  chan struct{}
-	err   error // the first write failure; the worker's until done is closed
+	write  func(wire.Message) error
+	slots  [encodeAheadDepth + 1]chunkSlot
+	free   chan *chunkSlot // sized to the ring: never blocks the worker
+	queue  chan *chunkSlot // sized to the ring and close's mark: send never blocks
+	worker sync.WaitGroup
+	err    error // the first write failure; the worker's until it is done
 }
 
 type chunkSlot struct {
@@ -59,11 +63,21 @@ type chunkSlot struct {
 	msg wire.Data
 }
 
-// chunkEncoders keeps the ring encoders, grown to a chunk's size, across legs.
-var chunkEncoders = sync.Pool{New: func() any { return cdr.NewEncoder(cdr.NativeOrder) }}
+// idleSenders keeps up to maxIdleSenders whole rings — the channels, and the
+// encoders grown to a chunk's size — across legs: a leg borrows one and pays
+// for its worker alone. A bounded stack, not a sync.Pool: a pool parks a lone
+// item in the slot private to the thread that put it, where a leg starting on
+// another cannot find it, and each such miss costs three chunk-sized encoders
+// (measured: one in nine legs on the two-core benchmark box).
+var idleSenders struct {
+	sync.Mutex
+	rings []*chunkSender
+}
 
-// connWriter is the write a leg hands its sender: the data connection is
-// resolved once, so every chunk is a plain WriteMessage — or, when it could
+const maxIdleSenders = 8
+
+// connWriter is the write a chunked leg hands its sender: the data connection
+// is resolved once, so every chunk is a plain WriteMessage — or, when it could
 // not be resolved, the error that says why.
 func connWriter(conn *transport.Conn, err error) func(wire.Message) error {
 	if err != nil {
@@ -72,49 +86,85 @@ func connWriter(conn *transport.Conn, err error) func(wire.Message) error {
 	return conn.WriteMessage
 }
 
-// newChunkSender starts a leg's sender; close ends it.
+// newChunkSender starts a leg's sender, on an idle ring when there is one;
+// close ends it.
 func newChunkSender(write func(wire.Message) error) *chunkSender {
-	cs := &chunkSender{write: write, done: make(chan struct{}),
-		free: make(chan *chunkSlot, encodeAheadDepth+1), queue: make(chan *chunkSlot, encodeAheadDepth+1)}
-	for i := range cs.slots {
-		cs.slots[i].enc = chunkEncoders.Get().(*cdr.Encoder)
-		cs.free <- &cs.slots[i]
+	var cs *chunkSender
+	idleSenders.Lock()
+	if n := len(idleSenders.rings); n > 0 {
+		cs, idleSenders.rings = idleSenders.rings[n-1], idleSenders.rings[:n-1]
 	}
-	go func() {
-		defer close(cs.done)
-		for s := range cs.queue {
-			// After a failed write the stream may be mid-frame: the rest of
-			// the schedule is drained, not written.
-			if cs.err == nil {
-				cs.err = cs.write(&s.msg)
-			}
-			s.msg.Payload = nil
-			cs.free <- s
+	idleSenders.Unlock()
+	if cs == nil {
+		cs = &chunkSender{free: make(chan *chunkSlot, encodeAheadDepth+1), queue: make(chan *chunkSlot, encodeAheadDepth+2)}
+		for i := range cs.slots {
+			cs.slots[i].enc = cdr.NewEncoder(cdr.NativeOrder)
+			cs.free <- &cs.slots[i]
 		}
-	}()
+	}
+	cs.write = write
+	cs.worker.Add(1)
+	go cs.run()
 	return cs
 }
 
-// next returns an empty slot to gather into, once the wire has freed one.
+// run is the worker: it writes the queued slots until close's nil mark.
+func (cs *chunkSender) run() {
+	defer cs.worker.Done()
+	for s := <-cs.queue; s != nil; s = <-cs.queue {
+		// After a failed write the stream may be mid-frame: the rest of
+		// the schedule is drained, not written.
+		if cs.err == nil {
+			cs.err = cs.write(&s.msg)
+		}
+		s.msg.Payload = nil
+		cs.free <- s
+	}
+}
+
+// next returns an empty slot to render into, once the wire has freed one.
 func (cs *chunkSender) next() *chunkSlot {
 	s := <-cs.free
 	s.enc.Reset()
 	return s
 }
 
+// fill makes the slot the Data message of step st of argument arg — the one
+// place a transfer leg's frame is built. The payload is what the slot's encoder
+// holds, or the fail marker when failed says the chunk could not be rendered.
+// The compressed flag is per chunk, not per connection: incompressible chunks
+// fall back to raw mid-stream and simply omit it.
+func (s *chunkSlot) fill(token uint32, arg int, st step, reply, failed bool) {
+	payload, flags := s.enc.Bytes(), chunkFlags(st.last)
+	if failed {
+		payload = dseq.FailMarker
+	} else if dseq.IsCompressedChunk(payload) {
+		flags |= wire.DataFlagCompressed
+	}
+	s.msg = wire.Data{
+		RequestID: token, ArgIndex: uint32(arg), SrcRank: uint32(st.src), DstRank: uint32(st.dst),
+		DstOff: uint64(st.dstOff), Count: uint64(st.n), Reply: reply, Flags: flags, Payload: payload,
+	}
+}
+
 // send queues a slot obtained from next, its msg filled in, behind the ones
 // sent before it.
 func (cs *chunkSender) send(s *chunkSlot) { cs.queue <- s }
 
-// close waits for the queued chunks to be written and returns the first write
-// failure as a COMM_FAILURE.
+// close waits for the queued chunks to be written, gives the ring back — the
+// caller holds no slot by now — and returns the first write failure as a
+// COMM_FAILURE.
 func (cs *chunkSender) close() error {
-	close(cs.queue)
-	<-cs.done
-	for i := range cs.slots {
-		chunkEncoders.Put(cs.slots[i].enc)
+	cs.queue <- nil
+	cs.worker.Wait()
+	err := cs.err
+	cs.write, cs.err = nil, nil
+	idleSenders.Lock()
+	if len(idleSenders.rings) < maxIdleSenders {
+		idleSenders.rings = append(idleSenders.rings, cs)
 	}
-	return commFailure(cs.err)
+	idleSenders.Unlock()
+	return commFailure(err)
 }
 
 // commFailure files a transfer leg's failure under COMM_FAILURE, the control
@@ -132,7 +182,7 @@ func commFailure(err error) error {
 
 // sendChunks walks the sending side of one streamed leg. For each of the nargs
 // arguments the leg carries (arg(i) is nil for one it does not) the threads of
-// comm collectively gather-marshal each scheduled chunk — thread 0, the one
+// comm collectively gather-marshal each step of its schedule — thread 0, the one
 // holding the leg's sender, straight into the slot the chunk is written from
 // — and the sender is closed at the end. The schedule always runs to
 // completion: a thread whose collective gather failed stops issuing gathers
@@ -147,10 +197,9 @@ func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce in
 		if seq == nil {
 			continue
 		}
-		l := seq.Len()
-		nchunks := chunkCount(l, ce)
-		for k := 0; k < nchunks; k++ {
-			start, n := chunkRange(l, ce, k)
+		whole := [1]dist.Move{{Len: seq.Len()}}
+		sc := schedule{moves: whole[:], ce: ce}
+		for st, ok := sc.next(); ok; st, ok = sc.next() {
 			chunkStart := time.Now()
 			var slot *chunkSlot
 			var dst *cdr.Encoder
@@ -160,18 +209,11 @@ func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce in
 			}
 			if firstErr == nil {
 				gatherStart := time.Now()
-				firstErr = seq.GatherMarshalRangeTo(comm, 0, start, n, mask, dst)
+				firstErr = seq.GatherMarshalRangeTo(comm, 0, st.srcOff, st.n, mask, dst)
 				gather += time.Since(gatherStart)
 			}
 			if slot != nil {
-				payload := dst.Bytes()
-				if firstErr != nil {
-					payload = dseq.FailMarker
-				}
-				slot.msg = wire.Data{
-					RequestID: token, ArgIndex: uint32(i), DstOff: uint64(start), Count: uint64(n),
-					Reply: reply, Flags: chunkFlagsZ(k == nchunks-1, payload), Payload: payload,
-				}
+				slot.fill(token, i, st, reply, firstErr != nil)
 				cs.send(slot)
 			}
 			span(chunkStart)
@@ -187,36 +229,28 @@ func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce in
 
 // recvChunks walks the receiving side of one streamed leg: thread 0 pulls each
 // scheduled chunk of every argument the leg carries (sendChunks has nargs and
-// arg) off ch, on a timer only it needs, and the threads of comm collectively
-// scatter it. The schedule always runs to
-// completion — after a failure thread 0 substitutes fail markers instead of
-// pulling — so the collective loop cannot desynchronize, and the first
-// failure is returned once the schedule is done.
-func recvChunks(comm *rts.Comm, ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration, token uint32, reply bool, ce int,
+// arg) off w, which only it needs, and the threads of comm collectively scatter
+// it. The schedule always runs to completion — after a failure thread 0
+// substitutes fail markers instead of pulling — so the collective loop cannot
+// desynchronize, and the first failure is returned once the schedule is done.
+func recvChunks(comm *rts.Comm, w *frameWait, reply bool, ce int,
 	nargs int, arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) error {
 	var firstErr error
-	var t *time.Timer
-	if comm.Rank() == 0 {
-		if t = chunkTimer(timeout); t != nil {
-			defer t.Stop()
-		}
-	}
 	for i := 0; i < nargs; i++ {
 		seq := arg(i)
 		if seq == nil {
 			continue
 		}
-		l := seq.Len()
-		nchunks := chunkCount(l, ce)
-		for k := 0; k < nchunks; k++ {
-			start, n := chunkRange(l, ce, k)
+		whole := [1]dist.Move{{Len: seq.Len()}}
+		sc := schedule{moves: whole[:], ce: ce}
+		for st, ok := sc.next(); ok; st, ok = sc.next() {
 			chunkStart := time.Now()
 			var payload []byte
 			var frame *wire.Data
 			if comm.Rank() == 0 {
 				if firstErr != nil {
 					payload = dseq.FailMarker
-				} else if d, err := nextChunk(ch, stop, t, timeout, token, uint32(i), reply, start, n, k == nchunks-1); err != nil {
+				} else if d, err := w.nextChunk(i, st, reply); err != nil {
 					firstErr = err
 					payload = dseq.FailMarker
 				} else {
@@ -226,7 +260,7 @@ func recvChunks(comm *rts.Comm, ch <-chan *wire.Data, stop <-chan struct{}, time
 			// The scatter copies the elements out (root's own share directly,
 			// a peer's through a rented piece), so the frame goes back as soon
 			// as it returns.
-			err := seq.ScatterUnmarshalRange(comm, 0, start, n, payload)
+			err := seq.ScatterUnmarshalRange(comm, 0, st.dstOff, st.n, payload)
 			if frame != nil {
 				frame.Release()
 			}
@@ -240,10 +274,11 @@ func recvChunks(comm *rts.Comm, ch <-chan *wire.Data, stop <-chan struct{}, time
 }
 
 // maxStreamChunks bounds the total number of chunks in one direction of one
-// invocation; the chunk size is raised until the schedule fits. The bound
-// keeps a whole reply leg inside one data sink (capacity bucketCapacity):
-// reply chunks are written before the Reply message, so they may all be
-// buffered before the client starts draining.
+// centralized invocation; the chunk size is raised until the schedule fits, and
+// a direct leg raises its own towards the same count per destination thread
+// (directChunkElems). The bound keeps a whole reply leg inside one data sink
+// (capacity bucketCapacity): reply chunks are written before the Reply message,
+// so they may all be buffered before the client starts draining.
 const maxStreamChunks = 1024
 
 // legChunkElems is the placement rule of one centralized leg, applied by the
@@ -294,38 +329,10 @@ func seqLen(seq dseq.Transferable) int {
 	return seq.Len()
 }
 
-func chunkCount(length, ce int) int {
-	if length <= 0 {
-		return 0
-	}
-	return (length + ce - 1) / ce
-}
-
-// chunkRange returns the k-th chunk's [start, start+n) range.
-func chunkRange(length, ce, k int) (start, n int) {
-	start = k * ce
-	n = ce
-	if length-start < n {
-		n = length - start
-	}
-	return start, n
-}
-
 func chunkFlags(last bool) byte {
 	f := byte(wire.DataFlagChunk)
 	if last {
 		f |= wire.DataFlagLast
-	}
-	return f
-}
-
-// chunkFlagsZ is chunkFlags plus the compressed bit when the payload carries
-// a compressed chunk envelope. The flag is per chunk, not per connection:
-// incompressible chunks fall back to raw mid-stream and simply omit it.
-func chunkFlagsZ(last bool, payload []byte) byte {
-	f := chunkFlags(last)
-	if dseq.IsCompressedChunk(payload) {
-		f |= wire.DataFlagCompressed
 	}
 	return f
 }
@@ -379,67 +386,80 @@ func gatherInto(c *rts.Comm, seq dseq.Transferable, e *cdr.Encoder) error {
 	return err
 }
 
-// chunkTimer returns the timer one transfer leg bounds each of its frame
-// waits with (takeFrame resets it per frame), or nil when the wait is
-// unbounded. The caller stops it when the leg is done.
-func chunkTimer(timeout time.Duration) *time.Timer {
-	if timeout <= 0 {
-		return nil
-	}
-	return time.NewTimer(timeout)
+// frameWait is the one wait of a receive leg, whatever its shape: the frames of
+// invocation token off ch, each awaited at most timeout (zero: no bound) and
+// until stop (nil: no cancellation). The timer is armed by the leg's first
+// wait, so a leg that expects nothing costs none, and is the collector's once
+// the leg is over.
+type frameWait struct {
+	ch      <-chan *wire.Data
+	stop    <-chan struct{}
+	timeout time.Duration
+	token   uint32
+	t       *time.Timer
 }
 
-// takeFrame is the one wait of a receive leg, whatever its shape: the next
-// frame of invocation token off ch, waiting at most timeout on the leg's timer
-// t (nil: no bound) and until stop (nil: no cancellation). A frame of another
+// takeFrame returns the next frame of the invocation. A frame of another
 // invocation — a client's sink belongs to its lane, so one that arrived after
 // the invocation before this one gave up on it may still sit there — is
 // released and skipped. A nil frame is the connection-loss poison and, like
 // every lost connection, a COMM_FAILURE: a client whose peer restarted or
 // resized can tell "re-resolve" (naming.Stale) from a hard failure. The caller
 // owns the frame it is given and must Release it.
-func takeFrame(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration, token uint32) (*wire.Data, error) {
+func (w *frameWait) takeFrame() (*wire.Data, error) {
 	var deadline <-chan time.Time
-	if t != nil {
-		t.Reset(timeout)
-		deadline = t.C
+	if w.timeout > 0 {
+		if w.t == nil {
+			w.t = time.NewTimer(w.timeout)
+		} else {
+			w.t.Reset(w.timeout)
+		}
+		deadline = w.t.C
 	}
 	for {
 		select {
-		case d := <-ch:
+		case d := <-w.ch:
 			if d == nil {
 				return nil, &orb.SystemException{RepoID: orb.RepoComm, Message: "data connection lost mid-transfer"}
 			}
-			if d.RequestID != token {
+			if d.RequestID != w.token {
 				d.Release()
 				continue
 			}
 			return d, nil
-		case <-stop:
+		case <-w.stop:
 			return nil, ErrStopped
 		case <-deadline:
-			return nil, fmt.Errorf("core: no data frame arrived within %v", timeout)
+			return nil, fmt.Errorf("core: no data frame arrived within %v", w.timeout)
 		}
 	}
 }
 
-// nextChunk pulls the next expected stream chunk from a data channel (see
-// takeFrame for the wait), validating that it is exactly the scheduled one.
-// On any error the frame (if any) has been released; on success the caller
-// owns the frame and must Release it.
-func nextChunk(ch <-chan *wire.Data, stop <-chan struct{}, t *time.Timer, timeout time.Duration, token, argIdx uint32, reply bool, start, n int, last bool) (*wire.Data, error) {
-	d, err := takeFrame(ch, stop, t, timeout, token)
+// nextChunk takes the next frame and checks that it is exactly step st of
+// argument arg. On any error the frame (if any) has been released; on success
+// the caller owns the frame and must Release it.
+func (w *frameWait) nextChunk(arg int, st step, reply bool) (*wire.Data, error) {
+	d, err := w.takeFrame()
 	if err != nil {
-		return nil, fmt.Errorf("stream chunk (arg %d, off %d): %w", argIdx, start, err)
+		return nil, fmt.Errorf("stream chunk (arg %d, off %d): %w", arg, st.dstOff, err)
 	}
-	if d.ArgIndex != argIdx || d.Reply != reply || !d.Chunked() ||
-		d.DstOff != uint64(start) || d.Count != uint64(n) || d.LastChunk() != last {
-		err := fmt.Errorf("%w: stream chunk arg %d off %d count %d last %v, want arg %d off %d count %d last %v",
-			ErrBadHeader, d.ArgIndex, d.DstOff, d.Count, d.LastChunk(), argIdx, start, n, last)
+	if err := checkStep(d, arg, st, reply); err != nil {
 		d.Release()
 		return nil, err
 	}
 	return d, nil
+}
+
+// checkStep refuses a frame that is not step st of argument arg of the leg
+// (reply: the back one): argument, endpoints, offset, count and the chunk and
+// last flags must all be the schedule's.
+func checkStep(d *wire.Data, arg int, st step, reply bool) error {
+	if d.ArgIndex != uint32(arg) || d.Reply != reply || !d.Chunked() || d.SrcRank != uint32(st.src) ||
+		d.DstOff != uint64(st.dstOff) || d.Count != uint64(st.n) || d.LastChunk() != st.last {
+		return fmt.Errorf("%w: chunk arg %d from thread %d off %d count %d last %v, want arg %d from thread %d off %d count %d last %v",
+			ErrBadHeader, d.ArgIndex, d.SrcRank, d.DstOff, d.Count, d.LastChunk(), arg, st.src, st.dstOff, st.n, st.last)
+	}
+	return nil
 }
 
 // drainData empties a data channel without blocking, returning any pooled
@@ -499,7 +519,7 @@ func (iv *invocation) sendChunked(scalars []byte) error {
 // the server wrote every result chunk before the Reply on the same connection,
 // so by now they are in the lane's sink in schedule order.
 func (iv *invocation) recvChunked(ce int) error {
-	return recvChunks(iv.comm, iv.sink, nil, iv.b.client.Timeout, iv.token, true, ce,
-		len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, In) },
+	w := frameWait{ch: iv.sink, timeout: iv.b.client.Timeout, token: iv.token}
+	return recvChunks(iv.comm, &w, true, ce, len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, In) },
 		func(t time.Time) { iv.phase(obs.PhaseChunkRecv, t, time.Since(t)) })
 }

@@ -8,107 +8,185 @@ import (
 	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // Direct transfers (the multi-port method, paper §3.3): the argument data flows
-// between the owning threads themselves, one Data message per move of the
-// redistribution plan between the client's and the server's layouts. Both
-// sides derive the plan from the layouts in the header, so what one thread
-// sends (sendMoves) is what its peer expects (recvMoves).
+// between the owning threads themselves. A leg's plans are dist.Plan between
+// the client's and the server's layout of every argument it carries, cut by the
+// chunk schedule into steps of the chunk size the header announces
+// (directChunkElems); each thread sends the steps it sources (sendSteps) and
+// takes in the steps it sinks (recvSteps). Both sides derive the plans from the
+// layouts in the header, so what one thread sends is what its peer expects, and
+// no collective is involved: a leg that fails on one thread stops there and the
+// agreement after it tells the others.
 
-// sendMoves ships what thread me owes its peers of argument argIdx, out of
-// seq: one Data message per move of the plan that starts here. write delivers
-// a message to the thread it names in DstRank. It returns the time spent
-// marshalling and the first failure, at which it stops.
-func sendMoves(write func(*wire.Data) error, token uint32, argIdx, me int, reply bool,
-	plan []dist.Move, seq dseq.Transferable) (pack time.Duration, _ error) {
-	for _, m := range plan {
-		if m.SrcRank != me {
+// directChunkElems returns the chunk size of one direct leg over plans (one per
+// argument, nil for one the leg does not carry) towards dsts threads: base
+// elements, doubled — as chunkElemsFor does — until no thread is the
+// destination of more than maxStreamChunks steps or no move is cut any more. A
+// direct leg has no placement to choose: a move shorter than a chunk is one
+// chunk. Every thread of both sides holds the plans and so the same answer,
+// including the refusal: a plan with more steps into one thread than its sink
+// holds (bucketCapacity) would wedge the connection that feeds it.
+func directChunkElems(base, dsts int, plans [][]dist.Move) (int, error) {
+	var few [16]int
+	steps := few[:]
+	if dsts > len(few) {
+		steps = make([]int, dsts)
+	}
+	for ce := max(base, 1); ; ce *= 2 {
+		clear(steps)
+		most, at, cut := 0, 0, false
+		for _, plan := range plans {
+			for _, m := range plan {
+				k := chunkCount(m.Len, ce)
+				cut = cut || k > 1
+				if steps[m.DstRank] += k; steps[m.DstRank] > most {
+					most, at = steps[m.DstRank], m.DstRank
+				}
+			}
+		}
+		if most > maxStreamChunks && cut {
 			continue
 		}
-		packStart := time.Now()
-		payload, err := seq.MarshalRange(m.SrcOff, m.Len)
-		pack += time.Since(packStart)
-		if err != nil {
-			return pack, err
+		if most > bucketCapacity {
+			return 0, orb.Marshal(fmt.Errorf("core: the multi-port plan moves %d pieces into thread %d, more than the %d one thread buffers: "+
+				"use the centralized method or a coarser distribution", most, at, bucketCapacity))
 		}
-		err = write(&wire.Data{
-			RequestID: token,
-			ArgIndex:  uint32(argIdx),
-			SrcRank:   uint32(me),
-			DstRank:   uint32(m.DstRank),
-			DstOff:    uint64(m.DstOff),
-			Count:     uint64(m.Len),
-			Reply:     reply,
-			Payload:   payload,
-		})
-		if err != nil {
-			return pack, err
+		return ce, nil
+	}
+}
+
+// connSource resolves the connection a direct leg's frames for thread dst are
+// written on: the client's data connection to a server thread, or the one a
+// client thread attached to the invocation's bucket.
+type connSource interface {
+	dataConn(dst int) (*transport.Conn, error)
+}
+
+func (b *Binding) dataConn(dst int) (*transport.Conn, error) { return b.client.DataConn(b.ref, dst) }
+
+// sendSteps is thread me's sending half of one direct leg: every step of the
+// plans (one per argument, nil for one the leg does not carry) that starts
+// here is marshalled out of arg(i) straight into a slot of the leg's sender
+// and written to the thread it names, on the connection conns resolves for it
+// — once per destination, at its first chunk. A thread that sources nothing
+// builds no sender. It returns the time spent marshalling and the first
+// failure, at which it stops.
+func sendSteps(conns connSource, dsts int, token uint32, me int, reply bool, ce int, plans [][]dist.Move,
+	arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) (pack time.Duration, err error) {
+	var cs *chunkSender
+	for i, plan := range plans {
+		sc := schedule{moves: plan, ce: ce}
+		for st, ok := sc.next(); ok && err == nil; st, ok = sc.next() {
+			if st.src != me {
+				continue
+			}
+			if cs == nil {
+				resolved := make([]*transport.Conn, dsts)
+				cs = newChunkSender(func(m wire.Message) (err error) {
+					dst := m.(*wire.Data).DstRank
+					if resolved[dst] == nil {
+						if resolved[dst], err = conns.dataConn(int(dst)); err != nil {
+							return err
+						}
+					}
+					return resolved[dst].WriteMessage(m)
+				})
+			}
+			chunkStart := time.Now()
+			slot := cs.next()
+			packStart := time.Now()
+			err = arg(i).MarshalRangeTo(st.srcOff, st.n, 0, slot.enc)
+			pack += time.Since(packStart)
+			if err != nil {
+				cs.free <- slot // nothing to send: the ring gets it back whole
+				continue
+			}
+			slot.fill(token, i, st, reply, false)
+			cs.send(slot)
+			span(chunkStart)
 		}
 	}
-	return pack, nil
-}
-
-// transfers is what one thread expects of one direct leg: per argument and
-// local offset, how many elements land there and in which sequence.
-type transfers map[transferKey]transfer
-
-type transferKey struct {
-	arg uint32
-	off uint64
-}
-
-type transfer struct {
-	n   int
-	seq dseq.Transferable
-}
-
-// expect adds what thread me's part of argument argIdx, seq, is owed by the
-// threads that hold it laid out as from.
-func (ts transfers) expect(argIdx int, seq dseq.Transferable, from dist.Layout, me int) error {
-	plan, err := dist.Plan(from, seq.Layout())
-	for _, m := range plan {
-		if m.DstRank == me {
-			ts[transferKey{uint32(argIdx), uint64(m.DstOff)}] = transfer{m.Len, seq}
+	if cs != nil {
+		if cerr := cs.close(); err == nil {
+			err = cerr
 		}
 	}
-	return err
+	return pack, err
 }
 
-// recvMoves drains ch until every transfer in want has arrived and been
-// stored, in whatever order the senders' connections deliver them. Every frame
-// taken off ch is released here, stored or not; what the leg leaves in ch is
-// the owner's to drain. Each wait is takeFrame's: bounded by timeout (zero:
-// unbounded) and by stop (nil: no cancellation).
-func recvMoves(ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration, token uint32, reply bool, want transfers) error {
-	t := chunkTimer(timeout)
-	if t != nil {
-		defer t.Stop()
+// flow is where one source thread stands in the schedule of a direct leg: the
+// next plan to open and the cursor in the open one. One connection delivers in
+// order, so a source's frames must arrive in schedule order; the flows of
+// different sources advance independently.
+type flow struct {
+	arg int
+	sc  schedule
+}
+
+// next returns the next step of the plans thread src owes thread me, and the
+// argument it belongs to.
+func (f *flow) next(src, me, ce int, plans [][]dist.Move) (int, step, bool) {
+	for {
+		if st, ok := f.sc.next(); ok {
+			if st.src == src && st.dst == me {
+				return f.arg - 1, st, true
+			}
+		} else if f.arg == len(plans) {
+			return 0, step{}, false
+		} else {
+			f.sc = schedule{moves: plans[f.arg], ce: ce}
+			f.arg++
+		}
 	}
-	for len(want) > 0 {
-		d, err := takeFrame(ch, stop, t, timeout, token)
+}
+
+// recvSteps is thread me's receiving half of one direct leg from srcs source
+// threads: a ledger over the steps of the plans that end here. It drains w
+// until every one has arrived and been stored in arg(i) — each source's in
+// schedule order, the sources in whatever order their connections deliver —
+// and refuses a frame that is not its source's next step: off-plan, a
+// duplicate, short, or from a thread the plan does not know. Every frame taken
+// off w is released here, stored or not; what the leg leaves behind is the
+// owner's to drain. A thread that sinks nothing waits for nothing.
+func recvSteps(w *frameWait, me, srcs int, reply bool, ce int, plans [][]dist.Move,
+	arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) error {
+	want := 0
+	for _, plan := range plans {
+		sc := schedule{moves: plan, ce: ce}
+		for st, ok := sc.next(); ok; st, ok = sc.next() {
+			if st.dst == me {
+				want++
+			}
+		}
+	}
+	if want == 0 {
+		return nil
+	}
+	flows := make([]flow, srcs)
+	for ; want > 0; want-- {
+		chunkStart := time.Now()
+		d, err := w.takeFrame()
 		if err != nil {
-			return fmt.Errorf("awaiting %d transfers: %w", len(want), err)
+			return fmt.Errorf("awaiting %d chunks: %w", want, err)
 		}
-		k := transferKey{d.ArgIndex, d.DstOff}
-		tr, ok := want[k]
-		switch {
-		case !ok || d.Reply != reply:
-			err = fmt.Errorf("core: unexpected transfer at offset %d for arg %d", d.DstOff, d.ArgIndex)
-		case int(d.Count) != tr.n:
-			err = fmt.Errorf("core: transfer at offset %d for arg %d has %d elements, want %d", d.DstOff, d.ArgIndex, d.Count, tr.n)
-		default:
-			err = tr.seq.UnmarshalRange(int(d.DstOff), d.Payload)
+		if src := int(d.SrcRank); src >= srcs {
+			err = fmt.Errorf("%w: chunk from thread %d of a plan with %d sources", ErrBadHeader, src, srcs)
+		} else if i, st, ok := flows[src].next(src, me, ce, plans); !ok {
+			err = fmt.Errorf("%w: chunk of arg %d at offset %d after thread %d sent all it owed", ErrBadHeader, d.ArgIndex, d.DstOff, src)
+		} else if err = checkStep(d, i, st, reply); err == nil {
+			err = arg(i).UnmarshalRange(st.dstOff, d.Payload)
 		}
-		// UnmarshalRange copied the elements out (or the transfer was
-		// rejected), so the borrowed transport buffer goes back to the pool
-		// either way.
+		// UnmarshalRange copied the elements out (or the chunk was refused), so
+		// the borrowed transport buffer goes back to the pool either way.
 		d.Release()
 		if err != nil {
 			return err
 		}
-		delete(want, k)
+		span(chunkStart)
 	}
 	return nil
 }
@@ -119,15 +197,10 @@ func recvMoves(ch <-chan *wire.Data, stop <-chan struct{}, timeout time.Duration
 func (iv *invocation) sendDirect(scalars []byte) error {
 	b, me, sRanks := iv.b, iv.comm.Rank(), iv.b.ref.Threads
 	plans := make([][]dist.Move, len(iv.args))
-	sendTargets := map[int]bool{}
-	attachTargets := map[int]bool{}
+	results := false
 	for i, a := range iv.args {
 		if a.Dir == Out {
-			// The result length is unknown; conservatively attach to every
-			// server thread so any of them can reach us.
-			for r := 0; r < sRanks; r++ {
-				attachTargets[r] = true
-			}
+			results = true
 			continue
 		}
 		sl, err := iv.desc.Args[i].specOrBlock().Layout(a.Seq.Len(), sRanks)
@@ -137,56 +210,54 @@ func (iv *invocation) sendDirect(scalars []byte) error {
 		if plans[i], err = dist.Plan(a.Seq.Layout(), sl); err != nil {
 			return err
 		}
-		for _, m := range plans[i] {
-			if m.SrcRank == me {
-				sendTargets[m.DstRank] = true
-			}
-		}
-		if a.Dir == InOut {
-			rev, err := dist.Plan(sl, a.Seq.Layout())
-			if err != nil {
-				return err
-			}
-			for _, m := range rev {
-				if m.DstRank == me {
-					attachTargets[m.SrcRank] = true
-				}
-			}
-		}
+	}
+	// Every thread holds the whole plan, so a leg too fine to send is refused
+	// by all of them alike, before the header or a byte of data leaves.
+	ce, err := directChunkElems(iv.ce, sRanks, plans)
+	if err != nil {
+		return err
 	}
 	if me == 0 {
 		e := orb.NewArgEncoder()
 		iv.newHeader(Multiport, scalars).encode(e)
 		iv.launch(e.Bytes())
 	}
-	// Attach to return-flow sources we are not already sending to.
-	for r := range attachTargets {
-		if sendTargets[r] {
-			continue
+	// A server thread answers on the connection this thread's first frame
+	// reached it by. An InOut argument returns along the moves it went out by,
+	// reversed, so its sources have all been sent to; an Out result's length is
+	// unknown, so any server thread may have to reach us: attach to every one
+	// this leg sends nothing.
+	if results {
+		sends := make([]bool, sRanks)
+		for _, plan := range plans {
+			for _, m := range plan {
+				sends[m.DstRank] = sends[m.DstRank] || m.SrcRank == me
+			}
 		}
-		attach := &wire.Data{RequestID: iv.token, SrcRank: uint32(me), DstRank: uint32(r), Count: 0}
-		if err := b.client.SendData(b.ref, attach); err != nil {
-			return err
+		for r, sent := range sends {
+			if sent {
+				continue
+			}
+			attach := &wire.Data{RequestID: iv.token, SrcRank: uint32(me), DstRank: uint32(r), Count: 0}
+			if err := b.client.SendData(b.ref, attach); err != nil {
+				return err
+			}
 		}
 	}
-	write := func(d *wire.Data) error { return b.client.SendData(b.ref, d) }
 	packStart := time.Now()
-	var pack time.Duration
-	var err error
-	for i := 0; i < len(plans) && err == nil; i++ {
-		var dur time.Duration
-		dur, err = sendMoves(write, iv.token, i, me, false, plans[i], iv.args[i].Seq)
-		pack += dur
-	}
+	pack, err := sendSteps(b, sRanks, iv.token, me, false, ce, plans,
+		func(i int) dseq.Transferable { return iv.args[i].Seq },
+		func(t time.Time) { iv.phase(obs.PhaseChunkSend, t, time.Since(t)) })
 	iv.phase(obs.PhasePack, packStart, pack)
 	return err
 }
 
 // recvDirect is the direct back leg (purely local; each wait bounded by the
-// client timeout): the reverse plan, from the server's layout of every result
-// to this thread's, names the return flows to expect.
+// client timeout): the reverse plans, from the server's layout of every result
+// to this thread's, in the chunk size the forward leg started from, name the
+// return flows to expect.
 func (iv *invocation) recvDirect() error {
-	want := transfers{}
+	var plans [][]dist.Move
 	for i, a := range iv.args {
 		if a.Dir == In {
 			continue
@@ -195,9 +266,19 @@ func (iv *invocation) recvDirect() error {
 		if err != nil {
 			return err
 		}
-		if err := want.expect(i, a.Seq, sl, iv.comm.Rank()); err != nil {
+		if plans == nil {
+			plans = make([][]dist.Move, len(iv.args))
+		}
+		if plans[i], err = dist.Plan(sl, a.Seq.Layout()); err != nil {
 			return err
 		}
 	}
-	return recvMoves(iv.sink, nil, iv.b.client.Timeout, iv.token, true, want)
+	ce, err := directChunkElems(iv.ce, iv.comm.Size(), plans)
+	if err != nil {
+		return err
+	}
+	w := frameWait{ch: iv.sink, timeout: iv.b.client.Timeout, token: iv.token}
+	return recvSteps(&w, iv.comm.Rank(), iv.b.ref.Threads, true, ce, plans,
+		func(i int) dseq.Transferable { return iv.args[i].Seq },
+		func(t time.Time) { iv.phase(obs.PhaseChunkRecv, t, time.Since(t)) })
 }

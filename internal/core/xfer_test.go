@@ -26,49 +26,98 @@ var pairDesc = OpDesc{Name: "pair", Args: []ArgDesc{
 	{Name: "b", Dir: InOut, Elem: "double"},
 }}
 
-// badMoves are the ways a direct leg's peer can break the plan. send delivers
-// one transfer of count elements for argument arg at local offset off; the
-// receiving thread expects, for each of the two arguments, want elements at
-// offset 0. queued is how many transfers the script leaves behind the one the
-// leg gives up on.
+// legFrame is one Data frame of a direct leg as a hand-rolled peer sends it:
+// count elements of argument arg from thread src at the receiver's local offset
+// off, with the chunk flags the schedule gives the step.
+type legFrame struct {
+	arg, src, off, count int
+	flags                byte
+}
+
+func (f legFrame) data(token uint32, dst int, reply bool) *wire.Data {
+	return &wire.Data{RequestID: token, ArgIndex: uint32(f.arg), SrcRank: uint32(f.src), DstRank: uint32(dst), DstOff: uint64(f.off),
+		Count: uint64(f.count), Reply: reply, Flags: f.flags, Payload: dseq.MarshalChunk(dseq.Float64, make([]float64, f.count))}
+}
+
+// planFrames lists what the chunk schedule owes one thread of a two-argument
+// leg: per argument, from each of two sources a move of perMove elements in
+// chunks of ce, source 0's at local offset 0 and source 1's after it.
+func planFrames(perMove, ce int) (frames []legFrame) {
+	for arg := 0; arg < 2; arg++ {
+		for src := 0; src < 2; src++ {
+			for off := 0; off < perMove; off += ce {
+				frames = append(frames, legFrame{arg: arg, src: src, off: src*perMove + off, count: ce, flags: chunkFlags(off+ce == perMove)})
+			}
+		}
+	}
+	return frames
+}
+
+// badMoves are the ways a direct leg's peer can break the schedule. play turns
+// the frames the receiving thread is owed (planFrames: the first two are
+// chunks 0 and 1 of its first move) into the script the peer sends, and names
+// the frame of it the leg must refuse: what follows that one stays queued
+// behind the leg. refused -1 is a script the leg takes whole and then waits on.
+// why is what the leg's error says about it.
 var badMoves = []struct {
-	name   string
-	queued int
-	play   func(send func(arg, off, count int), want int)
+	name, why string
+	play      func(good []legFrame) (script []legFrame, refused int)
 }{
-	{"off-plan offset", 1, func(send func(arg, off, count int), want int) {
-		send(0, 5, want)
-		send(1, 0, want)
+	{"off-plan offset", "off 5 count 8 last false, want arg 0 from thread 0 off 0 count 8", func(good []legFrame) ([]legFrame, int) {
+		script := slices.Clone(good)
+		script[0].off += 5
+		return script, 0
 	}},
-	{"wrong count", 1, func(send func(arg, off, count int), want int) {
-		send(0, 0, want-1)
-		send(1, 0, want)
+	{"wrong count", "off 0 count 7 last false, want arg 0 from thread 0 off 0 count 8", func(good []legFrame) ([]legFrame, int) {
+		script := slices.Clone(good)
+		script[0].count--
+		return script, 0
 	}},
-	{"timeout after a later argument arrived", 0, func(send func(arg, off, count int), want int) {
-		send(1, 0, want)
+	// Sources deliver in any order among themselves: the later argument's
+	// chunks from thread 1 are stored while thread 0 still owes the first's.
+	{"timeout after a later argument arrived", "no data frame arrived", func(good []legFrame) ([]legFrame, int) {
+		return slices.DeleteFunc(slices.Clone(good), func(f legFrame) bool { return f.src == 0 }), -1
+	}},
+	{"duplicate chunk", "off 0 count 8 last false, want arg 0 from thread 0 off 8 count 8 last", func(good []legFrame) ([]legFrame, int) {
+		return slices.Insert(slices.Clone(good), 1, good[0]), 1
+	}},
+	{"chunk of the right move out of order", "off 8 count 8 last", func(good []legFrame) ([]legFrame, int) {
+		script := slices.Clone(good)
+		script[0], script[1] = script[1], script[0]
+		return script, 0
+	}},
+	{"last flag missing", "last false, want arg 0 from thread 0 off", func(good []legFrame) ([]legFrame, int) {
+		script := slices.Clone(good)
+		at := slices.IndexFunc(script, func(f legFrame) bool { return f.flags&wire.DataFlagLast != 0 })
+		script[at].flags &^= wire.DataFlagLast
+		return script, at
+	}},
+	{"frame from an unplanned source", "chunk from thread 7 of a plan with 2 sources", func(good []legFrame) ([]legFrame, int) {
+		script := slices.Clone(good)
+		script[0].src = 7
+		return script, 0
 	}},
 }
 
-// TestMultiportFramesReturned drives both receiving ends of the direct shape
-// with a peer that breaks the plan and checks the frame pool's ledger: every
-// Data frame a failed leg took, queued or never looked at goes back to the
-// pool exactly once, and the invocation fails instead of hanging.
+// TestMultiportFramesReturned drives both receiving ends of the direct shape —
+// the chunk ledger — with a peer that breaks the schedule and checks the frame
+// pool's ledger: every Data frame a failed leg took, queued or never looked at
+// goes back to the pool exactly once, and the invocation fails instead of
+// hanging.
 func TestMultiportFramesReturned(t *testing.T) {
-	const n = 64
-	transfer := func(token uint32, arg, dst, off, count int, reply bool) *wire.Data {
-		return &wire.Data{RequestID: token, ArgIndex: uint32(arg), DstRank: uint32(dst), DstOff: uint64(off),
-			Count: uint64(count), Reply: reply, Payload: dseq.MarshalChunk(dseq.Float64, make([]float64, count))}
-	}
+	const n, ce = 64, 8
 
-	// The server's receive leg, fed by a hand-rolled client thread that owns
-	// both arguments whole: thread 0 gets the broken script, thread 1 its two
-	// transfers as planned — but only once thread 0 has given up with the rest
-	// of its script queued, so that the end of the call, which waits for thread
-	// 1, finds those frames in the bucket it drops.
+	// The server's receive leg, fed by a hand-rolled client of two threads
+	// that hold a quarter and three quarters of both arguments, so that server
+	// thread 0's half comes in two moves of two chunks, one from each: thread 0
+	// gets the broken script, thread 1 its own chunks as planned — but only
+	// once thread 0 has given up with the rest of its script queued, so that
+	// the end of the call, which waits for thread 1, finds those frames in the
+	// bucket it drops.
 	for i, bad := range badMoves {
 		t.Run("server/"+bad.name, func(t *testing.T) {
 			defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
-			rec := obs.NewRecorder(64)
+			rec := obs.NewRecorder(256)
 			tc := startClusterOps(t, 2, true, func() []Operation {
 				return []Operation{{Desc: pairDesc, NewArgs: SeqArgsFloat64(pairDesc.Args),
 					Handler: func(*ServerCall) error { return nil }}}
@@ -81,13 +130,13 @@ func TestMultiportFramesReturned(t *testing.T) {
 			cli.Timeout = testTimeout
 			defer cli.Close()
 
-			whole, err := dist.Block{}.Layout(n, 1)
+			held, err := dist.Proportions{P: []int{1, 3}}.Layout(n, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := &invocationHeader{Op: "pair", Method: Multiport, Token: 0x5e00 + uint32(i), ClientRanks: 1,
+			h := &invocationHeader{Op: "pair", Method: Multiport, ChunkElems: ce, Token: 0x5e00 + uint32(i), ClientRanks: 2,
 				Scalars: ScalarEncoder().Bytes(),
-				Args:    []headerArg{{Dir: InOut, Elem: "double", Layout: whole}, {Dir: InOut, Elem: "double", Layout: whole}}}
+				Args:    []headerArg{{Dir: InOut, Elem: "double", Layout: held}, {Dir: InOut, Elem: "double", Layout: held}}}
 			e := orb.NewArgEncoder()
 			h.encode(e)
 			done := make(chan error, 1)
@@ -95,33 +144,39 @@ func TestMultiportFramesReturned(t *testing.T) {
 				_, err := cli.Invoke(ref, "pair", e.Bytes(), false)
 				done <- err
 			}()
-			send := func(r int) func(arg, off, count int) {
-				return func(arg, off, count int) {
-					if err := cli.SendData(ref, transfer(h.Token, arg, r, off, count, false)); err != nil {
-						t.Error(err)
-					}
+			send := func(dst int, f legFrame) {
+				if err := cli.SendData(ref, f.data(h.Token, dst, false)); err != nil {
+					t.Error(err)
 				}
 			}
-			bad.play(send(0), n/2)
-			if bad.queued > 0 {
+			script, refused := bad.play(planFrames(n/4, ce))
+			for _, f := range script {
+				send(0, f)
+			}
+			if refused >= 0 {
 				testutil.Eventually(t, testTimeout, "thread 0 never gave up on its receive leg", func() bool {
 					obj.bucketMu.Lock()
 					defer obj.bucketMu.Unlock()
 					b := obj.buckets[h.Token]
-					return b != nil && len(b.ch) == bad.queued && slices.ContainsFunc(rec.Spans(), func(sp obs.Span) bool {
+					return b != nil && len(b.ch) == len(script)-refused-1 && slices.ContainsFunc(rec.Spans(), func(sp obs.Span) bool {
 						return sp.Phase == obs.PhaseRecvXfer && sp.Rank == 0
 					})
 				})
 			}
-			send(1)(0, 0, n/2)
-			send(1)(1, 0, n/2)
-			if err := <-done; err == nil {
-				t.Fatal("the invocation succeeded on a broken receive leg")
+			// Thread 1's half is one move from client thread 1.
+			for arg := 0; arg < 2; arg++ {
+				for off := 0; off < n/2; off += ce {
+					send(1, legFrame{arg: arg, src: 1, off: off, count: ce, flags: chunkFlags(off+ce == n/2)})
+				}
+			}
+			if err := <-done; err == nil || !strings.Contains(err.Error(), bad.why) {
+				t.Fatalf("the invocation on a broken receive leg ended with %v, want an error saying %q", err, bad.why)
 			}
 		})
 	}
 
-	// The client's back leg, fed by a hand-rolled one-thread server.
+	// The client's back leg, fed by a hand-rolled server that answers for two
+	// threads, each holding half of both arguments.
 	for _, bad := range badMoves {
 		t.Run("client/"+bad.name, func(t *testing.T) {
 			defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
@@ -130,12 +185,15 @@ func TestMultiportFramesReturned(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			// One send per Data message of the forward leg: the client thread
-			// ships each of the two arguments whole.
-			attached := make(chan *transport.Conn, 2)
+			// The forward leg's chunks all arrive on the client thread's one
+			// connection to this address.
+			attached := make(chan *transport.Conn, 1)
 			srv.SetDataHandler(func(d *wire.Data, conn *transport.Conn) {
 				d.Release()
-				attached <- conn
+				select {
+				case attached <- conn:
+				default:
+				}
 			})
 			key := []byte("spmd/hand-rolled")
 			srv.Register(key, orb.ServantFunc(func(op string, in *cdr.Decoder, out *cdr.Encoder) error {
@@ -148,19 +206,20 @@ func TestMultiportFramesReturned(t *testing.T) {
 					return orb.Marshal(err)
 				}
 				conn := <-attached
-				bad.play(func(arg, off, count int) {
-					if err := conn.WriteMessage(transfer(h.Token, arg, 0, off, count, true)); err != nil {
+				script, _ := bad.play(planFrames(n/2, ce))
+				for _, f := range script {
+					if err := conn.WriteMessage(f.data(h.Token, 0, true)); err != nil {
 						t.Error(err)
 					}
-				}, n)
+				}
 				encodeReplyPrefix(out, nil, 0, len(h.Args))
 				for _, a := range h.Args {
 					encodeReplyArg(out, a.Dir, n)
 				}
 				return nil
 			}))
-			ref := orb.IOR{TypeID: "IDL:pair:1.0", Key: key, Threads: 1, Endpoints: []orb.Endpoint{srv.Endpoint(0)}}
-			b, err := BindRef(ref, BindOptions{Method: Multiport, Timeout: 500 * time.Millisecond})
+			ref := orb.IOR{TypeID: "IDL:pair:1.0", Key: key, Threads: 2, Endpoints: []orb.Endpoint{srv.Endpoint(0), srv.Endpoint(1)}}
+			b, err := BindRef(ref, BindOptions{Method: Multiport, Timeout: 500 * time.Millisecond, StreamChunkElems: ce})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,8 +232,8 @@ func TestMultiportFramesReturned(t *testing.T) {
 				}
 				args = append(args, InOutSeq(seq))
 			}
-			if _, err := b.Invoke("pair", ScalarEncoder().Bytes(), args); err == nil {
-				t.Fatal("the invocation succeeded on a broken back leg")
+			if _, err := b.Invoke("pair", ScalarEncoder().Bytes(), args); err == nil || !strings.Contains(err.Error(), bad.why) {
+				t.Fatalf("the invocation on a broken back leg ended with %v, want an error saying %q", err, bad.why)
 			}
 		})
 	}
@@ -229,7 +288,8 @@ func (s streamThenDie) DispatchConn(conn *transport.Conn, op string, in *cdr.Dec
 }
 
 // TestLostDataConnectionIsCommFailure loses a data connection in the middle
-// of a leg, in both shapes and on both receiving ends, and requires the one
+// of a leg — between two chunks of one move — in both shapes and on both
+// receiving ends, and requires the one
 // classification every lost connection gets — a COMM_FAILURE system exception,
 // which naming.Stale takes for "re-resolve" — identically on every thread.
 func TestLostDataConnectionIsCommFailure(t *testing.T) {
@@ -276,12 +336,18 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				// Thread 1 gets its half as planned; thread 0 an attachment,
-				// which ties its bucket to the connection, and then the loss.
-				if err := ctl.SendData(ref, &wire.Data{RequestID: h.Token, DstRank: 1, Count: n / 2, Payload: zeros(n / 2)}); err != nil {
-					t.Fatal(err)
+				// Thread 1 gets its half as planned, two chunks; thread 0 the
+				// first of its two on a connection of its own, and then the loss:
+				// the cut lands between two chunks of one move.
+				h.ChunkElems = shapeChunk
+				for off := uint64(0); off < n/2; off += shapeChunk {
+					d := &wire.Data{RequestID: h.Token, DstRank: 1, DstOff: off, Count: shapeChunk, Flags: chunkFlags(off+shapeChunk == n/2), Payload: zeros(shapeChunk)}
+					if err := ctl.SendData(ref, d); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := data.SendData(ref, &wire.Data{RequestID: h.Token}); err != nil {
+				first := &wire.Data{RequestID: h.Token, Count: shapeChunk, Flags: wire.DataFlagChunk, Payload: zeros(shapeChunk)}
+				if err := data.SendData(ref, first); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -341,20 +407,24 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 				if err != nil {
 					return orb.Marshal(err)
 				}
-				part := &wire.Data{RequestID: h.Token, Reply: true}
-				if sh.method == Centralized {
-					part.Count, part.Flags, part.Payload = shapeChunk, wire.DataFlagChunk, zeros(shapeChunk)
-				} else {
-					part.Count, part.Payload = n/2, zeros(n/2)
+				// Thread 0 gets one chunk of the four a centralized reply leg owes
+				// it; of a direct one, its two whole and thread 1 the first of its
+				// two, so that the cut lands between two chunks of one move.
+				chunk := func(dst, off uint32, last bool) {
+					d := &wire.Data{RequestID: h.Token, Reply: true, DstRank: dst, DstOff: uint64(off), Count: shapeChunk,
+						Flags: chunkFlags(last), Payload: zeros(shapeChunk)}
+					if err := connOf(dst).WriteMessage(d); err != nil {
+						t.Error(err)
+					}
 				}
-				if err := connOf(0).WriteMessage(part); err != nil {
-					t.Error(err)
-				}
+				chunk(0, 0, false)
 				ce := 0
 				if sh.method == Centralized {
 					other.Close()
 					ce = int(h.ResultChunkElems)
 				} else {
+					chunk(0, shapeChunk, true)
+					chunk(1, 0, false)
 					connOf(1).Close()
 				}
 				encodeReplyPrefix(out, nil, ce, 1)

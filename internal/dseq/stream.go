@@ -143,7 +143,9 @@ func (s *Seq[T]) checkStreamRange(c *rts.Comm, root, start, n int) (*rts.Comm, e
 }
 
 // GatherMarshalRange is GatherMarshalRangeTo returning root's chunk as a
-// freshly allocated raw payload (nil at other ranks).
+// freshly allocated raw payload (nil at other ranks). It and
+// GatherMarshalRangeZ are outside StreamTransferable: they stay methods of
+// *Seq only because bench/ladder.go calls them (see MarshalRangeZ).
 func (s *Seq[T]) GatherMarshalRange(c *rts.Comm, root, start, n int) ([]byte, error) {
 	return s.GatherMarshalRangeZ(c, root, start, n, 0)
 }

@@ -3,6 +3,7 @@ package dseq
 import (
 	"fmt"
 
+	"repro/internal/cdr"
 	"repro/internal/dist"
 )
 
@@ -23,13 +24,14 @@ type Transferable interface {
 	// Spec returns the distribution law, or nil when the layout was set
 	// explicitly.
 	Spec() dist.Spec
-	// MarshalRange renders local elements [off, off+n) as a chunk payload.
-	MarshalRange(off, n int) ([]byte, error)
-	// MarshalRangeZ is MarshalRange compressing with the first codec of mask
-	// that applies to the element type; mask 0, an element type without a
-	// block codec and incompressible or short ranges all give the raw chunk
-	// encoding. UnmarshalRange tells the two apart by itself.
-	MarshalRangeZ(off, n int, mask uint8) ([]byte, error)
+	// MarshalRangeTo renders local elements [off, off+n) as one chunk payload
+	// appended to dst, whose alignment origin must be its current position (a
+	// fresh or Reset encoder): the local half of GatherMarshalRangeTo, so a
+	// caller marshals into the bytes it will send. It compresses with the first
+	// codec of mask that applies to the element type; mask 0, an element type
+	// without a block codec and incompressible or short ranges all give the raw
+	// chunk encoding. UnmarshalRange tells the two apart by itself.
+	MarshalRangeTo(off, n int, mask uint8, dst *cdr.Encoder) error
 	// UnmarshalRange stores a chunk payload at local offset off.
 	UnmarshalRange(off int, payload []byte) error
 	// ResizeAlloc resets the sequence to a new length using its spec (Block
@@ -41,12 +43,25 @@ type Transferable interface {
 	StreamTransferable
 }
 
-// MarshalRangeZ implements Transferable.
-func (s *Seq[T]) MarshalRangeZ(off, n int, mask uint8) ([]byte, error) {
+// MarshalRangeTo implements Transferable.
+func (s *Seq[T]) MarshalRangeTo(off, n int, mask uint8, dst *cdr.Encoder) error {
 	if off < 0 || n < 0 || off+n > len(s.local) {
-		return nil, fmt.Errorf("%w: local range [%d,%d) of %d", ErrIndex, off, off+n, len(s.local))
+		return fmt.Errorf("%w: local range [%d,%d) of %d", ErrIndex, off, off+n, len(s.local))
 	}
-	return MarshalChunkZ(s.codec, s.local[off:off+n], mask), nil
+	marshalChunkZInto(s.codec, dst, s.local[off:off+n], mask)
+	return nil
+}
+
+// MarshalRangeZ is MarshalRangeTo returning the chunk as a freshly allocated
+// payload. Not part of Transferable: like MarshalRange, GatherMarshalRange and
+// GatherMarshalRangeZ it stays a method of *Seq only because bench/ladder.go
+// calls them; the transfer engines marshal into the encoder they send from.
+func (s *Seq[T]) MarshalRangeZ(off, n int, mask uint8) ([]byte, error) {
+	e := cdr.NewEncoder(cdr.NativeOrder)
+	if err := s.MarshalRangeTo(off, n, mask, e); err != nil {
+		return nil, err
+	}
+	return e.Bytes(), nil
 }
 
 // Spec returns the sequence's distribution law (nil if the layout was
@@ -56,7 +71,7 @@ func (s *Seq[T]) Spec() dist.Spec { return s.spec }
 // ElemName implements Transferable.
 func (s *Seq[T]) ElemName() string { return s.codec.Name }
 
-// MarshalRange implements Transferable.
+// MarshalRange is MarshalRangeZ without compression (see there for why it stays).
 func (s *Seq[T]) MarshalRange(off, n int) ([]byte, error) { return s.MarshalRangeZ(off, n, 0) }
 
 // UnmarshalRange implements Transferable. It decodes straight into local

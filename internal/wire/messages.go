@@ -206,12 +206,16 @@ func (f *Fragment) EncodeBody(e *cdr.Encoder) { e.WriteRaw(f.Payload) }
 
 // Data flag bits (the Flags octet of a Data body).
 const (
-	// DataFlagChunk marks a chunk of a streamed centralized transfer: DstOff
-	// and Count address the argument's global index space, and the chunks of
-	// one argument follow the deterministic schedule both sides derive from
-	// its length and the chunk size its leg's header announced.
+	// DataFlagChunk marks a chunk of a transfer leg, which every Data message
+	// that carries argument data is: DstOff and Count address the argument's
+	// global index space (a centralized leg) or the destination thread's local
+	// part (a multi-port one), and the chunks follow the deterministic schedule
+	// both sides derive from the lengths, the layouts and the chunk size the
+	// leg's header announced.
 	DataFlagChunk = 1 << 0
-	// DataFlagLast marks the final chunk of its argument's stream.
+	// DataFlagLast marks the final chunk of its move: of its argument's stream
+	// on a centralized leg, of one contiguous piece of the plan on a multi-port
+	// one.
 	DataFlagLast = 1 << 1
 	// DataFlagCompressed marks a payload that carries a compressed chunk
 	// envelope (see internal/dseq) instead of a raw CDR block. Senders set
@@ -299,7 +303,7 @@ func (m *Data) live() {
 // Chunked reports whether the message is a chunk of a streamed transfer.
 func (m *Data) Chunked() bool { m.live(); return m.Flags&DataFlagChunk != 0 }
 
-// LastChunk reports whether the message is the final chunk of its argument.
+// LastChunk reports whether the message is the final chunk of its move.
 func (m *Data) LastChunk() bool { m.live(); return m.Flags&DataFlagLast != 0 }
 
 func (*Data) Type() MsgType { return MsgData }

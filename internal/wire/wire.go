@@ -5,16 +5,16 @@
 // PGIOP plays the role GIOP/IIOP plays for CORBA. It keeps GIOP's message
 // vocabulary (Request, Reply, CancelRequest, LocateRequest, LocateReply,
 // CloseConnection, MessageError, Fragment) and adds one PARDIS-specific
-// message, Data, which carries a fragment of a distributed argument directly
+// message, Data, which carries a chunk of a distributed argument: directly
 // between a client computing thread and a server computing thread in the
-// multi-port transfer method (paper §3.3). In the centralized method (§3.2)
-// arguments travel entirely inside the Request/Reply bodies, exactly as in
-// CORBA.
+// multi-port transfer method (paper §3.3), between the communicating threads
+// when a centralized leg (§3.2) streams. A small centralized argument travels
+// entirely inside the Request/Reply bodies, exactly as in CORBA.
 //
 // Every message is a 12-byte header followed by a CDR-encoded body:
 //
 //	offset 0  magic   "PDIS"
-//	offset 4  version 0x03; any other value is refused (ErrBadVersion)
+//	offset 4  version 0x04; any other value is refused (ErrBadVersion)
 //	offset 5  flags   bit 0: body byte order (1 = little endian)
 //	                  bit 1: more fragments follow
 //	                  bit 2: trace-context extension present
@@ -32,7 +32,7 @@
 // of the message this frame belongs to, in the header's byte order) follows
 // the fixed header before the body; a sender stamps it or not per connection.
 // Flag bit 3 is purely informational: it marks frames carrying a chunk of a
-// streamed centralized transfer so per-frame tooling can separate pipelined
+// streamed or multi-port transfer so per-frame tooling can separate pipelined
 // bulk data from control traffic without decoding bodies.
 //
 // Bodies larger than a connection's fragment threshold are split across a
@@ -52,18 +52,22 @@
 //
 // # Chunked transfers
 //
-// A streamed centralized transfer moves a distributed argument as a sequence
-// of Data messages (the chunk framing) instead of embedding it in the
-// Request/Reply body. Each chunk's DstOff/Count address a range of the
-// argument's global index space, Flags carries DataFlagChunk (plus
-// DataFlagLast on the final chunk of an argument), and the chunk schedule is
-// derived deterministically on both sides from the argument length and the
-// chunk size its leg announced — the invocation header for argument chunks,
-// the reply header for result chunks — so neither side needs per-chunk control
-// traffic. Flow control is structural: a sender may never
-// have more chunk frames outstanding for one request than the receiver's
-// per-request buffer bound (see internal/core), and chunk sizes are chosen so
-// a whole argument fits inside that bound.
+// Every transfer outside a Request/Reply body moves a distributed argument as
+// a sequence of Data messages (the chunk framing): Flags carries DataFlagChunk,
+// plus DataFlagLast on the final chunk of a move. A streamed centralized leg
+// has one move per argument, between the communicating threads, and its
+// chunks' DstOff/Count address a range of the argument's global index space; a
+// multi-port leg has the moves of the redistribution plan between the two
+// layouts, each between the threads SrcRank and DstRank that own its ends, and
+// DstOff is an offset into the destination thread's local part. Either way the
+// chunk schedule is derived deterministically on both sides from the lengths
+// and layouts and the chunk size the leg's header announced — the invocation
+// header for argument chunks and both multi-port legs, the reply header for
+// streamed result chunks — so neither side needs per-chunk control traffic.
+// Flow control is structural: a sender may never have more chunk frames
+// outstanding towards one thread for one request than the receiver's
+// per-request buffer bound (see internal/core); chunk sizes are raised so a
+// whole leg fits inside that bound, and a plan that cannot is refused.
 package wire
 
 import (
@@ -79,7 +83,7 @@ var Magic = [4]byte{'P', 'D', 'I', 'S'}
 const (
 	// Version is the one protocol version this build speaks; DecodeHeader
 	// refuses every other.
-	Version = 3
+	Version = 4
 	// HeaderLen is the fixed message header size.
 	HeaderLen = 12
 	// FlagLittleEndian marks the body (and header size field) byte order.
