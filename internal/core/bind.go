@@ -61,10 +61,10 @@ type BindOptions struct {
 	// in. A centralized leg with an argument of at least two chunks — an
 	// In/InOut one on the way out, an Out/InOut result on the way back — is
 	// gathered, shipped and scattered chunk by chunk, overlapping collective
-	// (un)marshalling with the wire; a smaller leg rides inline in the request
-	// or the reply. A multi-port leg always moves in chunks of this size
-	// between the owning threads (a piece of the plan shorter than a chunk is
-	// one chunk). Either way the size is doubled until the leg fits its
+	// (un)marshalling with the wire; a smaller leg rides in the message — the
+	// request or the reply — behind its header. A multi-port leg always moves
+	// in chunks of this size between the owning threads (a piece of the plan
+	// shorter than a chunk is one chunk). Either way the size is doubled until the leg fits its
 	// receiver's buffer. 0 or negative means DefaultStreamChunkElems.
 	StreamChunkElems int
 	// Sharding configures consistent-hash routing across the profiles of a

@@ -131,11 +131,12 @@ func (tc *testCluster) runClientOpts(t *testing.T, cRanks int, opts BindOptions,
 }
 
 // assertCoherentFailure gathers every rank's error at rank 0 and checks
-// they all failed with the very same error.
-func assertCoherentFailure(c *rts.Comm, err error) error {
+// they all failed with the very same error, at the same place in the collective
+// skeleton (aligned).
+func assertCoherentFailure(c *rts.Comm, b *Binding, err error) error {
 	msg := ""
 	if err != nil {
-		msg = err.Error()
+		msg = aligned(b, err).Error()
 	}
 	all, gerr := c.Gather(0, []byte(msg))
 	if gerr != nil {
@@ -209,7 +210,7 @@ func TestChaosInvocationFailsCoherently(t *testing.T) {
 					if elapsed > testTimeout-5*time.Second {
 						return fmt.Errorf("failure took %v, wanted well under the rts timeout", elapsed)
 					}
-					return assertCoherentFailure(c, err)
+					return assertCoherentFailure(c, b, err)
 				})
 			})
 		}
@@ -266,7 +267,7 @@ func TestChaosServerDiesMidReplyStream(t *testing.T) {
 			if elapsed := time.Since(start); elapsed > chaosTimeout {
 				return fmt.Errorf("failure took %v: a thread waited out its timeout", elapsed)
 			}
-			if err := assertCoherentFailure(c, err); err != nil {
+			if err := assertCoherentFailure(c, b, err); err != nil {
 				return err
 			}
 			if err := iota(); err != nil {
@@ -325,7 +326,7 @@ func TestFutureWaitAfterConnDied(t *testing.T) {
 			if _, e2 := f.Wait(); e2 == nil || e2.Error() != e1.Error() {
 				return fmt.Errorf("second Wait: %v, first %v", e2, e1)
 			}
-			return assertCoherentFailure(c, e1)
+			return assertCoherentFailure(c, b, e1)
 		})
 	})
 }
@@ -470,7 +471,7 @@ func TestKeepaliveSurfacesKilledServerCoherently(t *testing.T) {
 				return fmt.Errorf("dead server surfaced after %v, want keepalive-scale detection (interval %v), not a timeout rescue",
 					elapsed, interval)
 			}
-			return assertCoherentFailure(c, err)
+			return assertCoherentFailure(c, b, err)
 		})
 	})
 }
@@ -531,7 +532,7 @@ func TestObjectShutdownRacesInFlightInvocations(t *testing.T) {
 			if ierr == nil {
 				return errors.New("invocations never observed the drain")
 			}
-			return assertCoherentFailure(c, ierr)
+			return assertCoherentFailure(c, b, ierr)
 		})
 	})
 }

@@ -121,6 +121,11 @@ type testCluster struct {
 	objMu     sync.Mutex
 	objects   []*Object
 	serverErr chan error
+	// served is, per computing thread, what its engine communicator's
+	// Collectives() read when Serve returned (under objMu; -1 until then). After
+	// an orderly stop the readings must agree: a thread that left an invocation
+	// a collective ahead of the others stays ahead to the end.
+	served []int
 }
 
 func startCluster(t *testing.T, sRanks int, multiport bool, argSpec dist.Spec, tweak ...func(*ExportOptions)) *testCluster {
@@ -132,15 +137,29 @@ func startCluster(t *testing.T, sRanks int, multiport bool, argSpec dist.Spec, t
 // table (built once per computing thread).
 func startClusterOps(t *testing.T, sRanks int, multiport bool, ops func() []Operation, tweak ...func(*ExportOptions)) *testCluster {
 	t.Helper()
+	return startClusterWorld(t, rts.NewWorld(sRanks, rts.Options{RecvTimeout: testTimeout}), multiport, ops, tweak...)
+}
+
+// startClusterWorld is startClusterOps on a server world of the test's making:
+// one without a receive timeout — what every example runs on — never leaves a
+// collective a peer skipped, where the default's timeout ends the wait, and
+// hides the defect, after testTimeout.
+func startClusterWorld(t *testing.T, serverW *rts.World, multiport bool, ops func() []Operation, tweak ...func(*ExportOptions)) *testCluster {
+	t.Helper()
 	ns, err := naming.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sRanks := serverW.Size()
 	tc := &testCluster{
 		ns:        ns,
-		serverW:   rts.NewWorld(sRanks, rts.Options{RecvTimeout: testTimeout}),
+		serverW:   serverW,
 		objects:   make([]*Object, sRanks),
 		serverErr: make(chan error, 1),
+		served:    make([]int, sRanks),
+	}
+	for r := range tc.served {
+		tc.served[r] = -1
 	}
 	ready := make(chan struct{})
 	var once sync.Once
@@ -171,7 +190,11 @@ func startClusterOps(t *testing.T, sRanks int, multiport bool, ops func() []Oper
 			if all {
 				once.Do(func() { close(ready) })
 			}
-			return obj.Serve()
+			err = obj.Serve()
+			tc.objMu.Lock()
+			tc.served[c.Rank()] = obj.Comm().Collectives()
+			tc.objMu.Unlock()
+			return err
 		})
 	}()
 	select {
@@ -193,6 +216,14 @@ func startClusterOps(t *testing.T, sRanks int, multiport bool, ops func() []Oper
 			if err != nil && !errors.Is(err, ErrStopped) {
 				t.Errorf("server world: %v", err)
 			}
+			tc.objMu.Lock()
+			for r, n := range tc.served {
+				if err == nil && n != tc.served[0] {
+					t.Errorf("server thread %d left Serve after %d collectives on the engine communicator, thread 0 after %d: an invocation left the skeleton misaligned",
+						r, n, tc.served[0])
+				}
+			}
+			tc.objMu.Unlock()
 		case <-time.After(testTimeout):
 			t.Error("server world did not shut down")
 		}

@@ -162,8 +162,12 @@ type pendingCall struct {
 	token  uint32
 	header *invocationHeader
 	// conn is the connection the request arrived on and the Reply will leave
-	// on: a chunked send leg writes the results there, ahead of it.
-	conn       *transport.Conn
+	// on: a framed send leg writes the results there, ahead of it.
+	conn *transport.Conn
+	// steps is the request past its header, where a receive leg placed in the
+	// message has its steps: sub-slices of the message the adapter holds until
+	// dispatch returns.
+	steps      *cdr.Decoder
 	replyCh    chan callResult
 	enqueuedNS int64 // when dispatch queued the call; 0 when tracing is off
 }
@@ -245,8 +249,8 @@ func (b *dataBucket) dataConn(rank int) (*transport.Conn, error) {
 // reader starts — a back leg is written before the Reply that releases the
 // client, a forward leg can outrun the header queued behind it on the same
 // connection — so no leg may address more frames than this to one thread:
-// chunked legs stay under maxStreamChunks, and a direct leg whose plan alone
-// has more steps into one thread is refused (directChunkElems).
+// framed centralized legs stay under maxStreamChunks, and a direct leg whose
+// plan alone has more steps into one thread is refused (directChunkElems).
 const bucketCapacity = 4096
 
 // Export collectively registers an SPMD object implementation. Every
@@ -430,7 +434,7 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 	if err != nil {
 		return orb.Marshal(err)
 	}
-	call, err := o.enqueue(conn, op, hdr)
+	call, err := o.enqueue(conn, op, hdr, in)
 	if err != nil {
 		// A refused header claims no bucket: what its token's data already
 		// brought goes back to the pool now, what is still on its way when the
@@ -456,8 +460,9 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 	}
 }
 
-// enqueue hands an invocation header to the collective loop, or says why not.
-func (o *Object) enqueue(conn *transport.Conn, op string, hdr *invocationHeader) (*pendingCall, error) {
+// enqueue hands an invocation header, and the rest of its request, to the
+// collective loop, or says why not.
+func (o *Object) enqueue(conn *transport.Conn, op string, hdr *invocationHeader, rest *cdr.Decoder) (*pendingCall, error) {
 	if hdr.Op != op {
 		return nil, orb.Marshal(fmt.Errorf("%w: header op %q != request op %q", ErrBadHeader, hdr.Op, op))
 	}
@@ -465,10 +470,13 @@ func (o *Object) enqueue(conn *transport.Conn, op string, hdr *invocationHeader)
 	if err := o.validate(hdr); err != nil {
 		return nil, err
 	}
+	if err := checkSteps(*rest, o.ops[hdr.Op].Desc.Args, Out, hdr.ChunkElems != 0); err != nil {
+		return nil, orb.Marshal(err)
+	}
 	if o.draining.Load() {
 		return nil, orb.Transient("object draining")
 	}
-	call := &pendingCall{token: hdr.Token, header: hdr, conn: conn, replyCh: make(chan callResult, 1)}
+	call := &pendingCall{token: hdr.Token, header: hdr, conn: conn, steps: rest, replyCh: make(chan callResult, 1)}
 	if o.rec != nil {
 		call.enqueuedNS = time.Now().UnixNano()
 	}

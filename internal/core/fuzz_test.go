@@ -11,15 +11,16 @@ import (
 // FuzzDecodeInvocationHeader throws arbitrary bytes at the invocation header
 // decoder. Any input must produce a header or ErrBadHeader — never a panic —
 // and an accepted header must be internally consistent (a multi-port header
-// has a chunk size and offers no result stream, inline data rides only on a
-// whole-payload one) and decode
-// to the same header again once re-encoded.
+// has a chunk size and offers no result stream), must have been read without
+// touching a byte past its own end, and must decode to the same header again
+// once re-encoded.
 func FuzzDecodeInvocationHeader(f *testing.F) {
 	f.Add(goldenHeader, true)
-	f.Add(goldenHeader[:len(goldenHeader)-3], true) // cut inside the inline data
-	f.Add(goldenHeader[:24], true)                  // cut before the token
-	streamed := bytes.Clone(goldenHeader[:len(goldenHeader)-6])
-	streamed[16] = 64 // chunk elems: the argument data no longer rides inline
+	f.Add(append(bytes.Clone(goldenHeader), goldenStep...), true) // the request: the step behind the header
+	f.Add(goldenHeader[:len(goldenHeader)-3], true)               // cut inside the layout
+	f.Add(goldenHeader[:24], true)                                // cut before the token
+	streamed := bytes.Clone(goldenHeader)
+	streamed[16] = 64 // chunk elems: the request leg is framed
 	f.Add(streamed, true)
 	multiport := bytes.Clone(streamed)
 	multiport[8] = byte(Multiport) // a multi-port header that offers a result stream: refused
@@ -34,20 +35,26 @@ func FuzzDecodeInvocationHeader(f *testing.F) {
 		if little {
 			ord = cdr.LittleEndian
 		}
-		h, err := decodeInvocationHeader(cdr.NewDecoder(data, ord))
+		d := cdr.NewDecoder(data, ord)
+		h, err := decodeInvocationHeader(d)
 		if err != nil {
 			return
 		}
 		if h.Method > Multiport || (h.Method == Multiport && (h.ChunkElems == 0 || h.ResultChunkElems != 0)) || h.ClientRanks < 1 {
 			t.Fatalf("accepted inconsistent header %+v", h)
 		}
-		for i, a := range h.Args {
-			if a.Data != nil && !h.inline(i) {
-				t.Fatalf("arg %d of %+v carries inline data", i, h)
-			}
+		// The header ends where the decoder stopped: the same bytes cut there
+		// decode to the same header, so nothing behind them was read.
+		cut, err := decodeInvocationHeader(cdr.NewDecoder(data[:d.Pos()], ord))
+		if err != nil {
+			t.Fatalf("header cut at its own end (%d of %d bytes) rejected: %v", d.Pos(), len(data), err)
 		}
-		e := cdr.NewEncoder(ord)
+		e, ce := cdr.NewEncoder(ord), cdr.NewEncoder(ord)
 		h.encode(e)
+		cut.encode(ce)
+		if !bytes.Equal(e.Bytes(), ce.Bytes()) {
+			t.Fatalf("the bytes behind the header changed what it decoded to:\n% x\n% x", e.Bytes(), ce.Bytes())
+		}
 		again, err := decodeInvocationHeader(cdr.NewDecoder(e.Bytes(), ord))
 		if err != nil {
 			t.Fatalf("re-encoded header rejected: %v", err)
@@ -65,8 +72,8 @@ func FuzzDecodeInvocationHeader(f *testing.F) {
 // or ErrBadHeader — never a panic — and an accepted header must be one the
 // client's back leg can act on without waiting on a sink nobody fills: it
 // streams only if the request offered to take a stream, only in the chunk size
-// the offer and its own lengths make, inside the static chunk bound, and
-// carries inline data exactly when it does not stream.
+// the offer and its own lengths make, inside the static chunk bound, and was
+// read without touching a byte past its own end.
 func FuzzDecodeReplyHeader(f *testing.F) {
 	f.Add(goldenReply, uint32(64), false, true)                      // streamed
 	f.Add(goldenReply, uint32(0), false, true)                       // streams though nothing was offered
@@ -75,12 +82,14 @@ func FuzzDecodeReplyHeader(f *testing.F) {
 	f.Add(goldenReply[:len(goldenReply)-5], uint32(64), false, true) // truncated
 	f.Add(goldenReply[:10], uint32(64), false, true)
 	for _, h := range []*replyHeader{
-		{Scalars: []byte{9}, Args: []replyArg{{Dir: In, Length: 16}, {Dir: Out, Length: 3, Data: []byte{1, 2, 3}}}}, // inline
+		{Scalars: []byte{9}, Args: []replyArg{{Dir: In, Length: 16}, {Dir: Out, Length: 3}}}, // in the message
 		{Args: []replyArg{{Dir: Out}}},                                         // zero-length result
 		{ChunkElems: 1<<30 + 1, Args: []replyArg{{Dir: Out, Length: 1 << 40}}}, // over the size bound
 	} {
 		e := cdr.NewEncoder(cdr.BigEndian)
-		h.encode(e, Centralized)
+		h.encode(e)
+		f.Add(e.Bytes(), uint32(8192), false, false)
+		writeStep(e, []byte{1, 2, 3}) // the reply: a step behind the header
 		f.Add(e.Bytes(), uint32(8192), false, false)
 	}
 	f.Add([]byte{}, uint32(0), false, true)
@@ -91,7 +100,8 @@ func FuzzDecodeReplyHeader(f *testing.F) {
 			ord = cdr.LittleEndian
 		}
 		offered %= 1<<30 + 1 // what a client can offer
-		h, err := decodeReplyHeader(cdr.NewDecoder(data, ord), int(offered), direct)
+		d := cdr.NewDecoder(data, ord)
+		h, err := decodeReplyHeader(d, int(offered), direct)
 		if err != nil {
 			if !errors.Is(err, ErrBadHeader) {
 				t.Fatalf("refused with %v, not ErrBadHeader", err)
@@ -99,30 +109,26 @@ func FuzzDecodeReplyHeader(f *testing.F) {
 			return
 		}
 		chunks := 0
-		for i, a := range h.Args {
-			if (a.Data != nil) != (!direct && h.ChunkElems == 0 && a.Dir != In) {
-				t.Fatalf("arg %d of %+v: inline data in the wrong reply", i, h)
-			}
+		for i := range h.Args {
 			if h.ChunkElems != 0 {
 				chunks += chunkCount(h.resultLen(i), int(h.ChunkElems))
 			}
+		}
+		if _, err := decodeReplyHeader(cdr.NewDecoder(data[:d.Pos()], ord), int(offered), direct); err != nil {
+			t.Fatalf("reply header cut at its own end (%d of %d bytes) rejected: %v", d.Pos(), len(data), err)
 		}
 		if h.ChunkElems != 0 && (offered == 0 || direct || h.ChunkElems > 1<<30 || chunks > maxStreamChunks ||
 			int(h.ChunkElems) != chunkElemsFor(int(offered), len(h.Args), h.resultLen)) {
 			t.Fatalf("accepted a stream of %d chunks of %d with %d offered (direct %v): %+v", chunks, h.ChunkElems, offered, direct, h)
 		}
-		method := Centralized
-		if direct {
-			method = Multiport
-		}
 		e := cdr.NewEncoder(ord)
-		h.encode(e, method)
+		h.encode(e)
 		again, err := decodeReplyHeader(cdr.NewDecoder(e.Bytes(), ord), int(offered), direct)
 		if err != nil {
 			t.Fatalf("re-encoded reply rejected: %v", err)
 		}
 		e2 := cdr.NewEncoder(ord)
-		again.encode(e2, method)
+		again.encode(e2)
 		if !bytes.Equal(e.Bytes(), e2.Bytes()) {
 			t.Fatalf("reply does not round-trip:\n% x\n% x", e.Bytes(), e2.Bytes())
 		}

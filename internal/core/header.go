@@ -9,16 +9,15 @@ import (
 
 // invocationHeader is the SPMD extension of a request: it rides inside the
 // PGIOP Request's argument payload and tells the server everything it needs
-// to receive the distributed arguments. In the centralized method the
-// In/InOut argument data is embedded, or follows as chunked Data messages
-// when ChunkElems is set; in the multi-port method only the client layouts
-// travel and the data follows as chunked Data messages between the owning
-// threads, cut from the plans in chunks of ChunkElems. Every field travels in every
-// header; only an argument's inline data depends on the others. Each leg of a
-// centralized invocation is placed by itself: the client decides the request
-// leg and says so in ChunkElems, the server — it alone knows an out length —
-// decides the reply leg within what ResultChunkElems offers and says so in the
-// reply header.
+// to receive the distributed arguments. The header knows no argument data: in
+// the centralized method the In/InOut data follows it in the same message, one
+// step of the schedule per argument (checkSteps), or as chunked Data
+// messages when ChunkElems is set; in the multi-port method the data follows as
+// chunked Data messages between the owning threads, cut from the plans in chunks
+// of ChunkElems. Every field travels in every header. Each leg of a centralized
+// invocation is placed by itself: the client decides the request leg and says
+// so in ChunkElems, the server — it alone knows an out length — decides the
+// reply leg within what ResultChunkElems offers and says so in the reply header.
 type invocationHeader struct {
 	Op     string
 	Method Method
@@ -27,7 +26,7 @@ type invocationHeader struct {
 	// refuses a header whose epoch is not its own.
 	Epoch uint32
 	// ChunkElems is the request-leg chunk size of a streamed centralized
-	// invocation, in elements; 0 means the whole payload rides inline. On a
+	// invocation, in elements; 0 means the leg's steps ride in the message. On a
 	// multi-port header it is the chunk size both direct legs start from
 	// (directChunkElems), and never 0: a direct leg is always chunked.
 	ChunkElems uint32
@@ -42,16 +41,12 @@ type invocationHeader struct {
 	Args             []headerArg
 }
 
-// shape reads the request leg's placement off the header: the method names the
-// direct shape, a centralized header's chunk size the chunked one.
+// shape reads the legs' shape off the header: the method names it.
 func (h *invocationHeader) shape() shape {
-	switch {
-	case h.Method == Multiport:
+	if h.Method == Multiport {
 		return shapeDirect
-	case h.ChunkElems != 0:
-		return shapeChunked
 	}
-	return shapeInline
+	return shapeCentral
 }
 
 type headerArg struct {
@@ -59,31 +54,11 @@ type headerArg struct {
 	Elem   string
 	Layout dist.Layout // In/InOut: the client's current layout
 	Spec   dist.Spec   // Out: the client's template for the result
-	Data   []byte      // centralized In/InOut: full marshalled sequence
 }
 
-// encode writes the whole header, inline argument data included.
+// encode writes the header: the one function that does, for the request thread
+// 0 sends and for the directive the other computing threads learn a call from.
 func (h *invocationHeader) encode(e *cdr.Encoder) {
-	h.encodePrefix(e)
-	for i := range h.Args {
-		h.encodeArg(e, i)
-		if h.inline(i) {
-			e.WriteOctets(h.Args[i].Data)
-		}
-	}
-}
-
-// inline reports whether argument i's data rides in the header, as a
-// sequence<octet> right after encodeArg's fields: the inline shape's request
-// leg.
-func (h *invocationHeader) inline(i int) bool {
-	return h.shape() == shapeInline && h.Args[i].Dir != Out
-}
-
-// encodePrefix writes everything up to the argument list. Together with
-// encodeArg it lets thread 0 gather each inline argument straight into the
-// request encoder instead of staging it in headerArg.Data.
-func (h *invocationHeader) encodePrefix(e *cdr.Encoder) {
 	e.WriteString(h.Op)
 	e.WriteEnum(uint32(h.Method))
 	e.WriteULong(h.Epoch)
@@ -93,24 +68,48 @@ func (h *invocationHeader) encodePrefix(e *cdr.Encoder) {
 	e.WriteULong(uint32(h.ClientRanks))
 	e.WriteOctets(h.Scalars)
 	e.WriteULong(uint32(len(h.Args)))
-}
-
-// encodeArg writes argument i's fields, inline data excluded.
-func (h *invocationHeader) encodeArg(e *cdr.Encoder, i int) {
-	a := &h.Args[i]
-	e.WriteEnum(uint32(a.Dir))
-	e.WriteString(a.Elem)
-	if a.Dir == Out {
-		spec := a.Spec
-		if spec == nil {
-			spec = dist.Block{}
+	for _, a := range h.Args {
+		e.WriteEnum(uint32(a.Dir))
+		e.WriteString(a.Elem)
+		if a.Dir == Out {
+			spec := a.Spec
+			if spec == nil {
+				spec = dist.Block{}
+			}
+			dist.EncodeSpec(e, spec)
+		} else {
+			dist.EncodeLayout(e, a.Layout)
 		}
-		dist.EncodeSpec(e, spec)
-	} else {
-		dist.EncodeLayout(e, a.Layout)
 	}
 }
 
+// checkSteps refuses what follows a header in its message — d stands there, and
+// the caller's cursor stays there: d is a copy — unless it is exactly the steps
+// the leg's placement puts in the message: framed (or direct), nothing; else
+// one sequence<octet> per argument the leg carries, every one of args but those
+// of direction skip, and not a byte after the last. Thread 0 can tell that much
+// from the message alone, before another thread is involved; what a step holds
+// is the walk's to judge (recvChunks).
+func checkSteps(d cdr.Decoder, args []ArgDesc, skip Dir, framed bool) error {
+	steps := 0
+	for _, a := range args {
+		if !framed && a.Dir != skip {
+			steps++
+		}
+	}
+	for i := 0; i < steps; i++ {
+		if _, err := d.ReadOctets(); err != nil {
+			return fmt.Errorf("%w: step %d of the %d the message carries: %v", ErrBadHeader, i, steps, err)
+		}
+	}
+	if d.Remaining() != 0 {
+		return fmt.Errorf("%w: %d bytes after the last of the %d steps the message carries", ErrBadHeader, d.Remaining(), steps)
+	}
+	return nil
+}
+
+// decodeInvocationHeader reads a header, outside input to the server, and stops
+// at its end: what follows in the message is checkSteps' and the walk's.
 func decodeInvocationHeader(d *cdr.Decoder) (*invocationHeader, error) {
 	var h invocationHeader
 	var err error
@@ -187,24 +186,21 @@ func decodeInvocationHeader(d *cdr.Decoder) (*invocationHeader, error) {
 				return nil, fmt.Errorf("%w: arg %d layout: %v", ErrBadHeader, i, err)
 			}
 		}
-		if h.inline(i) {
-			if a.Data, err = d.ReadOctets(); err != nil {
-				return nil, fmt.Errorf("%w: arg %d data: %v", ErrBadHeader, i, err)
-			}
-		}
 	}
 	return &h, nil
 }
 
 // replyHeader is the SPMD extension of a reply: scalar results, the placement
-// the server chose for the reply leg and, per distributed argument, the final
-// length (the client needs it to size Out results). Where a centralized reply
-// leg is not chunked, each Out/InOut argument's whole data follows its length.
+// the server chose for the reply leg and, per distributed argument, the
+// direction and the final length (the client needs it to size Out results).
+// Where a centralized reply leg is placed in the message, its steps follow the
+// header, one per Out/InOut argument (checkSteps).
 type replyHeader struct {
 	Scalars []byte
 	// ChunkElems is the reply leg's chunk size: the results were written as
 	// chunked Data messages ahead of the Reply, on its connection. 0 means they
-	// ride in the Reply (or, multi-port, went between the owning threads).
+	// ride in the Reply, after this header (or, multi-port, went between the
+	// owning threads).
 	ChunkElems uint32
 	Args       []replyArg
 }
@@ -212,12 +208,10 @@ type replyHeader struct {
 type replyArg struct {
 	Dir    Dir
 	Length int
-	Data   []byte // centralized Out/InOut, leg not chunked; aliases the decoded reply
 }
 
-// encodeReplyPrefix and encodeReplyArg write the reply extension piecewise,
-// so thread 0 gathers each whole-payload result straight into the reply
-// encoder, as a sequence<octet> after its encodeReplyArg fields.
+// encodeReplyPrefix and encodeReplyArg write the reply header piece by piece,
+// so processCall renders it from the argument sequences themselves.
 func encodeReplyPrefix(e *cdr.Encoder, scalars []byte, chunkElems, nargs int) {
 	e.WriteOctets(scalars)
 	e.WriteULong(uint32(chunkElems))
@@ -235,8 +229,8 @@ func encodeReplyArg(e *cdr.Encoder, dir Dir, length int) {
 // reply may stream only if the client offered to take a stream, and only in
 // the chunk size chunkElemsFor derives from the offer and the reply's own
 // lengths — the client waits for exactly that schedule, so anything else would
-// leave it waiting on a sink nobody fills. Data follows an Out/InOut
-// argument's length when the reply is centralized and does not stream.
+// leave it waiting on a sink nobody fills. It stops at the header's end: what
+// follows in the reply is checkSteps' and the walk's.
 func decodeReplyHeader(d *cdr.Decoder, offered int, direct bool) (*replyHeader, error) {
 	var h replyHeader
 	var err error
@@ -275,11 +269,6 @@ func decodeReplyHeader(d *cdr.Decoder, offered int, direct bool) (*replyHeader, 
 			return nil, fmt.Errorf("%w: reply arg %d length %d", ErrBadHeader, i, length)
 		}
 		a.Length = int(length)
-		if !direct && h.ChunkElems == 0 && a.Dir != In {
-			if a.Data, err = d.ReadOctets(); err != nil {
-				return nil, fmt.Errorf("%w: reply arg %d data: %v", ErrBadHeader, i, err)
-			}
-		}
 	}
 	if h.ChunkElems != 0 {
 		want := chunkElemsFor(offered, len(h.Args), h.resultLen)

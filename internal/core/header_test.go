@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -29,16 +30,22 @@ func TestInvocationHeaderRoundTrip(t *testing.T) {
 			Scalars:    []byte{1, 2, 3},
 			ChunkElems: uint32(method) * 8192, // a multi-port header always announces one
 			Args: []headerArg{
-				{Dir: In, Elem: "double", Layout: mustLayout(t, 100, 4), Data: []byte{9, 9}},
-				{Dir: InOut, Elem: "long", Layout: mustLayout(t, 50, 4), Data: []byte{7}},
+				{Dir: In, Elem: "double", Layout: mustLayout(t, 100, 4)},
+				{Dir: InOut, Elem: "long", Layout: mustLayout(t, 50, 4)},
 				{Dir: Out, Elem: "double", Spec: dist.Proportions{P: []int{1, 2, 3, 4}}},
 			},
 		}
 		e := cdr.NewEncoder(cdr.NativeOrder)
 		h.encode(e)
-		got, err := decodeInvocationHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder))
+		// The decoder stops at the header's end and leaves what follows alone.
+		e.WriteRaw([]byte("rest"))
+		d := cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)
+		got, err := decodeInvocationHeader(d)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
+		}
+		if rest, _ := d.ReadRaw(d.Remaining()); string(rest) != "rest" {
+			t.Fatalf("%v: the decoder left %q behind the header", method, rest)
 		}
 		if got.Op != h.Op || got.Method != h.Method || got.Token != h.Token || got.ClientRanks != 4 {
 			t.Fatalf("%v: header %+v", method, got)
@@ -50,11 +57,11 @@ func TestInvocationHeaderRoundTrip(t *testing.T) {
 			t.Fatalf("out spec %v", got.Args[2].Spec)
 		}
 		if method == Centralized {
-			if !bytes.Equal(got.Args[0].Data, h.Args[0].Data) {
-				t.Fatalf("centralized lost inline data")
+			if got.shape() != shapeCentral || got.ChunkElems != 0 {
+				t.Fatalf("centralized header: %+v", got)
 			}
-		} else if got.Args[0].Data != nil || got.ChunkElems != 8192 || got.shape() != shapeDirect {
-			t.Fatalf("multi-port carried inline data, or lost its chunk size: %+v", got)
+		} else if got.ChunkElems != 8192 || got.shape() != shapeDirect {
+			t.Fatalf("multi-port header lost its chunk size: %+v", got)
 		}
 		if !got.Args[1].Layout.Equal(h.Args[1].Layout) {
 			t.Fatalf("%v: layout mangled", method)
@@ -62,18 +69,19 @@ func TestInvocationHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// encode renders a whole reply header from the pieces processCall writes
-// one by one, with the inline data where a gather would put it.
-func (h *replyHeader) encode(e *cdr.Encoder, method Method) {
+// encode renders a reply header from the pieces processCall writes one by one.
+func (h *replyHeader) encode(e *cdr.Encoder) {
 	encodeReplyPrefix(e, h.Scalars, int(h.ChunkElems), len(h.Args))
 	for _, a := range h.Args {
 		encodeReplyArg(e, a.Dir, a.Length)
-		if method == Centralized && h.ChunkElems == 0 && a.Dir != In {
-			m := e.BeginOctets()
-			e.WriteRaw(a.Data)
-			e.EndOctets(m)
-		}
 	}
+}
+
+// writeStep appends one in-message step the way the walk's gather does.
+func writeStep(e *cdr.Encoder, payload []byte) {
+	m := e.BeginOctets()
+	e.WriteRaw(payload)
+	e.EndOctets(m)
 }
 
 func TestReplyHeaderRoundTrip(t *testing.T) {
@@ -82,41 +90,44 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 			Scalars: []byte{5},
 			Args: []replyArg{
 				{Dir: In, Length: 100},
-				{Dir: InOut, Length: 100, Data: []byte{1, 2, 3}},
-				{Dir: Out, Length: 321, Data: []byte{4}},
+				{Dir: InOut, Length: 100},
+				{Dir: Out, Length: 321},
 			},
 		}
 		e := cdr.NewEncoder(cdr.NativeOrder)
-		h.encode(e, method)
-		// An inline reply is what a client that offered a stream gets for
-		// results under two chunks, and one that offered none always.
+		h.encode(e)
+		e.WriteRaw([]byte("rest"))
+		// A reply with its results in the message is what a client that offered a
+		// stream gets for results under two chunks, and one that offered none
+		// always.
 		for _, offered := range []int{0, 8192} {
 			if method == Multiport && offered != 0 {
 				continue
 			}
-			got, err := decodeReplyHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder), offered, method == Multiport)
+			d := cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)
+			got, err := decodeReplyHeader(d, offered, method == Multiport)
 			if err != nil {
 				t.Fatalf("%v: %v", method, err)
 			}
 			if got.Args[2].Length != 321 || got.ChunkElems != 0 {
 				t.Fatalf("%v: reply %+v", method, got)
 			}
-			if method == Centralized && !bytes.Equal(got.Args[1].Data, h.Args[1].Data) {
-				t.Fatal("centralized reply lost data")
+			if rest, _ := d.ReadRaw(d.Remaining()); string(rest) != "rest" {
+				t.Fatalf("%v: the decoder left %q behind the reply header", method, rest)
 			}
 		}
 	}
 	// A streamed reply carries lengths only: the result data travelled as
 	// chunked Data messages written before the Reply, in the chunk size it
 	// announces — which must be the one its lengths and the client's offer make.
-	sh := &replyHeader{ChunkElems: 32, Args: []replyArg{{Dir: In, Length: 1 << 20}, {Dir: Out, Length: 77, Data: []byte{1, 2}}}}
+	sh := &replyHeader{ChunkElems: 32, Args: []replyArg{{Dir: In, Length: 1 << 20}, {Dir: Out, Length: 77}}}
 	se := cdr.NewEncoder(cdr.NativeOrder)
-	sh.encode(se, Centralized)
+	sh.encode(se)
 	sgot, err := decodeReplyHeader(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), 32, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sgot.ChunkElems != 32 || sgot.Args[1].Length != 77 || sgot.Args[1].Data != nil {
+	if sgot.ChunkElems != 32 || sgot.Args[1].Length != 77 {
 		t.Fatalf("streamed reply header %+v", sgot)
 	}
 	for name, tc := range map[string]struct {
@@ -137,7 +148,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 	for ce, ok := range map[uint32]bool{1: false, 2: false, 4: true, 8: false} {
 		big.ChunkElems = ce
 		be := cdr.NewEncoder(cdr.NativeOrder)
-		big.encode(be, Centralized)
+		big.encode(be)
 		_, err := decodeReplyHeader(cdr.NewDecoder(be.Bytes(), cdr.NativeOrder), 1, false)
 		if ok != (err == nil) || (!ok && !errors.Is(err, ErrBadHeader)) {
 			t.Errorf("reply of %d elements in chunks of %d, 1 offered: err=%v", big.Args[0].Length, ce, err)
@@ -145,11 +156,11 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenReply is the v4 reply header of a streamed centralized call,
+// goldenReply is the v5 reply header of a streamed centralized call,
 // little-endian: scalars, the reply leg's chunk size, argument count, then per
-// argument its direction and final length — and, had the chunk size been 0,
-// each Out/InOut argument's data after its length. Pinned byte for byte so the
-// next format change is a visible diff.
+// argument its direction and final length — and nothing else, whatever the
+// chunk size: had it been 0, the out argument's step would follow the header.
+// Pinned byte for byte so the next format change is a visible diff.
 var goldenReply = []byte{
 	1, 0, 0, 0, 9, 0, 0, 0, // scalars
 	0x40, 0, 0, 0, // chunk elems: the results streamed ahead, 64 at a time
@@ -163,7 +174,7 @@ var goldenReply = []byte{
 func TestReplyHeaderGolden(t *testing.T) {
 	h := &replyHeader{Scalars: []byte{9}, ChunkElems: 64, Args: []replyArg{{Dir: In, Length: 16}, {Dir: Out, Length: 256}}}
 	e := cdr.NewEncoder(cdr.LittleEndian)
-	h.encode(e, Centralized)
+	h.encode(e)
 	if !bytes.Equal(e.Bytes(), goldenReply) {
 		t.Fatalf("reply header\n% x\nwant\n% x", e.Bytes(), goldenReply)
 	}
@@ -177,8 +188,8 @@ func TestReplyHeaderGolden(t *testing.T) {
 }
 
 // TestStreamedInvocationHeaderRoundTrip pins the streamed header wiring: a
-// chunk size makes a centralized header streamed, it and the epoch travel,
-// and no inline data is encoded.
+// chunk size makes a centralized header's request leg framed, it and the epoch
+// travel, and no step is expected in the message.
 func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	h := &invocationHeader{
 		Op: "diffusion", Method: Centralized, Epoch: 3, ChunkElems: 8192, ResultChunkElems: 4096,
@@ -194,11 +205,8 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.shape() != shapeChunked || got.Method != Centralized || got.ChunkElems != 8192 || got.ResultChunkElems != 4096 || got.Epoch != 3 {
+	if got.shape() != shapeCentral || got.Method != Centralized || got.ChunkElems != 8192 || got.ResultChunkElems != 4096 || got.Epoch != 3 {
 		t.Fatalf("streamed header %+v", got)
-	}
-	if got.Args[0].Data != nil {
-		t.Fatal("streamed header carried inline data")
 	}
 	// Both multi-port legs are direct and cut in the header's chunk size: a
 	// multi-port header without one, or one that offers a result stream through
@@ -221,16 +229,17 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenHeader is the v4 invocation header of a whole-payload centralized
-// call, little-endian: op, method, epoch, chunk size, the chunk size offered
-// for the results, token, client ranks, scalars, argument count, then per argument its direction, element type,
-// layout or template and — whole-payload centralized In/InOut only — data.
+// goldenHeader is the v5 invocation header of a centralized call whose request
+// leg is placed in the message, little-endian: op, method, epoch, chunk size,
+// the chunk size offered for the results, token, client ranks, scalars,
+// argument count, then per argument its direction, element type and layout or
+// template — and no argument data: the header is the same in every placement.
 // Pinned byte for byte so the next format change is a visible diff.
 var goldenHeader = []byte{
 	2, 0, 0, 0, 'f', 0, 0, 0, // op "f"
 	0, 0, 0, 0, // method: centralized
 	7, 0, 0, 0, // epoch
-	0, 0, 0, 0, // chunk elems: whole payload
+	0, 0, 0, 0, // chunk elems: the steps ride in the message
 	0, 0x20, 0, 0, // result chunk elems: results may stream back 8192 at a time
 	0x39, 0x30, 0, 0, // token
 	2, 0, 0, 0, // client ranks
@@ -241,8 +250,11 @@ var goldenHeader = []byte{
 	4, 0, 0, 0, 2, 0, 0, 0, // layout: length 4 over 2 ranks
 	1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, // rank 0: one interval [0, 2)
 	1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, // rank 1: one interval [2, 4)
-	2, 0, 0, 0, 0xaa, 0xbb, // inline data
 }
+
+// goldenStep is what follows goldenHeader in its request: the in argument's one
+// step, a sequence<octet>.
+var goldenStep = []byte{2, 0, 0, 0, 0xaa, 0xbb}
 
 func goldenHeaderValue(t testing.TB) *invocationHeader {
 	l, err := dist.Block{}.Layout(4, 2)
@@ -251,7 +263,7 @@ func goldenHeaderValue(t testing.TB) *invocationHeader {
 	}
 	return &invocationHeader{
 		Op: "f", Method: Centralized, Epoch: 7, ResultChunkElems: 8192, Token: 12345, ClientRanks: 2, Scalars: []byte{9},
-		Args: []headerArg{{Dir: In, Elem: "double", Layout: l, Data: []byte{0xaa, 0xbb}}},
+		Args: []headerArg{{Dir: In, Elem: "double", Layout: l}},
 	}
 }
 
@@ -261,12 +273,79 @@ func TestInvocationHeaderGolden(t *testing.T) {
 	if !bytes.Equal(e.Bytes(), goldenHeader) {
 		t.Fatalf("header\n% x\nwant\n% x", e.Bytes(), goldenHeader)
 	}
-	got, err := decodeInvocationHeader(cdr.NewDecoder(goldenHeader, cdr.LittleEndian))
+	// The request in the message placement: the header bytes, then the step.
+	writeStep(e, []byte{0xaa, 0xbb})
+	request := append(bytes.Clone(goldenHeader), goldenStep...)
+	if !bytes.Equal(e.Bytes(), request) {
+		t.Fatalf("request\n% x\nwant\n% x", e.Bytes(), request)
+	}
+	d := cdr.NewDecoder(request, cdr.LittleEndian)
+	got, err := decodeInvocationHeader(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != "f" || got.Epoch != 7 || got.shape() != shapeInline || got.ResultChunkElems != 8192 || got.Token != 12345 || !bytes.Equal(got.Args[0].Data, []byte{0xaa, 0xbb}) {
+	if got.Op != "f" || got.Epoch != 7 || got.shape() != shapeCentral || got.ChunkElems != 0 || got.ResultChunkElems != 8192 || got.Token != 12345 {
 		t.Fatalf("golden header decoded to %+v", got)
+	}
+	if d.Pos() != len(goldenHeader) {
+		t.Fatalf("the decoder stopped at %d, the header ends at %d", d.Pos(), len(goldenHeader))
+	}
+	if err := checkSteps(*d, []ArgDesc{{Dir: In}}, Out, false); err != nil {
+		t.Fatal(err)
+	}
+	if step, err := d.ReadOctets(); err != nil || !bytes.Equal(step, []byte{0xaa, 0xbb}) {
+		t.Fatalf("the step behind the golden header: % x, %v", step, err)
+	}
+}
+
+// TestStepsInMessage is checkSteps' table: what follows a header in its message
+// must be exactly the steps the leg's placement puts there. Thread 0 refuses
+// anything else from the message alone.
+func TestStepsInMessage(t *testing.T) {
+	args := []ArgDesc{{Dir: In}, {Dir: Out}, {Dir: InOut}}
+	for _, tc := range []struct {
+		name   string
+		skip   Dir // Out: a request leg; In: a reply leg
+		framed bool
+		steps  int    // octet sequences behind the header
+		extra  string // raw bytes behind those
+		why    string // "" accepts
+	}{
+		{"request in the message", Out, false, 2, "", ""},
+		{"request one step short", Out, false, 1, "", "step 1 of the 2"},
+		{"request without steps", Out, false, 0, "", "step 0 of the 2"},
+		{"request one step over", Out, false, 3, "", "bytes after the last of the 2 steps"},
+		{"request with bytes after the last step", Out, false, 2, "x", "1 bytes after the last of the 2 steps"},
+		{"framed or multi-port request", Out, true, 0, "", ""},
+		{"framed or multi-port request with a step", Out, true, 1, "", "bytes after the last of the 0 steps"},
+		{"framed or multi-port request with a tail", Out, true, 0, "x", "1 bytes after the last of the 0 steps"},
+		{"reply in the message", In, false, 2, "", ""},
+		{"reply one step short", In, false, 1, "", "step 1 of the 2"},
+		{"reply one step over", In, false, 3, "", "bytes after the last of the 2 steps"},
+		{"reply with bytes after the last step", In, false, 2, "xy", "2 bytes after the last of the 2 steps"},
+		{"framed or multi-port reply", In, true, 0, "", ""},
+		{"framed or multi-port reply with its steps", In, true, 2, "", "bytes after the last of the 0 steps"},
+	} {
+		e := cdr.NewEncoder(cdr.NativeOrder)
+		e.WriteString("a header") // the steps are aligned in the message, not by themselves
+		for i := 0; i < tc.steps; i++ {
+			writeStep(e, []byte{byte(i)})
+		}
+		e.WriteRaw([]byte(tc.extra))
+		d := cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)
+		if _, err := d.ReadString(); err != nil {
+			t.Fatal(err)
+		}
+		at := d.Pos()
+		err := checkSteps(*d, args, tc.skip, tc.framed)
+		switch {
+		case d.Pos() != at:
+			t.Errorf("%s: checkSteps moved the caller's cursor", tc.name)
+		case tc.why == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.why != "" && (!errors.Is(err, ErrBadHeader) || !strings.Contains(err.Error(), tc.why)):
+			t.Errorf("%s: ended with %v, want ErrBadHeader saying %q", tc.name, err, tc.why)
+		}
 	}
 }
 
@@ -290,7 +369,7 @@ func TestHeaderDecodeNeverPanics(t *testing.T) {
 
 func TestHeaderTruncations(t *testing.T) {
 	h := &invocationHeader{Op: "f", Method: Centralized, Token: 1, ClientRanks: 2,
-		Args: []headerArg{{Dir: In, Elem: "double", Layout: mustLayout(t, 10, 2), Data: []byte{1}}}}
+		Args: []headerArg{{Dir: In, Elem: "double", Layout: mustLayout(t, 10, 2)}}}
 	e := cdr.NewEncoder(cdr.NativeOrder)
 	h.encode(e)
 	full := e.Bytes()

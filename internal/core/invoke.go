@@ -41,18 +41,19 @@ type Timing struct {
 	Barrier time.Duration
 }
 
-// shape is how one leg of an invocation moves its distributed-argument data.
+// shape is how the legs of an invocation move its distributed-argument data.
 // The one collective sequence (invoke here, processCall on the server) runs a
-// forward and a back leg around the request/reply exchange, and a centralized
-// invocation places each by itself (legChunkElems): the client the forward leg,
-// from the In/InOut lengths every SPMD thread passes identically, the server
-// the back leg, from the final result lengths, within what the client offered.
+// forward and a back leg around the request/reply exchange, both of the
+// method's shape. A centralized leg is one walk (sendChunks / recvChunks) that
+// is placed by itself (legChunkElems) — in the message, or framed as chunked
+// Data messages beside it: the client places the forward leg, from the In/InOut
+// lengths every SPMD thread passes identically, the server the back leg, from
+// the final result lengths, within what the client offered.
 type shape uint8
 
 const (
-	shapeInline  shape = iota // whole arguments inside the request or the reply
-	shapeChunked              // chunked Data messages through the communicating threads
-	shapeDirect               // chunked Data messages between the owning threads (multi-port: both legs)
+	shapeCentral shape = iota // through the communicating threads, which gather and scatter (centralized)
+	shapeDirect               // chunked Data messages between the owning threads (multi-port)
 )
 
 // invocation is what invoke hands the legs of one collective invocation on
@@ -71,10 +72,11 @@ type invocation struct {
 	// delivers it when the forward leg launched the request beside the data.
 	reply   callResult
 	replyCh chan callResult
-	served  int32 // 1-based shard that served an inline exchange; 0 unrouted
-	ce      int   // the header's chunk size: the chunked forward leg's, or what both direct legs start from; 0 for an inline one
-	offer   int   // the chunk size results may stream back in; 0 keeps them in the reply
-	mask    uint8 // chunked forward leg: its agreed compression mask
+	steps   *cdr.Decoder // the reply past its header: where a back leg placed in the message has its steps
+	served  int32        // 1-based shard that served the exchange; 0 unrouted
+	ce      int          // the header's chunk size: the framed forward leg's, or what both direct legs start from; 0 for a leg in the message
+	offer   int          // the chunk size results may stream back in; 0 keeps them in the reply
+	mask    uint8        // framed forward leg: its agreed compression mask
 }
 
 // legSeq is argument i as one centralized leg carries it: nil when its
@@ -193,7 +195,7 @@ func (b *Binding) invokeBlocking(method Method, op string, shardKey, scalars []b
 }
 
 // backPhase names, per shape, the phase the back leg is recorded under.
-var backPhase = [...]obs.Phase{shapeInline: obs.PhaseScatter, shapeChunked: obs.PhaseScatter, shapeDirect: obs.PhaseUnpack}
+var backPhase = [...]obs.Phase{shapeCentral: obs.PhaseScatter, shapeDirect: obs.PhaseUnpack}
 
 // invoke runs one collective invocation on the given lane: the paper's client
 // side of §3.2 and §3.3 alike, which differ only in the two legs that move the
@@ -248,17 +250,19 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// results to take. A shard-routed invocation does neither: its chunks would
 	// travel to the primary profile's endpoints while the request follows the
 	// ring.
-	fwd := shapeInline
+	sh := shapeCentral
 	if method == Multiport {
-		fwd, iv.ce = shapeDirect, b.chunkElems
+		sh, iv.ce = shapeDirect, b.chunkElems
 	} else if len(shardKey) == 0 {
-		if iv.ce = legChunkElems(b.chunkElems, len(args), func(i int) int { return seqLen(iv.legSeq(i, Out)) }); iv.ce != 0 {
-			fwd = shapeChunked
-		}
+		iv.ce = legChunkElems(b.chunkElems, len(args), func(i int) int { return seqLen(iv.legSeq(i, Out)) })
 		if slices.ContainsFunc(args, func(a DistArg) bool { return a.Dir != In }) {
 			iv.offer = b.chunkElems
 		}
 	}
+	// A framed forward leg — every direct one, a centralized one placed so —
+	// sends its data beside the request, which thread 0 launches ahead of it; a
+	// leg in the message is part of the exchange.
+	framed := iv.ce != 0
 	me := comm.Rank()
 
 	// Agree on the invocation token: four bytes in this process's order.
@@ -280,7 +284,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// direct moves to every thread — lands in the lane's sink, registered under
 	// (token, thread) for as long as the invocation runs; whatever is still in
 	// it when the invocation ends goes back to the pool.
-	if fwd == shapeDirect || (iv.offer != 0 && me == 0) {
+	if sh == shapeDirect || (iv.offer != 0 && me == 0) {
 		iv.sink = ln.dataSink()
 		b.client.RegisterDataSink(iv.token, uint32(me), iv.sink)
 		defer func() {
@@ -289,16 +293,14 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		}()
 	}
 
-	// Forward leg: the header from thread 0 — first and alone in the chunked
-	// and direct shapes, as §3.3 prescribes, so concurrent clients contend
-	// only at the communicating thread — and the In/InOut data.
+	// Forward leg: the header from thread 0 — first and alone, as §3.3
+	// prescribes, so concurrent clients contend only at the communicating thread
+	// — and the In/InOut data.
 	fwdStart := time.Now()
 	var fwdErr error
-	switch fwd {
-	case shapeInline:
-		fwdErr = iv.sendInline(shardKey, scalars)
-	case shapeChunked:
-		fwdErr = iv.sendChunked(scalars)
+	switch sh {
+	case shapeCentral:
+		fwdErr = iv.sendCentral(shardKey, scalars)
 	case shapeDirect:
 		fwdErr = iv.sendDirect(scalars)
 	}
@@ -316,18 +318,19 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		} else if fwdErr != nil {
 			iv.reply.err = fwdErr
 		}
-		meta, replyErr = metaFromReply(iv.reply.reply, iv.reply.err, iv.offer, fwd == shapeDirect, len(args))
+		meta, iv.steps, replyErr = metaFromReply(iv.reply.reply, iv.reply.err, iv.offer, sh == shapeDirect, iv.desc.Args)
 	}
-	if fwd != shapeInline {
+	if framed {
 		iv.phase(obs.PhaseSendRecv, fwdStart, time.Since(fwdStart))
 	}
 	if err := shareMeta(comm, &meta, replyErr); fwdErr == nil {
 		fwdErr = err
 	}
-	// An inline forward leg is collectives only — it fails everywhere or
-	// nowhere — but a chunk write or a direct send fails on one thread alone,
-	// so those shapes agree on the leg before anyone waits for results.
-	if fwd != shapeInline {
+	// A send leg in the message is collectives only: what fails it reaches
+	// thread 0, which then sends nothing and shares why. A chunk write or a
+	// direct send fails on one thread alone, so a framed leg is agreed on before
+	// anyone waits for results.
+	if framed {
 		fwdErr = agree(comm, fwdErr)
 	}
 	if fwdErr != nil {
@@ -335,19 +338,12 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	}
 
 	// Back leg: size the results as the server reported them, then move the
-	// Out/InOut data back the way the server placed it — a direct forward leg
-	// has a direct back leg, a chunk size in the reply means the results
-	// streamed ahead of it. The legs' own collectives keep the threads in step
-	// on success; the trailing agreement turns a thread-local failure (a
-	// resize, a bad payload, a lost return flow) into one error seen
-	// identically everywhere instead of a divergent early return.
-	back := shapeInline
-	switch {
-	case fwd == shapeDirect:
-		back = shapeDirect
-	case meta.ce != 0:
-		back = shapeChunked
-	}
+	// Out/InOut data back the way the server placed it — a chunk size in a
+	// centralized reply means the results streamed ahead of it. The legs' own
+	// collectives keep the threads in step on success; the trailing agreement
+	// turns a thread-local failure (a resize, a bad payload, a lost return
+	// flow) into one error seen identically everywhere instead of a divergent
+	// early return.
 	backStart := time.Now()
 	var backErr error
 	for i, a := range args {
@@ -361,23 +357,21 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		}
 	}
 	if backErr == nil {
-		switch back {
-		case shapeInline:
-			backErr = iv.recvInline(meta.datas)
-		case shapeChunked:
-			backErr = iv.recvChunked(meta.ce)
+		switch sh {
+		case shapeCentral:
+			backErr = iv.recvCentral(meta.ce)
 		case shapeDirect:
 			backErr = iv.recvDirect()
 		}
 	}
-	iv.phase(backPhase[back], backStart, time.Since(backStart))
+	iv.phase(backPhase[sh], backStart, time.Since(backStart))
 
 	// Post-invocation synchronization (the t_barrier of Table 2), fused with
 	// the error agreement so a thread whose return flows failed cannot leave
 	// the others in a hung barrier.
 	barrierStart := time.Now()
 	agreed := agree(comm, backErr)
-	if fwd == shapeDirect {
+	if sh == shapeDirect {
 		iv.phase(obs.PhaseBarrier, barrierStart, time.Since(barrierStart))
 	}
 	if agreed != nil {
@@ -405,101 +399,47 @@ func (iv *invocation) newHeader(method Method, scalars []byte) *invocationHeader
 	return h
 }
 
-// sendInline is the inline forward leg, the paper's §3.2 client side: gather
-// and marshal at the communicating thread, one request message. Thread 0 opens
-// the request — header up to the argument list — and the threads gather every
-// In/InOut argument straight into it, so the bytes the gather assembles are
-// the bytes the transport writes; thread 0 then completes the exchange.
-func (iv *invocation) sendInline(shardKey, scalars []byte) error {
-	var (
-		h *invocationHeader
-		e *cdr.Encoder
-	)
-	if iv.comm.Rank() == 0 {
-		packStart := time.Now()
-		h = iv.newHeader(Centralized, scalars)
-		e = orb.NewArgEncoder()
-		h.encodePrefix(e)
-		iv.phase(obs.PhasePack, packStart, time.Since(packStart))
-	}
-	gatherStart := time.Now()
-	for i, a := range iv.args {
-		if e != nil {
-			h.encodeArg(e, i)
-		}
-		if a.Dir == Out {
-			continue
-		}
-		if err := gatherInto(iv.comm, a.Seq, e); err != nil {
-			return err
-		}
-	}
-	iv.phase(obs.PhaseGather, gatherStart, time.Since(gatherStart))
-	if e != nil {
-		sendStart := time.Now()
-		iv.reply.reply, iv.served, iv.reply.err = iv.b.wireInvoke(iv.op, e.Bytes(), shardKey)
-		iv.phase(obs.PhaseSendRecv, sendStart, time.Since(sendStart))
-	}
-	return nil
-}
-
-// recvInline is the inline back leg: the threads scatter the results thread 0
-// holds whole, as the reply carried them.
-func (iv *invocation) recvInline(datas [][]byte) error {
-	for i, a := range iv.args {
-		if a.Dir == In {
-			continue
-		}
-		var data []byte
-		if iv.comm.Rank() == 0 {
-			data = datas[i]
-		}
-		if err := a.Seq.ScatterUnmarshalRange(iv.comm, 0, 0, a.Seq.Len(), data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // invokeMeta is what the communicating thread learns from the reply and
 // shares with the others.
 type invokeMeta struct {
 	scalars []byte
 	lengths []int
-	ce      int      // the chunk size the results streamed in; 0 when they did not
-	datas   [][]byte // inline back leg only; not shared (thread 0 scatters)
+	ce      int // the chunk size the results streamed in; 0 when they ride in the reply
 }
 
 // metaFromReply opens thread 0's reply as decodeReplyHeader reads it for a
 // request that offered streams of offered elements (direct: was multi-port),
-// and refuses one that does not describe the nargs arguments sent.
-func metaFromReply(payload []byte, err error, offered int, direct bool, nargs int) (invokeMeta, error) {
+// and refuses one that does not describe the arguments sent, args, or that
+// carries, after its header, anything but the steps of a back leg placed in the
+// message (checkSteps). Those stay with thread 0, in the decoder returned.
+func metaFromReply(payload []byte, err error, offered int, direct bool, args []ArgDesc) (invokeMeta, *cdr.Decoder, error) {
 	if err != nil {
-		return invokeMeta{}, err
+		return invokeMeta{}, nil, err
 	}
 	d, err := orb.ArgDecoder(payload)
 	if err != nil {
-		return invokeMeta{}, err
+		return invokeMeta{}, nil, err
 	}
 	rh, err := decodeReplyHeader(d, offered, direct)
 	if err != nil {
-		return invokeMeta{}, err
+		return invokeMeta{}, nil, err
 	}
-	if len(rh.Args) != nargs {
-		return invokeMeta{}, fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), nargs)
+	if len(rh.Args) != len(args) {
+		return invokeMeta{}, nil, fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), len(args))
 	}
-	m := invokeMeta{scalars: rh.Scalars, ce: int(rh.ChunkElems), lengths: make([]int, len(rh.Args)), datas: make([][]byte, len(rh.Args))}
+	if err := checkSteps(*d, args, In, direct || rh.ChunkElems != 0); err != nil {
+		return invokeMeta{}, nil, err
+	}
+	m := invokeMeta{scalars: rh.Scalars, ce: int(rh.ChunkElems), lengths: make([]int, len(rh.Args))}
 	for i, a := range rh.Args {
 		m.lengths[i] = a.Length
-		m.datas[i] = a.Data
 	}
-	return m, nil
+	return m, d, nil
 }
 
 // shareMeta is share of the invocation's outcome as thread 0 holds it: the
 // scalar results, the back leg's chunk size and the result lengths in m, or
-// replyErr in their place. The inline data payloads stay at thread 0, which
-// scatters them.
+// replyErr in their place.
 func shareMeta(comm *rts.Comm, m *invokeMeta, replyErr error) error {
 	p, err := share(comm, func(e *cdr.Encoder) error {
 		if replyErr != nil {
@@ -530,7 +470,6 @@ func shareMeta(comm *rts.Comm, m *invokeMeta, replyErr error) error {
 		return err
 	}
 	m.lengths = make([]int, n)
-	m.datas = make([][]byte, n)
 	for i := range m.lengths {
 		l, err := d.ReadULongLong()
 		if err != nil {

@@ -6,9 +6,10 @@ import "repro/internal/dist"
 // leg through the communicating threads, a direct leg between the owning
 // threads, a resize between two epochs — is a list of moves cut into steps of
 // at most ce elements, walked in order by both ends. A centralized leg is the
-// one-move plan 0 → 0 over the whole argument, offsets global; a
-// direct leg is dist.Plan between the two layouts, offsets local; a resize is
-// dist.Diff's two lists. Both ends derive the schedule from what the header
+// one-move plan 0 → 0 over the whole argument, offsets global — cut into frames
+// or, placed in the message, left whole (first); a direct leg is dist.Plan
+// between the two layouts, offsets local; a resize is dist.Diff's two lists.
+// Both ends derive the schedule from what the header
 // (or the old epoch) tells them, so no per-chunk control traffic is needed,
 // and this file is the only place a range is cut into chunks.
 
@@ -40,6 +41,17 @@ func (s *schedule) next() (step, bool) {
 		return st, true
 	}
 	return step{}, false
+}
+
+// first starts the walk of a centralized leg's one-move plan. Framed (ce ≥ 1)
+// the first step is next's. Placed in the message (ce 0) the whole argument is
+// the one step — an empty argument's too: the message holds a payload per
+// argument the leg carries — and next then finds nothing left to cut.
+func (s *schedule) first() (step, bool) {
+	if s.ce == 0 {
+		return step{n: s.moves[0].Len, last: true}, true
+	}
+	return s.next()
 }
 
 // chunkCount is how many steps next cuts a move of length elements into.

@@ -193,7 +193,7 @@ func TestChunkSender(t *testing.T) {
 				seq.FillFunc(func(g int) float64 { return float64(g) })
 				spans := 0
 				carried := []dseq.Transferable{nil, &failingSeq{Seq: seq, failAt: failAt}}
-				_, err = sendChunks(c, newChunkSender(leg.write), 7, true, ce, 0,
+				_, err = sendChunks(c, newChunkSender(leg.write), nil, 7, true, ce, 0,
 					len(carried), func(i int) dseq.Transferable { return carried[i] }, func(time.Time) { spans++ })
 				if !errors.Is(err, errGather) {
 					return fmt.Errorf("sendChunks: %v, want the gather's own error", err)

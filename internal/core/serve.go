@@ -108,10 +108,11 @@ func (o *Object) Poll(block bool) (bool, error) {
 		// threads keep serving.
 		var reply []byte
 		var conn *transport.Conn
+		var steps *cdr.Decoder
 		if call != nil {
-			conn = call.conn
+			conn, steps = call.conn, call.steps
 		}
-		reply, stop, err = o.processCall(hdr, conn)
+		reply, stop, err = o.processCall(hdr, conn, steps)
 		if call != nil {
 			call.replyCh <- callResult{reply: reply, err: err}
 		}
@@ -132,9 +133,9 @@ func (o *Object) Poll(block bool) (bool, error) {
 }
 
 // nextDirective is thread 0's choice of the round: the next queued call (its
-// directive is the header without the inline argument data, which stays at
-// the thread that scatters it), a resize ticket, stop, or — a non-blocking
-// poll that found nothing — none.
+// directive is the header; steps placed in the message stay at the thread that
+// scatters them), a resize ticket, stop, or — a non-blocking poll that found
+// nothing — none.
 func (o *Object) nextDirective(block bool) (call *pendingCall, ticket *resizeTicket, dir []byte) {
 	if block {
 		// Priority select: requests already queued drain before a pending
@@ -175,14 +176,7 @@ func (o *Object) nextDirective(block bool) (call *pendingCall, ticket *resizeTic
 	}
 	e := cdr.NewEncoder(cdr.NativeOrder)
 	e.WriteOctet(directiveCall)
-	h := call.header
-	h.encodePrefix(e)
-	for i := range h.Args {
-		h.encodeArg(e, i)
-		if h.inline(i) {
-			e.WriteOctets(nil)
-		}
-	}
+	call.header.encode(e)
 	return call, nil, e.Bytes()
 }
 
@@ -221,10 +215,11 @@ func (o *Object) callResizeHook() error {
 // A leg's failure is captured, not returned: every thread must reach the
 // agreement after it, so a client that died mid-transfer (this thread's
 // receive timed out) fails the upcall coherently everywhere instead of
-// wedging the collective loop. conn, thread 0's, is the connection the request
-// arrived on; the reply bytes are meaningful on thread 0 only; stop reports
-// whether the handler requested an orderly shutdown.
-func (o *Object) processCall(h *invocationHeader, conn *transport.Conn) (reply []byte, stop bool, err error) {
+// wedging the collective loop. conn and steps are thread 0's: the connection
+// the request arrived on, and the request past its header; the reply bytes are
+// meaningful on thread 0 only; stop reports whether the handler requested an
+// orderly shutdown.
+func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *cdr.Decoder) (reply []byte, stop bool, err error) {
 	op := o.ops[h.Op] // validated on thread 0 before broadcast
 	if op == nil {
 		return nil, false, orb.BadOperation(h.Op)
@@ -250,15 +245,17 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn) (reply [
 		}
 	}
 
-	// Buckets exist to accumulate chunked and direct transfers (plus
-	// attachments); an inline receive leg carries its data in the header, and
-	// a chunked send leg after it needs only the request's connection, so such
-	// calls skip the bucket (and its buffered channel) entirely. dropBucket
-	// still runs in case a stray Data message created one for this token.
+	// Buckets exist to accumulate framed transfers (plus attachments); a receive
+	// leg placed in the message has its data in the request, and a framed send
+	// leg after it needs only the request's connection, so such calls skip the
+	// bucket (and its buffered channel) entirely. dropBucket still runs in case
+	// a stray Data message created one for this token.
 	sh := h.shape()
+	w := frameWait{stop: o.stop, timeout: o.opts.DataTimeout, token: h.Token}
 	var bucket *dataBucket
-	if sh != shapeInline {
+	if h.ChunkElems != 0 {
 		bucket = o.bucket(h.Token, true)
+		w.ch = bucket.ch
 	}
 	defer o.dropBucket(h.Token)
 
@@ -266,15 +263,12 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn) (reply [
 	recvStart := time.Now()
 	var recvErr error
 	switch sh {
-	case shapeInline:
-		recvErr = o.recvInline(h, args)
-	case shapeChunked:
-		w := frameWait{ch: bucket.ch, stop: o.stop, timeout: o.opts.DataTimeout, token: h.Token}
-		recvErr = recvChunks(o.comm, &w, false, int(h.ChunkElems),
+	case shapeCentral:
+		recvErr = recvChunks(o.comm, &w, steps, false, int(h.ChunkElems),
 			len(args), func(i int) dseq.Transferable { return h.legSeq(args, i, Out) },
 			func(t time.Time) { o.span(h.Token, obs.PhaseChunkRecv, t, 0) })
 	case shapeDirect:
-		recvErr = o.recvDirect(bucket, h, args)
+		recvErr = o.recvDirect(&w, h, args)
 	}
 	if recvErr != nil {
 		// A lost data connection stays the COMM_FAILURE it is; whatever else
@@ -322,20 +316,16 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn) (reply [
 		return nil, stop, agreed
 	}
 
-	// Send leg: the Out/InOut argument data, placed now that every thread knows
-	// the final lengths — direct after a direct receive leg, else chunked in
-	// the size the client offered when a result spans two such chunks, else
-	// inline. Thread 0 opens the reply — scalars, the leg's chunk size, then per
-	// argument its direction and final length. Only the inline leg puts more
-	// into it: each result whole, after its length.
+	// Send leg: the Out/InOut argument data, a centralized one placed now that
+	// every thread knows the final lengths — framed in the size the client
+	// offered when a result spans two such chunks, else in the message. Thread 0
+	// renders the reply header — scalars, the leg's chunk size, then per argument
+	// its direction and final length — and only a leg in the message puts more
+	// behind it.
 	sendStart := time.Now()
-	send, ce := shapeDirect, 0
-	if sh != shapeDirect {
-		send = shapeInline
+	ce := 0
+	if sh == shapeCentral {
 		ce = legChunkElems(int(h.ResultChunkElems), len(args), func(i int) int { return seqLen(h.legSeq(args, i, In)) })
-		if ce != 0 {
-			send = shapeChunked
-		}
 	}
 	var e *cdr.Encoder
 	if o.comm.Rank() == 0 {
@@ -344,20 +334,17 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn) (reply [
 	}
 	var sendErr error
 	for i, a := range h.Args {
-		if a.Dir == InOut && args[i].Len() != a.Layout.Length {
+		if a.Dir == InOut && args[i].Len() != a.Layout.Length && sendErr == nil {
 			sendErr = orb.Marshal(fmt.Errorf("handler resized inout arg %d from %d to %d", i, a.Layout.Length, args[i].Len()))
-			break
 		}
-		if e != nil && send != shapeInline {
+		if e != nil {
 			encodeReplyArg(e, a.Dir, args[i].Len())
 		}
 	}
 	if sendErr == nil {
-		switch send {
-		case shapeInline:
-			sendErr = o.sendInline(e, h, args)
-		case shapeChunked:
-			sendErr = o.sendChunked(conn, h, ce, args)
+		switch sh {
+		case shapeCentral:
+			sendErr = o.sendCentral(conn, e, h, ce, args)
 		case shapeDirect:
 			sendErr = o.sendDirect(bucket, h, args)
 		}
@@ -372,7 +359,7 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn) (reply [
 	return reply, stop, nil
 }
 
-// legSeq is argument i of args as one chunked leg carries it: nil where the
+// legSeq is argument i of args as one centralized leg carries it: nil where the
 // direction is skip (Out on the receive leg, In on the send leg).
 func (h *invocationHeader) legSeq(args []dseq.Transferable, i int, skip Dir) dseq.Transferable {
 	if h.Args[i].Dir == skip {
@@ -381,58 +368,33 @@ func (h *invocationHeader) legSeq(args []dseq.Transferable, i int, skip Dir) dse
 	return args[i]
 }
 
-// recvInline is the inline receive leg: the threads scatter the arguments
-// thread 0 holds whole, as the header carried them, per the server layout.
-func (o *Object) recvInline(h *invocationHeader, args []dseq.Transferable) error {
-	for i, a := range h.Args {
-		if a.Dir == Out {
-			continue
-		}
-		if err := args[i].ScatterUnmarshalRange(o.comm, 0, 0, args[i].Len(), a.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sendInline is the inline send leg: the threads gather every result straight
-// into thread 0's reply encoder (nil elsewhere), so the reply the gather
-// assembles is the buffer the adapter writes.
-func (o *Object) sendInline(e *cdr.Encoder, h *invocationHeader, args []dseq.Transferable) error {
-	for i, a := range h.Args {
-		if e != nil {
-			encodeReplyArg(e, a.Dir, args[i].Len())
-		}
-		if a.Dir == In {
-			continue
-		}
-		if err := gatherInto(o.comm, args[i], e); err != nil {
-			return orb.Marshal(err)
-		}
-	}
-	return nil
-}
-
-// sendChunked is the chunked send leg: the results leave as Data messages of ce
+// sendCentral is the centralized send leg, placed by ce. In the message (ce 0)
+// the threads gather every result straight into msg, thread 0's reply encoder
+// (nil elsewhere), behind the header, so the reply the gather assembles is the
+// buffer the adapter writes. Framed, the results leave as Data messages of ce
 // elements on conn — thread 0's, the connection the request arrived on —
 // before the Reply is written there, so same-connection ordering guarantees
 // the client holds every chunk once it sees the Reply, which tells it ce.
-func (o *Object) sendChunked(conn *transport.Conn, h *invocationHeader, ce int, args []dseq.Transferable) error {
-	// The leg's mask is the one thread 0's adapter negotiated on the connection
-	// during the handshake.
-	mask, err := agreeMask(o.comm, o.opts.Server.Compression, o.opts.CompressionPolicy, o.compSkipped,
-		func() (uint8, float64) {
-			m, _ := conn.Compression()
-			return m, conn.WriteBandwidth()
-		})
-	if err != nil {
-		return &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}
-	}
+func (o *Object) sendCentral(conn *transport.Conn, msg *cdr.Encoder, h *invocationHeader, ce int, args []dseq.Transferable) error {
+	var mask uint8
 	var cs *chunkSender
-	if o.comm.Rank() == 0 {
-		cs = newChunkSender(conn.WriteMessage)
+	if ce != 0 {
+		// The leg's mask is the one thread 0's adapter negotiated on the
+		// connection during the handshake.
+		var err error
+		mask, err = agreeMask(o.comm, o.opts.Server.Compression, o.opts.CompressionPolicy, o.compSkipped,
+			func() (uint8, float64) {
+				m, _ := conn.Compression()
+				return m, conn.WriteBandwidth()
+			})
+		if err != nil {
+			return &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}
+		}
+		if o.comm.Rank() == 0 {
+			cs, msg = newChunkSender(conn.WriteMessage), nil
+		}
 	}
-	_, err = sendChunks(o.comm, cs, h.Token, true, ce, mask,
+	_, err := sendChunks(o.comm, cs, msg, h.Token, true, ce, mask,
 		len(args), func(i int) dseq.Transferable { return h.legSeq(args, i, In) },
 		func(t time.Time) { o.span(h.Token, obs.PhaseChunkSend, t, mask) })
 	return commFailure(err)
@@ -443,7 +405,7 @@ func (o *Object) sendChunked(conn *transport.Conn, h *invocationHeader, ce int, 
 // the steps this thread expects. Each wait is bounded by the object's
 // DataTimeout, so a client thread that died mid-transfer fails this upcall
 // instead of blocking the collective loop until Close.
-func (o *Object) recvDirect(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
+func (o *Object) recvDirect(w *frameWait, h *invocationHeader, args []dseq.Transferable) error {
 	var plans [][]dist.Move
 	for i, a := range h.Args {
 		if a.Dir == Out {
@@ -461,8 +423,7 @@ func (o *Object) recvDirect(bucket *dataBucket, h *invocationHeader, args []dseq
 	if err != nil {
 		return err
 	}
-	w := frameWait{ch: bucket.ch, stop: o.stop, timeout: o.opts.DataTimeout, token: h.Token}
-	return recvSteps(&w, o.comm.Rank(), h.ClientRanks, false, ce, plans,
+	return recvSteps(w, o.comm.Rank(), h.ClientRanks, false, ce, plans,
 		func(i int) dseq.Transferable { return args[i] },
 		func(t time.Time) { o.span(h.Token, obs.PhaseChunkRecv, t, 0) })
 }

@@ -17,17 +17,21 @@ import (
 	"repro/internal/zcodec"
 )
 
-// Streamed centralized transfers: instead of gathering a whole argument at
-// thread 0, marshalling it, and only then sending one giant request, the
-// engine walks each large argument in fixed chunks — gathering chunk k+1
-// over the runtime system while chunk k is on the wire. The reply leg is
-// symmetric: the server gathers and writes result chunks before the Reply,
-// and the client scatters them as it drains its sink. Each leg is placed by
-// itself, by the side that knows its lengths (legChunkElems), and both sides
-// derive the leg's chunk schedule (schedule.go) from the lengths and the chunk
-// size its header announces, so no per-chunk control traffic is needed. The
-// sender, the frame wait and the frame check here are the direct legs' too
-// (xfer.go): what differs is the plan the schedule cuts and who renders a step.
+// Centralized transfers: one walk per side (sendChunks, recvChunks) moves every
+// argument a leg carries through the communicating threads, and the leg's
+// placement says where thread 0 renders and takes each step. A small leg rides
+// in the message, one step per argument behind the header. A large one is
+// framed: instead of gathering a whole argument at thread 0, marshalling it,
+// and only then sending one giant request, the engine walks it in fixed chunks
+// — gathering chunk k+1 over the runtime system while chunk k is on the wire.
+// The reply leg is symmetric: the server gathers and writes result chunks
+// before the Reply, and the client scatters them as it drains its sink. Each
+// leg is placed by itself, by the side that knows its lengths (legChunkElems),
+// and both sides derive the leg's schedule (schedule.go) from the lengths and
+// the chunk size its header announces, so no per-chunk control traffic is
+// needed. The sender, the frame wait and the frame check here are the direct
+// legs' too (xfer.go): what differs is the plan the schedule cuts and who
+// renders a step.
 
 // DefaultStreamChunkElems is the chunk size of every bulk transfer — a streamed
 // or a direct leg when BindOptions.StreamChunkElems is zero, and a resize's
@@ -41,7 +45,7 @@ const DefaultStreamChunkElems = 8192
 // frames, and their memory, unboundedly.
 const encodeAheadDepth = 2
 
-// chunkSender is the sending half of every chunked and direct leg — request
+// chunkSender is the sending half of every framed and direct leg — request
 // and reply, raw and compressed — on the thread that sources the chunks: a
 // ring of encodeAheadDepth+1 slots, each a reusable chunk encoder and the Data
 // message that frames it, and one worker that writes filled slots in the order
@@ -76,9 +80,9 @@ var idleSenders struct {
 
 const maxIdleSenders = 8
 
-// connWriter is the write a chunked leg hands its sender: the data connection
-// is resolved once, so every chunk is a plain WriteMessage — or, when it could
-// not be resolved, the error that says why.
+// connWriter is the write a framed centralized leg hands its sender: the data
+// connection is resolved once, so every chunk is a plain WriteMessage — or,
+// when it could not be resolved, the error that says why.
 func connWriter(conn *transport.Conn, err error) func(wire.Message) error {
 	if err != nil {
 		return func(wire.Message) error { return err }
@@ -180,17 +184,20 @@ func commFailure(err error) error {
 	return &orb.SystemException{RepoID: orb.RepoComm, Message: err.Error()}
 }
 
-// sendChunks walks the sending side of one streamed leg. For each of the nargs
-// arguments the leg carries (arg(i) is nil for one it does not) the threads of
-// comm collectively gather-marshal each step of its schedule — thread 0, the one
-// holding the leg's sender, straight into the slot the chunk is written from
-// — and the sender is closed at the end. The schedule always runs to
-// completion: a thread whose collective gather failed stops issuing gathers
-// (the peers fail their next collective and stop too) while thread 0 keeps
-// the wire schedule alive with fail markers, so the receiving loop stays
-// aligned and the failure surfaces as one agreed error. It returns the time
-// spent gathering and this thread's first failure.
-func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce int, mask uint8,
+// sendChunks walks the sending side of one centralized leg, whatever its
+// placement. For each of the nargs arguments the leg carries (arg(i) is nil for
+// one it does not) the threads of comm collectively gather-marshal each step of
+// its schedule straight into the bytes the transport writes, which thread 0
+// alone holds: framed (ce > 0), a slot of the leg's sender cs, sent as a Data
+// message and closed at the end; in the message (ce 0), the request or reply
+// encoder msg, one sequence<octet> per argument after the header already in it.
+// The schedule always runs to completion: a thread whose collective gather
+// failed stops issuing gathers (the peers fail their next collective and stop
+// too) while thread 0 keeps the wire schedule alive with fail markers, so the
+// receiving loop stays aligned and the failure surfaces as one agreed error —
+// a failed message is not sent at all. span closes a framed step's span. It
+// returns the time spent gathering and this thread's first failure.
+func sendChunks(comm *rts.Comm, cs *chunkSender, msg *cdr.Encoder, token uint32, reply bool, ce int, mask uint8,
 	nargs int, arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) (gather time.Duration, firstErr error) {
 	for i := 0; i < nargs; i++ {
 		seq := arg(i)
@@ -199,13 +206,16 @@ func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce in
 		}
 		whole := [1]dist.Move{{Len: seq.Len()}}
 		sc := schedule{moves: whole[:], ce: ce}
-		for st, ok := sc.next(); ok; st, ok = sc.next() {
+		for st, ok := sc.first(); ok; st, ok = sc.next() {
 			chunkStart := time.Now()
 			var slot *chunkSlot
-			var dst *cdr.Encoder
+			var mark cdr.OctetsMark
+			dst := msg
 			if cs != nil {
 				slot = cs.next()
 				dst = slot.enc
+			} else if msg != nil {
+				mark = msg.BeginOctets()
 			}
 			if firstErr == nil {
 				gatherStart := time.Now()
@@ -215,8 +225,12 @@ func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce in
 			if slot != nil {
 				slot.fill(token, i, st, reply, firstErr != nil)
 				cs.send(slot)
+			} else if msg != nil {
+				msg.EndOctets(mark)
 			}
-			span(chunkStart)
+			if ce != 0 {
+				span(chunkStart)
+			}
 		}
 	}
 	if cs != nil {
@@ -227,13 +241,17 @@ func sendChunks(comm *rts.Comm, cs *chunkSender, token uint32, reply bool, ce in
 	return gather, firstErr
 }
 
-// recvChunks walks the receiving side of one streamed leg: thread 0 pulls each
-// scheduled chunk of every argument the leg carries (sendChunks has nargs and
-// arg) off w, which only it needs, and the threads of comm collectively scatter
-// it. The schedule always runs to completion — after a failure thread 0
-// substitutes fail markers instead of pulling — so the collective loop cannot
-// desynchronize, and the first failure is returned once the schedule is done.
-func recvChunks(comm *rts.Comm, w *frameWait, reply bool, ce int,
+// recvChunks walks the receiving side of one centralized leg: thread 0 takes
+// each scheduled step of every argument the leg carries (sendChunks has nargs
+// and arg) — framed, a chunk off w; in the message, the next sequence<octet> of
+// msg, the request or reply it holds, as a sub-slice of it — and the threads of
+// comm collectively scatter it. Only thread 0 needs w and msg. The schedule
+// always runs to completion — after a failure thread 0 substitutes fail markers
+// instead of taking, and a thread whose own share of a step was bad goes on to
+// the next — so the collective loop cannot desynchronize, and the first failure
+// is returned once the schedule is done, for the agreement that follows every
+// receive leg.
+func recvChunks(comm *rts.Comm, w *frameWait, msg *cdr.Decoder, reply bool, ce int,
 	nargs int, arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) error {
 	var firstErr error
 	for i := 0; i < nargs; i++ {
@@ -243,18 +261,24 @@ func recvChunks(comm *rts.Comm, w *frameWait, reply bool, ce int,
 		}
 		whole := [1]dist.Move{{Len: seq.Len()}}
 		sc := schedule{moves: whole[:], ce: ce}
-		for st, ok := sc.next(); ok; st, ok = sc.next() {
+		for st, ok := sc.first(); ok; st, ok = sc.next() {
 			chunkStart := time.Now()
 			var payload []byte
 			var frame *wire.Data
 			if comm.Rank() == 0 {
-				if firstErr != nil {
+				var err error
+				switch {
+				case firstErr != nil:
 					payload = dseq.FailMarker
-				} else if d, err := w.nextChunk(i, st, reply); err != nil {
-					firstErr = err
-					payload = dseq.FailMarker
-				} else {
-					frame, payload = d, d.Payload
+				case ce == 0: // checkSteps has read these bytes once already
+					payload, err = msg.ReadOctets()
+				default:
+					if frame, err = w.nextChunk(i, st, reply); err == nil {
+						payload = frame.Payload
+					}
+				}
+				if err != nil {
+					firstErr, payload = err, dseq.FailMarker
 				}
 			}
 			// The scatter copies the elements out (root's own share directly,
@@ -265,9 +289,11 @@ func recvChunks(comm *rts.Comm, w *frameWait, reply bool, ce int,
 				frame.Release()
 			}
 			if err != nil && firstErr == nil {
-				firstErr = err
+				firstErr = fmt.Errorf("arg %d: %w", i, err)
 			}
-			span(chunkStart)
+			if ce != 0 {
+				span(chunkStart)
+			}
 		}
 	}
 	return firstErr
@@ -285,11 +311,11 @@ const maxStreamChunks = 1024
 // side that knows the leg's lengths — the client to the In/InOut arguments it
 // sends, the server to the Out/InOut results it is about to return — and to
 // nothing else: length(i) is what argument i contributes to the leg, 0 for one
-// it does not carry. The leg is chunked, in the size returned, when an
-// argument spans two chunks of base, so the overlap pays; 0 places it inline.
-// A base of 0 — a shard-routed invocation, whose chunks would travel to the
-// primary profile's endpoints while the request follows the ring, or a client
-// that offered no stream — is always inline.
+// it does not carry. The leg is framed, in the chunk size returned, when an
+// argument spans two chunks of base, so the overlap pays; 0 places it in the
+// message. A base of 0 — a shard-routed invocation, whose chunks would travel to
+// the primary profile's endpoints while the request follows the ring, or a
+// client that offered no stream — is always in the message.
 func legChunkElems(base, nargs int, length func(i int) int) int {
 	if base > 0 {
 		for i := 0; i < nargs; i++ {
@@ -301,11 +327,11 @@ func legChunkElems(base, nargs int, length func(i int) int) int {
 	return 0
 }
 
-// chunkElemsFor returns the chunk size of a chunked leg: base elements,
-// doubled until the leg's total chunk count (length(i) per argument, 0 for one
-// the leg does not carry) fits maxStreamChunks. Whoever places the leg
-// announces the result; the peer that receives a reply leg recomputes it from
-// the announced lengths and refuses any other.
+// chunkElemsFor returns the chunk size of a framed centralized leg: base
+// elements, doubled until the leg's total chunk count (length(i) per argument,
+// 0 for one the leg does not carry) fits maxStreamChunks. Whoever places the
+// leg announces the result; the peer that receives a reply leg recomputes it
+// from the announced lengths and refuses any other.
 func chunkElemsFor(base, nargs int, length func(i int) int) int {
 	ce := max(base, 1)
 	for {
@@ -337,12 +363,13 @@ func chunkFlags(last bool) byte {
 	return f
 }
 
-// agreeMask settles the compression mask of one chunked leg, on either side:
-// thread 0 resolves the mask negotiated on the leg's connection and shares it,
-// so every thread feeds the collective chunk marshalling the same mask. Under
-// Auto the estimator can veto a negotiated codec for this leg — on a link
-// faster than we can encode, raw wins — once, at the single point the mask is
-// resolved, so the collective schedule stays deterministic across threads.
+// agreeMask settles the compression mask of one framed centralized leg, on
+// either side: thread 0 resolves the mask negotiated on the leg's connection and
+// shares it, so every thread feeds the collective chunk marshalling the same
+// mask. Under Auto the estimator can veto a negotiated codec for this leg — on
+// a link faster than we can encode, raw wins — once, at the single point the
+// mask is resolved, so the collective schedule stays deterministic across
+// threads.
 // With nothing offered (accepted, on the server) every thread skips the
 // broadcast, the options being replicated: exactly the raw engine's schedule.
 func agreeMask(comm *rts.Comm, offered uint8, policy zcodec.Policy, skipped *obs.Counter,
@@ -368,22 +395,6 @@ func agreeMask(comm *rts.Comm, offered uint8, policy zcodec.Policy, skipped *obs
 		return 0, fmt.Errorf("%w: compression mask agreement", ErrBadHeader)
 	}
 	return mb[0], nil
-}
-
-// gatherInto is the whole-payload mover of both legs: the threads of c
-// (a lane or engine communicator, so transfers of overlapping invocations
-// cannot interleave) collectively gather seq at thread 0, straight into e —
-// thread 0's request or reply encoder, nil elsewhere — as the argument's
-// inline sequence<octet>. The header bytes and the payload are one buffer,
-// written once.
-func gatherInto(c *rts.Comm, seq dseq.Transferable, e *cdr.Encoder) error {
-	if e == nil {
-		return seq.GatherMarshalRangeTo(c, 0, 0, seq.Len(), 0, nil)
-	}
-	m := e.BeginOctets()
-	err := seq.GatherMarshalRangeTo(c, 0, 0, seq.Len(), 0, e)
-	e.EndOctets(m)
-	return err
 }
 
 // frameWait is the one wait of a receive leg, whatever its shape: the frames of
@@ -477,49 +488,68 @@ func drainData(ch chan *wire.Data) {
 	}
 }
 
-// sendChunked is the chunked forward leg: the inline shape's staged
-// gather→pack→send as a pipeline. The collective schedule is fixed — every
-// thread walks the same chunks of the same arguments in the same order — and
-// local failures are carried through it (thread 0 substitutes fail-marker
-// payloads), so a failure surfaces as one agreed error instead of a stranded
+// sendCentral is the centralized forward leg, the paper's §3.2 client side:
+// thread 0 renders the header, the threads walk the schedule of the In/InOut
+// arguments together (sendChunks), and where thread 0 puts each step is the
+// leg's placement. In the message (iv.ce 0), behind the header, so the bytes the
+// gather assembles are the bytes the transport writes, and thread 0 completes
+// the exchange once the walk is done. Framed, the staged gather→pack→send
+// becomes a pipeline: the mask is agreed, the request is launched first — the
+// header travels ahead of the chunks, which the server buffers per token either
+// way — and thread 0 joins the walk as its sender. Local failures are carried
+// through the walk, so a failure surfaces as one error instead of a stranded
 // collective.
-func (iv *invocation) sendChunked(scalars []byte) error {
+func (iv *invocation) sendCentral(shardKey, scalars []byte) error {
 	b := iv.b
-	var err error
-	iv.mask, err = agreeMask(iv.comm, b.comp, b.policy, b.compSkipped, func() (uint8, float64) {
-		// Resolving the mask runs the handshake on the connection's first use.
-		return b.client.NegotiatedCompression(b.ref, b.client.Timeout), b.client.WireBandwidth(b.ref)
-	})
-	if err != nil {
-		return err
+	if iv.ce != 0 {
+		var err error
+		iv.mask, err = agreeMask(iv.comm, b.comp, b.policy, b.compSkipped, func() (uint8, float64) {
+			// Resolving the mask runs the handshake on the connection's first use.
+			return b.client.NegotiatedCompression(b.ref, b.client.Timeout), b.client.WireBandwidth(b.ref)
+		})
+		if err != nil {
+			return err
+		}
 	}
-	// The communicating thread launches the request first — the header
-	// travels ahead of the chunks, which the server buffers per token
-	// either way — then joins the collective chunk schedule as its sender.
-	var cs *chunkSender
+	var (
+		cs  *chunkSender
+		msg *cdr.Encoder
+	)
 	if iv.comm.Rank() == 0 {
 		packStart := time.Now()
-		e := orb.NewArgEncoder()
-		iv.newHeader(Centralized, scalars).encode(e)
+		msg = orb.NewArgEncoder()
+		iv.newHeader(Centralized, scalars).encode(msg)
 		iv.phase(obs.PhasePack, packStart, time.Since(packStart))
-		iv.launch(e.Bytes())
-		cs = newChunkSender(connWriter(b.client.DataConn(b.ref, 0)))
+		if iv.ce != 0 {
+			iv.launch(msg.Bytes())
+			cs, msg = newChunkSender(connWriter(b.client.DataConn(b.ref, 0))), nil
+		}
 	}
-	// Gather-marshal chunk k+1 over the runtime system while chunk k is on
-	// the wire.
+	// Framed, chunk k+1 is gather-marshalled over the runtime system while chunk
+	// k is on the wire, and the time spent waiting for the wire is not gathering;
+	// in the message there is no wire to wait for, and the walk is the gather.
 	gatherStart := time.Now()
-	gather, err := sendChunks(iv.comm, cs, iv.token, false, iv.ce, iv.mask,
+	gather, err := sendChunks(iv.comm, cs, msg, iv.token, false, iv.ce, iv.mask,
 		len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, Out) },
 		func(t time.Time) { iv.phase(obs.PhaseChunkSend, t, time.Since(t)) })
+	if iv.ce == 0 {
+		gather = time.Since(gatherStart)
+	}
 	iv.phase(obs.PhaseGather, gatherStart, gather)
+	if msg != nil && err == nil {
+		sendStart := time.Now()
+		iv.reply.reply, iv.served, iv.reply.err = b.wireInvoke(iv.op, msg.Bytes(), shardKey)
+		iv.phase(obs.PhaseSendRecv, sendStart, time.Since(sendStart))
+	}
 	return err
 }
 
-// recvChunked is the chunked back leg, in the chunk size the reply announced:
-// the server wrote every result chunk before the Reply on the same connection,
-// so by now they are in the lane's sink in schedule order.
-func (iv *invocation) recvChunked(ce int) error {
+// recvCentral is the centralized back leg, placed as the reply announced: in
+// chunks of ce the server wrote before the Reply on the same connection, so by
+// now they are in the lane's sink in schedule order, or (ce 0) in the reply
+// thread 0 holds, after its header.
+func (iv *invocation) recvCentral(ce int) error {
 	w := frameWait{ch: iv.sink, timeout: iv.b.client.Timeout, token: iv.token}
-	return recvChunks(iv.comm, &w, true, ce, len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, In) },
+	return recvChunks(iv.comm, &w, iv.steps, true, ce, len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, In) },
 		func(t time.Time) { iv.phase(obs.PhaseChunkRecv, t, time.Since(t)) })
 }

@@ -450,7 +450,7 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 					return err
 				}
 				_, err = b.Invoke("swap", ScalarEncoder().Bytes(), []DistArg{InOutSeq(arr)})
-				return err
+				return aligned(b, err)
 			}))
 		})
 	}
@@ -482,7 +482,7 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 				return err
 			}
 			_, err = b.Invoke("get", ScalarEncoder().Bytes(), []DistArg{OutSeq(arr)})
-			return err
+			return aligned(b, err)
 		}))
 	})
 }

@@ -53,7 +53,7 @@ func TestPingPongGolden(t *testing.T) {
 		}
 	}
 	frame := Encode(&Ping{Nonce: 1}, cdr.BigEndian)
-	if want := []byte{'P', 'D', 'I', 'S', 4, 0, byte(MsgPing), 0, 0, 0, 0, 6, 0, 0, 0, 1, 0, 0}; !bytes.Equal(frame, want) {
+	if want := []byte{'P', 'D', 'I', 'S', 5, 0, byte(MsgPing), 0, 0, 0, 0, 6, 0, 0, 0, 1, 0, 0}; !bytes.Equal(frame, want) {
 		t.Fatalf("keepalive frame % x, want % x", frame, want)
 	}
 }

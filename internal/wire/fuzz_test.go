@@ -24,10 +24,10 @@ func FuzzDecodeHeader(f *testing.F) {
 	f.Add(tbig[:])
 	f.Add([]byte("PDIS"))                                 // truncated
 	f.Add([]byte("GIOP\x01\x00\x00\x00\x00\x00\x00\x00")) // wrong protocol
-	f.Add([]byte("PDIS\x03\x01\x00\x00\x10\x00\x00\x00")) // version 3: refused
-	f.Add([]byte("PDIS\x04\x08\x08\x00\x00\x00\x00\x40")) // stream-chunk flag on a Data frame
-	f.Add([]byte("PDIS\x04\x0f\x08\x00\x00\x00\x00\x40")) // every defined flag at once
-	f.Add([]byte("PDIS\x04\x10\x00\x00\x00\x00\x00\x00")) // reserved flag bit 4
+	f.Add([]byte("PDIS\x04\x01\x00\x00\x10\x00\x00\x00")) // version 4: refused
+	f.Add([]byte("PDIS\x05\x08\x08\x00\x00\x00\x00\x40")) // stream-chunk flag on a Data frame
+	f.Add([]byte("PDIS\x05\x0f\x08\x00\x00\x00\x00\x40")) // every defined flag at once
+	f.Add([]byte("PDIS\x05\x10\x00\x00\x00\x00\x00\x00")) // reserved flag bit 4
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
