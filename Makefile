@@ -39,8 +39,11 @@ FLAKETIMEOUT ?= 300s
 # driver on its own, and a speed claim rests on `make bench-pair`.
 check: vet staticcheck build test race flake fuzz-smoke cover
 
+# An unformatted tracked file fails the gate, by name.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # staticcheck is optional tooling: run it when the binary is on PATH,
 # otherwise skip with a notice rather than failing the gate.

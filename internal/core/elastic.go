@@ -505,20 +505,20 @@ func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transf
 		// is this schedule's wire. Its payloads outlive the call there, so each
 		// step renders into an encoder of its own.
 		for _, moves := range [2][]dist.Move{local, cross} {
-			sc := schedule{moves: moves, ce: DefaultStreamChunkElems}
-			for ck, ok := sc.next(); ok; ck, ok = sc.next() {
-				if ck.src != me {
+			sc := dist.Schedule{Moves: moves, CE: DefaultStreamChunkElems}
+			for ck, ok := sc.Next(); ok; ck, ok = sc.Next() {
+				if ck.Src != me {
 					continue
 				}
 				e := cdr.NewEncoder(cdr.NativeOrder)
-				if err := st.MarshalRangeTo(ck.srcOff, ck.n, mask, e); err != nil {
+				if err := st.MarshalRangeTo(ck.SrcOff, ck.N, mask, e); err != nil {
 					return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
 				}
 				crossed := 0
-				if ck.src != ck.dst {
-					crossed = ck.n
+				if ck.Src != ck.Dst {
+					crossed = ck.N
 				}
-				p.xfer.add(ck.dst, si, ck.dstOff, e.Bytes(), crossed)
+				p.xfer.add(ck.Dst, si, ck.DstOff, e.Bytes(), crossed)
 			}
 		}
 	}

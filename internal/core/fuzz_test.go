@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cdr"
+	"repro/internal/dist"
 )
 
 // FuzzDecodeInvocationHeader throws arbitrary bytes at the invocation header
@@ -111,7 +112,7 @@ func FuzzDecodeReplyHeader(f *testing.F) {
 		chunks := 0
 		for i := range h.Args {
 			if h.ChunkElems != 0 {
-				chunks += chunkCount(h.resultLen(i), int(h.ChunkElems))
+				chunks += dist.ChunkCount(h.resultLen(i), int(h.ChunkElems))
 			}
 		}
 		if _, err := decodeReplyHeader(cdr.NewDecoder(data[:d.Pos()], ord), int(offered), direct); err != nil {

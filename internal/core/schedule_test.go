@@ -29,26 +29,26 @@ func TestChunkSchedule(t *testing.T) {
 		{SrcRank: 1, DstRank: 2, SrcOff: 10, DstOff: 5, Len: 2 * length},
 	}
 	for _, ce := range []int{1, length - 1, length, length + 1} {
-		sc := schedule{moves: moves, ce: ce}
+		sc := dist.Schedule{Moves: moves, CE: ce}
 		for mi, m := range moves {
 			steps := 0
 			for off := 0; off < m.Len; steps++ {
-				st, ok := sc.next()
+				st, ok := sc.Next()
 				if !ok {
 					t.Fatalf("ce %d: the schedule ended inside move %d at %d of %d", ce, mi, off, m.Len)
 				}
 				n := min(m.Len-off, ce)
-				want := step{src: m.SrcRank, dst: m.DstRank, srcOff: m.SrcOff + off, dstOff: m.DstOff + off, n: n, last: off+n == m.Len}
+				want := dist.Step{Src: m.SrcRank, Dst: m.DstRank, SrcOff: m.SrcOff + off, DstOff: m.DstOff + off, N: n, Last: off+n == m.Len}
 				if st != want {
 					t.Fatalf("ce %d, move %d at %d: step %+v, want %+v", ce, mi, off, st, want)
 				}
 				off += n
 			}
-			if got := chunkCount(m.Len, ce); got != steps {
-				t.Fatalf("ce %d: chunkCount says %d steps for a move of %d, the walk cut %d", ce, got, m.Len, steps)
+			if got := dist.ChunkCount(m.Len, ce); got != steps {
+				t.Fatalf("ce %d: ChunkCount says %d steps for a move of %d, the walk cut %d", ce, got, m.Len, steps)
 			}
 		}
-		if st, ok := sc.next(); ok {
+		if st, ok := sc.Next(); ok {
 			t.Fatalf("ce %d: a step past the last move: %+v", ce, st)
 		}
 	}
@@ -56,8 +56,8 @@ func TestChunkSchedule(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		whole := [1]dist.Move{{Len: 1 << 19}}
 		for _, plan := range [][]dist.Move{moves, whole[:]} {
-			sc := schedule{moves: plan, ce: 8192}
-			for _, ok := sc.next(); ok; _, ok = sc.next() {
+			sc := dist.Schedule{Moves: plan, CE: 8192}
+			for _, ok := sc.Next(); ok; _, ok = sc.Next() {
 				steps++
 			}
 		}

@@ -27,7 +27,7 @@ import (
 // The reply leg is symmetric: the server gathers and writes result chunks
 // before the Reply, and the client scatters them as it drains its sink. Each
 // leg is placed by itself, by the side that knows its lengths (legChunkElems),
-// and both sides derive the leg's schedule (schedule.go) from the lengths and
+// and both sides derive the leg's schedule (dist.Schedule) from the lengths and
 // the chunk size its header announces, so no per-chunk control traffic is
 // needed. The sender, the frame wait and the frame check here are the direct
 // legs' too (xfer.go): what differs is the plan the schedule cuts and who
@@ -138,16 +138,16 @@ func (cs *chunkSender) next() *chunkSlot {
 // holds, or the fail marker when failed says the chunk could not be rendered.
 // The compressed flag is per chunk, not per connection: incompressible chunks
 // fall back to raw mid-stream and simply omit it.
-func (s *chunkSlot) fill(token uint32, arg int, st step, reply, failed bool) {
-	payload, flags := s.enc.Bytes(), chunkFlags(st.last)
+func (s *chunkSlot) fill(token uint32, arg int, st dist.Step, reply, failed bool) {
+	payload, flags := s.enc.Bytes(), chunkFlags(st.Last)
 	if failed {
 		payload = dseq.FailMarker
 	} else if dseq.IsCompressedChunk(payload) {
 		flags |= wire.DataFlagCompressed
 	}
 	s.msg = wire.Data{
-		RequestID: token, ArgIndex: uint32(arg), SrcRank: uint32(st.src), DstRank: uint32(st.dst),
-		DstOff: uint64(st.dstOff), Count: uint64(st.n), Reply: reply, Flags: flags, Payload: payload,
+		RequestID: token, ArgIndex: uint32(arg), SrcRank: uint32(st.Src), DstRank: uint32(st.Dst),
+		DstOff: uint64(st.DstOff), Count: uint64(st.N), Reply: reply, Flags: flags, Payload: payload,
 	}
 }
 
@@ -205,8 +205,8 @@ func sendChunks(comm *rts.Comm, cs *chunkSender, msg *cdr.Encoder, token uint32,
 			continue
 		}
 		whole := [1]dist.Move{{Len: seq.Len()}}
-		sc := schedule{moves: whole[:], ce: ce}
-		for st, ok := sc.first(); ok; st, ok = sc.next() {
+		sc := dist.Schedule{Moves: whole[:], CE: ce}
+		for st, ok := sc.First(); ok; st, ok = sc.Next() {
 			chunkStart := time.Now()
 			var slot *chunkSlot
 			var mark cdr.OctetsMark
@@ -219,7 +219,7 @@ func sendChunks(comm *rts.Comm, cs *chunkSender, msg *cdr.Encoder, token uint32,
 			}
 			if firstErr == nil {
 				gatherStart := time.Now()
-				firstErr = seq.GatherMarshalRangeTo(comm, 0, st.srcOff, st.n, mask, dst)
+				firstErr = seq.GatherMarshalRangeTo(comm, 0, st.SrcOff, st.N, mask, dst)
 				gather += time.Since(gatherStart)
 			}
 			if slot != nil {
@@ -260,8 +260,8 @@ func recvChunks(comm *rts.Comm, w *frameWait, msg *cdr.Decoder, reply bool, ce i
 			continue
 		}
 		whole := [1]dist.Move{{Len: seq.Len()}}
-		sc := schedule{moves: whole[:], ce: ce}
-		for st, ok := sc.first(); ok; st, ok = sc.next() {
+		sc := dist.Schedule{Moves: whole[:], CE: ce}
+		for st, ok := sc.First(); ok; st, ok = sc.Next() {
 			chunkStart := time.Now()
 			var payload []byte
 			var frame *wire.Data
@@ -284,7 +284,7 @@ func recvChunks(comm *rts.Comm, w *frameWait, msg *cdr.Decoder, reply bool, ce i
 			// The scatter copies the elements out (root's own share directly,
 			// a peer's through a rented piece), so the frame goes back as soon
 			// as it returns.
-			err := seq.ScatterUnmarshalRange(comm, 0, st.dstOff, st.n, payload)
+			err := seq.ScatterUnmarshalRange(comm, 0, st.DstOff, st.N, payload)
 			if frame != nil {
 				frame.Release()
 			}
@@ -337,7 +337,7 @@ func chunkElemsFor(base, nargs int, length func(i int) int) int {
 	for {
 		total := 0
 		for i := 0; i < nargs; i++ {
-			total += chunkCount(length(i), ce)
+			total += dist.ChunkCount(length(i), ce)
 		}
 		if total <= maxStreamChunks {
 			return ce
@@ -449,10 +449,10 @@ func (w *frameWait) takeFrame() (*wire.Data, error) {
 // nextChunk takes the next frame and checks that it is exactly step st of
 // argument arg. On any error the frame (if any) has been released; on success
 // the caller owns the frame and must Release it.
-func (w *frameWait) nextChunk(arg int, st step, reply bool) (*wire.Data, error) {
+func (w *frameWait) nextChunk(arg int, st dist.Step, reply bool) (*wire.Data, error) {
 	d, err := w.takeFrame()
 	if err != nil {
-		return nil, fmt.Errorf("stream chunk (arg %d, off %d): %w", arg, st.dstOff, err)
+		return nil, fmt.Errorf("stream chunk (arg %d, off %d): %w", arg, st.DstOff, err)
 	}
 	if err := checkStep(d, arg, st, reply); err != nil {
 		d.Release()
@@ -464,11 +464,11 @@ func (w *frameWait) nextChunk(arg int, st step, reply bool) (*wire.Data, error) 
 // checkStep refuses a frame that is not step st of argument arg of the leg
 // (reply: the back one): argument, endpoints, offset, count and the chunk and
 // last flags must all be the schedule's.
-func checkStep(d *wire.Data, arg int, st step, reply bool) error {
-	if d.ArgIndex != uint32(arg) || d.Reply != reply || !d.Chunked() || d.SrcRank != uint32(st.src) ||
-		d.DstOff != uint64(st.dstOff) || d.Count != uint64(st.n) || d.LastChunk() != st.last {
+func checkStep(d *wire.Data, arg int, st dist.Step, reply bool) error {
+	if d.ArgIndex != uint32(arg) || d.Reply != reply || !d.Chunked() || d.SrcRank != uint32(st.Src) ||
+		d.DstOff != uint64(st.DstOff) || d.Count != uint64(st.N) || d.LastChunk() != st.Last {
 		return fmt.Errorf("%w: chunk arg %d from thread %d off %d count %d last %v, want arg %d from thread %d off %d count %d last %v",
-			ErrBadHeader, d.ArgIndex, d.SrcRank, d.DstOff, d.Count, d.LastChunk(), arg, st.src, st.dstOff, st.n, st.last)
+			ErrBadHeader, d.ArgIndex, d.SrcRank, d.DstOff, d.Count, d.LastChunk(), arg, st.Src, st.DstOff, st.N, st.Last)
 	}
 	return nil
 }

@@ -41,7 +41,7 @@ func directChunkElems(base, dsts int, plans [][]dist.Move) (int, error) {
 		most, at, cut := 0, 0, false
 		for _, plan := range plans {
 			for _, m := range plan {
-				k := chunkCount(m.Len, ce)
+				k := dist.ChunkCount(m.Len, ce)
 				cut = cut || k > 1
 				if steps[m.DstRank] += k; steps[m.DstRank] > most {
 					most, at = steps[m.DstRank], m.DstRank
@@ -79,9 +79,9 @@ func sendSteps(conns connSource, dsts int, token uint32, me int, reply bool, ce 
 	arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) (pack time.Duration, err error) {
 	var cs *chunkSender
 	for i, plan := range plans {
-		sc := schedule{moves: plan, ce: ce}
-		for st, ok := sc.next(); ok && err == nil; st, ok = sc.next() {
-			if st.src != me {
+		sc := dist.Schedule{Moves: plan, CE: ce}
+		for st, ok := sc.Next(); ok && err == nil; st, ok = sc.Next() {
+			if st.Src != me {
 				continue
 			}
 			if cs == nil {
@@ -99,7 +99,7 @@ func sendSteps(conns connSource, dsts int, token uint32, me int, reply bool, ce 
 			chunkStart := time.Now()
 			slot := cs.next()
 			packStart := time.Now()
-			err = arg(i).MarshalRangeTo(st.srcOff, st.n, 0, slot.enc)
+			err = arg(i).MarshalRangeTo(st.SrcOff, st.N, 0, slot.enc)
 			pack += time.Since(packStart)
 			if err != nil {
 				cs.free <- slot // nothing to send: the ring gets it back whole
@@ -124,21 +124,21 @@ func sendSteps(conns connSource, dsts int, token uint32, me int, reply bool, ce 
 // different sources advance independently.
 type flow struct {
 	arg int
-	sc  schedule
+	sc  dist.Schedule
 }
 
 // next returns the next step of the plans thread src owes thread me, and the
 // argument it belongs to.
-func (f *flow) next(src, me, ce int, plans [][]dist.Move) (int, step, bool) {
+func (f *flow) next(src, me, ce int, plans [][]dist.Move) (int, dist.Step, bool) {
 	for {
-		if st, ok := f.sc.next(); ok {
-			if st.src == src && st.dst == me {
+		if st, ok := f.sc.Next(); ok {
+			if st.Src == src && st.Dst == me {
 				return f.arg - 1, st, true
 			}
 		} else if f.arg == len(plans) {
-			return 0, step{}, false
+			return 0, dist.Step{}, false
 		} else {
-			f.sc = schedule{moves: plans[f.arg], ce: ce}
+			f.sc = dist.Schedule{Moves: plans[f.arg], CE: ce}
 			f.arg++
 		}
 	}
@@ -156,9 +156,9 @@ func recvSteps(w *frameWait, me, srcs int, reply bool, ce int, plans [][]dist.Mo
 	arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) error {
 	want := 0
 	for _, plan := range plans {
-		sc := schedule{moves: plan, ce: ce}
-		for st, ok := sc.next(); ok; st, ok = sc.next() {
-			if st.dst == me {
+		sc := dist.Schedule{Moves: plan, CE: ce}
+		for st, ok := sc.Next(); ok; st, ok = sc.Next() {
+			if st.Dst == me {
 				want++
 			}
 		}
@@ -178,7 +178,7 @@ func recvSteps(w *frameWait, me, srcs int, reply bool, ce int, plans [][]dist.Mo
 		} else if i, st, ok := flows[src].next(src, me, ce, plans); !ok {
 			err = fmt.Errorf("%w: chunk of arg %d at offset %d after thread %d sent all it owed", ErrBadHeader, d.ArgIndex, d.DstOff, src)
 		} else if err = checkStep(d, i, st, reply); err == nil {
-			err = arg(i).UnmarshalRange(st.dstOff, d.Payload)
+			err = arg(i).UnmarshalRange(st.DstOff, d.Payload)
 		}
 		// UnmarshalRange copied the elements out (or the chunk was refused), so
 		// the borrowed transport buffer goes back to the pool either way.

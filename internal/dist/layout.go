@@ -279,38 +279,3 @@ func Plan(src, dst Layout) ([]Move, error) {
 	}
 	return moves, nil
 }
-
-// PlanBySource groups a plan's moves by source rank, the shape the
-// multi-port sender needs (each computing thread executes its own moves).
-func PlanBySource(moves []Move, srcRanks int) [][]Move {
-	return groupMoves(moves, srcRanks, func(m Move) int { return m.SrcRank })
-}
-
-// PlanByDest groups a plan's moves by destination rank, the shape the
-// multi-port receiver needs (each thread knows how many transfers to await).
-func PlanByDest(moves []Move, dstRanks int) [][]Move {
-	return groupMoves(moves, dstRanks, func(m Move) int { return m.DstRank })
-}
-
-// groupMoves buckets moves by rank into views of one shared backing array:
-// a count pass sizes each bucket exactly, so grouping costs three
-// allocations regardless of rank count. Full-capacity slicing keeps the
-// per-rank views from appending into each other.
-func groupMoves(moves []Move, ranks int, key func(Move) int) [][]Move {
-	counts := make([]int, ranks)
-	for _, m := range moves {
-		counts[key(m)]++
-	}
-	flat := make([]Move, len(moves))
-	out := make([][]Move, ranks)
-	off := 0
-	for r, n := range counts {
-		out[r] = flat[off:off : off+n]
-		off += n
-	}
-	for _, m := range moves {
-		r := key(m)
-		out[r] = append(out[r], m)
-	}
-	return out
-}

@@ -3,8 +3,10 @@ package exp
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/testutil"
 )
 
 // The tests below assert the paper's qualitative findings on the simulated
@@ -226,6 +228,36 @@ func TestSimulateInvalidConfigs(t *testing.T) {
 	if b.Total <= 0 {
 		t.Error("zero-length invocation has no cost")
 	}
+	// A platform the schedule cannot be cut on, or whose senders have no
+	// window, is refused before a process is spawned. Each row runs under a
+	// guard: a chunk of 0 or −8 bytes used to spin for ever growing a slice,
+	// 4 and 12 moved fractions of a double, and a window below 1 ended as a
+	// netsim deadlock with the simulated threads' goroutines left behind.
+	testutil.CheckGoroutines(t, "platform", func(t *testing.T) {
+		for _, bad := range []struct{ chunkBytes, window int }{
+			{0, p.Window}, {-8, p.Window}, {4, p.Window}, {12, p.Window}, {p.ChunkBytes, 0}, {p.ChunkBytes, -1},
+		} {
+			for name, sim := range map[string]func(Platform, int, int, int) (Breakdown, error){
+				"centralized": SimulateCentralized, "multi-port": SimulateMultiport,
+			} {
+				q := p
+				q.ChunkBytes, q.Window = bad.chunkBytes, bad.window
+				done := make(chan error, 1)
+				go func() {
+					_, err := sim(q, 2, 2, 1<<16)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err == nil || !strings.HasPrefix(err.Error(), "exp: invalid platform") {
+						t.Errorf("%s, ChunkBytes %d, Window %d: %v, want exp: invalid platform …", name, bad.chunkBytes, bad.window, err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s, ChunkBytes %d, Window %d: no answer after 2 s", name, bad.chunkBytes, bad.window)
+				}
+			}
+		}
+	})
 }
 
 func TestFormatters(t *testing.T) {

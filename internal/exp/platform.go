@@ -4,12 +4,14 @@
 //
 // Two execution modes are provided for every experiment:
 //
-//   - Simulated (Simulate*): the invocation protocols of internal/core are
-//     re-enacted step by step on the discrete-event platform of
-//     internal/netsim, calibrated to the paper's hardware (4-CPU SGI Onyx
-//     client, 10-CPU SGI Power Challenge server, dedicated ATM link, MPICH
-//     over shared memory). This mode reproduces the paper's breakdown
-//     columns and absolute scale.
+//   - Simulated (Simulate*, simulate.go): the invocation is interpreted from
+//     the engine's schedule — the plan internal/core would build for the
+//     leg, cut into steps by the same dist.Schedule — and every step is
+//     charged on the discrete-event platform of internal/netsim, calibrated
+//     to the paper's hardware (4-CPU SGI Onyx client, 10-CPU SGI Power
+//     Challenge server, dedicated ATM link, MPICH over shared memory). The
+//     platform stands in for the testbed, not for the protocol. This mode
+//     reproduces the paper's breakdown columns and absolute scale.
 //
 //   - Real (Run* in real.go): the actual PARDIS stack — rts worlds, the ORB,
 //     both transfer engines — runs over loopback TCP and is timed with the
@@ -157,20 +159,4 @@ func (b Breakdown) Bandwidth(n int) float64 {
 		return 0
 	}
 	return float64(n) / b.Total
-}
-
-// chunks splits n bytes into platform chunks, returning the size of each.
-func (p Platform) chunks(n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	var out []int
-	for off := 0; off < n; off += p.ChunkBytes {
-		c := p.ChunkBytes
-		if off+c > n {
-			c = n - off
-		}
-		out = append(out, c)
-	}
-	return out
 }

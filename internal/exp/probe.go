@@ -3,7 +3,7 @@ package exp
 import "repro/internal/obs"
 
 // Probe collects observability from the simulated experiments: each phase of
-// the re-enacted invocation is recorded as a span stamped with *virtual*
+// the interpreted invocation is recorded as a span stamped with *virtual*
 // time, and per-run traffic counters land in Reg. Because the discrete-event
 // simulator is deterministic, two runs of one configuration produce
 // byte-identical spans and counts — which is what lets the trace tests

@@ -35,9 +35,6 @@ type Machine struct {
 	computing int // processes currently inside Compute
 }
 
-// Threads returns the number of live processes on the machine.
-func (m *Machine) Threads() int { return m.threads }
-
 // SyscallDelay returns the scheduler cost of one network operation for the
 // current machine population: the base kernel entry plus a descheduling
 // penalty that grows linearly with the number of threads beyond the first.
@@ -164,9 +161,6 @@ type Queue struct {
 func (s *Sim) NewQueue(capacity int) *Queue {
 	return &Queue{sim: s, cap: capacity}
 }
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
 
 // Put appends v, blocking while the queue is at capacity.
 func (q *Queue) Put(p *Proc, v any) {

@@ -80,9 +80,6 @@ func (s *Sim) push(at float64, fn func()) {
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Sim) At(t float64, fn func()) { s.push(t, fn) }
 
-// After schedules fn d seconds from now.
-func (s *Sim) After(d float64, fn func()) { s.push(s.now+d, fn) }
-
 // Proc is one simulated thread of control.
 type Proc struct {
 	sim     *Sim
@@ -91,9 +88,6 @@ type Proc struct {
 	resume  chan struct{}
 	done    bool
 }
-
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
 
 // Machine returns the machine the process runs on.
 func (p *Proc) Machine() *Machine { return p.machine }

@@ -61,9 +61,9 @@ func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat")
 	h.Observe(0)
-	h.Observe(time.Microsecond)  // 1000 ns → bucket max 1024
-	h.Observe(time.Millisecond)  // 1e6 ns → bucket max 2^20
-	h.Observe(-time.Second)      // clamped to 0
+	h.Observe(time.Microsecond)     // 1000 ns → bucket max 1024
+	h.Observe(time.Millisecond)     // 1e6 ns → bucket max 2^20
+	h.Observe(-time.Second)         // clamped to 0
 	h.Observe(365 * 24 * time.Hour) // beyond the last bound → final bucket
 	s := h.snapshot()
 	if s.Count != 5 {
