@@ -10,8 +10,9 @@
 //	pardis-wiredump -spans spans.txt   # pretty-print a trace span dump
 //	                                   # (as written by pardis-bench -spandump)
 //	pardis-wiredump -frames capture.bin
-//	                                   # also print each frame header, with
-//	                                   # its trace-context id when present
+//	                                   # also print each frame header: type,
+//	                                   # byte order, body size, "more" when
+//	                                   # fragments follow
 package main
 
 import (
@@ -33,7 +34,7 @@ import (
 func main() {
 	ior := flag.String("ior", "", "decode a stringified object reference instead of a stream")
 	spans := flag.String("spans", "", "pretty-print a trace span dump (file or -) instead of a stream")
-	frames := flag.Bool("frames", false, "print each frame header (with trace id) alongside messages")
+	frames := flag.Bool("frames", false, "print each frame header (type, order, size, more) alongside messages")
 	flag.Parse()
 
 	if *spans != "" {
@@ -79,9 +80,6 @@ func main() {
 			line := fmt.Sprintf("  frame %v order=%v size=%d", h.Type, h.Order(), h.Size)
 			if h.More() {
 				line += " more"
-			}
-			if h.HasTrace() {
-				line += fmt.Sprintf(" trace=%d", h.Trace)
 			}
 			fmt.Println(line)
 		}}
@@ -133,21 +131,19 @@ func dump(i int, msg wire.Message) {
 	case *wire.Ping:
 		line := fmt.Sprintf("[%d] Ping nonce=%#x", i, m.Nonce)
 		if m.Codecs != 0 {
-			line += fmt.Sprintf(" compression-offer codecs=%s level=%d", zcodec.MaskString(m.Codecs), m.Level)
+			line += " compression-offer codecs=" + zcodec.MaskString(m.Codecs)
 		}
 		fmt.Println(line)
 	case *wire.Pong:
 		line := fmt.Sprintf("[%d] Pong nonce=%#x", i, m.Nonce)
 		if m.Codecs != 0 {
-			line += fmt.Sprintf(" compression-accept codecs=%s level=%d", zcodec.MaskString(m.Codecs), m.Level)
+			line += " compression-accept codecs=" + zcodec.MaskString(m.Codecs)
 		}
 		fmt.Println(line)
 	case *wire.LocateRequest:
 		fmt.Printf("[%d] LocateRequest id=%d key=%q\n", i, m.RequestID, m.ObjectKey)
 	case *wire.LocateReply:
 		fmt.Printf("[%d] LocateReply id=%d status=%d\n", i, m.RequestID, m.Status)
-	case *wire.CancelRequest:
-		fmt.Printf("[%d] CancelRequest id=%d\n", i, m.RequestID)
 	case *wire.CloseConnection:
 		fmt.Printf("[%d] CloseConnection\n", i)
 	case *wire.MessageError:

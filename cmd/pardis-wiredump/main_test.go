@@ -35,14 +35,14 @@ func capture(t *testing.T, fn func()) string {
 
 func TestDumpCompressionNegotiation(t *testing.T) {
 	out := capture(t, func() {
-		dump(0, &wire.Ping{Nonce: 0x434f4d50, Codecs: zcodec.MaskAll, Level: 1})
-		dump(1, &wire.Pong{Nonce: 0x434f4d50, Codecs: zcodec.MaskXOR, Level: 1})
+		dump(0, &wire.Ping{Nonce: 0x434f4d50, Codecs: zcodec.MaskAll})
+		dump(1, &wire.Pong{Nonce: 0x434f4d50, Codecs: zcodec.MaskXOR})
 		dump(2, &wire.Ping{Nonce: 7})
 		dump(3, &wire.Pong{Nonce: 7})
 	})
 	for _, want := range []string{
-		"compression-offer codecs=all level=1",
-		"compression-accept codecs=xor level=1",
+		"compression-offer codecs=all",
+		"compression-accept codecs=xor",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("negotiation dump missing %q:\n%s", want, out)

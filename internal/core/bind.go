@@ -39,10 +39,8 @@ type BindOptions struct {
 	Breaker orb.BreakerPolicy
 	// Trace, when set, receives one span per invocation phase (bind, invoke,
 	// gather, pack, sendrecv, scatter, unpack, barrier) as observed by this
-	// thread, keyed by the invocation token. Setting it also turns on the
-	// wire-level trace-context extension so server-side spans of the same
-	// invocation correlate by request id. Only enable against servers that
-	// understand the extension (anything running this code).
+	// thread, keyed by the invocation token — the key the server's object
+	// phases carry too. It records spans only; nothing of it goes on the wire.
 	Trace *obs.Recorder
 	// Metrics, when set, receives the binding's client-side resilience
 	// counters (see orb.Client.Metrics) and the pipeline inflight gauge
@@ -142,16 +140,6 @@ func (o BindOptions) newClient() *orb.Client {
 	cli := orb.NewClient()
 	cli.Timeout = o.Timeout
 	cli.Transport = o.Transport
-	if o.Trace != nil {
-		// Stamp outbound frames with the trace-context extension. Copy the
-		// options so the caller's struct is not mutated.
-		topts := transport.Options{}
-		if o.Transport != nil {
-			topts = *o.Transport
-		}
-		topts.TraceHeaders = true
-		cli.Transport = &topts
-	}
 	cli.Metrics = o.Metrics
 	cli.KeepaliveInterval = o.KeepaliveInterval
 	cli.Breaker = o.Breaker

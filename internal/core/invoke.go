@@ -286,7 +286,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// it when the invocation ends goes back to the pool.
 	if sh == shapeDirect || (iv.offer != 0 && me == 0) {
 		iv.sink = ln.dataSink()
-		b.client.RegisterDataSink(iv.token, uint32(me), iv.sink)
+		b.client.RegisterDataSink(b.ref, iv.token, uint32(me), iv.sink)
 		defer func() {
 			b.client.UnregisterDataSink(iv.token, uint32(me))
 			drainData(iv.sink)

@@ -383,10 +383,7 @@ func (o *Object) sendCentral(conn *transport.Conn, msg *cdr.Encoder, h *invocati
 		// connection during the handshake.
 		var err error
 		mask, err = agreeMask(o.comm, o.opts.Server.Compression, o.opts.CompressionPolicy, o.compSkipped,
-			func() (uint8, float64) {
-				m, _ := conn.Compression()
-				return m, conn.WriteBandwidth()
-			})
+			func() (uint8, float64) { return conn.Compression(), conn.WriteBandwidth() })
 		if err != nil {
 			return &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}
 		}

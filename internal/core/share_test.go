@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/dseq"
 	"repro/internal/rts"
@@ -164,5 +165,70 @@ func TestShareConnectionMultiport(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestShareConnectionSurvivesAnotherObjectsLoss binds one client to two
+// one-thread objects over one shared engine and loses A's server while a call
+// on B waits for its streamed result: B's call completes, whole. Before, the
+// lost connection to A poisoned every sink of the engine, and B's call failed
+// with COMM_FAILURE "data connection lost mid-transfer".
+func TestShareConnectionSurvivesAnotherObjectsLoss(t *testing.T) {
+	const n = 1 << 16
+	slowIota := func() []Operation {
+		ops := testObjectOps(nil)
+		for i, op := range ops {
+			if op.Desc.Name == "iota" {
+				ops[i].Handler = func(call *ServerCall) error {
+					time.Sleep(300 * time.Millisecond)
+					return op.Handler(call)
+				}
+			}
+		}
+		return ops
+	}
+	tcA := startCluster(t, 1, false, nil)
+	tcB := startClusterOps(t, 1, false, slowIota)
+	opts := BindOptions{Timeout: testTimeout, ShareConnection: true}
+	w := rts.NewWorld(1, rts.Options{RecvTimeout: testTimeout})
+	defer w.Close()
+	err := w.Run(func(c *rts.Comm) error {
+		a, err := SPMDBind(c, "example", tcA.ns.Addr(), opts)
+		if err != nil {
+			return err
+		}
+		defer a.Close()
+		b, err := SPMDBind(c, "example", tcB.ns.Addr(), opts)
+		if err != nil {
+			return err
+		}
+		defer b.Close()
+		if a.client != b.client {
+			return fmt.Errorf("the two bindings do not share a client engine")
+		}
+		lose := time.AfterFunc(50*time.Millisecond, func() {
+			tcA.objMu.Lock()
+			defer tcA.objMu.Unlock()
+			for _, o := range tcA.objects {
+				o.Close()
+			}
+		})
+		defer lose.Stop()
+		out, err := dseq.New(c, dseq.Float64, 0, nil)
+		if err != nil {
+			return err
+		}
+		size := ScalarEncoder()
+		size.WriteLong(n)
+		if _, err := b.Invoke("iota", size.Bytes(), []DistArg{OutSeq(out)}); err != nil {
+			return fmt.Errorf("the call on B, whose server is healthy: %w", err)
+		}
+		if got := out.LocalData(); len(got) != n || got[0] != 0.5 || got[n-1] != n-0.5 {
+			return fmt.Errorf("B's result: %d elements", len(got))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

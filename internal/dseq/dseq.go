@@ -25,9 +25,8 @@ import (
 
 // Errors reported by this package.
 var (
-	ErrIndex      = errors.New("dseq: index out of range")
-	ErrLayout     = errors.New("dseq: layout inconsistency")
-	ErrCollective = errors.New("dseq: collective call disagreement")
+	ErrIndex  = errors.New("dseq: index out of range")
+	ErrLayout = errors.New("dseq: layout inconsistency")
 )
 
 // Seq is one computing thread's view of a distributed sequence of T.

@@ -27,8 +27,8 @@ type RealConfig struct {
 	// Trace and Metrics, when set, thread observability through both sides
 	// of the measured stack: client-side bind/invoke phase spans and
 	// server-side queue/upcall/transfer spans land in Trace, while adapter
-	// and client resilience counters land in Metrics. Tracing also enables
-	// the wire-level trace-context extension on every connection.
+	// and client resilience counters land in Metrics. Tracing records spans
+	// only: the frames on the wire are the same with it on or off.
 	Trace   *obs.Recorder
 	Metrics *obs.Registry
 	// Compression is the zcodec codec mask both sides offer in the wire

@@ -117,10 +117,6 @@ func TestStandardExceptionBuilders(t *testing.T) {
 	if Marshal(errors.New("m")).RepoID != RepoMarshal {
 		t.Fatal("Marshal repo id")
 	}
-	fr := &ForwardRequest{Target: IOR{TypeID: "IDL:t:1.0"}}
-	if fr.Error() == "" {
-		t.Fatal("ForwardRequest message empty")
-	}
 }
 
 func TestEndpointAddr(t *testing.T) {

@@ -22,8 +22,6 @@ type Client struct {
 	// Timeout bounds each blocking invocation; zero means no bound.
 	// Per-invocation deadlines (InvokeOptions.Deadline) tighten it further.
 	Timeout time.Duration
-	// MaxForwards bounds LOCATION_FORWARD chains.
-	MaxForwards int
 	// Transport, when set, configures dialed connections (byte order,
 	// frame limits, fault-injection wrappers).
 	Transport *transport.Options
@@ -71,7 +69,7 @@ type Client struct {
 	sgCache map[string]*shardGroup
 
 	sinkMu sync.Mutex
-	sinks  map[sinkKey]chan *wire.Data
+	sinks  map[sinkKey]dataSink
 }
 
 // sinkKey names one data sink: the request the transfers belong to and the
@@ -80,14 +78,20 @@ type Client struct {
 // is what tells their return flows apart.
 type sinkKey struct{ requestID, rank uint32 }
 
+// dataSink is a registered sink and the reference whose endpoints feed it,
+// which is what a lost connection is checked against.
+type dataSink struct {
+	ch  chan *wire.Data
+	ref IOR
+}
+
 // NewClient returns a ready client engine.
 func NewClient() *Client {
 	return &Client{
-		MaxForwards: 3,
-		conns:       make(map[string]*connSlot),
-		breakers:    make(map[string]*breaker),
-		sgCache:     make(map[string]*shardGroup),
-		sinks:       make(map[sinkKey]chan *wire.Data),
+		conns:    make(map[string]*connSlot),
+		breakers: make(map[string]*breaker),
+		sgCache:  make(map[string]*shardGroup),
+		sinks:    make(map[sinkKey]dataSink),
 	}
 }
 
@@ -160,7 +164,6 @@ func (cc *clientConn) touch() { cc.lastRead.Store(time.Now().UnixNano()) }
 // Errors reported by the client engine.
 var (
 	ErrClientClosed  = errors.New("orb: client closed")
-	ErrForwardLoop   = errors.New("orb: too many location forwards")
 	ErrConnBroken    = errors.New("orb: connection broken")
 	ErrInvokeTimeout = errors.New("orb: invocation timed out")
 	// ErrAllEndpointsDown reports that every profile of a multi-profile
@@ -356,24 +359,12 @@ func (cc *clientConn) readLoop() {
 		cc.touch()
 		switch m := msg.(type) {
 		case *wire.Reply:
-			cc.mu.Lock()
-			ch, ok := cc.pending[m.RequestID]
-			delete(cc.pending, m.RequestID)
-			cc.mu.Unlock()
-			if ok {
-				ch <- m
-			}
+			cc.deliver(m.RequestID, m)
 		case *wire.Data:
 			cc.client.routeData(m)
 		case *wire.LocateReply:
-			cc.mu.Lock()
-			ch, ok := cc.pending[m.RequestID]
-			delete(cc.pending, m.RequestID)
-			cc.mu.Unlock()
-			if ok {
-				// Tunnel the locate reply through the reply channel.
-				ch <- &wire.Reply{RequestID: m.RequestID, Status: wire.ReplyStatus(m.Status), Args: []byte(m.IOR)}
-			}
+			// The locate status rides the reply channel as a reply status.
+			cc.deliver(m.RequestID, &wire.Reply{RequestID: m.RequestID, Status: wire.ReplyStatus(m.Status)})
 		case *wire.Ping:
 			if err := cc.conn.WriteMessage(&wire.Pong{Nonce: m.Nonce}); err != nil {
 				cc.fail(fmt.Errorf("%w: pong write: %v", ErrConnBroken, err))
@@ -386,7 +377,7 @@ func (cc *clientConn) readLoop() {
 			// mask, none leaves it raw.
 			if m.Nonce == compNonce {
 				if neg := m.Codecs & cc.client.Compression; neg != 0 {
-					cc.conn.SetCompression(neg, m.Level)
+					cc.conn.SetCompression(neg)
 				}
 				cc.compResolved()
 			}
@@ -422,7 +413,7 @@ func (cc *clientConn) fail(err error) {
 		// Before any waiter is released: a caller that learns of the failure
 		// from its exchange and registers its next sink must not find this
 		// connection's poison in it.
-		cc.client.poisonSinks()
+		cc.client.poisonSinks(cc.addr)
 	}
 	for id, ch := range cc.pending {
 		delete(cc.pending, id)
@@ -440,14 +431,20 @@ func (cc *clientConn) fail(err error) {
 	}
 }
 
-// poisonSinks delivers a nil sentinel to every registered data sink: a data
-// connection died, so any in-flight multiport transfer set may be
-// incomplete. Receivers treat the sentinel as a broken-connection error.
-func (c *Client) poisonSinks() {
+// poisonSinks delivers a nil sentinel to every data sink the connection to
+// addr could have fed — those registered for a reference with addr among its
+// endpoints, in any profile — whose transfers may now be incomplete. Receivers
+// treat the sentinel as a broken-connection error; a sink of another object
+// sharing this client is none of the lost connection's business.
+func (c *Client) poisonSinks(addr string) {
+	host, port := SplitHostPort(addr)
 	c.sinkMu.Lock()
-	for _, ch := range c.sinks {
+	for _, s := range c.sinks {
+		if !s.ref.hasEndpoint(host, port) {
+			continue
+		}
 		select {
-		case ch <- nil:
+		case s.ch <- nil:
 		default: // sink full; the receiver will fail on its own
 		}
 	}
@@ -479,6 +476,17 @@ func (cc *clientConn) register(id uint32) (chan *wire.Reply, error) {
 	return ch, nil
 }
 
+// deliver hands the reply of request id to its waiter, if it still has one.
+func (cc *clientConn) deliver(id uint32, r *wire.Reply) {
+	cc.mu.Lock()
+	ch, ok := cc.pending[id]
+	delete(cc.pending, id)
+	cc.mu.Unlock()
+	if ok {
+		ch <- r
+	}
+}
+
 func (cc *clientConn) unregister(id uint32) {
 	cc.mu.Lock()
 	delete(cc.pending, id)
@@ -486,13 +494,14 @@ func (cc *clientConn) unregister(id uint32) {
 }
 
 // RegisterDataSink routes inbound Data messages for the given request id
-// that are addressed to client thread rank (Data.DstRank) to ch. The caller
-// must register before the request is sent and must UnregisterDataSink
+// that are addressed to client thread rank (Data.DstRank) to ch, and poisons
+// ch when a connection to one of ref's endpoints is lost. The caller must
+// register before the request is sent and must UnregisterDataSink
 // afterwards. The channel should be buffered for the expected number of
 // transfers.
-func (c *Client) RegisterDataSink(requestID, rank uint32, ch chan *wire.Data) {
+func (c *Client) RegisterDataSink(ref IOR, requestID, rank uint32, ch chan *wire.Data) {
 	c.sinkMu.Lock()
-	c.sinks[sinkKey{requestID, rank}] = ch
+	c.sinks[sinkKey{requestID, rank}] = dataSink{ch, ref}
 	c.sinkMu.Unlock()
 }
 
@@ -505,10 +514,10 @@ func (c *Client) UnregisterDataSink(requestID, rank uint32) {
 
 func (c *Client) routeData(d *wire.Data) {
 	c.sinkMu.Lock()
-	ch, ok := c.sinks[sinkKey{d.RequestID, d.DstRank}]
+	s, ok := c.sinks[sinkKey{d.RequestID, d.DstRank}]
 	c.sinkMu.Unlock()
 	if ok {
-		ch <- d
+		s.ch <- d
 	} else {
 		// No sink registered (late transfer for a finished request): the
 		// message is dropped, so its borrowed frame buffer is returned here.
@@ -525,7 +534,30 @@ func (c *Client) InvokeAddr(addr string, key []byte, op string, args []byte, one
 
 // InvokeAddrOpts is the fully-optioned invocation entry point.
 func (c *Client) InvokeAddrOpts(addr string, key []byte, op string, args []byte, o InvokeOptions) ([]byte, error) {
-	return c.invokeAddr(addr, key, op, args, o, 0)
+	id := c.NextRequestID()
+	req := &wire.Request{
+		RequestID:        id,
+		ResponseExpected: !o.Oneway,
+		ObjectKey:        key,
+		Operation:        op,
+		Principal:        c.Principal,
+		Args:             args,
+	}
+	if o.Oneway {
+		cc, err := c.conn(addr)
+		if err != nil {
+			return nil, err
+		}
+		return nil, cc.write(req)
+	}
+	reply, err := c.exchange(addr, id, req, o.Deadline)
+	if err != nil {
+		return nil, err
+	}
+	if reply.Status != wire.ReplyNoException {
+		return nil, decodeException(reply.Status, reply.Args)
+	}
+	return reply.Args, nil
 }
 
 // write sends m. A failed write leaves the stream unusable, so it poisons the
@@ -558,48 +590,6 @@ func (c *Client) exchange(addr string, id uint32, m wire.Message, deadline time.
 		return nil, err
 	}
 	return c.await(cc, ch, id, deadline)
-}
-
-func (c *Client) invokeAddr(addr string, key []byte, op string, args []byte, o InvokeOptions, depth int) ([]byte, error) {
-	if depth > c.MaxForwards {
-		return nil, ErrForwardLoop
-	}
-	id := c.NextRequestID()
-	req := &wire.Request{
-		RequestID:        id,
-		ResponseExpected: !o.Oneway,
-		ObjectKey:        key,
-		Operation:        op,
-		Principal:        c.Principal,
-		Args:             args,
-	}
-	if o.Oneway {
-		cc, err := c.conn(addr)
-		if err != nil {
-			return nil, err
-		}
-		return nil, cc.write(req)
-	}
-	reply, err := c.exchange(addr, id, req, o.Deadline)
-	if err != nil {
-		return nil, err
-	}
-	switch reply.Status {
-	case wire.ReplyNoException:
-		return reply.Args, nil
-	case wire.ReplyLocationForward:
-		fwd, perr := ParseIOR(string(reply.Args))
-		if perr != nil {
-			return nil, perr
-		}
-		ep, perr := fwd.Primary()
-		if perr != nil {
-			return nil, perr
-		}
-		return c.invokeAddr(ep.Addr(), fwd.Key, op, args, InvokeOptions{Deadline: o.Deadline}, depth+1)
-	default:
-		return nil, decodeException(reply.Status, reply.Args)
-	}
 }
 
 // awaitBound computes the effective wait for one reply: the tighter of the
@@ -748,8 +738,7 @@ func (c *Client) NegotiatedCompression(ref IOR, wait time.Duration) uint8 {
 	case <-t.C:
 		return 0
 	}
-	codecs, _ := cc.conn.Compression()
-	return codecs
+	return cc.conn.Compression()
 }
 
 // WireBandwidth returns the estimated effective write bandwidth

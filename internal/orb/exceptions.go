@@ -80,18 +80,6 @@ func Marshal(err error) *SystemException {
 	return &SystemException{RepoID: RepoMarshal, Message: err.Error()}
 }
 
-// ForwardRequest is not an exception: a servant returns it from Dispatch to
-// tell the adapter to answer with LOCATION_FORWARD, redirecting the client
-// to Target. This is how a relocated or migrated object bounces clients to
-// its new endpoints.
-type ForwardRequest struct {
-	Target IOR
-}
-
-func (f *ForwardRequest) Error() string {
-	return fmt.Sprintf("forward to %s", f.Target.TypeID)
-}
-
 // An outcome is how one step of a call ended: clean, or the error that ended
 // it. One encoding carries it wherever it travels — between processes as the
 // body of an exceptional reply, whose status says which kind it is, and between

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -183,6 +184,15 @@ func (r *IOR) AddProfile(eps []Endpoint) {
 		}
 	}
 	r.Alternates = append(r.Alternates, eps)
+}
+
+// hasEndpoint reports whether host:port is an endpoint of any of the
+// reference's profiles.
+func (r IOR) hasEndpoint(host string, port int) bool {
+	at := func(eps []Endpoint) bool {
+		return slices.ContainsFunc(eps, func(e Endpoint) bool { return e.Host == host && e.Port == port })
+	}
+	return at(r.Endpoints) || slices.ContainsFunc(r.Alternates, at)
 }
 
 // EndpointFor returns the endpoint serving the given computing thread, or

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/testutil"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -387,54 +388,6 @@ func TestConnectionReuse(t *testing.T) {
 	}
 }
 
-// forwardingServant answers every request with a LOCATION_FORWARD to target.
-type forwardingServant struct{ target IOR }
-
-func (f forwardingServant) Dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) error {
-	return &ForwardRequest{Target: f.target}
-}
-
-func TestLocationForward(t *testing.T) {
-	_, realRef := newTestServer(t)
-	fwdSrv, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fwdSrv.Close() })
-	fwdKey := []byte("forwarder")
-	fwdSrv.Register(fwdKey, forwardingServant{target: realRef})
-
-	c := newTestClient(t)
-	ref := IOR{TypeID: realRef.TypeID, Key: fwdKey, Threads: 1, Endpoints: []Endpoint{fwdSrv.Endpoint(0)}}
-	args := encodeArgs(func(e *cdr.Encoder) { e.WriteString("via forward") })
-	replyArgs, err := c.Invoke(ref, "echo", args, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := ArgDecoder(replyArgs)
-	got, err := d.ReadString()
-	if err != nil || got != "via forward" {
-		t.Fatalf("forwarded echo %q %v", got, err)
-	}
-}
-
-func TestForwardLoopDetected(t *testing.T) {
-	fwdSrv, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fwdSrv.Close() })
-	key := []byte("loop")
-	self := IOR{TypeID: "IDL:test/loop:1.0", Key: key, Threads: 1, Endpoints: []Endpoint{fwdSrv.Endpoint(0)}}
-	fwdSrv.Register(key, forwardingServant{target: self})
-
-	c := newTestClient(t)
-	_, err = c.Invoke(self, "echo", nil, false)
-	if !errors.Is(err, ErrForwardLoop) {
-		t.Fatalf("want ErrForwardLoop, got %v", err)
-	}
-}
-
 func TestIORStringRoundTrip(t *testing.T) {
 	ref := IOR{
 		TypeID:  "IDL:diff_object:1.0",
@@ -546,7 +499,7 @@ func TestDataRoutingServerAndClient(t *testing.T) {
 	c := newTestClient(t)
 	const reqID = 777
 	sink := make(chan *wire.Data, 1)
-	c.RegisterDataSink(reqID, 0, sink)
+	c.RegisterDataSink(ref, reqID, 0, sink)
 	defer c.UnregisterDataSink(reqID, 0)
 
 	if err := c.SendData(ref, &wire.Data{RequestID: reqID, DstRank: 0, Payload: []byte("ping")}); err != nil {
@@ -567,6 +520,50 @@ func TestDataRoutingServerAndClient(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("client data sink never called")
+	}
+}
+
+// TestLostConnectionPoisonsOnlyItsSinks loses the connections of one client
+// engine to two objects in turn. Losing A's leaves the sink registered for B
+// empty — before, it was poisoned as well, and B's healthy call failed — and
+// poisons a sink whose reference names A as an alternate profile; losing B's
+// then poisons B's.
+func TestLostConnectionPoisonsOnlyItsSinks(t *testing.T) {
+	srvA, refA := newTestServer(t)
+	srvB, refB := newTestServer(t)
+	c := newTestClient(t)
+	sinkB, sinkAlt := make(chan *wire.Data, 1), make(chan *wire.Data, 1)
+	c.RegisterDataSink(refB, 1, 0, sinkB)
+	defer c.UnregisterDataSink(1, 0)
+	replicated := refB
+	replicated.Alternates = [][]Endpoint{refA.Endpoints}
+	c.RegisterDataSink(replicated, 2, 0, sinkAlt)
+	defer c.UnregisterDataSink(2, 0)
+	for _, ref := range []IOR{refA, refB} {
+		if _, err := c.DataConn(ref, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srvA.Close()
+	testutil.Eventually(t, 5*time.Second, "the client never saw A's connection go", func() bool { return c.NumConns() == 1 })
+	select {
+	case d := <-sinkB:
+		t.Fatalf("losing A's connection put %v in the sink of a call on B", d)
+	default:
+	}
+	if d := <-sinkAlt; d != nil {
+		t.Fatalf("the sink of a reference with A as a profile got %+v, want the poison", d)
+	}
+
+	srvB.Close()
+	select {
+	case d := <-sinkB:
+		if d != nil {
+			t.Fatalf("B's sink got %+v, want the poison", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("losing B's connection left B's sink unpoisoned")
 	}
 }
 

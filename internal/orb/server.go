@@ -607,8 +607,6 @@ func (s *Server) serveConn(sc *servedConn) {
 				s.Logf("orb: locate reply: %v", err)
 				return
 			}
-		case *wire.CancelRequest:
-			// Best effort: PARDIS requests are not abortable mid-upcall.
 		case *wire.Ping:
 			// Keepalive probe or compression offer. The negotiated mask
 			// is the intersection of the two sides' codec masks; an empty
@@ -617,8 +615,8 @@ func (s *Server) serveConn(sc *servedConn) {
 			// stays raw.
 			pong := &wire.Pong{Nonce: m.Nonce}
 			if neg := m.Codecs & s.opts.Compression; neg != 0 {
-				pong.Codecs, pong.Level = neg, m.Level
-				sc.conn.SetCompression(neg, m.Level)
+				pong.Codecs = neg
+				sc.conn.SetCompression(neg)
 			}
 			if err := sc.conn.WriteMessage(pong); err != nil {
 				s.Logf("orb: pong: %v", err)
@@ -867,8 +865,8 @@ func (s *Server) shedRequest(sc *servedConn, req *wire.Request, msg string) {
 	putReplyEncoder(out)
 }
 
-// upcall hands req to its servant and leaves the reply payload — results,
-// exception or forward reference — in out, returning the reply status.
+// upcall hands req to its servant and leaves the reply payload — results or
+// exception — in out, returning the reply status.
 func (s *Server) upcall(conn *transport.Conn, req *wire.Request, out *cdr.Encoder) wire.ReplyStatus {
 	defer s.handleNS.Done(s.handleNS.Start())
 	sv, ok := s.lookup(req.ObjectKey)
@@ -894,12 +892,6 @@ func (s *Server) upcall(conn *transport.Conn, req *wire.Request, out *cdr.Encode
 	}
 	if err == nil {
 		return wire.ReplyNoException
-	}
-	var fwd *ForwardRequest
-	if errors.As(err, &fwd) {
-		out.Reset() // raw payload: the forward IOR, no order octet
-		out.WriteRaw([]byte(fwd.Target.String()))
-		return wire.ReplyLocationForward
 	}
 	ResetArgEncoder(out)
 	return encodeException(out, err)

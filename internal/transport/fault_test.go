@@ -37,7 +37,7 @@ func TestFaultCutAfterWriteBytes(t *testing.T) {
 		t.Fatalf("peer read a message %#v across a cut stream", m)
 	}
 	// Further writes fail fast.
-	if err := client.WriteMessage(&wire.CancelRequest{RequestID: 1}); !errors.Is(err, ErrInjected) {
+	if err := client.WriteMessage(&wire.LocateRequest{RequestID: 1}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("post-cut write: want ErrInjected, got %v", err)
 	}
 }
@@ -136,7 +136,7 @@ func TestFaultPlanConnBudget(t *testing.T) {
 	faulted, server := faultedPair(plan)
 	defer faulted.Close()
 	defer server.Close()
-	if err := faulted.WriteMessage(&wire.CancelRequest{RequestID: 1}); !errors.Is(err, ErrInjected) {
+	if err := faulted.WriteMessage(&wire.LocateRequest{RequestID: 1}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("first conn: want ErrInjected, got %v", err)
 	}
 
@@ -145,7 +145,7 @@ func TestFaultPlanConnBudget(t *testing.T) {
 	peer := NewConn(&pipeEnd{r: ab, w: ba}, nil)
 	defer clean.Close()
 	defer peer.Close()
-	if err := clean.WriteMessage(&wire.CancelRequest{RequestID: 2}); err != nil {
+	if err := clean.WriteMessage(&wire.LocateRequest{RequestID: 2}); err != nil {
 		t.Fatalf("second conn should pass clean: %v", err)
 	}
 	if _, err := peer.ReadMessage(); err != nil {

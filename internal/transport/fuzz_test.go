@@ -66,7 +66,7 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(huge[:])
 	f.Add([]byte("PDIS garbage that is not a frame at all....."))
 	// A well-formed frame of the previous protocol version, then a current one.
-	v1 := wire.Encode(&wire.CancelRequest{RequestID: 9}, cdr.LittleEndian)
+	v1 := wire.Encode(&wire.LocateRequest{RequestID: 9}, cdr.LittleEndian)
 	v1[4] = wire.Version - 1
 	f.Add(append(v1, wire.Encode(&wire.Ping{Nonce: 1}, cdr.LittleEndian)...))
 

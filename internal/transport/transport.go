@@ -74,15 +74,8 @@ type Options struct {
 	// every other goroutine queued on the connection's write lock — forever.
 	// Zero disables.
 	WriteTimeout time.Duration
-	// TraceHeaders stamps every outbound frame with the PGIOP trace-context
-	// header extension carrying the message's request id, Fragment frames
-	// included, so per-frame tooling can attribute bytes to invocations
-	// without decoding bodies. Inbound extensions are always understood,
-	// whether or not this side stamps its own.
-	TraceHeaders bool
-	// FrameHook, when set, observes every inbound frame header (with
-	// Header.Trace populated from the extension) before the body is read.
-	// It runs on the reading goroutine; keep it cheap.
+	// FrameHook, when set, observes every inbound frame header before the
+	// body is read. It runs on the reading goroutine; keep it cheap.
 	FrameHook func(h wire.Header)
 }
 
@@ -105,11 +98,9 @@ type Conn struct {
 	max      int
 	wd       writeDeadliner
 	wtimeout time.Duration
-	trace    bool
 	hook     func(h wire.Header)
-	rhdr     [wire.HeaderLen]byte   // scratch for inbound frame headers (reader-owned)
-	ext      [wire.TraceExtLen]byte // scratch for inbound trace extensions (reader-owned)
-	held     [][]byte               // scratch list of fragment frames under reassembly (reader-owned)
+	rhdr     [wire.HeaderLen]byte // scratch for inbound frame headers (reader-owned)
+	held     [][]byte             // scratch list of fragment frames under reassembly (reader-owned)
 
 	// vectored enables the gathered-write (writev) path. Only real TCP
 	// connections qualify: on any other stream net.Buffers degrades to one
@@ -118,20 +109,18 @@ type Conn struct {
 	vectored bool
 
 	wmu    sync.Mutex
-	enc    *cdr.Encoder            // scratch encoder for the body up to its tail, guarded by wmu
-	vec    [][]byte                // scratch frame layout of the message being written, guarded by wmu
-	bufs   net.Buffers             // vec as the gathered write consumes it, guarded by wmu
-	harena []byte                  // scratch frame-header arena backing vec, guarded by wmu
-	hdr    [wire.MaxHeaderLen]byte // scratch frame header (+ extension), guarded by wmu
+	enc    *cdr.Encoder // scratch encoder for the body up to its tail, guarded by wmu
+	vec    [][]byte     // scratch frame layout of the message being written, guarded by wmu
+	bufs   net.Buffers  // vec as the gathered write consumes it, guarded by wmu
+	harena []byte       // scratch frame-header arena backing vec, guarded by wmu
 	closed bool
 	cmu    sync.Mutex
 
-	// comp holds the compression state negotiated by the Ping/Pong
-	// handshake: the accepted zcodec bitmask in the low byte and the
-	// level in the next. Zero until (unless) the handshake succeeds, so
-	// un-negotiated connections read as "raw frames only". Stored on the
-	// Conn because both orb endpoints and the core data plane need the
-	// same per-connection answer.
+	// comp holds the zcodec bitmask negotiated by the Ping/Pong handshake.
+	// Zero until (unless) the handshake succeeds, so un-negotiated
+	// connections read as "raw frames only". Stored on the Conn because both
+	// orb endpoints and the core data plane need the same per-connection
+	// answer.
 	comp atomic.Uint32
 
 	// wbw is an EWMA of this connection's effective write bandwidth in
@@ -173,18 +162,13 @@ func (c *Conn) WriteBandwidth() float64 {
 	return math.Float64frombits(c.wbw.Load())
 }
 
-// SetCompression records the negotiated codec bitmask and level for this
-// connection. Called once by whichever endpoint completes the handshake.
-func (c *Conn) SetCompression(codecs, level uint8) {
-	c.comp.Store(uint32(codecs) | uint32(level)<<8)
-}
+// SetCompression records the negotiated codec bitmask for this connection.
+// Called once by whichever endpoint completes the handshake.
+func (c *Conn) SetCompression(codecs uint8) { c.comp.Store(uint32(codecs)) }
 
-// Compression returns the negotiated codec bitmask and level; both zero
-// when no handshake has completed on this connection.
-func (c *Conn) Compression() (codecs, level uint8) {
-	v := c.comp.Load()
-	return uint8(v), uint8(v >> 8)
-}
+// Compression returns the negotiated codec bitmask; zero when no handshake
+// has completed on this connection.
+func (c *Conn) Compression() uint8 { return uint8(c.comp.Load()) }
 
 // Read frames are rented from bufpool.Frames (that package has the ownership
 // rule), but only MsgData bodies and the frames of a fragmented message: every
@@ -235,7 +219,6 @@ func NewConn(rw io.ReadWriteCloser, opts *Options) *Conn {
 			c.wd = wd
 			c.wtimeout = opts.WriteTimeout
 		}
-		c.trace = opts.TraceHeaders
 		c.hook = opts.FrameHook
 	}
 	return c
@@ -281,18 +264,7 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 		_ = c.wd.SetWriteDeadline(time.Now().Add(c.wtimeout))
 		defer c.wd.SetWriteDeadline(time.Time{})
 	}
-	var trace uint64
-	if c.trace {
-		id, _ := wire.RequestIDOf(m)
-		trace = uint64(id)
-	}
-	// Chunked Data frames advertise themselves in the header so per-frame
-	// tooling can meter streamed bulk bytes without decoding bodies.
-	var xflags byte
-	if d, ok := m.(*wire.Data); ok && d.Chunked() {
-		xflags = wire.FlagStreamChunk
-	}
-	c.layoutFrames(m.Type(), e.Bytes(), tail, trace, xflags)
+	c.layoutFrames(m.Type(), e.Bytes(), tail)
 
 	// Time writes big enough to measure for the bandwidth EWMA: from here to
 	// the final flush is the serialized wire work, including any stall the
@@ -334,11 +306,11 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 // layoutFrames fills c.vec with the frames of one message: per frame its
 // header, then the part of the virtual concatenation prefix ++ tail it
 // carries, split at the fragment threshold (a frame may straddle the
-// boundary). The leading frame has type t, the rest are Fragments; xflags is
-// OR'd into every header's flag byte. Callers must hold wmu.
-func (c *Conn) layoutFrames(t wire.MsgType, prefix, tail []byte, trace uint64, xflags byte) {
+// boundary). The leading frame has type t, the rest are Fragments. Callers
+// must hold wmu.
+func (c *Conn) layoutFrames(t wire.MsgType, prefix, tail []byte) {
 	total := len(prefix) + len(tail)
-	need := (total/c.frag + 1) * wire.MaxHeaderLen
+	need := (total/c.frag + 1) * wire.HeaderLen
 	c.vec = c.vec[:0]
 	c.harena = c.harena[:0]
 	if cap(c.harena) < need {
@@ -348,11 +320,10 @@ func (c *Conn) layoutFrames(t wire.MsgType, prefix, tail []byte, trace uint64, x
 	}
 	for off := 0; ; off += c.frag {
 		end := min(off+c.frag, total)
-		n := wire.EncodeHeaderExt(&c.hdr, t, c.order, end < total, c.trace, end-off, trace)
-		c.hdr[5] |= xflags
+		h := wire.EncodeHeader(t, c.order, end < total, end-off)
 		hoff := len(c.harena)
-		c.harena = append(c.harena, c.hdr[:n]...)
-		c.vec = append(c.vec, c.harena[hoff:hoff+n])
+		c.harena = append(c.harena, h[:]...)
+		c.vec = append(c.vec, c.harena[hoff:])
 		if off < len(prefix) {
 			c.vec = append(c.vec, prefix[off:min(end, len(prefix))])
 		}
@@ -501,15 +472,6 @@ func (c *Conn) readFrame() (wire.Header, []byte, error) {
 	h, err := wire.DecodeHeader(hb[:])
 	if err != nil {
 		return wire.Header{}, nil, err
-	}
-	if h.HasTrace() {
-		// The trace-context extension sits between the fixed header and the
-		// body; c.ext is reader-owned scratch (ReadMessage is single-
-		// goroutine), so reading it costs no allocation.
-		if _, err := io.ReadFull(c.br, c.ext[:]); err != nil {
-			return wire.Header{}, nil, fmt.Errorf("transport: truncated trace extension: %w", err)
-		}
-		h.Trace = wire.TraceExt(c.ext[:], h.Order())
 	}
 	if c.hook != nil {
 		c.hook(h)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/cdr"
 	"repro/internal/wire"
 )
@@ -276,6 +277,37 @@ func TestGarbageStream(t *testing.T) {
 	c := NewConn(garbage, nil)
 	if _, err := c.ReadMessage(); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestRetiredTypeRefused asserts what the fuzz corpus's cancel-frame (the same
+// bytes) only exercises: a well-formed frame whose type is the first code past
+// Pong, which v6 does not define, is refused.
+func TestRetiredTypeRefused(t *testing.T) {
+	h := wire.EncodeHeader(wire.MsgPong+1, cdr.LittleEndian, false, 4)
+	frame := append(h[:], 9, 0, 0, 0)
+	c := NewConn(&byteStream{r: bytes.NewReader(frame)}, nil)
+	if _, err := c.ReadMessage(); !errors.Is(err, wire.ErrBadType) {
+		t.Fatalf("retired type code %d: want ErrBadType, got %v", frame[6], err)
+	}
+}
+
+func TestPoolStatsMove(t *testing.T) {
+	before := PoolStats()
+	bufpool.Frames.Return(bufpool.Frames.Rent(512))
+	bufpool.Frames.Return(bufpool.Frames.Rent(512)) // likely a hit now that one is pooled
+	after := PoolStats()
+	if after.Hits+after.Misses != before.Hits+before.Misses+2 {
+		t.Fatalf("Rent did not count: %+v -> %+v", before, after)
+	}
+	if after.Returns != before.Returns+2 {
+		t.Fatalf("Return did not count: %+v -> %+v", before, after)
+	}
+	// Oversize buffers are the garbage collector's: they never enter the ledger.
+	big := bufpool.Frames.Rent(4<<20 + bufpool.Headroom + 1)
+	bufpool.Frames.Return(big)
+	if final := PoolStats(); final != after {
+		t.Fatalf("an oversize buffer moved the ledger: %+v -> %+v", after, final)
 	}
 }
 

@@ -8,26 +8,22 @@ import (
 
 // FuzzDecodeHeader throws arbitrary bytes at the header parser. Any input
 // must produce a Header or an error — never a panic — and an accepted
-// header must carry a valid type and round-trip through EncodeHeaderExt
-// (which preserves the trace-context flag DecodeHeader may have accepted).
+// header must carry a valid type and round-trip through EncodeHeader.
 func FuzzDecodeHeader(f *testing.F) {
 	good := EncodeHeader(MsgRequest, cdr.LittleEndian, false, 16)
 	f.Add(good[:])
 	big := EncodeHeader(MsgData, cdr.BigEndian, true, 1<<20)
 	f.Add(big[:])
-	var traced [MaxHeaderLen]byte
-	EncodeHeaderExt(&traced, MsgData, cdr.LittleEndian, true, true, 4096, 0xdeadbeef)
-	f.Add(traced[:HeaderLen]) // trace-flagged fixed header alone
-	f.Add(traced[:])          // with the extension bytes trailing
-	var tbig [MaxHeaderLen]byte
-	EncodeHeaderExt(&tbig, MsgFragment, cdr.BigEndian, false, true, 1<<16, 1)
-	f.Add(tbig[:])
 	f.Add([]byte("PDIS"))                                 // truncated
 	f.Add([]byte("GIOP\x01\x00\x00\x00\x00\x00\x00\x00")) // wrong protocol
-	f.Add([]byte("PDIS\x04\x01\x00\x00\x10\x00\x00\x00")) // version 4: refused
-	f.Add([]byte("PDIS\x05\x08\x08\x00\x00\x00\x00\x40")) // stream-chunk flag on a Data frame
-	f.Add([]byte("PDIS\x05\x0f\x08\x00\x00\x00\x00\x40")) // every defined flag at once
-	f.Add([]byte("PDIS\x05\x10\x00\x00\x00\x00\x00\x00")) // reserved flag bit 4
+	f.Add([]byte("PDIS\x05\x01\x00\x00\x10\x00\x00\x00")) // version 5: refused
+	f.Add([]byte("PDIS\x06\x03\x07\x00\x00\x00\x00\x40")) // both defined flags on a Data frame
+	// Each reserved flag bit: refused.
+	for bit := 2; bit < 8; bit++ {
+		b := EncodeHeader(MsgData, cdr.LittleEndian, false, 64)
+		b[5] |= 1 << bit
+		f.Add(b[:])
+	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -38,14 +34,8 @@ func FuzzDecodeHeader(f *testing.F) {
 		if !h.Type.Valid() {
 			t.Fatalf("accepted header with invalid type %d", h.Type)
 		}
-		var re [MaxHeaderLen]byte
-		EncodeHeaderExt(&re, h.Type, h.Order(), h.More(), h.HasTrace(), int(h.Size), 0)
-		if h.StreamChunk() {
-			// The stream-chunk marker is OR'd onto frames by the transport
-			// rather than passed through EncodeHeaderExt; mirror that here.
-			re[5] |= FlagStreamChunk
-		}
-		if rh, err := DecodeHeader(re[:HeaderLen]); err != nil || rh != h {
+		re := EncodeHeader(h.Type, h.Order(), h.More(), int(h.Size))
+		if rh, err := DecodeHeader(re[:]); err != nil || rh != h {
 			t.Fatalf("header %+v does not round-trip: %+v, %v", h, rh, err)
 		}
 	})
@@ -58,7 +48,7 @@ func FuzzDecodeBody(f *testing.F) {
 	for _, m := range []Message{
 		&Request{RequestID: 1, ResponseExpected: true, ObjectKey: []byte("key"), Operation: "op", Args: []byte("abcd")},
 		&Reply{RequestID: 2, Status: ReplyNoException, Args: []byte("efgh")},
-		&CancelRequest{RequestID: 3},
+		&Reply{RequestID: 3, Status: ReplySystemException, Args: []byte("ijkl")},
 		&LocateRequest{RequestID: 4, ObjectKey: []byte("key")},
 		&LocateReply{RequestID: 5, Status: LocateHere},
 		&CloseConnection{},
@@ -70,15 +60,15 @@ func FuzzDecodeBody(f *testing.F) {
 		&Data{RequestID: 11, ArgIndex: 0, DstOff: 0, Count: 8, Flags: DataFlagChunk | DataFlagCompressed, Payload: []byte{0x02, 0x02, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x08, 0x3f}},
 		&Ping{Nonce: 7},
 		&Pong{Nonce: 8},
-		&Ping{Nonce: 12, Codecs: 0x03, Level: 1},
-		&Pong{Nonce: 13, Codecs: 0x02, Level: 0},
+		&Ping{Nonce: 12, Codecs: 0x03},
+		&Pong{Nonce: 13, Codecs: 0x02},
 	} {
 		e := cdr.NewEncoder(cdr.NativeOrder)
 		m.EncodeBody(e)
 		f.Add([]byte{byte(m.Type()), byte(cdr.NativeOrder)}, e.Bytes())
 	}
-	f.Add([]byte{byte(MsgPing), 1}, []byte{7, 0, 0, 0})    // nonce alone: short body
-	f.Add([]byte{byte(MsgPong), 1}, []byte{7, 0, 0, 0, 3}) // no level
+	f.Add([]byte{byte(MsgPing), 1}, []byte{7, 0, 0, 0}) // nonce alone: short body
+	f.Add([]byte{byte(MsgPong), 1}, []byte{7, 0, 0})    // nonce cut short
 
 	f.Fuzz(func(t *testing.T, sel, body []byte) {
 		if len(sel) < 2 {

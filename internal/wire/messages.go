@@ -62,8 +62,7 @@ func decodeRequest(d *cdr.Decoder) (*Request, error) {
 }
 
 // Reply answers a Request. For ReplyUserException and ReplySystemException
-// the Args payload carries the marshalled exception; for
-// ReplyLocationForward it carries a stringified object reference.
+// the Args payload carries the marshalled exception.
 type Reply struct {
 	RequestID uint32
 	Status    ReplyStatus
@@ -94,7 +93,7 @@ func decodeReply(d *cdr.Decoder) (*Reply, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s > uint32(ReplyLocationForward) {
+	if s > uint32(ReplySystemException) {
 		return nil, fmt.Errorf("%w: reply status %d", ErrBadBody, s)
 	}
 	r.Status = ReplyStatus(s)
@@ -102,23 +101,6 @@ func decodeReply(d *cdr.Decoder) (*Reply, error) {
 		return nil, err
 	}
 	return &r, nil
-}
-
-// CancelRequest withdraws interest in an outstanding request.
-type CancelRequest struct {
-	RequestID uint32
-}
-
-func (*CancelRequest) Type() MsgType { return MsgCancelRequest }
-
-func (c *CancelRequest) EncodeBody(e *cdr.Encoder) { e.WriteULong(c.RequestID) }
-
-func decodeCancelRequest(d *cdr.Decoder) (*CancelRequest, error) {
-	id, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	return &CancelRequest{RequestID: id}, nil
 }
 
 // LocateRequest asks whether the peer serves the given object key.
@@ -146,12 +128,10 @@ func decodeLocateRequest(d *cdr.Decoder) (*LocateRequest, error) {
 	return &l, nil
 }
 
-// LocateReply answers a LocateRequest; for LocateForward, IOR carries the
-// stringified reference of the object's current location.
+// LocateReply answers a LocateRequest.
 type LocateReply struct {
 	RequestID uint32
 	Status    LocateStatus
-	IOR       string
 }
 
 func (*LocateReply) Type() MsgType { return MsgLocateReply }
@@ -159,7 +139,6 @@ func (*LocateReply) Type() MsgType { return MsgLocateReply }
 func (l *LocateReply) EncodeBody(e *cdr.Encoder) {
 	e.WriteULong(l.RequestID)
 	e.WriteEnum(uint32(l.Status))
-	e.WriteString(l.IOR)
 }
 
 func decodeLocateReply(d *cdr.Decoder) (*LocateReply, error) {
@@ -172,13 +151,10 @@ func decodeLocateReply(d *cdr.Decoder) (*LocateReply, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s > uint32(LocateForward) {
+	if s > uint32(LocateHere) {
 		return nil, fmt.Errorf("%w: locate status %d", ErrBadBody, s)
 	}
 	l.Status = LocateStatus(s)
-	if l.IOR, err = d.ReadString(); err != nil {
-		return nil, err
-	}
 	return &l, nil
 }
 
@@ -428,19 +404,17 @@ func (m *Data) decode(d *cdr.Decoder) (err error) {
 // back in the matching Pong; it carries no semantics beyond letting a debugger
 // pair probes with responses on a wire dump.
 //
-// The body is fixed: nonce, codec mask, level. A client's first Ping on a
-// connection carries the zcodec support mask it offers (Level is a
-// codec-specific effort hint, currently advisory); a keepalive carries zero
-// codecs, which offers nothing.
+// The body is fixed: nonce, codec mask. A client's first Ping on a connection
+// carries the zcodec support mask it offers; a keepalive carries zero codecs,
+// which offers nothing.
 type Ping struct {
 	Nonce  uint32
 	Codecs uint8
-	Level  uint8
 }
 
 func (*Ping) Type() MsgType { return MsgPing }
 
-func (p *Ping) EncodeBody(e *cdr.Encoder) { encodeProbe(e, p.Nonce, p.Codecs, p.Level) }
+func (p *Ping) EncodeBody(e *cdr.Encoder) { encodeProbe(e, p.Nonce, p.Codecs) }
 
 // Pong answers a Ping, echoing its nonce, in the same fixed body. Codecs is
 // the accepted codec set — the intersection of the offer and the responder's
@@ -449,33 +423,28 @@ func (p *Ping) EncodeBody(e *cdr.Encoder) { encodeProbe(e, p.Nonce, p.Codecs, p.
 type Pong struct {
 	Nonce  uint32
 	Codecs uint8
-	Level  uint8
 }
 
 func (*Pong) Type() MsgType { return MsgPong }
 
-func (p *Pong) EncodeBody(e *cdr.Encoder) { encodeProbe(e, p.Nonce, p.Codecs, p.Level) }
+func (p *Pong) EncodeBody(e *cdr.Encoder) { encodeProbe(e, p.Nonce, p.Codecs) }
 
-func encodeProbe(e *cdr.Encoder, nonce uint32, codecs, level uint8) {
+func encodeProbe(e *cdr.Encoder, nonce uint32, codecs uint8) {
 	e.WriteULong(nonce)
 	e.WriteOctet(codecs)
-	e.WriteOctet(level)
 }
 
-func decodeProbe(d *cdr.Decoder, nonce *uint32, codecs, level *uint8) (err error) {
+func decodeProbe(d *cdr.Decoder, nonce *uint32, codecs *uint8) (err error) {
 	if *nonce, err = d.ReadULong(); err != nil {
 		return err
 	}
-	if *codecs, err = d.ReadOctet(); err != nil {
-		return err
-	}
-	*level, err = d.ReadOctet()
+	*codecs, err = d.ReadOctet()
 	return err
 }
 
 func decodePing(d *cdr.Decoder) (*Ping, error) {
 	p := new(Ping)
-	if err := decodeProbe(d, &p.Nonce, &p.Codecs, &p.Level); err != nil {
+	if err := decodeProbe(d, &p.Nonce, &p.Codecs); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -483,7 +452,7 @@ func decodePing(d *cdr.Decoder) (*Ping, error) {
 
 func decodePong(d *cdr.Decoder) (*Pong, error) {
 	p := new(Pong)
-	if err := decodeProbe(d, &p.Nonce, &p.Codecs, &p.Level); err != nil {
+	if err := decodeProbe(d, &p.Nonce, &p.Codecs); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -528,8 +497,6 @@ func DecodeBody(t MsgType, body []byte, ord cdr.ByteOrder) (Message, error) {
 		m, err = decodeRequest(d)
 	case MsgReply:
 		m, err = decodeReply(d)
-	case MsgCancelRequest:
-		m, err = decodeCancelRequest(d)
 	case MsgLocateRequest:
 		m, err = decodeLocateRequest(d)
 	case MsgLocateReply:

@@ -43,33 +43,3 @@ func TestDataReservedFlagBitsRejected(t *testing.T) {
 		t.Fatalf("reserved Data flag bits accepted (err=%v)", err)
 	}
 }
-
-// TestHeaderStreamChunkFlag checks the stream-chunk header bit decodes, the
-// accessor sees it, a header without it reports none, and the next reserved
-// bit is rejected.
-func TestHeaderStreamChunkFlag(t *testing.T) {
-	h := EncodeHeader(MsgData, cdr.LittleEndian, true, 4096)
-	h[5] |= FlagStreamChunk
-	got, err := DecodeHeader(h[:])
-	if err != nil {
-		t.Fatalf("stream-chunk header rejected: %v", err)
-	}
-	if !got.StreamChunk() || !got.More() || got.Type != MsgData || got.Size != 4096 {
-		t.Fatalf("stream-chunk header decoded wrong: %+v", got)
-	}
-
-	plain := EncodeHeader(MsgData, cdr.LittleEndian, false, 64)
-	ph, err := DecodeHeader(plain[:])
-	if err != nil {
-		t.Fatalf("unmarked header rejected: %v", err)
-	}
-	if ph.StreamChunk() {
-		t.Fatal("unmarked header reports stream-chunk")
-	}
-
-	bad := EncodeHeader(MsgData, cdr.BigEndian, false, 1)
-	bad[5] |= 1 << 4
-	if _, err := DecodeHeader(bad[:]); !errors.Is(err, ErrBadFlags) {
-		t.Fatalf("reserved header bit 4 accepted (err=%v)", err)
-	}
-}

@@ -2,10 +2,11 @@
 // message set exchanged between PARDIS clients, servers and the naming
 // service.
 //
-// PGIOP plays the role GIOP/IIOP plays for CORBA. It keeps GIOP's message
-// vocabulary (Request, Reply, CancelRequest, LocateRequest, LocateReply,
-// CloseConnection, MessageError, Fragment) and adds one PARDIS-specific
-// message, Data, which carries a chunk of a distributed argument: directly
+// PGIOP plays the role GIOP/IIOP plays for CORBA. It keeps the part of GIOP's
+// message vocabulary a PARDIS peer reads (Request, Reply, LocateRequest,
+// LocateReply, CloseConnection, MessageError, Fragment) and adds one
+// PARDIS-specific message, Data, which carries a chunk of a distributed
+// argument: directly
 // between a client computing thread and a server computing thread in the
 // multi-port transfer method (paper §3.3), between the communicating threads
 // when a centralized leg (§3.2) streams. A small centralized argument travels
@@ -14,26 +15,19 @@
 // Every message is a 12-byte header followed by a CDR-encoded body:
 //
 //	offset 0  magic   "PDIS"
-//	offset 4  version 0x05; any other value is refused (ErrBadVersion)
+//	offset 4  version 0x06; any other value is refused (ErrBadVersion)
 //	offset 5  flags   bit 0: body byte order (1 = little endian)
 //	                  bit 1: more fragments follow
-//	                  bit 2: trace-context extension present
-//	                  bit 3: frame belongs to a streamed chunk transfer
+//	                  bits 2-7: reserved, refused when set (ErrBadFlags)
 //	offset 6  type    MsgType
 //	offset 7  reserved (0)
 //	offset 8  size    uint32 body length, in the header's byte order
 //
-// There is one wire version and no negotiation of it: the version octet of
-// every frame is checked, a server answers a frame of another version with
-// MessageError and closes, and a client fails the connection with an error
-// that wraps ErrBadVersion. Every field of every body is required.
-//
-// When flag bit 2 is set, an 8-byte trace-context extension (the request id
-// of the message this frame belongs to, in the header's byte order) follows
-// the fixed header before the body; a sender stamps it or not per connection.
-// Flag bit 3 is purely informational: it marks frames carrying a chunk of a
-// streamed or multi-port transfer so per-frame tooling can separate pipelined
-// bulk data from control traffic without decoding bodies.
+// There is one wire version, one header layout and no negotiation of either:
+// the version octet of every frame is checked, a server answers a frame of
+// another version with MessageError and closes, and a client fails the
+// connection with an error that wraps ErrBadVersion. Every field of every
+// body is required.
 //
 // Bodies larger than a connection's fragment threshold are split across a
 // leading message and trailing Fragment messages (transport concern; see
@@ -83,29 +77,13 @@ var Magic = [4]byte{'P', 'D', 'I', 'S'}
 const (
 	// Version is the one protocol version this build speaks; DecodeHeader
 	// refuses every other.
-	Version = 5
-	// HeaderLen is the fixed message header size.
+	Version = 6
+	// HeaderLen is the message header size.
 	HeaderLen = 12
 	// FlagLittleEndian marks the body (and header size field) byte order.
 	FlagLittleEndian = 1 << 0
 	// FlagMoreFragments marks that the body continues in Fragment messages.
 	FlagMoreFragments = 1 << 1
-	// FlagTraceContext marks that a TraceExtLen-byte trace-context
-	// extension follows the fixed header: the request id of the message the
-	// frame belongs to, in the header's byte order. Every frame of a traced
-	// message carries it — Fragment frames included — so per-frame tooling
-	// can attribute bytes to invocations without decoding bodies.
-	FlagTraceContext = 1 << 2
-	// FlagStreamChunk marks a frame that carries (part of) a Data message of
-	// a streamed chunk transfer. Purely informational — the receiver's
-	// demultiplexing is driven by the Data body, not this bit — but it lets
-	// wire-level tooling meter pipelined bulk bytes without decoding bodies.
-	FlagStreamChunk = 1 << 3
-	// TraceExtLen is the length of the trace-context header extension.
-	TraceExtLen = 8
-	// MaxHeaderLen is the largest on-wire header: the fixed part plus every
-	// extension.
-	MaxHeaderLen = HeaderLen + TraceExtLen
 )
 
 // MsgType discriminates PGIOP messages.
@@ -114,7 +92,6 @@ type MsgType byte
 const (
 	MsgRequest MsgType = iota
 	MsgReply
-	MsgCancelRequest
 	MsgLocateRequest
 	MsgLocateReply
 	MsgCloseConnection
@@ -134,7 +111,7 @@ const (
 )
 
 var msgTypeNames = [...]string{
-	"Request", "Reply", "CancelRequest", "LocateRequest", "LocateReply",
+	"Request", "Reply", "LocateRequest", "LocateReply",
 	"CloseConnection", "MessageError", "Fragment", "Data", "Ping", "Pong",
 }
 
@@ -164,7 +141,6 @@ const (
 	ReplyNoException ReplyStatus = iota
 	ReplyUserException
 	ReplySystemException
-	ReplyLocationForward
 )
 
 func (s ReplyStatus) String() string {
@@ -175,8 +151,6 @@ func (s ReplyStatus) String() string {
 		return "USER_EXCEPTION"
 	case ReplySystemException:
 		return "SYSTEM_EXCEPTION"
-	case ReplyLocationForward:
-		return "LOCATION_FORWARD"
 	default:
 		return fmt.Sprintf("ReplyStatus(%d)", uint32(s))
 	}
@@ -188,7 +162,6 @@ type LocateStatus uint32
 const (
 	LocateUnknown LocateStatus = iota
 	LocateHere
-	LocateForward
 )
 
 // Message is the interface all PGIOP message bodies implement.
@@ -218,14 +191,11 @@ func encodeTailBody(e *cdr.Encoder, m TailMessage) {
 	e.WriteRaw(m.Tail())
 }
 
-// Header is a decoded message header. Trace is populated by the transport
-// from the trace-context extension when HasTrace; DecodeHeader itself only
-// sees the fixed HeaderLen bytes and leaves it zero.
+// Header is a decoded message header.
 type Header struct {
 	Flags byte
 	Type  MsgType
 	Size  uint32
-	Trace uint64
 }
 
 // Order returns the byte order declared by the header flags.
@@ -238,22 +208,6 @@ func (h Header) Order() cdr.ByteOrder {
 
 // More reports whether Fragment messages follow.
 func (h Header) More() bool { return h.Flags&FlagMoreFragments != 0 }
-
-// HasTrace reports whether a trace-context extension follows the fixed
-// header on the wire.
-func (h Header) HasTrace() bool { return h.Flags&FlagTraceContext != 0 }
-
-// StreamChunk reports whether the frame is marked as part of a streamed
-// chunk transfer.
-func (h Header) StreamChunk() bool { return h.Flags&FlagStreamChunk != 0 }
-
-// ExtLen returns how many extension bytes follow the fixed header.
-func (h Header) ExtLen() int {
-	if h.HasTrace() {
-		return TraceExtLen
-	}
-	return 0
-}
 
 // EncodeHeader renders a header for a body of the given size in order ord.
 func EncodeHeader(t MsgType, ord cdr.ByteOrder, more bool, size int) [HeaderLen]byte {
@@ -281,74 +235,6 @@ func EncodeHeader(t MsgType, ord cdr.ByteOrder, more bool, size int) [HeaderLen]
 	return b
 }
 
-// EncodeHeaderExt renders a header into b and, when withTrace is set, the
-// trace-context extension carrying trace after it. It returns the number of
-// bytes of b used (HeaderLen, or MaxHeaderLen with the extension). The
-// destination is a caller-owned array so per-frame encoding can reuse one
-// scratch buffer without heap traffic.
-func EncodeHeaderExt(b *[MaxHeaderLen]byte, t MsgType, ord cdr.ByteOrder, more, withTrace bool, size int, trace uint64) int {
-	h := EncodeHeader(t, ord, more, size)
-	copy(b[:HeaderLen], h[:])
-	if !withTrace {
-		return HeaderLen
-	}
-	b[5] |= FlagTraceContext
-	PutTraceExt(b[HeaderLen:MaxHeaderLen], ord, trace)
-	return MaxHeaderLen
-}
-
-// PutTraceExt writes the trace-context extension (TraceExtLen bytes) into b
-// in byte order ord.
-func PutTraceExt(b []byte, ord cdr.ByteOrder, trace uint64) {
-	_ = b[TraceExtLen-1]
-	if ord == cdr.LittleEndian {
-		for i := 0; i < TraceExtLen; i++ {
-			b[i] = byte(trace >> (8 * i))
-		}
-	} else {
-		for i := 0; i < TraceExtLen; i++ {
-			b[TraceExtLen-1-i] = byte(trace >> (8 * i))
-		}
-	}
-}
-
-// TraceExt reads a trace-context extension written by PutTraceExt.
-func TraceExt(b []byte, ord cdr.ByteOrder) uint64 {
-	_ = b[TraceExtLen-1]
-	var v uint64
-	if ord == cdr.LittleEndian {
-		for i := 0; i < TraceExtLen; i++ {
-			v |= uint64(b[i]) << (8 * i)
-		}
-	} else {
-		for i := 0; i < TraceExtLen; i++ {
-			v = v<<8 | uint64(b[i])
-		}
-	}
-	return v
-}
-
-// RequestIDOf returns the request id carried in m's body, for the message
-// types that have one. The transport stamps it into the trace-context
-// extension of every frame of a traced message.
-func RequestIDOf(m Message) (uint32, bool) {
-	switch m := m.(type) {
-	case *Request:
-		return m.RequestID, true
-	case *Reply:
-		return m.RequestID, true
-	case *CancelRequest:
-		return m.RequestID, true
-	case *LocateRequest:
-		return m.RequestID, true
-	case *LocateReply:
-		return m.RequestID, true
-	case *Data:
-		return m.RequestID, true
-	}
-	return 0, false
-}
-
 // DecodeHeader parses and validates a header.
 func DecodeHeader(b []byte) (Header, error) {
 	if len(b) < HeaderLen {
@@ -361,7 +247,7 @@ func DecodeHeader(b []byte) (Header, error) {
 		return Header{}, fmt.Errorf("%w: %d", ErrBadVersion, b[4])
 	}
 	h := Header{Flags: b[5], Type: MsgType(b[6])}
-	if h.Flags&^(FlagLittleEndian|FlagMoreFragments|FlagTraceContext|FlagStreamChunk) != 0 {
+	if h.Flags&^(FlagLittleEndian|FlagMoreFragments) != 0 {
 		// Reserved flag bits must be zero; garbage here means a corrupt or
 		// alien frame, and rejecting it now beats misreading the body later.
 		return Header{}, fmt.Errorf("%w: reserved flag bits %#x", ErrBadFlags, b[5])

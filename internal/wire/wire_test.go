@@ -65,7 +65,7 @@ func TestRequestEmptyFields(t *testing.T) {
 }
 
 func TestReplyRoundTrip(t *testing.T) {
-	for _, st := range []ReplyStatus{ReplyNoException, ReplyUserException, ReplySystemException, ReplyLocationForward} {
+	for _, st := range []ReplyStatus{ReplyNoException, ReplyUserException, ReplySystemException} {
 		in := &Reply{RequestID: 7, Status: st, Args: []byte("payload")}
 		got := roundTrip(t, in, cdr.BigEndian).(*Reply)
 		if !reflect.DeepEqual(in, got) {
@@ -74,27 +74,31 @@ func TestReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplyBadStatus refuses every status past the last defined one: the
+// retired LOCATION_FORWARD (3) of a Reply and LocateForward (2) of a
+// LocateReply among them.
 func TestReplyBadStatus(t *testing.T) {
-	e := cdr.NewEncoder(cdr.NativeOrder)
-	(&Reply{RequestID: 1, Status: ReplyStatus(9)}).EncodeBody(e)
-	_, err := DecodeBody(MsgReply, e.Bytes(), cdr.NativeOrder)
-	if !errors.Is(err, ErrBadBody) {
-		t.Fatalf("want ErrBadBody, got %v", err)
+	for _, m := range []Message{
+		&Reply{RequestID: 1, Status: ReplySystemException + 1},
+		&Reply{RequestID: 1, Status: ReplyStatus(9)},
+		&LocateReply{RequestID: 1, Status: LocateHere + 1},
+	} {
+		e := cdr.NewEncoder(cdr.NativeOrder)
+		m.EncodeBody(e)
+		if _, err := DecodeBody(m.Type(), e.Bytes(), cdr.NativeOrder); !errors.Is(err, ErrBadBody) {
+			t.Fatalf("%+v: want ErrBadBody, got %v", m, err)
+		}
 	}
 }
 
-func TestCancelAndLocateRoundTrip(t *testing.T) {
-	c := roundTrip(t, &CancelRequest{RequestID: 99}, cdr.LittleEndian).(*CancelRequest)
-	if c.RequestID != 99 {
-		t.Fatalf("cancel %+v", c)
-	}
+func TestLocateRoundTrip(t *testing.T) {
 	lr := roundTrip(t, &LocateRequest{RequestID: 5, ObjectKey: []byte("key")}, cdr.BigEndian).(*LocateRequest)
 	if lr.RequestID != 5 || string(lr.ObjectKey) != "key" {
 		t.Fatalf("locate request %+v", lr)
 	}
-	for _, st := range []LocateStatus{LocateUnknown, LocateHere, LocateForward} {
-		lp := roundTrip(t, &LocateReply{RequestID: 6, Status: st, IOR: "IOR:abc"}, cdr.LittleEndian).(*LocateReply)
-		if lp.Status != st || lp.IOR != "IOR:abc" {
+	for _, st := range []LocateStatus{LocateUnknown, LocateHere} {
+		lp := roundTrip(t, &LocateReply{RequestID: 6, Status: st}, cdr.LittleEndian).(*LocateReply)
+		if *lp != (LocateReply{RequestID: 6, Status: st}) {
 			t.Fatalf("locate reply %+v", lp)
 		}
 	}
@@ -129,7 +133,7 @@ func TestDataRoundTrip(t *testing.T) {
 }
 
 func TestHeaderValidation(t *testing.T) {
-	good := Encode(&CancelRequest{RequestID: 1}, cdr.NativeOrder)
+	good := Encode(&LocateRequest{RequestID: 1}, cdr.NativeOrder)
 
 	short := good[:HeaderLen-1]
 	if _, err := DecodeHeader(short); err == nil {
@@ -151,10 +155,26 @@ func TestHeaderValidation(t *testing.T) {
 		}
 	}
 
+	// The first code past Pong — the last one v5 defined, freed when
+	// CancelRequest's slot was closed up — is as unknown as any other.
 	badType := append([]byte(nil), good...)
-	badType[6] = 200
-	if _, err := DecodeHeader(badType); !errors.Is(err, ErrBadType) {
-		t.Fatalf("bad type: %v", err)
+	for _, typ := range []byte{byte(MsgPong) + 1, 200} {
+		badType[6] = typ
+		if _, err := DecodeHeader(badType); !errors.Is(err, ErrBadType) {
+			t.Fatalf("type %d: %v", typ, err)
+		}
+	}
+}
+
+// TestReservedFlagBitsStillRejected refuses each flag bit above the two the
+// header defines.
+func TestReservedFlagBitsStillRejected(t *testing.T) {
+	for bit := 2; bit < 8; bit++ {
+		b := EncodeHeader(MsgRequest, cdr.BigEndian, false, 0)
+		b[5] |= 1 << bit
+		if _, err := DecodeHeader(b[:]); !errors.Is(err, ErrBadFlags) {
+			t.Fatalf("reserved bit %d accepted: %v", bit, err)
+		}
 	}
 }
 
@@ -179,7 +199,7 @@ func TestTruncatedBodies(t *testing.T) {
 		&Request{RequestID: 1, Operation: "op", ObjectKey: []byte("k"), Args: []byte("a")},
 		&Reply{RequestID: 1, Args: []byte("a")},
 		&LocateRequest{RequestID: 1, ObjectKey: []byte("k")},
-		&LocateReply{RequestID: 1, IOR: "x"},
+		&LocateReply{RequestID: 1},
 		&Data{RequestID: 1, Payload: []byte("abc")},
 	}
 	for _, m := range msgs {
