@@ -67,9 +67,9 @@ type BindOptions struct {
 	StreamChunkElems int
 	// Sharding configures consistent-hash routing across the profiles of a
 	// multi-profile reference, each profile being one shard group announced
-	// through naming.BindReplica. Only InvokeSharded invocations (the ones
-	// carrying a shard key) are routed; everything else — the bind-time
-	// describe, plain Invoke — keeps the primary-first failover order.
+	// through naming.BindReplica. A shard key routes: InvokeSharded
+	// invocations go to the key's shard; everything else — the bind-time
+	// describe, plain Invoke — walks the profiles primary first.
 	Sharding ShardingOptions
 	// Compression is the wire-compression codec mask (zcodec.MaskAll and
 	// friends; build one with zcodec.ParseMask) this binding offers on its
@@ -100,8 +100,6 @@ type BindOptions struct {
 
 // ShardingOptions configure a binding's consistent-hash shard routing.
 type ShardingOptions struct {
-	// Enabled turns shard routing on for invocations carrying a shard key.
-	Enabled bool
 	// VirtualNodes is the per-shard ring point count; 0 uses the package
 	// default. Every client of one shard group must agree on it.
 	VirtualNodes int
@@ -192,9 +190,11 @@ type Binding struct {
 	policy      zcodec.Policy
 	compSkipped *obs.Counter
 
-	// sharding is the binding's shard-routing configuration (see
-	// BindOptions.Sharding); InvokeSharded consults it at rank 0.
-	sharding ShardingOptions
+	// targets is the bound reference narrowed to each of its profiles, where
+	// thread 0 routes an invocation (orb.Route); idempotent is
+	// BindOptions.Sharding's, which a keyed walk's reroutes follow.
+	targets    []target
+	idempotent bool
 
 	// refEpoch is the membership epoch the bound reference carries (0 for
 	// non-elastic objects). Invocation headers are tagged with it so a
@@ -321,7 +321,7 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 		chunkElems: ce,
 		comp:       o.effComp(),
 		policy:     o.CompressionPolicy,
-		sharding:   o.Sharding,
+		idempotent: o.Sharding.Idempotent,
 		refEpoch:   uint32(ref.Epoch),
 	}
 	if o.ShareConnection {
@@ -334,6 +334,9 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 	} else {
 		b.client = o.newClient()
 		b.client.Principal = fmt.Sprintf("spmd-client/%d", engine.Rank())
+	}
+	for _, p := range ref.Narrowed() {
+		b.targets = append(b.targets, target{client: b.client, ref: p})
 	}
 	// A failed bind gives its client back: the pool reference of a shared
 	// one is dropped, a private one closed.

@@ -95,7 +95,6 @@ var (
 	ErrNoMultiport = errors.New("core: object does not expose multi-port endpoints")
 	ErrStopped     = errors.New("core: SPMD object stopped serving")
 	ErrBusy        = errors.New("core: invocation already in progress on this binding")
-	ErrShardMethod = errors.New("core: shard routing requires the centralized transfer method")
 )
 
 // ErrStopServing is the sentinel a server-side operation handler returns

@@ -72,8 +72,8 @@ type ExportOptions struct {
 	// Replica announces the object as one member of a replicated or sharded
 	// group instead of overwriting the name: registration goes through
 	// BindReplica, so the naming domain merges this object's profile into
-	// the group's multi-profile reference. Clients binding with
-	// BindOptions.Sharding then treat each profile as one shard.
+	// the group's multi-profile reference. A client's keyed invocation
+	// (Binding.InvokeSharded) then treats each profile as one shard.
 	Replica bool
 	// QueueDepth bounds pending requests awaiting the collective loop. A
 	// request arriving with the queue full is refused immediately with a

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -61,11 +63,17 @@ const (
 type invocation struct {
 	b      *Binding
 	comm   *rts.Comm // the lane's: every collective of the invocation rides it
-	token  uint32    // doubles as the trace id client and server spans share
+	token  uint32    // the attempt's; doubles as the trace id client and server spans share
 	op     string
 	args   []DistArg
 	desc   OpDesc
 	timing *Timing
+
+	// The profile the attempt was routed to: every leg resolves its
+	// connections against it, and thread 0 exchanges with addr, its primary.
+	t      *target
+	addr   string
+	served int32 // 1-based shard the attempt was routed to; 0 without a shard key
 
 	sink chan *wire.Data // the lane's: what the server addresses to this thread beside the reply
 	// Thread 0's request/reply exchange: its outcome, and the channel that
@@ -73,7 +81,6 @@ type invocation struct {
 	reply   callResult
 	replyCh chan callResult
 	steps   *cdr.Decoder // the reply past its header: where a back leg placed in the message has its steps
-	served  int32        // 1-based shard that served the exchange; 0 unrouted
 	ce      int          // the header's chunk size: the framed forward leg's, or what both direct legs start from; 0 for a leg in the message
 	offer   int          // the chunk size results may stream back in; 0 keeps them in the reply
 	mask    uint8        // framed forward leg: its agreed compression mask
@@ -124,28 +131,13 @@ func (iv *invocation) phase(ph obs.Phase, start time.Time, dur time.Duration) {
 	iv.b.rec.Record(sp)
 }
 
-// wireInvoke performs rank 0's request/reply exchange for one invocation,
-// shard-routing it when the binding has sharding enabled and the invocation
-// carries a shard key. It returns the reply payload and the 1-based index of
-// the shard that served (0 when the primary-first path handled it).
-func (b *Binding) wireInvoke(op string, payload, shardKey []byte) ([]byte, int32, error) {
-	if b.sharding.Enabled && len(shardKey) > 0 {
-		out, idx, err := b.client.InvokeSharded(b.ref, op, payload, orb.InvokeOptions{
-			ShardKey: shardKey, Idempotent: b.sharding.Idempotent,
-		})
-		return out, int32(idx) + 1, err
-	}
-	out, err := b.client.Invoke(b.ref, op, payload, false)
-	return out, 0, err
-}
-
-// launch starts thread 0's request/reply exchange beside the forward leg's
-// data; invoke collects the outcome from replyCh once the leg is done.
+// launch starts thread 0's exchange beside the forward leg's data; invoke
+// collects the outcome from replyCh once the leg is done.
 func (iv *invocation) launch(payload []byte) {
-	b, op, ch := iv.b, iv.op, make(chan callResult, 1)
+	client, addr, key, op, ch := iv.b.client, iv.addr, iv.t.ref.Key, iv.op, make(chan callResult, 1)
 	iv.replyCh = ch
 	go func() {
-		out, err := b.client.Invoke(b.ref, op, payload, false)
+		out, err := client.InvokeAddr(addr, key, op, payload, false)
 		ch <- callResult{reply: out, err: err}
 	}()
 }
@@ -168,12 +160,12 @@ func (b *Binding) Invoke(op string, scalars []byte, args []DistArg) ([]byte, err
 	return b.InvokeMethod(b.method, op, scalars, args, nil)
 }
 
-// InvokeSharded is Invoke routed by consistent hash of shardKey across the
-// shard groups behind the binding's reference (BindOptions.Sharding must be
-// enabled, and the transfer method must be centralized — a shard owns all
-// its endpoints, so multi-port flows cannot straddle the routing decision).
-// Every SPMD thread must pass the same shardKey; only the communicating
-// thread consults it. Derive key-range keys with shard.RangeKey.
+// InvokeSharded is Invoke with a shard key: the invocation goes to the shard
+// group the key's consistent hash picks among the profiles of the binding's
+// reference, and on to the ring successors as BindOptions.Sharding allows,
+// whatever its transfer method. Every SPMD thread must pass the same shardKey;
+// only the communicating thread consults it. Derive key-range keys with
+// shard.RangeKey.
 func (b *Binding) InvokeSharded(op string, shardKey, scalars []byte, args []DistArg) ([]byte, error) {
 	return b.invokeBlocking(b.method, op, shardKey, scalars, args, nil)
 }
@@ -239,21 +231,12 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	if method == Multiport && !b.ref.Multiport() {
 		return nil, ErrNoMultiport
 	}
-	if len(shardKey) > 0 && method != Centralized {
-		// A shard is a whole server group: multi-port data flows target the
-		// endpoints of one profile, so the transfer method cannot straddle
-		// the per-invocation routing decision. (Uniform across threads —
-		// every thread passes the same shardKey and method.)
-		return nil, ErrShardMethod
-	}
 	// Place the forward leg, and offer a stream for the back leg if there are
-	// results to take. A shard-routed invocation does neither: its chunks would
-	// travel to the primary profile's endpoints while the request follows the
-	// ring.
+	// results to take.
 	sh := shapeCentral
 	if method == Multiport {
 		sh, iv.ce = shapeDirect, b.chunkElems
-	} else if len(shardKey) == 0 {
+	} else {
 		iv.ce = legChunkElems(b.chunkElems, len(args), func(i int) int { return seqLen(iv.legSeq(i, Out)) })
 		if slices.ContainsFunc(args, func(a DistArg) bool { return a.Dir != In }) {
 			iv.offer = b.chunkElems
@@ -264,77 +247,93 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// leg in the message is part of the exchange.
 	framed := iv.ce != 0
 	me := comm.Rank()
-
-	// Agree on the invocation token: four bytes in this process's order.
-	var tok []byte
-	if me == 0 {
-		tok = binary.NativeEndian.AppendUint32(nil, tokenCounter.Add(1))
-	}
-	tok, err := comm.Bcast(0, tok)
-	if err != nil {
-		return nil, err
-	}
-	if len(tok) != 4 {
-		return nil, fmt.Errorf("%w: token agreement", ErrBadHeader)
-	}
-	iv.token = binary.NativeEndian.Uint32(tok)
 	defer func() { iv.phase(obs.PhaseInvoke, start, time.Since(start)) }()
 
 	// What the server sends beside the reply — result chunks to thread 0,
 	// direct moves to every thread — lands in the lane's sink, registered under
-	// (token, thread) for as long as the invocation runs; whatever is still in
-	// it when the invocation ends goes back to the pool.
-	if sh == shapeDirect || (iv.offer != 0 && me == 0) {
+	// (token, thread) for as long as an attempt runs; whatever is still in it
+	// when the invocation ends goes back to the pool.
+	sinks := sh == shapeDirect || (iv.offer != 0 && me == 0)
+	if sinks {
 		iv.sink = ln.dataSink()
-		b.client.RegisterDataSink(b.ref, iv.token, uint32(me), iv.sink)
-		defer func() {
-			b.client.UnregisterDataSink(iv.token, uint32(me))
-			drainData(iv.sink)
-		}()
+		defer drainData(iv.sink)
 	}
 
-	// Forward leg: the header from thread 0 — first and alone, as §3.3
-	// prescribes, so concurrent clients contend only at the communicating thread
-	// — and the In/InOut data.
-	fwdStart := time.Now()
-	var fwdErr error
-	switch sh {
-	case shapeCentral:
-		fwdErr = iv.sendCentral(shardKey, scalars)
-	case shapeDirect:
-		fwdErr = iv.sendDirect(scalars)
-	}
-
-	// The communicating thread collects the reply (bounded by the client
-	// timeout even when another thread's sends failed and the server never
-	// answers), or says why the request never left; everyone shares it.
+	// Thread 0 walks the reference's profiles, and each attempt — both legs and
+	// the exchange — goes to the one it picked. Its own outcome of the attempt
+	// is what the walk judges; an attempt whose forward leg or exchange ends in
+	// an agreed error goes back to the pick, which names the next profile, or
+	// the error the invocation ends with when the walk stops. A re-run is whole
+	// and under a fresh token, and the back leg has not begun, so no result has
+	// been written.
 	var (
-		meta     invokeMeta
-		replyErr error
+		route orb.Route
+		stop  error // thread 0: the error the invocation ends with, once the walk stops
+		meta  invokeMeta
 	)
 	if me == 0 {
-		if iv.replyCh != nil {
-			iv.reply = <-iv.replyCh
-		} else if fwdErr != nil {
-			iv.reply.err = fwdErr
+		route = b.client.Route(b.ref, orb.InvokeOptions{ShardKey: shardKey, Idempotent: b.idempotent})
+	}
+	for {
+		if err := iv.pick(&route, stop, shardKey != nil); err != nil {
+			return nil, err
 		}
-		meta, iv.steps, replyErr = metaFromReply(iv.reply.reply, iv.reply.err, iv.offer, sh == shapeDirect, iv.desc.Args)
+		if sinks {
+			b.client.RegisterDataSink(iv.t.ref, iv.token, uint32(me), iv.sink)
+		}
+
+		// Forward leg: the header from thread 0 — first and alone, as §3.3
+		// prescribes, so concurrent clients contend only at the communicating
+		// thread — and the In/InOut data.
+		fwdStart := time.Now()
+		iv.reply, iv.replyCh = callResult{}, nil
+		var fwdErr error
+		switch sh {
+		case shapeCentral:
+			fwdErr = iv.sendCentral(scalars)
+		case shapeDirect:
+			fwdErr = iv.sendDirect(scalars)
+		}
+
+		// The communicating thread collects the reply (bounded by the client
+		// timeout even when another thread's sends failed and the server never
+		// answers), or says why the request never left; everyone shares it.
+		var replyErr error
+		if me == 0 {
+			if iv.replyCh != nil {
+				iv.reply = <-iv.replyCh
+			}
+			// Thread 0's outcome of the attempt: the exchange's, or its leg's.
+			iv.reply.err = cmp.Or(iv.reply.err, fwdErr)
+			meta, iv.steps, replyErr = metaFromReply(iv.reply.reply, iv.reply.err, iv.offer, sh == shapeDirect, iv.desc.Args)
+		}
+		if framed {
+			iv.phase(obs.PhaseSendRecv, fwdStart, time.Since(fwdStart))
+		}
+		if err := shareMeta(comm, &meta, replyErr); fwdErr == nil {
+			fwdErr = err
+		}
+		// A send leg in the message is collectives only: what fails it reaches
+		// thread 0, which then sends nothing and shares why. A chunk write or a
+		// direct send fails on one thread alone, so a framed leg is agreed on
+		// before anyone waits for results.
+		if framed {
+			fwdErr = agree(comm, fwdErr)
+		}
+		if me == 0 {
+			if again, _ := route.Done(iv.reply.err); fwdErr != nil && !again {
+				stop = fwdErr
+			}
+		}
+		if fwdErr == nil {
+			break
+		}
+		if sinks {
+			b.client.UnregisterDataSink(iv.token, uint32(me))
+		}
 	}
-	if framed {
-		iv.phase(obs.PhaseSendRecv, fwdStart, time.Since(fwdStart))
-	}
-	if err := shareMeta(comm, &meta, replyErr); fwdErr == nil {
-		fwdErr = err
-	}
-	// A send leg in the message is collectives only: what fails it reaches
-	// thread 0, which then sends nothing and shares why. A chunk write or a
-	// direct send fails on one thread alone, so a framed leg is agreed on before
-	// anyone waits for results.
-	if framed {
-		fwdErr = agree(comm, fwdErr)
-	}
-	if fwdErr != nil {
-		return nil, fwdErr
+	if sinks {
+		defer b.client.UnregisterDataSink(iv.token, uint32(me))
 	}
 
 	// Back leg: size the results as the server reported them, then move the
@@ -378,6 +377,45 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		return nil, agreed
 	}
 	return meta.scalars, nil
+}
+
+// pick is the token agreement of one attempt: thread 0 takes the next profile
+// of the walk and broadcasts it beside a fresh token, and every thread routes
+// its legs to that profile. Once the walk has stopped (stop) or has no profile
+// left, thread 0 broadcasts the error the invocation ends with instead, which
+// every thread returns.
+func (iv *invocation) pick(route *orb.Route, stop error, keyed bool) error {
+	var p []byte
+	if iv.comm.Rank() == 0 {
+		idx, addr, err := -1, "", stop
+		if err == nil {
+			idx, addr, err = route.Next()
+		}
+		if err != nil {
+			p = encodeOutcome(func(*cdr.Encoder) error { return err })
+		} else {
+			// A clean outcome, then the token and the profile.
+			iv.addr, p = addr, append(make([]byte, 0, len(okOutcome)+8), okOutcome...)
+			p = binary.NativeEndian.AppendUint32(binary.NativeEndian.AppendUint32(p, tokenCounter.Add(1)), uint32(idx))
+		}
+	}
+	p, err := iv.comm.Bcast(0, p)
+	if err != nil {
+		return err
+	}
+	if len(p) != len(okOutcome)+8 || !bytes.HasPrefix(p, okOutcome) {
+		if _, err = openOutcome(p); err == nil {
+			err = fmt.Errorf("%w: token agreement", ErrBadHeader)
+		}
+		return err
+	}
+	p = p[len(okOutcome):]
+	idx := binary.NativeEndian.Uint32(p[4:])
+	iv.token, iv.t = binary.NativeEndian.Uint32(p), &iv.b.targets[idx]
+	if keyed {
+		iv.served = int32(idx) + 1
+	}
+	return nil
 }
 
 // newHeader builds the invocation header thread 0 sends: the client's layout

@@ -278,44 +278,6 @@ func TestStreamedChunkAllocs(t *testing.T) {
 	})
 }
 
-// TestWholePayloadByteBudget is the byte guard beside the allocation-count
-// guards, for the one centralized call that still moves its argument whole: a
-// shard-routed one, whose request follows the ring and so cannot be chased by
-// chunks. It may allocate only a small multiple of the argument it moves. Each
-// layer may hold the payload once (DESIGN.md §10).
-func TestWholePayloadByteBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement in -short mode")
-	}
-	const (
-		elems   = 1 << 17
-		payload = elems * 8
-		calls   = 20
-		budget  = 6 * payload
-	)
-	tc := startCluster(t, 2, false, nil)
-	opts := BindOptions{Method: Centralized, Timeout: testTimeout}
-	tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
-		in, err := dseq.New(c, dseq.Float64, elems, nil)
-		if err != nil {
-			return err
-		}
-		in.FillFunc(func(int) float64 { return 1 })
-		perCall, _, err := costPerCall(c, calls, func() error {
-			_, err := b.InvokeSharded("sum", []byte("whole"), ScalarEncoder().Bytes(), []DistArg{InSeq(in)})
-			return err
-		})
-		if err != nil || c.Rank() != 0 {
-			return err
-		}
-		t.Logf("whole-payload in call: %d KiB allocated per %d KiB moved (%.1fx)", perCall>>10, payload>>10, float64(perCall)/payload)
-		if perCall > budget {
-			return fmt.Errorf("whole-payload in call allocates %d bytes, budget %d (6x its %d-byte payload)", perCall, budget, payload)
-		}
-		return nil
-	})
-}
-
 // costPerCall returns, at thread 0, the bytes and the heap objects the whole
 // process allocates per collective call, over calls calls after one that warms
 // pools and connections. Only thread 0 reads the process-wide counters, between
@@ -344,10 +306,11 @@ func costPerCall(c *rts.Comm, calls int, call func() error) (bytes uint64, objec
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(calls), float64(after.Mallocs-before.Mallocs) / float64(calls), nil
 }
 
-// TestStreamedByteBudget is TestWholePayloadByteBudget for the streamed legs,
-// the paper's Table 1 transfer and its mirror image: an argument of N bytes
-// moved chunk by chunk between two client and two server threads, as an in
-// argument or as an out result, may allocate 1.3 N across the whole process.
+// TestStreamedByteBudget is the byte guard beside the allocation-count guards,
+// for the streamed legs, the paper's Table 1 transfer and its mirror image: an
+// argument of N bytes moved chunk by chunk between two client and two server
+// threads, as an in argument or as an out result, shard-routed or not, may
+// allocate 1.3 N across the whole process.
 // The storage the handler is given, or makes, is the one payload-sized
 // allocation (DESIGN.md §10); chunk encoders, gather parts, scatter pieces and
 // transport frames are all recycled. Before the recycled chunk buffers the in
@@ -382,22 +345,24 @@ func TestStreamedByteBudget(t *testing.T) {
 		if legChunkElems(b.chunkElems, 1, func(int) int { return elems }) == 0 {
 			return fmt.Errorf("a %d-element argument does not take the streamed path", elems)
 		}
-		sum := func(method Method) func() error {
+		sum := func(method Method, key []byte) func() error {
 			return func() error {
-				_, err := b.InvokeMethod(method, "sum", ScalarEncoder().Bytes(), []DistArg{InSeq(in)}, nil)
+				_, err := b.invokeBlocking(method, "sum", key, ScalarEncoder().Bytes(), []DistArg{InSeq(in)}, nil)
 				return err
 			}
 		}
-		iota := func(method Method) func() error {
+		iota := func(method Method, key []byte) func() error {
 			return func() error {
-				_, err := b.InvokeMethod(method, "iota", n.Bytes(), []DistArg{OutSeq(out)}, nil)
+				_, err := b.invokeBlocking(method, "iota", key, n.Bytes(), []DistArg{OutSeq(out)}, nil)
 				return err
 			}
 		}
+		key := []byte("shard")
 		for _, leg := range []struct {
 			name string
 			call func() error
-		}{{"in", sum(Centralized)}, {"out", iota(Centralized)}, {"multi-port in", sum(Multiport)}, {"multi-port out", iota(Multiport)}} {
+		}{{"in", sum(Centralized, nil)}, {"out", iota(Centralized, nil)}, {"multi-port in", sum(Multiport, nil)}, {"multi-port out", iota(Multiport, nil)},
+			{"sharded in", sum(Centralized, key)}, {"sharded out", iota(Centralized, key)}} {
 			perCall, _, err := costPerCall(c, calls, leg.call)
 			if err != nil {
 				return err

@@ -30,7 +30,7 @@ type shapeCase struct {
 	op       string
 	elems    int // shapeChunk*4 and up streams; below 2*shapeChunk rides inline
 	compress bool
-	sharded  bool // the invocation carries a shard key, which keeps both legs inline
+	sharded  bool // the invocation carries a shard key
 	// Collectives per invocation on the client's lane communicator and on
 	// the server's engine communicator (one full serving round: directive,
 	// the three agreements, the transfers, the verdict).
@@ -81,10 +81,12 @@ var invocationShapes = []shapeCase{
 	{name: "inline-in", method: Centralized, op: "put", elems: 64, client: 5, server: 9, shapeSets: inlineSets},
 	{name: "inline-out", method: Centralized, op: "get", elems: 64, client: 5, server: 9, shapeSets: inlineSets},
 	// Each leg is placed by itself: a result one element short of two chunks
-	// rides in the reply, and so does any result of a shard-routed call.
+	// rides in the reply. A shard key changes where the call goes, not its
+	// legs: a sharded call costs what the same call without a key does.
 	{name: "inline-out-under-two-chunks", method: Centralized, op: "get", elems: 2*shapeChunk - 1, client: 5, server: 9, shapeSets: inlineSets},
-	{name: "inline-out-sharded", method: Centralized, op: "get", elems: 4 * shapeChunk, sharded: true, client: 5, server: 9, shapeSets: inlineSets},
+	{name: "inline-out-sharded", method: Centralized, op: "get", elems: 64, sharded: true, client: 5, server: 9, shapeSets: inlineSets},
 	{name: "chunked-out", method: Centralized, op: "get", elems: 4 * shapeChunk, client: 6, server: 10, shapeSets: chunkedOutSets},
+	{name: "chunked-out-sharded", method: Centralized, op: "get", elems: 4 * shapeChunk, sharded: true, client: 6, server: 10, shapeSets: chunkedOutSets},
 	{name: "inline-in-chunked-out", method: Centralized, op: "fill", elems: 4 * shapeChunk, client: 7, server: 11, shapeSets: chunkedOutSets},
 	{name: "chunked-in", method: Centralized, op: "put", elems: 4 * shapeChunk, client: 8, server: 10, shapeSets: chunkedInSets},
 	{name: "chunked-inout", method: Centralized, op: "swap", elems: 4 * shapeChunk, client: 10, server: 12, shapeSets: chunkedInOutSets},

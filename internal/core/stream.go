@@ -313,9 +313,8 @@ const maxStreamChunks = 1024
 // nothing else: length(i) is what argument i contributes to the leg, 0 for one
 // it does not carry. The leg is framed, in the chunk size returned, when an
 // argument spans two chunks of base, so the overlap pays; 0 places it in the
-// message. A base of 0 — a shard-routed invocation, whose chunks would travel to
-// the primary profile's endpoints while the request follows the ring, or a
-// client that offered no stream — is always in the message.
+// message. A base of 0 — a client that offered no stream — is always in the
+// message.
 func legChunkElems(base, nargs int, length func(i int) int) int {
 	if base > 0 {
 		for i := 0; i < nargs; i++ {
@@ -499,13 +498,13 @@ func drainData(ch chan *wire.Data) {
 // way — and thread 0 joins the walk as its sender. Local failures are carried
 // through the walk, so a failure surfaces as one error instead of a stranded
 // collective.
-func (iv *invocation) sendCentral(shardKey, scalars []byte) error {
+func (iv *invocation) sendCentral(scalars []byte) error {
 	b := iv.b
 	if iv.ce != 0 {
 		var err error
 		iv.mask, err = agreeMask(iv.comm, b.comp, b.policy, b.compSkipped, func() (uint8, float64) {
 			// Resolving the mask runs the handshake on the connection's first use.
-			return b.client.NegotiatedCompression(b.ref, b.client.Timeout), b.client.WireBandwidth(b.ref)
+			return b.client.NegotiatedCompression(iv.t.ref, b.client.Timeout), b.client.WireBandwidth(iv.t.ref)
 		})
 		if err != nil {
 			return err
@@ -522,7 +521,7 @@ func (iv *invocation) sendCentral(shardKey, scalars []byte) error {
 		iv.phase(obs.PhasePack, packStart, time.Since(packStart))
 		if iv.ce != 0 {
 			iv.launch(msg.Bytes())
-			cs, msg = newChunkSender(connWriter(b.client.DataConn(b.ref, 0))), nil
+			cs, msg = newChunkSender(connWriter(iv.t.dataConn(0))), nil
 		}
 	}
 	// Framed, chunk k+1 is gather-marshalled over the runtime system while chunk
@@ -538,7 +537,7 @@ func (iv *invocation) sendCentral(shardKey, scalars []byte) error {
 	iv.phase(obs.PhaseGather, gatherStart, gather)
 	if msg != nil && err == nil {
 		sendStart := time.Now()
-		iv.reply.reply, iv.served, iv.reply.err = b.wireInvoke(iv.op, msg.Bytes(), shardKey)
+		iv.reply.reply, iv.reply.err = b.client.InvokeAddr(iv.addr, iv.t.ref.Key, iv.op, msg.Bytes(), false)
 		iv.phase(obs.PhaseSendRecv, sendStart, time.Since(sendStart))
 	}
 	return err

@@ -66,7 +66,16 @@ type connSource interface {
 	dataConn(dst int) (*transport.Conn, error)
 }
 
-func (b *Binding) dataConn(dst int) (*transport.Conn, error) { return b.client.DataConn(b.ref, dst) }
+// target is the bound reference narrowed to one profile: every connection of
+// an invocation routed there is resolved against it alone. It carries the
+// binding's client so that a pointer into Binding.targets is a connSource by
+// itself, and the invocation that hands one to a leg stays on the stack.
+type target struct {
+	client *orb.Client
+	ref    orb.IOR
+}
+
+func (t *target) dataConn(dst int) (*transport.Conn, error) { return t.client.DataConn(t.ref, dst) }
 
 // sendSteps is thread me's sending half of one direct leg: every step of the
 // plans (one per argument, nil for one the leg does not carry) that starts
@@ -239,13 +248,13 @@ func (iv *invocation) sendDirect(scalars []byte) error {
 				continue
 			}
 			attach := &wire.Data{RequestID: iv.token, SrcRank: uint32(me), DstRank: uint32(r), Count: 0}
-			if err := b.client.SendData(b.ref, attach); err != nil {
+			if err := b.client.SendData(iv.t.ref, attach); err != nil {
 				return err
 			}
 		}
 	}
 	packStart := time.Now()
-	pack, err := sendSteps(b, sRanks, iv.token, me, false, ce, plans,
+	pack, err := sendSteps(iv.t, sRanks, iv.token, me, false, ce, plans,
 		func(i int) dseq.Transferable { return iv.args[i].Seq },
 		func(t time.Time) { iv.phase(obs.PhaseChunkSend, t, time.Since(t)) })
 	iv.phase(obs.PhasePack, packStart, pack)

@@ -362,8 +362,9 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 	// The client's back leg: a two-thread client, a hand-rolled one-thread
 	// server that answers a swap with less than it owes and a lost connection
 	// — thread 1's own in the direct shape; in the chunked one, whose chunks
-	// share the reply's connection, thread 0's engine's connection to the
-	// reference's other profile, which poisons the sinks of that reference.
+	// share the reply's connection, thread 0's engine's connection to another
+	// endpoint of the reference's profile, which poisons the sinks registered
+	// for that profile.
 	for _, sh := range shapes {
 		t.Run(sh.name+"/client back leg", func(t *testing.T) {
 			defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
@@ -431,8 +432,7 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 				encodeReplyArg(out, InOut, n)
 				return nil
 			}))
-			ref := orb.IOR{TypeID: "IDL:swap:1.0", Key: key, Threads: 1, Endpoints: []orb.Endpoint{srv.Endpoint(0)},
-				Alternates: [][]orb.Endpoint{{other.Endpoint(0)}}}
+			ref := orb.IOR{TypeID: "IDL:swap:1.0", Key: key, Threads: 1, Endpoints: []orb.Endpoint{srv.Endpoint(0), other.Endpoint(0)}}
 			otherRef := orb.IOR{TypeID: "IDL:other:1.0", Key: key, Threads: 1, Endpoints: []orb.Endpoint{other.Endpoint(0)}}
 
 			check(t, sameOnEveryThread(t, 2, func(c *rts.Comm) error {

@@ -115,7 +115,7 @@ type InvokeOptions struct {
 	Deadline time.Time
 	// ShardKey, when non-nil, routes the invocation by consistent hash over
 	// the reference's profiles — each profile one shard — instead of the
-	// fixed primary-first failover order. See InvokeSharded.
+	// fixed primary-first failover order (see Route).
 	ShardKey []byte
 	// Idempotent declares the operation safe to re-execute: a sharded
 	// invocation whose shard fails mid-flight then reroutes transparently to
@@ -641,73 +641,9 @@ func (c *Client) await(cc *clientConn, ch chan *wire.Reply, id uint32, deadline 
 	}
 }
 
-// Invoke performs a request on the object's primary endpoint.
+// Invoke performs a request on the object, walking its profiles primary first.
 func (c *Client) Invoke(ref IOR, op string, args []byte, oneway bool) ([]byte, error) {
 	return c.InvokeOpts(ref, op, args, InvokeOptions{Oneway: oneway})
-}
-
-// InvokeOpts performs a request with full per-invocation options. For a
-// single-profile reference it targets the primary endpoint directly. For a
-// multi-profile reference it walks the profiles in order, gated by the
-// per-endpoint circuit breaker: endpoints with an open circuit are skipped,
-// endpoints due a half-open probe are first checked with a LocateRequest,
-// and connection-level or TRANSIENT failures move on to the next profile.
-func (c *Client) InvokeOpts(ref IOR, op string, args []byte, o InvokeOptions) ([]byte, error) {
-	if o.ShardKey != nil {
-		out, _, err := c.InvokeSharded(ref, op, args, o)
-		return out, err
-	}
-	addrs, err := ref.ProfileAddrs()
-	if err != nil {
-		return nil, err
-	}
-	if len(addrs) == 1 && !c.Breaker.enabled() {
-		return c.InvokeAddrOpts(addrs[0], ref.Key, op, args, o)
-	}
-	var lastErr error
-	for _, addr := range addrs {
-		bk := c.breakerFor(addr)
-		if bk != nil {
-			ok, probe := bk.allow(time.Now())
-			if !ok {
-				continue
-			}
-			if probe {
-				// Half-open: prove the endpoint alive with a cheap
-				// LocateRequest before trusting it with the real call.
-				if _, perr := c.locate(addr, ref.Key, o.Deadline); perr != nil {
-					bk.failure(time.Now())
-					if !failoverable(perr) {
-						return nil, perr
-					}
-					lastErr = perr
-					c.countFailover()
-					continue
-				}
-				bk.success()
-			}
-		}
-		out, ierr := c.InvokeAddrOpts(addr, ref.Key, op, args, o)
-		if ierr == nil {
-			if bk != nil {
-				bk.success()
-			}
-			return out, nil
-		}
-		if bk != nil && retryable(ierr) {
-			bk.failure(time.Now())
-		}
-		if !failoverable(ierr) {
-			return nil, ierr
-		}
-		lastErr = ierr
-		c.countFailover()
-	}
-	if lastErr == nil {
-		// Every profile was skipped by an open circuit.
-		return nil, ErrAllEndpointsDown
-	}
-	return nil, lastErr
 }
 
 // NegotiatedCompression reports the codec mask negotiated with the endpoint

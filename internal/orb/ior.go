@@ -101,6 +101,22 @@ func (r IOR) ProfileAddrs() ([]string, error) {
 	return addrs, nil
 }
 
+// Narrowed returns the reference narrowed to each of its profiles, in
+// ProfileAddrs order: one reference per replica or shard, holding that
+// profile's endpoints alone.
+func (r IOR) Narrowed() []IOR {
+	one := r
+	one.Alternates = nil
+	out := []IOR{one}
+	for _, alt := range r.Alternates {
+		if len(alt) > 0 {
+			one.Endpoints = alt
+			out = append(out, one)
+		}
+	}
+	return out
+}
+
 // dedupeEndpoints drops exact repeats (host, port, rank) from a profile,
 // preserving order. Repeated replica announcements may accumulate the same
 // endpoint several times; carrying the duplicates would inflate anything

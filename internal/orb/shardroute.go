@@ -3,7 +3,6 @@ package orb
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -11,20 +10,11 @@ import (
 
 // Sharded object groups: a multi-profile reference whose profiles are N
 // independent server groups (shards) behind one object reference, assembled
-// by naming.BindReplica from each shard's own announcement. Instead of the
-// fixed primary-first failover of InvokeOpts, a sharded invocation hashes
-// its shard key onto a consistent-hash ring over the profiles and targets
-// the owning shard; the PR 2 per-endpoint circuit breakers act as the
-// health signal, spilling traffic from a broken or shedding shard to the
-// next healthy ring successor.
-//
-// Reroute semantics: an idempotent invocation reroutes transparently on any
-// failoverable error — the caller sees only success or a total outage. A
-// non-idempotent invocation advances only past shards that provably never
-// dispatched it (open circuit skipped before any send, a failed half-open
-// probe, TRANSIENT shedding); an ambiguous failure (broken connection after
-// the request was written) surfaces as one coherent *ShardError pinned to
-// the shard that failed.
+// by naming.BindReplica from each shard's own announcement. An invocation
+// with a shard key walks the profiles (Route) in the order a consistent-hash
+// ring over them gives the key, owner first; the per-endpoint circuit
+// breakers act as the health signal, spilling traffic from a broken or
+// shedding shard to the next healthy ring successor.
 
 // ShardPolicy configures the client's consistent-hash routing.
 type ShardPolicy struct {
@@ -49,8 +39,7 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // the per-shard instruments, resolved once so the per-invocation hot path
 // does no registry lookups.
 type shardGroup struct {
-	ring  *shard.Ring
-	addrs []string
+	ring *shard.Ring
 	// Per-shard instruments; nil (and no-ops) when metrics are off.
 	picks    []*obs.Counter
 	reroutes []*obs.Counter
@@ -72,7 +61,6 @@ func (c *Client) shardGroupFor(addrs []string) *shardGroup {
 	}
 	g := &shardGroup{
 		ring:     shard.New(addrs, c.Shard.VirtualNodes),
-		addrs:    addrs,
 		picks:    make([]*obs.Counter, len(addrs)),
 		reroutes: make([]*obs.Counter, len(addrs)),
 		spills:   make([]*obs.Counter, len(addrs)),
@@ -104,87 +92,4 @@ func (c *Client) countShardSpill(g *shardGroup, idx int) {
 	c.obsInit()
 	c.mShardSpill.Inc()
 	g.spills[idx].Inc()
-}
-
-// InvokeSharded performs a request routed by consistent hash of o.ShardKey
-// across the reference's profiles, each profile being one shard. It returns
-// the reply payload and the index (into ref.Profiles()) of the shard that
-// served the invocation; the index is -1 on failure.
-//
-// The owner shard is tried first, then the ring successors. A shard whose
-// circuit is open is spilled past without a send; a shard due a half-open
-// probe is first checked with a LocateRequest exactly as InvokeOpts does.
-// Failures advance to the next successor under the idempotency rules above.
-func (c *Client) InvokeSharded(ref IOR, op string, args []byte, o InvokeOptions) ([]byte, int, error) {
-	addrs, err := ref.ProfileAddrs()
-	if err != nil {
-		return nil, -1, err
-	}
-	g := c.shardGroupFor(addrs)
-	order := g.ring.Order(o.ShardKey)
-	var lastErr error
-	attempted := false
-	for _, idx := range order {
-		addr := addrs[idx]
-		bk := c.breakerFor(addr)
-		if bk != nil {
-			ok, probe := bk.allow(time.Now())
-			if !ok {
-				// Circuit open: nothing was sent, so spilling to the ring
-				// successor is safe for idempotent and non-idempotent alike.
-				g.healthy[idx].Set(0)
-				c.countShardSpill(g, idx)
-				continue
-			}
-			if probe {
-				if _, perr := c.locate(addr, ref.Key, o.Deadline); perr != nil {
-					bk.failure(time.Now())
-					if !failoverable(perr) {
-						return nil, -1, perr
-					}
-					// The probe failed before any dispatch: safe to advance.
-					g.healthy[idx].Set(0)
-					lastErr = &ShardError{Shard: addr, Err: perr}
-					c.countShardReroute(g, idx)
-					c.countFailover()
-					continue
-				}
-				bk.success()
-			}
-		}
-		attempted = true
-		g.picks[idx].Inc()
-		out, ierr := c.InvokeAddrOpts(addr, ref.Key, op, args, o)
-		if ierr == nil {
-			if bk != nil {
-				bk.success()
-			}
-			g.healthy[idx].Set(1)
-			return out, idx, nil
-		}
-		if bk != nil && retryable(ierr) {
-			bk.failure(time.Now())
-		}
-		if !failoverable(ierr) {
-			// Application-level outcome: the shard is alive and answered.
-			return nil, -1, ierr
-		}
-		g.healthy[idx].Set(0)
-		if !o.Idempotent && !IsTransient(ierr) {
-			// The request may have been dispatched (the connection broke
-			// after the write); re-sending a non-idempotent operation could
-			// execute it twice. Surface one coherent error instead.
-			return nil, -1, &ShardError{Shard: addr, Err: ierr}
-		}
-		lastErr = &ShardError{Shard: addr, Err: ierr}
-		c.countShardReroute(g, idx)
-		c.countFailover()
-	}
-	if lastErr == nil && !attempted {
-		return nil, -1, ErrAllEndpointsDown
-	}
-	if lastErr == nil {
-		lastErr = ErrAllEndpointsDown
-	}
-	return nil, -1, lastErr
 }

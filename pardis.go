@@ -45,7 +45,6 @@ import (
 	"repro/internal/dseq"
 	"repro/internal/naming"
 	"repro/internal/orb"
-	"repro/internal/pstl"
 	"repro/internal/rts"
 )
 
@@ -205,34 +204,3 @@ func NewResolver(client *orb.Client, addr string) *Resolver { return naming.NewR
 
 // ParseIOR parses a stringified object reference.
 var ParseIOR = orb.ParseIOR
-
-// Data-parallel algorithms over distributed sequences: the direct package
-// mapping of the paper's future-work section (HPC++ PSTL style). These are
-// thin generic wrappers over internal/pstl; see that package for the full
-// algorithm set and the SPMD calling discipline.
-
-// Transform applies f to every element in place (local).
-func Transform[T any](s *Seq[T], f func(T) T) { pstl.Transform(s, f) }
-
-// TransformIndexed is Transform with the element's global index (local).
-func TransformIndexed[T any](s *Seq[T], f func(global int, v T) T) { pstl.TransformIndexed(s, f) }
-
-// Reduce combines all elements with the associative op (collective).
-func Reduce[T any](s *Seq[T], identity T, op func(T, T) T) (T, error) {
-	return pstl.Reduce(s, identity, op)
-}
-
-// CountIf returns the number of elements satisfying pred (collective).
-func CountIf[T any](s *Seq[T], pred func(T) bool) (int, error) { return pstl.Count(s, pred) }
-
-// InclusiveScan replaces every element with its global inclusive prefix
-// combination (collective; rank-ordered contiguous layouts only).
-func InclusiveScan[T any](s *Seq[T], identity T, op func(T, T) T) error {
-	return pstl.InclusiveScan(s, identity, op)
-}
-
-// SortSeq globally sorts the sequence under less (collective).
-func SortSeq[T any](s *Seq[T], less func(a, b T) bool) error { return pstl.Sort(s, less) }
-
-// FillSeq sets every element to v (local).
-func FillSeq[T any](s *Seq[T], v T) { pstl.Fill(s, v) }

@@ -140,53 +140,3 @@ func TestFacadeIORRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost type id: %q", parsed.TypeID)
 	}
 }
-
-// TestFacadePSTL exercises the data-parallel algorithm wrappers.
-func TestFacadePSTL(t *testing.T) {
-	w := NewWorld(4)
-	defer w.Close()
-	err := w.Run(func(c *Comm) error {
-		s, err := NewSeq(c, Float64, 100, Block{})
-		if err != nil {
-			return err
-		}
-		TransformIndexed(s, func(g int, v float64) float64 { return float64(99 - g) })
-		if err := SortSeq(s, func(a, b float64) bool { return a < b }); err != nil {
-			return err
-		}
-		sum, err := Reduce(s, 0, func(a, b float64) float64 { return a + b })
-		if err != nil {
-			return err
-		}
-		if sum != 4950 {
-			t.Errorf("sum %v", sum)
-		}
-		n, err := CountIf(s, func(v float64) bool { return v < 10 })
-		if err != nil {
-			return err
-		}
-		if n != 10 {
-			t.Errorf("count %d", n)
-		}
-		if err := InclusiveScan(s, 0, func(a, b float64) float64 { return a + b }); err != nil {
-			return err
-		}
-		last, err := s.At(99)
-		if err != nil {
-			return err
-		}
-		if last != 4950 {
-			t.Errorf("prefix total %v", last)
-		}
-		FillSeq(s, 1)
-		Transform(s, func(v float64) float64 { return v * 3 })
-		v, err := s.At(0)
-		if err != nil || v != 3 {
-			t.Errorf("fill+transform %v %v", v, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
