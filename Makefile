@@ -73,8 +73,9 @@ race:
 # pool's own hammer with the chunk-buffer ledger, fault and run-ahead suites and the one chunk sender's
 # (the last three packages under -race: their failure mode is a buffer observed
 # while on loan) and, beside it, the direct legs' chunk ledger with the schedule
-# it walks and the step bound's refusal (a sink filled ahead of its reader), the
-# refused invocations' (a frame observed after release), set-up's failure agreement (a
+# it walks and a fine plan's packed steps (a frame of one flow taken for
+# another's, a sink filled ahead of its reader), the refused invocations' (a
+# frame observed after release), set-up's failure agreement (a
 # thread still parked in a collective), the lost data connection's (a
 # thread that missed the poison waits out its timeout) and the reply stream's —
 # cut mid-leg, and counted whole (a frame left in a lane's sink, a poison that
@@ -94,7 +95,7 @@ flake:
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegStepBound|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestShareConnectionSurvivesAnotherObjectsLoss|TestReplicaFailoverMovesEveryLeg|TestShardRoutingCoreEndToEnd|TestShardRoutingMultiport|TestShardRoutingAmbiguousFailure' ./internal/core
+		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestShareConnectionSurvivesAnotherObjectsLoss|TestReplicaFailoverMovesEveryLeg|TestShardRoutingCoreEndToEnd|TestShardRoutingMultiport|TestShardRoutingAmbiguousFailure' ./internal/core
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the
 # working tree, alternated on this box, with medians, quartiles and wins per
@@ -165,5 +166,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInvocationHeader$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeReplyHeader$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzChunkEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/dseq
+	$(GO) test -run='^$$' -fuzz='^FuzzSchedule$$' -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDoubles$$' -fuzztime=$(FUZZTIME) ./internal/zcodec
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInts$$' -fuzztime=$(FUZZTIME) ./internal/zcodec

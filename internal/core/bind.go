@@ -177,7 +177,7 @@ type Binding struct {
 	// chunkElems is the chunk size, in elements, this binding moves a leg in:
 	// what it places its centralized forward legs by and offers the server for
 	// the back legs (legChunkElems), and what both legs of a multi-port
-	// invocation are cut in (directChunkElems).
+	// invocation start from (chunkElemsFor).
 	chunkElems int
 
 	// comp is the binding's offered compression mask (BindOptions.Compression

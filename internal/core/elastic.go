@@ -223,7 +223,7 @@ type stateXfer struct {
 
 type xferChunk struct {
 	state   int
-	off     int // destination-local element offset
+	step    dist.Step
 	payload []byte
 }
 
@@ -231,11 +231,13 @@ func newStateXfer(states, dstRanks int) *stateXfer {
 	return &stateXfer{lengths: make([]int, states), chunks: make([][]xferChunk, dstRanks)}
 }
 
-func (x *stateXfer) add(dst, state, off int, payload []byte, crossed int) {
+func (x *stateXfer) add(state int, step dist.Step, payload []byte) {
 	x.mu.Lock()
-	x.chunks[dst] = append(x.chunks[dst], xferChunk{state: state, off: off, payload: payload})
+	x.chunks[step.Dst] = append(x.chunks[step.Dst], xferChunk{state: state, step: step, payload: payload})
 	x.chunkCount++
-	x.crossElems += crossed
+	if step.Src != step.Dst {
+		x.crossElems += step.N
+	}
 	x.mu.Unlock()
 }
 
@@ -427,7 +429,7 @@ func (el *Elastic) rankMain(run *epochRun, c *rts.Comm, xfer *stateXfer, ready c
 	}
 	if xfer != nil {
 		for _, ch := range xfer.chunks[me] {
-			if err := states[ch.state].UnmarshalRange(ch.off, ch.payload); err != nil {
+			if err := states[ch.state].UnmarshalStep(ch.step, ch.payload); err != nil {
 				return fail(fmt.Errorf("core: applying transfer to state %q: %w", el.opts.State[ch.state].Name, err))
 			}
 		}
@@ -464,9 +466,9 @@ func (el *Elastic) rankMain(run *epochRun, c *rts.Comm, xfer *stateXfer, ready c
 // snapshotRank runs inside the collective serve loop on every old-epoch
 // thread (via Object.onResize): it diffs each state's old and new layouts
 // and marshals the ranges this thread owns that move, in the steps of the one
-// chunk schedule (DefaultStreamChunkElems elements at most), into the pending
-// transfer buffer, compressed per the export's mask; receivers
-// auto-detect, so no negotiation is needed.
+// chunk schedule (DefaultStreamChunkElems elements of one thread pair's moves
+// at most), into the pending transfer buffer, compressed per the export's
+// mask; receivers auto-detect, so no negotiation is needed.
 func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transferable) error {
 	el.mu.Lock()
 	p := el.pending
@@ -511,14 +513,10 @@ func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transf
 					continue
 				}
 				e := cdr.NewEncoder(cdr.NativeOrder)
-				if err := st.MarshalRangeTo(ck.SrcOff, ck.N, mask, e); err != nil {
+				if err := st.MarshalStepTo(ck, mask, e); err != nil {
 					return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
 				}
-				crossed := 0
-				if ck.Src != ck.Dst {
-					crossed = ck.N
-				}
-				p.xfer.add(ck.Dst, si, ck.DstOff, e.Bytes(), crossed)
+				p.xfer.add(si, ck, e.Bytes())
 			}
 		}
 	}

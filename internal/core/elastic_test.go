@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/dseq"
 	"repro/internal/naming"
 	"repro/internal/obs"
@@ -286,6 +287,59 @@ func TestElasticResizeGrowShrink(t *testing.T) {
 	}
 	if v := reg.Histogram("core.resize.duration_ns").Count(); v != 2 {
 		t.Errorf("core.resize.duration_ns count = %d, want 2", v)
+	}
+}
+
+// TestElasticResizeFinePlan resizes an object whose state is Cyclic{1} —
+// 20 000 elements, every one a move of its own between two memberships —
+// 2 → 3 → 2 threads, its steps compressed: the contents come back exact and
+// the sum conserved, and the snapshot cuts every flow of Diff's lists into
+// ⌈elements / chunk⌉ chunks, where it took one chunk per move before a step
+// packed a thread pair's moves.
+func TestElasticResizeFinePlan(t *testing.T) {
+	t.Parallel()
+	const n = 20000
+	cyclic := dist.Cyclic{BlockSize: 1}
+	reg := obs.NewRegistry()
+	el, ns := startElastic(t, 2, func(o *ElasticOptions) {
+		o.Metrics = reg
+		o.Export.Compression = ^uint8(0)
+		o.State = []StateDesc{Float64State("data", n, func(g int) float64 { return float64(g + 1) })}
+		o.State[0].Spec = cyclic
+		o.Ops = func(es *EpochState) []Operation {
+			// eget copies the state's local window: its result shares the
+			// state's layout.
+			ops := elasticOps(es)
+			ops[1].Desc.Args[0].Spec = cyclic
+			ops[1].NewArgs = SeqArgsFloat64(ops[1].Desc.Args)
+			return ops
+		}
+	})
+	wantElems, wantChunks := 0, 0
+	for _, sizes := range [][2]int{{2, 3}, {3, 2}} {
+		if err := el.Resize(sizes[1]); err != nil {
+			t.Fatal(err)
+		}
+		if got := elasticSumOnce(t, ns.Addr()); got != n*(n+1)/2 {
+			t.Fatalf("sum after %d → %d threads: %v, want %d", sizes[0], sizes[1], got, n*(n+1)/2)
+		}
+		for g, v := range elasticGetOnce(t, ns.Addr()) {
+			if v != float64(g+1) {
+				t.Fatalf("after %d → %d threads element %d is %v, want %d", sizes[0], sizes[1], g, v, g+1)
+			}
+		}
+		flows := map[[2]int]int{}
+		for g := 0; g < n; g++ {
+			flows[[2]int{g % sizes[0], g % sizes[1]}]++
+		}
+		for pair, elems := range flows {
+			if wantChunks += dist.ChunkCount(elems, DefaultStreamChunkElems); pair[0] != pair[1] {
+				wantElems += elems
+			}
+		}
+	}
+	if elems, chunks := reg.Counter("core.resize.moved_elems").Value(), reg.Counter("core.resize.moved_chunks").Value(); elems != uint64(wantElems) || chunks != uint64(wantChunks) {
+		t.Errorf("core.resize.moved_elems = %d in core.resize.moved_chunks = %d, want %d in %d", elems, chunks, wantElems, wantChunks)
 	}
 }
 

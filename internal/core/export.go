@@ -248,9 +248,9 @@ func (b *dataBucket) dataConn(rank int) (*transport.Conn, error) {
 // blocks on a full one, and the frames of a leg may all arrive before their
 // reader starts — a back leg is written before the Reply that releases the
 // client, a forward leg can outrun the header queued behind it on the same
-// connection — so no leg may address more frames than this to one thread:
-// framed centralized legs stay under maxStreamChunks, and a direct leg whose
-// plan alone has more steps into one thread is refused (directChunkElems).
+// connection — so no leg may address more frames than this to one thread.
+// chunkElemsFor keeps a leg within maxStreamChunks steps into any thread, or
+// its flows into it where they are more, and refuses more flows than this.
 const bucketCapacity = 4096
 
 // Export collectively registers an SPMD object implementation. Every

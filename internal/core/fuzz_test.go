@@ -118,8 +118,8 @@ func FuzzDecodeReplyHeader(f *testing.F) {
 		if _, err := decodeReplyHeader(cdr.NewDecoder(data[:d.Pos()], ord), int(offered), direct); err != nil {
 			t.Fatalf("reply header cut at its own end (%d of %d bytes) rejected: %v", d.Pos(), len(data), err)
 		}
-		if h.ChunkElems != 0 && (offered == 0 || direct || h.ChunkElems > 1<<30 || chunks > maxStreamChunks ||
-			int(h.ChunkElems) != chunkElemsFor(int(offered), len(h.Args), h.resultLen)) {
+		want, _ := chunkElemsFor(int(offered), 1, len(h.Args), func(i int) (int, int) { return 0, h.resultLen(i) })
+		if h.ChunkElems != 0 && (offered == 0 || direct || h.ChunkElems > 1<<30 || chunks > maxStreamChunks || int(h.ChunkElems) != want) {
 			t.Fatalf("accepted a stream of %d chunks of %d with %d offered (direct %v): %+v", chunks, h.ChunkElems, offered, direct, h)
 		}
 		e := cdr.NewEncoder(ord)

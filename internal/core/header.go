@@ -28,7 +28,7 @@ type invocationHeader struct {
 	// ChunkElems is the request-leg chunk size of a streamed centralized
 	// invocation, in elements; 0 means the leg's steps ride in the message. On a
 	// multi-port header it is the chunk size both direct legs start from
-	// (directChunkElems), and never 0: a direct leg is always chunked.
+	// (chunkElemsFor), and never 0: a direct leg is always chunked.
 	ChunkElems uint32
 	// ResultChunkElems is the chunk size, in elements, the client takes streamed
 	// results in: the server may chunk the reply leg from it (doubled until the
@@ -271,8 +271,8 @@ func decodeReplyHeader(d *cdr.Decoder, offered int, direct bool) (*replyHeader, 
 		a.Length = int(length)
 	}
 	if h.ChunkElems != 0 {
-		want := chunkElemsFor(offered, len(h.Args), h.resultLen)
-		if int(h.ChunkElems) != want {
+		want, err := chunkElemsFor(offered, 1, len(h.Args), func(i int) (int, int) { return 0, h.resultLen(i) })
+		if err != nil || int(h.ChunkElems) != want {
 			return nil, fmt.Errorf("%w: reply streams in chunks of %d, its lengths make it %d", ErrBadHeader, h.ChunkElems, want)
 		}
 	}

@@ -17,52 +17,109 @@ import (
 	"repro/internal/wire"
 )
 
-// TestChunkSchedule: the steps of a schedule tile every move exactly once, in
-// order, whatever the chunk size does to the move's length — one element, one
-// short of it, exactly it, one over — and a full walk allocates nothing.
+// TestChunkSchedule: a step packs up to a chunk of one thread pair's moves in
+// plan order, so every flow is ⌈elements / chunk⌉ steps however many moves it
+// has. The plan, listed pair by pair as Plan lists one, has a pair whose pieces
+// are adjacent on the source side only, one adjacent on both sides, and an
+// empty move inside a flow, which no step holds and which breaks nothing. Where
+// pairs interleave in global order — Cyclic{1} to Block — Plan lists each
+// pair's moves together, so each is one flow. A full walk allocates nothing.
 func TestChunkSchedule(t *testing.T) {
-	const length = 13
 	moves := []dist.Move{
-		{SrcRank: 0, DstRank: 1, SrcOff: 3, DstOff: 40, Len: length},
-		{SrcRank: 2, DstRank: 0, SrcOff: 0, DstOff: 7, Len: 0}, // an empty move has no step
-		{SrcRank: 1, DstRank: 1, SrcOff: 9, DstOff: 0, Len: 1},
-		{SrcRank: 1, DstRank: 2, SrcOff: 10, DstOff: 5, Len: 2 * length},
+		{SrcRank: 0, DstRank: 0, SrcOff: 9, DstOff: 20, Len: 2},
+		{SrcRank: 0, DstRank: 1, SrcOff: 0, DstOff: 0, Len: 5},
+		{SrcRank: 2, DstRank: 0, SrcOff: 0, DstOff: 7, Len: 0}, // empty: in no step
+		{SrcRank: 0, DstRank: 1, SrcOff: 5, DstOff: 9, Len: 4}, // adjacent at the source only
+		{SrcRank: 1, DstRank: 0, SrcOff: 0, DstOff: 0, Len: 3},
+		{SrcRank: 1, DstRank: 0, SrcOff: 3, DstOff: 3, Len: 6}, // adjacent at both ends
 	}
-	for _, ce := range []int{1, length - 1, length, length + 1} {
+	type piece struct{ src, dst, n int }
+	type step struct {
+		src, dst, n int
+		last        bool
+		pieces      []piece
+	}
+	walk := func(moves []dist.Move, ce int) (steps []step) {
 		sc := dist.Schedule{Moves: moves, CE: ce}
-		for mi, m := range moves {
-			steps := 0
-			for off := 0; off < m.Len; steps++ {
-				st, ok := sc.Next()
-				if !ok {
-					t.Fatalf("ce %d: the schedule ended inside move %d at %d of %d", ce, mi, off, m.Len)
-				}
-				n := min(m.Len-off, ce)
-				want := dist.Step{Src: m.SrcRank, Dst: m.DstRank, SrcOff: m.SrcOff + off, DstOff: m.DstOff + off, N: n, Last: off+n == m.Len}
-				if st != want {
-					t.Fatalf("ce %d, move %d at %d: step %+v, want %+v", ce, mi, off, st, want)
-				}
-				off += n
+		for st, ok := sc.Next(); ok; st, ok = sc.Next() {
+			s := step{src: st.Src, dst: st.Dst, n: st.N, last: st.Last}
+			st.Pieces(func(srcOff, dstOff, n int) { s.pieces = append(s.pieces, piece{srcOff, dstOff, n}) })
+			if p := s.pieces[0]; p.src != st.SrcOff || p.dst != st.DstOff {
+				t.Fatalf("ce %d: step %+v starts at %d → %d, its first piece at %d → %d", ce, s, st.SrcOff, st.DstOff, p.src, p.dst)
 			}
-			if got := dist.ChunkCount(m.Len, ce); got != steps {
-				t.Fatalf("ce %d: ChunkCount says %d steps for a move of %d, the walk cut %d", ce, got, m.Len, steps)
+			steps = append(steps, s)
+		}
+		return steps
+	}
+	want := []step{
+		{0, 0, 2, true, []piece{{9, 20, 2}}},
+		{0, 1, 4, false, []piece{{0, 0, 4}}},
+		{0, 1, 4, false, []piece{{4, 4, 1}, {5, 9, 3}}},
+		{0, 1, 1, true, []piece{{8, 12, 1}}},
+		{1, 0, 4, false, []piece{{0, 0, 3}, {3, 3, 1}}},
+		{1, 0, 4, false, []piece{{4, 4, 4}}},
+		{1, 0, 1, true, []piece{{8, 8, 1}}},
+	}
+	if got := walk(moves, 4); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("chunks of 4:\n got %v\nwant %v", got, want)
+	}
+	// Every chunk size walks the same elements pair by pair, one step per
+	// chunk of each flow: one element, a flow less one, a flow, more.
+	flows := [][3]int{{0, 0, 2}, {0, 1, 9}, {1, 0, 9}}
+	for _, ce := range []int{1, 8, 9, 100} {
+		steps, at := walk(moves, ce), 0
+		for _, f := range flows {
+			var elems []piece
+			for k := 0; k < dist.ChunkCount(f[2], ce); k, at = k+1, at+1 {
+				s := steps[at]
+				if s.src != f[0] || s.dst != f[1] || s.n != min(ce, f[2]-k*ce) || s.last != (k == dist.ChunkCount(f[2], ce)-1) {
+					t.Fatalf("ce %d: step %d of flow %v is %+v", ce, k, f, s)
+				}
+				for _, p := range s.pieces {
+					for j := range p.n {
+						elems = append(elems, piece{p.src + j, p.dst + j, 1})
+					}
+				}
+			}
+			var planned []piece
+			for _, m := range moves {
+				for j := 0; m.SrcRank == f[0] && m.DstRank == f[1] && j < m.Len; j++ {
+					planned = append(planned, piece{m.SrcOff + j, m.DstOff + j, 1})
+				}
+			}
+			if fmt.Sprint(elems) != fmt.Sprint(planned) {
+				t.Fatalf("ce %d: flow %v moved\n %v\nwant\n %v", ce, f, elems, planned)
 			}
 		}
-		if st, ok := sc.Next(); ok {
-			t.Fatalf("ce %d: a step past the last move: %+v", ce, st)
+		if at != len(steps) {
+			t.Fatalf("ce %d: %d steps past the last flow", ce, len(steps)-at)
 		}
 	}
-	steps := 0
+	from, _ := dist.Cyclic{BlockSize: 1}.Layout(40, 2)
+	to, _ := dist.Block{}.Layout(40, 2)
+	plan, err := dist.Plan(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []string
+	for _, s := range walk(plan, 8) {
+		pairs = append(pairs, fmt.Sprintf("%d→%d:%d/%d", s.src, s.dst, s.n, len(s.pieces)))
+	}
+	if got, want := strings.Join(pairs, " "), "0→0:8/8 0→0:2/2 0→1:8/8 0→1:2/2 1→0:8/8 1→0:2/2 1→1:8/8 1→1:2/2"; len(plan) != 40 || got != want {
+		t.Fatalf("the %d-move plan of Cyclic{1} to Block at 40 elements walks as\n %s\nwant\n %s", len(plan), got, want)
+	}
+	steps, elems := 0, 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		whole := [1]dist.Move{{Len: 1 << 19}}
 		for _, plan := range [][]dist.Move{moves, whole[:]} {
 			sc := dist.Schedule{Moves: plan, CE: 8192}
-			for _, ok := sc.Next(); ok; _, ok = sc.Next() {
+			for st, ok := sc.Next(); ok; st, ok = sc.Next() {
 				steps++
+				st.Pieces(func(_, _, n int) { elems += n })
 			}
 		}
-	}); allocs != 0 || steps != 101*(3+64) {
-		t.Fatalf("a full walk allocates %.0f objects over %d steps", allocs, steps)
+	}); allocs != 0 || steps != 101*(3+64) || elems != 101*(20+1<<19) {
+		t.Fatalf("a full walk allocates %.0f objects over %d steps of %d elements", allocs, steps, elems)
 	}
 }
 
@@ -99,55 +156,40 @@ func TestEmptyLegCostsNothing(t *testing.T) {
 	}
 }
 
-// cyclicIota asks a two-thread multi-port server for an out result of elems
-// elements into a sequence dealt out one element at a time: every element is a
-// move of the reverse plan.
-func cyclicIota(c *rts.Comm, b *Binding, elems int) error {
-	out, err := dseq.New(c, dseq.Float64, 0, dist.Cyclic{BlockSize: 1})
-	if err != nil {
-		return err
-	}
-	n := ScalarEncoder()
-	n.WriteLong(int32(elems))
-	if _, err := b.Invoke("iota", n.Bytes(), []DistArg{OutSeq(out)}); err != nil {
-		return err
-	}
-	for i, v := range out.LocalData() {
-		if want := float64(i*c.Size()+c.Rank()) + 0.5; v != want {
-			return fmt.Errorf("thread %d: element %d is %v, want %v", c.Rank(), i, v, want)
-		}
-	}
-	if out.Len() != elems {
-		return fmt.Errorf("result holds %d elements, want %d", out.Len(), elems)
-	}
-	return nil
-}
-
-// TestDirectLegStepBound: a direct leg whose plan alone addresses more frames
-// to one thread than its sink holds is refused — on the back leg by every
-// server thread through the send leg's agreement and so, in the reply, by every
-// client thread; on the forward leg by every client thread before the header
-// leaves — with one error that names the count and the bound, in milliseconds.
-// (Return flows are written before the Reply: before the bound, the 10 000
-// single-element moves into each client thread filled its sink, blocked the
-// read loop the Reply was queued behind, and the call ended at the client
-// timeout.) The same plan a fifth the size still goes through, and so does the
-// next call on the binding after a refusal.
-func TestDirectLegStepBound(t *testing.T) {
-	const fine, coarse = 20000, 4000
+// TestDirectLegFinePlan: a direct leg moves a plan however fine. A Cyclic{1}
+// argument of two client threads — every element a move of its own — goes in,
+// inout and out against the two threads of a Block server at 20 000 and 10^6
+// elements: every call ends within a second with exact contents on every
+// thread, and no thread takes more Data frames than ⌈elements into it / chunk⌉
+// plus its flows (one argument from each of two threads). Before a step packed
+// a thread pair's moves, each of these calls was refused with MARSHAL: 20 000
+// one-element moves are 10 000 steps into one thread, more than its sink
+// holds. Under the race detector, where every element of a plan costs about
+// twelve times as much and a 10^6-element call takes seconds, the 20 000 row
+// runs alone.
+func TestDirectLegFinePlan(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	t.Run("body", func(t *testing.T) {
 		defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
-		var served, received frameCount
-		tc := startCluster(t, 2, true, nil, func(o *ExportOptions) {
-			o.Server.Transport = &transport.Options{FrameHook: served.hook}
-		})
-		opts := BindOptions{Method: Multiport, Timeout: testTimeout, Transport: &transport.Options{FrameHook: received.hook}}
+		serverRec, clientRec := obs.NewRecorder(4096), obs.NewRecorder(4096)
+		verify := OpDesc{Name: "verify", Args: []ArgDesc{{Name: "arr", Dir: In, Elem: "double"}}}
+		tc := startClusterOps(t, 2, true, func() []Operation {
+			return append(testObjectOps(nil), Operation{Desc: verify, NewArgs: SeqArgsFloat64(verify.Args),
+				Handler: func(call *ServerCall) error {
+					arr := ArgSeq[float64](call, 0)
+					for i, v := range arr.LocalData() {
+						if g, _ := arr.Layout().Global(call.Comm.Rank(), i); v != float64(g) {
+							return fmt.Errorf("server thread %d: element %d is %v, want %d", call.Comm.Rank(), i, v, g)
+						}
+					}
+					return nil
+				}})
+		}, func(o *ExportOptions) { o.Trace = serverRec })
 		w := rts.NewWorld(2, rts.Options{RecvTimeout: testTimeout})
 		defer w.Close()
 		bindings := make([]*Binding, 2)
 		if err := w.Run(func(c *rts.Comm) (err error) {
-			bindings[c.Rank()], err = SPMDBind(c, "example", tc.ns.Addr(), opts)
+			bindings[c.Rank()], err = SPMDBind(c, "example", tc.ns.Addr(), BindOptions{Method: Multiport, Timeout: testTimeout, Trace: clientRec})
 			return err
 		}); err != nil {
 			t.Fatal(err)
@@ -157,82 +199,134 @@ func TestDirectLegStepBound(t *testing.T) {
 				b.Close()
 			}
 		}()
-		// A refusal is arithmetic on a plan of 20 000 moves: tens of milliseconds,
-		// a second under the race detector, never the client timeout.
-		within := time.Second
+		within, sizes := time.Second, []int{20000, 1000000}
 		if raceEnabled {
-			within = testTimeout / 4
+			within, sizes = testTimeout/4, sizes[:1]
 		}
-		call := func(fn func(c *rts.Comm, b *Binding) error) string {
+		// frames checks the Data frames each thread of one side took in the
+		// last call: n/2 elements from two flows.
+		frames := func(side string, rec *obs.Recorder, n int) {
 			t.Helper()
-			return sameOnEveryThreadOf(t, w, within, func(c *rts.Comm) error { return fn(c, bindings[c.Rank()]) })
-		}
-		want := fmt.Sprintf("moves %d pieces into thread 0, more than the %d one thread buffers", fine/2, bucketCapacity)
-
-		if got := call(func(c *rts.Comm, b *Binding) error { return cyclicIota(c, b, coarse) }); got != "nil" {
-			t.Fatalf("an out result of %d moves: %s", coarse, got)
-		}
-		served.take()
-		received.take()
-		if got := call(func(c *rts.Comm, b *Binding) error { return cyclicIota(c, b, fine) }); !strings.Contains(got, want) {
-			t.Fatalf("an out result of %d moves ended with\n  %s\nwant a refusal saying %q", fine, got, want)
-		}
-		if got, _ := received.take(); got[wire.MsgData] != 0 || got[wire.MsgReply] != 1 {
-			t.Fatalf("the client read %v during the refused back leg, want the Reply alone", got)
-		}
-		if got := call(func(c *rts.Comm, b *Binding) error { return cyclicIota(c, b, coarse) }); got != "nil" {
-			t.Fatalf("the call after a refused back leg: %s", got)
-		}
-
-		// The forward leg: the same plan the other way round.
-		served.take()
-		if got := call(func(c *rts.Comm, b *Binding) error {
-			in, err := dseq.New(c, dseq.Float64, fine, dist.Cyclic{BlockSize: 1})
-			if err != nil {
-				return err
+			took := make([]int, 2)
+			for _, sp := range rec.Spans() {
+				if sp.Phase == obs.PhaseChunkRecv {
+					took[sp.Rank]++
+				}
 			}
-			_, err = b.Invoke("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(in)})
-			return err
-		}); !strings.Contains(got, want) {
-			t.Fatalf("an in argument of %d moves ended with\n  %s\nwant a refusal saying %q", fine, got, want)
+			rec.Reset()
+			for r, got := range took {
+				if bound := dist.ChunkCount(n/2, DefaultStreamChunkElems) + 2; got == 0 || got > bound {
+					t.Errorf("n %d: %s thread %d took %d Data frames, want 1 to %d", n, side, r, got, bound)
+				}
+			}
 		}
-		if got, _ := served.take(); len(got) != 0 {
-			t.Fatalf("the server read %v of a forward leg refused before a byte was sent", got)
+		// held checks a client thread's share of a Cyclic{1} sequence.
+		held := func(c *rts.Comm, seq *dseq.Seq[float64], n int, want func(g int) float64) error {
+			if seq.Len() != n {
+				return fmt.Errorf("the sequence holds %d elements, want %d", seq.Len(), n)
+			}
+			for i, v := range seq.LocalData() {
+				if g := i*c.Size() + c.Rank(); v != want(g) {
+					return fmt.Errorf("client thread %d: element %d (global %d) is %v, want %v", c.Rank(), i, g, v, want(g))
+				}
+			}
+			return nil
 		}
-		if got := call(func(c *rts.Comm, b *Binding) error { return cyclicIota(c, b, coarse) }); got != "nil" {
-			t.Fatalf("the call after a refused forward leg: %s", got)
+		for _, n := range sizes {
+			// One sequence per thread goes through the three calls: in, then
+			// scaled by 3, then overwritten.
+			seqs := make([]*dseq.Seq[float64], 2)
+			if err := w.Run(func(c *rts.Comm) error {
+				seq, err := dseq.New(c, dseq.Float64, n, dist.Cyclic{BlockSize: 1})
+				if err == nil {
+					seq.FillFunc(func(g int) float64 { return float64(g) })
+				}
+				seqs[c.Rank()] = seq
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			call := func(leg string, fn func(c *rts.Comm, b *Binding, seq *dseq.Seq[float64]) error) {
+				t.Helper()
+				serverRec.Reset()
+				clientRec.Reset()
+				if got := sameOnEveryThreadOf(t, w, within, func(c *rts.Comm) error {
+					return fn(c, bindings[c.Rank()], seqs[c.Rank()])
+				}); got != "nil" {
+					t.Fatalf("n %d, %s: %s", n, leg, got)
+				}
+			}
+			call("in", func(c *rts.Comm, b *Binding, seq *dseq.Seq[float64]) error {
+				_, err := b.Invoke("verify", ScalarEncoder().Bytes(), []DistArg{InSeq(seq)})
+				return err
+			})
+			frames("server", serverRec, n)
+			call("inout", func(c *rts.Comm, b *Binding, seq *dseq.Seq[float64]) error {
+				if _, err := b.Invoke("scale", scaleScalars(3), []DistArg{InOutSeq(seq)}); err != nil {
+					return err
+				}
+				return held(c, seq, n, func(g int) float64 { return 3 * float64(g) })
+			})
+			frames("server", serverRec, n)
+			frames("client", clientRec, n)
+			call("out", func(c *rts.Comm, b *Binding, seq *dseq.Seq[float64]) error {
+				size := ScalarEncoder()
+				size.WriteLong(int32(n))
+				if _, err := b.Invoke("iota", size.Bytes(), []DistArg{OutSeq(seq)}); err != nil {
+					return err
+				}
+				return held(c, seq, n, func(g int) float64 { return float64(g) + 0.5 })
+			})
+			frames("client", clientRec, n)
 		}
 	})
 }
 
-// TestDirectChunkElems pins the direct legs' chunk-size rule on plans alone:
-// the base size while every destination's step count fits maxStreamChunks,
-// doubled until it does, left alone once no move is cut — a plan of many short
-// moves is not helped by larger chunks — and refused past the sink's capacity.
-func TestDirectChunkElems(t *testing.T) {
-	plan := func(moves, length, dsts int) []dist.Move {
-		p := make([]dist.Move, moves)
-		for i := range p {
-			p[i] = dist.Move{SrcRank: 0, DstRank: i % dsts, Len: length}
+// TestChunkElemsFor pins the one chunk-size rule on flows alone: the base size
+// while no thread is the destination of more than maxStreamChunks steps,
+// doubled until none is, left alone once no flow is cut — many short flows are
+// not helped by larger chunks — and refused only where more flows feed one
+// thread than its sink holds. A centralized leg is a flow per argument into
+// thread 0; a direct leg's plan counts in flows, not moves, however fine.
+func TestChunkElemsFor(t *testing.T) {
+	flows := func(count, length, dsts int) (fs [][2]int) {
+		for i := range count {
+			fs = append(fs, [2]int{i % dsts, length})
 		}
-		return p
+		return fs
 	}
 	for _, tt := range []struct {
 		name  string
-		plans [][]dist.Move
+		flows [][2]int // destination thread, elements
 		dsts  int
 		want  int // 0: refused
 	}{
 		{"nothing to move", nil, 2, 64},
-		{"fits at the base size", [][]dist.Move{plan(2, 64*maxStreamChunks, 2)}, 2, 64},
-		{"one thread over the count: doubled twice", [][]dist.Move{plan(2, 64*maxStreamChunks, 2), nil, plan(1, 3*64*maxStreamChunks-1, 1)}, 2, 256},
-		{"short moves over the count: nothing to raise", [][]dist.Move{plan(2*bucketCapacity, 64, 2)}, 2, 64},
-		{"short moves over the capacity", [][]dist.Move{plan(2*bucketCapacity+2, 3, 2)}, 2, 0},
-		{"over the capacity in one of many threads", [][]dist.Move{plan(40, 3, 40), plan(bucketCapacity, 1, 1)}, 40, 0},
+		{"fits at the base size", flows(2, 64*maxStreamChunks, 2), 2, 64},
+		{"one thread over the count: doubled twice", append(flows(2, 64*maxStreamChunks, 2), [2]int{0, 3*64*maxStreamChunks - 1}), 2, 256},
+		{"a centralized leg: every argument's chunks count", flows(3, 64*maxStreamChunks, 1), 1, 256},
+		{"short flows over the count: nothing to raise", flows(2*bucketCapacity, 64, 2), 2, 64},
+		{"backstop: more flows into a thread than its sink holds", flows(2*bucketCapacity+2, 3, 2), 2, 0},
+		{"backstop in one of many threads", append(flows(40, 3, 40), flows(bucketCapacity, 1, 1)...), 40, 0},
 	} {
-		got, err := directChunkElems(64, tt.dsts, tt.plans)
+		got, err := chunkElemsFor(64, tt.dsts, len(tt.flows), func(k int) (int, int) { return tt.flows[k][0], tt.flows[k][1] })
 		if got != tt.want || (err == nil) != (tt.want != 0) {
 			t.Errorf("%s: chunk size %d (%v), want %d", tt.name, got, err, tt.want)
+		}
+	}
+	// Cyclic{1} → Block over two threads each, 20 000 elements: 20 000 moves,
+	// four flows of 5 000.
+	from, _ := dist.Cyclic{BlockSize: 1}.Layout(20000, 2)
+	to, _ := dist.Block{}.Layout(20000, 2)
+	for base, want := range map[int]int{64: 64, 1: 16} {
+		plans, ce, err := planDirect(base, 2, 2, func(i int) (f, tl dist.Layout, err error) {
+			if i == 1 {
+				f, tl = from, to
+			}
+			return f, tl, nil
+		})
+		if err != nil || ce != want || plans[0] != nil || len(plans[1]) != 20000 {
+			t.Errorf("a fine plan from base %d: chunk size %d (%v), want %d", base, ce, err, want)
 		}
 	}
 }
@@ -300,12 +394,12 @@ func TestDirectLegFrames(t *testing.T) {
 // TestMultiportMatrix moves in, out and inout arguments between three client
 // and two server threads under every pairing of client and server
 // distributions — moves a chunk does not divide, moves shorter than a chunk, a
-// client thread that holds nothing — at three chunk sizes, and checks the
-// contents on every thread.
+// client thread that holds nothing, one-element moves that steps pack — at
+// three chunk sizes, and checks the contents on every thread.
 func TestMultiportMatrix(t *testing.T) {
 	const n = 1000
-	clientSpecs := []dist.Spec{dist.Block{}, dist.Cyclic{BlockSize: 3}, dist.Proportions{P: []int{5, 0, 2}}}
-	serverSpecs := []dist.Spec{dist.Block{}, dist.Cyclic{BlockSize: 5}}
+	clientSpecs := []dist.Spec{dist.Block{}, dist.Cyclic{BlockSize: 3}, dist.Proportions{P: []int{5, 0, 2}}, dist.Cyclic{BlockSize: 1}}
+	serverSpecs := []dist.Spec{dist.Block{}, dist.Cyclic{BlockSize: 5}, dist.Cyclic{BlockSize: 1}}
 	for _, ss := range serverSpecs {
 		tc := startCluster(t, 2, true, ss)
 		for _, cs := range clientSpecs {

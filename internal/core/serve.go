@@ -403,20 +403,12 @@ func (o *Object) sendCentral(conn *transport.Conn, msg *cdr.Encoder, h *invocati
 // DataTimeout, so a client thread that died mid-transfer fails this upcall
 // instead of blocking the collective loop until Close.
 func (o *Object) recvDirect(w *frameWait, h *invocationHeader, args []dseq.Transferable) error {
-	var plans [][]dist.Move
-	for i, a := range h.Args {
-		if a.Dir == Out {
-			continue
+	plans, ce, err := planDirect(int(h.ChunkElems), o.comm.Size(), len(args), func(i int) (from, to dist.Layout, err error) {
+		if a := h.Args[i]; a.Dir != Out {
+			from, to = a.Layout, args[i].Layout()
 		}
-		if plans == nil {
-			plans = make([][]dist.Move, len(args))
-		}
-		var err error
-		if plans[i], err = dist.Plan(a.Layout, args[i].Layout()); err != nil {
-			return err
-		}
-	}
-	ce, err := directChunkElems(int(h.ChunkElems), o.comm.Size(), plans)
+		return from, to, nil
+	})
 	if err != nil {
 		return err
 	}
@@ -426,37 +418,22 @@ func (o *Object) recvDirect(w *frameWait, h *invocationHeader, args []dseq.Trans
 }
 
 // sendDirect is the direct send leg: this thread's share of every result goes
-// to the client threads that own it, over the connections they attached. Every
-// thread holds the whole plan, so one too fine for a client thread's sink is
-// refused by all of them alike, before a byte is written.
+// to the client threads that own it, over the connections they attached, along
+// the plans to the client's final layouts. Every thread holds the whole plan,
+// so a leg it refuses is refused by all of them alike, before a byte is
+// written.
 func (o *Object) sendDirect(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
-	var plans [][]dist.Move
-	for i, a := range h.Args {
-		if a.Dir == In {
-			continue
-		}
-		// The client's final layout for this argument.
-		clientLayout := a.Layout
-		var err error
-		if a.Dir == Out {
-			spec := a.Spec
-			if spec == nil {
-				spec = dist.Block{}
-			}
-			if clientLayout, err = spec.Layout(args[i].Len(), h.ClientRanks); err != nil {
-				return orb.Marshal(err)
+	plans, ce, err := planDirect(int(h.ChunkElems), h.ClientRanks, len(args), func(i int) (from, to dist.Layout, err error) {
+		if a := h.Args[i]; a.Dir != In {
+			from, to = args[i].Layout(), a.Layout
+			if a.Dir == Out {
+				to, err = a.Spec.Layout(args[i].Len(), h.ClientRanks)
 			}
 		}
-		if plans == nil {
-			plans = make([][]dist.Move, len(args))
-		}
-		if plans[i], err = dist.Plan(args[i].Layout(), clientLayout); err != nil {
-			return orb.Marshal(err)
-		}
-	}
-	ce, err := directChunkElems(int(h.ChunkElems), h.ClientRanks, plans)
+		return from, to, err
+	})
 	if err != nil {
-		return err
+		return orb.Marshal(err)
 	}
 	_, err = sendSteps(bucket, h.ClientRanks, h.Token, o.comm.Rank(), true, ce, plans,
 		func(i int) dseq.Transferable { return args[i] },

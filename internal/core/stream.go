@@ -299,12 +299,11 @@ func recvChunks(comm *rts.Comm, w *frameWait, msg *cdr.Decoder, reply bool, ce i
 	return firstErr
 }
 
-// maxStreamChunks bounds the total number of chunks in one direction of one
-// centralized invocation; the chunk size is raised until the schedule fits, and
-// a direct leg raises its own towards the same count per destination thread
-// (directChunkElems). The bound keeps a whole reply leg inside one data sink
-// (capacity bucketCapacity): reply chunks are written before the Reply message,
-// so they may all be buffered before the client starts draining.
+// maxStreamChunks bounds the chunks one leg sends any one thread; the chunk
+// size is raised until the schedule fits (chunkElemsFor). The bound keeps a
+// whole leg inside one data sink (capacity bucketCapacity): reply chunks are
+// written before the Reply message, so they may all be buffered before the
+// client starts draining.
 const maxStreamChunks = 1024
 
 // legChunkElems is the placement rule of one centralized leg, applied by the
@@ -316,32 +315,47 @@ const maxStreamChunks = 1024
 // message. A base of 0 — a client that offered no stream — is always in the
 // message.
 func legChunkElems(base, nargs int, length func(i int) int) int {
-	if base > 0 {
-		for i := 0; i < nargs; i++ {
-			if length(i) >= 2*base {
-				return chunkElemsFor(base, nargs, length)
-			}
+	for i := 0; i < nargs && base > 0; i++ {
+		if length(i) >= 2*base {
+			// A flow per argument into thread 0, and a header holds at most
+			// 1<<12 arguments: never more flows than a sink holds.
+			ce, _ := chunkElemsFor(base, 1, nargs, func(i int) (int, int) { return 0, length(i) })
+			return ce
 		}
 	}
 	return 0
 }
 
-// chunkElemsFor returns the chunk size of a framed centralized leg: base
-// elements, doubled until the leg's total chunk count (length(i) per argument,
-// 0 for one the leg does not carry) fits maxStreamChunks. Whoever places the
-// leg announces the result; the peer that receives a reply leg recomputes it
-// from the announced lengths and refuses any other.
-func chunkElemsFor(base, nargs int, length func(i int) int) int {
-	ce := max(base, 1)
-	for {
-		total := 0
-		for i := 0; i < nargs; i++ {
-			total += dist.ChunkCount(length(i), ce)
+// chunkElemsFor is the one chunk-size rule, of centralized and direct legs:
+// base elements, doubled until no thread is the destination of more than
+// maxStreamChunks steps, or no flow is cut any more. flow(k), of nflows, is n
+// elements one source thread moves of one argument into thread dst of dsts — a
+// centralized leg is a flow per argument into thread 0 — and ⌈n / ce⌉ steps
+// however the plan scatters it. So no plan is too fine: the one refusal, more
+// flows into a thread than its sink holds (bucketCapacity), takes source
+// threads × carried arguments.
+func chunkElemsFor(base, dsts, nflows int, flow func(k int) (dst, n int)) (int, error) {
+	var few [16]int
+	steps := few[:]
+	if dsts > len(few) {
+		steps = make([]int, dsts)
+	}
+	for ce := max(base, 1); ; ce *= 2 {
+		clear(steps)
+		most, cut := 0, false
+		for k := 0; k < nflows; k++ {
+			dst, n := flow(k)
+			c := dist.ChunkCount(n, ce)
+			steps[dst] += c
+			most, cut = max(most, steps[dst]), cut || c > 1
 		}
-		if total <= maxStreamChunks {
-			return ce
+		if most > maxStreamChunks && cut {
+			continue
 		}
-		ce *= 2
+		if most > bucketCapacity {
+			return 0, fmt.Errorf("core: %d flows feed one thread, more than the %d frames its sink holds", most, bucketCapacity)
+		}
+		return ce, nil
 	}
 }
 

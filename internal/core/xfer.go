@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/dist"
@@ -15,48 +17,40 @@ import (
 // Direct transfers (the multi-port method, paper §3.3): the argument data flows
 // between the owning threads themselves. A leg's plans are dist.Plan between
 // the client's and the server's layout of every argument it carries, cut by the
-// chunk schedule into steps of the chunk size the header announces
-// (directChunkElems); each thread sends the steps it sources (sendSteps) and
-// takes in the steps it sinks (recvSteps). Both sides derive the plans from the
-// layouts in the header, so what one thread sends is what its peer expects, and
-// no collective is involved: a leg that fails on one thread stops there and the
-// agreement after it tells the others.
+// chunk schedule into steps of the one chunk-size rule's size (planDirect); each
+// thread sends the steps it sources (sendSteps) and takes in the steps it sinks
+// (recvSteps). Both sides derive the plans from the layouts in the header, so
+// what one thread sends is what its peer expects, and no collective is
+// involved: a leg that fails on one thread stops there and the agreement after
+// it tells the others.
 
-// directChunkElems returns the chunk size of one direct leg over plans (one per
-// argument, nil for one the leg does not carry) towards dsts threads: base
-// elements, doubled — as chunkElemsFor does — until no thread is the
-// destination of more than maxStreamChunks steps or no move is cut any more. A
-// direct leg has no placement to choose: a move shorter than a chunk is one
-// chunk. Every thread of both sides holds the plans and so the same answer,
-// including the refusal: a plan with more steps into one thread than its sink
-// holds (bucketCapacity) would wedge the connection that feeds it.
-func directChunkElems(base, dsts int, plans [][]dist.Move) (int, error) {
-	var few [16]int
-	steps := few[:]
-	if dsts > len(few) {
-		steps = make([]int, dsts)
-	}
-	for ce := max(base, 1); ; ce *= 2 {
-		clear(steps)
-		most, at, cut := 0, 0, false
-		for _, plan := range plans {
-			for _, m := range plan {
-				k := dist.ChunkCount(m.Len, ce)
-				cut = cut || k > 1
-				if steps[m.DstRank] += k; steps[m.DstRank] > most {
-					most, at = steps[m.DstRank], m.DstRank
-				}
+// planDirect plans one direct leg of nargs arguments into dsts threads:
+// argument i moves from layout from to layout to, as layouts(i) says (a zero
+// from for one the leg does not carry), in chunkElemsFor's size from base, the
+// header's. Every thread of both sides gets the same plans and size, or error.
+func planDirect(base, dsts, nargs int, layouts func(i int) (from, to dist.Layout, err error)) (plans [][]dist.Move, ce int, err error) {
+	for i := 0; i < nargs; i++ {
+		from, to, err := layouts(i)
+		if err == nil && from.Ranks != 0 {
+			if plans == nil {
+				plans = make([][]dist.Move, nargs)
 			}
+			plans[i], err = dist.Plan(from, to)
 		}
-		if most > maxStreamChunks && cut {
-			continue
+		if err != nil {
+			return nil, 0, err
 		}
-		if most > bucketCapacity {
-			return 0, orb.Marshal(fmt.Errorf("core: the multi-port plan moves %d pieces into thread %d, more than the %d one thread buffers: "+
-				"use the centralized method or a coarser distribution", most, at, bucketCapacity))
-		}
-		return ce, nil
 	}
+	flows := make([][2]int, 0, 16) // destination thread, elements
+	for _, plan := range plans {
+		// A schedule that cuts nothing steps through whole flows.
+		sc := dist.Schedule{Moves: plan, CE: math.MaxInt}
+		for st, ok := sc.Next(); ok; st, ok = sc.Next() {
+			flows = append(flows, [2]int{st.Dst, st.N})
+		}
+	}
+	ce, err = chunkElemsFor(base, dsts, len(flows), func(k int) (int, int) { return flows[k][0], flows[k][1] })
+	return plans, ce, err
 }
 
 // connSource resolves the connection a direct leg's frames for thread dst are
@@ -79,44 +73,43 @@ func (t *target) dataConn(dst int) (*transport.Conn, error) { return t.client.Da
 
 // sendSteps is thread me's sending half of one direct leg: every step of the
 // plans (one per argument, nil for one the leg does not carry) that starts
-// here is marshalled out of arg(i) straight into a slot of the leg's sender
-// and written to the thread it names, on the connection conns resolves for it
-// — once per destination, at its first chunk. A thread that sources nothing
-// builds no sender. It returns the time spent marshalling and the first
-// failure, at which it stops.
+// here — its flows to the dsts threads, in schedule order — is marshalled out
+// of arg(i) straight into a slot of the leg's sender and written to the thread
+// it names, on the connection conns resolves for it — once per destination, at
+// its first chunk. A thread that sources nothing builds no sender. It returns
+// the time spent marshalling and the first failure, at which it stops.
 func sendSteps(conns connSource, dsts int, token uint32, me int, reply bool, ce int, plans [][]dist.Move,
 	arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) (pack time.Duration, err error) {
 	var cs *chunkSender
 	for i, plan := range plans {
-		sc := dist.Schedule{Moves: plan, CE: ce}
-		for st, ok := sc.Next(); ok && err == nil; st, ok = sc.Next() {
-			if st.Src != me {
-				continue
-			}
-			if cs == nil {
-				resolved := make([]*transport.Conn, dsts)
-				cs = newChunkSender(func(m wire.Message) (err error) {
-					dst := m.(*wire.Data).DstRank
-					if resolved[dst] == nil {
-						if resolved[dst], err = conns.dataConn(int(dst)); err != nil {
-							return err
+		for dst := 0; dst < dsts; dst++ {
+			sc := dist.Schedule{Moves: dist.Flow(plan, me, dst), CE: ce}
+			for st, ok := sc.Next(); ok && err == nil; st, ok = sc.Next() {
+				if cs == nil {
+					resolved := make([]*transport.Conn, dsts)
+					cs = newChunkSender(func(m wire.Message) (err error) {
+						dst := m.(*wire.Data).DstRank
+						if resolved[dst] == nil {
+							if resolved[dst], err = conns.dataConn(int(dst)); err != nil {
+								return err
+							}
 						}
-					}
-					return resolved[dst].WriteMessage(m)
-				})
+						return resolved[dst].WriteMessage(m)
+					})
+				}
+				chunkStart := time.Now()
+				slot := cs.next()
+				packStart := time.Now()
+				err = arg(i).MarshalStepTo(st, 0, slot.enc)
+				pack += time.Since(packStart)
+				if err != nil {
+					cs.free <- slot // nothing to send: the ring gets it back whole
+					continue
+				}
+				slot.fill(token, i, st, reply, false)
+				cs.send(slot)
+				span(chunkStart)
 			}
-			chunkStart := time.Now()
-			slot := cs.next()
-			packStart := time.Now()
-			err = arg(i).MarshalRangeTo(st.SrcOff, st.N, 0, slot.enc)
-			pack += time.Since(packStart)
-			if err != nil {
-				cs.free <- slot // nothing to send: the ring gets it back whole
-				continue
-			}
-			slot.fill(token, i, st, reply, false)
-			cs.send(slot)
-			span(chunkStart)
 		}
 	}
 	if cs != nil {
@@ -128,28 +121,24 @@ func sendSteps(conns connSource, dsts int, token uint32, me int, reply bool, ce 
 }
 
 // flow is where one source thread stands in the schedule of a direct leg: the
-// next plan to open and the cursor in the open one. One connection delivers in
-// order, so a source's frames must arrive in schedule order; the flows of
-// different sources advance independently.
+// next plan to open and the cursor in the open one — one connection delivers
+// in order, so a source's frames arrive in schedule order, and the flows of
+// different sources advance independently. next returns the next step thread
+// src owes thread me, and the argument it belongs to.
 type flow struct {
 	arg int
 	sc  dist.Schedule
 }
 
-// next returns the next step of the plans thread src owes thread me, and the
-// argument it belongs to.
 func (f *flow) next(src, me, ce int, plans [][]dist.Move) (int, dist.Step, bool) {
 	for {
 		if st, ok := f.sc.Next(); ok {
-			if st.Src == src && st.Dst == me {
-				return f.arg - 1, st, true
-			}
+			return f.arg - 1, st, true
 		} else if f.arg == len(plans) {
 			return 0, dist.Step{}, false
-		} else {
-			f.sc = dist.Schedule{Moves: plans[f.arg], CE: ce}
-			f.arg++
 		}
+		f.sc = dist.Schedule{Moves: dist.Flow(plans[f.arg], src, me), CE: ce}
+		f.arg++
 	}
 }
 
@@ -165,11 +154,8 @@ func recvSteps(w *frameWait, me, srcs int, reply bool, ce int, plans [][]dist.Mo
 	arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) error {
 	want := 0
 	for _, plan := range plans {
-		sc := dist.Schedule{Moves: plan, CE: ce}
-		for st, ok := sc.Next(); ok; st, ok = sc.Next() {
-			if st.Dst == me {
-				want++
-			}
+		for src := 0; src < srcs; src++ {
+			want += dist.ChunkCount(dist.MovedElems(dist.Flow(plan, src, me)), ce)
 		}
 	}
 	if want == 0 {
@@ -187,9 +173,9 @@ func recvSteps(w *frameWait, me, srcs int, reply bool, ce int, plans [][]dist.Mo
 		} else if i, st, ok := flows[src].next(src, me, ce, plans); !ok {
 			err = fmt.Errorf("%w: chunk of arg %d at offset %d after thread %d sent all it owed", ErrBadHeader, d.ArgIndex, d.DstOff, src)
 		} else if err = checkStep(d, i, st, reply); err == nil {
-			err = arg(i).UnmarshalRange(st.DstOff, d.Payload)
+			err = arg(i).UnmarshalStep(st, d.Payload)
 		}
-		// UnmarshalRange copied the elements out (or the chunk was refused), so
+		// UnmarshalStep copied the elements out (or the chunk was refused), so
 		// the borrowed transport buffer goes back to the pool either way.
 		d.Release()
 		if err != nil {
@@ -205,24 +191,15 @@ func recvSteps(w *frameWait, me, srcs int, reply bool, ce int, plans [][]dist.Mo
 // this thread's share of every In/InOut argument to the threads that own it.
 func (iv *invocation) sendDirect(scalars []byte) error {
 	b, me, sRanks := iv.b, iv.comm.Rank(), iv.b.ref.Threads
-	plans := make([][]dist.Move, len(iv.args))
-	results := false
-	for i, a := range iv.args {
-		if a.Dir == Out {
-			results = true
-			continue
+	// Every thread holds the whole plan, so a leg it refuses is refused by all
+	// of them alike, before the header or a byte of data leaves.
+	plans, ce, err := planDirect(iv.ce, sRanks, len(iv.args), func(i int) (from, to dist.Layout, err error) {
+		if a := iv.args[i]; a.Dir != Out {
+			from = a.Seq.Layout()
+			to, err = iv.desc.Args[i].specOrBlock().Layout(a.Seq.Len(), sRanks)
 		}
-		sl, err := iv.desc.Args[i].specOrBlock().Layout(a.Seq.Len(), sRanks)
-		if err != nil {
-			return err
-		}
-		if plans[i], err = dist.Plan(a.Seq.Layout(), sl); err != nil {
-			return err
-		}
-	}
-	// Every thread holds the whole plan, so a leg too fine to send is refused
-	// by all of them alike, before the header or a byte of data leaves.
-	ce, err := directChunkElems(iv.ce, sRanks, plans)
+		return from, to, err
+	})
 	if err != nil {
 		return err
 	}
@@ -236,15 +213,9 @@ func (iv *invocation) sendDirect(scalars []byte) error {
 	// reversed, so its sources have all been sent to; an Out result's length is
 	// unknown, so any server thread may have to reach us: attach to every one
 	// this leg sends nothing.
-	if results {
-		sends := make([]bool, sRanks)
-		for _, plan := range plans {
-			for _, m := range plan {
-				sends[m.DstRank] = sends[m.DstRank] || m.SrcRank == me
-			}
-		}
-		for r, sent := range sends {
-			if sent {
+	if slices.ContainsFunc(iv.args, func(a DistArg) bool { return a.Dir == Out }) {
+		for r := 0; r < sRanks; r++ {
+			if slices.ContainsFunc(plans, func(plan []dist.Move) bool { return len(dist.Flow(plan, me, r)) > 0 }) {
 				continue
 			}
 			attach := &wire.Data{RequestID: iv.token, SrcRank: uint32(me), DstRank: uint32(r), Count: 0}
@@ -266,23 +237,13 @@ func (iv *invocation) sendDirect(scalars []byte) error {
 // to this thread's, in the chunk size the forward leg started from, name the
 // return flows to expect.
 func (iv *invocation) recvDirect() error {
-	var plans [][]dist.Move
-	for i, a := range iv.args {
-		if a.Dir == In {
-			continue
+	plans, ce, err := planDirect(iv.ce, iv.comm.Size(), len(iv.args), func(i int) (from, to dist.Layout, err error) {
+		if a := iv.args[i]; a.Dir != In {
+			from, err = iv.desc.Args[i].specOrBlock().Layout(a.Seq.Len(), iv.b.ref.Threads)
+			to = a.Seq.Layout()
 		}
-		sl, err := iv.desc.Args[i].specOrBlock().Layout(a.Seq.Len(), iv.b.ref.Threads)
-		if err != nil {
-			return err
-		}
-		if plans == nil {
-			plans = make([][]dist.Move, len(iv.args))
-		}
-		if plans[i], err = dist.Plan(sl, a.Seq.Layout()); err != nil {
-			return err
-		}
-	}
-	ce, err := directChunkElems(iv.ce, iv.comm.Size(), plans)
+		return from, to, err
+	})
 	if err != nil {
 		return err
 	}

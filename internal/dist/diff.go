@@ -10,8 +10,8 @@ package dist
 // when their local offset moved.
 //
 // src and dst may have different rank counts; only the lengths must agree.
-// Together the two lists cover every global index exactly once, ordered by
-// global index within each list.
+// Together the two lists cover every global index exactly once, each list
+// pair by pair as Plan lists them.
 func Diff(src, dst Layout) (local, cross []Move, err error) {
 	moves, err := Plan(src, dst)
 	if err != nil {

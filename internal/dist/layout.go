@@ -20,44 +20,51 @@ type Layout struct {
 
 // Validate checks that the layout is an exact partition of [0, Length):
 // intervals are positive, per-rank lists are sorted, and together they cover
-// every index exactly once.
+// every index exactly once. It merges the ranks' lists, keeping the ranks with
+// intervals left in a heap on their next start — n·log(ranks) for n intervals,
+// where sorting them would cost n·log(n), and a Cyclic{1} layout is an interval
+// per element — and every interval must start where the one before it ended.
 func (l Layout) Validate() error {
 	if l.Length < 0 || l.Ranks < 1 || len(l.Intervals) != l.Ranks {
 		return fmt.Errorf("%w: length %d, ranks %d, %d interval lists", ErrBadLayout, l.Length, l.Ranks, len(l.Intervals))
 	}
-	n := 0
-	for _, ivs := range l.Intervals {
-		n += len(ivs)
+	type head struct{ rank, next int } // a rank and its next interval
+	var few [16]head
+	h := few[:0]
+	if l.Ranks > len(few) {
+		h = make([]head, 0, l.Ranks)
 	}
-	all := make([]Interval, 0, n)
 	for r, ivs := range l.Intervals {
-		prev := -1
-		for _, iv := range ivs {
-			if iv.Len <= 0 || iv.Start < 0 || iv.End() > l.Length {
-				return fmt.Errorf("%w: rank %d interval [%d,%d)", ErrBadLayout, r, iv.Start, iv.End())
-			}
-			if iv.Start <= prev {
-				return fmt.Errorf("%w: rank %d intervals not sorted/disjoint", ErrBadLayout, r)
-			}
-			prev = iv.End() - 1
-			all = append(all, iv)
+		if len(ivs) > 0 {
+			h = append(h, head{rank: r})
 		}
 	}
-	// Blockwise layouts arrive already ordered by start; sorting lazily
-	// keeps validation allocation-light on the data-plane hot path, where
-	// Plan validates both layouts of every transfer.
-	for i := 1; i < len(all); i++ {
-		if all[i].Start < all[i-1].Start {
-			sort.Slice(all, func(i, j int) bool { return all[i].Start < all[j].Start })
-			break
+	start := func(i int) int { return l.Intervals[h[i].rank][h[i].next].Start }
+	down := func(i int) {
+		for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+			if c+1 < len(h) && start(c+1) < start(c) {
+				c++
+			}
+			if start(i) <= start(c) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
 		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
 	}
 	off := 0
-	for _, iv := range all {
-		if iv.Start != off {
-			return fmt.Errorf("%w: gap or overlap at index %d", ErrBadLayout, off)
+	for len(h) > 0 {
+		top := &h[0]
+		iv := l.Intervals[top.rank][top.next]
+		if iv.Start != off || iv.Len <= 0 {
+			return fmt.Errorf("%w: rank %d interval [%d,%d) where index %d is next", ErrBadLayout, top.rank, iv.Start, iv.End(), off)
 		}
-		off = iv.End()
+		if off, top.next = iv.End(), top.next+1; top.next == len(l.Intervals[top.rank]) {
+			h[0], h = h[len(h)-1], h[:len(h)-1]
+		}
+		down(0)
 	}
 	if off != l.Length {
 		return fmt.Errorf("%w: covers %d of %d elements", ErrBadLayout, off, l.Length)
@@ -204,42 +211,14 @@ type Move struct {
 	Len              int
 }
 
-// segment is an interval annotated with its owner and local offset.
-type segment struct {
-	start, length int
-	rank, local   int
-}
-
-func segments(l Layout) []segment {
-	n := 0
-	for _, ivs := range l.Intervals {
-		n += len(ivs)
-	}
-	segs := make([]segment, 0, n)
-	for r, ivs := range l.Intervals {
-		off := 0
-		for _, iv := range ivs {
-			segs = append(segs, segment{start: iv.Start, length: iv.Len, rank: r, local: off})
-			off += iv.Len
-		}
-	}
-	// Blockwise layouts emit segments already ordered by global start;
-	// skipping the sort keeps the common Plan call allocation-free apart
-	// from the results themselves.
-	for i := 1; i < len(segs); i++ {
-		if segs[i].start < segs[i-1].start {
-			sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-			break
-		}
-	}
-	return segs
-}
-
 // Plan computes the minimal contiguous moves that transform data laid out as
-// src into layout dst. Both layouts must partition the same length. The
-// result is ordered by global index; each element appears in exactly one
-// move. Moves with SrcRank == DstRank still appear (they are local copies);
-// callers that transfer over a network filter or specialize them.
+// src into layout dst: one per overlap of a source rank's interval with a
+// destination rank's. Both layouts must partition the same length. The moves
+// of one (source, destination) pair come together, the pairs in that order and
+// each pair's moves in global order — what a Schedule packs into steps; each
+// element appears in exactly one move. Moves with SrcRank == DstRank still
+// appear (they are local copies); callers that transfer over a network filter
+// or specialize them.
 func Plan(src, dst Layout) ([]Move, error) {
 	if err := src.Validate(); err != nil {
 		return nil, fmt.Errorf("src: %w", err)
@@ -250,32 +229,43 @@ func Plan(src, dst Layout) ([]Move, error) {
 	if src.Length != dst.Length {
 		return nil, fmt.Errorf("%w: %d vs %d", ErrMismatched, src.Length, dst.Length)
 	}
-	ss := segments(src)
-	ds := segments(dst)
-	// Each merge step emits at most one move and retires at least one
-	// segment, so len(ss)+len(ds) bounds the plan size.
-	moves := make([]Move, 0, len(ss)+len(ds))
-	i, j := 0, 0
-	for i < len(ss) && j < len(ds) {
-		s, d := ss[i], ds[j]
-		lo := max(s.start, d.start)
-		hi := min(s.start+s.length, d.start+d.length)
-		if hi > lo {
-			moves = append(moves, Move{
-				SrcRank: s.rank, DstRank: d.rank,
-				SrcOff: s.local + (lo - s.start),
-				DstOff: d.local + (lo - d.start),
-				Global: lo,
-				Len:    hi - lo,
-			})
+	// Intervals that partition one line overlap at most once per interval
+	// after the first, so their count bounds the plan's size.
+	n := 0
+	for _, l := range [2]Layout{src, dst} {
+		for _, ivs := range l.Intervals {
+			n += len(ivs)
 		}
-		// Advance whichever segment ends first.
-		if s.start+s.length <= d.start+d.length {
-			i++
-		}
-		if d.start+d.length <= s.start+s.length {
-			j++
+	}
+	moves := make([]Move, 0, n)
+	for r, a := range src.Intervals {
+		for d, b := range dst.Intervals {
+			if len(a) == 0 || len(b) == 0 || a[len(a)-1].End() <= b[0].Start || b[len(b)-1].End() <= a[0].Start {
+				continue
+			}
+			// Both lists in order, with the local offset of the interval at
+			// hand; whichever ends first moves on.
+			for i, j, ai, bj := 0, 0, 0, 0; i < len(a) && j < len(b); {
+				x, y := &a[i], &b[j]
+				if lo, hi := max(x.Start, y.Start), min(x.End(), y.End()); hi > lo {
+					moves = append(moves, Move{SrcRank: r, DstRank: d, SrcOff: ai + lo - x.Start, DstOff: bj + lo - y.Start, Global: lo, Len: hi - lo})
+				}
+				if x.End() <= y.End() {
+					i, ai = i+1, ai+x.Len
+				}
+				if y.End() <= x.End() {
+					j, bj = j+1, bj+y.Len
+				}
+			}
 		}
 	}
 	return moves, nil
+}
+
+// Flow returns the moves from thread src to thread dst of a plan Plan (or
+// Diff) listed: one run of it, found by halving.
+func Flow(plan []Move, src, dst int) []Move {
+	lo := sort.Search(len(plan), func(k int) bool { return plan[k].SrcRank > src || plan[k].SrcRank == src && plan[k].DstRank >= dst })
+	n := sort.Search(len(plan)-lo, func(k int) bool { return plan[lo+k].SrcRank != src || plan[lo+k].DstRank != dst })
+	return plan[lo : lo+n]
 }

@@ -24,16 +24,18 @@ type Transferable interface {
 	// Spec returns the distribution law, or nil when the layout was set
 	// explicitly.
 	Spec() dist.Spec
-	// MarshalRangeTo renders local elements [off, off+n) as one chunk payload
-	// appended to dst, whose alignment origin must be its current position (a
-	// fresh or Reset encoder): the local half of GatherMarshalRangeTo, so a
-	// caller marshals into the bytes it will send. It compresses with the first
-	// codec of mask that applies to the element type; mask 0, an element type
-	// without a block codec and incompressible or short ranges all give the raw
-	// chunk encoding. UnmarshalRange tells the two apart by itself.
-	MarshalRangeTo(off, n int, mask uint8, dst *cdr.Encoder) error
-	// UnmarshalRange stores a chunk payload at local offset off.
-	UnmarshalRange(off int, payload []byte) error
+	// MarshalStepTo renders the elements step st takes from this thread — its
+	// pieces' source ranges, in plan order — as one chunk payload appended to
+	// dst, whose alignment origin must be its current position (a fresh or
+	// Reset encoder): the local half of GatherMarshalRangeTo, so a caller
+	// marshals into the bytes it will send. It compresses with the first codec
+	// of mask that applies to the element type; mask 0, an element type without
+	// a block codec and incompressible or short steps all give the raw chunk
+	// encoding. UnmarshalStep tells the two apart by itself.
+	MarshalStepTo(st dist.Step, mask uint8, dst *cdr.Encoder) error
+	// UnmarshalStep stores a chunk payload of exactly step st's elements at its
+	// pieces' destination ranges.
+	UnmarshalStep(st dist.Step, payload []byte) error
 	// ResizeAlloc resets the sequence to a new length using its spec (Block
 	// when unset), discarding contents: every element reads zero afterwards.
 	// A rank whose element count is unchanged keeps (and clears) its local
@@ -43,24 +45,48 @@ type Transferable interface {
 	StreamTransferable
 }
 
-// MarshalRangeTo implements Transferable.
-func (s *Seq[T]) MarshalRangeTo(off, n int, mask uint8, dst *cdr.Encoder) error {
-	if off < 0 || n < 0 || off+n > len(s.local) {
-		return fmt.Errorf("%w: local range [%d,%d) of %d", ErrIndex, off, off+n, len(s.local))
-	}
-	marshalChunkZInto(s.codec, dst, s.local[off:off+n], mask)
-	return nil
+// MarshalStepTo implements Transferable.
+func (s *Seq[T]) MarshalStepTo(st dist.Step, mask uint8, dst *cdr.Encoder) error {
+	var sb [segsInline]rangeSeg
+	return s.marshalSegs(stepSegs(sb[:0], st, true), mask, dst)
 }
 
-// MarshalRangeZ is MarshalRangeTo returning the chunk as a freshly allocated
-// payload. Not part of Transferable: like MarshalRange, GatherMarshalRange and
-// GatherMarshalRangeZ it stays a method of *Seq only because bench/ladder.go
-// calls them; the transfer engines marshal into the encoder they send from.
+// UnmarshalStep implements Transferable. It never retains payload.
+func (s *Seq[T]) UnmarshalStep(st dist.Step, payload []byte) error {
+	var sb [segsInline]rangeSeg
+	return s.storeSegs(stepSegs(sb[:0], st, false), payload)
+}
+
+// stepSegs appends step st's pieces on one side — the source (src) or the
+// destination — to buf as local segments, in plan order, a piece that starts
+// where the one before it ends joining it: a fine plan's pieces are one segment
+// on a side whose layout keeps them together.
+func stepSegs(buf []rangeSeg, st dist.Step, src bool) []rangeSeg {
+	st.Pieces(func(srcOff, dstOff, n int) {
+		off := dstOff
+		if src {
+			off = srcOff
+		}
+		if k := len(buf) - 1; k >= 0 && buf[k].localOff+buf[k].n == off {
+			buf[k].n += n
+		} else {
+			buf = append(buf, rangeSeg{localOff: off, n: n})
+		}
+	})
+	return buf
+}
+
+// MarshalRangeZ renders local elements [off, off+n) as one freshly allocated
+// chunk payload, compressed per mask. Not part of Transferable: like
+// MarshalRange, UnmarshalRange, GatherMarshalRange and GatherMarshalRangeZ it
+// stays a method of *Seq only because bench/ladder.go calls them; the transfer
+// engines marshal a step into the encoder they send from.
 func (s *Seq[T]) MarshalRangeZ(off, n int, mask uint8) ([]byte, error) {
-	e := cdr.NewEncoder(cdr.NativeOrder)
-	if err := s.MarshalRangeTo(off, n, mask, e); err != nil {
-		return nil, err
+	if off < 0 || n < 0 || off+n > len(s.local) {
+		return nil, fmt.Errorf("%w: local range [%d,%d) of %d", ErrIndex, off, off+n, len(s.local))
 	}
+	e := cdr.NewEncoder(cdr.NativeOrder)
+	marshalChunkZInto(s.codec, e, s.local[off:off+n], mask)
 	return e.Bytes(), nil
 }
 
@@ -74,10 +100,9 @@ func (s *Seq[T]) ElemName() string { return s.codec.Name }
 // MarshalRange is MarshalRangeZ without compression (see there for why it stays).
 func (s *Seq[T]) MarshalRange(off, n int) ([]byte, error) { return s.MarshalRangeZ(off, n, 0) }
 
-// UnmarshalRange implements Transferable. It decodes straight into local
-// storage at off — no intermediate slice — and never retains payload, so a
-// chunk backed by a borrowed transport buffer may be released as soon as
-// this returns.
+// UnmarshalRange decodes a chunk payload straight into local storage at off —
+// no intermediate slice — and never retains payload (see MarshalRangeZ for why
+// it stays).
 func (s *Seq[T]) UnmarshalRange(off int, payload []byte) error {
 	if off < 0 || off > len(s.local) {
 		return fmt.Errorf("%w: chunk offset %d outside %d local elements", ErrIndex, off, len(s.local))

@@ -237,8 +237,9 @@ var received struct {
 	free []*Data
 }
 
-// maxReceived bounds the idle structs kept (96 KiB of them); the chunk
-// schedule of one leg (core's maxStreamChunks) fits.
+// maxReceived bounds the idle structs kept (96 KiB of them); the chunks one
+// leg sends one thread (core's maxStreamChunks) fit, but for a leg with more
+// flows into a thread than that, each of them a chunk.
 const maxReceived = 1024
 
 func takeReceived() *Data {
