@@ -112,20 +112,16 @@ func dump(i int, msg wire.Message) {
 		}
 		line := fmt.Sprintf("[%d] Data id=%d arg=%d %s src=%d dst=%d off=%d count=%d payload=%dB",
 			i, m.RequestID, m.ArgIndex, kind, m.SrcRank, m.DstRank, m.DstOff, m.Count, len(m.Payload))
-		if m.Flags&wire.DataFlagCompressed != 0 {
-			if id := dseq.ChunkCodec(m.Payload); id != zcodec.None {
-				// The element width isn't in the Data message (it follows from
-				// the argument type in the invocation header), but the XOR
-				// codec only carries float64, so its raw size is exact.
-				raw := ""
-				if id == zcodec.XOR {
-					raw = fmt.Sprintf("%dB raw -> ", 8*m.Count)
-				}
-				line += fmt.Sprintf(" compressed codec=%v elems=%d (%s%dB wire)",
-					id, m.Count, raw, len(m.Payload))
-			} else {
-				line += " compressed (no envelope)"
+		if id := dseq.ChunkCodec(m.Payload); id != zcodec.None {
+			// The element width isn't in the Data message (it follows from
+			// the argument type in the invocation header), but the XOR
+			// codec only carries float64, so its raw size is exact.
+			raw := ""
+			if id == zcodec.XOR {
+				raw = fmt.Sprintf("%dB raw -> ", 8*m.Count)
 			}
+			line += fmt.Sprintf(" compressed codec=%v elems=%d (%s%dB wire)",
+				id, m.Count, raw, len(m.Payload))
 		}
 		fmt.Println(line)
 	case *wire.Ping:

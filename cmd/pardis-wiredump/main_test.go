@@ -66,7 +66,7 @@ func TestDumpCompressedData(t *testing.T) {
 	out := capture(t, func() {
 		dump(0, &wire.Data{
 			RequestID: 1, Count: uint64(len(vals)),
-			Flags:   wire.DataFlagChunk | wire.DataFlagLast | wire.DataFlagCompressed,
+			Flags:   wire.DataFlagChunk | wire.DataFlagLast,
 			Payload: payload,
 		})
 	})
@@ -74,5 +74,12 @@ func TestDumpCompressedData(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("compressed Data dump missing %q:\n%s", want, out)
 		}
+	}
+	// The payload's first byte, not a flag, says what a chunk is.
+	out = capture(t, func() {
+		dump(1, &wire.Data{RequestID: 1, Count: uint64(len(vals)), Flags: wire.DataFlagChunk, Payload: dseq.MarshalChunk(dseq.Float64, vals)})
+	})
+	if strings.Contains(out, "compressed") {
+		t.Errorf("raw Data dump claims compression:\n%s", out)
 	}
 }

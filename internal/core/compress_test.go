@@ -102,13 +102,12 @@ func TestCompressedStreamedRoundTrip(t *testing.T) {
 
 // TestCompressedChunkAllocs bounds the marginal allocation cost of each
 // extra chunk when compression is negotiated. Raw and compressed chunks take
-// the same pipelined sender (TestStreamedChunkAllocs pins the raw budget);
-// the codec renders into the sender's ring slot, so what compression adds per
-// chunk is codec state, not a buffer — the budget sits above the raw one only
-// by that, and must stay fixed, not grow with traffic.
+// the same pipelined sender, the codec encodes one block into the sender's
+// ring slot and decodes it straight into the sequence's storage, so a
+// compressed chunk is held to the raw budget of TestStreamedChunkAllocs.
 func TestCompressedChunkAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement in -short mode")
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation measurement in -short mode or with pools the race detector empties")
 	}
 	const (
 		chunk      = 256
@@ -159,9 +158,9 @@ func TestCompressedChunkAllocs(t *testing.T) {
 		perChunk := (big - small) / extraChunk
 		t.Logf("compressed invocation allocs: %.0f at %d chunks/leg, %.0f at %d chunks/leg (%.1f per extra chunk)",
 			small, smallElems/chunk, big, bigElems/chunk, perChunk)
-		const budget = 16
+		const budget = 0.25
 		if perChunk > budget {
-			return fmt.Errorf("compressed transfer allocates %.1f per extra chunk, budget %d", perChunk, budget)
+			return fmt.Errorf("compressed transfer allocates %.2f per extra chunk, budget %.2f", perChunk, budget)
 		}
 		return nil
 	})
@@ -172,8 +171,7 @@ func TestCompressedChunkAllocs(t *testing.T) {
 // common — the server declines, or the client never offers — the invocation
 // completes on the raw path with the zcodec encoders never engaged. With
 // both sides offering, the transfer compresses and the data round trips
-// exactly; its chunks are sized past the sub-block threshold so the
-// multi-block envelope is what travels.
+// exactly; its 8192-element chunks each travel as one block.
 func TestCompressionInterop(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -183,7 +181,7 @@ func TestCompressionInterop(t *testing.T) {
 	}{
 		{"client-offers-server-declines", 0, zcodec.MaskAll, 128, 1024, false},
 		{"server-accepts-client-silent", zcodec.MaskAll, 0, 128, 1024, false},
-		{"subblock-both", zcodec.Supported, zcodec.Supported, 8192, 16384, true},
+		{"both", zcodec.Supported, zcodec.Supported, 8192, 16384, true},
 	}
 	for _, tt := range cases {
 		tt := tt

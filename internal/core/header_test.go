@@ -229,7 +229,7 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// goldenHeader is the v5 invocation header of a centralized call whose request
+// goldenHeader is the invocation header of a centralized call whose request
 // leg is placed in the message, little-endian: op, method, epoch, chunk size,
 // the chunk size offered for the results, token, client ranks, scalars,
 // argument count, then per argument its direction, element type and layout or

@@ -136,18 +136,16 @@ func (cs *chunkSender) next() *chunkSlot {
 // fill makes the slot the Data message of step st of argument arg — the one
 // place a transfer leg's frame is built. The payload is what the slot's encoder
 // holds, or the fail marker when failed says the chunk could not be rendered.
-// The compressed flag is per chunk, not per connection: incompressible chunks
-// fall back to raw mid-stream and simply omit it.
+// The receiver tells a raw chunk, an envelope and the marker apart by the
+// payload's first byte.
 func (s *chunkSlot) fill(token uint32, arg int, st dist.Step, reply, failed bool) {
-	payload, flags := s.enc.Bytes(), chunkFlags(st.Last)
+	payload := s.enc.Bytes()
 	if failed {
 		payload = dseq.FailMarker
-	} else if dseq.IsCompressedChunk(payload) {
-		flags |= wire.DataFlagCompressed
 	}
 	s.msg = wire.Data{
 		RequestID: token, ArgIndex: uint32(arg), SrcRank: uint32(st.Src), DstRank: uint32(st.Dst),
-		DstOff: uint64(st.DstOff), Count: uint64(st.N), Reply: reply, Flags: flags, Payload: payload,
+		DstOff: uint64(st.DstOff), Count: uint64(st.N), Reply: reply, Flags: chunkFlags(st.Last), Payload: payload,
 	}
 }
 

@@ -12,22 +12,20 @@ import (
 // envelope marker. Whatever the input, decoding must not panic, must store
 // no more elements than the destination holds, must agree with the
 // allocating decoder, and must be a function of the payload's bytes alone: a
-// length or offset in a forged frame table that reached past the payload
-// would read the 0xFF tail the second run lays behind it and decode
-// differently.
+// decoder that read past the payload would read the 0xFF tail the second run
+// lays behind it and decode differently.
 func FuzzChunkEnvelope(f *testing.F) {
-	golden := []byte{0x02, 0x02, 0x01, 0x00, 0x0b, 0x00, 0x00, 0x00, 0x10, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0, 0}
+	golden := []byte{0x02, 0x02, 0x10, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0, 0}
 	f.Add(golden, uint8(16))
-	f.Add(golden, uint8(15))                                                     // one element short of the envelope's count
-	f.Add(golden[:len(golden)-1], uint8(16))                                     // cut inside the block
-	f.Add(golden[:6], uint8(16))                                                 // cut inside the length
-	f.Add(append(slices.Clone(golden), 0), uint8(16))                            // trailing byte
-	two := []byte{0x02, 0x01, 0x02, 0x00, 3, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 1, 4} // two delta blocks: {1, 2}, {2}
-	f.Add(two, uint8(3))
-	f.Add([]byte{0x02, 0x02, 0x00, 0x00}, uint8(4))                                        // no blocks
-	f.Add([]byte{0x02, 0x02, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0x10}, uint8(4))          // length past the payload
-	f.Add([]byte{0x02, 0x02, 0x01, 0x00, 5, 0, 0, 0, 0xff, 0xff, 0xff, 0x3f, 0}, uint8(4)) // count no block holds
-	f.Add(MarshalChunk(Float64, []float64{1, 2, 3}), uint8(3))                             // raw chunk
+	f.Add(golden, uint8(15))                                                       // one element short of the block's count
+	f.Add(golden[:len(golden)-1], uint8(16))                                       // cut inside the block
+	f.Add(golden[:2], uint8(16))                                                   // marker and codec, no block
+	f.Add(append(slices.Clone(golden), 0), uint8(16))                              // trailing byte
+	f.Add([]byte{0x02, 0x01, 3, 2, 2, 0}, uint8(3))                                // delta block {1, 2, 3}
+	f.Add([]byte{0x02, 0x01, 0x10, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(16)) // xor block under the delta octet
+	f.Add(append(slices.Clone(golden), golden[2:]...), uint8(32))                  // two blocks back to back
+	f.Add([]byte{0x02, 0x02, 0xff, 0xff, 0xff, 0x3f, 0}, uint8(4))                 // count no block holds
+	f.Add(MarshalChunk(Float64, []float64{1, 2, 3}), uint8(3))                     // raw chunk
 	f.Add(FailMarker, uint8(1))
 
 	f.Fuzz(func(t *testing.T, data []byte, room uint8) {

@@ -306,22 +306,15 @@ func (s *Seq[T]) assembleRange(parts [][]byte, root, start, n int, mask uint8, d
 	} else {
 		scratch = make([]T, n)
 	}
-	// Contributors fill disjoint parts of the chunk, so large element-wise
-	// merges run in parallel; byte placement is a memcpy per share and stays
-	// on this goroutine.
-	errs := make([]error, len(parts))
-	merge := func(r int) { errs[r] = s.mergePart(parts[r], r, root, start, n, region, scratch) }
-	if n >= parallelMinElems && region == nil {
-		pfor(len(parts), merge)
-	} else {
-		for r := range parts {
-			merge(r)
+	// Every part is merged, or returned, even after one fails.
+	var first error
+	for r, part := range parts {
+		if err := s.mergePart(part, r, root, start, n, region, scratch); err != nil && first == nil {
+			first = err
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if first != nil {
+		return first
 	}
 	if region == nil {
 		marshalChunkZInto(s.codec, dst, scratch, mask)
@@ -502,11 +495,11 @@ func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, myS
 			return poison(fmt.Errorf("%w: chunk holds %d of %d elements", ErrLayout, len(vals), n))
 		}
 	}
-	build := func(r int) {
+	for r := range pieces {
 		var sb [segsInline]rangeSeg
 		segs := rangeSegs(sb[:0], s.layout, r, start, n)
 		if r == me || len(segs) == 0 {
-			return
+			continue
 		}
 		total := segTotal(segs)
 		e := rentEncoder(s.codec.chunkBound(total, 0))
@@ -527,13 +520,6 @@ func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, myS
 			marshalChunkInto(s.codec, e, piece)
 		}
 		pieces[r] = detach(e)
-	}
-	if n >= parallelMinElems && len(pieces) > 2 {
-		pfor(len(pieces), build)
-	} else {
-		for r := range pieces {
-			build(r)
-		}
 	}
 	if err := scatter(nil); err != nil {
 		return err

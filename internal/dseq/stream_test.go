@@ -180,20 +180,19 @@ func TestStreamRangeCyclicLayout(t *testing.T) {
 	})
 }
 
-// TestStreamRangeParallelThreshold drives a range big enough to cross the
-// parallel (un)marshalling gate so the pfor paths run under the race
-// detector with real collective traffic.
-func TestStreamRangeParallelThreshold(t *testing.T) {
+// TestStreamRangeAcrossFourRanks drives one large range that all four ranks
+// own part of, under the race detector with real collective traffic.
+func TestStreamRangeAcrossFourRanks(t *testing.T) {
 	run(t, 4, func(c *rts.Comm) error {
-		length := 4 * parallelMinElems
+		const length = 1 << 17
 		s, err := New(c, Float64, length, nil)
 		if err != nil {
 			return err
 		}
 		s.FillFunc(func(g int) float64 { return float64(g) })
 		const root = 0
-		// One chunk spanning all four ranks forces root to assemble and
-		// split in parallel.
+		// One chunk spanning all four ranks: root assembles it from every
+		// contributor and splits it back.
 		payload, err := s.GatherMarshalRange(nil, root, 0, length)
 		if err != nil {
 			return err
@@ -203,7 +202,7 @@ func TestStreamRangeParallelThreshold(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			for i := 0; i < length; i += parallelMinElems / 2 {
+			for i := 0; i < length; i += 1 << 14 {
 				if vals[i] != float64(i) {
 					return fmt.Errorf("vals[%d] = %v", i, vals[i])
 				}

@@ -282,7 +282,7 @@ func TestGarbageStream(t *testing.T) {
 
 // TestRetiredTypeRefused asserts what the fuzz corpus's cancel-frame (the same
 // bytes) only exercises: a well-formed frame whose type is the first code past
-// Pong, which v6 does not define, is refused.
+// Pong, which the protocol does not define, is refused.
 func TestRetiredTypeRefused(t *testing.T) {
 	h := wire.EncodeHeader(wire.MsgPong+1, cdr.LittleEndian, false, 4)
 	frame := append(h[:], 9, 0, 0, 0)

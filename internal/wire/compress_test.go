@@ -53,7 +53,7 @@ func TestPingPongGolden(t *testing.T) {
 		}
 	}
 	frame := Encode(&Ping{Nonce: 1}, cdr.BigEndian)
-	if want := []byte{'P', 'D', 'I', 'S', 6, 0, 8, 0, 0, 0, 0, 5, 0, 0, 0, 1, 0}; !bytes.Equal(frame, want) {
+	if want := []byte{'P', 'D', 'I', 'S', 7, 0, 8, 0, 0, 0, 0, 5, 0, 0, 0, 1, 0}; !bytes.Equal(frame, want) {
 		t.Fatalf("keepalive frame % x, want % x", frame, want)
 	}
 }
@@ -71,26 +71,9 @@ func TestPingPongShortBodyRejected(t *testing.T) {
 	}
 }
 
-func TestDataCompressedFlagRoundTrip(t *testing.T) {
-	d := &Data{
-		RequestID: 77, ArgIndex: 1, DstOff: 4096, Count: 512,
-		Reply: true, Flags: DataFlagChunk | DataFlagLast | DataFlagCompressed,
-		Payload: []byte{0x02, 0x02, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00},
-	}
-	for _, ord := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
-		e := cdr.NewEncoder(ord)
-		d.EncodeBody(e)
-		m, err := DecodeBody(MsgData, e.Bytes(), ord)
-		if err != nil {
-			t.Fatalf("ord %v: %v", ord, err)
-		}
-		got := m.(*Data)
-		if got.Flags != d.Flags || !got.Chunked() || !got.LastChunk() {
-			t.Fatalf("ord %v: flags %#x != %#x", ord, got.Flags, d.Flags)
-		}
-	}
-}
-
+// TestDataReservedBitsAboveCompressedStillRejected checks that the bits above
+// the one PGIOP 6 spent on its compressed-payload flag stayed reserved when
+// that flag was retired.
 func TestDataReservedBitsAboveCompressedStillRejected(t *testing.T) {
 	d := &Data{RequestID: 1, Count: 1, Flags: 1 << 3, Payload: []byte{0}}
 	e := cdr.NewEncoder(cdr.LittleEndian)

@@ -16,8 +16,8 @@ func FuzzDecodeHeader(f *testing.F) {
 	f.Add(big[:])
 	f.Add([]byte("PDIS"))                                 // truncated
 	f.Add([]byte("GIOP\x01\x00\x00\x00\x00\x00\x00\x00")) // wrong protocol
-	f.Add([]byte("PDIS\x05\x01\x00\x00\x10\x00\x00\x00")) // version 5: refused
-	f.Add([]byte("PDIS\x06\x03\x07\x00\x00\x00\x00\x40")) // both defined flags on a Data frame
+	f.Add([]byte("PDIS\x06\x01\x00\x00\x10\x00\x00\x00")) // version 6: refused
+	f.Add([]byte("PDIS\x07\x03\x07\x00\x00\x00\x00\x40")) // both defined flags on a Data frame
 	// Each reserved flag bit: refused.
 	for bit := 2; bit < 8; bit++ {
 		b := EncodeHeader(MsgData, cdr.LittleEndian, false, 64)
@@ -57,7 +57,7 @@ func FuzzDecodeBody(f *testing.F) {
 		&Data{RequestID: 6, ArgIndex: 1, SrcRank: 2, DstRank: 3, DstOff: 4, Count: 2, Payload: []byte("xyzw")},
 		&Data{RequestID: 9, ArgIndex: 0, DstOff: 8192, Count: 4, Flags: DataFlagChunk, Payload: []byte("chnk")},
 		&Data{RequestID: 10, ArgIndex: 2, DstOff: 0, Count: 4, Reply: true, Flags: DataFlagChunk | DataFlagLast, Payload: []byte("last")},
-		&Data{RequestID: 11, ArgIndex: 0, DstOff: 0, Count: 8, Flags: DataFlagChunk | DataFlagCompressed, Payload: []byte{0x02, 0x02, 0x01, 0x00, 0x02, 0x00, 0x00, 0x00, 0x08, 0x3f}},
+		&Data{RequestID: 11, ArgIndex: 0, DstOff: 0, Count: 8, Flags: DataFlagChunk, Payload: []byte{0x02, 0x02, 0x08, 0x3f}},
 		&Ping{Nonce: 7},
 		&Pong{Nonce: 8},
 		&Ping{Nonce: 12, Codecs: 0x03},

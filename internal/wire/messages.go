@@ -193,18 +193,14 @@ const (
 	// on a centralized leg, of one contiguous piece of the plan on a multi-port
 	// one.
 	DataFlagLast = 1 << 1
-	// DataFlagCompressed marks a payload that carries a compressed chunk
-	// envelope (see internal/dseq) instead of a raw CDR block. Senders set
-	// it only after the compression handshake has negotiated a codec on
-	// the connection.
-	DataFlagCompressed = 1 << 2
 )
 
 // Data is the PARDIS multi-port extension message: one contiguous piece of
 // one distributed argument of one outstanding request, flowing directly
 // between computing threads. DstOff and Count are in elements; the payload
-// is a packed CDR array of the argument's element type in the sender's byte
-// order (declared by the message header).
+// is a chunk as internal/dseq renders it — a packed CDR array of the
+// argument's element type, a compressed envelope or the fail marker — which
+// its first byte tells apart.
 type Data struct {
 	RequestID uint32
 	ArgIndex  uint32 // which distributed argument of the operation
@@ -394,7 +390,7 @@ func (m *Data) decode(d *cdr.Decoder) (err error) {
 	if m.Flags, err = d.ReadOctet(); err != nil {
 		return err
 	}
-	if m.Flags&^(DataFlagChunk|DataFlagLast|DataFlagCompressed) != 0 {
+	if m.Flags&^(DataFlagChunk|DataFlagLast) != 0 {
 		return fmt.Errorf("%w: reserved Data flag bits %#x", ErrBadBody, m.Flags)
 	}
 	m.Payload, err = d.ReadOctets()

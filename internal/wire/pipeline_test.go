@@ -32,14 +32,17 @@ func TestDataChunkFlagsRoundTrip(t *testing.T) {
 }
 
 // TestDataReservedFlagBitsRejected checks garbage in the flags octet is
-// refused instead of silently accepted (only the chunk bits are defined).
+// refused instead of silently accepted: only the chunk bits are defined, so
+// each of bits 2-7 is.
 func TestDataReservedFlagBitsRejected(t *testing.T) {
 	d := &Data{RequestID: 1, Count: 1, Payload: []byte{1}}
 	e := cdr.NewEncoder(cdr.NativeOrder)
 	d.EncodeBody(e)
-	body := append([]byte(nil), e.Bytes()...)
-	body[33] = 0x80 // reserved bit in the Flags octet
-	if _, err := DecodeBody(MsgData, body, cdr.NativeOrder); !errors.Is(err, ErrBadBody) {
-		t.Fatalf("reserved Data flag bits accepted (err=%v)", err)
+	for bit := 2; bit < 8; bit++ {
+		body := append([]byte(nil), e.Bytes()...)
+		body[33] = DataFlagChunk | 1<<bit // the Flags octet
+		if _, err := DecodeBody(MsgData, body, cdr.NativeOrder); !errors.Is(err, ErrBadBody) {
+			t.Fatalf("reserved Data flag bit %d accepted (err=%v)", bit, err)
+		}
 	}
 }

@@ -15,7 +15,7 @@
 // Every message is a 12-byte header followed by a CDR-encoded body:
 //
 //	offset 0  magic   "PDIS"
-//	offset 4  version 0x06; any other value is refused (ErrBadVersion)
+//	offset 4  version 0x07; any other value is refused (ErrBadVersion)
 //	offset 5  flags   bit 0: body byte order (1 = little endian)
 //	                  bit 1: more fragments follow
 //	                  bits 2-7: reserved, refused when set (ErrBadFlags)
@@ -77,7 +77,7 @@ var Magic = [4]byte{'P', 'D', 'I', 'S'}
 const (
 	// Version is the one protocol version this build speaks; DecodeHeader
 	// refuses every other.
-	Version = 6
+	Version = 7
 	// HeaderLen is the message header size.
 	HeaderLen = 12
 	// FlagLittleEndian marks the body (and header size field) byte order.

@@ -64,7 +64,8 @@ func AppendInt32s(dst []byte, vals []int32) []byte {
 }
 
 // DecodeInt64sInto decodes a block produced by AppendInt64s into dst,
-// whose length must equal the encoded element count.
+// whose length must equal the encoded element count. src must be exactly
+// the block: a byte after its last element is ErrCorrupt.
 func DecodeInt64sInto(dst []int64, src []byte) error {
 	t0 := time.Now()
 	n, rest, err := intHeader(src, MaxBlockElems)
@@ -74,11 +75,10 @@ func DecodeInt64sInto(dst []int64, src []byte) error {
 	if n != len(dst) {
 		return ErrCount
 	}
-	used, err := decodeInt64sBody(dst, rest)
-	if err != nil {
+	if err := decodeInt64sBody(dst, rest); err != nil {
 		return err
 	}
-	statDecode(8*len(dst), len(src)-len(rest)+used, time.Since(t0))
+	statDecode(8*len(dst), len(src), time.Since(t0))
 	return nil
 }
 
@@ -91,16 +91,16 @@ func DecodeInt64s(src []byte, maxElems int) ([]int64, error) {
 		return nil, err
 	}
 	dst := make([]int64, n)
-	used, err := decodeInt64sBody(dst, rest)
-	if err != nil {
+	if err := decodeInt64sBody(dst, rest); err != nil {
 		return nil, err
 	}
-	statDecode(8*n, len(src)-len(rest)+used, time.Since(t0))
+	statDecode(8*n, len(src), time.Since(t0))
 	return dst, nil
 }
 
 // DecodeInt32sInto decodes a block produced by AppendInt32s into dst,
-// whose length must equal the encoded element count.
+// whose length must equal the encoded element count. src must be exactly
+// the block, as for DecodeInt64sInto.
 func DecodeInt32sInto(dst []int32, src []byte) error {
 	t0 := time.Now()
 	n, rest, err := intHeader(src, MaxBlockElems)
@@ -110,11 +110,10 @@ func DecodeInt32sInto(dst []int32, src []byte) error {
 	if n != len(dst) {
 		return ErrCount
 	}
-	used, err := decodeInt32sBody(dst, rest)
-	if err != nil {
+	if err := decodeInt32sBody(dst, rest); err != nil {
 		return err
 	}
-	statDecode(4*len(dst), len(src)-len(rest)+used, time.Since(t0))
+	statDecode(4*len(dst), len(src), time.Since(t0))
 	return nil
 }
 
@@ -127,11 +126,10 @@ func DecodeInt32s(src []byte, maxElems int) ([]int32, error) {
 		return nil, err
 	}
 	dst := make([]int32, n)
-	used, err := decodeInt32sBody(dst, rest)
-	if err != nil {
+	if err := decodeInt32sBody(dst, rest); err != nil {
 		return nil, err
 	}
-	statDecode(4*n, len(src)-len(rest)+used, time.Since(t0))
+	statDecode(4*n, len(src), time.Since(t0))
 	return dst, nil
 }
 
@@ -146,13 +144,14 @@ func intHeader(src []byte, maxElems int) (int, []byte, error) {
 	return int(c), src[k:], nil
 }
 
-func decodeInt64sBody(dst []int64, src []byte) (int, error) {
+// decodeInt64sBody decodes len(dst) varints, which must be all of src.
+func decodeInt64sBody(dst []int64, src []byte) error {
 	var prev, prevDelta int64
 	pos := 0
 	for i := range dst {
 		v, k := binary.Varint(src[pos:])
 		if k <= 0 {
-			return 0, ErrTruncated
+			return ErrTruncated
 		}
 		pos += k
 		switch i {
@@ -167,16 +166,20 @@ func decodeInt64sBody(dst []int64, src []byte) (int, error) {
 		}
 		dst[i] = prev
 	}
-	return pos, nil
+	if pos != len(src) {
+		return ErrCorrupt
+	}
+	return nil
 }
 
-func decodeInt32sBody(dst []int32, src []byte) (int, error) {
+// decodeInt32sBody is decodeInt64sBody storing int32s.
+func decodeInt32sBody(dst []int32, src []byte) error {
 	var prev, prevDelta int64
 	pos := 0
 	for i := range dst {
 		v, k := binary.Varint(src[pos:])
 		if k <= 0 {
-			return 0, ErrTruncated
+			return ErrTruncated
 		}
 		pos += k
 		switch i {
@@ -191,5 +194,8 @@ func decodeInt32sBody(dst []int32, src []byte) (int, error) {
 		}
 		dst[i] = int32(prev)
 	}
-	return pos, nil
+	if pos != len(src) {
+		return ErrCorrupt
+	}
+	return nil
 }

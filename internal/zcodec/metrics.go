@@ -12,12 +12,10 @@ import (
 // encode ratio is the headline compression number: raw bytes that
 // would have crossed the wire divided by bytes that actually did.
 //
-// Alongside the byte ledgers the encoders and decoders accumulate CPU
-// nanoseconds, giving the adaptive policy an observed encode
-// throughput. Sub-block encodes run on several workers at once, so the
-// ledger measures CPU-seconds, not wall time: the derived throughput
-// is per-core and therefore a conservative lower bound on what the
-// parallel encoder actually sustains.
+// Alongside the byte ledgers the encoders and decoders accumulate the
+// nanoseconds each block took, giving the adaptive policy an observed
+// encode throughput. A block is one goroutine's work from start to
+// end, so that throughput is what one encoding thread sustains.
 var (
 	encRawBytes atomic.Int64
 	encOutBytes atomic.Int64
@@ -71,7 +69,7 @@ func EncodeRatio() float64 {
 }
 
 // EncodeThroughput returns the observed encode rate in raw bytes per
-// CPU-second, or 0 when nothing has been timed yet.
+// second spent encoding, or 0 when nothing has been timed yet.
 func EncodeThroughput() float64 {
 	ns := encNanos.Load()
 	if ns <= 0 {

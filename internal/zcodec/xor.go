@@ -66,7 +66,8 @@ func AppendDoubles(dst []byte, vals []float64) []byte {
 }
 
 // DecodeDoublesInto decodes a block produced by AppendDoubles into
-// dst, whose length must equal the encoded element count.
+// dst, whose length must equal the encoded element count. src must be
+// exactly the block: a byte after its last element is ErrCorrupt.
 func DecodeDoublesInto(dst []float64, src []byte) error {
 	n, err := decodeDoublesHeader(src, MaxBlockElems)
 	if err != nil {
@@ -108,6 +109,9 @@ func decodeDoublesBody(dst []float64, src []byte) error {
 	t0 := time.Now()
 	_, k := binary.Uvarint(src)
 	if len(dst) == 0 {
+		if k != len(src) {
+			return ErrCorrupt
+		}
 		statDecode(0, k, time.Since(t0))
 		return nil
 	}
@@ -157,6 +161,9 @@ func decodeDoublesBody(dst []float64, src []byte) error {
 		prev ^= m << (64 - lead - sig)
 		dst[i] = math.Float64frombits(prev)
 	}
-	statDecode(8*len(dst), k+r.pos, time.Since(t0))
+	if k+r.pos != len(src) {
+		return ErrCorrupt
+	}
+	statDecode(8*len(dst), len(src), time.Since(t0))
 	return nil
 }

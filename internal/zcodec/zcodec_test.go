@@ -3,6 +3,7 @@ package zcodec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -170,6 +171,46 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	for cut := 0; cut < len(ints)-1; cut++ {
 		if _, err := DecodeInt64s(ints[:cut], MaxBlockElems); err == nil {
 			t.Fatalf("truncated ints to %d bytes decoded without error", cut)
+		}
+	}
+}
+
+// TestDecodeRejectsTrailingBytes: a block is exactly its bytes, so every
+// decoder refuses one byte behind the last element — of any value, behind an
+// empty block too — with ErrCorrupt.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	type row struct {
+		name   string
+		block  []byte
+		decode func(src []byte) error
+	}
+	var rows []row
+	for _, vals := range [][]float64{nil, {3.25}, {1, 2, 3, 4, 5, 6, 7, 8}} {
+		block := AppendDoubles(nil, vals)
+		rows = append(rows,
+			row{"DecodeDoubles", block, func(src []byte) error { _, err := DecodeDoubles(src, MaxBlockElems); return err }},
+			row{"DecodeDoublesInto", block, func(src []byte) error { return DecodeDoublesInto(make([]float64, len(vals)), src) }})
+	}
+	for _, vals := range [][]int64{nil, {-42}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}} {
+		v32 := make([]int32, len(vals))
+		for i, v := range vals {
+			v32[i] = int32(v)
+		}
+		b64, b32 := AppendInt64s(nil, vals), AppendInt32s(nil, v32)
+		rows = append(rows,
+			row{"DecodeInt64s", b64, func(src []byte) error { _, err := DecodeInt64s(src, MaxBlockElems); return err }},
+			row{"DecodeInt64sInto", b64, func(src []byte) error { return DecodeInt64sInto(make([]int64, len(vals)), src) }},
+			row{"DecodeInt32s", b32, func(src []byte) error { _, err := DecodeInt32s(src, MaxBlockElems); return err }},
+			row{"DecodeInt32sInto", b32, func(src []byte) error { return DecodeInt32sInto(make([]int32, len(v32)), src) }})
+	}
+	for _, r := range rows {
+		if err := r.decode(r.block); err != nil {
+			t.Fatalf("%s: exact %d-byte block: %v", r.name, len(r.block), err)
+		}
+		for _, tail := range []byte{0x00, 0x80, 0xff} {
+			if err := r.decode(append(slices.Clone(r.block), tail)); err != ErrCorrupt {
+				t.Fatalf("%s: %d-byte block and a %#x byte: err = %v, want ErrCorrupt", r.name, len(r.block), tail, err)
+			}
 		}
 	}
 }
