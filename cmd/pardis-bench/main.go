@@ -66,7 +66,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	metrics := flag.Bool("metrics", false, "(real mode) print a JSON metrics snapshot after the run")
 	spandump := flag.String("spandump", "", "(real mode) write per-invocation trace spans to this file")
-	compress := flag.String("compress", "off", "(real mode) wire compression: off, delta, xor, all, always (codecs applied unconditionally), or auto (codecs negotiated, per-leg adaptive decision)")
+	compress := flag.String("compress", "off", "(real mode) wire compression: off, delta, xor, all, always (codecs applied unconditionally), or auto (per-leg adaptive decision)")
 	bandwidth := flag.Int("bandwidth", 0, "(real mode) throttle the client link to this many bytes/sec each way (0 = raw loopback)")
 	flag.Parse()
 
@@ -209,9 +209,9 @@ func runReal(c, s, elems, reps int, metrics bool, spandump string, compMask uint
 			fmt.Printf("  compression  %s (%s): %d raw B -> %d wire B (%.2fx)\n",
 				zcodec.MaskString(compMask), compPolicy, rawOut, wireOut, float64(rawOut)/float64(wireOut))
 		} else if compPolicy == zcodec.PolicyAuto {
-			fmt.Println("  compression  negotiated but skipped by the adaptive policy (wire outran the codecs)")
+			fmt.Println("  compression  on but skipped by the adaptive policy (wire outran the codecs)")
 		} else {
-			fmt.Println("  compression  negotiated but never engaged (transfers below streaming threshold?)")
+			fmt.Println("  compression  on but never engaged (transfers below streaming threshold?)")
 		}
 	}
 	if reg != nil {

@@ -125,17 +125,9 @@ func dump(i int, msg wire.Message) {
 		}
 		fmt.Println(line)
 	case *wire.Ping:
-		line := fmt.Sprintf("[%d] Ping nonce=%#x", i, m.Nonce)
-		if m.Codecs != 0 {
-			line += " compression-offer codecs=" + zcodec.MaskString(m.Codecs)
-		}
-		fmt.Println(line)
+		fmt.Printf("[%d] Ping nonce=%#x\n", i, m.Nonce)
 	case *wire.Pong:
-		line := fmt.Sprintf("[%d] Pong nonce=%#x", i, m.Nonce)
-		if m.Codecs != 0 {
-			line += " compression-accept codecs=" + zcodec.MaskString(m.Codecs)
-		}
-		fmt.Println(line)
+		fmt.Printf("[%d] Pong nonce=%#x\n", i, m.Nonce)
 	case *wire.LocateRequest:
 		fmt.Printf("[%d] LocateRequest id=%d key=%q\n", i, m.RequestID, m.ObjectKey)
 	case *wire.LocateReply:

@@ -33,27 +33,6 @@ func capture(t *testing.T, fn func()) string {
 	return <-done
 }
 
-func TestDumpCompressionNegotiation(t *testing.T) {
-	out := capture(t, func() {
-		dump(0, &wire.Ping{Nonce: 0x434f4d50, Codecs: zcodec.MaskAll})
-		dump(1, &wire.Pong{Nonce: 0x434f4d50, Codecs: zcodec.MaskXOR})
-		dump(2, &wire.Ping{Nonce: 7})
-		dump(3, &wire.Pong{Nonce: 7})
-	})
-	for _, want := range []string{
-		"compression-offer codecs=all",
-		"compression-accept codecs=xor",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("negotiation dump missing %q:\n%s", want, out)
-		}
-	}
-	// Keepalive probes (no codecs) must not claim an offer.
-	if strings.Count(out, "compression-") != 2 {
-		t.Errorf("keepalive Ping/Pong printed a compression offer:\n%s", out)
-	}
-}
-
 func TestDumpCompressedData(t *testing.T) {
 	vals := make([]float64, 512)
 	for i := range vals {

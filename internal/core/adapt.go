@@ -11,3 +11,16 @@ import "repro/internal/zcodec"
 // process-wide encode-throughput/ratio ledger with the per-connection
 // EWMA.
 var compressionWins = zcodec.CompressionWins
+
+// legMask is the compression mask the sender of a framed centralized leg puts
+// on it: its own, unless the Auto policy's estimator, given the bandwidth of
+// the leg's connection, says raw is faster. Thread 0 of the sending side
+// decides alone; its threads learn the mask from a broadcast the call already
+// runs (the client's token, the server's directive), and the receiver decodes
+// whatever arrives.
+func legMask(mask uint8, policy zcodec.Policy, bandwidth func() float64) uint8 {
+	if mask == 0 || policy != zcodec.PolicyAuto || compressionWins(bandwidth()) {
+		return mask
+	}
+	return 0
+}

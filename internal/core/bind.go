@@ -72,18 +72,18 @@ type BindOptions struct {
 	// describe, plain Invoke — walks the profiles primary first.
 	Sharding ShardingOptions
 	// Compression is the wire-compression codec mask (zcodec.MaskAll and
-	// friends; build one with zcodec.ParseMask) this binding offers on its
-	// connections. When the server accepts, streamed centralized transfers
-	// compress their numeric chunks with the negotiated block codec; a
-	// server that declines keeps every transfer raw, transparently. Zero
-	// disables the offer entirely and the engine's raw path is untouched.
+	// friends; build one with zcodec.ParseMask) this binding sends with:
+	// framed centralized request legs compress their numeric chunks with its
+	// block codec. The server decodes whatever arrives and compresses its
+	// replies by its own ExportOptions.Compression. Zero keeps every request
+	// leg raw and the engine's raw path untouched.
 	Compression uint8
-	// CompressionPolicy selects how the negotiated mask is applied per
-	// transfer leg. PolicyAuto (the zero default) consults the adaptive
-	// estimator — compress only when the observed encode throughput and
-	// ratio beat the connection's measured wire bandwidth — so a binding
-	// on a fast loopback skips the codec it would want on a thin WAN
-	// link. PolicyAlways compresses whenever a codec is negotiated.
+	// CompressionPolicy selects how the mask is applied per request leg.
+	// PolicyAuto (the zero default) consults the adaptive estimator —
+	// compress only when the observed encode throughput and ratio beat the
+	// connection's measured wire bandwidth — so a binding on a fast loopback
+	// skips the codec it would want on a thin WAN link. PolicyAlways
+	// compresses every framed request leg.
 	CompressionPolicy zcodec.Policy
 	// ShareConnection lets this binding share one multiplexed client engine
 	// — and therefore one connection per endpoint — with every other
@@ -120,14 +120,10 @@ var sharedClients = orb.NewClientPool()
 // pointer: distinct instances mean distinct wiring even when the contents
 // happen to match.
 func (o BindOptions) clientKey() string {
-	return fmt.Sprintf("to=%v tr=%p ka=%v bk=%v rec=%p met=%p sh=%v cp=%02x/%d",
+	return fmt.Sprintf("to=%v tr=%p ka=%v bk=%v rec=%p met=%p sh=%v",
 		o.Timeout, o.Transport, o.KeepaliveInterval,
-		o.Breaker, o.Trace, o.Metrics, o.Sharding, o.effComp(), o.CompressionPolicy)
+		o.Breaker, o.Trace, o.Metrics, o.Sharding)
 }
-
-// effComp is the compression mask this binding actually offers: the
-// configured mask clipped to this build's codecs.
-func (o BindOptions) effComp() uint8 { return o.Compression & zcodec.Supported }
 
 // maxPipelineDepth bounds the lane fan-out so a typo'd depth cannot allocate
 // thousands of communicator contexts.
@@ -142,7 +138,6 @@ func (o BindOptions) newClient() *orb.Client {
 	cli.KeepaliveInterval = o.KeepaliveInterval
 	cli.Breaker = o.Breaker
 	cli.Shard = orb.ShardPolicy{VirtualNodes: o.Sharding.VirtualNodes}
-	cli.Compression = o.effComp()
 	return cli
 }
 
@@ -180,12 +175,11 @@ type Binding struct {
 	// invocation start from (chunkElemsFor).
 	chunkElems int
 
-	// comp is the binding's offered compression mask (BindOptions.Compression
-	// clipped to this build's codecs); 0 keeps every transfer raw and skips
-	// the per-invocation mask agreement entirely. policy is the per-leg
-	// application rule (Auto/Always; Never already zeroed comp), and
-	// compSkipped counts request legs where the Auto estimator chose to
-	// send raw despite a negotiated codec (nil when metrics are off).
+	// comp is the binding's compression mask (BindOptions.Compression clipped
+	// to this build's codecs); 0 keeps every request leg raw. policy is the
+	// per-leg application rule (Auto/Always), and compSkipped counts framed
+	// request legs the Auto estimator sent raw despite a mask (nil when
+	// metrics are off).
 	comp        uint8
 	policy      zcodec.Policy
 	compSkipped *obs.Counter
@@ -319,7 +313,7 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 		method:     o.Method,
 		rec:        o.Trace,
 		chunkElems: ce,
-		comp:       o.effComp(),
+		comp:       o.Compression & zcodec.Supported,
 		policy:     o.CompressionPolicy,
 		idempotent: o.Sharding.Idempotent,
 		refEpoch:   uint32(ref.Epoch),

@@ -44,12 +44,12 @@ func invokeScaleSmooth(c *rts.Comm, b *Binding, n int, factor int32) error {
 	return nil
 }
 
-// TestCompressedStreamedRoundTrip is the end-to-end check for negotiated wire
-// compression: server exported with compression on, client binding offering
-// it, a streamed InOut invocation over smooth doubles. The data must round
+// TestCompressedStreamedRoundTrip is the end-to-end check for wire
+// compression: server exported with compression on, client binding sending
+// with it, a streamed InOut invocation over smooth doubles. The data must round
 // trip exactly, the zcodec ledgers must show the wire carried fewer bytes
 // than the raw payload (≥2× on this workload), and the chunk-send spans must
-// carry the negotiated codec mask.
+// carry the codec mask.
 func TestCompressedStreamedRoundTrip(t *testing.T) {
 	for _, cfg := range []struct{ c, s int }{{1, 1}, {2, 2}} {
 		cfg := cfg
@@ -72,7 +72,7 @@ func TestCompressedStreamedRoundTrip(t *testing.T) {
 			})
 			rawOut, wireOut, rawIn, wireIn := zcodec.Stats()
 			if rawOut == 0 || wireOut == 0 {
-				t.Fatalf("no compressed encodes recorded (raw %d wire %d): negotiation never engaged", rawOut, wireOut)
+				t.Fatalf("no compressed encodes recorded (raw %d wire %d): compression never engaged", rawOut, wireOut)
 			}
 			if ratio := float64(rawOut) / float64(wireOut); ratio < 2 {
 				t.Errorf("encode ratio %.2f× (raw %d wire %d), want ≥2× on smooth doubles", ratio, rawOut, wireOut)
@@ -101,7 +101,7 @@ func TestCompressedStreamedRoundTrip(t *testing.T) {
 }
 
 // TestCompressedChunkAllocs bounds the marginal allocation cost of each
-// extra chunk when compression is negotiated. Raw and compressed chunks take
+// extra chunk when both sides compress. Raw and compressed chunks take
 // the same pipelined sender, the codec encodes one block into the sender's
 // ring slot and decodes it straight into the sequence's storage, so a
 // compressed chunk is held to the raw budget of TestStreamedChunkAllocs.
@@ -166,47 +166,73 @@ func TestCompressedChunkAllocs(t *testing.T) {
 	})
 }
 
-// TestCompressionInterop covers the three outcomes of mask negotiation
-// (client offer ∩ server mask; either side may be zero). With nothing in
-// common — the server declines, or the client never offers — the invocation
-// completes on the raw path with the zcodec encoders never engaged. With
-// both sides offering, the transfer compresses and the data round trips
-// exactly; its 8192-element chunks each travel as one block.
+// TestCompressionInterop pins the sender's rule: each side compresses the
+// framed legs it sends by its own mask, and decodes whatever arrives. Every
+// row's data round trips exactly; a chunk-send span carries a codec on
+// exactly the side whose mask is set (the client's spans are its request
+// legs, the server's its reply legs); with neither set the zcodec encoders
+// are never engaged. The "both" row's 8192-element chunks each travel as one
+// block.
 func TestCompressionInterop(t *testing.T) {
 	cases := []struct {
 		name           string
 		server, client uint8
 		chunk, elems   int
-		compressed     bool
 	}{
-		{"client-offers-server-declines", 0, zcodec.MaskAll, 128, 1024, false},
-		{"server-accepts-client-silent", zcodec.MaskAll, 0, 128, 1024, false},
-		{"both", zcodec.Supported, zcodec.Supported, 8192, 16384, true},
+		{"neither", 0, 0, 128, 1024},
+		{"client-only", 0, zcodec.MaskAll, 128, 1024},
+		{"server-only", zcodec.MaskAll, 0, 128, 1024},
+		{"both", zcodec.Supported, zcodec.Supported, 8192, 16384},
 	}
 	for _, tt := range cases {
 		tt := tt
 		t.Run(tt.name, func(t *testing.T) {
 			zcodec.ResetStats()
+			cliRec, srvRec := obs.NewRecorder(256), obs.NewRecorder(256)
 			tc := startCluster(t, 2, false, nil, func(o *ExportOptions) {
 				o.Compression = tt.server
 				o.CompressionPolicy = zcodec.PolicyAlways
+				o.Trace = srvRec
 			})
 			opts := BindOptions{
 				Method: Centralized, Timeout: testTimeout,
 				StreamChunkElems:  tt.chunk,
 				Compression:       tt.client,
 				CompressionPolicy: zcodec.PolicyAlways,
+				Trace:             cliRec,
 			}
 			tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 				return invokeScaleSmooth(c, b, tt.elems, 2)
 			})
-			rawOut, wireOut, _, _ := zcodec.Stats()
-			if tt.compressed {
-				if rawOut == 0 || wireOut == 0 || wireOut >= rawOut {
-					t.Errorf("%s: compression not engaged (raw %d wire %d)", tt.name, rawOut, wireOut)
+			for _, side := range []struct {
+				name string
+				rec  *obs.Recorder
+				mask uint8
+			}{{"client", cliRec, tt.client}, {"server", srvRec, tt.server}} {
+				sends, coded := 0, 0
+				for _, sp := range side.rec.Spans() {
+					if sp.Phase == obs.PhaseChunkSend {
+						sends++
+						if sp.Codec != 0 {
+							coded++
+						}
+					}
+				}
+				want := 0
+				if side.mask != 0 {
+					want = sends
+				}
+				if sends == 0 || coded != want {
+					t.Errorf("%s: %d of %d chunk-send spans carry a codec, want %d (mask %#x)", side.name, coded, sends, want, side.mask)
+				}
+			}
+			rawOut, wireOut, rawIn, wireIn := zcodec.Stats()
+			if tt.server|tt.client != 0 {
+				if rawOut == 0 || wireOut == 0 || wireOut >= rawOut || rawIn == 0 || wireIn == 0 {
+					t.Errorf("compression not engaged (encoded raw %d wire %d, decoded raw %d wire %d)", rawOut, wireOut, rawIn, wireIn)
 				}
 			} else if rawOut != 0 || wireOut != 0 {
-				t.Errorf("%s: zcodec encoders engaged (raw %d wire %d), want raw path", tt.name, rawOut, wireOut)
+				t.Errorf("zcodec encoders engaged (raw %d wire %d), want raw path", rawOut, wireOut)
 			}
 		})
 	}

@@ -468,7 +468,7 @@ func (el *Elastic) rankMain(run *epochRun, c *rts.Comm, xfer *stateXfer, ready c
 // and marshals the ranges this thread owns that move, in the steps of the one
 // chunk schedule (DefaultStreamChunkElems elements of one thread pair's moves
 // at most), into the pending transfer buffer, compressed per the export's
-// mask; receivers auto-detect, so no negotiation is needed.
+// mask; receivers auto-detect, as on every leg.
 func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transferable) error {
 	el.mu.Lock()
 	p := el.pending

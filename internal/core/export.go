@@ -94,17 +94,16 @@ type ExportOptions struct {
 	// invocation token carried in the request header. The adapter's own
 	// admission spans go to Server.Trace, which defaults to this recorder.
 	Trace *obs.Recorder
-	// Compression is the wire-compression codec mask (zcodec mask bits)
-	// this object accepts and uses: the per-thread adapters answer client
-	// handshake offers with the intersection, and streamed reply legs
-	// compress their chunks with the connection's negotiated mask. Zero
-	// declines every offer and keeps all transfers raw.
+	// Compression is the wire-compression codec mask (zcodec mask bits) this
+	// object sends with: framed reply legs and an elastic resize's state
+	// compress their numeric chunks with it. Zero keeps what it sends raw.
+	// What a client sends is the client's choice; every chunk decodes
+	// whatever it carries.
 	Compression uint8
-	// CompressionPolicy selects how reply legs apply the negotiated mask:
-	// PolicyAuto (the zero default) lets the adaptive estimator send raw
-	// when the client's connection is faster than the codec, PolicyAlways
-	// compresses whenever a codec was negotiated. The adapters only
-	// negotiate; the policy is the reply leg's.
+	// CompressionPolicy selects how reply legs apply the mask: PolicyAuto
+	// (the zero default) lets the adaptive estimator send raw when the
+	// client's connection is faster than the codec, PolicyAlways compresses
+	// every framed reply leg.
 	CompressionPolicy zcodec.Policy
 	// Epoch is the membership epoch of an elastic export (set by the elastic
 	// engine; leave 0 for conventional exports). A non-zero epoch is suffixed
@@ -126,8 +125,8 @@ type Object struct {
 	srv  *orb.Server // nil on threads without a listener
 	ref  orb.IOR
 	rec  *obs.Recorder
-	// compSkipped counts reply legs where the Auto estimator chose raw
-	// despite a negotiated codec (nil-safe no-op without Server.Metrics).
+	// compSkipped counts framed reply legs the Auto estimator sent raw
+	// despite a mask (nil-safe no-op without Server.Metrics).
 	compSkipped *obs.Counter
 
 	// rank 0 only: requests from the object adapter awaiting the
@@ -294,10 +293,7 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 	if opts.Server.Trace == nil {
 		opts.Server.Trace = opts.Trace
 	}
-	// The adapters must accept what the reply leg intends to use; merging
-	// here lets callers set either knob.
 	opts.Compression &= zcodec.Supported
-	opts.Server.Compression = (opts.Server.Compression | opts.Compression) & zcodec.Supported
 	o := &Object{
 		comm:    engine,
 		opts:    opts,

@@ -83,7 +83,7 @@ type invocation struct {
 	steps   *cdr.Decoder // the reply past its header: where a back leg placed in the message has its steps
 	ce      int          // the header's chunk size: the framed forward leg's, or what both direct legs start from; 0 for a leg in the message
 	offer   int          // the chunk size results may stream back in; 0 keeps them in the reply
-	mask    uint8        // framed forward leg: its agreed compression mask
+	mask    uint8        // framed forward leg: the compression mask thread 0 picked for it
 }
 
 // legSeq is argument i as one centralized leg carries it: nil when its
@@ -380,10 +380,10 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 }
 
 // pick is the token agreement of one attempt: thread 0 takes the next profile
-// of the walk and broadcasts it beside a fresh token, and every thread routes
-// its legs to that profile. Once the walk has stopped (stop) or has no profile
-// left, thread 0 broadcasts the error the invocation ends with instead, which
-// every thread returns.
+// of the walk and broadcasts it beside a fresh token and the forward leg's
+// compression mask, and every thread routes its legs to that profile. Once the
+// walk has stopped (stop) or has no profile left, thread 0 broadcasts the error
+// the invocation ends with instead, which every thread returns.
 func (iv *invocation) pick(route *orb.Route, stop error, keyed bool) error {
 	var p []byte
 	if iv.comm.Rank() == 0 {
@@ -394,16 +394,17 @@ func (iv *invocation) pick(route *orb.Route, stop error, keyed bool) error {
 		if err != nil {
 			p = encodeOutcome(func(*cdr.Encoder) error { return err })
 		} else {
-			// A clean outcome, then the token and the profile.
-			iv.addr, p = addr, append(make([]byte, 0, len(okOutcome)+8), okOutcome...)
+			// A clean outcome, then the token, the profile and the mask.
+			iv.addr, p = addr, append(make([]byte, 0, len(okOutcome)+9), okOutcome...)
 			p = binary.NativeEndian.AppendUint32(binary.NativeEndian.AppendUint32(p, tokenCounter.Add(1)), uint32(idx))
+			p = append(p, iv.fwdMask(&iv.b.targets[idx]))
 		}
 	}
 	p, err := iv.comm.Bcast(0, p)
 	if err != nil {
 		return err
 	}
-	if len(p) != len(okOutcome)+8 || !bytes.HasPrefix(p, okOutcome) {
+	if len(p) != len(okOutcome)+9 || !bytes.HasPrefix(p, okOutcome) {
 		if _, err = openOutcome(p); err == nil {
 			err = fmt.Errorf("%w: token agreement", ErrBadHeader)
 		}
@@ -411,11 +412,32 @@ func (iv *invocation) pick(route *orb.Route, stop error, keyed bool) error {
 	}
 	p = p[len(okOutcome):]
 	idx := binary.NativeEndian.Uint32(p[4:])
-	iv.token, iv.t = binary.NativeEndian.Uint32(p), &iv.b.targets[idx]
+	iv.token, iv.t, iv.mask = binary.NativeEndian.Uint32(p), &iv.b.targets[idx], p[8]
 	if keyed {
 		iv.served = int32(idx) + 1
 	}
 	return nil
+}
+
+// fwdMask is thread 0's compression mask for the forward leg on profile t: the
+// binding's when the leg is framed, unless the Auto policy vetoes it on the
+// profile's data connection.
+func (iv *invocation) fwdMask(t *target) uint8 {
+	b := iv.b
+	if iv.ce == 0 || b.comp == 0 {
+		return 0
+	}
+	mask := legMask(b.comp, b.policy, func() float64 {
+		conn, err := t.dataConn(0)
+		if err != nil {
+			return 0
+		}
+		return conn.WriteBandwidth()
+	})
+	if mask == 0 {
+		b.compSkipped.Inc()
+	}
+	return mask
 }
 
 // newHeader builds the invocation header thread 0 sends: the client's layout

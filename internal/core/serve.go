@@ -92,12 +92,16 @@ func (o *Object) Poll(block bool) (bool, error) {
 			stop = <-ticket.commit
 		}
 	case directiveCall:
+		// The kind, the reply leg's compression mask, then the header.
+		if len(dir) < 2 {
+			return false, fmt.Errorf("%w: call directive without its reply mask", ErrBadHeader)
+		}
 		var hdr *invocationHeader
 		if call != nil {
 			hdr = call.header
 		} else {
 			d := cdr.NewDecoder(dir, cdr.NativeOrder)
-			if _, err := d.ReadOctet(); err != nil {
+			if _, err := d.ReadRaw(2); err != nil {
 				return false, err
 			}
 			if hdr, err = decodeInvocationHeader(d); err != nil {
@@ -112,7 +116,7 @@ func (o *Object) Poll(block bool) (bool, error) {
 		if call != nil {
 			conn, steps = call.conn, call.steps
 		}
-		reply, stop, err = o.processCall(hdr, conn, steps)
+		reply, stop, err = o.processCall(hdr, conn, steps, dir[1])
 		if call != nil {
 			call.replyCh <- callResult{reply: reply, err: err}
 		}
@@ -133,9 +137,12 @@ func (o *Object) Poll(block bool) (bool, error) {
 }
 
 // nextDirective is thread 0's choice of the round: the next queued call (its
-// directive is the header; steps placed in the message stay at the thread that
-// scatters them), a resize ticket, stop, or — a non-blocking poll that found
-// nothing — none.
+// directive is the compression mask of its reply leg and the header; steps
+// placed in the message stay at the thread that scatters them), a resize
+// ticket, stop, or — a non-blocking poll that found nothing — none. The mask is
+// the object's when the request offers a result stream, unless the Auto
+// policy vetoes it on the request's connection; it is used only if the reply
+// leg turns out framed.
 func (o *Object) nextDirective(block bool) (call *pendingCall, ticket *resizeTicket, dir []byte) {
 	if block {
 		// Priority select: requests already queued drain before a pending
@@ -174,8 +181,13 @@ func (o *Object) nextDirective(block bool) (call *pendingCall, ticket *resizeTic
 		o.rec.Record(obs.Span{Trace: uint64(call.token), Phase: obs.PhaseQueue, Rank: 0,
 			Start: call.enqueuedNS, Dur: time.Now().UnixNano() - call.enqueuedNS})
 	}
+	var mask uint8
+	if call.header.ResultChunkElems != 0 {
+		mask = legMask(o.opts.Compression, o.opts.CompressionPolicy, call.conn.WriteBandwidth)
+	}
 	e := cdr.NewEncoder(cdr.NativeOrder)
 	e.WriteOctet(directiveCall)
+	e.WriteOctet(mask)
 	call.header.encode(e)
 	return call, nil, e.Bytes()
 }
@@ -216,10 +228,11 @@ func (o *Object) callResizeHook() error {
 // agreement after it, so a client that died mid-transfer (this thread's
 // receive timed out) fails the upcall coherently everywhere instead of
 // wedging the collective loop. conn and steps are thread 0's: the connection
-// the request arrived on, and the request past its header; the reply bytes are
+// the request arrived on, and the request past its header; mask is the
+// directive's, what a framed send leg compresses with; the reply bytes are
 // meaningful on thread 0 only; stop reports whether the handler requested an
 // orderly shutdown.
-func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *cdr.Decoder) (reply []byte, stop bool, err error) {
+func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *cdr.Decoder, mask uint8) (reply []byte, stop bool, err error) {
 	op := o.ops[h.Op] // validated on thread 0 before broadcast
 	if op == nil {
 		return nil, false, orb.BadOperation(h.Op)
@@ -344,7 +357,7 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *c
 	if sendErr == nil {
 		switch sh {
 		case shapeCentral:
-			sendErr = o.sendCentral(conn, e, h, ce, args)
+			sendErr = o.sendCentral(conn, e, h, ce, mask, args)
 		case shapeDirect:
 			sendErr = o.sendDirect(bucket, h, args)
 		}
@@ -372,24 +385,19 @@ func (h *invocationHeader) legSeq(args []dseq.Transferable, i int, skip Dir) dse
 // the threads gather every result straight into msg, thread 0's reply encoder
 // (nil elsewhere), behind the header, so the reply the gather assembles is the
 // buffer the adapter writes. Framed, the results leave as Data messages of ce
-// elements on conn — thread 0's, the connection the request arrived on —
-// before the Reply is written there, so same-connection ordering guarantees
-// the client holds every chunk once it sees the Reply, which tells it ce.
-func (o *Object) sendCentral(conn *transport.Conn, msg *cdr.Encoder, h *invocationHeader, ce int, args []dseq.Transferable) error {
-	var mask uint8
+// elements, compressed with mask, on conn — thread 0's, the connection the
+// request arrived on — before the Reply is written there, so same-connection
+// ordering guarantees the client holds every chunk once it sees the Reply,
+// which tells it ce.
+func (o *Object) sendCentral(conn *transport.Conn, msg *cdr.Encoder, h *invocationHeader, ce int, mask uint8, args []dseq.Transferable) error {
 	var cs *chunkSender
-	if ce != 0 {
-		// The leg's mask is the one thread 0's adapter negotiated on the
-		// connection during the handshake.
-		var err error
-		mask, err = agreeMask(o.comm, o.opts.Server.Compression, o.opts.CompressionPolicy, o.compSkipped,
-			func() (uint8, float64) { return conn.Compression(), conn.WriteBandwidth() })
-		if err != nil {
-			return &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}
+	if ce == 0 {
+		mask = 0 // a leg in the message stays raw
+	} else if o.comm.Rank() == 0 {
+		if mask == 0 && o.opts.Compression != 0 {
+			o.compSkipped.Inc() // the directive carried Auto's veto
 		}
-		if o.comm.Rank() == 0 {
-			cs, msg = newChunkSender(conn.WriteMessage), nil
-		}
+		cs, msg = newChunkSender(conn.WriteMessage), nil
 	}
 	_, err := sendChunks(o.comm, cs, msg, h.Token, true, ce, mask,
 		len(args), func(i int) dseq.Transferable { return h.legSeq(args, i, In) },

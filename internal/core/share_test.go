@@ -8,6 +8,7 @@ import (
 	"repro/internal/dseq"
 	"repro/internal/rts"
 	"repro/internal/testutil"
+	"repro/internal/zcodec"
 )
 
 // TestShareConnectionPoolsOneClient is the core-level ShareConnection proof:
@@ -77,8 +78,10 @@ func TestShareConnectionPoolsOneClient(t *testing.T) {
 
 // TestShareConnectionKeysAndRelease pins the pool's keying and refcount
 // semantics: differently-configured sharing bindings get distinct engines,
-// private bindings never touch the pool, Close is idempotent per binding,
-// and the last release empties the pool.
+// bindings that differ only in compression — a per-leg choice of the
+// sender, not the engine's — share one, private bindings never touch the
+// pool, Close is idempotent per binding, and the last release empties the
+// pool.
 func TestShareConnectionKeysAndRelease(t *testing.T) {
 	testutil.CheckGoroutines(t, "keys", func(t *testing.T) {
 		tc := startCluster(t, 1, false, nil)
@@ -102,6 +105,16 @@ func TestShareConnectionKeysAndRelease(t *testing.T) {
 			}
 			if n := sharedClients.Size(); n != 2 {
 				return fmt.Errorf("pool holds %d clients for 2 distinct configurations, want 2", n)
+			}
+			z, err := SPMDBind(c, "example", tc.ns.Addr(), BindOptions{Timeout: testTimeout, ShareConnection: true,
+				Compression: zcodec.MaskAll, CompressionPolicy: zcodec.PolicyAlways})
+			if err != nil {
+				return err
+			}
+			same, n := z.client == a.client, sharedClients.Size()
+			z.Close()
+			if !same || n != 2 {
+				return fmt.Errorf("a binding differing only in compression: same engine %v, pool %d; want true, 2", same, n)
 			}
 			// A private binding stays out of the pool entirely.
 			priv, err := SPMDBind(c, "example", tc.ns.Addr(), BindOptions{Timeout: testTimeout})

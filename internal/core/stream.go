@@ -14,7 +14,6 @@ import (
 	"repro/internal/rts"
 	"repro/internal/transport"
 	"repro/internal/wire"
-	"repro/internal/zcodec"
 )
 
 // Centralized transfers: one walk per side (sendChunks, recvChunks) moves every
@@ -374,40 +373,6 @@ func chunkFlags(last bool) byte {
 	return f
 }
 
-// agreeMask settles the compression mask of one framed centralized leg, on
-// either side: thread 0 resolves the mask negotiated on the leg's connection and
-// shares it, so every thread feeds the collective chunk marshalling the same
-// mask. Under Auto the estimator can veto a negotiated codec for this leg — on
-// a link faster than we can encode, raw wins — once, at the single point the
-// mask is resolved, so the collective schedule stays deterministic across
-// threads.
-// With nothing offered (accepted, on the server) every thread skips the
-// broadcast, the options being replicated: exactly the raw engine's schedule.
-func agreeMask(comm *rts.Comm, offered uint8, policy zcodec.Policy, skipped *obs.Counter,
-	negotiated func() (mask uint8, wireBps float64)) (uint8, error) {
-	if offered == 0 {
-		return 0, nil
-	}
-	var mb []byte
-	if comm.Rank() == 0 {
-		m, bps := negotiated()
-		m &= offered
-		if m != 0 && policy == zcodec.PolicyAuto && !compressionWins(bps) {
-			m = 0
-			skipped.Inc()
-		}
-		mb = []byte{m}
-	}
-	mb, err := comm.Bcast(0, mb)
-	if err != nil {
-		return 0, err
-	}
-	if len(mb) != 1 {
-		return 0, fmt.Errorf("%w: compression mask agreement", ErrBadHeader)
-	}
-	return mb[0], nil
-}
-
 // frameWait is the one wait of a receive leg, whatever its shape: the frames of
 // invocation token off ch, each awaited at most timeout (zero: no bound) and
 // until stop (nil: no cancellation). The timer is armed by the leg's first
@@ -505,23 +470,13 @@ func drainData(ch chan *wire.Data) {
 // leg's placement. In the message (iv.ce 0), behind the header, so the bytes the
 // gather assembles are the bytes the transport writes, and thread 0 completes
 // the exchange once the walk is done. Framed, the staged gather→pack→send
-// becomes a pipeline: the mask is agreed, the request is launched first — the
-// header travels ahead of the chunks, which the server buffers per token either
-// way — and thread 0 joins the walk as its sender. Local failures are carried
-// through the walk, so a failure surfaces as one error instead of a stranded
-// collective.
+// becomes a pipeline: the request is launched first — the header travels ahead
+// of the chunks, which the server buffers per token either way — and thread 0
+// joins the walk as its sender, the chunks compressed with the mask pick
+// shared. Local failures are carried through the walk, so a failure surfaces as
+// one error instead of a stranded collective.
 func (iv *invocation) sendCentral(scalars []byte) error {
 	b := iv.b
-	if iv.ce != 0 {
-		var err error
-		iv.mask, err = agreeMask(iv.comm, b.comp, b.policy, b.compSkipped, func() (uint8, float64) {
-			// Resolving the mask runs the handshake on the connection's first use.
-			return b.client.NegotiatedCompression(iv.t.ref, b.client.Timeout), b.client.WireBandwidth(iv.t.ref)
-		})
-		if err != nil {
-			return err
-		}
-	}
 	var (
 		cs  *chunkSender
 		msg *cdr.Encoder

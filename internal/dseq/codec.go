@@ -36,7 +36,7 @@ type Codec[T any] struct {
 
 	// Block-compression hooks, all non-nil or all nil. Numeric element
 	// types plug a zcodec block codec in here; MarshalChunkZ uses them to
-	// build compressed chunk envelopes when the connection negotiated the
+	// build compressed chunk envelopes when the sender's mask has the
 	// codec, and the Unmarshal* functions to auto-detect and decode them.
 	// Types without a block codec (strings, structs...) leave these nil
 	// and always travel raw.

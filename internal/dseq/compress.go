@@ -18,8 +18,8 @@ import (
 // A chunk is one block: the thread that renders the chunk encodes it, straight
 // into the bytes it sends, and the thread that stores it decodes it.
 //
-// Envelopes appear only on connections whose Ping/Pong handshake negotiated
-// the codec.
+// Envelopes appear only where the sender's mask has the codec; a receiver
+// needs no state to tell them from raw chunks.
 const (
 	envelopeMarker = 0x02
 	compHeaderLen  = 2

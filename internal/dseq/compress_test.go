@@ -56,8 +56,8 @@ func TestMarshalChunkZMaskGating(t *testing.T) {
 	if p := MarshalChunkZ(Float64, vals, 0); IsCompressedChunk(p) {
 		t.Fatal("mask 0 produced a compressed chunk")
 	}
-	// The float codec needs the XOR bit; a delta-only negotiation leaves
-	// doubles raw.
+	// The float codec needs the XOR bit; a delta-only mask leaves doubles
+	// raw.
 	if p := MarshalChunkZ(Float64, vals, zcodec.MaskDelta); IsCompressedChunk(p) {
 		t.Fatal("delta-only mask compressed a double chunk")
 	}
@@ -162,7 +162,7 @@ func TestCompressedChunkRejectsCorruption(t *testing.T) {
 }
 
 // TestStreamRangeCompressed runs the collective gather/scatter range
-// methods with a negotiated mask across layouts where chunks are
+// methods with a compression mask across layouts where chunks are
 // rank-local (compressed by their owners), split (assembled and
 // compressed at root), and root-owned.
 func TestStreamRangeCompressed(t *testing.T) {
@@ -184,7 +184,7 @@ func TestStreamRangeCompressed(t *testing.T) {
 					return err
 				}
 				// Walk a chunk schedule through gather+scatter with
-				// compression negotiated, the transfer engine's shape.
+				// compression on, the transfer engine's shape.
 				const chunk = 1024
 				for lo := 0; lo < length; lo += chunk {
 					n := min(chunk, length-lo)

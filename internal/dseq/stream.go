@@ -50,7 +50,7 @@ type StreamTransferable interface {
 	// chunk's size when the element codec is fixed-width. dst's alignment
 	// origin must be its current position — a fresh or Reset encoder, or
 	// inside cdr.Encoder.BeginOctets — so a caller gathers into the bytes it
-	// will send. mask is the connection's negotiated zcodec bitmask,
+	// will send. mask is the sending side's zcodec bitmask for the leg,
 	// replicated across the ranks by the transfer engine: zero, or an element
 	// type without a block codec, renders raw. Root returns ErrChunkFailed
 	// when a contributor fed a fail marker; dst's contents are then

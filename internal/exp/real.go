@@ -31,10 +31,10 @@ type RealConfig struct {
 	// only: the frames on the wire are the same with it on or off.
 	Trace   *obs.Recorder
 	Metrics *obs.Registry
-	// Compression is the zcodec codec mask both sides offer in the wire
-	// handshake (BindOptions.Compression / ExportOptions.Compression).
-	// Zero measures the raw wire. Compression engages on centralized
-	// streamed transfers; the multi-port method ignores it.
+	// Compression is the zcodec codec mask both sides send with
+	// (BindOptions.Compression for requests, ExportOptions.Compression for
+	// replies). Zero measures the raw wire. Compression engages on
+	// centralized streamed transfers; the multi-port method ignores it.
 	Compression uint8
 	// Policy is the per-leg compression policy both sides apply
 	// (BindOptions.CompressionPolicy / ExportOptions.CompressionPolicy).

@@ -103,8 +103,8 @@ type Span struct {
 	// when the invocation was shard-routed; 0 for everything else. 1-based
 	// so the zero value of spans recorded by non-sharded paths stays honest.
 	Shard int32
-	// Codec is the negotiated wire-compression codec mask in effect for the
-	// phase (zcodec mask bits); 0 means the transfer ran raw.
+	// Codec is the wire-compression codec mask the sender put on the phase's
+	// chunks (zcodec mask bits); 0 means the transfer ran raw.
 	Codec int32
 }
 

@@ -37,11 +37,6 @@ type Client struct {
 	// Shard configures consistent-hash routing for invocations that carry a
 	// ShardKey (see InvokeOptions.ShardKey and InvokeSharded).
 	Shard ShardPolicy
-	// Compression is the wire-compression codec mask (zcodec mask bits) this
-	// client offers on every dialed connection in its first Ping. Zero (the
-	// default) never offers, and connections stay raw; so does a connection
-	// whose server answers with no codec in common.
-	Compression uint8
 	// Metrics, when set before the client's first use, receives the
 	// client-side resilience event counters: "orb.client.failovers" (profile
 	// advances), "orb.client.breaker_open" (circuits tripping open), and
@@ -145,19 +140,7 @@ type clientConn struct {
 	pending  map[uint32]chan *wire.Reply
 	err      error
 	done     chan struct{}
-	// compDone is closed once the compression handshake resolved (the
-	// negotiation Pong arrived, the offer was never sent, or the connection
-	// failed); the negotiated mask then lives on conn (transport.Conn
-	// Compression). Callers that want to compress wait on it first.
-	compDone chan struct{}
-	compOnce sync.Once
 }
-
-// compNonce marks the compression-negotiation Ping so its Pong is told apart
-// from keepalive probes (whose nonces count up from 1).
-const compNonce uint32 = 0x434f4d50 // "COMP"
-
-func (cc *clientConn) compResolved() { cc.compOnce.Do(func() { close(cc.compDone) }) }
 
 func (cc *clientConn) touch() { cc.lastRead.Store(time.Now().UnixNano()) }
 
@@ -242,26 +225,17 @@ func (c *Client) conn(addr string) (*clientConn, error) {
 	}
 	c.mu.Unlock()
 	cc := &clientConn{
-		conn:     tc,
-		client:   c,
-		addr:     addr,
-		pending:  make(map[uint32]chan *wire.Reply),
-		done:     make(chan struct{}),
-		compDone: make(chan struct{}),
+		conn:    tc,
+		client:  c,
+		addr:    addr,
+		pending: make(map[uint32]chan *wire.Reply),
+		done:    make(chan struct{}),
 	}
 	cc.touch()
 	slot.cc = cc
 	go cc.readLoop()
 	if c.KeepaliveInterval > 0 {
 		go cc.keepaliveLoop(c.KeepaliveInterval)
-	}
-	// Offer wire compression; the Pong echoing compNonce resolves it.
-	if c.Compression != 0 {
-		if err := cc.conn.WriteMessage(&wire.Ping{Nonce: compNonce, Codecs: c.Compression}); err != nil {
-			cc.compResolved() // stream is broken; readLoop will surface it
-		}
-	} else {
-		cc.compResolved()
 	}
 	return cc, nil
 }
@@ -371,16 +345,7 @@ func (cc *clientConn) readLoop() {
 				return
 			}
 		case *wire.Pong:
-			// Liveness evidence; touch above already recorded it. The
-			// negotiation pong additionally resolves the compression
-			// handshake: the codecs it accepts become the connection's
-			// mask, none leaves it raw.
-			if m.Nonce == compNonce {
-				if neg := m.Codecs & cc.client.Compression; neg != 0 {
-					cc.conn.SetCompression(neg)
-				}
-				cc.compResolved()
-			}
+			// Liveness evidence; touch above already recorded it.
 		case *wire.CloseConnection:
 			// Orderly server drain: mark the cached connection broken right
 			// now so the next use redials, rather than learning via the
@@ -420,7 +385,6 @@ func (cc *clientConn) fail(err error) {
 		close(ch)
 	}
 	cc.mu.Unlock()
-	cc.compResolved() // never strand a handshake waiter on a dead connection
 	cc.conn.Close()
 	if !already {
 		// A deliberate Close is not a broken connection; everything else is.
@@ -644,51 +608,6 @@ func (c *Client) await(cc *clientConn, ch chan *wire.Reply, id uint32, deadline 
 // Invoke performs a request on the object, walking its profiles primary first.
 func (c *Client) Invoke(ref IOR, op string, args []byte, oneway bool) ([]byte, error) {
 	return c.InvokeOpts(ref, op, args, InvokeOptions{Oneway: oneway})
-}
-
-// NegotiatedCompression reports the codec mask negotiated with the endpoint
-// serving ref's communicating thread, dialing the connection (which runs the
-// handshake) if needed. It blocks until the handshake resolves, for at most
-// wait and never more than five seconds (which is also what no wait, <= 0,
-// means); an unreachable endpoint, a peer that never answers, or one that
-// declines all resolve to 0 (raw).
-func (c *Client) NegotiatedCompression(ref IOR, wait time.Duration) uint8 {
-	if c.Compression == 0 {
-		return 0
-	}
-	ep, err := ref.EndpointFor(0)
-	if err != nil {
-		return 0
-	}
-	cc, err := c.conn(ep.Addr())
-	if err != nil {
-		return 0
-	}
-	if wait <= 0 || wait > 5*time.Second {
-		wait = 5 * time.Second
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-cc.compDone:
-	case <-t.C:
-		return 0
-	}
-	return cc.conn.Compression()
-}
-
-// WireBandwidth returns the estimated effective write bandwidth
-// (bytes/sec) of the connection serving ref's communicating thread, or
-// 0 when the connection is missing or has no measurable Data write
-// yet. The adaptive compression policy feeds it to the per-leg
-// decision; like NegotiatedCompression it dials if needed, so the
-// answer always describes the connection a transfer would actually use.
-func (c *Client) WireBandwidth(ref IOR) float64 {
-	conn, err := c.DataConn(ref, 0)
-	if err != nil {
-		return 0
-	}
-	return conn.WriteBandwidth()
 }
 
 // DataConn returns the connection that carries Data messages to the endpoint

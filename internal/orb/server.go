@@ -115,11 +115,6 @@ type ServerOptions struct {
 	// Trace, when set, records server-side invocation spans (admission
 	// waits, keyed by request id) into this ring buffer.
 	Trace *obs.Recorder
-	// Compression is the wire-compression codec mask (zcodec mask bits)
-	// this server accepts. A client Ping offering codecs is answered with
-	// the intersection of the two masks and the connection remembers it;
-	// zero (the default) declines every offer, so all connections stay raw.
-	Compression uint8
 	// AdminResize exposes the reserved "_pardis_resize" administrative
 	// operation on SPMD objects exported by an elastic engine (see
 	// core.NewElastic): a client invocation of it triggers a membership
@@ -608,17 +603,7 @@ func (s *Server) serveConn(sc *servedConn) {
 				return
 			}
 		case *wire.Ping:
-			// Keepalive probe or compression offer. The negotiated mask
-			// is the intersection of the two sides' codec masks; an empty
-			// one (no server mask, no overlap, or a keepalive, which
-			// offers nothing) answers zero codecs and the connection
-			// stays raw.
-			pong := &wire.Pong{Nonce: m.Nonce}
-			if neg := m.Codecs & s.opts.Compression; neg != 0 {
-				pong.Codecs = neg
-				sc.conn.SetCompression(neg)
-			}
-			if err := sc.conn.WriteMessage(pong); err != nil {
+			if err := sc.conn.WriteMessage(&wire.Pong{Nonce: m.Nonce}); err != nil {
 				s.Logf("orb: pong: %v", err)
 				return
 			}

@@ -116,13 +116,6 @@ type Conn struct {
 	closed bool
 	cmu    sync.Mutex
 
-	// comp holds the zcodec bitmask negotiated by the Ping/Pong handshake.
-	// Zero until (unless) the handshake succeeds, so un-negotiated
-	// connections read as "raw frames only". Stored on the Conn because both
-	// orb endpoints and the core data plane need the same per-connection
-	// answer.
-	comp atomic.Uint32
-
 	// wbw is an EWMA of this connection's effective write bandwidth in
 	// bytes/sec (float64 bits), fed by writes large enough to measure. Zero
 	// until the first sample. The adaptive compression policy reads it to
@@ -161,14 +154,6 @@ func (c *Conn) noteWrite(n int, dur time.Duration) {
 func (c *Conn) WriteBandwidth() float64 {
 	return math.Float64frombits(c.wbw.Load())
 }
-
-// SetCompression records the negotiated codec bitmask for this connection.
-// Called once by whichever endpoint completes the handshake.
-func (c *Conn) SetCompression(codecs uint8) { c.comp.Store(uint32(codecs)) }
-
-// Compression returns the negotiated codec bitmask; zero when no handshake
-// has completed on this connection.
-func (c *Conn) Compression() uint8 { return uint8(c.comp.Load()) }
 
 // Read frames are rented from bufpool.Frames (that package has the ownership
 // rule), but only MsgData bodies and the frames of a fragmented message: every

@@ -8,12 +8,13 @@ import (
 	"repro/internal/cdr"
 )
 
-// The Ping/Pong body is fixed — nonce, codec mask — in both byte orders, and
-// anything shorter is a decode error.
+// The Ping/Pong body is the nonce alone, in both byte orders, and anything
+// shorter is a decode error.
 
-func TestPingPongCompressionTrailerRoundTrip(t *testing.T) {
+func TestPingPongRoundTrip(t *testing.T) {
 	for _, ord := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
-		for _, ping := range []*Ping{{Nonce: 0xfeedbeef, Codecs: 0x03}, {Nonce: 7}} {
+		for _, nonce := range []uint32{0xfeedbeef, 7} {
+			ping := &Ping{Nonce: nonce}
 			e := cdr.NewEncoder(ord)
 			ping.EncodeBody(e)
 			m, err := DecodeBody(MsgPing, e.Bytes(), ord)
@@ -24,7 +25,7 @@ func TestPingPongCompressionTrailerRoundTrip(t *testing.T) {
 				t.Fatalf("ord %v: ping %+v != %+v", ord, got, ping)
 			}
 			// The Pong echoing it has the same body.
-			pong := &Pong{Nonce: ping.Nonce, Codecs: ping.Codecs & 0x02}
+			pong := &Pong{Nonce: nonce}
 			e = cdr.NewEncoder(ord)
 			pong.EncodeBody(e)
 			m, err = DecodeBody(MsgPong, e.Bytes(), ord)
@@ -41,11 +42,8 @@ func TestPingPongCompressionTrailerRoundTrip(t *testing.T) {
 // TestPingPongGolden pins the probe body byte for byte, so the next format
 // change is a visible diff.
 func TestPingPongGolden(t *testing.T) {
-	want := []byte{0x50, 0x4d, 0x4f, 0x43, 0x03}
-	for _, m := range []Message{
-		&Ping{Nonce: 0x434f4d50, Codecs: 0x03},
-		&Pong{Nonce: 0x434f4d50, Codecs: 0x03},
-	} {
+	want := []byte{0x50, 0x4d, 0x4f, 0x43}
+	for _, m := range []Message{&Ping{Nonce: 0x434f4d50}, &Pong{Nonce: 0x434f4d50}} {
 		e := cdr.NewEncoder(cdr.LittleEndian)
 		m.EncodeBody(e)
 		if !bytes.Equal(e.Bytes(), want) {
@@ -53,14 +51,14 @@ func TestPingPongGolden(t *testing.T) {
 		}
 	}
 	frame := Encode(&Ping{Nonce: 1}, cdr.BigEndian)
-	if want := []byte{'P', 'D', 'I', 'S', 7, 0, 8, 0, 0, 0, 0, 5, 0, 0, 0, 1, 0}; !bytes.Equal(frame, want) {
+	if want := []byte{'P', 'D', 'I', 'S', 8, 0, 8, 0, 0, 0, 0, 4, 0, 0, 0, 1}; !bytes.Equal(frame, want) {
 		t.Fatalf("keepalive frame % x, want % x", frame, want)
 	}
 }
 
 func TestPingPongShortBodyRejected(t *testing.T) {
 	e := cdr.NewEncoder(cdr.LittleEndian)
-	(&Ping{Nonce: 42, Codecs: 3}).EncodeBody(e)
+	(&Ping{Nonce: 42}).EncodeBody(e)
 	full := e.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		for _, typ := range []MsgType{MsgPing, MsgPong} {

@@ -16,8 +16,8 @@ func FuzzDecodeHeader(f *testing.F) {
 	f.Add(big[:])
 	f.Add([]byte("PDIS"))                                 // truncated
 	f.Add([]byte("GIOP\x01\x00\x00\x00\x00\x00\x00\x00")) // wrong protocol
-	f.Add([]byte("PDIS\x06\x01\x00\x00\x10\x00\x00\x00")) // version 6: refused
-	f.Add([]byte("PDIS\x07\x03\x07\x00\x00\x00\x00\x40")) // both defined flags on a Data frame
+	f.Add([]byte("PDIS\x07\x01\x00\x00\x10\x00\x00\x00")) // version 7: refused
+	f.Add([]byte("PDIS\x08\x03\x07\x00\x00\x00\x00\x40")) // both defined flags on a Data frame
 	// Each reserved flag bit: refused.
 	for bit := 2; bit < 8; bit++ {
 		b := EncodeHeader(MsgData, cdr.LittleEndian, false, 64)
@@ -60,15 +60,16 @@ func FuzzDecodeBody(f *testing.F) {
 		&Data{RequestID: 11, ArgIndex: 0, DstOff: 0, Count: 8, Flags: DataFlagChunk, Payload: []byte{0x02, 0x02, 0x08, 0x3f}},
 		&Ping{Nonce: 7},
 		&Pong{Nonce: 8},
-		&Ping{Nonce: 12, Codecs: 0x03},
-		&Pong{Nonce: 13, Codecs: 0x02},
+		// "COMP" is a nonce like any other: no nonce is reserved.
+		&Ping{Nonce: 0x434f4d50},
+		&Pong{Nonce: 0x434f4d50},
 	} {
 		e := cdr.NewEncoder(cdr.NativeOrder)
 		m.EncodeBody(e)
 		f.Add([]byte{byte(m.Type()), byte(cdr.NativeOrder)}, e.Bytes())
 	}
-	f.Add([]byte{byte(MsgPing), 1}, []byte{7, 0, 0, 0}) // nonce alone: short body
-	f.Add([]byte{byte(MsgPong), 1}, []byte{7, 0, 0})    // nonce cut short
+	f.Add([]byte{byte(MsgPing), 1}, []byte{7, 0, 0, 0, 9}) // a byte past the nonce
+	f.Add([]byte{byte(MsgPong), 1}, []byte{7, 0, 0})       // nonce cut short
 
 	f.Fuzz(func(t *testing.T, sel, body []byte) {
 		if len(sel) < 2 {

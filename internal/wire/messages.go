@@ -397,62 +397,36 @@ func (m *Data) decode(d *cdr.Decoder) (err error) {
 	return err
 }
 
-// Ping probes a peer's liveness on an idle connection. The nonce is echoed
-// back in the matching Pong; it carries no semantics beyond letting a debugger
-// pair probes with responses on a wire dump.
-//
-// The body is fixed: nonce, codec mask. A client's first Ping on a connection
-// carries the zcodec support mask it offers; a keepalive carries zero codecs,
-// which offers nothing.
-type Ping struct {
-	Nonce  uint32
-	Codecs uint8
-}
+// Ping probes a peer's liveness on an idle connection. Its body is the nonce
+// alone, echoed back in the matching Pong; it carries no semantics beyond
+// letting a debugger pair probes with responses on a wire dump.
+type Ping struct{ Nonce uint32 }
 
 func (*Ping) Type() MsgType { return MsgPing }
 
-func (p *Ping) EncodeBody(e *cdr.Encoder) { encodeProbe(e, p.Nonce, p.Codecs) }
+func (p *Ping) EncodeBody(e *cdr.Encoder) { e.WriteULong(p.Nonce) }
 
-// Pong answers a Ping, echoing its nonce, in the same fixed body. Codecs is
-// the accepted codec set — the intersection of the offer and the responder's
-// own mask; zero declines (or answers a keepalive) and the connection stays on
-// raw frames.
-type Pong struct {
-	Nonce  uint32
-	Codecs uint8
-}
+// Pong answers a Ping, echoing its nonce.
+type Pong struct{ Nonce uint32 }
 
 func (*Pong) Type() MsgType { return MsgPong }
 
-func (p *Pong) EncodeBody(e *cdr.Encoder) { encodeProbe(e, p.Nonce, p.Codecs) }
-
-func encodeProbe(e *cdr.Encoder, nonce uint32, codecs uint8) {
-	e.WriteULong(nonce)
-	e.WriteOctet(codecs)
-}
-
-func decodeProbe(d *cdr.Decoder, nonce *uint32, codecs *uint8) (err error) {
-	if *nonce, err = d.ReadULong(); err != nil {
-		return err
-	}
-	*codecs, err = d.ReadOctet()
-	return err
-}
+func (p *Pong) EncodeBody(e *cdr.Encoder) { e.WriteULong(p.Nonce) }
 
 func decodePing(d *cdr.Decoder) (*Ping, error) {
-	p := new(Ping)
-	if err := decodeProbe(d, &p.Nonce, &p.Codecs); err != nil {
+	n, err := d.ReadULong()
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &Ping{Nonce: n}, nil
 }
 
 func decodePong(d *cdr.Decoder) (*Pong, error) {
-	p := new(Pong)
-	if err := decodeProbe(d, &p.Nonce, &p.Codecs); err != nil {
+	n, err := d.ReadULong()
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &Pong{Nonce: n}, nil
 }
 
 // Encode renders a complete single-frame message (header + body) in the

@@ -148,7 +148,7 @@ func TestHeaderValidation(t *testing.T) {
 
 	// One version: its predecessor and its successor are refused alike.
 	badVersion := append([]byte(nil), good...)
-	for _, v := range []byte{0, Version - 1, Version + 1, 9} {
+	for _, v := range []byte{0, Version - 1, Version + 1, 0xff} {
 		badVersion[4] = v
 		if _, err := DecodeHeader(badVersion); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d: %v", v, err)

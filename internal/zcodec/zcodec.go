@@ -1,5 +1,5 @@
-// Package zcodec implements the numeric block codecs negotiated by the
-// PGIOP compression handshake: a Gorilla-style XOR codec for float64
+// Package zcodec implements the numeric block codecs of PGIOP wire
+// compression: a Gorilla-style XOR codec for float64
 // blocks and a zig-zag varint delta-of-delta codec for integer blocks.
 //
 // Both codecs target the smooth numeric payloads that dominate
@@ -24,7 +24,7 @@ import (
 type ID uint8
 
 const (
-	// None means no compression was negotiated.
+	// None means the chunk is not compressed.
 	None ID = 0
 	// Delta is the zig-zag varint delta-of-delta codec for integer blocks.
 	Delta ID = 1
@@ -46,15 +46,14 @@ func (id ID) String() string {
 	}
 }
 
-// Codec-support bitmask, as advertised in the Ping/Pong handshake. One
-// bit per codec so the intersection of two offers is a single AND.
+// Codec bitmask: the codecs a sender may compress with, one bit per codec.
 const (
 	MaskDelta uint8 = 1 << 0
 	MaskXOR   uint8 = 1 << 1
 	MaskAll         = MaskDelta | MaskXOR
 )
 
-// Supported is the mask this build advertises: every codec.
+// Supported is the mask this build encodes and decodes: every codec.
 const Supported = MaskAll
 
 // HasCodec reports whether mask admits the given codec.
@@ -102,15 +101,15 @@ func MaskString(mask uint8) string {
 	}
 }
 
-// Policy selects how a negotiated codec mask is applied per transfer
-// leg. The zero value is Auto.
+// Policy selects how a sender's codec mask is applied per transfer leg.
+// The zero value is Auto.
 type Policy uint8
 
 const (
 	// PolicyAuto compresses only when the bandwidth/throughput
 	// estimator predicts a net win (see CompressionWins).
 	PolicyAuto Policy = iota
-	// PolicyAlways compresses whenever a codec is negotiated.
+	// PolicyAlways compresses whenever the mask has a codec.
 	PolicyAlways
 )
 
