@@ -30,6 +30,10 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 // Pos returns the current read offset.
 func (d *Decoder) Pos() int { return d.pos }
 
+// Consumed returns the bytes read so far, from the start of the buffer: a view
+// of it, aligned as it was read.
+func (d *Decoder) Consumed() []byte { return d.buf[:d.pos:d.pos] }
+
 func (d *Decoder) need(n int) error {
 	if d.Remaining() < n {
 		return fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrTruncated, n, d.pos, d.Remaining())

@@ -79,28 +79,33 @@ func share(comm *rts.Comm, produce func(*cdr.Encoder) error) ([]byte, error) {
 // synchronization point, which is what lets the invocation and upcall paths
 // put it where a bare barrier would stand: a faulted thread reports instead of
 // disappearing, so no thread waits in a collective its peers will never enter.
-func agree(comm *rts.Comm, local error) error {
+// clean is thread 0's: the outcome it broadcasts when no thread failed —
+// okOutcome, or okOutcome and a tail (a payload, Poll's stop flag) — whose tail
+// then rides behind the failing thread's outcome. Every thread returns the tail
+// beside the error, so what thread 0 alone knows costs no broadcast of its own.
+func agree(comm *rts.Comm, local error, clean []byte) ([]byte, error) {
 	contrib := okOutcome
 	if local != nil {
 		contrib = encodeOutcome(func(*cdr.Encoder) error { return local })
 	}
 	all, err := comm.Gather(0, contrib)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Thread 0 relays the lowest failing thread's outcome as it stands; every
 	// thread, this one included, decodes it below.
-	verdict := okOutcome
+	verdict := clean
 	for _, p := range all {
 		if !bytes.Equal(p, okOutcome) {
-			verdict = p
+			verdict = append(p[:len(p):len(p)], clean[len(okOutcome):]...)
 			break
 		}
 	}
-	verdict, err = comm.Bcast(0, verdict)
-	if err != nil || bytes.Equal(verdict, okOutcome) {
-		return err
+	if verdict, err = comm.Bcast(0, verdict); err != nil {
+		return nil, err
 	}
-	_, err = openOutcome(verdict)
-	return err
+	if bytes.HasPrefix(verdict, okOutcome) {
+		return verdict[len(okOutcome):], nil
+	}
+	return openOutcome(verdict)
 }

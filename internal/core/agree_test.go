@@ -143,6 +143,50 @@ func TestExportCollectives(t *testing.T) {
 	}
 }
 
+// TestCleanAgreeAllocatesNothing: every invocation runs agreements on every
+// thread, almost always clean, and a clean one costs no heap object on any
+// thread: the root's gather lands in the communicator's own slice. Measured at
+// two and four threads with both gather algorithms; the binomial tree still
+// bundles each subtree into a fresh message through a map, so only the flat
+// gather, the one the engine runs, is held to zero, and the tree's cost is
+// reported.
+func TestCleanAgreeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation measurement with the race detector on")
+	}
+	const runs = 200
+	for _, alg := range []rts.GatherAlgorithm{rts.GatherFlat, rts.GatherBinomial} {
+		for _, n := range []int{2, 4} {
+			w := rts.NewWorld(n, rts.Options{RecvTimeout: testTimeout, Gather: alg})
+			var allocs float64
+			err := w.Run(func(c *rts.Comm) error {
+				var err error
+				clean := func() {
+					if _, e := agree(c, nil, okOutcome); e != nil && err == nil {
+						err = e
+					}
+				}
+				if c.Rank() == 0 {
+					allocs = testing.AllocsPerRun(runs, clean)
+				} else {
+					for i := 0; i <= runs; i++ { // AllocsPerRun's warm-up call, then its runs
+						clean()
+					}
+				}
+				return err
+			})
+			w.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("gather %d, %d threads: a clean agreement allocates %.0f objects", alg, n, allocs)
+			if alg == rts.GatherFlat && allocs != 0 {
+				t.Errorf("%d threads: a clean agreement allocates %.0f objects, want none", n, allocs)
+			}
+		}
+	}
+}
+
 // TestBindFailureKeepsType fails a two-thread bind three ways at thread 0 —
 // the only thread that talks to anyone — and checks that every thread returns
 // the exception thread 0 met: same type, same repository id, same answer to

@@ -185,9 +185,11 @@ type Binding struct {
 	compSkipped *obs.Counter
 
 	// targets is the bound reference narrowed to each of its profiles, where
-	// thread 0 routes an invocation (orb.Route); idempotent is
+	// thread 0 routes an invocation (orb.Route), and addrs their primary
+	// addresses, rendered once for every walk; idempotent is
 	// BindOptions.Sharding's, which a keyed walk's reroutes follow.
 	targets    []target
+	addrs      []string
 	idempotent bool
 
 	// refEpoch is the membership epoch the bound reference carries (0 for
@@ -318,6 +320,8 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 		idempotent: o.Sharding.Idempotent,
 		refEpoch:   uint32(ref.Epoch),
 	}
+	// A reference with no profile fails the describe below, on every thread.
+	b.addrs, _ = ref.ProfileAddrs()
 	if o.ShareConnection {
 		b.sharedKey = o.clientKey()
 		b.client = sharedClients.Acquire(b.sharedKey, func() *orb.Client {

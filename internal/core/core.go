@@ -36,6 +36,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cdr"
 	"repro/internal/dist"
@@ -128,6 +129,12 @@ func (a ArgDesc) specOrBlock() dist.Spec {
 type OpDesc struct {
 	Name string
 	Args []ArgDesc
+}
+
+// results reports whether the operation returns distributed data, in an Out
+// or InOut argument: whether its back leg moves anything, and so can fail.
+func (d OpDesc) results() bool {
+	return slices.ContainsFunc(d.Args, func(a ArgDesc) bool { return a.Dir != In })
 }
 
 // DistArg pairs a client-side sequence with its passing mode for one

@@ -757,6 +757,42 @@ func TestStopServingViaHandler(t *testing.T) {
 	}
 }
 
+// TestStopServingWhenAnotherThreadFails: the verdict rides the upcall agreement,
+// whatever it agrees on. Thread 0's handler asks to stop while thread 1's fails:
+// the client gets thread 1's error, and every computing thread leaves Serve, at
+// the same collective.
+func TestStopServingWhenAnotherThreadFails(t *testing.T) {
+	desc := OpDesc{Name: "shutdown"}
+	tc := startClusterOps(t, 2, false, func() []Operation {
+		return []Operation{{
+			Desc:    desc,
+			NewArgs: func(*rts.Comm, []int) ([]dseq.Transferable, error) { return nil, nil },
+			Handler: func(call *ServerCall) error {
+				if call.Comm.Rank() == 0 {
+					return ErrStopServing
+				}
+				return &orb.UserException{RepoID: "IDL:test/Refused:1.0", Message: "thread 1 refuses"}
+			},
+		}}
+	})
+	tc.runClient(t, 1, Centralized, func(_ *rts.Comm, b *Binding) error {
+		_, err := b.Invoke("shutdown", ScalarEncoder().Bytes(), nil)
+		if ue := (*orb.UserException)(nil); !errors.As(err, &ue) || ue.RepoID != "IDL:test/Refused:1.0" {
+			return fmt.Errorf("the call ended with %v, want thread 1's exception", err)
+		}
+		return nil
+	})
+	select {
+	case err := <-tc.serverErr:
+		if err != nil {
+			t.Fatalf("server world: %v", err)
+		}
+		tc.serverErr <- nil // for the cleanup's alignment check
+	case <-time.After(testTimeout):
+		t.Fatal("Serve did not stop after thread 0's handler asked it to")
+	}
+}
+
 func TestPollNonBlocking(t *testing.T) {
 	ns, err := naming.NewServer("127.0.0.1:0")
 	if err != nil {

@@ -35,7 +35,9 @@ type Operation struct {
 	Handler func(call *ServerCall) error
 }
 
-// ServerCall is the context of one collective upcall.
+// ServerCall is the context of one collective upcall. It and its In decoder
+// are the object's scratch, valid for the upcall only: the next invocation
+// reuses both, so a handler keeps neither past its return.
 type ServerCall struct {
 	// Comm is the object's engine communicator: Rank identifies this
 	// computing thread. Handlers may use it for their own collectives; the
@@ -141,10 +143,13 @@ type Object struct {
 	draining  atomic.Bool
 	closeOnce sync.Once
 
-	// outScratch is the reusable scalar-results encoder for processCall.
-	// Safe because each computing thread owns its own Object and the bytes
-	// are copied into the reply stream before the next call resets it.
+	// processCall's scratch: the scalar-results encoder, and the ServerCall
+	// and In decoder it hands the handler. Each computing thread owns its own
+	// Object, Out's bytes are copied into the reply before the next call resets
+	// them, and a ServerCall is valid for its upcall only.
 	outScratch *cdr.Encoder
+	upcall     ServerCall
+	in         cdr.Decoder
 
 	// Elastic wiring, installed between Export and Serve by the elastic
 	// engine (all fields nil/zero on conventional objects). resizeCh (thread
@@ -158,8 +163,10 @@ type Object struct {
 }
 
 type pendingCall struct {
-	token  uint32
 	header *invocationHeader
+	// raw is the header as the request carried it, from the payload's
+	// byte-order octet on: what the directive relays to the other threads.
+	raw []byte
 	// conn is the connection the request arrived on and the Reply will leave
 	// on: a framed send leg writes the results there, ahead of it.
 	conn *transport.Conn
@@ -170,6 +177,10 @@ type pendingCall struct {
 	replyCh    chan callResult
 	enqueuedNS int64 // when dispatch queued the call; 0 when tracing is off
 }
+
+// pendingCalls recycles a pendingCall, replyCh and all, once dispatch has taken
+// its reply, the collective loop's last touch; one given up on is not reused.
+var pendingCalls = sync.Pool{New: func() any { return &pendingCall{replyCh: make(chan callResult, 1)} }}
 
 type callResult struct {
 	reply []byte
@@ -430,7 +441,7 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 	if err != nil {
 		return orb.Marshal(err)
 	}
-	call, err := o.enqueue(conn, op, hdr, in)
+	call, err := o.enqueue(conn, op, hdr, in.Consumed(), in)
 	if err != nil {
 		// A refused header claims no bucket: what its token's data already
 		// brought goes back to the pool now, what is still on its way when the
@@ -440,6 +451,7 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 	}
 	select {
 	case res := <-call.replyCh:
+		pendingCalls.Put(call)
 		if res.err != nil {
 			return res.err
 		}
@@ -458,7 +470,7 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 
 // enqueue hands an invocation header, and the rest of its request, to the
 // collective loop, or says why not.
-func (o *Object) enqueue(conn *transport.Conn, op string, hdr *invocationHeader, rest *cdr.Decoder) (*pendingCall, error) {
+func (o *Object) enqueue(conn *transport.Conn, op string, hdr *invocationHeader, raw []byte, rest *cdr.Decoder) (*pendingCall, error) {
 	if hdr.Op != op {
 		return nil, orb.Marshal(fmt.Errorf("%w: header op %q != request op %q", ErrBadHeader, hdr.Op, op))
 	}
@@ -472,7 +484,8 @@ func (o *Object) enqueue(conn *transport.Conn, op string, hdr *invocationHeader,
 	if o.draining.Load() {
 		return nil, orb.Transient("object draining")
 	}
-	call := &pendingCall{token: hdr.Token, header: hdr, conn: conn, steps: rest, replyCh: make(chan callResult, 1)}
+	call := pendingCalls.Get().(*pendingCall)
+	*call = pendingCall{header: hdr, raw: raw, conn: conn, steps: rest, replyCh: call.replyCh}
 	if o.rec != nil {
 		call.enqueuedNS = time.Now().UnixNano()
 	}

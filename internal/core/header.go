@@ -56,8 +56,8 @@ type headerArg struct {
 	Spec   dist.Spec   // Out: the client's template for the result
 }
 
-// encode writes the header: the one function that does, for the request thread
-// 0 sends and for the directive the other computing threads learn a call from.
+// encode writes the header of the request thread 0 sends; the server's thread
+// 0 relays those bytes, as they arrived, in the directive (nextDirective).
 func (h *invocationHeader) encode(e *cdr.Encoder) {
 	e.WriteString(h.Op)
 	e.WriteEnum(uint32(h.Method))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -386,12 +387,16 @@ func TestBadStepInReplyDoesNotWedgeClient(t *testing.T) {
 // collectives, at two client and two server threads: one Request read by the
 // server, one Reply read by the client, and nothing else — no Data frame either
 // way, no bucket on any computing thread, no sink on any client thread's lane,
-// and no goroutine started for it on either side.
+// and no goroutine launched for the exchange while the upcall runs. That check
+// reads the stacks of the goroutines the calling thread started, not the
+// process's goroutine count, which the rest of the process moves.
 func TestInMessageCallIsOneExchange(t *testing.T) {
 	var served, received frameCount
 	var tc *testCluster
 	var mu sync.Mutex
-	var upcalls, buckets, goroutines int
+	var upcalls, buckets int
+	var caller string // under mu: client thread 0's goroutine, once the measured call is under way
+	launched := false
 	tc = startClusterOps(t, 2, false, func() []Operation {
 		return shapeOps(func(call *ServerCall) {
 			tc.objMu.Lock()
@@ -401,7 +406,8 @@ func TestInMessageCallIsOneExchange(t *testing.T) {
 			n := len(obj.buckets)
 			obj.bucketMu.Unlock()
 			mu.Lock()
-			upcalls, buckets, goroutines = upcalls+1, buckets+n, max(goroutines, runtime.NumGoroutine())
+			upcalls, buckets = upcalls+1, buckets+n
+			launched = launched || caller != "" && strings.Contains(allStacks(), "(*invocation).launch in goroutine "+caller+"\n")
 			mu.Unlock()
 		})
 	}, func(o *ExportOptions) { o.Server.Transport = &transport.Options{FrameHook: served.hook} })
@@ -426,10 +432,9 @@ func TestInMessageCallIsOneExchange(t *testing.T) {
 			served.take()
 			received.take()
 			mu.Lock()
-			upcalls, buckets, goroutines = 0, 0, 0
+			upcalls, buckets, caller = 0, 0, goroutineID()
 			mu.Unlock()
 		}
-		idle := runtime.NumGoroutine()
 		if err := c.Barrier(); err != nil {
 			return err
 		}
@@ -456,9 +461,64 @@ func TestInMessageCallIsOneExchange(t *testing.T) {
 		if upcalls != 2 || buckets != 0 {
 			return fmt.Errorf("%d upcalls saw %d buckets, want 2 and none", upcalls, buckets)
 		}
-		if goroutines > idle {
-			return fmt.Errorf("%d goroutines during the upcall, %d with the binding idle: the call started one", goroutines, idle)
+		if launched {
+			return fmt.Errorf("the call launched its exchange on a goroutine of its own")
 		}
 		return nil
 	})
+}
+
+// TestForeignOrderRequestReachesEveryThread: thread 0 relays the header to the
+// other computing threads as the request carried it, byte-order octet
+// included, so a request in the order a native client does not write — here
+// big-endian, from a hand-rolled peer — is served on every thread alike.
+func TestForeignOrderRequestReachesEveryThread(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[int]string{}
+	tc := startClusterOps(t, 2, false, func() []Operation {
+		return shapeOps(func(call *ServerCall) {
+			arr := ArgSeq[float64](call, 0)
+			mu.Lock()
+			seen[call.Comm.Rank()] = fmt.Sprintf("%s %d %v", call.Op, arr.Len(), arr.LocalData())
+			mu.Unlock()
+		})
+	})
+	tc.objMu.Lock()
+	ref := tc.objects[0].Ref()
+	tc.objMu.Unlock()
+	cli := orb.NewClient()
+	cli.Timeout = testTimeout
+	defer cli.Close()
+	vals := []float64{1, 2, 3, 4, 5, 6}
+	h := &invocationHeader{Op: "put", Token: 0x5eed, ClientRanks: 1, Scalars: ScalarEncoder().Bytes(),
+		Args: []headerArg{{Dir: In, Elem: "double", Layout: mustLayout(t, len(vals), 1)}}}
+	e := cdr.NewEncoder(cdr.BigEndian)
+	e.WriteOctet(byte(cdr.BigEndian))
+	h.encode(e)
+	writeStep(e, dseq.MarshalChunk(dseq.Float64, vals))
+	if _, err := cli.Invoke(ref, "put", e.Bytes(), false); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := map[int]string{0: "put 6 [1 2 3]", 1: "put 6 [4 5 6]"}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("the upcalls saw %v, want %v", seen, want)
+	}
+}
+
+// goroutineID is the calling goroutine's number, as stack traces print it.
+func goroutineID() string {
+	var buf [64]byte
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine "), " ")
+	return id
+}
+
+// allStacks is every goroutine's stack trace.
+func allStacks() string {
+	for n := 1 << 16; ; n *= 2 {
+		buf := make([]byte, n)
+		if m := runtime.Stack(buf, true); m < n {
+			return string(buf[:m])
+		}
+	}
 }

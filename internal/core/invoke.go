@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -67,6 +66,7 @@ type invocation struct {
 	op     string
 	args   []DistArg
 	desc   OpDesc
+	sh     shape
 	timing *Timing
 
 	// The profile the attempt was routed to: every leg resolves its
@@ -80,10 +80,10 @@ type invocation struct {
 	// delivers it when the forward leg launched the request beside the data.
 	reply   callResult
 	replyCh chan callResult
-	steps   *cdr.Decoder // the reply past its header: where a back leg placed in the message has its steps
-	ce      int          // the header's chunk size: the framed forward leg's, or what both direct legs start from; 0 for a leg in the message
-	offer   int          // the chunk size results may stream back in; 0 keeps them in the reply
-	mask    uint8        // framed forward leg: the compression mask thread 0 picked for it
+	steps   cdr.Decoder // thread 0: the reply past its header, where a back leg placed in the message has its steps
+	ce      int         // the header's chunk size: the framed forward leg's, or what both direct legs start from; 0 for a leg in the message
+	offer   int         // the chunk size results may stream back in; 0 keeps them in the reply
+	mask    uint8       // framed forward leg: the compression mask thread 0 picked for it
 }
 
 // legSeq is argument i as one centralized leg carries it: nil when its
@@ -233,12 +233,11 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	}
 	// Place the forward leg, and offer a stream for the back leg if there are
 	// results to take.
-	sh := shapeCentral
 	if method == Multiport {
-		sh, iv.ce = shapeDirect, b.chunkElems
+		iv.sh, iv.ce = shapeDirect, b.chunkElems
 	} else {
 		iv.ce = legChunkElems(b.chunkElems, len(args), func(i int) int { return seqLen(iv.legSeq(i, Out)) })
-		if slices.ContainsFunc(args, func(a DistArg) bool { return a.Dir != In }) {
+		if iv.desc.results() {
 			iv.offer = b.chunkElems
 		}
 	}
@@ -253,7 +252,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// direct moves to every thread — lands in the lane's sink, registered under
 	// (token, thread) for as long as an attempt runs; whatever is still in it
 	// when the invocation ends goes back to the pool.
-	sinks := sh == shapeDirect || (iv.offer != 0 && me == 0)
+	sinks := iv.sh == shapeDirect || (iv.offer != 0 && me == 0)
 	if sinks {
 		iv.sink = ln.dataSink()
 		defer drainData(iv.sink)
@@ -268,11 +267,11 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// been written.
 	var (
 		route orb.Route
-		stop  error // thread 0: the error the invocation ends with, once the walk stops
-		meta  invokeMeta
+		stop  error        // thread 0: the error the invocation ends with, once the walk stops
+		rh    *replyHeader // the attempt's reply header, as thread 0 received it
 	)
 	if me == 0 {
-		route = b.client.Route(b.ref, orb.InvokeOptions{ShardKey: shardKey, Idempotent: b.idempotent})
+		route = b.client.Route(b.ref, b.addrs, orb.InvokeOptions{ShardKey: shardKey, Idempotent: b.idempotent})
 	}
 	for {
 		if err := iv.pick(&route, stop, shardKey != nil); err != nil {
@@ -288,7 +287,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		fwdStart := time.Now()
 		iv.reply, iv.replyCh = callResult{}, nil
 		var fwdErr error
-		switch sh {
+		switch iv.sh {
 		case shapeCentral:
 			fwdErr = iv.sendCentral(scalars)
 		case shapeDirect:
@@ -297,28 +296,28 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 
 		// The communicating thread collects the reply (bounded by the client
 		// timeout even when another thread's sends failed and the server never
-		// answers), or says why the request never left; everyone shares it.
-		var replyErr error
+		// answers), or says why the request never left.
 		if me == 0 {
 			if iv.replyCh != nil {
 				iv.reply = <-iv.replyCh
 			}
 			// Thread 0's outcome of the attempt: the exchange's, or its leg's.
-			iv.reply.err = cmp.Or(iv.reply.err, fwdErr)
-			meta, iv.steps, replyErr = metaFromReply(iv.reply.reply, iv.reply.err, iv.offer, sh == shapeDirect, iv.desc.Args)
+			var err error
+			if iv.reply.err = cmp.Or(iv.reply.err, fwdErr); iv.reply.err == nil {
+				rh, err = iv.openReply()
+			}
+			fwdErr = cmp.Or(fwdErr, iv.reply.err, err)
 		}
 		if framed {
 			iv.phase(obs.PhaseSendRecv, fwdStart, time.Since(fwdStart))
 		}
-		if err := shareMeta(comm, &meta, replyErr); fwdErr == nil {
+		// One outcome per attempt: thread 0's reaches everyone. A send leg in
+		// the message is collectives only: what fails it reaches thread 0, which
+		// then sends nothing and shares why. A chunk write or a direct send
+		// fails on one thread alone, so on a framed leg every thread's error
+		// goes up first, and the lowest failing thread's is the outcome.
+		if err := iv.shareReply(&rh, fwdErr, framed); framed || fwdErr == nil {
 			fwdErr = err
-		}
-		// A send leg in the message is collectives only: what fails it reaches
-		// thread 0, which then sends nothing and shares why. A chunk write or a
-		// direct send fails on one thread alone, so a framed leg is agreed on
-		// before anyone waits for results.
-		if framed {
-			fwdErr = agree(comm, fwdErr)
 		}
 		if me == 0 {
 			if again, _ := route.Done(iv.reply.err); fwdErr != nil && !again {
@@ -347,36 +346,40 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	var backErr error
 	for i, a := range args {
 		if a.Dir == Out {
-			backErr = a.Seq.ResizeAlloc(meta.lengths[i])
-		} else if a.Dir == InOut && meta.lengths[i] != a.Seq.Len() {
-			backErr = fmt.Errorf("%w: inout arg %d length %d from server, have %d", ErrBadHeader, i, meta.lengths[i], a.Seq.Len())
+			backErr = a.Seq.ResizeAlloc(rh.Args[i].Length)
+		} else if a.Dir == InOut && rh.Args[i].Length != a.Seq.Len() {
+			backErr = fmt.Errorf("%w: inout arg %d length %d from server, have %d", ErrBadHeader, i, rh.Args[i].Length, a.Seq.Len())
 		}
 		if backErr != nil {
 			break
 		}
 	}
 	if backErr == nil {
-		switch sh {
+		switch iv.sh {
 		case shapeCentral:
-			backErr = iv.recvCentral(meta.ce)
+			backErr = iv.recvCentral(int(rh.ChunkElems))
 		case shapeDirect:
 			backErr = iv.recvDirect()
 		}
 	}
-	iv.phase(backPhase[sh], backStart, time.Since(backStart))
+	iv.phase(backPhase[iv.sh], backStart, time.Since(backStart))
 
 	// Post-invocation synchronization (the t_barrier of Table 2), fused with
 	// the error agreement so a thread whose return flows failed cannot leave
-	// the others in a hung barrier.
+	// the others in a hung barrier. A centralized back leg without results
+	// moves nothing and cannot fail, so no thread has anything to agree on.
+	if iv.sh == shapeCentral && !iv.desc.results() {
+		return rh.Scalars, nil
+	}
 	barrierStart := time.Now()
-	agreed := agree(comm, backErr)
-	if sh == shapeDirect {
+	_, agreed := agree(comm, backErr, okOutcome)
+	if iv.sh == shapeDirect {
 		iv.phase(obs.PhaseBarrier, barrierStart, time.Since(barrierStart))
 	}
 	if agreed != nil {
 		return nil, agreed
 	}
-	return meta.scalars, nil
+	return rh.Scalars, nil
 }
 
 // pick is the token agreement of one attempt: thread 0 takes the next profile
@@ -459,83 +462,53 @@ func (iv *invocation) newHeader(method Method, scalars []byte) *invocationHeader
 	return h
 }
 
-// invokeMeta is what the communicating thread learns from the reply and
-// shares with the others.
-type invokeMeta struct {
-	scalars []byte
-	lengths []int
-	ce      int // the chunk size the results streamed in; 0 when they ride in the reply
+// openReply opens thread 0's reply, into iv.steps, as decodeReplyHeader reads
+// it for the request sent, and refuses one that does not describe the
+// arguments sent or that carries, after its header, anything but the steps of a
+// back leg placed in the message (checkSteps). Those stay with thread 0, in
+// iv.steps.
+func (iv *invocation) openReply() (*replyHeader, error) {
+	direct := iv.sh == shapeDirect
+	if err := orb.OpenArgs(&iv.steps, iv.reply.reply); err != nil {
+		return nil, err
+	}
+	rh, err := decodeReplyHeader(&iv.steps, iv.offer, direct)
+	if err != nil {
+		return nil, err
+	}
+	if len(rh.Args) != len(iv.args) {
+		return nil, fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), len(iv.args))
+	}
+	return rh, checkSteps(iv.steps, iv.desc.Args, In, direct || rh.ChunkElems != 0)
 }
 
-// metaFromReply opens thread 0's reply as decodeReplyHeader reads it for a
-// request that offered streams of offered elements (direct: was multi-port),
-// and refuses one that does not describe the arguments sent, args, or that
-// carries, after its header, anything but the steps of a back leg placed in the
-// message (checkSteps). Those stay with thread 0, in the decoder returned.
-func metaFromReply(payload []byte, err error, offered int, direct bool, args []ArgDesc) (invokeMeta, *cdr.Decoder, error) {
-	if err != nil {
-		return invokeMeta{}, nil, err
+// shareReply makes thread 0's outcome of the attempt every thread's: the reply
+// header as it arrived — the bytes iv.steps has read — or its local error in
+// its place; the other threads decode the header into rh. Gathered, every
+// thread's local error goes up first and the lowest failing thread's takes
+// that place (agree); else it is one broadcast (share).
+func (iv *invocation) shareReply(rh **replyHeader, local error, gather bool) error {
+	produce := func(e *cdr.Encoder) error {
+		e.WriteRaw(iv.steps.Consumed())
+		return local
 	}
-	d, err := orb.ArgDecoder(payload)
-	if err != nil {
-		return invokeMeta{}, nil, err
-	}
-	rh, err := decodeReplyHeader(d, offered, direct)
-	if err != nil {
-		return invokeMeta{}, nil, err
-	}
-	if len(rh.Args) != len(args) {
-		return invokeMeta{}, nil, fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), len(args))
-	}
-	if err := checkSteps(*d, args, In, direct || rh.ChunkElems != 0); err != nil {
-		return invokeMeta{}, nil, err
-	}
-	m := invokeMeta{scalars: rh.Scalars, ce: int(rh.ChunkElems), lengths: make([]int, len(rh.Args))}
-	for i, a := range rh.Args {
-		m.lengths[i] = a.Length
-	}
-	return m, d, nil
-}
-
-// shareMeta is share of the invocation's outcome as thread 0 holds it: the
-// scalar results, the back leg's chunk size and the result lengths in m, or
-// replyErr in their place.
-func shareMeta(comm *rts.Comm, m *invokeMeta, replyErr error) error {
-	p, err := share(comm, func(e *cdr.Encoder) error {
-		if replyErr != nil {
-			return replyErr
+	var p []byte
+	var err error
+	if !gather {
+		p, err = share(iv.comm, produce)
+	} else {
+		clean := okOutcome
+		if iv.comm.Rank() == 0 && local == nil {
+			clean = encodeOutcome(produce)
 		}
-		e.WriteOctets(m.scalars)
-		e.WriteULong(uint32(m.ce))
-		e.WriteULong(uint32(len(m.lengths)))
-		for _, l := range m.lengths {
-			e.WriteULongLong(uint64(l))
-		}
-		return nil
-	})
-	if err != nil || comm.Rank() == 0 {
+		p, err = agree(iv.comm, local, clean)
+	}
+	if err != nil || iv.comm.Rank() == 0 {
 		return err
 	}
-	d := cdr.NewDecoder(p, cdr.NativeOrder)
-	if m.scalars, err = d.ReadOctets(); err != nil {
-		return err
+	var d cdr.Decoder
+	if err = orb.OpenArgs(&d, p); err == nil {
+		*rh, err = decodeReplyHeader(&d, iv.offer, iv.sh == shapeDirect)
 	}
-	ce, err := d.ReadULong()
-	if err != nil {
-		return err
-	}
-	m.ce = int(ce)
-	n, err := d.ReadULong()
-	if err != nil {
-		return err
-	}
-	m.lengths = make([]int, n)
-	for i := range m.lengths {
-		l, err := d.ReadULongLong()
-		if err != nil {
-			return err
-		}
-		m.lengths[i] = int(l)
-	}
-	return nil
+	return err
 }

@@ -278,6 +278,52 @@ func TestStreamedChunkAllocs(t *testing.T) {
 	})
 }
 
+// TestSmallCallAllocs is the allocation guard for the fixed skeleton: the
+// smallest call — a 128-element in argument in the message, at two client and
+// two server threads, the benchmark's small_call_central — may allocate 45
+// heap objects across the whole process, both sides together. Most of them are
+// the argument's and the exchange's: the sequences NewArgs builds, the header
+// each side decodes, the request and reply bodies. Measured on a 2-core x86-64
+// Xeon: 41.1 objects per call; 61.1 while every agreement's gather allocated a
+// per-rank slice at its root, the await timer, the pending call, the upcall's
+// ServerCall and the directive's header were fresh per call, and each call
+// rendered the reference's profile addresses again.
+func TestSmallCallAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation measurement in -short mode or with pools the race detector empties")
+	}
+	const (
+		calls  = 2000
+		budget = 45
+	)
+	tc := startClusterOps(t, 2, false, func() []Operation { return shapeOps(func(*ServerCall) {}) })
+	tc.runClientOpts(t, 2, BindOptions{Timeout: testTimeout}, func(c *rts.Comm, b *Binding) error {
+		arr, err := dseq.New(c, dseq.Float64, 128, nil)
+		if err != nil {
+			return err
+		}
+		scalars, args := ScalarEncoder().Bytes(), []DistArg{InSeq(arr)}
+		put := func() error {
+			_, err := b.Invoke("put", scalars, args)
+			return err
+		}
+		for i := 0; i < 100; i++ { // pools, connections and the adapter's worker
+			if err := put(); err != nil {
+				return err
+			}
+		}
+		_, objects, err := costPerCall(c, calls, put)
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		t.Logf("small in-message call: %.2f objects per call", objects)
+		if objects > budget {
+			return fmt.Errorf("a small in-message call allocates %.2f objects, budget %d", objects, budget)
+		}
+		return nil
+	})
+}
+
 // costPerCall returns, at thread 0, the bytes and the heap objects the whole
 // process allocates per collective call, over calls calls after one that warms
 // pools and connections. Only thread 0 reads the process-wide counters, between

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cdr"
@@ -51,9 +53,10 @@ func (o *Object) Serve() error {
 // "interrupt its computation in order to process outstanding requests"
 // (paper §2.1). The boolean result reports whether serving should continue.
 //
-// A round is three steps on every thread: thread 0's directive reaches
-// everyone in one broadcast, the threads carry it out together, and thread
-// 0's verdict — does serving end here — closes the round.
+// A round is two steps on every thread: thread 0's directive reaches everyone
+// in one broadcast, and the threads carry it out together. Thread 0's verdict —
+// does serving end here — rides a call's upcall agreement, or closes a resize
+// round in a broadcast of its own, once the controller has decided it.
 func (o *Object) Poll(block bool) (bool, error) {
 	var (
 		call   *pendingCall
@@ -77,7 +80,6 @@ func (o *Object) Poll(block bool) (bool, error) {
 		}
 		return false, err
 	}
-	stop := false
 	switch dir[0] {
 	case directiveStop:
 		return false, nil
@@ -86,63 +88,57 @@ func (o *Object) Poll(block bool) (bool, error) {
 	case directiveResize:
 		// Thread 0 reports the agreed snapshot outcome to the controller and
 		// relays its decision: commit retires this epoch, abort resumes it.
-		agreed := agree(o.comm, o.callResizeHook())
+		_, agreed := agree(o.comm, o.callResizeHook(), okOutcome)
+		verdict := verdicts[false]
 		if ticket != nil {
 			ticket.snapDone <- agreed
-			stop = <-ticket.commit
+			verdict = verdicts[<-ticket.commit]
 		}
+		if verdict, err = o.comm.Bcast(0, verdict); err != nil {
+			return false, err
+		}
+		return !bytes.Equal(verdict, verdicts[true]), nil
 	case directiveCall:
-		// The kind, the reply leg's compression mask, then the header.
+		// The kind, the reply leg's compression mask, then the header as the
+		// request carried it, from its byte-order octet on.
 		if len(dir) < 2 {
 			return false, fmt.Errorf("%w: call directive without its reply mask", ErrBadHeader)
 		}
-		var hdr *invocationHeader
+		var (
+			hdr   *invocationHeader
+			conn  *transport.Conn
+			steps *cdr.Decoder
+		)
 		if call != nil {
-			hdr = call.header
+			hdr, conn, steps = call.header, call.conn, call.steps
 		} else {
-			d := cdr.NewDecoder(dir, cdr.NativeOrder)
-			if _, err := d.ReadRaw(2); err != nil {
-				return false, err
+			var d cdr.Decoder
+			if err = orb.OpenArgs(&d, dir[2:]); err == nil {
+				hdr, err = decodeInvocationHeader(&d)
 			}
-			if hdr, err = decodeInvocationHeader(d); err != nil {
+			if err != nil {
 				return false, err
 			}
 		}
 		// Handler errors are reported through thread 0's reply; the other
 		// threads keep serving.
-		var reply []byte
-		var conn *transport.Conn
-		var steps *cdr.Decoder
-		if call != nil {
-			conn, steps = call.conn, call.steps
-		}
-		reply, stop, err = o.processCall(hdr, conn, steps, dir[1])
+		reply, stop, err := o.processCall(hdr, conn, steps, dir[1])
 		if call != nil {
 			call.replyCh <- callResult{reply: reply, err: err}
 		}
+		return !stop, nil
 	default:
 		return false, fmt.Errorf("%w: directive %d", ErrBadHeader, dir[0])
 	}
-	var verdict []byte
-	if o.comm.Rank() == 0 {
-		verdict = verdictMsgs[0]
-		if stop {
-			verdict = verdictMsgs[1]
-		}
-	}
-	if verdict, err = o.comm.Bcast(0, verdict); err != nil {
-		return false, err
-	}
-	return len(verdict) != 1 || verdict[0] != 1, nil
 }
 
 // nextDirective is thread 0's choice of the round: the next queued call (its
-// directive is the compression mask of its reply leg and the header; steps
-// placed in the message stay at the thread that scatters them), a resize
-// ticket, stop, or — a non-blocking poll that found nothing — none. The mask is
-// the object's when the request offers a result stream, unless the Auto
-// policy vetoes it on the request's connection; it is used only if the reply
-// leg turns out framed.
+// directive is the compression mask of its reply leg and the header's bytes,
+// copied once; steps placed in the message stay at the thread that scatters
+// them), a resize ticket, stop, or — a non-blocking poll that found nothing —
+// none. The mask is the object's when the request offers a result stream,
+// unless the Auto policy vetoes it on the request's connection; it is used only
+// if the reply leg turns out framed.
 func (o *Object) nextDirective(block bool) (call *pendingCall, ticket *resizeTicket, dir []byte) {
 	if block {
 		// Priority select: requests already queued drain before a pending
@@ -178,28 +174,26 @@ func (o *Object) nextDirective(block bool) (call *pendingCall, ticket *resizeTic
 		}
 	}
 	if o.rec != nil && call.enqueuedNS != 0 {
-		o.rec.Record(obs.Span{Trace: uint64(call.token), Phase: obs.PhaseQueue, Rank: 0,
+		o.rec.Record(obs.Span{Trace: uint64(call.header.Token), Phase: obs.PhaseQueue, Rank: 0,
 			Start: call.enqueuedNS, Dur: time.Now().UnixNano() - call.enqueuedNS})
 	}
 	var mask uint8
 	if call.header.ResultChunkElems != 0 {
 		mask = legMask(o.opts.Compression, o.opts.CompressionPolicy, call.conn.WriteBandwidth)
 	}
-	e := cdr.NewEncoder(cdr.NativeOrder)
-	e.WriteOctet(directiveCall)
-	e.WriteOctet(mask)
-	call.header.encode(e)
-	return call, nil, e.Bytes()
+	dir = append(make([]byte, 0, 2+len(call.raw)), directiveCall, mask)
+	return call, nil, append(dir, call.raw...)
 }
 
-// Shared one-byte directive and verdict messages: the broadcast payloads are
-// read-only everywhere, so every Poll round reuses these instead of
-// allocating fresh single-byte slices.
+// Shared directive and verdict messages: the broadcast payloads are read-only
+// everywhere, so every Poll round reuses these instead of allocating fresh
+// ones. A verdict — does serving end here — is the clean outcome and a flag
+// octet, what a call's upcall agreement (processCall) carries.
 var (
 	directiveNoneMsg   = []byte{directiveNone}
 	directiveStopMsg   = []byte{directiveStop}
 	directiveResizeMsg = []byte{directiveResize}
-	verdictMsgs        = [2][]byte{{0}, {1}}
+	verdicts           = map[bool][]byte{false: append(slices.Clip(okOutcome), 0), true: append(slices.Clip(okOutcome), 1)}
 )
 
 // resizeTicket is the controller's handle on one in-loop resize: thread 0's
@@ -222,16 +216,18 @@ func (o *Object) callResizeHook() error {
 
 // processCall runs one collective invocation on this computing thread, the
 // server's half of the skeleton invoke is the client's: receive leg, agree,
-// upcall, agree, send leg, agree. The receive leg is the one the header names;
-// the send leg is placed here, once the upcall has fixed the result lengths.
+// upcall, agree, send leg, agree — the last only for an operation that returns
+// results (OpDesc.results): without any, the send leg moves nothing and cannot
+// fail. The receive leg is the one the header names; the send leg is placed
+// here, once the upcall has fixed the result lengths.
 // A leg's failure is captured, not returned: every thread must reach the
 // agreement after it, so a client that died mid-transfer (this thread's
 // receive timed out) fails the upcall coherently everywhere instead of
 // wedging the collective loop. conn and steps are thread 0's: the connection
 // the request arrived on, and the request past its header; mask is the
 // directive's, what a framed send leg compresses with; the reply bytes are
-// meaningful on thread 0 only; stop reports whether the handler requested an
-// orderly shutdown.
+// meaningful on thread 0 only; stop reports whether thread 0's handler
+// requested an orderly shutdown, as the upcall agreement carried it.
 func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *cdr.Decoder, mask uint8) (reply []byte, stop bool, err error) {
 	op := o.ops[h.Op] // validated on thread 0 before broadcast
 	if op == nil {
@@ -292,40 +288,38 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *c
 		}
 	}
 	o.span(h.Token, obs.PhaseRecvXfer, recvStart, 0)
-	if agreed := agree(o.comm, recvErr); agreed != nil {
+	if _, agreed := agree(o.comm, recvErr, okOutcome); agreed != nil {
 		// No thread runs the handler; thread 0 replies with the agreed
 		// error and serving continues.
 		return nil, false, agreed
 	}
 
-	// The collective upcall. The scalar-results encoder is per-object
-	// scratch: encodeReplyPrefix copies its bytes into the reply stream
-	// before the next invocation can reset it.
+	// The collective upcall, on per-object scratch: the ServerCall, its In
+	// decoder and its Out encoder, whose bytes encodeReplyPrefix copies into
+	// the reply stream before the next invocation can reset it.
 	if o.outScratch == nil {
 		o.outScratch = orb.NewArgEncoder()
 	} else {
 		orb.ResetArgEncoder(o.outScratch)
 	}
 	out := o.outScratch
+	o.upcall = ServerCall{Comm: o.comm, Op: h.Op, In: &o.in, Out: out, Args: args}
 	upcallStart := time.Now()
-	herr := func() error {
-		scalars, err := orb.ArgDecoder(h.Scalars)
-		if err != nil {
-			return orb.Marshal(err)
-		}
-		call := &ServerCall{Comm: o.comm, Op: h.Op, In: scalars, Out: out, Args: args}
-		return safeInvoke(op.Handler, call)
-	}()
-	o.span(h.Token, obs.PhaseUpcall, upcallStart, 0)
-	if herr != nil && errors.Is(herr, ErrStopServing) {
-		stop = true
-		herr = nil
+	herr := orb.OpenArgs(&o.in, h.Scalars)
+	if herr != nil {
+		herr = orb.Marshal(herr)
+	} else if herr = safeInvoke(op.Handler, &o.upcall); errors.Is(herr, ErrStopServing) {
+		stop, herr = true, nil
 	}
+	o.upcall, o.in = ServerCall{}, cdr.Decoder{} // holding no argument until the next upcall
+	o.span(h.Token, obs.PhaseUpcall, upcallStart, 0)
 	// Synchronize after the invocation (the paper's post-invocation
 	// synchronization of the server's computing threads), fused with error
 	// agreement: a handler failure on any thread — previously invisible to
-	// the client unless it was thread 0's — fails the upcall everywhere.
-	if agreed := agree(o.comm, herr); agreed != nil {
+	// the client unless it was thread 0's — fails the upcall everywhere. Its
+	// broadcast carries thread 0's verdict, which every thread returns.
+	tail, agreed := agree(o.comm, herr, verdicts[stop])
+	if stop = bytes.Equal(tail, verdicts[true][len(okOutcome):]); agreed != nil {
 		return nil, stop, agreed
 	}
 
@@ -363,8 +357,10 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *c
 		}
 	}
 	o.span(h.Token, obs.PhaseSendXfer, sendStart, 0)
-	if agreed := agree(o.comm, sendErr); agreed != nil {
-		return nil, stop, agreed
+	if op.Desc.results() {
+		if _, sendErr = agree(o.comm, sendErr, okOutcome); sendErr != nil {
+			return nil, stop, sendErr
+		}
 	}
 	if e != nil {
 		reply = e.Bytes()

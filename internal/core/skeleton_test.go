@@ -19,9 +19,10 @@ import (
 // shapeCase is one row of the table the two tests below walk: an invocation
 // that takes one transfer shape, at two client and two server threads, with
 // what the fixed skeleton of DESIGN.md §8 costs and reports for it. The
-// numbers and sets were measured at the parent of the change that folded the
-// three client engines into one skeleton; a change that moves one of them has
-// changed the collective sequence or the observable phases of that shape.
+// sets were measured at the parent of the change that folded the three client
+// engines into one skeleton, the numbers once no agreement was left where no
+// thread can disagree; a change that moves one of them has changed the
+// collective sequence or the observable phases of that shape.
 type shapeCase struct {
 	name   string
 	method Method
@@ -33,7 +34,7 @@ type shapeCase struct {
 	sharded  bool // the invocation carries a shard key
 	// Collectives per invocation on the client's lane communicator and on
 	// the server's engine communicator (one full serving round: directive,
-	// the three agreements, the transfers, the verdict).
+	// the transfers and the agreements, the upcall's carrying the verdict).
 	client, server int
 	shapeSets
 }
@@ -78,28 +79,34 @@ var (
 )
 
 var invocationShapes = []shapeCase{
-	{name: "inline-in", method: Centralized, op: "put", elems: 64, client: 5, server: 9, shapeSets: inlineSets},
-	{name: "inline-out", method: Centralized, op: "get", elems: 64, client: 5, server: 9, shapeSets: inlineSets},
+	// An in-only centralized call agrees on nothing after its reply: its back
+	// leg moves nothing and cannot fail, on either side.
+	{name: "inline-in", method: Centralized, op: "put", elems: 64, client: 3, server: 6, shapeSets: inlineSets},
+	{name: "inline-out", method: Centralized, op: "get", elems: 64, client: 5, server: 8, shapeSets: inlineSets},
 	// Each leg is placed by itself: a result one element short of two chunks
 	// rides in the reply. A shard key changes where the call goes, not its
 	// legs: a sharded call costs what the same call without a key does.
-	{name: "inline-out-under-two-chunks", method: Centralized, op: "get", elems: 2*shapeChunk - 1, client: 5, server: 9, shapeSets: inlineSets},
-	{name: "inline-out-sharded", method: Centralized, op: "get", elems: 64, sharded: true, client: 5, server: 9, shapeSets: inlineSets},
-	{name: "chunked-out", method: Centralized, op: "get", elems: 4 * shapeChunk, client: 6, server: 10, shapeSets: chunkedOutSets},
-	{name: "chunked-out-sharded", method: Centralized, op: "get", elems: 4 * shapeChunk, sharded: true, client: 6, server: 10, shapeSets: chunkedOutSets},
-	{name: "inline-in-chunked-out", method: Centralized, op: "fill", elems: 4 * shapeChunk, client: 7, server: 11, shapeSets: chunkedOutSets},
-	{name: "chunked-in", method: Centralized, op: "put", elems: 4 * shapeChunk, client: 8, server: 10, shapeSets: chunkedInSets},
-	{name: "chunked-inout", method: Centralized, op: "swap", elems: 4 * shapeChunk, client: 10, server: 12, shapeSets: chunkedInOutSets},
+	{name: "inline-out-under-two-chunks", method: Centralized, op: "get", elems: 2*shapeChunk - 1, client: 5, server: 8, shapeSets: inlineSets},
+	{name: "inline-out-sharded", method: Centralized, op: "get", elems: 64, sharded: true, client: 5, server: 8, shapeSets: inlineSets},
+	{name: "chunked-out", method: Centralized, op: "get", elems: 4 * shapeChunk, client: 6, server: 9, shapeSets: chunkedOutSets},
+	{name: "chunked-out-sharded", method: Centralized, op: "get", elems: 4 * shapeChunk, sharded: true, client: 6, server: 9, shapeSets: chunkedOutSets},
+	{name: "inline-in-chunked-out", method: Centralized, op: "fill", elems: 4 * shapeChunk, client: 7, server: 10, shapeSets: chunkedOutSets},
+	// A framed forward leg's outcome is one gather-then-broadcast: the reply's
+	// meta from thread 0, or the lowest failing thread's leg error.
+	{name: "chunked-in", method: Centralized, op: "put", elems: 4 * shapeChunk, client: 5, server: 7, shapeSets: chunkedInSets},
+	{name: "chunked-inout", method: Centralized, op: "swap", elems: 4 * shapeChunk, client: 9, server: 11, shapeSets: chunkedInOutSets},
 	// Compression costs no collective: the sender's mask rides the token
 	// (client) or the directive (server), so a compressed row is its raw twin.
 	{name: "chunked-in-compressed", method: Centralized, op: "put", elems: 4 * shapeChunk, compress: true,
-		client: 8, server: 10, shapeSets: chunkedInSets},
+		client: 5, server: 7, shapeSets: chunkedInSets},
 	{name: "chunked-out-compressed", method: Centralized, op: "get", elems: 4 * shapeChunk, compress: true,
-		client: 6, server: 10, shapeSets: chunkedOutSets},
+		client: 6, server: 9, shapeSets: chunkedOutSets},
 	{name: "chunked-inout-compressed", method: Centralized, op: "swap", elems: 4 * shapeChunk, compress: true,
-		client: 10, server: 12, shapeSets: chunkedInOutSets},
-	{name: "direct-in", method: Multiport, op: "put", elems: 64, client: 6, server: 8, shapeSets: directInSets},
-	{name: "direct-inout", method: Multiport, op: "swap", elems: 64, client: 6, server: 8, shapeSets: directInOutSets},
+		client: 9, server: 11, shapeSets: chunkedInOutSets},
+	// A direct call keeps its trailing agreement, Table 2's t_barrier; the
+	// server's send leg is agreed on only when it returns results.
+	{name: "direct-in", method: Multiport, op: "put", elems: 64, client: 5, server: 5, shapeSets: directInSets},
+	{name: "direct-inout", method: Multiport, op: "swap", elems: 64, client: 5, server: 7, shapeSets: directInOutSets},
 }
 
 // shapeOps is the operation table of the shape tests: handlers that issue no

@@ -516,6 +516,6 @@ func (iv *invocation) sendCentral(scalars []byte) error {
 // thread 0 holds, after its header.
 func (iv *invocation) recvCentral(ce int) error {
 	w := frameWait{ch: iv.sink, timeout: iv.b.client.Timeout, token: iv.token}
-	return recvChunks(iv.comm, &w, iv.steps, true, ce, len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, In) },
+	return recvChunks(iv.comm, &w, &iv.steps, true, ce, len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, In) },
 		func(t time.Time) { iv.phase(obs.PhaseChunkRecv, t, time.Since(t)) })
 }

@@ -35,15 +35,21 @@ func ResetArgEncoder(e *cdr.Encoder) {
 // payload is valid (operation with no arguments/results) and yields an
 // exhausted decoder.
 func ArgDecoder(payload []byte) (*cdr.Decoder, error) {
+	d := new(cdr.Decoder)
+	return d, OpenArgs(d, payload)
+}
+
+// OpenArgs is ArgDecoder into a decoder the caller holds — on its stack, or
+// kept for reuse — so opening a payload allocates nothing.
+func OpenArgs(d *cdr.Decoder, payload []byte) error {
 	if len(payload) == 0 {
-		return cdr.NewDecoder(nil, cdr.NativeOrder), nil
+		*d = *cdr.NewDecoder(nil, cdr.NativeOrder)
+		return nil
 	}
 	if payload[0] > 1 {
-		return nil, fmt.Errorf("%w: argument payload order flag %d", cdr.ErrInvalid, payload[0])
+		return fmt.Errorf("%w: argument payload order flag %d", cdr.ErrInvalid, payload[0])
 	}
-	d := cdr.NewDecoder(payload, cdr.ByteOrder(payload[0]))
-	if _, err := d.ReadOctet(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	*d = *cdr.NewDecoder(payload, cdr.ByteOrder(payload[0]))
+	_, err := d.ReadOctet()
+	return err
 }

@@ -427,6 +427,10 @@ var replyChans = sync.Pool{New: func() any { return make(chan *wire.Reply, 1) }}
 
 func putReplyCh(ch chan *wire.Reply) { replyChans.Put(ch) }
 
+// awaitTimers pools the timers that bound await: a stopped timer delivers
+// nothing stale after its Reset (Go 1.23 timers).
+var awaitTimers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+
 func (cc *clientConn) register(id uint32) (chan *wire.Reply, error) {
 	ch := replyChans.Get().(chan *wire.Reply)
 	cc.mu.Lock()
@@ -580,7 +584,9 @@ func (c *Client) await(cc *clientConn, ch chan *wire.Reply, id uint32, deadline 
 	}
 	var timeout <-chan time.Time
 	if bound > 0 {
-		t := time.NewTimer(bound)
+		t := awaitTimers.Get().(*time.Timer)
+		t.Reset(bound)
+		defer awaitTimers.Put(t)
 		defer t.Stop()
 		timeout = t.C
 	}

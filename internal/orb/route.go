@@ -13,7 +13,7 @@ type Route struct {
 	c       *Client
 	ref     IOR
 	o       InvokeOptions
-	addrs   []string    // each profile's primary address, resolved by the first Next
+	addrs   []string    // each profile's primary address, in ProfileAddrs order
 	g       *shardGroup // the ring and its instruments; nil for a keyless walk
 	order   []int       // the ring order; nil walks primary first
 	pos     int         // how much of the order has been consumed
@@ -22,23 +22,21 @@ type Route struct {
 	lastErr error       // the last failure moved past
 }
 
-// Route starts the walk of one invocation with options o over ref's profiles.
-func (c *Client) Route(ref IOR, o InvokeOptions) Route { return Route{c: c, ref: ref, o: o} }
+// Route starts the walk of one invocation with options o over ref's profiles,
+// whose primary addresses are addrs (ref.ProfileAddrs): the walk renders none,
+// so a holder of the reference renders them once for all its walks.
+func (c *Client) Route(ref IOR, addrs []string, o InvokeOptions) Route {
+	return Route{c: c, ref: ref, addrs: addrs, o: o}
+}
 
 // Next returns the profile the next attempt goes to: its index in
 // ProfileAddrs order and its primary address. With no profile left it returns
 // the error the walk ends with: the last failure moved past, or
 // ErrAllEndpointsDown when every profile was spilled past.
 func (r *Route) Next() (int, string, error) {
-	if r.addrs == nil {
-		var err error
-		if r.addrs, err = r.ref.ProfileAddrs(); err != nil {
-			return -1, "", err
-		}
-		if r.o.ShardKey != nil {
-			r.g = r.c.shardGroupFor(r.addrs)
-			r.order = r.g.ring.Order(r.o.ShardKey)
-		}
+	if r.o.ShardKey != nil && r.g == nil {
+		r.g = r.c.shardGroupFor(r.addrs)
+		r.order = r.g.ring.Order(r.o.ShardKey)
 	}
 	for r.pos < len(r.addrs) {
 		r.cur = r.pos
@@ -136,7 +134,11 @@ func (c *Client) InvokeOpts(ref IOR, op string, args []byte, o InvokeOptions) ([
 // InvokeSharded is InvokeOpts that also returns the index (in ProfileAddrs
 // order) of the profile that served — with a ShardKey, the shard — or -1.
 func (c *Client) InvokeSharded(ref IOR, op string, args []byte, o InvokeOptions) ([]byte, int, error) {
-	r := c.Route(ref, o)
+	addrs, err := ref.ProfileAddrs()
+	if err != nil {
+		return nil, -1, err
+	}
+	r := c.Route(ref, addrs, o)
 	for {
 		idx, addr, err := r.Next()
 		if err != nil {

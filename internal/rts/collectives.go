@@ -111,12 +111,19 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 // Gather collects each rank's data at root. At root the result has one entry
 // per rank (result[r] is rank r's contribution, in particular root's own
 // data appears at result[root]); at other ranks the result is nil. Variable
-// per-rank sizes are allowed (this doubles as MPI's Gatherv).
+// per-rank sizes are allowed (this doubles as MPI's Gatherv). The root's
+// result is the communicator's own slice, like MPI's receive buffer: it is
+// valid until this rank's next collective on the communicator, which may
+// overwrite it, so a caller consumes it before then or copies it. The
+// contributions it points to are the senders' and stay valid.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	if err := c.checkRank(root); err != nil {
 		return nil, err
 	}
 	tag := collTag(opGather, c.nextSeq())
+	if c.rank == root && c.gathered == nil {
+		c.gathered = make([][]byte, c.world.size)
+	}
 	switch c.world.opts.Gather {
 	case GatherBinomial:
 		return c.gatherBinomial(root, tag, data)
@@ -131,7 +138,7 @@ func (c *Comm) gatherFlat(root, tag int, data []byte) ([][]byte, error) {
 	if c.rank != root {
 		return nil, c.send(root, tag, data)
 	}
-	out := make([][]byte, c.world.size)
+	out := c.gathered
 	out[root] = data
 	for i := 0; i < c.world.size-1; i++ {
 		d, st, err := c.recvColl(AnySource, tag)
@@ -174,7 +181,7 @@ func (c *Comm) gatherBinomial(root, tag int, data []byte) ([][]byte, error) {
 		parent := (vrank&(vrank-1) + root) % n
 		return nil, c.send(parent, tag, encodeBundle(acc))
 	}
-	out := make([][]byte, n)
+	out := c.gathered
 	for r, b := range acc {
 		out[r] = b
 	}

@@ -111,6 +111,70 @@ func testGatherAllRoots(t *testing.T, alg GatherAlgorithm) {
 func TestGatherFlat(t *testing.T)     { testGatherAllRoots(t, GatherFlat) }
 func TestGatherBinomial(t *testing.T) { testGatherAllRoots(t, GatherBinomial) }
 
+// TestGatherReusesRootResult pins Gather's buffer rule: the root's result is
+// the communicator's one slice, so the next Gather on it hands the same slice
+// back, holding the new contributions, with either algorithm.
+func TestGatherReusesRootResult(t *testing.T) {
+	for _, alg := range []GatherAlgorithm{GatherFlat, GatherBinomial} {
+		w := NewWorld(3, Options{RecvTimeout: 10 * time.Second, Gather: alg})
+		t.Cleanup(w.Close)
+		err := w.Run(func(c *Comm) error {
+			first, err := c.Gather(0, []byte{1, byte(c.Rank())})
+			if err != nil {
+				return err
+			}
+			second, err := c.Gather(0, []byte{2, byte(c.Rank())})
+			if err != nil || c.Rank() != 0 {
+				return err
+			}
+			if &first[0] != &second[0] {
+				return fmt.Errorf("gather %d: the second Gather's result is a new slice", alg)
+			}
+			for r, p := range second {
+				if !bytes.Equal(p, []byte{2, byte(r)}) {
+					return fmt.Errorf("gather %d: second result holds %v from rank %d", alg, p, r)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAllgatherReduceResultsIndependent: the collectives built on Gather
+// consume its result before they return, so what they return is the caller's
+// and a later call leaves it alone.
+func TestAllgatherReduceResultsIndependent(t *testing.T) {
+	concat := func(a, b []byte) ([]byte, error) { return append(append([]byte(nil), a...), b...), nil }
+	run(t, 3, func(c *Comm) error {
+		all1, err := c.Allgather([]byte{1, byte(c.Rank())})
+		if err != nil {
+			return err
+		}
+		red1, err := c.Reduce(0, []byte{byte(c.Rank())}, concat)
+		if err != nil {
+			return err
+		}
+		if _, err := c.Allgather([]byte{9, 9}); err != nil {
+			return err
+		}
+		if _, err := c.Reduce(0, []byte{9}, concat); err != nil {
+			return err
+		}
+		for r, p := range all1 {
+			if !bytes.Equal(p, []byte{1, byte(r)}) {
+				return fmt.Errorf("rank %d: first Allgather's entry %d became %v", c.Rank(), r, p)
+			}
+		}
+		if c.Rank() == 0 && !bytes.Equal(red1, []byte{0, 1, 2}) {
+			return fmt.Errorf("first Reduce's result became %v", red1)
+		}
+		return nil
+	})
+}
+
 func TestScatterAllRoots(t *testing.T) {
 	forSizes(t, func(t *testing.T, n int) {
 		run(t, n, func(c *Comm) error {

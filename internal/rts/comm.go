@@ -26,6 +26,8 @@ type Comm struct {
 	// rank calls collectives in the same order (SPMD requirement), so the
 	// sequence numbers agree without communication.
 	collSeq int
+	// gathered is the result Gather returns at the root, one slot per rank.
+	gathered [][]byte
 }
 
 // Rank returns this communicator's rank in [0, Size).
