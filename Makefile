@@ -69,7 +69,8 @@ race:
 
 # The admission ledger (stats_test.go), the fan-in accounting suite
 # (fanin_test.go), the transport's pool-balance suites (zero-copy writes, the
-# recycled Data struct, reassembly and its failure paths), and the buffer
+# recycled Data struct, a message read as one exact body and a fragmented
+# one refused at its header), and the buffer
 # pool's own hammer with the chunk-buffer ledger, fault and run-ahead suites and the one chunk sender's
 # (the last three packages under -race: their failure mode is a buffer observed
 # while on loan) and, beside it, the direct legs' chunk ledger with the schedule
@@ -92,7 +93,7 @@ flake:
 		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers|TestLostConnectionPoisonsOnlyItsSinks' \
 		./internal/orb
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestDataReadRecycles|TestFragmentedDataPreallocation|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames' \
+		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestDataReadRecycles|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames' \
 		./internal/transport
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq

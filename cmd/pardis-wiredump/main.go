@@ -11,8 +11,7 @@
 //	                                   # (as written by pardis-bench -spandump)
 //	pardis-wiredump -frames capture.bin
 //	                                   # also print each frame header: type,
-//	                                   # byte order, body size, "more" when
-//	                                   # fragments follow
+//	                                   # byte order, body size
 package main
 
 import (
@@ -34,7 +33,7 @@ import (
 func main() {
 	ior := flag.String("ior", "", "decode a stringified object reference instead of a stream")
 	spans := flag.String("spans", "", "pretty-print a trace span dump (file or -) instead of a stream")
-	frames := flag.Bool("frames", false, "print each frame header (type, order, size, more) alongside messages")
+	frames := flag.Bool("frames", false, "print each frame header (type, order, size) alongside messages")
 	flag.Parse()
 
 	if *spans != "" {
@@ -77,11 +76,7 @@ func main() {
 	var opts *transport.Options
 	if *frames {
 		opts = &transport.Options{FrameHook: func(h wire.Header) {
-			line := fmt.Sprintf("  frame %v order=%v size=%d", h.Type, h.Order(), h.Size)
-			if h.More() {
-				line += " more"
-			}
-			fmt.Println(line)
+			fmt.Printf("  frame %v order=%v size=%d\n", h.Type, h.Order(), h.Size)
 		}}
 	}
 	conn := transport.NewConn(readOnly{r}, opts)

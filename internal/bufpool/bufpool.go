@@ -5,8 +5,7 @@
 // The rule. A buffer is rented by whoever renders bytes into it — the
 // connection reading a frame, the rank marshalling a gather part or a scatter
 // piece — and returned by whoever consumes those bytes, exactly once, when
-// nothing aliases them any more: the transport once it has copied a fragment
-// into the reassembly accumulator, the final consumer of a wire.Data through
+// nothing aliases them any more: the final consumer of a wire.Data through
 // Data.Release, the gather root once a part is placed, the scatter owner once
 // its elements are stored. In between exactly one party references the
 // buffer; the renderer does not touch it after the hand-off and never takes it
@@ -65,7 +64,7 @@ type Pool struct {
 // drains) is left to the collector, never taken back while a mailbox may still
 // reference it, so Chunks balances only after fault-free transfers.
 var (
-	Frames Pool // transport receive frames and reassembly accumulators
+	Frames Pool // transport receive frames
 	Chunks Pool // dseq gather parts and scatter pieces
 )
 

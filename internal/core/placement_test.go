@@ -89,7 +89,7 @@ func TestReplyLegChunkSchedule(t *testing.T) {
 					return nil
 				}
 				got, reply := received.take()
-				if got[wire.MsgData] != tt.frames || got[wire.MsgReply] != 1 || got[wire.MsgFragment] != 0 {
+				if got[wire.MsgData] != tt.frames || got[wire.MsgReply] != 1 {
 					return fmt.Errorf("the client read %v, want %d Data frames and one Reply", got, tt.frames)
 				}
 				if reply > 128 {

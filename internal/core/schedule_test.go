@@ -334,21 +334,18 @@ func TestChunkElemsFor(t *testing.T) {
 // TestDirectLegFrames pins what the paper's argument puts on the wire as a
 // multi-port in argument at two client and two server threads: every server
 // thread takes its half in 32 chunks of 8 192 elements, none of which needs a
-// frame over the 64 KiB class, where it took one 2 MiB message in 8 fragments
-// before the direct legs ran the chunk mover.
+// frame over the 64 KiB class, where it took one 2 MiB message before the
+// direct legs ran the chunk mover.
 func TestDirectLegFrames(t *testing.T) {
 	const elems = 1 << 19
 	var mu sync.Mutex
-	var data, biggest, fragments int
+	var data, biggest int
 	hook := func(h wire.Header) {
 		mu.Lock()
 		defer mu.Unlock()
-		switch h.Type {
-		case wire.MsgData:
+		if h.Type == wire.MsgData {
 			data++
 			biggest = max(biggest, int(h.Size))
-		case wire.MsgFragment:
-			fragments++
 		}
 	}
 	rec := obs.NewRecorder(1024)
@@ -375,8 +372,8 @@ func TestDirectLegFrames(t *testing.T) {
 	})
 	mu.Lock()
 	defer mu.Unlock()
-	if want := elems / DefaultStreamChunkElems; data != want || fragments != 0 || biggest > 1<<16+bufpool.Headroom {
-		t.Fatalf("the server read %d Data frames (largest %d bytes) and %d fragments, want %d frames of the 64 KiB class", data, biggest, fragments, want)
+	if want := elems / DefaultStreamChunkElems; data != want || biggest > 1<<16+bufpool.Headroom {
+		t.Fatalf("the server read %d Data frames (largest %d bytes), want %d frames of the 64 KiB class", data, biggest, want)
 	}
 	for rank := int32(0); rank < 2; rank++ {
 		chunks := 0

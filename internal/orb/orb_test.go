@@ -110,6 +110,45 @@ func TestInvokeEcho(t *testing.T) {
 	}
 }
 
+// TestLargeCallIsOneFrameEachWay: a conventional call whose argument is four
+// times the 256 KiB a PGIOP 8 writer cut bodies at travels as one Request
+// frame and returns as one Reply frame, intact.
+func TestLargeCallIsOneFrameEachWay(t *testing.T) {
+	var mu sync.Mutex
+	var read []wire.MsgType
+	opts := &transport.Options{FrameHook: func(h wire.Header) {
+		mu.Lock()
+		read = append(read, h.Type)
+		mu.Unlock()
+	}}
+	s, err := NewServerOpts("127.0.0.1:0", ServerOptions{Transport: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Register([]byte("k"), &echoServant{})
+	c := newTestClient(t)
+	c.Transport = opts
+
+	msg := strings.Repeat("pardis", 1<<20/6)
+	replyArgs, err := c.InvokeAddr(s.Endpoint(0).Addr(), []byte("k"), "echo", encodeArgs(func(e *cdr.Encoder) { e.WriteString(msg) }), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ArgDecoder(replyArgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.ReadString(); err != nil || got != msg {
+		t.Fatalf("echo returned %d bytes, %v; want the %d sent", len(got), err, len(msg))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(read) != 2 || read[0] != wire.MsgRequest || read[1] != wire.MsgReply {
+		t.Fatalf("frames read %v, want one Request and one Reply", read)
+	}
+}
+
 func TestInvokeAdd(t *testing.T) {
 	_, ref := newTestServer(t)
 	c := newTestClient(t)

@@ -11,7 +11,7 @@ import (
 
 // byteStream serves a fixed byte string as one side of a connection: reads
 // drain the bytes, writes vanish. It lets the fuzzer drive ReadMessage's
-// framing and reassembly with arbitrary wire data.
+// framing with arbitrary wire data.
 type byteStream struct{ r *bytes.Reader }
 
 func (s *byteStream) Read(p []byte) (int, error)  { return s.r.Read(p) }
@@ -27,10 +27,10 @@ func (c *captureRWC) Close() error                { return nil }
 
 // encodeFrames renders messages to raw frame bytes through a real Conn, so
 // fuzz seeds are exactly what the writer side produces.
-func encodeFrames(t *testing.F, frag int, msgs ...wire.Message) []byte {
+func encodeFrames(t *testing.F, msgs ...wire.Message) []byte {
 	t.Helper()
 	var cap captureRWC
-	c := NewConn(&cap, &Options{FragmentThreshold: frag})
+	c := NewConn(&cap, nil)
 	for _, m := range msgs {
 		if err := c.WriteMessage(m); err != nil {
 			t.Fatal(err)
@@ -44,18 +44,21 @@ func encodeFrames(t *testing.F, frag int, msgs ...wire.Message) []byte {
 // never a panic, hang, or oversized allocation (MaxFrameSize bounds every
 // body before it is allocated).
 func FuzzReadMessage(f *testing.F) {
-	f.Add(encodeFrames(f, 0,
+	f.Add(encodeFrames(f,
 		&wire.Request{RequestID: 1, ResponseExpected: true, ObjectKey: []byte("key"), Operation: "op", Args: []byte("abcd")},
 		&wire.Reply{RequestID: 1, Status: wire.ReplyNoException, Args: []byte("efgh")}))
-	f.Add(encodeFrames(f, 0, &wire.Data{RequestID: 2, SrcRank: 1, DstRank: 0, Count: 8, Payload: make([]byte, 64)}))
-	// A fragmented message: 256 bytes over a 32-byte threshold.
-	f.Add(encodeFrames(f, 32, &wire.Data{RequestID: 3, Payload: bytes.Repeat([]byte{0xab}, 256)}))
-	// Fragmented Request and Reply: bodies reassembled from held frames —
-	// whole, cut off part-way, and with a foreign frame interleaved.
+	f.Add(encodeFrames(f, &wire.Data{RequestID: 2, SrcRank: 1, DstRank: 0, Count: 8, Payload: make([]byte, 64)}))
+	// Messages cut into frames the way a PGIOP 8 writer split a body over a
+	// 32-byte threshold, which the reader refuses at the leading frame: a
+	// Data message behind a whole one, and a Reply.
+	data := &wire.Data{RequestID: 3, Count: 32, Payload: bytes.Repeat([]byte{0xab}, 256)}
+	f.Add(append(encodeFrames(f, data), bytes.Join(fragments(data, 10), nil)...))
 	reply := &wire.Reply{RequestID: 4, Status: wire.ReplyNoException, Args: bytes.Repeat([]byte{0xcd}, 300)}
-	whole := encodeFrames(f, 32, reply)
+	f.Add(bytes.Join(fragments(reply, 10), nil))
+	// A large Request and Reply, each one frame — whole, cut off part-way,
+	// and with a foreign frame inside the body its header declares.
+	whole := encodeFrames(f, &wire.Request{RequestID: 5, ResponseExpected: true, ObjectKey: []byte("key"), Operation: "op", Args: bytes.Repeat([]byte{0xef}, 300)}, reply)
 	f.Add(whole)
-	f.Add(encodeFrames(f, 32, &wire.Request{RequestID: 5, ResponseExpected: true, ObjectKey: []byte("key"), Operation: "op", Args: bytes.Repeat([]byte{0xef}, 300)}, reply))
 	f.Add(whole[:len(whole)-50])
 	f.Add(append(append(append([]byte(nil), whole[:2*(wire.HeaderLen+32)]...), wire.Encode(&wire.Ping{Nonce: 1}, cdr.BigEndian)...), whole[2*(wire.HeaderLen+32):]...))
 	// Truncated frame: a header promising more than follows.

@@ -6,11 +6,10 @@
 // the centralized method), plus an in-process pipe transport for tests and
 // co-located components.
 //
-// Large message bodies are transparently split into PGIOP Fragment frames on
-// write and reassembled on read, so higher layers see whole messages
-// regardless of size. Writes from multiple goroutines are serialized per
-// connection; fragments of one message are never interleaved with another
-// message's frames.
+// A PGIOP message is one frame, whatever its size: WriteMessage writes one
+// header and the body behind it, ReadMessage reads one header and the body it
+// declares. Writes from multiple goroutines are serialized per connection, so
+// one message's bytes are never interleaved with another's.
 package transport
 
 import (
@@ -31,21 +30,13 @@ import (
 
 // Errors reported by this package.
 var (
-	ErrClosed      = errors.New("transport: connection closed")
-	ErrTooLarge    = errors.New("transport: message exceeds size limit")
-	ErrBadFragment = errors.New("transport: fragment sequencing violation")
+	ErrClosed   = errors.New("transport: connection closed")
+	ErrTooLarge = errors.New("transport: message exceeds size limit")
 )
 
-const (
-	// DefaultFragmentThreshold is the largest body sent in a single frame;
-	// bigger bodies are fragmented. 256 KiB keeps frames small enough to
-	// interleave fairly on a shared link, the property the paper's
-	// multi-port experiments depend on.
-	DefaultFragmentThreshold = 256 << 10
-	// MaxMessageSize bounds a reassembled body. It is deliberately far
-	// above any benchmark's needs (a 2^19-double sequence is 4 MiB).
-	MaxMessageSize = 1 << 30
-)
+// MaxMessageSize bounds a message body. It is deliberately far above any
+// benchmark's needs (a 2^19-double sequence is 4 MiB).
+const MaxMessageSize = 1 << 30
 
 // maxMessageSize is the enforced limit; tests lower it to exercise the
 // oversize paths without allocating gigabyte buffers.
@@ -56,12 +47,10 @@ type Options struct {
 	// Order is the byte order this side produces. Zero value (BigEndian)
 	// is valid; NewConn defaults to cdr.NativeOrder when Options is nil.
 	Order cdr.ByteOrder
-	// FragmentThreshold overrides DefaultFragmentThreshold when > 0.
-	FragmentThreshold int
-	// MaxFrameSize bounds both a single frame's declared body length and a
-	// reassembled message, overriding MaxMessageSize when > 0. A frame
-	// header claiming more is rejected before any allocation, so a corrupt
-	// or hostile header cannot force an unbounded make([]byte, size).
+	// MaxFrameSize bounds a message body, written or read, overriding
+	// MaxMessageSize when > 0. A frame header claiming more is rejected before
+	// any allocation, so a corrupt or hostile header cannot force an unbounded
+	// make([]byte, size).
 	MaxFrameSize int
 	// Wrap, when set, is applied to the underlying byte stream before
 	// framing. Fault-injection tests use it to slot a FaultInjector between
@@ -94,13 +83,11 @@ type Conn struct {
 	br       *bufio.Reader
 	bw       *bufio.Writer
 	order    cdr.ByteOrder
-	frag     int
 	max      int
 	wd       writeDeadliner
 	wtimeout time.Duration
 	hook     func(h wire.Header)
 	rhdr     [wire.HeaderLen]byte // scratch for inbound frame headers (reader-owned)
-	held     [][]byte             // scratch list of fragment frames under reassembly (reader-owned)
 
 	// vectored enables the gathered-write (writev) path. Only real TCP
 	// connections qualify: on any other stream net.Buffers degrades to one
@@ -109,10 +96,10 @@ type Conn struct {
 	vectored bool
 
 	wmu    sync.Mutex
-	enc    *cdr.Encoder // scratch encoder for the body up to its tail, guarded by wmu
-	vec    [][]byte     // scratch frame layout of the message being written, guarded by wmu
-	bufs   net.Buffers  // vec as the gathered write consumes it, guarded by wmu
-	harena []byte       // scratch frame-header arena backing vec, guarded by wmu
+	enc    *cdr.Encoder         // scratch encoder for the body up to its tail, guarded by wmu
+	whdr   [wire.HeaderLen]byte // scratch header of the message being written, guarded by wmu
+	vec    [][]byte             // header, prefix, tail of that message, guarded by wmu
+	bufs   net.Buffers          // vec as the gathered write consumes it, guarded by wmu
 	closed bool
 	cmu    sync.Mutex
 
@@ -156,10 +143,9 @@ func (c *Conn) WriteBandwidth() float64 {
 }
 
 // Read frames are rented from bufpool.Frames (that package has the ownership
-// rule), but only MsgData bodies and the frames of a fragmented message: every
-// other message type's body is aliased and retained by higher layers
-// (Request.Args, Reply.Args, ...), so those bodies are plain allocations that
-// the garbage collector owns.
+// rule), but only MsgData bodies: every other message type's body is aliased
+// and retained by higher layers (Request.Args, Reply.Args, ...), so those
+// bodies are plain allocations that the garbage collector owns.
 
 // PoolStat is a point-in-time copy of the frame pool's ledger. Its
 // Outstanding is the number of rented frames not yet returned: a quiescent
@@ -189,14 +175,10 @@ func NewConn(rw io.ReadWriteCloser, opts *Options) *Conn {
 		br:       bufio.NewReaderSize(rw, 64<<10),
 		bw:       bufio.NewWriterSize(rw, 64<<10),
 		order:    cdr.NativeOrder,
-		frag:     DefaultFragmentThreshold,
 		max:      maxMessageSize,
 	}
 	if opts != nil {
 		c.order = opts.Order
-		if opts.FragmentThreshold > 0 {
-			c.frag = opts.FragmentThreshold
-		}
 		if opts.MaxFrameSize > 0 {
 			c.max = opts.MaxFrameSize
 		}
@@ -214,12 +196,11 @@ func NewConn(rw io.ReadWriteCloser, opts *Options) *Conn {
 // buffered writer: below it the copy is cheaper than the iovec.
 const vectoredMinTail = 4 << 10
 
-// WriteMessage encodes and sends m, fragmenting the body when it exceeds
-// the connection's threshold. Only what precedes a message's tail octets
-// (wire.TailMessage: Request.Args, Reply.Args, Data.Payload) is encoded, into
-// a per-connection scratch buffer reused across messages; the tail is framed
-// from where it lies, so a payload travels from the buffer it was gathered
-// into to the socket with zero copies in our code.
+// WriteMessage encodes and sends m as one frame. Only what precedes a
+// message's tail octets (wire.TailMessage: Request.Args, Reply.Args,
+// Data.Payload) is encoded, into a per-connection scratch buffer reused across
+// messages; the tail is framed from where it lies, so a payload travels from
+// the buffer it was gathered into to the socket with zero copies in our code.
 func (c *Conn) WriteMessage(m wire.Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -243,13 +224,16 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 		return ErrClosed
 	}
 	if c.wd != nil {
-		// The deadline covers the whole message (all fragments and the
-		// flush); a deadline error leaves the stream mid-frame, so callers
-		// must treat it as fatal to the connection.
+		// The deadline covers the whole message and the flush; a deadline
+		// error leaves the stream mid-frame, so callers must treat it as
+		// fatal to the connection.
 		_ = c.wd.SetWriteDeadline(time.Now().Add(c.wtimeout))
 		defer c.wd.SetWriteDeadline(time.Time{})
 	}
-	c.layoutFrames(m.Type(), e.Bytes(), tail)
+	// A field, not a local: passing a stack array's slice through an
+	// io.Writer would move it to the heap once per message.
+	c.whdr = wire.EncodeHeader(m.Type(), c.order, false, total)
+	c.vec = append(c.vec[:0], c.whdr[:], e.Bytes(), tail)
 
 	// Time writes big enough to measure for the bandwidth EWMA: from here to
 	// the final flush is the serialized wire work, including any stall the
@@ -288,183 +272,29 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 	return err
 }
 
-// layoutFrames fills c.vec with the frames of one message: per frame its
-// header, then the part of the virtual concatenation prefix ++ tail it
-// carries, split at the fragment threshold (a frame may straddle the
-// boundary). The leading frame has type t, the rest are Fragments. Callers
-// must hold wmu.
-func (c *Conn) layoutFrames(t wire.MsgType, prefix, tail []byte) {
-	total := len(prefix) + len(tail)
-	need := (total/c.frag + 1) * wire.HeaderLen
-	c.vec = c.vec[:0]
-	c.harena = c.harena[:0]
-	if cap(c.harena) < need {
-		// Reserve all header space up front: vec holds slices into harena,
-		// so it must not regrow mid-loop.
-		c.harena = make([]byte, 0, need)
-	}
-	for off := 0; ; off += c.frag {
-		end := min(off+c.frag, total)
-		h := wire.EncodeHeader(t, c.order, end < total, end-off)
-		hoff := len(c.harena)
-		c.harena = append(c.harena, h[:]...)
-		c.vec = append(c.vec, c.harena[hoff:])
-		if off < len(prefix) {
-			c.vec = append(c.vec, prefix[off:min(end, len(prefix))])
-		}
-		if end > len(prefix) {
-			c.vec = append(c.vec, tail[max(off-len(prefix), 0):end-len(prefix)])
-		}
-		if end == total {
-			return
-		}
-		t = wire.MsgFragment
-	}
-}
-
-// ReadMessage reads the next complete message, reassembling fragments.
-// A returned *wire.Data holds a rented frame: its payload is valid until
-// Release, which the final consumer must call after copying the elements out.
+// ReadMessage reads the next message. A returned *wire.Data holds a rented
+// frame: its payload is valid until Release, which the final consumer must
+// call after copying the elements out.
 func (c *Conn) ReadMessage() (wire.Message, error) {
-	h, body, err := c.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	if h.Type == wire.MsgFragment {
-		bufpool.Frames.Return(body)
-		return nil, fmt.Errorf("%w: unexpected leading fragment", ErrBadFragment)
-	}
-	if h.More() {
-		if body, err = c.reassemble(h, body); err != nil {
-			return nil, err
-		}
-	}
-	// From here a Data body is rented and no other message's is.
-	m, err := wire.DecodeBody(h.Type, body, h.Order())
-	if err != nil {
-		if h.Type == wire.MsgData {
-			bufpool.Frames.Return(body)
-		}
-		return nil, err
-	}
-	if d, ok := m.(*wire.Data); ok {
-		// The decoded payload aliases the frame; the message takes it over so
-		// the consumer controls its lifetime.
-		d.Lend(body)
-	}
-	return m, nil
-}
-
-// reassemble collects the trailing Fragment frames of a message whose rented
-// leading chunk it takes ownership of, into one buffer allocated once. A Data
-// message declares its total size in the body prefix, so its accumulator is
-// rented up front and each fragment is copied in and returned as it arrives —
-// the declared size is used as a capacity hint only, so a corrupt or hostile
-// value cannot misframe the body, and when the leading chunk is too short to
-// contain the prefix (fragment threshold below DataPrefixLen) the message
-// takes the other path. Any other message's size is known only when its last
-// fragment arrives: the fragment frames are held until then and copied into a
-// body of exactly that size — rented for a Data message, whose consumer
-// returns it, and otherwise a plain allocation the decoded message aliases
-// and the garbage collector owns.
-func (c *Conn) reassemble(h wire.Header, chunk []byte) ([]byte, error) {
-	var acc []byte     // Data: the hinted accumulator
-	held := c.held[:0] // otherwise: fragment frames awaiting the final size
-	var cur []byte     // the frame under examination
-	size := len(chunk) // bytes received so far
-	if h.Type == wire.MsgData {
-		if hint := wire.DataBodySize(chunk, h.Order()); hint > 0 && hint <= c.max {
-			acc = append(bufpool.Frames.Rent(hint), chunk...)
-			bufpool.Frames.Return(chunk)
-			chunk = nil
-		}
-	}
-	// Every frame on loan goes back on every way out.
-	release := func() {
-		bufpool.Frames.Return(chunk)
-		bufpool.Frames.Return(cur)
-		for i, f := range held {
-			bufpool.Frames.Return(f)
-			held[i] = nil
-		}
-		c.held = held[:0]
-	}
-	fail := func(err error) ([]byte, error) {
-		bufpool.Frames.Return(acc)
-		release()
-		return nil, err
-	}
-	for more := true; more; {
-		fh, fbody, err := c.readFrame()
-		if err != nil {
-			return fail(err)
-		}
-		cur = fbody
-		if fh.Type != wire.MsgFragment {
-			return fail(fmt.Errorf("%w: %v interleaved into fragmented message", ErrBadFragment, fh.Type))
-		}
-		if fh.Order() != h.Order() {
-			return fail(fmt.Errorf("%w: fragment changed byte order", ErrBadFragment))
-		}
-		if size += len(fbody); size > c.max {
-			return fail(fmt.Errorf("%w: reassembled body", ErrTooLarge))
-		}
-		if acc != nil {
-			grown := append(acc, fbody...)
-			if cap(grown) != cap(acc) {
-				// The hint understated the body and append moved it to a
-				// buffer the collector owns: the rented one goes back now.
-				bufpool.Frames.Return(acc)
-			}
-			acc = grown
-			bufpool.Frames.Return(fbody)
-		} else {
-			held = append(held, fbody)
-		}
-		cur = nil
-		more = fh.More()
-	}
-	if acc != nil {
-		return acc, nil
-	}
-	var body []byte
-	if h.Type == wire.MsgData {
-		body = bufpool.Frames.Rent(size)
-	} else {
-		body = make([]byte, 0, size)
-	}
-	body = append(body, chunk...)
-	for _, f := range held {
-		body = append(body, f...)
-	}
-	release()
-	return body, nil
-}
-
-// readFrame reads one frame. MsgData and MsgFragment bodies, and the leading
-// frame of any fragmented message (reassembly copies it out), are rented and
-// the caller must return them (directly, or via Data.Release) when the body is
-// no longer referenced. Other whole messages get plain allocations because
-// their decoded forms alias and retain the body.
-func (c *Conn) readFrame() (wire.Header, []byte, error) {
 	hb := &c.rhdr // a local array would escape through io.ReadFull, once per frame
 	if _, err := io.ReadFull(c.br, hb[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-			return wire.Header{}, nil, ErrClosed
+			return nil, ErrClosed
 		}
-		return wire.Header{}, nil, err
+		return nil, err
 	}
 	h, err := wire.DecodeHeader(hb[:])
 	if err != nil {
-		return wire.Header{}, nil, err
+		return nil, err
 	}
 	if c.hook != nil {
 		c.hook(h)
 	}
 	if int(h.Size) > c.max {
-		return wire.Header{}, nil, fmt.Errorf("%w: frame body %d", ErrTooLarge, h.Size)
+		return nil, fmt.Errorf("%w: frame body %d", ErrTooLarge, h.Size)
 	}
-	rented := h.Type == wire.MsgData || h.Type == wire.MsgFragment || h.More()
+	// A Data body is rented and no other message's is.
+	rented := h.Type == wire.MsgData
 	var body []byte
 	if rented {
 		body = bufpool.Frames.Rent(int(h.Size))[:h.Size]
@@ -475,9 +305,21 @@ func (c *Conn) readFrame() (wire.Header, []byte, error) {
 		if rented {
 			bufpool.Frames.Return(body)
 		}
-		return wire.Header{}, nil, fmt.Errorf("transport: truncated frame: %w", err)
+		return nil, fmt.Errorf("transport: truncated frame: %w", err)
 	}
-	return h, body, nil
+	m, err := wire.DecodeBody(h.Type, body, h.Order())
+	if err != nil {
+		if rented {
+			bufpool.Frames.Return(body)
+		}
+		return nil, err
+	}
+	if d, ok := m.(*wire.Data); ok {
+		// The decoded payload aliases the frame; the message takes it over so
+		// the consumer controls its lifetime.
+		d.Lend(body)
+	}
+	return m, nil
 }
 
 func (c *Conn) isClosed() bool {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/cdr"
+	"repro/internal/testutil"
 	"repro/internal/wire"
 )
 
@@ -33,71 +34,78 @@ func TestPipeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFragmentationRoundTrip sends a Data message four times over the 256 KiB
+// a PGIOP 8 writer cut bodies at: it crosses as one frame whose header
+// declares the whole body, and arrives intact.
 func TestFragmentationRoundTrip(t *testing.T) {
-	// Threshold small enough that a modest payload spans many fragments.
-	opts := &Options{Order: cdr.NativeOrder, FragmentThreshold: 64}
-	a, b := Pipe(opts)
+	var frames []wire.Header
+	a, b := Pipe(&Options{Order: cdr.NativeOrder, FrameHook: func(h wire.Header) { frames = append(frames, h) }})
 	defer a.Close()
 	defer b.Close()
 
-	payload := make([]byte, 10_000)
+	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(7)).Read(payload)
-	want := &wire.Data{RequestID: 9, SrcRank: 1, DstRank: 2, Count: 10, Payload: payload}
-	done := make(chan error, 1)
-	go func() { done <- a.WriteMessage(want) }()
+	want := &wire.Data{RequestID: 9, SrcRank: 1, DstRank: 2, Count: 1 << 17, Payload: payload}
+	if err := a.WriteMessage(want); err != nil {
+		t.Fatal(err)
+	}
 	got, err := b.ReadMessage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	defer got.(*wire.Data).Release()
+	if len(frames) != 1 || int(frames[0].Size) != wire.DataPrefixLen+len(payload) {
+		t.Fatalf("read frames %+v, want one of %d bytes", frames, wire.DataPrefixLen+len(payload))
 	}
-	data, ok := got.(*wire.Data)
-	if !ok || !bytes.Equal(data.Payload, payload) || data.RequestID != 9 {
-		t.Fatalf("fragmented payload corrupted (ok=%v)", ok)
+	if data := got.(*wire.Data); !bytes.Equal(data.Payload, payload) || data.RequestID != 9 {
+		t.Fatal("payload corrupted")
 	}
 }
 
+// TestFragmentBoundaries sends Data bodies around the edges of the frame
+// pool's size classes — the one size boundary a reader has, where the frame
+// it rents moves up a class — from the smallest class to past the largest,
+// where the frame is the collector's: each crosses as one frame, intact, and
+// every rented frame goes back.
 func TestFragmentBoundaries(t *testing.T) {
-	// Exercise payloads around the fragmentation threshold.
-	const threshold = 128
-	for _, extra := range []int{-2, -1, 0, 1, 2, threshold, 3*threshold + 5} {
-		size := threshold + extra
-		opts := &Options{Order: cdr.NativeOrder, FragmentThreshold: threshold}
-		a, b := Pipe(opts)
-		payload := bytes.Repeat([]byte{byte(size)}, size)
-		done := make(chan error, 1)
-		go func() { done <- a.WriteMessage(&wire.Data{RequestID: 1, Payload: payload}) }()
-		got, err := b.ReadMessage()
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if err := <-done; err != nil {
-			t.Fatalf("size %d write: %v", size, err)
-		}
-		if d := got.(*wire.Data); !bytes.Equal(d.Payload, payload) {
-			t.Fatalf("size %d: payload corrupted", size)
-		}
-		a.Close()
-		b.Close()
-	}
-}
-
-func TestLeadingFragmentRejected(t *testing.T) {
-	a, b := Pipe(nil)
+	defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
+	a, b := Pipe(&Options{Order: cdr.NativeOrder})
 	defer a.Close()
 	defer b.Close()
-	if err := a.WriteMessage(&wire.Fragment{Payload: []byte("loose")}); err != nil {
-		t.Fatal(err)
+	for _, class := range []int{512, 64 << 10, 4 << 20} {
+		for _, extra := range []int{-1, 0, 1} {
+			size := class + bufpool.Headroom + extra // the body: prefix and payload
+			payload := bytes.Repeat([]byte{byte(size)}, size-wire.DataPrefixLen)
+			if err := a.WriteMessage(&wire.Data{RequestID: 1, Payload: payload}); err != nil {
+				t.Fatalf("body %d: write: %v", size, err)
+			}
+			got, err := b.ReadMessage()
+			if err != nil {
+				t.Fatalf("body %d: %v", size, err)
+			}
+			d := got.(*wire.Data)
+			if !bytes.Equal(d.Payload, payload) {
+				t.Fatalf("body %d: payload corrupted", size)
+			}
+			d.Release()
+		}
 	}
-	if _, err := b.ReadMessage(); !errors.Is(err, ErrBadFragment) {
-		t.Fatalf("want ErrBadFragment, got %v", err)
+}
+
+// TestLeadingFragmentRejected refuses a frame that announces more fragments:
+// flag bit 1 is reserved since PGIOP 9, so a leading or stray fragment ends
+// the read at its header.
+func TestLeadingFragmentRejected(t *testing.T) {
+	h := wire.EncodeHeader(wire.MsgRequest, cdr.NativeOrder, false, 5)
+	h[5] |= 1 << 1
+	c := NewConn(&byteStream{r: bytes.NewReader(append(h[:], "loose"...))}, nil)
+	if _, err := c.ReadMessage(); !errors.Is(err, wire.ErrBadFlags) {
+		t.Fatalf("want ErrBadFlags, got %v", err)
 	}
 }
 
 func TestConcurrentWritersDoNotInterleave(t *testing.T) {
-	opts := &Options{Order: cdr.NativeOrder, FragmentThreshold: 32}
-	a, b := Pipe(opts)
+	a, b := Pipe(&Options{Order: cdr.NativeOrder})
 	defer a.Close()
 	defer b.Close()
 
@@ -125,7 +133,7 @@ func TestConcurrentWritersDoNotInterleave(t *testing.T) {
 		d := m.(*wire.Data)
 		for _, x := range d.Payload {
 			if x != byte(d.RequestID) {
-				t.Fatalf("message from writer %d contains byte %d (interleaved fragments)", d.RequestID, x)
+				t.Fatalf("message from writer %d contains byte %d (interleaved writes)", d.RequestID, x)
 			}
 		}
 		if len(d.Payload) != 100+int(d.RequestID) {
@@ -333,7 +341,7 @@ func TestPipeBufferSemantics(t *testing.T) {
 }
 
 func TestManySequentialMessages(t *testing.T) {
-	a, b := Pipe(&Options{Order: cdr.BigEndian, FragmentThreshold: 48})
+	a, b := Pipe(&Options{Order: cdr.BigEndian})
 	defer a.Close()
 	defer b.Close()
 	const n = 200

@@ -58,30 +58,24 @@ func echoData(t *testing.T, from, to *Conn, want *wire.Data) *wire.Data {
 	return d
 }
 
-// TestVectoredDataTCP drives the writev path over a real socket across the
-// interesting framing shapes: empty payload, single frame, fragmented with
-// the chunk boundary landing inside the body prefix, and fragmented large.
+// TestVectoredDataTCP drives the Data write paths over a real socket: an empty
+// payload and one below vectoredMinTail through the buffered writer, one at
+// it and one of many socket buffers through the gathered write.
 func TestVectoredDataTCP(t *testing.T) {
 	cases := []struct {
 		name    string
-		frag    int
 		payload int
 	}{
-		{"empty", 0, 0},
-		{"single-frame", 0, 1 << 10},
-		{"fragmented", 1 << 10, 10_000},
-		{"threshold-below-prefix", wire.DataPrefixLen - 8, 300},
-		{"threshold-one", 1, 100},
+		{"empty", 0},
+		{"single-frame", 1 << 10},
+		{"vectored", vectoredMinTail},
+		{"large", 4 << 20},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
 			defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
-			opts := &Options{Order: cdr.NativeOrder}
-			if tc.frag > 0 {
-				opts.FragmentThreshold = tc.frag
-			}
-			a, b := tcpPair(t, opts)
+			a, b := tcpPair(t, &Options{Order: cdr.NativeOrder})
 			payload := make([]byte, tc.payload)
 			rand.New(rand.NewSource(int64(tc.payload))).Read(payload)
 			want := &wire.Data{
@@ -104,11 +98,10 @@ func TestVectoredDataTCP(t *testing.T) {
 func TestVectoredDataBigEndianTCP(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
-	opts := &Options{Order: cdr.BigEndian, FragmentThreshold: 128}
-	a, b := tcpPair(t, opts)
-	payload := bytes.Repeat([]byte{0xA5}, 1000)
-	got := echoData(t, a, b, &wire.Data{RequestID: 5, Count: 125, Payload: payload})
-	if got.RequestID != 5 || got.Count != 125 || !bytes.Equal(got.Payload, payload) {
+	a, b := tcpPair(t, &Options{Order: cdr.BigEndian})
+	payload := bytes.Repeat([]byte{0xA5}, 8<<10)
+	got := echoData(t, a, b, &wire.Data{RequestID: 5, Count: 1 << 10, Payload: payload})
+	if got.RequestID != 5 || got.Count != 1<<10 || !bytes.Equal(got.Payload, payload) {
 		t.Fatalf("big-endian vectored Data corrupted: %+v", got)
 	}
 	got.Release()
@@ -126,7 +119,7 @@ func TestVectoredFrameOracle(t *testing.T) {
 	c.vectored = true
 	d := &wire.Data{
 		RequestID: 3, ArgIndex: 2, SrcRank: 1, DstRank: 0,
-		DstOff: 16, Count: 8, Payload: bytes.Repeat([]byte{0x42}, 64),
+		DstOff: 16, Count: vectoredMinTail / 8, Payload: bytes.Repeat([]byte{0x42}, vectoredMinTail),
 	}
 	if err := c.WriteMessage(d); err != nil {
 		t.Fatal(err)
@@ -227,24 +220,4 @@ func TestDataReadRecycles(t *testing.T) {
 			use()
 		}()
 	}
-}
-
-// TestFragmentedDataPreallocation checks a fragmented Data message is
-// reassembled correctly when the size hint is available (normal thresholds)
-// — covered above — and here that a hint-less reassembly (leading chunk
-// shorter than the prefix) still produces an intact message on the pipe
-// transport too.
-func TestFragmentedDataPreallocation(t *testing.T) {
-	defer testutil.LeakCheck(t)()
-	defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
-	opts := &Options{Order: cdr.NativeOrder, FragmentThreshold: 16} // < DataPrefixLen
-	a, b := Pipe(opts)
-	defer a.Close()
-	defer b.Close()
-	payload := bytes.Repeat([]byte{7}, 500)
-	got := echoData(t, a, b, &wire.Data{RequestID: 2, Count: 500, Payload: payload})
-	if !bytes.Equal(got.Payload, payload) {
-		t.Fatal("hint-less reassembly corrupted payload")
-	}
-	got.Release()
 }

@@ -51,7 +51,7 @@ func TestPingPongGolden(t *testing.T) {
 		}
 	}
 	frame := Encode(&Ping{Nonce: 1}, cdr.BigEndian)
-	if want := []byte{'P', 'D', 'I', 'S', 8, 0, 8, 0, 0, 0, 0, 4, 0, 0, 0, 1}; !bytes.Equal(frame, want) {
+	if want := []byte{'P', 'D', 'I', 'S', 9, 0, 7, 0, 0, 0, 0, 4, 0, 0, 0, 1}; !bytes.Equal(frame, want) {
 		t.Fatalf("keepalive frame % x, want % x", frame, want)
 	}
 }

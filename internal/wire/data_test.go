@@ -93,27 +93,6 @@ func TestTailMessagesMatchFieldwiseEncoding(t *testing.T) {
 	}
 }
 
-// TestDataBodySize checks the reassembly size hint parses the payload count
-// in both byte orders and degrades to 0 on chunks too short to contain it.
-func TestDataBodySize(t *testing.T) {
-	for _, ord := range bothOrders {
-		d := &Data{RequestID: 1, Count: 40, Payload: bytes.Repeat([]byte{1}, 320)}
-		e := cdr.NewEncoder(ord)
-		d.EncodeBody(e)
-		body := e.Bytes()
-		if got := DataBodySize(body, ord); got != len(body) {
-			t.Fatalf("%v: hint %d, want %d", ord, got, len(body))
-		}
-		// A leading chunk of any length >= the prefix yields the same hint.
-		if got := DataBodySize(body[:DataPrefixLen], ord); got != len(body) {
-			t.Fatalf("%v: prefix-only hint %d, want %d", ord, got, len(body))
-		}
-		if got := DataBodySize(body[:DataPrefixLen-1], ord); got != 0 {
-			t.Fatalf("%v: short chunk hint %d, want 0", ord, got)
-		}
-	}
-}
-
 // TestDataRelease checks, against the real frame pool, the two things Release
 // gives back. The frame goes back exactly once and takes the payload with it,
 // and a Release on a message that was lent nothing is inert. The struct goes

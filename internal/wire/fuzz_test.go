@@ -12,14 +12,14 @@ import (
 func FuzzDecodeHeader(f *testing.F) {
 	good := EncodeHeader(MsgRequest, cdr.LittleEndian, false, 16)
 	f.Add(good[:])
-	big := EncodeHeader(MsgData, cdr.BigEndian, true, 1<<20)
+	big := EncodeHeader(MsgData, cdr.BigEndian, false, 1<<20)
 	f.Add(big[:])
 	f.Add([]byte("PDIS"))                                 // truncated
 	f.Add([]byte("GIOP\x01\x00\x00\x00\x00\x00\x00\x00")) // wrong protocol
-	f.Add([]byte("PDIS\x07\x01\x00\x00\x10\x00\x00\x00")) // version 7: refused
-	f.Add([]byte("PDIS\x08\x03\x07\x00\x00\x00\x00\x40")) // both defined flags on a Data frame
+	f.Add([]byte("PDIS\x08\x01\x00\x00\x10\x00\x00\x00")) // version 8: refused
+	f.Add([]byte("PDIS\x09\x03\x06\x00\x00\x00\x00\x40")) // a Data frame announcing more fragments: refused
 	// Each reserved flag bit: refused.
-	for bit := 2; bit < 8; bit++ {
+	for bit := 1; bit < 8; bit++ {
 		b := EncodeHeader(MsgData, cdr.LittleEndian, false, 64)
 		b[5] |= 1 << bit
 		f.Add(b[:])
@@ -34,7 +34,7 @@ func FuzzDecodeHeader(f *testing.F) {
 		if !h.Type.Valid() {
 			t.Fatalf("accepted header with invalid type %d", h.Type)
 		}
-		re := EncodeHeader(h.Type, h.Order(), h.More(), int(h.Size))
+		re := EncodeHeader(h.Type, h.Order(), false, int(h.Size))
 		if rh, err := DecodeHeader(re[:]); err != nil || rh != h {
 			t.Fatalf("header %+v does not round-trip: %+v, %v", h, rh, err)
 		}
@@ -53,7 +53,7 @@ func FuzzDecodeBody(f *testing.F) {
 		&LocateReply{RequestID: 5, Status: LocateHere},
 		&CloseConnection{},
 		&MessageError{},
-		&Fragment{Payload: []byte("tail")},
+		&LocateReply{RequestID: 5, Status: LocateUnknown},
 		&Data{RequestID: 6, ArgIndex: 1, SrcRank: 2, DstRank: 3, DstOff: 4, Count: 2, Payload: []byte("xyzw")},
 		&Data{RequestID: 9, ArgIndex: 0, DstOff: 8192, Count: 4, Flags: DataFlagChunk, Payload: []byte("chnk")},
 		&Data{RequestID: 10, ArgIndex: 2, DstOff: 0, Count: 4, Reply: true, Flags: DataFlagChunk | DataFlagLast, Payload: []byte("last")},

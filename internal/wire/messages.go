@@ -170,16 +170,6 @@ type MessageError struct{}
 func (*MessageError) Type() MsgType           { return MsgMessageError }
 func (*MessageError) EncodeBody(*cdr.Encoder) {}
 
-// Fragment continues the body of the preceding message on this connection.
-// Reassembly is performed by the transport; higher layers never see it.
-type Fragment struct {
-	Payload []byte
-}
-
-func (*Fragment) Type() MsgType { return MsgFragment }
-
-func (f *Fragment) EncodeBody(e *cdr.Encoder) { e.WriteRaw(f.Payload) }
-
 // Data flag bits (the Flags octet of a Data body).
 const (
 	// DataFlagChunk marks a chunk of a transfer leg, which every Data message
@@ -334,25 +324,6 @@ func (m *Data) Release() {
 	}
 }
 
-// DataBodySize inspects the first chunk of a fragmented Data body and
-// returns the total body size it declares (prefix + payload length), so
-// reassembly can preallocate instead of regrowing. Returns 0 when the chunk
-// is too short to contain the payload count — callers must treat the result
-// as a capacity hint only and fall back to append-growth.
-func DataBodySize(chunk []byte, ord cdr.ByteOrder) int {
-	if len(chunk) < DataPrefixLen {
-		return 0
-	}
-	b := chunk[DataPrefixLen-4 : DataPrefixLen]
-	var n uint32
-	if ord == cdr.LittleEndian {
-		n = uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	} else {
-		n = uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-	}
-	return DataPrefixLen + int(n)
-}
-
 // decodeData fills a struct from the pool; its consumer's Release gives the
 // struct back (a message nobody releases is the collector's).
 func decodeData(d *cdr.Decoder) (*Data, error) {
@@ -429,17 +400,17 @@ func decodePong(d *cdr.Decoder) (*Pong, error) {
 	return &Pong{Nonce: n}, nil
 }
 
-// Encode renders a complete single-frame message (header + body) in the
-// given byte order. The transport uses lower-level primitives when it needs
-// to fragment; Encode is the convenience path and the wire-format oracle for
-// tests and the wiredump tool.
+// Encode renders a complete message (header + body) in the given byte order.
+// The transport frames a message's tail from where it lies instead; Encode is
+// the convenience path and the wire-format oracle for tests and the wiredump
+// tool.
 func Encode(m Message, ord cdr.ByteOrder) []byte {
 	e := cdr.NewEncoder(ord)
 	EncodeInto(e, m)
 	return e.Bytes()
 }
 
-// EncodeInto appends a complete single-frame message (header + body) to e,
+// EncodeInto appends a complete message (header + body) to e,
 // which must be in the message's byte order. Header and body share e's
 // buffer: EncodeInto reserves HeaderLen zero bytes, marks them as the body's
 // alignment origin (HeaderLen is not 8-aligned, so the body must align
@@ -476,8 +447,6 @@ func DecodeBody(t MsgType, body []byte, ord cdr.ByteOrder) (Message, error) {
 		m = &CloseConnection{}
 	case MsgMessageError:
 		m = &MessageError{}
-	case MsgFragment:
-		m = &Fragment{Payload: body}
 	case MsgData:
 		m, err = decodeData(d)
 	case MsgPing:

@@ -4,21 +4,20 @@
 //
 // PGIOP plays the role GIOP/IIOP plays for CORBA. It keeps the part of GIOP's
 // message vocabulary a PARDIS peer reads (Request, Reply, LocateRequest,
-// LocateReply, CloseConnection, MessageError, Fragment) and adds one
-// PARDIS-specific message, Data, which carries a chunk of a distributed
-// argument: directly
+// LocateReply, CloseConnection, MessageError) and adds one PARDIS-specific
+// message, Data, which carries a chunk of a distributed argument: directly
 // between a client computing thread and a server computing thread in the
 // multi-port transfer method (paper §3.3), between the communicating threads
 // when a centralized leg (§3.2) streams. A small centralized argument travels
 // entirely inside the Request/Reply bodies, exactly as in CORBA.
 //
-// Every message is a 12-byte header followed by a CDR-encoded body:
+// Every message is one frame: a 12-byte header followed by a CDR-encoded body
+// of the size the header declares.
 //
 //	offset 0  magic   "PDIS"
-//	offset 4  version 0x08; any other value is refused (ErrBadVersion)
+//	offset 4  version 0x09; any other value is refused (ErrBadVersion)
 //	offset 5  flags   bit 0: body byte order (1 = little endian)
-//	                  bit 1: more fragments follow
-//	                  bits 2-7: reserved, refused when set (ErrBadFlags)
+//	                  bits 1-7: reserved, refused when set (ErrBadFlags)
 //	offset 6  type    MsgType
 //	offset 7  reserved (0)
 //	offset 8  size    uint32 body length, in the header's byte order
@@ -29,9 +28,10 @@
 // connection with an error that wraps ErrBadVersion. Every field of every
 // body is required.
 //
-// Bodies larger than a connection's fragment threshold are split across a
-// leading message and trailing Fragment messages (transport concern; see
-// internal/transport).
+// There is no continuation frame. A message's size is bounded only by the
+// receiver's frame limit (see internal/transport); an argument too large to
+// ride whole in a Request or Reply moves as Data chunks, each a message of its
+// own.
 //
 // # Reply ordering and request multiplexing
 //
@@ -77,13 +77,12 @@ var Magic = [4]byte{'P', 'D', 'I', 'S'}
 const (
 	// Version is the one protocol version this build speaks; DecodeHeader
 	// refuses every other.
-	Version = 8
+	Version = 9
 	// HeaderLen is the message header size.
 	HeaderLen = 12
-	// FlagLittleEndian marks the body (and header size field) byte order.
+	// FlagLittleEndian marks the body (and header size field) byte order; it
+	// is the one flag bit.
 	FlagLittleEndian = 1 << 0
-	// FlagMoreFragments marks that the body continues in Fragment messages.
-	FlagMoreFragments = 1 << 1
 )
 
 // MsgType discriminates PGIOP messages.
@@ -96,7 +95,6 @@ const (
 	MsgLocateReply
 	MsgCloseConnection
 	MsgMessageError
-	MsgFragment
 	// MsgData is the PARDIS extension: one contiguous piece of a
 	// distributed argument, addressed to a specific computing thread.
 	MsgData
@@ -112,7 +110,7 @@ const (
 
 var msgTypeNames = [...]string{
 	"Request", "Reply", "LocateRequest", "LocateReply",
-	"CloseConnection", "MessageError", "Fragment", "Data", "Ping", "Pong",
+	"CloseConnection", "MessageError", "Data", "Ping", "Pong",
 }
 
 func (t MsgType) String() string {
@@ -206,19 +204,16 @@ func (h Header) Order() cdr.ByteOrder {
 	return cdr.BigEndian
 }
 
-// More reports whether Fragment messages follow.
-func (h Header) More() bool { return h.Flags&FlagMoreFragments != 0 }
-
-// EncodeHeader renders a header for a body of the given size in order ord.
-func EncodeHeader(t MsgType, ord cdr.ByteOrder, more bool, size int) [HeaderLen]byte {
+// EncodeHeader renders the header of a message of type t whose body is size
+// bytes in order ord. The bool is ignored: a message is one frame, so there is
+// no continuation flag to set. It stays for the callers that pass it
+// (bench/ladder.go's header rung) until they are next edited.
+func EncodeHeader(t MsgType, ord cdr.ByteOrder, _ bool, size int) [HeaderLen]byte {
 	var b [HeaderLen]byte
 	copy(b[:4], Magic[:])
 	b[4] = Version
 	if ord == cdr.LittleEndian {
 		b[5] |= FlagLittleEndian
-	}
-	if more {
-		b[5] |= FlagMoreFragments
 	}
 	b[6] = byte(t)
 	if ord == cdr.LittleEndian {
@@ -247,7 +242,7 @@ func DecodeHeader(b []byte) (Header, error) {
 		return Header{}, fmt.Errorf("%w: %d", ErrBadVersion, b[4])
 	}
 	h := Header{Flags: b[5], Type: MsgType(b[6])}
-	if h.Flags&^(FlagLittleEndian|FlagMoreFragments) != 0 {
+	if h.Flags&^FlagLittleEndian != 0 {
 		// Reserved flag bits must be zero; garbage here means a corrupt or
 		// alien frame, and rejecting it now beats misreading the body later.
 		return Header{}, fmt.Errorf("%w: reserved flag bits %#x", ErrBadFlags, b[5])

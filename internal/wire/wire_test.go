@@ -29,9 +29,6 @@ func roundTrip(t *testing.T, m Message, ord cdr.ByteOrder) Message {
 	if int(h.Size) != len(frame)-HeaderLen {
 		t.Fatalf("size %d, body %d", h.Size, len(frame)-HeaderLen)
 	}
-	if h.More() {
-		t.Fatal("single frame marked fragmented")
-	}
 	got, err := DecodeBody(h.Type, frame[HeaderLen:], h.Order())
 	if err != nil {
 		t.Fatalf("body: %v", err)
@@ -155,8 +152,8 @@ func TestHeaderValidation(t *testing.T) {
 		}
 	}
 
-	// The first code past Pong — the last one v5 defined, freed when
-	// CancelRequest's slot was closed up — is as unknown as any other.
+	// The first code past Pong — the last one v8 defined, freed when
+	// Fragment's slot was closed up — is as unknown as any other.
 	badType := append([]byte(nil), good...)
 	for _, typ := range []byte{byte(MsgPong) + 1, 200} {
 		badType[6] = typ
@@ -166,10 +163,11 @@ func TestHeaderValidation(t *testing.T) {
 	}
 }
 
-// TestReservedFlagBitsStillRejected refuses each flag bit above the two the
-// header defines.
+// TestReservedFlagBitsStillRejected refuses each flag bit above the byte
+// order, the one the header defines: bit 1, once "more fragments follow",
+// among them.
 func TestReservedFlagBitsStillRejected(t *testing.T) {
-	for bit := 2; bit < 8; bit++ {
+	for bit := 1; bit < 8; bit++ {
 		b := EncodeHeader(MsgRequest, cdr.BigEndian, false, 0)
 		b[5] |= 1 << bit
 		if _, err := DecodeHeader(b[:]); !errors.Is(err, ErrBadFlags) {
@@ -188,8 +186,9 @@ func TestHeaderSizeBothOrders(t *testing.T) {
 		if got.Size != 0x01020304 {
 			t.Fatalf("%v: size %#x", ord, got.Size)
 		}
-		if !got.More() {
-			t.Fatalf("%v: more flag lost", ord)
+		// The continuation argument is ignored: it sets no flag bit.
+		if got.Flags&^FlagLittleEndian != 0 {
+			t.Fatalf("%v: flags %#x beyond the byte order", ord, got.Flags)
 		}
 	}
 }
