@@ -60,7 +60,7 @@ func main() {
 			}, []core.Operation{
 				{
 					Desc:    progressDesc,
-					NewArgs: func(*rts.Comm, []int) ([]dseq.Transferable, error) { return nil, nil },
+					NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
 					Handler: func(call *core.ServerCall) error {
 						state.mu.Lock()
 						call.Out.WriteLong(int32(state.iteration))
@@ -89,7 +89,7 @@ func main() {
 				},
 				{
 					Desc:    shutdownDesc,
-					NewArgs: func(*rts.Comm, []int) ([]dseq.Transferable, error) { return nil, nil },
+					NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
 					Handler: func(call *core.ServerCall) error { return core.ErrStopServing },
 				},
 			})

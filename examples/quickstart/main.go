@@ -49,7 +49,7 @@ func main() {
 			}, []core.Operation{
 				{
 					Desc:    greetDesc,
-					NewArgs: func(*rts.Comm, []int) ([]dseq.Transferable, error) { return nil, nil },
+					NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
 					Handler: func(call *core.ServerCall) error {
 						who, err := call.In.ReadString()
 						if err != nil {

@@ -103,7 +103,7 @@ func testObjectOps(argSpec dist.Spec) []Operation {
 		},
 		{
 			Desc: OpDesc{Name: "boom"},
-			NewArgs: func(*rts.Comm, []int) ([]dseq.Transferable, error) {
+			NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) {
 				return nil, nil
 			},
 			Handler: func(call *ServerCall) error {
@@ -715,7 +715,7 @@ func TestStopServingViaHandler(t *testing.T) {
 				TypeID: "IDL:test/stoppable:1.0", Name: "stoppable", NameServer: ns.Addr(),
 			}, []Operation{{
 				Desc:    stopDesc,
-				NewArgs: func(*rts.Comm, []int) ([]dseq.Transferable, error) { return nil, nil },
+				NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
 				Handler: func(call *ServerCall) error {
 					call.Out.WriteString("bye")
 					return ErrStopServing
@@ -766,7 +766,7 @@ func TestStopServingWhenAnotherThreadFails(t *testing.T) {
 	tc := startClusterOps(t, 2, false, func() []Operation {
 		return []Operation{{
 			Desc:    desc,
-			NewArgs: func(*rts.Comm, []int) ([]dseq.Transferable, error) { return nil, nil },
+			NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
 			Handler: func(call *ServerCall) error {
 				if call.Comm.Rank() == 0 {
 					return ErrStopServing
@@ -812,7 +812,7 @@ func TestPollNonBlocking(t *testing.T) {
 			obj, err := Export(c, ExportOptions{TypeID: "IDL:test/pollable:1.0", Multiport: false},
 				[]Operation{{
 					Desc:    scaleDesc,
-					NewArgs: func(*rts.Comm, []int) ([]dseq.Transferable, error) { return nil, nil },
+					NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
 					Handler: func(call *ServerCall) error { return nil },
 				}})
 			if err != nil {

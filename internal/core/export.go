@@ -19,25 +19,31 @@ import (
 )
 
 // Operation is the server-side registration of one operation of an SPMD
-// object: its distributed-argument signature, a factory for the server-side
-// sequences of one invocation, and the collective handler.
+// object: its distributed-argument signature, a factory for its server-side
+// sequences, and the collective handler.
 type Operation struct {
 	Desc OpDesc
-	// NewArgs builds this invocation's server-side sequences, one per
-	// entry of Desc.Args, on the given communicator. lengths[i] is the
-	// client-declared length for In/InOut arguments and -1 for Out
-	// arguments (whose length the handler chooses). Generated skeletons
-	// supply this; SeqArgsFloat64 covers the common all-double case.
-	NewArgs func(comm *rts.Comm, lengths []int) ([]dseq.Transferable, error)
+	// NewArgs builds the operation's server-side sequences, one per entry of
+	// Desc.Args, on the given communicator: once per computing thread, at the
+	// operation's first call, and they may be empty. Before every call the
+	// object resets each in place (dseq.Transferable.Reset) on the template
+	// Desc advertises — In and InOut arguments to the client's length, Out
+	// arguments to empty, whose length the handler chooses — and it lets them
+	// go when Serve returns. Generated skeletons supply this; SeqArgsFloat64
+	// covers the common all-double case.
+	NewArgs func(comm *rts.Comm) ([]dseq.Transferable, error)
 	// Handler performs the operation. It runs on every computing thread
 	// (the collective upcall); the scalar results written by thread 0 form
 	// the reply.
 	Handler func(call *ServerCall) error
 }
 
-// ServerCall is the context of one collective upcall. It and its In decoder
-// are the object's scratch, valid for the upcall only: the next invocation
-// reuses both, so a handler keeps neither past its return.
+// ServerCall is the context of one collective upcall. It, its In decoder, its
+// Args and any slice taken from their LocalData are the object's scratch,
+// valid for the upcall only: the next invocation reuses them all — the next
+// call of the operation resets the same sequences in place — so a handler
+// keeps none of them past its return. Storage a handler hands an argument
+// (SetLocal) stays the application's: the next call lets it go unwritten.
 type ServerCall struct {
 	// Comm is the object's engine communicator: Rank identifies this
 	// computing thread. Handlers may use it for their own collectives; the
@@ -124,6 +130,10 @@ type Object struct {
 	comm *rts.Comm
 	opts ExportOptions
 	ops  map[string]*Operation
+	// args holds, for each operation called on this thread, the sequences its
+	// NewArgs built: one buffer per argument, reset by every call, no larger
+	// than the largest the operation has moved, and let go when Serve returns.
+	args map[*Operation][]dseq.Transferable
 	srv  *orb.Server // nil on threads without a listener
 	ref  orb.IOR
 	rec  *obs.Recorder
@@ -309,6 +319,7 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 		comm:    engine,
 		opts:    opts,
 		ops:     ops,
+		args:    make(map[*Operation][]dseq.Transferable),
 		buckets: make(map[uint32]*dataBucket),
 		stop:    make(chan struct{}),
 		rec:     opts.Trace,

@@ -9,24 +9,13 @@ import (
 
 // SeqArgsFloat64 builds an Operation.NewArgs factory for an operation whose
 // distributed arguments are all sequences of double (the common case in the
-// paper), using the per-argument server templates from descs. Out arguments
-// (length -1) start empty; the handler sets their length.
-func SeqArgsFloat64(descs []ArgDesc) func(comm *rts.Comm, lengths []int) ([]dseq.Transferable, error) {
-	return func(comm *rts.Comm, lengths []int) ([]dseq.Transferable, error) {
-		if len(lengths) != len(descs) {
-			return nil, fmt.Errorf("%w: %d lengths for %d args", ErrArgMismatch, len(lengths), len(descs))
-		}
+// paper): one empty Block sequence per entry of descs, which New cannot fail
+// to make and the object resets to each call's length on the entry's template.
+func SeqArgsFloat64(descs []ArgDesc) func(comm *rts.Comm) ([]dseq.Transferable, error) {
+	return func(comm *rts.Comm) ([]dseq.Transferable, error) {
 		out := make([]dseq.Transferable, len(descs))
-		for i, d := range descs {
-			n := lengths[i]
-			if n < 0 {
-				n = 0
-			}
-			s, err := dseq.New(comm, dseq.Float64, n, d.specOrBlock())
-			if err != nil {
-				return nil, err
-			}
-			out[i] = s
+		for i := range out {
+			out[i], _ = dseq.New(comm, dseq.Float64, 0, nil)
 		}
 		return out, nil
 	}

@@ -36,6 +36,7 @@ const (
 // request be "delivered to all the computing threads". Serve returns nil on
 // an orderly stop.
 func (o *Object) Serve() error {
+	defer clear(o.args)
 	for {
 		proceed, err := o.Poll(true)
 		if err != nil {
@@ -234,24 +235,9 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *c
 		return nil, false, orb.BadOperation(h.Op)
 	}
 
-	// Build the server-side argument sequences.
-	lengths := make([]int, len(h.Args))
-	for i, a := range h.Args {
-		if a.Dir == Out {
-			lengths[i] = -1
-		} else {
-			lengths[i] = a.Layout.Length
-		}
-	}
-	args, err := op.NewArgs(o.comm, lengths)
+	args, err := o.resetArgs(op, h)
 	if err != nil {
 		return nil, false, &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}
-	}
-	if len(args) != len(h.Args) {
-		return nil, false, &orb.SystemException{
-			RepoID:  orb.RepoInternal,
-			Message: fmt.Sprintf("NewArgs built %d sequences for %d args", len(args), len(h.Args)),
-		}
 	}
 
 	// Buckets exist to accumulate framed transfers (plus attachments); a receive
@@ -366,6 +352,35 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *c
 		reply = e.Bytes()
 	}
 	return reply, stop, nil
+}
+
+// resetArgs readies op's argument sequences on this thread for call h: NewArgs
+// builds them at the operation's first call, and every call resets them in
+// place on the templates OpDesc advertises — In and InOut to the client's
+// length, Out to empty — so a call no larger than one the operation has moved
+// allocates no storage.
+func (o *Object) resetArgs(op *Operation, h *invocationHeader) ([]dseq.Transferable, error) {
+	args := o.args[op]
+	if args == nil {
+		var err error
+		if args, err = op.NewArgs(o.comm); err != nil {
+			return nil, err
+		}
+		if len(args) != len(op.Desc.Args) {
+			return nil, fmt.Errorf("NewArgs built %d sequences for %d args", len(args), len(op.Desc.Args))
+		}
+		o.args[op] = args
+	}
+	for i, a := range h.Args {
+		n := a.Layout.Length
+		if a.Dir == Out {
+			n = 0
+		}
+		if err := args[i].Reset(n, op.Desc.Args[i].specOrBlock()); err != nil {
+			return nil, err
+		}
+	}
+	return args, nil
 }
 
 // legSeq is argument i of args as one centralized leg carries it: nil where the

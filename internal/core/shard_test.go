@@ -31,7 +31,7 @@ func shardTestOps(tag string) []Operation {
 	return append(ops, []Operation{
 		{
 			Desc:    whoDesc,
-			NewArgs: func(*rts.Comm, []int) ([]dseq.Transferable, error) { return nil, nil },
+			NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
 			Handler: func(call *ServerCall) error {
 				call.Out.WriteString(tag)
 				return nil

@@ -39,6 +39,14 @@ type Seq[T any] struct {
 	// so a ResizeAlloc to that length has nothing to recompute.
 	bySpec bool
 	local  []T
+	// own is the storage the sequence allocated itself last, local or not
+	// (SetLocal): what Reset, and ResizeAlloc of an empty rank, reuse.
+	own []T
+	// prev is the spec-derived layout the last relayout replaced, of prevSpec
+	// (nil: none): an out argument, empty and then sized on every call, lays
+	// out neither length again.
+	prev     dist.Layout
+	prevSpec dist.Spec
 }
 
 // New collectively creates a zero-valued sequence of the given length
@@ -46,21 +54,11 @@ type Seq[T any] struct {
 // distribution, as the paper specifies for unset templates). All threads
 // must pass equal arguments.
 func New[T any](comm *rts.Comm, codec Codec[T], length int, spec dist.Spec) (*Seq[T], error) {
-	if spec == nil {
-		spec = dist.Block{}
-	}
-	layout, err := spec.Layout(length, comm.Size())
-	if err != nil {
+	s := &Seq[T]{comm: comm, codec: codec}
+	if err := s.Reset(length, spec); err != nil {
 		return nil, err
 	}
-	return &Seq[T]{
-		comm:   comm,
-		codec:  codec,
-		spec:   spec,
-		layout: layout,
-		bySpec: true,
-		local:  make([]T, layout.Count(comm.Rank())),
-	}, nil
+	return s, nil
 }
 
 // NewWithLayout collectively creates a sequence with an explicit layout
@@ -72,13 +70,8 @@ func NewWithLayout[T any](comm *rts.Comm, codec Codec[T], layout dist.Layout) (*
 	if layout.Ranks != comm.Size() {
 		return nil, fmt.Errorf("%w: layout for %d ranks in a %d-rank world", ErrLayout, layout.Ranks, comm.Size())
 	}
-	return &Seq[T]{
-		comm:   comm,
-		codec:  codec,
-		spec:   nil,
-		layout: layout,
-		local:  make([]T, layout.Count(comm.Rank())),
-	}, nil
+	local := make([]T, layout.Count(comm.Rank()))
+	return &Seq[T]{comm: comm, codec: codec, layout: layout, local: local, own: local}, nil
 }
 
 // FromLocal is the conversion constructor: each thread contributes its own
@@ -333,7 +326,7 @@ func (s *Seq[T]) redistributeTo(newLayout dist.Layout) error {
 		}
 	}
 	s.layout, s.bySpec = newLayout, false
-	s.local = newLocal
+	s.local, s.own = newLocal, newLocal
 	return nil
 }
 
@@ -384,7 +377,7 @@ func (s *Seq[T]) shrink(n int) error {
 		off += iv.Len
 	}
 	s.layout, s.bySpec = dist.Layout{Length: n, Ranks: s.layout.Ranks, Intervals: newIvs}, false
-	s.local = newLocal
+	s.local, s.own = newLocal, newLocal
 	if err := s.layout.Validate(); err != nil {
 		return err
 	}

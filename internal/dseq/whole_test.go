@@ -236,3 +236,63 @@ func TestResizeAllocReusesStorage(t *testing.T) {
 		return nil
 	})
 }
+
+// TestResetReusesOwnStorage pins Reset: it gives what New would — zeroed
+// elements on the spec's layout — on the storage the sequence allocated itself,
+// whatever SetLocal adopted in between, which it never writes. A Reset to the
+// length and spec the sequence has, or had before its last relayout, allocates
+// nothing: an out argument that goes from empty to its result every call, by
+// Reset and then ResizeAlloc, costs no heap object.
+func TestResetReusesOwnStorage(t *testing.T) {
+	run(t, 2, func(c *rts.Comm) error {
+		spec := dist.Proportions{P: []int{1, 3}}
+		s, err := New(c, Float64, 100, spec)
+		if err != nil {
+			return err
+		}
+		own := s.LocalData()
+		adopted := make([]float64, len(own))
+		for i := range adopted {
+			adopted[i] = 7
+		}
+		if err := s.SetLocal(adopted); err != nil {
+			return err
+		}
+		var same dist.Spec = dist.Proportions{P: []int{1, 3}} // equal, not identical
+		if err := s.Reset(40, same); err != nil {
+			return err
+		}
+		want, _ := spec.Layout(40, 2)
+		if got := s.LocalData(); !s.Layout().Equal(want) || len(got) != want.Count(c.Rank()) || &got[0] != &own[0] {
+			return fmt.Errorf("Reset(40) gave %d local elements on %v, want %d of its own storage on %v", len(got), s.Layout(), want.Count(c.Rank()), want)
+		}
+		for i := range adopted {
+			if adopted[i] != 7 {
+				return errors.New("Reset wrote the storage SetLocal adopted")
+			}
+		}
+		for _, v := range s.LocalData() {
+			if v != 0 {
+				return fmt.Errorf("Reset left %v behind", v)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err = s.Reset(0, same); err == nil {
+				err = s.ResizeAlloc(100)
+			}
+		}); allocs != 0 || err != nil {
+			return fmt.Errorf("an empty-then-sized cycle allocates %.0f objects (err %v)", allocs, err)
+		}
+		if &s.LocalData()[0] != &own[0] {
+			return errors.New("ResizeAlloc of an empty sequence did not grow into its own storage")
+		}
+		cyclic := dist.Cyclic{BlockSize: 1}
+		if err := s.Reset(100, cyclic); err != nil {
+			return err
+		}
+		if want, _ := cyclic.Layout(100, 2); !s.Layout().Equal(want) {
+			return fmt.Errorf("Reset to another spec kept layout %v, want %v", s.Layout(), want)
+		}
+		return nil
+	})
+}

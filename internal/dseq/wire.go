@@ -2,6 +2,7 @@ package dseq
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cdr"
 	"repro/internal/dist"
@@ -40,8 +41,16 @@ type Transferable interface {
 	// when unset), discarding contents: every element reads zero afterwards.
 	// A rank whose element count is unchanged keeps (and clears) its local
 	// storage, so slices taken from LocalData before the call alias the new
-	// contents. Not collective: every rank must call it with the same length.
+	// contents; an empty rank grows into the storage the sequence allocated
+	// itself when that is large enough. Not collective: every rank must call
+	// it with the same length.
 	ResizeAlloc(length int) error
+	// Reset makes the sequence what New would make of length and spec (nil:
+	// Block) on the storage it allocated itself, grown only past its capacity:
+	// storage adopted through SetLocal or FromLocal is let go unwritten. The
+	// length and spec it has, or had before its last relayout, allocate
+	// nothing. Not collective: every rank must pass the same arguments.
+	Reset(length int, spec dist.Spec) error
 	StreamTransferable
 }
 
@@ -129,23 +138,72 @@ func (s *Seq[T]) ScatterUnmarshal(root int, payload []byte) error {
 // laid out — a client's out argument, on every call after the first — keeps the
 // layout as well as the storage.
 func (s *Seq[T]) ResizeAlloc(length int) error {
-	if s.bySpec && length == s.layout.Length {
-		clear(s.local)
-		return nil
+	if err := s.relayout(length, s.spec); err != nil {
+		return err
 	}
-	spec := s.spec
+	switch n := s.layout.Count(s.comm.Rank()); {
+	case n == len(s.local):
+		clear(s.local)
+	case len(s.local) == 0:
+		s.local = s.ownStorage(n)
+	default: // a slice taken from LocalData keeps the old contents
+		s.own = make([]T, n)
+		s.local = s.own
+	}
+	return nil
+}
+
+// Reset implements Transferable.
+func (s *Seq[T]) Reset(length int, spec dist.Spec) error {
+	if err := s.relayout(length, spec); err != nil {
+		return err
+	}
+	s.local = s.ownStorage(s.layout.Count(s.comm.Rank()))
+	return nil
+}
+
+// ownStorage returns n zeroed elements of the storage the sequence allocated
+// itself, allocating only past its capacity.
+func (s *Seq[T]) ownStorage(n int) []T {
+	if cap(s.own) < n {
+		s.own = make([]T, n)
+		return s.own
+	}
+	s.own = s.own[:n]
+	clear(s.own)
+	return s.own
+}
+
+// relayout lays the sequence out as spec (Block when nil) lays out length,
+// keeping the current layout or taking back the one it replaced last when
+// either is that.
+func (s *Seq[T]) relayout(length int, spec dist.Spec) error {
 	if spec == nil {
 		spec = dist.Block{}
 	}
-	layout, err := spec.Layout(length, s.comm.Size())
-	if err != nil {
-		return err
+	if s.bySpec && length == s.layout.Length && sameSpec(spec, s.spec) {
+		return nil
 	}
-	s.layout, s.bySpec = layout, true
-	if n := layout.Count(s.comm.Rank()); n == len(s.local) {
-		clear(s.local)
-	} else {
-		s.local = make([]T, n)
+	layout := s.prev
+	if s.prevSpec == nil || length != layout.Length || !sameSpec(spec, s.prevSpec) {
+		var err error
+		if layout, err = spec.Layout(length, s.comm.Size()); err != nil {
+			return err
+		}
 	}
+	if s.bySpec {
+		s.prev, s.prevSpec = s.layout, s.spec
+	}
+	s.layout, s.spec, s.bySpec = layout, spec, true
 	return nil
+}
+
+// sameSpec reports whether a and b are one law. Proportions, whose ratio is a
+// slice, is the one spec == cannot compare.
+func sameSpec(a, b dist.Spec) bool {
+	if p, ok := a.(dist.Proportions); ok {
+		q, ok := b.(dist.Proportions)
+		return ok && slices.Equal(p.P, q.P)
+	}
+	return a == b
 }

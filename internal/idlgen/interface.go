@@ -443,28 +443,15 @@ func (m *opModel) implResults() string {
 }
 
 func (g *generator) serverOperation(name string, m *opModel) {
-	nDist := len(m.dists)
-	if m.retDist != nil {
-		nDist++
-	}
 	g.p("\t\t{")
 	g.p("\t\t\tDesc: core.OpDesc{Name: %q, Args: %s},", m.op.Name, m.argDescs())
-	g.p("\t\t\tNewArgs: func(comm *rts.Comm, lengths []int) ([]dseq.Transferable, error) {")
-	g.p("\t\t\t\tout := make([]dseq.Transferable, 0, %d)", nDist)
-	idx := 0
+	// Empty Block sequences, which New cannot fail to make: the object resets
+	// each to the call's length on the template Desc advertises.
+	g.p("\t\t\tNewArgs: func(comm *rts.Comm) ([]dseq.Transferable, error) {")
+	var seqs []string
 	emit := func(d distParam) {
-		g.p("\t\t\t\t{")
-		g.p("\t\t\t\t\tn := lengths[%d]", idx)
-		g.p("\t\t\t\t\tif n < 0 {")
-		g.p("\t\t\t\t\t\tn = 0")
-		g.p("\t\t\t\t\t}")
-		g.p("\t\t\t\t\ts, err := dseq.New(comm, %s, n, %s)", d.elem.codec, d.spec)
-		g.p("\t\t\t\t\tif err != nil {")
-		g.p("\t\t\t\t\t\treturn nil, err")
-		g.p("\t\t\t\t\t}")
-		g.p("\t\t\t\t\tout = append(out, s)")
-		g.p("\t\t\t\t}")
-		idx++
+		seqs = append(seqs, fmt.Sprintf("s%d", len(seqs)))
+		g.p("\t\t\t\t%s, _ := dseq.New(comm, %s, 0, nil) // empty and Block: cannot fail", seqs[len(seqs)-1], d.elem.codec)
 	}
 	for _, d := range m.dists {
 		emit(d)
@@ -472,7 +459,7 @@ func (g *generator) serverOperation(name string, m *opModel) {
 	if m.retDist != nil {
 		emit(*m.retDist)
 	}
-	g.p("\t\t\t\treturn out, nil")
+	g.p("\t\t\t\treturn []dseq.Transferable{%s}, nil", strings.Join(seqs, ", "))
 	g.p("\t\t\t},")
 	g.p("\t\t\tHandler: func(call *core.ServerCall) error {")
 	// Decode scalars.

@@ -35,7 +35,7 @@ func goLocal(ident string) string {
 	case "type", "func", "range", "map", "chan", "var", "const", "return",
 		"go", "select", "interface", "defer", "package", "import",
 		"c", "err", "result", "reply", "enc", "dec", "ierr", "derr",
-		"call", "impl", "herr", "comm", "lengths", "out", "opts":
+		"call", "impl", "herr", "comm", "out", "opts":
 		return lower + "_"
 	}
 	return lower

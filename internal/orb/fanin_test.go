@@ -106,7 +106,10 @@ func TestShutdownRacesAdmission(t *testing.T) {
 // drains and refills it concurrently: releases of in-flight dispatches (each
 // one pulls a queued item into its worker) race new admissions into the
 // freed slots. The books must balance exactly — every request either
-// dispatched or shed, gauges at zero after the dust settles.
+// dispatched or shed, gauges at zero after the dust settles. Every drain is
+// held until the server is full — MaxInFlight dispatches parked, QueueDepth
+// queued — and until it has shed a request, and waits for the dispatch it
+// released to complete, so both outcomes occur whatever the scheduler does.
 func TestQueueExhaustionWithConcurrentDrains(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const maxInFlight, queueDepth = 2, 2
@@ -120,7 +123,8 @@ func TestQueueExhaustionWithConcurrentDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	gate := make(chan struct{}, 64)
+	const total = 48
+	gate := make(chan struct{}, total)
 	srv.Register(key, ServantFunc(func(op string, in *cdr.Decoder, out *cdr.Encoder) error {
 		<-gate // each token drains one dispatch
 		out.WriteULong(1)
@@ -131,7 +135,6 @@ func TestQueueExhaustionWithConcurrentDrains(t *testing.T) {
 	c.Timeout = 10 * time.Second
 	defer c.Close()
 
-	const total = 48
 	var ok, shed atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < total; i++ {
@@ -148,13 +151,25 @@ func TestQueueExhaustionWithConcurrentDrains(t *testing.T) {
 				t.Errorf("invoke: %v", err)
 			}
 		}()
-		if i%3 == 0 {
-			gate <- struct{}{} // concurrent drain while the queue churns
-		}
 	}
-	// Release everything still parked.
-	for i := 0; i < total; i++ {
-		gate <- struct{}{}
+	// Drain while the requests still arrive; once none can arrive any more,
+	// release everything still parked.
+	for released := 0; released < total; {
+		st := srv.Stats()
+		occupied := int64(st.InFlight + st.Queued)
+		switch {
+		case ok.Load() < int64(released): // the last drain's reply is on its way
+		case occupied == maxInFlight+queueDepth && st.Shed > 0:
+			gate <- struct{}{}
+			released++
+			continue
+		case ok.Load()+shed.Load()+occupied >= total:
+			for ; released < total; released++ {
+				gate <- struct{}{}
+			}
+			continue
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 	wg.Wait()
 

@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,8 +42,22 @@ func TestLeakCheckPassesOnTransientGoroutines(t *testing.T) {
 	}
 }
 
+// quiesce waits until the goroutine count has held still for a while, so that
+// goroutines of earlier tests still on their way out cannot exit inside a
+// measurement window and make up for a planted leak.
+func quiesce() {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 20; still++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		}
+	}
+}
+
 func TestLeakCheckCatchesARealLeak(t *testing.T) {
 	r := &recorder{TB: t}
+	quiesce()
 	done := LeakCheckWindow(r, 100*time.Millisecond)
 	stop := make(chan struct{})
 	defer close(stop)

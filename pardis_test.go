@@ -35,12 +35,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 				NameServer: ns.Addr(),
 			}, []Operation{{
 				Desc: scaleDesc,
-				NewArgs: func(comm *Comm, lengths []int) ([]Transferable, error) {
-					n := lengths[0]
-					if n < 0 {
-						n = 0
-					}
-					s, err := NewSeq(comm, Float64, n, nil)
+				NewArgs: func(comm *Comm) ([]Transferable, error) {
+					s, err := NewSeq(comm, Float64, 0, nil)
 					if err != nil {
 						return nil, err
 					}
