@@ -206,18 +206,18 @@ type bindLane struct {
 	free chan struct{} // holds one token when the lane is idle
 	// sink is where the server's Data frames for the lane's invocation land
 	// (orb.Client.RegisterDataSink), made by the first invocation that expects
-	// any and kept: an invocation registers it under its token, and drains it
-	// when it ends. The lane's holder alone touches it.
-	sink chan *wire.Data
+	// any and kept, timer and all: an invocation registers it under its token,
+	// and drains it when it ends. The lane's holder alone touches it.
+	sink sink
 }
 
 // dataSink returns the lane's sink. Its capacity is what lets a whole reply
 // leg (maxStreamChunks) be written before the Reply that releases its reader.
-func (ln *bindLane) dataSink() chan *wire.Data {
-	if ln.sink == nil {
-		ln.sink = make(chan *wire.Data, bucketCapacity)
+func (ln *bindLane) dataSink() *sink {
+	if ln.sink.ch == nil {
+		ln.sink.ch = make(chan *wire.Data, bucketCapacity)
 	}
-	return ln.sink
+	return &ln.sink
 }
 
 func newLane(c *rts.Comm) bindLane {
@@ -454,8 +454,8 @@ func (b *Binding) Close() {
 		ln := &b.lanes[i]
 		select {
 		case <-ln.free:
-			if ln.sink != nil {
-				drainData(ln.sink)
+			if ln.sink.ch != nil {
+				drainData(ln.sink.ch)
 			}
 			ln.free <- struct{}{}
 		default:

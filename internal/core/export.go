@@ -148,6 +148,10 @@ type Object struct {
 
 	bucketMu sync.Mutex
 	buckets  map[uint32]*dataBucket
+	// spare holds the buckets that left the table, emptied, for bucket to
+	// reissue (under bucketMu): never more than were live at once on this
+	// thread, and let go when Serve returns and at Close and Shutdown.
+	spare []*dataBucket
 
 	// draining sheds new requests with TRANSIENT once Shutdown begins.
 	draining  atomic.Bool
@@ -199,15 +203,21 @@ type callResult struct {
 
 // dataBucket accumulates multi-port transfers and connection attachments
 // for one invocation token on one computing thread. The first Data frame of a
-// token creates it; the call that carries the token claims it and drops it
+// token opens it; the call that carries the token claims it and drops it
 // when done. A bucket nobody claims — its header was refused, here or by the
 // adapter's admission control before dispatch saw it, or never came — lives
-// DataTimeout past its last frame and is dropped by the next sweep.
+// DataTimeout past its last frame and is dropped by the next sweep. A dropped
+// bucket is emptied and goes back to the object, which reissues it, channel,
+// timer and conns map and all, to the next token that needs one.
 type dataBucket struct {
-	o      *Object
-	ch     chan *wire.Data
+	o *Object
+	sink
 	connMu sync.Mutex
-	conns  map[int]*transport.Conn // client rank → connection for replies
+	// token is the invocation the bucket serves (written under both locks):
+	// what a handleData that looked the bucket up before it moved on brings
+	// for another token is late and belongs to nobody.
+	token uint32
+	conns map[int]*transport.Conn // client rank → connection for replies
 	// notify wakes a return-flow sender waiting for a client attachment
 	// that is still in flight (a pure-out operation can reach its send
 	// phase before the attach message lands).
@@ -215,17 +225,10 @@ type dataBucket struct {
 
 	claimed   bool      // under Object.bucketMu: a call is being processed on it
 	lastFrame time.Time // under Object.bucketMu: when handleData last fed it
-	dropped   atomic.Bool
-}
-
-// drop returns every frame buffered in a bucket that has left the table to the
-// transport pool — e.g. chunks past the first failure of a streamed transfer,
-// which the receive loop stopped pulling. A handleData that looked the bucket
-// up before it left the table sees dropped after its own send and drains too,
-// so no frame is stranded whichever of the two comes last.
-func (b *dataBucket) drop() {
-	b.dropped.Store(true)
-	drainData(b.ch)
+	// dropped is set while the bucket is out of the table (written under
+	// Object.bucketMu, where reading it is exact): idle, it buffers nobody's
+	// frames.
+	dropped atomic.Bool
 }
 
 // conn returns the recorded connection for a client rank, waiting up to
@@ -579,8 +582,19 @@ func (o *Object) validate(h *invocationHeader) error {
 // handleData routes an inbound multi-port transfer (or connection
 // attachment) to its invocation's bucket on this computing thread.
 func (o *Object) handleData(d *wire.Data, conn *transport.Conn) {
-	b := o.bucket(d.RequestID, false)
+	o.bucket(d.RequestID, false).deliver(d, conn)
+}
+
+// deliver records the connection d arrived on as its source thread's, and
+// queues d's payload, unless the bucket has moved on to another token since
+// d's handleData looked it up.
+func (b *dataBucket) deliver(d *wire.Data, conn *transport.Conn) {
 	b.connMu.Lock()
+	if b.token != d.RequestID {
+		b.connMu.Unlock()
+		d.Release() // late: nobody's
+		return
+	}
 	if _, ok := b.conns[int(d.SrcRank)]; !ok {
 		if b.conns == nil {
 			b.conns = make(map[int]*transport.Conn)
@@ -600,24 +614,44 @@ func (o *Object) handleData(d *wire.Data, conn *transport.Conn) {
 	}
 	b.ch <- d
 	if b.dropped.Load() {
-		drainData(b.ch)
+		// The bucket left the table after the lookup. Still idle, it holds
+		// nobody's frames; reissued meanwhile, another call's, which stay —
+		// that call's receive leg skips d.
+		b.o.bucketMu.Lock()
+		if b.dropped.Load() {
+			drainData(b.ch)
+		}
+		b.o.bucketMu.Unlock()
 	}
 }
 
-// bucket returns the token's bucket, creating it at the token's first sight.
-// claim is the call now processed on the token taking it, which the sweep
-// respects; otherwise the caller is a frame, which restarts the bucket's
-// DataTimeout.
+// bucket returns the token's bucket, opening it — a spare one first — at the
+// token's first sight. claim is the call now processed on the token taking it,
+// which the sweep respects; otherwise the caller is a frame, which restarts
+// the bucket's DataTimeout.
 func (o *Object) bucket(token uint32, claim bool) *dataBucket {
 	o.bucketMu.Lock()
 	b, ok := o.buckets[token]
 	if !ok {
-		// conns is created lazily on first attachment; reads of the nil
-		// map are safe and miss.
-		b = &dataBucket{
-			o:      o,
-			ch:     make(chan *wire.Data, bucketCapacity),
-			notify: make(chan struct{}, 1),
+		if n := len(o.spare); n > 0 {
+			b, o.spare = o.spare[n-1], o.spare[:n-1]
+			// A reissued bucket starts empty, whatever reached it idle.
+			drainData(b.ch)
+			b.connMu.Lock()
+			b.token = token
+			clear(b.conns)
+			b.connMu.Unlock()
+			b.claimed = false
+			b.dropped.Store(false)
+		} else {
+			// conns is created lazily on first attachment; reads of the nil
+			// map are safe and miss.
+			b = &dataBucket{
+				o:      o,
+				sink:   sink{ch: make(chan *wire.Data, bucketCapacity)},
+				token:  token,
+				notify: make(chan struct{}, 1),
+			}
 		}
 		o.buckets[token] = b
 	}
@@ -635,33 +669,50 @@ func (o *Object) bucket(token uint32, claim bool) *dataBucket {
 
 func (o *Object) dropBucket(token uint32) {
 	o.bucketMu.Lock()
-	b := o.buckets[token]
-	delete(o.buckets, token)
-	o.bucketMu.Unlock()
-	if b != nil {
-		b.drop()
+	if b := o.buckets[token]; b != nil {
+		o.retire(token, b)
 	}
+	o.bucketMu.Unlock()
+}
+
+// retire takes b out of the table (under bucketMu) and returns every frame it
+// buffers to the transport pool — e.g. chunks past the first failure of a
+// streamed transfer, which the receive loop stopped pulling — before it
+// becomes a spare. A handleData that looked b up before sees dropped after its
+// own send and drains too, so no frame is stranded whichever comes last.
+func (o *Object) retire(token uint32, b *dataBucket) {
+	delete(o.buckets, token)
+	b.dropped.Store(true)
+	drainData(b.ch)
+	o.spare = append(o.spare, b)
 }
 
 // sweep drops the buckets no call has claimed DataTimeout after their last
-// frame — or, at Close and Shutdown, all of them. It runs when a bucket is
-// created and when a Poll round begins, so unclaimed data is bounded by what
-// arrives within one DataTimeout and needs no goroutine or timer of its own.
-// A frame that arrives for a token already dropped opens a fresh bucket, which
-// ends here too.
+// frame — or, at Close and Shutdown, all of them, and lets the spares go. It
+// runs when a bucket is opened and when a Poll round begins, so unclaimed data
+// is bounded by what arrives within one DataTimeout and needs no goroutine or
+// timer of its own. A frame that arrives for a token already dropped opens a
+// bucket, which ends here too.
 func (o *Object) sweep(all bool) {
-	var dead []*dataBucket
 	o.bucketMu.Lock()
 	for token, b := range o.buckets {
 		if all || (!b.claimed && o.opts.DataTimeout > 0 && time.Since(b.lastFrame) > o.opts.DataTimeout) {
-			delete(o.buckets, token)
-			dead = append(dead, b)
+			o.retire(token, b)
 		}
 	}
-	o.bucketMu.Unlock()
-	for _, b := range dead {
-		b.drop()
+	if all {
+		// In the same hold: a bucket a call still reads is never reissued.
+		o.spare = nil
 	}
+	o.bucketMu.Unlock()
+}
+
+// releaseSpares lets the spare buckets go. A spare holds no frame, and one a
+// late handleData brings it is drained on arrival: the bucket stays dropped.
+func (o *Object) releaseSpares() {
+	o.bucketMu.Lock()
+	o.spare = nil
+	o.bucketMu.Unlock()
 }
 
 // connLost poisons every bucket fed by the lost connection with a nil

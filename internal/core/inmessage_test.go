@@ -444,7 +444,7 @@ func TestInMessageCallIsOneExchange(t *testing.T) {
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		if b.lanes[0].sink != nil {
+		if b.lanes[0].sink.ch != nil {
 			return fmt.Errorf("thread %d: an in-only call made its lane a sink", c.Rank())
 		}
 		if c.Rank() != 0 {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/orb"
 	"repro/internal/rts"
-	"repro/internal/wire"
 )
 
 // Timing records where a blocking invocation spent its time, as observed by
@@ -75,7 +74,7 @@ type invocation struct {
 	addr   string
 	served int32 // 1-based shard the attempt was routed to; 0 without a shard key
 
-	sink chan *wire.Data // the lane's: what the server addresses to this thread beside the reply
+	sink *sink // the lane's: what the server addresses to this thread beside the reply
 	// Thread 0's request/reply exchange: its outcome, and the channel that
 	// delivers it when the forward leg launched the request beside the data.
 	reply   callResult
@@ -255,7 +254,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	sinks := iv.sh == shapeDirect || (iv.offer != 0 && me == 0)
 	if sinks {
 		iv.sink = ln.dataSink()
-		defer drainData(iv.sink)
+		defer drainData(iv.sink.ch)
 	}
 
 	// Thread 0 walks the reference's profiles, and each attempt — both legs and
@@ -278,7 +277,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 			return nil, err
 		}
 		if sinks {
-			b.client.RegisterDataSink(iv.t.ref, iv.token, uint32(me), iv.sink)
+			b.client.RegisterDataSink(iv.t.ref, iv.token, uint32(me), iv.sink.ch)
 		}
 
 		// Forward leg: the header from thread 0 — first and alone, as §3.3

@@ -13,11 +13,13 @@ import (
 	"time"
 	"weak"
 
+	"repro/internal/bufpool"
 	"repro/internal/dist"
 	"repro/internal/dseq"
 	"repro/internal/rts"
 	"repro/internal/testutil"
 	"repro/internal/transport"
+	"repro/internal/wire"
 	"repro/internal/zcodec"
 )
 
@@ -418,6 +420,233 @@ func TestRecycledArgsRetention(t *testing.T) {
 				mu.Lock()
 				defer mu.Unlock()
 				for _, p := range storage {
+					if p.Value() != nil {
+						return false
+					}
+				}
+				return true
+			})
+		})
+	}
+}
+
+// Recycled buckets: a server thread's data bucket outlives its token — a
+// dropped one is emptied and reissued to the next token the thread sees
+// (Object.bucket) — so a handleData that looked a bucket up before it moved on
+// may deliver, late, what a call that is over brought. These tests hold that
+// such a frame reaches neither the data nor the connections of the call the
+// bucket serves now, and that what a thread keeps is let go with Serve.
+
+// lateFrame is what a call that is over may still bring a bucket: with count 0
+// an attachment, else a chunk of count elements of garbage at the start of the
+// leg, in a buffer rented from the frame pool as the transport's are.
+func lateFrame(token uint32, src, count int) *wire.Data {
+	d := &wire.Data{RequestID: token, SrcRank: uint32(src), Count: uint64(count), Flags: chunkFlags(false)}
+	if count > 0 {
+		payload := dseq.MarshalChunk(dseq.Float64, slices.Repeat([]float64{-1e9}, count))
+		d.Payload = append(bufpool.Frames.Rent(len(payload)), payload...)
+		d.Lend(d.Payload)
+	}
+	return d
+}
+
+// TestRecycledBucketIgnoresStaleToken: after a call from one client, each
+// receiving server thread holds the call's bucket as a spare. A late chunk and
+// a late attachment of that call, from its client's connection, reach each
+// spare twice: while it is idle, beside the poison a lost connection leaves,
+// and again once the next call's token has opened it, ahead of that call's own
+// frames. The next calls, from a second client, get exactly their own data in
+// and their own results back — a multi-port one over its own connections — and
+// every frame goes back to the pool.
+func TestRecycledBucketIgnoresStaleToken(t *testing.T) {
+	const elems = 8 * shapeChunk
+	for _, method := range []Method{Centralized, Multiport} {
+		t.Run(method.String(), func(t *testing.T) {
+			defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
+			tc := startClusterOps(t, 2, true, func() []Operation { return shapeOps(func(*ServerCall) {}) })
+			tc.objMu.Lock()
+			receivers := slices.Clone(tc.objects)
+			tc.objMu.Unlock()
+			if method == Centralized {
+				receivers = receivers[:1] // thread 0 alone takes a centralized leg's frames
+			}
+
+			w := rts.NewWorld(2, rts.Options{RecvTimeout: testTimeout})
+			defer w.Close()
+			run := func(fn func(c *rts.Comm) error) {
+				t.Helper()
+				if err := w.Run(fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// first is the client of the call that is over, second of the
+			// calls after it.
+			var first, second [2]*Binding
+			var arrs [2]*dseq.Seq[float64]
+			defer func() {
+				for _, b := range append(first[:], second[:]...) {
+					if b != nil {
+						b.Close()
+					}
+				}
+			}()
+			opts := BindOptions{Method: method, Timeout: 5 * time.Second, StreamChunkElems: shapeChunk}
+			run(func(c *rts.Comm) (err error) {
+				r := c.Rank()
+				if first[r], err = SPMDBind(c, "example", tc.ns.Addr(), opts); err != nil {
+					return err
+				}
+				if second[r], err = SPMDBind(c, "example", tc.ns.Addr(), opts); err != nil {
+					return err
+				}
+				arrs[r], err = dseq.New(c, dseq.Float64, elems, nil)
+				return err
+			})
+			swap := func(b *[2]*Binding) {
+				t.Helper()
+				run(func(c *rts.Comm) error {
+					arr := arrs[c.Rank()]
+					arr.FillFunc(func(g int) float64 { return float64(g + 1) })
+					if _, err := b[c.Rank()].Invoke("swap", ScalarEncoder().Bytes(), []DistArg{InOutSeq(arr)}); err != nil {
+						return err
+					}
+					return wantElems(arr, func(g int) float64 { return -float64(g + 1) })
+				})
+			}
+			// spares waits for the call just made to be over on every
+			// receiving thread and returns the bucket each kept.
+			spares := func() []*dataBucket {
+				t.Helper()
+				bs := make([]*dataBucket, len(receivers))
+				for k, o := range receivers {
+					testutil.Eventually(t, testTimeout, "a call that is over left no spare bucket", func() bool {
+						o.bucketMu.Lock()
+						defer o.bucketMu.Unlock()
+						if len(o.buckets) != 0 || len(o.spare) != 1 {
+							return false
+						}
+						bs[k] = o.spare[0]
+						return true
+					})
+				}
+				return bs
+			}
+
+			swap(&first)
+			type late struct {
+				token uint32
+				src   int
+				conn  *transport.Conn
+			}
+			var lates []late
+			for _, b := range spares() {
+				b.connMu.Lock()
+				l := late{token: b.token}
+				for l.src, l.conn = range b.conns {
+					break
+				}
+				b.connMu.Unlock()
+				if l.conn == nil {
+					t.Fatal("a receiving thread recorded no client connection")
+				}
+				lates = append(lates, l)
+			}
+			deliverLate := func(bs []*dataBucket) {
+				for k, b := range bs {
+					b.deliver(lateFrame(lates[k].token, lates[k].src, shapeChunk), lates[k].conn)
+					b.deliver(lateFrame(lates[k].token, lates[k].src, 0), lates[k].conn)
+				}
+			}
+
+			idle := spares()
+			deliverLate(idle)
+			for _, b := range idle {
+				b.ch <- nil
+			}
+			swap(&second)
+
+			// The next token the process hands out is the second client's
+			// next call's; opening its bucket here is what its first frame
+			// would do.
+			token := tokenCounter.Load() + 1
+			for k, o := range receivers {
+				if b := o.bucket(token, false); b != idle[k] {
+					t.Fatalf("receiving thread %d opened a new bucket, not its spare", k)
+				}
+			}
+			deliverLate(idle)
+			swap(&second)
+			for k, b := range spares() {
+				if b.token != token {
+					t.Fatalf("receiving thread %d's bucket served token %#x, not the predicted %#x", k, b.token, token)
+				}
+			}
+		})
+	}
+}
+
+// TestRecycledBucketRetention: after calls made one at a time, a server thread
+// keeps one spare bucket where it receives a leg's frames and none where it
+// does not — thread 1 of a centralized call — and once Serve has returned it
+// keeps none: the buckets, their channels and timers go to the collector.
+func TestRecycledBucketRetention(t *testing.T) {
+	for _, method := range []Method{Centralized, Multiport} {
+		t.Run(method.String(), func(t *testing.T) {
+			ops := func() []Operation {
+				return append(shapeOps(func(*ServerCall) {}), Operation{Desc: OpDesc{Name: "stop"},
+					NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
+					Handler: func(*ServerCall) error { return ErrStopServing }})
+			}
+			tc := startClusterOps(t, 2, true, ops)
+			tc.objMu.Lock()
+			objs := slices.Clone(tc.objects)
+			tc.objMu.Unlock()
+			opts := BindOptions{Method: method, Timeout: testTimeout, StreamChunkElems: shapeChunk}
+			tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
+				for i := 0; i < 3; i++ {
+					if err := put(c, b, method, 8*shapeChunk); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			want := []int{1, 1}
+			if method == Centralized {
+				want[1] = 0
+			}
+			var kept []weak.Pointer[dataBucket]
+			for r, o := range objs {
+				testutil.Eventually(t, testTimeout, fmt.Sprintf("thread %d never settled at %d spare buckets", r, want[r]), func() bool {
+					o.bucketMu.Lock()
+					defer o.bucketMu.Unlock()
+					return len(o.buckets) == 0 && len(o.spare) == want[r]
+				})
+				o.bucketMu.Lock()
+				for _, b := range o.spare {
+					kept = append(kept, weak.Make(b))
+				}
+				o.bucketMu.Unlock()
+			}
+
+			tc.runClient(t, 2, Centralized, func(c *rts.Comm, b *Binding) error {
+				_, err := b.Invoke("stop", ScalarEncoder().Bytes(), nil)
+				return err
+			})
+			testutil.Eventually(t, testTimeout, "Serve never returned", func() bool {
+				tc.objMu.Lock()
+				defer tc.objMu.Unlock()
+				return !slices.Contains(tc.served, -1)
+			})
+			for r, o := range objs {
+				o.bucketMu.Lock()
+				if len(o.buckets) != 0 || len(o.spare) != 0 {
+					t.Errorf("thread %d holds %d buckets and %d spares after Serve returned", r, len(o.buckets), len(o.spare))
+				}
+				o.bucketMu.Unlock()
+			}
+			testutil.Eventually(t, 5*time.Second, "a spare bucket outlived Serve", func() bool {
+				runtime.GC()
+				for _, p := range kept {
 					if p.Value() != nil {
 						return false
 					}

@@ -139,7 +139,7 @@ func TestEmptyLegCostsNothing(t *testing.T) {
 	plans := [][]dist.Move{nil, {{SrcRank: 1, DstRank: 1, Len: 100}}}
 	none := func(int) dseq.Transferable { t.Error("an empty leg touched an argument"); return nil }
 	span := func(time.Time) { t.Error("an empty leg recorded a chunk") }
-	w := frameWait{ch: make(chan *wire.Data), timeout: time.Minute}
+	w := frameWait{s: &sink{ch: make(chan *wire.Data)}, timeout: time.Minute}
 	conns := failingConns{t}
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := sendSteps(conns, 2, 7, 0, false, 8, plans, none, span); err != nil {
@@ -151,8 +151,8 @@ func TestEmptyLegCostsNothing(t *testing.T) {
 		if err := recvSteps(&w, 0, 2, true, 8, nil, none, span); err != nil {
 			t.Error(err)
 		}
-	}); allocs != 0 || w.t != nil {
-		t.Fatalf("a leg with no step allocated %.0f objects (timer armed: %v)", allocs, w.t != nil)
+	}); allocs != 0 || w.s.t != nil {
+		t.Fatalf("a leg with no step allocated %.0f objects (timer armed: %v)", allocs, w.s.t != nil)
 	}
 }
 

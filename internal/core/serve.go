@@ -36,6 +36,7 @@ const (
 // request be "delivered to all the computing threads". Serve returns nil on
 // an orderly stop.
 func (o *Object) Serve() error {
+	defer o.releaseSpares()
 	defer clear(o.args)
 	for {
 		proceed, err := o.Poll(true)
@@ -240,17 +241,18 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *c
 		return nil, false, &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}
 	}
 
-	// Buckets exist to accumulate framed transfers (plus attachments); a receive
-	// leg placed in the message has its data in the request, and a framed send
-	// leg after it needs only the request's connection, so such calls skip the
-	// bucket (and its buffered channel) entirely. dropBucket still runs in case
-	// a stray Data message created one for this token.
+	// Buckets exist to accumulate framed transfers (plus attachments), on the
+	// threads that receive them: thread 0 of a centralized leg, every thread of
+	// a direct one. A receive leg placed in the message has its data in the
+	// request, and a framed send leg after it needs only the request's
+	// connection, so such calls skip the bucket entirely. dropBucket still runs
+	// in case a stray Data message opened one for this token.
 	sh := h.shape()
 	w := frameWait{stop: o.stop, timeout: o.opts.DataTimeout, token: h.Token}
 	var bucket *dataBucket
-	if h.ChunkElems != 0 {
+	if h.ChunkElems != 0 && (sh == shapeDirect || o.comm.Rank() == 0) {
 		bucket = o.bucket(h.Token, true)
-		w.ch = bucket.ch
+		w.s = &bucket.sink
 	}
 	defer o.dropBucket(h.Token)
 

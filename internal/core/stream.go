@@ -373,39 +373,46 @@ func chunkFlags(last bool) byte {
 	return f
 }
 
+// sink is where the frames of a receive leg land, and the timer its waits arm:
+// a server bucket's or a client lane's, made once and kept across the
+// invocations its holder serves. The timer is made by the first wait that
+// needs one, so a holder whose legs expect nothing costs none.
+type sink struct {
+	ch chan *wire.Data
+	t  *time.Timer
+}
+
 // frameWait is the one wait of a receive leg, whatever its shape: the frames of
-// invocation token off ch, each awaited at most timeout (zero: no bound) and
-// until stop (nil: no cancellation). The timer is armed by the leg's first
-// wait, so a leg that expects nothing costs none, and is the collector's once
-// the leg is over.
+// invocation token off s, each awaited at most timeout (zero: no bound) and
+// until stop (nil: no cancellation).
 type frameWait struct {
-	ch      <-chan *wire.Data
+	s       *sink
 	stop    <-chan struct{}
 	timeout time.Duration
 	token   uint32
-	t       *time.Timer
 }
 
 // takeFrame returns the next frame of the invocation. A frame of another
-// invocation — a client's sink belongs to its lane, so one that arrived after
-// the invocation before this one gave up on it may still sit there — is
-// released and skipped. A nil frame is the connection-loss poison and, like
+// invocation — a sink outlives the invocation, so one that arrived after the
+// invocation before this one gave up on it may still sit there — is released
+// and skipped. A nil frame is the connection-loss poison and, like
 // every lost connection, a COMM_FAILURE: a client whose peer restarted or
 // resized can tell "re-resolve" (naming.Stale) from a hard failure. The caller
 // owns the frame it is given and must Release it.
 func (w *frameWait) takeFrame() (*wire.Data, error) {
 	var deadline <-chan time.Time
-	if w.timeout > 0 {
-		if w.t == nil {
-			w.t = time.NewTimer(w.timeout)
+	if s := w.s; w.timeout > 0 {
+		// Reset drops a tick a previous leg left unread.
+		if s.t == nil {
+			s.t = time.NewTimer(w.timeout)
 		} else {
-			w.t.Reset(w.timeout)
+			s.t.Reset(w.timeout)
 		}
-		deadline = w.t.C
+		deadline = s.t.C
 	}
 	for {
 		select {
-		case d := <-w.ch:
+		case d := <-w.s.ch:
 			if d == nil {
 				return nil, &orb.SystemException{RepoID: orb.RepoComm, Message: "data connection lost mid-transfer"}
 			}
@@ -515,7 +522,7 @@ func (iv *invocation) sendCentral(scalars []byte) error {
 // now they are in the lane's sink in schedule order, or (ce 0) in the reply
 // thread 0 holds, after its header.
 func (iv *invocation) recvCentral(ce int) error {
-	w := frameWait{ch: iv.sink, timeout: iv.b.client.Timeout, token: iv.token}
+	w := frameWait{s: iv.sink, timeout: iv.b.client.Timeout, token: iv.token}
 	return recvChunks(iv.comm, &w, &iv.steps, true, ce, len(iv.args), func(i int) dseq.Transferable { return iv.legSeq(i, In) },
 		func(t time.Time) { iv.phase(obs.PhaseChunkRecv, t, time.Since(t)) })
 }

@@ -247,7 +247,7 @@ func (iv *invocation) recvDirect() error {
 	if err != nil {
 		return err
 	}
-	w := frameWait{ch: iv.sink, timeout: iv.b.client.Timeout, token: iv.token}
+	w := frameWait{s: iv.sink, timeout: iv.b.client.Timeout, token: iv.token}
 	return recvSteps(&w, iv.comm.Rank(), iv.b.ref.Threads, true, ce, plans,
 		func(i int) dseq.Transferable { return iv.args[i].Seq },
 		func(t time.Time) { iv.phase(obs.PhaseChunkRecv, t, time.Since(t)) })
