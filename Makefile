@@ -174,4 +174,5 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzChunkEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/dseq
 	$(GO) test -run='^$$' -fuzz='^FuzzSchedule$$' -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDoubles$$' -fuzztime=$(FUZZTIME) ./internal/zcodec
+	$(GO) test -run='^$$' -fuzz='^FuzzXORMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/zcodec
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInts$$' -fuzztime=$(FUZZTIME) ./internal/zcodec

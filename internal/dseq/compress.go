@@ -71,9 +71,11 @@ func marshalChunkZInto[T any](c Codec[T], e *cdr.Encoder, v []T, mask uint8) {
 	off := e.Len()
 	buf := e.Extend(compHeaderLen + c.CompressBound(len(v)))
 	buf[0], buf[1] = envelopeMarker, byte(c.CompressID)
-	// Every bound is at least the raw size, so a block that reached past its
-	// room — into a reallocated slice, not buf — fails the test too.
-	if size := compHeaderLen + len(c.CompressAppend(buf[compHeaderLen:compHeaderLen], v)); size < raw {
+	// The block is kept only where the encoder wrote it into buf and it came
+	// out shorter than the raw chunk. An encoder that reallocated — however
+	// long its block — left buf unwritten, so its chunk goes raw.
+	block := c.CompressAppend(buf[compHeaderLen:compHeaderLen], v)
+	if size := compHeaderLen + len(block); size < raw && len(block) > 0 && &block[0] == &buf[compHeaderLen] {
 		e.Truncate(off + size)
 		return
 	}

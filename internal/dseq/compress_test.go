@@ -96,6 +96,34 @@ func TestMarshalChunkZIncompressibleFallsBack(t *testing.T) {
 	}
 }
 
+// TestMarshalChunkZReallocatingEncoderFallsBack: a block encoder that
+// returns its block in a fresh slice, not in the room it was given, leaves
+// that room unwritten. However short the block, the chunk must go raw and
+// round-trip, not ship the unwritten room as an envelope.
+func TestMarshalChunkZReallocatingEncoderFallsBack(t *testing.T) {
+	c := Float64
+	c.CompressAppend = func(dst []byte, v []float64) []byte {
+		return zcodec.AppendDoubles(append([]byte(nil), dst...), v)
+	}
+	vals := make([]float64, 4096)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	p := MarshalChunkZ(c, vals, zcodec.MaskAll)
+	if IsCompressedChunk(p) {
+		t.Fatalf("a block outside its room shipped as an envelope (%d bytes)", len(p))
+	}
+	got, err := UnmarshalChunk(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals {
+		if got[i] != vals[i] {
+			t.Fatalf("[%d] %v != %v after raw fallback", i, got[i], vals[i])
+		}
+	}
+}
+
 func TestMarshalChunkZIntCodecs(t *testing.T) {
 	i32 := make([]int32, 300)
 	i64 := make([]int64, 300)

@@ -1,6 +1,7 @@
 package zcodec
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -49,6 +50,43 @@ func FuzzDecodeDoubles(f *testing.F) {
 			if math.Float64bits(back[i]) != math.Float64bits(vals[i]) {
 				t.Fatalf("[%d] %v != %v after re-encode", i, back[i], vals[i])
 			}
+		}
+	})
+}
+
+// FuzzXORMatchesReference holds the word-at-a-time XOR codec to the
+// reference bit-at-a-time one (xor_ref_test.go). The input is read twice:
+// as a block, which both decoders must refuse with the same error value or
+// decode to the same bits, and as little-endian float64s, which both
+// encoders must render to the same bytes.
+func FuzzXORMatchesReference(f *testing.F) {
+	for _, vals := range [][]float64{nil, {3.25}, {1, 2, 3, 4, 5, 6, 7, 8}, worstDoubles(9), doubleCases()["walk"][:40]} {
+		block := refAppendDoubles(nil, vals)
+		f.Add(block)
+		f.Add(block[:len(block)-1])
+		f.Add(append(slices.Clone(block), 0))
+		var raw []byte
+		for _, v := range vals {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+		}
+		f.Add(raw)
+	}
+	f.Add(envelopeSeed(XOR, refAppendDoubles(nil, []float64{math.NaN(), math.Inf(-1)})))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeDoubles(data, 1<<16)
+		want, werr := refDecodeDoubles(data, 1<<16)
+		if err != werr {
+			t.Fatalf("decode err = %v, reference err = %v", err, werr)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("decoded %d values, reference %d, and they differ", len(got), len(want))
+		}
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		if enc, ref := AppendDoubles(nil, vals), refAppendDoubles(nil, vals); !slices.Equal(enc, ref) {
+			t.Fatalf("%d values: encoded %x, reference %x", len(vals), enc, ref)
 		}
 	})
 }

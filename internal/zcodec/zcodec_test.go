@@ -34,6 +34,28 @@ func doubleCases() map[string][]float64 {
 	}
 }
 
+// worstDoubles returns n values whose XORs alternate between two 63-bit
+// windows that do not cover each other, so every value opens a new window
+// (77 bits), and whose last XOR opens a 64-bit one (78 bits): the densest
+// stream the XOR codec writes.
+func worstDoubles(n int) []float64 {
+	vals := make([]float64, n)
+	x := uint64(0x0123456789abcdef)
+	for i := range vals {
+		switch {
+		case i == 0:
+		case i == n-1:
+			x ^= ^uint64(0)
+		case i%2 == 1:
+			x ^= ^uint64(1)
+		default:
+			x ^= ^uint64(0) >> 1
+		}
+		vals[i] = math.Float64frombits(x)
+	}
+	return vals
+}
+
 func TestDoublesRoundTrip(t *testing.T) {
 	for name, vals := range doubleCases() {
 		t.Run(name, func(t *testing.T) {
@@ -159,13 +181,31 @@ func TestIntRampRatio(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTruncation cuts float64 blocks at every length — the
+// 1 024-element walk and the random block take the cut through the
+// decoder's switch from whole-word peeks to the byte-wise tail — and
+// requires ErrTruncated from both decoders.
 func TestDecodeRejectsTruncation(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	enc := AppendDoubles(nil, vals)
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeDoubles(enc[:cut], MaxBlockElems); err == nil {
-			t.Fatalf("truncated to %d of %d bytes decoded without error", cut, len(enc))
+	cases := doubleCases()
+	for name, vals := range map[string][]float64{
+		"eight": {1, 2, 3, 4, 5, 6, 7, 8}, "walk": cases["walk"], "random": cases["random"],
+	} {
+		enc := AppendDoubles(nil, vals)
+		into := make([]float64, len(vals))
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := DecodeDoubles(enc[:cut], MaxBlockElems); err != ErrTruncated {
+				t.Fatalf("%s: truncated to %d of %d bytes: err = %v, want ErrTruncated", name, cut, len(enc), err)
+			}
+			if err := DecodeDoublesInto(into, enc[:cut]); err != ErrTruncated {
+				t.Fatalf("%s: DecodeDoublesInto truncated to %d of %d bytes: err = %v, want ErrTruncated", name, cut, len(enc), err)
+			}
 		}
+	}
+	// Seven values: 64 raw bits, five repeats, then a new window cut after
+	// its lead (63) and three 1 bits of sig-1. The bits read so far already
+	// make lead+sig > 64, but the window ran off the end first.
+	if _, err := DecodeDoubles([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0x07, 0xff}, MaxBlockElems); err != ErrTruncated {
+		t.Fatalf("window cut past lead+sig > 64: err = %v, want ErrTruncated", err)
 	}
 	ints := AppendInt64s(nil, []int64{1, 2, 3, 4, 5})
 	for cut := 0; cut < len(ints)-1; cut++ {
@@ -271,6 +311,53 @@ func TestAppendDoublesNoAllocWithCapacity(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("DecodeDoublesInto allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// TestAppendDoublesStaysInBound holds the encoder to the room rule dseq
+// relies on: behind a prefix, with exactly DoublesBound(n) bytes of room,
+// the block is written into the buffer given — never a reallocated one —
+// for every case and for the densest stream, whose length pins DoublesBound's
+// 78-bit worst case.
+func TestAppendDoublesStaysInBound(t *testing.T) {
+	cases := doubleCases()
+	cases["worst"] = worstDoubles(1023)
+	cases["worst-short"] = worstDoubles(2)
+	for name, vals := range cases {
+		buf := make([]byte, 2, 2+DoublesBound(len(vals)))
+		out := AppendDoubles(buf, vals)
+		if &out[0] != &buf[0] || cap(out) != cap(buf) {
+			t.Fatalf("%s: %d-value block of %d bytes left its %d-byte room", name, len(vals), len(out)-2, DoublesBound(len(vals)))
+		}
+	}
+	n := 1023
+	bits := 64 + 77*(n-2) + 78
+	if got, want := len(AppendDoubles(nil, worstDoubles(n))), 2+(bits+7)/8; got != want {
+		t.Fatalf("worst-case block is %d bytes, want %d (varint + %d bits)", got, want, bits)
+	}
+}
+
+// TestXORMatchesReferenceBytes pins the encoder to the reference
+// bit-at-a-time codec's bytes, and the decoder to its values, on every
+// case and the densest stream.
+func TestXORMatchesReferenceBytes(t *testing.T) {
+	cases := doubleCases()
+	cases["worst"] = worstDoubles(257)
+	for name, vals := range cases {
+		enc, ref := AppendDoubles(nil, vals), refAppendDoubles(nil, vals)
+		if !slices.Equal(enc, ref) {
+			t.Fatalf("%s: %d-byte block differs from the reference's %d bytes", name, len(enc), len(ref))
+		}
+		got, err := DecodeDoubles(ref, MaxBlockElems)
+		want, werr := refDecodeDoubles(ref, MaxBlockElems)
+		if err != nil || werr != nil || !sameBits(got, want) {
+			t.Fatalf("%s: decode differs from the reference (err %v, reference err %v)", name, err, werr)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestParseMask(t *testing.T) {
