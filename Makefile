@@ -70,7 +70,8 @@ race:
 # The admission ledger (stats_test.go), the fan-in accounting suite
 # (fanin_test.go), the transport's pool-balance suites (zero-copy writes, the
 # recycled Data struct, a message read as one exact body and a fragmented
-# one refused at its header), and the buffer
+# one refused at its header), the keepalive in transport and orb (a verdict
+# late by more than a timer tick, or held off by a blocked write), and the buffer
 # pool's own hammer with the chunk-buffer ledger, fault and run-ahead suites and the one chunk sender's
 # (the last three packages under -race: their failure mode is a buffer observed
 # while on loan) and, beside it, the direct legs' chunk ledger with the schedule
@@ -93,10 +94,10 @@ race:
 # itself under -race, but its framed calls still run) — FLAKECOUNT times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers|TestLostConnectionPoisonsOnlyItsSinks' \
+		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers|TestLostConnectionPoisonsOnlyItsSinks|TestClientKeepaliveDetectsFrozenServer|TestServerKeepaliveDropsSilentClient|TestKeepaliveVerdictDoesNotWaitOnABlockedWrite' \
 		./internal/orb
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestDataReadRecycles|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames' \
+		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestDataReadRecycles|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames|TestKeepalive' \
 		./internal/transport
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq

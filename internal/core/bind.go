@@ -26,14 +26,11 @@ type BindOptions struct {
 	// Timeout bounds each blocking remote interaction; zero means no bound.
 	Timeout time.Duration
 	// Transport, when set, configures the binding's connections (frame
-	// limits, byte order, fault-injection wrappers for chaos tests).
+	// limits, byte order, fault-injection wrappers for chaos tests). Its
+	// KeepaliveInterval covers control and multi-port data connections
+	// alike, so a SIGKILL'd server rank surfaces as a prompt coherent error
+	// through the collective error agreement instead of a data-timeout stall.
 	Transport *transport.Options
-	// KeepaliveInterval, when positive, probes idle connections (control and
-	// multi-port data alike) and declares a peer dead after a further interval
-	// of silence, so a SIGKILL'd server rank surfaces as a prompt coherent
-	// error through the collective error agreement instead of a data-timeout
-	// stall.
-	KeepaliveInterval time.Duration
 	// Breaker is the per-endpoint circuit breaker policy applied when the
 	// bound reference carries multiple replica profiles.
 	Breaker orb.BreakerPolicy
@@ -100,9 +97,6 @@ type BindOptions struct {
 
 // ShardingOptions configure a binding's consistent-hash shard routing.
 type ShardingOptions struct {
-	// VirtualNodes is the per-shard ring point count; 0 uses the package
-	// default. Every client of one shard group must agree on it.
-	VirtualNodes int
 	// Idempotent declares this binding's operations safe to re-execute: an
 	// invocation whose shard dies mid-flight reroutes transparently to the
 	// next ring successor. Leave false for operations with side effects —
@@ -120,9 +114,8 @@ var sharedClients = orb.NewClientPool()
 // pointer: distinct instances mean distinct wiring even when the contents
 // happen to match.
 func (o BindOptions) clientKey() string {
-	return fmt.Sprintf("to=%v tr=%p ka=%v bk=%v rec=%p met=%p sh=%v",
-		o.Timeout, o.Transport, o.KeepaliveInterval,
-		o.Breaker, o.Trace, o.Metrics, o.Sharding)
+	return fmt.Sprintf("to=%v tr=%p bk=%v rec=%p met=%p",
+		o.Timeout, o.Transport, o.Breaker, o.Trace, o.Metrics)
 }
 
 // maxPipelineDepth bounds the lane fan-out so a typo'd depth cannot allocate
@@ -135,9 +128,7 @@ func (o BindOptions) newClient() *orb.Client {
 	cli.Timeout = o.Timeout
 	cli.Transport = o.Transport
 	cli.Metrics = o.Metrics
-	cli.KeepaliveInterval = o.KeepaliveInterval
 	cli.Breaker = o.Breaker
-	cli.Shard = orb.ShardPolicy{VirtualNodes: o.Sharding.VirtualNodes}
 	return cli
 }
 

@@ -438,11 +438,12 @@ func TestKeepaliveSurfacesKilledServerCoherently(t *testing.T) {
 		rig := &blackholeRig{}
 		tc := startCluster(t, 2, true, nil)
 		const interval = 100 * time.Millisecond
+		topts := rig.Options()
+		topts.KeepaliveInterval = interval
 		opts := BindOptions{
-			Method:            Multiport,
-			Timeout:           testTimeout, // detection must not come from here
-			Transport:         rig.Options(),
-			KeepaliveInterval: interval,
+			Method:    Multiport,
+			Timeout:   testTimeout, // detection must not come from here
+			Transport: topts,
 		}
 		tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 			const n = 512

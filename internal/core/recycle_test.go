@@ -586,9 +586,14 @@ func TestRecycledBucketIgnoresStaleToken(t *testing.T) {
 }
 
 // TestRecycledBucketRetention: after calls made one at a time, a server thread
-// keeps one spare bucket where it receives a leg's frames and none where it
-// does not — thread 1 of a centralized call — and once Serve has returned it
-// keeps none: the buckets, their channels and timers go to the collector.
+// keeps a spare bucket where it receives a leg's frames and none where it does
+// not — thread 1 of a centralized call — and once Serve has returned it keeps
+// none: the buckets, their channels and timers go to the collector. Thread 0
+// drops its bucket before it replies, so it keeps exactly one. Thread 1 of a
+// multi-port call is not ordered against that reply: the next call's first
+// frame may reach it before its previous call has dropped its bucket, which
+// opens a second one. The bound is then two spares, as many buckets as it
+// ever has open at once.
 func TestRecycledBucketRetention(t *testing.T) {
 	for _, method := range []Method{Centralized, Multiport} {
 		t.Run(method.String(), func(t *testing.T) {
@@ -610,16 +615,16 @@ func TestRecycledBucketRetention(t *testing.T) {
 				}
 				return nil
 			})
-			want := []int{1, 1}
+			lo, hi := []int{1, 1}, []int{1, 2}
 			if method == Centralized {
-				want[1] = 0
+				lo[1], hi[1] = 0, 0
 			}
 			var kept []weak.Pointer[dataBucket]
 			for r, o := range objs {
-				testutil.Eventually(t, testTimeout, fmt.Sprintf("thread %d never settled at %d spare buckets", r, want[r]), func() bool {
+				testutil.Eventually(t, testTimeout, fmt.Sprintf("thread %d never settled at %d to %d spare buckets", r, lo[r], hi[r]), func() bool {
 					o.bucketMu.Lock()
 					defer o.bucketMu.Unlock()
-					return len(o.buckets) == 0 && len(o.spare) == want[r]
+					return len(o.buckets) == 0 && lo[r] <= len(o.spare) && len(o.spare) <= hi[r]
 				})
 				o.bucketMu.Lock()
 				for _, b := range o.spare {

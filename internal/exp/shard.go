@@ -38,8 +38,6 @@ type ShardChaosConfig struct {
 	// Idempotent marks the request stream safe to re-send (transparent
 	// reroute); without it mid-flight failures surface as shard errors.
 	Idempotent bool
-	// VirtualNodes is the ring's per-shard point count; 0 = default.
-	VirtualNodes int
 	// Breaker is the client's per-endpoint circuit policy; the zero value
 	// gets a threshold of 1 and a 100ms cooldown so a killed shard opens
 	// its circuit promptly.
@@ -134,7 +132,6 @@ func RunShardChaos(cfg ShardChaosConfig) (*ShardChaosResult, error) {
 	cli.Timeout = 10 * time.Second
 	cli.Breaker = cfg.Breaker
 	cli.Metrics = cfg.Metrics
-	cli.Shard = orb.ShardPolicy{VirtualNodes: cfg.VirtualNodes}
 
 	res := naming.NewResolver(cli, ns.Addr())
 	for i, srv := range servers {
@@ -164,7 +161,7 @@ func RunShardChaos(cfg ShardChaosConfig) (*ShardChaosResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ring := shard.New(addrs, cfg.VirtualNodes)
+		ring := shard.New(addrs, shard.DefaultVirtualNodes) // the client's ring
 		owned := make([]int, cfg.Shards)
 		for k := 0; k < cfg.Keys; k++ {
 			owned[ring.Shard([]byte(fmt.Sprintf("key-%d", k)))]++

@@ -51,7 +51,7 @@ func TestSwarmFanInBoundedAndLeakFree(t *testing.T) {
 	// The goroutine bill: the swarm's own drivers account for ~Clients
 	// goroutines; everything the orb stack adds on top must be o(clients) —
 	// serve loops and read loops bounded by connections, dispatch workers
-	// bounded by MaxInFlight, and two scanner loops. Before the worker-pool
+	// bounded by MaxInFlight, and the worker reaper. Before the worker-pool
 	// refactor this overhead was O(outstanding requests).
 	overhead := rep.PeakGoroutines - rep.BaseGoroutines - cfg.Clients
 	budget := 2*cfg.SharedConns + cfg.Server.MaxInFlight + cfg.Clients/8 + 32

@@ -23,20 +23,14 @@ type Client struct {
 	// Per-invocation deadlines (InvokeOptions.Deadline) tighten it further.
 	Timeout time.Duration
 	// Transport, when set, configures dialed connections (byte order,
-	// frame limits, fault-injection wrappers).
-	Transport *transport.Options
-	// KeepaliveInterval, when positive, probes idle connections with Ping
-	// and declares the peer dead after one more interval of silence. A
-	// SIGKILL'd server then surfaces as a prompt connection error on every
+	// frame limits, fault-injection wrappers). With its KeepaliveInterval
+	// set, a SIGKILL'd server surfaces as a prompt connection error on every
 	// pending request and data sink instead of a stall until the invocation
 	// timeout.
-	KeepaliveInterval time.Duration
+	Transport *transport.Options
 	// Breaker is the per-endpoint circuit breaker policy used when invoking
 	// through multi-profile references. The zero value disables breakers.
 	Breaker BreakerPolicy
-	// Shard configures consistent-hash routing for invocations that carry a
-	// ShardKey (see InvokeOptions.ShardKey and InvokeSharded).
-	Shard ShardPolicy
 	// Metrics, when set before the client's first use, receives the
 	// client-side resilience event counters: "orb.client.failovers" (profile
 	// advances), "orb.client.breaker_open" (circuits tripping open), and
@@ -132,17 +126,14 @@ func retryable(err error) bool {
 
 // clientConn is one cached connection with its reply demultiplexer.
 type clientConn struct {
-	conn     *transport.Conn
-	client   *Client
-	addr     string
-	lastRead atomic.Int64 // unix nanos of the last inbound message
-	mu       sync.Mutex
-	pending  map[uint32]chan *wire.Reply
-	err      error
-	done     chan struct{}
+	conn    *transport.Conn
+	client  *Client
+	addr    string
+	mu      sync.Mutex
+	pending map[uint32]chan *wire.Reply
+	err     error
+	done    chan struct{}
 }
-
-func (cc *clientConn) touch() { cc.lastRead.Store(time.Now().UnixNano()) }
 
 // Errors reported by the client engine.
 var (
@@ -231,12 +222,8 @@ func (c *Client) conn(addr string) (*clientConn, error) {
 		pending: make(map[uint32]chan *wire.Reply),
 		done:    make(chan struct{}),
 	}
-	cc.touch()
 	slot.cc = cc
 	go cc.readLoop()
-	if c.KeepaliveInterval > 0 {
-		go cc.keepaliveLoop(c.KeepaliveInterval)
-	}
 	return cc, nil
 }
 
@@ -284,53 +271,17 @@ func (c *Client) NumConns() int {
 	return n
 }
 
-// keepaliveLoop mirrors the server's liveness probing from the client side:
-// an idle connection is pinged, and a peer silent past the grace period is
-// declared dead, failing every pending request and poisoning registered data
-// sinks. This covers the multiport data connections too — a killed server
-// rank is detected here instead of stalling transfers until the timeout.
-func (cc *clientConn) keepaliveLoop(interval time.Duration) {
-	tick := interval / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	var nonce uint32
-	var lastPing time.Time
-	for {
-		select {
-		case <-cc.done:
-			return
-		case now := <-t.C:
-			idle := now.Sub(time.Unix(0, cc.lastRead.Load()))
-			if idle >= 2*interval {
-				cc.fail(fmt.Errorf("%w: keepalive: peer silent for %v", ErrConnBroken, idle))
-				return
-			}
-			if idle >= interval && now.Sub(lastPing) >= interval {
-				lastPing = now
-				nonce++
-				if err := cc.conn.WriteMessage(&wire.Ping{Nonce: nonce}); err != nil {
-					cc.fail(fmt.Errorf("%w: keepalive write: %v", ErrConnBroken, err))
-					return
-				}
-			}
-		}
-	}
-}
-
 func (cc *clientConn) readLoop() {
 	defer close(cc.done)
 	for {
 		msg, err := cc.conn.ReadMessage()
 		if err != nil {
-			// %w twice: callers match the broken connection, and a refused
-			// protocol version (wire.ErrBadVersion) stays matchable under it.
+			// %w twice: callers match the broken connection, and the cause —
+			// a refused protocol version (wire.ErrBadVersion), the keepalive's
+			// transport.ErrPeerSilent — stays matchable under it.
 			cc.fail(fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
 		}
-		cc.touch()
 		switch m := msg.(type) {
 		case *wire.Reply:
 			cc.deliver(m.RequestID, m)
@@ -345,7 +296,7 @@ func (cc *clientConn) readLoop() {
 				return
 			}
 		case *wire.Pong:
-			// Liveness evidence; touch above already recorded it.
+			// Liveness evidence; reading it was all the keepalive needs.
 		case *wire.CloseConnection:
 			// Orderly server drain: mark the cached connection broken right
 			// now so the next use redials, rather than learning via the

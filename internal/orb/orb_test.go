@@ -65,11 +65,10 @@ func (s *echoServant) Dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) err
 
 func newTestServer(t *testing.T) (*Server, IOR) {
 	t.Helper()
-	s, err := NewServer("127.0.0.1:0")
+	s, err := NewServerOpts("127.0.0.1:0", ServerOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Logf = t.Logf
 	t.Cleanup(func() { s.Close() })
 	key := []byte("echo-object")
 	s.Register(key, &echoServant{})

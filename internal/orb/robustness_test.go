@@ -3,14 +3,17 @@ package orb
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cdr"
 	"repro/internal/testutil"
+	"repro/internal/transport"
 )
 
 // --- admission control ---
@@ -187,7 +190,7 @@ func TestClientKeepaliveDetectsFrozenServer(t *testing.T) {
 	const interval = 50 * time.Millisecond
 	c := NewClient()
 	c.Timeout = 30 * time.Second // detection must not come from here
-	c.KeepaliveInterval = interval
+	c.Transport = &transport.Options{KeepaliveInterval: interval}
 	defer c.Close()
 
 	start := time.Now()
@@ -207,13 +210,69 @@ func TestClientKeepaliveDetectsFrozenServer(t *testing.T) {
 	}
 }
 
+// stallingStream passes its first write — the request — through, and blocks
+// every later one until Close: a frozen stream, or a leg's writer holding the
+// connection's write lock against a peer that stopped reading.
+type stallingStream struct {
+	io.ReadWriteCloser
+	armed  atomic.Bool
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (s *stallingStream) Write(p []byte) (int, error) {
+	if s.armed.Load() {
+		<-s.closed
+		return 0, net.ErrClosed
+	}
+	defer s.armed.Store(true)
+	return s.ReadWriteCloser.Write(p)
+}
+
+func (s *stallingStream) Close() error {
+	s.once.Do(func() { close(s.closed) })
+	return s.ReadWriteCloser.Close()
+}
+
+// TestKeepaliveVerdictDoesNotWaitOnABlockedWrite: the keepalive's Ping write
+// blocks for good once the request is out. The verdict must still come from
+// the keepalive, two intervals after the last read, and not from the much
+// larger invocation timeout.
+func TestKeepaliveVerdictDoesNotWaitOnABlockedWrite(t *testing.T) {
+	addr := frozenListener(t)
+
+	c := NewClient()
+	c.Timeout = 30 * time.Second // detection must not come from here
+	c.Transport = &transport.Options{
+		KeepaliveInterval: 50 * time.Millisecond,
+		Wrap: func(rw io.ReadWriteCloser) io.ReadWriteCloser {
+			return &stallingStream{ReadWriteCloser: rw, closed: make(chan struct{})}
+		},
+	}
+	defer c.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.InvokeAddr(addr, []byte("k"), "work", NewArgEncoder().Bytes(), false)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrConnBroken) || !strings.Contains(err.Error(), "keepalive") {
+			t.Fatalf("want a keepalive connection error, got %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no verdict within 2s: the blocked Ping write held the keepalive off")
+	}
+}
+
 // TestServerKeepaliveDropsSilentClient covers the server side: a client that
 // connects and then never speaks (and never answers pings) is dropped within
 // the grace period and counted in the stats.
 func TestServerKeepaliveDropsSilentClient(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	srv, err := NewServerOpts("127.0.0.1:0", ServerOptions{
-		KeepaliveInterval: 50 * time.Millisecond,
+		Transport: &transport.Options{KeepaliveInterval: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,8 @@ type ConnServant interface {
 // transfers back over the same connection.
 type DataHandler func(d *wire.Data, conn *transport.Conn)
 
-// Defaults for ServerOptions.
+// Defaults for ServerOptions, and for the write deadline and keepalive of
+// ServerOptions.Transport.
 const (
 	DefaultMaxInFlight       = 1024
 	DefaultMaxConnInFlight   = 128
@@ -58,8 +59,9 @@ const (
 )
 
 // ServerOptions configure a Server's robustness layer: admission control,
-// slow-client write deadlines, and liveness keepalives. The zero value means
-// "use the defaults"; negative durations disable the corresponding feature.
+// and through Transport slow-client write deadlines and liveness keepalives.
+// The zero value means "use the defaults"; negative values disable the
+// corresponding feature.
 type ServerOptions struct {
 	// MaxInFlight caps requests being dispatched concurrently across all
 	// connections. It also bounds the dispatch worker pool: the server never
@@ -84,17 +86,12 @@ type ServerOptions struct {
 	// DefaultWorkerIdleTimeout; negative keeps idle workers alive until
 	// shutdown.
 	WorkerIdleTimeout time.Duration
-	// WriteTimeout bounds every reply/keepalive write so one client that
-	// stopped reading cannot wedge the connection's writers. Default
-	// DefaultWriteTimeout; negative disables.
-	WriteTimeout time.Duration
-	// KeepaliveInterval is how long a connection may stay silent before the
-	// server probes it with a Ping; a peer silent for one more interval after
-	// the probe is declared dead and the connection closed. Default
-	// DefaultKeepaliveInterval; negative disables keepalives.
-	KeepaliveInterval time.Duration
 	// Transport configures accepted connections (byte order, frame limits,
-	// fault-injection wrappers). WriteTimeout above is layered on top.
+	// fault-injection wrappers). Its WriteTimeout, which keeps a client that
+	// stopped reading from wedging the connection's writers, defaults to
+	// DefaultWriteTimeout, and its KeepaliveInterval, which drops a peer
+	// silent for two intervals, to DefaultKeepaliveInterval; negative
+	// disables either.
 	Transport *transport.Options
 	// Logf receives connection-level error reports; nil is silent.
 	Logf func(format string, args ...any)
@@ -148,18 +145,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	case o.WorkerIdleTimeout < 0:
 		o.WorkerIdleTimeout = 0 // never reap
 	}
-	switch {
-	case o.WriteTimeout == 0:
-		o.WriteTimeout = DefaultWriteTimeout
-	case o.WriteTimeout < 0:
-		o.WriteTimeout = 0
-	}
-	switch {
-	case o.KeepaliveInterval == 0:
-		o.KeepaliveInterval = DefaultKeepaliveInterval
-	case o.KeepaliveInterval < 0:
-		o.KeepaliveInterval = 0
-	}
 	return o
 }
 
@@ -191,16 +176,16 @@ type ServerStats struct {
 // The robustness layer (ServerOptions) bounds everything the network can do
 // to it: concurrent dispatches are capped globally and per connection with a
 // bounded overflow queue (excess is shed with TRANSIENT), writes carry
-// deadlines so a stuck reader cannot wedge a connection, and idle peers are
-// pinged and dropped when silent too long.
+// deadlines so a stuck reader cannot wedge a connection, and each connection's
+// keepalive pings an idle peer and drops one silent too long.
 //
 // The engine is sized for massive fan-in (DESIGN.md §13): goroutines are
 // O(connections + concurrent dispatches), never O(requests). Each accepted
 // connection costs exactly one serve-loop goroutine; admitted requests are
 // executed by a shared pool of reusable dispatch workers that grows on
 // demand up to MaxInFlight and shrinks after WorkerIdleTimeout; queued
-// requests hold a queue slot, not a goroutine; and a single scanner
-// goroutine runs keepalive probing for every connection.
+// requests hold a queue slot, not a goroutine; and a connection's keepalive
+// is a timer, not a goroutine.
 type Server struct {
 	lis  *transport.Listener
 	host string
@@ -214,7 +199,7 @@ type Server struct {
 	closed   bool
 
 	// stop is closed when the server begins shutting down; idle workers and
-	// the scanner/reaper loops give up on it.
+	// the reaper loop give up on it.
 	stop chan struct{}
 	// draining sheds all new requests with TRANSIENT once Shutdown begins.
 	draining atomic.Bool
@@ -252,39 +237,23 @@ type Server struct {
 	msrv       *obs.MetricsServer
 	pullKey    string
 
-	// wg tracks connection serve loops, the keepalive scanner, the worker
-	// reaper and the accept loop; reqWg tracks admitted requests
-	// (dispatching or queued) so Shutdown can let replies drain before
-	// tearing connections down. workerWg tracks the dispatch worker
-	// goroutines separately: a clean shutdown waits for them, but a
-	// deadline-expired drain abandons a stuck worker exactly as it abandons
-	// the stuck dispatch it is running.
+	// wg tracks connection serve loops, the worker reaper and the accept
+	// loop; reqWg tracks admitted requests (dispatching or queued) so
+	// Shutdown can let replies drain before tearing connections down.
+	// workerWg tracks the dispatch worker goroutines separately: a clean
+	// shutdown waits for them, but a deadline-expired drain abandons a stuck
+	// worker exactly as it abandons the stuck dispatch it is running.
 	wg       sync.WaitGroup
 	reqWg    sync.WaitGroup
 	workerWg sync.WaitGroup
-	// Logf, when set, receives connection-level error reports. It defaults
-	// to a silent logger; tests install t.Logf.
-	Logf func(format string, args ...any)
+	logf     func(format string, args ...any) // ServerOptions.Logf, or silent
 }
 
-// servedConn is one accepted connection with its liveness and admission
-// state.
+// servedConn is one accepted connection with its admission state.
 type servedConn struct {
 	conn *transport.Conn
 	// inflight counts this connection's requests dispatching or queued.
 	inflight atomic.Int64
-	// lastRead is the unix-nano time of the last successful read; the
-	// keepalive scanner measures idleness against it.
-	lastRead atomic.Int64
-	// lastPing and nonce belong to the keepalive scanner goroutine alone.
-	lastPing time.Time
-	nonce    uint32
-}
-
-func (sc *servedConn) touch() { sc.lastRead.Store(time.Now().UnixNano()) }
-
-func (sc *servedConn) idle(now time.Time) time.Duration {
-	return now.Sub(time.Unix(0, sc.lastRead.Load()))
 }
 
 // workItem is one admitted request en route to a dispatch worker.
@@ -315,13 +284,16 @@ func NewServer(addr string) (*Server, error) {
 func NewServerOpts(addr string, opts ServerOptions) (*Server, error) {
 	opts = opts.withDefaults()
 	// Accepted connections inherit the caller's transport configuration
-	// plus the server's write deadline.
+	// with the server's defaults filled in.
 	topts := transport.Options{}
 	if opts.Transport != nil {
 		topts = *opts.Transport
 	}
 	if topts.WriteTimeout == 0 {
-		topts.WriteTimeout = opts.WriteTimeout
+		topts.WriteTimeout = DefaultWriteTimeout
+	}
+	if topts.KeepaliveInterval == 0 {
+		topts.KeepaliveInterval = DefaultKeepaliveInterval
 	}
 	lis, err := transport.Listen(addr, &topts)
 	if err != nil {
@@ -333,10 +305,10 @@ func NewServerOpts(addr string, opts ServerOptions) (*Server, error) {
 		servants: make(map[string]Servant),
 		conns:    make(map[*servedConn]struct{}),
 		stop:     make(chan struct{}),
-		Logf:     func(string, ...any) {},
+		logf:     opts.Logf,
 	}
-	if opts.Logf != nil {
-		s.Logf = opts.Logf
+	if s.logf == nil {
+		s.logf = func(string, ...any) {}
 	}
 	s.rec = opts.Trace
 	reg := opts.Metrics
@@ -378,10 +350,6 @@ func NewServerOpts(addr string, opts ServerOptions) (*Server, error) {
 	if opts.WorkerIdleTimeout > 0 {
 		s.wg.Add(1)
 		go s.reaperLoop()
-	}
-	if opts.KeepaliveInterval > 0 {
-		s.wg.Add(1)
-		go s.keepaliveScanner()
 	}
 	return s, nil
 }
@@ -499,7 +467,6 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		sc := &servedConn{conn: conn}
-		sc.touch()
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -510,60 +477,6 @@ func (s *Server) acceptLoop() {
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(sc)
-	}
-}
-
-// keepaliveScanner is the server-wide liveness prober: one goroutine walks
-// every connection on a shared tick, probing idle peers with a Ping and
-// dropping those silent past the grace period. Before the fan-in refactor
-// each connection ran its own keepalive goroutine; at thousands of
-// connections that doubled the goroutine bill for a loop that is almost
-// always asleep. Ping writes ride the server's write deadline, so one wedged
-// peer can stall a scan pass by at most WriteTimeout; dead-peer drops are
-// plain Close calls and never block. This is what turns a SIGKILL'd peer (no
-// FIN on the wire) into a prompt error instead of an indefinite stall.
-func (s *Server) keepaliveScanner() {
-	defer s.wg.Done()
-	interval := s.opts.KeepaliveInterval
-	tick := interval / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	var scratch []*servedConn
-	for {
-		select {
-		case <-s.stop:
-			return
-		case now := <-t.C:
-			scratch = scratch[:0]
-			s.mu.Lock()
-			for sc := range s.conns {
-				scratch = append(scratch, sc)
-			}
-			s.mu.Unlock()
-			for _, sc := range scratch {
-				idle := sc.idle(now)
-				if idle >= 2*interval {
-					s.keepaliveDrops.Add(1)
-					s.Logf("orb: server keepalive: peer silent %v, dropping connection", idle)
-					sc.conn.Close() // the serve loop observes the close and exits
-					continue
-				}
-				if idle >= interval && now.Sub(sc.lastPing) >= interval {
-					sc.lastPing = now
-					sc.nonce++
-					if err := sc.conn.WriteMessage(&wire.Ping{Nonce: sc.nonce}); err != nil {
-						continue // the serve loop will observe the broken stream
-					}
-				}
-			}
-			// Don't let a burst of connections pin a huge scratch array.
-			if cap(scratch) > 4096 && len(s.conns) < 1024 {
-				scratch = nil
-			}
-		}
 	}
 }
 
@@ -582,14 +495,17 @@ func (s *Server) serveConn(sc *servedConn) {
 	for {
 		msg, err := sc.conn.ReadMessage()
 		if err != nil {
-			if !errors.Is(err, transport.ErrClosed) {
-				s.Logf("orb: server read: %v", err)
+			switch {
+			case errors.Is(err, transport.ErrPeerSilent):
+				s.keepaliveDrops.Add(1)
+				s.logf("orb: server keepalive: %v", err)
+			case !errors.Is(err, transport.ErrClosed):
+				s.logf("orb: server read: %v", err)
 				// Tell the peer its stream was unintelligible, then drop it.
 				_ = sc.conn.WriteMessage(&wire.MessageError{})
 			}
 			return
 		}
-		sc.touch()
 		switch m := msg.(type) {
 		case *wire.Request:
 			s.admit(sc, m)
@@ -599,28 +515,28 @@ func (s *Server) serveConn(sc *servedConn) {
 				st = wire.LocateHere
 			}
 			if err := sc.conn.WriteMessage(&wire.LocateReply{RequestID: m.RequestID, Status: st}); err != nil {
-				s.Logf("orb: locate reply: %v", err)
+				s.logf("orb: locate reply: %v", err)
 				return
 			}
 		case *wire.Ping:
 			if err := sc.conn.WriteMessage(&wire.Pong{Nonce: m.Nonce}); err != nil {
-				s.Logf("orb: pong: %v", err)
+				s.logf("orb: pong: %v", err)
 				return
 			}
 		case *wire.Pong:
-			// Liveness evidence; touch above already recorded it.
+			// Liveness evidence; reading it was all the keepalive needs.
 		case *wire.Data:
 			if h := s.dataHandler(); h != nil {
 				h(m, sc.conn)
 			} else {
-				s.Logf("orb: Data message with no handler (request %d)", m.RequestID)
+				s.logf("orb: Data message with no handler (request %d)", m.RequestID)
 				m.Release()
 				_ = sc.conn.WriteMessage(&wire.MessageError{})
 			}
 		case *wire.CloseConnection:
 			return
 		case *wire.MessageError:
-			s.Logf("orb: peer reported message error")
+			s.logf("orb: peer reported message error")
 			return
 		default:
 			_ = sc.conn.WriteMessage(&wire.MessageError{})
@@ -822,7 +738,7 @@ func (s *Server) runItem(it workItem) {
 	if it.req.ResponseExpected {
 		reply := &wire.Reply{RequestID: it.req.RequestID, Status: status, Args: out.Bytes()}
 		if werr := it.sc.conn.WriteMessage(reply); werr != nil {
-			s.Logf("orb: reply write: %v", werr)
+			s.logf("orb: reply write: %v", werr)
 			// A failed (or deadline-expired) reply write leaves the stream
 			// unusable mid-frame; kill the connection so its serve loop exits
 			// instead of framing garbage at the peer.
@@ -845,7 +761,7 @@ func (s *Server) shedRequest(sc *servedConn, req *wire.Request, msg string) {
 	status := encodeException(out, Transient(msg))
 	reply := &wire.Reply{RequestID: req.RequestID, Status: status, Args: out.Bytes()}
 	if err := sc.conn.WriteMessage(reply); err != nil {
-		s.Logf("orb: shed reply write: %v", err)
+		s.logf("orb: shed reply write: %v", err)
 	}
 	putReplyEncoder(out)
 }
@@ -865,7 +781,7 @@ func (s *Server) upcall(conn *transport.Conn, req *wire.Request, out *cdr.Encode
 			defer func() {
 				if p := recover(); p != nil {
 					err = &SystemException{RepoID: RepoInternal, Message: fmt.Sprint("servant panic: ", p)}
-					s.Logf("orb: servant panic in %q: %v", req.Operation, p)
+					s.logf("orb: servant panic in %q: %v", req.Operation, p)
 				}
 			}()
 			if cs, ok := sv.(ConnServant); ok {

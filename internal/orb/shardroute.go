@@ -16,14 +16,6 @@ import (
 // breakers act as the health signal, spilling traffic from a broken or
 // shedding shard to the next healthy ring successor.
 
-// ShardPolicy configures the client's consistent-hash routing.
-type ShardPolicy struct {
-	// VirtualNodes is the number of ring points per shard;
-	// <= 0 means shard.DefaultVirtualNodes. Every client of a shard group
-	// must use the same value or their rings disagree.
-	VirtualNodes int
-}
-
 // ShardError pins an invocation failure to the shard that produced it. It is
 // the single coherent error a non-idempotent sharded invocation surfaces
 // when its outcome on that shard is ambiguous.
@@ -51,7 +43,9 @@ type shardGroup struct {
 // building and caching it on first sight of this membership. A refreshed
 // reference (new membership through the naming domain) has a different
 // address list and gets a fresh ring; stale entries are retained —
-// membership churn is rare and entries are small.
+// membership churn is rare and entries are small. Every client builds the
+// ring with shard.DefaultVirtualNodes points per shard, so all clients of a
+// shard group agree on it.
 func (c *Client) shardGroupFor(addrs []string) *shardGroup {
 	key := strings.Join(addrs, " ")
 	c.sgMu.Lock()
@@ -60,7 +54,7 @@ func (c *Client) shardGroupFor(addrs []string) *shardGroup {
 		return g
 	}
 	g := &shardGroup{
-		ring:     shard.New(addrs, c.Shard.VirtualNodes),
+		ring:     shard.New(addrs, shard.DefaultVirtualNodes),
 		picks:    make([]*obs.Counter, len(addrs)),
 		reroutes: make([]*obs.Counter, len(addrs)),
 		spills:   make([]*obs.Counter, len(addrs)),

@@ -29,18 +29,17 @@ func asPreviousVersion(frame []byte) []byte {
 // goroutine behind.
 func TestVersionMismatchServerRefuses(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	s, err := NewServer("127.0.0.1:0")
+	var mu sync.Mutex
+	var logged []string
+	s, err := NewServerOpts("127.0.0.1:0", ServerOptions{Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var mu sync.Mutex
-	var logged []string
-	s.Logf = func(format string, args ...any) {
-		mu.Lock()
-		logged = append(logged, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
 	s.Register([]byte("k"), &echoServant{})
 
 	conn, err := net.Dial("tcp", s.Endpoint(0).Addr())

@@ -32,6 +32,9 @@ import (
 var (
 	ErrClosed   = errors.New("transport: connection closed")
 	ErrTooLarge = errors.New("transport: message exceeds size limit")
+	// ErrPeerSilent is the keepalive's verdict (Options.KeepaliveInterval) on
+	// a peer silent for two intervals: the connection closed with it.
+	ErrPeerSilent = fmt.Errorf("%w by keepalive: peer silent for two intervals", ErrClosed)
 )
 
 // MaxMessageSize bounds a message body. It is deliberately far above any
@@ -61,8 +64,13 @@ type Options struct {
 	// blocks on writes, does not need them). A peer that stops reading then
 	// fails the writer with a deadline error instead of wedging it — and
 	// every other goroutine queued on the connection's write lock — forever.
-	// Zero disables.
+	// Zero or negative disables.
 	WriteTimeout time.Duration
+	// KeepaliveInterval, when positive, is how long the peer may stay silent
+	// before the connection pings it; silent one interval more, it is dead
+	// (ErrPeerSilent). Any message read is a sign of life, so the owner must
+	// keep reading and answer the peer's Pings. Zero or negative disables.
+	KeepaliveInterval time.Duration
 	// FrameHook, when set, observes every inbound frame header before the
 	// body is read. It runs on the reading goroutine; keep it cheap.
 	FrameHook func(h wire.Header)
@@ -108,6 +116,15 @@ type Conn struct {
 	// until the first sample. The adaptive compression policy reads it to
 	// decide whether a codec can outrun the link.
 	wbw atomic.Uint64
+
+	// Keepalive (off while ka is 0): lastRead is when ReadMessage last returned
+	// a message, in nanoseconds since born; probe, under cmu, is the timer that
+	// pings and judges the peer; silent is its verdict.
+	ka       time.Duration
+	born     time.Time
+	lastRead atomic.Int64
+	probe    *time.Timer
+	silent   atomic.Bool
 }
 
 // Write-bandwidth estimator tuning: samples below bwMinSampleBytes are
@@ -187,8 +204,44 @@ func NewConn(rw io.ReadWriteCloser, opts *Options) *Conn {
 			c.wtimeout = opts.WriteTimeout
 		}
 		c.hook = opts.FrameHook
+		if opts.KeepaliveInterval > 0 {
+			c.ka, c.born = opts.KeepaliveInterval, time.Now()
+			c.cmu.Lock() // the timer's callback reads probe under cmu
+			c.probe = time.AfterFunc(c.ka, c.keepalive)
+			c.cmu.Unlock()
+		}
 	}
 	return c
+}
+
+// keepalive is the probe timer's callback: one interval after the last read
+// it pings the peer, two intervals after it closes the connection with
+// ErrPeerSilent. It re-arms before it writes the Ping, so a probe stuck behind
+// a blocked write never delays the verdict, whose Close unblocks that write.
+func (c *Conn) keepalive() {
+	idle := time.Since(c.born) - time.Duration(c.lastRead.Load())
+	if idle >= 2*c.ka {
+		c.silent.Store(true) // first, so the read or write the close wakes returns it
+		c.Close()
+		return
+	}
+	c.cmu.Lock()
+	if !c.closed {
+		c.probe.Reset(c.ka - idle%c.ka) // to the probe, or from it to the verdict
+	}
+	c.cmu.Unlock()
+	if idle >= c.ka && c.WriteMessage(&wire.Ping{}) != nil {
+		c.Close() // a failed write may leave the stream mid-frame
+	}
+}
+
+// gone is what an operation that met a dead stream returns: ErrPeerSilent
+// after the keepalive's verdict, else err.
+func (c *Conn) gone(err error) error {
+	if err != nil && c.silent.Load() {
+		return ErrPeerSilent
+	}
+	return err
 }
 
 // vectoredMinTail is the tail size from which a TCP connection hands the tail
@@ -221,7 +274,7 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
 	}
 	if c.isClosed() {
-		return ErrClosed
+		return c.gone(ErrClosed)
 	}
 	if c.wd != nil {
 		// The deadline covers the whole message and the flush; a deadline
@@ -269,19 +322,22 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 	if sample && err == nil {
 		c.noteWrite(total, time.Since(t0))
 	}
-	return err
+	return c.gone(err)
 }
 
 // ReadMessage reads the next message. A returned *wire.Data holds a rented
 // frame: its payload is valid until Release, which the final consumer must
 // call after copying the elements out.
 func (c *Conn) ReadMessage() (wire.Message, error) {
+	if c.silent.Load() {
+		return nil, ErrPeerSilent
+	}
 	hb := &c.rhdr // a local array would escape through io.ReadFull, once per frame
 	if _, err := io.ReadFull(c.br, hb[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-			return nil, ErrClosed
+			err = ErrClosed
 		}
-		return nil, err
+		return nil, c.gone(err)
 	}
 	h, err := wire.DecodeHeader(hb[:])
 	if err != nil {
@@ -305,7 +361,7 @@ func (c *Conn) ReadMessage() (wire.Message, error) {
 		if rented {
 			bufpool.Frames.Return(body)
 		}
-		return nil, fmt.Errorf("transport: truncated frame: %w", err)
+		return nil, c.gone(fmt.Errorf("transport: truncated frame: %w", err))
 	}
 	m, err := wire.DecodeBody(h.Type, body, h.Order())
 	if err != nil {
@@ -319,6 +375,9 @@ func (c *Conn) ReadMessage() (wire.Message, error) {
 		// the consumer controls its lifetime.
 		d.Lend(body)
 	}
+	if c.ka > 0 {
+		c.lastRead.Store(int64(time.Since(c.born)))
+	}
 	return m, nil
 }
 
@@ -328,7 +387,7 @@ func (c *Conn) isClosed() bool {
 	return c.closed
 }
 
-// Close tears down the connection. It is idempotent.
+// Close tears down the connection and stops its keepalive. It is idempotent.
 func (c *Conn) Close() error {
 	c.cmu.Lock()
 	if c.closed {
@@ -336,6 +395,9 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
+	if c.probe != nil {
+		c.probe.Stop()
+	}
 	c.cmu.Unlock()
 	return c.rw.Close()
 }
