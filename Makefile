@@ -89,9 +89,11 @@ race:
 # a small call's one exchange (a goroutine launched for it), the skeleton's
 # collective count (an agreement skipped on one thread only), the recycled
 # arguments' (storage one call's reply leg still reads while the next call's
-# handler writes it) and the recycled buckets' (a late frame, attachment or
+# handler writes it), the recycled buckets' (a late frame, attachment or
 # drain that reached the call a bucket serves next; the allocation guard skips
-# itself under -race, but its framed calls still run) — FLAKECOUNT times each.
+# itself under -race, but its framed calls still run) and the recycled headers'
+# (a header or layout one call still reads while the next call decodes into
+# it) — FLAKECOUNT times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers|TestLostConnectionPoisonsOnlyItsSinks|TestClientKeepaliveDetectsFrozenServer|TestServerKeepaliveDropsSilentClient|TestKeepaliveVerdictDoesNotWaitOnABlockedWrite' \
@@ -102,7 +104,7 @@ flake:
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestShareConnectionSurvivesAnotherObjectsLoss|TestReplicaFailoverMovesEveryLeg|TestShardRoutingCoreEndToEnd|TestShardRoutingMultiport|TestShardRoutingAmbiguousFailure|TestInMessageCallIsOneExchange|TestCollectivesPerInvocation|TestRecycledArgs|TestRecycledBucket|TestFramedCallAllocs' ./internal/core
+		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestShareConnectionSurvivesAnotherObjectsLoss|TestReplicaFailoverMovesEveryLeg|TestShardRoutingCoreEndToEnd|TestShardRoutingMultiport|TestShardRoutingAmbiguousFailure|TestInMessageCallIsOneExchange|TestCollectivesPerInvocation|TestRecycledArgs|TestRecycledBucket|TestRecycledHeader|TestFramedCallAllocs' ./internal/core
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the
 # working tree, alternated on this box, with medians, quartiles and wins per

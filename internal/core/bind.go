@@ -200,6 +200,11 @@ type bindLane struct {
 	// any and kept, timer and all: an invocation registers it under its token,
 	// and drains it when it ends. The lane's holder alone touches it.
 	sink sink
+	// request and response are the headers of the lane's invocation, thread
+	// 0's request as newHeader fills it and the reply header every thread
+	// decodes, valid for one invoke: the next one overwrites them.
+	request  invocationHeader
+	response replyHeader
 }
 
 // dataSink returns the lane's sink. Its capacity is what lets a whole reply

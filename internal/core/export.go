@@ -164,6 +164,9 @@ type Object struct {
 	outScratch *cdr.Encoder
 	upcall     ServerCall
 	in         cdr.Decoder
+	// directive is the header a thread other than 0 decodes a call's directive
+	// into, valid from Poll's decode until processCall returns.
+	directive invocationHeader
 
 	// Elastic wiring, installed between Export and Serve by the elastic
 	// engine (all fields nil/zero on conventional objects). resizeCh (thread
@@ -177,7 +180,10 @@ type Object struct {
 }
 
 type pendingCall struct {
-	header *invocationHeader
+	// header is decoded in place by dispatch and valid until dispatch takes the
+	// reply: the collective loop reads it, and the next call through the pool
+	// overwrites it.
+	header invocationHeader
 	// raw is the header as the request carried it, from the payload's
 	// byte-order octet on: what the directive relays to the other threads.
 	raw []byte
@@ -451,16 +457,17 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 	if op == resizeOp {
 		return o.adminResize(in, out)
 	}
-	hdr, err := decodeInvocationHeader(in)
-	if err != nil {
+	call := pendingCalls.Get().(*pendingCall)
+	if err := decodeInvocationHeader(in, &call.header); err != nil {
+		pendingCalls.Put(call)
 		return orb.Marshal(err)
 	}
-	call, err := o.enqueue(conn, op, hdr, in.Consumed(), in)
-	if err != nil {
+	if err := o.enqueue(conn, op, call, in.Consumed(), in); err != nil {
 		// A refused header claims no bucket: what its token's data already
 		// brought goes back to the pool now, what is still on its way when the
 		// sweep finds it.
-		o.dropBucket(hdr.Token)
+		o.dropBucket(call.header.Token)
+		pendingCalls.Put(call)
 		return err
 	}
 	select {
@@ -482,24 +489,24 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 	}
 }
 
-// enqueue hands an invocation header, and the rest of its request, to the
+// enqueue hands a call, its header decoded, and the rest of its request to the
 // collective loop, or says why not.
-func (o *Object) enqueue(conn *transport.Conn, op string, hdr *invocationHeader, raw []byte, rest *cdr.Decoder) (*pendingCall, error) {
+func (o *Object) enqueue(conn *transport.Conn, op string, call *pendingCall, raw []byte, rest *cdr.Decoder) error {
+	hdr := &call.header
 	if hdr.Op != op {
-		return nil, orb.Marshal(fmt.Errorf("%w: header op %q != request op %q", ErrBadHeader, hdr.Op, op))
+		return orb.Marshal(fmt.Errorf("%w: header op %q != request op %q", ErrBadHeader, hdr.Op, op))
 	}
 	// Validate cheaply before involving the other computing threads.
 	if err := o.validate(hdr); err != nil {
-		return nil, err
+		return err
 	}
 	if err := checkSteps(*rest, o.ops[hdr.Op].Desc.Args, Out, hdr.ChunkElems != 0); err != nil {
-		return nil, orb.Marshal(err)
+		return orb.Marshal(err)
 	}
 	if o.draining.Load() {
-		return nil, orb.Transient("object draining")
+		return orb.Transient("object draining")
 	}
-	call := pendingCalls.Get().(*pendingCall)
-	*call = pendingCall{header: hdr, raw: raw, conn: conn, steps: rest, replyCh: call.replyCh}
+	call.raw, call.conn, call.steps, call.enqueuedNS = raw, conn, rest, 0
 	if o.rec != nil {
 		call.enqueuedNS = time.Now().UnixNano()
 	}
@@ -508,11 +515,11 @@ func (o *Object) enqueue(conn *transport.Conn, op string, hdr *invocationHeader,
 	// never dispatched, so the client may retry here or on a replica).
 	select {
 	case o.queue <- call:
-		return call, nil
+		return nil
 	case <-o.stop:
-		return nil, &orb.SystemException{RepoID: orb.RepoInternal, Message: ErrStopped.Error()}
+		return &orb.SystemException{RepoID: orb.RepoInternal, Message: ErrStopped.Error()}
 	default:
-		return nil, orb.Transient(fmt.Sprintf("collective queue full (%d pending)", cap(o.queue)))
+		return orb.Transient(fmt.Sprintf("collective queue full (%d pending)", cap(o.queue)))
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cdr"
 	"repro/internal/dist"
@@ -108,86 +109,88 @@ func checkSteps(d cdr.Decoder, args []ArgDesc, skip Dir, framed bool) error {
 	return nil
 }
 
-// decodeInvocationHeader reads a header, outside input to the server, and stops
-// at its end: what follows in the message is checkSteps' and the walk's.
-func decodeInvocationHeader(d *cdr.Decoder) (*invocationHeader, error) {
-	var h invocationHeader
+// decodeInvocationHeader reads a header, outside input to the server, into h and
+// stops at its end: what follows in the message is checkSteps' and the walk's.
+// Nothing of the header h held survives but its storage: the argument slice and
+// each In/InOut layout's intervals (dist.DecodeLayout), overwritten in place.
+func decodeInvocationHeader(d *cdr.Decoder, h *invocationHeader) error {
+	*h = invocationHeader{Args: h.Args[:0]}
 	var err error
 	if h.Op, err = d.ReadStringInterned(); err != nil {
-		return nil, fmt.Errorf("%w: op: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: op: %v", ErrBadHeader, err)
 	}
 	m, err := d.ReadEnum()
 	if err != nil {
-		return nil, fmt.Errorf("%w: method: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: method: %v", ErrBadHeader, err)
 	}
 	if m > uint32(Multiport) {
-		return nil, fmt.Errorf("%w: method %d", ErrBadHeader, m)
+		return fmt.Errorf("%w: method %d", ErrBadHeader, m)
 	}
 	h.Method = Method(m)
 	if h.Epoch, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("%w: epoch: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: epoch: %v", ErrBadHeader, err)
 	}
 	if h.Epoch > 1<<30 {
-		return nil, fmt.Errorf("%w: epoch %d", ErrBadHeader, h.Epoch)
+		return fmt.Errorf("%w: epoch %d", ErrBadHeader, h.Epoch)
 	}
 	if h.ChunkElems, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("%w: chunk elems: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: chunk elems: %v", ErrBadHeader, err)
 	}
 	if h.ChunkElems > 1<<30 || (h.ChunkElems == 0 && h.Method == Multiport) {
-		return nil, fmt.Errorf("%w: %v chunk elems %d", ErrBadHeader, h.Method, h.ChunkElems)
+		return fmt.Errorf("%w: %v chunk elems %d", ErrBadHeader, h.Method, h.ChunkElems)
 	}
 	if h.ResultChunkElems, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("%w: result chunk elems: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: result chunk elems: %v", ErrBadHeader, err)
 	}
 	if h.ResultChunkElems > 1<<30 || (h.ResultChunkElems != 0 && h.Method != Centralized) {
-		return nil, fmt.Errorf("%w: %v result chunk elems %d", ErrBadHeader, h.Method, h.ResultChunkElems)
+		return fmt.Errorf("%w: %v result chunk elems %d", ErrBadHeader, h.Method, h.ResultChunkElems)
 	}
 	if h.Token, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("%w: token: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: token: %v", ErrBadHeader, err)
 	}
 	ranks, err := d.ReadULong()
 	if err != nil {
-		return nil, fmt.Errorf("%w: ranks: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: ranks: %v", ErrBadHeader, err)
 	}
 	if ranks == 0 || ranks > 1<<20 {
-		return nil, fmt.Errorf("%w: %d client ranks", ErrBadHeader, ranks)
+		return fmt.Errorf("%w: %d client ranks", ErrBadHeader, ranks)
 	}
 	h.ClientRanks = int(ranks)
 	if h.Scalars, err = d.ReadOctets(); err != nil {
-		return nil, fmt.Errorf("%w: scalars: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: scalars: %v", ErrBadHeader, err)
 	}
 	n, err := d.ReadULong()
 	if err != nil {
-		return nil, fmt.Errorf("%w: arg count: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: arg count: %v", ErrBadHeader, err)
 	}
 	if n > 1<<12 {
-		return nil, fmt.Errorf("%w: %d dist args", ErrBadHeader, n)
+		return fmt.Errorf("%w: %d dist args", ErrBadHeader, n)
 	}
-	h.Args = make([]headerArg, n)
+	h.Args = slices.Grow(h.Args, int(n))[:n]
 	for i := range h.Args {
 		a := &h.Args[i]
+		*a = headerArg{Layout: a.Layout}
 		dir, err := d.ReadEnum()
 		if err != nil {
-			return nil, fmt.Errorf("%w: arg %d dir: %v", ErrBadHeader, i, err)
+			return fmt.Errorf("%w: arg %d dir: %v", ErrBadHeader, i, err)
 		}
 		if dir > uint32(InOut) {
-			return nil, fmt.Errorf("%w: arg %d dir %d", ErrBadHeader, i, dir)
+			return fmt.Errorf("%w: arg %d dir %d", ErrBadHeader, i, dir)
 		}
 		a.Dir = Dir(dir)
 		if a.Elem, err = d.ReadStringInterned(); err != nil {
-			return nil, fmt.Errorf("%w: arg %d elem: %v", ErrBadHeader, i, err)
+			return fmt.Errorf("%w: arg %d elem: %v", ErrBadHeader, i, err)
 		}
 		if a.Dir == Out {
+			a.Layout = dist.Layout{}
 			if a.Spec, err = dist.DecodeSpec(d); err != nil {
-				return nil, fmt.Errorf("%w: arg %d spec: %v", ErrBadHeader, i, err)
+				return fmt.Errorf("%w: arg %d spec: %v", ErrBadHeader, i, err)
 			}
-		} else {
-			if a.Layout, err = dist.DecodeLayout(d); err != nil {
-				return nil, fmt.Errorf("%w: arg %d layout: %v", ErrBadHeader, i, err)
-			}
+		} else if err = dist.DecodeLayout(d, &a.Layout); err != nil {
+			return fmt.Errorf("%w: arg %d layout: %v", ErrBadHeader, i, err)
 		}
 	}
-	return &h, nil
+	return nil
 }
 
 // replyHeader is the SPMD extension of a reply: scalar results, the placement
@@ -230,53 +233,54 @@ func encodeReplyArg(e *cdr.Encoder, dir Dir, length int) {
 // the chunk size chunkElemsFor derives from the offer and the reply's own
 // lengths — the client waits for exactly that schedule, so anything else would
 // leave it waiting on a sink nobody fills. It stops at the header's end: what
-// follows in the reply is checkSteps' and the walk's.
-func decodeReplyHeader(d *cdr.Decoder, offered int, direct bool) (*replyHeader, error) {
-	var h replyHeader
+// follows in the reply is checkSteps' and the walk's. It reads into h, of
+// which nothing survives but the argument slice's storage.
+func decodeReplyHeader(d *cdr.Decoder, offered int, direct bool, h *replyHeader) error {
+	*h = replyHeader{Args: h.Args[:0]}
 	var err error
 	if h.Scalars, err = d.ReadOctets(); err != nil {
-		return nil, fmt.Errorf("%w: reply scalars: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: reply scalars: %v", ErrBadHeader, err)
 	}
 	if h.ChunkElems, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("%w: reply chunk elems: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: reply chunk elems: %v", ErrBadHeader, err)
 	}
 	if h.ChunkElems > 1<<30 || (h.ChunkElems != 0 && (offered == 0 || direct)) {
-		return nil, fmt.Errorf("%w: reply streams in chunks of %d, offered %d", ErrBadHeader, h.ChunkElems, offered)
+		return fmt.Errorf("%w: reply streams in chunks of %d, offered %d", ErrBadHeader, h.ChunkElems, offered)
 	}
 	n, err := d.ReadULong()
 	if err != nil {
-		return nil, fmt.Errorf("%w: reply arg count: %v", ErrBadHeader, err)
+		return fmt.Errorf("%w: reply arg count: %v", ErrBadHeader, err)
 	}
 	if n > 1<<12 {
-		return nil, fmt.Errorf("%w: %d reply args", ErrBadHeader, n)
+		return fmt.Errorf("%w: %d reply args", ErrBadHeader, n)
 	}
-	h.Args = make([]replyArg, n)
+	h.Args = slices.Grow(h.Args, int(n))[:n]
 	for i := range h.Args {
 		a := &h.Args[i]
 		dir, err := d.ReadEnum()
 		if err != nil {
-			return nil, fmt.Errorf("%w: reply arg %d dir: %v", ErrBadHeader, i, err)
+			return fmt.Errorf("%w: reply arg %d dir: %v", ErrBadHeader, i, err)
 		}
 		if dir > uint32(InOut) {
-			return nil, fmt.Errorf("%w: reply arg %d dir %d", ErrBadHeader, i, dir)
+			return fmt.Errorf("%w: reply arg %d dir %d", ErrBadHeader, i, dir)
 		}
 		a.Dir = Dir(dir)
 		length, err := d.ReadULongLong()
 		if err != nil {
-			return nil, fmt.Errorf("%w: reply arg %d length: %v", ErrBadHeader, i, err)
+			return fmt.Errorf("%w: reply arg %d length: %v", ErrBadHeader, i, err)
 		}
 		if length > 1<<40 {
-			return nil, fmt.Errorf("%w: reply arg %d length %d", ErrBadHeader, i, length)
+			return fmt.Errorf("%w: reply arg %d length %d", ErrBadHeader, i, length)
 		}
 		a.Length = int(length)
 	}
 	if h.ChunkElems != 0 {
 		want, err := chunkElemsFor(offered, 1, len(h.Args), func(i int) (int, int) { return 0, h.resultLen(i) })
 		if err != nil || int(h.ChunkElems) != want {
-			return nil, fmt.Errorf("%w: reply streams in chunks of %d, its lengths make it %d", ErrBadHeader, h.ChunkElems, want)
+			return fmt.Errorf("%w: reply streams in chunks of %d, its lengths make it %d", ErrBadHeader, h.ChunkElems, want)
 		}
 	}
-	return &h, nil
+	return nil
 }
 
 // resultLen is the length argument i contributes to the reply leg: none for an

@@ -40,7 +40,7 @@ func TestInvocationHeaderRoundTrip(t *testing.T) {
 		// The decoder stops at the header's end and leaves what follows alone.
 		e.WriteRaw([]byte("rest"))
 		d := cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)
-		got, err := decodeInvocationHeader(d)
+		got, err := freshHeader(d)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -77,6 +77,18 @@ func (h *replyHeader) encode(e *cdr.Encoder) {
 	}
 }
 
+// freshHeader and freshReply decode into a header of their own, as a peer
+// that keeps none between calls would.
+func freshHeader(d *cdr.Decoder) (*invocationHeader, error) {
+	h := new(invocationHeader)
+	return h, decodeInvocationHeader(d, h)
+}
+
+func freshReply(d *cdr.Decoder, offered int, direct bool) (*replyHeader, error) {
+	h := new(replyHeader)
+	return h, decodeReplyHeader(d, offered, direct, h)
+}
+
 // writeStep appends one in-message step the way the walk's gather does.
 func writeStep(e *cdr.Encoder, payload []byte) {
 	m := e.BeginOctets()
@@ -105,7 +117,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 				continue
 			}
 			d := cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)
-			got, err := decodeReplyHeader(d, offered, method == Multiport)
+			got, err := freshReply(d, offered, method == Multiport)
 			if err != nil {
 				t.Fatalf("%v: %v", method, err)
 			}
@@ -123,7 +135,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 	sh := &replyHeader{ChunkElems: 32, Args: []replyArg{{Dir: In, Length: 1 << 20}, {Dir: Out, Length: 77}}}
 	se := cdr.NewEncoder(cdr.NativeOrder)
 	sh.encode(se)
-	sgot, err := decodeReplyHeader(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), 32, false)
+	sgot, err := freshReply(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), 32, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +150,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 		"multi-port request":    {0, true},
 		"another size on offer": {16, false},
 	} {
-		if _, err := decodeReplyHeader(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), tc.offered, tc.direct); !errors.Is(err, ErrBadHeader) {
+		if _, err := freshReply(cdr.NewDecoder(se.Bytes(), cdr.NativeOrder), tc.offered, tc.direct); !errors.Is(err, ErrBadHeader) {
 			t.Errorf("streamed reply accepted with %s (err=%v)", name, err)
 		}
 	}
@@ -149,7 +161,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 		big.ChunkElems = ce
 		be := cdr.NewEncoder(cdr.NativeOrder)
 		big.encode(be)
-		_, err := decodeReplyHeader(cdr.NewDecoder(be.Bytes(), cdr.NativeOrder), 1, false)
+		_, err := freshReply(cdr.NewDecoder(be.Bytes(), cdr.NativeOrder), 1, false)
 		if ok != (err == nil) || (!ok && !errors.Is(err, ErrBadHeader)) {
 			t.Errorf("reply of %d elements in chunks of %d, 1 offered: err=%v", big.Args[0].Length, ce, err)
 		}
@@ -178,7 +190,7 @@ func TestReplyHeaderGolden(t *testing.T) {
 	if !bytes.Equal(e.Bytes(), goldenReply) {
 		t.Fatalf("reply header\n% x\nwant\n% x", e.Bytes(), goldenReply)
 	}
-	got, err := decodeReplyHeader(cdr.NewDecoder(goldenReply, cdr.LittleEndian), 64, false)
+	got, err := freshReply(cdr.NewDecoder(goldenReply, cdr.LittleEndian), 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +213,7 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	}
 	e := cdr.NewEncoder(cdr.NativeOrder)
 	h.encode(e)
-	got, err := decodeInvocationHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder))
+	got, err := freshHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +235,7 @@ func TestStreamedInvocationHeaderRoundTrip(t *testing.T) {
 	} {
 		e = cdr.NewEncoder(cdr.NativeOrder)
 		bad.encode(e)
-		if _, err := decodeInvocationHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)); !errors.Is(err, ErrBadHeader) {
+		if _, err := freshHeader(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)); !errors.Is(err, ErrBadHeader) {
 			t.Fatalf("bad %s accepted (err=%v)", name, err)
 		}
 	}
@@ -280,7 +292,7 @@ func TestInvocationHeaderGolden(t *testing.T) {
 		t.Fatalf("request\n% x\nwant\n% x", e.Bytes(), request)
 	}
 	d := cdr.NewDecoder(request, cdr.LittleEndian)
-	got, err := decodeInvocationHeader(d)
+	got, err := freshHeader(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +368,10 @@ func TestHeaderDecodeNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		decodeInvocationHeader(cdr.NewDecoder(data, cdr.LittleEndian))
-		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), 0, false)
-		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), 8192, false)
-		decodeReplyHeader(cdr.NewDecoder(data, cdr.LittleEndian), 0, true)
+		freshHeader(cdr.NewDecoder(data, cdr.LittleEndian))
+		freshReply(cdr.NewDecoder(data, cdr.LittleEndian), 0, false)
+		freshReply(cdr.NewDecoder(data, cdr.LittleEndian), 8192, false)
+		freshReply(cdr.NewDecoder(data, cdr.LittleEndian), 0, true)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
@@ -374,7 +386,7 @@ func TestHeaderTruncations(t *testing.T) {
 	h.encode(e)
 	full := e.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeInvocationHeader(cdr.NewDecoder(full[:cut], cdr.NativeOrder)); err == nil {
+		if _, err := freshHeader(cdr.NewDecoder(full[:cut], cdr.NativeOrder)); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

@@ -200,7 +200,7 @@ func TestBadStepInRequestDoesNotWedgeServer(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						rh, err := decodeReplyHeader(d, 0, false)
+						rh, err := freshReply(d, 0, false)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -270,7 +270,7 @@ func TestBadStepInReplyDoesNotWedgeClient(t *testing.T) {
 					encodeOpTable(out, table)
 					return nil
 				}
-				h, err := decodeInvocationHeader(in)
+				h, err := freshHeader(in)
 				if err != nil {
 					return orb.Marshal(err)
 				}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -60,6 +61,7 @@ const (
 // one thread. It lives on invoke's stack.
 type invocation struct {
 	b      *Binding
+	ln     *bindLane // held for the whole invocation: its headers are the invocation's
 	comm   *rts.Comm // the lane's: every collective of the invocation rides it
 	token  uint32    // the attempt's; doubles as the trace id client and server spans share
 	op     string
@@ -205,7 +207,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	if timing != nil {
 		*timing = Timing{}
 	}
-	iv := invocation{b: b, comm: comm, op: op, args: args, timing: timing}
+	iv := invocation{b: b, ln: ln, comm: comm, op: op, args: args, timing: timing}
 	var ok bool
 	if iv.desc, ok = b.ops[op]; !ok {
 		return nil, fmt.Errorf("%w: unknown operation %q", ErrArgMismatch, op)
@@ -266,8 +268,8 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	// been written.
 	var (
 		route orb.Route
-		stop  error        // thread 0: the error the invocation ends with, once the walk stops
-		rh    *replyHeader // the attempt's reply header, as thread 0 received it
+		stop  error          // thread 0: the error the invocation ends with, once the walk stops
+		rh    = &ln.response // the attempt's reply header, as thread 0 received it
 	)
 	if me == 0 {
 		route = b.client.Route(b.ref, b.addrs, orb.InvokeOptions{ShardKey: shardKey, Idempotent: b.idempotent})
@@ -303,7 +305,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 			// Thread 0's outcome of the attempt: the exchange's, or its leg's.
 			var err error
 			if iv.reply.err = cmp.Or(iv.reply.err, fwdErr); iv.reply.err == nil {
-				rh, err = iv.openReply()
+				err = iv.openReply(rh)
 			}
 			fwdErr = cmp.Or(fwdErr, iv.reply.err, err)
 		}
@@ -315,7 +317,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		// then sends nothing and shares why. A chunk write or a direct send
 		// fails on one thread alone, so on a framed leg every thread's error
 		// goes up first, and the lowest failing thread's is the outcome.
-		if err := iv.shareReply(&rh, fwdErr, framed); framed || fwdErr == nil {
+		if err := iv.shareReply(rh, fwdErr, framed); framed || fwdErr == nil {
 			fwdErr = err
 		}
 		if me == 0 {
@@ -442,13 +444,15 @@ func (iv *invocation) fwdMask(t *target) uint8 {
 	return mask
 }
 
-// newHeader builds the invocation header thread 0 sends: the client's layout
-// for every argument it supplies, its template for every result it expects.
+// newHeader fills the lane's invocation header, the one thread 0 sends: the
+// client's layout for every argument it supplies, its template for every result
+// it expects.
 func (iv *invocation) newHeader(method Method, scalars []byte) *invocationHeader {
-	h := &invocationHeader{
+	h := &iv.ln.request
+	*h = invocationHeader{
 		Op: iv.op, Method: method, Token: iv.token, ChunkElems: uint32(iv.ce), ResultChunkElems: uint32(iv.offer),
 		ClientRanks: iv.comm.Size(), Epoch: iv.b.refEpoch, Scalars: scalars,
-		Args: make([]headerArg, len(iv.args)),
+		Args: slices.Grow(h.Args[:0], len(iv.args))[:len(iv.args)],
 	}
 	for i, a := range iv.args {
 		h.Args[i] = headerArg{Dir: a.Dir, Elem: a.Seq.ElemName()}
@@ -462,23 +466,22 @@ func (iv *invocation) newHeader(method Method, scalars []byte) *invocationHeader
 }
 
 // openReply opens thread 0's reply, into iv.steps, as decodeReplyHeader reads
-// it for the request sent, and refuses one that does not describe the
+// it, into rh, for the request sent, and refuses one that does not describe the
 // arguments sent or that carries, after its header, anything but the steps of a
 // back leg placed in the message (checkSteps). Those stay with thread 0, in
 // iv.steps.
-func (iv *invocation) openReply() (*replyHeader, error) {
+func (iv *invocation) openReply(rh *replyHeader) error {
 	direct := iv.sh == shapeDirect
 	if err := orb.OpenArgs(&iv.steps, iv.reply.reply); err != nil {
-		return nil, err
+		return err
 	}
-	rh, err := decodeReplyHeader(&iv.steps, iv.offer, direct)
-	if err != nil {
-		return nil, err
+	if err := decodeReplyHeader(&iv.steps, iv.offer, direct, rh); err != nil {
+		return err
 	}
 	if len(rh.Args) != len(iv.args) {
-		return nil, fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), len(iv.args))
+		return fmt.Errorf("%w: reply describes %d args, sent %d", ErrBadHeader, len(rh.Args), len(iv.args))
 	}
-	return rh, checkSteps(iv.steps, iv.desc.Args, In, direct || rh.ChunkElems != 0)
+	return checkSteps(iv.steps, iv.desc.Args, In, direct || rh.ChunkElems != 0)
 }
 
 // shareReply makes thread 0's outcome of the attempt every thread's: the reply
@@ -486,7 +489,7 @@ func (iv *invocation) openReply() (*replyHeader, error) {
 // its place; the other threads decode the header into rh. Gathered, every
 // thread's local error goes up first and the lowest failing thread's takes
 // that place (agree); else it is one broadcast (share).
-func (iv *invocation) shareReply(rh **replyHeader, local error, gather bool) error {
+func (iv *invocation) shareReply(rh *replyHeader, local error, gather bool) error {
 	produce := func(e *cdr.Encoder) error {
 		e.WriteRaw(iv.steps.Consumed())
 		return local
@@ -507,7 +510,7 @@ func (iv *invocation) shareReply(rh **replyHeader, local error, gather bool) err
 	}
 	var d cdr.Decoder
 	if err = orb.OpenArgs(&d, p); err == nil {
-		*rh, err = decodeReplyHeader(&d, iv.offer, iv.sh == shapeDirect)
+		err = decodeReplyHeader(&d, iv.offer, iv.sh == shapeDirect, rh)
 	}
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -658,6 +659,233 @@ func TestRecycledBucketRetention(t *testing.T) {
 				}
 				return true
 			})
+		})
+	}
+}
+
+// Recycled headers: a server thread decodes every call's invocation header into
+// the one its last call left — thread 0 into the pooled pendingCall, the others
+// into their Object — and a client lane fills its request header and decodes
+// its reply header in place. These tests hold that nothing of one call's header
+// reaches the next, however the calls differ, and that what a header keeps of
+// a layout is bounded by dist.KeptIntervals.
+
+// stopOp ends Serve on every thread in order.
+var stopOp = Operation{Desc: OpDesc{Name: "stop"}, NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
+	Handler: func(*ServerCall) error { return ErrStopServing }}
+
+// TestRecycledHeaders: one binding of pipeline depth 2 alternates, on both
+// methods, an operation of one in argument with one of an inout and an out
+// argument, and client layouts of one interval a thread (Block) with layouts of
+// one an element (Cyclic{1}), two calls in flight. Every call's handler sees
+// exactly its client's data on every thread, every reply announces the lengths
+// the handler left and the results arrive whole, and the threads of either side
+// end at the same collective.
+func TestRecycledHeaders(t *testing.T) {
+	const n, m, threads = 37, 23, 2
+	in := OpDesc{Name: "in", Args: []ArgDesc{{Name: "arr", Dir: In, Elem: "double"}}}
+	mix := OpDesc{Name: "mix", Args: []ArgDesc{{Name: "arr", Dir: InOut, Elem: "double"}, {Name: "res", Dir: Out, Elem: "double"}}}
+	// Call k's argument holds g + k at global index g; its result 2g + k.
+	result := func(k float64) func(g int) float64 { return func(g int) float64 { return 2*float64(g) + k } }
+	ops := func() []Operation {
+		return []Operation{
+			{Desc: in, NewArgs: SeqArgsFloat64(in.Args), Handler: func(call *ServerCall) error {
+				k, err := call.In.ReadDouble()
+				if err != nil {
+					return err
+				}
+				arr := ArgSeq[float64](call, 0)
+				call.Out.WriteLong(int32(arr.Len()))
+				return wantElems(arr, indexPlus(k))
+			}},
+			{Desc: mix, NewArgs: SeqArgsFloat64(mix.Args), Handler: func(call *ServerCall) error {
+				k, err := call.In.ReadDouble()
+				if err != nil {
+					return err
+				}
+				arr, res := ArgSeq[float64](call, 0), ArgSeq[float64](call, 1)
+				if err := wantElems(arr, indexPlus(k)); err != nil {
+					return err
+				}
+				for i, v := range arr.LocalData() {
+					arr.LocalData()[i] = -v
+				}
+				if err := res.ResizeAlloc(m); err != nil {
+					return err
+				}
+				res.FillFunc(result(k))
+				call.Out.WriteLong(int32(arr.Len()))
+				call.Out.WriteLong(int32(res.Len()))
+				return nil
+			}},
+			stopOp,
+		}
+	}
+	tc := startClusterOps(t, threads, true, ops)
+	type pending struct {
+		f        *Future
+		k        float64
+		arr, res *dseq.Seq[float64] // res is nil for in
+	}
+	// settle checks a call's reply lengths and what it left in its sequences.
+	settle := func(p *pending) error {
+		if p == nil {
+			return nil
+		}
+		reply, err := p.f.Wait()
+		if err != nil {
+			return fmt.Errorf("call %v: %w", p.k, err)
+		}
+		d, err := ScalarDecoder(reply)
+		if err != nil {
+			return err
+		}
+		want := []int{n}
+		if p.res != nil {
+			want = append(want, m)
+		}
+		for i, w := range want {
+			if got, err := d.ReadLong(); err != nil || int(got) != w {
+				return fmt.Errorf("call %v: reply length %d is %d (%v), want %d", p.k, i, got, err, w)
+			}
+		}
+		if p.res == nil {
+			return wantElems(p.arr, indexPlus(p.k))
+		}
+		if p.res.Len() != m {
+			return fmt.Errorf("call %v: the result holds %d elements, want %d", p.k, p.res.Len(), m)
+		}
+		return errors.Join(wantElems(p.arr, func(g int) float64 { return -float64(g) - p.k }), wantElems(p.res, result(p.k)))
+	}
+	specs := []dist.Spec{dist.Block{}, dist.Cyclic{BlockSize: 1}, dist.Block{}}
+	var lanes [threads][]int // each client thread's lane communicators' Collectives() at the end
+	tc.runClientOpts(t, threads, BindOptions{Timeout: testTimeout, PipelineDepth: 2}, func(c *rts.Comm, b *Binding) error {
+		var window [2]*pending
+		k := 0
+		for _, method := range []Method{Centralized, Multiport} {
+			for i := 0; i < 9; i++ {
+				if err := settle(window[k%2]); err != nil {
+					return err
+				}
+				p := &pending{k: float64(k)}
+				spec := specs[i/3]
+				var err error
+				if p.arr, err = dseq.New(c, dseq.Float64, n, spec); err != nil {
+					return err
+				}
+				p.arr.FillFunc(indexPlus(p.k))
+				e := ScalarEncoder()
+				e.WriteDouble(p.k)
+				if i%3 == 1 {
+					if p.res, err = dseq.New(c, dseq.Float64, 0, spec); err != nil {
+						return err
+					}
+					p.f = b.InvokeNBMethod(method, "mix", e.Bytes(), []DistArg{InOutSeq(p.arr), OutSeq(p.res)})
+				} else {
+					p.f = b.InvokeNBMethod(method, "in", e.Bytes(), []DistArg{InSeq(p.arr)})
+				}
+				window[k%2] = p
+				k++
+			}
+		}
+		if err := errors.Join(settle(window[0]), settle(window[1])); err != nil {
+			return err
+		}
+		if _, err := b.Invoke("stop", ScalarEncoder().Bytes(), nil); err != nil {
+			return err
+		}
+		for _, ln := range b.lanes {
+			lanes[c.Rank()] = append(lanes[c.Rank()], ln.comm.Collectives())
+		}
+		return nil
+	})
+	if !slices.Equal(lanes[0], lanes[1]) {
+		t.Errorf("the client threads' lanes end at collectives %v and %v", lanes[0], lanes[1])
+	}
+	testutil.Eventually(t, testTimeout, "Serve never returned", func() bool {
+		tc.objMu.Lock()
+		defer tc.objMu.Unlock()
+		return !slices.Contains(tc.served, -1)
+	})
+	tc.objMu.Lock()
+	defer tc.objMu.Unlock()
+	if tc.served[0] != tc.served[1] {
+		t.Errorf("the server threads end at collectives %v", tc.served)
+	}
+}
+
+// heldIntervals is the most intervals any one array of a header's layouts
+// holds, over all the argument entries it keeps: the per-rank lists, what they
+// view, and the storage a decode keeps for the next one.
+func heldIntervals(h *invocationHeader) int {
+	most := 0
+	for _, a := range h.Args[:cap(h.Args)] {
+		views := 0
+		for _, v := range a.Layout.Intervals {
+			views += cap(v)
+		}
+		most = max(most, cap(a.Layout.Intervals), views, reflect.ValueOf(a.Layout).FieldByName("flat").Cap())
+	}
+	return most
+}
+
+// TestRecycledHeaderRetention: a header keeps no more of a layout than
+// dist.KeptIntervals. After a call whose client layout is Cyclic{1} over 10^6
+// elements (20 000 under the race detector) — an interval an element in its
+// header — a Block call and a stop, neither server thread's header nor any
+// client lane's holds more. Thread 0's headers ride the pooled pending calls:
+// on one P, the test's gets find what dispatch put back, unless a collection
+// dropped it first.
+func TestRecycledHeaderRetention(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	n := 1000000
+	if raceEnabled {
+		n = 20000
+	}
+	for _, method := range []Method{Centralized, Multiport} {
+		t.Run(method.String(), func(t *testing.T) {
+			runtime.GC()
+			runtime.GC() // the pool of pending calls holds none of another test's
+			tc := startClusterOps(t, 2, true, func() []Operation { return append(shapeOps(func(*ServerCall) {}), stopOp) })
+			tc.runClientOpts(t, 2, BindOptions{Method: method, Timeout: testTimeout}, func(c *rts.Comm, b *Binding) error {
+				for _, spec := range []dist.Spec{dist.Cyclic{BlockSize: 1}, dist.Block{}} {
+					arr, err := dseq.New(c, dseq.Float64, n, spec)
+					if err != nil {
+						return err
+					}
+					if _, err := b.Invoke("put", ScalarEncoder().Bytes(), []DistArg{InSeq(arr)}); err != nil {
+						return err
+					}
+				}
+				if _, err := b.Invoke("stop", ScalarEncoder().Bytes(), nil); err != nil {
+					return err
+				}
+				for i := range b.lanes {
+					if got := heldIntervals(&b.lanes[i].request); got > dist.KeptIntervals {
+						return fmt.Errorf("client thread %d: lane %d's header holds %d intervals, more than %d", c.Rank(), i, got, dist.KeptIntervals)
+					}
+				}
+				return nil
+			})
+			testutil.Eventually(t, testTimeout, "Serve never returned", func() bool {
+				tc.objMu.Lock()
+				defer tc.objMu.Unlock()
+				return !slices.Contains(tc.served, -1)
+			})
+			headers := []*invocationHeader{&tc.objects[1].directive}
+			var calls []*pendingCall
+			for call := pendingCalls.Get().(*pendingCall); call.header.Op != ""; call = pendingCalls.Get().(*pendingCall) {
+				calls, headers = append(calls, call), append(headers, &call.header)
+			}
+			for _, call := range calls {
+				defer pendingCalls.Put(call)
+			}
+			t.Logf("%d of thread 0's headers found in the pool", len(calls))
+			for i, h := range headers {
+				if got := heldIntervals(h); got > dist.KeptIntervals {
+					t.Errorf("server header %d (0: thread 1's; then thread 0's pooled ones) holds %d intervals, more than %d", i, got, dist.KeptIntervals)
+				}
+			}
 		})
 	}
 }

@@ -112,11 +112,11 @@ func (o *Object) Poll(block bool) (bool, error) {
 			steps *cdr.Decoder
 		)
 		if call != nil {
-			hdr, conn, steps = call.header, call.conn, call.steps
+			hdr, conn, steps = &call.header, call.conn, call.steps
 		} else {
 			var d cdr.Decoder
-			if err = orb.OpenArgs(&d, dir[2:]); err == nil {
-				hdr, err = decodeInvocationHeader(&d)
+			if hdr, err = &o.directive, orb.OpenArgs(&d, dir[2:]); err == nil {
+				err = decodeInvocationHeader(&d, hdr)
 			}
 			if err != nil {
 				return false, err

@@ -201,7 +201,7 @@ func TestMultiportFramesReturned(t *testing.T) {
 					encodeOpTable(out, []OpDesc{pairDesc})
 					return nil
 				}
-				h, err := decodeInvocationHeader(in)
+				h, err := freshHeader(in)
 				if err != nil {
 					return orb.Marshal(err)
 				}
@@ -272,7 +272,7 @@ func (s streamThenDie) DispatchConn(conn *transport.Conn, op string, in *cdr.Dec
 		encodeOpTable(out, []OpDesc{{Name: "get", Args: []ArgDesc{{Name: "arr", Dir: Out, Elem: "double"}}}})
 		return nil
 	}
-	h, err := decodeInvocationHeader(in)
+	h, err := freshHeader(in)
 	if err != nil {
 		return orb.Marshal(err)
 	}
@@ -404,7 +404,7 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 					encodeOpTable(out, []OpDesc{swap})
 					return nil
 				}
-				h, err := decodeInvocationHeader(in)
+				h, err := freshHeader(in)
 				if err != nil {
 					return orb.Marshal(err)
 				}

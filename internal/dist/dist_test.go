@@ -271,23 +271,37 @@ func TestSpecWireRoundTrip(t *testing.T) {
 }
 
 func TestLayoutWireRoundTrip(t *testing.T) {
-	for _, s := range []Spec{Block{}, Cyclic{BlockSize: 3}} {
-		l := mustLayout(t, s, 29, 4)
+	encode := func(l Layout) *cdr.Decoder {
 		e := cdr.NewEncoder(cdr.NativeOrder)
 		EncodeLayout(e, l)
-		got, err := DecodeLayout(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder))
-		if err != nil {
+		return cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)
+	}
+	// A dirty layout: filled first from a larger one, more ranks and more
+	// intervals, whose storage every decode below reuses.
+	var dirty Layout
+	if err := DecodeLayout(encode(mustLayout(t, Cyclic{BlockSize: 1}, 40, 7)), &dirty); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt layout must be rejected by the embedded validation.
+	bad := Layout{Length: 4, Ranks: 1, Intervals: [][]Interval{{{0, 3}}}}
+	for _, s := range []Spec{Block{}, Cyclic{BlockSize: 3}} {
+		l := mustLayout(t, s, 29, 4)
+		var got Layout
+		if err := DecodeLayout(encode(l), &got); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
 		if !got.Equal(l) {
 			t.Fatalf("%v: layouts differ after round trip", s)
 		}
-	}
-	// Corrupt layout must be rejected by the embedded validation.
-	bad := Layout{Length: 4, Ranks: 1, Intervals: [][]Interval{{{0, 3}}}}
-	e := cdr.NewEncoder(cdr.NativeOrder)
-	EncodeLayout(e, bad)
-	if _, err := DecodeLayout(cdr.NewDecoder(e.Bytes(), cdr.NativeOrder)); err == nil {
-		t.Fatal("corrupt layout accepted")
+		if err := DecodeLayout(encode(l), &dirty); err != nil || !dirty.Equal(l) {
+			t.Fatalf("%v: decoded into a dirty layout: %v, %+v", s, err, dirty)
+		}
+		// A refused decode leaves nothing the next one keeps.
+		if err := DecodeLayout(encode(bad), &dirty); err == nil {
+			t.Fatal("corrupt layout accepted")
+		}
+		if err := DecodeLayout(encode(l), &dirty); err != nil || !dirty.Equal(l) {
+			t.Fatalf("%v: decoded after a refused layout: %v, %+v", s, err, dirty)
+		}
 	}
 }

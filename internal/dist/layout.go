@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cdr"
@@ -16,6 +17,7 @@ type Layout struct {
 	Length    int
 	Ranks     int
 	Intervals [][]Interval
+	flat      []Interval // what the last DecodeLayout into the Layout cut Intervals from
 }
 
 // Validate checks that the layout is an exact partition of [0, Length):
@@ -154,51 +156,60 @@ func EncodeLayout(e *cdr.Encoder, l Layout) {
 	}
 }
 
-// DecodeLayout reads a layout written by EncodeLayout and validates it.
-func DecodeLayout(d *cdr.Decoder) (Layout, error) {
+// KeptIntervals bounds the storage a Layout keeps for the next DecodeLayout into
+// it: a blockwise layout of 4 096 ranks fits, a Cyclic{1} one of 10^6 elements —
+// 16 MiB of intervals — decodes afresh, and the next decode lets it go.
+const KeptIntervals = 1 << 12
+
+// DecodeLayout reads a layout written by EncodeLayout into l and validates it.
+// It reuses the storage of the last decode into l, up to KeptIntervals: what l
+// held before, and any layout sharing its intervals, is overwritten.
+func DecodeLayout(d *cdr.Decoder, l *Layout) error {
 	length, err := d.ReadULong()
 	if err != nil {
-		return Layout{}, err
+		return err
 	}
 	ranks, err := d.ReadULong()
 	if err != nil {
-		return Layout{}, err
+		return err
 	}
 	if ranks == 0 || ranks > 1<<20 {
-		return Layout{}, fmt.Errorf("%w: %d ranks", ErrBadLayout, ranks)
+		return fmt.Errorf("%w: %d ranks", ErrBadLayout, ranks)
 	}
-	l := Layout{Length: int(length), Ranks: int(ranks), Intervals: make([][]Interval, ranks)}
+	ivs, flat := l.Intervals[:0], l.flat[:0]
+	if cap(ivs) > KeptIntervals || cap(flat) > KeptIntervals {
+		ivs, flat = nil, nil
+	}
 	// Per-rank lists are views into one flat backing array (blockwise
-	// layouts have one interval per rank, so the whole decode costs two
-	// allocations instead of one per rank). Full-capacity slicing keeps
-	// the views from appending into each other.
-	flat := make([]Interval, 0, ranks)
+	// layouts have one interval per rank, so a decode into fresh storage
+	// costs two allocations instead of one per rank). Full-capacity slicing
+	// keeps the views from appending into each other.
+	*l = Layout{Length: int(length), Ranks: int(ranks), Intervals: slices.Grow(ivs, int(ranks))[:ranks]}
+	flat = slices.Grow(flat, int(ranks))
 	for r := range l.Intervals {
 		n, err := d.ReadULong()
 		if err != nil {
-			return Layout{}, err
+			return err
 		}
 		if n > 1<<24 {
-			return Layout{}, fmt.Errorf("%w: rank %d has %d intervals", ErrBadLayout, r, n)
+			return fmt.Errorf("%w: rank %d has %d intervals", ErrBadLayout, r, n)
 		}
 		start := len(flat)
 		for k := 0; k < int(n); k++ {
 			s, err := d.ReadULong()
 			if err != nil {
-				return Layout{}, err
+				return err
 			}
 			ln, err := d.ReadULong()
 			if err != nil {
-				return Layout{}, err
+				return err
 			}
 			flat = append(flat, Interval{Start: int(s), Len: int(ln)})
 		}
 		l.Intervals[r] = flat[start:len(flat):len(flat)]
 	}
-	if err := l.Validate(); err != nil {
-		return Layout{}, err
-	}
-	return l, nil
+	l.flat = flat
+	return l.Validate()
 }
 
 // Move is one contiguous copy in a redistribution plan: Len elements flow
