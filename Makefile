@@ -93,7 +93,9 @@ race:
 # drain that reached the call a bucket serves next; the allocation guard skips
 # itself under -race, but its framed calls still run) and the recycled headers'
 # (a header or layout one call still reads while the next call decodes into
-# it) — FLAKECOUNT times each.
+# it) and, last, the whole run-time system under -race (its one receive loop is
+# the timer path of every collective receive: a wakeup lost against the
+# deadline or a message taken on the wrong context) — FLAKECOUNT times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers|TestLostConnectionPoisonsOnlyItsSinks|TestClientKeepaliveDetectsFrozenServer|TestServerKeepaliveDropsSilentClient|TestKeepaliveVerdictDoesNotWaitOnABlockedWrite' \
@@ -105,6 +107,7 @@ flake:
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestShareConnectionSurvivesAnotherObjectsLoss|TestReplicaFailoverMovesEveryLeg|TestShardRoutingCoreEndToEnd|TestShardRoutingMultiport|TestShardRoutingAmbiguousFailure|TestInMessageCallIsOneExchange|TestCollectivesPerInvocation|TestRecycledArgs|TestRecycledBucket|TestRecycledHeader|TestFramedCallAllocs' ./internal/core
+	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) ./internal/rts
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the
 # working tree, alternated on this box, with medians, quartiles and wins per

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/rts"
 )
 
 // BenchmarkTable1Centralized regenerates the paper's Table 1: centralized
@@ -183,36 +182,5 @@ func BenchmarkAblationWindow(b *testing.B) {
 			}
 			b.ReportMetric(bd.Total*1e3, "ms/invocation")
 		})
-	}
-}
-
-// BenchmarkAblationGatherTree compares the RTS gather algorithms (flat
-// centralized receive vs binomial tree) on the real run-time system.
-func BenchmarkAblationGatherTree(b *testing.B) {
-	for _, alg := range []struct {
-		name string
-		alg  rts.GatherAlgorithm
-	}{{"flat", rts.GatherFlat}, {"binomial", rts.GatherBinomial}} {
-		for _, ranks := range []int{4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/ranks=%d", alg.name, ranks), func(b *testing.B) {
-				b.ReportAllocs()
-				w := rts.NewWorld(ranks, rts.Options{RecvTimeout: 30 * time.Second, Gather: alg.alg})
-				defer w.Close()
-				payload := make([]byte, 64<<10)
-				b.SetBytes(int64(len(payload) * ranks))
-				b.ResetTimer()
-				err := w.Run(func(c *rts.Comm) error {
-					for i := 0; i < b.N; i++ {
-						if _, err := c.Gather(0, payload); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
 	}
 }

@@ -30,7 +30,7 @@ import (
 //	snapshot — inside the collective loop (so no invocation is in flight)
 //	           every old thread marshals the ranges it owns that move,
 //	           per the diff plan, into the transfer buffer.
-//	spawn    — the successor world launches, rebuilds the state sequences
+//	spawn    — the new epoch's world launches, rebuilds the state sequences
 //	           at the new size, and applies the transfer chunks.
 //	publish  — the new epoch's reference replaces the old one in the naming
 //	           domain. This is the commit point: failures before it roll
@@ -59,7 +59,7 @@ const (
 	ResizeQuiesce ResizePhase = iota
 	// ResizeSnapshot marshals moving state ranges inside the collective loop.
 	ResizeSnapshot
-	// ResizeSpawn launches the successor world and applies the transfer.
+	// ResizeSpawn launches the new epoch's world and applies the transfer.
 	ResizeSpawn
 	// ResizePublish replaces the name binding — the commit point.
 	ResizePublish
@@ -153,8 +153,7 @@ type ElasticOptions struct {
 	// are required: re-resolution through the naming domain is how clients
 	// follow the object across epochs. Epoch is owned by the engine.
 	Export ExportOptions
-	// World configures each epoch's rts world (mailbox depths, timeouts).
-	// Epoch is owned by the engine.
+	// World configures each epoch's rts world (its receive timeout).
 	World rts.Options
 	// State declares the live sequences carried across resizes.
 	State []StateDesc
@@ -286,7 +285,7 @@ func NewElastic(opts ElasticOptions, size int) (*Elastic, error) {
 	for i, sd := range opts.State {
 		lengths[i] = sd.Length
 	}
-	run, err := el.launch(nil, 1, size, lengths, nil)
+	run, err := el.launch(1, size, lengths, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -355,19 +354,11 @@ func (el *Elastic) teardownRun(run *epochRun) {
 	run.world.Close()
 }
 
-// launch starts one epoch: a fresh world (the previous epoch's successor
-// when prev is set), one serve goroutine per rank, state sequences rebuilt
-// at the new size and populated from xfer (or seeded on the first epoch).
-// It returns once every thread is exported and serving.
-func (el *Elastic) launch(prev *rts.World, epoch, size int, lengths []int, xfer *stateXfer) (*epochRun, error) {
-	var w *rts.World
-	if prev != nil {
-		w = prev.Successor(size)
-	} else {
-		wopts := el.opts.World
-		wopts.Epoch = epoch
-		w = rts.NewWorld(size, wopts)
-	}
+// launch starts one epoch: a fresh world, one serve goroutine per rank,
+// state sequences rebuilt at the new size and populated from xfer (or seeded
+// on the first epoch). It returns once every thread is exported and serving.
+func (el *Elastic) launch(epoch, size int, lengths []int, xfer *stateXfer) (*epochRun, error) {
+	w := rts.NewWorld(size, el.opts.World)
 	run := &epochRun{
 		epoch:   epoch,
 		size:    size,
@@ -653,14 +644,14 @@ func (el *Elastic) Resize(n int) error {
 	}
 	el.span(obs.PhaseResizeQuiesce, newEpoch, start)
 
-	// Spawn: successor world, state rebuilt at the new size, transfer
+	// Spawn: a fresh world, state rebuilt at the new size, transfer
 	// applied.
 	if err := el.fault(ResizeSpawn, newEpoch); err != nil {
 		t.commit <- false
 		undrain()
 		return abort(ResizeSpawn, err)
 	}
-	newRun, err := el.launch(run.world, newEpoch, n, p.xfer.lengths, p.xfer)
+	newRun, err := el.launch(newEpoch, n, p.xfer.lengths, p.xfer)
 	if err != nil {
 		t.commit <- false
 		undrain()

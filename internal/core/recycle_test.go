@@ -565,6 +565,10 @@ func TestRecycledBucketIgnoresStaleToken(t *testing.T) {
 				b.ch <- nil
 			}
 			swap(&second)
+			// Thread 1 of a multi-port call drops its bucket after the reply
+			// (TestRecycledBucketRetention): wait until each receiving thread
+			// is back to its one spare before the next token opens it.
+			spares()
 
 			// The next token the process hands out is the second client's
 			// next call's; opening its bucket here is what its first frame

@@ -11,10 +11,7 @@ const (
 	opBcast
 	opGather
 	opScatter
-	opReduce
 	opAlltoall
-	opScan
-	opFence
 	opForward
 	numOps
 )
@@ -42,7 +39,7 @@ func (c *Comm) Barrier() error {
 	}
 	if c.rank == 0 {
 		for i := 1; i < c.world.size; i++ {
-			if _, _, err := c.recvColl(AnySource, tag); err != nil {
+			if _, _, err := c.recv(AnySource, tag); err != nil {
 				return err
 			}
 		}
@@ -56,17 +53,8 @@ func (c *Comm) Barrier() error {
 	if err := c.send(0, tag, nil); err != nil {
 		return err
 	}
-	_, _, err := c.recvColl(0, tag)
+	_, _, err := c.recv(0, tag)
 	return err
-}
-
-// recvColl is the collective-internal receive (reserved tags allowed).
-func (c *Comm) recvColl(src, tag int) ([]byte, Status, error) {
-	m, err := c.world.mailboxes[c.rank].takeTimeout(c.ctx, src, tag, c.world.opts.RecvTimeout)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	return m.data, Status{Source: m.src, Tag: m.tag, Len: len(m.data)}, nil
 }
 
 // Bcast distributes root's data to every rank along a binomial tree and
@@ -88,7 +76,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 		// Receive from parent: clear the lowest set bit of vrank.
 		parent := (vrank&(vrank-1) + root) % n
 		var err error
-		data, _, err = c.recvColl(parent, tag)
+		data, _, err = c.recv(parent, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -108,82 +96,34 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// Gather collects each rank's data at root. At root the result has one entry
-// per rank (result[r] is rank r's contribution, in particular root's own
-// data appears at result[root]); at other ranks the result is nil. Variable
-// per-rank sizes are allowed (this doubles as MPI's Gatherv). The root's
-// result is the communicator's own slice, like MPI's receive buffer: it is
-// valid until this rank's next collective on the communicator, which may
-// overwrite it, so a caller consumes it before then or copies it. The
+// Gather collects each rank's data at root, the paper's centralized gather:
+// the root receives one message from every other rank. At root the result has
+// one entry per rank (result[r] is rank r's contribution, in particular
+// root's own data appears at result[root]); at other ranks the result is nil.
+// Variable per-rank sizes are allowed (this doubles as MPI's Gatherv). The
+// root's result is the communicator's own slice, like MPI's receive buffer:
+// it is valid until this rank's next collective on the communicator, which
+// may overwrite it, so a caller consumes it before then or copies it. The
 // contributions it points to are the senders' and stay valid.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	if err := c.checkRank(root); err != nil {
 		return nil, err
 	}
 	tag := collTag(opGather, c.nextSeq())
-	if c.rank == root && c.gathered == nil {
-		c.gathered = make([][]byte, c.world.size)
-	}
-	switch c.world.opts.Gather {
-	case GatherBinomial:
-		return c.gatherBinomial(root, tag, data)
-	default:
-		return c.gatherFlat(root, tag, data)
-	}
-}
-
-// gatherFlat is the paper's centralized gather: the root receives one
-// message from every other rank.
-func (c *Comm) gatherFlat(root, tag int, data []byte) ([][]byte, error) {
 	if c.rank != root {
 		return nil, c.send(root, tag, data)
+	}
+	if c.gathered == nil {
+		c.gathered = make([][]byte, c.world.size)
 	}
 	out := c.gathered
 	out[root] = data
 	for i := 0; i < c.world.size-1; i++ {
-		d, st, err := c.recvColl(AnySource, tag)
+		d, st, err := c.recv(AnySource, tag)
 		if err != nil {
 			return nil, err
 		}
 		out[st.Source] = d
-	}
-	return out, nil
-}
-
-// gatherBinomial aggregates along a binomial tree; each interior node
-// bundles its subtree's contributions into one message.
-func (c *Comm) gatherBinomial(root, tag int, data []byte) ([][]byte, error) {
-	n := c.world.size
-	vrank := (c.rank - root + n) % n
-	acc := map[int][]byte{c.rank: data}
-	// Receive from children first (mirror image of the bcast tree).
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			break
-		}
-		child := vrank | mask
-		if child >= n {
-			continue
-		}
-		d, _, err := c.recvColl((child+root)%n, tag)
-		if err != nil {
-			return nil, err
-		}
-		bundle, err := decodeBundle(d)
-		if err != nil {
-			return nil, err
-		}
-		for r, b := range bundle {
-			acc[r] = b
-		}
-	}
-	if vrank != 0 {
-		parent := (vrank&(vrank-1) + root) % n
-		return nil, c.send(parent, tag, encodeBundle(acc))
-	}
-	out := c.gathered
-	for r, b := range acc {
-		out[r] = b
 	}
 	return out, nil
 }
@@ -210,7 +150,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 		}
 		return parts[root], nil
 	}
-	d, _, err := c.recvColl(root, tag)
+	d, _, err := c.recv(root, tag)
 	return d, err
 }
 
@@ -234,7 +174,7 @@ func (c *Comm) Forward(src, dst int, data []byte) ([]byte, error) {
 	case c.rank == src:
 		return nil, c.send(dst, tag, data)
 	case c.rank == dst:
-		d, _, err := c.recvColl(src, tag)
+		d, _, err := c.recv(src, tag)
 		return d, err
 	}
 	return nil, nil
@@ -277,34 +217,24 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 // order).
 type ReduceFunc func(a, b []byte) ([]byte, error)
 
-// Reduce combines every rank's data with op and delivers the result to root
-// (other ranks receive nil). Combination is performed in rank order:
-// op(...op(op(r0, r1), r2)..., rN-1).
-func (c *Comm) Reduce(root int, data []byte, op ReduceFunc) ([]byte, error) {
-	all, err := c.Gather(root, data)
+// Allreduce combines every rank's data with op and delivers the result to
+// every rank. Rank 0 gathers the contributions and combines them in rank
+// order, op(...op(op(r0, r1), r2)..., rN-1), then broadcasts the result.
+func (c *Comm) Allreduce(data []byte, op ReduceFunc) ([]byte, error) {
+	all, err := c.Gather(0, data)
 	if err != nil {
 		return nil, err
 	}
-	if c.rank != root {
-		return nil, nil
-	}
-	acc := all[0]
-	for r := 1; r < len(all); r++ {
-		acc, err = op(acc, all[r])
-		if err != nil {
-			return nil, err
+	var acc []byte
+	if c.rank == 0 {
+		acc = all[0]
+		for r := 1; r < len(all); r++ {
+			if acc, err = op(acc, all[r]); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return acc, nil
-}
-
-// Allreduce is Reduce delivered to every rank.
-func (c *Comm) Allreduce(data []byte, op ReduceFunc) ([]byte, error) {
-	res, err := c.Reduce(0, data, op)
-	if err != nil {
-		return nil, err
-	}
-	return c.Bcast(0, res)
+	return c.Bcast(0, acc)
 }
 
 // Alltoall performs a personalized exchange: rank r's parts[d] is delivered
@@ -327,36 +257,13 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 		}
 	}
 	for i := 0; i < c.world.size-1; i++ {
-		d, st, err := c.recvColl(AnySource, tag)
+		d, st, err := c.recv(AnySource, tag)
 		if err != nil {
 			return nil, err
 		}
 		out[st.Source] = d
 	}
 	return out, nil
-}
-
-// Scan computes an inclusive prefix reduction: rank r receives
-// op(r0, r1, ..., rr), combined in rank order.
-func (c *Comm) Scan(data []byte, op ReduceFunc) ([]byte, error) {
-	tag := collTag(opScan, c.nextSeq())
-	acc := data
-	if c.rank > 0 {
-		prev, _, err := c.recvColl(c.rank-1, tag)
-		if err != nil {
-			return nil, err
-		}
-		acc, err = op(prev, data)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if c.rank < c.world.size-1 {
-		if err := c.send(c.rank+1, tag, acc); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
 }
 
 // encodeBundle flattens a rank→payload map as [count][rank,len,bytes]...

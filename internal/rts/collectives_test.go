@@ -71,81 +71,63 @@ func TestBcastAllRoots(t *testing.T) {
 	})
 }
 
-func testGatherAllRoots(t *testing.T, alg GatherAlgorithm) {
-	for _, n := range worldSizes {
-		n := n
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			t.Parallel()
-			w := NewWorld(n, Options{RecvTimeout: 10 * time.Second, Gather: alg})
-			t.Cleanup(w.Close)
-			err := w.Run(func(c *Comm) error {
-				for root := 0; root < n; root++ {
-					// Variable-size contributions exercise the gatherv path.
-					in := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()+1)
-					out, err := c.Gather(root, in)
-					if err != nil {
-						return err
-					}
-					if c.Rank() != root {
-						if out != nil {
-							return fmt.Errorf("non-root rank %d got non-nil gather result", c.Rank())
-						}
-						continue
-					}
-					for r := 0; r < n; r++ {
-						want := bytes.Repeat([]byte{byte(r)}, r+1)
-						if !bytes.Equal(out[r], want) {
-							return fmt.Errorf("root %d entry %d: got %v want %v", root, r, out[r], want)
-						}
-					}
+func TestGatherFlat(t *testing.T) {
+	forSizes(t, func(t *testing.T, n int) {
+		run(t, n, func(c *Comm) error {
+			for root := 0; root < n; root++ {
+				// Variable-size contributions exercise the gatherv path.
+				in := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()+1)
+				out, err := c.Gather(root, in)
+				if err != nil {
+					return err
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestGatherFlat(t *testing.T)     { testGatherAllRoots(t, GatherFlat) }
-func TestGatherBinomial(t *testing.T) { testGatherAllRoots(t, GatherBinomial) }
-
-// TestGatherReusesRootResult pins Gather's buffer rule: the root's result is
-// the communicator's one slice, so the next Gather on it hands the same slice
-// back, holding the new contributions, with either algorithm.
-func TestGatherReusesRootResult(t *testing.T) {
-	for _, alg := range []GatherAlgorithm{GatherFlat, GatherBinomial} {
-		w := NewWorld(3, Options{RecvTimeout: 10 * time.Second, Gather: alg})
-		t.Cleanup(w.Close)
-		err := w.Run(func(c *Comm) error {
-			first, err := c.Gather(0, []byte{1, byte(c.Rank())})
-			if err != nil {
-				return err
-			}
-			second, err := c.Gather(0, []byte{2, byte(c.Rank())})
-			if err != nil || c.Rank() != 0 {
-				return err
-			}
-			if &first[0] != &second[0] {
-				return fmt.Errorf("gather %d: the second Gather's result is a new slice", alg)
-			}
-			for r, p := range second {
-				if !bytes.Equal(p, []byte{2, byte(r)}) {
-					return fmt.Errorf("gather %d: second result holds %v from rank %d", alg, p, r)
+				if c.Rank() != root {
+					if out != nil {
+						return fmt.Errorf("non-root rank %d got non-nil gather result", c.Rank())
+					}
+					continue
+				}
+				for r := 0; r < n; r++ {
+					want := bytes.Repeat([]byte{byte(r)}, r+1)
+					if !bytes.Equal(out[r], want) {
+						return fmt.Errorf("root %d entry %d: got %v want %v", root, r, out[r], want)
+					}
 				}
 			}
 			return nil
 		})
+	})
+}
+
+// TestGatherReusesRootResult pins Gather's buffer rule: the root's result is
+// the communicator's one slice, so the next Gather on it hands the same slice
+// back, holding the new contributions.
+func TestGatherReusesRootResult(t *testing.T) {
+	run(t, 3, func(c *Comm) error {
+		first, err := c.Gather(0, []byte{1, byte(c.Rank())})
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-	}
+		second, err := c.Gather(0, []byte{2, byte(c.Rank())})
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		if &first[0] != &second[0] {
+			return errors.New("the second Gather's result is a new slice")
+		}
+		for r, p := range second {
+			if !bytes.Equal(p, []byte{2, byte(r)}) {
+				return fmt.Errorf("second result holds %v from rank %d", p, r)
+			}
+		}
+		return nil
+	})
 }
 
 // TestAllgatherReduceResultsIndependent: the collectives built on Gather
 // consume its result before they return, so what they return is the caller's
-// and a later call leaves it alone.
+// and a later call leaves it alone. The non-commutative concat pins
+// Allreduce's rank order.
 func TestAllgatherReduceResultsIndependent(t *testing.T) {
 	concat := func(a, b []byte) ([]byte, error) { return append(append([]byte(nil), a...), b...), nil }
 	run(t, 3, func(c *Comm) error {
@@ -153,14 +135,14 @@ func TestAllgatherReduceResultsIndependent(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		red1, err := c.Reduce(0, []byte{byte(c.Rank())}, concat)
+		red1, err := c.Allreduce([]byte{byte(c.Rank())}, concat)
 		if err != nil {
 			return err
 		}
 		if _, err := c.Allgather([]byte{9, 9}); err != nil {
 			return err
 		}
-		if _, err := c.Reduce(0, []byte{9}, concat); err != nil {
+		if _, err := c.Allreduce([]byte{9}, concat); err != nil {
 			return err
 		}
 		for r, p := range all1 {
@@ -168,8 +150,8 @@ func TestAllgatherReduceResultsIndependent(t *testing.T) {
 				return fmt.Errorf("rank %d: first Allgather's entry %d became %v", c.Rank(), r, p)
 			}
 		}
-		if c.Rank() == 0 && !bytes.Equal(red1, []byte{0, 1, 2}) {
-			return fmt.Errorf("first Reduce's result became %v", red1)
+		if !bytes.Equal(red1, []byte{0, 1, 2}) {
+			return fmt.Errorf("rank %d: first Allreduce's result became %v", c.Rank(), red1)
 		}
 		return nil
 	})
@@ -280,49 +262,21 @@ func TestAllgather(t *testing.T) {
 	})
 }
 
-func TestReduceSum(t *testing.T) {
+func TestAllreduceSum(t *testing.T) {
 	forSizes(t, func(t *testing.T, n int) {
 		run(t, n, func(c *Comm) error {
 			in := Float64sToBytes([]float64{float64(c.Rank()), 1})
-			out, err := c.Reduce(0, in, SumFloat64)
+			out, err := c.Allreduce(in, SumFloat64)
 			if err != nil {
 				return err
-			}
-			if c.Rank() != 0 {
-				if out != nil {
-					return errors.New("non-root got reduce result")
-				}
-				return nil
 			}
 			v, err := BytesToFloat64s(out)
 			if err != nil {
 				return err
 			}
 			wantSum := float64(n*(n-1)) / 2
-			if v[0] != wantSum || v[1] != float64(n) {
-				return fmt.Errorf("reduce got %v, want [%v %v]", v, wantSum, n)
-			}
-			return nil
-		})
-	})
-}
-
-func TestAllreduceMinMax(t *testing.T) {
-	forSizes(t, func(t *testing.T, n int) {
-		run(t, n, func(c *Comm) error {
-			in := Int64sToBytes([]int64{int64(c.Rank())})
-			mx, err := c.Allreduce(in, MaxInt64)
-			if err != nil {
-				return err
-			}
-			mn, err := c.Allreduce(in, MinInt64)
-			if err != nil {
-				return err
-			}
-			mxv, _ := BytesToInt64s(mx)
-			mnv, _ := BytesToInt64s(mn)
-			if mxv[0] != int64(n-1) || mnv[0] != 0 {
-				return fmt.Errorf("allreduce max=%d min=%d", mxv[0], mnv[0])
+			if len(v) != 2 || v[0] != wantSum || v[1] != float64(n) {
+				return fmt.Errorf("rank %d: allreduce got %v, want [%v %v]", c.Rank(), v, wantSum, n)
 			}
 			return nil
 		})
@@ -348,43 +302,6 @@ func TestAlltoall(t *testing.T) {
 			}
 			return nil
 		})
-	})
-}
-
-func TestScanConcat(t *testing.T) {
-	forSizes(t, func(t *testing.T, n int) {
-		run(t, n, func(c *Comm) error {
-			in := []byte{byte('a' + c.Rank())}
-			out, err := c.Scan(in, Concat)
-			if err != nil {
-				return err
-			}
-			want := make([]byte, c.Rank()+1)
-			for i := range want {
-				want[i] = byte('a' + i)
-			}
-			if !bytes.Equal(out, want) {
-				return fmt.Errorf("rank %d scan got %q want %q", c.Rank(), out, want)
-			}
-			return nil
-		})
-	})
-}
-
-func TestScanSum(t *testing.T) {
-	run(t, 6, func(c *Comm) error {
-		in := Int64sToBytes([]int64{int64(c.Rank() + 1)})
-		out, err := c.Scan(in, SumInt64)
-		if err != nil {
-			return err
-		}
-		v, _ := BytesToInt64s(out)
-		r := int64(c.Rank() + 1)
-		want := r * (r + 1) / 2
-		if v[0] != want {
-			return fmt.Errorf("rank %d prefix sum %d want %d", c.Rank(), v[0], want)
-		}
-		return nil
 	})
 }
 
@@ -447,27 +364,28 @@ func TestGatherScatterInverseProperty(t *testing.T) {
 	}
 }
 
-// Property: Allreduce(SumInt64) equals the local sum of all inputs,
-// regardless of world size and values.
+// Property: Allreduce(SumFloat64) equals the local sum of all inputs,
+// regardless of world size and values. The inputs are integers, so every
+// partial sum is exact and the order of the additions cannot show.
 func TestAllreduceSumProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(8)
-		vals := make([]int64, n)
-		var want int64
+		vals := make([]float64, n)
+		var want float64
 		for i := range vals {
-			vals[i] = int64(rng.Intn(2001) - 1000)
+			vals[i] = float64(rng.Intn(2001) - 1000)
 			want += vals[i]
 		}
 		w := NewWorld(n, Options{RecvTimeout: 10 * time.Second})
 		defer w.Close()
 		ok := true
 		err := w.Run(func(c *Comm) error {
-			out, err := c.Allreduce(Int64sToBytes([]int64{vals[c.Rank()]}), SumInt64)
+			out, err := c.Allreduce(Float64sToBytes([]float64{vals[c.Rank()]}), SumFloat64)
 			if err != nil {
 				return err
 			}
-			v, err := BytesToInt64s(out)
+			v, err := BytesToFloat64s(out)
 			if err != nil {
 				return err
 			}

@@ -1,11 +1,8 @@
 package rts
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
-// Status describes a matched message, as returned by Probe.
+// Status describes a received message.
 type Status struct {
 	Source int
 	Tag    int
@@ -36,9 +33,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.world.size }
 
-// World returns the underlying world.
-func (c *Comm) World() *World { return c.world }
-
 // Context returns the communication context id (0 for the default context).
 func (c *Comm) Context() int { return c.ctx }
 
@@ -47,12 +41,6 @@ func (c *Comm) Context() int { return c.ctx }
 // of a correct SPMD program reads the same value at the same point, which is
 // what makes "collectives per invocation" a number a test can pin.
 func (c *Comm) Collectives() int { return c.collSeq }
-
-// Epoch returns the membership epoch of the communicator's world. All
-// collectives on this communicator belong to that epoch: a Successor world's
-// mailboxes are disjoint from its predecessor's, so traffic cannot cross an
-// epoch boundary.
-func (c *Comm) Epoch() int { return c.world.opts.Epoch }
 
 func (c *Comm) checkRank(r int) error {
 	if r < 0 || r >= c.world.size {
@@ -63,8 +51,8 @@ func (c *Comm) checkRank(r int) error {
 
 // Send delivers data to rank dst with the given tag. The data slice is
 // handed off to the receiver without copying; the sender must not modify it
-// afterwards (use SendCopy when reusing buffers). Tags must be >= 0;
-// negative tags are reserved for collective operations.
+// afterwards. Tags must be >= 0; negative tags are reserved for collective
+// operations.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	if err := c.checkRank(dst); err != nil {
 		return err
@@ -73,14 +61,6 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 		return fmt.Errorf("%w: %d", ErrTag, tag)
 	}
 	return c.send(dst, tag, data)
-}
-
-// SendCopy is Send, but copies data first so the caller may reuse the
-// buffer immediately.
-func (c *Comm) SendCopy(dst, tag int, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return c.Send(dst, tag, cp)
 }
 
 // send is the internal entry point, also used with reserved negative tags by
@@ -105,37 +85,14 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 	return c.recv(src, tag)
 }
 
-// RecvTimeout is Recv with an explicit deadline overriding the world option.
-func (c *Comm) RecvTimeout(src, tag int, d time.Duration) ([]byte, Status, error) {
-	m, err := c.world.mailboxes[c.rank].takeTimeout(c.ctx, src, tag, d)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	return m.data, Status{Source: m.src, Tag: m.tag, Len: len(m.data)}, nil
-}
-
+// recv is the internal entry point, also used with reserved negative tags by
+// the collectives.
 func (c *Comm) recv(src, tag int) ([]byte, Status, error) {
-	m, err := c.world.mailboxes[c.rank].takeTimeout(c.ctx, src, tag, c.world.opts.RecvTimeout)
+	m, err := c.world.mailboxes[c.rank].take(c.ctx, src, tag, c.world.opts.RecvTimeout)
 	if err != nil {
 		return nil, Status{}, err
 	}
 	return m.data, Status{Source: m.src, Tag: m.tag, Len: len(m.data)}, nil
-}
-
-// Probe reports whether a message matching (src, tag) is available without
-// receiving it. It never blocks.
-func (c *Comm) Probe(src, tag int) (Status, bool) {
-	return c.world.mailboxes[c.rank].probe(c.ctx, src, tag)
-}
-
-// SendRecv performs a combined send to dst and receive from src, as needed
-// by pairwise exchange patterns. The send is buffered by the mailbox, so no
-// deadlock can occur even when both peers SendRecv each other.
-func (c *Comm) SendRecv(dst, sendTag int, data []byte, src, recvTag int) ([]byte, Status, error) {
-	if err := c.Send(dst, sendTag, data); err != nil {
-		return nil, Status{}, err
-	}
-	return c.Recv(src, recvTag)
 }
 
 // Dup collectively creates a new communicator over the same ranks with an

@@ -133,87 +133,24 @@ func TestWildcards(t *testing.T) {
 	})
 }
 
-func TestSendCopyAllowsReuse(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			buf := []byte("original")
-			if err := c.SendCopy(1, 0, buf); err != nil {
-				return err
-			}
-			copy(buf, "CLOBBER!")
-			return nil
-		}
-		d, _, err := c.Recv(0, 0)
-		if err != nil {
-			return err
-		}
-		if string(d) != "original" {
-			return fmt.Errorf("buffer reuse leaked into message: %q", d)
-		}
-		return nil
-	})
-}
-
-func TestSendRecvCombined(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		peer := 1 - c.Rank()
-		me := []byte{byte(c.Rank())}
-		d, _, err := c.SendRecv(peer, 9, me, peer, 9)
-		if err != nil {
-			return err
-		}
-		if int(d[0]) != peer {
-			return fmt.Errorf("rank %d got %v", c.Rank(), d)
-		}
-		return nil
-	})
-}
-
-func TestProbe(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 11, []byte("abc"))
-		}
-		var st Status
-		var ok bool
-		for i := 0; i < 1000; i++ {
-			if st, ok = c.Probe(0, 11); ok {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if !ok {
-			return errors.New("probe never matched")
-		}
-		if st.Len != 3 || st.Source != 0 || st.Tag != 11 {
-			return fmt.Errorf("probe status %+v", st)
-		}
-		// Probing does not consume.
-		if _, ok := c.Probe(0, 11); !ok {
-			return errors.New("probe consumed the message")
-		}
-		d, _, err := c.Recv(0, 11)
-		if err != nil {
-			return err
-		}
-		if string(d) != "abc" {
-			return fmt.Errorf("recv after probe got %q", d)
-		}
-		return nil
-	})
-}
-
+// TestRecvTimeout: Options.RecvTimeout bounds Recv, on a world of its own
+// so the wait is short.
 func TestRecvTimeout(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
+	w := NewWorld(2, Options{RecvTimeout: 20 * time.Millisecond})
+	t.Cleanup(w.Close)
+	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			return nil
 		}
-		_, _, err := c.RecvTimeout(0, 1, 20*time.Millisecond)
+		_, _, err := c.Recv(0, 1)
 		if !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("want ErrTimeout, got %v", err)
 		}
 		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestInvalidArguments(t *testing.T) {

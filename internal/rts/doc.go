@@ -5,14 +5,10 @@
 // functionality of message-passing libraries", tested against MPI and Tulip.
 // This package provides that interface for Go: an SPMD World of ranks, each
 // executing the same function on its own goroutine, exchanging tagged
-// point-to-point messages and participating in collective operations
-// (barrier, broadcast, gather, scatter, all-gather, reduce, all-reduce,
-// all-to-all, scan).
-//
-// In addition to the message-passing interface, the package implements the
-// paper's planned "alternative run-time system interface capturing the
-// functionality of the more flexible one-sided run-time systems" as Window
-// (Put/Get/Accumulate with fence synchronization).
+// point-to-point messages (Send, Recv) and participating in the collective
+// operations the engine and the distributed sequences run (Barrier, Bcast,
+// Gather, Scatter, Forward, Allgather, Allreduce, Alltoall) on communicators
+// duplicated with Dup and Dups.
 //
 // Semantics follow MPI where applicable:
 //

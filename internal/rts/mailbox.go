@@ -25,7 +25,7 @@ type mailbox struct {
 	closed bool
 }
 
-// bcastTimer is a reusable takeTimeout deadline timer. The target mailbox is
+// bcastTimer is a reusable take deadline timer. The target mailbox is
 // retargeted on every reuse; the timer func broadcasts whichever mailbox is
 // current when it fires. A stale fire after a retarget is just a spurious
 // wakeup for the new target, so Reset/Stop racing the func is benign.
@@ -98,31 +98,9 @@ func match(m message, ctx, src, tag int) bool {
 }
 
 // take removes and returns the first message matching (ctx, src, tag),
-// blocking until one is available or the mailbox is closed.
-func (mb *mailbox) take(ctx, src, tag int) (message, error) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for {
-		for i := range mb.queue {
-			if match(mb.queue[i], ctx, src, tag) {
-				m := mb.queue[i]
-				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-				return m, nil
-			}
-		}
-		if mb.closed {
-			return message{}, ErrWorldClosed
-		}
-		mb.cond.Wait()
-	}
-}
-
-// takeTimeout is take with a deadline; it returns ErrTimeout if no matching
-// message arrives within d. A non-positive d means block indefinitely.
-func (mb *mailbox) takeTimeout(ctx, src, tag int, d time.Duration) (message, error) {
-	if d <= 0 {
-		return mb.take(ctx, src, tag)
-	}
+// blocking until one is available or the mailbox is closed. A positive d
+// bounds the wait: no match within d is ErrTimeout.
+func (mb *mailbox) take(ctx, src, tag int, d time.Duration) (message, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	var deadline time.Time
@@ -140,31 +118,20 @@ func (mb *mailbox) takeTimeout(ctx, src, tag int, d time.Duration) (message, err
 			timer.release()
 			return message{}, ErrWorldClosed
 		}
-		if timer == nil {
-			// Arm the deadline only when the receive actually has to wait:
-			// a receive satisfied straight from the queue never touches a
-			// timer, and waiters reuse pooled ones.
-			deadline = time.Now().Add(d)
-			timer = armTimer(mb, d)
-		} else if !time.Now().Before(deadline) {
-			timer.release()
-			return message{}, ErrTimeout
+		if d > 0 {
+			if timer == nil {
+				// Arm the deadline only when the receive actually has to
+				// wait: a receive satisfied straight from the queue never
+				// touches a timer, and waiters reuse pooled ones.
+				deadline = time.Now().Add(d)
+				timer = armTimer(mb, d)
+			} else if !time.Now().Before(deadline) {
+				timer.release()
+				return message{}, ErrTimeout
+			}
 		}
 		mb.cond.Wait()
 	}
-}
-
-// probe reports whether a matching message is queued, without removing it.
-// It never blocks.
-func (mb *mailbox) probe(ctx, src, tag int) (Status, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for i := range mb.queue {
-		if match(mb.queue[i], ctx, src, tag) {
-			return Status{Source: mb.queue[i].src, Tag: mb.queue[i].tag, Len: len(mb.queue[i].data)}, true
-		}
-	}
-	return Status{}, false
 }
 
 func (mb *mailbox) close() {

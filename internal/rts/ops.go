@@ -7,8 +7,8 @@ import (
 )
 
 // This file provides typed views over the []byte message payloads: slice
-// codecs for the numeric types PARDIS arguments use, and elementwise
-// ReduceFuncs built from them.
+// codecs for the numeric types PARDIS arguments use, and the elementwise
+// float64 sum Allreduce takes.
 
 // Float64sToBytes encodes a []float64 as little-endian IEEE 754 bytes.
 func Float64sToBytes(v []float64) []byte {
@@ -52,67 +52,22 @@ func BytesToInt64s(b []byte) ([]int64, error) {
 	return out, nil
 }
 
-func float64Elementwise(f func(a, b float64) float64) ReduceFunc {
-	return func(a, b []byte) ([]byte, error) {
-		if len(a) != len(b) {
-			return nil, fmt.Errorf("%w: reduce operands %d vs %d bytes", ErrSizes, len(a), len(b))
-		}
-		av, err := BytesToFloat64s(a)
-		if err != nil {
-			return nil, err
-		}
-		bv, err := BytesToFloat64s(b)
-		if err != nil {
-			return nil, err
-		}
-		for i := range av {
-			av[i] = f(av[i], bv[i])
-		}
-		return Float64sToBytes(av), nil
+// SumFloat64 adds two float64 vectors elementwise: the ReduceFunc of a
+// global sum.
+func SumFloat64(a, b []byte) ([]byte, error) {
+	if len(a) != len(b) {
+		return nil, fmt.Errorf("%w: reduce operands %d vs %d bytes", ErrSizes, len(a), len(b))
 	}
+	av, err := BytesToFloat64s(a)
+	if err != nil {
+		return nil, err
+	}
+	bv, err := BytesToFloat64s(b)
+	if err != nil {
+		return nil, err
+	}
+	for i := range av {
+		av[i] += bv[i]
+	}
+	return Float64sToBytes(av), nil
 }
-
-func int64Elementwise(f func(a, b int64) int64) ReduceFunc {
-	return func(a, b []byte) ([]byte, error) {
-		if len(a) != len(b) {
-			return nil, fmt.Errorf("%w: reduce operands %d vs %d bytes", ErrSizes, len(a), len(b))
-		}
-		av, err := BytesToInt64s(a)
-		if err != nil {
-			return nil, err
-		}
-		bv, err := BytesToInt64s(b)
-		if err != nil {
-			return nil, err
-		}
-		for i := range av {
-			av[i] = f(av[i], bv[i])
-		}
-		return Int64sToBytes(av), nil
-	}
-}
-
-// Prebuilt elementwise reduction operators over float64 and int64 vectors.
-var (
-	SumFloat64 = float64Elementwise(func(a, b float64) float64 { return a + b })
-	MaxFloat64 = float64Elementwise(math.Max)
-	MinFloat64 = float64Elementwise(math.Min)
-	SumInt64   = int64Elementwise(func(a, b int64) int64 { return a + b })
-	MaxInt64   = int64Elementwise(func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	MinInt64 = int64Elementwise(func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-	// Concat appends b to a; with Scan it yields rank-ordered prefixes.
-	Concat ReduceFunc = func(a, b []byte) ([]byte, error) {
-		out := make([]byte, 0, len(a)+len(b))
-		return append(append(out, a...), b...), nil
-	}
-)

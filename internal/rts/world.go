@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Wildcards for Comm.Recv and Comm.Probe.
+// Wildcards for Comm.Recv.
 const (
 	AnySource = -1
 	AnyTag    = -1
@@ -22,31 +22,11 @@ var (
 	ErrSizes       = errors.New("rts: buffer sizes inconsistent across ranks")
 )
 
-// GatherAlgorithm selects how rooted collectives move data; the flat
-// algorithm is the paper's centralized gather (root receives one message per
-// rank), the tree algorithm is a binomial reduction used by the ablation
-// benchmarks.
-type GatherAlgorithm int
-
-const (
-	GatherFlat GatherAlgorithm = iota
-	GatherBinomial
-)
-
 // Options configure a World.
 type Options struct {
 	// RecvTimeout bounds every internal receive; zero means no bound.
 	// Tests set this to surface deadlocks as errors instead of hangs.
 	RecvTimeout time.Duration
-	// Gather selects the rooted-collective algorithm.
-	Gather GatherAlgorithm
-	// Epoch is the membership epoch of this rank set. A world's size is
-	// immutable, so elastic membership is modeled as a succession of worlds:
-	// each Successor call produces a fresh world (fresh mailboxes, fresh
-	// contexts — no message from an old epoch can be delivered into a new
-	// one) tagged with the next epoch. Collectives are epoch-tagged by
-	// construction: they ride the mailboxes of exactly one world.
-	Epoch int
 }
 
 // World is a set of SPMD computing threads ("ranks") that can communicate.
@@ -82,21 +62,6 @@ func NewWorld(n int, opts ...Options) *World {
 
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }
-
-// Epoch returns the membership epoch this world was created with.
-func (w *World) Epoch() int { return w.opts.Epoch }
-
-// Successor creates the next-epoch world with n ranks: same options, epoch
-// incremented, entirely fresh communication state. It is the runtime system's
-// communicator regeneration for a membership change — the old world stays
-// usable (and must still be Closed) while the new rank set starts up, so a
-// membership transition can overlap draining the old epoch with populating
-// the new one.
-func (w *World) Successor(n int) *World {
-	opts := w.opts
-	opts.Epoch++
-	return NewWorld(n, opts)
-}
 
 // Comm returns the communicator handle for one rank in the default context.
 // Callers that manage their own goroutines use this; most callers use Run.

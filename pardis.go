@@ -8,7 +8,9 @@
 //
 // The facade re-exports the stable API surface of the internal packages:
 //
-//   - SPMD worlds and the run-time system interface (internal/rts),
+//   - SPMD worlds and the message-passing run-time system interface
+//     (internal/rts: send/recv, barrier, broadcast, gather, scatter and the
+//     collectives built on them),
 //   - distribution templates (internal/dist),
 //   - distributed sequences (internal/dseq),
 //   - SPMD objects: export, bind, invoke, futures (internal/core),
@@ -54,8 +56,6 @@ type (
 	World = rts.World
 	// Comm is one thread's communicator handle.
 	Comm = rts.Comm
-	// Window is the one-sided run-time system interface.
-	Window = rts.Window
 )
 
 // NewWorld creates a world of n computing threads.
