@@ -82,10 +82,12 @@ race:
 # thread that missed the poison waits out its timeout) and the reply stream's —
 # cut mid-leg, and counted whole (a frame left in a lane's sink, a poison that
 # reached the next call), the bad steps of a leg in the message (a thread
-# stranded in the next step's collective), a lost connection's poison, in
-# orb and through a shared engine (one that reached another object's sink),
-# a routed invocation's re-run on the next profile after a lost shard or
-# primary (a poison or frame of the failed attempt that reached the re-run),
+# stranded in the next step's collective), a lost connection's poison in orb
+# (one that reached another object's sink), a connection's byte order (a side
+# whose options flipped what it writes), a routed invocation's re-run on the
+# next profile after a lost primary, or its refusal after a timed-out one (a
+# poison or frame of the failed attempt that reached the re-run, a re-run of a
+# call that may still run),
 # a small call's one exchange (a goroutine launched for it), the skeleton's
 # collective count (an agreement skipped on one thread only), the recycled
 # arguments' (storage one call's reply leg still reads while the next call's
@@ -98,7 +100,7 @@ race:
 # deadline or a message taken on the wrong context) — FLAKECOUNT times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers|TestLostConnectionPoisonsOnlyItsSinks|TestClientKeepaliveDetectsFrozenServer|TestServerKeepaliveDropsSilentClient|TestKeepaliveVerdictDoesNotWaitOnABlockedWrite' \
+		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers|TestLostConnectionPoisonsOnlyItsSinks|TestClientKeepaliveDetectsFrozenServer|TestServerKeepaliveDropsSilentClient|TestKeepaliveVerdictDoesNotWaitOnABlockedWrite|TestEveryMessageWritesNativeOrder' \
 		./internal/orb
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestVectoredDataTCP|TestDataEchoAllocs|TestDataReadRecycles|TestFragmentedRequestReplyExactBody|TestReassemblyFailuresReturnFrames|TestKeepalive' \
@@ -106,7 +108,7 @@ flake:
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestShareConnectionSurvivesAnotherObjectsLoss|TestReplicaFailoverMovesEveryLeg|TestShardRoutingCoreEndToEnd|TestShardRoutingMultiport|TestShardRoutingAmbiguousFailure|TestInMessageCallIsOneExchange|TestCollectivesPerInvocation|TestRecycledArgs|TestRecycledBucket|TestRecycledHeader|TestFramedCallAllocs' ./internal/core
+		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestReplicaFailoverMovesEveryLeg|TestReplicaAmbiguousFailure|TestInMessageCallIsOneExchange|TestCollectivesPerInvocation|TestRecycledArgs|TestRecycledBucket|TestRecycledHeader|TestFramedCallAllocs' ./internal/core
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) ./internal/rts
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the

@@ -11,7 +11,8 @@
 //	                                   # (as written by pardis-bench -spandump)
 //	pardis-wiredump -frames capture.bin
 //	                                   # also print each frame header: type,
-//	                                   # byte order, body size
+//	                                   # byte order, body size (a Ping, which
+//	                                   # the transport answers, shows only here)
 package main
 
 import (
@@ -119,8 +120,6 @@ func dump(i int, msg wire.Message) {
 				id, m.Count, raw, len(m.Payload))
 		}
 		fmt.Println(line)
-	case *wire.Ping:
-		fmt.Printf("[%d] Ping nonce=%#x\n", i, m.Nonce)
 	case *wire.Pong:
 		fmt.Printf("[%d] Pong nonce=%#x\n", i, m.Nonce)
 	case *wire.LocateRequest:
@@ -179,7 +178,9 @@ func dumpSpans(path string) error {
 	return nil
 }
 
-// readOnly adapts a reader into the ReadWriteCloser the transport wants.
+// readOnly adapts a reader into the ReadWriteCloser the transport wants. The
+// Pong the transport answers a captured Ping with goes nowhere, so a Ping
+// shows only as a frame header (-frames).
 type readOnly struct{ io.ReadCloser }
 
-func (readOnly) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
+func (readOnly) Write(p []byte) (int, error) { return len(p), nil }

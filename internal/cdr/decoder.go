@@ -274,25 +274,6 @@ func (d *Decoder) ReadDoublesInto(dst []float64) (int, error) {
 	return n, nil
 }
 
-// ReadDoublesUsing is ReadDoubles with a caller-recycled destination: the
-// decoded sequence lands in dst's backing array when it has the capacity,
-// and a fresh slice is allocated only on growth. Callers that feed the
-// previous result back in decode repeated sequences without churning the
-// heap (ReadDoubles allocates len(result) every call, which at megabyte
-// sequence sizes distorts the memory profile of everything around it).
-func (d *Decoder) ReadDoublesUsing(dst []float64) ([]float64, error) {
-	n, err := d.doublesHeader()
-	if err != nil {
-		return nil, err
-	}
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	d.readDoublesBody(dst)
-	return dst, nil
-}
-
 // doublesHeader reads the count prefix of a sequence<double>, skips the
 // 8-alignment padding, and verifies the packed elements are present.
 func (d *Decoder) doublesHeader() (int, error) {

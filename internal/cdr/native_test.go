@@ -119,54 +119,6 @@ func TestReadLongsInto(t *testing.T) {
 	}
 }
 
-// TestReadDoublesUsing checks the recycled-destination decode: a destination
-// with capacity is reused in place, growth allocates exactly once, and the
-// steady state (result fed back in) allocates nothing.
-func TestReadDoublesUsing(t *testing.T) {
-	doubles := randomDoubles(257, 7)
-	e := NewEncoder(NativeOrder)
-	e.WriteDoubles(doubles)
-	buf := e.Bytes()
-
-	// Growth from nil, then reuse: the second decode must land in the same
-	// backing array, truncating the view to the stream's count.
-	dst, err := NewDecoder(buf, NativeOrder).ReadDoublesUsing(nil)
-	if err != nil || len(dst) != len(doubles) {
-		t.Fatalf("grow: len=%d err=%v", len(dst), err)
-	}
-	for i := range dst {
-		if dst[i] != doubles[i] {
-			t.Fatalf("grow: element %d: got %v, want %v", i, dst[i], doubles[i])
-		}
-	}
-	short := NewEncoder(NativeOrder)
-	short.WriteDoubles(doubles[:3])
-	reused, err := NewDecoder(short.Bytes(), NativeOrder).ReadDoublesUsing(dst)
-	if err != nil || len(reused) != 3 {
-		t.Fatalf("reuse: len=%d err=%v", len(reused), err)
-	}
-	if &reused[0] != &dst[0] {
-		t.Fatal("reuse: capacity was available but a new array was allocated")
-	}
-
-	// Steady state: decoding into the previous result is allocation-free.
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		dst, err = NewDecoder(buf, NativeOrder).ReadDoublesUsing(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ReadDoublesUsing allocated %.1f/run", allocs)
-	}
-
-	// Truncated streams fail like ReadDoubles does.
-	if _, err := NewDecoder(buf[:9], NativeOrder).ReadDoublesUsing(nil); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-}
-
 // TestReadIntoTooSmall checks the decode-into variants refuse a destination
 // smaller than the stream's count instead of truncating silently.
 func TestReadIntoTooSmall(t *testing.T) {

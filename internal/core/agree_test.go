@@ -328,7 +328,7 @@ func TestRefusedInvocationReleasesFrames(t *testing.T) {
 				if rf.refuse != nil {
 					restore = rf.refuse(t, tc, objs, gate)
 				}
-				opts := BindOptions{Method: sh.method, Timeout: testTimeout, StreamChunkElems: shapeChunk}
+				opts := BindOptions{Method: sh.method, Timeout: testTimeout, streamChunkElems: shapeChunk}
 				tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 					if rf.tamper != nil {
 						rf.tamper(b)

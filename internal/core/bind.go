@@ -25,8 +25,8 @@ type BindOptions struct {
 	Method Method
 	// Timeout bounds each blocking remote interaction; zero means no bound.
 	Timeout time.Duration
-	// Transport, when set, configures the binding's connections (frame
-	// limits, byte order, fault-injection wrappers for chaos tests). Its
+	// Transport, when set, configures the binding's connections (write
+	// timeouts, fault-injection wrappers for chaos tests, frame hooks). Its
 	// KeepaliveInterval covers control and multi-port data connections
 	// alike, so a SIGKILL'd server rank surfaces as a prompt coherent error
 	// through the collective error agreement instead of a data-timeout stall.
@@ -52,22 +52,6 @@ type BindOptions struct {
 	// as with the depth-1 engine, the SPMD discipline requires every thread
 	// to issue the same invocations in the same order.
 	PipelineDepth int
-	// StreamChunkElems is the chunk size, in elements, every bulk leg is cut
-	// in. A centralized leg with an argument of at least two chunks — an
-	// In/InOut one on the way out, an Out/InOut result on the way back — is
-	// gathered, shipped and scattered chunk by chunk, overlapping collective
-	// (un)marshalling with the wire; a smaller leg rides in the message — the
-	// request or the reply — behind its header. A multi-port leg always moves
-	// in chunks of this size between the owning threads (a piece of the plan
-	// shorter than a chunk is one chunk). Either way the size is doubled until the leg fits its
-	// receiver's buffer. 0 or negative means DefaultStreamChunkElems.
-	StreamChunkElems int
-	// Sharding configures consistent-hash routing across the profiles of a
-	// multi-profile reference, each profile being one shard group announced
-	// through naming.BindReplica. A shard key routes: InvokeSharded
-	// invocations go to the key's shard; everything else — the bind-time
-	// describe, plain Invoke — walks the profiles primary first.
-	Sharding ShardingOptions
 	// Compression is the wire-compression codec mask (zcodec.MaskAll and
 	// friends; build one with zcodec.ParseMask) this binding sends with:
 	// framed centralized request legs compress their numeric chunks with its
@@ -82,40 +66,18 @@ type BindOptions struct {
 	// skips the codec it would want on a thin WAN link. PolicyAlways
 	// compresses every framed request leg.
 	CompressionPolicy zcodec.Policy
-	// ShareConnection lets this binding share one multiplexed client engine
-	// — and therefore one connection per endpoint — with every other
-	// ShareConnection binding in the process whose client-relevant options
-	// match. The orb client already demultiplexes concurrent replies by
-	// request id, so sharing costs nothing in correctness; what it buys is
-	// massive fan-in: thousands of cheap bindings to one server ride a
-	// handful of connections instead of opening one each. Shared clients are
-	// reference-counted — the last Close of a sharing binding closes the
-	// underlying client. The shared client reports the generic principal
-	// "spmd-client/shared" instead of a per-rank one.
-	ShareConnection bool
-}
 
-// ShardingOptions configure a binding's consistent-hash shard routing.
-type ShardingOptions struct {
-	// Idempotent declares this binding's operations safe to re-execute: an
-	// invocation whose shard dies mid-flight reroutes transparently to the
-	// next ring successor. Leave false for operations with side effects —
-	// those surface a single coherent shard error instead of re-sending.
-	Idempotent bool
-}
-
-// sharedClients holds the process-wide reference-counted client engines
-// behind ShareConnection bindings.
-var sharedClients = orb.NewClientPool()
-
-// clientKey fingerprints every option that changes the built client's wire
-// behaviour, so only identically-configured bindings share an engine.
-// Pointer-valued options (Transport, Trace, Metrics) are identified by
-// pointer: distinct instances mean distinct wiring even when the contents
-// happen to match.
-func (o BindOptions) clientKey() string {
-	return fmt.Sprintf("to=%v tr=%p bk=%v rec=%p met=%p",
-		o.Timeout, o.Transport, o.Breaker, o.Trace, o.Metrics)
+	// streamChunkElems is the chunk size, in elements, every bulk leg is cut
+	// in. A centralized leg with an argument of at least two chunks — an
+	// In/InOut one on the way out, an Out/InOut result on the way back — is
+	// gathered, shipped and scattered chunk by chunk, overlapping collective
+	// (un)marshalling with the wire; a smaller leg rides in the message — the
+	// request or the reply — behind its header. A multi-port leg always moves
+	// in chunks of this size between the owning threads (a piece of the plan
+	// shorter than a chunk is one chunk). Either way the size is doubled until
+	// the leg fits its receiver's buffer. 0 or negative means
+	// DefaultStreamChunkElems; only tests set it.
+	streamChunkElems int
 }
 
 // maxPipelineDepth bounds the lane fan-out so a typo'd depth cannot allocate
@@ -143,11 +105,7 @@ type Binding struct {
 	ref    orb.IOR
 	ops    map[string]OpDesc
 	method Method
-	// sharedKey, when non-empty, marks the client as borrowed from the
-	// process-wide shared pool under that key; Close releases the reference
-	// instead of closing the client.
-	sharedKey string
-	rec       *obs.Recorder
+	rec    *obs.Recorder
 
 	// lanes carry invocations: each lane owns a duplicated communicator so
 	// overlapping invocations' collective traffic stays separated, plus a
@@ -177,11 +135,9 @@ type Binding struct {
 
 	// targets is the bound reference narrowed to each of its profiles, where
 	// thread 0 routes an invocation (orb.Route), and addrs their primary
-	// addresses, rendered once for every walk; idempotent is
-	// BindOptions.Sharding's, which a keyed walk's reroutes follow.
-	targets    []target
-	addrs      []string
-	idempotent bool
+	// addresses, rendered once for every walk.
+	targets []target
+	addrs   []string
 
 	// refEpoch is the membership epoch the bound reference carries (0 for
 	// non-elastic objects). Invocation headers are tagged with it so a
@@ -301,7 +257,7 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 	if err != nil {
 		return nil, err
 	}
-	ce := o.StreamChunkElems
+	ce := o.streamChunkElems
 	if ce <= 0 {
 		ce = DefaultStreamChunkElems
 	}
@@ -313,27 +269,16 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 		chunkElems: ce,
 		comp:       o.Compression & zcodec.Supported,
 		policy:     o.CompressionPolicy,
-		idempotent: o.Sharding.Idempotent,
 		refEpoch:   uint32(ref.Epoch),
 	}
 	// A reference with no profile fails the describe below, on every thread.
 	b.addrs, _ = ref.ProfileAddrs()
-	if o.ShareConnection {
-		b.sharedKey = o.clientKey()
-		b.client = sharedClients.Acquire(b.sharedKey, func() *orb.Client {
-			cli := o.newClient()
-			cli.Principal = "spmd-client/shared"
-			return cli
-		})
-	} else {
-		b.client = o.newClient()
-		b.client.Principal = fmt.Sprintf("spmd-client/%d", engine.Rank())
-	}
+	b.client = o.newClient()
+	b.client.Principal = fmt.Sprintf("spmd-client/%d", engine.Rank())
 	for _, p := range ref.Narrowed() {
 		b.targets = append(b.targets, target{client: b.client, ref: p})
 	}
-	// A failed bind gives its client back: the pool reference of a shared
-	// one is dropped, a private one closed.
+	// A failed bind closes its client.
 	defer func() {
 		if err != nil {
 			b.Close()
@@ -433,16 +378,9 @@ func (b *Binding) Comm() *rts.Comm { return b.comm }
 // Ops returns the bound object's operation descriptions, keyed by name.
 func (b *Binding) Ops() map[string]OpDesc { return b.ops }
 
-// Close releases this thread's client connections: a private client is
-// closed, a shared one has its pool reference dropped (the last sharer's
-// Close closes it). Local, idempotent.
+// Close closes this thread's client and its connections. Local, idempotent.
 func (b *Binding) Close() {
-	if b.sharedKey != "" {
-		sharedClients.Release(b.sharedKey)
-		b.sharedKey = ""
-	} else {
-		b.client.Close()
-	}
+	b.client.Close()
 	// A frame that reached an idle lane's sink after its invocation drained it
 	// goes back to the pool with the lane; a busy lane's invocation drains its
 	// own.

@@ -185,7 +185,7 @@ func TestChaosInvocationFailsCoherently(t *testing.T) {
 					rig = &magicCorruptor{}
 				}
 				tc := startCluster(t, 2, true, nil)
-				opts := BindOptions{Method: method, Timeout: chaosTimeout, StreamChunkElems: chunk, Transport: rig.Options()}
+				opts := BindOptions{Method: method, Timeout: chaosTimeout, streamChunkElems: chunk, Transport: rig.Options()}
 				tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 					const n = 512
 					arr, err := dseq.New(c, dseq.Float64, n, nil)
@@ -235,7 +235,7 @@ func TestChaosServerDiesMidReplyStream(t *testing.T) {
 		plan.CutAfterWriteBytes, plan.FaultConns = 3500, 1
 		rig := &armedWrap{plan: plan}
 		tc := startCluster(t, 2, false, nil, func(o *ExportOptions) { o.Server.Transport = rig.Options() })
-		opts := BindOptions{Timeout: chaosTimeout, StreamChunkElems: chunk}
+		opts := BindOptions{Timeout: chaosTimeout, streamChunkElems: chunk}
 		tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 			out, err := dseq.New(c, dseq.Float64, 0, nil)
 			if err != nil {

@@ -62,7 +62,7 @@ func TestCompressedStreamedRoundTrip(t *testing.T) {
 			rec := obs.NewRecorder(256)
 			opts := BindOptions{
 				Method: Centralized, Timeout: testTimeout,
-				StreamChunkElems:  128,
+				streamChunkElems:  128,
 				Compression:       zcodec.MaskAll,
 				CompressionPolicy: zcodec.PolicyAlways,
 				Trace:             rec,
@@ -121,7 +121,7 @@ func TestCompressedChunkAllocs(t *testing.T) {
 	})
 	opts := BindOptions{
 		Method: Centralized, Timeout: testTimeout,
-		StreamChunkElems:  chunk,
+		streamChunkElems:  chunk,
 		Compression:       zcodec.MaskAll,
 		CompressionPolicy: zcodec.PolicyAlways,
 	}
@@ -196,7 +196,7 @@ func TestCompressionInterop(t *testing.T) {
 			})
 			opts := BindOptions{
 				Method: Centralized, Timeout: testTimeout,
-				StreamChunkElems:  tt.chunk,
+				streamChunkElems:  tt.chunk,
 				Compression:       tt.client,
 				CompressionPolicy: zcodec.PolicyAlways,
 				Trace:             cliRec,
@@ -259,7 +259,7 @@ func TestCompressionAutoFlip(t *testing.T) {
 	})
 	opts := BindOptions{
 		Method: Centralized, Timeout: testTimeout,
-		StreamChunkElems: 128,
+		streamChunkElems: 128,
 		Compression:      zcodec.MaskAll,
 		Metrics:          cliReg,
 	}

@@ -44,12 +44,6 @@ import (
 // epoch (OBJECT_NOT_EXIST), draining (TRANSIENT) or dead endpoint
 // (ErrConnBroken) — never answered with a wrong-shape scatter.
 
-// resizeOp is the reserved admin operation exposed (when
-// orb.ServerOptions.AdminResize is set on an elastic export) to trigger a
-// membership change remotely: one Long argument, the target thread count;
-// the reply is the epoch current at acceptance.
-const resizeOp = "_pardis_resize"
-
 // ResizePhase identifies one phase of the resize protocol, primarily for
 // fault injection by the membership-chaos harness.
 type ResizePhase int
@@ -162,13 +156,14 @@ type ElasticOptions struct {
 	Ops func(es *EpochState) []Operation
 	// Metrics, when set, receives the core.resize.* instruments.
 	Metrics *obs.Registry
-	// FaultHook, when set, is consulted at every resize phase (on the
+
+	// faultHook, when set, is consulted at every resize phase (on the
 	// controller for quiesce/spawn/publish/retire; on every computing
 	// thread for snapshot — it must be goroutine-safe and deterministic in
 	// (phase, epoch) so the threads agree). A non-nil return aborts the
 	// resize at that phase; post-commit (retire) faults are recorded and
-	// forced to completion. Test instrumentation.
-	FaultHook func(phase ResizePhase, epoch int) error
+	// forced to completion. Only tests set it.
+	faultHook func(phase ResizePhase, epoch int) error
 }
 
 // Elastic is the controller of one elastic SPMD object: it owns the current
@@ -244,17 +239,6 @@ func (x *stateXfer) setLength(state, length int) {
 	x.mu.Lock()
 	x.lengths[state] = length
 	x.mu.Unlock()
-}
-
-// ErrNotElastic reports a Resize on a conventionally exported object.
-var ErrNotElastic = errors.New("core: object is not an elastic export")
-
-// Resize delegates to the elastic engine owning this object.
-func (o *Object) Resize(n int) error {
-	if o.elastic == nil {
-		return ErrNotElastic
-	}
-	return o.elastic.Resize(n)
 }
 
 // NewElastic exports an elastic SPMD object at the given initial thread
@@ -435,7 +419,6 @@ func (el *Elastic) rankMain(run *epochRun, c *rts.Comm, xfer *stateXfer, ready c
 	if err != nil {
 		return fail(err)
 	}
-	obj.elastic = el
 	obj.onResize = func() error { return el.snapshotRank(run, c, states) }
 	if me == 0 {
 		obj.resizeCh = make(chan *resizeTicket, 1)
@@ -467,10 +450,8 @@ func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transf
 	if p == nil || p.epoch != run.epoch+1 {
 		return &orb.SystemException{RepoID: orb.RepoInternal, Message: "core: resize directive with no pending resize"}
 	}
-	if hook := el.opts.FaultHook; hook != nil {
-		if err := hook(ResizeSnapshot, p.epoch); err != nil {
-			return err
-		}
+	if err := el.fault(ResizeSnapshot, p.epoch); err != nil {
+		return err
 	}
 	me := c.Rank()
 	start := time.Now()
@@ -519,10 +500,10 @@ func (el *Elastic) snapshotRank(run *epochRun, c *rts.Comm, states []dseq.Transf
 }
 
 func (el *Elastic) fault(ph ResizePhase, epoch int) error {
-	if el.opts.FaultHook == nil {
+	if el.opts.faultHook == nil {
 		return nil
 	}
-	return el.opts.FaultHook(ph, epoch)
+	return el.opts.faultHook(ph, epoch)
 }
 
 func (el *Elastic) span(ph obs.Phase, epoch int, start time.Time) {
@@ -541,11 +522,7 @@ func (el *Elastic) republish(ref orb.IOR) error {
 	if to := el.opts.Export.DataTimeout; to > 0 {
 		cli.Timeout = to
 	}
-	res := naming.NewResolver(cli, el.opts.Export.NameServer)
-	if el.opts.Export.Replica {
-		return res.BindReplica(el.opts.Export.Name, ref)
-	}
-	return res.Bind(el.opts.Export.Name, ref, true)
+	return naming.NewResolver(cli, el.opts.Export.NameServer).Bind(el.opts.Export.Name, ref, true)
 }
 
 // Resize changes the object's computing-thread count to n, repartitioning

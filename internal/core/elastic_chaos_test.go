@@ -77,7 +77,7 @@ func runResizeChaos(t *testing.T, seed int64) {
 	sched := testutil.NewChaosSchedule(seed, chaosSteps, 1, chaosMaxSize, NumResizePhases)
 	var fault plannedFault
 	el, ns := startElastic(t, 2, func(o *ElasticOptions) {
-		o.FaultHook = func(ph ResizePhase, epoch int) error {
+		o.faultHook = func(ph ResizePhase, epoch int) error {
 			if fault.hits(ph, epoch) {
 				return fmt.Errorf("%w at %s (epoch %d)", errInjected, ph, epoch)
 			}

@@ -343,72 +343,6 @@ func TestElasticResizeFinePlan(t *testing.T) {
 	}
 }
 
-func TestElasticAdminResize(t *testing.T) {
-	t.Parallel()
-	el, ns := startElastic(t, 1, func(o *ElasticOptions) { o.Export.Server.AdminResize = true })
-	cli := orb.NewClient()
-	cli.Timeout = testTimeout
-	defer cli.Close()
-	res := naming.NewResolver(cli, ns.Addr())
-	ref, err := res.Resolve("elastic", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e := ScalarEncoder()
-	e.WriteLong(3)
-	reply, err := cli.Invoke(ref, resizeOp, e.Bytes(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ScalarDecoder(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep, err := d.ReadLong(); err != nil || ep != 1 {
-		t.Fatalf("admin resize acknowledged epoch %d (%v), want 1", ep, err)
-	}
-	testutil.Eventually(t, testTimeout, "admin resize applied", func() bool {
-		return el.Epoch() == 2 && el.Size() == 3
-	})
-
-	// Out-of-range targets are refused without touching membership.
-	e = ScalarEncoder()
-	e.WriteLong(0)
-	ref2, err := res.Resolve("elastic", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Invoke(ref2, resizeOp, e.Bytes(), false); err == nil {
-		t.Fatal("admin resize to 0 threads succeeded")
-	}
-	if el.Epoch() != 2 || el.Size() != 3 {
-		t.Fatalf("refused resize changed membership: epoch %d size %d", el.Epoch(), el.Size())
-	}
-}
-
-func TestElasticAdminResizeDisabled(t *testing.T) {
-	t.Parallel()
-	el, ns := startElastic(t, 1) // AdminResize off (the default)
-	cli := orb.NewClient()
-	cli.Timeout = testTimeout
-	defer cli.Close()
-	ref, err := naming.NewResolver(cli, ns.Addr()).Resolve("elastic", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := ScalarEncoder()
-	e.WriteLong(2)
-	_, err = cli.Invoke(ref, resizeOp, e.Bytes(), false)
-	var sys *orb.SystemException
-	if !errors.As(err, &sys) || sys.RepoID != orb.RepoBadOperation {
-		t.Fatalf("disabled admin resize: %v, want BAD_OPERATION", err)
-	}
-	if el.Epoch() != 1 {
-		t.Fatalf("disabled admin resize advanced the epoch to %d", el.Epoch())
-	}
-}
-
 func TestElasticEpochMismatchRefusedStale(t *testing.T) {
 	t.Parallel()
 	el, ns := startElastic(t, 2)
@@ -539,16 +473,5 @@ func TestElasticStaleBindingRebinds(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestObjectResizeNonElastic(t *testing.T) {
-	t.Parallel()
-	tc := startCluster(t, 1, false, nil)
-	tc.objMu.Lock()
-	o := tc.objects[0]
-	tc.objMu.Unlock()
-	if err := o.Resize(2); !errors.Is(err, ErrNotElastic) {
-		t.Fatalf("Resize on a conventional export: %v, want ErrNotElastic", err)
 	}
 }

@@ -77,12 +77,6 @@ type ExportOptions struct {
 	// registration).
 	Name       string
 	NameServer string
-	// Replica announces the object as one member of a replicated or sharded
-	// group instead of overwriting the name: registration goes through
-	// BindReplica, so the naming domain merges this object's profile into
-	// the group's multi-profile reference. A client's keyed invocation
-	// (Binding.InvokeSharded) then treats each profile as one shard.
-	Replica bool
 	// QueueDepth bounds pending requests awaiting the collective loop. A
 	// request arriving with the queue full is refused immediately with a
 	// TRANSIENT system exception rather than parked without bound.
@@ -172,11 +166,9 @@ type Object struct {
 	// engine (all fields nil/zero on conventional objects). resizeCh (thread
 	// 0 only) delivers resize tickets into the collective loop; onResize is
 	// this thread's snapshot callback, run inside the loop when thread 0
-	// broadcasts a resize directive; elastic is the owning engine, consulted
-	// by Resize and the admin operation.
+	// broadcasts a resize directive.
 	resizeCh chan *resizeTicket
 	onResize func() error
-	elastic  *Elastic
 }
 
 type pendingCall struct {
@@ -300,7 +292,7 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 		if _, dup := ops[op.Desc.Name]; dup {
 			return nil, fmt.Errorf("core: duplicate operation %q", op.Desc.Name)
 		}
-		if op.Desc.Name == describeOp || op.Desc.Name == resizeOp {
+		if op.Desc.Name == describeOp {
 			return nil, fmt.Errorf("core: operation name %q is reserved", op.Desc.Name)
 		}
 		ops[op.Desc.Name] = op
@@ -391,11 +383,7 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 		}
 		client := orb.NewClient()
 		defer client.Close()
-		res := naming.NewResolver(client, opts.NameServer)
-		if opts.Replica {
-			return res.BindReplica(opts.Name, ref)
-		}
-		return res.Bind(opts.Name, ref, true)
+		return naming.NewResolver(client, opts.NameServer).Bind(opts.Name, ref, true)
 	})
 	if err == nil {
 		err = gatherErr
@@ -453,9 +441,6 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 		}
 		encodeOpTable(out, descs)
 		return nil
-	}
-	if op == resizeOp {
-		return o.adminResize(in, out)
 	}
 	call := pendingCalls.Get().(*pendingCall)
 	if err := decodeInvocationHeader(in, &call.header); err != nil {
@@ -521,29 +506,6 @@ func (o *Object) enqueue(conn *transport.Conn, op string, call *pendingCall, raw
 	default:
 		return orb.Transient(fmt.Sprintf("collective queue full (%d pending)", cap(o.queue)))
 	}
-}
-
-// adminResize serves the reserved "_pardis_resize" operation: it accepts a
-// target thread count and triggers the membership change asynchronously
-// (synchronous would deadlock — the resize quiesces this very adapter). The
-// reply reports the epoch current at acceptance time; callers observe the
-// transition through re-resolution.
-func (o *Object) adminResize(in *cdr.Decoder, out *cdr.Encoder) error {
-	if !o.opts.Server.AdminResize || o.elastic == nil {
-		return orb.BadOperation(resizeOp)
-	}
-	n, err := in.ReadLong()
-	if err != nil {
-		return orb.Marshal(err)
-	}
-	if n < 1 || n > 1<<20 {
-		return &orb.SystemException{RepoID: orb.RepoBadOperation,
-			Message: fmt.Sprintf("%s: target size %d", resizeOp, n)}
-	}
-	el := o.elastic
-	go func() { _ = el.Resize(int(n)) }()
-	out.WriteLong(int32(el.Epoch()))
-	return nil
 }
 
 // validate checks an inbound header against the operation table.

@@ -106,7 +106,7 @@ func (b *Binding) InvokeNBMethod(method Method, op string, scalars []byte, args 
 		return f
 	}
 	go func() {
-		res, err := b.invoke(ln, method, op, nil, scalars, args, nil)
+		res, err := b.invoke(ln, method, op, scalars, args, nil)
 		// Release before completing, so a caller that has waited on the
 		// future can immediately issue the next invocation on this lane.
 		b.releaseLane(ln)

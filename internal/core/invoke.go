@@ -72,9 +72,8 @@ type invocation struct {
 
 	// The profile the attempt was routed to: every leg resolves its
 	// connections against it, and thread 0 exchanges with addr, its primary.
-	t      *target
-	addr   string
-	served int32 // 1-based shard the attempt was routed to; 0 without a shard key
+	t    *target
+	addr string
 
 	sink *sink // the lane's: what the server addresses to this thread beside the reply
 	// Thread 0's request/reply exchange: its outcome, and the channel that
@@ -98,8 +97,7 @@ func (iv *invocation) legSeq(i int, skip Dir) dseq.Transferable {
 
 // phase closes one phase as this thread observed it: dur goes into the field
 // of the caller's Timing the phase maps to, when one is collected, and into a
-// span — a chunk send's with the mask in effect, the exchange's with the shard
-// that served — when the binding traces.
+// span — a chunk send's with the mask in effect — when the binding traces.
 func (iv *invocation) phase(ph obs.Phase, start time.Time, dur time.Duration) {
 	if t := iv.timing; t != nil {
 		switch ph {
@@ -123,11 +121,8 @@ func (iv *invocation) phase(ph obs.Phase, start time.Time, dur time.Duration) {
 		return
 	}
 	sp := obs.Span{Trace: uint64(iv.token), Phase: ph, Rank: int32(iv.comm.Rank()), Start: start.UnixNano(), Dur: int64(dur)}
-	switch ph {
-	case obs.PhaseChunkSend:
+	if ph == obs.PhaseChunkSend {
 		sp.Codec = int32(iv.mask)
-	case obs.PhaseSendRecv:
-		sp.Shard = iv.served
 	}
 	iv.b.rec.Record(sp)
 }
@@ -161,30 +156,15 @@ func (b *Binding) Invoke(op string, scalars []byte, args []DistArg) ([]byte, err
 	return b.InvokeMethod(b.method, op, scalars, args, nil)
 }
 
-// InvokeSharded is Invoke with a shard key: the invocation goes to the shard
-// group the key's consistent hash picks among the profiles of the binding's
-// reference, and on to the ring successors as BindOptions.Sharding allows,
-// whatever its transfer method. Every SPMD thread must pass the same shardKey;
-// only the communicating thread consults it. Derive key-range keys with
-// shard.RangeKey.
-func (b *Binding) InvokeSharded(op string, shardKey, scalars []byte, args []DistArg) ([]byte, error) {
-	return b.invokeBlocking(b.method, op, shardKey, scalars, args, nil)
-}
-
 // InvokeMethod is Invoke with an explicit transfer method and optional
-// timing collection.
+// timing collection. It runs on the next lane, on the caller's thread.
 func (b *Binding) InvokeMethod(method Method, op string, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
-	return b.invokeBlocking(method, op, nil, scalars, args, timing)
-}
-
-// invokeBlocking runs one invocation on the next lane, on the caller's thread.
-func (b *Binding) invokeBlocking(method Method, op string, shardKey, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
 	ln, err := b.acquireLane()
 	if err != nil {
 		return nil, err
 	}
 	defer b.releaseLane(ln)
-	return b.invoke(ln, method, op, shardKey, scalars, args, timing)
+	return b.invoke(ln, method, op, scalars, args, timing)
 }
 
 // backPhase names, per shape, the phase the back leg is recorded under.
@@ -201,7 +181,7 @@ var backPhase = [...]obs.Phase{shapeCentral: obs.PhaseScatter, shapeDirect: obs.
 // are captured and fed into the agreements instead of returned early, so a
 // thread whose data connection was cut mid-frame cannot strand the others in
 // a collective they entered and it skipped.
-func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
+func (b *Binding) invoke(ln *bindLane, method Method, op string, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
 	comm := ln.comm
 	start := time.Now()
 	if timing != nil {
@@ -272,10 +252,10 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 		rh    = &ln.response // the attempt's reply header, as thread 0 received it
 	)
 	if me == 0 {
-		route = b.client.Route(b.ref, b.addrs, orb.InvokeOptions{ShardKey: shardKey, Idempotent: b.idempotent})
+		route = b.client.Route(b.ref, b.addrs, orb.InvokeOptions{})
 	}
 	for {
-		if err := iv.pick(&route, stop, shardKey != nil); err != nil {
+		if err := iv.pick(&route, stop); err != nil {
 			return nil, err
 		}
 		if sinks {
@@ -388,7 +368,7 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 // compression mask, and every thread routes its legs to that profile. Once the
 // walk has stopped (stop) or has no profile left, thread 0 broadcasts the error
 // the invocation ends with instead, which every thread returns.
-func (iv *invocation) pick(route *orb.Route, stop error, keyed bool) error {
+func (iv *invocation) pick(route *orb.Route, stop error) error {
 	var p []byte
 	if iv.comm.Rank() == 0 {
 		idx, addr, err := -1, "", stop
@@ -417,9 +397,6 @@ func (iv *invocation) pick(route *orb.Route, stop error, keyed bool) error {
 	p = p[len(okOutcome):]
 	idx := binary.NativeEndian.Uint32(p[4:])
 	iv.token, iv.t, iv.mask = binary.NativeEndian.Uint32(p), &iv.b.targets[idx], p[8]
-	if keyed {
-		iv.served = int32(idx) + 1
-	}
 	return nil
 }
 

@@ -41,7 +41,7 @@ func TestPipelinedWindowStress(t *testing.T) {
 		opts := BindOptions{
 			Method: Centralized, Timeout: testTimeout,
 			PipelineDepth:    depth,
-			StreamChunkElems: 128,
+			streamChunkElems: 128,
 			Transport:        &transport.Options{Wrap: plan.Wrap},
 		}
 		tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
@@ -232,7 +232,7 @@ func TestStreamedChunkAllocs(t *testing.T) {
 		budget = 0.25
 	)
 	tc := startCluster(t, 2, true, nil)
-	opts := BindOptions{Method: Centralized, Timeout: testTimeout, StreamChunkElems: chunk}
+	opts := BindOptions{Method: Centralized, Timeout: testTimeout, streamChunkElems: chunk}
 	tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 		in := func(method Method) func(seq *dseq.Seq[float64], elems int) error {
 			return func(seq *dseq.Seq[float64], _ int) error {
@@ -428,7 +428,7 @@ func costPerCall(c *rts.Comm, calls int, call func() error) (bytes uint64, objec
 // TestStreamedByteBudget is the byte guard beside the allocation-count guards,
 // for the streamed legs, the paper's Table 1 transfer and its mirror image: an
 // argument of N bytes moved chunk by chunk between two client and two server
-// threads, as an in argument or as an out result, shard-routed or not, may
+// threads, as an in argument or as an out result, may
 // allocate 0.01 N across the whole process. Nothing payload-sized is allocated (DESIGN.md §10): the server
 // resets the argument storage of the call before in place and reissues its
 // spare data bucket, and chunk encoders, gather parts, scatter pieces and
@@ -469,24 +469,22 @@ func TestStreamedByteBudget(t *testing.T) {
 		if legChunkElems(b.chunkElems, 1, func(int) int { return elems }) == 0 {
 			return fmt.Errorf("a %d-element argument does not take the streamed path", elems)
 		}
-		sum := func(method Method, key []byte) func() error {
+		sum := func(method Method) func() error {
 			return func() error {
-				_, err := b.invokeBlocking(method, "sum", key, ScalarEncoder().Bytes(), []DistArg{InSeq(in)}, nil)
+				_, err := b.InvokeMethod(method, "sum", ScalarEncoder().Bytes(), []DistArg{InSeq(in)}, nil)
 				return err
 			}
 		}
-		iota := func(method Method, key []byte) func() error {
+		iota := func(method Method) func() error {
 			return func() error {
-				_, err := b.invokeBlocking(method, "iota", key, n.Bytes(), []DistArg{OutSeq(out)}, nil)
+				_, err := b.InvokeMethod(method, "iota", n.Bytes(), []DistArg{OutSeq(out)}, nil)
 				return err
 			}
 		}
-		key := []byte("shard")
 		for _, leg := range []struct {
 			name string
 			call func() error
-		}{{"in", sum(Centralized, nil)}, {"out", iota(Centralized, nil)}, {"multi-port in", sum(Multiport, nil)}, {"multi-port out", iota(Multiport, nil)},
-			{"sharded in", sum(Centralized, key)}, {"sharded out", iota(Centralized, key)}} {
+		}{{"in", sum(Centralized)}, {"out", iota(Centralized)}, {"multi-port in", sum(Multiport)}, {"multi-port out", iota(Multiport)}} {
 			for i := 0; i < 10; i++ { // pools, buckets and sinks
 				if err := leg.call(); err != nil {
 					return err

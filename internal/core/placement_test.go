@@ -43,7 +43,7 @@ func (fc *frameCount) take() (byType map[wire.MsgType]int, maxReply uint32) {
 // puts on the wire at two client and two server threads: the request leg is
 // inline and the reply leg starts from the chunk size the request announced,
 // not from a size recomputed out of nothing — 64 reply chunks at the default
-// chunk size, 128 at StreamChunkElems 4096 — ahead of a Reply that carries
+// chunk size, 128 at a chunk size of 4096 — ahead of a Reply that carries
 // lengths only, all on the connection the Request travelled on, and the server
 // reads no Data frame at all: no forward chunk and no attach message.
 func TestReplyLegChunkSchedule(t *testing.T) {
@@ -54,7 +54,7 @@ func TestReplyLegChunkSchedule(t *testing.T) {
 			tc := startCluster(t, 2, false, nil, func(o *ExportOptions) {
 				o.Server.Transport = &transport.Options{FrameHook: served.hook}
 			})
-			opts := BindOptions{Timeout: testTimeout, StreamChunkElems: tt.chunkElems, Transport: &transport.Options{FrameHook: received.hook}}
+			opts := BindOptions{Timeout: testTimeout, streamChunkElems: tt.chunkElems, Transport: &transport.Options{FrameHook: received.hook}}
 			tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 				out, err := dseq.New(c, dseq.Float64, 0, nil)
 				if err != nil {
@@ -117,7 +117,7 @@ func TestResultLengthDecidesPlacement(t *testing.T) {
 	const chunk = 256
 	var received frameCount
 	tc := startClusterOps(t, 2, false, func() []Operation { return shapeOps(func(*ServerCall) {}) })
-	opts := BindOptions{Timeout: testTimeout, StreamChunkElems: chunk, Transport: &transport.Options{FrameHook: received.hook}}
+	opts := BindOptions{Timeout: testTimeout, streamChunkElems: chunk, Transport: &transport.Options{FrameHook: received.hook}}
 	tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 		out, err := dseq.New(c, dseq.Float64, 0, nil)
 		if err != nil {

@@ -491,7 +491,7 @@ func TestRecycledBucketIgnoresStaleToken(t *testing.T) {
 					}
 				}
 			}()
-			opts := BindOptions{Method: method, Timeout: 5 * time.Second, StreamChunkElems: shapeChunk}
+			opts := BindOptions{Method: method, Timeout: 5 * time.Second, streamChunkElems: shapeChunk}
 			run(func(c *rts.Comm) (err error) {
 				r := c.Rank()
 				if first[r], err = SPMDBind(c, "example", tc.ns.Addr(), opts); err != nil {
@@ -611,7 +611,7 @@ func TestRecycledBucketRetention(t *testing.T) {
 			tc.objMu.Lock()
 			objs := slices.Clone(tc.objects)
 			tc.objMu.Unlock()
-			opts := BindOptions{Method: method, Timeout: testTimeout, StreamChunkElems: shapeChunk}
+			opts := BindOptions{Method: method, Timeout: testTimeout, streamChunkElems: shapeChunk}
 			tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 				for i := 0; i < 3; i++ {
 					if err := put(c, b, method, 8*shapeChunk); err != nil {

@@ -402,7 +402,7 @@ func TestMultiportMatrix(t *testing.T) {
 		for _, cs := range clientSpecs {
 			for _, chunk := range []int{7, 64, 0} {
 				t.Run(fmt.Sprintf("%v-to-%v/chunk-%d", cs, ss, chunk), func(t *testing.T) {
-					opts := BindOptions{Method: Multiport, Timeout: testTimeout, StreamChunkElems: chunk}
+					opts := BindOptions{Method: Multiport, Timeout: testTimeout, streamChunkElems: chunk}
 					tc.runClientOpts(t, 3, opts, func(c *rts.Comm, b *Binding) error {
 						held := func(seq *dseq.Seq[float64], what string, want func(g int) float64) error {
 							if seq.Len() != n {

@@ -31,7 +31,6 @@ type shapeCase struct {
 	op       string
 	elems    int // shapeChunk*4 and up streams; below 2*shapeChunk rides inline
 	compress bool
-	sharded  bool // the invocation carries a shard key
 	// Collectives per invocation on the client's lane communicator and on
 	// the server's engine communicator (one full serving round: directive,
 	// the transfers and the agreements, the upcall's carrying the verdict).
@@ -84,12 +83,9 @@ var invocationShapes = []shapeCase{
 	{name: "inline-in", method: Centralized, op: "put", elems: 64, client: 3, server: 6, shapeSets: inlineSets},
 	{name: "inline-out", method: Centralized, op: "get", elems: 64, client: 5, server: 8, shapeSets: inlineSets},
 	// Each leg is placed by itself: a result one element short of two chunks
-	// rides in the reply. A shard key changes where the call goes, not its
-	// legs: a sharded call costs what the same call without a key does.
+	// rides in the reply.
 	{name: "inline-out-under-two-chunks", method: Centralized, op: "get", elems: 2*shapeChunk - 1, client: 5, server: 8, shapeSets: inlineSets},
-	{name: "inline-out-sharded", method: Centralized, op: "get", elems: 64, sharded: true, client: 5, server: 8, shapeSets: inlineSets},
 	{name: "chunked-out", method: Centralized, op: "get", elems: 4 * shapeChunk, client: 6, server: 9, shapeSets: chunkedOutSets},
-	{name: "chunked-out-sharded", method: Centralized, op: "get", elems: 4 * shapeChunk, sharded: true, client: 6, server: 9, shapeSets: chunkedOutSets},
 	{name: "inline-in-chunked-out", method: Centralized, op: "fill", elems: 4 * shapeChunk, client: 7, server: 10, shapeSets: chunkedOutSets},
 	// A framed forward leg's outcome is one gather-then-broadcast: the reply's
 	// meta from thread 0, or the lowest failing thread's leg error.
@@ -166,7 +162,7 @@ func (sc shapeCase) run(t *testing.T, calls int, upcall func(*ServerCall), check
 			o.Compression, o.CompressionPolicy = zcodec.MaskAll, zcodec.PolicyAlways
 		}
 	})
-	opts := BindOptions{Method: sc.method, Timeout: testTimeout, StreamChunkElems: shapeChunk, Trace: client}
+	opts := BindOptions{Method: sc.method, Timeout: testTimeout, streamChunkElems: shapeChunk, Trace: client}
 	if sc.compress {
 		opts.Compression, opts.CompressionPolicy = zcodec.MaskAll, zcodec.PolicyAlways
 	}
@@ -191,13 +187,9 @@ func (sc shapeCase) run(t *testing.T, calls int, upcall func(*ServerCall), check
 		}
 		scalars := ScalarEncoder()
 		scalars.WriteLong(int32(sc.elems))
-		var key []byte
-		if sc.sharded {
-			key = []byte("shard")
-		}
 		for i := 0; i < calls; i++ {
 			var tm Timing
-			if _, err := b.invokeBlocking(sc.method, sc.op, key, scalars.Bytes(), args, &tm); err != nil {
+			if _, err := b.InvokeMethod(sc.method, sc.op, scalars.Bytes(), args, &tm); err != nil {
 				return err
 			}
 			if arr.Len() != sc.elems {

@@ -33,8 +33,7 @@ import (
 // renders a step.
 
 // DefaultStreamChunkElems is the chunk size of every bulk transfer — a streamed
-// or a direct leg when BindOptions.StreamChunkElems is zero, and a resize's
-// state transfer always. 8192 doubles (64 KiB payloads) sit
+// or a direct leg, and a resize's state transfer. 8192 doubles (64 KiB payloads) sit
 // comfortably above the per-message overhead and below the frame limit.
 const DefaultStreamChunkElems = 8192
 

@@ -219,7 +219,7 @@ func TestMultiportFramesReturned(t *testing.T) {
 				return nil
 			}))
 			ref := orb.IOR{TypeID: "IDL:pair:1.0", Key: key, Threads: 2, Endpoints: []orb.Endpoint{srv.Endpoint(0), srv.Endpoint(1)}}
-			b, err := BindRef(ref, BindOptions{Method: Multiport, Timeout: 500 * time.Millisecond, StreamChunkElems: ce})
+			b, err := BindRef(ref, BindOptions{Method: Multiport, Timeout: 500 * time.Millisecond, streamChunkElems: ce})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -436,7 +436,7 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 			otherRef := orb.IOR{TypeID: "IDL:other:1.0", Key: key, Threads: 1, Endpoints: []orb.Endpoint{other.Endpoint(0)}}
 
 			check(t, sameOnEveryThread(t, 2, func(c *rts.Comm) error {
-				b, err := SPMDBindRef(c, ref, BindOptions{Method: sh.method, Timeout: testTimeout, StreamChunkElems: shapeChunk})
+				b, err := SPMDBindRef(c, ref, BindOptions{Method: sh.method, Timeout: testTimeout, streamChunkElems: shapeChunk})
 				if err != nil {
 					return err
 				}
@@ -473,7 +473,7 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 		srv.Register(key, streamThenDie{n: n, chunk: shapeChunk})
 		ref := orb.IOR{TypeID: "IDL:get:1.0", Key: key, Threads: 1, Endpoints: []orb.Endpoint{srv.Endpoint(0)}}
 		check(t, sameOnEveryThread(t, 2, func(c *rts.Comm) error {
-			b, err := SPMDBindRef(c, ref, BindOptions{Timeout: testTimeout, StreamChunkElems: shapeChunk})
+			b, err := SPMDBindRef(c, ref, BindOptions{Timeout: testTimeout, streamChunkElems: shapeChunk})
 			if err != nil {
 				return err
 			}

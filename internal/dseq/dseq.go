@@ -213,27 +213,6 @@ func (s *Seq[T]) Collect() ([]T, error) {
 	return full, nil
 }
 
-// GatherTo collects the full sequence in global order at root only: the
-// typed form of GatherMarshal. Collective; non-root threads receive nil.
-func (s *Seq[T]) GatherTo(root int) ([]T, error) {
-	payload, err := s.GatherMarshal(root)
-	if err != nil || s.comm.Rank() != root {
-		return nil, err
-	}
-	return UnmarshalChunk(s.codec, payload)
-}
-
-// ScatterFrom distributes full (significant at root only) into the threads'
-// local storage per the current layout: the typed form of ScatterUnmarshal.
-// Collective; a full of the wrong length fails the scatter at every thread.
-func (s *Seq[T]) ScatterFrom(root int, full []T) error {
-	var payload []byte
-	if s.comm.Rank() == root {
-		payload = MarshalChunk(s.codec, full)
-	}
-	return s.ScatterUnmarshal(root, payload)
-}
-
 // Redistribute collectively reshapes the sequence to a new distribution
 // ("the programmer can use the redistribute method to redistribute elements
 // of a sequence whose distribution is not preset"). Data moves by the

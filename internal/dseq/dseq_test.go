@@ -146,11 +146,15 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 					return err
 				}
 				s.FillFunc(func(g int) float64 { return float64(g) })
-				full, err := s.GatherTo(0)
+				payload, err := s.GatherMarshal(0)
 				if err != nil {
 					return err
 				}
+				var full []float64
 				if c.Rank() == 0 {
+					if full, err = UnmarshalChunk(s.Codec(), payload); err != nil {
+						return err
+					}
 					for i, v := range full {
 						if v != float64(i) {
 							return fmt.Errorf("gathered[%d] = %v", i, v)
@@ -160,10 +164,11 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 					for i := range full {
 						full[i] = -full[i]
 					}
-				} else if full != nil {
+					payload = MarshalChunk(s.Codec(), full)
+				} else if payload != nil {
 					return errors.New("non-root received gather result")
 				}
-				if err := s.ScatterFrom(0, full); err != nil {
+				if err := s.ScatterUnmarshal(0, payload); err != nil {
 					return err
 				}
 				back, err := s.Collect()

@@ -22,7 +22,7 @@ func chunkSchedule(length, ce int) [][2]int {
 
 // TestGatherMarshalRangeMatchesWholeGather streams a sequence chunk by chunk
 // on a duplicated (lane) communicator and checks the concatenated chunks
-// decode to exactly the contents, and to what GatherTo (the whole range in
+// decode to exactly the contents, and to what Collect (the whole range in
 // one gather) produces, across chunk sizes that land inside one rank's
 // block, on block boundaries, and across them.
 func TestGatherMarshalRangeMatchesWholeGather(t *testing.T) {
@@ -60,7 +60,7 @@ func TestGatherMarshalRangeMatchesWholeGather(t *testing.T) {
 					}
 					got = append(got, vals...)
 				}
-				want, err := s.GatherTo(root) // collective: every rank calls it
+				want, err := s.Collect() // collective: every rank calls it
 				if err != nil {
 					return err
 				}
@@ -80,7 +80,7 @@ func TestGatherMarshalRangeMatchesWholeGather(t *testing.T) {
 
 // TestScatterUnmarshalRangeMatchesWholeScatter streams new contents into a
 // sequence chunk by chunk and checks every rank ends up with exactly what a
-// whole-sequence ScatterFrom would have stored.
+// whole-sequence ScatterUnmarshal would have stored.
 func TestScatterUnmarshalRangeMatchesWholeScatter(t *testing.T) {
 	for _, ce := range []int{1, 7, 25, 30, 100, 128} {
 		t.Run(fmt.Sprintf("chunk=%d", ce), func(t *testing.T) {

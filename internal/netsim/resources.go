@@ -105,8 +105,6 @@ type Link struct {
 	PerMessage float64
 
 	busyUntil [2]float64 // per direction
-	// Busy accounting for utilization reports.
-	bytesSent [2]float64
 }
 
 // Direction selects a link direction.
@@ -134,16 +132,12 @@ func (p *Proc) Transmit(l *Link, dir Direction, n int, deliver func()) {
 	}
 	end := start + txTime
 	l.busyUntil[dir] = end
-	l.bytesSent[dir] += float64(n)
 	if deliver != nil {
 		s.At(end+l.Latency, deliver)
 	}
 	p.wakeAt(end)
 	p.block()
 }
-
-// BytesSent reports the bytes carried in one direction so far.
-func (l *Link) BytesSent(dir Direction) float64 { return l.bytesSent[dir] }
 
 // Queue is a bounded FIFO between simulated processes: Put blocks while the
 // queue is full, Get while it is empty. With capacity W it models the

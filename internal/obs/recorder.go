@@ -99,10 +99,6 @@ type Span struct {
 	Rank  int32 // computing thread rank within its world
 	Start int64 // ns since the clock's epoch
 	Dur   int64 // ns
-	// Shard is the 1-based index of the shard group that served the phase
-	// when the invocation was shard-routed; 0 for everything else. 1-based
-	// so the zero value of spans recorded by non-sharded paths stays honest.
-	Shard int32
 	// Codec is the wire-compression codec mask the sender put on the phase's
 	// chunks (zcodec mask bits); 0 means the transfer ran raw.
 	Codec int32
@@ -191,14 +187,14 @@ func (r *Recorder) Reset() {
 
 // Dump writes the retained spans as text, one span per line:
 //
-//	<trace> <phase> <rank> <start-ns> <dur-ns> <shard> <codec>
+//	<trace> <phase> <rank> <start-ns> <dur-ns> <codec>
 //
 // The format round-trips through ParseSpans and is what
 // pardis-wiredump -spans pretty-prints.
 func (r *Recorder) Dump(w io.Writer) error {
 	for _, s := range r.Spans() {
-		if _, err := fmt.Fprintf(w, "%d %s %d %d %d %d %d\n",
-			s.Trace, s.Phase, s.Rank, s.Start, s.Dur, s.Shard, s.Codec); err != nil {
+		if _, err := fmt.Fprintf(w, "%d %s %d %d %d %d\n",
+			s.Trace, s.Phase, s.Rank, s.Start, s.Dur, s.Codec); err != nil {
 			return err
 		}
 	}
@@ -217,13 +213,13 @@ func ParseSpans(rd io.Reader) ([]Span, error) {
 		}
 		var s Span
 		var phase string
-		// Sscanf stops at the seventh column without looking further, so the
+		// Sscanf stops at the sixth column without looking further, so the
 		// column count is checked on its own.
-		if n := len(strings.Fields(line)); n != 7 {
-			return nil, fmt.Errorf("obs: span dump line %d: %d columns, want 7", ln, n)
+		if n := len(strings.Fields(line)); n != 6 {
+			return nil, fmt.Errorf("obs: span dump line %d: %d columns, want 6", ln, n)
 		}
-		if _, err := fmt.Sscanf(line, "%d %s %d %d %d %d %d",
-			&s.Trace, &phase, &s.Rank, &s.Start, &s.Dur, &s.Shard, &s.Codec); err != nil {
+		if _, err := fmt.Sscanf(line, "%d %s %d %d %d %d",
+			&s.Trace, &phase, &s.Rank, &s.Start, &s.Dur, &s.Codec); err != nil {
 			return nil, fmt.Errorf("obs: span dump line %d: %v", ln, err)
 		}
 		p, ok := ParsePhase(phase)

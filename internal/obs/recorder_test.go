@@ -89,7 +89,7 @@ func TestDumpParseRoundTrip(t *testing.T) {
 	r := NewRecorder(16)
 	want := []Span{
 		{Trace: 42, Phase: PhaseGather, Rank: 0, Start: 100, Dur: 50},
-		{Trace: 42, Phase: PhaseSendRecv, Rank: 0, Start: 150, Dur: 300},
+		{Trace: 42, Phase: PhaseSendRecv, Rank: 0, Start: 150, Dur: 300, Codec: 3},
 		{Trace: 43, Phase: PhaseUpcall, Rank: 3, Start: 500, Dur: 20},
 	}
 	for _, s := range want {
@@ -113,43 +113,18 @@ func TestDumpParseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDumpParseShardColumn: the shard attribute survives a dump/parse round
-// trip.
-func TestDumpParseShardColumn(t *testing.T) {
-	r := NewRecorder(8)
-	want := []Span{
-		{Trace: 7, Phase: PhaseSendRecv, Rank: 0, Start: 10, Dur: 5, Shard: 3},
-		{Trace: 7, Phase: PhaseGather, Rank: 1, Start: 20, Dur: 2}, // unrouted: Shard 0
-	}
-	for _, s := range want {
-		r.Record(s)
-	}
-	var sb strings.Builder
-	if err := r.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseSpans(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("round trip: %+v, want %+v", got, want)
-	}
-}
-
 func TestParseSpansRejectsGarbage(t *testing.T) {
-	if _, err := ParseSpans(strings.NewReader("1 gather 0 2 3 4 5\n")); err != nil {
+	if _, err := ParseSpans(strings.NewReader("1 gather 0 2 3 4\n")); err != nil {
 		t.Fatalf("well-formed line rejected: %v", err)
 	}
 	for name, line := range map[string]string{
-		"bad rank":          "1 gather zero 2 3 4 5",
-		"unknown phase":     "1 warp 0 2 3 4 5",
+		"bad rank":          "1 gather zero 2 3 4",
+		"unknown phase":     "1 warp 0 2 3 4",
+		"four columns":      "1 gather 0 2",
 		"five columns":      "1 gather 0 2 3",
-		"six columns":       "1 gather 0 2 3 4",
-		"bad sixth column":  "1 gather 0 2 3 x",
-		"bad codec column":  "1 gather 0 2 3 4 x",
-		"eight columns":     "1 gather 0 2 3 4 5 6",
-		"trailing garbage":  "1 gather 0 2 3 4 5 x",
+		"bad codec column":  "1 gather 0 2 3 x",
+		"seven columns":     "1 gather 0 2 3 4 5",
+		"trailing garbage":  "1 gather 0 2 3 4 x",
 		"phase column only": "gather",
 	} {
 		if got, err := ParseSpans(strings.NewReader(line + "\n")); err == nil {

@@ -20,10 +20,9 @@ type Client struct {
 	// Principal identifies this client in request headers (informational).
 	Principal string
 	// Timeout bounds each blocking invocation; zero means no bound.
-	// Per-invocation deadlines (InvokeOptions.Deadline) tighten it further.
 	Timeout time.Duration
-	// Transport, when set, configures dialed connections (byte order,
-	// frame limits, fault-injection wrappers). With its KeepaliveInterval
+	// Transport, when set, configures dialed connections (write timeouts,
+	// fault-injection wrappers, frame hooks). With its KeepaliveInterval
 	// set, a SIGKILL'd server surfaces as a prompt connection error on every
 	// pending request and data sink instead of a stall until the invocation
 	// timeout.
@@ -99,9 +98,6 @@ type InvokeOptions struct {
 	// Oneway suppresses the reply; the call returns once the request is
 	// written.
 	Oneway bool
-	// Deadline bounds this invocation; the zero time leaves Client.Timeout
-	// alone in charge.
-	Deadline time.Time
 	// ShardKey, when non-nil, routes the invocation by consistent hash over
 	// the reference's profiles — each profile one shard — instead of the
 	// fixed primary-first failover order (see Route).
@@ -290,11 +286,6 @@ func (cc *clientConn) readLoop() {
 		case *wire.LocateReply:
 			// The locate status rides the reply channel as a reply status.
 			cc.deliver(m.RequestID, &wire.Reply{RequestID: m.RequestID, Status: wire.ReplyStatus(m.Status)})
-		case *wire.Ping:
-			if err := cc.conn.WriteMessage(&wire.Pong{Nonce: m.Nonce}); err != nil {
-				cc.fail(fmt.Errorf("%w: pong write: %v", ErrConnBroken, err))
-				return
-			}
 		case *wire.Pong:
 			// Liveness evidence; reading it was all the keepalive needs.
 		case *wire.CloseConnection:
@@ -469,7 +460,7 @@ func (c *Client) InvokeAddrOpts(addr string, key []byte, op string, args []byte,
 		}
 		return nil, cc.write(req)
 	}
-	reply, err := c.exchange(addr, id, req, o.Deadline)
+	reply, err := c.exchange(addr, id, req)
 	if err != nil {
 		return nil, err
 	}
@@ -494,8 +485,8 @@ func (cc *clientConn) write(m wire.Message) error {
 }
 
 // exchange is the one request/reply round trip: register the waiter for id on
-// addr's connection, write m, await the reply within the deadline.
-func (c *Client) exchange(addr string, id uint32, m wire.Message, deadline time.Time) (*wire.Reply, error) {
+// addr's connection, write m, await the reply within Timeout.
+func (c *Client) exchange(addr string, id uint32, m wire.Message) (*wire.Reply, error) {
 	cc, err := c.conn(addr)
 	if err != nil {
 		return nil, err
@@ -508,31 +499,11 @@ func (c *Client) exchange(addr string, id uint32, m wire.Message, deadline time.
 		cc.unregister(id)
 		return nil, err
 	}
-	return c.await(cc, ch, id, deadline)
+	return c.await(cc, ch, id)
 }
 
-// awaitBound computes the effective wait for one reply: the tighter of the
-// client-wide Timeout and the per-invocation deadline.
-func (c *Client) awaitBound(deadline time.Time) (time.Duration, bool) {
-	d := c.Timeout
-	if !deadline.IsZero() {
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			return 0, false
-		}
-		if d <= 0 || rem < d {
-			d = rem
-		}
-	}
-	return d, true
-}
-
-func (c *Client) await(cc *clientConn, ch chan *wire.Reply, id uint32, deadline time.Time) (*wire.Reply, error) {
-	bound, ok := c.awaitBound(deadline)
-	if !ok {
-		cc.unregister(id)
-		return nil, fmt.Errorf("%w: request %d past deadline", ErrInvokeTimeout, id)
-	}
+func (c *Client) await(cc *clientConn, ch chan *wire.Reply, id uint32) (*wire.Reply, error) {
+	bound := c.Timeout
 	var timeout <-chan time.Time
 	if bound > 0 {
 		t := awaitTimers.Get().(*time.Timer)
@@ -601,12 +572,12 @@ func (c *Client) Locate(ref IOR) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return c.locate(ep.Addr(), ref.Key, time.Time{})
+	return c.locate(ep.Addr(), ref.Key)
 }
 
-func (c *Client) locate(addr string, key []byte, deadline time.Time) (bool, error) {
+func (c *Client) locate(addr string, key []byte) (bool, error) {
 	id := c.NextRequestID()
-	reply, err := c.exchange(addr, id, &wire.LocateRequest{RequestID: id, ObjectKey: key}, deadline)
+	reply, err := c.exchange(addr, id, &wire.LocateRequest{RequestID: id, ObjectKey: key})
 	if err != nil {
 		return false, err
 	}

@@ -613,3 +613,91 @@ func TestSendDataNoEndpointForRank(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
+
+// frameOrders records the byte order of every inbound frame one side reads,
+// through its Transport's FrameHook.
+type frameOrders struct {
+	mu    sync.Mutex
+	seen  map[wire.MsgType]bool
+	wrong []string
+}
+
+func (f *frameOrders) options() *transport.Options {
+	f.seen = map[wire.MsgType]bool{}
+	return &transport.Options{FrameHook: func(h wire.Header) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.seen[h.Type] = true
+		if h.Order() != cdr.NativeOrder {
+			f.wrong = append(f.wrong, fmt.Sprintf("%v in %v", h.Type, h.Order()))
+		}
+	}}
+}
+
+func (f *frameOrders) saw(types ...wire.MsgType) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, ty := range types {
+		if !f.seen[ty] {
+			return false
+		}
+	}
+	return true
+}
+
+// connServant answers a call by writing a Data frame and a Ping to the
+// caller's connection ahead of the reply.
+type connServant struct{}
+
+func (connServant) Dispatch(string, *cdr.Decoder, *cdr.Encoder) error { return nil }
+
+func (connServant) DispatchConn(conn *transport.Conn, _ string, _ *cdr.Decoder, _ *cdr.Encoder) error {
+	if err := conn.WriteMessage(&wire.Data{RequestID: 1, Payload: []byte{1, 2, 3}}); err != nil {
+		return err
+	}
+	return conn.WriteMessage(&wire.Ping{Nonce: 1})
+}
+
+// TestEveryMessageWritesNativeOrder: a connection writes its native byte order
+// whatever its options, so a server and a client that each set only a frame
+// hook read Request, Reply, Data and Pong frames in native order on both
+// sides.
+func TestEveryMessageWritesNativeOrder(t *testing.T) {
+	var server, client frameOrders
+	srv, err := NewServerOpts("127.0.0.1:0", ServerOptions{Transport: server.options()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	key := []byte("order")
+	srv.Register(key, connServant{})
+	ref := IOR{TypeID: "IDL:test/order:1.0", Key: key, Threads: 1, Endpoints: []Endpoint{srv.Endpoint(0)}}
+	c := NewClient()
+	c.Timeout = 10 * time.Second
+	c.Transport = client.options()
+	defer c.Close()
+
+	if _, err := c.Invoke(ref, "poke", NewArgEncoder().Bytes(), false); err != nil {
+		t.Fatal(err)
+	}
+	cc, err := c.conn(srv.Endpoint(0).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.conn.WriteMessage(&wire.Ping{Nonce: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !server.saw(wire.MsgRequest, wire.MsgPong) || !client.saw(wire.MsgReply, wire.MsgData, wire.MsgPong); {
+		if time.Now().After(deadline) {
+			t.Fatalf("frames seen: server %v, client %v", server.seen, client.seen)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for side, f := range map[string]*frameOrders{"server": &server, "client": &client} {
+		f.mu.Lock()
+		if len(f.wrong) > 0 {
+			t.Errorf("%s read frames not in native order (%v): %v", side, cdr.NativeOrder, f.wrong)
+		}
+		f.mu.Unlock()
+	}
+}

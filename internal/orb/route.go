@@ -55,7 +55,7 @@ func (r *Route) Next() (int, string, error) {
 				continue
 			}
 			if probe {
-				if _, err := r.c.locate(addr, r.ref.Key, r.o.Deadline); err != nil {
+				if _, err := r.c.locate(addr, r.ref.Key); err != nil {
 					r.bk.failure(time.Now())
 					if !failoverable(err) {
 						return -1, "", err

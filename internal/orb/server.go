@@ -70,8 +70,8 @@ type ServerOptions struct {
 	MaxInFlight int
 	// MaxConnInFlight caps requests in flight (dispatching or queued) on one
 	// connection, so a single aggressive client cannot monopolize the global
-	// budget. With many cheap client bindings multiplexed onto one shared
-	// connection (core.BindOptions.ShareConnection), the cap applies to their
+	// budget. With many client bindings multiplexed onto one shared
+	// connection (bindings sharing one orb.Client), the cap applies to their
 	// aggregate. Default DefaultMaxConnInFlight; negative disables the cap.
 	MaxConnInFlight int
 	// QueueDepth bounds how many admitted requests may wait for an
@@ -86,8 +86,8 @@ type ServerOptions struct {
 	// DefaultWorkerIdleTimeout; negative keeps idle workers alive until
 	// shutdown.
 	WorkerIdleTimeout time.Duration
-	// Transport configures accepted connections (byte order, frame limits,
-	// fault-injection wrappers). Its WriteTimeout, which keeps a client that
+	// Transport configures accepted connections (fault-injection wrappers,
+	// frame hooks). Its WriteTimeout, which keeps a client that
 	// stopped reading from wedging the connection's writers, defaults to
 	// DefaultWriteTimeout, and its KeepaliveInterval, which drops a peer
 	// silent for two intervals, to DefaultKeepaliveInterval; negative
@@ -112,12 +112,6 @@ type ServerOptions struct {
 	// Trace, when set, records server-side invocation spans (admission
 	// waits, keyed by request id) into this ring buffer.
 	Trace *obs.Recorder
-	// AdminResize exposes the reserved "_pardis_resize" administrative
-	// operation on SPMD objects exported by an elastic engine (see
-	// core.NewElastic): a client invocation of it triggers a membership
-	// resize of the serving group. Off by default — resizing is a
-	// control-plane action, so it must be opted into explicitly.
-	AdminResize bool
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
@@ -516,11 +510,6 @@ func (s *Server) serveConn(sc *servedConn) {
 			}
 			if err := sc.conn.WriteMessage(&wire.LocateReply{RequestID: m.RequestID, Status: st}); err != nil {
 				s.logf("orb: locate reply: %v", err)
-				return
-			}
-		case *wire.Ping:
-			if err := sc.conn.WriteMessage(&wire.Pong{Nonce: m.Nonce}); err != nil {
-				s.logf("orb: pong: %v", err)
 				return
 			}
 		case *wire.Pong:

@@ -144,8 +144,7 @@ func TestSerialClientNeverShedForItsOwnReply(t *testing.T) {
 		MaxConnInFlight: 1,
 		Metrics:         reg,
 		Transport: &transport.Options{
-			Order: cdr.NativeOrder,
-			Wrap:  func(rw io.ReadWriteCloser) io.ReadWriteCloser { return lingerAfterWrite{rw} },
+			Wrap: func(rw io.ReadWriteCloser) io.ReadWriteCloser { return lingerAfterWrite{rw} },
 		},
 	})
 	if err != nil {

@@ -69,19 +69,6 @@ func mix(h uint64) uint64 {
 // Hash returns the ring hash of a shard key.
 func Hash(key []byte) uint64 { return mix(fnv1a(fnvOffset, key)) }
 
-// RangeKey derives a shard key for a dsequence key range [lo, hi) of the
-// object identified by objectKey: invocations over the same range of the
-// same object land on the same shard.
-func RangeKey(objectKey []byte, lo, hi int) []byte {
-	out := make([]byte, 0, len(objectKey)+17)
-	out = append(out, objectKey...)
-	out = append(out, '#')
-	out = strconv.AppendInt(out, int64(lo), 16)
-	out = append(out, '-')
-	out = strconv.AppendInt(out, int64(hi), 16)
-	return out
-}
-
 // New builds a ring over the given shard names with virtualNodes points per
 // shard (DefaultVirtualNodes when <= 0). Names order is preserved: Shard and
 // Order return indices into it. An empty name set yields an empty ring.

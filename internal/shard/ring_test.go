@@ -119,15 +119,3 @@ func TestRingEdgeCases(t *testing.T) {
 		}
 	}
 }
-
-func TestRangeKeyStable(t *testing.T) {
-	a := RangeKey([]byte("obj"), 0, 4096)
-	b := RangeKey([]byte("obj"), 0, 4096)
-	c := RangeKey([]byte("obj"), 4096, 8192)
-	if string(a) != string(b) {
-		t.Fatalf("RangeKey not stable: %q vs %q", a, b)
-	}
-	if string(a) == string(c) {
-		t.Fatalf("distinct ranges share a key: %q", a)
-	}
-}

@@ -40,8 +40,12 @@ func fragments(m wire.Message, n int) [][]byte {
 }
 
 // readOne reads the first message of a captured stream.
-func readOne(stream []byte, opts *Options) (wire.Message, error) {
-	return NewConn(&byteStream{r: bytes.NewReader(stream)}, opts).ReadMessage()
+func readOne(stream []byte, max int) (wire.Message, error) {
+	c := NewConn(&byteStream{r: bytes.NewReader(stream)}, nil)
+	if max > 0 {
+		c.max = max
+	}
+	return c.ReadMessage()
 }
 
 // tailOfSize returns the tail that makes m's body exactly size bytes.
@@ -82,19 +86,19 @@ func TestFragmentedRequestReplyExactBody(t *testing.T) {
 				defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
 				msg := tailOfSize(t, mk, nfrag*frag-5)
 				var sink captureRWC
-				if err := NewConn(&sink, &Options{Order: cdr.NativeOrder}).WriteMessage(msg); err != nil {
+				if err := NewConn(&sink, nil).WriteMessage(msg); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(sink.buf.Bytes(), wire.Encode(msg, cdr.NativeOrder)) {
 					t.Fatal("the written frame differs from wire.Encode")
 				}
 				if nfrag > 1 {
-					if m, err := readOne(bytes.Join(fragments(msg, nfrag), nil), nil); !errors.Is(err, wire.ErrBadFlags) {
+					if m, err := readOne(bytes.Join(fragments(msg, nfrag), nil), 0); !errors.Is(err, wire.ErrBadFlags) {
 						t.Fatalf("%d fragments: got %T, %v; want ErrBadFlags", nfrag, m, err)
 					}
 					return
 				}
-				got, err := readOne(sink.buf.Bytes(), nil)
+				got, err := readOne(sink.buf.Bytes(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,7 +163,7 @@ func TestReassemblyFailuresReturnFrames(t *testing.T) {
 		for _, ft := range faults {
 			t.Run(name+"/"+ft.name, func(t *testing.T) {
 				defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
-				if m, err := readOne(bytes.Join(ft.stream(msg), nil), &Options{MaxFrameSize: ft.max}); !errors.Is(err, ft.want) {
+				if m, err := readOne(bytes.Join(ft.stream(msg), nil), ft.max); !errors.Is(err, ft.want) {
 					t.Fatalf("got %T, %v; want %v", m, err, ft.want)
 				}
 			})

@@ -41,7 +41,7 @@ func encodeFrames(t *testing.F, msgs ...wire.Message) []byte {
 
 // FuzzReadMessage feeds arbitrary byte streams to the framing layer. Any
 // input must produce a sequence of messages ending in an error or EOF —
-// never a panic, hang, or oversized allocation (MaxFrameSize bounds every
+// never a panic, hang, or oversized allocation (c.max bounds every
 // body before it is allocated).
 func FuzzReadMessage(f *testing.F) {
 	f.Add(encodeFrames(f,
@@ -75,7 +75,8 @@ func FuzzReadMessage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := PoolOutstanding()
-		c := NewConn(&byteStream{r: bytes.NewReader(data)}, &Options{MaxFrameSize: 1 << 20})
+		c := NewConn(&byteStream{r: bytes.NewReader(data)}, nil)
+		c.max = 1 << 20
 		// Bounded: the stream is finite, so reads hit EOF; the cap just
 		// guards against an accidental infinite accept loop.
 		for i := 0; i < 64; i++ {

@@ -12,15 +12,23 @@ import (
 )
 
 // keepalivePair returns a connection with keepalive interval ka and a peer
-// without one, over the in-process pipe or over TCP.
-func keepalivePair(t *testing.T, tcp bool, ka time.Duration) (a, b *Conn) {
+// without one, over the in-process pipe or over TCP, and the count of Pings
+// the peer has read. The peer's ReadMessage answers a Ping and never returns
+// it, so the count comes from its FrameHook.
+func keepalivePair(t *testing.T, tcp bool, ka time.Duration) (a, b *Conn, pings *atomic.Int64) {
 	t.Helper()
 	opts := &Options{KeepaliveInterval: ka}
+	pings = new(atomic.Int64)
+	peer := &Options{FrameHook: func(h wire.Header) {
+		if h.Type == wire.MsgPing {
+			pings.Add(1)
+		}
+	}}
 	if !tcp {
 		a2b, b2a := newPipeBuffer(), newPipeBuffer()
-		return NewConn(&pipeEnd{r: b2a, w: a2b}, opts), NewConn(&pipeEnd{r: a2b, w: b2a}, nil)
+		return NewConn(&pipeEnd{r: b2a, w: a2b}, opts), NewConn(&pipeEnd{r: a2b, w: b2a}, peer), pings
 	}
-	lis, err := Listen("127.0.0.1:0", nil)
+	lis, err := Listen("127.0.0.1:0", peer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +48,7 @@ func keepalivePair(t *testing.T, tcp bool, ka time.Duration) (a, b *Conn) {
 		a.Close()
 		t.Fatal("accept failed")
 	}
-	return a, b
+	return a, b, pings
 }
 
 func forEachStream(t *testing.T, test func(t *testing.T, tcp bool)) {
@@ -50,13 +58,13 @@ func forEachStream(t *testing.T, test func(t *testing.T, tcp bool)) {
 
 // TestKeepaliveSilentPeer: a peer that neither reads nor answers is declared
 // ErrPeerSilent two intervals after the last read, give or take one timer
-// tick; reads and writes return the verdict from then on. The peer's own
-// ReadMessage hands it the Ping it was probed with.
+// tick; reads and writes return the verdict from then on. The peer, reading
+// at last, finds the one Ping it was probed with.
 func TestKeepaliveSilentPeer(t *testing.T) {
 	forEachStream(t, func(t *testing.T, tcp bool) {
 		const interval, tick = 100 * time.Millisecond, 50 * time.Millisecond
 		start := time.Now()
-		a, b := keepalivePair(t, tcp, interval)
+		a, b, pings := keepalivePair(t, tcp, interval)
 		defer b.Close()
 		defer a.Close()
 
@@ -74,29 +82,28 @@ func TestKeepaliveSilentPeer(t *testing.T) {
 		if err := a.WriteMessage(&wire.Ping{Nonce: 1}); !errors.Is(err, ErrPeerSilent) {
 			t.Errorf("write after the verdict: %v, want ErrPeerSilent", err)
 		}
-		if m, err := b.ReadMessage(); err != nil {
-			t.Fatalf("peer read: %v, want the probe", err)
-		} else if _, ok := m.(*wire.Ping); !ok {
-			t.Fatalf("peer read %v, want a Ping", m.Type())
+		// The Ping is answered into a closed connection, and the read ends.
+		if m, err := b.ReadMessage(); err == nil {
+			t.Fatalf("peer read %v from a closed connection", m.Type())
+		}
+		if n := pings.Load(); n != 1 {
+			t.Fatalf("peer read %d Pings, want the one probe", n)
 		}
 	})
 }
 
-// TestKeepaliveAnsweredPeerStaysUp: a peer that answers every Ping keeps the
-// connection up for ten intervals with no traffic besides the probes.
+// TestKeepaliveAnsweredPeerStaysUp: a peer that keeps reading answers every
+// Ping inside its ReadMessage, which keeps the connection up for ten intervals
+// with no traffic besides the probes.
 func TestKeepaliveAnsweredPeerStaysUp(t *testing.T) {
 	forEachStream(t, func(t *testing.T, tcp bool) {
 		const interval = 50 * time.Millisecond
-		a, b := keepalivePair(t, tcp, interval)
+		a, b, _ := keepalivePair(t, tcp, interval)
 		defer b.Close()
 		defer a.Close()
 		go func() {
 			for {
-				m, err := b.ReadMessage()
-				if err != nil {
-					return
-				}
-				if p, ok := m.(*wire.Ping); ok && b.WriteMessage(&wire.Pong{Nonce: p.Nonce}) != nil {
+				if _, err := b.ReadMessage(); err != nil {
 					return
 				}
 			}
@@ -136,20 +143,36 @@ func TestKeepaliveStopsAtClose(t *testing.T) {
 	forEachStream(t, func(t *testing.T, tcp bool) {
 		defer testutil.LeakCheck(t)()
 		const interval = 20 * time.Millisecond
-		a, b := keepalivePair(t, tcp, interval)
+		a, b, pings := keepalivePair(t, tcp, interval)
 		defer b.Close()
-		if m, err := b.ReadMessage(); err != nil {
-			t.Fatalf("peer read: %v, want a probe", err)
-		} else if _, ok := m.(*wire.Ping); !ok {
-			t.Fatalf("peer read %v, want a Ping", m.Type())
+		readErr := make(chan error, 1)
+		go func() {
+			for {
+				if _, err := b.ReadMessage(); err != nil {
+					readErr <- err
+					return
+				}
+			}
+		}()
+		for pings.Load() == 0 {
+			select {
+			case err := <-readErr:
+				t.Fatalf("peer read: %v, want a probe", err)
+			case <-time.After(time.Millisecond):
+			}
 		}
 		a.Close()
 		if a.probe.Stop() {
 			t.Error("keepalive timer still armed after Close")
 		}
 		time.Sleep(3 * interval)
-		if m, err := b.ReadMessage(); !errors.Is(err, ErrClosed) {
-			t.Fatalf("peer read %v, %v after Close: want ErrClosed, no further probe", m, err)
+		if n := pings.Load(); n != 1 {
+			t.Fatalf("peer read %d Pings, want no probe after Close", n)
+		}
+		// The peer's read ends: on TCP the Pong it answered with may still sit
+		// unread at the closed end, which then resets rather than closes.
+		if err := <-readErr; err == nil {
+			t.Fatal("peer read after Close succeeded")
 		}
 	})
 }

@@ -82,7 +82,8 @@ func TestBlockedReadUnblockedByClose(t *testing.T) {
 func TestPerConnMaxFrameSize(t *testing.T) {
 	ab, ba := newPipeBuffer(), newPipeBuffer()
 	writer := NewConn(&pipeEnd{r: ba, w: ab}, nil)
-	reader := NewConn(&pipeEnd{r: ab, w: ba}, &Options{MaxFrameSize: 64})
+	reader := NewConn(&pipeEnd{r: ab, w: ba}, nil)
+	reader.max = 64
 	defer writer.Close()
 	defer reader.Close()
 

@@ -45,16 +45,9 @@ const MaxMessageSize = 1 << 30
 // oversize paths without allocating gigabyte buffers.
 var maxMessageSize = MaxMessageSize
 
-// Options configure a Conn.
+// Options configure a Conn. A Conn always writes cdr.NativeOrder and reads
+// either order, and its frame limit is maxMessageSize; neither is an option.
 type Options struct {
-	// Order is the byte order this side produces. Zero value (BigEndian)
-	// is valid; NewConn defaults to cdr.NativeOrder when Options is nil.
-	Order cdr.ByteOrder
-	// MaxFrameSize bounds a message body, written or read, overriding
-	// MaxMessageSize when > 0. A frame header claiming more is rejected before
-	// any allocation, so a corrupt or hostile header cannot force an unbounded
-	// make([]byte, size).
-	MaxFrameSize int
 	// Wrap, when set, is applied to the underlying byte stream before
 	// framing. Fault-injection tests use it to slot a FaultInjector between
 	// the Conn and the real network.
@@ -69,7 +62,8 @@ type Options struct {
 	// KeepaliveInterval, when positive, is how long the peer may stay silent
 	// before the connection pings it; silent one interval more, it is dead
 	// (ErrPeerSilent). Any message read is a sign of life, so the owner must
-	// keep reading and answer the peer's Pings. Zero or negative disables.
+	// keep reading; ReadMessage answers the peer's Pings itself. Zero or
+	// negative disables.
 	KeepaliveInterval time.Duration
 	// FrameHook, when set, observes every inbound frame header before the
 	// body is read. It runs on the reading goroutine; keep it cheap.
@@ -90,7 +84,7 @@ type Conn struct {
 	rw       io.ReadWriteCloser
 	br       *bufio.Reader
 	bw       *bufio.Writer
-	order    cdr.ByteOrder
+	order    cdr.ByteOrder // what this side writes: always cdr.NativeOrder outside tests
 	max      int
 	wd       writeDeadliner
 	wtimeout time.Duration
@@ -195,10 +189,6 @@ func NewConn(rw io.ReadWriteCloser, opts *Options) *Conn {
 		max:      maxMessageSize,
 	}
 	if opts != nil {
-		c.order = opts.Order
-		if opts.MaxFrameSize > 0 {
-			c.max = opts.MaxFrameSize
-		}
 		if opts.WriteTimeout > 0 {
 			c.wd = wd
 			c.wtimeout = opts.WriteTimeout
@@ -327,8 +317,23 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 
 // ReadMessage reads the next message. A returned *wire.Data holds a rented
 // frame: its payload is valid until Release, which the final consumer must
-// call after copying the elements out.
+// call after copying the elements out. A Ping is answered with its Pong here
+// and never returned; FrameHook still sees its header.
 func (c *Conn) ReadMessage() (wire.Message, error) {
+	for {
+		m, err := c.readFrame()
+		p, ping := m.(*wire.Ping)
+		if err != nil || !ping {
+			return m, err
+		}
+		if err := c.WriteMessage(&wire.Pong{Nonce: p.Nonce}); err != nil {
+			return nil, fmt.Errorf("transport: pong: %w", err)
+		}
+	}
+}
+
+// readFrame reads and decodes one frame.
+func (c *Conn) readFrame() (wire.Message, error) {
 	if c.silent.Load() {
 		return nil, ErrPeerSilent
 	}

@@ -39,7 +39,7 @@ func TestPipeRoundTrip(t *testing.T) {
 // declares the whole body, and arrives intact.
 func TestFragmentationRoundTrip(t *testing.T) {
 	var frames []wire.Header
-	a, b := Pipe(&Options{Order: cdr.NativeOrder, FrameHook: func(h wire.Header) { frames = append(frames, h) }})
+	a, b := Pipe(&Options{FrameHook: func(h wire.Header) { frames = append(frames, h) }})
 	defer a.Close()
 	defer b.Close()
 
@@ -69,7 +69,7 @@ func TestFragmentationRoundTrip(t *testing.T) {
 // every rented frame goes back.
 func TestFragmentBoundaries(t *testing.T) {
 	defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
-	a, b := Pipe(&Options{Order: cdr.NativeOrder})
+	a, b := Pipe(nil)
 	defer a.Close()
 	defer b.Close()
 	for _, class := range []int{512, 64 << 10, 4 << 20} {
@@ -105,7 +105,7 @@ func TestLeadingFragmentRejected(t *testing.T) {
 }
 
 func TestConcurrentWritersDoNotInterleave(t *testing.T) {
-	a, b := Pipe(&Options{Order: cdr.NativeOrder})
+	a, b := Pipe(nil)
 	defer a.Close()
 	defer b.Close()
 
@@ -340,8 +340,11 @@ func TestPipeBufferSemantics(t *testing.T) {
 	}
 }
 
+// TestManySequentialMessages streams big-endian frames: a Conn writes its
+// native order, but it reads either.
 func TestManySequentialMessages(t *testing.T) {
-	a, b := Pipe(&Options{Order: cdr.BigEndian})
+	a, b := Pipe(nil)
+	a.order = cdr.BigEndian
 	defer a.Close()
 	defer b.Close()
 	const n = 200
@@ -395,5 +398,29 @@ func BenchmarkPipeThroughput(b *testing.B) {
 			}
 			<-done
 		})
+	}
+}
+
+// TestReadMessageAnswersPing: a Ping is answered inside the read that meets it
+// and never returned; the read goes on to the next message.
+func TestReadMessageAnswersPing(t *testing.T) {
+	a, b := Pipe(nil)
+	defer a.Close()
+	defer b.Close()
+	if err := a.WriteMessage(&wire.Ping{Nonce: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WriteMessage(&wire.LocateRequest{RequestID: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := b.ReadMessage(); err != nil {
+		t.Fatal(err)
+	} else if lr, ok := m.(*wire.LocateRequest); !ok || lr.RequestID != 3 {
+		t.Fatalf("read %v, want the LocateRequest behind the Ping", m.Type())
+	}
+	if m, err := a.ReadMessage(); err != nil {
+		t.Fatal(err)
+	} else if p, ok := m.(*wire.Pong); !ok || p.Nonce != 7 {
+		t.Fatalf("pinging side read %v, want Pong 7", m.Type())
 	}
 }

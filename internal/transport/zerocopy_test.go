@@ -75,7 +75,7 @@ func TestVectoredDataTCP(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
 			defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
-			a, b := tcpPair(t, &Options{Order: cdr.NativeOrder})
+			a, b := tcpPair(t, nil)
 			payload := make([]byte, tc.payload)
 			rand.New(rand.NewSource(int64(tc.payload))).Read(payload)
 			want := &wire.Data{
@@ -98,7 +98,8 @@ func TestVectoredDataTCP(t *testing.T) {
 func TestVectoredDataBigEndianTCP(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	defer testutil.BalanceCheck(t, "frame pool", PoolOutstanding)()
-	a, b := tcpPair(t, &Options{Order: cdr.BigEndian})
+	a, b := tcpPair(t, nil)
+	a.order, b.order = cdr.BigEndian, cdr.BigEndian
 	payload := bytes.Repeat([]byte{0xA5}, 8<<10)
 	got := echoData(t, a, b, &wire.Data{RequestID: 5, Count: 1 << 10, Payload: payload})
 	if got.RequestID != 5 || got.Count != 1<<10 || !bytes.Equal(got.Payload, payload) {
