@@ -95,9 +95,12 @@ race:
 # drain that reached the call a bucket serves next; the allocation guard skips
 # itself under -race, but its framed calls still run) and the recycled headers'
 # (a header or layout one call still reads while the next call decodes into
-# it) and, last, the whole run-time system under -race (its one receive loop is
-# the timer path of every collective receive: a wakeup lost against the
-# deadline or a message taken on the wrong context) — FLAKECOUNT times each.
+# it) and the kept scratch's (a token broadcast, request, directive or reply
+# rewritten while a thread or the adapter still reads it, steps read through a
+# decoder the adapter reused) and, last, the whole run-time system under -race
+# (its one receive loop is the timer path of every collective receive: a
+# wakeup lost against the deadline or a message taken on the wrong context) —
+# FLAKECOUNT times each.
 flake:
 	$(GO) test -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
 		-run='TestStatsUnderAdmissionOverload|TestSerialClientNeverShedForItsOwnReply|TestShutdownRacesAdmission|TestQueueExhaustionWithConcurrentDrains|TestMaxConnInFlightOnSharedConn|TestShedAccountingAcrossLayers|TestLostConnectionPoisonsOnlyItsSinks|TestClientKeepaliveDetectsFrozenServer|TestServerKeepaliveDropsSilentClient|TestKeepaliveVerdictDoesNotWaitOnABlockedWrite|TestEveryMessageWritesNativeOrder' \
@@ -108,7 +111,7 @@ flake:
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestReplicaFailoverMovesEveryLeg|TestReplicaAmbiguousFailure|TestInMessageCallIsOneExchange|TestCollectivesPerInvocation|TestRecycledArgs|TestRecycledBucket|TestRecycledHeader|TestFramedCallAllocs' ./internal/core
+		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestReplicaFailoverMovesEveryLeg|TestReplicaAmbiguousFailure|TestInMessageCallIsOneExchange|TestCollectivesPerInvocation|TestRecycledArgs|TestRecycledBucket|TestRecycledHeader|TestKeptScratchWindows|TestFramedCallAllocs' ./internal/core
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) ./internal/rts
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the

@@ -14,12 +14,13 @@ type Encoder struct {
 	order  ByteOrder
 	origin int
 
-	// arr seeds buf in NewEncoder so small streams (directives, scalar
-	// argument payloads, headers) encode without a separate buffer
+	// arr seeds buf in NewEncoder so small streams (scalar argument
+	// payloads, outcomes, directives) encode without a separate buffer
 	// allocation; append migrates to the heap only past this capacity. 72
-	// bytes fill the 112-byte size class the struct occupies anyway, and
-	// hold the invocation header of a call with one distributed argument
-	// (68 bytes with a four-letter operation name).
+	// bytes fill the 112-byte size class the struct occupies anyway. An
+	// invocation header outgrows them — one distributed argument over two
+	// threads takes 96 bytes — but the encoder it is rendered in is kept,
+	// grown, from one call to the next.
 	arr [72]byte
 }
 

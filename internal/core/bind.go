@@ -157,10 +157,28 @@ type bindLane struct {
 	// and drains it when it ends. The lane's holder alone touches it.
 	sink sink
 	// request and response are the headers of the lane's invocation, thread
-	// 0's request as newHeader fills it and the reply header every thread
+	// 0's request as encodeRequest fills it and the reply header every thread
 	// decodes, valid for one invoke: the next one overwrites them.
 	request  invocationHeader
 	response replyHeader
+	// enc is thread 0's request encoder, valid for one invoke: its exchange,
+	// launched beside a framed leg or not, has written the request by the end.
+	enc *cdr.Encoder
+	// picks is the slab thread 0 renders its token broadcasts in (pick), each
+	// behind the last and never rewritten: a thread that has yet to take one
+	// reads its own bytes. A full slab is left to whoever still holds it.
+	picks []byte
+}
+
+// pickBytes returns n bytes of the lane's slab no broadcast has used, in a
+// fresh 4 KiB slab — hundreds of broadcasts — when the slab is full.
+func (ln *bindLane) pickBytes(n int) []byte {
+	if len(ln.picks)+n > cap(ln.picks) {
+		ln.picks = make([]byte, 0, 4<<10)
+	}
+	m := len(ln.picks)
+	ln.picks = ln.picks[:m+n]
+	return ln.picks[m : m+n : m+n]
 }
 
 // dataSink returns the lane's sink. Its capacity is what lets a whole reply

@@ -115,9 +115,17 @@ func (s *magicStream) Close() error { return s.inner.Close() }
 // fault-injecting transports and short timeouts).
 func (tc *testCluster) runClientOpts(t *testing.T, cRanks int, opts BindOptions, fn func(c *rts.Comm, b *Binding) error) {
 	t.Helper()
+	if err := tc.clientRun(cRanks, opts, fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// clientRun is runClientOpts returning the client world's error, for a client
+// that runs beside the test's goroutine.
+func (tc *testCluster) clientRun(cRanks int, opts BindOptions, fn func(c *rts.Comm, b *Binding) error) error {
 	w := rts.NewWorld(cRanks, rts.Options{RecvTimeout: testTimeout})
 	defer w.Close()
-	err := w.Run(func(c *rts.Comm) error {
+	return w.Run(func(c *rts.Comm) error {
 		b, err := SPMDBind(c, "example", tc.ns.Addr(), opts)
 		if err != nil {
 			return err
@@ -125,9 +133,6 @@ func (tc *testCluster) runClientOpts(t *testing.T, cRanks int, opts BindOptions,
 		defer b.Close()
 		return fn(c, b)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // assertCoherentFailure gathers every rank's error at rank 0 and checks

@@ -159,8 +159,13 @@ type Object struct {
 	upcall     ServerCall
 	in         cdr.Decoder
 	// directive is the header a thread other than 0 decodes a call's directive
-	// into, valid from Poll's decode until processCall returns.
+	// into, valid from Poll's decode until processCall returns. dir is thread
+	// 0's rendering of a directive, valid until its next: thread 0 renders it
+	// only past processCall's agreements, and every thread decodes the header
+	// before the receive leg's and reads its Scalars (which alias dir) before
+	// the upcall's.
 	directive invocationHeader
+	dir       []byte
 
 	// Elastic wiring, installed between Export and Serve by the elastic
 	// engine (all fields nil/zero on conventional objects). resizeCh (thread
@@ -183,16 +188,21 @@ type pendingCall struct {
 	// on: a framed send leg writes the results there, ahead of it.
 	conn *transport.Conn
 	// steps is the request past its header, where a receive leg placed in the
-	// message has its steps: sub-slices of the message the adapter holds until
-	// dispatch returns.
-	steps      *cdr.Decoder
+	// message has its steps: sub-slices of the request body. A copy: the
+	// adapter's decoder goes back to its pool once dispatch returns, also
+	// when dispatch gave up on a call the loop still reads.
+	steps cdr.Decoder
+	// reply is the encoder thread 0 renders the reply in, valid until dispatch
+	// has copied it into the adapter's.
+	reply      *cdr.Encoder
 	replyCh    chan callResult
 	enqueuedNS int64 // when dispatch queued the call; 0 when tracing is off
 }
 
-// pendingCalls recycles a pendingCall, replyCh and all, once dispatch has taken
-// its reply, the collective loop's last touch; one given up on is not reused.
-var pendingCalls = sync.Pool{New: func() any { return &pendingCall{replyCh: make(chan callResult, 1)} }}
+// pendingCalls recycles a pendingCall, replyCh, encoder and all, once dispatch
+// has taken its reply, the collective loop's last touch; one given up on is not
+// reused.
+var pendingCalls = sync.Pool{New: func() any { return &pendingCall{replyCh: make(chan callResult, 1), reply: orb.NewArgEncoder()} }}
 
 type callResult struct {
 	reply []byte
@@ -457,18 +467,16 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 	}
 	select {
 	case res := <-call.replyCh:
-		pendingCalls.Put(call)
-		if res.err != nil {
-			return res.err
-		}
-		// res.reply is a complete argument payload the collective loop
-		// built and handed over (both encoders come from NewArgEncoder, so
-		// orders agree): it becomes the adapter's reply as it is, with no
-		// copy of the results gathered into it.
+		// res.reply is a complete argument payload the collective loop built
+		// in the call's encoder (both encoders come from NewArgEncoder, so
+		// orders agree): it becomes the adapter's reply, copied before the
+		// call goes back to the pool.
 		if len(res.reply) > 0 {
-			out.Adopt(res.reply)
+			out.Reset()
+			out.WriteRaw(res.reply)
 		}
-		return nil
+		pendingCalls.Put(call)
+		return res.err
 	case <-o.stop:
 		return &orb.SystemException{RepoID: orb.RepoInternal, Message: ErrStopped.Error()}
 	}
@@ -491,7 +499,7 @@ func (o *Object) enqueue(conn *transport.Conn, op string, call *pendingCall, raw
 	if o.draining.Load() {
 		return orb.Transient("object draining")
 	}
-	call.raw, call.conn, call.steps, call.enqueuedNS = raw, conn, rest, 0
+	call.raw, call.conn, call.steps, call.enqueuedNS = raw, conn, *rest, 0
 	if o.rec != nil {
 		call.enqueuedNS = time.Now().UnixNano()
 	}

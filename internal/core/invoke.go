@@ -379,9 +379,11 @@ func (iv *invocation) pick(route *orb.Route, stop error) error {
 			p = encodeOutcome(func(*cdr.Encoder) error { return err })
 		} else {
 			// A clean outcome, then the token, the profile and the mask.
-			iv.addr, p = addr, append(make([]byte, 0, len(okOutcome)+9), okOutcome...)
-			p = binary.NativeEndian.AppendUint32(binary.NativeEndian.AppendUint32(p, tokenCounter.Add(1)), uint32(idx))
-			p = append(p, iv.fwdMask(&iv.b.targets[idx]))
+			iv.addr, p = addr, iv.ln.pickBytes(len(okOutcome)+9)
+			tail := p[copy(p, okOutcome):]
+			binary.NativeEndian.PutUint32(tail, tokenCounter.Add(1))
+			binary.NativeEndian.PutUint32(tail[4:], uint32(idx))
+			tail[8] = iv.fwdMask(&iv.b.targets[idx])
 		}
 	}
 	p, err := iv.comm.Bcast(0, p)
@@ -421,11 +423,11 @@ func (iv *invocation) fwdMask(t *target) uint8 {
 	return mask
 }
 
-// newHeader fills the lane's invocation header, the one thread 0 sends: the
-// client's layout for every argument it supplies, its template for every result
-// it expects.
-func (iv *invocation) newHeader(method Method, scalars []byte) *invocationHeader {
-	h := &iv.ln.request
+// encodeRequest renders thread 0's request in the lane's encoder: the lane's
+// invocation header, filled with the client's layout for every argument it
+// supplies and its template for every result it expects.
+func (iv *invocation) encodeRequest(method Method, scalars []byte) *cdr.Encoder {
+	ln, h := iv.ln, &iv.ln.request
 	*h = invocationHeader{
 		Op: iv.op, Method: method, Token: iv.token, ChunkElems: uint32(iv.ce), ResultChunkElems: uint32(iv.offer),
 		ClientRanks: iv.comm.Size(), Epoch: iv.b.refEpoch, Scalars: scalars,
@@ -439,7 +441,13 @@ func (iv *invocation) newHeader(method Method, scalars []byte) *invocationHeader
 			h.Args[i].Layout = a.Seq.Layout()
 		}
 	}
-	return h
+	if ln.enc == nil {
+		ln.enc = orb.NewArgEncoder()
+	} else {
+		orb.ResetArgEncoder(ln.enc)
+	}
+	h.encode(ln.enc)
+	return ln.enc
 }
 
 // openReply opens thread 0's reply, into iv.steps, as decodeReplyHeader reads

@@ -280,10 +280,15 @@ func TestStreamedChunkAllocs(t *testing.T) {
 
 // TestSmallCallAllocs is the allocation guard for the fixed skeleton: the
 // smallest call — a 128-element in argument in the message, at two client and
-// two server threads, the benchmark's small_call_central — may allocate 17
-// heap objects across the whole process, both sides together. Most of them are
-// the exchange's: the request and reply bodies and their encoders.
-// Measured on a 2-core x86-64 Xeon: 15.06 objects per call; 29.05 while every
+// two server threads, the benchmark's small_call_central — may allocate 6
+// heap objects across the whole process, both sides together. What is left is
+// the exchange's: the request and reply bodies as read, their decoded
+// messages, and the reply header's broadcast at the client.
+// Measured on a 2-core x86-64 Xeon: 5.04 objects per call; 15.06 while the
+// client lane's request encoder (and its two growths), its token broadcast,
+// the Request and Reply messages, the adapter's argument decoder, server
+// thread 0's directive and reply encoder and its scatter's per-rank table were
+// fresh per call; 29.05 while every
 // thread decoded each header, and each layout in it, into fresh storage and
 // the client built its request header afresh; 41.1 while every
 // call built its server-side sequences afresh (the lengths and argument
@@ -298,7 +303,7 @@ func TestSmallCallAllocs(t *testing.T) {
 	}
 	const (
 		calls  = 2000
-		budget = 17
+		budget = 6
 	)
 	tc := startClusterOps(t, 2, false, func() []Operation { return shapeOps(func(*ServerCall) {}) })
 	tc.runClientOpts(t, 2, BindOptions{Timeout: testTimeout}, func(c *rts.Comm, b *Binding) error {
@@ -331,13 +336,16 @@ func TestSmallCallAllocs(t *testing.T) {
 // TestFramedCallAllocs is the allocation guard for a framed receive leg: a
 // 2^19-element in argument between two client and two server threads, the
 // benchmark's bulk_in_central and bulk_in_multiport, may allocate 12 KiB per
-// call across the whole process, both sides together, and 26 objects
-// centralized, 46 multi-port. The receive leg's sink outlives the call on both
+// call across the whole process, both sides together, and 14 objects
+// centralized, 34 multi-port. The receive leg's sink outlives the call on both
 // sides — a server thread reissues its spare bucket, a client lane keeps its
-// sink — and so does the timer its waits arm, and every thread decodes its
-// headers in place, so what is left is the skeleton and pool refills.
-// Measured on a 2-core x86-64 Xeon: 2.2 KiB and 20.6 objects centralized,
-// 3.0 KiB and 40.3 objects multi-port; 34.5 and 54.3 objects while every
+// sink — and so does the timer its waits arm, every thread decodes its
+// headers in place, and the per-call scratch of the small call is kept the
+// same way, so what is left is the skeleton and pool refills.
+// Measured on a 2-core x86-64 Xeon: 1.6 KiB and 12.4 objects centralized,
+// 2.4 KiB and 32.4 objects multi-port; 1.9 KiB and 20.6 objects centralized,
+// 3.0 KiB and 40.3 multi-port while that scratch was fresh per call (see
+// TestSmallCallAllocs); 34.5 and 54.3 objects while every
 // thread decoded its headers into fresh storage; 67.4 KiB and 47.5 objects
 // centralized while every call made its buckets' 4 096-slot channels, their
 // conns maps and its frame-wait timers afresh, one bucket on the thread that
@@ -353,7 +361,7 @@ func TestFramedCallAllocs(t *testing.T) {
 		elems = 1 << 19
 		kib   = 12
 	)
-	objects := map[Method]float64{Centralized: 26, Multiport: 46}
+	objects := map[Method]float64{Centralized: 14, Multiport: 34}
 	calls := 200
 	if raceEnabled {
 		calls = 5

@@ -17,6 +17,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/dist"
 	"repro/internal/dseq"
+	"repro/internal/obs"
 	"repro/internal/rts"
 	"repro/internal/testutil"
 	"repro/internal/transport"
@@ -892,4 +893,256 @@ func TestRecycledHeaderRetention(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Kept scratch: a client lane renders its requests in the encoder it keeps and
+// its token broadcasts into a slab it never rewrites; server thread 0 renders a
+// call's directive into its Object's buffer and its reply into the pooled
+// pendingCall's encoder, which dispatch copies into the adapter's; the adapter
+// opens every request with a pooled decoder, which the pendingCall copies.
+// TestKeptScratchWindows holds each to its window: every call carries contents
+// of its own, checked by the handler on every server thread and in its reply.
+
+// keptElems is the length of the kept-scratch calls' sequences: every leg is
+// placed in the message.
+const keptElems = 37
+
+// keptOps is the operation table of TestKeptScratchWindows. Call k carries k in
+// its scalars, its in and inout arguments hold g + k at global index g, and its
+// reply opens with k: "in" takes one argument; "mix" an inout, which it
+// negates, and an out it fills with 2g + k; "echo" none, so a client's thread 0
+// waits on no other thread. onNewArgs, when set, runs on each thread before its
+// first "in" builds its argument.
+func keptOps(onNewArgs func(*rts.Comm)) []Operation {
+	in := OpDesc{Name: "in", Args: []ArgDesc{{Name: "arr", Dir: In, Elem: "double"}}}
+	mix := OpDesc{Name: "mix", Args: []ArgDesc{{Name: "arr", Dir: InOut, Elem: "double"}, {Name: "res", Dir: Out, Elem: "double"}}}
+	inArgs := SeqArgsFloat64(in.Args)
+	handler := func(check func(call *ServerCall, k float64) error) func(*ServerCall) error {
+		return func(call *ServerCall) error {
+			k, err := call.In.ReadDouble()
+			if err != nil {
+				return err
+			}
+			call.Out.WriteDouble(k)
+			return check(call, k)
+		}
+	}
+	return []Operation{
+		{Desc: in, NewArgs: func(c *rts.Comm) ([]dseq.Transferable, error) {
+			if onNewArgs != nil {
+				onNewArgs(c)
+			}
+			return inArgs(c)
+		}, Handler: handler(func(call *ServerCall, k float64) error {
+			return wantElems(ArgSeq[float64](call, 0), indexPlus(k))
+		})},
+		{Desc: mix, NewArgs: SeqArgsFloat64(mix.Args), Handler: handler(func(call *ServerCall, k float64) error {
+			arr, res := ArgSeq[float64](call, 0), ArgSeq[float64](call, 1)
+			if err := wantElems(arr, indexPlus(k)); err != nil {
+				return err
+			}
+			for i, v := range arr.LocalData() {
+				arr.LocalData()[i] = -v
+			}
+			if err := res.ResizeAlloc(keptElems); err != nil {
+				return err
+			}
+			res.FillFunc(func(g int) float64 { return 2*float64(g) + k })
+			return nil
+		})},
+		{Desc: OpDesc{Name: "echo"}, NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
+			Handler: handler(func(*ServerCall, float64) error { return nil })},
+	}
+}
+
+// keptCall is one outstanding call of TestKeptScratchWindows.
+type keptCall struct {
+	f        *Future
+	k        float64
+	arr, res *dseq.Seq[float64] // nil where the operation takes none
+}
+
+// startKept issues call k — "in", "mix" or "echo", by k mod 3 — without
+// blocking.
+func startKept(c *rts.Comm, b *Binding, k int) (*keptCall, error) {
+	p := &keptCall{k: float64(k)}
+	e := ScalarEncoder()
+	e.WriteDouble(p.k)
+	op := [...]string{"in", "mix", "echo"}[k%3]
+	var args []DistArg
+	var err error
+	if op != "echo" {
+		if p.arr, err = dseq.New(c, dseq.Float64, keptElems, nil); err != nil {
+			return nil, err
+		}
+		p.arr.FillFunc(indexPlus(p.k))
+		args = []DistArg{InSeq(p.arr)}
+	}
+	if op == "mix" {
+		if p.res, err = dseq.New(c, dseq.Float64, 0, nil); err != nil {
+			return nil, err
+		}
+		args = []DistArg{InOutSeq(p.arr), OutSeq(p.res)}
+	}
+	p.f = b.InvokeNB(op, e.Bytes(), args)
+	return p, nil
+}
+
+// settle waits for the call and checks its reply and what it left in its
+// sequences.
+func (p *keptCall) settle() error {
+	reply, err := p.f.Wait()
+	if err != nil {
+		return fmt.Errorf("call %v: %w", p.k, err)
+	}
+	d, err := ScalarDecoder(reply)
+	if err != nil {
+		return err
+	}
+	if got, err := d.ReadDouble(); err != nil || got != p.k {
+		return fmt.Errorf("call %v: the reply opens with %v (%v)", p.k, got, err)
+	}
+	if p.res == nil {
+		return nil
+	}
+	if p.res.Len() != keptElems {
+		return fmt.Errorf("call %v: the result holds %d elements, want %d", p.k, p.res.Len(), keptElems)
+	}
+	return errors.Join(wantElems(p.arr, func(g int) float64 { return -float64(g) - p.k }),
+		wantElems(p.res, func(g int) float64 { return 2*float64(g) + p.k }))
+}
+
+// keptWindow makes calls from, …, from+n-1 on b, depth of them in flight;
+// thread 1 issues each lag after the thread before it could.
+func keptWindow(c *rts.Comm, b *Binding, from, n, depth int, lag time.Duration) error {
+	window := make([]*keptCall, depth)
+	for k := from; k < from+n+depth; k++ {
+		if c.Rank() == 1 {
+			time.Sleep(lag)
+		}
+		slot := &window[k%depth]
+		if *slot != nil {
+			if err := (*slot).settle(); err != nil {
+				return err
+			}
+			*slot = nil
+		}
+		if k < from+n {
+			var err error
+			if *slot, err = startKept(c, b, k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestKeptScratchWindows: (pipelined) one binding of pipeline depth 4 keeps
+// four calls in flight, and its thread 1 issues each late, so thread 0 runs
+// ahead of it by an "echo" — yet both threads run every call under the same
+// token; (two clients) two SPMD clients call one object at once; (stopped) an
+// object is stopped while its loop holds a
+// dequeued call, and goes on to read that call's steps only once another
+// object's adapter has served requests with the pooled decoders — the call's
+// handler must still see its own data on every thread.
+func TestKeptScratchWindows(t *testing.T) {
+	ops := func() []Operation { return keptOps(nil) }
+	t.Run("pipelined", func(t *testing.T) {
+		const calls = 60
+		tc := startClusterOps(t, 2, false, ops)
+		rec := obs.NewRecorder(4096)
+		tc.runClientOpts(t, 2, BindOptions{Timeout: testTimeout, PipelineDepth: 4, Trace: rec}, func(c *rts.Comm, b *Binding) error {
+			return keptWindow(c, b, 0, calls, 4, 2*time.Millisecond)
+		})
+		var tokens [2][]uint64 // per client thread, the token of every call it ran
+		for _, sp := range rec.Spans() {
+			if sp.Phase == obs.PhaseInvoke {
+				tokens[sp.Rank] = append(tokens[sp.Rank], sp.Trace)
+			}
+		}
+		for _, ts := range tokens {
+			slices.Sort(ts)
+		}
+		if distinct := len(slices.Compact(slices.Clone(tokens[0]))); distinct != calls || !slices.Equal(tokens[0], tokens[1]) {
+			t.Errorf("thread 0 ran %d calls under %d tokens, thread 1 ran %d calls: under different ones", len(tokens[0]), distinct, len(tokens[1]))
+		}
+	})
+	t.Run("two clients", func(t *testing.T) {
+		tc := startClusterOps(t, 2, false, ops)
+		errs := make(chan error, 2)
+		for _, from := range []int{0, 1000} {
+			go func() {
+				errs <- tc.clientRun(2, BindOptions{Timeout: testTimeout, PipelineDepth: 2}, func(c *rts.Comm, b *Binding) error {
+					return keptWindow(c, b, from, 60, 2, 0)
+				})
+			}()
+		}
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	t.Run("stopped", func(t *testing.T) {
+		// One P: the pooled scratch the stopped object's adapter puts back is
+		// the next any adapter takes.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		entered, release := make(chan struct{}), make(chan struct{})
+		verdicts := make(chan error, 2)
+		stopped := startClusterOps(t, 2, false, func() []Operation {
+			ops := keptOps(func(c *rts.Comm) {
+				if c.Rank() == 0 {
+					close(entered)
+					<-release
+				}
+			})
+			check := ops[0].Handler
+			ops[0].Handler = func(call *ServerCall) error {
+				err := check(call)
+				verdicts <- err
+				return err
+			}
+			return ops
+		})
+		other := startClusterOps(t, 2, false, ops)
+		called := make(chan error, 1)
+		go func() {
+			called <- stopped.clientRun(2, BindOptions{Timeout: testTimeout}, func(c *rts.Comm, b *Binding) error {
+				p, err := startKept(c, b, 300) // an "in"
+				if err == nil && p.settle() == nil {
+					return errors.New("a call to a stopped object succeeded")
+				}
+				return nil
+			})
+		}()
+		select {
+		case <-entered:
+		case <-time.After(testTimeout):
+			t.Fatal("the call never reached the loop")
+		}
+		stopped.objMu.Lock()
+		obj := stopped.objects[0]
+		stopped.objMu.Unlock()
+		obj.Close()
+		if err := <-called; err != nil {
+			t.Fatal(err)
+		}
+		other.runClientOpts(t, 2, BindOptions{Timeout: testTimeout}, func(c *rts.Comm, b *Binding) error {
+			return keptWindow(c, b, 3000, 30, 1, 0)
+		})
+		close(release)
+		testutil.Eventually(t, testTimeout, "the stopped object's Serve never returned", func() bool {
+			stopped.objMu.Lock()
+			defer stopped.objMu.Unlock()
+			return !slices.Contains(stopped.served, -1)
+		})
+		if len(verdicts) != 2 {
+			t.Fatalf("the held call's handler ran on %d threads, want 2: its steps were lost", len(verdicts))
+		}
+		for range 2 {
+			if err := <-verdicts; err != nil {
+				t.Errorf("the held call's handler: %v", err)
+			}
+		}
+	})
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
-	"repro/internal/transport"
 )
 
 // Directive kinds broadcast from the communicating thread to the others, one
@@ -106,16 +105,12 @@ func (o *Object) Poll(block bool) (bool, error) {
 		if len(dir) < 2 {
 			return false, fmt.Errorf("%w: call directive without its reply mask", ErrBadHeader)
 		}
-		var (
-			hdr   *invocationHeader
-			conn  *transport.Conn
-			steps *cdr.Decoder
-		)
+		hdr := &o.directive
 		if call != nil {
-			hdr, conn, steps = &call.header, call.conn, call.steps
+			hdr = &call.header
 		} else {
 			var d cdr.Decoder
-			if hdr, err = &o.directive, orb.OpenArgs(&d, dir[2:]); err == nil {
+			if err = orb.OpenArgs(&d, dir[2:]); err == nil {
 				err = decodeInvocationHeader(&d, hdr)
 			}
 			if err != nil {
@@ -124,7 +119,7 @@ func (o *Object) Poll(block bool) (bool, error) {
 		}
 		// Handler errors are reported through thread 0's reply; the other
 		// threads keep serving.
-		reply, stop, err := o.processCall(hdr, conn, steps, dir[1])
+		reply, stop, err := o.processCall(hdr, call, dir[1])
 		if call != nil {
 			call.replyCh <- callResult{reply: reply, err: err}
 		}
@@ -136,11 +131,11 @@ func (o *Object) Poll(block bool) (bool, error) {
 
 // nextDirective is thread 0's choice of the round: the next queued call (its
 // directive is the compression mask of its reply leg and the header's bytes,
-// copied once; steps placed in the message stay at the thread that scatters
-// them), a resize ticket, stop, or — a non-blocking poll that found nothing —
-// none. The mask is the object's when the request offers a result stream,
-// unless the Auto policy vetoes it on the request's connection; it is used only
-// if the reply leg turns out framed.
+// copied once, into the object's buffer; steps placed in the message stay at
+// the thread that scatters them), a resize ticket, stop, or — a non-blocking
+// poll that found nothing — none. The mask is the object's when the request
+// offers a result stream, unless the Auto policy vetoes it on the request's
+// connection; it is used only if the reply leg turns out framed.
 func (o *Object) nextDirective(block bool) (call *pendingCall, ticket *resizeTicket, dir []byte) {
 	if block {
 		// Priority select: requests already queued drain before a pending
@@ -183,8 +178,8 @@ func (o *Object) nextDirective(block bool) (call *pendingCall, ticket *resizeTic
 	if call.header.ResultChunkElems != 0 {
 		mask = legMask(o.opts.Compression, o.opts.CompressionPolicy, call.conn.WriteBandwidth)
 	}
-	dir = append(make([]byte, 0, 2+len(call.raw)), directiveCall, mask)
-	return call, nil, append(dir, call.raw...)
+	o.dir = append(append(o.dir[:0], directiveCall, mask), call.raw...)
+	return call, nil, o.dir
 }
 
 // Shared directive and verdict messages: the broadcast payloads are read-only
@@ -225,12 +220,13 @@ func (o *Object) callResizeHook() error {
 // A leg's failure is captured, not returned: every thread must reach the
 // agreement after it, so a client that died mid-transfer (this thread's
 // receive timed out) fails the upcall coherently everywhere instead of
-// wedging the collective loop. conn and steps are thread 0's: the connection
-// the request arrived on, and the request past its header; mask is the
-// directive's, what a framed send leg compresses with; the reply bytes are
-// meaningful on thread 0 only; stop reports whether thread 0's handler
-// requested an orderly shutdown, as the upcall agreement carried it.
-func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *cdr.Decoder, mask uint8) (reply []byte, stop bool, err error) {
+// wedging the collective loop. call is thread 0's (nil elsewhere): the
+// connection the request arrived on, the request past its header, and the
+// encoder the reply is rendered in; mask is the directive's, what a framed
+// send leg compresses with; the reply bytes are meaningful on thread 0 only;
+// stop reports whether thread 0's handler requested an orderly shutdown, as
+// the upcall agreement carried it.
+func (o *Object) processCall(h *invocationHeader, call *pendingCall, mask uint8) (reply []byte, stop bool, err error) {
 	op := o.ops[h.Op] // validated on thread 0 before broadcast
 	if op == nil {
 		return nil, false, orb.BadOperation(h.Op)
@@ -261,6 +257,10 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *c
 	var recvErr error
 	switch sh {
 	case shapeCentral:
+		var steps *cdr.Decoder // thread 0's
+		if call != nil {
+			steps = &call.steps
+		}
 		recvErr = recvChunks(o.comm, &w, steps, false, int(h.ChunkElems),
 			len(args), func(i int) dseq.Transferable { return h.legSeq(args, i, Out) },
 			func(t time.Time) { o.span(h.Token, obs.PhaseChunkRecv, t, 0) })
@@ -323,8 +323,9 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *c
 		ce = legChunkElems(int(h.ResultChunkElems), len(args), func(i int) int { return seqLen(h.legSeq(args, i, In)) })
 	}
 	var e *cdr.Encoder
-	if o.comm.Rank() == 0 {
-		e = orb.NewArgEncoder()
+	if call != nil {
+		e = call.reply
+		orb.ResetArgEncoder(e)
 		encodeReplyPrefix(e, out.Bytes(), ce, len(h.Args))
 	}
 	var sendErr error
@@ -339,7 +340,7 @@ func (o *Object) processCall(h *invocationHeader, conn *transport.Conn, steps *c
 	if sendErr == nil {
 		switch sh {
 		case shapeCentral:
-			sendErr = o.sendCentral(conn, e, h, ce, mask, args)
+			sendErr = o.sendCentral(call, e, h, ce, mask, args)
 		case shapeDirect:
 			sendErr = o.sendDirect(bucket, h, args)
 		}
@@ -397,20 +398,20 @@ func (h *invocationHeader) legSeq(args []dseq.Transferable, i int, skip Dir) dse
 // sendCentral is the centralized send leg, placed by ce. In the message (ce 0)
 // the threads gather every result straight into msg, thread 0's reply encoder
 // (nil elsewhere), behind the header, so the reply the gather assembles is the
-// buffer the adapter writes. Framed, the results leave as Data messages of ce
-// elements, compressed with mask, on conn — thread 0's, the connection the
-// request arrived on — before the Reply is written there, so same-connection
-// ordering guarantees the client holds every chunk once it sees the Reply,
-// which tells it ce.
-func (o *Object) sendCentral(conn *transport.Conn, msg *cdr.Encoder, h *invocationHeader, ce int, mask uint8, args []dseq.Transferable) error {
+// reply the adapter copies out. Framed, the results leave as Data messages of
+// ce elements, compressed with mask, on the connection thread 0's call arrived
+// on, before the Reply is written there, so same-connection ordering
+// guarantees the client holds every chunk once it sees the Reply, which tells
+// it ce.
+func (o *Object) sendCentral(call *pendingCall, msg *cdr.Encoder, h *invocationHeader, ce int, mask uint8, args []dseq.Transferable) error {
 	var cs *chunkSender
 	if ce == 0 {
 		mask = 0 // a leg in the message stays raw
-	} else if o.comm.Rank() == 0 {
+	} else if call != nil {
 		if mask == 0 && o.opts.Compression != 0 {
 			o.compSkipped.Inc() // the directive carried Auto's veto
 		}
-		cs, msg = newChunkSender(conn.WriteMessage), nil
+		cs, msg = newChunkSender(call.conn.WriteMessage), nil
 	}
 	_, err := sendChunks(o.comm, cs, msg, h.Token, true, ce, mask,
 		len(args), func(i int) dseq.Transferable { return h.legSeq(args, i, In) },

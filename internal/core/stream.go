@@ -489,8 +489,7 @@ func (iv *invocation) sendCentral(scalars []byte) error {
 	)
 	if iv.comm.Rank() == 0 {
 		packStart := time.Now()
-		msg = orb.NewArgEncoder()
-		iv.newHeader(Centralized, scalars).encode(msg)
+		msg = iv.encodeRequest(Centralized, scalars)
 		iv.phase(obs.PhasePack, packStart, time.Since(packStart))
 		if iv.ce != 0 {
 			iv.launch(msg.Bytes())

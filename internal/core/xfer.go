@@ -204,9 +204,7 @@ func (iv *invocation) sendDirect(scalars []byte) error {
 		return err
 	}
 	if me == 0 {
-		e := orb.NewArgEncoder()
-		iv.newHeader(Multiport, scalars).encode(e)
-		iv.launch(e.Bytes())
+		iv.launch(iv.encodeRequest(Multiport, scalars).Bytes())
 	}
 	// A server thread answers on the connection this thread's first frame
 	// reached it by. An InOut argument returns along the moves it went out by,

@@ -47,6 +47,7 @@ type Seq[T any] struct {
 	// out neither length again.
 	prev     dist.Layout
 	prevSpec dist.Spec
+	pieces   [][]byte // scatterRangeRoot's per-rank table, cleared after each scatter
 }
 
 // New collectively creates a zero-valued sequence of the given length

@@ -1,8 +1,10 @@
 package dseq
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bufpool"
 	"repro/internal/cdr"
@@ -454,17 +456,18 @@ func (s *Seq[T]) storePiece(segs []rangeSeg, piece []byte, root int) error {
 }
 
 // scatterRangeRoot splits payload into per-owner pieces, each rendered into a
-// rented buffer its owner returns, and scatters them. On a bad payload it
-// scatters fail markers instead, keeping the collective aligned while every
-// owner learns of the failure.
+// rented buffer its owner returns, and scatters them, from the sequence's
+// per-rank table (rts.Scatter keeps none of it). On a bad payload it scatters
+// fail markers instead, keeping the collective aligned while every owner
+// learns of the failure.
 func (s *Seq[T]) scatterRangeRoot(c *rts.Comm, start, n int, payload []byte, mySegs []rangeSeg) error {
 	me := c.Rank()
-	pieces := make([][]byte, c.Size())
+	pieces := slices.Grow(s.pieces[:0], c.Size())[:c.Size()]
+	s.pieces = pieces
 	scatter := func(cause error) error {
-		if _, err := c.Scatter(me, pieces); err != nil {
-			return err
-		}
-		return cause
+		_, err := c.Scatter(me, pieces)
+		clear(pieces) // no piece stays reachable from the sequence
+		return cmp.Or(err, cause)
 	}
 	// Nothing is rented before the last poison: non-owners ignore the marker.
 	poison := func(cause error) error {

@@ -445,7 +445,9 @@ func (c *Client) InvokeAddr(addr string, key []byte, op string, args []byte, one
 // InvokeAddrOpts is the fully-optioned invocation entry point.
 func (c *Client) InvokeAddrOpts(addr string, key []byte, op string, args []byte, o InvokeOptions) ([]byte, error) {
 	id := c.NextRequestID()
-	req := &wire.Request{
+	req := requests.Get().(*wire.Request)
+	defer func() { *req = wire.Request{}; requests.Put(req) }()
+	*req = wire.Request{
 		RequestID:        id,
 		ResponseExpected: !o.Oneway,
 		ObjectKey:        key,

@@ -16,7 +16,8 @@ import (
 
 // Servant is the server-side upcall interface: the object adapter hands a
 // decoded request to the servant, which reads its arguments from in and
-// writes its results to out. Returning a *UserException or *SystemException
+// writes its results to out; both are the adapter's, valid for the call only.
+// Returning a *UserException or *SystemException
 // produces the corresponding exceptional reply; any other error becomes an
 // INTERNAL system exception. Generated skeletons implement Servant by
 // switching on op and delegating to the user's implementation object,
@@ -719,14 +720,14 @@ func (s *Server) runItem(it workItem) {
 	s.span(obs.PhaseAdmission, it.req.RequestID, it.arrival)
 	s.inflight.Add(1)
 	s.dispatched.Add(1)
-	out := getReplyEncoder()
-	defer putReplyEncoder(out)
-	status := s.upcall(it.sc.conn, it.req, out)
+	rs := getReplyScratch()
+	defer putReplyScratch(rs)
+	status := s.upcall(it.sc.conn, it.req, rs)
 	s.inflight.Add(-1)
 	it.sc.inflight.Add(-1)
 	if it.req.ResponseExpected {
-		reply := &wire.Reply{RequestID: it.req.RequestID, Status: status, Args: out.Bytes()}
-		if werr := it.sc.conn.WriteMessage(reply); werr != nil {
+		rs.reply = wire.Reply{RequestID: it.req.RequestID, Status: status, Args: rs.out.Bytes()}
+		if werr := it.sc.conn.WriteMessage(&rs.reply); werr != nil {
 			s.logf("orb: reply write: %v", werr)
 			// A failed (or deadline-expired) reply write leaves the stream
 			// unusable mid-frame; kill the connection so its serve loop exits
@@ -746,24 +747,26 @@ func (s *Server) shedRequest(sc *servedConn, req *wire.Request, msg string) {
 	if !req.ResponseExpected {
 		return
 	}
-	out := getReplyEncoder()
-	status := encodeException(out, Transient(msg))
-	reply := &wire.Reply{RequestID: req.RequestID, Status: status, Args: out.Bytes()}
-	if err := sc.conn.WriteMessage(reply); err != nil {
+	rs := getReplyScratch()
+	status := encodeException(rs.out, Transient(msg))
+	rs.reply = wire.Reply{RequestID: req.RequestID, Status: status, Args: rs.out.Bytes()}
+	if err := sc.conn.WriteMessage(&rs.reply); err != nil {
 		s.logf("orb: shed reply write: %v", err)
 	}
-	putReplyEncoder(out)
+	putReplyScratch(rs)
 }
 
-// upcall hands req to its servant and leaves the reply payload — results or
-// exception — in out, returning the reply status.
-func (s *Server) upcall(conn *transport.Conn, req *wire.Request, out *cdr.Encoder) wire.ReplyStatus {
+// upcall hands req to its servant, its arguments opened in rs.in, and leaves
+// the reply payload — results or exception — in rs.out, returning the reply
+// status.
+func (s *Server) upcall(conn *transport.Conn, req *wire.Request, rs *replyScratch) wire.ReplyStatus {
 	defer s.handleNS.Done(s.handleNS.Start())
 	sv, ok := s.lookup(req.ObjectKey)
+	in, out := &rs.in, rs.out
 	var err error
 	if !ok {
 		err = ObjectNotExist(req.ObjectKey)
-	} else if in, derr := ArgDecoder(req.Args); derr != nil {
+	} else if derr := OpenArgs(in, req.Args); derr != nil {
 		err = Marshal(derr)
 	} else {
 		func() {
