@@ -97,7 +97,9 @@ race:
 # (a header or layout one call still reads while the next call decodes into
 # it) and the kept scratch's (a token broadcast, request, directive or reply
 # rewritten while a thread or the adapter still reads it, steps read through a
-# decoder the adapter reused) and, last, the whole run-time system under -race
+# decoder the adapter reused), one client's two bindings with a call in flight
+# on each (collective traffic or frames of one call that reached the other)
+# and, last, the whole run-time system under -race
 # (its one receive loop is the timer path of every collective receive: a
 # wakeup lost against the deadline or a message taken on the wrong context) —
 # FLAKECOUNT times each.
@@ -111,7 +113,7 @@ flake:
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestHammer' ./internal/bufpool
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) -run='TestChunkPool' ./internal/dseq
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) \
-		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestReplicaFailoverMovesEveryLeg|TestReplicaAmbiguousFailure|TestInMessageCallIsOneExchange|TestCollectivesPerInvocation|TestRecycledArgs|TestRecycledBucket|TestRecycledHeader|TestKeptScratchWindows|TestFramedCallAllocs' ./internal/core
+		-run='TestChunkSender|TestChunkSchedule|TestMultiportFramesReturned|TestDirectLegFinePlan|TestRefusedInvocationReleasesFrames|TestExportFailureAgreed|TestLostDataConnectionIsCommFailure|TestChaosServerDiesMidReplyStream|TestReplyLegChunkSchedule|TestBadStepInRequestDoesNotWedgeServer|TestBadStepInReplyDoesNotWedgeClient|TestReplicaFailoverMovesEveryLeg|TestReplicaAmbiguousFailure|TestInMessageCallIsOneExchange|TestCollectivesPerInvocation|TestRecycledArgs|TestRecycledBucket|TestRecycledHeader|TestKeptScratchWindows|TestTwoBindingsOverlap|TestFramedCallAllocs' ./internal/core
 	$(GO) test -race -count=$(FLAKECOUNT) -timeout=$(FLAKETIMEOUT) ./internal/rts
 
 # Paired runs of one BENCHMARK.json workload: the parent commit against the

@@ -8,10 +8,9 @@ package pardis
 //	BenchmarkFigure4Bandwidth   — Figure 4, simulated 1997 platform
 //	BenchmarkUnevenSplit        — the §3.3 uneven-split check
 //
-// plus ablation benchmarks for the design choices DESIGN.md calls out
-// (chunk size, send window, gather algorithm) and BenchmarkPipelinedInvoke,
-// the pipelined engine against a modeled link. The real stack's transfers
-// and the per-layer microbenchmarks are bench/'s (BENCHMARK.json).
+// plus ablation benchmarks for the design choices DESIGN.md calls out (chunk
+// size, send window). The real stack's transfers and the per-layer
+// microbenchmarks are bench/'s (BENCHMARK.json).
 //
 // Simulated results are reported as custom metrics (ms/invocation and
 // MB/s); they are deterministic, so b.N loops measure only the simulator
@@ -20,7 +19,6 @@ package pardis
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/exp"
 )
@@ -112,34 +110,6 @@ func BenchmarkUnevenSplit(b *testing.B) {
 	}
 	b.ReportMetric(even.Total*1e3, "ms-even")
 	b.ReportMetric(uneven.Total*1e3, "ms-uneven")
-}
-
-// BenchmarkPipelinedInvoke measures sustained invocation throughput with a
-// sliding window of outstanding non-blocking invocations per binding.
-// depth=1 is the classic one-at-a-time engine; depth=8 keeps eight lanes in
-// flight so consecutive invocations overlap their link latency. The client's
-// outbound writes cross a modeled LAN link (a buffering pipe adding a fixed
-// one-way delay without stalling the writer), because loopback TCP has no
-// latency to hide — on it the comparison measures only scheduler noise,
-// which on a single-CPU host drowns the effect the window exists to exploit.
-func BenchmarkPipelinedInvoke(b *testing.B) {
-	if testing.Short() {
-		b.Skip("real stack benchmark in -short mode")
-	}
-	const elems = 2048 // 16 KiB of doubles: latency-bound, below streaming gate
-	for _, depth := range []int{1, 8} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			b.ReportAllocs()
-			ips, err := exp.RunPipelined(exp.PipelinedConfig{
-				C: 2, S: 2, Elems: elems, Reps: b.N, Depth: depth,
-				LinkDelay: 250 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(ips, "inv/s")
-		})
-	}
 }
 
 // BenchmarkAblationChunking varies the transfer chunk size: the pipelining

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dseq"
+	"repro/internal/rts"
 	"repro/internal/wire"
 	"repro/internal/zcodec"
 )
@@ -38,7 +39,18 @@ func TestDumpCompressedData(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	payload := dseq.MarshalChunkZ(dseq.Float64, vals, zcodec.MaskXOR)
+	// The chunk a compressing sender puts on the wire: a one-thread
+	// sequence's range, rendered with the XOR codec.
+	w := rts.NewWorld(1)
+	defer w.Close()
+	seq, err := dseq.FromLocal(w.Comm(0), dseq.Float64, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := seq.MarshalRangeZ(0, len(vals), zcodec.MaskXOR)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !dseq.IsCompressedChunk(payload) {
 		t.Fatal("smooth ramp did not compress")
 	}

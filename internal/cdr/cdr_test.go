@@ -131,12 +131,9 @@ func TestOctetsAndRaw(t *testing.T) {
 	if err != nil || !bytes.Equal(got, []byte{9, 8, 7}) {
 		t.Fatalf("octets %v err %v", got, err)
 	}
-	raw, err := d.ReadRaw(2)
-	if err != nil || !bytes.Equal(raw, []byte{1, 2}) {
-		t.Fatalf("raw %v err %v", raw, err)
-	}
-	if _, err := d.ReadRaw(-1); err == nil {
-		t.Fatal("negative raw read accepted")
+	// Raw bytes carry no count and no alignment: they follow the octets.
+	if raw := e.Bytes()[d.Pos():]; d.Remaining() != 2 || !bytes.Equal(raw, []byte{1, 2}) {
+		t.Fatalf("raw %v, %d bytes remaining", raw, d.Remaining())
 	}
 }
 
@@ -268,8 +265,10 @@ func TestEncapsulationAlignmentIndependence(t *testing.T) {
 	}
 	for prefix := 0; prefix < 9; prefix++ {
 		d := NewDecoder(build(prefix), LittleEndian)
-		if _, err := d.ReadRaw(prefix); err != nil {
-			t.Fatal(err)
+		for i := 0; i < prefix; i++ {
+			if _, err := d.ReadOctet(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		inner, err := d.ReadEncapsulation()
 		if err != nil {

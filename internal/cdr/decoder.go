@@ -233,19 +233,6 @@ func (d *Decoder) ReadOctets() ([]byte, error) {
 	return b, nil
 }
 
-// ReadRaw reads exactly n bytes with no count and no alignment.
-func (d *Decoder) ReadRaw(n int) ([]byte, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("%w: negative raw read %d", ErrInvalid, n)
-	}
-	if err := d.need(n); err != nil {
-		return nil, err
-	}
-	b := d.buf[d.pos : d.pos+n : d.pos+n]
-	d.pos += n
-	return b, nil
-}
-
 // ReadDoubles reads a sequence<double> written by WriteDoubles.
 func (d *Decoder) ReadDoubles() ([]float64, error) {
 	n, err := d.doublesHeader()

@@ -43,7 +43,6 @@ func FuzzDecoder(f *testing.F) {
 				func() error { _, err := d.ReadDouble(); return err },
 				func() error { _, err := d.ReadString(); return err },
 				func() error { _, err := d.ReadOctets(); return err },
-				func() error { _, err := d.ReadRaw(1); return err },
 				func() error { _, err := d.ReadDoubles(); return err },
 				func() error { _, err := d.ReadLongs(); return err },
 				func() error { _, err := d.ReadEnum(); return err },

@@ -308,7 +308,7 @@ func TestRefusedInvocationReleasesFrames(t *testing.T) {
 							<-gate
 						}
 					})
-				}, func(o *ExportOptions) { o.DataTimeout, o.QueueDepth = dataTimeout, 1 })
+				}, func(o *ExportOptions) { o.DataTimeout, o.queueDepth = dataTimeout, 1 })
 				var objs []*Object
 				testutil.Eventually(t, testTimeout, "the server threads never came up", func() bool {
 					tc.objMu.Lock()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cdr"
@@ -40,18 +39,9 @@ type BindOptions struct {
 	// phases carry too. It records spans only; nothing of it goes on the wire.
 	Trace *obs.Recorder
 	// Metrics, when set, receives the binding's client-side resilience
-	// counters (see orb.Client.Metrics) and the pipeline inflight gauge
-	// ("core.pipeline_inflight").
+	// counters (see orb.Client.Metrics) and the count of request legs the
+	// Auto policy sent raw ("core.compress.skipped_total").
 	Metrics *obs.Registry
-	// PipelineDepth is the number of invocations that may be outstanding on
-	// this binding at once (0 and 1 both mean the classic one-at-a-time
-	// engine). Each extra lane gets its own duplicated communicator, so the
-	// collective traffic of overlapping invocations cannot interleave;
-	// replies demultiplex by request id on the shared connection. Issuing
-	// more than PipelineDepth concurrent invocations fails with ErrBusy —
-	// as with the depth-1 engine, the SPMD discipline requires every thread
-	// to issue the same invocations in the same order.
-	PipelineDepth int
 	// Compression is the wire-compression codec mask (zcodec.MaskAll and
 	// friends; build one with zcodec.ParseMask) this binding sends with:
 	// framed centralized request legs compress their numeric chunks with its
@@ -80,10 +70,6 @@ type BindOptions struct {
 	streamChunkElems int
 }
 
-// maxPipelineDepth bounds the lane fan-out so a typo'd depth cannot allocate
-// thousands of communicator contexts.
-const maxPipelineDepth = 64
-
 // newClient builds an orb client configured per the options.
 func (o BindOptions) newClient() *orb.Client {
 	cli := orb.NewClient()
@@ -107,16 +93,10 @@ type Binding struct {
 	method Method
 	rec    *obs.Recorder
 
-	// lanes carry invocations: each lane owns a duplicated communicator so
-	// overlapping invocations' collective traffic stays separated, plus a
-	// one-slot free channel acting as its busy latch. Lane 0 reuses the
-	// engine communicator. Lanes are assigned round-robin by laneSeq under
-	// laneMu — a deterministic cursor, so every SPMD thread picks the same
-	// lane for the same invocation without communicating.
-	lanes    []bindLane
-	laneMu   sync.Mutex
-	laneSeq  uint64
-	inflight *obs.Gauge // lanes currently busy; nil when metrics are off
+	// lane carries the binding's one invocation in flight, on the engine
+	// communicator. A client that wants two calls in flight binds twice: each
+	// binding has an engine communicator of its own.
+	lane bindLane
 
 	// chunkElems is the chunk size, in elements, this binding moves a leg in:
 	// what it places its centralized forward legs by and offers the server for
@@ -147,9 +127,9 @@ type Binding struct {
 	refEpoch uint32
 }
 
-// bindLane is one pipeline slot of a binding.
+// bindLane is what a binding's invocation in flight owns: the latch that
+// admits it and the scratch it keeps from one call to the next.
 type bindLane struct {
-	comm *rts.Comm
 	free chan struct{} // holds one token when the lane is idle
 	// sink is where the server's Data frames for the lane's invocation land
 	// (orb.Client.RegisterDataSink), made by the first invocation that expects
@@ -190,41 +170,21 @@ func (ln *bindLane) dataSink() *sink {
 	return &ln.sink
 }
 
-func newLane(c *rts.Comm) bindLane {
-	ln := bindLane{comm: c, free: make(chan struct{}, 1)}
-	ln.free <- struct{}{}
-	return ln
-}
-
-// acquireLane claims the next lane in the deterministic round-robin order,
-// failing with ErrBusy when that lane is still carrying an invocation. The
-// cursor advances even on failure so all threads stay in lockstep provided
-// they observe the SPMD discipline (same calls, same order, at most
-// PipelineDepth outstanding).
-func (b *Binding) acquireLane() (*bindLane, error) {
-	b.laneMu.Lock()
-	ln := &b.lanes[b.laneSeq%uint64(len(b.lanes))]
-	b.laneSeq++
-	b.laneMu.Unlock()
+// acquireLane claims the binding's lane, failing with ErrBusy while it still
+// carries an invocation.
+func (b *Binding) acquireLane() error {
 	select {
-	case <-ln.free:
-		b.inflight.Add(1)
-		return ln, nil
+	case <-b.lane.free:
+		return nil
 	default:
-		return nil, ErrBusy
+		return ErrBusy
 	}
 }
 
-// releaseLane returns a lane to the pool. Callers must release before
-// completing the invocation's future, so that a caller who has observed
-// completion can immediately issue the next invocation.
-func (b *Binding) releaseLane(ln *bindLane) {
-	b.inflight.Add(-1)
-	ln.free <- struct{}{}
-}
-
-// PipelineDepth reports the number of lanes this binding was built with.
-func (b *Binding) PipelineDepth() int { return len(b.lanes) }
+// releaseLane frees the lane. Callers must release before completing the
+// invocation's future, so that a caller who has observed completion can
+// immediately issue the next invocation.
+func (b *Binding) releaseLane() { b.lane.free <- struct{}{} }
 
 // SPMDBind collectively binds all the computing threads of comm to the named
 // SPMD object, resolving the name through the PARDIS naming domain at
@@ -281,6 +241,7 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 	}
 	b := &Binding{
 		comm:       engine,
+		lane:       bindLane{free: make(chan struct{}, 1)},
 		ref:        ref,
 		method:     o.Method,
 		rec:        o.Trace,
@@ -289,6 +250,7 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 		policy:     o.CompressionPolicy,
 		refEpoch:   uint32(ref.Epoch),
 	}
+	b.lane.free <- struct{}{}
 	// A reference with no profile fails the describe below, on every thread.
 	b.addrs, _ = ref.ProfileAddrs()
 	b.client = o.newClient()
@@ -327,30 +289,7 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 	for _, desc := range descs {
 		b.ops[desc.Name] = desc
 	}
-	depth := o.PipelineDepth
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > maxPipelineDepth {
-		depth = maxPipelineDepth
-	}
-	// Lane 0 rides the engine communicator; the extra lanes each get a
-	// duplicated context, allocated in one collective round. Every rank
-	// clamps depth from the shared options identically, so the Dups call
-	// count agrees.
-	b.lanes = make([]bindLane, 1, depth)
-	b.lanes[0] = newLane(engine)
-	if depth > 1 {
-		extra, err := engine.Dups(depth - 1)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range extra {
-			b.lanes = append(b.lanes, newLane(c))
-		}
-	}
 	if o.Metrics != nil {
-		b.inflight = o.Metrics.Gauge("core.pipeline_inflight")
 		b.compSkipped = o.Metrics.Counter("core.compress.skipped_total")
 	}
 	if o.Method == Multiport && !ref.Multiport() {
@@ -402,16 +341,13 @@ func (b *Binding) Close() {
 	// A frame that reached an idle lane's sink after its invocation drained it
 	// goes back to the pool with the lane; a busy lane's invocation drains its
 	// own.
-	for i := range b.lanes {
-		ln := &b.lanes[i]
-		select {
-		case <-ln.free:
-			if ln.sink.ch != nil {
-				drainData(ln.sink.ch)
-			}
-			ln.free <- struct{}{}
-		default:
+	select {
+	case <-b.lane.free:
+		if b.lane.sink.ch != nil {
+			drainData(b.lane.sink.ch)
 		}
+		b.lane.free <- struct{}{}
+	default:
 	}
 }
 

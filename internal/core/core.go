@@ -95,7 +95,10 @@ var (
 	ErrNotSPMD     = errors.New("core: object reference is not an SPMD object")
 	ErrNoMultiport = errors.New("core: object does not expose multi-port endpoints")
 	ErrStopped     = errors.New("core: SPMD object stopped serving")
-	ErrBusy        = errors.New("core: invocation already in progress on this binding")
+	// ErrBusy refuses an invocation issued while the binding's previous one
+	// is outstanding: a binding carries one call in flight, and a client that
+	// wants two binds twice.
+	ErrBusy = errors.New("core: invocation already in progress on this binding")
 )
 
 // ErrStopServing is the sentinel a server-side operation handler returns

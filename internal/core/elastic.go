@@ -63,9 +63,6 @@ const (
 	numResizePhases
 )
 
-// NumResizePhases is the number of fault-injectable resize phases.
-const NumResizePhases = int(numResizePhases)
-
 var resizePhaseNames = [numResizePhases]string{
 	"quiesce", "snapshot", "spawn", "publish", "retire",
 }
@@ -411,7 +408,7 @@ func (el *Elastic) rankMain(run *epochRun, c *rts.Comm, xfer *stateXfer, ready c
 	}
 	es := &EpochState{Comm: c, Epoch: run.epoch, seqs: seqs}
 	eopts := el.opts.Export
-	eopts.Epoch = run.epoch
+	eopts.epoch = run.epoch
 	// The controller publishes the name at the commit point; Export must not
 	// re-bind it early (a pre-commit abort would leave the name dangling).
 	eopts.NameServer = ""

@@ -52,12 +52,12 @@ func TestResizeChaos(t *testing.T) {
 	// spending any time replaying.
 	covered := map[int]bool{}
 	for seed := int64(0); seed < chaosSeeds; seed++ {
-		s := testutil.NewChaosSchedule(seed, chaosSteps, 1, chaosMaxSize, NumResizePhases)
-		for p := range s.FaultPhases(NumResizePhases) {
+		s := testutil.NewChaosSchedule(seed, chaosSteps, 1, chaosMaxSize, int(numResizePhases))
+		for p := range s.FaultPhases(int(numResizePhases)) {
 			covered[p] = true
 		}
 	}
-	for p := 0; p < NumResizePhases; p++ {
+	for p := 0; p < int(numResizePhases); p++ {
 		if !covered[p] {
 			t.Fatalf("seed set [0,%d) never faults phase %s — widen it", chaosSeeds, ResizePhase(p))
 		}
@@ -74,7 +74,7 @@ func TestResizeChaos(t *testing.T) {
 }
 
 func runResizeChaos(t *testing.T, seed int64) {
-	sched := testutil.NewChaosSchedule(seed, chaosSteps, 1, chaosMaxSize, NumResizePhases)
+	sched := testutil.NewChaosSchedule(seed, chaosSteps, 1, chaosMaxSize, int(numResizePhases))
 	var fault plannedFault
 	el, ns := startElastic(t, 2, func(o *ElasticOptions) {
 		o.faultHook = func(ph ResizePhase, epoch int) error {

@@ -77,10 +77,6 @@ type ExportOptions struct {
 	// registration).
 	Name       string
 	NameServer string
-	// QueueDepth bounds pending requests awaiting the collective loop. A
-	// request arriving with the queue full is refused immediately with a
-	// TRANSIENT system exception rather than parked without bound.
-	QueueDepth int
 	// DataTimeout bounds every wait of a computing thread on client data:
 	// for the next frame of an argument's transfers, and for a client's
 	// attachment before results flow back to it. A client that dies
@@ -107,13 +103,19 @@ type ExportOptions struct {
 	// client's connection is faster than the codec, PolicyAlways compresses
 	// every framed reply leg.
 	CompressionPolicy zcodec.Policy
-	// Epoch is the membership epoch of an elastic export (set by the elastic
-	// engine; leave 0 for conventional exports). A non-zero epoch is suffixed
-	// into the object key — so a stale client whose request reaches a reused
+
+	// queueDepth bounds pending requests awaiting the collective loop; 0 or
+	// negative means 64. A request arriving with the queue full is refused
+	// immediately with a TRANSIENT system exception rather than parked
+	// without bound. Only tests set it.
+	queueDepth int
+	// epoch is the membership epoch of an elastic export, set by the elastic
+	// engine (0 for conventional exports). A non-zero epoch is suffixed into
+	// the object key — so a stale client whose request reaches a reused
 	// endpoint gets OBJECT_NOT_EXIST, which the naming Rebinder treats as
 	// stale and re-resolves — carried in the published IOR, and checked
 	// against epoch-tagged invocation headers before any data transfer.
-	Epoch int
+	epoch int
 }
 
 // DefaultDataTimeout is the default ExportOptions.DataTimeout.
@@ -314,8 +316,8 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 	if opts.Host == "" {
 		opts.Host = "127.0.0.1"
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 64
+	if opts.queueDepth <= 0 {
+		opts.queueDepth = 64
 	}
 	if opts.DataTimeout == 0 {
 		opts.DataTimeout = DefaultDataTimeout
@@ -367,13 +369,13 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 			return gatherErr
 		}
 		key := fmt.Sprintf("spmd/%s/%s", opts.TypeID, opts.Name)
-		if opts.Epoch > 0 {
+		if opts.epoch > 0 {
 			// Per-epoch keys: a stale client reaching a reused endpoint with
 			// an old key gets OBJECT_NOT_EXIST (a re-resolvable refusal)
 			// rather than a silently different epoch of the object.
-			key = fmt.Sprintf("%s@e%d", key, opts.Epoch)
+			key = fmt.Sprintf("%s@e%d", key, opts.epoch)
 		}
-		ref := orb.IOR{TypeID: opts.TypeID, Key: []byte(key), Threads: engine.Size(), Epoch: opts.Epoch}
+		ref := orb.IOR{TypeID: opts.TypeID, Key: []byte(key), Threads: engine.Size(), Epoch: opts.epoch}
 		for r, p := range addrs {
 			addr, err := openOutcome(p)
 			if err != nil {
@@ -385,7 +387,7 @@ func Export(comm *rts.Comm, opts ExportOptions, operations []Operation) (_ *Obje
 			}
 		}
 		o.ref = ref
-		o.queue = make(chan *pendingCall, opts.QueueDepth)
+		o.queue = make(chan *pendingCall, opts.queueDepth)
 		o.srv.Register(ref.Key, servant{o})
 		e.WriteRaw([]byte(ref.String()))
 		if opts.Name == "" || opts.NameServer == "" {
@@ -518,7 +520,7 @@ func (o *Object) enqueue(conn *transport.Conn, op string, call *pendingCall, raw
 
 // validate checks an inbound header against the operation table.
 func (o *Object) validate(h *invocationHeader) error {
-	if int(h.Epoch) != o.opts.Epoch {
+	if int(h.Epoch) != o.opts.epoch {
 		// Wrong membership epoch: the client bound before (or, during a
 		// rollback window, after) a resize. Refuse before any data moves —
 		// the client must never scatter against the wrong shape — with the

@@ -87,11 +87,10 @@ func (f *Future) WaitTimeout(d time.Duration) (scalars []byte, err error, ok boo
 // that thread's share of the invocation (including result delivery and the
 // post-invocation synchronization) is complete.
 //
-// Up to the binding's PipelineDepth invocations may be outstanding at
-// once, each on its own lane (duplicated communicator); issuing more
-// fails with ErrBusy rather than interleaving collective traffic. All
-// threads must issue overlapping invocations in the same order, so they
-// agree on the lane assignments.
+// One invocation may be outstanding on a binding at a time: issuing another
+// before its future resolves fails with ErrBusy rather than interleaving
+// collective traffic. A client that wants two calls in flight binds twice;
+// each binding has an engine communicator of its own.
 func (b *Binding) InvokeNB(op string, scalars []byte, args []DistArg) *Future {
 	return b.InvokeNBMethod(b.method, op, scalars, args)
 }
@@ -100,16 +99,15 @@ func (b *Binding) InvokeNB(op string, scalars []byte, args []DistArg) *Future {
 func (b *Binding) InvokeNBMethod(method Method, op string, scalars []byte, args []DistArg) *Future {
 	f := newFuture()
 	f.rec, f.rank = b.rec, int32(b.comm.Rank())
-	ln, err := b.acquireLane()
-	if err != nil {
+	if err := b.acquireLane(); err != nil {
 		f.complete(nil, err)
 		return f
 	}
 	go func() {
-		res, err := b.invoke(ln, method, op, scalars, args, nil)
+		res, err := b.invoke(method, op, scalars, args, nil)
 		// Release before completing, so a caller that has waited on the
-		// future can immediately issue the next invocation on this lane.
-		b.releaseLane(ln)
+		// future can immediately issue the next invocation.
+		b.releaseLane()
 		f.complete(res, err)
 	}()
 	return f

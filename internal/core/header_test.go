@@ -44,7 +44,7 @@ func TestInvocationHeaderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
-		if rest, _ := d.ReadRaw(d.Remaining()); string(rest) != "rest" {
+		if rest := e.Bytes()[d.Pos():]; string(rest) != "rest" {
 			t.Fatalf("%v: the decoder left %q behind the header", method, rest)
 		}
 		if got.Op != h.Op || got.Method != h.Method || got.Token != h.Token || got.ClientRanks != 4 {
@@ -124,7 +124,7 @@ func TestReplyHeaderRoundTrip(t *testing.T) {
 			if got.Args[2].Length != 321 || got.ChunkElems != 0 {
 				t.Fatalf("%v: reply %+v", method, got)
 			}
-			if rest, _ := d.ReadRaw(d.Remaining()); string(rest) != "rest" {
+			if rest := e.Bytes()[d.Pos():]; string(rest) != "rest" {
 				t.Fatalf("%v: the decoder left %q behind the reply header", method, rest)
 			}
 		}

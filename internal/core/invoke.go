@@ -61,8 +61,7 @@ const (
 // one thread. It lives on invoke's stack.
 type invocation struct {
 	b      *Binding
-	ln     *bindLane // held for the whole invocation: its headers are the invocation's
-	comm   *rts.Comm // the lane's: every collective of the invocation rides it
+	comm   *rts.Comm // the binding's engine: every collective of the invocation rides it
 	token  uint32    // the attempt's; doubles as the trace id client and server spans share
 	op     string
 	args   []DistArg
@@ -157,37 +156,37 @@ func (b *Binding) Invoke(op string, scalars []byte, args []DistArg) ([]byte, err
 }
 
 // InvokeMethod is Invoke with an explicit transfer method and optional
-// timing collection. It runs on the next lane, on the caller's thread.
+// timing collection. It runs on the caller's thread.
 func (b *Binding) InvokeMethod(method Method, op string, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
-	ln, err := b.acquireLane()
-	if err != nil {
+	if err := b.acquireLane(); err != nil {
 		return nil, err
 	}
-	defer b.releaseLane(ln)
-	return b.invoke(ln, method, op, scalars, args, timing)
+	defer b.releaseLane()
+	return b.invoke(method, op, scalars, args, timing)
 }
 
 // backPhase names, per shape, the phase the back leg is recorded under.
 var backPhase = [...]obs.Phase{shapeCentral: obs.PhaseScatter, shapeDirect: obs.PhaseUnpack}
 
-// invoke runs one collective invocation on the given lane: the paper's client
-// side of §3.2 and §3.3 alike, which differ only in the two legs that move the
-// argument data. Every collective in it (token agreement, the legs' gathers
-// and scatters, meta share, error agreement) rides the lane's communicator, so
-// invocations on different lanes overlap without their traffic interleaving.
+// invoke runs one collective invocation on the binding's lane: the paper's
+// client side of §3.2 and §3.3 alike, which differ only in the two legs that
+// move the argument data. Every collective in it (token agreement, the legs'
+// gathers and scatters, meta share, error agreement) rides the binding's
+// engine communicator, so invocations on different bindings overlap without
+// their traffic interleaving.
 //
 // The function is a fixed collective skeleton: every thread executes the same
 // sequence of collectives no matter where its local work fails. Local errors
 // are captured and fed into the agreements instead of returned early, so a
 // thread whose data connection was cut mid-frame cannot strand the others in
 // a collective they entered and it skipped.
-func (b *Binding) invoke(ln *bindLane, method Method, op string, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
-	comm := ln.comm
+func (b *Binding) invoke(method Method, op string, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
+	ln, comm := &b.lane, b.comm
 	start := time.Now()
 	if timing != nil {
 		*timing = Timing{}
 	}
-	iv := invocation{b: b, ln: ln, comm: comm, op: op, args: args, timing: timing}
+	iv := invocation{b: b, comm: comm, op: op, args: args, timing: timing}
 	var ok bool
 	if iv.desc, ok = b.ops[op]; !ok {
 		return nil, fmt.Errorf("%w: unknown operation %q", ErrArgMismatch, op)
@@ -379,7 +378,7 @@ func (iv *invocation) pick(route *orb.Route, stop error) error {
 			p = encodeOutcome(func(*cdr.Encoder) error { return err })
 		} else {
 			// A clean outcome, then the token, the profile and the mask.
-			iv.addr, p = addr, iv.ln.pickBytes(len(okOutcome)+9)
+			iv.addr, p = addr, iv.b.lane.pickBytes(len(okOutcome)+9)
 			tail := p[copy(p, okOutcome):]
 			binary.NativeEndian.PutUint32(tail, tokenCounter.Add(1))
 			binary.NativeEndian.PutUint32(tail[4:], uint32(idx))
@@ -427,7 +426,8 @@ func (iv *invocation) fwdMask(t *target) uint8 {
 // invocation header, filled with the client's layout for every argument it
 // supplies and its template for every result it expects.
 func (iv *invocation) encodeRequest(method Method, scalars []byte) *cdr.Encoder {
-	ln, h := iv.ln, &iv.ln.request
+	ln := &iv.b.lane
+	h := &ln.request
 	*h = invocationHeader{
 		Op: iv.op, Method: method, Token: iv.token, ChunkElems: uint32(iv.ce), ResultChunkElems: uint32(iv.offer),
 		ClientRanks: iv.comm.Size(), Epoch: iv.b.refEpoch, Scalars: scalars,

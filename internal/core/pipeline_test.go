@@ -14,167 +14,103 @@ import (
 	"repro/internal/transport"
 )
 
-// pendingCheck records what a window slot's outstanding invocation must
-// deliver when its future resolves.
-type pendingCheck struct {
-	op      string
-	wantVal float64 // value every element must hold after completion
-	wantSum float64 // expected "sum" reply (op == "sum" only)
-}
-
-// TestPipelinedWindowStress keeps a window of overlapping invocations
-// outstanding per binding — chunk-streamed both ways, staggered by injected
-// write delays — and checks every future resolves with its own invocation's
-// results (no cross-token mixups) and no goroutines leak. Run under -race via
-// the race Makefile target, this is the data-race check for the lane engine.
-func TestPipelinedWindowStress(t *testing.T) {
-	testutil.CheckGoroutines(t, "stress", func(t *testing.T) {
-		const (
-			depth = 4
-			reps  = 24
-			n     = 768 // 6 chunks of 128: every invocation streams both legs
-		)
-		tc := startCluster(t, 2, false, nil)
-		plan := transport.NewFaultPlan(7)
-		plan.Delay = 200 * time.Microsecond
-		plan.DelayEvery = 3
-		opts := BindOptions{
-			Method: Centralized, Timeout: testTimeout,
-			PipelineDepth:    depth,
-			streamChunkElems: 128,
-			Transport:        &transport.Options{Wrap: plan.Wrap},
+// TestTwoBindingsOverlap is how one client keeps two calls in flight: each of
+// its two threads binds twice to one object and issues a non-blocking call on
+// each binding before waiting on either — an inout "scale" and an in "sum",
+// both streamed, staggered by injected write delays. Every future resolves
+// with its own call's results, the threads of each binding end at the same
+// collective, and every frame goes back to the pool.
+func TestTwoBindingsOverlap(t *testing.T) {
+	defer testutil.BalanceCheck(t, "frame pool", transport.PoolOutstanding)()
+	const (
+		threads = 2
+		rounds  = 8
+		n       = 768 // 6 chunks of 128: both legs stream
+	)
+	tc := startCluster(t, 2, false, nil)
+	plan := transport.NewFaultPlan(7)
+	plan.Delay = 200 * time.Microsecond
+	plan.DelayEvery = 3
+	opts := BindOptions{
+		Method: Centralized, Timeout: testTimeout,
+		streamChunkElems: 128,
+		Transport:        &transport.Options{Wrap: plan.Wrap},
+	}
+	var collectives [threads][2]int // per thread, each binding's engine Collectives() at the end
+	tc.runClientOpts(t, threads, opts, func(c *rts.Comm, first *Binding) error {
+		second, err := SPMDBind(c, "example", tc.ns.Addr(), opts)
+		if err != nil {
+			return err
 		}
-		tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
-			if got := b.PipelineDepth(); got != depth {
-				return fmt.Errorf("PipelineDepth() = %d, want %d", got, depth)
-			}
-			// Each window slot owns its sequence and a distinct element value,
-			// so a reply delivered to the wrong token is detectable.
-			seqs := make([]*dseq.Seq[float64], depth)
-			vals := make([]float64, depth)
-			for s := range seqs {
-				seq, err := dseq.New(c, dseq.Float64, n, nil)
-				if err != nil {
-					return err
-				}
-				vals[s] = float64(s + 1)
-				v := vals[s]
-				seq.FillFunc(func(int) float64 { return v })
-				seqs[s] = seq
-			}
-			window := make([]*Future, depth)
-			pending := make([]pendingCheck, depth)
-
-			settle := func(s int) error {
-				f := window[s]
-				if f == nil {
-					return nil
-				}
-				window[s] = nil
-				reply, err := f.Wait()
-				if err != nil {
-					return fmt.Errorf("slot %d (%s): %w", s, pending[s].op, err)
-				}
-				d, err := ScalarDecoder(reply)
-				if err != nil {
-					return err
-				}
-				switch pending[s].op {
-				case "scale":
-					got, err := d.ReadLong()
-					if err != nil {
-						return err
-					}
-					if got != n {
-						return fmt.Errorf("slot %d: scale reply %d, want %d", s, got, n)
-					}
-				case "sum":
-					got, err := d.ReadDouble()
-					if err != nil {
-						return err
-					}
-					if got != pending[s].wantSum {
-						return fmt.Errorf("slot %d: sum reply %v, want %v", s, got, pending[s].wantSum)
-					}
-				}
-				for i, v := range seqs[s].LocalData() {
-					if v != pending[s].wantVal {
-						return fmt.Errorf("slot %d: element %d holds %v, want %v", s, i, v, pending[s].wantVal)
-					}
-				}
-				return nil
-			}
-
-			for rep := 0; rep < reps; rep++ {
-				s := rep % depth
-				if err := settle(s); err != nil {
-					return err
-				}
-				if rep%2 == 0 {
-					// scale doubles the slot's value in place (InOut, streamed
-					// both directions).
-					pending[s] = pendingCheck{op: "scale", wantVal: vals[s] * 2}
-					vals[s] *= 2
-					window[s] = b.InvokeNB("scale", scaleScalars(2), []DistArg{InOutSeq(seqs[s])})
-				} else {
-					// sum reads the slot's value (In, streamed request leg) —
-					// powers of two times small integers, so sums are exact.
-					pending[s] = pendingCheck{op: "sum", wantVal: vals[s], wantSum: vals[s] * n}
-					window[s] = b.InvokeNB("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(seqs[s])})
-				}
-			}
-			for s := range window {
-				if err := settle(s); err != nil {
-					return err
-				}
-			}
-			// The engine is still healthy after the storm: a blocking call works.
-			reply, err := b.Invoke("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(seqs[0])})
+		defer second.Close()
+		scaled, summed := 1.0, 0.0
+		for r := 0; r < rounds; r++ {
+			a, err := dseq.New(c, dseq.Float64, n, nil)
 			if err != nil {
 				return err
 			}
-			d, err := ScalarDecoder(reply)
+			a.FillFunc(func(int) float64 { return scaled })
+			s, err := dseq.New(c, dseq.Float64, n, nil)
 			if err != nil {
 				return err
 			}
-			got, err := d.ReadDouble()
+			summed = float64(r + 1)
+			s.FillFunc(func(int) float64 { return summed })
+			fa := first.InvokeNB("scale", scaleScalars(2), []DistArg{InOutSeq(a)})
+			fs := second.InvokeNB("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(s)})
+			sum, err := fs.Wait()
+			if err != nil {
+				return fmt.Errorf("round %d: sum: %w", r, err)
+			}
+			d, err := ScalarDecoder(sum)
 			if err != nil {
 				return err
 			}
-			if want := vals[0] * n; got != want {
-				return fmt.Errorf("final sum %v, want %v", got, want)
+			if got, err := d.ReadDouble(); err != nil || got != summed*n {
+				return fmt.Errorf("round %d: sum %v (%v), want %v", r, got, err, summed*n)
 			}
-			return nil
-		})
+			if _, err := fa.Wait(); err != nil {
+				return fmt.Errorf("round %d: scale: %w", r, err)
+			}
+			scaled *= 2
+			if err := wantElems(a, func(int) float64 { return scaled }); err != nil {
+				return fmt.Errorf("round %d: scale: %w", r, err)
+			}
+		}
+		collectives[c.Rank()] = [2]int{first.Comm().Collectives(), second.Comm().Collectives()}
+		return nil
 	})
+	for r := 1; r < threads; r++ {
+		if collectives[r] != collectives[0] {
+			t.Errorf("thread %d's bindings end at collectives %v, thread 0's at %v", r, collectives[r], collectives[0])
+		}
+	}
 }
 
-// TestPipelineErrBusy checks the lane discipline at its edge: an invocation
-// issued while its round-robin lane is still carrying one fails with ErrBusy
-// on every rank, the cursor still advances (so all ranks stay in lockstep),
-// and the binding keeps working afterwards.
+// TestPipelineErrBusy checks the one-call latch at its edge: an invocation
+// issued while the binding's lane is still carrying one fails with ErrBusy on
+// every rank, and the binding keeps working afterwards.
 func TestPipelineErrBusy(t *testing.T) {
 	tc := startCluster(t, 1, false, nil)
-	opts := BindOptions{Method: Centralized, Timeout: testTimeout, PipelineDepth: 2}
+	opts := BindOptions{Method: Centralized, Timeout: testTimeout}
 	tc.runClientOpts(t, 2, opts, func(c *rts.Comm, b *Binding) error {
 		seq, err := dseq.New(c, dseq.Float64, 64, nil)
 		if err != nil {
 			return err
 		}
 		seq.FillFunc(func(int) float64 { return 1 })
-		// Make the next round-robin lane busy by taking its token directly —
-		// deterministic on every rank, unlike racing a real invocation.
-		b.laneMu.Lock()
-		ln := &b.lanes[b.laneSeq%uint64(len(b.lanes))]
-		b.laneMu.Unlock()
-		<-ln.free
+		// Make the lane busy by taking its token directly — deterministic on
+		// every rank, unlike racing a real invocation.
+		<-b.lane.free
 		f := b.InvokeNB("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(seq)})
 		if _, err := f.Wait(); !errors.Is(err, ErrBusy) {
-			return fmt.Errorf("overflowing the window: %v, want ErrBusy", err)
+			return fmt.Errorf("a second call in flight: %v, want ErrBusy", err)
 		}
-		ln.free <- struct{}{}
-		// The failed issue advanced the cursor on every rank equally, so the
-		// binding is still coherent: the next collective call succeeds.
+		if _, err := b.Invoke("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(seq)}); !errors.Is(err, ErrBusy) {
+			return fmt.Errorf("a blocking call beside one in flight: %v, want ErrBusy", err)
+		}
+		b.lane.free <- struct{}{}
+		// The refused calls ran no collective, so the next call succeeds.
 		reply, err := b.Invoke("sum", ScalarEncoder().Bytes(), []DistArg{InSeq(seq)})
 		if err != nil {
 			return fmt.Errorf("after ErrBusy: %w", err)
@@ -188,22 +124,6 @@ func TestPipelineErrBusy(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-// TestPipelineDepthClamps pins the lane-count policy: zero and one both mean
-// the classic engine, and absurd depths clamp to maxPipelineDepth instead of
-// allocating thousands of communicator contexts.
-func TestPipelineDepthClamps(t *testing.T) {
-	tc := startCluster(t, 1, false, nil)
-	for _, tt := range []struct{ ask, want int }{{0, 1}, {1, 1}, {3, 3}, {10 * maxPipelineDepth, maxPipelineDepth}} {
-		opts := BindOptions{Method: Centralized, Timeout: testTimeout, PipelineDepth: tt.ask}
-		tc.runClientOpts(t, 1, opts, func(c *rts.Comm, b *Binding) error {
-			if got := b.PipelineDepth(); got != tt.want {
-				return fmt.Errorf("PipelineDepth(ask %d) = %d, want %d", tt.ask, got, tt.want)
-			}
-			return nil
-		})
-	}
 }
 
 // TestStreamedChunkAllocs is the allocation guard for the chunked transfer

@@ -679,13 +679,13 @@ func TestRecycledBucketRetention(t *testing.T) {
 var stopOp = Operation{Desc: OpDesc{Name: "stop"}, NewArgs: func(*rts.Comm) ([]dseq.Transferable, error) { return nil, nil },
 	Handler: func(*ServerCall) error { return ErrStopServing }}
 
-// TestRecycledHeaders: one binding of pipeline depth 2 alternates, on both
-// methods, an operation of one in argument with one of an inout and an out
-// argument, and client layouts of one interval a thread (Block) with layouts of
-// one an element (Cyclic{1}), two calls in flight. Every call's handler sees
-// exactly its client's data on every thread, every reply announces the lengths
-// the handler left and the results arrive whole, and the threads of either side
-// end at the same collective.
+// TestRecycledHeaders: one client alternates, on both methods, an operation of
+// one in argument with one of an inout and an out argument, and client layouts
+// of one interval a thread (Block) with layouts of one an element (Cyclic{1}),
+// two calls in flight — one on each of its two bindings. Every call's handler
+// sees exactly its client's data on every thread, every reply announces the
+// lengths the handler left and the results arrive whole, and the threads of
+// either side end at the same collective.
 func TestRecycledHeaders(t *testing.T) {
 	const n, m, threads = 37, 23, 2
 	in := OpDesc{Name: "in", Args: []ArgDesc{{Name: "arr", Dir: In, Elem: "double"}}}
@@ -763,9 +763,16 @@ func TestRecycledHeaders(t *testing.T) {
 		return errors.Join(wantElems(p.arr, func(g int) float64 { return -float64(g) - p.k }), wantElems(p.res, result(p.k)))
 	}
 	specs := []dist.Spec{dist.Block{}, dist.Cyclic{BlockSize: 1}, dist.Block{}}
-	var lanes [threads][]int // each client thread's lane communicators' Collectives() at the end
-	tc.runClientOpts(t, threads, BindOptions{Timeout: testTimeout, PipelineDepth: 2}, func(c *rts.Comm, b *Binding) error {
-		var window [2]*pending
+	var engines [threads][2]int // each client thread's bindings' engine Collectives() at the end
+	opts := BindOptions{Timeout: testTimeout}
+	tc.runClientOpts(t, threads, opts, func(c *rts.Comm, first *Binding) error {
+		second, err := SPMDBind(c, "example", tc.ns.Addr(), opts)
+		if err != nil {
+			return err
+		}
+		defer second.Close()
+		bindings := [2]*Binding{first, second}
+		var window [2]*pending // call k rides binding k mod 2
 		k := 0
 		for _, method := range []Method{Centralized, Multiport} {
 			for i := 0; i < 9; i++ {
@@ -785,9 +792,9 @@ func TestRecycledHeaders(t *testing.T) {
 					if p.res, err = dseq.New(c, dseq.Float64, 0, spec); err != nil {
 						return err
 					}
-					p.f = b.InvokeNBMethod(method, "mix", e.Bytes(), []DistArg{InOutSeq(p.arr), OutSeq(p.res)})
+					p.f = bindings[k%2].InvokeNBMethod(method, "mix", e.Bytes(), []DistArg{InOutSeq(p.arr), OutSeq(p.res)})
 				} else {
-					p.f = b.InvokeNBMethod(method, "in", e.Bytes(), []DistArg{InSeq(p.arr)})
+					p.f = bindings[k%2].InvokeNBMethod(method, "in", e.Bytes(), []DistArg{InSeq(p.arr)})
 				}
 				window[k%2] = p
 				k++
@@ -796,16 +803,14 @@ func TestRecycledHeaders(t *testing.T) {
 		if err := errors.Join(settle(window[0]), settle(window[1])); err != nil {
 			return err
 		}
-		if _, err := b.Invoke("stop", ScalarEncoder().Bytes(), nil); err != nil {
+		if _, err := first.Invoke("stop", ScalarEncoder().Bytes(), nil); err != nil {
 			return err
 		}
-		for _, ln := range b.lanes {
-			lanes[c.Rank()] = append(lanes[c.Rank()], ln.comm.Collectives())
-		}
+		engines[c.Rank()] = [2]int{first.Comm().Collectives(), second.Comm().Collectives()}
 		return nil
 	})
-	if !slices.Equal(lanes[0], lanes[1]) {
-		t.Errorf("the client threads' lanes end at collectives %v and %v", lanes[0], lanes[1])
+	if engines[0] != engines[1] {
+		t.Errorf("the client threads' bindings end at collectives %v and %v", engines[0], engines[1])
 	}
 	testutil.Eventually(t, testTimeout, "Serve never returned", func() bool {
 		tc.objMu.Lock()
@@ -865,10 +870,8 @@ func TestRecycledHeaderRetention(t *testing.T) {
 				if _, err := b.Invoke("stop", ScalarEncoder().Bytes(), nil); err != nil {
 					return err
 				}
-				for i := range b.lanes {
-					if got := heldIntervals(&b.lanes[i].request); got > dist.KeptIntervals {
-						return fmt.Errorf("client thread %d: lane %d's header holds %d intervals, more than %d", c.Rank(), i, got, dist.KeptIntervals)
-					}
+				if got := heldIntervals(&b.lane.request); got > dist.KeptIntervals {
+					return fmt.Errorf("client thread %d: the lane's header holds %d intervals, more than %d", c.Rank(), got, dist.KeptIntervals)
 				}
 				return nil
 			})
@@ -1012,47 +1015,40 @@ func (p *keptCall) settle() error {
 		wantElems(p.res, func(g int) float64 { return 2*float64(g) + p.k }))
 }
 
-// keptWindow makes calls from, …, from+n-1 on b, depth of them in flight;
-// thread 1 issues each lag after the thread before it could.
-func keptWindow(c *rts.Comm, b *Binding, from, n, depth int, lag time.Duration) error {
-	window := make([]*keptCall, depth)
-	for k := from; k < from+n+depth; k++ {
+// keptCalls makes calls from, …, from+n-1 on b, one after the other; thread 1
+// issues each lag after the thread before it could.
+func keptCalls(c *rts.Comm, b *Binding, from, n int, lag time.Duration) error {
+	for k := from; k < from+n; k++ {
 		if c.Rank() == 1 {
 			time.Sleep(lag)
 		}
-		slot := &window[k%depth]
-		if *slot != nil {
-			if err := (*slot).settle(); err != nil {
-				return err
-			}
-			*slot = nil
+		p, err := startKept(c, b, k)
+		if err != nil {
+			return err
 		}
-		if k < from+n {
-			var err error
-			if *slot, err = startKept(c, b, k); err != nil {
-				return err
-			}
+		if err := p.settle(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// TestKeptScratchWindows: (pipelined) one binding of pipeline depth 4 keeps
-// four calls in flight, and its thread 1 issues each late, so thread 0 runs
-// ahead of it by an "echo" — yet both threads run every call under the same
-// token; (two clients) two SPMD clients call one object at once; (stopped) an
-// object is stopped while its loop holds a
-// dequeued call, and goes on to read that call's steps only once another
-// object's adapter has served requests with the pooled decoders — the call's
-// handler must still see its own data on every thread.
+// TestKeptScratchWindows: (pipelined) a binding's thread 0 runs a call ahead
+// of its thread 1, which issues every call late, so thread 0 finishes each
+// "echo" and picks the next call's token before thread 1 has taken the echo's
+// — yet both threads run every call under the same token; (two clients) two
+// SPMD clients call one object at once; (stopped) an object is stopped while
+// its loop holds a dequeued call, and goes on to read that call's steps only
+// once another object's adapter has served requests with the pooled decoders —
+// the call's handler must still see its own data on every thread.
 func TestKeptScratchWindows(t *testing.T) {
 	ops := func() []Operation { return keptOps(nil) }
 	t.Run("pipelined", func(t *testing.T) {
 		const calls = 60
 		tc := startClusterOps(t, 2, false, ops)
 		rec := obs.NewRecorder(4096)
-		tc.runClientOpts(t, 2, BindOptions{Timeout: testTimeout, PipelineDepth: 4, Trace: rec}, func(c *rts.Comm, b *Binding) error {
-			return keptWindow(c, b, 0, calls, 4, 2*time.Millisecond)
+		tc.runClientOpts(t, 2, BindOptions{Timeout: testTimeout, Trace: rec}, func(c *rts.Comm, b *Binding) error {
+			return keptCalls(c, b, 0, calls, 2*time.Millisecond)
 		})
 		var tokens [2][]uint64 // per client thread, the token of every call it ran
 		for _, sp := range rec.Spans() {
@@ -1072,8 +1068,8 @@ func TestKeptScratchWindows(t *testing.T) {
 		errs := make(chan error, 2)
 		for _, from := range []int{0, 1000} {
 			go func() {
-				errs <- tc.clientRun(2, BindOptions{Timeout: testTimeout, PipelineDepth: 2}, func(c *rts.Comm, b *Binding) error {
-					return keptWindow(c, b, from, 60, 2, 0)
+				errs <- tc.clientRun(2, BindOptions{Timeout: testTimeout}, func(c *rts.Comm, b *Binding) error {
+					return keptCalls(c, b, from, 60, 0)
 				})
 			}()
 		}
@@ -1128,7 +1124,7 @@ func TestKeptScratchWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		other.runClientOpts(t, 2, BindOptions{Timeout: testTimeout}, func(c *rts.Comm, b *Binding) error {
-			return keptWindow(c, b, 3000, 30, 1, 0)
+			return keptCalls(c, b, 3000, 30, 0)
 		})
 		close(release)
 		testutil.Eventually(t, testTimeout, "the stopped object's Serve never returned", func() bool {

@@ -35,7 +35,7 @@ type Codec[T any] struct {
 	HostBytes func(v []T) []byte
 
 	// Block-compression hooks, all non-nil or all nil. Numeric element
-	// types plug a zcodec block codec in here; MarshalChunkZ uses them to
+	// types plug a zcodec block codec in here; marshalChunkZInto uses them to
 	// build compressed chunk envelopes when the sender's mask has the
 	// codec, and the Unmarshal* functions to auto-detect and decode them.
 	// Types without a block codec (strings, structs...) leave these nil
@@ -237,8 +237,8 @@ func openChunk(name string, payload []byte) (*cdr.Decoder, error) {
 	return d, nil
 }
 
-// UnmarshalChunk parses a payload produced by MarshalChunk or
-// MarshalChunkZ; compressed envelopes are detected from the marker
+// UnmarshalChunk parses a payload produced by MarshalChunk or a compressing
+// leg (marshalChunkZInto); compressed envelopes are detected from the marker
 // octet, so receivers need no negotiation state.
 func UnmarshalChunk[T any](c Codec[T], payload []byte) ([]T, error) {
 	h := unmarshalNS.Load()

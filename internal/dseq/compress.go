@@ -44,22 +44,14 @@ func ChunkCodec(p []byte) zcodec.ID {
 	return zcodec.ID(p[1])
 }
 
-// MarshalChunkZ renders elements like MarshalChunk but compresses with
-// the codec's block encoder when mask admits it and compression wins:
-// if the envelope would not be smaller than the raw element bytes (the
-// incompressible-data case), the chunk falls back to the raw encoding,
-// so a compressed connection never sends more bytes than a raw one.
-// Mask zero is exactly MarshalChunk.
-func MarshalChunkZ[T any](c Codec[T], v []T, mask uint8) []byte {
-	e := cdr.NewEncoder(cdr.NativeOrder)
-	marshalChunkZInto(c, e, v, mask)
-	return e.Bytes()
-}
-
-// marshalChunkZInto appends MarshalChunkZ's rendering of v to e, whose
-// alignment origin must be the current position (the raw fallback needs it;
-// the envelope is a byte stream). Room for the codec's worst case is reserved
-// in e and the unused rest given back.
+// marshalChunkZInto appends v to e like MarshalChunk but compresses with the
+// codec's block encoder when mask admits it and compression wins: if the
+// envelope would not be smaller than the raw element bytes (the
+// incompressible-data case), the chunk falls back to the raw encoding, so a
+// compressed connection never sends more bytes than a raw one. Mask zero is
+// exactly MarshalChunk. e's alignment origin must be the current position (the
+// raw fallback needs it; the envelope is a byte stream). Room for the codec's
+// worst case is reserved in e and the unused rest given back.
 func marshalChunkZInto[T any](c Codec[T], e *cdr.Encoder, v []T, mask uint8) {
 	raw := c.ElemWireSize * len(v)
 	if c.CompressAppend == nil || raw < compMinBytes || !zcodec.HasCodec(mask, c.CompressID) {

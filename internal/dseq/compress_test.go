@@ -4,17 +4,25 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cdr"
 	"repro/internal/dist"
 	"repro/internal/rts"
 	"repro/internal/zcodec"
 )
+
+// marshalZ renders v the way a compressing leg does, into a fresh encoder.
+func marshalZ[T any](c Codec[T], v []T, mask uint8) []byte {
+	e := cdr.NewEncoder(cdr.NativeOrder)
+	marshalChunkZInto(c, e, v, mask)
+	return e.Bytes()
+}
 
 func TestMarshalChunkZRoundTrip(t *testing.T) {
 	vals := make([]float64, 4096)
 	for i := range vals {
 		vals[i] = float64(i) * 0.5
 	}
-	p := MarshalChunkZ(Float64, vals, zcodec.MaskAll)
+	p := marshalZ(Float64, vals, zcodec.MaskAll)
 	if !IsCompressedChunk(p) {
 		t.Fatalf("smooth chunk did not compress (payload %d bytes)", len(p))
 	}
@@ -53,19 +61,19 @@ func TestMarshalChunkZMaskGating(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	if p := MarshalChunkZ(Float64, vals, 0); IsCompressedChunk(p) {
+	if p := marshalZ(Float64, vals, 0); IsCompressedChunk(p) {
 		t.Fatal("mask 0 produced a compressed chunk")
 	}
 	// The float codec needs the XOR bit; a delta-only mask leaves doubles
 	// raw.
-	if p := MarshalChunkZ(Float64, vals, zcodec.MaskDelta); IsCompressedChunk(p) {
+	if p := marshalZ(Float64, vals, zcodec.MaskDelta); IsCompressedChunk(p) {
 		t.Fatal("delta-only mask compressed a double chunk")
 	}
-	if p := MarshalChunkZ(Float64, vals[:4], zcodec.MaskAll); IsCompressedChunk(p) {
+	if p := marshalZ(Float64, vals[:4], zcodec.MaskAll); IsCompressedChunk(p) {
 		t.Fatal("tiny chunk compressed below compMinElems")
 	}
 	// String codec has no compression hooks: any mask stays raw.
-	if p := MarshalChunkZ(String, []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q"}, zcodec.MaskAll); IsCompressedChunk(p) {
+	if p := marshalZ(String, []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q"}, zcodec.MaskAll); IsCompressedChunk(p) {
 		t.Fatal("string chunk compressed")
 	}
 }
@@ -81,7 +89,7 @@ func TestMarshalChunkZIncompressibleFallsBack(t *testing.T) {
 		x ^= x << 17
 		vals[i] = math.Float64frombits(x)
 	}
-	p := MarshalChunkZ(Float64, vals, zcodec.MaskAll)
+	p := marshalZ(Float64, vals, zcodec.MaskAll)
 	if IsCompressedChunk(p) {
 		t.Fatalf("incompressible chunk stayed compressed (%d bytes vs %d raw)", len(p), 8*len(vals))
 	}
@@ -109,7 +117,7 @@ func TestMarshalChunkZReallocatingEncoderFallsBack(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	p := MarshalChunkZ(c, vals, zcodec.MaskAll)
+	p := marshalZ(c, vals, zcodec.MaskAll)
 	if IsCompressedChunk(p) {
 		t.Fatalf("a block outside its room shipped as an envelope (%d bytes)", len(p))
 	}
@@ -131,7 +139,7 @@ func TestMarshalChunkZIntCodecs(t *testing.T) {
 		i32[i] = int32(i * 7)
 		i64[i] = int64(i) * 1_000_003
 	}
-	p32 := MarshalChunkZ(Int32, i32, zcodec.MaskAll)
+	p32 := marshalZ(Int32, i32, zcodec.MaskAll)
 	if !IsCompressedChunk(p32) {
 		t.Fatal("int32 ramp did not compress")
 	}
@@ -144,7 +152,7 @@ func TestMarshalChunkZIntCodecs(t *testing.T) {
 			t.Fatalf("int32[%d] %d != %d", i, got32[i], i32[i])
 		}
 	}
-	p64 := MarshalChunkZ(Int64, i64, zcodec.MaskAll)
+	p64 := marshalZ(Int64, i64, zcodec.MaskAll)
 	if !IsCompressedChunk(p64) {
 		t.Fatal("int64 ramp did not compress")
 	}
@@ -164,7 +172,7 @@ func TestCompressedChunkRejectsCorruption(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	p := MarshalChunkZ(Float64, vals, zcodec.MaskAll)
+	p := marshalZ(Float64, vals, zcodec.MaskAll)
 	if !IsCompressedChunk(p) {
 		t.Fatal("setup: chunk not compressed")
 	}

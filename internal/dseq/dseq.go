@@ -62,19 +62,6 @@ func New[T any](comm *rts.Comm, codec Codec[T], length int, spec dist.Spec) (*Se
 	return s, nil
 }
 
-// NewWithLayout collectively creates a sequence with an explicit layout
-// (used by the transfer engines, whose layouts arrive in request headers).
-func NewWithLayout[T any](comm *rts.Comm, codec Codec[T], layout dist.Layout) (*Seq[T], error) {
-	if err := layout.Validate(); err != nil {
-		return nil, err
-	}
-	if layout.Ranks != comm.Size() {
-		return nil, fmt.Errorf("%w: layout for %d ranks in a %d-rank world", ErrLayout, layout.Ranks, comm.Size())
-	}
-	local := make([]T, layout.Count(comm.Rank()))
-	return &Seq[T]{comm: comm, codec: codec, layout: layout, local: local, own: local}, nil
-}
-
 // FromLocal is the conversion constructor: each thread contributes its own
 // slice, adopted without copying ("allows the programmer to create a
 // sequence based on his or her memory management scheme"). The resulting

@@ -415,28 +415,6 @@ func TestSetLocalValidation(t *testing.T) {
 	})
 }
 
-func TestNewWithLayout(t *testing.T) {
-	run(t, 2, func(c *rts.Comm) error {
-		good := dist.Layout{Length: 4, Ranks: 2, Intervals: [][]dist.Interval{{{Start: 0, Len: 2}}, {{Start: 2, Len: 2}}}}
-		s, err := NewWithLayout(c, Float64, good)
-		if err != nil {
-			return err
-		}
-		if s.LocalLen() != 2 {
-			return fmt.Errorf("local len %d", s.LocalLen())
-		}
-		bad := dist.Layout{Length: 4, Ranks: 3, Intervals: [][]dist.Interval{{{Start: 0, Len: 4}}, nil, nil}}
-		if _, err := NewWithLayout(c, Float64, bad); !errors.Is(err, ErrLayout) {
-			return fmt.Errorf("rank mismatch: %v", err)
-		}
-		broken := dist.Layout{Length: 4, Ranks: 2, Intervals: [][]dist.Interval{{{Start: 0, Len: 1}}, {{Start: 2, Len: 2}}}}
-		if _, err := NewWithLayout(c, Float64, broken); err == nil {
-			return errors.New("invalid layout accepted")
-		}
-		return nil
-	})
-}
-
 func TestSingleRankSequence(t *testing.T) {
 	run(t, 1, func(c *rts.Comm) error {
 		s, err := New(c, Float64, 5, nil)

@@ -64,7 +64,7 @@ func int64Streams(n int) map[string][]int64 {
 // travel as an envelope of the codec.
 func roundTrip[T any](t *testing.T, c Codec[T], name string, vals []T, bits func(T) uint64) {
 	t.Helper()
-	p := MarshalChunkZ(c, vals, zcodec.MaskAll)
+	p := marshalZ(c, vals, zcodec.MaskAll)
 	// Noisy shapes may legitimately fall back to raw; the smooth ramp must
 	// compress.
 	if name == "ramp" && (!IsCompressedChunk(p) || ChunkCodec(p) != c.CompressID) {
@@ -118,7 +118,7 @@ func TestEnvelopeGolden(t *testing.T) {
 		0x02, 0x02, // marker, xor
 		0x10, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0, 0,
 	}
-	if p := MarshalChunkZ(Float64, vals, zcodec.MaskAll); !bytes.Equal(p, want) {
+	if p := marshalZ(Float64, vals, zcodec.MaskAll); !bytes.Equal(p, want) {
 		t.Fatalf("envelope\n% x\nwant\n% x", p, want)
 	}
 	got, err := UnmarshalChunk(Float64, want)
@@ -137,22 +137,22 @@ func TestByteAwareGate(t *testing.T) {
 		i32[i] = int32(i)
 		f64[i] = float64(i)
 	}
-	if p := MarshalChunkZ(Int32, i32, zcodec.Supported); IsCompressedChunk(p) {
+	if p := marshalZ(Int32, i32, zcodec.Supported); IsCompressedChunk(p) {
 		t.Fatal("16 int32s (64 B) compressed; byte-aware gate should keep them raw")
 	}
-	if p := MarshalChunkZ(Float64, f64, zcodec.Supported); !IsCompressedChunk(p) {
+	if p := marshalZ(Float64, f64, zcodec.Supported); !IsCompressedChunk(p) {
 		t.Fatal("16 float64s (128 B) stayed raw; gate regressed past the old threshold")
 	}
 	i32big := make([]int32, 32)
 	for i := range i32big {
 		i32big[i] = int32(i)
 	}
-	if p := MarshalChunkZ(Int32, i32big, zcodec.Supported); !IsCompressedChunk(p) {
+	if p := marshalZ(Int32, i32big, zcodec.Supported); !IsCompressedChunk(p) {
 		t.Fatal("32 int32s (128 B) stayed raw")
 	}
 	// Types without a block codec always travel raw no matter the mask.
 	strs := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q"}
-	if p := MarshalChunkZ(String, strs, zcodec.Supported); IsCompressedChunk(p) {
+	if p := marshalZ(String, strs, zcodec.Supported); IsCompressedChunk(p) {
 		t.Fatal("string chunk compressed")
 	}
 }
@@ -167,7 +167,7 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	p := MarshalChunkZ(Float64, vals, zcodec.MaskAll)
+	p := marshalZ(Float64, vals, zcodec.MaskAll)
 	if !IsCompressedChunk(p) {
 		t.Fatal("ramp stayed raw")
 	}

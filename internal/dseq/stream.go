@@ -17,10 +17,10 @@ import (
 // payload, the transfer engine walks a deterministic chunk schedule and moves
 // one global element range at a time, overlapping runtime-system gathers with
 // wire transmission. The range methods below are the per-chunk building
-// blocks. They take an explicit communicator because pipelined invocations
-// run each outstanding request on its own duplicated context (lane) — the
-// sequence's own communicator belongs to the application and must not carry
-// engine traffic that could interleave between overlapping invocations.
+// blocks. They take an explicit communicator because an invocation runs on its
+// binding's engine, a duplicated context — the sequence's own communicator
+// belongs to the application and must not carry engine traffic that could
+// interleave with the application's or another binding's.
 
 // ErrChunkFailed reports that a peer substituted a fail marker for a chunk:
 // an earlier error was detected elsewhere, and the marker kept the collective

@@ -302,56 +302,3 @@ func TestStreamRangeValidation(t *testing.T) {
 		return nil
 	})
 }
-
-// TestCommDups checks the single-round lane allocation: all ranks agree on
-// every duplicated context and the lanes are isolated from each other.
-func TestCommDups(t *testing.T) {
-	run(t, 3, func(c *rts.Comm) error {
-		lanes, err := c.Dups(4)
-		if err != nil {
-			return err
-		}
-		if len(lanes) != 4 {
-			return fmt.Errorf("got %d lanes", len(lanes))
-		}
-		seen := map[int]bool{c.Context(): true}
-		for i, l := range lanes {
-			if l.Rank() != c.Rank() || l.Size() != c.Size() {
-				return fmt.Errorf("lane %d shape %d/%d", i, l.Rank(), l.Size())
-			}
-			if seen[l.Context()] {
-				return fmt.Errorf("lane %d reuses context %d", i, l.Context())
-			}
-			seen[l.Context()] = true
-		}
-		// Traffic on one lane must not be visible on another. Rank 0 sends on
-		// lane 0, then on lane 1, with the same tag; the mailbox is FIFO, so
-		// a wildcard receive on lane 1 that could see lane 0's context would
-		// return the earlier "lane0".
-		if c.Rank() == 0 {
-			if err := lanes[0].Send(1, 7, []byte("lane0")); err != nil {
-				return err
-			}
-			if err := lanes[1].Send(1, 7, []byte("lane1")); err != nil {
-				return err
-			}
-		}
-		if c.Rank() == 1 {
-			b, _, err := lanes[1].Recv(rts.AnySource, rts.AnyTag)
-			if err != nil {
-				return err
-			}
-			if string(b) != "lane1" {
-				return fmt.Errorf("lane 1 delivered %q", b)
-			}
-			b, st, err := lanes[0].Recv(0, 7)
-			if err != nil {
-				return err
-			}
-			if string(b) != "lane0" || st.Source != 0 {
-				return fmt.Errorf("lane 0 delivered %q from %d", b, st.Source)
-			}
-		}
-		return c.Barrier()
-	})
-}

@@ -6,13 +6,12 @@ import (
 	"time"
 )
 
-// bandwidthPipe models a bandwidth-limited link on top of a real stream.
-// Unlike latencyPipe (which queues writes and releases them later without
-// stalling the writer), a bandwidth cap is exactly a stall: each direction
-// owns a clock that advances len/bps per byte carried, and an operation
-// sleeps until the link has drained what it just moved. Wrapping the
-// client side throttles both legs — outbound requests through Write,
-// inbound replies through Read — so one Wrap models the whole link.
+// bandwidthPipe models a bandwidth-limited link on top of a real stream. A
+// bandwidth cap is a stall: each direction owns a clock that advances len/bps
+// per byte carried, and an operation sleeps until the link has drained what it
+// just moved. Wrapping the client side throttles both legs — outbound requests
+// through Write, inbound replies through Read — so one Wrap models the whole
+// link.
 type bandwidthPipe struct {
 	inner io.ReadWriteCloser
 	bps   float64

@@ -236,22 +236,23 @@ func TestQueueBlocksAndWindows(t *testing.T) {
 	}
 }
 
-func TestTryGetAndPutAsync(t *testing.T) {
+// TestPutAsyncWakesGetter: a Get on an empty queue blocks until an event
+// callback puts an item from driver context, and returns it at that time.
+func TestPutAsyncWakesGetter(t *testing.T) {
 	s := NewSim()
 	q := s.NewQueue(0)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue succeeded")
-	}
-	got := make(chan int, 1)
+	var got int
+	var at float64
 	s.Spawn("g", nil, func(p *Proc) {
-		got <- q.Get(p).(int)
+		got = q.Get(p).(int)
+		at = s.Now()
 	})
 	s.At(1, func() { q.PutAsync(42) })
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if v := <-got; v != 42 {
-		t.Fatalf("got %d", v)
+	if got != 42 || at != 1 {
+		t.Fatalf("got %d at time %v, want 42 at 1", got, at)
 	}
 }
 

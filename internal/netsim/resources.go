@@ -186,21 +186,6 @@ func (q *Queue) Get(p *Proc) any {
 	return v
 }
 
-// TryGet removes the head item if one is present.
-func (q *Queue) TryGet() (any, bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	if len(q.putters) > 0 {
-		w := q.putters[0]
-		q.putters = q.putters[1:]
-		w.wakeAt(q.sim.now)
-	}
-	return v, true
-}
-
 // PutAsync appends v from driver context (an event callback, not a
 // process); it must only be used on unbounded queues.
 func (q *Queue) PutAsync(v any) {

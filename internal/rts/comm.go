@@ -99,55 +99,17 @@ func (c *Comm) recv(src, tag int) ([]byte, Status, error) {
 // isolated communication context. All ranks must call Dup together (it
 // synchronizes like a barrier). The returned communicators deliver messages
 // only among themselves, so independent protocol layers cannot intercept
-// each other's traffic. This is what allows PARDIS futures: every
-// non-blocking invocation stream runs on a duplicated context.
+// each other's traffic. This is what lets PARDIS futures overlap: every
+// binding, and every exported object, runs its invocations on a duplicated
+// context of its own.
 func (c *Comm) Dup() (*Comm, error) {
 	var id int
 	if c.rank == 0 {
 		id = c.world.allocCtx()
 	}
-	idBuf, err := c.bcastRoot0(encodeInt(id))
+	idBuf, err := c.Bcast(0, encodeInt(id))
 	if err != nil {
 		return nil, err
 	}
 	return &Comm{world: c.world, rank: c.rank, ctx: decodeInt(idBuf)}, nil
-}
-
-// Dups collectively creates n independent communicators at once: rank 0
-// allocates all n context ids and a single broadcast agrees on them, so the
-// round costs one collective instead of n back-to-back Dups. The pipelined
-// invocation engine uses it to set up its lanes — one duplicated context per
-// concurrently outstanding invocation.
-func (c *Comm) Dups(n int) ([]*Comm, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("rts: Dups(%d)", n)
-	}
-	ids := make([]int64, n)
-	if c.rank == 0 {
-		for i := range ids {
-			ids[i] = int64(c.world.allocCtx())
-		}
-	}
-	buf, err := c.bcastRoot0(Int64sToBytes(ids))
-	if err != nil {
-		return nil, err
-	}
-	got, err := BytesToInt64s(buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(got) != n {
-		return nil, fmt.Errorf("rts: Dups(%d) agreed on %d contexts", n, len(got))
-	}
-	out := make([]*Comm, n)
-	for i := range out {
-		out[i] = &Comm{world: c.world, rank: c.rank, ctx: int(got[i])}
-	}
-	return out, nil
-}
-
-// bcastRoot0 broadcasts data from rank 0 inside Dup, before the new context
-// exists; it reuses the collective machinery of the current context.
-func (c *Comm) bcastRoot0(data []byte) ([]byte, error) {
-	return c.Bcast(0, data)
 }

@@ -21,8 +21,14 @@ func run(t *testing.T, n int, fn func(*Comm) error) {
 	if err := w.Run(fn); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if p := w.Pending(); p != 0 {
-		t.Fatalf("world left %d undelivered messages", p)
+	// A correct SPMD program leaves no message undelivered at the end of Run.
+	for r, mb := range w.mailboxes {
+		mb.mu.Lock()
+		left := len(mb.queue)
+		mb.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("world left %d undelivered messages at rank %d", left, r)
+		}
 	}
 }
 
@@ -214,6 +220,9 @@ func TestDupIsolatesContexts(t *testing.T) {
 		if d.Context() == c.Context() {
 			return errors.New("Dup did not allocate a new context")
 		}
+		if d.Rank() != c.Rank() || d.Size() != c.Size() {
+			return fmt.Errorf("dup is rank %d of %d, base rank %d of %d", d.Rank(), d.Size(), c.Rank(), c.Size())
+		}
 		if c.Rank() == 0 {
 			// Same (dst, tag) on both contexts; payload tells them apart.
 			if err := c.Send(1, 1, []byte("base")); err != nil {
@@ -221,13 +230,15 @@ func TestDupIsolatesContexts(t *testing.T) {
 			}
 			return d.Send(1, 1, []byte("dup"))
 		}
-		// Receive on the dup context first: it must not see the base message.
-		got, _, err := d.Recv(0, 1)
+		// Receive on the dup context first, from any source with any tag: the
+		// mailbox is FIFO, so a receive that could see the base context would
+		// return the earlier "base".
+		got, st, err := d.Recv(AnySource, AnyTag)
 		if err != nil {
 			return err
 		}
-		if string(got) != "dup" {
-			return fmt.Errorf("dup context received %q", got)
+		if string(got) != "dup" || st.Source != 0 {
+			return fmt.Errorf("dup context received %q from %d", got, st.Source)
 		}
 		got, _, err = c.Recv(0, 1)
 		if err != nil {

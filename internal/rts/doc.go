@@ -8,7 +8,7 @@
 // point-to-point messages (Send, Recv) and participating in the collective
 // operations the engine and the distributed sequences run (Barrier, Bcast,
 // Gather, Scatter, Forward, Allgather, Allreduce, Alltoall) on communicators
-// duplicated with Dup and Dups.
+// duplicated with Dup.
 //
 // Semantics follow MPI where applicable:
 //
@@ -20,6 +20,6 @@
 //   - Collective operations must be called by all ranks of a communicator in
 //     the same order.
 //   - Comm.Dup creates a new communication context so that independent
-//     layers (for example concurrently outstanding non-blocking PARDIS
-//     invocations) cannot intercept each other's traffic.
+//     layers (for example the non-blocking invocations outstanding on two
+//     PARDIS bindings) cannot intercept each other's traffic.
 package rts

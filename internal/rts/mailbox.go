@@ -140,11 +140,3 @@ func (mb *mailbox) close() {
 	mb.cond.Broadcast()
 	mb.mu.Unlock()
 }
-
-// pending returns the number of queued messages; used by tests and by
-// World.Close leak checks.
-func (mb *mailbox) pending() int {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return len(mb.queue)
-}

@@ -121,14 +121,3 @@ func (w *World) allocCtx() int {
 	w.nextCtx++
 	return id
 }
-
-// Pending returns the total number of undelivered messages across all
-// mailboxes. A correct SPMD program leaves zero pending messages at the end
-// of Run; tests assert this.
-func (w *World) Pending() int {
-	n := 0
-	for _, mb := range w.mailboxes {
-		n += mb.pending()
-	}
-	return n
-}

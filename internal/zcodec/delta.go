@@ -68,7 +68,7 @@ func AppendInt32s(dst []byte, vals []int32) []byte {
 // the block: a byte after its last element is ErrCorrupt.
 func DecodeInt64sInto(dst []int64, src []byte) error {
 	t0 := time.Now()
-	n, rest, err := intHeader(src, MaxBlockElems)
+	n, rest, err := intHeader(src)
 	if err != nil {
 		return err
 	}
@@ -82,28 +82,12 @@ func DecodeInt64sInto(dst []int64, src []byte) error {
 	return nil
 }
 
-// DecodeInt64s decodes a block produced by AppendInt64s, allocating
-// the result, with maxElems bounding the accepted count.
-func DecodeInt64s(src []byte, maxElems int) ([]int64, error) {
-	t0 := time.Now()
-	n, rest, err := intHeader(src, maxElems)
-	if err != nil {
-		return nil, err
-	}
-	dst := make([]int64, n)
-	if err := decodeInt64sBody(dst, rest); err != nil {
-		return nil, err
-	}
-	statDecode(8*n, len(src), time.Since(t0))
-	return dst, nil
-}
-
 // DecodeInt32sInto decodes a block produced by AppendInt32s into dst,
 // whose length must equal the encoded element count. src must be exactly
 // the block, as for DecodeInt64sInto.
 func DecodeInt32sInto(dst []int32, src []byte) error {
 	t0 := time.Now()
-	n, rest, err := intHeader(src, MaxBlockElems)
+	n, rest, err := intHeader(src)
 	if err != nil {
 		return err
 	}
@@ -117,28 +101,12 @@ func DecodeInt32sInto(dst []int32, src []byte) error {
 	return nil
 }
 
-// DecodeInt32s decodes a block produced by AppendInt32s, allocating
-// the result, with maxElems bounding the accepted count.
-func DecodeInt32s(src []byte, maxElems int) ([]int32, error) {
-	t0 := time.Now()
-	n, rest, err := intHeader(src, maxElems)
-	if err != nil {
-		return nil, err
-	}
-	dst := make([]int32, n)
-	if err := decodeInt32sBody(dst, rest); err != nil {
-		return nil, err
-	}
-	statDecode(4*n, len(src), time.Since(t0))
-	return dst, nil
-}
-
-func intHeader(src []byte, maxElems int) (int, []byte, error) {
+func intHeader(src []byte) (int, []byte, error) {
 	c, k := binary.Uvarint(src)
 	if k <= 0 {
 		return 0, nil, ErrTruncated
 	}
-	if c > uint64(maxElems) || c > MaxBlockElems {
+	if c > MaxBlockElems {
 		return 0, nil, ErrTooLarge
 	}
 	return int(c), src[k:], nil

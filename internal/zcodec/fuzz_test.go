@@ -31,15 +31,15 @@ func FuzzDecodeDoubles(f *testing.F) {
 		AppendDoubles(nil, []float64{5, 6, 7, 8})))
 	f.Add(envelopeSeed(XOR, AppendDoubles(nil, []float64{math.NaN(), math.Inf(-1)})))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vals, err := DecodeDoubles(data, 1<<16)
+		vals, err := decodeBlock(DecodeDoublesInto, data, 1<<16)
 		if err != nil {
 			return
 		}
-		if _, err := DecodeDoubles(append(slices.Clone(data), 0), 1<<16); err == nil {
+		if _, err := decodeBlock(DecodeDoublesInto, append(slices.Clone(data), 0), 1<<16); err == nil {
 			t.Fatal("accepted block with a byte appended decoded cleanly")
 		}
 		enc := AppendDoubles(nil, vals)
-		back, err := DecodeDoubles(enc, 1<<16)
+		back, err := decodeBlock(DecodeDoublesInto, enc, 1<<16)
 		if err != nil {
 			t.Fatalf("re-decode of re-encode failed: %v", err)
 		}
@@ -73,7 +73,7 @@ func FuzzXORMatchesReference(f *testing.F) {
 	}
 	f.Add(envelopeSeed(XOR, refAppendDoubles(nil, []float64{math.NaN(), math.Inf(-1)})))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeDoubles(data, 1<<16)
+		got, err := decodeBlock(DecodeDoublesInto, data, 1<<16)
 		want, werr := refDecodeDoubles(data, 1<<16)
 		if err != werr {
 			t.Fatalf("decode err = %v, reference err = %v", err, werr)
@@ -107,20 +107,20 @@ func FuzzDecodeInts(f *testing.F) {
 	f.Add(envelopeSeed(Delta, AppendInt32s(nil, []int32{-1, 0, 1})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		longer := append(slices.Clone(data), 0)
-		if _, err := DecodeInt32s(data, 1<<16); err == nil {
-			if _, err := DecodeInt32s(longer, 1<<16); err == nil {
+		if _, err := decodeBlock(DecodeInt32sInto, data, 1<<16); err == nil {
+			if _, err := decodeBlock(DecodeInt32sInto, longer, 1<<16); err == nil {
 				t.Fatal("accepted int32 block with a byte appended decoded cleanly")
 			}
 		}
-		vals, err := DecodeInt64s(data, 1<<16)
+		vals, err := decodeBlock(DecodeInt64sInto, data, 1<<16)
 		if err != nil {
 			return
 		}
-		if _, err := DecodeInt64s(longer, 1<<16); err == nil {
+		if _, err := decodeBlock(DecodeInt64sInto, longer, 1<<16); err == nil {
 			t.Fatal("accepted int64 block with a byte appended decoded cleanly")
 		}
 		enc := AppendInt64s(nil, vals)
-		back, err := DecodeInt64s(enc, 1<<16)
+		back, err := decodeBlock(DecodeInt64sInto, enc, 1<<16)
 		if err != nil {
 			t.Fatalf("re-decode of re-encode failed: %v", err)
 		}

@@ -97,7 +97,7 @@ func put(b []byte, p int, acc uint64, n uint, v uint64, k uint) (int, uint64, ui
 // dst, whose length must equal the encoded element count. src must be
 // exactly the block: a byte after its last element is ErrCorrupt.
 func DecodeDoublesInto(dst []float64, src []byte) error {
-	n, err := decodeDoublesHeader(src, MaxBlockElems)
+	n, err := BlockCount(src)
 	if err != nil {
 		return err
 	}
@@ -105,32 +105,6 @@ func DecodeDoublesInto(dst []float64, src []byte) error {
 		return ErrCount
 	}
 	return decodeDoublesBody(dst, src)
-}
-
-// DecodeDoubles decodes a block produced by AppendDoubles, allocating
-// the result. maxElems bounds the accepted element count (pass
-// MaxBlockElems when no tighter bound is known).
-func DecodeDoubles(src []byte, maxElems int) ([]float64, error) {
-	n, err := decodeDoublesHeader(src, maxElems)
-	if err != nil {
-		return nil, err
-	}
-	dst := make([]float64, n)
-	if err := decodeDoublesBody(dst, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-func decodeDoublesHeader(src []byte, maxElems int) (int, error) {
-	c, k := binary.Uvarint(src)
-	if k <= 0 {
-		return 0, ErrTruncated
-	}
-	if c > uint64(maxElems) || c > MaxBlockElems {
-		return 0, ErrTooLarge
-	}
-	return int(c), nil
 }
 
 func decodeDoublesBody(dst []float64, src []byte) error {

@@ -51,10 +51,14 @@ func refAppendDoubles(dst []byte, vals []float64) []byte {
 	return w.finish()
 }
 
-// refDecodeDoubles is the reference decoder: DecodeDoubles, with the same
-// header checks, over the bit-at-a-time body decoder.
-func refDecodeDoubles(src []byte, maxElems int) ([]float64, error) {
-	n, err := decodeDoublesHeader(src, maxElems)
+// refDecodeDoubles is the reference decoder: decodeBlock over
+// DecodeDoublesInto, with the same header checks, over the bit-at-a-time body
+// decoder.
+func refDecodeDoubles(src []byte, most int) ([]float64, error) {
+	n, err := BlockCount(src)
+	if err == nil && n > most {
+		err = ErrTooLarge
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -147,9 +147,9 @@ var (
 	ErrCount     = fmt.Errorf("zcodec: block element count mismatch")
 )
 
-// MaxBlockElems bounds the element count a decoder will accept when
-// the caller has no tighter bound; it caps the allocation a corrupt
-// header can force.
+// MaxBlockElems bounds the element count BlockCount and the decoders
+// accept; it caps what a corrupt header can make a receiver that sizes its
+// destination by BlockCount allocate.
 const MaxBlockElems = 1 << 27
 
 // BlockCount reads the element count every encoded block leads with,

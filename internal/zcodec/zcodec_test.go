@@ -60,17 +60,8 @@ func TestDoublesRoundTrip(t *testing.T) {
 	for name, vals := range doubleCases() {
 		t.Run(name, func(t *testing.T) {
 			enc := AppendDoubles(nil, vals)
-			got, err := DecodeDoubles(enc, MaxBlockElems)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if len(got) != len(vals) {
-				t.Fatalf("len=%d want %d", len(got), len(vals))
-			}
-			for i := range vals {
-				if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-					t.Fatalf("[%d] %v != %v", i, got[i], vals[i])
-				}
+			if n, err := BlockCount(enc); err != nil || n != len(vals) {
+				t.Fatalf("block count %d (%v), want %d", n, err, len(vals))
 			}
 			into := make([]float64, len(vals))
 			if err := DecodeDoublesInto(into, enc); err != nil {
@@ -118,21 +109,14 @@ func TestInt64sRoundTrip(t *testing.T) {
 	for name, vals := range cases {
 		t.Run(name, func(t *testing.T) {
 			enc := AppendInt64s(nil, vals)
-			got, err := DecodeInt64s(enc, MaxBlockElems)
-			if err != nil {
+			got := make([]int64, len(vals))
+			if err := DecodeInt64sInto(got, enc); err != nil {
 				t.Fatalf("decode: %v", err)
-			}
-			if len(got) != len(vals) {
-				t.Fatalf("len=%d want %d", len(got), len(vals))
 			}
 			for i := range vals {
 				if got[i] != vals[i] {
 					t.Fatalf("[%d] %d != %d", i, got[i], vals[i])
 				}
-			}
-			into := make([]int64, len(vals))
-			if err := DecodeInt64sInto(into, enc); err != nil {
-				t.Fatalf("decode into: %v", err)
 			}
 		})
 	}
@@ -154,12 +138,9 @@ func TestInt32sRoundTrip(t *testing.T) {
 	for name, vals := range cases {
 		t.Run(name, func(t *testing.T) {
 			enc := AppendInt32s(nil, vals)
-			got, err := DecodeInt32s(enc, MaxBlockElems)
-			if err != nil {
+			got := make([]int32, len(vals))
+			if err := DecodeInt32sInto(got, enc); err != nil {
 				t.Fatalf("decode: %v", err)
-			}
-			if len(got) != len(vals) {
-				t.Fatalf("len=%d want %d", len(got), len(vals))
 			}
 			for i := range vals {
 				if got[i] != vals[i] {
@@ -193,9 +174,6 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		enc := AppendDoubles(nil, vals)
 		into := make([]float64, len(vals))
 		for cut := 0; cut < len(enc); cut++ {
-			if _, err := DecodeDoubles(enc[:cut], MaxBlockElems); err != ErrTruncated {
-				t.Fatalf("%s: truncated to %d of %d bytes: err = %v, want ErrTruncated", name, cut, len(enc), err)
-			}
 			if err := DecodeDoublesInto(into, enc[:cut]); err != ErrTruncated {
 				t.Fatalf("%s: DecodeDoublesInto truncated to %d of %d bytes: err = %v, want ErrTruncated", name, cut, len(enc), err)
 			}
@@ -204,12 +182,12 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	// Seven values: 64 raw bits, five repeats, then a new window cut after
 	// its lead (63) and three 1 bits of sig-1. The bits read so far already
 	// make lead+sig > 64, but the window ran off the end first.
-	if _, err := DecodeDoubles([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0x07, 0xff}, MaxBlockElems); err != ErrTruncated {
+	if err := DecodeDoublesInto(make([]float64, 7), []byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0x07, 0xff}); err != ErrTruncated {
 		t.Fatalf("window cut past lead+sig > 64: err = %v, want ErrTruncated", err)
 	}
 	ints := AppendInt64s(nil, []int64{1, 2, 3, 4, 5})
 	for cut := 0; cut < len(ints)-1; cut++ {
-		if _, err := DecodeInt64s(ints[:cut], MaxBlockElems); err == nil {
+		if err := DecodeInt64sInto(make([]int64, 5), ints[:cut]); err == nil {
 			t.Fatalf("truncated ints to %d bytes decoded without error", cut)
 		}
 	}
@@ -228,7 +206,6 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	for _, vals := range [][]float64{nil, {3.25}, {1, 2, 3, 4, 5, 6, 7, 8}} {
 		block := AppendDoubles(nil, vals)
 		rows = append(rows,
-			row{"DecodeDoubles", block, func(src []byte) error { _, err := DecodeDoubles(src, MaxBlockElems); return err }},
 			row{"DecodeDoublesInto", block, func(src []byte) error { return DecodeDoublesInto(make([]float64, len(vals)), src) }})
 	}
 	for _, vals := range [][]int64{nil, {-42}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}} {
@@ -238,9 +215,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 		}
 		b64, b32 := AppendInt64s(nil, vals), AppendInt32s(nil, v32)
 		rows = append(rows,
-			row{"DecodeInt64s", b64, func(src []byte) error { _, err := DecodeInt64s(src, MaxBlockElems); return err }},
 			row{"DecodeInt64sInto", b64, func(src []byte) error { return DecodeInt64sInto(make([]int64, len(vals)), src) }},
-			row{"DecodeInt32s", b32, func(src []byte) error { _, err := DecodeInt32s(src, MaxBlockElems); return err }},
 			row{"DecodeInt32sInto", b32, func(src []byte) error { return DecodeInt32sInto(make([]int32, len(v32)), src) }})
 	}
 	for _, r := range rows {
@@ -256,19 +231,30 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestDecodeRejectsOversizedCount(t *testing.T) {
+	// A count above the destination's is ErrCount; one above MaxBlockElems
+	// is ErrTooLarge whatever the destination, before a body is read.
 	enc := AppendDoubles(nil, []float64{1, 2, 3})
-	if _, err := DecodeDoubles(enc, 2); err != ErrTooLarge {
-		t.Fatalf("want ErrTooLarge, got %v", err)
-	}
 	if err := DecodeDoublesInto(make([]float64, 2), enc); err != ErrCount {
 		t.Fatalf("want ErrCount, got %v", err)
 	}
+	if err := DecodeInt64sInto(make([]int64, 2), AppendInt64s(nil, []int64{1, 2, 3})); err != ErrCount {
+		t.Fatalf("int64s: want ErrCount, got %v", err)
+	}
+	if err := DecodeInt32sInto(make([]int32, 2), AppendInt32s(nil, []int32{1, 2, 3})); err != ErrCount {
+		t.Fatalf("int32s: want ErrCount, got %v", err)
+	}
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
-	if _, err := DecodeDoubles(huge, MaxBlockElems); err != ErrTooLarge {
+	if _, err := BlockCount(huge); err != ErrTooLarge {
+		t.Fatalf("huge count: BlockCount wants ErrTooLarge, got %v", err)
+	}
+	if err := DecodeDoublesInto(nil, huge); err != ErrTooLarge {
 		t.Fatalf("huge count: want ErrTooLarge, got %v", err)
 	}
-	if _, err := DecodeInt64s(huge, MaxBlockElems); err != ErrTooLarge {
-		t.Fatalf("huge int count: want ErrTooLarge, got %v", err)
+	if err := DecodeInt64sInto(nil, huge); err != ErrTooLarge {
+		t.Fatalf("huge int64 count: want ErrTooLarge, got %v", err)
+	}
+	if err := DecodeInt32sInto(nil, huge); err != ErrTooLarge {
+		t.Fatalf("huge int32 count: want ErrTooLarge, got %v", err)
 	}
 }
 
@@ -280,13 +266,13 @@ func TestDecodeCorruptNeverPanics(t *testing.T) {
 		for f := 0; f < 1+r.Intn(4); f++ {
 			b[r.Intn(len(b))] ^= byte(1 << r.Intn(8))
 		}
-		DecodeDoubles(b, 1<<20) //nolint:errcheck — must not panic
-		DecodeInt64s(b, 1<<20)  //nolint:errcheck
-		DecodeInt32s(b, 1<<20)  //nolint:errcheck
+		decodeBlock(DecodeDoublesInto, b, 1<<20) //nolint:errcheck — must not panic
+		decodeBlock(DecodeInt64sInto, b, 1<<20)  //nolint:errcheck
+		decodeBlock(DecodeInt32sInto, b, 1<<20)  //nolint:errcheck
 		rb := make([]byte, r.Intn(40))
 		r.Read(rb)
-		DecodeDoubles(rb, 1<<20) //nolint:errcheck
-		DecodeInt64s(rb, 1<<20)  //nolint:errcheck
+		decodeBlock(DecodeDoublesInto, rb, 1<<20) //nolint:errcheck
+		decodeBlock(DecodeInt64sInto, rb, 1<<20)  //nolint:errcheck
 	}
 }
 
@@ -347,12 +333,30 @@ func TestXORMatchesReferenceBytes(t *testing.T) {
 		if !slices.Equal(enc, ref) {
 			t.Fatalf("%s: %d-byte block differs from the reference's %d bytes", name, len(enc), len(ref))
 		}
-		got, err := DecodeDoubles(ref, MaxBlockElems)
+		got, err := decodeBlock(DecodeDoublesInto, ref, MaxBlockElems)
 		want, werr := refDecodeDoubles(ref, MaxBlockElems)
 		if err != nil || werr != nil || !sameBits(got, want) {
 			t.Fatalf("%s: decode differs from the reference (err %v, reference err %v)", name, err, werr)
 		}
 	}
+}
+
+// decodeBlock decodes a whole block the way a chunk receiver does: the count
+// the block leads with (BlockCount) sizes the destination the …Into decoder
+// fills, and a count above most is ErrTooLarge before anything is allocated.
+func decodeBlock[T any](into func(dst []T, src []byte) error, src []byte, most int) ([]T, error) {
+	n, err := BlockCount(src)
+	if err == nil && n > most {
+		err = ErrTooLarge
+	}
+	if err != nil {
+		return nil, err
+	}
+	dst := make([]T, n)
+	if err := into(dst, src); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns.
@@ -456,7 +460,7 @@ func TestEncodeThroughputLedger(t *testing.T) {
 	if EncodeThroughput() <= 0 {
 		t.Fatal("throughput not recorded after encode")
 	}
-	if _, err := DecodeDoubles(enc, MaxBlockElems); err != nil {
+	if err := DecodeDoublesInto(make([]float64, len(vals)), enc); err != nil {
 		t.Fatal(err)
 	}
 	if decNanos.Load() <= 0 {
