@@ -4,8 +4,8 @@
 GO ?= go
 FUZZTIME ?= 10s
 # race bounds every package's suite under the race detector: the chaos,
-# swarm, shard, resize and compression suites all run in that one pass, and
-# a wedged drain or a leaked goroutine must fail it, not hang CI.
+# swarm, replica failover, resize and compression suites all run in that one
+# pass, and a wedged drain or a leaked goroutine must fail it, not hang CI.
 RACETIMEOUT ?= 300s
 # bench-pair: which BENCHMARK.json workload to run, how many alternated
 # parent/change pairs, the run length (the gate's), whether to run the traced
@@ -61,9 +61,9 @@ test:
 	$(GO) test ./...
 
 # One pass over everything: the fault-injection, keepalive, drain and failover
-# suites, the massive fan-in swarm and soak, the shard kill, the 50 seeded
-# resize schedules and the compression matrix are ordinary tests of their
-# packages and need no -run subset of their own.
+# suites, the massive fan-in swarm and soak, the 50 seeded resize schedules
+# and the compression matrix are ordinary tests of their packages and need no
+# -run subset of their own.
 race:
 	$(GO) test -race -timeout=$(RACETIMEOUT) ./...
 

@@ -52,8 +52,6 @@ func main() {
 	overload := flag.Bool("overload", false, "run the admission-control overload scenario")
 	failover := flag.Bool("failover", false, "run the replica failover scenario")
 	swarm := flag.Bool("swarm", false, "run the massive fan-in swarm benchmark")
-	shards := flag.Int("shards", 0, "run the sharded object-group scenario with this many shards")
-	killShard := flag.Bool("kill-shard", false, "(shards mode) kill one shard mid-run to exercise rerouting")
 	resize := flag.Int("resize", 0, "run the elastic-membership scenario with this many resizes")
 	maxThreads := flag.Int("max-threads", 4, "(resize mode) membership cycles between 1 and this many threads")
 	clients := flag.Int("clients", 16, "(overload/swarm mode) concurrent clients")
@@ -102,10 +100,6 @@ func main() {
 		}()
 	}
 
-	if *shards > 0 {
-		runShards(*shards, *requests, *killShard)
-		return
-	}
 	if *resize > 0 {
 		runResize(*resize, *clients, *elems, *maxThreads, compMask)
 		return

@@ -251,7 +251,7 @@ func (b *Binding) invoke(method Method, op string, scalars []byte, args []DistAr
 		rh    = &ln.response // the attempt's reply header, as thread 0 received it
 	)
 	if me == 0 {
-		route = b.client.Route(b.ref, b.addrs, orb.InvokeOptions{})
+		route = b.client.Route(b.ref, b.addrs)
 	}
 	for {
 		if err := iv.pick(&route, stop); err != nil {
@@ -300,7 +300,7 @@ func (b *Binding) invoke(method Method, op string, scalars []byte, args []DistAr
 			fwdErr = err
 		}
 		if me == 0 {
-			if again, _ := route.Done(iv.reply.err); fwdErr != nil && !again {
+			if !route.Done(iv.reply.err) && fwdErr != nil {
 				stop = fwdErr
 			}
 		}

@@ -42,9 +42,9 @@ func TestRegistryBindReplicaMergesProfiles(t *testing.T) {
 }
 
 // TestRegistryBindReplicaRepeatedAnnouncements pins the merge hygiene a
-// shard group depends on: replicas re-announce periodically, and the merged
-// reference must not inflate — the ring over its profiles would otherwise
-// grow phantom shards.
+// replica group depends on: replicas re-announce periodically, and the merged
+// reference must not inflate — the failover walk over its profiles would
+// otherwise visit phantom replicas.
 func TestRegistryBindReplicaRepeatedAnnouncements(t *testing.T) {
 	r := NewRegistry()
 	a, b := replicaRef("a", 1), replicaRef("b", 2)

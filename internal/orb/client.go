@@ -37,12 +37,10 @@ type Client struct {
 	// the cost of a nil check per event.
 	Metrics *obs.Registry
 
-	obsOnce       sync.Once
-	mFailovers    *obs.Counter
-	mBreakerOpen  *obs.Counter
-	mConnBroken   *obs.Counter
-	mShardReroute *obs.Counter
-	mShardSpill   *obs.Counter
+	obsOnce      sync.Once
+	mFailovers   *obs.Counter
+	mBreakerOpen *obs.Counter
+	mConnBroken  *obs.Counter
 
 	nextID atomic.Uint32
 
@@ -52,9 +50,6 @@ type Client struct {
 
 	bkMu     sync.Mutex
 	breakers map[string]*breaker
-
-	sgMu    sync.Mutex
-	sgCache map[string]*shardGroup
 
 	sinkMu sync.Mutex
 	sinks  map[sinkKey]dataSink
@@ -78,7 +73,6 @@ func NewClient() *Client {
 	return &Client{
 		conns:    make(map[string]*connSlot),
 		breakers: make(map[string]*breaker),
-		sgCache:  make(map[string]*shardGroup),
 		sinks:    make(map[sinkKey]dataSink),
 	}
 }
@@ -91,22 +85,6 @@ func NewClient() *Client {
 type connSlot struct {
 	mu sync.Mutex
 	cc *clientConn // nil or broken: the next use redials
-}
-
-// InvokeOptions refine one invocation.
-type InvokeOptions struct {
-	// Oneway suppresses the reply; the call returns once the request is
-	// written.
-	Oneway bool
-	// ShardKey, when non-nil, routes the invocation by consistent hash over
-	// the reference's profiles — each profile one shard — instead of the
-	// fixed primary-first failover order (see Route).
-	ShardKey []byte
-	// Idempotent declares the operation safe to re-execute: a sharded
-	// invocation whose shard fails mid-flight then reroutes transparently to
-	// the next ring successor. Without it, only provably-undispatched
-	// failures (open circuit, failed probe, TRANSIENT shed) may move on.
-	Idempotent bool
 }
 
 // retryable reports whether err indicates a broken or unreachable
@@ -163,8 +141,6 @@ func (c *Client) obsInit() {
 		c.mFailovers = m.Counter("orb.client.failovers")
 		c.mBreakerOpen = m.Counter("orb.client.breaker_open")
 		c.mConnBroken = m.Counter("orb.client.conn_broken")
-		c.mShardReroute = m.Counter("shard.reroute_total")
-		c.mShardSpill = m.Counter("shard.spill_total")
 	})
 }
 
@@ -439,23 +415,18 @@ func (c *Client) routeData(d *wire.Data) {
 // explicit endpoint address. It returns the reply's argument payload.
 // Exceptional replies are returned as *UserException or *SystemException.
 func (c *Client) InvokeAddr(addr string, key []byte, op string, args []byte, oneway bool) ([]byte, error) {
-	return c.InvokeAddrOpts(addr, key, op, args, InvokeOptions{Oneway: oneway})
-}
-
-// InvokeAddrOpts is the fully-optioned invocation entry point.
-func (c *Client) InvokeAddrOpts(addr string, key []byte, op string, args []byte, o InvokeOptions) ([]byte, error) {
 	id := c.NextRequestID()
 	req := requests.Get().(*wire.Request)
 	defer func() { *req = wire.Request{}; requests.Put(req) }()
 	*req = wire.Request{
 		RequestID:        id,
-		ResponseExpected: !o.Oneway,
+		ResponseExpected: !oneway,
 		ObjectKey:        key,
 		Operation:        op,
 		Principal:        c.Principal,
 		Args:             args,
 	}
-	if o.Oneway {
+	if oneway {
 		cc, err := c.conn(addr)
 		if err != nil {
 			return nil, err
@@ -533,11 +504,6 @@ func (c *Client) await(cc *clientConn, ch chan *wire.Reply, id uint32) (*wire.Re
 		cc.unregister(id)
 		return nil, fmt.Errorf("%w: request %d after %v", ErrInvokeTimeout, id, bound)
 	}
-}
-
-// Invoke performs a request on the object, walking its profiles primary first.
-func (c *Client) Invoke(ref IOR, op string, args []byte, oneway bool) ([]byte, error) {
-	return c.InvokeOpts(ref, op, args, InvokeOptions{Oneway: oneway})
 }
 
 // DataConn returns the connection that carries Data messages to the endpoint

@@ -102,8 +102,8 @@ func (r IOR) ProfileAddrs() ([]string, error) {
 }
 
 // Narrowed returns the reference narrowed to each of its profiles, in
-// ProfileAddrs order: one reference per replica or shard, holding that
-// profile's endpoints alone.
+// ProfileAddrs order: one reference per replica, holding that profile's
+// endpoints alone.
 func (r IOR) Narrowed() []IOR {
 	one := r
 	one.Alternates = nil
@@ -120,7 +120,7 @@ func (r IOR) Narrowed() []IOR {
 // dedupeEndpoints drops exact repeats (host, port, rank) from a profile,
 // preserving order. Repeated replica announcements may accumulate the same
 // endpoint several times; carrying the duplicates would inflate anything
-// derived from the profile (the shard ring above all).
+// derived from the profile (the Multiport check above all).
 func dedupeEndpoints(eps []Endpoint) []Endpoint {
 	out := eps[:0:0]
 	for _, e := range eps {
@@ -165,12 +165,12 @@ func sameEndpointSet(a, b []Endpoint) bool {
 //   - duplicate endpoints inside the announcement are dropped;
 //   - a profile sharing an existing profile's primary address replaces it
 //     (re-registration refreshes the membership instead of being ignored,
-//     so a shard that restarts with new data ports is picked up);
+//     so a replica that restarts with new data ports is picked up);
 //   - a profile whose endpoint set equals an existing profile's — in any
 //     order — is skipped (another rank of a known replica announcing).
 //
 // Only genuinely new profiles append, so repeated replica announcements
-// cannot inflate the profile list (or the shard ring built over it).
+// cannot inflate the profile list (or the failover walk over it).
 func (r *IOR) AddProfile(eps []Endpoint) {
 	eps = dedupeEndpoints(eps)
 	if len(eps) == 0 {

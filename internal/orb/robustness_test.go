@@ -3,6 +3,7 @@ package orb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -579,24 +580,28 @@ func TestFailoverAndHalfOpenRecovery(t *testing.T) {
 
 // TestAllEndpointsCircuitOpen pins the everything-down diagnosis: once every
 // profile's circuit is open, an invocation reports ErrAllEndpointsDown
-// instead of burning a dial timeout per call.
+// instead of burning a dial timeout per call, whether the reference has one
+// profile or a replica group's several.
 func TestAllEndpointsCircuitOpen(t *testing.T) {
-	srv := echoServer(t, "127.0.0.1:0", "only", []byte("solo"))
-	ref := IOR{TypeID: "IDL:test/solo:1.0", Key: []byte("solo"), Threads: 1,
-		Endpoints: []Endpoint{srv.Endpoint(0)}}
-	srv.Close()
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("profiles=%d", n), func(t *testing.T) {
+			ref, servers := replicaRef(t, n)
+			for _, srv := range servers {
+				srv.Close()
+			}
+			c := NewClient()
+			c.Timeout = 2 * time.Second
+			c.Breaker = BreakerPolicy{Threshold: 1, Cooldown: time.Hour}
+			defer c.Close()
 
-	c := NewClient()
-	c.Timeout = 2 * time.Second
-	c.Breaker = BreakerPolicy{Threshold: 1, Cooldown: time.Hour}
-	defer c.Close()
-
-	if _, err := invokeTag(t, c, ref); err == nil {
-		t.Fatal("invocation against a dead endpoint succeeded")
-	}
-	_, err := invokeTag(t, c, ref)
-	if !errors.Is(err, ErrAllEndpointsDown) {
-		t.Fatalf("with the circuit open: %v, want ErrAllEndpointsDown", err)
+			if _, err := invokeTag(t, c, ref); err == nil {
+				t.Fatal("invocation against dead endpoints succeeded")
+			}
+			_, err := invokeTag(t, c, ref)
+			if !errors.Is(err, ErrAllEndpointsDown) {
+				t.Fatalf("with every circuit open: %v, want ErrAllEndpointsDown", err)
+			}
+		})
 	}
 }
 
