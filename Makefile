@@ -97,7 +97,8 @@ race:
 # (a header or layout one call still reads while the next call decodes into
 # it) and the kept scratch's (a token broadcast, request, directive or reply
 # rewritten while a thread or the adapter still reads it, steps read through a
-# decoder the adapter reused), one client's two bindings with a call in flight
+# decoder the adapter reused, a direct leg planned on another call's layout),
+# one client's two bindings with a call in flight
 # on each (collective traffic or frames of one call that reached the other)
 # and, last, the whole run-time system under -race
 # (its one receive loop is the timer path of every collective receive: a

@@ -358,7 +358,7 @@ func TestRefusedInvocationReleasesFrames(t *testing.T) {
 				defer cli.Close()
 				late := &wire.Data{RequestID: tokenCounter.Add(1), DstRank: 1, Count: 4,
 					Payload: dseq.MarshalChunk(dseq.Float64, make([]float64, 4))}
-				if err := cli.SendData(objs[0].Ref(), late); err != nil {
+				if err := sendData(cli, objs[0].Ref(), late); err != nil {
 					t.Fatal(err)
 				}
 				testutil.Eventually(t, testTimeout, "the late frame never arrived", func() bool { return buckets() == 1 })

@@ -148,6 +148,11 @@ type bindLane struct {
 	// behind the last and never rewritten: a thread that has yet to take one
 	// reads its own bytes. A full slab is left to whoever still holds it.
 	picks []byte
+	// replies is where thread 0's launched exchange delivers its outcome. It
+	// never holds a stale one: thread 0 takes the outcome of every attempt
+	// that launched before the next can launch.
+	replies   chan callResult
+	fwd, back directLeg // what the lane's direct legs plan into
 }
 
 // pickBytes returns n bytes of the lane's slab no broadcast has used, in a
@@ -241,7 +246,7 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 	}
 	b := &Binding{
 		comm:       engine,
-		lane:       bindLane{free: make(chan struct{}, 1)},
+		lane:       bindLane{free: make(chan struct{}, 1), replies: make(chan callResult, 1)},
 		ref:        ref,
 		method:     o.Method,
 		rec:        o.Trace,
@@ -256,7 +261,7 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (_ *Binding, 
 	b.client = o.newClient()
 	b.client.Principal = fmt.Sprintf("spmd-client/%d", engine.Rank())
 	for _, p := range ref.Narrowed() {
-		b.targets = append(b.targets, target{client: b.client, ref: p})
+		b.targets = append(b.targets, newTarget(b.client, p))
 	}
 	// A failed bind closes its client.
 	defer func() {

@@ -169,6 +169,8 @@ type Object struct {
 	directive invocationHeader
 	dir       []byte
 
+	recvLeg, sendLeg directLeg // what processCall's direct legs plan into
+
 	// Elastic wiring, installed between Export and Serve by the elastic
 	// engine (all fields nil/zero on conventional objects). resizeCh (thread
 	// 0 only) delivers resize tickets into the collective loop; onResize is
@@ -200,6 +202,10 @@ type pendingCall struct {
 	replyCh    chan callResult
 	enqueuedNS int64 // when dispatch queued the call; 0 when tracing is off
 }
+
+// dataConn is the connection a framed send leg writes its results on, the one
+// the call arrived on (connSource).
+func (c *pendingCall) dataConn(int) (*transport.Conn, error) { return c.conn, nil }
 
 // pendingCalls recycles a pendingCall, replyCh, encoder and all, once dispatch
 // has taken its reply, the collective loop's last touch; one given up on is not

@@ -127,9 +127,9 @@ func (iv *invocation) phase(ph obs.Phase, start time.Time, dur time.Duration) {
 }
 
 // launch starts thread 0's exchange beside the forward leg's data; invoke
-// collects the outcome from replyCh once the leg is done.
+// collects the outcome from replyCh, the lane's, once the leg is done.
 func (iv *invocation) launch(payload []byte) {
-	client, addr, key, op, ch := iv.b.client, iv.addr, iv.t.ref.Key, iv.op, make(chan callResult, 1)
+	client, addr, key, op, ch := iv.b.client, iv.addr, iv.t.ref.Key, iv.op, iv.b.lane.replies
 	iv.replyCh = ch
 	go func() {
 		out, err := client.InvokeAddr(addr, key, op, payload, false)

@@ -256,14 +256,21 @@ func TestSmallCallAllocs(t *testing.T) {
 // TestFramedCallAllocs is the allocation guard for a framed receive leg: a
 // 2^19-element in argument between two client and two server threads, the
 // benchmark's bulk_in_central and bulk_in_multiport, may allocate 12 KiB per
-// call across the whole process, both sides together, and 14 objects
-// centralized, 34 multi-port. The receive leg's sink outlives the call on both
+// call across the whole process, both sides together, and 9 objects
+// centralized, 10 multi-port. The receive leg's sink outlives the call on both
 // sides — a server thread reissues its spare bucket, a client lane keeps its
 // sink — and so does the timer its waits arm, every thread decodes its
 // headers in place, and the per-call scratch of the small call is kept the
-// same way, so what is left is the skeleton and pool refills.
-// Measured on a 2-core x86-64 Xeon: 1.6 KiB and 12.4 objects centralized,
-// 2.4 KiB and 32.4 objects multi-port; 1.9 KiB and 20.6 objects centralized,
+// same way; a direct leg plans into storage its owner keeps — the lane, the
+// object's thread — a sender resolves each destination's connection by an
+// address rendered at bind, and the lane keeps the channel its launched
+// exchange answers on, so what is left is the skeleton, the launched exchange's
+// and the sender's goroutines, and pool refills.
+// Measured on a 2-core x86-64 Xeon: 0.7 KiB and 7.6 objects centralized,
+// 0.8 KiB and 8.4 objects multi-port; 1.6 KiB and 12.4 objects centralized,
+// 2.4 KiB and 32.4 objects multi-port while every direct leg planned into fresh
+// storage and every leg rendered its connections' addresses;
+// 1.9 KiB and 20.6 objects centralized,
 // 3.0 KiB and 40.3 multi-port while that scratch was fresh per call (see
 // TestSmallCallAllocs); 34.5 and 54.3 objects while every
 // thread decoded its headers into fresh storage; 67.4 KiB and 47.5 objects
@@ -281,7 +288,7 @@ func TestFramedCallAllocs(t *testing.T) {
 		elems = 1 << 19
 		kib   = 12
 	)
-	objects := map[Method]float64{Centralized: 14, Multiport: 34}
+	objects := map[Method]float64{Centralized: 9, Multiport: 10}
 	calls := 200
 	if raceEnabled {
 		calls = 5

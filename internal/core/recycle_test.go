@@ -825,27 +825,46 @@ func TestRecycledHeaders(t *testing.T) {
 }
 
 // heldIntervals is the most intervals any one array of a header's layouts
-// holds, over all the argument entries it keeps: the per-rank lists, what they
-// view, and the storage a decode keeps for the next one.
+// holds, over all the argument entries it keeps.
 func heldIntervals(h *invocationHeader) int {
 	most := 0
 	for _, a := range h.Args[:cap(h.Args)] {
-		views := 0
-		for _, v := range a.Layout.Intervals {
-			views += cap(v)
-		}
-		most = max(most, cap(a.Layout.Intervals), views, reflect.ValueOf(a.Layout).FieldByName("flat").Cap())
+		most = max(most, layoutHeld(a.Layout))
+	}
+	return most
+}
+
+// layoutHeld is the most intervals one array of l holds: the per-rank lists,
+// what they view, and the storage a decode or a Block.LayoutInto keeps for the
+// next one.
+func layoutHeld(l dist.Layout) int {
+	views := 0
+	for _, v := range l.Intervals {
+		views += cap(v)
+	}
+	return max(cap(l.Intervals), views, reflect.ValueOf(l).FieldByName("flat").Cap())
+}
+
+// legHeld is the most moves, intervals or ledger entries one array a direct
+// leg's storage keeps holds: a plan of every argument entry it keeps, its Block
+// layout, its ledger.
+func legHeld(l *directLeg) int {
+	most := max(cap(l.flows), layoutHeld(l.block))
+	for _, plan := range l.plans[:cap(l.plans)] {
+		most = max(most, cap(plan))
 	}
 	return most
 }
 
 // TestRecycledHeaderRetention: a header keeps no more of a layout than
-// dist.KeptIntervals. After a call whose client layout is Cyclic{1} over 10^6
-// elements (20 000 under the race detector) — an interval an element in its
-// header — a Block call and a stop, neither server thread's header nor any
-// client lane's holds more. Thread 0's headers ride the pooled pending calls:
-// on one P, the test's gets find what dispatch put back, unless a collection
-// dropped it first.
+// dist.KeptIntervals, and a direct leg's storage no more of a plan. After a
+// call whose client layout is Cyclic{1} over 10^6 elements (20 000 under the
+// race detector) — an interval an element in its header, a move an element in
+// its plans, multi-port an in and an inout call, so that every leg plans it — a
+// Block call and a stop, neither server thread's header nor its legs, nor any
+// client lane's header or legs, holds more. Thread 0's headers ride the pooled
+// pending calls: on one P, the test's gets find what dispatch put back, unless
+// a collection dropped it first.
 func TestRecycledHeaderRetention(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	n := 1000000
@@ -866,12 +885,21 @@ func TestRecycledHeaderRetention(t *testing.T) {
 					if _, err := b.Invoke("put", ScalarEncoder().Bytes(), []DistArg{InSeq(arr)}); err != nil {
 						return err
 					}
+					if method != Multiport {
+						continue
+					}
+					if _, err := b.Invoke("swap", ScalarEncoder().Bytes(), []DistArg{InOutSeq(arr)}); err != nil {
+						return err
+					}
 				}
 				if _, err := b.Invoke("stop", ScalarEncoder().Bytes(), nil); err != nil {
 					return err
 				}
 				if got := heldIntervals(&b.lane.request); got > dist.KeptIntervals {
 					return fmt.Errorf("client thread %d: the lane's header holds %d intervals, more than %d", c.Rank(), got, dist.KeptIntervals)
+				}
+				if got := max(legHeld(&b.lane.fwd), legHeld(&b.lane.back)); got > dist.KeptIntervals {
+					return fmt.Errorf("client thread %d: the lane's direct legs hold %d moves or intervals, more than %d", c.Rank(), got, dist.KeptIntervals)
 				}
 				return nil
 			})
@@ -880,6 +908,11 @@ func TestRecycledHeaderRetention(t *testing.T) {
 				defer tc.objMu.Unlock()
 				return !slices.Contains(tc.served, -1)
 			})
+			for r, o := range tc.objects {
+				if got := max(legHeld(&o.recvLeg), legHeld(&o.sendLeg)); got > dist.KeptIntervals {
+					t.Errorf("server thread %d: its direct legs hold %d moves or intervals, more than %d", r, got, dist.KeptIntervals)
+				}
+			}
 			headers := []*invocationHeader{&tc.objects[1].directive}
 			var calls []*pendingCall
 			for call := pendingCalls.Get().(*pendingCall); call.header.Op != ""; call = pendingCalls.Get().(*pendingCall) {
@@ -1033,6 +1066,50 @@ func keptCalls(c *rts.Comm, b *Binding, from, n int, lag time.Duration) error {
 	return nil
 }
 
+// directKeptOps is the operation table of TestKeptScratchWindows/direct:
+// "block" and "spread" each take an in, an inout and an out argument, at the
+// same indices, laid out Block on the server for the one and Cyclic{3},
+// Proportions{1,2} and Cyclic{1} for the other. Call k carries k and a length n
+// in its scalars, its in and inout arguments hold g + k at global index g, the
+// handler negates the inout and fills the out with n elements of 2g + k, and
+// its reply opens with k.
+func directKeptOps() []Operation {
+	spread := []dist.Spec{dist.Cyclic{BlockSize: 3}, dist.Proportions{P: []int{1, 2}}, dist.Cyclic{BlockSize: 1}}
+	var ops []Operation
+	for _, name := range []string{"block", "spread"} {
+		desc := OpDesc{Name: name, Args: []ArgDesc{{Name: "in", Dir: In, Elem: "double"}, {Name: "io", Dir: InOut, Elem: "double"}, {Name: "out", Dir: Out, Elem: "double"}}}
+		for i := range desc.Args {
+			if name == "spread" {
+				desc.Args[i].Spec = spread[i]
+			}
+		}
+		ops = append(ops, Operation{Desc: desc, NewArgs: SeqArgsFloat64(desc.Args), Handler: func(call *ServerCall) error {
+			k, err := call.In.ReadDouble()
+			if err != nil {
+				return err
+			}
+			n, err := call.In.ReadLong()
+			if err != nil {
+				return err
+			}
+			call.Out.WriteDouble(k)
+			in, io, out := ArgSeq[float64](call, 0), ArgSeq[float64](call, 1), ArgSeq[float64](call, 2)
+			if err := errors.Join(wantElems(in, indexPlus(k)), wantElems(io, indexPlus(k))); err != nil {
+				return fmt.Errorf("%s call %v, server: %w", name, k, err)
+			}
+			for i, v := range io.LocalData() {
+				io.LocalData()[i] = -v
+			}
+			if err := out.ResizeAlloc(int(n)); err != nil {
+				return err
+			}
+			out.FillFunc(func(g int) float64 { return 2*float64(g) + k })
+			return nil
+		}})
+	}
+	return ops
+}
+
 // TestKeptScratchWindows: (pipelined) a binding's thread 0 runs a call ahead
 // of its thread 1, which issues every call late, so thread 0 finishes each
 // "echo" and picks the next call's token before thread 1 has taken the echo's
@@ -1040,7 +1117,13 @@ func keptCalls(c *rts.Comm, b *Binding, from, n int, lag time.Duration) error {
 // SPMD clients call one object at once; (stopped) an object is stopped while
 // its loop holds a dequeued call, and goes on to read that call's steps only
 // once another object's adapter has served requests with the pooled decoders —
-// the call's handler must still see its own data on every thread.
+// the call's handler must still see its own data on every thread; (direct) one
+// multi-port binding alternates calls whose arguments, at the same indices, are
+// laid out Block on both sides and otherwise, over lengths that change every
+// other call, so every leg the lane and the object's threads plan into storage
+// they keep plans one call's arguments after another's of the same length but
+// another layout, or of the same layout and another length — every thread of
+// both sides must see its call's contents.
 func TestKeptScratchWindows(t *testing.T) {
 	ops := func() []Operation { return keptOps(nil) }
 	t.Run("pipelined", func(t *testing.T) {
@@ -1078,6 +1161,53 @@ func TestKeptScratchWindows(t *testing.T) {
 				t.Error(err)
 			}
 		}
+	})
+	t.Run("direct", func(t *testing.T) {
+		tc := startClusterOps(t, 2, true, directKeptOps)
+		tc.runClientOpts(t, 2, BindOptions{Method: Multiport, Timeout: testTimeout, streamChunkElems: 64}, func(c *rts.Comm, b *Binding) error {
+			for k := 0; k < 12; k++ {
+				op, n, spec := "block", []int{1000, 333}[k/2%2], dist.Spec(nil)
+				if k%2 == 1 {
+					op, spec = "spread", dist.Cyclic{BlockSize: 2}
+				}
+				in, err := dseq.New(c, dseq.Float64, n, spec)
+				if err != nil {
+					return err
+				}
+				io, err := dseq.New(c, dseq.Float64, n, spec)
+				if err != nil {
+					return err
+				}
+				out, err := dseq.New(c, dseq.Float64, 0, spec)
+				if err != nil {
+					return err
+				}
+				in.FillFunc(indexPlus(float64(k)))
+				io.FillFunc(indexPlus(float64(k)))
+				e := ScalarEncoder()
+				e.WriteDouble(float64(k))
+				e.WriteLong(int32(n + k/2))
+				reply, err := b.Invoke(op, e.Bytes(), []DistArg{InSeq(in), InOutSeq(io), OutSeq(out)})
+				if err != nil {
+					return fmt.Errorf("%s call %d: %w", op, k, err)
+				}
+				d, err := ScalarDecoder(reply)
+				if err != nil {
+					return err
+				}
+				if got, err := d.ReadDouble(); err != nil || got != float64(k) {
+					return fmt.Errorf("%s call %d: the reply opens with %v (%v)", op, k, got, err)
+				}
+				if out.Len() != n+k/2 {
+					return fmt.Errorf("%s call %d: the out argument holds %d elements, want %d", op, k, out.Len(), n+k/2)
+				}
+				if err := errors.Join(wantElems(io, func(g int) float64 { return -float64(g + k) }),
+					wantElems(out, func(g int) float64 { return float64(2*g + k) })); err != nil {
+					return fmt.Errorf("%s call %d, client: %w", op, k, err)
+				}
+			}
+			return nil
+		})
 	})
 	t.Run("stopped", func(t *testing.T) {
 		// One P: the pooled scratch the stopped object's adapter puts back is

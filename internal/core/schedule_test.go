@@ -123,6 +123,26 @@ func TestChunkSchedule(t *testing.T) {
 	}
 }
 
+// planDirect, sendSteps and recvSteps are one direct leg's planning and its
+// two halves on storage of their own, nobody's to keep.
+func planDirect(base, dsts, nargs int, layouts func(i int) (from, to dist.Layout, err error)) ([][]dist.Move, int, error) {
+	var l directLeg
+	err := l.plan(base, dsts, nargs, layouts)
+	return l.plans, l.ce, err
+}
+
+func sendSteps(conns connSource, dsts int, token uint32, me int, reply bool, ce int, plans [][]dist.Move,
+	arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) (time.Duration, error) {
+	l := directLeg{plans: plans, ce: ce}
+	return l.send(conns, dsts, token, me, reply, arg, span)
+}
+
+func recvSteps(w *frameWait, me, srcs int, reply bool, ce int, plans [][]dist.Move,
+	arg func(i int) dseq.Transferable, span func(chunkStart time.Time)) error {
+	l := directLeg{plans: plans, ce: ce}
+	return l.recv(w, me, srcs, reply, arg, span)
+}
+
 // failingConns is a connSource nobody may consult.
 type failingConns struct{ t *testing.T }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -16,26 +17,24 @@ import (
 	"repro/internal/wire"
 )
 
-// senderLeg is one user of chunkSender wired to a live peer: the write the
-// leg hands its sender, the Data messages the peer has received (payloads
-// copied out, in arrival order), a way to break the sending connection, and
-// the teardown.
+// senderLeg is one user of chunkSender wired to a live peer: the connections
+// the leg hands its sender, the Data messages the peer has received (payloads
+// copied out, in arrival order), and the teardown.
 type senderLeg struct {
-	write func(wire.Message) error
+	conns connSource
 	recv  chan *wire.Data
-	kill  func()
 	stop  func()
 }
 
-// The two users. The client's request leg resolves its data connection
-// through orb.Client.DataConn (what SendData resolved per chunk before); the
-// server's reply leg writes to the connection the request's chunks arrived
-// on, here one end of an in-process pipe.
+// The two users, their sending connection configured by opts. The client's
+// request leg resolves its data connection through the profile it was routed
+// to (target); the server's reply leg writes to the connection the request
+// arrived on (pendingCall), here one end of an in-process pipe.
 var senderLegs = []struct {
 	name string
-	open func(t *testing.T) senderLeg
+	open func(t *testing.T, opts *transport.Options) senderLeg
 }{
-	{"client-DataConn", func(t *testing.T) senderLeg {
+	{"client-DataConn", func(t *testing.T, opts *transport.Options) senderLeg {
 		srv, err := orb.NewServer("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -47,17 +46,16 @@ var senderLegs = []struct {
 			d.Release()
 		})
 		client := orb.NewClient()
-		ref := orb.IOR{TypeID: "IDL:test/sender:1.0", Key: []byte("k"), Threads: 1, Endpoints: []orb.Endpoint{srv.Endpoint(0)}}
-		conn, err := client.DataConn(ref, 0)
+		client.Transport = opts
+		tg := newTarget(client, orb.IOR{TypeID: "IDL:test/sender:1.0", Key: []byte("k"), Threads: 1, Endpoints: []orb.Endpoint{srv.Endpoint(0)}})
 		return senderLeg{
-			write: connWriter(conn, err),
+			conns: &tg,
 			recv:  recv,
-			kill:  func() { conn.Close() },
 			stop:  func() { client.Close(); srv.Close() },
 		}
 	}},
-	{"server-conn", func(t *testing.T) senderLeg {
-		a, b := transport.Pipe(nil)
+	{"server-conn", func(t *testing.T, opts *transport.Options) senderLeg {
+		a, b := transport.Pipe(opts)
 		recv := make(chan *wire.Data, 256)
 		done := make(chan struct{})
 		go func() {
@@ -74,12 +72,29 @@ var senderLegs = []struct {
 			}
 		}()
 		return senderLeg{
-			write: connWriter(a, nil),
+			conns: &pendingCall{conn: a},
 			recv:  recv,
-			kill:  func() { a.Close() },
 			stop:  func() { a.Close(); b.Close(); <-done },
 		}
 	}},
+}
+
+// cutStream counts the writes to a stream, and fails every one from the cut-th
+// on: a connection broken under its writer. A message of the tests below is
+// one write.
+type cutStream struct {
+	io.ReadWriteCloser
+	cut    int
+	writes *int
+}
+
+var errCut = errors.New("stream cut")
+
+func (s cutStream) Write(p []byte) (int, error) {
+	if *s.writes++; *s.writes >= s.cut {
+		return 0, errCut
+	}
+	return s.ReadWriteCloser.Write(p)
 }
 
 func (l senderLeg) next(t *testing.T) *wire.Data {
@@ -122,9 +137,9 @@ func TestChunkSender(t *testing.T) {
 	for _, user := range senderLegs {
 		t.Run(user.name+"/order", func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
-			leg := user.open(t)
+			leg := user.open(t, nil)
 			defer leg.stop()
-			cs := newChunkSender(leg.write)
+			cs := newChunkSender(leg.conns)
 			for k := 0; k < chunks; k++ {
 				s := cs.next()
 				if s.enc.Len() != 0 {
@@ -147,16 +162,13 @@ func TestChunkSender(t *testing.T) {
 
 		t.Run(user.name+"/write-error", func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
-			leg := user.open(t)
-			defer leg.stop()
 			const failAt = 5
 			writes := 0 // the worker's alone until close returns
-			cs := newChunkSender(func(m wire.Message) error {
-				if writes++; writes == failAt {
-					leg.kill()
-				}
-				return leg.write(m)
-			})
+			leg := user.open(t, &transport.Options{Wrap: func(rw io.ReadWriteCloser) io.ReadWriteCloser {
+				return cutStream{ReadWriteCloser: rw, cut: failAt, writes: &writes}
+			}})
+			defer leg.stop()
+			cs := newChunkSender(leg.conns)
 			for k := 0; k < chunks; k++ { // the schedule still drains
 				s := cs.next()
 				s.enc.WriteRaw(chunkBody(k))
@@ -180,7 +192,7 @@ func TestChunkSender(t *testing.T) {
 
 		t.Run(user.name+"/fail-markers", func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
-			leg := user.open(t)
+			leg := user.open(t, nil)
 			defer leg.stop()
 			const ce, failAt = 64, 3
 			w := rts.NewWorld(1, rts.Options{RecvTimeout: testTimeout})
@@ -193,7 +205,7 @@ func TestChunkSender(t *testing.T) {
 				seq.FillFunc(func(g int) float64 { return float64(g) })
 				spans := 0
 				carried := []dseq.Transferable{nil, &failingSeq{Seq: seq, failAt: failAt}}
-				_, err = sendChunks(c, newChunkSender(leg.write), nil, 7, true, ce, 0,
+				_, err = sendChunks(c, newChunkSender(leg.conns), nil, 7, true, ce, 0,
 					len(carried), func(i int) dseq.Transferable { return carried[i] }, func(time.Time) { spans++ })
 				if !errors.Is(err, errGather) {
 					return fmt.Errorf("sendChunks: %v, want the gather's own error", err)

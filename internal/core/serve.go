@@ -411,7 +411,7 @@ func (o *Object) sendCentral(call *pendingCall, msg *cdr.Encoder, h *invocationH
 		if mask == 0 && o.opts.Compression != 0 {
 			o.compSkipped.Inc() // the directive carried Auto's veto
 		}
-		cs, msg = newChunkSender(call.conn.WriteMessage), nil
+		cs, msg = newChunkSender(call), nil
 	}
 	_, err := sendChunks(o.comm, cs, msg, h.Token, true, ce, mask,
 		len(args), func(i int) dseq.Transferable { return h.legSeq(args, i, In) },
@@ -420,44 +420,45 @@ func (o *Object) sendCentral(call *pendingCall, msg *cdr.Encoder, h *invocationH
 }
 
 // recvDirect is the direct receive leg: the plans from the client's layout of
-// every argument to the server's, in the chunk size the header announces, name
-// the steps this thread expects. Each wait is bounded by the object's
-// DataTimeout, so a client thread that died mid-transfer fails this upcall
-// instead of blocking the collective loop until Close.
+// every argument to the server's, planned into the thread's receive leg in the
+// chunk size the header announces, name the steps this thread expects. Each
+// wait is bounded by the object's DataTimeout, so a client thread that died
+// mid-transfer fails this upcall instead of blocking the collective loop until
+// Close.
 func (o *Object) recvDirect(w *frameWait, h *invocationHeader, args []dseq.Transferable) error {
-	plans, ce, err := planDirect(int(h.ChunkElems), o.comm.Size(), len(args), func(i int) (from, to dist.Layout, err error) {
+	leg := &o.recvLeg
+	if err := leg.plan(int(h.ChunkElems), o.comm.Size(), len(args), func(i int) (from, to dist.Layout, err error) {
 		if a := h.Args[i]; a.Dir != Out {
 			from, to = a.Layout, args[i].Layout()
 		}
 		return from, to, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	return recvSteps(w, o.comm.Rank(), h.ClientRanks, false, ce, plans,
+	return leg.recv(w, o.comm.Rank(), h.ClientRanks, false,
 		func(i int) dseq.Transferable { return args[i] },
 		func(t time.Time) { o.span(h.Token, obs.PhaseChunkRecv, t, 0) })
 }
 
 // sendDirect is the direct send leg: this thread's share of every result goes
 // to the client threads that own it, over the connections they attached, along
-// the plans to the client's final layouts. Every thread holds the whole plan,
-// so a leg it refuses is refused by all of them alike, before a byte is
-// written.
+// the plans to the client's final layouts, planned into the thread's send leg.
+// Every thread holds the whole plan, so a leg it refuses is refused by all of
+// them alike, before a byte is written.
 func (o *Object) sendDirect(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
-	plans, ce, err := planDirect(int(h.ChunkElems), h.ClientRanks, len(args), func(i int) (from, to dist.Layout, err error) {
+	leg := &o.sendLeg
+	if err := leg.plan(int(h.ChunkElems), h.ClientRanks, len(args), func(i int) (from, to dist.Layout, err error) {
 		if a := h.Args[i]; a.Dir != In {
 			from, to = args[i].Layout(), a.Layout
 			if a.Dir == Out {
-				to, err = a.Spec.Layout(args[i].Len(), h.ClientRanks)
+				to, err = leg.peerLayout(a.Spec, args[i].Len(), h.ClientRanks)
 			}
 		}
 		return from, to, err
-	})
-	if err != nil {
+	}); err != nil {
 		return orb.Marshal(err)
 	}
-	_, err = sendSteps(bucket, h.ClientRanks, h.Token, o.comm.Rank(), true, ce, plans,
+	_, err := leg.send(bucket, h.ClientRanks, h.Token, o.comm.Rank(), true,
 		func(i int) dseq.Transferable { return args[i] },
 		func(t time.Time) { o.span(h.Token, obs.PhaseChunkSend, t, 0) })
 	return commFailure(err)

@@ -47,12 +47,16 @@ const encodeAheadDepth = 2
 // and reply, raw and compressed — on the thread that sources the chunks: a
 // ring of encodeAheadDepth+1 slots, each a reusable chunk encoder and the Data
 // message that frames it, and one worker that writes filled slots in the order
-// they were queued. The thread renders chunk k+1 straight into a free slot
-// while the worker has chunk k on the wire, and waits only when every slot is
-// in flight. A slot's bytes belong to the worker from send until it puts the
-// slot back on free; nothing else ever references them.
+// they were queued, each on the connection of the thread it is addressed to.
+// The thread renders chunk k+1 straight into a free slot while the worker has
+// chunk k on the wire, and waits only when every slot is in flight. A slot's
+// bytes belong to the worker from send until it puts the slot back on free;
+// nothing else ever references them.
 type chunkSender struct {
-	write  func(wire.Message) error
+	conns connSource // the leg's: what a destination's connection is resolved by
+	// conn is the worker's, by destination thread: the connection resolved at
+	// its first chunk of the leg, cleared when the leg closes.
+	conn   []*transport.Conn
 	slots  [encodeAheadDepth + 1]chunkSlot
 	free   chan *chunkSlot // sized to the ring: never blocks the worker
 	queue  chan *chunkSlot // sized to the ring and close's mark: send never blocks
@@ -78,19 +82,9 @@ var idleSenders struct {
 
 const maxIdleSenders = 8
 
-// connWriter is the write a framed centralized leg hands its sender: the data
-// connection is resolved once, so every chunk is a plain WriteMessage — or,
-// when it could not be resolved, the error that says why.
-func connWriter(conn *transport.Conn, err error) func(wire.Message) error {
-	if err != nil {
-		return func(wire.Message) error { return err }
-	}
-	return conn.WriteMessage
-}
-
-// newChunkSender starts a leg's sender, on an idle ring when there is one;
-// close ends it.
-func newChunkSender(write func(wire.Message) error) *chunkSender {
+// newChunkSender starts a leg's sender, writing on the connections conns
+// resolves, on an idle ring when there is one; close ends it.
+func newChunkSender(conns connSource) *chunkSender {
 	var cs *chunkSender
 	idleSenders.Lock()
 	if n := len(idleSenders.rings); n > 0 {
@@ -104,7 +98,7 @@ func newChunkSender(write func(wire.Message) error) *chunkSender {
 			cs.free <- &cs.slots[i]
 		}
 	}
-	cs.write = write
+	cs.conns = conns
 	cs.worker.Add(1)
 	go cs.run()
 	return cs
@@ -122,6 +116,22 @@ func (cs *chunkSender) run() {
 		s.msg.Payload = nil
 		cs.free <- s
 	}
+}
+
+// write puts m on the connection of the thread it is addressed to.
+func (cs *chunkSender) write(m *wire.Data) error {
+	dst := int(m.DstRank)
+	if dst >= len(cs.conn) {
+		cs.conn = append(cs.conn, make([]*transport.Conn, dst+1-len(cs.conn))...)
+	}
+	if cs.conn[dst] == nil {
+		conn, err := cs.conns.dataConn(dst)
+		if err != nil {
+			return err
+		}
+		cs.conn[dst] = conn
+	}
+	return cs.conn[dst].WriteMessage(m)
 }
 
 // next returns an empty slot to render into, once the wire has freed one.
@@ -158,7 +168,8 @@ func (cs *chunkSender) close() error {
 	cs.queue <- nil
 	cs.worker.Wait()
 	err := cs.err
-	cs.write, cs.err = nil, nil
+	clear(cs.conn)
+	cs.conns, cs.err = nil, nil
 	idleSenders.Lock()
 	if len(idleSenders.rings) < maxIdleSenders {
 		idleSenders.rings = append(idleSenders.rings, cs)
@@ -493,7 +504,7 @@ func (iv *invocation) sendCentral(scalars []byte) error {
 		iv.phase(obs.PhasePack, packStart, time.Since(packStart))
 		if iv.ce != 0 {
 			iv.launch(msg.Bytes())
-			cs, msg = newChunkSender(connWriter(iv.t.dataConn(0))), nil
+			cs, msg = newChunkSender(iv.t), nil
 		}
 	}
 	// Framed, chunk k+1 is gather-marshalled over the runtime system while chunk

@@ -34,6 +34,40 @@ type legFrame struct {
 	flags                byte
 }
 
+// sendData writes d to the endpoint of ref that serves its destination thread,
+// as a hand-rolled client thread does.
+func sendData(cli *orb.Client, ref orb.IOR, d *wire.Data) error {
+	ep, err := ref.EndpointFor(int(d.DstRank))
+	if err != nil {
+		return err
+	}
+	conn, err := cli.DataConn(ep.Addr())
+	if err != nil {
+		return err
+	}
+	return conn.WriteMessage(d)
+}
+
+// TestTargetNoEndpointForRank: a profile resolves a computing thread's data
+// connection by the endpoint it names for that thread, and refuses one it
+// names none for.
+func TestTargetNoEndpointForRank(t *testing.T) {
+	srv, err := orb.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := orb.NewClient()
+	defer cli.Close()
+	tg := newTarget(cli, orb.IOR{TypeID: "IDL:test:1.0", Key: []byte("k"), Threads: 2, Endpoints: []orb.Endpoint{srv.Endpoint(0)}})
+	if _, err := tg.dataConn(0); err != nil {
+		t.Fatalf("thread 0: %v", err)
+	}
+	if _, err := tg.dataConn(1); !errors.Is(err, orb.ErrBadIOR) {
+		t.Fatalf("thread 1, which the profile names no endpoint for: %v, want %v", err, orb.ErrBadIOR)
+	}
+}
+
 func (f legFrame) data(token uint32, dst int, reply bool) *wire.Data {
 	return &wire.Data{RequestID: token, ArgIndex: uint32(f.arg), SrcRank: uint32(f.src), DstRank: uint32(dst), DstOff: uint64(f.off),
 		Count: uint64(f.count), Reply: reply, Flags: f.flags, Payload: dseq.MarshalChunk(dseq.Float64, make([]float64, f.count))}
@@ -145,7 +179,7 @@ func TestMultiportFramesReturned(t *testing.T) {
 				done <- err
 			}()
 			send := func(dst int, f legFrame) {
-				if err := cli.SendData(ref, f.data(h.Token, dst, false)); err != nil {
+				if err := sendData(cli, ref, f.data(h.Token, dst, false)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -332,7 +366,7 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 				// Thread 0 gets the first of four chunks and then the loss.
 				h.ChunkElems = shapeChunk
 				first := &wire.Data{RequestID: h.Token, Count: shapeChunk, Flags: wire.DataFlagChunk, Payload: zeros(shapeChunk)}
-				if err := data.SendData(ref, first); err != nil {
+				if err := sendData(data, ref, first); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -342,12 +376,12 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 				h.ChunkElems = shapeChunk
 				for off := uint64(0); off < n/2; off += shapeChunk {
 					d := &wire.Data{RequestID: h.Token, DstRank: 1, DstOff: off, Count: shapeChunk, Flags: chunkFlags(off+shapeChunk == n/2), Payload: zeros(shapeChunk)}
-					if err := ctl.SendData(ref, d); err != nil {
+					if err := sendData(ctl, ref, d); err != nil {
 						t.Fatal(err)
 					}
 				}
 				first := &wire.Data{RequestID: h.Token, Count: shapeChunk, Flags: wire.DataFlagChunk, Payload: zeros(shapeChunk)}
-				if err := data.SendData(ref, first); err != nil {
+				if err := sendData(data, ref, first); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -442,7 +476,7 @@ func TestLostDataConnectionIsCommFailure(t *testing.T) {
 				}
 				defer b.Close()
 				if sh.method == Centralized && c.Rank() == 0 {
-					if _, err := b.client.DataConn(otherRef, 0); err != nil {
+					if _, err := b.client.DataConn(otherRef.Endpoints[0].Addr()); err != nil {
 						return err
 					}
 				}

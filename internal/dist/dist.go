@@ -67,15 +67,26 @@ const (
 type Block struct{}
 
 // Layout implements Spec.
-func (Block) Layout(length, ranks int) (Layout, error) {
+func (b Block) Layout(length, ranks int) (Layout, error) {
+	var l Layout
+	return l, b.LayoutInto(&l, length, ranks)
+}
+
+// LayoutInto is Layout into l, reusing the storage of the last LayoutInto or
+// DecodeLayout into l up to KeptIntervals: what l held before, and any layout
+// sharing its intervals, is overwritten.
+func (Block) LayoutInto(l *Layout, length, ranks int) error {
 	if length < 0 || ranks < 1 {
-		return Layout{}, fmt.Errorf("%w: length %d ranks %d", ErrNegative, length, ranks)
+		return fmt.Errorf("%w: length %d ranks %d", ErrNegative, length, ranks)
 	}
 	// All per-rank lists are single intervals, so they can share one flat
 	// backing array instead of allocating ranks separate one-element slices.
 	// Full-capacity slicing keeps the views from spilling into each other.
-	ivs := make([][]Interval, ranks)
-	flat := make([]Interval, ranks)
+	ivs, flat := l.Intervals, l.flat
+	if cap(ivs) < ranks || cap(ivs) > KeptIntervals || cap(flat) < ranks || cap(flat) > KeptIntervals {
+		ivs, flat = make([][]Interval, ranks), make([]Interval, ranks)
+	}
+	ivs, flat = ivs[:ranks], flat[:ranks]
 	base := length / ranks
 	extra := length % ranks
 	off := 0
@@ -84,13 +95,14 @@ func (Block) Layout(length, ranks int) (Layout, error) {
 		if r < extra {
 			n++
 		}
+		flat[r], ivs[r] = Interval{Start: off, Len: n}, nil
 		if n > 0 {
-			flat[r] = Interval{Start: off, Len: n}
 			ivs[r] = flat[r : r+1 : r+1]
 		}
 		off += n
 	}
-	return Layout{Length: length, Ranks: ranks, Intervals: ivs}, nil
+	*l = Layout{Length: length, Ranks: ranks, Intervals: ivs, flat: flat}
+	return nil
 }
 
 func (Block) String() string            { return "block" }

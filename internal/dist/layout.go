@@ -17,7 +17,7 @@ type Layout struct {
 	Length    int
 	Ranks     int
 	Intervals [][]Interval
-	flat      []Interval // what the last DecodeLayout into the Layout cut Intervals from
+	flat      []Interval // what the last DecodeLayout or Block.LayoutInto into the Layout cut Intervals from
 }
 
 // Validate checks that the layout is an exact partition of [0, Length):
@@ -156,9 +156,10 @@ func EncodeLayout(e *cdr.Encoder, l Layout) {
 	}
 }
 
-// KeptIntervals bounds the storage a Layout keeps for the next DecodeLayout into
-// it: a blockwise layout of 4 096 ranks fits, a Cyclic{1} one of 10^6 elements —
-// 16 MiB of intervals — decodes afresh, and the next decode lets it go.
+// KeptIntervals bounds the storage a Layout keeps for the next DecodeLayout or
+// Block.LayoutInto into it: a blockwise layout of 4 096 ranks fits, a Cyclic{1}
+// one of 10^6 elements — 16 MiB of intervals — decodes afresh, and the next
+// decode lets it go.
 const KeptIntervals = 1 << 12
 
 // DecodeLayout reads a layout written by EncodeLayout into l and validates it.
@@ -230,7 +231,11 @@ type Move struct {
 // element appears in exactly one move. Moves with SrcRank == DstRank still
 // appear (they are local copies); callers that transfer over a network filter
 // or specialize them.
-func Plan(src, dst Layout) ([]Move, error) {
+func Plan(src, dst Layout) ([]Move, error) { return PlanInto(nil, src, dst) }
+
+// PlanInto is Plan into moves' storage, which it overwrites; where that is
+// short it allocates the plan's exact size.
+func PlanInto(moves []Move, src, dst Layout) ([]Move, error) {
 	if err := src.Validate(); err != nil {
 		return nil, fmt.Errorf("src: %w", err)
 	}
@@ -248,7 +253,10 @@ func Plan(src, dst Layout) ([]Move, error) {
 			n += len(ivs)
 		}
 	}
-	moves := make([]Move, 0, n)
+	if cap(moves) < n {
+		moves = make([]Move, 0, n)
+	}
+	moves = moves[:0]
 	for r, a := range src.Intervals {
 		for d, b := range dst.Intervals {
 			if len(a) == 0 || len(b) == 0 || a[len(a)-1].End() <= b[0].Start || b[len(b)-1].End() <= a[0].Start {

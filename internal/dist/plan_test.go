@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -209,5 +210,69 @@ func TestPlanErrors(t *testing.T) {
 	}
 	if _, err := Plan(good, bad); err == nil {
 		t.Fatal("invalid dst accepted")
+	}
+}
+
+// TestPlanInto: a plan into storage that holds a larger earlier plan is the
+// plan Plan makes afresh, in that storage, and a plan into its own storage
+// allocates nothing.
+func TestPlanInto(t *testing.T) {
+	const length = 1001
+	dirty, err := Plan(mustLayout(t, Cyclic{BlockSize: 1}, 4*length, 4), mustLayout(t, Block{}, 4*length, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name     string
+		src, dst Layout
+	}{
+		{"uneven block to block", mustLayout(t, Block{}, length, 3), mustLayout(t, Block{}, length, 4)},
+		{"block to cyclic(3)", mustLayout(t, Block{}, length, 3), mustLayout(t, Cyclic{BlockSize: 3}, length, 2)},
+		{"proportions with an empty rank", mustLayout(t, Proportions{P: []int{0, 1, 5}}, length, 3), mustLayout(t, Block{}, length, 2)},
+		{"cyclic(1) to block", mustLayout(t, Cyclic{BlockSize: 1}, length, 4), mustLayout(t, Block{}, length, 2)},
+	} {
+		want, err := Plan(tt.src, tt.dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := PlanInto(dirty, tt.src, tt.dst)
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("%s: PlanInto over a larger plan gives %d moves (%v), Plan %d", tt.name, len(got), err, len(want))
+		}
+		if &got[:1][0] != &dirty[:1][0] {
+			t.Errorf("%s: PlanInto left storage of %d moves for a plan of %d", tt.name, cap(dirty), len(got))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { got, err = PlanInto(got, tt.src, tt.dst) }); allocs != 0 || err != nil {
+			t.Errorf("%s: a warm PlanInto allocates %.0f objects (%v)", tt.name, allocs, err)
+		}
+	}
+}
+
+// TestBlockLayoutInto: Block.LayoutInto lays out what Layout does, in the
+// storage of the layout it overwrites, and allocates nothing there; storage
+// over KeptIntervals it lets go.
+func TestBlockLayoutInto(t *testing.T) {
+	var l Layout
+	if err := (Block{}).LayoutInto(&l, 50, 7); err != nil {
+		t.Fatal(err)
+	}
+	kept := &l.Intervals[:1][0]
+	for _, c := range []struct{ length, ranks int }{{1001, 3}, {2, 5}, {0, 1}, {50, 7}} {
+		want := mustLayout(t, Block{}, c.length, c.ranks)
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := (Block{}).LayoutInto(&l, c.length, c.ranks); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 || !l.Equal(want) || l.Validate() != nil || &l.Intervals[:1][0] != kept {
+			t.Errorf("LayoutInto(%d, %d) over 7 ranks: %+v in kept storage %v, %.0f allocations; want %+v", c.length, c.ranks,
+				l.Intervals, &l.Intervals[:1][0] == kept, allocs, want.Intervals)
+		}
+	}
+	wide := KeptIntervals + 1
+	if err := (Block{}).LayoutInto(&l, wide, wide); err != nil {
+		t.Fatal(err)
+	}
+	if err := (Block{}).LayoutInto(&l, 10, 2); err != nil || cap(l.Intervals) > KeptIntervals || cap(l.flat) > KeptIntervals {
+		t.Errorf("after a layout of %d ranks, one of 2 keeps %d and %d intervals (%v)", wide, cap(l.Intervals), cap(l.flat), err)
 	}
 }

@@ -200,7 +200,7 @@ func simulate(p Platform, c, s, elems int, central bool, clientSpec, serverSpec 
 			// 1997 run-time's, not the protocol's: a NexusLite thread sat in a
 			// blocking receive on one flow until that flow was done — what
 			// sequentializes concurrent senders when s is small (§3.3) — while
-			// the engine's recvSteps takes frames in the order they arrive.
+			// the engine's direct receive leg takes frames in the order they arrive.
 			r0 := sim.Now()
 			for src := 0; src < c; src++ {
 				sc := dist.Schedule{Moves: plan, CE: ce}

@@ -507,31 +507,17 @@ func (c *Client) await(cc *clientConn, ch chan *wire.Reply, id uint32) (*wire.Re
 }
 
 // DataConn returns the connection that carries Data messages to the endpoint
-// serving ref's computing thread rank, dialing it if needed. A transfer leg
-// resolves it once, so each of its chunks is a plain WriteMessage instead of
-// an endpoint lookup and a locked connection-cache probe; a connection that
+// at addr, a computing thread's as Endpoint.Addr renders it, dialing it if
+// needed. A transfer leg resolves it once, so each of its chunks is a plain
+// WriteMessage instead of a locked connection-cache probe; a connection that
 // breaks mid-leg fails the remaining writes rather than being redialed under
 // a half-sent transfer.
-func (c *Client) DataConn(ref IOR, rank int) (*transport.Conn, error) {
-	ep, err := ref.EndpointFor(rank)
-	if err != nil {
-		return nil, err
-	}
-	cc, err := c.conn(ep.Addr())
+func (c *Client) DataConn(addr string) (*transport.Conn, error) {
+	cc, err := c.conn(addr)
 	if err != nil {
 		return nil, err
 	}
 	return cc.conn, nil
-}
-
-// SendData ships one multi-port argument transfer to the endpoint serving
-// the destination computing thread.
-func (c *Client) SendData(ref IOR, d *wire.Data) error {
-	conn, err := c.DataConn(ref, int(d.DstRank))
-	if err != nil {
-		return err
-	}
-	return conn.WriteMessage(d)
 }
 
 // Locate asks the primary endpoint whether it serves ref's object key.

@@ -180,7 +180,7 @@ func TestIORIPv6LiteralRoundTrip(t *testing.T) {
 	if ok, err := c.Locate(live); err != nil || !ok {
 		t.Fatalf("Locate over IPv6: %v %v", ok, err)
 	}
-	if _, err := c.DataConn(live, 0); err != nil {
+	if _, err := c.DataConn(live.Endpoints[0].Addr()); err != nil {
 		t.Fatalf("DataConn over IPv6: %v", err)
 	}
 	if c.NumConns() != 1 {

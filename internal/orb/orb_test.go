@@ -540,7 +540,11 @@ func TestDataRoutingServerAndClient(t *testing.T) {
 	c.RegisterDataSink(ref, reqID, 0, sink)
 	defer c.UnregisterDataSink(reqID, 0)
 
-	if err := c.SendData(ref, &wire.Data{RequestID: reqID, DstRank: 0, Payload: []byte("ping")}); err != nil {
+	conn, err := c.DataConn(ref.Endpoints[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.WriteMessage(&wire.Data{RequestID: reqID, DstRank: 0, Payload: []byte("ping")}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -578,7 +582,7 @@ func TestLostConnectionPoisonsOnlyItsSinks(t *testing.T) {
 	c.RegisterDataSink(replicated, 2, 0, sinkAlt)
 	defer c.UnregisterDataSink(2, 0)
 	for _, ref := range []IOR{refA, refB} {
-		if _, err := c.DataConn(ref, 0); err != nil {
+		if _, err := c.DataConn(ref.Endpoints[0].Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -602,15 +606,6 @@ func TestLostConnectionPoisonsOnlyItsSinks(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("losing B's connection left B's sink unpoisoned")
-	}
-}
-
-func TestSendDataNoEndpointForRank(t *testing.T) {
-	_, ref := newTestServer(t)
-	c := newTestClient(t)
-	err := c.SendData(ref, &wire.Data{RequestID: 1, DstRank: 5})
-	if !errors.Is(err, ErrBadIOR) {
-		t.Fatalf("got %v", err)
 	}
 }
 
