@@ -60,7 +60,7 @@ func runOverload(clients, reqs int) {
 			cli := orb.NewClient()
 			defer cli.Close()
 			for j := 0; j < reqs; j++ {
-				_, err := cli.InvokeAddr(addr, key, "work", orb.NewArgEncoder().Bytes(), false)
+				_, err := cli.InvokeAddr(nil, addr, key, "work", orb.NewArgEncoder().Bytes(), false)
 				switch {
 				case err == nil:
 					ok.Add(1)

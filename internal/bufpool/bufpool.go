@@ -5,11 +5,16 @@
 // The rule. A buffer is rented by whoever renders bytes into it — the
 // connection reading a frame, the rank marshalling a gather part or a scatter
 // piece — and returned by whoever consumes those bytes, exactly once, when
-// nothing aliases them any more: the final consumer of a wire.Data through
-// Data.Release, the gather root once a part is placed, the scatter owner once
-// its elements are stored. In between exactly one party references the
-// buffer; the renderer does not touch it after the hand-off and never takes it
-// back, except one it rented and then failed to fill.
+// nothing aliases them any more: the final consumer of a wire.Data, Request or
+// Reply through its Release (the leg that stores a chunk, the object adapter
+// once the reply is written, the client once the reply's arguments are copied
+// out), the gather root once a part is placed, the scatter owner once its
+// elements are stored. In between exactly one party references the buffer;
+// the renderer does not touch it after the hand-off and never takes it back,
+// except one it rented and then failed to fill. A frame whose consumer gives
+// up while a reader it cannot wait for may still hold it — a request whose
+// object stopped with the call in its loop — is written off (WriteOff):
+// counted back, never reused, and the collector's once that reader lets go.
 //
 // The handle is a plain []byte. Return recognises a pool buffer by its exact
 // capacity, so whatever else reaches it — a buffer over the largest class,
@@ -103,12 +108,21 @@ func (p *Pool) Rent(n int) []byte {
 
 // Return gives a consumed buffer back; the caller must hold the last reference
 // to it. Anything that is not a whole pool buffer is ignored.
-func (p *Pool) Return(b []byte) {
+func (p *Pool) Return(b []byte) { p.settle(b, true) }
+
+// WriteOff settles a buffer a reader may still hold (see the rule): the ledger
+// counts it back, and the pool never hands it out again.
+func (p *Pool) WriteOff(b []byte) { p.settle(b, false) }
+
+func (p *Pool) settle(b []byte, put bool) {
 	c := cap(b) - Headroom
 	if c < 1<<minClass || c > 1<<maxClass || c&(c-1) != 0 {
 		return
 	}
 	p.returns.Add(1)
+	if !put {
+		return
+	}
 	if p.OnReturn != nil {
 		p.OnReturn(b[:cap(b)])
 	}

@@ -144,10 +144,15 @@ type bindLane struct {
 	// enc is thread 0's request encoder, valid for one invoke: its exchange,
 	// launched beside a framed leg or not, has written the request by the end.
 	enc *cdr.Encoder
-	// picks is the slab thread 0 renders its token broadcasts in (pick), each
-	// behind the last and never rewritten: a thread that has yet to take one
-	// reads its own bytes. A full slab is left to whoever still holds it.
+	// picks is the slab thread 0 renders its token broadcasts (pick) and its
+	// reply headers (shareReply) in, each behind the last and never rewritten:
+	// a thread that has yet to take one reads its own bytes, and the scalars a
+	// call returns, a view of its reply header, outlive the next call. A full
+	// slab is left to whoever still holds it.
 	picks []byte
+	// reply is the storage thread 0's exchange reads its reply into, valid for
+	// one invoke and kept for the next (exchange).
+	reply []byte
 	// replies is where thread 0's launched exchange delivers its outcome. It
 	// never holds a stale one: thread 0 takes the outcome of every attempt
 	// that launched before the next can launch.
@@ -156,14 +161,32 @@ type bindLane struct {
 }
 
 // pickBytes returns n bytes of the lane's slab no broadcast has used, in a
-// fresh 4 KiB slab — hundreds of broadcasts — when the slab is full.
+// fresh 4 KiB slab — hundreds of broadcasts — when the slab is full, or of
+// their own when n is over a slab.
 func (ln *bindLane) pickBytes(n int) []byte {
 	if len(ln.picks)+n > cap(ln.picks) {
+		if n > 4<<10 {
+			return make([]byte, n)
+		}
 		ln.picks = make([]byte, 0, 4<<10)
 	}
 	m := len(ln.picks)
 	ln.picks = ln.picks[:m+n]
 	return ln.picks[m : m+n : m+n]
+}
+
+// keptReplyBytes bounds the reply storage a lane keeps between calls.
+const keptReplyBytes = 64 << 10
+
+// exchange is thread 0's request/reply round trip, its reply read into the
+// lane's storage, which keeps what a reply grew it to up to keptReplyBytes: a
+// reply that carried a larger back leg is let go with its call.
+func (ln *bindLane) exchange(client *orb.Client, addr string, key []byte, op string, payload []byte) callResult {
+	out, err := client.InvokeAddr(ln.reply[:0], addr, key, op, payload, false)
+	if c := cap(out); c > cap(ln.reply) && c <= keptReplyBytes {
+		ln.reply = out
+	}
+	return callResult{reply: out, err: err}
 }
 
 // dataSink returns the lane's sink. Its capacity is what lets a whole reply

@@ -440,30 +440,33 @@ func (o *Object) Comm() *rts.Comm { return o.comm }
 // the connection each request arrived on, and never calls Dispatch.
 type servant struct{ o *Object }
 
+var _ orb.ConnServant = servant{}
+
 func (s servant) Dispatch(string, *cdr.Decoder, *cdr.Encoder) error {
 	return &orb.SystemException{RepoID: orb.RepoInternal, Message: "core: request dispatched without its connection"}
 }
 
-func (s servant) DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) error {
+func (s servant) DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) (bool, error) {
 	return s.o.dispatch(conn, op, in, out)
 }
 
 // dispatch answers interface discovery directly and funnels operation requests
 // into the collective queue, blocking the adapter goroutine until the
-// collective loop replies.
-func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) error {
+// collective loop replies. kept reports a call given up on while the loop may
+// still read the request (call.raw, call.steps, the header's scalars).
+func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) (kept bool, err error) {
 	if op == describeOp {
 		descs := make([]OpDesc, 0, len(o.ops))
 		for _, operation := range o.ops {
 			descs = append(descs, operation.Desc)
 		}
 		encodeOpTable(out, descs)
-		return nil
+		return false, nil
 	}
 	call := pendingCalls.Get().(*pendingCall)
 	if err := decodeInvocationHeader(in, &call.header); err != nil {
 		pendingCalls.Put(call)
-		return orb.Marshal(err)
+		return false, orb.Marshal(err)
 	}
 	if err := o.enqueue(conn, op, call, in.Consumed(), in); err != nil {
 		// A refused header claims no bucket: what its token's data already
@@ -471,7 +474,7 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 		// sweep finds it.
 		o.dropBucket(call.header.Token)
 		pendingCalls.Put(call)
-		return err
+		return false, err
 	}
 	select {
 	case res := <-call.replyCh:
@@ -484,9 +487,9 @@ func (o *Object) dispatch(conn *transport.Conn, op string, in *cdr.Decoder, out 
 			out.WriteRaw(res.reply)
 		}
 		pendingCalls.Put(call)
-		return res.err
+		return false, res.err
 	case <-o.stop:
-		return &orb.SystemException{RepoID: orb.RepoInternal, Message: ErrStopped.Error()}
+		return true, &orb.SystemException{RepoID: orb.RepoInternal, Message: ErrStopped.Error()}
 	}
 }
 

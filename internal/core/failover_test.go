@@ -235,14 +235,14 @@ func (s dieOnCall) Dispatch(string, *cdr.Decoder, *cdr.Encoder) error {
 	return orb.Marshal(errors.New("the adapter did not say which connection"))
 }
 
-func (s dieOnCall) DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) error {
+func (s dieOnCall) DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) (bool, error) {
 	if op == describeOp {
 		encodeOpTable(out, []OpDesc{{Name: "who"}})
-		return nil
+		return false, nil
 	}
 	s.calls.Add(1)
 	conn.Close()
-	return nil
+	return false, nil
 }
 
 // slowToAnswer is a hand-rolled primary that describes itself like any other

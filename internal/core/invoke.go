@@ -129,12 +129,9 @@ func (iv *invocation) phase(ph obs.Phase, start time.Time, dur time.Duration) {
 // launch starts thread 0's exchange beside the forward leg's data; invoke
 // collects the outcome from replyCh, the lane's, once the leg is done.
 func (iv *invocation) launch(payload []byte) {
-	client, addr, key, op, ch := iv.b.client, iv.addr, iv.t.ref.Key, iv.op, iv.b.lane.replies
-	iv.replyCh = ch
-	go func() {
-		out, err := client.InvokeAddr(addr, key, op, payload, false)
-		ch <- callResult{reply: out, err: err}
-	}()
+	ln, client, addr, key, op := &iv.b.lane, iv.b.client, iv.addr, iv.t.ref.Key, iv.op
+	iv.replyCh = ln.replies
+	go func() { ln.replies <- ln.exchange(client, addr, key, op, payload) }()
 }
 
 // tokenCounter seeds invocation tokens; the random base makes collisions
@@ -470,27 +467,32 @@ func (iv *invocation) openReply(rh *replyHeader) error {
 }
 
 // shareReply makes thread 0's outcome of the attempt every thread's: the reply
-// header as it arrived — the bytes iv.steps has read — or its local error in
-// its place; the other threads decode the header into rh. Gathered, every
-// thread's local error goes up first and the lowest failing thread's takes
-// that place (agree); else it is one broadcast (share).
+// header as it arrived — the bytes iv.steps has read — behind the clean
+// outcome in the lane's slab, or its local error in its place; every thread,
+// thread 0 included, decodes the header into rh from there, so the scalars
+// the call returns outlive the reply's storage. Gathered, every thread's local
+// error goes up first and the lowest failing thread's takes that place
+// (agree); else it is one broadcast.
 func (iv *invocation) shareReply(rh *replyHeader, local error, gather bool) error {
-	produce := func(e *cdr.Encoder) error {
-		e.WriteRaw(iv.steps.Consumed())
-		return local
+	me, clean := iv.comm.Rank(), okOutcome
+	if me == 0 && local == nil {
+		h := iv.steps.Consumed()
+		clean = iv.b.lane.pickBytes(len(okOutcome) + len(h))
+		copy(clean[copy(clean, okOutcome):], h)
 	}
 	var p []byte
 	var err error
-	if !gather {
-		p, err = share(iv.comm, produce)
-	} else {
-		clean := okOutcome
-		if iv.comm.Rank() == 0 && local == nil {
-			clean = encodeOutcome(produce)
-		}
+	if gather {
 		p, err = agree(iv.comm, local, clean)
+	} else {
+		if me == 0 && local != nil {
+			clean = encodeOutcome(func(*cdr.Encoder) error { return local })
+		}
+		if p, err = iv.comm.Bcast(0, clean); err == nil {
+			p, err = openOutcome(p)
+		}
 	}
-	if err != nil || iv.comm.Rank() == 0 {
+	if err != nil {
 		return err
 	}
 	var d cdr.Decoder

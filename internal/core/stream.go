@@ -520,7 +520,7 @@ func (iv *invocation) sendCentral(scalars []byte) error {
 	iv.phase(obs.PhaseGather, gatherStart, gather)
 	if msg != nil && err == nil {
 		sendStart := time.Now()
-		iv.reply.reply, iv.reply.err = b.client.InvokeAddr(iv.addr, iv.t.ref.Key, iv.op, msg.Bytes(), false)
+		iv.reply = b.lane.exchange(b.client, iv.addr, iv.t.ref.Key, iv.op, msg.Bytes())
 		iv.phase(obs.PhaseSendRecv, sendStart, time.Since(sendStart))
 	}
 	return err

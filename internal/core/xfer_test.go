@@ -301,24 +301,24 @@ func (s streamThenDie) Dispatch(string, *cdr.Decoder, *cdr.Encoder) error {
 	return orb.Marshal(errors.New("the adapter did not say which connection"))
 }
 
-func (s streamThenDie) DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) error {
+func (s streamThenDie) DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) (bool, error) {
 	if op == describeOp {
 		encodeOpTable(out, []OpDesc{{Name: "get", Args: []ArgDesc{{Name: "arr", Dir: Out, Elem: "double"}}}})
-		return nil
+		return false, nil
 	}
 	h, err := freshHeader(in)
 	if err != nil {
-		return orb.Marshal(err)
+		return false, orb.Marshal(err)
 	}
 	for off := 0; off < s.n/2; off += s.chunk {
 		d := &wire.Data{RequestID: h.Token, DstOff: uint64(off), Count: uint64(s.chunk), Reply: true, Flags: wire.DataFlagChunk,
 			Payload: dseq.MarshalChunk(dseq.Float64, make([]float64, s.chunk))}
 		if err := conn.WriteMessage(d); err != nil {
-			return orb.Marshal(err)
+			return false, orb.Marshal(err)
 		}
 	}
 	conn.Close()
-	return nil
+	return false, nil
 }
 
 // TestLostDataConnectionIsCommFailure loses a data connection in the middle

@@ -70,7 +70,7 @@ func TestSoakBindInvokeDrainRebind(t *testing.T) {
 		c := orb.NewClient()
 		c.Timeout = 10 * time.Second
 		for j := 0; j < invokesPerCycle; j++ {
-			if _, err := c.InvokeAddr(srv.Addr(), key, "echo", payload, false); err != nil {
+			if _, err := c.InvokeAddr(nil, srv.Addr(), key, "echo", payload, false); err != nil {
 				t.Fatalf("cycle %d invoke %d: %v", i, j, err)
 			}
 		}

@@ -176,7 +176,7 @@ func RunSwarm(cfg SwarmConfig) (SwarmReport, error) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < cfg.RequestsPerClient; r++ {
-				_, err := c.InvokeAddr(srv.Addr(), key, "echo", payload, false)
+				_, err := c.InvokeAddr(nil, srv.Addr(), key, "echo", payload, false)
 				switch {
 				case err == nil:
 					completed.Add(1)

@@ -275,6 +275,9 @@ func (cc *clientConn) readLoop() {
 			return
 		default:
 			// Servers do not send other message types to clients.
+			if r, ok := m.(interface{ Release() }); ok {
+				r.Release()
+			}
 			cc.fail(fmt.Errorf("%w: unexpected %v from server", ErrConnBroken, m.Type()))
 			return
 		}
@@ -338,9 +341,8 @@ func (c *Client) poisonSinks(addr string) {
 // fan-in that is per-request session state worth recycling. A channel may
 // only return to the pool when it is provably quiescent — the reply was
 // received and consumed (the read loop deletes the pending entry before
-// sending, so no later send can target it). Channels abandoned on timeout
-// (a late reply may still land in the buffer) or closed by fail() are left
-// for the GC.
+// sending, so no later send can target it). Channels abandoned on timeout or
+// closed by fail() are left for the GC.
 var replyChans = sync.Pool{New: func() any { return make(chan *wire.Reply, 1) }}
 
 func putReplyCh(ch chan *wire.Reply) { replyChans.Put(ch) }
@@ -362,15 +364,19 @@ func (cc *clientConn) register(id uint32) (chan *wire.Reply, error) {
 	return ch, nil
 }
 
-// deliver hands the reply of request id to its waiter, if it still has one.
+// deliver hands the reply of request id to its waiter, if it still has one,
+// and gives it back if not. It sends under cc.mu (a waiter's channel holds the
+// one reply it waits for), so a waiter past unregister finds the reply in its
+// channel or knows that none will come.
 func (cc *clientConn) deliver(id uint32, r *wire.Reply) {
 	cc.mu.Lock()
-	ch, ok := cc.pending[id]
-	delete(cc.pending, id)
-	cc.mu.Unlock()
-	if ok {
+	defer cc.mu.Unlock()
+	if ch, ok := cc.pending[id]; ok {
+		delete(cc.pending, id)
 		ch <- r
+		return
 	}
+	r.Release()
 }
 
 func (cc *clientConn) unregister(id uint32) {
@@ -412,9 +418,11 @@ func (c *Client) routeData(d *wire.Data) {
 }
 
 // InvokeAddr performs a request/reply exchange with the object key at an
-// explicit endpoint address. It returns the reply's argument payload.
-// Exceptional replies are returned as *UserException or *SystemException.
-func (c *Client) InvokeAddr(addr string, key []byte, op string, args []byte, oneway bool) ([]byte, error) {
+// explicit endpoint address. It returns the reply's argument payload appended
+// to dst — storage the caller keeps, or nil for a fresh slice — and gives the
+// reply's frame back before it returns. Exceptional replies are returned as
+// *UserException or *SystemException.
+func (c *Client) InvokeAddr(dst []byte, addr string, key []byte, op string, args []byte, oneway bool) ([]byte, error) {
 	id := c.NextRequestID()
 	req := requests.Get().(*wire.Request)
 	defer func() { *req = wire.Request{}; requests.Put(req) }()
@@ -437,10 +445,11 @@ func (c *Client) InvokeAddr(addr string, key []byte, op string, args []byte, one
 	if err != nil {
 		return nil, err
 	}
+	defer reply.Release()
 	if reply.Status != wire.ReplyNoException {
 		return nil, decodeException(reply.Status, reply.Args)
 	}
-	return reply.Args, nil
+	return append(dst, reply.Args...), nil
 }
 
 // write sends m. A failed write leaves the stream unusable, so it poisons the
@@ -502,6 +511,13 @@ func (c *Client) await(cc *clientConn, ch chan *wire.Reply, id uint32) (*wire.Re
 		return reply, nil
 	case <-timeout:
 		cc.unregister(id)
+		select { // a reply delivered before unregister is nobody's now
+		case reply, ok := <-ch:
+			if ok {
+				reply.Release()
+			}
+		default:
+		}
 		return nil, fmt.Errorf("%w: request %d after %v", ErrInvokeTimeout, id, bound)
 	}
 }
@@ -535,6 +551,7 @@ func (c *Client) locate(addr string, key []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	defer reply.Release() // a Reply to the locate's id, from a confused peer
 	return wire.LocateStatus(reply.Status) == wire.LocateHere, nil
 }
 

@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -153,6 +154,7 @@ func decodeOutcome(d *cdr.Decoder, kind byte) (outcome, err error) {
 		if ue.Payload, err = d.ReadOctets(); err != nil {
 			return nil, err
 		}
+		ue.Payload = bytes.Clone(ue.Payload) // the exception outlives the bytes it was read from
 		return &ue, nil
 	case outcomeSystem:
 		var se SystemException

@@ -61,7 +61,7 @@ func TestShutdownRacesAdmission(t *testing.T) {
 						return
 					default:
 					}
-					_, err := c.InvokeAddr(srv.Addr(), key, "work", NewArgEncoder().Bytes(), false)
+					_, err := c.InvokeAddr(nil, srv.Addr(), key, "work", NewArgEncoder().Bytes(), false)
 					resolved.Add(1)
 					switch {
 					case err == nil, IsTransient(err):
@@ -141,7 +141,7 @@ func TestQueueExhaustionWithConcurrentDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.InvokeAddr(srv.Addr(), key, "work", NewArgEncoder().Bytes(), false)
+			_, err := c.InvokeAddr(nil, srv.Addr(), key, "work", NewArgEncoder().Bytes(), false)
 			switch {
 			case err == nil:
 				ok.Add(1)
@@ -218,7 +218,7 @@ func TestMaxConnInFlightOnSharedConn(t *testing.T) {
 	errs := make(chan error, total)
 	for i := 0; i < total; i++ {
 		go func() {
-			_, err := c.InvokeAddr(addr, key, "work", NewArgEncoder().Bytes(), false)
+			_, err := c.InvokeAddr(nil, addr, key, "work", NewArgEncoder().Bytes(), false)
 			errs <- err
 		}()
 	}
@@ -279,7 +279,7 @@ func TestShedAccountingAcrossLayers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.InvokeAddr(addr, key, "work", NewArgEncoder().Bytes(), false)
+			_, err := c.InvokeAddr(nil, addr, key, "work", NewArgEncoder().Bytes(), false)
 			switch {
 			case err == nil:
 				ok.Add(1)
@@ -348,7 +348,7 @@ func TestWorkerPoolShrinksAfterBurst(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.InvokeAddr(srv.Addr(), key, "work", NewArgEncoder().Bytes(), false); err != nil {
+			if _, err := c.InvokeAddr(nil, srv.Addr(), key, "work", NewArgEncoder().Bytes(), false); err != nil {
 				t.Errorf("invoke: %v", err)
 			}
 		}()

@@ -130,7 +130,7 @@ func TestLargeCallIsOneFrameEachWay(t *testing.T) {
 	c.Transport = opts
 
 	msg := strings.Repeat("pardis", 1<<20/6)
-	replyArgs, err := c.InvokeAddr(s.Endpoint(0).Addr(), []byte("k"), "echo", encodeArgs(func(e *cdr.Encoder) { e.WriteString(msg) }), false)
+	replyArgs, err := c.InvokeAddr(nil, s.Endpoint(0).Addr(), []byte("k"), "echo", encodeArgs(func(e *cdr.Encoder) { e.WriteString(msg) }), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,11 +646,11 @@ type connServant struct{}
 
 func (connServant) Dispatch(string, *cdr.Decoder, *cdr.Encoder) error { return nil }
 
-func (connServant) DispatchConn(conn *transport.Conn, _ string, _ *cdr.Decoder, _ *cdr.Encoder) error {
+func (connServant) DispatchConn(conn *transport.Conn, _ string, _ *cdr.Decoder, _ *cdr.Encoder) (bool, error) {
 	if err := conn.WriteMessage(&wire.Data{RequestID: 1, Payload: []byte{1, 2, 3}}); err != nil {
-		return err
+		return false, err
 	}
-	return conn.WriteMessage(&wire.Ping{Nonce: 1})
+	return false, conn.WriteMessage(&wire.Ping{Nonce: 1})
 }
 
 // TestEveryMessageWritesNativeOrder: a connection writes its native byte order

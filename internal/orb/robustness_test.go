@@ -64,7 +64,7 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	errs := make(chan error, total)
 	for i := 0; i < total; i++ {
 		go func() {
-			_, err := c.InvokeAddr(addr, []byte("sat"), "work", NewArgEncoder().Bytes(), false)
+			_, err := c.InvokeAddr(nil, addr, []byte("sat"), "work", NewArgEncoder().Bytes(), false)
 			errs <- err
 		}()
 	}
@@ -130,7 +130,7 @@ func TestPerConnectionCapSheds(t *testing.T) {
 	errs := make(chan error, total)
 	for i := 0; i < total; i++ {
 		go func() {
-			_, err := c.InvokeAddr(addr, []byte("fair"), "work", NewArgEncoder().Bytes(), false)
+			_, err := c.InvokeAddr(nil, addr, []byte("fair"), "work", NewArgEncoder().Bytes(), false)
 			errs <- err
 		}()
 	}
@@ -195,7 +195,7 @@ func TestClientKeepaliveDetectsFrozenServer(t *testing.T) {
 	defer c.Close()
 
 	start := time.Now()
-	_, err := c.InvokeAddr(addr, []byte("k"), "work", NewArgEncoder().Bytes(), false)
+	_, err := c.InvokeAddr(nil, addr, []byte("k"), "work", NewArgEncoder().Bytes(), false)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("invocation against a frozen peer succeeded")
@@ -254,7 +254,7 @@ func TestKeepaliveVerdictDoesNotWaitOnABlockedWrite(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.InvokeAddr(addr, []byte("k"), "work", NewArgEncoder().Bytes(), false)
+		_, err := c.InvokeAddr(nil, addr, []byte("k"), "work", NewArgEncoder().Bytes(), false)
 		done <- err
 	}()
 	select {
@@ -323,7 +323,7 @@ func TestShutdownDrainsInFlightAndShedsNew(t *testing.T) {
 
 	inflight := make(chan error, 1)
 	go func() {
-		_, err := c.InvokeAddr(addr, []byte("drain"), "work", NewArgEncoder().Bytes(), false)
+		_, err := c.InvokeAddr(nil, addr, []byte("drain"), "work", NewArgEncoder().Bytes(), false)
 		inflight <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -350,7 +350,7 @@ func TestShutdownDrainsInFlightAndShedsNew(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for {
-		_, err := c.InvokeAddr(addr, []byte("drain"), "work", NewArgEncoder().Bytes(), false)
+		_, err := c.InvokeAddr(nil, addr, []byte("drain"), "work", NewArgEncoder().Bytes(), false)
 		if IsTransient(err) {
 			break
 		}
@@ -396,7 +396,7 @@ func TestShutdownDeadlineAbandonsStuckDispatch(t *testing.T) {
 	c := NewClient()
 	c.Timeout = 10 * time.Second
 	defer c.Close()
-	go c.InvokeAddr(addr, []byte("stuck"), "work", NewArgEncoder().Bytes(), false)
+	go c.InvokeAddr(nil, addr, []byte("stuck"), "work", NewArgEncoder().Bytes(), false)
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Stats().InFlight == 0 {
 		if time.Now().After(deadline) {
@@ -442,7 +442,7 @@ func TestCloseConnectionProactiveReconnect(t *testing.T) {
 	c := NewClient()
 	c.Timeout = 5 * time.Second
 	defer c.Close()
-	if _, err := c.InvokeAddr(addr, key, "who", NewArgEncoder().Bytes(), false); err != nil {
+	if _, err := c.InvokeAddr(nil, addr, key, "who", NewArgEncoder().Bytes(), false); err != nil {
 		t.Fatalf("warm-up invoke: %v", err)
 	}
 
@@ -466,7 +466,7 @@ func TestCloseConnectionProactiveReconnect(t *testing.T) {
 	// succeed, not trip over a poisoned cache entry.
 	second := mkServer(addr, "second")
 	defer second.Close()
-	out, err := c.InvokeAddr(addr, key, "who", NewArgEncoder().Bytes(), false)
+	out, err := c.InvokeAddr(nil, addr, key, "who", NewArgEncoder().Bytes(), false)
 	if err != nil {
 		t.Fatalf("invoke after reconnect: %v", err)
 	}
@@ -637,7 +637,7 @@ func TestTransientFailsOverWithoutTrippingBreaker(t *testing.T) {
 	defer c.Close()
 
 	// Saturate the primary's single slot so subsequent requests shed.
-	go c.InvokeAddr(primary.Addr(), key, "who", NewArgEncoder().Bytes(), false)
+	go c.InvokeAddr(nil, primary.Addr(), key, "who", NewArgEncoder().Bytes(), false)
 	deadline := time.Now().Add(5 * time.Second)
 	for primary.Stats().InFlight == 0 {
 		if time.Now().After(deadline) {

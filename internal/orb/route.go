@@ -99,7 +99,7 @@ func (c *Client) Invoke(ref IOR, op string, args []byte, oneway bool) ([]byte, e
 		if err != nil {
 			return nil, err
 		}
-		out, err := c.InvokeAddr(addr, ref.Key, op, args, oneway)
+		out, err := c.InvokeAddr(nil, addr, ref.Key, op, args, oneway)
 		if !r.Done(err) {
 			return out, err
 		}

@@ -37,10 +37,13 @@ func (f ServantFunc) Dispatch(op string, in *cdr.Decoder, out *cdr.Encoder) erro
 // ConnServant is a Servant that is also told which connection its request
 // arrived on — the one the Reply will be written to, so what the servant writes
 // there first (the Data chunks of a streamed result) reaches the client ahead
-// of it. The adapter calls DispatchConn in place of Dispatch.
+// of it. The adapter calls DispatchConn in place of Dispatch. kept reports
+// that something the servant cannot wait for may still read the request's
+// bytes (in's) after it returns: the adapter then writes the request's frame
+// off instead of returning it to the pool.
 type ConnServant interface {
 	Servant
-	DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) error
+	DispatchConn(conn *transport.Conn, op string, in *cdr.Decoder, out *cdr.Encoder) (kept bool, err error)
 }
 
 // DataHandler consumes PARDIS Data messages (multi-port argument
@@ -503,7 +506,7 @@ func (s *Server) serveConn(sc *servedConn) {
 		}
 		switch m := msg.(type) {
 		case *wire.Request:
-			s.admit(sc, m)
+			s.admit(sc, m) // the request's frame is the adapter's until runItem or shedRequest
 		case *wire.LocateRequest:
 			st := wire.LocateUnknown
 			if _, ok := s.lookup(m.ObjectKey); ok {
@@ -529,6 +532,9 @@ func (s *Server) serveConn(sc *servedConn) {
 			s.logf("orb: peer reported message error")
 			return
 		default:
+			if r, ok := m.(interface{ Release() }); ok {
+				r.Release()
+			}
 			_ = sc.conn.WriteMessage(&wire.MessageError{})
 			return
 		}
@@ -722,7 +728,7 @@ func (s *Server) runItem(it workItem) {
 	s.dispatched.Add(1)
 	rs := getReplyScratch()
 	defer putReplyScratch(rs)
-	status := s.upcall(it.sc.conn, it.req, rs)
+	status, kept := s.upcall(it.sc.conn, it.req, rs)
 	s.inflight.Add(-1)
 	it.sc.inflight.Add(-1)
 	if it.req.ResponseExpected {
@@ -735,15 +741,21 @@ func (s *Server) runItem(it workItem) {
 			it.sc.conn.Close()
 		}
 	}
+	if kept {
+		it.req.WriteOff()
+	} else {
+		it.req.Release()
+	}
 	if it.arrival != 0 && s.dispatchNS != nil {
 		s.dispatchNS.Observe(time.Duration(time.Now().UnixNano() - it.arrival))
 	}
 }
 
 // shedRequest refuses a request with a TRANSIENT system exception (when a
-// reply is expected at all).
+// reply is expected at all), and gives its frame back.
 func (s *Server) shedRequest(sc *servedConn, req *wire.Request, msg string) {
 	s.shed.Add(1)
+	defer req.Release()
 	if !req.ResponseExpected {
 		return
 	}
@@ -758,8 +770,8 @@ func (s *Server) shedRequest(sc *servedConn, req *wire.Request, msg string) {
 
 // upcall hands req to its servant, its arguments opened in rs.in, and leaves
 // the reply payload — results or exception — in rs.out, returning the reply
-// status.
-func (s *Server) upcall(conn *transport.Conn, req *wire.Request, rs *replyScratch) wire.ReplyStatus {
+// status and whether a ConnServant kept the request.
+func (s *Server) upcall(conn *transport.Conn, req *wire.Request, rs *replyScratch) (_ wire.ReplyStatus, kept bool) {
 	defer s.handleNS.Done(s.handleNS.Start())
 	sv, ok := s.lookup(req.ObjectKey)
 	in, out := &rs.in, rs.out
@@ -777,17 +789,17 @@ func (s *Server) upcall(conn *transport.Conn, req *wire.Request, rs *replyScratc
 				}
 			}()
 			if cs, ok := sv.(ConnServant); ok {
-				err = cs.DispatchConn(conn, req.Operation, in, out)
+				kept, err = cs.DispatchConn(conn, req.Operation, in, out)
 			} else {
 				err = sv.Dispatch(req.Operation, in, out)
 			}
 		}()
 	}
 	if err == nil {
-		return wire.ReplyNoException
+		return wire.ReplyNoException, kept
 	}
 	ResetArgEncoder(out)
-	return encodeException(out, err)
+	return encodeException(out, err), kept
 }
 
 // Addr returns the listen address.

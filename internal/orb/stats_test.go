@@ -57,7 +57,7 @@ func TestStatsUnderAdmissionOverload(t *testing.T) {
 				defer c.Close()
 				for j := 0; j < tc.perClient; j++ {
 					go func() {
-						_, err := c.InvokeAddr(addr, []byte("ledger"), "work", NewArgEncoder().Bytes(), false)
+						_, err := c.InvokeAddr(nil, addr, []byte("ledger"), "work", NewArgEncoder().Bytes(), false)
 						errs <- err
 					}()
 				}
@@ -159,7 +159,7 @@ func TestSerialClientNeverShedForItsOwnReply(t *testing.T) {
 
 	const calls = 25
 	for i := 1; i <= calls; i++ {
-		if _, err := c.InvokeAddr(srv.Addr(), key, "work", NewArgEncoder().Bytes(), false); err != nil {
+		if _, err := c.InvokeAddr(nil, srv.Addr(), key, "work", NewArgEncoder().Bytes(), false); err != nil {
 			t.Fatalf("serial call %d: %v", i, err)
 		}
 		st := srv.Stats()

@@ -106,7 +106,7 @@ func TestVersionMismatchClientFailsPendingInvoke(t *testing.T) {
 	c.Timeout = time.Minute // the refusal must not wait for this
 	defer c.Close()
 	start := time.Now()
-	_, err = c.InvokeAddr(lis.Addr().String(), []byte("k"), "echo", nil, false)
+	_, err = c.InvokeAddr(nil, lis.Addr().String(), []byte("k"), "echo", nil, false)
 	if !errors.Is(err, ErrConnBroken) || !errors.Is(err, wire.ErrBadVersion) || !strings.Contains(err.Error(), fmt.Sprintf("version: %d", wire.Version-1)) {
 		t.Fatalf("invoke against a version-1 peer: %v, want a broken connection naming the version", err)
 	}

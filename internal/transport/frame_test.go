@@ -65,10 +65,10 @@ func tailOfSize(t *testing.T, mk func(tail []byte) wire.Message, size int) wire.
 
 // TestFragmentedRequestReplyExactBody reads Request and Reply messages of the
 // sizes a 64-byte fragment threshold cut into 1, 2 and 17 frames. Written
-// whole, each is one frame, handed to the decoder as one body of exactly its
-// size — not a rented frame, which the decoded message would retain: its tail
-// ends where the body's capacity does — with the original contents, and the
-// frame pool owes nothing. Cut into frames the way a PGIOP 8 writer did it,
+// whole, each is one frame, read into a rented frame and decoded with the
+// original contents; its tail is clipped to its length, so an append to it
+// cannot run into the rest of the frame, and the frame goes back to the pool
+// on the message's Release. Cut into frames the way a PGIOP 8 writer did it,
 // the same message is refused at its first header.
 func TestFragmentedRequestReplyExactBody(t *testing.T) {
 	const frag = 64
@@ -109,14 +109,20 @@ func TestFragmentedRequestReplyExactBody(t *testing.T) {
 					t.Fatalf("decoded %v does not re-encode to the original %v", got.Type(), msg.Type())
 				}
 				var args []byte
+				var release func()
 				switch m := got.(type) {
 				case *wire.Request:
-					args = m.Args
+					args, release = m.Args, m.Release
 				case *wire.Reply:
-					args = m.Args
+					args, release = m.Args, m.Release
 				}
 				if len(args) != cap(args) {
-					t.Fatalf("the %d-byte tail has capacity %d: the body is not exactly the message's size", len(args), cap(args))
+					t.Fatalf("the %d-byte tail has capacity %d: it is not clipped to its length", len(args), cap(args))
+				}
+				returned := PoolStats().Returns
+				release()
+				if PoolStats().Returns == returned {
+					t.Fatal("Release gave no frame back to the pool")
 				}
 			})
 		}

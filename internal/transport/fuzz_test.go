@@ -84,8 +84,8 @@ func FuzzReadMessage(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if d, ok := m.(*wire.Data); ok {
-				d.Release()
+			if r, ok := m.(interface{ Release() }); ok {
+				r.Release()
 			}
 		}
 		// However the stream ended, every borrowed frame went back.

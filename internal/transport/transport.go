@@ -154,9 +154,9 @@ func (c *Conn) WriteBandwidth() float64 {
 }
 
 // Read frames are rented from bufpool.Frames (that package has the ownership
-// rule), but only MsgData bodies: every other message type's body is aliased
-// and retained by higher layers (Request.Args, Reply.Args, ...), so those
-// bodies are plain allocations that the garbage collector owns.
+// rule) for the three messages a call receives — Data, Request and Reply —
+// whose final consumer gives each back with the message's Release. Every other
+// message type's body is a plain allocation the garbage collector owns.
 
 // PoolStat is a point-in-time copy of the frame pool's ledger. Its
 // Outstanding is the number of rented frames not yet returned: a quiescent
@@ -315,10 +315,10 @@ func (c *Conn) WriteMessage(m wire.Message) error {
 	return c.gone(err)
 }
 
-// ReadMessage reads the next message. A returned *wire.Data holds a rented
-// frame: its payload is valid until Release, which the final consumer must
-// call after copying the elements out. A Ping is answered with its Pong here
-// and never returned; FrameHook still sees its header.
+// ReadMessage reads the next message. A returned *wire.Data, *wire.Request or
+// *wire.Reply holds a rented frame: its fields are valid until Release, which
+// the final consumer must call once it has read them. A Ping is answered with
+// its Pong here and never returned; FrameHook still sees its header.
 func (c *Conn) ReadMessage() (wire.Message, error) {
 	for {
 		m, err := c.readFrame()
@@ -354,8 +354,7 @@ func (c *Conn) readFrame() (wire.Message, error) {
 	if int(h.Size) > c.max {
 		return nil, fmt.Errorf("%w: frame body %d", ErrTooLarge, h.Size)
 	}
-	// A Data body is rented and no other message's is.
-	rented := h.Type == wire.MsgData
+	rented := h.Type == wire.MsgData || h.Type == wire.MsgRequest || h.Type == wire.MsgReply
 	var body []byte
 	if rented {
 		body = bufpool.Frames.Rent(int(h.Size))[:h.Size]
@@ -375,10 +374,10 @@ func (c *Conn) readFrame() (wire.Message, error) {
 		}
 		return nil, err
 	}
-	if d, ok := m.(*wire.Data); ok {
-		// The decoded payload aliases the frame; the message takes it over so
+	if l, ok := m.(interface{ Lend([]byte) }); ok {
+		// The decoded fields alias the frame; the message takes it over so
 		// the consumer controls its lifetime.
-		d.Lend(body)
+		l.Lend(body)
 	}
 	if c.ka > 0 {
 		c.lastRead.Store(int64(time.Since(c.born)))

@@ -18,6 +18,7 @@ type Request struct {
 	Operation        string
 	Principal        string // identity of the requester (informational)
 	Args             []byte // CDR-encoded argument payload (opaque here)
+	lent                    // a received request's: the frame ObjectKey and Args alias
 }
 
 func (*Request) Type() MsgType { return MsgRequest }
@@ -37,8 +38,26 @@ func (r *Request) Tail() []byte { return r.Args }
 
 func (r *Request) EncodeBody(e *cdr.Encoder) { encodeTailBody(e, r) }
 
+// Release gives a received request's frame and struct back, under
+// Data.Release's rules, once its final reader is done with ObjectKey and Args.
+func (r *Request) Release() { release(r, &r.lent, true, putRequest) }
+
+// WriteOff is Release for a request whose bytes a reader that cannot be waited
+// for may still hold: the frame is written off bufpool.Frames' ledger and left
+// to the collector, never handed out again.
+func (r *Request) WriteOff() { release(r, &r.lent, false, putRequest) }
+
+// requests and replies recycle the structs received requests and replies are
+// decoded into: one or two are in flight per connection, so a sync.Pool's
+// refill after a collection costs little.
+var requests, replies = sync.Pool{New: func() any { return new(Request) }}, sync.Pool{New: func() any { return new(Reply) }}
+
+func putRequest(r *Request) { requests.Put(r) }
+func putReply(r *Reply)     { replies.Put(r) }
+
 func decodeRequest(d *cdr.Decoder) (*Request, error) {
-	var r Request
+	r := requests.Get().(*Request)
+	*r = Request{}
 	var err error
 	if r.RequestID, err = d.ReadULong(); err != nil {
 		return nil, err
@@ -58,7 +77,7 @@ func decodeRequest(d *cdr.Decoder) (*Request, error) {
 	if r.Args, err = d.ReadOctets(); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return r, nil
 }
 
 // Reply answers a Request. For ReplyUserException and ReplySystemException
@@ -67,6 +86,7 @@ type Reply struct {
 	RequestID uint32
 	Status    ReplyStatus
 	Args      []byte
+	lent      // a received reply's: the frame Args aliases
 }
 
 func (*Reply) Type() MsgType { return MsgReply }
@@ -83,8 +103,13 @@ func (r *Reply) Tail() []byte { return r.Args }
 
 func (r *Reply) EncodeBody(e *cdr.Encoder) { encodeTailBody(e, r) }
 
+// Release gives a received reply's frame and struct back, under
+// Data.Release's rules, once its final reader is done with Args.
+func (r *Reply) Release() { release(r, &r.lent, true, putReply) }
+
 func decodeReply(d *cdr.Decoder) (*Reply, error) {
-	var r Reply
+	r := replies.Get().(*Reply)
+	*r = Reply{}
 	var err error
 	if r.RequestID, err = d.ReadULong(); err != nil {
 		return nil, err
@@ -100,7 +125,7 @@ func decodeReply(d *cdr.Decoder) (*Reply, error) {
 	if r.Args, err = d.ReadOctets(); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return r, nil
 }
 
 // LocateRequest asks whether the peer serves the given object key.
@@ -202,14 +227,45 @@ type Data struct {
 	Flags     byte   // DataFlag* bits; zero for plain multi-port moves
 	Payload   []byte
 
-	// frame is the transport buffer Payload aliases while it is on loan from
-	// bufpool.Frames; nil for messages whose payload the receiver owns
-	// outright.
+	lent // a received message's: the frame Payload aliases
+}
+
+// lent is what a received message holds of the frame it was read into.
+type lent struct {
+	// frame is the transport buffer the message's fields alias while it is on
+	// loan from bufpool.Frames; nil for messages the caller built.
 	frame []byte
 	// released marks a received message from its Release until the struct is
 	// handed out again: what a second Release or a late Chunked/LastChunk
 	// trips over.
 	released bool
+}
+
+// Lend records the frame, rented from bufpool.Frames, that the message's
+// fields alias; ownership passes to the message. The transport calls it when it
+// hands off a message it read.
+func (l *lent) Lend(frame []byte) { l.frame = frame }
+
+// release gives back the frame lent to m, whose lent l is — or, with reuse
+// false, writes it off — and m itself to put, emptied. On a message the caller
+// built, which was lent nothing, it does nothing, any number of times.
+func release[T any](m *T, l *lent, reuse bool, put func(*T)) {
+	if l.released {
+		panic(fmt.Sprintf("wire: %T released twice", m))
+	}
+	if l.frame == nil {
+		return
+	}
+	if reuse {
+		bufpool.Frames.Return(l.frame)
+	} else {
+		bufpool.Frames.WriteOff(l.frame)
+	}
+	*m = *new(T)
+	l.released = true
+	if !guardReleases.Load() {
+		put(m)
+	}
 }
 
 // received recycles the struct a Data frame is decoded into: decodeData takes
@@ -251,10 +307,10 @@ func putReceived(m *Data) {
 // stays on them for good; see GuardReleases.
 var guardReleases atomic.Bool
 
-// GuardReleases is for tests: while on, a released Data struct is never handed
-// out again, so every second Release and every Chunked or LastChunk after
-// Release panics — without it only those that come before the struct's next
-// use do, and the rest corrupt whoever holds it by then.
+// GuardReleases is for tests: while on, a released Data, Request or Reply
+// struct is never handed out again, so every second Release and every Chunked
+// or LastChunk after Release panics — without it only those that come before
+// the struct's next use do, and the rest corrupt whoever holds it by then.
 func GuardReleases(on bool) { guardReleases.Store(on) }
 
 func (m *Data) live() {
@@ -297,11 +353,6 @@ func (m *Data) Tail() []byte { return m.Payload }
 
 func (m *Data) EncodeBody(e *cdr.Encoder) { encodeTailBody(e, m) }
 
-// Lend records the frame, rented from bufpool.Frames, that Payload aliases;
-// ownership passes to the message. The transport calls it when it hands off a
-// Data message it read.
-func (m *Data) Lend(frame []byte) { m.frame = frame }
-
 // Release returns the frame backing Payload to bufpool.Frames and the struct
 // itself to the pool received messages are decoded into. The final consumer of
 // a received Data message must call it exactly once, after copying the payload
@@ -310,19 +361,7 @@ func (m *Data) Lend(frame []byte) { m.frame = frame }
 // frame somebody else is reading. It panics where it can tell (always under
 // GuardReleases). On a message without a lent frame — one the caller built —
 // it is a no-op, any number of times.
-func (m *Data) Release() {
-	if m.released {
-		panic("wire: Data released twice")
-	}
-	if m.frame == nil {
-		return
-	}
-	bufpool.Frames.Return(m.frame)
-	*m = Data{released: true}
-	if !guardReleases.Load() {
-		putReceived(m)
-	}
-}
+func (m *Data) Release() { release(m, &m.lent, true, putReceived) }
 
 // decodeData fills a struct from the pool; its consumer's Release gives the
 // struct back (a message nobody releases is the collector's).
